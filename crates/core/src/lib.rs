@@ -43,6 +43,11 @@
 //!   [`PlacementDelta`]s, and the [`ReplanPolicy`] both execution surfaces
 //!   share.  [`FleetTopology::replan`] applies them by re-solving only the
 //!   affected models, warm.
+//! * [`control`] — the one coordinator of the paper's Fig. 3:
+//!   [`ControlPlane`] owns the standing fleet plan, schedulers, prefix
+//!   routers, replication, fail-over and re-plan state and makes every
+//!   admission / progress / fail-over / re-plan decision once; the simulator
+//!   and the runtime are its two actuators.
 //! * [`scheduling`] — baseline schedulers (Swarm throughput-proportional,
 //!   random, shortest-queue-first) used in the §6.7 scheduling deep dive.
 //!
@@ -66,6 +71,7 @@
 //! assert!(scheduler.num_pipelines_possible() >= 1);
 //! ```
 
+pub mod control;
 pub mod error;
 pub mod exec_model;
 pub mod fleet;
@@ -77,6 +83,9 @@ pub mod replan;
 pub mod scheduling;
 pub mod topology;
 
+pub use control::{
+    Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
+};
 pub use error::HelixError;
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 ///
 /// let clock = VirtualClock::new(0.001); // 1 virtual second = 1 ms of wall time
 /// let start = clock.now();
-/// clock.sleep(0.5);
-/// assert!(clock.now() - start >= 0.5);
+/// assert!(clock.now() >= start);
+/// assert_eq!(clock.wall_per_virtual(), 0.001);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct VirtualClock {
@@ -60,27 +60,6 @@ impl VirtualClock {
         self.start.elapsed()
     }
 
-    /// Blocks the calling thread for `virtual_secs` of virtual time.
-    ///
-    /// Negative or non-finite durations are treated as zero.
-    pub fn sleep(&self, virtual_secs: f64) {
-        if virtual_secs.is_finite() && virtual_secs > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(
-                virtual_secs * self.wall_per_virtual,
-            ));
-        }
-    }
-
-    /// The wall-clock duration corresponding to `virtual_secs`, for use as a
-    /// channel receive timeout.  Clamped below at one microsecond so timeouts
-    /// always make progress.
-    pub fn wall_duration(&self, virtual_secs: f64) -> Duration {
-        if !virtual_secs.is_finite() || virtual_secs <= 0.0 {
-            return Duration::from_micros(1);
-        }
-        Duration::from_secs_f64((virtual_secs * self.wall_per_virtual).max(1e-6))
-    }
-
     /// The wall-clock [`Instant`] at which virtual time reaches
     /// `virtual_secs`, for deadline-based waits.  Times in the past (or
     /// non-finite) map to the clock's epoch; far futures are clamped so the
@@ -99,9 +78,8 @@ impl VirtualClock {
         self.start + wall
     }
 
-    /// Suspends the calling *task* for `virtual_secs` of virtual time
-    /// (the async counterpart of [`sleep`](Self::sleep); the driving thread
-    /// keeps running other tasks meanwhile).
+    /// Suspends the calling *task* for `virtual_secs` of virtual time (the
+    /// driving thread keeps running other tasks meanwhile).
     ///
     /// Negative or non-finite durations complete immediately.
     pub async fn sleep_async(&self, virtual_secs: f64) {
@@ -128,25 +106,6 @@ mod tests {
         );
         assert!(clock.wall_elapsed() >= Duration::from_millis(5));
         assert_eq!(clock.wall_per_virtual(), 0.001);
-    }
-
-    #[test]
-    fn sleep_respects_the_scale() {
-        let clock = VirtualClock::new(0.0005);
-        let before = Instant::now();
-        clock.sleep(10.0); // 5 ms of wall time
-        let elapsed = before.elapsed();
-        assert!(elapsed >= Duration::from_millis(4));
-        assert!(elapsed < Duration::from_millis(500));
-    }
-
-    #[test]
-    fn degenerate_sleeps_and_timeouts_are_safe() {
-        let clock = VirtualClock::new(0.01);
-        clock.sleep(-1.0);
-        clock.sleep(f64::NAN);
-        assert!(clock.wall_duration(-5.0) >= Duration::from_micros(1));
-        assert!(clock.wall_duration(1.0) >= Duration::from_millis(9));
     }
 
     #[test]

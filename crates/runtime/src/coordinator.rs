@@ -8,24 +8,26 @@
 //! next decode iteration on the *same* pipeline or completes the request and
 //! releases its KV cache everywhere (§5.1–§5.2).
 //!
-//! The coordinator runs in one of two modes:
+//! Every *decision* — admission, replication, fail-over, when and how to
+//! re-plan — is made by the shared [`ControlPlane`] (the same state machine
+//! the simulator drives); this module is its runtime actuator.  It owns what
+//! is genuinely the runtime's: the worker registry and spawner, the fabric
+//! envelopes, the §5.2 [`KvCacheEstimator`]s, drain-aware retirement and the
+//! in-flight KV hand-overs.
 //!
-//! * **batch** ([`Coordinator::run`]) — every request of a [`Workload`] is
-//!   admitted at its arrival time and the future resolves when all of them
-//!   completed;
-//! * **live** ([`Coordinator::run_live`]) — the session loop behind
-//!   [`ServingSession`](crate::ServingSession): requests arrive through a
-//!   control channel, completions stream back as they happen, and the
-//!   control plane accepts mid-run placement deltas that can *spawn new
-//!   workers* for (node, model) pairs the original build never had.
+//! There is one loop, [`Coordinator::run_live`] — the session loop behind
+//! [`ServingSession`](crate::ServingSession): requests arrive through a
+//! control channel, completions stream back as they happen, and mid-run
+//! placement deltas can *spawn new workers* for (node, model) pairs the
+//! original build never had.
 //!
-//! When a [`ReplanPolicy`] is configured, either mode also closes the online
-//! re-planning loop: every policy interval the workers' shared statistics
-//! are read into [`NodeObservations`], and when the measured speed factors
-//! warrant action [`FleetTopology::replan`] is applied **drain-then-switch**
-//! — the affected models' schedulers and KV estimators are swapped for *new*
-//! requests while every in-flight pipeline keeps the route it was assigned,
-//! so nothing is dropped mid-generation.
+//! When a [`ReplanPolicy`] is configured the loop also closes the online
+//! re-planning feedback: every policy interval the workers' shared
+//! statistics are handed to [`ControlPlane::observe`], and an applied
+//! re-plan is handed over **drain-then-switch** — the affected models'
+//! schedulers and KV estimators are swapped for *new* requests while every
+//! in-flight pipeline keeps the route it was assigned, so nothing is dropped
+//! mid-generation.
 
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
@@ -33,17 +35,14 @@ use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
 use crate::metrics::RequestOutcome;
 use crate::registry::{WorkerKey, WorkerRegistry, WorkerSpawner};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
-use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology, HelixError,
-    IwrrScheduler, KvCacheEstimator, KvMigration, KvTransferModel, KvTransferRecord, LayerRange,
-    NodeDirectory, NodeObservations, ObservationWindows, PlacementDelta, PrefixRoute, PrefixRouter,
-    PrefixStats, PrefixWork, ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker,
-    ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler,
+    Admission, ClusterState, ControlLogs, ControlPlane, EngineCounters, FleetTopology, InFlight,
+    KvCacheEstimator, KvMigration, KvTransferRecord, LayerRange, PlacementDelta, ReplanOutcome,
+    ReplanPolicy, ReplanReason, ReplicationPolicy, Scheduler,
 };
-use helix_workload::{Request, RequestId, Workload};
+use helix_workload::{Request, RequestId};
 use minirt::channel::{Receiver, Sender, TryRecvError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,11 +92,8 @@ pub(crate) enum SessionControl {
 /// outcomes themselves.
 #[derive(Default)]
 pub(crate) struct CoordinatorArtifacts {
-    pub replans: Vec<ReplanRecord>,
+    pub control: ControlLogs,
     pub kv_transfers: Vec<KvTransferRecord>,
-    pub prefix: PrefixStats,
-    pub failovers: Vec<FailoverRecord>,
-    pub replication: ReplicationStats,
 }
 
 /// Everything the coordinator needs to run.
@@ -128,18 +124,6 @@ pub(crate) struct CoordinatorSpec {
     pub policy: Option<ReplanPolicy>,
 }
 
-/// The coordinator's standing control-plane state: the fleet plan it serves,
-/// the optional observation policy, and the re-plan log.
-struct ControlState {
-    fleet: FleetTopology,
-    policy: Option<ReplanPolicy>,
-    last_check: f64,
-    last_replan: Option<f64>,
-    /// The shared window accumulator (same measurement math as the sim).
-    windows: ObservationWindows,
-    replans: Vec<ReplanRecord>,
-}
-
 /// The coordinator's runtime view of the cluster for one model, used by that
 /// model's scheduler.
 ///
@@ -149,7 +133,7 @@ struct ControlState {
 /// §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
-    estimator: &'a KvCacheEstimator,
+    estimators: &'a [KvCacheEstimator],
     registry: &'a WorkerRegistry,
 }
 
@@ -169,36 +153,18 @@ impl ClusterState for CoordinatorView<'_> {
     }
 
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.estimator.estimated_tokens(node)
+        self.estimators[self.model.index()].estimated_tokens(node)
     }
 
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.estimator.capacity_tokens(node)
+        self.estimators[self.model.index()].capacity_tokens(node)
     }
 }
 
-/// The in-flight state of one admitted request.
-struct InFlight {
-    request: Request,
-    pipeline: Arc<RequestPipeline>,
-    first_token_at: Option<f64>,
-    /// Tokens generated so far (one per completed pipeline pass); the
-    /// request finishes when this reaches `output_tokens`.  A promoted
-    /// incarnation carries the count across the fail-over.
-    generated: usize,
-    /// The incarnation the in-flight pipeline belongs to; iteration reports
-    /// carrying an older epoch are stale (pre-failure work still draining
-    /// through surviving stages) and are dropped.
-    epoch: u64,
-    /// The shared-prefix reference this admission holds, released (estimator
-    /// refcounts and router home) when the request finishes.
-    prefix: Option<PrefixWork>,
-}
-
 pub(crate) struct Coordinator {
-    schedulers: Vec<Box<dyn Scheduler>>,
-    /// Per-model cache-aware routers layered over the base schedulers.
-    prefix_routers: Vec<PrefixRouter>,
+    /// The shared coordinator state machine (fleet plan, schedulers, prefix
+    /// routers, replication, fail-over, re-plan policy, in-flight table).
+    control: ControlPlane,
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<CoordinatorMsg>,
@@ -206,38 +172,21 @@ pub(crate) struct Coordinator {
     registry: Arc<WorkerRegistry>,
     spawner: WorkerSpawner,
     max_wall: Duration,
-    in_flight: HashMap<RequestId, InFlight>,
     outcomes: Vec<RequestOutcome>,
-    control: ControlState,
     /// Workers the plan dropped, awaiting their in-flight pipelines to drain.
     pending_retire: HashSet<WorkerKey>,
     /// KV hand-overs in flight, with the virtual time each freeze began.
     /// Drains wait for these; each resolves on the matching `KvInstalled`.
     /// Freezes are layer-scoped: each pending migration holds exactly one
     /// `Freeze(layers)` on each endpoint, and overlapping hand-overs stack
-    /// their ranges on the worker rather than refcounting here.
+    /// their ranges on the worker rather than refcounting here.  A model with
+    /// a hand-over pending keeps its old scheduler (freeze → transfer →
+    /// re-route → resume).
     pending_migrations: Vec<(KvMigration, f64)>,
-    /// Re-route deferred until a model's last pending transfer lands: the
-    /// re-planned scheduler to install then (freeze → transfer → re-route →
-    /// resume).
-    deferred_swaps: HashMap<usize, Box<dyn Scheduler>>,
     /// Completed KV hand-overs, for the final report.
     kv_transfers: Vec<KvTransferRecord>,
-    /// Live-mode completion stream (None in batch mode).
+    /// The completion stream of the live loop.
     completions: Option<Sender<RequestOutcome>>,
-    /// The replication policy applied at admission (disabled by default).
-    replication: ReplicationPolicy,
-    /// Per-request standby maps and durable-token progress.
-    replica_tracker: ReplicaTracker,
-    /// One record per fail-over the run handled.
-    failovers: Vec<FailoverRecord>,
-    /// Node-level membership health (heartbeats from live worker stats).
-    node_health: NodeDirectory,
-    /// Nodes that failed this run; excluded from standby selection.
-    failed_nodes: HashSet<NodeId>,
-    /// Per-request incarnation counters, bumped on each promotion or
-    /// abort-and-readmit.
-    epochs: HashMap<RequestId, u64>,
     /// Injected failures not yet due: `(virtual time, node)`.
     pending_failures: Vec<(f64, NodeId)>,
 }
@@ -249,20 +198,10 @@ impl Coordinator {
             spec.estimators.len(),
             "one estimator per model"
         );
-        let prefix_routers = (0..spec.schedulers.len())
-            .map(|_| PrefixRouter::new())
-            .collect();
-        let mut node_health = NodeDirectory::default();
-        for m in 0..spec.fleet.num_models() {
-            if let Some(topology) = spec.fleet.model(ModelId(m)) {
-                for n in topology.nodes() {
-                    node_health.register(n.node, 0.0);
-                }
-            }
-        }
+        let mut control = ControlPlane::new(spec.fleet, spec.schedulers);
+        control.start_timeline(spec.policy);
         Coordinator {
-            schedulers: spec.schedulers,
-            prefix_routers,
+            control,
             estimators: spec.estimators,
             clock: spec.clock,
             inbound: spec.inbound,
@@ -270,27 +209,11 @@ impl Coordinator {
             registry: spec.registry,
             spawner: spec.spawner,
             max_wall: spec.max_wall,
-            in_flight: HashMap::new(),
             outcomes: Vec::new(),
-            control: ControlState {
-                fleet: spec.fleet,
-                policy: spec.policy,
-                last_check: 0.0,
-                last_replan: None,
-                windows: ObservationWindows::new(),
-                replans: Vec::new(),
-            },
             pending_retire: HashSet::new(),
             pending_migrations: Vec::new(),
-            deferred_swaps: HashMap::new(),
             kv_transfers: Vec::new(),
             completions: None,
-            replication: ReplicationPolicy::disabled(),
-            replica_tracker: ReplicaTracker::new(),
-            failovers: Vec::new(),
-            node_health,
-            failed_nodes: HashSet::new(),
-            epochs: HashMap::new(),
             pending_failures: Vec::new(),
         }
     }
@@ -299,109 +222,9 @@ impl Coordinator {
     /// loop ends and threaded into the final report.
     pub(crate) fn take_artifacts(&mut self) -> CoordinatorArtifacts {
         CoordinatorArtifacts {
-            replans: self.take_replans(),
-            kv_transfers: self.take_kv_transfers(),
-            prefix: self.take_prefix_stats(),
-            failovers: std::mem::take(&mut self.failovers),
-            replication: self.replica_tracker.take_stats(),
+            control: self.control.take_logs(),
+            kv_transfers: std::mem::take(&mut self.kv_transfers),
         }
-    }
-
-    /// The re-plans the run applied (empty when none fired).
-    pub(crate) fn take_replans(&mut self) -> Vec<ReplanRecord> {
-        std::mem::take(&mut self.control.replans)
-    }
-
-    /// The KV hand-overs the run completed (empty when none migrated).
-    pub(crate) fn take_kv_transfers(&mut self) -> Vec<KvTransferRecord> {
-        std::mem::take(&mut self.kv_transfers)
-    }
-
-    /// Prefix-sharing counters summed over all models, taken (not copied) so
-    /// back-to-back runs each report their own.
-    pub(crate) fn take_prefix_stats(&mut self) -> PrefixStats {
-        let mut stats = PrefixStats::default();
-        for router in &mut self.prefix_routers {
-            stats.merge(&router.take_stats());
-        }
-        stats
-    }
-
-    /// Serves the whole workload, returning one outcome per request in
-    /// completion order (the batch path — the session's `serve` convenience
-    /// wrapper drives exactly this future to completion on its own thread).
-    pub(crate) async fn run(
-        &mut self,
-        workload: &Workload,
-    ) -> Result<Vec<RequestOutcome>, RuntimeError> {
-        let requests: Vec<Request> = workload.requests().to_vec();
-        let total = requests.len();
-        let mut next_arrival = 0usize;
-        let mut deferred: VecDeque<Request> = VecDeque::new();
-
-        while self.outcomes.len() < total {
-            if self.clock.wall_elapsed() > self.max_wall {
-                return Err(RuntimeError::WallClockBudgetExceeded {
-                    budget: self.max_wall,
-                    completed: self.outcomes.len(),
-                    total,
-                });
-            }
-
-            // Admit every request whose arrival time has passed.
-            let now = self.clock.now();
-            while next_arrival < total && requests[next_arrival].arrival_time <= now {
-                let request = requests[next_arrival];
-                next_arrival += 1;
-                if !self.try_dispatch(request)? {
-                    deferred.push_back(request);
-                }
-            }
-            // Retry requests that could not be scheduled earlier (all
-            // candidates masked by the KV high-water mark).
-            for _ in 0..deferred.len() {
-                let request = deferred.pop_front().expect("bounded by len");
-                if !self.try_dispatch(request)? {
-                    deferred.push_back(request);
-                }
-            }
-            if !deferred.is_empty() && self.in_flight.is_empty() {
-                return Err(RuntimeError::Stalled {
-                    pending: deferred.len() + (total - next_arrival),
-                    completed: self.outcomes.len(),
-                });
-            }
-
-            // Wait for worker events on the channel's waker, with a deadline
-            // at whichever comes first: the next arrival, the next policy
-            // tick or the wall budget.  No polling interval — a completion
-            // wakes this the instant the fabric delivers it.
-            let mut deadline = self.clock.instant_at_wall(self.max_wall);
-            if next_arrival < total {
-                deadline = deadline.min(self.clock.instant_at(requests[next_arrival].arrival_time));
-            }
-            if let Some(at) = self.next_policy_deadline() {
-                deadline = deadline.min(at);
-            }
-            let received =
-                minirt::time::timeout_at(deadline + DEADLINE_SLACK, self.inbound.recv()).await;
-            if let Ok(result) = received {
-                match result {
-                    Ok(msg) => {
-                        self.handle_inbound(msg)?;
-                    }
-                    Err(_) => return Err(RuntimeError::Disconnected("network fabric")),
-                }
-            }
-            while let Ok(msg) = self.inbound.try_recv() {
-                self.handle_inbound(msg)?;
-            }
-
-            // The feedback half of the loop: observe the workers, consult
-            // the policy, re-plan and hand over.
-            self.maybe_replan();
-        }
-        Ok(std::mem::take(&mut self.outcomes))
     }
 
     /// The live session loop: requests, placement deltas and drain/finish
@@ -409,11 +232,10 @@ impl Coordinator {
     /// `completions` as they happen.
     ///
     /// Requests are admitted when their `arrival_time` (virtual seconds)
-    /// passes, exactly as in the batch path, so replaying a workload through
-    /// submit-all-then-drain exercises the same admission mechanics as
-    /// [`Coordinator::run`].  The wall-clock budget is enforced only while a
-    /// drain or finish is pending — an idle session may live indefinitely,
-    /// parked on its inbound channel's waker at zero cost.
+    /// passes, so submit-all-then-drain replays a workload's arrival
+    /// process.  The wall-clock budget is enforced only while a drain or
+    /// finish is pending — an idle session may live indefinitely, parked on
+    /// its inbound channel's waker at zero cost.
     pub(crate) async fn run_live(
         &mut self,
         control: Receiver<SessionControl>,
@@ -439,8 +261,8 @@ impl Coordinator {
                     }
                     Ok(SessionControl::ApplyDelta(delta)) => {
                         let now = self.clock.now();
-                        let observed = self.control.fleet.observations().clone();
-                        self.apply_replan(&delta, &observed, ReplanReason::Manual, now);
+                        let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
+                        self.hand_over(outcome, now);
                     }
                     Ok(SessionControl::Retire(node, model)) => {
                         self.request_retirement(node, model);
@@ -449,7 +271,7 @@ impl Coordinator {
                         self.pending_failures.push((at, node));
                     }
                     Ok(SessionControl::SetReplication(policy)) => {
-                        self.replication = policy;
+                        self.control.set_replication(policy);
                     }
                     Ok(SessionControl::Drain(ack)) => drain_acks.push(ack),
                     Ok(SessionControl::Finish) => finishing = true,
@@ -482,24 +304,15 @@ impl Coordinator {
             // promote replicated in-flight pipelines, abort the rest and
             // queue them for re-admission through the normal path.
             let now = self.clock.now();
-            if self.pending_failures.iter().any(|&(at, _)| at <= now) {
-                let due: Vec<NodeId> = {
-                    let mut due = Vec::new();
-                    self.pending_failures.retain(|&(at, node)| {
-                        if at <= now {
-                            due.push(node);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    due
-                };
-                for node in due {
-                    for request in self.fail_node(node)? {
-                        pending.push_back(request);
-                    }
+            let mut due = Vec::new();
+            self.pending_failures.retain(|&(at, node)| {
+                if at <= now {
+                    due.push(node);
                 }
+                at > now
+            });
+            if !due.is_empty() {
+                pending.extend(self.fail_nodes(&due, now)?);
             }
 
             // 4. Admit every request whose arrival time has passed, in
@@ -527,7 +340,7 @@ impl Coordinator {
             // pending migration or failure postpones the stall verdict.
             if draining
                 && !deferred.is_empty()
-                && self.in_flight.is_empty()
+                && self.control.in_flight_len() == 0
                 && self.pending_migrations.is_empty()
                 && self.pending_failures.is_empty()
             {
@@ -543,7 +356,7 @@ impl Coordinator {
             if draining
                 && pending.is_empty()
                 && deferred.is_empty()
-                && self.in_flight.is_empty()
+                && self.control.in_flight_len() == 0
                 && self.pending_migrations.is_empty()
                 && self.pending_failures.is_empty()
             {
@@ -599,143 +412,99 @@ impl Coordinator {
         Ok(std::mem::take(&mut self.outcomes))
     }
 
-    /// When the next observation-window check is due, if a policy is
-    /// configured — the wake-up deadline for the waker-based waits.
-    fn next_policy_deadline(&self) -> Option<Instant> {
-        let policy = self.control.policy?;
-        Some(
-            self.clock
-                .instant_at(self.control.last_check + policy.check_interval_secs),
-        )
+    /// When the next observation-window check is due (virtual seconds), if
+    /// a policy is configured.
+    fn next_policy_check(&self) -> Option<f64> {
+        let policy = self.control.policy()?;
+        Some(self.control.last_check() + policy.check_interval_secs)
     }
 
-    /// One observation-window check of the online re-planning loop.  Reads
-    /// every live worker's shared statistics into a [`NodeObservations`]
-    /// snapshot (speed factor = predicted / actual busy seconds over the
-    /// window); when the policy fires, applies [`FleetTopology::replan`] and
-    /// swaps the affected models' schedulers and KV-estimator capacities.
-    /// In-flight pipelines are untouched — they drain over their old routes.
+    /// The wake-up deadline of the next policy check for the waker-based
+    /// waits.
+    fn next_policy_deadline(&self) -> Option<Instant> {
+        self.next_policy_check().map(|at| self.clock.instant_at(at))
+    }
+
+    /// One observation-window check of the online re-planning loop, when
+    /// due: every live worker's shared statistics go to the control plane,
+    /// and a re-plan it applies is handed over.  A worker whose stats are
+    /// still readable is alive, so node-level membership decays from these
+    /// heartbeats exactly as region membership decays from region
+    /// heartbeats.
     fn maybe_replan(&mut self) {
-        let Some(policy) = self.control.policy else {
+        // No policy, no clock read: this runs once per loop iteration.
+        let Some(due) = self.next_policy_check() else {
             return;
         };
         let now = self.clock.now();
-        let window = now - self.control.last_check;
-        if window < policy.check_interval_secs {
+        if now < due {
             return;
         }
-        self.control.last_check = now;
-
-        let mut observed = NodeObservations::new();
-        for ((node, model), stats) in self.registry.live_stats_snapshot() {
-            // A worker whose stats are still readable is alive: node-level
-            // membership decays from these heartbeats exactly as region
-            // membership decays from region heartbeats.
-            self.node_health.heartbeat(node, now);
-            self.control.windows.measure(
-                &mut observed,
-                node,
-                model,
-                EngineCounters {
+        let stats = self.registry.live_stats_snapshot().into_iter();
+        let counters: Vec<_> = stats
+            .map(|((node, model), stats)| {
+                let counters = EngineCounters {
                     nominal_busy_secs: stats.nominal_busy_secs,
                     busy_secs: stats.busy_secs,
                     tokens: stats.prompt_tokens + stats.decode_tokens,
-                },
-                window,
-                self.control.fleet.observations(),
-            );
-        }
-
-        if let Some((node, model, speed)) = policy.should_replan(
-            &observed,
-            self.control.fleet.observations(),
-            now,
-            self.control.last_replan,
-        ) {
-            let applied = self.apply_replan(
-                &PlacementDelta::new(),
-                &observed,
-                ReplanReason::ThroughputGap { node, model, speed },
-                now,
-            );
-            if applied {
-                self.control.last_replan = Some(now);
-            }
-        }
+                };
+                (node, model, counters)
+            })
+            .collect();
+        let outcome = self.control.observe(now, &counters);
+        self.hand_over(outcome, now);
     }
 
-    /// Applies one re-plan to the standing fleet: re-derives the plan, swaps
-    /// the affected models' schedulers and KV budgets for *new* requests
-    /// (drain-then-switch), spawns workers for (node, model) tenancies the
-    /// delta added, and queues drain-aware retirement for ones it dropped.
-    /// Returns whether the re-plan was applied; an infeasible re-plan leaves
-    /// the current plan serving.
-    fn apply_replan(
-        &mut self,
-        delta: &PlacementDelta,
-        observed: &NodeObservations,
-        reason: ReplanReason,
-        now: f64,
-    ) -> bool {
-        let outcome = match self.control.fleet.replan(delta, observed) {
-            Ok(outcome) => outcome,
-            Err(_) => return false,
+    /// Actuates one applied re-plan (`None`: it was infeasible or not due,
+    /// and the current plan keeps serving): swaps the affected models' KV
+    /// budgets for *new* requests (drain-then-switch), spawns workers for
+    /// (node, model) tenancies the delta added, queues drain-aware
+    /// retirement for ones it dropped, and starts the KV transfer of every
+    /// migration.
+    fn hand_over(&mut self, outcome: Option<ReplanOutcome>, now: f64) {
+        let Some(outcome) = outcome else {
+            return;
         };
-        let mut new_schedulers: Vec<(ModelId, Box<dyn Scheduler>)> = Vec::new();
+        let fleet = self.control.fleet();
         for &model in &outcome.affected {
-            let topology = self
-                .control
-                .fleet
-                .model(model)
-                .expect("affected model exists");
-            // Hand-over step 1: build the new IWRR weights for new requests.
-            // A model whose re-planned flow is zero keeps its old scheduler
-            // (serving degraded beats serving nothing).  Installation is
-            // deferred past any KV transfer the delta owes this model
-            // (freeze → transfer → re-route → resume).
-            if let Ok(scheduler) = IwrrScheduler::from_topology(topology) {
-                new_schedulers.push((model, Box::new(scheduler)));
-            }
-            // Pipelines of the old plan are stale prefix homes: forget them.
-            // In-flight references stay balanced through their own release
-            // path; only future routing is affected.
-            self.prefix_routers[model.index()].clear();
-            // Hand-over step 2: re-derived KV budgets, and dynamic
-            // membership — a tenancy the delta added gets a live worker on
-            // the spot, routable through the fabric immediately (a migration
-            // destination must exist before the pages can land).  New
-            // workers execute at the analytic contention split; measured
-            // speed factors re-price planning, not execution.
-            let planned: Vec<(NodeId, String, usize, f64)> = topology
-                .nodes()
-                .map(|n| (n.node, n.name.clone(), n.layers.len(), n.kv_capacity_tokens))
-                .collect();
-            let contention = self.control.fleet.contention_profile(model);
+            // Re-derived KV budgets, and dynamic membership — a tenancy the
+            // delta added gets a live worker on the spot, routable through
+            // the fabric immediately (a migration destination must exist
+            // before the pages can land).  New workers execute at the
+            // analytic contention split; measured speed factors re-price
+            // planning, not execution.
+            let contention = fleet.contention_profile(model);
             let mut planned_nodes: HashSet<NodeId> = HashSet::new();
-            for (node, name, layers, kv_capacity_tokens) in planned {
-                planned_nodes.insert(node);
-                self.estimators[model.index()].set_capacity(node, kv_capacity_tokens);
-                self.pending_retire.remove(&(node, model));
-                self.spawner
-                    .spawn(&contention, node, model, &name, layers, kv_capacity_tokens);
+            for n in fleet.topologies()[model.index()].nodes() {
+                let (layers, kv_capacity_tokens) = (n.layers.len(), n.kv_capacity_tokens);
+                planned_nodes.insert(n.node);
+                self.estimators[model.index()].set_capacity(n.node, kv_capacity_tokens);
+                self.pending_retire.remove(&(n.node, model));
+                self.spawner.spawn(
+                    &contention,
+                    n.node,
+                    model,
+                    &n.name,
+                    layers,
+                    kv_capacity_tokens,
+                );
             }
-            // Hand-over step 3: pairs the plan no longer includes keep
-            // serving their in-flight pipelines and are detached once those
-            // drain; new requests already steer around them.
+            // Pairs the plan no longer includes keep serving their in-flight
+            // pipelines and are detached once those drain; new requests
+            // already steer around them.
             for key in self.registry.live_keys_for_model(model) {
                 if !planned_nodes.contains(&key.0) {
                     self.pending_retire.insert(key);
                 }
             }
         }
-        // Hand-over step 4: initiate each migration's KV transfer — freeze
-        // the *migrated layer range* on both ends (work on other layers
-        // keeps executing; overlapping hand-overs stack their ranges on the
-        // worker), then ask the source to extract its pool through the
-        // fabric as a pipelined chunk stream (the pages queue behind — and
-        // interleave with — activation traffic on the `from → to` link).
-        // `KvInstalled` re-routes and resumes.
-        let mut migrating: HashSet<ModelId> = HashSet::new();
+        // Initiate each migration's KV transfer — freeze the *migrated layer
+        // range* on both ends (work on other layers keeps executing;
+        // overlapping hand-overs stack their ranges on the worker), then ask
+        // the source to extract its pool through the fabric as a pipelined
+        // chunk stream (the pages queue behind — and interleave with —
+        // activation traffic on the `from → to` link).  `KvInstalled`
+        // re-routes and resumes.
         for &migration in &outcome.migrations {
             let KvMigration {
                 model,
@@ -743,49 +512,41 @@ impl Coordinator {
                 to,
                 layers,
             } = migration;
-            let Some(source) = self.registry.route((from, model)) else {
-                continue;
-            };
-            self.freeze_endpoint((from, model), layers);
-            self.freeze_endpoint((to, model), layers);
-            let kv_bytes_per_token_per_layer = self.control.fleet.profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer();
-            let _ = source.send(RuntimeMsg::KvExtract {
-                to,
-                layers,
-                kv_bytes_per_token_per_layer,
-            });
-            self.pending_migrations.push((migration, now));
-            migrating.insert(model);
-        }
-        // Re-route: models with a transfer in flight get their scheduler on
-        // `KvInstalled`; everyone else switches immediately.
-        for (model, scheduler) in new_schedulers {
-            if migrating.contains(&model) {
-                self.deferred_swaps.insert(model.index(), scheduler);
-            } else {
-                self.schedulers[model.index()] = scheduler;
+            if let Some(source) = self.registry.route((from, model)) {
+                self.freeze_endpoint((from, model), layers);
+                self.freeze_endpoint((to, model), layers);
+                let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
+                    .model()
+                    .kv_bytes_per_token_per_layer();
+                let _ = source.send(RuntimeMsg::KvExtract {
+                    to,
+                    layers,
+                    kv_bytes_per_token_per_layer,
+                });
+                self.pending_migrations.push((migration, now));
             }
+            self.reroute_when_settled(model);
         }
         self.sweep_retirements();
-        self.control.replans.push(ReplanRecord {
-            at: now,
-            reason,
-            affected: outcome.affected,
-            planned_flow: self.control.fleet.total_flow_value(),
-        });
-        true
+    }
+
+    /// Installs `model`'s re-planned scheduler unless a KV transfer it owes
+    /// is still in flight (the last `KvInstalled` asks again).  The control
+    /// plane re-derives the weights from the fleet as it stands then, so a
+    /// node failure that re-planned mid-transfer never resurrects routes
+    /// through nodes that died since.
+    fn reroute_when_settled(&mut self, model: ModelId) {
+        let pending = &self.pending_migrations;
+        if !pending.iter().any(|&(m, _)| m.model == model) {
+            self.control.install_scheduler(model);
+        }
     }
 
     /// Queues the retirement of one worker, refusing pairs the active plan
     /// still schedules onto (retiring those would strand new pipelines).
     fn request_retirement(&mut self, node: NodeId, model: ModelId) {
-        let still_planned = self
-            .control
-            .fleet
-            .model(model)
-            .is_some_and(|t| t.node(node).is_some());
+        let fleet = self.control.fleet();
+        let still_planned = fleet.model(model).is_some_and(|t| t.node(node).is_some());
         if !still_planned && self.registry.is_live((node, model)) {
             self.pending_retire.insert((node, model));
             self.sweep_retirements();
@@ -800,8 +561,8 @@ impl Coordinator {
             return;
         }
         let busy: HashSet<WorkerKey> = self
-            .in_flight
-            .values()
+            .control
+            .flights()
             .flat_map(|flight| {
                 let model = flight.pipeline.model;
                 flight
@@ -823,395 +584,36 @@ impl Coordinator {
         }
     }
 
-    /// Tries to admit one request.  Returns `Ok(false)` if every candidate is
-    /// currently masked out and the request should be retried later.
+    /// Asks the control plane to admit one request and puts the dispatch on
+    /// the wire.  Returns `Ok(false)` if the admission was deferred (every
+    /// candidate masked, or only dead pipelines on offer) and the request
+    /// should be retried later.
     fn try_dispatch(&mut self, request: Request) -> Result<bool, RuntimeError> {
         let model = request.model;
-        let num_models = self.schedulers.len();
-        if model.index() >= num_models {
-            return Err(RuntimeError::Scheduling(HelixError::UnknownModel {
-                model,
-                num_models,
-            }));
-        }
         let view = CoordinatorView {
             model,
-            estimator: &self.estimators[model.index()],
+            estimators: &self.estimators,
             registry: &self.registry,
         };
-        // Cache-aware routing: a prefix-tagged request goes to the pipeline
-        // already holding its prefix when that pipeline has KV headroom; a
-        // saturated home degrades to plain IWRR with sharing disabled.
-        let mut prefix_work: Option<PrefixWork> = None;
-        let mut routed: Option<RequestPipeline> = None;
-        let mut bypassed = false;
-        if let Some((pid, ptokens)) = request.shared_prefix() {
-            match self.prefix_routers[model.index()].route(pid, ptokens, &view) {
-                PrefixRoute::Hit {
-                    pipeline,
-                    shared_tokens,
-                } => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: shared_tokens,
-                        hit: true,
-                    });
-                    routed = Some(pipeline);
-                }
-                PrefixRoute::Miss => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: ptokens,
-                        hit: false,
-                    });
-                }
-                PrefixRoute::Bypass => bypassed = true,
-            }
-        }
-        let scheduled = match routed {
-            Some(pipeline) => Ok(pipeline),
-            None => self.schedulers[model.index()].schedule(&view),
-        };
-        let pipeline = match scheduled {
-            Ok(mut pipeline) => {
-                pipeline.model = model;
-                Arc::new(pipeline)
-            }
-            // A hit never lands here (route() pre-checks headroom and its
-            // reference is only taken on Hit), so deferral leaks nothing.
-            Err(HelixError::NoCandidateAvailable { .. }) => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        // When the re-plan around a failed node was infeasible the scheduler
-        // keeps serving the old plan, which may still route across the hole;
-        // defer those admissions until a live pipeline comes up in rotation.
-        // Prefix hits never land here — `fail_node` evicts the failed node
-        // from every router before any post-failure admission.
-        let hit = prefix_work.is_some_and(|p| p.hit);
-        if !hit
-            && !self.failed_nodes.is_empty()
-            && pipeline
-                .stages
-                .iter()
-                .any(|stage| self.failed_nodes.contains(&stage.node))
-        {
+        let Admission::Dispatch(dispatch) = self.control.admit(&request, &view)? else {
             return Ok(false);
-        }
-        match prefix_work {
-            // A miss materialises the prefix: the scheduled pipeline becomes
-            // its home for later sharers.
-            Some(p) if !p.hit => {
-                self.prefix_routers[model.index()].adopt(p.id, p.tokens, &pipeline)
-            }
-            None if bypassed => self.prefix_routers[model.index()].record_bypass(),
-            _ => {}
-        }
-        // The per-request estimate covers only the unshared suffix; the
-        // shared range is attached (refcounted, counted once per node) so the
+        };
+        // The per-request estimate covers only the unshared suffix (plus, for
+        // a promoted incarnation, what it had already decoded); the shared
+        // range is attached (refcounted, counted once per node) so the
         // estimator mirrors the workers' refcounted pool entries.
-        let shared_tokens = prefix_work
-            .map(|p| p.tokens.min(request.prompt_tokens))
-            .unwrap_or(0);
-        for stage in &pipeline.stages {
-            self.estimators[model.index()].on_scheduled(
-                stage.node,
-                request.id,
-                request.prompt_tokens - shared_tokens,
-            );
-            if let Some(p) = prefix_work {
-                self.estimators[model.index()].attach_shared(stage.node, p.id, p.tokens);
+        let shared = dispatch.prefix.map_or(0, |p| p.tokens);
+        let cached = request.prompt_tokens - shared.min(request.prompt_tokens) + dispatch.generated;
+        for stage in &dispatch.pipeline.stages {
+            let estimator = &mut self.estimators[model.index()];
+            estimator.on_scheduled(stage.node, request.id, cached);
+            if let Some(p) = dispatch.prefix {
+                estimator.attach_shared(stage.node, p.id, p.tokens);
             }
-        }
-        // A cache hit skips prefilling the shared range (that is the compute
-        // saving); at least one token still flows through the pipeline to
-        // produce the first output token.
-        let prefill_tokens = match prefix_work {
-            Some(p) if p.hit => request.prompt_tokens.saturating_sub(p.tokens).max(1),
-            _ => request.prompt_tokens.max(1),
-        };
-        let first = pipeline.stages[0].node;
-        let epoch = self.epochs.get(&request.id).copied().unwrap_or(0);
-        self.send(Envelope {
-            from: None,
-            to: Some(first),
-            model,
-            bytes: TOKEN_WIRE_BYTES * prefill_tokens as f64,
-            msg: RuntimeMsg::Work(StageWork {
-                request: request.id,
-                phase: Phase::Prompt,
-                tokens: prefill_tokens,
-                stage_index: 0,
-                epoch,
-                pipeline: Arc::clone(&pipeline),
-                prefix: prefix_work,
-            }),
-        })?;
-        self.begin_replication(request.id, &pipeline, request.output_tokens);
-        self.in_flight.insert(
-            request.id,
-            InFlight {
-                request,
-                pipeline,
-                first_token_at: None,
-                generated: 0,
-                epoch,
-                prefix: prefix_work,
-            },
-        );
-        Ok(true)
-    }
-
-    /// Starts replication tracking for a newly admitted request when the
-    /// policy marks it hot *and* every pipeline stage has a live standby
-    /// whose layer range covers it; otherwise the request runs unreplicated
-    /// and a failure falls back to abort-and-readmit.  Promoted incarnations
-    /// are not re-tracked — the replication factor applies from admission.
-    fn begin_replication(
-        &mut self,
-        request: RequestId,
-        pipeline: &Arc<RequestPipeline>,
-        output_tokens: usize,
-    ) {
-        if !self.replication.replicates(output_tokens) {
-            return;
-        }
-        let model = pipeline.model;
-        let Some(topology) = self.control.fleet.model(model) else {
-            return;
-        };
-        let candidates: Vec<(NodeId, LayerRange)> = topology
-            .nodes()
-            .filter(|n| !self.failed_nodes.contains(&n.node))
-            .map(|n| (n.node, n.layers))
-            .collect();
-        let mut standbys = Vec::with_capacity(pipeline.stages.len());
-        for stage in &pipeline.stages {
-            match select_standby(stage.node, stage.layers, &candidates) {
-                Some(standby) => standbys.push((stage.node, standby)),
-                None => return,
-            }
-        }
-        self.replica_tracker.begin(request, standbys);
-    }
-
-    /// Ships one replication milestone: the newly durable token delta (if
-    /// the chunk boundary was crossed, or the prompt just completed) travels
-    /// from every primary stage to its standby as a non-final
-    /// [`RuntimeMsg::KvChunk`], priced by the shared [`KvTransferModel`],
-    /// and the standby workers seed the durable tokens as KV residency —
-    /// replication steals link bandwidth and KV headroom, which is exactly
-    /// the trade-off measured.
-    fn trickle_replication(
-        &mut self,
-        request: RequestId,
-        model: ModelId,
-        total_tokens: usize,
-        pipeline: &Arc<RequestPipeline>,
-        force: bool,
-    ) {
-        let delta = self.replica_tracker.record_progress(
-            request,
-            total_tokens,
-            self.replication.chunk_tokens,
-            force,
-        );
-        if delta == 0 {
-            return;
-        }
-        let durable = self.replica_tracker.replicated_tokens(request);
-        let standbys: Vec<(NodeId, NodeId)> = self.replica_tracker.standbys(request).to_vec();
-        let transfer = KvTransferModel::new(
-            self.control.fleet.profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer(),
-            DEFAULT_TOKENS_PER_PAGE,
-        );
-        for (i, &(primary, standby)) in standbys.iter().enumerate() {
-            let layers = pipeline
-                .stages
-                .get(i)
-                .map(|s| s.layers)
-                .unwrap_or(LayerRange::new(0, 1));
-            let bytes = transfer.bytes(delta as f64, layers.len());
-            self.replica_tracker.record_bytes(bytes);
-            let _ = self.send(Envelope {
-                from: Some(primary),
-                to: Some(standby),
-                model,
-                bytes,
-                msg: RuntimeMsg::KvChunk {
-                    from: primary,
-                    layers,
-                    entries: vec![(request, durable)],
-                    prefix_entries: Vec::new(),
-                    tokens: delta as u64,
-                    pages: transfer.pages(delta as f64),
-                    bytes,
-                    last: false,
-                },
-            });
-        }
-    }
-
-    /// Fails one node: marks it down, detaches its workers, promotes every
-    /// replicated in-flight pipeline that crossed it onto its standbys
-    /// (resuming from the last replicated chunk with bounded token loss),
-    /// aborts the rest, and re-plans around the hole.  Returns the aborted
-    /// requests for re-admission through the normal path.
-    fn fail_node(&mut self, node: NodeId) -> Result<Vec<Request>, RuntimeError> {
-        let now = self.clock.now();
-        self.failed_nodes.insert(node);
-        self.node_health.mark_down(node);
-        // Dead pipelines must not stay prefix homes.  The re-plan below
-        // clears routers only when it succeeds; when removing the node is
-        // infeasible (it was load-bearing) the old plan keeps serving, so
-        // evict exactly the homes that crossed the dead node — otherwise
-        // later sharers would "hit" a pipeline that no longer executes.
-        for router in &mut self.prefix_routers {
-            router.evict_node(node);
-        }
-        // Detach the node's workers now: their in-flight work is lost, and
-        // messages routed to them from here on drop harmlessly.
-        for m in 0..self.control.fleet.num_models() {
-            let key = (node, ModelId(m));
-            self.pending_retire.remove(&key);
-            if self.registry.is_live(key) {
-                self.registry.detach(key);
-            }
-        }
-        let mut doomed: Vec<RequestId> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.pipeline.stages.iter().any(|s| s.node == node))
-            .map(|(&id, _)| id)
-            .collect();
-        // Deterministic fail-over order (map iteration order is not).
-        doomed.sort_unstable();
-        let mut record = FailoverRecord {
-            at: now,
-            node,
-            promoted: Vec::new(),
-            aborted: Vec::new(),
-            tokens_recomputed: 0,
-            abort_recompute_tokens: 0,
-            replica_tokens_used: 0,
-        };
-        let mut readmit = Vec::new();
-        for id in doomed {
-            let flight = self.in_flight.remove(&id).expect("listed above");
-            let model = flight.pipeline.model;
-            for stage in &flight.pipeline.stages {
-                self.estimators[model.index()].on_finished(stage.node, id, flight.generated);
-                if let Some(p) = flight.prefix {
-                    self.estimators[model.index()].release_shared(stage.node, p.id);
-                }
-            }
-            if let Some(p) = flight.prefix {
-                self.prefix_routers[model.index()].release(p.id);
-            }
-            // Purge the stranded incarnation's KV on *every* live worker of
-            // its model: pipeline nodes, migration destinations seeded with
-            // its pages, and replica standbys (a promoted request re-seeds
-            // its surviving tokens below).  Entries are keyed by request id,
-            // so other requests are untouched.
-            for (n, _) in self.registry.live_keys_for_model(model) {
-                self.send(Envelope {
-                    from: None,
-                    to: Some(n),
-                    model,
-                    bytes: TOKEN_WIRE_BYTES,
-                    msg: RuntimeMsg::Release(id),
-                })?;
-            }
-            let epoch = self.epochs.entry(id).or_insert(0);
-            *epoch += 1;
-            let epoch = *epoch;
-            // Fail-over: a replicated request promotes its standbys and
-            // resumes from the last replicated chunk — only the tokens
-            // decoded since then are recomputed.  Without a (live) replica
-            // it falls back to abort-and-readmit from token zero.
-            let total = flight.request.prompt_tokens + flight.generated;
-            match self.promote_pipeline(id, &flight.pipeline, node) {
-                Some(promoted) => {
-                    let resume = self.replica_tracker.replicated_tokens(id).min(total);
-                    record.promoted.push(id);
-                    record.tokens_recomputed += total.saturating_sub(resume) as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    record.replica_tokens_used += resume as u64;
-                    self.resume_promoted(&flight, promoted, resume, epoch)?;
-                }
-                None => {
-                    record.aborted.push(id);
-                    record.tokens_recomputed += total as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    readmit.push(flight.request);
-                }
-            }
-            self.replica_tracker.finish(id);
-        }
-        self.failovers.push(record);
-        // Structural change: re-plan immediately with a removal delta,
-        // keeping whatever observations are already priced in.
-        let delta = PlacementDelta::new().remove_node(node, self.control.fleet.num_models());
-        let observed = self.control.fleet.observations().clone();
-        self.apply_replan(&delta, &observed, ReplanReason::NodeFailure { node }, now);
-        self.sweep_retirements();
-        Ok(readmit)
-    }
-
-    /// Builds the promoted pipeline for `request`: every stage on the node
-    /// failing *now* is substituted by its standby.  `None` — untracked
-    /// request, no standby for a failed stage, or a standby that is itself
-    /// dead — falls back to abort-and-readmit.
-    fn promote_pipeline(
-        &self,
-        request: RequestId,
-        pipeline: &Arc<RequestPipeline>,
-        failed_now: NodeId,
-    ) -> Option<RequestPipeline> {
-        if !self.replica_tracker.is_tracked(request) {
-            return None;
-        }
-        let standbys = self.replica_tracker.standbys(request);
-        let mut promoted = (**pipeline).clone();
-        for stage in &mut promoted.stages {
-            if stage.node == failed_now {
-                let standby = standbys
-                    .iter()
-                    .find(|&&(primary, _)| primary == stage.node)
-                    .map(|&(_, s)| s)?;
-                if self.failed_nodes.contains(&standby)
-                    || !self.registry.is_live((standby, pipeline.model))
-                {
-                    return None;
-                }
-                stage.node = standby;
-            }
-        }
-        Some(promoted)
-    }
-
-    /// Re-routes one promoted request onto its replica pipeline: re-seeds
-    /// the surviving replicated tokens on every promoted stage (the purge
-    /// above released them; per-link FIFO delivers the purge first), then
-    /// dispatches a prompt-phase recompute of only the tokens decoded since
-    /// the last replicated chunk.  The request keeps its arrival time,
-    /// first-token time and decode progress across the fail-over.
-    fn resume_promoted(
-        &mut self,
-        flight: &InFlight,
-        promoted: RequestPipeline,
-        resume_tokens: usize,
-        epoch: u64,
-    ) -> Result<(), RuntimeError> {
-        let request = flight.request;
-        let model = promoted.model;
-        let total = request.prompt_tokens + flight.generated;
-        let recompute = total.saturating_sub(resume_tokens).max(1);
-        let pipeline = Arc::new(promoted);
-        for stage in &pipeline.stages {
-            self.estimators[model.index()].on_scheduled(stage.node, request.id, total);
-            if resume_tokens > 0 {
+            // A promoted request re-seeds its surviving replicated tokens on
+            // every promoted stage (the fail-over purge released them;
+            // per-link FIFO delivers the purge first).
+            if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
                 let _ = self.send(Envelope {
                     from: None,
                     to: Some(stage.node),
@@ -1220,9 +622,9 @@ impl Coordinator {
                     msg: RuntimeMsg::KvChunk {
                         from: stage.node,
                         layers: stage.layers,
-                        entries: vec![(request.id, resume_tokens)],
+                        entries: vec![(request.id, tokens)],
                         prefix_entries: Vec::new(),
-                        tokens: resume_tokens as u64,
+                        tokens: tokens as u64,
                         pages: 0,
                         bytes: 0.0,
                         last: false,
@@ -1230,33 +632,75 @@ impl Coordinator {
                 });
             }
         }
-        let first = pipeline.stages[0].node;
         self.send(Envelope {
             from: None,
-            to: Some(first),
+            to: Some(dispatch.pipeline.stages[0].node),
             model,
-            bytes: TOKEN_WIRE_BYTES * recompute as f64,
+            bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
             msg: RuntimeMsg::Work(StageWork {
                 request: request.id,
                 phase: Phase::Prompt,
-                tokens: recompute,
+                tokens: dispatch.prefill_tokens,
                 stage_index: 0,
-                epoch,
-                pipeline: Arc::clone(&pipeline),
-                prefix: None,
+                epoch: dispatch.epoch,
+                pipeline: dispatch.pipeline,
+                prefix: dispatch.prefix,
             }),
         })?;
-        self.in_flight.insert(
-            request.id,
-            InFlight {
-                request,
-                pipeline,
-                first_token_at: flight.first_token_at,
-                generated: flight.generated,
-                epoch,
-                prefix: None,
-            },
-        );
+        Ok(true)
+    }
+
+    /// Fails `nodes` together at `now`: their workers are detached (their
+    /// in-flight work is lost, and messages routed to them from here on drop
+    /// harmlessly), every pipeline the control plane reports stranded has
+    /// its KV purged, and the removal re-plan is handed over.  Returns the
+    /// stranded requests for re-submission — the control plane resumes the
+    /// promoted ones on their replicas and re-admits the rest from scratch.
+    fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Result<Vec<Request>, RuntimeError> {
+        for &node in nodes {
+            for m in 0..self.control.fleet().num_models() {
+                let key = (node, ModelId(m));
+                self.pending_retire.remove(&key);
+                if self.registry.is_live(key) {
+                    self.registry.detach(key);
+                }
+            }
+        }
+        let registry = &self.registry;
+        let is_live = |node, model| registry.is_live((node, model));
+        let reason = ReplanReason::NodeFailure { node: nodes[0] };
+        let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
+        for flight in &failover.stranded {
+            self.release_kv(flight)?;
+        }
+        self.hand_over(failover.replan, now);
+        self.sweep_retirements();
+        Ok(failover.stranded.iter().map(|f| f.request).collect())
+    }
+
+    /// Frees what one finished or aborted incarnation held: its estimator
+    /// entries, and its KV on *every* live worker of its model, not only its
+    /// pipeline nodes — migrations seed destination workers and replication
+    /// seeds standbys, and all those copies are keyed by the request id (so
+    /// other requests are untouched).
+    fn release_kv(&mut self, flight: &InFlight) -> Result<(), RuntimeError> {
+        let model = flight.pipeline.model;
+        let estimator = &mut self.estimators[model.index()];
+        for stage in &flight.pipeline.stages {
+            estimator.on_finished(stage.node, flight.request.id, flight.generated);
+            if let Some(p) = flight.prefix {
+                estimator.release_shared(stage.node, p.id);
+            }
+        }
+        for (node, _) in self.registry.live_keys_for_model(model) {
+            self.send(Envelope {
+                from: None,
+                to: Some(node),
+                model,
+                bytes: TOKEN_WIRE_BYTES,
+                msg: RuntimeMsg::Release(flight.request.id),
+            })?;
+        }
         Ok(())
     }
 
@@ -1271,9 +715,9 @@ impl Coordinator {
     fn handle(&mut self, msg: RuntimeMsg) -> Result<(), RuntimeError> {
         let RuntimeMsg::IterationDone {
             request,
-            phase,
             emitted_at,
             epoch,
+            ..
         } = msg
         else {
             if let RuntimeMsg::KvInstalled {
@@ -1291,50 +735,58 @@ impl Coordinator {
             // Work/Release/Shutdown are worker-bound; nothing else to do.
             return Ok(());
         };
-        let Some(flight) = self.in_flight.get_mut(&request) else {
+        // `None`: a stale incarnation — pre-failure work was still draining
+        // through surviving stages when the request was promoted or
+        // re-admitted.
+        let Some(progress) = self.control.on_token(request, epoch, emitted_at) else {
             return Ok(());
         };
-        // Stale incarnation: pre-failure work was still draining through
-        // surviving stages when the request was promoted or re-admitted.
-        if epoch != flight.epoch {
-            return Ok(());
+        if progress.finished {
+            return self.finish(request, emitted_at);
         }
-        let was_first = flight.first_token_at.is_none();
-        if phase == Phase::Prompt {
-            flight.first_token_at.get_or_insert(emitted_at);
-        }
-        flight.generated += 1;
-        if flight.generated >= flight.request.output_tokens {
-            self.finish(request, emitted_at)
-        } else {
-            let pipeline = Arc::clone(&flight.pipeline);
-            let total = flight.request.prompt_tokens + flight.generated;
-            let first = pipeline.stages[0].node;
-            let model = pipeline.model;
-            // Trickle KV replication as decode proceeds: prompt completion
-            // (the first token) force-replicates everything cached so far,
-            // then whole chunks ship at every chunk boundary, per stage,
-            // over the primary→standby links like any other transfer.
-            if self.replica_tracker.is_tracked(request) {
-                let force = phase == Phase::Prompt && was_first;
-                self.trickle_replication(request, model, total, &pipeline, force);
-            }
-            self.send(Envelope {
-                from: None,
-                to: Some(first),
+        let flight = self
+            .control
+            .flight(request)
+            .expect("in flight until finished");
+        let pipeline = Arc::clone(&flight.pipeline);
+        let model = pipeline.model;
+        // Replica chunks travel from every primary stage to its standby as
+        // non-final `KvChunk`s, and the standby workers seed the durable
+        // tokens as KV residency — replication steals link bandwidth and KV
+        // headroom, which is exactly the trade-off measured.
+        for chunk in &progress.chunks {
+            let _ = self.send(Envelope {
+                from: Some(chunk.primary),
+                to: Some(chunk.standby),
                 model,
-                bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::Work(StageWork {
-                    request,
-                    phase: Phase::Decode,
-                    tokens: 1,
-                    stage_index: 0,
-                    epoch,
-                    pipeline,
-                    prefix: None,
-                }),
-            })
+                bytes: chunk.bytes,
+                msg: RuntimeMsg::KvChunk {
+                    from: chunk.primary,
+                    layers: chunk.layers,
+                    entries: vec![(request, progress.durable_tokens)],
+                    prefix_entries: Vec::new(),
+                    tokens: progress.new_tokens as u64,
+                    pages: chunk.pages,
+                    bytes: chunk.bytes,
+                    last: false,
+                },
+            });
         }
+        self.send(Envelope {
+            from: None,
+            to: Some(pipeline.stages[0].node),
+            model,
+            bytes: TOKEN_WIRE_BYTES,
+            msg: RuntimeMsg::Work(StageWork {
+                request,
+                phase: Phase::Decode,
+                tokens: 1,
+                stage_index: 0,
+                epoch,
+                pipeline,
+                prefix: None,
+            }),
+        })
     }
 
     /// Freezes one hand-over's layer range on one endpoint.  The worker
@@ -1355,11 +807,10 @@ impl Coordinator {
         }
     }
 
-    /// Completes one KV hand-over: records the transfer, installs the
-    /// deferred scheduler once the model's last pending transfer landed
-    /// (re-route), and thaws the migrated layer range on both ends (an
-    /// endpoint with another hand-over still in flight keeps that other
-    /// range frozen).
+    /// Completes one KV hand-over: records the transfer, re-routes once the
+    /// model's last pending transfer landed, and thaws the migrated layer
+    /// range on both ends (an endpoint with another hand-over still in
+    /// flight keeps that other range frozen).
     #[allow(clippy::too_many_arguments)]
     fn finish_migration(
         &mut self,
@@ -1397,70 +848,21 @@ impl Coordinator {
             bytes,
             transfer_secs: (now - started).max(0.0),
         });
-        if !self
-            .pending_migrations
-            .iter()
-            .any(|&(pending, _)| pending.model == model)
-        {
-            if let Some(scheduler) = self.deferred_swaps.remove(&model.index()) {
-                // A node failure may have re-planned while this transfer was
-                // in flight; the snapshot built at freeze time would
-                // resurrect routes through nodes that died since.  Re-derive
-                // the weights from the fleet as it stands now, falling back
-                // to the snapshot only when the current topology cannot seed
-                // an IWRR.
-                let fresh = self
-                    .control
-                    .fleet
-                    .model(model)
-                    .and_then(|topology| IwrrScheduler::from_topology(topology).ok());
-                self.schedulers[model.index()] = match fresh {
-                    Some(current) => Box::new(current),
-                    None => scheduler,
-                };
-            }
-        }
+        self.reroute_when_settled(model);
         self.thaw_endpoint((from, model), layers);
         self.thaw_endpoint((to, model), layers);
     }
 
-    /// Completes a request: records its outcome, updates the estimator and
-    /// frees its KV pages on every node of its pipeline.
+    /// Completes a request: records its outcome and frees everything it
+    /// held on the data plane.
     fn finish(&mut self, request: RequestId, completed_at: f64) -> Result<(), RuntimeError> {
-        let Some(flight) = self.in_flight.remove(&request) else {
+        let Some(flight) = self.control.finish(request) else {
             return Ok(());
         };
-        let model = flight.pipeline.model;
-        for stage in &flight.pipeline.stages {
-            self.estimators[model.index()].on_finished(
-                stage.node,
-                request,
-                flight.request.output_tokens,
-            );
-            if let Some(p) = flight.prefix {
-                self.estimators[model.index()].release_shared(stage.node, p.id);
-            }
-        }
-        if let Some(p) = flight.prefix {
-            self.prefix_routers[model.index()].release(p.id);
-        }
-        self.replica_tracker.finish(request);
-        // Release the request's KV on *every* live worker of its model, not
-        // only its pipeline nodes: migrations seed destination workers and
-        // replication seeds standbys, and all those copies are keyed by this
-        // request id.
-        for (node, _) in self.registry.live_keys_for_model(model) {
-            self.send(Envelope {
-                from: None,
-                to: Some(node),
-                model,
-                bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::Release(request),
-            })?;
-        }
+        self.release_kv(&flight)?;
         let outcome = RequestOutcome {
             id: request,
-            model,
+            model: flight.pipeline.model,
             prompt_tokens: flight.request.prompt_tokens,
             output_tokens: flight.request.output_tokens,
             arrival: flight.request.arrival_time,

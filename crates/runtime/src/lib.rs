@@ -38,10 +38,11 @@
 //! [`ServingSession`] it returns is a *live* handle — non-blocking
 //! [`submit`](ServingSession::submit), streaming completions, mid-run speed
 //! injection and placement deltas that can spawn workers for brand-new
-//! (node, model) tenancies.  The legacy batch call survives as
-//! [`ServingSession::serve`], which on a fresh session runs the identical
-//! admission loop the old one-shot runtime ran (the deprecated
-//! `ServingRuntime` shims were removed after one release).
+//! (node, model) tenancies.  The batch call survives as
+//! [`ServingSession::serve`]: submit everything, drain, finish — over the
+//! one coordinator loop, which is itself only the runtime *actuator* of the
+//! shared [`helix_core::control::ControlPlane`] (every admission, fail-over
+//! and re-plan decision is made there, identically for the simulator).
 //!
 //! # Example: builder → session → report
 //!

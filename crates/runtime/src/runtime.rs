@@ -40,8 +40,8 @@ pub struct RuntimeConfig {
     pub tokens_per_page: usize,
     /// Batch slow-down factor when a KV pool overflows.
     pub kv_overflow_penalty: f64,
-    /// Hard wall-clock budget for one batch `serve` call; on the live session
-    /// surface it bounds drains and completion waits, not idle time.
+    /// Hard wall-clock budget: it bounds each drain (so each `serve` call)
+    /// and each completion wait, not idle session time.
     pub max_wall: Duration,
     /// Worker execution model.
     pub execution: ExecutionKind,
@@ -80,15 +80,14 @@ impl RuntimeConfig {
 /// coordinator, worker registry, fabric and traffic counters.  The
 /// [`ServingSession`](crate::ServingSession) front door drives one of these.
 ///
-/// Workers and the fabric are *tasks* on `executor`, not threads: the batch
-/// path drives the whole plane inline on the calling thread via `block_on`,
-/// and the live path drives it on one dedicated data-plane thread — either
-/// way the thread count is O(1) in the fleet size.
+/// Workers and the fabric are *tasks* on `executor`, not threads: one
+/// dedicated data-plane thread drives the whole plane once the session goes
+/// live, so the thread count is O(1) in the fleet size.
 pub(crate) struct Wired {
     pub executor: minirt::Executor,
     pub clock: VirtualClock,
-    /// Taken when the batch loop runs inline or the live loop takes the
-    /// coordinator onto the data-plane thread.
+    /// Taken when the live loop moves the coordinator onto the data-plane
+    /// thread.
     pub coordinator: Option<Coordinator>,
     pub registry: Arc<WorkerRegistry>,
     pub ingress_tx: Option<Sender<Envelope>>,
@@ -270,11 +269,11 @@ impl Wired {
             wall_seconds: self.clock.wall_elapsed().as_secs_f64(),
             nodes,
             links,
-            replans: artifacts.replans,
+            replans: artifacts.control.replans,
             kv_transfers: artifacts.kv_transfers,
-            prefix: artifacts.prefix,
-            failovers: artifacts.failovers,
-            replication: artifacts.replication,
+            prefix: artifacts.control.prefix,
+            failovers: artifacts.control.failovers,
+            replication: artifacts.control.replication,
         })
     }
 }

@@ -6,16 +6,15 @@
 //! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
 //! placement deltas that can *spawn new workers*
 //! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
-//! drain-aware worker retirement.  The legacy batch call is a thin
-//! convenience wrapper: [`ServingSession::serve`] on a fresh session runs the
-//! exact same blocking loop the pre-session runtime ran, so its report is
-//! bit-identical to the old `ServingRuntime::serve`.
+//! drain-aware worker retirement.  The batch call is a thin convenience
+//! wrapper: [`ServingSession::serve`] is submit-everything → drain → finish
+//! over the same loop every other call drives.
 //!
 //! The whole data plane — coordinator, workers, fabric — is a set of async
-//! tasks on one executor.  The batch path drives it inline on the calling
-//! thread; once the session goes live (first `submit`, delta or retirement)
-//! a single dedicated `helix-dataplane` thread drives it, so the OS thread
-//! count stays O(1) however many nodes the fleet has.
+//! tasks on one executor.  Once the session goes live (first `submit`,
+//! `serve`, delta or retirement) a single dedicated `helix-dataplane` thread
+//! drives it, so the OS thread count stays O(1) however many nodes the fleet
+//! has.
 
 use crate::coordinator::{CoordinatorArtifacts, CoordinatorMsg, SessionControl};
 use crate::error::RuntimeError;
@@ -52,17 +51,14 @@ struct Live {
 ///
 /// * [`submit`](Self::submit) hands a request to the coordinator and returns
 ///   a [`TicketId`] immediately; admission honours the request's
-///   `arrival_time` (virtual seconds), exactly like the batch path.
+///   `arrival_time` (virtual seconds).
 /// * [`try_completions`](Self::try_completions) /
 ///   [`wait_completion`](Self::wait_completion) collect finished requests.
 /// * [`drain`](Self::drain) blocks until everything submitted so far has
 ///   completed; [`finish`](Self::finish) drains, shuts the data plane down
 ///   and returns the final [`RuntimeReport`].
-/// * [`serve`](Self::serve) is the batch convenience wrapper: on a session
-///   with no live activity it drives the batch loop inline on the calling
-///   thread (the same code path as the pre-session runtime, so the report is
-///   bit-identical); on a live session it submits everything, drains and
-///   finishes.
+/// * [`serve`](Self::serve) is the batch convenience wrapper: it submits
+///   everything, drains and finishes.
 pub struct ServingSession {
     wired: Wired,
     live: Option<Live>,
@@ -104,13 +100,19 @@ impl ServingSession {
         self.live.is_some()
     }
 
-    /// Starts the data-plane thread if it is not running yet: one thread
-    /// driving the executor that runs the coordinator's live loop alongside
-    /// every worker task and the fabric task.
+    /// Starts the data-plane thread if it is not running yet.
     fn ensure_live(&mut self) {
-        if self.live.is_some() || self.failed {
-            return;
+        if self.live.is_none() && !self.failed {
+            self.go_live(&[]);
         }
+    }
+
+    /// Starts the data-plane thread: one thread driving the executor that
+    /// runs the coordinator's live loop alongside every worker task and the
+    /// fabric task.  `backlog` is queued before the loop first polls its
+    /// control channel, so the coordinator sees those requests together and
+    /// admits every due arrival before it processes any completion.
+    fn go_live(&mut self, backlog: &[Request]) {
         let mut coordinator = self
             .wired
             .coordinator
@@ -119,6 +121,10 @@ impl ServingSession {
         let executor = self.wired.executor.clone();
         let (control_tx, control_rx) = unbounded();
         let (completion_tx, completion_rx) = unbounded();
+        for request in backlog {
+            let _ = control_tx.send(SessionControl::Submit(*request));
+        }
+        self.submitted += backlog.len();
         let handle = std::thread::Builder::new()
             .name("helix-dataplane".to_string())
             .spawn(move || {
@@ -325,13 +331,10 @@ impl ServingSession {
         }
     }
 
-    /// Serves a whole workload to completion: the batch convenience wrapper.
-    ///
-    /// On a session with no live activity this drives the batch loop inline
-    /// on the calling thread — the identical admission and completion logic
-    /// the pre-session `ServingRuntime::serve` ran, so the report is
-    /// bit-identical to the old batch surface.  On a session that is already
-    /// live it submits every request, drains and finishes.
+    /// Serves a whole workload to completion: the batch convenience wrapper
+    /// — submit everything, drain, finish.  On a fresh session the whole
+    /// workload is queued before the data plane starts, so requests due at
+    /// the same time are admitted together.
     ///
     /// # Errors
     ///
@@ -339,21 +342,12 @@ impl ServingSession {
     /// wall-clock budget runs out, [`RuntimeError::Stalled`] if no request
     /// can make progress, and propagates scheduling errors.
     pub fn serve(mut self, workload: &Workload) -> Result<RuntimeReport, RuntimeError> {
-        if self.live.is_none() && !self.failed {
-            let mut coordinator = self
-                .wired
-                .coordinator
-                .take()
-                .expect("coordinator present until the session goes live");
-            // Drive the whole data plane — coordinator, workers, fabric —
-            // inline on this thread until the workload completes.
-            let outcome = self.wired.executor.block_on(coordinator.run(workload));
-            let artifacts = coordinator.take_artifacts();
-            drop(coordinator);
-            return self.wired.shutdown_and_report(outcome, artifacts);
-        }
-        for request in workload.requests() {
-            self.submit(*request);
+        if self.live.is_none() && !self.failed && !workload.is_empty() {
+            self.go_live(workload.requests());
+        } else {
+            for request in workload.requests() {
+                self.submit(*request);
+            }
         }
         if let Err(e) = self.drain() {
             // Still tear the whole data plane down (workers, fabric,

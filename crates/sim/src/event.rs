@@ -1,7 +1,7 @@
 //! Discrete-event queue.
 
 use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{LayerRange, PrefixWork, RequestPipeline};
+use helix_core::{LayerRange, PrefixWork};
 use helix_workload::RequestId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -304,36 +304,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-}
-
-/// The request's pipeline plus progress bookkeeping kept by the coordinator.
-#[derive(Debug, Clone)]
-pub struct RequestState {
-    /// The assigned per-request pipeline.
-    pub pipeline: RequestPipeline,
-    /// The admission epoch this state belongs to (see `WorkItem::epoch`);
-    /// work items and coordinator tokens from older epochs are ignored.
-    pub epoch: u64,
-    /// Prompt length in tokens (with `generated`, the cached sequence length
-    /// that replication trickles and a fail-over must restore).
-    pub prompt_tokens: usize,
-    /// Output tokens the request will generate before finishing.
-    pub output_tokens: usize,
-    /// Tokens generated so far.
-    pub generated: usize,
-    /// Arrival time at the coordinator.
-    pub arrival_time: SimTime,
-    /// Time the first output token reached the coordinator.
-    pub first_token_time: Option<SimTime>,
-    /// Time the previous output token reached the coordinator.
-    pub last_token_time: Option<SimTime>,
-    /// Accumulated inter-token gaps (for decode latency).
-    pub decode_gaps: Vec<f64>,
-    /// Completion time.
-    pub finish_time: Option<SimTime>,
-    /// The shared-prefix reference this admission holds, released (engine
-    /// refcounts and router home) when the request finishes or aborts.
-    pub prefix: Option<PrefixWork>,
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! The simulated mechanics mirror the prototype described in §5 and §6.1:
 //!
 //! * the coordinator assigns each arriving request a per-request pipeline by
-//!   calling the configured [`Scheduler`](helix_core::Scheduler);
+//!   calling the configured [`Scheduler`](helix_core::Scheduler) — through
+//!   the shared [`helix_core::control::ControlPlane`], the same decision
+//!   code the runtime executes, so the simulator preserves the runtime's
+//!   admission, replication, fail-over and re-plan behaviour by construction;
 //! * every compute node runs best-effort dynamic batching: a batch starts as
 //!   soon as the node is idle and includes everything that arrived while the
 //!   previous batch was executing;

@@ -1,22 +1,24 @@
-//! The cluster simulator: coordinator loop, routing, metrics collection —
-//! and the simulated half of the online re-planning loop (perturbation
-//! events, windowed observation, policy-driven re-plans with drain/hand-over).
+//! The cluster simulator: the discrete-event actuator of the shared
+//! [`ControlPlane`].  It owns engines, link queues and the event queue, fills
+//! the scheduler's `ClusterState` view from its engines, and applies what the
+//! control plane decides — dispatches, replica chunks, stranded pipelines,
+//! re-plans with their KV hand-overs — plus metrics collection and the
+//! scripted perturbation events.
 
 use crate::engine::NodeEngine;
-use crate::event::{Event, EventQueue, PerturbationEvent, Phase, RequestState, SimTime, WorkItem};
+use crate::event::{Event, EventQueue, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use crate::network::LinkQueue;
-use helix_cluster::{ModelId, NodeId, PrefixId, TOKEN_WIRE_BYTES};
+use helix_cluster::{ModelId, NodeId, PrefixId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    select_standby, ClusterState, EngineCounters, FailoverRecord, FleetScheduler, FleetTopology,
-    IwrrScheduler, KvTransferModel, KvTransferRecord, LayerRange, ModelPlacement, NodeDirectory,
-    NodeObservations, ObservationWindows, PlacementDelta, PrefixRoute, PrefixRouter, PrefixStats,
-    PrefixWork, ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker, ReplicationPolicy,
-    ReplicationStats, RequestPipeline, Scheduler, Topology,
+    Admission, ClusterState, ControlPlane, EngineCounters, FailoverRecord, FleetScheduler,
+    FleetTopology, InFlight, KvTransferModel, KvTransferRecord, ModelPlacement, NodeDirectory,
+    PlacementDelta, PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord,
+    ReplicationPolicy, ReplicationStats, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,29 +72,34 @@ impl SimulationConfig {
     }
 }
 
-/// Snapshot of cluster state handed to the scheduler.
-struct StateSnapshot {
-    queue_len: HashMap<NodeId, usize>,
-    throughput: HashMap<NodeId, f64>,
-    kv_used: HashMap<NodeId, f64>,
-    kv_capacity: HashMap<NodeId, f64>,
+/// One model's engines as the scheduler sees them: queue/throughput/KV
+/// state of that model's engines only, so per-model KV masking sees its own
+/// partition.
+struct EngineView<'a> {
+    engines: &'a HashMap<(NodeId, ModelId), NodeEngine>,
+    model: ModelId,
 }
 
-impl ClusterState for StateSnapshot {
+impl EngineView<'_> {
+    fn engine(&self, node: NodeId) -> Option<&NodeEngine> {
+        self.engines.get(&(node, self.model))
+    }
+}
+
+impl ClusterState for EngineView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
-        self.queue_len.get(&node).copied().unwrap_or(0)
+        self.engine(node)
+            .map_or(0, |e| e.queue_len() + usize::from(e.is_busy()))
     }
     fn recent_throughput(&self, node: NodeId) -> f64 {
-        self.throughput.get(&node).copied().unwrap_or(0.0)
+        self.engine(node).map_or(0.0, NodeEngine::recent_throughput)
     }
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.kv_used.get(&node).copied().unwrap_or(0.0)
+        self.engine(node).map_or(0.0, NodeEngine::kv_used_tokens)
     }
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.kv_capacity
-            .get(&node)
-            .copied()
-            .unwrap_or(f64::INFINITY)
+        self.engine(node)
+            .map_or(f64::INFINITY, NodeEngine::kv_capacity_tokens)
     }
 }
 
@@ -118,28 +125,6 @@ pub struct CompletionRecord {
     pub model: ModelId,
     /// Virtual time its final output token reached the coordinator.
     pub at: SimTime,
-}
-
-/// What a promoted request resumes with after its primary failed: the
-/// replica pipeline it re-routes onto and the progress that survived.  The
-/// coordinator re-admits the request under a new epoch, seeds the replicated
-/// tokens as KV residency on the promoted pipeline, and recomputes only the
-/// tokens decoded since the last replicated chunk — the bounded-loss
-/// contract.  Metrics continuity rides along: arrival and first-token times
-/// belong to the original admission, and already-delivered tokens are not
-/// re-emitted.
-#[derive(Debug, Clone)]
-struct ResumeCredit {
-    /// The pipeline with failed stage nodes substituted by their standbys.
-    pipeline: RequestPipeline,
-    /// Sequence tokens (prompt + decode) durable on the standbys.
-    resume_tokens: usize,
-    /// Output tokens already delivered to the coordinator.
-    generated: usize,
-    /// Original admission's arrival time.
-    arrival_time: SimTime,
-    /// Original admission's first-token time, if the prompt had finished.
-    first_token_time: Option<SimTime>,
 }
 
 /// The full result of a [`ClusterSimulator::run_with_events`] run: end-of-run
@@ -176,16 +161,18 @@ pub struct FleetRunReport {
 /// the fleet planner assigned it, while network links are shared across
 /// models, so cross-model link contention emerges naturally.
 ///
-/// The simulator **owns** its [`FleetTopology`], because
-/// [`ClusterSimulator::run_with_events`] closes the loop mid-run: engines are
-/// observed over windows, a [`ReplanPolicy`] decides when the observed
-/// throughput gap warrants action, and [`FleetTopology::replan`] re-derives
-/// the plan — after which schedulers are swapped **drain-then-switch**:
-/// in-flight pipelines keep routing over the engines they were assigned,
-/// while new requests follow the re-planned IWRR weights.  The plain
-/// [`ClusterSimulator::run`] / [`ClusterSimulator::run_per_model`] paths
-/// schedule no observation ticks and are bit-identical to the static
-/// pipeline.
+/// Every coordinator *decision* — admission, replication, fail-over, when
+/// and how to re-plan — is made by the shared [`ControlPlane`], which owns
+/// the standing [`FleetTopology`]; the simulator actuates those decisions
+/// against its engines, link queues and event queue.
+/// [`ClusterSimulator::run_with_events`] closes the loop mid-run: engines
+/// are observed over windows, a [`ReplanPolicy`] decides when the observed
+/// throughput gap warrants action, and the plan is re-derived — after which
+/// schedulers are swapped **drain-then-switch**: in-flight pipelines keep
+/// routing over the engines they were assigned, while new requests follow
+/// the re-planned IWRR weights.  The plain [`ClusterSimulator::run`] /
+/// [`ClusterSimulator::run_per_model`] paths schedule no observation ticks
+/// and are bit-identical to the static pipeline.
 ///
 /// To drive the simulator through the same submit → drain → finish surface
 /// as the threaded runtime's serving session, wrap it in a
@@ -193,38 +180,21 @@ pub struct FleetRunReport {
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct ClusterSimulator {
-    fleet: FleetTopology,
-    schedulers: Vec<Box<dyn Scheduler>>,
-    /// Per-model cache-aware routers layered over the base schedulers.
-    prefix_routers: Vec<PrefixRouter>,
+    /// The shared coordinator state machine (fleet plan, schedulers, prefix
+    /// routers, replication, fail-over, re-plan policy).
+    control: ControlPlane,
     engines: HashMap<(NodeId, ModelId), NodeEngine>,
     links: HashMap<(Option<NodeId>, Option<NodeId>), LinkQueue>,
     /// Active slowdown perturbations by node (applied to engines created by
     /// later re-plans too).
     slowdowns: HashMap<NodeId, f64>,
-    /// Nodes that failed mid-run.
-    failed: HashSet<NodeId>,
-    /// The fleet-wide KV replication policy (disabled by default: RF 1,
-    /// every failure falls back to abort-and-readmit).
-    replication: ReplicationPolicy,
-    /// Per-request replication progress toward the standby tenancies.
-    replica_tracker: ReplicaTracker,
-    /// Fail-over log of the current run, drained into its report.
-    failovers: Vec<FailoverRecord>,
-    /// Promotion credit of requests awaiting re-admission onto their
-    /// replica pipelines (consumed by `admit_request`).
-    resume: HashMap<RequestId, ResumeCredit>,
-    /// Node-level health membership, driven by observation-tick heartbeats
-    /// and failure/straggler overrides.
-    node_health: NodeDirectory,
     /// Per-model forwarding of migrated prefix homes: `(prefix, old node)` →
     /// the node now holding the refcounted entry.  Releases follow the chain
     /// so a sharer admitted before a migration still balances its reference
     /// after the entry moved.
     prefix_forwards: Vec<HashMap<(PrefixId, NodeId), NodeId>>,
-    /// Layer ranges captured when a flapping node drops, handed back to the
-    /// planner when it rejoins.
-    rejoin_ranges: HashMap<NodeId, Vec<(ModelId, LayerRange)>>,
+    /// KV hand-overs of the current run, drained into its report.
+    kv_transfers: Vec<KvTransferRecord>,
 }
 
 impl ClusterSimulator {
@@ -243,13 +213,7 @@ impl ClusterSimulator {
     ///
     /// Panics if the scheduler count does not match the fleet's model count.
     pub fn new_fleet(fleet: &FleetTopology, schedulers: FleetScheduler) -> Self {
-        let schedulers = schedulers.into_parts();
-        assert_eq!(
-            fleet.num_models(),
-            schedulers.len(),
-            "one scheduler per model"
-        );
-        Self::from_parts(fleet.clone(), schedulers)
+        Self::from_parts(fleet.clone(), schedulers.into_parts())
     }
 
     fn from_parts(fleet: FleetTopology, schedulers: Vec<Box<dyn Scheduler>>) -> Self {
@@ -270,72 +234,62 @@ impl ClusterSimulator {
                 engines.insert((n.node, ModelId(m)), engine);
             }
         }
-        let num_models = schedulers.len();
-        let prefix_routers = (0..num_models).map(|_| PrefixRouter::new()).collect();
         ClusterSimulator {
-            fleet,
-            schedulers,
-            prefix_routers,
+            prefix_forwards: vec![HashMap::new(); schedulers.len()],
+            control: ControlPlane::new(fleet, schedulers),
             engines,
             links: HashMap::new(),
             slowdowns: HashMap::new(),
-            failed: HashSet::new(),
-            replication: ReplicationPolicy::disabled(),
-            replica_tracker: ReplicaTracker::new(),
-            failovers: Vec::new(),
-            resume: HashMap::new(),
-            node_health: NodeDirectory::default(),
-            prefix_forwards: vec![HashMap::new(); num_models],
-            rejoin_ranges: HashMap::new(),
+            kv_transfers: Vec::new(),
         }
     }
 
     /// The fleet plan the simulator currently serves (re-plans update it).
     pub fn fleet(&self) -> &FleetTopology {
-        &self.fleet
+        self.control.fleet()
     }
 
     /// Sets the fleet-wide KV replication policy.  Takes effect for requests
     /// admitted afterwards; [`ReplicationPolicy::disabled`] (the default)
     /// reproduces pure abort-and-readmit recovery.
     pub fn set_replication(&mut self, policy: ReplicationPolicy) {
-        self.replication = policy;
+        self.control.set_replication(policy);
     }
 
     /// The current replication policy.
     pub fn replication(&self) -> ReplicationPolicy {
-        self.replication
+        self.control.replication()
     }
 
     /// The node-level health directory (heartbeats ride the observation
     /// ticks; failures and stragglers are forced overrides).
     pub fn node_health(&self) -> &NodeDirectory {
-        &self.node_health
+        self.control.node_health()
     }
 
     /// The topology the simulator runs for one model.
     pub fn model_topology(&self, model: ModelId) -> Option<&Topology> {
-        self.fleet.model(model)
+        self.fleet().model(model)
     }
 
     /// Number of models the simulator serves.
     pub fn num_models(&self) -> usize {
-        self.schedulers.len()
+        self.fleet().num_models()
     }
 
     /// The topology the simulator is running (the first model's lane).
     pub fn topology(&self) -> &Topology {
-        &self.fleet.topologies()[0]
+        &self.fleet().topologies()[0]
     }
 
     /// The placement the simulator is running for one model.
     pub fn model_placement(&self, model: ModelId) -> Option<&ModelPlacement> {
-        self.fleet.model(model).map(Topology::placement)
+        self.fleet().model(model).map(Topology::placement)
     }
 
     /// The placement the simulator is running (the first model's lane).
     pub fn placement(&self) -> &ModelPlacement {
-        self.fleet.topologies()[0].placement()
+        self.topology().placement()
     }
 
     /// Runs the simulation of `workload` and returns the combined metrics.
@@ -351,16 +305,17 @@ impl ClusterSimulator {
     /// same workload fails loudly on the runtime surface too
     /// (`HelixError::UnknownModel`), so the two surfaces stay comparable.
     pub fn run_per_model(&mut self, workload: &Workload, config: SimulationConfig) -> FleetMetrics {
-        self.run_loop(workload, config, &[], None).metrics
+        self.run_with_events(workload, config, &[], None).metrics
     }
 
     /// Runs the simulation with scripted mid-run perturbations and (when a
     /// policy is given) the closed re-planning loop: every
     /// `check_interval_secs` the engines are measured into
-    /// [`NodeObservations`], interval metrics are emitted, and the policy
-    /// decides whether the observed-vs-planned gap warrants a
-    /// [`FleetTopology::replan`].  Node failures always re-plan immediately
-    /// (removal delta), aborting and re-admitting the pipelines they strand.
+    /// [`NodeObservations`](helix_core::NodeObservations), interval metrics
+    /// are emitted, and the policy decides whether the observed-vs-planned
+    /// gap warrants a [`FleetTopology::replan`].  Node failures always
+    /// re-plan immediately (removal delta), aborting and re-admitting the
+    /// pipelines they strand.
     ///
     /// With no events and no policy this is exactly
     /// [`ClusterSimulator::run_per_model`] (no observation ticks are
@@ -372,33 +327,18 @@ impl ClusterSimulator {
         events: &[PerturbationEvent],
         policy: Option<ReplanPolicy>,
     ) -> FleetRunReport {
-        self.run_loop(workload, config, events, policy)
-    }
-
-    fn run_loop(
-        &mut self,
-        workload: &Workload,
-        config: SimulationConfig,
-        events: &[PerturbationEvent],
-        policy: Option<ReplanPolicy>,
-    ) -> FleetRunReport {
-        let num_models = self.schedulers.len();
+        let num_models = self.num_models();
         let mut queue = EventQueue::new();
         // Each run's timeline restarts at zero; links and engines keep their
         // cumulative counters but must not stay "busy" (or frozen) into the
-        // new epoch.
+        // new epoch, and the policy clock restarts with them.
         for link in self.links.values_mut() {
             link.rebase_epoch();
         }
         for engine in self.engines.values_mut() {
             engine.rebase_epoch();
         }
-        // Every engine node joins the health directory (re-registration
-        // across drains refreshes the heartbeat but keeps forced overrides,
-        // so a node failed in an earlier drain stays Down).
-        for &(node, _) in self.engines.keys() {
-            self.node_health.register(node, 0.0);
-        }
+        self.control.start_timeline(policy);
         let mut specs: HashMap<RequestId, Request> = workload.iter().map(|r| (r.id, *r)).collect();
 
         // Arrival-rate shifts re-time the arrival process: gaps after the
@@ -452,9 +392,7 @@ impl ClusterSimulator {
             queue.push(tick_interval, Event::ObservationTick);
         }
 
-        let mut states: HashMap<RequestId, RequestState> = HashMap::new();
         let mut backlog: VecDeque<RequestId> = VecDeque::new();
-        let mut active = 0usize;
 
         // Per-model measurement accumulators.
         let mut decode_tokens: Vec<u64> = vec![0; num_models];
@@ -466,19 +404,9 @@ impl ClusterSimulator {
         let mut processed_events: u64 = 0;
         let mut now: SimTime = 0.0;
 
-        // Feedback-loop state.
         let mut intervals: Vec<IntervalMetrics> = Vec::new();
-        let mut replans: Vec<ReplanRecord> = Vec::new();
-        let mut kv_transfers: Vec<KvTransferRecord> = Vec::new();
         let mut completions: Vec<CompletionRecord> = Vec::new();
-        let mut last_tick: SimTime = 0.0;
-        let mut last_replan: Option<SimTime> = None;
         let mut interval_base: Vec<u64> = vec![0; num_models];
-        let mut windows = ObservationWindows::new();
-        // Admission epoch per request: bumped when a node failure aborts an
-        // in-flight pipeline, so stale work from the old incarnation is
-        // dropped instead of corrupting the re-admitted one.
-        let mut epochs: HashMap<RequestId, u64> = HashMap::new();
 
         while let Some((time, event)) = queue.pop() {
             if time > end_time {
@@ -498,24 +426,17 @@ impl ClusterSimulator {
             }
             match event {
                 Event::RequestArrival { request } => {
-                    if active >= config.admission_limit {
+                    if self.control.in_flight_len() >= config.admission_limit {
                         backlog.push_back(request);
                         continue;
                     }
-                    self.admit_request(
-                        request,
-                        &specs,
-                        &epochs,
-                        &mut states,
-                        &mut queue,
-                        now,
-                        &mut active,
-                    );
+                    self.admit_request(request, &specs, &mut queue, now);
                 }
                 Event::NodeArrival { node, item } => {
-                    if states
-                        .get(&item.request)
-                        .is_none_or(|s| s.epoch != item.epoch)
+                    if self
+                        .control
+                        .flight(item.request)
+                        .is_none_or(|f| f.epoch != item.epoch)
                     {
                         // The request (incarnation) was aborted — e.g. its
                         // pipeline crossed a failed node; drop the stale work.
@@ -536,7 +457,7 @@ impl ClusterSimulator {
                         .expect("batch completed on unknown engine")
                         .complete_batch();
                     for item in items {
-                        self.route_onward(node, item, &states, &mut queue, now);
+                        self.route_onward(node, item, &mut queue, now);
                     }
                     if let Some(engine) = self.engines.get_mut(&(node, model)) {
                         if let Some(done) = engine.try_start_batch(now) {
@@ -549,37 +470,28 @@ impl ClusterSimulator {
                     epoch,
                     phase: _,
                 } => {
-                    let Some(state) = states.get_mut(&request) else {
+                    // `None`: a token of an aborted incarnation; ignore.
+                    let Some(progress) = self.control.on_token(request, epoch, now) else {
                         continue;
                     };
-                    if state.epoch != epoch {
-                        // A token of an aborted incarnation; ignore.
-                        continue;
-                    }
-                    let model = state.pipeline.model;
+                    let flight = self
+                        .control
+                        .flight(request)
+                        .expect("in flight until finished");
+                    let (model, first) = (flight.pipeline.model, flight.pipeline.stages[0]);
+                    let arrival_time = flight.request.arrival_time.max(0.0);
                     let m = model.index();
-                    let was_first = state.first_token_time.is_none();
-                    state.generated += 1;
                     let in_window = now >= config.warmup_secs;
                     total_decode_tokens[m] += 1;
                     if in_window {
                         decode_tokens[m] += 1;
-                    }
-                    if state.first_token_time.is_none() {
-                        state.first_token_time = Some(now);
-                        if in_window {
-                            prompt_latencies[m].push(now - state.arrival_time);
-                        }
-                    } else if let Some(last) = state.last_token_time {
-                        let gap = now - last;
-                        state.decode_gaps.push(gap);
-                        if in_window {
+                        if progress.first {
+                            prompt_latencies[m].push(now - arrival_time);
+                        } else if let Some(gap) = progress.gap {
                             decode_gaps[m].push(gap);
                         }
                     }
-                    state.last_token_time = Some(now);
-                    if state.generated >= state.output_tokens {
-                        state.finish_time = Some(now);
+                    if progress.finished {
                         if in_window {
                             completed[m] += 1;
                             completions.push(CompletionRecord {
@@ -588,63 +500,29 @@ impl ClusterSimulator {
                                 at: now,
                             });
                         }
-                        // Release the request's KV on *every* engine of its
-                        // model, not only its pipeline nodes: migrations seed
-                        // destination engines and replication seeds standbys,
-                        // and all those copies are keyed by this request id.
-                        for (&(_, em), engine) in self.engines.iter_mut() {
-                            if em == model {
-                                engine.release_request(request);
-                            }
-                        }
-                        // Prefix references release where the refcounted
-                        // entry actually lives now — a migration may have
-                        // moved it off the pipeline node (see
-                        // `release_prefix_at`).
-                        if let Some(p) = state.prefix {
-                            for node in state.pipeline.nodes() {
-                                self.release_prefix_at(model, node, p.id);
-                            }
-                            self.prefix_routers[model.index()].release(p.id);
-                        }
-                        self.replica_tracker.finish(request);
-                        active = active.saturating_sub(1);
+                        let flight = self.control.finish(request).expect("looked up above");
+                        self.release_kv(&flight, false);
                         if let Some(next) = backlog.pop_front() {
-                            self.admit_request(
-                                next,
-                                &specs,
-                                &epochs,
-                                &mut states,
-                                &mut queue,
-                                now,
-                                &mut active,
-                            );
+                            self.admit_request(next, &specs, &mut queue, now);
                         }
                     } else {
-                        // Trickle KV replication as decode proceeds: prompt
-                        // completion (the first token) force-replicates
-                        // everything cached so far, then whole chunks ship at
-                        // every chunk boundary, per stage, over the
-                        // primary→standby links like any other transfer.
-                        if self.replica_tracker.is_tracked(request) {
-                            let total = state.prompt_tokens + state.generated;
-                            let stage_layers: Vec<usize> = state
-                                .pipeline
-                                .stages
-                                .iter()
-                                .map(|s| s.layers.len())
-                                .collect();
-                            self.trickle_replication(
-                                request,
-                                model,
-                                total,
-                                &stage_layers,
-                                was_first,
+                        // Replica chunks travel the primary→standby links
+                        // like any other transfer, and the standby engines
+                        // seed the durable tokens as KV residency —
+                        // replication steals serving bandwidth and KV
+                        // headroom, which is exactly the trade-off measured.
+                        for chunk in &progress.chunks {
+                            self.link_transfer(
+                                Some(chunk.primary),
+                                Some(chunk.standby),
                                 now,
+                                chunk.bytes,
                             );
+                            if let Some(engine) = self.engines.get_mut(&(chunk.standby, model)) {
+                                engine.seed_kv(request, progress.durable_tokens as f64);
+                            }
                         }
                         // Schedule the next decode iteration over the same pipeline.
-                        let first = state.pipeline.stages[0];
                         let arrival =
                             self.link_transfer(None, Some(first.node), now, TOKEN_WIRE_BYTES);
                         queue.push(
@@ -667,16 +545,7 @@ impl ClusterSimulator {
                 }
                 Event::MeasurementEnd => {}
                 Event::Perturbation(perturbation) => {
-                    self.apply_perturbation(
-                        perturbation,
-                        time,
-                        &mut states,
-                        &mut epochs,
-                        &mut queue,
-                        &mut active,
-                        &mut replans,
-                        &mut kv_transfers,
-                    );
+                    self.apply_perturbation(perturbation, time, &mut queue);
                 }
                 Event::EngineThaw { node, model } => {
                     // The KV hand-over finished; work that queued up during
@@ -688,9 +557,10 @@ impl ClusterSimulator {
                     }
                 }
                 Event::ObservationTick => {
-                    // 1. Close the interval window.
+                    // Close the interval window, then let the control plane
+                    // measure the engines and consult the policy.
                     intervals.push(IntervalMetrics {
-                        start: last_tick,
+                        start: self.control.last_check(),
                         end: time,
                         decode_tokens: total_decode_tokens
                             .iter()
@@ -699,42 +569,20 @@ impl ClusterSimulator {
                             .collect(),
                     });
                     interval_base.clone_from(&total_decode_tokens);
-                    // Live engines heartbeat the node directory; a node that
-                    // stops ticking (failed, partitioned) decays Healthy →
-                    // Degraded → Down on the membership clock.
-                    for (&(node, _), engine) in &self.engines {
-                        if !engine.is_failed() {
-                            self.node_health.heartbeat(node, time);
-                        }
-                    }
-                    // 2. Measure the engines.
-                    let window = (time - last_tick).max(1e-9);
-                    let observed = self.collect_observations(window, &mut windows);
-                    // 3. Consult the policy: measured speeds vs the speeds
-                    // the current plan already priced in.
-                    if let Some(policy) = policy {
-                        if let Some((node, model, speed)) = policy.should_replan(
-                            &observed,
-                            self.fleet.observations(),
-                            time,
-                            last_replan,
-                        ) {
-                            let applied = self.apply_replan(
-                                &PlacementDelta::new(),
-                                &observed,
-                                time,
-                                ReplanReason::ThroughputGap { node, model, speed },
-                                &mut queue,
-                                &mut replans,
-                                &mut kv_transfers,
-                            );
-                            if applied {
-                                last_replan = Some(time);
-                            }
-                        }
-                    }
-                    last_tick = time;
-                    // 4. Schedule the next window.
+                    let counters: Vec<_> = self
+                        .engines
+                        .iter()
+                        .map(|(&(node, model), engine)| {
+                            let counters = EngineCounters {
+                                nominal_busy_secs: engine.nominal_busy_seconds,
+                                busy_secs: engine.busy_seconds,
+                                tokens: engine.tokens_processed,
+                            };
+                            (node, model, counters)
+                        })
+                        .collect();
+                    let outcome = self.control.observe(time, &counters);
+                    self.hand_over(outcome, time, &mut queue);
                     let next = time + tick_interval;
                     if next <= end_time {
                         queue.push(next, Event::ObservationTick);
@@ -802,83 +650,60 @@ impl ClusterSimulator {
             node_utilization,
             link_stats,
         };
-        // Per-run prefix counters: taken (not copied) so back-to-back runs
+        // Per-run logs and counters: taken (not copied) so back-to-back runs
         // on one simulator — e.g. session drains — each report their own.
-        let mut prefix = PrefixStats::default();
-        for router in &mut self.prefix_routers {
-            prefix.merge(&router.take_stats());
-        }
+        let logs = self.control.take_logs();
         FleetRunReport {
             metrics: FleetMetrics { overall, per_model },
             intervals,
-            replans,
-            kv_transfers,
+            replans: logs.replans,
+            kv_transfers: std::mem::take(&mut self.kv_transfers),
             completions,
-            prefix,
-            failovers: std::mem::take(&mut self.failovers),
-            replication: self.replica_tracker.take_stats(),
+            prefix: logs.prefix,
+            failovers: logs.failovers,
+            replication: logs.replication,
         }
     }
 
-    /// Measures every engine's window deltas into a [`NodeObservations`]
-    /// snapshot via the shared [`ObservationWindows`] accumulator (the same
-    /// measurement math the runtime coordinator runs), against the speeds
-    /// the current plan already priced in.
-    fn collect_observations(
-        &self,
-        window: f64,
-        windows: &mut ObservationWindows,
-    ) -> NodeObservations {
-        let mut observed = NodeObservations::new();
-        for (&(node, model), engine) in &self.engines {
-            windows.measure(
-                &mut observed,
-                node,
-                model,
-                EngineCounters {
-                    nominal_busy_secs: engine.nominal_busy_seconds,
-                    busy_secs: engine.busy_seconds,
-                    tokens: engine.tokens_processed,
-                },
-                window,
-                self.fleet.observations(),
-            );
+    /// Applies (or, at `1.0`, lifts) a slowdown on every engine of `node`,
+    /// present and future.
+    fn set_slowdown(&mut self, node: NodeId, factor: f64) {
+        self.slowdowns.insert(node, factor);
+        for ((n, _), engine) in self.engines.iter_mut() {
+            if *n == node {
+                engine.set_slowdown(factor);
+            }
         }
-        observed
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The nodes the fleet's cluster spec (all profiles share one) places
+    /// in `region`.
+    fn region_nodes(&self, region: Region) -> Vec<NodeId> {
+        let cluster = self.fleet().profiles()[0].cluster();
+        let in_region = cluster.nodes().iter().filter(|n| n.region == region);
+        in_region.map(|n| n.id).collect()
+    }
+
     fn apply_perturbation(
         &mut self,
         perturbation: PerturbationEvent,
         time: SimTime,
-        states: &mut HashMap<RequestId, RequestState>,
-        epochs: &mut HashMap<RequestId, u64>,
         queue: &mut EventQueue,
-        active: &mut usize,
-        replans: &mut Vec<ReplanRecord>,
-        kv_transfers: &mut Vec<KvTransferRecord>,
     ) {
+        let rejoin = |queue: &mut EventQueue, node: NodeId, at: SimTime| {
+            let rejoin = PerturbationEvent::NodeRejoin { at, node };
+            queue.push(at, Event::Perturbation(rejoin));
+        };
         match perturbation {
             PerturbationEvent::NodeSlowdown { node, factor, .. } => {
-                self.slowdowns.insert(node, factor);
-                for ((n, _), engine) in self.engines.iter_mut() {
-                    if *n == node {
-                        engine.set_slowdown(factor);
-                    }
-                }
+                self.set_slowdown(node, factor);
                 if factor > 1.0 {
-                    self.node_health.mark_degraded(node);
+                    self.control.node_health_mut().mark_degraded(node);
                 }
             }
             PerturbationEvent::NodeRecovery { node, .. } => {
-                self.slowdowns.remove(&node);
-                for ((n, _), engine) in self.engines.iter_mut() {
-                    if *n == node {
-                        engine.set_slowdown(1.0);
-                    }
-                }
-                self.node_health.mark_healthy(node, time);
+                self.set_slowdown(node, 1.0);
+                self.control.node_health_mut().mark_healthy(node, time);
             }
             PerturbationEvent::NodeStraggler {
                 node,
@@ -888,37 +713,20 @@ impl ClusterSimulator {
             } => {
                 // A straggler is a slowdown that the health layer surfaces
                 // (Degraded) and that heals itself after `recover_secs`.
-                self.slowdowns.insert(node, factor);
-                for ((n, _), engine) in self.engines.iter_mut() {
-                    if *n == node {
-                        engine.set_slowdown(factor);
-                    }
-                }
-                self.node_health.mark_degraded(node);
-                let heal = time + recover_secs.max(0.0);
-                queue.push(
-                    heal,
-                    Event::Perturbation(PerturbationEvent::NodeRecovery { at: heal, node }),
-                );
+                self.set_slowdown(node, factor);
+                self.control.node_health_mut().mark_degraded(node);
+                let at = time + recover_secs.max(0.0);
+                let recovery = PerturbationEvent::NodeRecovery { at, node };
+                queue.push(at, Event::Perturbation(recovery));
             }
             PerturbationEvent::NodeFlap {
                 node, down_secs, ..
             } => {
-                // The down edge is a full node failure; the rejoin is
-                // scheduled up front with the layer ranges the node holds
-                // right now, so the planner can hand them back.
-                self.schedule_rejoin(node, time + down_secs.max(0.0), queue);
-                self.fail_nodes(
-                    &[node],
-                    ReplanReason::NodeFailure { node },
-                    time,
-                    states,
-                    epochs,
-                    queue,
-                    active,
-                    replans,
-                    kv_transfers,
-                );
+                // The down edge is a full node failure; the control plane
+                // remembers the layer ranges the node holds right now, so
+                // the rejoin can hand them back.
+                rejoin(queue, node, time + down_secs.max(0.0));
+                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, queue);
             }
             PerturbationEvent::RegionPartition {
                 region, heal_secs, ..
@@ -926,72 +734,34 @@ impl ClusterSimulator {
                 // The coordinator cannot tell a partition from a crash: the
                 // unreachable side fails as a region outage, and every node
                 // rejoins when the partition heals.
-                let nodes: Vec<NodeId> = self.fleet.profiles()[0]
-                    .cluster()
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.region == region)
-                    .map(|n| n.id)
-                    .collect();
-                if !nodes.is_empty() {
-                    let heal = time + heal_secs.max(0.0);
-                    for &n in &nodes {
-                        self.schedule_rejoin(n, heal, queue);
-                    }
-                    self.fail_nodes(
-                        &nodes,
-                        ReplanReason::RegionOutage { region },
-                        time,
-                        states,
-                        epochs,
-                        queue,
-                        active,
-                        replans,
-                        kv_transfers,
-                    );
+                let nodes = self.region_nodes(region);
+                for &node in &nodes {
+                    rejoin(queue, node, time + heal_secs.max(0.0));
                 }
+                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, queue);
             }
             PerturbationEvent::NodeRejoin { node, .. } => {
-                self.rejoin_node(node, time, queue, replans, kv_transfers);
+                // A flapped node comes back: its engines recover, and the
+                // control plane hands it its pre-failure layer ranges (a
+                // no-op when the node never left the plan).
+                if self.control.failed().contains(&node) {
+                    for ((n, _), engine) in self.engines.iter_mut() {
+                        if *n == node {
+                            engine.recover();
+                        }
+                    }
+                }
+                let outcome = self.control.rejoin(node, time);
+                self.hand_over(outcome, time, queue);
             }
             PerturbationEvent::NodeFailure { node, .. } => {
-                self.fail_nodes(
-                    &[node],
-                    ReplanReason::NodeFailure { node },
-                    time,
-                    states,
-                    epochs,
-                    queue,
-                    active,
-                    replans,
-                    kv_transfers,
-                );
+                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, queue);
             }
             PerturbationEvent::RegionOutage { region, .. } => {
-                // Resolve the region's nodes against the fleet's cluster
-                // spec (all profiles share one spec) and fail them together:
-                // one abort/re-admit sweep, one re-plan removing the whole
-                // region.
-                let nodes: Vec<NodeId> = self.fleet.profiles()[0]
-                    .cluster()
-                    .nodes()
-                    .iter()
-                    .filter(|n| n.region == region)
-                    .map(|n| n.id)
-                    .collect();
-                if !nodes.is_empty() {
-                    self.fail_nodes(
-                        &nodes,
-                        ReplanReason::RegionOutage { region },
-                        time,
-                        states,
-                        epochs,
-                        queue,
-                        active,
-                        replans,
-                        kv_transfers,
-                    );
-                }
+                // Fail the region's nodes together: one abort/re-admit
+                // sweep, one re-plan removing the whole region.
+                let nodes = self.region_nodes(region);
+                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, queue);
             }
             PerturbationEvent::ArrivalRateShift { .. } => {
                 // Applied to the arrival process before the run started.
@@ -1004,229 +774,122 @@ impl ClusterSimulator {
                 ..
             } => {
                 let delta = PlacementDelta::new().migrate(model, from, to, layers);
-                let observed = self.fleet.observations().clone();
-                self.apply_replan(
-                    &delta,
-                    &observed,
-                    time,
-                    ReplanReason::Manual,
-                    queue,
-                    replans,
-                    kv_transfers,
-                );
+                let outcome = self
+                    .control
+                    .replan(&delta, None, ReplanReason::Manual, time);
+                self.hand_over(outcome, time, queue);
             }
         }
     }
 
     /// Fails a set of nodes at once (one node for [`NodeFailure`], a whole
-    /// region for [`RegionOutage`]): their engines stop, every *unfinished*
-    /// pipeline crossing a dead node is aborted and its request re-admitted
-    /// under a new epoch (stale work of the old incarnation is dropped on
-    /// arrival), the KV pages it held anywhere are purged, and one re-plan
-    /// removes all the dead nodes from every model's placement.  Completed
-    /// requests keep their state — and their counted completion — untouched.
+    /// region for [`RegionOutage`]): their engines stop, and every pipeline
+    /// the control plane reports stranded has its KV purged and its request
+    /// re-submitted (promoted requests resume on their replicas, the rest
+    /// re-admit under a new epoch; stale work of the old incarnation is
+    /// dropped on arrival).  Completed requests are untouched.
     ///
     /// [`NodeFailure`]: PerturbationEvent::NodeFailure
     /// [`RegionOutage`]: PerturbationEvent::RegionOutage
-    #[allow(clippy::too_many_arguments)]
     fn fail_nodes(
         &mut self,
         nodes: &[NodeId],
         reason: ReplanReason,
         time: SimTime,
-        states: &mut HashMap<RequestId, RequestState>,
-        epochs: &mut HashMap<RequestId, u64>,
         queue: &mut EventQueue,
-        active: &mut usize,
-        replans: &mut Vec<ReplanRecord>,
-        kv_transfers: &mut Vec<KvTransferRecord>,
     ) {
-        for &node in nodes {
-            self.failed.insert(node);
-            self.node_health.mark_down(node);
-            for ((n, _), engine) in self.engines.iter_mut() {
-                if *n == node {
-                    engine.fail();
-                }
+        if nodes.is_empty() {
+            return;
+        }
+        for ((n, _), engine) in self.engines.iter_mut() {
+            if nodes.contains(n) {
+                engine.fail();
             }
         }
-        let mut doomed: Vec<RequestId> = states
-            .iter()
-            .filter(|(_, s)| {
-                s.finish_time.is_none() && nodes.iter().any(|n| s.pipeline.nodes().contains(n))
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        // Deterministic re-admission order (map iteration order is not).
-        doomed.sort_unstable();
-        let mut record = FailoverRecord {
-            at: time,
-            node: nodes[0],
-            promoted: Vec::new(),
-            aborted: Vec::new(),
-            tokens_recomputed: 0,
-            abort_recompute_tokens: 0,
-            replica_tokens_used: 0,
-        };
-        for id in doomed {
-            let state = states.remove(&id).expect("listed above");
-            let model = state.pipeline.model;
-            // Purge the stranded incarnation's KV on *every* engine of its
-            // model: pipeline nodes, migration destinations seeded with its
-            // pages, and replica standbys (a promoted request re-seeds its
-            // surviving tokens on re-admission).  Entries are keyed by
-            // request id, so other requests are untouched.
-            for (&(_, em), engine) in self.engines.iter_mut() {
-                if em == model {
-                    engine.purge_request(id);
-                }
-            }
-            if let Some(p) = state.prefix {
-                for n in state.pipeline.nodes() {
-                    self.release_prefix_at(model, n, p.id);
-                }
-                self.prefix_routers[model.index()].release(p.id);
-            }
-            *epochs.entry(id).or_insert(0) += 1;
-            *active = active.saturating_sub(1);
-            // Fail-over: a replicated request promotes its standbys and
-            // resumes from the last replicated chunk — only the tokens
-            // decoded since then are recomputed.  Without a (live) replica
-            // it falls back to abort-and-readmit from token zero.
-            let total = state.prompt_tokens + state.generated;
-            match self.promote_pipeline(id, &state.pipeline, nodes) {
-                Some(promoted) => {
-                    let resume_tokens = self.replica_tracker.replicated_tokens(id).min(total);
-                    record.promoted.push(id);
-                    record.tokens_recomputed += total.saturating_sub(resume_tokens) as u64;
-                    record.abort_recompute_tokens += total as u64;
-                    record.replica_tokens_used += resume_tokens as u64;
-                    self.resume.insert(
-                        id,
-                        ResumeCredit {
-                            pipeline: promoted,
-                            resume_tokens,
-                            generated: state.generated,
-                            arrival_time: state.arrival_time,
-                            first_token_time: state.first_token_time,
-                        },
-                    );
-                }
-                None => {
-                    record.aborted.push(id);
-                    record.tokens_recomputed += total as u64;
-                    record.abort_recompute_tokens += total as u64;
-                }
-            }
-            self.replica_tracker.finish(id);
-            queue.push(time, Event::RequestArrival { request: id });
+        let engines = &self.engines;
+        let has_engine = |node, model| engines.contains_key(&(node, model));
+        let failover = self.control.fail_nodes(nodes, reason, time, &has_engine);
+        for flight in &failover.stranded {
+            self.release_kv(flight, true);
+            let request = flight.request.id;
+            queue.push(time, Event::RequestArrival { request });
         }
-        self.failovers.push(record);
-        // Dead pipelines must not stay prefix homes.  The re-plan below
-        // clears routers only when it succeeds; when removing the nodes is
-        // infeasible (they were load-bearing) the old plan keeps serving,
-        // so evict exactly the homes that crossed a dead node — otherwise
-        // later sharers would "hit" a pipeline that no longer executes.
-        for router in &mut self.prefix_routers {
-            for &node in nodes {
-                router.evict_node(node);
-            }
-        }
-        // Structural change: re-plan immediately with one removal delta
-        // covering every dead node, keeping whatever observations are
-        // already priced in.
-        let mut delta = PlacementDelta::new();
-        for &node in nodes {
-            delta = delta.remove_node(node, self.fleet.num_models());
-        }
-        let observed = self.fleet.observations().clone();
-        self.apply_replan(
-            &delta,
-            &observed,
-            time,
-            reason,
-            queue,
-            replans,
-            kv_transfers,
-        );
+        self.hand_over(failover.replan, time, queue);
     }
 
-    /// Applies one re-plan: mutates the owned fleet plan, swaps the affected
-    /// models' schedulers (drain-then-switch — in-flight pipelines keep their
-    /// routes), reconciles the engine set with the new plan and performs the
-    /// KV hand-over of any partial-layer migration the delta carried.
-    /// Returns whether the re-plan was applied; an infeasible re-plan (e.g.
-    /// a failed node was load-bearing) leaves the current plan serving.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_replan(
-        &mut self,
-        delta: &PlacementDelta,
-        observed: &NodeObservations,
-        time: SimTime,
-        reason: ReplanReason,
-        queue: &mut EventQueue,
-        replans: &mut Vec<ReplanRecord>,
-        kv_transfers: &mut Vec<KvTransferRecord>,
-    ) -> bool {
-        let outcome = match self.fleet.replan(delta, observed) {
-            Ok(outcome) => outcome,
-            Err(_) => return false,
-        };
-        for &model in &outcome.affected {
-            let topology = self.fleet.model(model).expect("affected model exists");
-            // Hand-over step 1: new IWRR weights for new requests.  A model
-            // whose re-planned flow is zero keeps its old scheduler
-            // (serving degraded beats serving nothing).
-            if let Ok(scheduler) = IwrrScheduler::from_topology(topology) {
-                self.schedulers[model.index()] = Box::new(scheduler);
+    /// Frees what one finished (or, with `purge`, aborted) incarnation held
+    /// on the engines.  Its KV goes on *every* engine of its model, not only
+    /// its pipeline nodes: migrations seed destination engines and
+    /// replication seeds standbys, and all those copies are keyed by the
+    /// request id.  Prefix references release where the refcounted entry
+    /// actually lives now (see `release_prefix_at`).
+    fn release_kv(&mut self, flight: &InFlight, purge: bool) {
+        let model = flight.pipeline.model;
+        for (_, engine) in self.engines.iter_mut().filter(|(key, _)| key.1 == model) {
+            if purge {
+                engine.purge_request(flight.request.id);
+            } else {
+                engine.release_request(flight.request.id);
             }
-            // Pipelines of the old plan are stale prefix homes: forget them.
-            // In-flight references stay balanced through their own release
-            // path; only future routing is affected.
-            self.prefix_routers[model.index()].clear();
-            // Hand-over step 2: reconcile engines.  Existing engines take
-            // the new layer count / KV budget in place (their queues and
-            // cached tokens survive) *and rebuild their execution cost model
-            // from the re-derived contention split*, so a surviving engine
-            // on a node whose tenancy changed runs at the same re-split
-            // speed a freshly created engine would; pairs the plan no longer
-            // includes keep draining their in-flight work but receive no new
-            // pipelines; newly planned pairs get fresh engines.
-            let planned: Vec<(NodeId, usize, f64)> = topology
-                .nodes()
-                .map(|n| (n.node, n.layers.len(), n.kv_capacity_tokens))
-                .collect();
-            // Engines run at the analytic contention split; observed speed
-            // factors only re-price planning (the engine's own `slowdown`
-            // already delivers the physical degradation being measured).
-            let profile = self.fleet.contention_profile(model);
-            for (node, layers, kv_capacity) in planned {
-                match self.engines.get_mut(&(node, model)) {
-                    Some(engine) => {
-                        engine.update_plan(profile.node_profile(node), layers, kv_capacity)
-                    }
+        }
+        if let Some(p) = flight.prefix {
+            for stage in &flight.pipeline.stages {
+                self.release_prefix_at(model, stage.node, p.id);
+            }
+        }
+    }
+
+    /// Actuates one applied re-plan (`None`: it was infeasible or not due,
+    /// and the current plan keeps serving): reconciles the engine set with
+    /// the new plan and performs the KV hand-over of any partial-layer
+    /// migration the delta carried.
+    fn hand_over(&mut self, outcome: Option<ReplanOutcome>, time: SimTime, queue: &mut EventQueue) {
+        let Some(outcome) = outcome else {
+            return;
+        };
+        let fleet = self.control.fleet();
+        for &model in &outcome.affected {
+            // Existing engines take the new layer count / KV budget in place
+            // (their queues and cached tokens survive) *and rebuild their
+            // execution cost model from the re-derived contention split*, so
+            // a surviving engine on a node whose tenancy changed runs at the
+            // same re-split speed a freshly created engine would; pairs the
+            // plan no longer includes keep draining their in-flight work but
+            // receive no new pipelines; newly planned pairs get fresh
+            // engines.  Engines run at the analytic contention split;
+            // observed speed factors only re-price planning (the engine's
+            // own `slowdown` already delivers the physical degradation
+            // being measured).
+            let profile = fleet.contention_profile(model);
+            for n in fleet.topologies()[model.index()].nodes() {
+                let (layers, kv_capacity) = (n.layers.len(), n.kv_capacity_tokens);
+                let node_profile = profile.node_profile(n.node);
+                match self.engines.get_mut(&(n.node, model)) {
+                    Some(engine) => engine.update_plan(node_profile, layers, kv_capacity),
                     None => {
-                        let mut engine =
-                            NodeEngine::new(profile.node_profile(node), layers, kv_capacity);
-                        if let Some(&factor) = self.slowdowns.get(&node) {
+                        let mut engine = NodeEngine::new(node_profile, layers, kv_capacity);
+                        if let Some(&factor) = self.slowdowns.get(&n.node) {
                             engine.set_slowdown(factor);
                         }
-                        if self.failed.contains(&node) {
+                        if self.control.failed().contains(&n.node) {
                             engine.fail();
                         }
-                        self.engines.insert((node, model), engine);
+                        self.engines.insert((n.node, model), engine);
                     }
                 }
             }
         }
-        // Hand-over step 3: move the KV state of each migration.  The moved
-        // pages travel as real traffic on the `from → to` link (queueing
-        // behind activations), and both ends freeze *only the migrated
-        // layer range* until the transfer lands — freeze → transfer →
-        // re-route (step 1 above) → resume.  Requests whose stages run on
-        // disjoint layers of the same nodes keep decoding throughout.
+        // Move the KV state of each migration.  The moved pages travel as
+        // real traffic on the `from → to` link (queueing behind
+        // activations), and both ends freeze *only the migrated layer
+        // range* until the transfer lands — freeze → transfer → re-route →
+        // resume.  Requests whose stages run on disjoint layers of the same
+        // nodes keep decoding throughout.
         for migration in &outcome.migrations {
             let m = migration.model;
+            // The simulator re-routes at once: the modelled freeze already
+            // holds work on the migrated layers until the transfer lands.
+            self.control.install_scheduler(m);
             let Some(source) = self.engines.get(&(migration.from, m)) else {
                 continue;
             };
@@ -1236,18 +899,19 @@ impl ClusterSimulator {
             // reference them — the transfer prices the deduplicated pages.
             let tokens: f64 = snapshot.iter().map(|&(_, t)| t).sum::<f64>()
                 + prefix_snapshot.iter().map(|&(_, t, _)| t).sum::<f64>();
+            let fleet = self.control.fleet();
             let transfer = KvTransferModel::new(
-                self.fleet.profiles()[m.index()]
+                fleet.profiles()[m.index()]
                     .model()
                     .kv_bytes_per_token_per_layer(),
                 DEFAULT_TOKENS_PER_PAGE,
             );
+            let source_retired = fleet.placement().placements()[m.index()]
+                .range(migration.from)
+                .is_none();
             let pages = transfer.pages(tokens);
             let bytes = transfer.bytes(tokens, migration.layers.len());
             let arrival = self.link_transfer(Some(migration.from), Some(migration.to), time, bytes);
-            let source_retired = self.fleet.placement().placements()[m.index()]
-                .range(migration.from)
-                .is_none();
             if let Some(engine) = self.engines.get_mut(&(migration.from, m)) {
                 engine.freeze_range_until(migration.layers, arrival);
                 if source_retired {
@@ -1275,21 +939,10 @@ impl ClusterSimulator {
             for &(prefix, _, _) in &prefix_snapshot {
                 self.prefix_forwards[m.index()].insert((prefix, migration.from), migration.to);
             }
-            queue.push(
-                arrival,
-                Event::EngineThaw {
-                    node: migration.from,
-                    model: m,
-                },
-            );
-            queue.push(
-                arrival,
-                Event::EngineThaw {
-                    node: migration.to,
-                    model: m,
-                },
-            );
-            kv_transfers.push(KvTransferRecord {
+            for node in [migration.from, migration.to] {
+                queue.push(arrival, Event::EngineThaw { node, model: m });
+            }
+            self.kv_transfers.push(KvTransferRecord {
                 at: arrival,
                 migration: *migration,
                 tokens,
@@ -1298,127 +951,12 @@ impl ClusterSimulator {
                 transfer_secs: arrival - time,
             });
         }
-        replans.push(ReplanRecord {
-            at: time,
-            reason,
-            affected: outcome.affected,
-            planned_flow: self.fleet.total_flow_value(),
-        });
-        true
     }
 
     /// The standing engine of one (node, model) pair, if any — exposed so
     /// tests can compare surviving engines against freshly created ones.
     pub fn engine(&self, node: NodeId, model: ModelId) -> Option<&NodeEngine> {
         self.engines.get(&(node, model))
-    }
-
-    /// Starts replication tracking for a newly admitted request when the
-    /// policy marks it hot *and* every pipeline stage has a live standby
-    /// whose layer range covers it; otherwise the request runs unreplicated
-    /// and a failure falls back to abort-and-readmit.  Promoted incarnations
-    /// are not re-tracked — the replication factor applies from admission.
-    fn begin_replication(
-        &mut self,
-        request: RequestId,
-        pipeline: &RequestPipeline,
-        output_tokens: usize,
-    ) {
-        if !self.replication.replicates(output_tokens) {
-            return;
-        }
-        let model = pipeline.model;
-        let Some(topology) = self.fleet.model(model) else {
-            return;
-        };
-        let candidates: Vec<(NodeId, LayerRange)> = topology
-            .nodes()
-            .filter(|n| !self.failed.contains(&n.node))
-            .map(|n| (n.node, n.layers))
-            .collect();
-        let mut standbys = Vec::with_capacity(pipeline.stages.len());
-        for stage in &pipeline.stages {
-            match select_standby(stage.node, stage.layers, &candidates) {
-                Some(standby) => standbys.push((stage.node, standby)),
-                None => return,
-            }
-        }
-        self.replica_tracker.begin(request, standbys);
-    }
-
-    /// Ships one replication milestone: the newly durable token delta (if
-    /// the chunk boundary was crossed, or the prompt just completed) travels
-    /// from every primary stage to its standby over the real links, priced
-    /// by the shared [`KvTransferModel`], and the standby engines seed the
-    /// durable tokens as KV residency — replication steals serving
-    /// bandwidth and KV headroom, which is exactly the trade-off measured.
-    fn trickle_replication(
-        &mut self,
-        request: RequestId,
-        model: ModelId,
-        total_tokens: usize,
-        stage_layers: &[usize],
-        force: bool,
-        now: SimTime,
-    ) {
-        let delta = self.replica_tracker.record_progress(
-            request,
-            total_tokens,
-            self.replication.chunk_tokens,
-            force,
-        );
-        if delta == 0 {
-            return;
-        }
-        let durable = self.replica_tracker.replicated_tokens(request);
-        let standbys: Vec<(NodeId, NodeId)> = self.replica_tracker.standbys(request).to_vec();
-        let transfer = KvTransferModel::new(
-            self.fleet.profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer(),
-            DEFAULT_TOKENS_PER_PAGE,
-        );
-        for (i, &(primary, standby)) in standbys.iter().enumerate() {
-            let layers = stage_layers.get(i).copied().unwrap_or(1);
-            let bytes = transfer.bytes(delta as f64, layers);
-            self.link_transfer(Some(primary), Some(standby), now, bytes);
-            self.replica_tracker.record_bytes(bytes);
-            if let Some(engine) = self.engines.get_mut(&(standby, model)) {
-                engine.seed_kv(request, durable as f64);
-            }
-        }
-    }
-
-    /// Builds the promoted pipeline for `request`: every stage on a node
-    /// failing *now* is substituted by its standby.  `None` — untracked
-    /// request, no standby for a failed stage, or a standby that is itself
-    /// dead — falls back to abort-and-readmit.
-    fn promote_pipeline(
-        &self,
-        request: RequestId,
-        pipeline: &RequestPipeline,
-        failed_now: &[NodeId],
-    ) -> Option<RequestPipeline> {
-        if !self.replica_tracker.is_tracked(request) {
-            return None;
-        }
-        let standbys = self.replica_tracker.standbys(request);
-        let mut promoted = pipeline.clone();
-        for stage in &mut promoted.stages {
-            if failed_now.contains(&stage.node) {
-                let standby = standbys
-                    .iter()
-                    .find(|&&(primary, _)| primary == stage.node)
-                    .map(|&(_, s)| s)?;
-                if self.failed.contains(&standby)
-                    || !self.engines.contains_key(&(standby, pipeline.model))
-                {
-                    return None;
-                }
-                stage.node = standby;
-            }
-        }
-        Some(promoted)
     }
 
     /// Releases one shared-prefix reference at the node where the entry
@@ -1440,294 +978,73 @@ impl ClusterSimulator {
         }
     }
 
-    /// Captures the layer ranges `node` holds right now (before the failure
-    /// re-plan removes them) and schedules its rejoin.
-    fn schedule_rejoin(&mut self, node: NodeId, at: SimTime, queue: &mut EventQueue) {
-        let mut ranges: Vec<(ModelId, LayerRange)> = Vec::new();
-        for m in 0..self.fleet.num_models() {
-            if let Some(n) = self.fleet.model(ModelId(m)).and_then(|t| t.node(node)) {
-                ranges.push((ModelId(m), n.layers));
-            }
-        }
-        self.rejoin_ranges.insert(node, ranges);
-        queue.push(
-            at,
-            Event::Perturbation(PerturbationEvent::NodeRejoin { at, node }),
-        );
-    }
-
-    /// A flapped node comes back: its engines recover, membership returns to
-    /// Healthy, and one assign-delta re-plan hands the node its pre-failure
-    /// layer ranges back (a no-op when the failure-time removal was
-    /// infeasible and the node never left the plan).
-    fn rejoin_node(
-        &mut self,
-        node: NodeId,
-        time: SimTime,
-        queue: &mut EventQueue,
-        replans: &mut Vec<ReplanRecord>,
-        kv_transfers: &mut Vec<KvTransferRecord>,
-    ) {
-        if !self.failed.remove(&node) {
-            return;
-        }
-        for ((n, _), engine) in self.engines.iter_mut() {
-            if *n == node {
-                engine.recover();
-            }
-        }
-        self.node_health.mark_healthy(node, time);
-        let ranges = self.rejoin_ranges.remove(&node).unwrap_or_default();
-        let mut delta = PlacementDelta::new();
-        let mut missing = false;
-        for (m, layers) in ranges {
-            if self.fleet.model(m).and_then(|t| t.node(node)).is_none() {
-                delta = delta.assign(m, node, layers);
-                missing = true;
-            }
-        }
-        if missing {
-            let observed = self.fleet.observations().clone();
-            self.apply_replan(
-                &delta,
-                &observed,
-                time,
-                ReplanReason::NodeRejoin { node },
-                queue,
-                replans,
-                kv_transfers,
-            );
-        }
-    }
-
-    /// Scheduler feedback for one model: queue/throughput/KV state of that
-    /// model's engines only, so per-model KV masking sees its own partition.
-    fn snapshot(&self, model: ModelId) -> StateSnapshot {
-        let mut queue_len = HashMap::new();
-        let mut throughput = HashMap::new();
-        let mut kv_used = HashMap::new();
-        let mut kv_capacity = HashMap::new();
-        for (&(node, m), engine) in &self.engines {
-            if m != model {
-                continue;
-            }
-            queue_len.insert(node, engine.queue_len() + usize::from(engine.is_busy()));
-            throughput.insert(node, engine.recent_throughput());
-            kv_used.insert(node, engine.kv_used_tokens());
-            kv_capacity.insert(node, engine.kv_capacity_tokens());
-        }
-        StateSnapshot {
-            queue_len,
-            throughput,
-            kv_used,
-            kv_capacity,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Asks the control plane to admit `request` against its model's
+    /// engines and puts the dispatch on the wire: shared-prefix residency is
+    /// attached (refcounted) on every pipeline node, a promoted request's
+    /// replicated tokens are seeded as KV residency there, and the prefill
+    /// travels to the first stage.  A deferred request retries shortly.
     fn admit_request(
         &mut self,
         request: RequestId,
         specs: &HashMap<RequestId, Request>,
-        epochs: &HashMap<RequestId, u64>,
-        states: &mut HashMap<RequestId, RequestState>,
         queue: &mut EventQueue,
         now: SimTime,
-        active: &mut usize,
     ) {
-        let Some(spec) = specs.get(&request).copied() else {
+        let Some(spec) = specs.get(&request) else {
             return;
         };
         let model = spec.model;
-        if model.index() >= self.schedulers.len() {
-            return;
-        }
-        let epoch = epochs.get(&request).copied().unwrap_or(0);
-        // A promoted request skips scheduling: it resumes on the replica
-        // pipeline the fail-over controller built, seeds the replicated
-        // tokens as KV residency there, and recomputes only the cached
-        // tokens its standbys had not yet received.  Its arrival/first-token
-        // metrics continue from the original admission, and already-
-        // delivered output tokens are not re-emitted.
-        if let Some(credit) = self.resume.remove(&request) {
-            let pipeline = credit.pipeline;
-            for node in pipeline.nodes() {
-                if let Some(engine) = self.engines.get_mut(&(node, model)) {
-                    engine.seed_kv(request, credit.resume_tokens as f64);
-                }
-            }
-            let recompute = (spec.prompt_tokens + credit.generated)
-                .saturating_sub(credit.resume_tokens)
-                .max(1);
-            let first = pipeline.stages[0];
-            states.insert(
-                request,
-                RequestState {
-                    pipeline: pipeline.clone(),
-                    epoch,
-                    prompt_tokens: spec.prompt_tokens,
-                    output_tokens: spec.output_tokens,
-                    generated: credit.generated,
-                    arrival_time: credit.arrival_time,
-                    first_token_time: credit.first_token_time,
-                    last_token_time: None,
-                    decode_gaps: Vec::new(),
-                    finish_time: None,
-                    // The promoted incarnation holds no prefix reference —
-                    // the abort path already released the original's.
-                    prefix: None,
-                },
-            );
-            *active += 1;
-            let bytes = recompute as f64 * TOKEN_WIRE_BYTES;
-            let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-            queue.push(
-                arrival,
-                Event::NodeArrival {
-                    node: first.node,
-                    item: WorkItem {
-                        request,
-                        epoch,
-                        model,
-                        phase: Phase::Prompt,
-                        tokens: recompute,
-                        layers: first.layers,
-                        stage_index: 0,
-                        prefix: None,
-                    },
-                },
-            );
-            return;
-        }
-        let snapshot = self.snapshot(model);
-        // Cache-aware routing: a prefix-tagged request goes to the pipeline
-        // already holding its prefix when that pipeline has KV headroom; a
-        // saturated home degrades to plain IWRR with sharing disabled.
-        let mut prefix_work: Option<PrefixWork> = None;
-        let mut routed: Option<RequestPipeline> = None;
-        let mut bypassed = false;
-        if let Some((pid, ptokens)) = spec.shared_prefix() {
-            match self.prefix_routers[model.index()].route(pid, ptokens, &snapshot) {
-                PrefixRoute::Hit {
-                    pipeline,
-                    shared_tokens,
-                } => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: shared_tokens,
-                        hit: true,
-                    });
-                    routed = Some(pipeline);
-                }
-                PrefixRoute::Miss => {
-                    prefix_work = Some(PrefixWork {
-                        id: pid,
-                        tokens: ptokens,
-                        hit: false,
-                    });
-                }
-                PrefixRoute::Bypass => bypassed = true,
-            }
-        }
-        let scheduled = match routed {
-            Some(pipeline) => Ok(pipeline),
-            None => self.schedulers[model.index()].schedule(&snapshot),
+        let view = EngineView {
+            engines: &self.engines,
+            model,
         };
-        match scheduled {
-            Ok(mut pipeline) => {
-                pipeline.model = model;
-                match prefix_work {
-                    // A miss materialises the prefix: the scheduled pipeline
-                    // becomes its home for later sharers.
-                    Some(p) if !p.hit => {
-                        self.prefix_routers[model.index()].adopt(p.id, p.tokens, &pipeline)
-                    }
-                    None if bypassed => self.prefix_routers[model.index()].record_bypass(),
-                    _ => {}
+        let Ok(Admission::Dispatch(dispatch)) = self.control.admit(spec, &view) else {
+            queue.push(now + 0.2, Event::RequestArrival { request });
+            return;
+        };
+        for stage in &dispatch.pipeline.stages {
+            if let Some(engine) = self.engines.get_mut(&(stage.node, model)) {
+                if let Some(tokens) = dispatch.resume_tokens {
+                    engine.seed_kv(request, tokens as f64);
                 }
-                // Shared residency is attached (refcounted) on every pipeline
-                // node; the per-request KV entries hold only the suffix.
-                if let Some(p) = prefix_work {
-                    for node in pipeline.nodes() {
-                        if let Some(engine) = self.engines.get_mut(&(node, model)) {
-                            engine.attach_prefix(p.id, p.tokens as f64);
-                        }
-                    }
+                if let Some(p) = dispatch.prefix {
+                    engine.attach_prefix(p.id, p.tokens as f64);
                 }
-                // A cache hit skips prefilling the shared range (that is the
-                // compute saving); at least one token still flows through the
-                // pipeline to produce the first output token.
-                let prefill_tokens = match prefix_work {
-                    Some(p) if p.hit => spec.prompt_tokens.saturating_sub(p.tokens).max(1),
-                    _ => spec.prompt_tokens,
-                };
-                let first = pipeline.stages[0];
-                states.insert(
-                    request,
-                    RequestState {
-                        pipeline: pipeline.clone(),
-                        epoch,
-                        prompt_tokens: spec.prompt_tokens,
-                        output_tokens: spec.output_tokens,
-                        generated: 0,
-                        arrival_time: spec.arrival_time.max(0.0).min(now),
-                        first_token_time: None,
-                        last_token_time: None,
-                        decode_gaps: Vec::new(),
-                        finish_time: None,
-                        prefix: prefix_work,
-                    },
-                );
-                *active += 1;
-                self.begin_replication(request, &pipeline, spec.output_tokens);
-                let bytes = prefill_tokens as f64 * TOKEN_WIRE_BYTES;
-                let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-                queue.push(
-                    arrival,
-                    Event::NodeArrival {
-                        node: first.node,
-                        item: WorkItem {
-                            request,
-                            epoch,
-                            model,
-                            phase: Phase::Prompt,
-                            tokens: prefill_tokens,
-                            layers: first.layers,
-                            stage_index: 0,
-                            prefix: prefix_work,
-                        },
-                    },
-                );
-            }
-            Err(_) => {
-                // Every candidate is masked (e.g. KV caches full): retry
-                // shortly.  A hit never fails here; a miss was not adopted,
-                // so no reference leaks.
-                queue.push(now + 0.2, Event::RequestArrival { request });
             }
         }
+        let first = dispatch.pipeline.stages[0];
+        let bytes = dispatch.prefill_tokens as f64 * TOKEN_WIRE_BYTES;
+        let arrival = self.link_transfer(None, Some(first.node), now, bytes);
+        queue.push(
+            arrival,
+            Event::NodeArrival {
+                node: first.node,
+                item: WorkItem {
+                    request,
+                    epoch: dispatch.epoch,
+                    model,
+                    phase: Phase::Prompt,
+                    tokens: dispatch.prefill_tokens,
+                    layers: first.layers,
+                    stage_index: 0,
+                    prefix: dispatch.prefix,
+                },
+            },
+        );
     }
 
-    fn route_onward(
-        &mut self,
-        node: NodeId,
-        item: WorkItem,
-        states: &HashMap<RequestId, RequestState>,
-        queue: &mut EventQueue,
-        now: SimTime,
-    ) {
-        let Some(state) = states.get(&item.request) else {
-            return;
-        };
-        if state.epoch != item.epoch {
-            // Work of an aborted incarnation: its stage indices describe the
-            // old pipeline, not the re-admitted one.  Drop it.
-            return;
-        }
+    fn route_onward(&mut self, node: NodeId, item: WorkItem, queue: &mut EventQueue, now: SimTime) {
         let next_index = item.stage_index + 1;
-        if next_index < state.pipeline.stages.len() {
-            let next = state.pipeline.stages[next_index];
-            let activation_bytes = self.fleet.topologies()[item.model.index()]
+        let next = match self.control.flight(item.request) {
+            Some(flight) if flight.epoch == item.epoch => {
+                flight.pipeline.stages.get(next_index).copied()
+            }
+            // Work of an aborted incarnation describes the old pipeline, not
+            // the re-admitted one.  Drop it.
+            _ => return,
+        };
+        if let Some(next) = next {
+            let activation_bytes = self.fleet().topologies()[item.model.index()]
                 .profile()
                 .model()
                 .activation_bytes();
@@ -1738,14 +1055,9 @@ impl ClusterSimulator {
                 Event::NodeArrival {
                     node: next.node,
                     item: WorkItem {
-                        request: item.request,
-                        epoch: item.epoch,
-                        model: item.model,
-                        phase: item.phase,
-                        tokens: item.tokens,
                         layers: next.layers,
                         stage_index: next_index,
-                        prefix: item.prefix,
+                        ..item
                     },
                 },
             );
@@ -1772,7 +1084,7 @@ impl ClusterSimulator {
     ) -> SimTime {
         // Link hardware is shared by every model; the first lane's profile
         // supplies the (model-independent) bandwidth and latency numbers.
-        let profile = self.fleet.topologies()[0].profile();
+        let profile = self.control.fleet().topologies()[0].profile();
         let link = self.links.entry((from, to)).or_insert_with(|| {
             let spec = profile.cluster().link(from, to);
             LinkQueue::new(spec.bandwidth_bytes_per_sec(), spec.latency_secs())

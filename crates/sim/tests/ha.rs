@@ -356,3 +356,77 @@ fn region_partition_heals_and_nodes_rejoin() {
     }
     let _ = placement;
 }
+
+/// Regression for the missing dead-node dispatch guard: when the failure
+/// re-plan is infeasible the old plan keeps serving, and its scheduler still
+/// offers pipelines through the dead node.  Model 1 lives solely on node 0,
+/// so removing node 0 is infeasible for the fleet and *no* re-plan applies;
+/// model 0's IWRR rotation keeps alternating between the dead node 0 and the
+/// live node 2.  Admissions arriving after the failure must defer until a
+/// live pipeline comes up in rotation — before the guard moved into the
+/// shared control plane the simulator black-holed them into the failed
+/// engine (7 of 8 completed).
+#[test]
+fn infeasible_failure_replan_never_dispatches_through_the_dead_node() {
+    use helix_core::fleet::fleet_profiles;
+    use helix_core::{FleetPlacement, FleetScheduler, FleetTopology};
+
+    let cluster = ClusterBuilder::new("ha-two-model-4")
+        .intra_region(10_000.0, 1.0)
+        .add_nodes(GpuType::A100_80, 4, 1, Region(0))
+        .build();
+    let profiles = fleet_profiles(
+        &cluster,
+        &[ModelConfig::llama_13b(), ModelConfig::llama_13b()],
+    );
+    let layers = profiles[0].model().num_layers;
+    let half = layers / 2;
+    let mut redundant = ModelPlacement::empty(4);
+    redundant.assign(NodeId(0), LayerRange::new(0, half));
+    redundant.assign(NodeId(2), LayerRange::new(0, half));
+    redundant.assign(NodeId(1), LayerRange::new(half, layers));
+    redundant.assign(NodeId(3), LayerRange::new(half, layers));
+    let mut solitary = ModelPlacement::empty(4);
+    solitary.assign(NodeId(0), LayerRange::new(0, layers));
+    let placement = FleetPlacement::new(vec![redundant, solitary]);
+    let fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
+    let mut sim = ClusterSimulator::new_fleet(&fleet, FleetScheduler::iwrr(&fleet).unwrap());
+
+    // Four model-0 requests in flight when node 0 dies at t=1.5, four more
+    // arriving afterwards.
+    let arrivals = [0.0, 0.0, 0.0, 0.0, 2.9, 3.0, 3.1, 3.2];
+    let workload = Workload::new(
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &arrival_time)| Request {
+                id: i as u64,
+                prompt_tokens: 64,
+                output_tokens: 24,
+                arrival_time,
+                model: ModelId(0),
+                ..Request::default()
+            })
+            .collect(),
+    );
+    let report = sim.run_with_events(
+        &workload,
+        SimulationConfig::online(600.0).with_warmup(0.0),
+        &[PerturbationEvent::NodeFailure {
+            at: 1.5,
+            node: NodeId(0),
+        }],
+        None,
+    );
+
+    assert!(
+        report.replans.is_empty(),
+        "removing node 0 strands model 1, so the re-plan must be rejected: {:?}",
+        report.replans
+    );
+    assert_eq!(report.failovers.len(), 1);
+    assert_eq!(
+        report.metrics.overall.completed_requests, 8,
+        "every request completes on the surviving node-2 pipelines"
+    );
+}

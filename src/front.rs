@@ -124,8 +124,9 @@ impl ServingFrontEnd for ServingSession {
     }
 
     fn serve(self, workload: &Workload) -> Result<RuntimeReport, RuntimeError> {
-        // The inherent batch path: on a fresh session this is the legacy
-        // blocking loop, bit-identical to the pre-session runtime.
+        // The inherent batch call queues a fresh session's whole workload
+        // before its data plane starts, so simultaneous arrivals are
+        // admitted together.
         ServingSession::serve(self, workload)
     }
 }
