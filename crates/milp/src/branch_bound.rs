@@ -2,12 +2,13 @@
 
 use crate::error::MilpError;
 use crate::model::{Model, ObjectiveSense};
-use crate::simplex::{solve_lp_with_bounds, LpOutcome};
+use crate::simplex::{Basis, LpOutcome, LpSolver};
 use crate::solution::{MilpResult, SolveStatus};
 use crate::INT_EPS;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// One entry in the solver's incumbent/bound timeline.
@@ -27,6 +28,23 @@ pub struct BranchEvent {
     pub best_bound: f64,
 }
 
+/// One explored node of the search tree.
+///
+/// Together the records of a solve describe every relaxation it solved: the
+/// bounds of a node are the root's, tightened by the `branch` of each node on
+/// the path down to it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct NodeRecord {
+    /// Position of the parent node in [`MilpSolver::nodes`]; `None` for the
+    /// root.
+    pub parent: Option<usize>,
+    /// The branching decision that created the node: the variable's index
+    /// and its new bounds.  `None` for the root.
+    pub branch: Option<(usize, f64, f64)>,
+    /// Simplex iterations spent on the node's relaxation.
+    pub lp_iterations: u64,
+}
+
 /// Configuration of the branch & bound search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpOptions {
@@ -44,7 +62,8 @@ pub struct MilpOptions {
     /// A feasible assignment used as the initial incumbent (heuristic warm
     /// start, §4.5).  Infeasible warm starts are ignored.
     pub warm_start: Option<Vec<f64>>,
-    /// Record a [`BranchEvent`] every time the incumbent or bound improves.
+    /// Record a [`BranchEvent`] every time the incumbent or bound improves,
+    /// and a [`NodeRecord`] for every node explored.
     pub record_events: bool,
 }
 
@@ -69,19 +88,27 @@ pub struct MilpSolver {
     options: MilpOptions,
     /// Timeline of incumbent/bound improvements from the last solve.
     events: Vec<BranchEvent>,
+    /// The nodes the last solve explored, in order.
+    nodes: Vec<NodeRecord>,
 }
 
 /// Open node: bounds override per variable plus the parent LP bound (score
-/// space, larger is better).
+/// space, larger is better) and the parent's optimal basis to start from.
+/// The basis is `O(rows + columns)` and shared by both children; no open
+/// node ever holds a simplex table.
 struct OpenNode {
     bounds: Vec<(f64, f64)>,
+    basis: Rc<Basis>,
     score_bound: f64,
     depth: u32,
+    /// Parent's position among the explored nodes and the variable branched
+    /// on; `None` for the root.
+    origin: Option<(usize, usize)>,
 }
 
 impl PartialEq for OpenNode {
     fn eq(&self, other: &Self) -> bool {
-        self.score_bound == other.score_bound
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for OpenNode {}
@@ -95,8 +122,7 @@ impl Ord for OpenNode {
         // Best-bound first; tie-break towards deeper nodes (closer to
         // integrality) so dives finish quickly.
         self.score_bound
-            .partial_cmp(&other.score_bound)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&other.score_bound)
             .then(self.depth.cmp(&other.depth))
     }
 }
@@ -112,6 +138,7 @@ impl MilpSolver {
         MilpSolver {
             options,
             events: Vec::new(),
+            nodes: Vec::new(),
         }
     }
 
@@ -150,6 +177,12 @@ impl MilpSolver {
         &self.events
     }
 
+    /// The nodes explored by the most recent [`MilpSolver::solve`] call, in
+    /// exploration order (empty unless event recording was enabled).
+    pub fn nodes(&self) -> &[NodeRecord] {
+        &self.nodes
+    }
+
     /// Solves `model` to (near-)optimality subject to the configured budgets.
     ///
     /// # Errors
@@ -163,6 +196,7 @@ impl MilpSolver {
     pub fn solve(&mut self, model: &Model) -> Result<MilpResult, MilpError> {
         let start = Instant::now();
         self.events.clear();
+        self.nodes.clear();
         let sense = model.sense();
         // Score space: larger is better.
         let to_score = |obj: f64| match sense {
@@ -200,9 +234,10 @@ impl MilpSolver {
             }
         }
 
-        // Root relaxation.
-        let root_lp = solve_lp_with_bounds(model, &root_bounds)?;
-        let root_sol = match root_lp {
+        // Root relaxation, solved cold; every other node re-optimises the
+        // same table from its parent's basis.
+        let mut lp = LpSolver::new(model, &root_bounds)?;
+        let root_sol = match lp.solve(&root_bounds)? {
             LpOutcome::Infeasible => {
                 // A warm start can still make this "feasible overall" only if
                 // the warm start satisfies the constraints, which would
@@ -214,12 +249,18 @@ impl MilpSolver {
         };
         let mut best_bound_score = to_score(root_sol.objective);
         let mut nodes_explored: u64 = 0;
+        // Node 1 is the root again; it takes the solve above, iterations
+        // included.
+        let mut root_sol = Some(root_sol);
+        let mut iterations_logged = 0;
 
         let mut heap: BinaryHeap<OpenNode> = BinaryHeap::new();
         heap.push(OpenNode {
             bounds: root_bounds,
+            basis: Rc::new(lp.basis()),
             score_bound: best_bound_score,
             depth: 0,
+            origin: None,
         });
 
         let mut status = SolveStatus::Optimal;
@@ -267,14 +308,27 @@ impl MilpSolver {
             }
 
             nodes_explored += 1;
-            let lp = match solve_lp_with_bounds(model, &node.bounds) {
-                Ok(LpOutcome::Optimal(s)) => s,
-                Ok(LpOutcome::Infeasible) => continue,
-                Ok(LpOutcome::Unbounded) => return Err(MilpError::Unbounded),
-                Err(MilpError::Infeasible) => continue,
-                Err(e) => return Err(e),
+            let outcome = match root_sol.take() {
+                Some(solution) => LpOutcome::Optimal(solution),
+                None => lp.resolve(&node.bounds, &node.basis)?,
             };
-            let node_score = to_score(lp.objective);
+            if self.options.record_events {
+                self.nodes.push(NodeRecord {
+                    parent: node.origin.map(|(parent, _)| parent),
+                    branch: node.origin.map(|(_, var)| {
+                        let (lower, upper) = node.bounds[var];
+                        (var, lower, upper)
+                    }),
+                    lp_iterations: lp.iterations() - iterations_logged,
+                });
+            }
+            iterations_logged = lp.iterations();
+            let relaxed = match outcome {
+                LpOutcome::Optimal(s) => s,
+                LpOutcome::Infeasible => continue,
+                LpOutcome::Unbounded => return Err(MilpError::Unbounded),
+            };
+            let node_score = to_score(relaxed.objective);
             // Prune against the incumbent.
             if let Some((inc_score, _)) = &incumbent {
                 if node_score <= inc_score + 1e-9 {
@@ -288,7 +342,7 @@ impl MilpSolver {
                 if !v.var_type.is_integral() {
                     continue;
                 }
-                let x = lp.values[i];
+                let x = relaxed.values[i];
                 let frac = (x - x.round()).abs();
                 if frac > INT_EPS {
                     let dist_to_half = (frac - 0.5).abs();
@@ -302,7 +356,7 @@ impl MilpSolver {
             match branch_var {
                 None => {
                     // Integral solution: new incumbent candidate.
-                    let mut values = lp.values.clone();
+                    let mut values = relaxed.values;
                     for (i, v) in model.variables().iter().enumerate() {
                         if v.var_type.is_integral() {
                             values[i] = values[i].round();
@@ -330,31 +384,20 @@ impl MilpSolver {
                     }
                 }
                 Some(i) => {
-                    let x = lp.values[i];
-                    let floor = x.floor();
-                    let ceil = x.ceil();
+                    let x = relaxed.values[i];
                     let (l, u) = node.bounds[i];
-                    // Down child: x <= floor.
-                    if floor >= l - 1e-9 {
-                        let mut b = node.bounds.clone();
-                        b[i] = (l, floor.min(u));
-                        if b[i].0 <= b[i].1 {
+                    let basis = Rc::new(lp.basis());
+                    // Down child: x <= floor; up child: x >= ceil.
+                    for (lower, upper) in [(l, x.floor().min(u)), (x.ceil().max(l), u)] {
+                        if lower <= upper {
+                            let mut bounds = node.bounds.clone();
+                            bounds[i] = (lower, upper);
                             heap.push(OpenNode {
-                                bounds: b,
+                                bounds,
+                                basis: Rc::clone(&basis),
                                 score_bound: node_score,
                                 depth: node.depth + 1,
-                            });
-                        }
-                    }
-                    // Up child: x >= ceil.
-                    if ceil <= u + 1e-9 {
-                        let mut b = node.bounds.clone();
-                        b[i] = (ceil.max(l), u);
-                        if b[i].0 <= b[i].1 {
-                            heap.push(OpenNode {
-                                bounds: b,
-                                score_bound: node_score,
-                                depth: node.depth + 1,
+                                origin: Some((nodes_explored as usize - 1, i)),
                             });
                         }
                     }
@@ -387,6 +430,7 @@ impl MilpSolver {
             status,
             best_bound: from_score(best_bound_score),
             nodes_explored,
+            lp_iterations: lp.iterations(),
             solve_seconds: start.elapsed().as_secs_f64(),
         })
     }
@@ -396,6 +440,59 @@ impl MilpSolver {
 mod tests {
     use super::*;
     use crate::model::{Model, ObjectiveSense, Sense, VarType};
+
+    #[test]
+    fn open_node_equality_agrees_with_its_ordering() {
+        let empty = Model::new(ObjectiveSense::Maximize);
+        let basis = Rc::new(LpSolver::new(&empty, &[]).unwrap().basis());
+        let node = |score_bound: f64, depth: u32| OpenNode {
+            bounds: Vec::new(),
+            basis: Rc::clone(&basis),
+            score_bound,
+            depth,
+            origin: None,
+        };
+        // Same bound, different depth: ordered, hence not equal.
+        assert!(node(1.0, 3) > node(1.0, 2));
+        assert!(node(1.0, 3) != node(1.0, 2));
+        assert!(node(1.0, 2) == node(1.0, 2));
+        // A NaN bound has one place in the order instead of tying with all.
+        assert!(node(f64::NAN, 0) > node(f64::INFINITY, 9));
+        assert!(node(f64::NAN, 0) != node(1.0, 0));
+        assert!(node(f64::NAN, 0) == node(f64::NAN, 0));
+    }
+
+    #[test]
+    fn node_log_accounts_for_every_iteration() {
+        let mut m = Model::new(ObjectiveSense::Maximize);
+        let vars: Vec<_> = (0..10)
+            .map(|i| m.add_binary(format!("x{i}"), 3.0 + (i % 4) as f64))
+            .collect();
+        let weights: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 2.0 + (i % 3) as f64))
+            .collect();
+        m.add_constraint("w", weights, Sense::Le, 11.5);
+        let mut solver = MilpSolver::new().record_events();
+        let r = solver.solve(&m).unwrap();
+        let nodes = solver.nodes();
+        assert_eq!(nodes.len() as u64, r.nodes_explored);
+        assert!(nodes.len() > 1, "the knapsack must branch");
+        assert_eq!(
+            nodes.iter().map(|n| n.lp_iterations).sum::<u64>(),
+            r.lp_iterations
+        );
+        assert_eq!((nodes[0].parent, nodes[0].branch), (None, None));
+        for (k, node) in nodes.iter().enumerate().skip(1) {
+            let (var, lower, upper) = node.branch.unwrap();
+            assert!(node.parent.unwrap() < k && var < 10 && lower == upper);
+        }
+        // Nothing is logged unless asked for.
+        let mut quiet = MilpSolver::new();
+        quiet.solve(&m).unwrap();
+        assert!(quiet.nodes().is_empty());
+    }
 
     #[test]
     fn knapsack_small() {

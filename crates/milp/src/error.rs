@@ -21,6 +21,13 @@ pub enum MilpError {
         /// The upper bound.
         upper: f64,
     },
+    /// A bounds slice did not have one entry per model variable.
+    BoundsLength {
+        /// Number of variables in the model.
+        expected: usize,
+        /// Length of the slice.
+        found: usize,
+    },
     /// A coefficient or right-hand side was NaN.
     NotANumber,
     /// The model (or its LP relaxation) is infeasible.
@@ -45,6 +52,12 @@ impl fmt::Display for MilpError {
             }
             MilpError::InvalidBounds { lower, upper } => {
                 write!(f, "invalid variable bounds [{lower}, {upper}]")
+            }
+            MilpError::BoundsLength { expected, found } => {
+                write!(
+                    f,
+                    "{found} bound pairs given for a model with {expected} variables"
+                )
             }
             MilpError::NotANumber => write!(f, "coefficient or right-hand side was NaN"),
             MilpError::Infeasible => write!(f, "model is infeasible"),

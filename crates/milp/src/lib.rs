@@ -6,17 +6,28 @@
 //!
 //! * [`Model`] — a builder for LP/MILP problems: continuous, integer and
 //!   binary variables with bounds, linear constraints and a linear objective.
-//! * [`solve_lp`] — a dense two-phase primal simplex solver for the LP
-//!   relaxation.
+//! * [`LpSolver`] — a bounded-variable simplex for the LP relaxation: bounds
+//!   are carried by the columns (no upper-bound rows, artificials only where
+//!   a row needs one), the table is one dense row-major array priced from a
+//!   reduced-cost row the pivot keeps current, and a solve can start cold
+//!   (two-phase primal) or from the [`Basis`] of a related solve (dual
+//!   simplex on the table already in memory).  [`solve_lp`] is the one-shot
+//!   cold solve.
 //! * [`MilpSolver`] — branch & bound over the LP relaxation with best-bound
 //!   node selection, most-fractional branching, warm-start incumbents, a
 //!   user-supplied early-stop objective bound (the paper's §4.5 optimization)
-//!   and wall-clock/node budgets.  The solver records an incumbent/bound
-//!   timeline so experiment harnesses can reproduce Fig. 12.
+//!   and wall-clock/node budgets.  Every node but the root re-optimises from
+//!   its parent's basis.  The solver records an incumbent/bound timeline so
+//!   experiment harnesses can reproduce Fig. 12, and counts simplex
+//!   iterations ([`MilpResult::lp_iterations`]), a cost measure that repeats
+//!   exactly.
 //!
-//! The solver is tuned for the problem sizes Helix produces for small and
-//! medium clusters.  Very large instances should be attacked with heuristic
-//! warm starts and tight time budgets, exactly as the paper does.
+//! The table is dense: a pivot costs rows × columns, which suits the
+//! relaxations Helix produces for small and medium clusters (the paper's
+//! 24-node cluster pruned to degree 12 is 1344 × 2764, 30 MB).  Larger
+//! instances want a sparse revised simplex; until then they should be
+//! attacked with heuristic warm starts and tight time budgets, exactly as
+//! the paper does.
 //!
 //! # Example
 //!
@@ -40,11 +51,11 @@ mod model;
 mod simplex;
 mod solution;
 
-pub use branch_bound::{BranchEvent, MilpOptions, MilpSolver};
+pub use branch_bound::{BranchEvent, MilpOptions, MilpSolver, NodeRecord};
 pub use error::MilpError;
 pub use expr::{LinExpr, VarId};
 pub use model::{Constraint, Model, ObjectiveSense, Sense, VarType, Variable};
-pub use simplex::{solve_lp, LpOutcome, LpSolution};
+pub use simplex::{solve_lp, Basis, LpOutcome, LpSolution, LpSolver};
 pub use solution::{MilpResult, SolveStatus};
 
 /// Tolerance below which a value is considered integral / zero by the solver.

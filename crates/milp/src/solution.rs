@@ -31,6 +31,9 @@ pub struct MilpResult {
     pub best_bound: f64,
     /// Number of branch & bound nodes explored.
     pub nodes_explored: u64,
+    /// Simplex iterations (pivots and bound flips) over all nodes.  Unlike
+    /// the wall-clock time it repeats exactly from run to run.
+    pub lp_iterations: u64,
     /// Wall-clock time spent solving, in seconds.
     pub solve_seconds: f64,
 }
@@ -54,6 +57,7 @@ mod tests {
             status: SolveStatus::Feasible,
             best_bound: 110.0,
             nodes_explored: 5,
+            lp_iterations: 40,
             solve_seconds: 0.1,
         };
         assert!((r.gap() - 0.1).abs() < 1e-12);
