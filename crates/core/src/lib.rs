@@ -17,6 +17,11 @@
 //! * [`exec_model`] — the execution cost model (batching formula, prompt vs
 //!   decode token costs, KV-overflow penalty) shared by the simulator and
 //!   the runtime so the two can never drift apart.
+//! * [`engine`] — the per-node worker of §5.1–§5.2 once: [`EngineCore`]
+//!   (batching, layer-range freezes, the KV-overflow decision) over the
+//!   [`PagedKvPool`] residency table.  The simulator's `NodeEngine` and the
+//!   runtime's worker task are this core plus their own scheduling glue;
+//!   [`LinkQueue`] is the FIFO link model they likewise share.
 //! * [`MilpPlacementPlanner`] — the MILP formulation of §4.4 (Tables 5–6)
 //!   with optional partial inference, cluster pruning, heuristic warm starts
 //!   and the early-stop upper bound of §4.5.
@@ -72,11 +77,13 @@
 //! ```
 
 pub mod control;
+pub mod engine;
 pub mod error;
 pub mod exec_model;
 pub mod fleet;
 pub mod flow_graph;
 pub mod ha;
+pub mod link;
 pub mod placement;
 pub mod region;
 pub mod replan;
@@ -86,6 +93,7 @@ pub mod topology;
 pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };
+pub use engine::{EngineCore, KvPoolError, PagedKvPool};
 pub use error::HelixError;
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{
@@ -97,6 +105,7 @@ pub use ha::{
     select_standby, FailoverRecord, NodeDirectory, ReplicaTracker, ReplicationPolicy,
     ReplicationStats, REPLICA_CHUNK_PAGES,
 };
+pub use link::LinkQueue;
 pub use placement::heuristics;
 pub use placement::hierarchical::{
     HierarchicalFleetPlanner, HierarchicalOptions, HierarchicalPlan,

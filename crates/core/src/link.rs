@@ -1,6 +1,6 @@
-//! FIFO network links with finite bandwidth and latency.
+//! FIFO network links with finite bandwidth and latency — the one link model
+//! behind the simulator's link queues and the runtime's network fabric.
 
-use crate::event::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A directed network link modelled as a FIFO serialisation queue plus a
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub struct LinkQueue {
     bandwidth_bytes_per_sec: f64,
     latency_secs: f64,
-    busy_until: SimTime,
+    busy_until: f64,
     /// Total bytes carried.
     pub bytes_transferred: f64,
     /// Total number of transfers.
@@ -42,7 +42,7 @@ impl LinkQueue {
 
     /// Enqueues a transfer of `bytes` at time `now`; returns the time the
     /// data is fully available at the receiver.
-    pub fn transfer(&mut self, now: SimTime, bytes: f64) -> SimTime {
+    pub fn transfer(&mut self, now: f64, bytes: f64) -> f64 {
         let start = now.max(self.busy_until);
         let queue_delay = start - now;
         let serialisation = bytes / self.bandwidth_bytes_per_sec;
@@ -65,7 +65,7 @@ impl LinkQueue {
     }
 
     /// The time until which the link is busy serialising.
-    pub fn busy_until(&self) -> SimTime {
+    pub fn busy_until(&self) -> f64 {
         self.busy_until
     }
 

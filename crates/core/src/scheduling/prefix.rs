@@ -19,8 +19,8 @@
 //!   a hot node.
 //!
 //! The router only decides *placement*; reference counting of the actual
-//! pages lives in the execution surfaces (`PagedKvPool` in the runtime, the
-//! engine KV residency in the simulator) and in the coordinator-side
+//! pages lives in the engine core both execution surfaces run
+//! ([`PagedKvPool`](crate::engine::PagedKvPool)) and in the coordinator-side
 //! [`KvCacheEstimator`](crate::KvCacheEstimator).
 
 use super::{ClusterState, RequestPipeline};

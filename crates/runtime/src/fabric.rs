@@ -2,10 +2,11 @@
 //! workers with per-link bandwidth, latency and FIFO queueing.
 //!
 //! The paper's prototype ships tensors over ZeroMQ across real datacenter
-//! links; here a fabric *task* models each directed link as a serial resource
-//! (messages queue behind each other at the link's bandwidth) plus a
-//! propagation latency, using the same per-link numbers the planner sees
-//! through [`ClusterProfile::link_profile`].  Congestion on slow inter-region
+//! links; here a fabric *task* models each directed link as a
+//! [`LinkQueue`] — the simulator's link model: a serial resource (messages
+//! queue behind each other at the link's bandwidth) plus a propagation
+//! latency — using the same per-link numbers the planner sees through
+//! [`ClusterProfile::link_profile`].  Congestion on slow inter-region
 //! links — the effect behind the paper's Fig. 10b case study — emerges
 //! naturally from this model.
 //!
@@ -20,6 +21,7 @@ use crate::coordinator::CoordinatorMsg;
 use crate::message::Envelope;
 use crate::registry::WorkerRegistry;
 use helix_cluster::{ClusterProfile, NodeId};
+use helix_core::LinkQueue;
 use minirt::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
@@ -29,33 +31,9 @@ use std::sync::Arc;
 /// A directed link endpoint pair; `None` denotes the coordinator.
 pub type LinkKey = (Option<NodeId>, Option<NodeId>);
 
-/// Traffic observed on one directed link.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LinkTraffic {
-    /// Messages delivered over the link.
-    pub messages: u64,
-    /// Total payload bytes delivered.
-    pub bytes: f64,
-    /// Sum of per-message queueing delays (seconds spent waiting for the link
-    /// to become free, excluding transmission and propagation time).
-    pub total_queue_delay: f64,
-    /// Largest queueing delay observed for a single message.
-    pub max_queue_delay: f64,
-}
-
-impl LinkTraffic {
-    /// Mean queueing delay per message.
-    pub fn mean_queue_delay(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.total_queue_delay / self.messages as f64
-        }
-    }
-}
-
-/// Shared, thread-safe view of per-link traffic counters.
-pub type LinkTrafficMap = Arc<Mutex<HashMap<LinkKey, LinkTraffic>>>;
+/// Shared, thread-safe view of the directed links that carried traffic: each
+/// link's queue state and its traffic counters.
+pub type LinkTrafficMap = Arc<Mutex<HashMap<LinkKey, LinkQueue>>>;
 
 /// A message waiting in the fabric for its delivery time.
 #[derive(Debug)]
@@ -129,7 +107,6 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
         coordinator_tx,
     } = spec;
     let mut heap: BinaryHeap<Delivery> = BinaryHeap::new();
-    let mut link_free: HashMap<LinkKey, f64> = HashMap::new();
     let mut seq: u64 = 0;
     let mut closed = false;
 
@@ -162,7 +139,7 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
         match received {
             Ok(envelope) => {
                 seq += 1;
-                let delivery = schedule(envelope, seq, &profile, &clock, &mut link_free, &traffic);
+                let delivery = schedule(envelope, seq, &profile, &clock, &traffic);
                 heap.push(delivery);
             }
             Err(_) => closed = true,
@@ -170,36 +147,24 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
     }
 }
 
-/// Computes the delivery time of an envelope over its link and records the
-/// traffic counters.
+/// Queues an envelope on its link: the link's [`LinkQueue`] computes the
+/// delivery time and records the traffic counters.
 fn schedule(
     envelope: Envelope,
     seq: u64,
     profile: &ClusterProfile,
     clock: &VirtualClock,
-    link_free: &mut HashMap<LinkKey, f64>,
     traffic: &LinkTrafficMap,
 ) -> Delivery {
-    let key = (envelope.from, envelope.to);
-    let link = profile.link_profile(envelope.from, envelope.to).link;
-    let bandwidth = link.bandwidth_bytes_per_sec().max(1.0);
-    let latency = (link.latency_ms / 1000.0).max(0.0);
-
-    let now = clock.now();
-    let next_free = link_free.entry(key).or_insert(0.0);
-    let start = now.max(*next_free);
-    let transmit = envelope.bytes.max(0.0) / bandwidth;
-    *next_free = start + transmit;
-    let deliver_at = start + transmit + latency;
-    let queue_delay = start - now;
-
-    let mut map = traffic.lock();
-    let entry = map.entry(key).or_default();
-    entry.messages += 1;
-    entry.bytes += envelope.bytes.max(0.0);
-    entry.total_queue_delay += queue_delay;
-    entry.max_queue_delay = entry.max_queue_delay.max(queue_delay);
-
+    let (from, to) = (envelope.from, envelope.to);
+    let deliver_at = traffic
+        .lock()
+        .entry((from, to))
+        .or_insert_with(|| {
+            let link = profile.link_profile(from, to).link;
+            LinkQueue::new(link.bandwidth_bytes_per_sec(), link.latency_ms / 1000.0)
+        })
+        .transfer(clock.now(), envelope.bytes.max(0.0));
     Delivery {
         deliver_at,
         seq,
@@ -313,8 +278,8 @@ mod tests {
         let map = traffic.lock();
         assert_eq!(map.len(), 2);
         let entry = map.get(&(None, Some(NodeId(0)))).unwrap();
-        assert_eq!(entry.messages, 1);
-        assert!((entry.bytes - 4.0).abs() < 1e-9);
+        assert_eq!(entry.transfers, 1);
+        assert!((entry.bytes_transferred - 4.0).abs() < 1e-9);
         assert_eq!(entry.mean_queue_delay(), entry.total_queue_delay);
     }
 
@@ -354,7 +319,7 @@ mod tests {
 
         let map = traffic.lock();
         let entry = map.get(&(Some(NodeId(0)), Some(NodeId(1)))).unwrap();
-        assert_eq!(entry.messages, 2);
+        assert_eq!(entry.transfers, 2);
         assert!(
             entry.max_queue_delay > 0.05,
             "second transfer should have queued, max delay {}",

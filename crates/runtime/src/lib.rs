@@ -14,7 +14,8 @@
 //! * one **worker task per (compute node, model) pair** running best-effort
 //!   dynamic batching over the layers the placement assigned to it, with a
 //!   paged KV-cache pool modelled after vLLM's PagedAttention block manager
-//!   ([`PagedKvPool`]);
+//!   ([`PagedKvPool`]) — batching and pool are [`helix_core::engine`], the
+//!   same code the simulator's engines run;
 //! * a **network fabric task** that delivers messages with per-link
 //!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
 //!   congestion on slow links emerges exactly as in the paper's Fig. 10b case
@@ -97,7 +98,6 @@ mod coordinator;
 mod error;
 mod exec;
 mod fabric;
-mod kv_pool;
 mod message;
 mod metrics;
 mod registry;
@@ -109,8 +109,9 @@ pub use builder::ServingBuilder;
 pub use clock::VirtualClock;
 pub use error::RuntimeError;
 pub use exec::{AnalyticExecution, ExecutionModel, InstantExecution};
-pub use fabric::{LinkKey, LinkTraffic};
-pub use kv_pool::{KvPoolError, PagedKvPool};
+pub use fabric::LinkKey;
+// The paged KV pool is the shared engine core's residency table.
+pub use helix_core::engine::{KvPoolError, PagedKvPool};
 pub use message::{Envelope, Phase, PlanUpdate, RuntimeMsg, StageWork};
 pub use metrics::{LatencySummary, LinkReport, NodeReport, RequestOutcome, RuntimeReport};
 pub use runtime::{ExecutionKind, RuntimeConfig};

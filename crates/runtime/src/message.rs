@@ -150,9 +150,11 @@ pub enum RuntimeMsg {
         /// Per-request cached token counts carried by this chunk.
         entries: Vec<(RequestId, usize)>,
         /// Shared-prefix residency carried by this chunk: prefix, cached
-        /// tokens and reference count.  Each prefix travels once — its pages
-        /// are priced a single time no matter how many requests share it.
-        prefix_entries: Vec<(PrefixId, usize, usize)>,
+        /// tokens and the requests holding a reference (installed with the
+        /// entry, so each holder's `Release` drops its reference on the
+        /// destination too).  Each prefix travels once — its pages are
+        /// priced a single time no matter how many requests share it.
+        prefix_entries: Vec<(PrefixId, usize, Vec<RequestId>)>,
         /// Total tokens of the whole hand-over (priced once at the source).
         tokens: u64,
         /// Total KV pages of the whole hand-over.

@@ -5,9 +5,10 @@
 //! serving, plus per-node utilisation and per-link traffic used by the
 //! placement and scheduling case studies (Figs. 9b and 10b).
 
-use crate::fabric::LinkTraffic;
 use helix_cluster::{ModelId, NodeId};
-use helix_core::{FailoverRecord, KvTransferRecord, PrefixStats, ReplanRecord, ReplicationStats};
+use helix_core::{
+    FailoverRecord, KvTransferRecord, LinkQueue, PrefixStats, ReplanRecord, ReplicationStats,
+};
 use helix_workload::RequestId;
 use serde::Serialize;
 
@@ -106,9 +107,15 @@ pub struct NodeReport {
     pub prompt_tokens: u64,
     /// Decode tokens processed.
     pub decode_tokens: u64,
-    /// Highest KV-pool utilisation observed.
+    /// Highest KV-pool utilisation (used pages / whole pages of capacity)
+    /// observed at any allocation.  Not clamped: workers record every append
+    /// and penalise batches that run over capacity, so a value above 1.0 is
+    /// the share of residency that was (modelled as) offloaded to host
+    /// memory.
     pub kv_peak_utilization: f64,
-    /// KV allocations rejected because the pool was full.
+    /// KV allocations that did not fit the pool.  Nothing is dropped: each
+    /// was recorded as offloaded, and every batch that ran while the pool
+    /// was over capacity paid the overflow penalty.
     pub kv_rejections: u64,
 }
 
@@ -141,14 +148,14 @@ pub struct LinkReport {
 }
 
 impl LinkReport {
-    pub(crate) fn new(from: Option<NodeId>, to: Option<NodeId>, traffic: &LinkTraffic) -> Self {
+    pub(crate) fn new(from: Option<NodeId>, to: Option<NodeId>, link: &LinkQueue) -> Self {
         LinkReport {
             from,
             to,
-            messages: traffic.messages,
-            bytes: traffic.bytes,
-            mean_queue_delay: traffic.mean_queue_delay(),
-            max_queue_delay: traffic.max_queue_delay,
+            messages: link.transfers,
+            bytes: link.bytes_transferred,
+            mean_queue_delay: link.mean_queue_delay(),
+            max_queue_delay: link.max_queue_delay,
         }
     }
 }

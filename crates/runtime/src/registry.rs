@@ -193,15 +193,13 @@ impl WorkerRegistry {
 }
 
 /// Everything needed to spawn one more worker mid-run: the executor, the
-/// clock, the fabric ingress, the execution-model choice and the KV-pool
-/// parameters the original build used.
+/// clock, the fabric ingress and the execution-model choice the original
+/// build used.
 pub(crate) struct WorkerSpawner {
     pub executor: minirt::Executor,
     pub clock: VirtualClock,
     pub fabric: Sender<Envelope>,
     pub execution: ExecutionKind,
-    pub tokens_per_page: usize,
-    pub kv_overflow_penalty: f64,
     pub registry: Arc<WorkerRegistry>,
 }
 
@@ -247,8 +245,6 @@ impl WorkerSpawner {
             model,
             activation_bytes: profile.model().activation_bytes(),
             kv_capacity_tokens,
-            tokens_per_page: self.tokens_per_page,
-            kv_overflow_penalty: self.kv_overflow_penalty,
         };
         let _handle = worker::spawn_worker(
             &self.executor,

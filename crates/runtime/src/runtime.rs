@@ -15,7 +15,6 @@ use crate::message::Envelope;
 use crate::metrics::{LinkReport, NodeReport, RequestOutcome, RuntimeReport};
 use crate::registry::{WorkerRegistry, WorkerSpawner};
 use helix_cluster::ModelId;
-use helix_core::exec_model::{DEFAULT_TOKENS_PER_PAGE, KV_OVERFLOW_PENALTY};
 use helix_core::{FleetTopology, HelixError, KvCacheEstimator, ReplanPolicy, Scheduler};
 use minirt::channel::{unbounded, Sender};
 use std::sync::Arc;
@@ -36,10 +35,6 @@ pub enum ExecutionKind {
 pub struct RuntimeConfig {
     /// Wall-clock seconds per virtual second (smaller = faster run).
     pub wall_per_virtual: f64,
-    /// KV page size in tokens.
-    pub tokens_per_page: usize,
-    /// Batch slow-down factor when a KV pool overflows.
-    pub kv_overflow_penalty: f64,
     /// Hard wall-clock budget: it bounds each drain (so each `serve` call)
     /// and each completion wait, not idle session time.
     pub max_wall: Duration,
@@ -54,8 +49,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             wall_per_virtual: 0.002,
-            tokens_per_page: DEFAULT_TOKENS_PER_PAGE,
-            kv_overflow_penalty: KV_OVERFLOW_PENALTY,
             max_wall: Duration::from_secs(120),
             execution: ExecutionKind::Analytic,
             initial_avg_output_tokens: 232.0,
@@ -150,8 +143,6 @@ impl Wired {
             clock,
             fabric: ingress_tx.clone(),
             execution: config.execution,
-            tokens_per_page: config.tokens_per_page,
-            kv_overflow_penalty: config.kv_overflow_penalty,
             registry: Arc::clone(&registry),
         };
 

@@ -8,6 +8,13 @@
 //! node in the request's pipeline through the network fabric, or back to the
 //! coordinator when the last stage completes.
 //!
+//! What a worker *decides* — which queued items batch, which wait behind a
+//! frozen layer range, how KV residency grows, when a batch pays the
+//! overflow penalty — is the shared [`EngineCore`], the same code the
+//! simulator's engines run.  This module adds what is genuinely the
+//! runtime's: the task loop, sleeping the batch duration on the virtual
+//! clock, forwarding, the chunked KV hand-over and published statistics.
+//!
 //! Workers are **async tasks** on the data plane's [`minirt`] executor, not
 //! OS threads: a 500-node fleet is 500 tasks sharing one driver thread.  A
 //! worker waiting for work parks on its channel's waker; a worker executing
@@ -17,20 +24,32 @@
 
 use crate::clock::VirtualClock;
 use crate::exec::ExecutionModel;
-use crate::kv_pool::PagedKvPool;
-use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
-use helix_cluster::{ModelId, NodeId, PrefixId, TOKEN_WIRE_BYTES};
+use crate::message::{Envelope, RuntimeMsg, StageWork};
+use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
+use helix_core::engine::{BatchRun, EngineCore, Work, WorkMeta};
+use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::LayerRange;
 use helix_workload::RequestId;
 use minirt::channel::{Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Pages per pipelined KV hand-over chunk: small enough that activation
 /// traffic interleaves on the link, large enough that chunk count stays
 /// bounded for big pools.
-const KV_CHUNK_PAGES: u64 = 64;
+const KV_CHUNK_PAGES: usize = 64;
+
+impl Work for StageWork {
+    fn meta(&self) -> WorkMeta {
+        WorkMeta {
+            request: self.request,
+            phase: self.phase,
+            tokens: self.tokens,
+            layers: self.pipeline.stages[self.stage_index].layers,
+            prefix: self.prefix,
+        }
+    }
+}
 
 /// Live statistics one worker shares with the coordinator and the final
 /// report.
@@ -50,18 +69,25 @@ pub struct WorkerStats {
     pub prompt_tokens: u64,
     /// Decode tokens processed.
     pub decode_tokens: u64,
-    /// Tokens currently resident in the KV pool.
+    /// Tokens currently resident in the KV pool.  Every append is recorded,
+    /// so this may exceed the capacity: the excess is the modelled
+    /// host-memory offload.
     pub kv_used_tokens: f64,
-    /// Capacity of the KV pool in tokens.
+    /// Planned capacity of the KV pool in tokens.
     pub kv_capacity_tokens: f64,
-    /// Highest KV pool utilisation observed.
+    /// Highest KV pool utilisation (used pages / whole pages of capacity)
+    /// observed at any allocation.  Not clamped: a value above 1.0 is the
+    /// share of residency that was offloaded.
     pub kv_peak_utilization: f64,
-    /// KV allocations rejected because the pool was full.
+    /// KV allocations that did not fit the pool.  They are recorded anyway
+    /// (offloaded), and every batch that runs while the pool is over
+    /// capacity pays the overflow penalty.
     pub kv_rejections: u64,
-    /// Decode throughput over the most recent measurement window (tokens/s).
+    /// Tokens per second (prompt and decode) over the most recent
+    /// measurement window, refreshed when a batch starts.
     pub recent_throughput: f64,
     /// KV pages currently held by shared prefixes (counted once each,
-    /// regardless of how many resident requests reference them).
+    /// regardless of how many resident requests share them).
     pub kv_shared_pages: usize,
 }
 
@@ -80,10 +106,6 @@ pub(crate) struct WorkerConfig {
     pub activation_bytes: f64,
     /// KV pool capacity in tokens (derived from the placement).
     pub kv_capacity_tokens: f64,
-    /// KV page size in tokens.
-    pub tokens_per_page: usize,
-    /// Batch slow-down factor when the KV pool overflows.
-    pub kv_overflow_penalty: f64,
 }
 
 /// Spawns a worker task on `executor`.  The task exits when it receives
@@ -97,10 +119,18 @@ pub(crate) fn spawn_worker(
     fabric: Sender<Envelope>,
     stats: SharedWorkerStats,
 ) -> minirt::JoinHandle<()> {
-    executor.spawn(async move {
-        let mut worker = Worker::new(config, execution, clock, inbound, fabric, stats);
-        worker.run().await;
-    })
+    stats.lock().kv_capacity_tokens = config.kv_capacity_tokens;
+    let mut worker = Worker {
+        core: EngineCore::new(config.kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE),
+        config,
+        execution,
+        clock,
+        inbound,
+        fabric,
+        stats,
+        shutdown: false,
+    };
+    executor.spawn(async move { worker.run().await })
 }
 
 struct Worker {
@@ -110,108 +140,47 @@ struct Worker {
     inbound: Receiver<RuntimeMsg>,
     fabric: Sender<Envelope>,
     stats: SharedWorkerStats,
-    kv: PagedKvPool,
-    pending: Vec<StageWork>,
+    /// Queue, frozen layer ranges, KV pool and batching rules.  A `Freeze`
+    /// carries no deadline here: it holds until the matching `Resume`.
+    core: EngineCore<StageWork>,
     shutdown: bool,
-    /// Layer ranges frozen for in-flight KV hand-overs: work whose stage
-    /// intersects any of them queues but does not execute until the matching
-    /// `Resume` (shutdown overrides every freeze so teardown never hangs).
-    /// Work on disjoint layers keeps batching throughout a transfer.
-    frozen: Vec<LayerRange>,
-    /// Hardware speed multiplier on batch duration (1.0 = nominal).
-    slowdown: f64,
-    window_start: f64,
-    window_decode_tokens: u64,
-    /// The shared-prefix reference each resident request holds on this
-    /// node's pool, detached when the request's `Release` arrives.
-    prefix_of: HashMap<RequestId, PrefixId>,
 }
 
 impl Worker {
-    fn new(
-        config: WorkerConfig,
-        execution: Arc<dyn ExecutionModel>,
-        clock: VirtualClock,
-        inbound: Receiver<RuntimeMsg>,
-        fabric: Sender<Envelope>,
-        stats: SharedWorkerStats,
-    ) -> Self {
-        let kv = PagedKvPool::new(config.kv_capacity_tokens, config.tokens_per_page);
-        {
-            let mut s = stats.lock();
-            s.kv_capacity_tokens = kv.capacity_tokens();
-        }
-        Worker {
-            config,
-            execution,
-            clock,
-            inbound,
-            fabric,
-            stats,
-            kv,
-            pending: Vec::new(),
-            shutdown: false,
-            frozen: Vec::new(),
-            slowdown: 1.0,
-            window_start: 0.0,
-            window_decode_tokens: 0,
-            prefix_of: HashMap::new(),
-        }
-    }
-
     async fn run(&mut self) {
         loop {
-            if self.runnable_is_empty() && !self.shutdown {
-                // Idle (or every queued item frozen mid-hand-over): park on
-                // the channel's waker until something arrives — a frozen
-                // range only thaws on `Resume` or shutdown.
-                match self.inbound.recv().await {
-                    Ok(msg) => self.handle(msg),
-                    Err(_) => break,
-                }
-            }
             // Dynamic batching: everything that has arrived by now joins the
             // next batch.
             while let Ok(msg) = self.inbound.try_recv() {
                 self.handle(msg);
             }
-            let batch = self.take_runnable();
-            if batch.is_empty() {
-                if self.shutdown {
-                    break;
-                }
-                continue;
+            if self.shutdown {
+                // Shutdown overrides every freeze so teardown never strands
+                // queued work.
+                self.core.thaw_all();
             }
-            self.execute_batch(batch).await;
+            let execution = &self.execution;
+            // Nothing queued (the common wake-up on a lightly loaded fleet):
+            // park without reading the clock.
+            let started = match self.core.queue_len() {
+                0 => None,
+                _ => self
+                    .core
+                    .start_batch(self.clock.now(), |batch| execution.batch_duration(batch)),
+            };
+            match started {
+                Some(run) => self.execute_batch(run).await,
+                None if self.shutdown => break,
+                // Idle (or every queued item frozen mid-hand-over): park on
+                // the channel's waker until something arrives — a frozen
+                // range only thaws on `Resume` or shutdown.
+                None => match self.inbound.recv().await {
+                    Ok(msg) => self.handle(msg),
+                    Err(_) => break,
+                },
+            }
         }
         self.publish_stats();
-    }
-
-    /// Whether no queued work item may currently execute.
-    fn runnable_is_empty(&self) -> bool {
-        if self.frozen.is_empty() || self.shutdown {
-            return self.pending.is_empty();
-        }
-        self.pending.iter().all(|work| self.is_frozen(work))
-    }
-
-    /// Whether `work`'s stage intersects a frozen layer range.
-    fn is_frozen(&self, work: &StageWork) -> bool {
-        let layers = work.pipeline.stages[work.stage_index].layers;
-        self.frozen.iter().any(|range| range.intersects(layers))
-    }
-
-    /// Takes every currently executable work item, leaving frozen-range work
-    /// queued (shutdown drains everything so teardown never strands work).
-    fn take_runnable(&mut self) -> Vec<StageWork> {
-        if self.frozen.is_empty() || self.shutdown {
-            return std::mem::take(&mut self.pending);
-        }
-        let (runnable, held): (Vec<StageWork>, Vec<StageWork>) = std::mem::take(&mut self.pending)
-            .into_iter()
-            .partition(|work| !self.is_frozen(work));
-        self.pending = held;
-        runnable
     }
 
     fn handle(&mut self, msg: RuntimeMsg) {
@@ -219,7 +188,7 @@ impl Worker {
             RuntimeMsg::Work(work) => {
                 debug_assert_eq!(work.node(), self.config.node, "misrouted work item");
                 debug_assert_eq!(work.model(), self.config.model, "misrouted model");
-                self.pending.push(work);
+                self.core.enqueue(work);
             }
             RuntimeMsg::Release(request) => {
                 // The coordinator releases on *every* live worker of the
@@ -228,25 +197,14 @@ impl Worker {
                 // fail-over purge may be followed by the promoted
                 // incarnation's own completion release, so a repeated (or
                 // unmatched) Release is a no-op, not a protocol bug.
-                self.kv.release(request);
-                if let Some(prefix) = self.prefix_of.remove(&request) {
-                    self.kv.detach_prefix(prefix);
-                }
+                self.core.release_request(request);
             }
-            RuntimeMsg::IterationDone { .. } => {
+            RuntimeMsg::IterationDone { .. } | RuntimeMsg::KvInstalled { .. } => {
                 // Only the coordinator consumes these; ignore defensively.
             }
-            RuntimeMsg::SetSpeed(factor) => {
-                self.slowdown = factor.max(1e-6);
-            }
-            RuntimeMsg::Freeze(layers) => {
-                self.frozen.push(layers);
-            }
-            RuntimeMsg::Resume(layers) => {
-                if let Some(pos) = self.frozen.iter().position(|&range| range == layers) {
-                    self.frozen.remove(pos);
-                }
-            }
+            RuntimeMsg::SetSpeed(factor) => self.core.set_slowdown(factor),
+            RuntimeMsg::Freeze(layers) => self.core.freeze(layers, f64::INFINITY),
+            RuntimeMsg::Resume(layers) => self.core.thaw(layers),
             RuntimeMsg::KvExtract {
                 to,
                 layers,
@@ -264,12 +222,9 @@ impl Worker {
                 bytes,
                 last,
             } => {
-                for &(request, tokens) in &entries {
-                    self.kv.seed(request, tokens);
-                }
-                for &(prefix, tokens, refcount) in &prefix_entries {
-                    self.kv.seed_prefix(prefix, tokens, refcount);
-                }
+                // Each migrated prefix arrives with the requests holding it,
+                // so their `Release`s drop the references here too.
+                self.core.kv.seed_snapshot(&entries, &prefix_entries);
                 // Per-link FIFO delivery means the last chunk arrives last:
                 // the whole residency is installed, so tell the coordinator
                 // the hand-over landed (it re-routes and thaws both ends).
@@ -291,13 +246,10 @@ impl Worker {
                     });
                 }
             }
-            RuntimeMsg::KvInstalled { .. } => {
-                // Only the coordinator consumes these; ignore defensively.
-            }
             RuntimeMsg::UpdatePlan(update) => {
                 self.execution = update.execution;
-                self.kv.resize(update.kv_capacity_tokens);
-                self.stats.lock().kv_capacity_tokens = self.kv.capacity_tokens();
+                self.core.kv.resize(update.kv_capacity_tokens);
+                self.stats.lock().kv_capacity_tokens = update.kv_capacity_tokens;
             }
             RuntimeMsg::Shutdown => {
                 self.shutdown = true;
@@ -316,30 +268,26 @@ impl Worker {
     ///
     /// [`KvTransferModel`]: helix_core::KvTransferModel
     fn extract_kv(&mut self, to: NodeId, layers: LayerRange, kv_bytes_per_token_per_layer: f64) {
-        let entries = self.kv.snapshot();
+        let kv = &self.core.kv;
+        let entries = kv.snapshot();
         // Shared prefixes travel once each, no matter how many requests
-        // reference them — the transfer prices the deduplicated pages.  They
+        // share them — the transfer prices the deduplicated pages.  They
         // ride on the final chunk (FIFO delivery installs them before the
         // destination acknowledges).
-        let prefix_entries = self.kv.prefix_snapshot();
-        let tokens: u64 = entries.iter().map(|&(_, t)| t as u64).sum::<u64>()
-            + prefix_entries
-                .iter()
-                .map(|&(_, t, _)| t as u64)
-                .sum::<u64>();
-        let transfer = helix_core::KvTransferModel::new(
-            kv_bytes_per_token_per_layer,
-            self.kv.tokens_per_page(),
-        );
+        let prefix_entries = kv.prefix_snapshot();
+        let tokens = kv.used_tokens();
+        let transfer =
+            helix_core::KvTransferModel::new(kv_bytes_per_token_per_layer, DEFAULT_TOKENS_PER_PAGE);
         // Totals priced once over the whole hand-over, exactly as the
         // single-blob protocol (and the simulator) price it, so reports and
         // cross-surface comparisons are unchanged by chunking.
-        let pages = transfer.pages(tokens as f64);
-        let bytes = transfer.bytes(tokens as f64, layers.len());
+        let pages = transfer.pages(tokens);
+        let bytes = transfer.bytes(tokens, layers.len());
+        let tokens = tokens as u64;
 
-        let chunk_tokens_budget = (KV_CHUNK_PAGES as usize) * self.kv.tokens_per_page();
-        let mut chunks: Vec<Vec<(helix_workload::RequestId, usize)>> = Vec::new();
-        let mut current: Vec<(helix_workload::RequestId, usize)> = Vec::new();
+        let chunk_tokens_budget = KV_CHUNK_PAGES * DEFAULT_TOKENS_PER_PAGE;
+        let mut chunks: Vec<Vec<(RequestId, usize)>> = Vec::new();
+        let mut current: Vec<(RequestId, usize)> = Vec::new();
         let mut current_tokens = 0usize;
         for entry in entries {
             if current_tokens >= chunk_tokens_budget && !current.is_empty() {
@@ -387,69 +335,20 @@ impl Worker {
         }
     }
 
-    async fn execute_batch(&mut self, batch: Vec<StageWork>) {
-        // KV accounting: the tokens this stage processes become resident on
-        // this node.  Overflow forces (modelled) offloading to host memory,
-        // slowing the whole batch down.  A shared prefix lives in the pool's
-        // refcounted entry — materialised by the first sharer, attached for
-        // free by the rest — so the per-request allocation holds only the
-        // unshared suffix.
-        let mut overflowed = false;
-        for item in &batch {
-            let mut tokens = item.tokens;
-            if let Some(p) = item.prefix {
-                if self.prefix_of.insert(item.request, p.id).is_none()
-                    && self.kv.attach_prefix(p.id, p.tokens).is_err()
-                {
-                    overflowed = true;
-                }
-                if !p.hit {
-                    // A miss's work includes the shared range; its pages are
-                    // accounted in the prefix entry attached above.
-                    tokens = tokens.saturating_sub(p.tokens);
-                }
-            }
-            if self.kv.append_tokens(item.request, tokens).is_err() {
-                overflowed = true;
-            }
-        }
-        let mut duration = self.execution.batch_duration(&batch);
-        if overflowed {
-            duration *= self.config.kv_overflow_penalty;
-        }
-        // The cost model predicts `duration`; perturbed hardware delivers it
-        // `slowdown` times slower.  Both are recorded so the coordinator can
-        // measure the speed factor exactly as it would on a real node.
-        let actual = duration * self.slowdown;
-        self.clock.sleep_async(actual).await;
+    /// Runs one started batch: suspend for its duration on the virtual
+    /// clock, account it, forward every item.
+    async fn execute_batch(&mut self, run: BatchRun) {
+        self.clock.sleep_async(run.actual_secs).await;
         let now = self.clock.now();
-
-        let mut prompt_tokens = 0u64;
-        let mut decode_tokens = 0u64;
-        for item in &batch {
-            match item.phase {
-                Phase::Prompt => prompt_tokens += item.tokens as u64,
-                Phase::Decode => decode_tokens += item.tokens as u64,
-            }
-        }
-        self.window_decode_tokens += decode_tokens;
-
         {
             let mut s = self.stats.lock();
-            s.busy_secs += actual;
-            s.nominal_busy_secs += duration;
+            s.busy_secs += run.actual_secs;
+            s.nominal_busy_secs += run.nominal_secs;
             s.batches += 1;
-            s.prompt_tokens += prompt_tokens;
-            s.decode_tokens += decode_tokens;
-            if now - self.window_start >= 10.0 {
-                s.recent_throughput =
-                    self.window_decode_tokens as f64 / (now - self.window_start).max(1e-9);
-                self.window_decode_tokens = 0;
-                self.window_start = now;
-            }
+            s.prompt_tokens += run.prompt_tokens;
+            s.decode_tokens += run.decode_tokens;
         }
-
-        for item in batch {
+        for item in self.core.complete_batch() {
             self.forward(item, now);
         }
         self.publish_stats();
@@ -490,12 +389,14 @@ impl Worker {
     }
 
     fn publish_stats(&self) {
+        let kv = &self.core.kv;
         let mut s = self.stats.lock();
-        s.queue_len = self.pending.len();
-        s.kv_used_tokens = self.kv.used_tokens();
-        s.kv_peak_utilization = self.kv.peak_utilization();
-        s.kv_rejections = self.kv.rejections();
-        s.kv_shared_pages = self.kv.shared_pages();
+        s.queue_len = self.core.queue_len();
+        s.kv_used_tokens = kv.used_tokens();
+        s.kv_peak_utilization = kv.peak_utilization();
+        s.kv_rejections = kv.rejections();
+        s.kv_shared_pages = kv.shared_pages();
+        s.recent_throughput = self.core.recent_throughput();
     }
 }
 
@@ -503,6 +404,8 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::exec::InstantExecution;
+    use crate::message::Phase;
+    use helix_cluster::PrefixId;
     use helix_core::{PipelineStage, RequestPipeline};
     use minirt::channel::unbounded;
 
@@ -541,8 +444,6 @@ mod tests {
             model: ModelId::default(),
             activation_bytes: 16_384.0,
             kv_capacity_tokens: kv_capacity,
-            tokens_per_page: 16,
-            kv_overflow_penalty: 8.0,
         };
         let handle = spawn_worker(
             &executor,
@@ -617,9 +518,15 @@ mod tests {
     #[test]
     fn release_frees_the_kv_pool_and_rejections_are_counted() {
         let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(0), 64.0);
-        // 128 tokens cannot fit in a 64-token pool: the batch still runs but
-        // is counted as a rejection (modelled offload).
+        // 128 tokens cannot fit in a 64-token pool: the batch still runs,
+        // the allocation is recorded (modelled offload) and counted.
         tx.send(work(1, Phase::Prompt, 128, 0)).unwrap();
+        executor.drain();
+        {
+            let s = stats.lock();
+            assert_eq!(s.kv_used_tokens, 128.0, "the overflow is resident");
+            assert_eq!(s.kv_peak_utilization, 2.0, "8 pages used of 4");
+        }
         tx.send(RuntimeMsg::Release(1)).unwrap();
         tx.send(work(2, Phase::Prompt, 32, 0)).unwrap();
         tx.send(RuntimeMsg::Shutdown).unwrap();
@@ -773,7 +680,7 @@ mod tests {
             from: NodeId(0),
             layers,
             entries: vec![(3, 32)],
-            prefix_entries: vec![(PrefixId(4), 16, 2)],
+            prefix_entries: vec![(PrefixId(4), 16, vec![1, 2])],
             tokens: 128,
             pages: 8,
             bytes: 4096.0,
@@ -796,6 +703,85 @@ mod tests {
         let s = stats.lock();
         assert!((s.kv_used_tokens - 144.0).abs() < 1e-9);
         assert_eq!(s.kv_shared_pages, 1);
+        drop(s);
+        tx.send(RuntimeMsg::Shutdown).unwrap();
+        executor.drain();
+    }
+
+    /// Regression: a migrated prefix arrives with its holders, so the
+    /// holders' releases free it on the destination (it used to stay resident
+    /// for ever — nothing on the destination knew who referenced it).
+    #[test]
+    fn releases_after_a_hand_over_free_the_migrated_prefix() {
+        let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(1), 100_000.0);
+        tx.send(RuntimeMsg::KvChunk {
+            from: NodeId(0),
+            layers: LayerRange::new(0, 4),
+            entries: vec![(1, 64), (2, 32)],
+            prefix_entries: vec![(PrefixId(4), 16, vec![1, 2])],
+            tokens: 112,
+            pages: 7,
+            bytes: 4096.0,
+            last: true,
+        })
+        .unwrap();
+        executor.drain();
+        assert_eq!(stats.lock().kv_shared_pages, 1);
+        tx.send(RuntimeMsg::Release(1)).unwrap();
+        executor.drain();
+        assert_eq!(stats.lock().kv_shared_pages, 1, "request 2 still holds it");
+        tx.send(RuntimeMsg::Release(2)).unwrap();
+        executor.drain();
+        let s = stats.lock();
+        assert_eq!(s.kv_shared_pages, 0);
+        assert_eq!(s.kv_used_tokens, 0.0);
+        drop(s);
+        tx.send(RuntimeMsg::Shutdown).unwrap();
+        executor.drain();
+    }
+
+    /// Regression: a sharer whose prefix allocation did not fit used to
+    /// detach on release anyway, freeing a prefix another request held.
+    #[test]
+    fn an_overflowing_sharers_release_leaves_the_prefix_to_the_other_holder() {
+        let prefix_work = |request, tokens, hit| {
+            RuntimeMsg::Work(StageWork {
+                request,
+                phase: Phase::Prompt,
+                tokens,
+                stage_index: 1,
+                epoch: 0,
+                pipeline: two_stage_pipeline(),
+                prefix: Some(helix_core::PrefixWork {
+                    id: PrefixId(7),
+                    tokens: 32,
+                    hit,
+                }),
+            })
+        };
+        let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(1), 64.0);
+        // 3 of 4 pages taken; request 2's 2-page prefix does not fit.
+        tx.send(work(1, Phase::Prompt, 48, 1)).unwrap();
+        executor.drain();
+        tx.send(prefix_work(2, 40, false)).unwrap();
+        executor.drain();
+        assert!(stats.lock().kv_rejections > 0, "the prefix overflowed");
+        tx.send(RuntimeMsg::Release(1)).unwrap();
+        tx.send(prefix_work(3, 8, true)).unwrap();
+        executor.drain();
+        assert_eq!(stats.lock().kv_shared_pages, 2);
+        tx.send(RuntimeMsg::Release(2)).unwrap();
+        executor.drain();
+        assert_eq!(
+            stats.lock().kv_shared_pages,
+            2,
+            "request 3 still holds the prefix"
+        );
+        tx.send(RuntimeMsg::Release(3)).unwrap();
+        executor.drain();
+        let s = stats.lock();
+        assert_eq!(s.kv_shared_pages, 0);
+        assert_eq!(s.kv_used_tokens, 0.0);
         drop(s);
         tx.send(RuntimeMsg::Shutdown).unwrap();
         executor.drain();

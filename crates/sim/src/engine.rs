@@ -1,11 +1,29 @@
-//! Per-node execution engine: dynamic batching, KV-cache accounting.
+//! Per-node execution engine: the shared [`EngineCore`] plus the simulator's
+//! cost model and `SimTime` scheduling.
 
 use crate::event::{SimTime, WorkItem};
-use helix_cluster::{NodeProfile, PrefixId};
+use helix_cluster::NodeProfile;
+use helix_core::engine::{EngineCore, Work, WorkMeta};
 use helix_core::exec_model::{ExecModel, WorkUnit};
-use helix_core::LayerRange;
-use helix_workload::RequestId;
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+
+/// The simulator caches whole tokens against the planned `f64` capacity:
+/// 1-token pages make the shared page table exactly that accounting (see
+/// [`helix_core::engine`]).  Moving to the runtime's 16 changes modelled
+/// results and needs `perf/exact.json` re-recorded.
+const SIM_TOKENS_PER_PAGE: usize = 1;
+
+impl Work for WorkItem {
+    fn meta(&self) -> WorkMeta {
+        WorkMeta {
+            request: self.request,
+            phase: self.phase,
+            tokens: self.tokens,
+            layers: self.layers,
+            prefix: self.prefix,
+        }
+    }
+}
 
 /// The execution engine of one compute node.
 ///
@@ -13,52 +31,32 @@ use std::collections::HashMap;
 /// dynamic batching (a new batch starts as soon as the previous one finishes
 /// and includes everything that arrived in the meantime), separate prompt and
 /// decode token costs, and a finite paged KV cache whose exhaustion forces
-/// slow offloading (§5.2).
+/// slow offloading (§5.2).  Batching, layer-range freezes, KV residency and
+/// the overflow rule are the shared [`EngineCore`]'s — every method of it is
+/// available on the engine through `Deref` — so the runtime's workers behave
+/// the same by construction; this type adds the analytic cost model and
+/// turns the core's batch durations into completion times.
 #[derive(Debug, Clone)]
 pub struct NodeEngine {
     /// Layers this node holds (length of its assigned range).
     layers_held: usize,
     /// The shared execution cost model (same formula as the runtime).
     exec: ExecModel,
-    /// KV-cache capacity in tokens.
-    kv_capacity_tokens: f64,
-    /// Tokens currently resident in the KV cache, per request.
-    kv_resident: HashMap<RequestId, f64>,
-    /// Refcounted shared-prefix residency: tokens cached once per prefix no
-    /// matter how many requests reference them (the simulator's mirror of
-    /// the runtime pool's prefix entries).
-    prefix_resident: HashMap<PrefixId, (f64, usize)>,
-    /// Work waiting for the next batch.
-    pending: Vec<WorkItem>,
-    /// Whether a batch is currently executing.
-    busy: bool,
-    /// Items in the currently executing batch.
-    in_flight: Vec<WorkItem>,
-    /// Perturbation multiplier on batch duration: `1.0` = healthy hardware,
-    /// `2.0` = every batch takes twice as long as the cost model predicts.
-    slowdown: f64,
-    /// Whether the node failed (a failed engine starts no further batches).
-    failed: bool,
-    /// Layer ranges frozen by in-flight KV hand-overs, each until its
-    /// transfer lands.  Work whose layers intersect a live range queues;
-    /// work on disjoint layers keeps batching — the freeze half of a
-    /// hand-over is scoped to the migrated range, mirroring the runtime's
-    /// `Freeze(LayerRange)` protocol.
-    frozen: Vec<(LayerRange, SimTime)>,
-    /// Cumulative busy time (for utilisation), including perturbations.
-    pub busy_seconds: f64,
-    /// Busy time the cost model *predicted* for the executed batches.  The
-    /// ratio `nominal_busy_seconds / busy_seconds` is the engine's measured
-    /// speed factor — the signal fed back into the re-planner.
-    pub nominal_busy_seconds: f64,
-    /// Cumulative tokens processed (prompt + decode), weighted by nothing.
-    pub tokens_processed: u64,
-    /// Tokens processed in the most recent throughput window.
-    window_tokens: u64,
-    /// Start of the current throughput window.
-    window_start: SimTime,
-    /// Throughput measured over the last completed window (tokens/s).
-    recent_throughput: f64,
+    core: EngineCore<WorkItem>,
+}
+
+impl Deref for NodeEngine {
+    type Target = EngineCore<WorkItem>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.core
+    }
+}
+
+impl DerefMut for NodeEngine {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.core
+    }
 }
 
 impl NodeEngine {
@@ -67,21 +65,7 @@ impl NodeEngine {
         NodeEngine {
             layers_held,
             exec: ExecModel::new(profile),
-            kv_capacity_tokens,
-            kv_resident: HashMap::new(),
-            prefix_resident: HashMap::new(),
-            pending: Vec::new(),
-            busy: false,
-            in_flight: Vec::new(),
-            slowdown: 1.0,
-            failed: false,
-            frozen: Vec::new(),
-            busy_seconds: 0.0,
-            nominal_busy_seconds: 0.0,
-            tokens_processed: 0,
-            window_tokens: 0,
-            window_start: 0.0,
-            recent_throughput: 0.0,
+            core: EngineCore::new(kv_capacity_tokens, SIM_TOKENS_PER_PAGE),
         }
     }
 
@@ -90,121 +74,15 @@ impl NodeEngine {
         self.layers_held
     }
 
-    /// Requests waiting for the next batch.
-    pub fn queue_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the node is currently executing a batch.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
     /// KV-cache tokens currently resident (per-request entries plus shared
     /// prefixes, the latter counted once each).
     pub fn kv_used_tokens(&self) -> f64 {
-        self.kv_resident.values().sum::<f64>()
-            + self.prefix_resident.values().map(|&(t, _)| t).sum::<f64>()
+        self.core.kv.used_tokens()
     }
 
-    /// Attaches one reference to shared prefix `prefix` covering `tokens`
-    /// tokens, materialising the residency on first attach.  Pair every
-    /// attach with one [`release_prefix`](Self::release_prefix).
-    pub fn attach_prefix(&mut self, prefix: PrefixId, tokens: f64) {
-        let entry = self.prefix_resident.entry(prefix).or_insert((tokens, 0));
-        entry.1 += 1;
-    }
-
-    /// Drops one reference to shared prefix `prefix`; the last release frees
-    /// the shared tokens.  Returns `true` when the residency was freed by
-    /// this call; unknown prefixes return `false` (the entry may have moved
-    /// with a migration).
-    pub fn release_prefix(&mut self, prefix: PrefixId) -> bool {
-        let Some(entry) = self.prefix_resident.get_mut(&prefix) else {
-            return false;
-        };
-        entry.1 = entry.1.saturating_sub(1);
-        if entry.1 == 0 {
-            self.prefix_resident.remove(&prefix);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the engine currently holds a residency entry for `prefix`.
-    pub fn has_prefix(&self, prefix: PrefixId) -> bool {
-        self.prefix_resident.contains_key(&prefix)
-    }
-
-    /// Drops the whole residency entry for `prefix` regardless of refcount —
-    /// the source side of a migration that *moves* the entry (references and
-    /// all) to the destination engine.
-    pub fn remove_prefix(&mut self, prefix: PrefixId) {
-        self.prefix_resident.remove(&prefix);
-    }
-
-    /// The shared-prefix residency snapshot (prefix → cached tokens and
-    /// reference count), sorted by prefix id — the prefix payload of a KV
-    /// hand-over.  Each prefix's tokens are transferred once, not once per
-    /// referencing request.
-    pub fn prefix_snapshot(&self) -> Vec<(PrefixId, f64, usize)> {
-        let mut entries: Vec<(PrefixId, f64, usize)> = self
-            .prefix_resident
-            .iter()
-            .map(|(&prefix, &(tokens, refcount))| (prefix, tokens, refcount))
-            .collect();
-        entries.sort_by_key(|&(prefix, _, _)| prefix);
-        entries
-    }
-
-    /// Seeds a migrated shared prefix: materialises the residency with the
-    /// given reference count if absent, or adds the incoming references to
-    /// the resident entry.
-    pub fn seed_prefix(&mut self, prefix: PrefixId, tokens: f64, refcount: usize) {
-        if refcount == 0 {
-            return;
-        }
-        let entry = self.prefix_resident.entry(prefix).or_insert((tokens, 0));
-        entry.1 += refcount;
-    }
-
-    /// KV-cache capacity in tokens.
+    /// KV-cache capacity in tokens, exactly as planned.
     pub fn kv_capacity_tokens(&self) -> f64 {
-        self.kv_capacity_tokens
-    }
-
-    /// Decode throughput over the last completed measurement window.
-    pub fn recent_throughput(&self) -> f64 {
-        self.recent_throughput
-    }
-
-    /// Sets the perturbation multiplier on batch duration (`>= 1.0` slows
-    /// the node down; `1.0` restores nominal speed).
-    pub fn set_slowdown(&mut self, factor: f64) {
-        self.slowdown = factor.max(1e-6);
-    }
-
-    /// The current perturbation multiplier.
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
-    }
-
-    /// Marks the node as failed: the engine starts no further batches.
-    pub fn fail(&mut self) {
-        self.failed = true;
-    }
-
-    /// Whether the node failed.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Brings a failed engine back into service (a flapped node rejoining).
-    /// Queued work and residencies were already purged at failure time; the
-    /// engine restarts empty and picks up work on the next dispatch.
-    pub fn recover(&mut self) {
-        self.failed = false;
+        self.core.kv.capacity_tokens()
     }
 
     /// Re-plans can move layers, re-partition a shared node's KV pool *and
@@ -222,7 +100,7 @@ impl NodeEngine {
         kv_capacity_tokens: f64,
     ) {
         self.layers_held = layers_held;
-        self.kv_capacity_tokens = kv_capacity_tokens;
+        self.core.kv.resize(kv_capacity_tokens);
         self.exec = ExecModel::new(profile);
     }
 
@@ -231,155 +109,18 @@ impl NodeEngine {
         &self.exec
     }
 
-    /// Freezes `layers` until `until`: queued work touching those layers
-    /// waits (the freeze half of a KV hand-over), while work on disjoint
-    /// layers keeps batching.  Overlapping hand-overs stack; each range
-    /// thaws when its own transfer lands.
-    pub fn freeze_range_until(&mut self, layers: LayerRange, until: SimTime) {
-        self.frozen.push((layers, until));
-    }
-
-    /// Whether any layer range is frozen at `now`.
-    pub fn is_frozen(&self, now: SimTime) -> bool {
-        self.frozen.iter().any(|&(_, until)| now < until)
-    }
-
-    /// Whether a work item touching `layers` is held back at `now`.
-    pub fn is_layer_frozen(&self, layers: LayerRange, now: SimTime) -> bool {
-        self.frozen
-            .iter()
-            .any(|&(range, until)| now < until && range.intersects(layers))
-    }
-
-    /// The KV residency snapshot (request → cached tokens), sorted by
-    /// request id for deterministic iteration — the payload of a KV
-    /// hand-over.
-    pub fn kv_snapshot(&self) -> Vec<(RequestId, f64)> {
-        let mut entries: Vec<(RequestId, f64)> = self
-            .kv_resident
-            .iter()
-            .map(|(&request, &tokens)| (request, tokens))
-            .collect();
-        entries.sort_by_key(|&(request, _)| request);
-        entries
-    }
-
-    /// Seeds migrated KV state: the destination engine now caches at least
-    /// `tokens` tokens for `request` on its layers.  Residency counts the
-    /// request's cached *sequence* tokens (the same count on every node that
-    /// holds layers for it), so an already-resident request merges by `max`
-    /// — adding would double-count a sequence both nodes were serving.
-    pub fn seed_kv(&mut self, request: RequestId, tokens: f64) {
-        let entry = self.kv_resident.entry(request).or_insert(0.0);
-        *entry = entry.max(tokens);
-    }
-
-    /// Drops all cached KV state, shared prefixes included — the source side
-    /// of a whole-range migration (its pages now live on the destination).
-    pub fn clear_kv(&mut self) {
-        self.kv_resident.clear();
-        self.prefix_resident.clear();
-    }
-
-    /// Starts a new timeline epoch: timeline-relative state (freeze deadline,
-    /// throughput window marks) resets while cumulative counters survive.
-    /// Called between session drains, whose event timelines each restart at
-    /// zero — a stale freeze deadline would wedge the engine for the length
-    /// of the previous batch.
-    pub fn rebase_epoch(&mut self) {
-        self.frozen.clear();
-        self.window_start = 0.0;
-        self.window_tokens = 0;
-    }
-
-    /// Drops every pending work item of `request` and frees its KV cache —
-    /// the abort path when a failed node strands an in-flight pipeline.
-    pub fn purge_request(&mut self, request: RequestId) {
-        self.pending.retain(|item| item.request != request);
-        self.kv_resident.remove(&request);
-    }
-
-    /// Adds a work item to the pending queue.
-    pub fn enqueue(&mut self, item: WorkItem) {
-        self.pending.push(item);
-    }
-
     /// Starts a batch if the node is idle and work is pending.  Returns the
     /// completion time of the batch, or `None` if no batch was started.
     pub fn try_start_batch(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.busy || self.failed || self.pending.is_empty() {
-            return None;
-        }
-        self.frozen.retain(|&(_, until)| now < until);
-        // Partition by the frozen ranges: items whose layers intersect an
-        // in-flight hand-over stay queued; everything else batches now.
-        let taken = std::mem::take(&mut self.pending);
-        let frozen = &self.frozen;
-        let (held, batch): (Vec<WorkItem>, Vec<WorkItem>) = taken.into_iter().partition(|item| {
-            frozen
-                .iter()
-                .any(|&(range, _)| range.intersects(item.layers))
-        });
-        self.pending = held;
-        if batch.is_empty() {
-            return None;
-        }
-        let mut duration = self.exec.batch_secs(batch.iter().map(|item| WorkUnit {
-            phase: item.phase,
-            tokens: item.tokens,
-            layers: item.layers.len(),
-        }));
-        for item in &batch {
-            // KV cache grows by the tokens this node now caches for the
-            // request.  A prefix miss computes the shared range but caches
-            // it in the refcounted prefix residency (attached at admission),
-            // not the per-request entry; a hit's tokens already exclude it.
-            let shared = match item.prefix {
-                Some(p) if !p.hit => p.tokens.min(item.tokens),
-                _ => 0,
-            };
-            let entry = self.kv_resident.entry(item.request).or_insert(0.0);
-            *entry += (item.tokens - shared) as f64;
-        }
-        // Exceeding the KV capacity forces offloading; the whole batch slows down.
-        duration =
-            ExecModel::apply_kv_overflow(duration, self.kv_used_tokens() > self.kv_capacity_tokens);
-        // The cost model predicts `duration`; perturbed hardware delivers it
-        // `slowdown` times slower.  Both sides are recorded so the measured
-        // speed factor (nominal / actual) is exactly what an observer of the
-        // real node would compute.
-        let actual = duration * self.slowdown;
-        self.busy = true;
-        self.busy_seconds += actual;
-        self.nominal_busy_seconds += duration;
-        let tokens: u64 = batch.iter().map(|i| i.tokens as u64).sum();
-        self.tokens_processed += tokens;
-        self.window_tokens += tokens;
-        self.in_flight = batch;
-        // Refresh the recent-throughput window every 10 simulated seconds.
-        if now - self.window_start >= 10.0 {
-            self.recent_throughput =
-                self.window_tokens as f64 / (now - self.window_start).max(1e-9);
-            self.window_tokens = 0;
-            self.window_start = now;
-        }
-        Some(now + actual)
-    }
-
-    /// Completes the running batch, returning its items for routing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is in flight (simulation bug).
-    pub fn complete_batch(&mut self) -> Vec<WorkItem> {
-        assert!(self.busy, "complete_batch called on an idle node");
-        self.busy = false;
-        std::mem::take(&mut self.in_flight)
-    }
-
-    /// Frees the KV cache held for a finished (or aborted) request.
-    pub fn release_request(&mut self, request: RequestId) {
-        self.kv_resident.remove(&request);
+        let exec = &self.exec;
+        let run = self.core.start_batch(now, |batch| {
+            exec.batch_secs(batch.iter().map(|item| WorkUnit {
+                phase: item.phase,
+                tokens: item.tokens,
+                layers: item.layers.len(),
+            }))
+        })?;
+        Some(now + run.actual_secs)
     }
 }
 
@@ -387,23 +128,26 @@ impl NodeEngine {
 mod tests {
     use super::*;
     use crate::event::Phase;
-    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
     use helix_core::LayerRange;
 
-    fn engine() -> NodeEngine {
+    // Batching, freezes, KV residency and the throughput window are the
+    // core's and are tested in `crates/core/tests/engine_core.rs`; what is
+    // tested here is what this type adds.
+
+    fn engine(kv_capacity_tokens: f64) -> NodeEngine {
         let profile =
             ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
-        let np = profile.node_profile(NodeId(0)).clone();
-        NodeEngine::new(&np, 10, 10_000.0)
+        NodeEngine::new(profile.node_profile(NodeId(0)), 10, kv_capacity_tokens)
     }
 
-    fn decode_item(request: RequestId) -> WorkItem {
+    fn item(request: u64, phase: Phase, tokens: usize) -> WorkItem {
         WorkItem {
             request,
             epoch: 0,
-            model: helix_cluster::ModelId::default(),
-            phase: Phase::Decode,
-            tokens: 1,
+            model: ModelId::default(),
+            phase,
+            tokens,
             layers: LayerRange::new(0, 10),
             stage_index: 0,
             prefix: None,
@@ -411,42 +155,26 @@ mod tests {
     }
 
     #[test]
-    fn idle_node_starts_batch_and_busy_node_does_not() {
-        let mut e = engine();
+    fn batches_complete_after_the_cost_models_duration() {
+        let mut e = engine(10_000.0);
         assert!(e.try_start_batch(0.0).is_none(), "no work, no batch");
-        e.enqueue(decode_item(1));
-        let done = e.try_start_batch(0.0).unwrap();
-        assert!(done > helix_core::exec_model::BATCH_OVERHEAD_SECS);
-        assert!(e.is_busy());
-        // More work arrives while busy; no new batch can start.
-        e.enqueue(decode_item(2));
-        assert!(e.try_start_batch(0.1).is_none());
-        let items = e.complete_batch();
-        assert_eq!(items.len(), 1);
-        assert!(!e.is_busy());
-        assert_eq!(e.queue_len(), 1);
+        e.enqueue(item(1, Phase::Decode, 1));
+        let done = e.try_start_batch(2.0).unwrap();
+        assert!(done > 2.0 + helix_core::exec_model::BATCH_OVERHEAD_SECS);
+        assert!((done - 2.0 - e.counters().busy_secs).abs() < 1e-12);
+        assert_eq!(e.complete_batch().len(), 1);
+        assert_eq!(e.layers_held(), 10);
     }
 
     #[test]
     fn prompt_tokens_cost_less_per_token_than_decode() {
-        let mut e = engine();
-        e.enqueue(WorkItem {
-            request: 1,
-            epoch: 0,
-            model: helix_cluster::ModelId::default(),
-            phase: Phase::Prompt,
-            tokens: 100,
-            layers: LayerRange::new(0, 10),
-            stage_index: 0,
-            prefix: None,
-        });
+        let mut e = engine(10_000.0);
+        e.enqueue(item(1, Phase::Prompt, 100));
         let prompt_done = e.try_start_batch(0.0).unwrap();
-        e.complete_batch();
-        e.release_request(1);
 
-        let mut e2 = engine();
+        let mut e2 = engine(10_000.0);
         for i in 0..100 {
-            e2.enqueue(decode_item(i));
+            e2.enqueue(item(i, Phase::Decode, 1));
         }
         let decode_done = e2.try_start_batch(0.0).unwrap();
         // 100 prompt tokens in one batch are much faster than 100 decode tokens.
@@ -454,89 +182,20 @@ mod tests {
     }
 
     #[test]
-    fn kv_accounting_and_overflow_penalty() {
-        let profile =
-            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
-        let np = profile.node_profile(NodeId(0)).clone();
-        let mut small = NodeEngine::new(&np, 10, 50.0);
-        let mut big = NodeEngine::new(&np, 10, 1e9);
-        for e in [&mut small, &mut big] {
-            e.enqueue(WorkItem {
-                request: 1,
-                epoch: 0,
-                model: helix_cluster::ModelId::default(),
-                phase: Phase::Prompt,
-                tokens: 200,
-                layers: LayerRange::new(0, 10),
-                stage_index: 0,
-                prefix: None,
-            });
-        }
-        let slow = small.try_start_batch(0.0).unwrap();
-        let fast = big.try_start_batch(0.0).unwrap();
-        assert!(
-            slow > fast * 2.0,
-            "overflowing KV cache should slow the batch down"
-        );
-        assert_eq!(small.kv_used_tokens(), 200.0);
-        small.complete_batch();
-        small.release_request(1);
-        assert_eq!(small.kv_used_tokens(), 0.0);
-        assert_eq!(small.kv_capacity_tokens(), 50.0);
-    }
-
-    #[test]
-    fn throughput_window_updates() {
-        let mut e = engine();
-        let mut now = 0.0;
-        for round in 0..200u64 {
-            e.enqueue(decode_item(round));
-            let done = e.try_start_batch(now).unwrap();
-            e.complete_batch();
-            e.release_request(round);
-            now = done.max(now + 0.1);
-        }
-        assert!(e.recent_throughput() > 0.0);
-        assert_eq!(e.tokens_processed, 200);
-        assert!(e.busy_seconds > 0.0);
-        assert_eq!(e.layers_held(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "idle node")]
-    fn completing_idle_node_panics() {
-        let mut e = engine();
-        let _ = e.complete_batch();
-    }
-
-    #[test]
-    fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
-        let mut e = engine();
-        // Freeze layers [0, 5) until t=10; work on [5, 10) must still run.
-        e.freeze_range_until(LayerRange::new(0, 5), 10.0);
-        assert!(e.is_frozen(0.0));
-        assert!(e.is_layer_frozen(LayerRange::new(0, 5), 0.0));
-        assert!(!e.is_layer_frozen(LayerRange::new(5, 10), 0.0));
-
-        let mut held = decode_item(1);
-        held.layers = LayerRange::new(0, 5);
-        let mut runnable = decode_item(2);
-        runnable.layers = LayerRange::new(5, 10);
-        e.enqueue(held);
-        e.enqueue(runnable);
-
-        let done = e.try_start_batch(0.0).expect("disjoint layers batch");
-        let items = e.complete_batch();
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].request, 2, "only un-frozen work executed");
-        assert_eq!(e.queue_len(), 1, "frozen work still queued");
-        // While the range is frozen the held item cannot start...
-        assert!(e.try_start_batch(done).is_none());
-        // ...but once the freeze expires it batches normally.
-        let after = e.try_start_batch(10.0).expect("thawed work batches");
-        assert!(after > 10.0);
-        let items = e.complete_batch();
-        assert_eq!(items[0].request, 1);
-        assert!(!e.is_frozen(10.0));
+    fn overflow_compares_whole_tokens_against_the_planned_fractional_capacity() {
+        // 1-token pages: residency is the token count and the capacity is
+        // the planned `f64`, so 50 tokens fit 50.5 and the 51st overflows.
+        let mut fits = engine(50.5);
+        let mut over = engine(50.5);
+        fits.enqueue(item(1, Phase::Prompt, 50));
+        over.enqueue(item(1, Phase::Prompt, 51));
+        let fast = fits.try_start_batch(0.0).unwrap();
+        let slow = over.try_start_batch(0.0).unwrap();
+        assert!(slow > fast * 2.0, "the overflowing batch is penalised");
+        assert_eq!(over.kv_used_tokens(), 51.0, "overflow is still recorded");
+        assert_eq!(over.kv_capacity_tokens(), 50.5);
+        over.complete_batch();
+        over.release_request(1);
+        assert_eq!(over.kv_used_tokens(), 0.0);
     }
 }

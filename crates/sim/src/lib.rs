@@ -55,14 +55,14 @@
 mod engine;
 mod event;
 mod metrics;
-mod network;
 mod session;
 mod simulator;
 
 pub use engine::NodeEngine;
 pub use event::{Event, EventQueue, PerturbationEvent, SimTime};
+// The link model lives beside the engine core; the runtime's fabric uses it too.
+pub use helix_core::LinkQueue;
 pub use metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-pub use network::LinkQueue;
 pub use session::SimSession;
 pub use simulator::{
     ClusterSimulator, CompletionRecord, FleetMetrics, FleetRunReport, SimulationConfig,

@@ -8,14 +8,13 @@
 use crate::engine::NodeEngine;
 use crate::event::{Event, EventQueue, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use crate::network::LinkQueue;
-use helix_cluster::{ModelId, NodeId, PrefixId, Region, TOKEN_WIRE_BYTES};
+use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    Admission, ClusterState, ControlPlane, EngineCounters, FailoverRecord, FleetScheduler,
-    FleetTopology, InFlight, KvTransferModel, KvTransferRecord, ModelPlacement, NodeDirectory,
-    PlacementDelta, PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord,
-    ReplicationPolicy, ReplicationStats, Scheduler, Topology,
+    Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
+    KvTransferModel, KvTransferRecord, LinkQueue, ModelPlacement, NodeDirectory, PlacementDelta,
+    PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
+    ReplicationStats, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
 use std::collections::{HashMap, VecDeque};
@@ -92,7 +91,7 @@ impl ClusterState for EngineView<'_> {
             .map_or(0, |e| e.queue_len() + usize::from(e.is_busy()))
     }
     fn recent_throughput(&self, node: NodeId) -> f64 {
-        self.engine(node).map_or(0.0, NodeEngine::recent_throughput)
+        self.engine(node).map_or(0.0, |e| e.recent_throughput())
     }
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
         self.engine(node).map_or(0.0, NodeEngine::kv_used_tokens)
@@ -188,11 +187,6 @@ pub struct ClusterSimulator {
     /// Active slowdown perturbations by node (applied to engines created by
     /// later re-plans too).
     slowdowns: HashMap<NodeId, f64>,
-    /// Per-model forwarding of migrated prefix homes: `(prefix, old node)` →
-    /// the node now holding the refcounted entry.  Releases follow the chain
-    /// so a sharer admitted before a migration still balances its reference
-    /// after the entry moved.
-    prefix_forwards: Vec<HashMap<(PrefixId, NodeId), NodeId>>,
     /// KV hand-overs of the current run, drained into its report.
     kv_transfers: Vec<KvTransferRecord>,
 }
@@ -235,7 +229,6 @@ impl ClusterSimulator {
             }
         }
         ClusterSimulator {
-            prefix_forwards: vec![HashMap::new(); schedulers.len()],
             control: ControlPlane::new(fleet, schedulers),
             engines,
             links: HashMap::new(),
@@ -519,7 +512,7 @@ impl ClusterSimulator {
                                 chunk.bytes,
                             );
                             if let Some(engine) = self.engines.get_mut(&(chunk.standby, model)) {
-                                engine.seed_kv(request, progress.durable_tokens as f64);
+                                engine.kv.seed(request, progress.durable_tokens);
                             }
                         }
                         // Schedule the next decode iteration over the same pipeline.
@@ -572,14 +565,7 @@ impl ClusterSimulator {
                     let counters: Vec<_> = self
                         .engines
                         .iter()
-                        .map(|(&(node, model), engine)| {
-                            let counters = EngineCounters {
-                                nominal_busy_secs: engine.nominal_busy_seconds,
-                                busy_secs: engine.busy_seconds,
-                                tokens: engine.tokens_processed,
-                            };
-                            (node, model, counters)
-                        })
+                        .map(|(&(node, model), engine)| (node, model, engine.counters()))
                         .collect();
                     let outcome = self.control.observe(time, &counters);
                     self.hand_over(outcome, time, &mut queue);
@@ -595,7 +581,7 @@ impl ClusterSimulator {
         // Overall utilisation merges each node's per-model engines.
         let mut node_busy: HashMap<NodeId, f64> = HashMap::new();
         for (&(node, _), engine) in &self.engines {
-            *node_busy.entry(node).or_insert(0.0) += engine.busy_seconds;
+            *node_busy.entry(node).or_insert(0.0) += engine.counters().busy_secs;
         }
         let node_utilization: HashMap<NodeId, f64> = node_busy
             .into_iter()
@@ -626,7 +612,7 @@ impl ClusterSimulator {
                     .iter()
                     .filter(|((_, model), _)| model.index() == m)
                     .map(|(&(node, _), engine)| {
-                        (node, (engine.busy_seconds / now.max(1e-9)).min(1.0))
+                        (node, (engine.counters().busy_secs / now.max(1e-9)).min(1.0))
                     })
                     .collect();
                 Metrics {
@@ -818,11 +804,11 @@ impl ClusterSimulator {
     }
 
     /// Frees what one finished (or, with `purge`, aborted) incarnation held
-    /// on the engines.  Its KV goes on *every* engine of its model, not only
-    /// its pipeline nodes: migrations seed destination engines and
-    /// replication seeds standbys, and all those copies are keyed by the
-    /// request id.  Prefix references release where the refcounted entry
-    /// actually lives now (see `release_prefix_at`).
+    /// on the engines.  It goes on *every* engine of its model, not only its
+    /// pipeline nodes: migrations seed destination engines and replication
+    /// seeds standbys, all keyed by the request id — and a migrated prefix
+    /// entry carries the request's reference along, so the release finds it
+    /// wherever the entry lives now.
     fn release_kv(&mut self, flight: &InFlight, purge: bool) {
         let model = flight.pipeline.model;
         for (_, engine) in self.engines.iter_mut().filter(|(key, _)| key.1 == model) {
@@ -830,11 +816,6 @@ impl ClusterSimulator {
                 engine.purge_request(flight.request.id);
             } else {
                 engine.release_request(flight.request.id);
-            }
-        }
-        if let Some(p) = flight.prefix {
-            for stage in &flight.pipeline.stages {
-                self.release_prefix_at(model, stage.node, p.id);
             }
         }
     }
@@ -893,12 +874,11 @@ impl ClusterSimulator {
             let Some(source) = self.engines.get(&(migration.from, m)) else {
                 continue;
             };
-            let snapshot = source.kv_snapshot();
-            let prefix_snapshot = source.prefix_snapshot();
+            let snapshot = source.kv.snapshot();
+            let prefix_snapshot = source.kv.prefix_snapshot();
             // Shared prefixes travel once each, no matter how many requests
             // reference them — the transfer prices the deduplicated pages.
-            let tokens: f64 = snapshot.iter().map(|&(_, t)| t).sum::<f64>()
-                + prefix_snapshot.iter().map(|&(_, t, _)| t).sum::<f64>();
+            let tokens = source.kv_used_tokens();
             let fleet = self.control.fleet();
             let transfer = KvTransferModel::new(
                 fleet.profiles()[m.index()]
@@ -913,31 +893,21 @@ impl ClusterSimulator {
             let bytes = transfer.bytes(tokens, migration.layers.len());
             let arrival = self.link_transfer(Some(migration.from), Some(migration.to), time, bytes);
             if let Some(engine) = self.engines.get_mut(&(migration.from, m)) {
-                engine.freeze_range_until(migration.layers, arrival);
+                engine.freeze(migration.layers, arrival);
                 if source_retired {
                     // The whole range moved: every page now lives on the
                     // destination.
-                    engine.clear_kv();
-                }
-                // Shared-prefix entries *move* (references and all): drop
-                // them from the source so later releases follow the
-                // forwarding map to the destination instead of decrementing
-                // a stale copy while the live one leaks.
-                for &(prefix, _, _) in &prefix_snapshot {
-                    engine.remove_prefix(prefix);
+                    engine.kv.clear();
+                } else {
+                    // Shared-prefix entries *move*, their holders'
+                    // references included: the source keeps no stale copy
+                    // to decrement.
+                    engine.kv.clear_prefixes();
                 }
             }
             if let Some(engine) = self.engines.get_mut(&(migration.to, m)) {
-                engine.freeze_range_until(migration.layers, arrival);
-                for &(request, tokens) in &snapshot {
-                    engine.seed_kv(request, tokens);
-                }
-                for &(prefix, tokens, refcount) in &prefix_snapshot {
-                    engine.seed_prefix(prefix, tokens, refcount);
-                }
-            }
-            for &(prefix, _, _) in &prefix_snapshot {
-                self.prefix_forwards[m.index()].insert((prefix, migration.from), migration.to);
+                engine.freeze(migration.layers, arrival);
+                engine.kv.seed_snapshot(&snapshot, &prefix_snapshot);
             }
             for node in [migration.from, migration.to] {
                 queue.push(arrival, Event::EngineThaw { node, model: m });
@@ -957,25 +927,6 @@ impl ClusterSimulator {
     /// tests can compare surviving engines against freshly created ones.
     pub fn engine(&self, node: NodeId, model: ModelId) -> Option<&NodeEngine> {
         self.engines.get(&(node, model))
-    }
-
-    /// Releases one shared-prefix reference at the node where the entry
-    /// lives *now*: when a migration moved the home's entry, the release
-    /// follows the per-model forwarding chain (hop-limited against cycles).
-    fn release_prefix_at(&mut self, model: ModelId, node: NodeId, prefix: PrefixId) {
-        let mut at = node;
-        for _ in 0..16 {
-            if let Some(engine) = self.engines.get_mut(&(at, model)) {
-                if engine.has_prefix(prefix) {
-                    engine.release_prefix(prefix);
-                    return;
-                }
-            }
-            match self.prefix_forwards[model.index()].get(&(prefix, at)) {
-                Some(&next) => at = next,
-                None => return,
-            }
-        }
     }
 
     /// Asks the control plane to admit `request` against its model's
@@ -1005,10 +956,10 @@ impl ClusterSimulator {
         for stage in &dispatch.pipeline.stages {
             if let Some(engine) = self.engines.get_mut(&(stage.node, model)) {
                 if let Some(tokens) = dispatch.resume_tokens {
-                    engine.seed_kv(request, tokens as f64);
+                    engine.kv.seed(request, tokens);
                 }
                 if let Some(p) = dispatch.prefix {
-                    engine.attach_prefix(p.id, p.tokens as f64);
+                    engine.kv.hold_prefix(request, p.id, p.tokens);
                 }
             }
         }
