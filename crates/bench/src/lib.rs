@@ -13,7 +13,7 @@
 //! * [`ExperimentReport`] — JSON + human-readable output written to
 //!   `results/` so `EXPERIMENTS.md` can reference machine-checkable numbers.
 
-use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+use helix_cluster::ClusterProfile;
 use helix_core::{
     heuristics, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder, IwrrScheduler,
     ModelPlacement, RandomScheduler, Scheduler, SchedulerKind, ShortestQueueScheduler,
@@ -342,35 +342,6 @@ pub fn run_with_scheduler(
     Some((metrics, topology.flow_value()))
 }
 
-/// Standard cluster/model pairs used across the figures.
-pub fn paper_profiles() -> Vec<(&'static str, ClusterProfile)> {
-    vec![
-        (
-            "single-cluster-24 / LLaMA 30B",
-            ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama_30b()),
-        ),
-        (
-            "single-cluster-24 / LLaMA 70B",
-            ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama2_70b()),
-        ),
-        (
-            "geo-distributed-24 / LLaMA 30B",
-            ClusterProfile::analytic(ClusterSpec::geo_distributed_24(), ModelConfig::llama_30b()),
-        ),
-        (
-            "geo-distributed-24 / LLaMA 70B",
-            ClusterProfile::analytic(ClusterSpec::geo_distributed_24(), ModelConfig::llama2_70b()),
-        ),
-        (
-            "high-heterogeneity-42 / LLaMA 70B",
-            ClusterProfile::analytic(
-                ClusterSpec::high_heterogeneity_42(),
-                ModelConfig::llama2_70b(),
-            ),
-        ),
-    ]
-}
-
 /// A machine-readable experiment report written to `results/<name>.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {
@@ -446,6 +417,7 @@ pub fn print_serving_table(title: &str, rows: &[ServingRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helix_cluster::{ClusterSpec, ModelConfig};
 
     #[test]
     fn scale_parsing_and_parameters() {

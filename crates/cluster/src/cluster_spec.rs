@@ -220,18 +220,6 @@ impl ClusterSpec {
             .override_link(t4_2, t4_1, 90.0, 1.0);
         b.build()
     }
-
-    /// The 5-node, 2-region illustrative cluster of Fig. 1 (A100 in region 1;
-    /// L4 + 3×T4 in region 2, low bandwidth between regions).
-    pub fn fig1_example() -> Self {
-        ClusterBuilder::new("fig1-example")
-            .intra_region(10_000.0, 1.0)
-            .inter_region(100.0, 50.0)
-            .add_nodes(GpuType::A100_40, 1, 1, Region(0))
-            .add_nodes(GpuType::L4, 1, 1, Region(1))
-            .add_nodes(GpuType::T4, 3, 1, Region(1))
-            .build()
-    }
 }
 
 /// Builder for [`ClusterSpec`].

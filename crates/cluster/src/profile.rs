@@ -190,11 +190,6 @@ impl ClusterProfile {
         &self.model
     }
 
-    /// Per-node profiles, indexed like [`ClusterSpec::nodes`].
-    pub fn node_profiles(&self) -> &[NodeProfile] {
-        &self.nodes
-    }
-
     /// Profile of one node.
     ///
     /// # Panics

@@ -111,16 +111,6 @@ impl FleetPlacement {
         &self.placements
     }
 
-    /// The models holding at least one layer on `node`.
-    pub fn models_on(&self, node: NodeId) -> Vec<ModelId> {
-        self.placements
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.range(node).is_some())
-            .map(|(m, _)| ModelId(m))
-            .collect()
-    }
-
     /// Validates every per-model placement against its profile and checks the
     /// fleet-level constraint: the combined weight bytes of all models on a
     /// node must fit the node's weight VRAM budget.
@@ -271,10 +261,9 @@ fn derive_link_shares(
 /// [`FleetTopology::replan`] closes the online loop by applying a
 /// [`PlacementDelta`] and a fresh [`NodeObservations`] snapshot, re-deriving
 /// compute/KV shares only for the touched nodes and re-solving only the
-/// affected models — each on a standing warm-started
-/// [`IncrementalFlowEvaluator`], followed by a deterministic materialisation
-/// that is property-tested bit-identical to a from-scratch
-/// [`FleetTopology::plan`] of the mutated placement.
+/// affected models, through a deterministic materialisation that is
+/// property-tested bit-identical to a from-scratch [`FleetTopology::plan`]
+/// of the mutated placement.
 #[derive(Debug, Clone)]
 pub struct FleetTopology {
     /// Base (unscaled) per-model profiles; scaling is re-derived on re-plan.
@@ -297,8 +286,6 @@ pub struct FleetTopology {
     /// Per-model shares of links valid under ≥2 models (empty for a model
     /// whose links are all sole-tenant).
     link_shares: Vec<BTreeMap<(NodeId, NodeId), f64>>,
-    /// Standing per-model warm evaluators, built lazily on first re-plan.
-    evaluators: Vec<Option<IncrementalFlowEvaluator>>,
 }
 
 impl FleetTopology {
@@ -390,7 +377,6 @@ impl FleetTopology {
             vram_overrides,
             unsplit_link_flows,
             link_shares,
-            evaluators: vec![None; num_models],
         })
     }
 
@@ -409,15 +395,13 @@ impl FleetTopology {
             vram_overrides: vec![vec![None; n]],
             unsplit_link_flows: vec![unsplit],
             link_shares: vec![BTreeMap::new()],
-            evaluators: vec![None],
         }
     }
 
     /// Applies a placement delta plus a fresh observation snapshot to the
     /// standing fleet plan: re-derives compute/KV shares **only for the
-    /// nodes the delta or the observation change touches**, warm re-solves
-    /// the affected models' standing [`IncrementalFlowEvaluator`]s, and
-    /// re-materialises only those models' topologies (through the same
+    /// nodes the delta or the observation change touches** and
+    /// re-materialises only the affected models' topologies (through the same
     /// deterministic code path as [`FleetTopology::plan_observed`], so the
     /// result is bit-identical to a from-scratch plan of the mutated
     /// placement under the same observations).  Unaffected models' planned
@@ -543,17 +527,13 @@ impl FleetTopology {
         }
         final_affected.sort();
 
-        // 7. Materialise the affected models' final topologies (fallible).
+        // 7. Materialise the affected models' final topologies (the last
+        // fallible step; `self` is untouched until it succeeds).
         let mut new_topologies: BTreeMap<usize, Topology> = BTreeMap::new();
         for &m in &final_affected {
-            let scaled = match scaled_profiles.get(&m) {
-                Some(s) => s.clone(),
-                None => {
-                    let s = self.profiles[m].scaled(&compute_shares[m], &vram_overrides[m]);
-                    scaled_profiles.insert(m, s.clone());
-                    s
-                }
-            };
+            let scaled = scaled_profiles
+                .remove(&m)
+                .unwrap_or_else(|| self.profiles[m].scaled(&compute_shares[m], &vram_overrides[m]));
             let topology = if link_shares[m].is_empty() {
                 match pass1.remove(&m) {
                     Some(t) => t,
@@ -574,33 +554,8 @@ impl FleetTopology {
             new_topologies.insert(m, topology);
         }
 
-        // 8. Commit: warm re-solve each affected model's standing evaluator
-        // (built on first use), then swap in the new planning facts.
-        let mut warm_flow_values = Vec::with_capacity(final_affected.len());
-        for &m in &final_affected {
-            let scaled = scaled_profiles[&m].clone();
-            let changes: Vec<(NodeId, Option<LayerRange>)> = changes
-                .iter()
-                .filter(|&&(model, _, _)| model.index() == m)
-                .map(|&(_, node, range)| (node, range))
-                .collect();
-            let warm = match &mut self.evaluators[m] {
-                Some(evaluator) => evaluator.rebase(scaled, &changes, &touched),
-                None => {
-                    let evaluator = IncrementalFlowEvaluator::new(
-                        &scaled,
-                        &new_placement.placements()[m],
-                        self.partial_inference,
-                        None,
-                        MaxFlowAlgorithm::Dinic,
-                    )?;
-                    let value = evaluator.value();
-                    self.evaluators[m] = Some(evaluator);
-                    value
-                }
-            };
-            warm_flow_values.push(warm);
-        }
+        // 8. Commit: swap in the new planning facts.
+        let warm_flow_values = new_topologies.values().map(Topology::flow_value).collect();
         for (m, topology) in new_topologies {
             self.topologies[m] = topology;
         }
@@ -691,15 +646,6 @@ impl FleetTopology {
             .and_then(|s| s.get(&(from, to)))
             .copied()
             .unwrap_or(1.0)
-    }
-
-    /// Warm re-solves performed by one model's standing evaluator (`None`
-    /// until the first [`FleetTopology::replan`] touches the model).
-    pub fn standing_warm_solves(&self, model: ModelId) -> Option<u64> {
-        self.evaluators
-            .get(model.index())
-            .and_then(|e| e.as_ref())
-            .map(IncrementalFlowEvaluator::warm_solves)
     }
 
     /// Sum of the per-model max-flow throughputs (tokens/s).
@@ -857,7 +803,6 @@ impl Default for FleetAnnealingOptions {
 pub struct FleetAnnealingPlanner<'a> {
     profiles: &'a [ClusterProfile],
     options: FleetAnnealingOptions,
-    observations: Option<&'a NodeObservations>,
 }
 
 impl<'a> FleetAnnealingPlanner<'a> {
@@ -871,7 +816,6 @@ impl<'a> FleetAnnealingPlanner<'a> {
         FleetAnnealingPlanner {
             profiles,
             options: FleetAnnealingOptions::default(),
-            observations: None,
         }
     }
 
@@ -881,53 +825,9 @@ impl<'a> FleetAnnealingPlanner<'a> {
         self
     }
 
-    /// Scores placements against measured per-(node, model) speed factors
-    /// instead of the analytic profile alone — the same measured-share code
-    /// path [`FleetTopology::plan_observed`] uses, so offline planning and
-    /// online re-planning cannot diverge.  The planner keeps node ownership
-    /// disjoint, so an observed speed factor applies to the node's full
-    /// capacity for whichever model owns it.
-    pub fn with_observations(mut self, observations: &'a NodeObservations) -> Self {
-        self.observations = Some(observations);
-        self
-    }
-
-    /// The per-model profiles re-priced by the observed speed factors, or
-    /// `None` when no observation is recorded (the analytic path).
-    fn observed_profiles(&self) -> Option<Vec<ClusterProfile>> {
-        let observed = self.observations.filter(|o| !o.is_empty())?;
-        let n = self.profiles[0].cluster().num_nodes();
-        Some(
-            self.profiles
-                .iter()
-                .enumerate()
-                .map(|(m, profile)| {
-                    let shares: Vec<f64> = (0..n)
-                        .map(|i| observed.speed_factor(NodeId(i), ModelId(m)).unwrap_or(1.0))
-                        .collect();
-                    profile.scaled(&shares, &vec![None; n])
-                })
-                .collect(),
-        )
-    }
-
-    /// A copy of this planner working on re-priced profiles (used to route
-    /// observation-aware calls through the analytic code path unchanged).
-    fn repriced<'b>(&self, profiles: &'b [ClusterProfile]) -> FleetAnnealingPlanner<'b> {
-        FleetAnnealingPlanner {
-            profiles,
-            options: self.options.clone(),
-            observations: None,
-        }
-    }
-
     /// Evaluates the per-model max-flow throughputs of a fleet placement
-    /// with a cold solve per model (under the observed speed factors, when
-    /// set); invalid per-model placements score 0.
+    /// with a cold solve per model; invalid per-model placements score 0.
     pub fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
-        if let Some(profiles) = self.observed_profiles() {
-            return self.repriced(&profiles).evaluate(placement);
-        }
         placement
             .placements()
             .iter()
@@ -955,17 +855,12 @@ impl<'a> FleetAnnealingPlanner<'a> {
     /// Runs the search: greedy node partition, per-model greedy seeds, then
     /// joint annealing with warm-started intra- and cross-model moves.
     /// Returns the best placement and its cold-evaluated per-model flows.
-    /// With observations set, the whole search (seeds, evaluators, upper
-    /// bounds and final scoring) runs on the measured-speed profiles.
     ///
     /// # Errors
     ///
     /// Returns [`HelixError::NoPlacementFound`] if the cluster cannot hold
     /// every model at once or no feasible partition is found.
     pub fn solve(&self) -> Result<(FleetPlacement, Vec<f64>), HelixError> {
-        if let Some(profiles) = self.observed_profiles() {
-            return self.repriced(&profiles).solve();
-        }
         let num_models = self.profiles.len();
         if num_models == 1 {
             // Trivial fleet: the single-model annealer is the canonical path.
@@ -977,7 +872,6 @@ impl<'a> FleetAnnealingPlanner<'a> {
                     seed: self.options.seed,
                     partial_inference: self.options.partial_inference,
                     prune_degree: self.options.prune_degree,
-                    warm_start: true,
                 });
             let (placement, value) = single.solve()?;
             return Ok((FleetPlacement::single(placement), vec![value]));
@@ -1367,7 +1261,6 @@ mod tests {
                 seed: options.seed,
                 partial_inference: options.partial_inference,
                 prune_degree: options.prune_degree,
-                warm_start: true,
             });
         let (expected_placement, expected_value) = single.solve().unwrap();
         assert_eq!(placement.placements()[0], expected_placement);
@@ -1494,7 +1387,7 @@ mod tests {
     }
 
     #[test]
-    fn replan_with_observations_reprices_only_the_touched_model() {
+    fn replan_under_observations_reprices_only_the_touched_model() {
         let profiles = two_model_profiles();
         let planner = FleetAnnealingPlanner::new(&profiles).with_options(quick_options());
         let (placement, _) = planner.solve().unwrap();
@@ -1511,20 +1404,14 @@ mod tests {
         observed.record(slow, ModelId(0), 100.0, 0.5, 0.9);
         let outcome = fleet.replan(&PlacementDelta::new(), &observed).unwrap();
         assert_eq!(outcome.affected, vec![ModelId(0)]);
-        assert_eq!(outcome.warm_flow_values.len(), 1);
         assert_eq!(fleet.compute_share(ModelId(0), slow), 0.5);
         assert!(fleet.model(ModelId(0)).unwrap().flow_value() <= before[0]);
         // Model 1 is untouched: its topology was not re-solved.
         assert_eq!(fleet.model(ModelId(1)).unwrap().flow_value(), before[1]);
-        assert!(fleet.standing_warm_solves(ModelId(0)).is_some());
-        assert_eq!(fleet.standing_warm_solves(ModelId(1)), None);
-
-        // The warm value tracks the materialised topology's value.
-        let warm = outcome.warm_flow_values[0];
-        let cold = fleet.model(ModelId(0)).unwrap().flow_value();
-        assert!(
-            (warm - cold).abs() <= helix_maxflow::FLOW_EPS * (1.0 + cold),
-            "warm {warm} vs cold {cold}"
+        // The reported value is the materialised topology's.
+        assert_eq!(
+            outcome.warm_flow_values,
+            vec![fleet.model(ModelId(0)).unwrap().flow_value()]
         );
 
         // Bit-identical to a from-scratch plan under the same observations.
@@ -1575,41 +1462,6 @@ mod tests {
             .map(Topology::flow_value)
             .collect();
         assert_eq!(before, after, "failed re-plans leave the plan unchanged");
-    }
-
-    #[test]
-    fn planner_observations_reprice_the_search() {
-        let profiles = two_model_profiles();
-        let planner = FleetAnnealingPlanner::new(&profiles).with_options(quick_options());
-        let (placement, analytic_flows) = planner.solve().unwrap();
-
-        // Evaluating the same placement under a slowdown can only lose
-        // throughput, and evaluating under no observations is unchanged.
-        let slow = placement.placements()[0].iter().next().unwrap().0;
-        let mut observed = NodeObservations::new();
-        observed.record(slow, ModelId(0), 100.0, 0.25, 0.9);
-        let degraded = FleetAnnealingPlanner::new(&profiles)
-            .with_options(quick_options())
-            .with_observations(&observed)
-            .evaluate(&placement);
-        assert!(degraded[0] <= analytic_flows[0]);
-        let empty = NodeObservations::new();
-        let unchanged = FleetAnnealingPlanner::new(&profiles)
-            .with_options(quick_options())
-            .with_observations(&empty)
-            .solve()
-            .unwrap();
-        assert_eq!(unchanged.0, placement);
-        assert_eq!(unchanged.1, analytic_flows);
-
-        // A full observed solve still finds a feasible fleet placement.
-        let (observed_placement, observed_flows) = FleetAnnealingPlanner::new(&profiles)
-            .with_options(quick_options())
-            .with_observations(&observed)
-            .solve()
-            .unwrap();
-        observed_placement.validate(&profiles).unwrap();
-        assert!(observed_flows.iter().all(|&f| f > 0.0));
     }
 
     #[test]

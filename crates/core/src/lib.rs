@@ -47,7 +47,7 @@
 //!   [`NodeObservations`] that override the analytic compute shares, sparse
 //!   [`PlacementDelta`]s, and the [`ReplanPolicy`] both execution surfaces
 //!   share.  [`FleetTopology::replan`] applies them by re-solving only the
-//!   affected models, warm.
+//!   affected models.
 //! * [`control`] — the one coordinator of the paper's Fig. 3:
 //!   [`ControlPlane`] owns the standing fleet plan, schedulers, prefix
 //!   routers, replication, fail-over and re-plan state and makes every
@@ -110,7 +110,7 @@ pub use placement::heuristics;
 pub use placement::hierarchical::{
     HierarchicalFleetPlanner, HierarchicalOptions, HierarchicalPlan,
 };
-pub use placement::incremental::{IncrementalFlowEvaluator, RollbackStrategy};
+pub use placement::incremental::IncrementalFlowEvaluator;
 pub use placement::milp::{MilpPlacementPlanner, MilpPlannerReport, PlannerOptions};
 pub use placement::partition::{
     Partition, PartitionOptions, PartitionPlan, PartitionedPlanner, Pod, PodMap,

@@ -297,7 +297,6 @@ impl<'a> HierarchicalFleetPlanner<'a> {
                 seed: mix_seed(self.options.annealing.seed, pod.id as u64),
                 partial_inference: self.options.annealing.partial_inference,
                 prune_degree: self.options.annealing.prune_degree,
-                warm_start: true,
             });
             let (sub_placement, _) = planner.solve()?;
             let mut placement = ModelPlacement::empty(n);

@@ -28,31 +28,14 @@ use crate::error::HelixError;
 use crate::flow_graph::FlowGraphBuilder;
 use crate::placement::{LayerRange, ModelPlacement};
 use helix_cluster::{ClusterProfile, NodeId};
-use helix_maxflow::{EdgeId, FlowNetwork, FlowSnapshot, MaxFlowAlgorithm, NodeId as FlowNodeId};
+use helix_maxflow::{EdgeId, FlowNetwork, MaxFlowAlgorithm, NodeId as FlowNodeId};
 use std::collections::HashMap;
-
-/// How a rejected move is rolled back by
-/// [`IncrementalFlowEvaluator::restore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RollbackStrategy {
-    /// Restore only the arena edges the move actually touched, recorded by
-    /// the [`FlowNetwork`] delta undo-log.  O(touched) per rollback — a move
-    /// whose warm re-solve touched nothing rolls back for free.  The default.
-    #[default]
-    DeltaUndoLog,
-    /// Restore a full copy of every edge taken before the move.  O(E) per
-    /// move regardless of how little the move perturbed; kept as an
-    /// independent cross-check of the undo-log and for benchmarking the win.
-    FullSnapshot,
-}
 
 /// A standing flow network over the whole candidate edge set, supporting
 /// cheap single-node placement moves with warm-started re-solving.
 ///
-/// The evaluator owns a copy of its profile so long-lived surfaces (the
-/// fleet's standing per-model evaluators used by online re-planning) can hold
-/// one without borrowing, and so [`IncrementalFlowEvaluator::rebase`] can
-/// swap in a re-scaled profile when observed node speeds change.
+/// The evaluator owns a copy of its profile, so it can be stored without
+/// borrowing one.
 #[derive(Debug, Clone)]
 pub struct IncrementalFlowEvaluator {
     profile: ClusterProfile,
@@ -82,24 +65,18 @@ pub struct IncrementalFlowEvaluator {
     value: f64,
     /// Number of warm (incremental) re-solves performed.
     warm_solves: u64,
-    /// Single-level undo state captured by the last `assign`.
+    /// Single-level undo state captured by the last `assign`; taken by
+    /// `restore`, so `Some` means it describes the most recent move.
     undo: Option<UndoState>,
-    /// How `restore` rolls back the last move's network mutations.
-    rollback: RollbackStrategy,
 }
 
-/// What `assign` saves so `restore` can roll one move back without solving.
-/// The snapshot buffer is reused across moves to stay allocation-free in the
-/// annealing hot loop.
+/// What `assign` saves beside the network's undo-log so `restore` can roll
+/// one move back without solving.
 #[derive(Debug, Clone)]
 struct UndoState {
     node: NodeId,
     prev_range: Option<LayerRange>,
-    snapshot: FlowSnapshot,
     value: f64,
-    /// Whether the state describes the most recent `assign` (consumed by
-    /// `restore`).
-    live: bool,
 }
 
 impl IncrementalFlowEvaluator {
@@ -241,25 +218,16 @@ impl IncrementalFlowEvaluator {
             value: 0.0,
             warm_solves: 0,
             undo: None,
-            rollback: RollbackStrategy::default(),
         };
         evaluator.value = evaluator.resolve();
         Ok(evaluator)
-    }
-
-    /// Selects how rejected moves are rolled back (default:
-    /// [`RollbackStrategy::DeltaUndoLog`]).
-    pub fn with_rollback_strategy(mut self, rollback: RollbackStrategy) -> Self {
-        self.rollback = rollback;
-        self
     }
 
     /// Number of standing-network arena edges touched by the last `assign`
     /// (capacity updates, flow repair and warm re-solve combined), as
     /// recorded by the delta undo-log.
     ///
-    /// Returns 0 after a rollback, and always 0 under
-    /// [`RollbackStrategy::FullSnapshot`] (which does not track touches).
+    /// Returns 0 after a rollback.
     pub fn last_move_touched_edges(&self) -> usize {
         self.network.undo_log_len()
     }
@@ -267,11 +235,6 @@ impl IncrementalFlowEvaluator {
     /// The current placement reflected in the standing network.
     pub fn placement(&self) -> &ModelPlacement {
         &self.placement
-    }
-
-    /// The profile the standing network currently prices capacities from.
-    pub fn profile(&self) -> &ClusterProfile {
-        &self.profile
     }
 
     /// The max-flow value of the current placement.
@@ -288,22 +251,12 @@ impl IncrementalFlowEvaluator {
     /// updating only the capacities incident to that node, then re-solving
     /// warm from the standing flow.  Returns the new max-flow value.
     pub fn assign(&mut self, node: NodeId, range: LayerRange) -> f64 {
-        let rollback = self.rollback;
-        let undo = self.undo.get_or_insert_with(|| UndoState {
+        self.undo = Some(UndoState {
             node,
-            prev_range: None,
-            snapshot: FlowSnapshot::empty(),
-            value: 0.0,
-            live: false,
+            prev_range: self.placement.range(node),
+            value: self.value,
         });
-        undo.node = node;
-        undo.prev_range = self.placement.range(node);
-        undo.value = self.value;
-        undo.live = true;
-        match rollback {
-            RollbackStrategy::DeltaUndoLog => self.network.begin_undo_log(),
-            RollbackStrategy::FullSnapshot => self.network.snapshot_flows_into(&mut undo.snapshot),
-        }
+        self.network.begin_undo_log();
         self.placement.assign(node, range);
         self.refresh_node(node);
         self.value = self.resolve();
@@ -314,124 +267,29 @@ impl IncrementalFlowEvaluator {
     /// [`IncrementalFlowEvaluator::assign`].
     ///
     /// Rolling back the immediately preceding `assign` restores the network
-    /// without re-solving — in O(touched edges) under the default
-    /// [`RollbackStrategy::DeltaUndoLog`], in O(E) under
-    /// [`RollbackStrategy::FullSnapshot`].  Any other revert falls back to a
-    /// capacity refresh plus warm re-solve.
+    /// from its undo-log without re-solving, in O(touched edges).  Any other
+    /// revert falls back to a capacity refresh plus warm re-solve.
     pub fn restore(&mut self, node: NodeId, range: Option<LayerRange>) -> f64 {
-        let rollback = self.rollback;
-        if let Some(undo) = self.undo.as_mut() {
-            if undo.live && undo.node == node && undo.prev_range == range {
-                undo.live = false;
-                match range {
-                    Some(r) => self.placement.assign(node, r),
-                    None => self.placement.clear(node),
-                }
-                let value = undo.value;
-                match rollback {
-                    RollbackStrategy::DeltaUndoLog => {
-                        self.network.rollback_undo_log();
-                    }
-                    RollbackStrategy::FullSnapshot => {
-                        let snapshot = std::mem::replace(&mut undo.snapshot, FlowSnapshot::empty());
-                        self.network
-                            .restore_flows(&snapshot)
-                            .expect("snapshot comes from this network");
-                        if let Some(undo) = self.undo.as_mut() {
-                            undo.snapshot = snapshot;
-                        }
-                    }
-                }
-                self.value = value;
-                return self.value;
-            }
-        }
-        // Slow path: this revert does not match the last `assign`, so any
-        // saved rollback state no longer describes a rollback of the new
-        // state.  Commit the last move's undo-log (its mutations stand) and
-        // re-solve.
-        if let Some(undo) = self.undo.as_mut() {
-            undo.live = false;
-        }
-        self.network.discard_undo_log();
+        // Whatever happens below, the saved state stops describing the most
+        // recent move.
+        let undo = self.undo.take();
         match range {
             Some(r) => self.placement.assign(node, r),
             None => self.placement.clear(node),
         }
-        self.refresh_node(node);
-        self.value = self.resolve();
-        self.value
-    }
-
-    /// Applies a batched re-plan step in one warm re-solve: swaps in a new
-    /// profile (e.g. re-scaled from observed node speeds), applies a set of
-    /// placement changes (`None` unassigns a node), refreshes every touched
-    /// capacity and re-solves warm from the standing flow.
-    ///
-    /// `refresh` must list every node whose *profile* entry changed even if
-    /// its placement did not — those nodes' `c_in → c_out` capacities are
-    /// re-priced from the new profile.  Nodes in `changes` are refreshed
-    /// automatically.  The single-move undo state is invalidated (a rebase is
-    /// not a move).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` describes a different cluster size.
-    pub fn rebase(
-        &mut self,
-        profile: ClusterProfile,
-        changes: &[(NodeId, Option<LayerRange>)],
-        refresh: &[NodeId],
-    ) -> f64 {
-        assert_eq!(
-            profile.cluster().num_nodes(),
-            self.profile.cluster().num_nodes(),
-            "rebase must keep the cluster shape"
-        );
-        if let Some(undo) = self.undo.as_mut() {
-            undo.live = false;
-        }
-        self.network.discard_undo_log();
-        // A re-scaled profile can raise node capacities back up (a slowdown
-        // that recovered); grow the link clamp monotonically so it always
-        // dominates the node-capacity sum.  Growing capacities keeps the
-        // standing flow feasible, so the re-solve stays warm.
-        let new_bound: f64 = profile
-            .cluster()
-            .node_ids()
-            .map(|id| profile.node_profile(id).throughput(1))
-            .sum::<f64>()
-            .max(1.0);
-        let grow = new_bound > self.link_bound;
-        self.profile = profile;
-        if grow {
-            self.link_bound = new_bound;
-        }
-        for &(node, range) in changes {
-            match range {
-                Some(r) => self.placement.assign(node, r),
-                None => self.placement.clear(node),
+        match undo {
+            Some(undo) if undo.node == node && undo.prev_range == range => {
+                self.network.rollback_undo_log();
+                self.value = undo.value;
             }
-        }
-        if grow {
-            // The clamp moved: re-price every coordinator/link capacity.
-            let ids: Vec<NodeId> = self.profile.cluster().node_ids().collect();
-            for id in ids {
-                self.refresh_node(id);
-            }
-        } else {
-            let mut touched: Vec<NodeId> = changes
-                .iter()
-                .map(|&(n, _)| n)
-                .chain(refresh.iter().copied())
-                .collect();
-            touched.sort();
-            touched.dedup();
-            for node in touched {
+            // This revert does not match the last `assign`: commit that
+            // move's undo-log (its mutations stand) and re-solve.
+            _ => {
+                self.network.discard_undo_log();
                 self.refresh_node(node);
+                self.value = self.resolve();
             }
         }
-        self.value = self.resolve();
         self.value
     }
 
@@ -501,6 +359,8 @@ mod tests {
     use crate::placement::heuristics;
     use helix_cluster::{ClusterSpec, ModelConfig};
     use helix_maxflow::FLOW_EPS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn profile() -> ClusterProfile {
         ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b())
@@ -592,13 +452,13 @@ mod tests {
             "restored {after_restore} vs original {before}"
         );
         assert_eq!(evaluator.placement().range(node), old);
-        // The rollback restored a snapshot instead of re-solving.
+        // The rollback replayed the undo-log instead of re-solving.
         assert_eq!(evaluator.warm_solves(), 2);
     }
 
     #[test]
     fn slow_path_restore_invalidates_the_saved_snapshot() {
-        // assign(n1) saves a snapshot; restore(n2) takes the slow path and
+        // assign(n1) saves undo state; restore(n2) takes the slow path and
         // must invalidate it, so a later restore(n1) cannot replay stale
         // network state.
         let profile = profile();
@@ -617,7 +477,7 @@ mod tests {
         evaluator.assign(n1, LayerRange::new(0, 1));
         // Out-of-order revert of a different node: slow path.
         evaluator.restore(n2, Some(LayerRange::new(0, 2)));
-        // Reverting n1 now must NOT bring back the pre-restore snapshot
+        // Reverting n1 now must NOT replay the pre-restore undo state
         // (which would undo n2's change in the network but not the
         // placement); the evaluator must stay consistent with a cold solve.
         evaluator.restore(n1, p1);
@@ -635,11 +495,17 @@ mod tests {
     }
 
     #[test]
-    fn rebase_tracks_a_rescaled_profile_and_placement_changes() {
-        // Scale one node down to half speed (an observed slowdown), move
-        // another node's range, and unassign a third — one warm re-solve must
-        // match the cold evaluation of the new (profile, placement) pair.
-        let profile = profile();
+    fn undo_log_rollback_matches_full_snapshot_rollback() {
+        // The evaluator is `Clone`, so a clone taken before a move is a full
+        // snapshot of the standing network.  Along a seeded tour with every
+        // other move rejected, the evaluator rolled back through the
+        // undo-log must be indistinguishable from that clone: same value,
+        // placement and per-edge flow, and bit-identical values on every
+        // later move.
+        let profile = ClusterProfile::analytic(
+            ClusterSpec::high_heterogeneity_42(),
+            ModelConfig::llama2_70b(),
+        );
         let placement = heuristics::petals_placement(&profile).unwrap();
         let mut evaluator = IncrementalFlowEvaluator::new(
             &profile,
@@ -649,87 +515,33 @@ mod tests {
             MaxFlowAlgorithm::Dinic,
         )
         .unwrap();
-        let solves_before = evaluator.warm_solves();
-        let n = profile.cluster().num_nodes();
-        let mut shares = vec![1.0; n];
-        shares[0] = 0.5;
-        let scaled = profile.scaled(&shares, &vec![None; n]);
-        let assigned: Vec<NodeId> = placement.iter().map(|(id, _)| id).collect();
-        let moved = assigned[1];
-        let dropped = *assigned.last().unwrap();
-        let changes = vec![(moved, Some(LayerRange::new(0, 2))), (dropped, None)];
-        let warm = evaluator.rebase(scaled.clone(), &changes, &[NodeId(0)]);
-        assert_eq!(evaluator.warm_solves(), solves_before + 1, "one re-solve");
-        assert_eq!(
-            evaluator.placement().range(moved),
-            Some(LayerRange::new(0, 2))
-        );
-        assert_eq!(evaluator.placement().range(dropped), None);
-        let cold = FlowGraphBuilder::new(&scaled)
-            .build(evaluator.placement())
-            .map(|g| g.max_flow().value)
-            .unwrap_or(0.0);
-        assert!(
-            (warm - cold).abs() <= FLOW_EPS * (1.0 + cold),
-            "warm {warm} vs cold {cold}"
-        );
-        // Rebasing back up to the unscaled profile grows capacities again;
-        // the warm value keeps tracking the cold one.
-        let restored = evaluator.rebase(profile.clone(), &[], &[NodeId(0)]);
-        let cold = FlowGraphBuilder::new(&profile)
-            .build(evaluator.placement())
-            .map(|g| g.max_flow().value)
-            .unwrap_or(0.0);
-        assert!(
-            (restored - cold).abs() <= FLOW_EPS * (1.0 + cold),
-            "restored {restored} vs cold {cold}"
-        );
-    }
-
-    #[test]
-    fn undo_log_rollback_matches_full_snapshot_rollback() {
-        // The delta undo-log and the O(E) snapshot must be interchangeable:
-        // drive two evaluators through the same accept/reject move sequence,
-        // one per strategy, and demand identical values throughout.
-        let profile = profile();
-        let placement = heuristics::petals_placement(&profile).unwrap();
-        let mut delta = IncrementalFlowEvaluator::new(
-            &profile,
-            &placement,
-            true,
-            None,
-            MaxFlowAlgorithm::Dinic,
-        )
-        .unwrap()
-        .with_rollback_strategy(RollbackStrategy::DeltaUndoLog);
-        let mut snap = IncrementalFlowEvaluator::new(
-            &profile,
-            &placement,
-            true,
-            None,
-            MaxFlowAlgorithm::Dinic,
-        )
-        .unwrap()
-        .with_rollback_strategy(RollbackStrategy::FullSnapshot);
+        let mut oracle = evaluator.clone();
         let num_layers = profile.model().num_layers;
         let nodes: Vec<NodeId> = profile.cluster().node_ids().collect();
-        for (step, &node) in nodes.iter().cycle().take(30).enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x554E444F);
+        for step in 0..240 {
+            let node = nodes[rng.gen_range(0..nodes.len())];
             let max_layers = profile.node_profile(node).max_layers.min(num_layers);
-            if max_layers == 0 {
-                continue;
-            }
-            let len = 1 + (step % max_layers);
-            let start = (step * 5) % (num_layers - len + 1);
+            let len = rng.gen_range(1..=max_layers);
+            let start = rng.gen_range(0..=num_layers - len);
             let range = LayerRange::new(start, start + len);
-            let prev = delta.placement().range(node);
-            let a = delta.assign(node, range);
-            let b = snap.assign(node, range);
-            assert_eq!(a.to_bits(), b.to_bits(), "step {step}: assign diverged");
+            let before = evaluator.clone();
+            let prev = evaluator.placement().range(node);
+            let moved = evaluator.assign(node, range);
+            assert_eq!(
+                moved.to_bits(),
+                oracle.assign(node, range).to_bits(),
+                "step {step}: assign diverged"
+            );
             if step % 2 == 1 {
-                // Reject: both roll back, by different mechanisms.
-                let a = delta.restore(node, prev);
-                let b = snap.restore(node, prev);
-                assert_eq!(a.to_bits(), b.to_bits(), "step {step}: restore diverged");
+                evaluator.restore(node, prev);
+                oracle = before;
+                assert_eq!(evaluator.value().to_bits(), oracle.value().to_bits());
+                assert_eq!(evaluator.placement(), oracle.placement());
+                assert!(
+                    evaluator.network.edges().eq(oracle.network.edges()),
+                    "step {step}: rollback left a different standing flow"
+                );
             }
         }
     }

@@ -35,11 +35,6 @@ pub struct AnnealingOptions {
     pub partial_inference: bool,
     /// Optional cluster pruning degree used when evaluating placements.
     pub prune_degree: Option<usize>,
-    /// Evaluate moves incrementally on a standing warm-started flow network
-    /// (the default) instead of rebuilding and re-solving the graph from
-    /// scratch per iteration.  Both paths evaluate the identical objective;
-    /// see [`IncrementalFlowEvaluator`] for why the values agree.
-    pub warm_start: bool,
 }
 
 impl Default for AnnealingOptions {
@@ -51,7 +46,6 @@ impl Default for AnnealingOptions {
             seed: 0x48454C49,
             partial_inference: true,
             prune_degree: None,
-            warm_start: true,
         }
     }
 }
@@ -150,62 +144,16 @@ impl<'a> FlowAnnealingPlanner<'a> {
                 best = Some((s.clone(), v));
             }
         }
-        let (current, current_value) = best.ok_or(HelixError::NoPlacementFound)?;
-        if self.options.warm_start {
-            self.anneal_warm(current, current_value)
-        } else {
-            self.anneal_cold(current, current_value)
-        }
+        let (start, _) = best.ok_or(HelixError::NoPlacementFound)?;
+        self.anneal(start)
     }
 
-    /// The cold annealing loop: every candidate is evaluated by rebuilding
-    /// the flow graph and solving max flow from scratch.  Kept as the
-    /// reference implementation (and for the cold-vs-warm benchmark).
-    fn anneal_cold(
-        &self,
-        mut current: ModelPlacement,
-        mut current_value: f64,
-    ) -> Result<(ModelPlacement, f64), HelixError> {
-        let (mut best_placement, mut best_value) = (current.clone(), current_value);
-        let upper = self.profile.throughput_upper_bound().max(1e-9);
-        let mut temperature = self.options.initial_temperature * upper;
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-
-        for _ in 0..self.options.iterations {
-            let Some((node, range)) = self.propose(&current, &mut rng) else {
-                temperature *= self.options.cooling;
-                continue;
-            };
-            let mut candidate = current.clone();
-            candidate.assign(node, range);
-            let value = self.evaluate(&candidate);
-            if self.accept(value, current_value, temperature, &mut rng) {
-                current = candidate;
-                current_value = value;
-                if value > best_value {
-                    best_value = value;
-                    best_placement = current.clone();
-                    // Early exit once we are essentially at the upper bound.
-                    if best_value >= 0.995 * upper {
-                        break;
-                    }
-                }
-            }
-            temperature *= self.options.cooling;
-        }
-        Ok((best_placement, best_value))
-    }
-
-    /// The warm annealing loop: one standing flow network absorbs each
+    /// The annealing loop: one standing flow network absorbs each
     /// single-node move via capacity updates and a warm re-solve; rejected
-    /// moves are rolled back the same way.  The returned value is the cold
-    /// re-evaluation of the best placement, so reported numbers always come
-    /// from the canonical path.
-    fn anneal_warm(
-        &self,
-        start: ModelPlacement,
-        _start_value: f64,
-    ) -> Result<(ModelPlacement, f64), HelixError> {
+    /// moves are rolled back through the network's undo-log.  The returned
+    /// value is the cold re-evaluation of the best placement, so reported
+    /// numbers always come from the canonical path.
+    fn anneal(&self, start: ModelPlacement) -> Result<(ModelPlacement, f64), HelixError> {
         // Dinic augments from the standing flow without re-saturating the
         // source (push-relabel would re-push every source edge's residual and
         // drain it back each solve, wasting the warm start).
@@ -386,53 +334,30 @@ mod tests {
     fn warm_start_is_the_default_and_matches_cold_on_the_solver_quality_cluster() {
         let profile =
             ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
-        assert!(
-            AnnealingOptions::default().warm_start,
-            "warm start must be the default"
-        );
-        let warm = FlowAnnealingPlanner::new(&profile).with_options(AnnealingOptions {
+        let planner = FlowAnnealingPlanner::new(&profile).with_options(AnnealingOptions {
             iterations: 400,
             ..Default::default()
         });
-        let cold = FlowAnnealingPlanner::new(&profile).with_options(AnnealingOptions {
-            iterations: 400,
-            warm_start: false,
-            ..Default::default()
-        });
-        let (warm_placement, warm_value) = warm.solve().unwrap();
-        let (cold_placement, cold_value) = cold.solve().unwrap();
-        warm_placement.validate(&profile).unwrap();
-        cold_placement.validate(&profile).unwrap();
-        // The warm path reports its placement's value from the canonical
-        // cold evaluation: the two evaluation surfaces agree within FLOW_EPS
-        // on the same placement (the warm evaluator solves the identical
-        // objective on the identical candidate edge set).  The two *searches*
-        // may legitimately land on different local optima — near-tie accept
-        // decisions amplify — so search outcomes are compared for quality,
-        // not equality.
-        let eps = helix_maxflow::FLOW_EPS * (1.0 + warm_value.abs());
+        let (placement, value) = planner.solve().unwrap();
+        placement.validate(&profile).unwrap();
+        // The search runs on the warm evaluator but reports its placement's
+        // value from the canonical cold evaluation.
+        let eps = helix_maxflow::FLOW_EPS * (1.0 + value.abs());
         assert!(
-            (warm.evaluate(&warm_placement) - warm_value).abs() <= eps,
-            "reported warm value diverges from the cold evaluation of its placement"
+            (planner.evaluate(&placement) - value).abs() <= eps,
+            "reported value diverges from the cold evaluation of its placement"
         );
-        assert!((cold.evaluate(&cold_placement) - cold_value).abs() <= eps);
-        // Neither search loses to the best heuristic start, and the warm
-        // default is at least as good as the cold search here.
+        // The search does not lose to the best heuristic start.
         let heuristic_best = [
             heuristics::swarm_placement(&profile).unwrap(),
             heuristics::petals_placement(&profile).unwrap(),
         ]
         .iter()
-        .map(|p| warm.evaluate(p))
+        .map(|p| planner.evaluate(p))
         .fold(0.0_f64, f64::max);
         assert!(
-            warm_value >= heuristic_best - 1e-9,
-            "warm {warm_value} vs heuristics {heuristic_best}"
-        );
-        assert!(cold_value >= heuristic_best - 1e-9);
-        assert!(
-            warm_value >= cold_value * 0.95,
-            "warm {warm_value} vs cold search {cold_value}"
+            value >= heuristic_best - 1e-9,
+            "annealed {value} vs heuristics {heuristic_best}"
         );
     }
 

@@ -11,7 +11,7 @@
 //! re-pointing affinity and logging a [`RegionTransferRecord`] per prefix.
 
 use crate::replan::KvTransferModel;
-use helix_cluster::{ClusterSpec, PrefixId, Region};
+use helix_cluster::{PrefixId, Region};
 
 use super::membership::RegionHealth;
 
@@ -25,14 +25,6 @@ pub struct InterRegionLink {
 }
 
 impl InterRegionLink {
-    /// Reads the link parameters from a cluster specification.
-    pub fn from_spec(spec: &ClusterSpec) -> Self {
-        InterRegionLink {
-            bandwidth_mbps: spec.inter_region_bandwidth_mbps,
-            latency_ms: spec.inter_region_latency_ms,
-        }
-    }
-
     /// Bandwidth in bytes/s.
     pub fn bytes_per_sec(&self) -> f64 {
         self.bandwidth_mbps * 1e6 / 8.0

@@ -642,27 +642,22 @@ pub struct KvTransferRecord {
 }
 
 /// What [`FleetTopology::replan`](crate::FleetTopology::replan) did: which
-/// models were re-solved and the warm flow value each standing evaluator
-/// reported.
+/// models were re-solved and the flow value of each one's new plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
     /// Models whose shares changed or placement moved; only these were
-    /// re-solved (warm) — every other model's topology is untouched.
+    /// re-solved — every other model's topology is untouched.
     pub affected: Vec<ModelId>,
-    /// Warm max-flow value per affected model, in `affected` order, from the
-    /// standing incremental evaluators.
+    /// Max-flow value per affected model, in `affected` order: the
+    /// `flow_value()` of the model's re-materialised
+    /// [`Topology`](crate::Topology).  No warm solve produces it; the name
+    /// survives only because the frozen harness (`perf/src/surface.rs`)
+    /// reads the field.
     pub warm_flow_values: Vec<f64>,
     /// The partial-layer migrations the applied delta carried — the KV
     /// hand-overs the execution surface now owes (planning itself moves no
     /// state).
     pub migrations: Vec<KvMigration>,
-}
-
-impl ReplanOutcome {
-    /// Whether the re-plan changed nothing (no affected model).
-    pub fn is_noop(&self) -> bool {
-        self.affected.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -110,8 +110,6 @@ struct PrefixHome {
 #[derive(Debug, Clone)]
 pub struct PrefixRouter {
     homes: HashMap<PrefixId, PrefixHome>,
-    kv_high_water: f64,
-    tokens_per_page: usize,
     stats: PrefixStats,
 }
 
@@ -122,27 +120,14 @@ impl Default for PrefixRouter {
 }
 
 impl PrefixRouter {
-    /// Creates a router with the default high-water fraction
-    /// ([`KV_HIGH_WATER`]) and page size ([`DEFAULT_TOKENS_PER_PAGE`]).
+    /// Creates an empty router.  The feasibility check uses the
+    /// [`KV_HIGH_WATER`] fraction and the `shared_pages` counter
+    /// [`DEFAULT_TOKENS_PER_PAGE`]-token pages.
     pub fn new() -> Self {
         PrefixRouter {
             homes: HashMap::new(),
-            kv_high_water: KV_HIGH_WATER,
-            tokens_per_page: DEFAULT_TOKENS_PER_PAGE,
             stats: PrefixStats::default(),
         }
-    }
-
-    /// Overrides the KV high-water fraction used for the feasibility check.
-    pub fn with_high_water(mut self, fraction: f64) -> Self {
-        self.kv_high_water = fraction;
-        self
-    }
-
-    /// Overrides the KV page size used for the `shared_pages` counter.
-    pub fn with_tokens_per_page(mut self, tokens: usize) -> Self {
-        self.tokens_per_page = tokens.max(1);
-        self
     }
 
     /// Routes a request referencing `prefix` whose shared range is `tokens`
@@ -162,7 +147,7 @@ impl PrefixRouter {
         };
         let saturated = home.pipeline.stages.iter().any(|stage| {
             let capacity = state.kv_capacity_tokens(stage.node);
-            capacity.is_finite() && state.kv_used_tokens(stage.node) > self.kv_high_water * capacity
+            capacity.is_finite() && state.kv_used_tokens(stage.node) > KV_HIGH_WATER * capacity
         });
         if saturated {
             return PrefixRoute::Bypass;
@@ -171,7 +156,7 @@ impl PrefixRouter {
         home.refcount += 1;
         self.stats.prefix_hits += 1;
         self.stats.prefill_tokens_saved += shared_tokens as u64;
-        self.stats.shared_pages += shared_tokens.div_ceil(self.tokens_per_page) as u64;
+        self.stats.shared_pages += shared_tokens.div_ceil(DEFAULT_TOKENS_PER_PAGE) as u64;
         PrefixRoute::Hit {
             pipeline: home.pipeline.clone(),
             shared_tokens,

@@ -2,16 +2,18 @@
 //!
 //! For any valid sequence of placement deltas and observation snapshots,
 //! [`FleetTopology::replan`] — which re-derives shares only for touched
-//! nodes and re-solves only affected models on standing warm evaluators —
-//! must produce node capacities, flows, KV capacities, link capacities,
-//! link splits and IWRR weights **bit-identical** to a from-scratch
+//! nodes and re-solves only affected models — must produce node capacities,
+//! flows, KV capacities, link capacities, link splits and IWRR weights
+//! **bit-identical** to a from-scratch
 //! [`FleetTopology::plan_observed`] of the mutated placement under the same
 //! observations.  The incremental path may not drift from the canonical one,
 //! not even after several chained re-plans.
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
 use helix_core::fleet::{fleet_profiles, FleetPlacement, FleetTopology};
-use helix_core::{IwrrScheduler, LayerRange, NodeObservations, PlacementDelta, Topology};
+use helix_core::{
+    IwrrScheduler, LayerRange, NodeObservations, PlacementDelta, ReplanOutcome, Topology,
+};
 use proptest::prelude::*;
 
 fn profiles() -> Vec<ClusterProfile> {
@@ -166,6 +168,19 @@ fn assert_fleets_identical(replanned: &FleetTopology, scratch: &FleetTopology) {
     }
 }
 
+/// Asserts the outcome reports, per affected model, exactly the flow value
+/// of the topology the re-plan materialised.
+fn assert_outcome_reports_planned_flows(outcome: &ReplanOutcome, fleet: &FleetTopology) {
+    assert_eq!(outcome.warm_flow_values.len(), outcome.affected.len());
+    for (&model, value) in outcome.affected.iter().zip(&outcome.warm_flow_values) {
+        assert_eq!(
+            value.to_bits(),
+            fleet.model(model).unwrap().flow_value().to_bits(),
+            "reported flow of {model:?}"
+        );
+    }
+}
+
 /// Builds a migration delta from raw proptest picks: each pick tries to move
 /// the prefix or suffix half of some assigned range onto the chain-adjacent
 /// node (skipping picks the placement cannot absorb), returning the delta
@@ -245,16 +260,17 @@ proptest! {
         // First re-plan: a delta plus an observation snapshot.
         let (delta, mutated) = valid_delta(&profiles, &base, &moves);
         let observed = observations(&obs_picks, n, 2);
-        fleet.replan(&delta, &observed).unwrap();
+        let outcome = fleet.replan(&delta, &observed).unwrap();
+        assert_outcome_reports_planned_flows(&outcome, &fleet);
         prop_assert_eq!(fleet.placement(), &mutated);
         let scratch = FleetTopology::plan_observed(&profiles, &mutated, true, &observed).unwrap();
         assert_fleets_identical(&fleet, &scratch);
 
-        // Second re-plan from the already-replanned state (the standing
-        // evaluators and cached shares must not drift): new observations,
-        // no placement change.
+        // Second re-plan from the already-replanned state (the cached
+        // shares must not drift): new observations, no placement change.
         let observed2 = observations(&second_obs_picks, n, 2);
-        fleet.replan(&PlacementDelta::new(), &observed2).unwrap();
+        let outcome2 = fleet.replan(&PlacementDelta::new(), &observed2).unwrap();
+        assert_outcome_reports_planned_flows(&outcome2, &fleet);
         let scratch2 =
             FleetTopology::plan_observed(&profiles, &mutated, true, &observed2).unwrap();
         assert_fleets_identical(&fleet, &scratch2);
@@ -280,6 +296,7 @@ proptest! {
         let (delta, mutated) = valid_migration_delta(&profiles, &base, &picks);
         let observed = observations(&obs_picks, n, 2);
         let outcome = fleet.replan(&delta, &observed).unwrap();
+        assert_outcome_reports_planned_flows(&outcome, &fleet);
         prop_assert_eq!(fleet.placement(), &mutated);
         prop_assert_eq!(outcome.migrations.len(), delta.migrations().len());
         let scratch = FleetTopology::plan_observed(&profiles, &mutated, true, &observed).unwrap();
@@ -288,7 +305,8 @@ proptest! {
         // Chained migrations: a second migration delta resolved against the
         // *already migrated* placement must not drift either.
         let (delta2, mutated2) = valid_migration_delta(&profiles, &mutated, &second_picks);
-        fleet.replan(&delta2, &observed).unwrap();
+        let outcome2 = fleet.replan(&delta2, &observed).unwrap();
+        assert_outcome_reports_planned_flows(&outcome2, &fleet);
         prop_assert_eq!(fleet.placement(), &mutated2);
         let scratch2 =
             FleetTopology::plan_observed(&profiles, &mutated2, true, &observed).unwrap();
@@ -297,7 +315,7 @@ proptest! {
 }
 
 /// The minimality half of the acceptance criterion: a single-node delta on a
-/// *disjoint* fleet re-solves only the model owning the node, warm.
+/// *disjoint* fleet re-solves only the model owning the node.
 #[test]
 fn single_node_delta_resolves_only_the_owning_model() {
     let profiles = fleet_profiles(
@@ -312,11 +330,7 @@ fn single_node_delta_resolves_only_the_owning_model() {
     );
     let (placement, _) = planner.solve().unwrap();
     let mut fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
-    let flows_before: Vec<f64> = fleet
-        .topologies()
-        .iter()
-        .map(Topology::flow_value)
-        .collect();
+    let untouched_before = fleet.model(ModelId(0)).unwrap().clone();
 
     // Shrink one of model 1's layer ranges by one layer (keeping validity).
     let (node, range) = placement.placements()[1]
@@ -343,14 +357,14 @@ fn single_node_delta_resolves_only_the_owning_model() {
         "only the owner re-solves"
     );
     assert_eq!(outcome.warm_flow_values.len(), 1);
-    // Model 0 was not re-planned: identical flow value, no standing
-    // evaluator was ever built for it.
+    // Model 0 was not re-planned: its topology is bit-identical to before.
+    let untouched = fleet.model(ModelId(0)).unwrap();
     assert_eq!(
-        fleet.model(ModelId(0)).unwrap().flow_value(),
-        flows_before[0]
+        untouched.flow_value().to_bits(),
+        untouched_before.flow_value().to_bits()
     );
-    assert_eq!(fleet.standing_warm_solves(ModelId(0)), None);
-    assert!(fleet.standing_warm_solves(ModelId(1)).is_some());
+    assert!(untouched.nodes().eq(untouched_before.nodes()));
+    assert_eq!(untouched.links(), untouched_before.links());
     // And the result still equals the cold plan of the mutated placement.
     let mut mutated = placement.placements().to_vec();
     mutated[1].assign(node, LayerRange::new(range.start, range.end - 1));

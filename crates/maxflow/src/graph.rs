@@ -73,25 +73,10 @@ pub(crate) struct ArenaEdge {
     pub(crate) residual: f64,
 }
 
-/// Opaque snapshot of a network's capacities and standing flow, produced by
-/// [`FlowNetwork::snapshot_flows`].
-#[derive(Debug, Clone)]
-pub struct FlowSnapshot {
-    /// `(capacity, residual)` per arena edge.
-    state: Vec<(f64, f64)>,
-}
-
-impl FlowSnapshot {
-    /// An empty snapshot to be filled by [`FlowNetwork::snapshot_flows_into`].
-    pub fn empty() -> Self {
-        FlowSnapshot { state: Vec::new() }
-    }
-}
-
 /// Delta undo-log: a first-touch journal of the arena edges mutated since
 /// [`FlowNetwork::begin_undo_log`].
 ///
-/// Where [`FlowSnapshot`] copies all `E` arena edges up front, the journal
+/// Where a full copy would save all `E` arena edges up front, the journal
 /// records `(index, capacity, residual)` only for edges actually written by
 /// capacity updates, flow repair or a warm re-solve — rejected annealing
 /// moves that touch a handful of edges roll back in O(touched), and a re-solve
@@ -520,8 +505,7 @@ impl FlowNetwork {
     /// [`FlowNetwork::rollback_undo_log`] or
     /// [`FlowNetwork::discard_undo_log`].
     ///
-    /// This is the O(touched) alternative to the O(E)
-    /// [`FlowNetwork::snapshot_flows`]/[`FlowNetwork::restore_flows`] pair:
+    /// This is the O(touched) alternative to copying all `E` arena edges:
     /// rejected annealing moves perturb a handful of edges out of thousands,
     /// so rolling back only what was written dominates at fleet scale.
     /// Calling `begin_undo_log` while a transaction is open discards the old
@@ -574,49 +558,6 @@ impl FlowNetwork {
     pub fn discard_undo_log(&mut self) {
         self.journal.entries.clear();
         self.journal.active = false;
-    }
-
-    /// Captures the standing flow state (capacities and residuals) so a
-    /// sequence of [`FlowNetwork::set_capacity`] +
-    /// [`FlowNetwork::resolve_from_residual`] calls can be rolled back in
-    /// O(E) without re-solving (see [`FlowNetwork::restore_flows`]).
-    pub fn snapshot_flows(&self) -> FlowSnapshot {
-        FlowSnapshot {
-            state: self.edges.iter().map(|e| (e.cap, e.residual)).collect(),
-        }
-    }
-
-    /// Like [`FlowNetwork::snapshot_flows`], but reuses `snapshot`'s storage
-    /// (no allocation once warmed up) — for callers that snapshot on every
-    /// iteration of a hot loop.
-    pub fn snapshot_flows_into(&self, snapshot: &mut FlowSnapshot) {
-        snapshot.state.clear();
-        snapshot
-            .state
-            .extend(self.edges.iter().map(|e| (e.cap, e.residual)));
-    }
-
-    /// Restores the capacities and flow state captured by
-    /// [`FlowNetwork::snapshot_flows`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidEdge`] if the snapshot was taken on a
-    /// network with a different edge count.
-    pub fn restore_flows(&mut self, snapshot: &FlowSnapshot) -> Result<(), FlowError> {
-        if snapshot.state.len() != self.edges.len() {
-            return Err(FlowError::InvalidEdge {
-                index: snapshot.state.len(),
-                len: self.edges.len(),
-            });
-        }
-        // A bulk restore supersedes any open undo-log transaction.
-        self.discard_undo_log();
-        for (edge, &(cap, residual)) in self.edges.iter_mut().zip(&snapshot.state) {
-            edge.cap = cap;
-            edge.residual = residual;
-        }
-        Ok(())
     }
 
     /// Discards any flow stored on the network, returning every edge to the

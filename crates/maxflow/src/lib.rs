@@ -10,7 +10,9 @@
 //! * [`push_relabel`] — the preflow-push algorithm (the algorithm cited by the
 //!   paper), with FIFO active-node selection, the gap heuristic and periodic
 //!   global relabeling.
-//! * [`dinic`] — Dinic's algorithm, used as an independent cross-check.
+//! * [`dinic`] — Dinic's algorithm: what the planners' warm re-solves
+//!   ([`FlowNetwork::resolve_from_residual`]) run, and an independent
+//!   cross-check of cold solves.
 //! * [`edmonds_karp`] — Edmonds–Karp, used in tests for a third opinion.
 //! * [`min_cut`] — the source-side minimum cut induced by a maximum flow.
 //! * [`decompose_paths`] — decomposition of a feasible flow into source→sink
@@ -43,7 +45,7 @@ pub use decompose::{decompose_paths, FlowPath};
 pub use dinic::dinic;
 pub use edmonds_karp::edmonds_karp;
 pub use error::FlowError;
-pub use graph::{EdgeId, EdgeRef, FlowNetwork, FlowResult, FlowSnapshot, NodeId};
+pub use graph::{EdgeId, EdgeRef, FlowNetwork, FlowResult, NodeId};
 pub use min_cut::{min_cut, MinCut};
 pub use push_relabel::push_relabel;
 

@@ -142,11 +142,6 @@ impl MilpSolver {
         }
     }
 
-    /// Mutable access to the options (builder-style tweaking).
-    pub fn options_mut(&mut self) -> &mut MilpOptions {
-        &mut self.options
-    }
-
     /// Sets the wall-clock budget and returns `self` for chaining.
     pub fn time_limit(mut self, limit: Duration) -> Self {
         self.options.time_limit = limit;

@@ -230,15 +230,6 @@ impl Model {
         Ok(idx)
     }
 
-    /// Sets the objective coefficient of an existing variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to the model.
-    pub fn set_objective_coeff(&mut self, var: VarId, coeff: f64) {
-        self.variables[var.0].objective = coeff;
-    }
-
     /// Overwrites the bounds of an existing variable.
     ///
     /// # Errors

@@ -72,8 +72,6 @@ pub(crate) enum SessionControl {
     /// (node, model) tenancies and retire ones the plan dropped (after their
     /// in-flight pipelines drain).
     ApplyDelta(PlacementDelta),
-    /// Retire a worker that the active plan no longer schedules onto.
-    Retire(NodeId, ModelId),
     /// Fail a node at the given virtual time: detach its workers, promote
     /// replicated in-flight pipelines onto their standbys (or abort and
     /// re-admit), and re-plan around the hole.
@@ -263,9 +261,6 @@ impl Coordinator {
                         let now = self.clock.now();
                         let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
                         self.hand_over(outcome, now);
-                    }
-                    Ok(SessionControl::Retire(node, model)) => {
-                        self.request_retirement(node, model);
                     }
                     Ok(SessionControl::FailNode(node, at)) => {
                         self.pending_failures.push((at, node));
@@ -539,17 +534,6 @@ impl Coordinator {
         let pending = &self.pending_migrations;
         if !pending.iter().any(|&(m, _)| m.model == model) {
             self.control.install_scheduler(model);
-        }
-    }
-
-    /// Queues the retirement of one worker, refusing pairs the active plan
-    /// still schedules onto (retiring those would strand new pipelines).
-    fn request_retirement(&mut self, node: NodeId, model: ModelId) {
-        let fleet = self.control.fleet();
-        let still_planned = fleet.model(model).is_some_and(|t| t.node(node).is_some());
-        if !still_planned && self.registry.is_live((node, model)) {
-            self.pending_retire.insert((node, model));
-            self.sweep_retirements();
         }
     }
 

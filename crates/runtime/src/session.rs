@@ -6,13 +6,13 @@
 //! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
 //! placement deltas that can *spawn new workers*
 //! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
-//! drain-aware worker retirement.  The batch call is a thin convenience
+//! retire dropped ones once they drain.  The batch call is a thin convenience
 //! wrapper: [`ServingSession::serve`] is submit-everything → drain → finish
 //! over the same loop every other call drives.
 //!
 //! The whole data plane — coordinator, workers, fabric — is a set of async
 //! tasks on one executor.  Once the session goes live (first `submit`,
-//! `serve`, delta or retirement) a single dedicated `helix-dataplane` thread
+//! `serve` or delta) a single dedicated `helix-dataplane` thread
 //! drives it, so the OS thread count stays O(1) however many nodes the fleet
 //! has.
 
@@ -21,7 +21,7 @@ use crate::error::RuntimeError;
 use crate::message::RuntimeMsg;
 use crate::metrics::{RequestOutcome, RuntimeReport};
 use crate::runtime::Wired;
-use helix_cluster::{ModelId, NodeId};
+use helix_cluster::NodeId;
 use helix_core::{PlacementDelta, ReplicationPolicy};
 use helix_workload::{Request, TicketId, Workload};
 use minirt::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -95,7 +95,7 @@ impl ServingSession {
     }
 
     /// Whether the data plane is running on its own thread (true after the
-    /// first `submit`, delta or retirement).
+    /// first `submit` or delta).
     pub fn is_live(&self) -> bool {
         self.live.is_some()
     }
@@ -250,14 +250,6 @@ impl ServingSession {
     pub fn apply_placement_delta(&mut self, delta: PlacementDelta) {
         self.ensure_live();
         self.send_control(SessionControl::ApplyDelta(delta));
-    }
-
-    /// Requests the retirement of one worker.  The coordinator refuses pairs
-    /// the active plan still schedules onto; accepted retirements take
-    /// effect once the worker's in-flight pipelines drain.
-    pub fn retire_worker(&mut self, node: NodeId, model: ModelId) {
-        self.ensure_live();
-        self.send_control(SessionControl::Retire(node, model));
     }
 
     /// Fails `node` at virtual time `at`: its workers are detached, every

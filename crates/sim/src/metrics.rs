@@ -93,15 +93,6 @@ impl IntervalMetrics {
         (self.end - self.start).max(0.0)
     }
 
-    /// One model's decode throughput over the window (tokens/s).
-    pub fn model_throughput(&self, model: usize) -> f64 {
-        let d = self.duration();
-        if d <= 0.0 {
-            return 0.0;
-        }
-        self.decode_tokens.get(model).copied().unwrap_or(0) as f64 / d
-    }
-
     /// Fleet-total decode throughput over the window (tokens/s).
     pub fn total_throughput(&self) -> f64 {
         let d = self.duration();

@@ -275,11 +275,6 @@ impl ClusterSimulator {
         &self.fleet().topologies()[0]
     }
 
-    /// The placement the simulator is running for one model.
-    pub fn model_placement(&self, model: ModelId) -> Option<&ModelPlacement> {
-        self.fleet().model(model).map(Topology::placement)
-    }
-
     /// The placement the simulator is running (the first model's lane).
     pub fn placement(&self) -> &ModelPlacement {
         self.topology().placement()

@@ -490,6 +490,11 @@ fn migration_transfers_a_shared_prefix_once_not_per_sharer() {
     assert_eq!(aware_report.prefix.prefix_hits, 23);
     assert_eq!(aware_report.prefix.prefill_tokens_saved, 23 * 64);
     assert_eq!(blind_report.prefix, helix_core::PrefixStats::default());
+    // Skipped prefill is time saved: the aware run serves at least as fast.
+    assert!(
+        aware_report.metrics.overall.decode_throughput()
+            >= blind_report.metrics.overall.decode_throughput()
+    );
 
     // Deduplicated pricing: the blind run carries a private 96-token prompt
     // per request where the aware run carries a 32-token suffix each plus

@@ -205,20 +205,6 @@ impl Workload {
         self
     }
 
-    /// Tags requests with preferred regions round-robin by arrival order:
-    /// request `i` prefers `regions[i % regions.len()]` — a deterministic
-    /// stand-in for user locality.  An empty slice leaves the workload
-    /// untouched; see [`Request::region`] for how front tiers use the tag.
-    pub fn with_regions(mut self, regions: &[helix_cluster::Region]) -> Self {
-        if regions.is_empty() {
-            return self;
-        }
-        for (i, r) in self.requests.iter_mut().enumerate() {
-            r.region = Some(regions[i % regions.len()]);
-        }
-        self
-    }
-
     /// Strips every shared-prefix tag, yielding the cache-blind equivalent
     /// of the workload: identical token counts and arrivals, but no request
     /// can share KV pages or skip prefill work.  The baseline side of
