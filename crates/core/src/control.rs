@@ -53,6 +53,7 @@
 //! the policy clock with the re-plan and fail-over logs.  Surfaces hold no
 //! copy of any of it; they read it through the accessors below.
 
+use crate::engine::IdMap;
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use crate::{
     select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology, HelixError,
@@ -196,9 +197,9 @@ pub struct ControlPlane {
     /// Layer ranges each failed node held when it dropped, handed back to
     /// the planner if it rejoins.
     rejoin_ranges: HashMap<NodeId, Vec<(ModelId, LayerRange)>>,
-    epochs: HashMap<RequestId, u64>,
-    in_flight: HashMap<RequestId, InFlight>,
-    resume: HashMap<RequestId, ResumeCredit>,
+    epochs: IdMap<RequestId, u64>,
+    in_flight: IdMap<RequestId, InFlight>,
+    resume: IdMap<RequestId, ResumeCredit>,
     policy: Option<ReplanPolicy>,
     windows: ObservationWindows,
     last_check: f64,
@@ -232,9 +233,9 @@ impl ControlPlane {
             failed: HashSet::new(),
             node_health,
             rejoin_ranges: HashMap::new(),
-            epochs: HashMap::new(),
-            in_flight: HashMap::new(),
-            resume: HashMap::new(),
+            epochs: IdMap::default(),
+            in_flight: IdMap::default(),
+            resume: IdMap::default(),
             policy: None,
             windows: ObservationWindows::new(),
             last_check: 0.0,

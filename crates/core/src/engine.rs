@@ -60,6 +60,20 @@
 //! a change that re-records `perf/exact.json` can put the simulator on 16
 //! and delete it.
 //!
+//! # Batch buffers and id hashing
+//!
+//! Steady-state batching allocates nothing.  With no live freeze,
+//! [`start_batch`](EngineCore::start_batch) swaps the queue with the (empty)
+//! in-flight buffer instead of partitioning it, and
+//! [`complete_batch`](EngineCore::complete_batch) swaps the finished batch
+//! into a buffer the caller owns — so three buffers rotate between the
+//! caller, the batch and the queue, each keeping its capacity.  The maps
+//! that remain on the per-token and per-batch-item paths (this pool's, the
+//! control plane's in-flight, epoch and resume tables, the replica tracker)
+//! are keyed by request and prefix ids — integers minted in-process — and use
+//! a one-multiply folding hasher instead of SipHash; no result depends on
+//! their iteration order (every snapshot and id list is sorted).
+//!
 //! # The checked front
 //!
 //! [`PagedKvPool::append_tokens`], [`attach_prefix`](PagedKvPool::attach_prefix)
@@ -77,9 +91,35 @@ use helix_cluster::PrefixId;
 use helix_workload::RequestId;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Seconds of the recent-throughput window.
 const THROUGHPUT_WINDOW_SECS: f64 = 10.0;
+
+/// Multiply-fold hasher for the id-keyed maps of this crate (see the
+/// [module documentation](self)): one widening multiply per `u64` written.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let wide = u128::from(self.0 ^ id) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
+/// A map keyed by a `RequestId` or `PrefixId`.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Error returned when the checked front cannot satisfy an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,8 +191,8 @@ pub struct PagedKvPool {
     tokens_per_page: usize,
     capacity_tokens: f64,
     total_pages: usize,
-    requests: HashMap<RequestId, Residency>,
-    prefixes: HashMap<PrefixId, SharedPrefix>,
+    requests: IdMap<RequestId, Residency>,
+    prefixes: IdMap<PrefixId, SharedPrefix>,
     used_pages: usize,
     used_tokens: usize,
     shared_pages: usize,
@@ -168,8 +208,8 @@ impl PagedKvPool {
             tokens_per_page: tokens_per_page.max(1),
             capacity_tokens: 0.0,
             total_pages: 0,
-            requests: HashMap::new(),
-            prefixes: HashMap::new(),
+            requests: IdMap::default(),
+            prefixes: IdMap::default(),
             used_pages: 0,
             used_tokens: 0,
             shared_pages: 0,
@@ -640,24 +680,28 @@ impl<W: Work> EngineCore<W> {
             return None;
         }
         self.frozen.retain(|&(_, until)| now < until);
-        let mut batch = std::mem::take(&mut self.pending);
-        if !self.frozen.is_empty() {
+        if self.frozen.is_empty() {
+            // `in_flight` is empty (the engine is idle): the whole queue
+            // becomes the batch and its spent buffer the next queue.
+            std::mem::swap(&mut self.pending, &mut self.in_flight);
+        } else {
             let frozen = &self.frozen;
-            (self.pending, batch) = batch.into_iter().partition(|item| {
+            let runnable = self.pending.extract_if(.., |item| {
                 let layers = item.meta().layers;
-                frozen.iter().any(|&(range, _)| range.intersects(layers))
+                !frozen.iter().any(|&(range, _)| range.intersects(layers))
             });
-            if batch.is_empty() {
+            self.in_flight.extend(runnable);
+            if self.in_flight.is_empty() {
                 return None;
             }
         }
         let mut run = BatchRun {
-            nominal_secs: cost(&batch),
+            nominal_secs: cost(&self.in_flight),
             actual_secs: 0.0,
             prompt_tokens: 0,
             decode_tokens: 0,
         };
-        for item in &batch {
+        for item in &self.in_flight {
             let item = item.meta();
             let mut cached = item.tokens;
             if let Some(p) = item.prefix {
@@ -688,13 +732,14 @@ impl<W: Work> EngineCore<W> {
             self.window_tokens = 0;
             self.window_start = now;
         }
-        self.in_flight = batch;
         Some(run)
     }
 
-    /// Completes the executing batch, returning its items for routing (none
-    /// when the engine is idle).
-    pub fn complete_batch(&mut self) -> Vec<W> {
-        std::mem::take(&mut self.in_flight)
+    /// Completes the executing batch: `done` is emptied and receives the
+    /// batch's items for routing (none when the engine is idle), and its
+    /// buffer becomes the engine's next batch buffer.
+    pub fn complete_batch(&mut self, done: &mut Vec<W>) {
+        done.clear();
+        std::mem::swap(&mut self.in_flight, done);
     }
 }

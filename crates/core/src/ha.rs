@@ -30,11 +30,12 @@
 //! surface's own link model; this module only does the bookkeeping the two
 //! surfaces must agree on.
 
+use crate::engine::IdMap;
 use crate::placement::LayerRange;
 use crate::region::{MembershipOptions, RegionHealth};
 use helix_cluster::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Node-level health classification — the same three states (and the same
 /// decay and override semantics) as region membership.
@@ -168,7 +169,7 @@ struct ReplicaProgress {
 /// standbys.  Pure bookkeeping — identical on both execution surfaces.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaTracker {
-    entries: HashMap<u64, ReplicaProgress>,
+    entries: IdMap<u64, ReplicaProgress>,
     stats: ReplicationStats,
 }
 

@@ -295,7 +295,7 @@ fn an_idle_engine_starts_a_batch_and_a_busy_one_does_not() {
     // More work arrives while busy; no new batch can start.
     e.enqueue(decode(2));
     assert!(e.start_batch(0.1, cost).is_none());
-    assert_eq!(e.complete_batch(), vec![decode(1)]);
+    assert_eq!(complete(&mut e), vec![decode(1)]);
     assert!(!e.is_busy());
     assert_eq!(e.queue_len(), 1);
 }
@@ -304,9 +304,9 @@ fn an_idle_engine_starts_a_batch_and_a_busy_one_does_not() {
 #[test]
 fn completing_an_idle_engine_returns_nothing() {
     let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
-    assert!(e.complete_batch().is_empty());
+    assert!(complete(&mut e).is_empty());
     e.enqueue(decode(1));
-    assert!(e.complete_batch().is_empty(), "queued is not in flight");
+    assert!(complete(&mut e).is_empty(), "queued is not in flight");
     assert_eq!(e.queue_len(), 1);
 }
 
@@ -321,14 +321,14 @@ fn kv_accounting_and_the_overflow_penalty() {
     let fast = big.start_batch(0.0, cost).unwrap();
     assert_eq!(slow.nominal_secs, fast.nominal_secs * KV_OVERFLOW_PENALTY);
     assert_eq!(small.kv.used_tokens(), 200.0, "overflow is recorded");
-    small.complete_batch();
+    complete(&mut small);
     // The next batch is still over capacity and is penalised too, even
     // though its own append is tiny — the rule looks at the pool, not at
     // the allocation.
     small.enqueue(decode(1));
     let still_slow = small.start_batch(1.0, cost).unwrap();
     assert_eq!(still_slow.nominal_secs, 0.016 * KV_OVERFLOW_PENALTY);
-    small.complete_batch();
+    complete(&mut small);
     small.release_request(1);
     assert_eq!(small.kv.used_tokens(), 0.0);
     small.enqueue(decode(2));
@@ -362,7 +362,7 @@ fn a_prefix_miss_caches_the_shared_range_once_and_a_hit_reuses_it() {
     assert_eq!(e.kv.snapshot(), vec![(1, 36), (2, 30)]);
     assert_eq!(e.kv.prefix_snapshot(), vec![(PrefixId(3), 64, vec![1, 2])]);
     assert_eq!(e.kv.used_tokens(), 130.0);
-    e.complete_batch();
+    complete(&mut e);
     e.release_request(1);
     assert_eq!(e.kv.shared_pages(), 4, "request 2 still shares it");
     e.release_request(2);
@@ -378,7 +378,7 @@ fn the_throughput_window_and_the_counters_update() {
         e.enqueue(decode(round));
         let run = e.start_batch(now, cost).unwrap();
         assert_eq!(run.actual_secs, 2.0 * run.nominal_secs);
-        e.complete_batch();
+        complete(&mut e);
         e.release_request(round);
         now += 0.1;
     }
@@ -403,7 +403,7 @@ fn a_failed_engine_starts_nothing_until_it_recovers_and_a_purge_drops_queued_wor
     assert_eq!(e.kv.used_tokens(), 0.0);
     e.recover();
     assert!(e.start_batch(0.0, cost).is_some());
-    assert_eq!(e.complete_batch(), vec![decode(2)]);
+    assert_eq!(complete(&mut e), vec![decode(2)]);
 }
 
 #[test]
@@ -417,13 +417,13 @@ fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     e.enqueue(runnable.clone());
 
     assert!(e.start_batch(0.0, cost).is_some(), "disjoint layers batch");
-    assert_eq!(e.complete_batch(), vec![runnable], "only un-frozen work");
+    assert_eq!(complete(&mut e), vec![runnable], "only un-frozen work");
     assert_eq!(e.queue_len(), 1, "frozen work still queued");
     // While the range is frozen the held item cannot start...
     assert!(e.start_batch(9.9, cost).is_none());
     // ...but once the freeze expires it batches normally.
     assert!(e.start_batch(10.0, cost).is_some());
-    assert_eq!(e.complete_batch(), vec![held.clone()]);
+    assert_eq!(complete(&mut e), vec![held.clone()]);
 
     // A freeze without a deadline holds until its explicit thaw; stacked
     // freezes of one range thaw one at a time.
@@ -435,7 +435,7 @@ fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     assert!(e.start_batch(1e12, cost).is_none(), "one freeze remains");
     e.thaw(LayerRange::new(0, 5));
     assert!(e.start_batch(1e12, cost).is_some());
-    assert_eq!(e.complete_batch(), vec![held]);
+    assert_eq!(complete(&mut e), vec![held]);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,6 +518,47 @@ fn check_table(pool: &PagedKvPool, model: &TableModel, page: usize) -> Result<()
     Ok(())
 }
 
+/// Un-frozen batches take the whole queue by swapping buffers; a live freeze
+/// forces the partition path in between.  Order, contents and the queue
+/// length agree across the switch, through one standing caller buffer.
+#[test]
+fn a_frozen_range_partitions_between_two_swapped_batches() {
+    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut done = Vec::new();
+    let low = |id| item(id, id, Phase::Decode, 1, LayerRange::new(0, 4));
+    let high = |id| item(id, id, Phase::Decode, 1, LayerRange::new(4, 8));
+    // Swap path: everything queued runs, in arrival order.
+    for id in [1, 2, 3] {
+        e.enqueue(if id == 2 { high(id) } else { low(id) });
+    }
+    assert_eq!(start(&mut e, 0.0).unwrap().0, [1, 2, 3]);
+    e.enqueue(low(4));
+    assert_eq!(complete_into(&mut e, &mut done), [1, 2, 3]);
+    // Partition path: layers 4..8 freeze until t = 5, so 5 and 7 wait while
+    // 4 and 6 run — both halves keep their arrival order.
+    e.freeze(LayerRange::new(4, 8), 5.0);
+    for id in [5, 6, 7] {
+        e.enqueue(if id == 6 { low(id) } else { high(id) });
+    }
+    assert_eq!(start(&mut e, 1.0).unwrap().0, [4, 6]);
+    assert_eq!(e.queue_len(), 2);
+    assert_eq!(complete_into(&mut e, &mut done), [4, 6]);
+    // Everything runnable is frozen: no batch, nothing lost.
+    assert!(start(&mut e, 2.0).is_none());
+    assert!(!e.is_busy());
+    assert_eq!(e.queue_len(), 2);
+    // Swap path again once the deadline passed, behind the held work.
+    e.enqueue(low(8));
+    assert_eq!(start(&mut e, 5.0).unwrap().0, [5, 7, 8]);
+    assert_eq!(complete_into(&mut e, &mut done), [5, 7, 8]);
+    assert_eq!(
+        complete_into(&mut e, &mut done),
+        [0u64; 0],
+        "idle: nothing completes"
+    );
+    assert_eq!(e.queue_len(), 0);
+}
+
 /// Runs `start_batch` and reports the ids it started with its nominal time.
 fn start(engine: &mut EngineCore<Item>, now: f64) -> Option<(Vec<u64>, f64)> {
     let mut ids = Vec::new();
@@ -526,6 +567,21 @@ fn start(engine: &mut EngineCore<Item>, now: f64) -> Option<(Vec<u64>, f64)> {
         cost(batch)
     })?;
     Some((ids, run.nominal_secs))
+}
+
+/// Completes the executing batch into a buffer whose stale content must not
+/// survive.
+fn complete(engine: &mut EngineCore<Item>) -> Vec<Item> {
+    let mut done = vec![decode(u64::MAX)];
+    engine.complete_batch(&mut done);
+    done
+}
+
+/// Completes the executing batch into the caller's standing buffer, as the
+/// surfaces do: the buffers rotate between caller, `in_flight` and `pending`.
+fn complete_into(engine: &mut EngineCore<Item>, done: &mut Vec<Item>) -> Vec<u64> {
+    engine.complete_batch(done);
+    done.iter().map(|i| i.id).collect()
 }
 
 fn ids(items: Vec<Item>) -> Vec<u64> {
@@ -674,6 +730,7 @@ proptest! {
     ) {
         let mut timed: EngineCore<Item> = EngineCore::new(1e9, 16);
         let mut manual: EngineCore<Item> = EngineCore::new(1e9, 16);
+        let (mut timed_done, mut manual_done) = (Vec::new(), Vec::new());
         let mut now = 0.0;
         // The model: live freezes, queued items in arrival order, fates.
         let mut live: Vec<(LayerRange, f64)> = Vec::new();
@@ -730,8 +787,8 @@ proptest! {
                     });
                 }
                 7 => {
-                    let done = ids(timed.complete_batch());
-                    prop_assert_eq!(&ids(manual.complete_batch()), &done);
+                    let done = complete_into(&mut timed, &mut timed_done);
+                    prop_assert_eq!(&complete_into(&mut manual, &mut manual_done), &done);
                     prop_assert_eq!(&done, &in_flight);
                     for id in in_flight.drain(..) {
                         prop_assert!(executed.insert(id), "item {id} executed twice");
@@ -768,8 +825,8 @@ proptest! {
                         queued.retain(|i| !expected.contains(&i.id));
                         in_flight = expected;
                     } else if drain {
-                        let done = ids(timed.complete_batch());
-                        prop_assert_eq!(&ids(manual.complete_batch()), &done);
+                        let done = complete_into(&mut timed, &mut timed_done);
+                        prop_assert_eq!(&complete_into(&mut manual, &mut manual_done), &done);
                         prop_assert_eq!(&done, &in_flight);
                         for id in in_flight.drain(..) {
                             prop_assert!(executed.insert(id), "item {id} executed twice");
@@ -820,7 +877,7 @@ proptest! {
                     }
                 }
                 4 => {
-                    prop_assert_eq!(ids(fine.complete_batch()), ids(paged.complete_batch()));
+                    prop_assert_eq!(ids(complete(&mut fine)), ids(complete(&mut paged)));
                 }
                 _ => {
                     fine.release_request(request);

@@ -128,6 +128,7 @@ pub(crate) fn spawn_worker(
         inbound,
         fabric,
         stats,
+        done: Vec::new(),
         shutdown: false,
     };
     executor.spawn(async move { worker.run().await })
@@ -143,6 +144,9 @@ struct Worker {
     /// Queue, frozen layer ranges, KV pool and batching rules.  A `Freeze`
     /// carries no deadline here: it holds until the matching `Resume`.
     core: EngineCore<StageWork>,
+    /// The finished batch; its buffer goes back to the core at the next
+    /// completion, so steady-state batching allocates nothing.
+    done: Vec<StageWork>,
     shutdown: bool,
 }
 
@@ -348,9 +352,12 @@ impl Worker {
             s.prompt_tokens += run.prompt_tokens;
             s.decode_tokens += run.decode_tokens;
         }
-        for item in self.core.complete_batch() {
+        let mut done = std::mem::take(&mut self.done);
+        self.core.complete_batch(&mut done);
+        for item in done.drain(..) {
             self.forward(item, now);
         }
+        self.done = done;
         self.publish_stats();
     }
 

@@ -17,8 +17,8 @@ impl Work for WorkItem {
     fn meta(&self) -> WorkMeta {
         WorkMeta {
             request: self.request,
-            phase: self.phase,
-            tokens: self.tokens,
+            phase: self.hop.phase,
+            tokens: self.hop.tokens as usize,
             layers: self.layers,
             prefix: self.prefix,
         }
@@ -115,8 +115,8 @@ impl NodeEngine {
         let exec = &self.exec;
         let run = self.core.start_batch(now, |batch| {
             exec.batch_secs(batch.iter().map(|item| WorkUnit {
-                phase: item.phase,
-                tokens: item.tokens,
+                phase: item.hop.phase,
+                tokens: item.hop.tokens as usize,
                 layers: item.layers.len(),
             }))
         })?;
@@ -127,8 +127,8 @@ impl NodeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Phase;
-    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
+    use crate::event::{Hop, Phase};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
     use helix_core::LayerRange;
 
     // Batching, freezes, KV residency and the throughput window are the
@@ -141,15 +141,17 @@ mod tests {
         NodeEngine::new(profile.node_profile(NodeId(0)), 10, kv_capacity_tokens)
     }
 
-    fn item(request: u64, phase: Phase, tokens: usize) -> WorkItem {
+    fn item(request: u64, phase: Phase, tokens: u32) -> WorkItem {
         WorkItem {
             request,
-            epoch: 0,
-            model: ModelId::default(),
-            phase,
-            tokens,
+            hop: Hop {
+                epoch: 0,
+                slot: 0,
+                tokens,
+                stage: 0,
+                phase,
+            },
             layers: LayerRange::new(0, 10),
-            stage_index: 0,
             prefix: None,
         }
     }
@@ -162,7 +164,9 @@ mod tests {
         let done = e.try_start_batch(2.0).unwrap();
         assert!(done > 2.0 + helix_core::exec_model::BATCH_OVERHEAD_SECS);
         assert!((done - 2.0 - e.counters().busy_secs).abs() < 1e-12);
-        assert_eq!(e.complete_batch().len(), 1);
+        let mut done = Vec::new();
+        e.complete_batch(&mut done);
+        assert_eq!(done.len(), 1);
         assert_eq!(e.layers_held(), 10);
     }
 
@@ -194,7 +198,7 @@ mod tests {
         assert!(slow > fast * 2.0, "the overflowing batch is penalised");
         assert_eq!(over.kv_used_tokens(), 51.0, "overflow is still recorded");
         assert_eq!(over.kv_capacity_tokens(), 50.5);
-        over.complete_batch();
+        over.complete_batch(&mut Vec::new());
         over.release_request(1);
         assert_eq!(over.kv_used_tokens(), 0.0);
     }

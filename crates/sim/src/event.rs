@@ -12,29 +12,37 @@ pub type SimTime = f64;
 /// Phase of an LLM request iteration (the shared execution-model type).
 pub use helix_core::exec_model::Phase;
 
-/// A unit of work delivered to a compute node: process `tokens` tokens of a
-/// request through `layers`.
-#[derive(Debug, Clone, PartialEq)]
+/// One pipeline hop on the wire — what a [`Event::NodeArrival`] carries.
+/// Everything else about the work (request id, node, layers, model, prefix)
+/// is read from the request's lane when the hop lands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hop {
+    /// Which admission of the request this work belongs to (0 for the
+    /// first).  A node failure aborts and re-admits the pipelines it
+    /// strands; hops of the aborted incarnation still in flight carry the
+    /// old epoch and are dropped instead of corrupting the new pipeline.
+    pub epoch: u64,
+    /// The request's slot in the run's request table.
+    pub slot: u32,
+    /// Number of tokens to run through the layers (prompt length for the
+    /// prompt phase, 1 for decode).
+    pub tokens: u32,
+    /// Index of the destination stage within the request's pipeline.
+    pub stage: u16,
+    /// Prompt or decode.
+    pub phase: Phase,
+}
+
+/// A unit of work queued on a compute node: a landed [`Hop`] with what the
+/// engine batches and accounts by.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkItem {
     /// The request this work belongs to.
     pub request: RequestId,
-    /// Which admission of the request this work belongs to (0 for the
-    /// first).  A node failure aborts and re-admits the pipelines it
-    /// strands; items of the aborted incarnation still in flight carry the
-    /// old epoch and are dropped instead of corrupting the new pipeline.
-    pub epoch: u64,
-    /// The fleet model the request targets (selects the per-model engine on
-    /// shared nodes).
-    pub model: ModelId,
-    /// Prompt or decode.
-    pub phase: Phase,
-    /// Number of tokens to run through the layers (prompt length for the
-    /// prompt phase, 1 for decode).
-    pub tokens: usize,
+    /// The hop that delivered it.
+    pub hop: Hop,
     /// Layers this node computes for this request.
     pub layers: LayerRange,
-    /// Index of this stage within the request's pipeline.
-    pub stage_index: usize,
     /// Shared-prefix work riding on this item (prompt phase only; `None`
     /// for decode iterations and prefix-free requests).  A cache hit's
     /// `tokens` already excludes the shared range; a miss's `tokens` include
@@ -192,13 +200,9 @@ pub enum Event {
         /// The arriving request.
         request: RequestId,
     },
-    /// A work item arrives at a compute node (after network transfer).
-    NodeArrival {
-        /// Destination node.
-        node: NodeId,
-        /// The work to enqueue.
-        item: WorkItem,
-    },
+    /// A pipeline hop arrives at its stage's compute node (after network
+    /// transfer).
+    NodeArrival(Hop),
     /// A node finishes the current batch of one model's engine.
     BatchComplete {
         /// The node that finished.
@@ -208,18 +212,13 @@ pub enum Event {
     },
     /// The coordinator receives a generated token for a request.
     TokenAtCoordinator {
-        /// The request that produced the token.
-        request: RequestId,
-        /// The admission epoch the token belongs to (see `WorkItem::epoch`).
+        /// The slot of the request that produced the token.
+        slot: u32,
+        /// The admission epoch the token belongs to (see [`Hop::epoch`]).
         epoch: u64,
-        /// Whether this token came from the prompt phase (the request's first
-        /// token) or a decode iteration.
-        phase: Phase,
     },
-    /// Bookkeeping tick used to close the measurement window.
-    MeasurementEnd,
     /// A scripted cluster/workload disturbance takes effect.
-    Perturbation(PerturbationEvent),
+    Perturbation(Box<PerturbationEvent>),
     /// Windowed observation boundary: interval metrics are emitted, engines
     /// are measured and the re-plan policy is consulted.
     ObservationTick,
@@ -236,6 +235,7 @@ pub enum Event {
 /// An event scheduled at a point in simulated time.
 #[derive(Debug, Clone)]
 struct ScheduledEvent {
+    /// `time + 0.0`: `-0.0` and `0.0` are one instant under `total_cmp`.
     time: SimTime,
     sequence: u64,
     event: Event,
@@ -243,7 +243,7 @@ struct ScheduledEvent {
 
 impl PartialEq for ScheduledEvent {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.sequence == other.sequence
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for ScheduledEvent {}
@@ -257,8 +257,7 @@ impl Ord for ScheduledEvent {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         other
             .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.time)
             .then(other.sequence.cmp(&self.sequence))
     }
 }
@@ -283,7 +282,7 @@ impl EventQueue {
             "event scheduled at invalid time {time}"
         );
         self.heap.push(ScheduledEvent {
-            time,
+            time: time + 0.0,
             sequence: self.sequence,
             event,
         });
@@ -293,6 +292,11 @@ impl EventQueue {
     /// Pops the earliest event, returning `(time, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|s| (s.time, s.event))
+    }
+
+    /// When the earliest pending event is due.
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
@@ -309,11 +313,12 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn events_pop_in_time_order_with_fifo_ties() {
         let mut q = EventQueue::new();
-        q.push(5.0, Event::MeasurementEnd);
+        q.push(5.0, Event::RequestArrival { request: 4 });
         q.push(1.0, Event::RequestArrival { request: 1 });
         q.push(1.0, Event::RequestArrival { request: 2 });
         q.push(3.0, Event::RequestArrival { request: 3 });
@@ -332,10 +337,50 @@ mod tests {
     }
 
     #[test]
+    fn pops_follow_time_then_push_order() {
+        // Few distinct times, so most pushes tie; `-0.0` and `0.0` are one
+        // instant.  The oracle is a stable sort of the pushes by time.
+        const TIMES: [f64; 6] = [0.0, -0.0, 0.25, 0.5, 0.5, 3.0];
+        for seed in 1..=32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = EventQueue::new();
+            let mut pushed: Vec<(SimTime, RequestId)> = Vec::new();
+            let mut popped = Vec::new();
+            let mut floor = 0.0;
+            for request in 0..400 {
+                // Pushes never go back in time past what was already popped
+                // (at the start the offset is the time, so `-0.0` survives).
+                let offset = TIMES[rng.gen_range(0..TIMES.len())];
+                let time = if floor == 0.0 { offset } else { floor + offset };
+                q.push(time, Event::RequestArrival { request });
+                pushed.push((time, request));
+                if rng.gen_bool(0.25) {
+                    let (at, event) = q.pop().unwrap();
+                    floor = at;
+                    popped.push((at, event));
+                }
+            }
+            popped.extend(std::iter::from_fn(|| q.pop()));
+            pushed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            assert_eq!(popped.len(), pushed.len());
+            for (&(time, request), (at, event)) in pushed.iter().zip(&popped) {
+                assert_eq!(time, *at, "seed {seed}");
+                assert_eq!(*event, Event::RequestArrival { request }, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_is_three_words() {
+        assert!(std::mem::size_of::<Event>() <= 24);
+        assert!(std::mem::size_of::<ScheduledEvent>() <= 40);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid time")]
     #[cfg(debug_assertions)]
     fn scheduling_at_nan_time_panics_in_debug() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, Event::MeasurementEnd);
+        q.push(f64::NAN, Event::ObservationTick);
     }
 }

@@ -30,6 +30,36 @@
 //! * decode iterations for a request reuse the pipeline it was assigned on
 //!   arrival, exactly as in the paper's runtime.
 //!
+//! # How the event loop is laid out
+//!
+//! One pipeline hop costs array indexing and one small heap operation;
+//! nothing is hashed per hop.
+//!
+//! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines sit in
+//!   one `Vec` at `model × num_nodes + node`, link queues in first-use order
+//!   behind a `(num_nodes + 1)²` table of slots (the coordinator is row and
+//!   column 0).  Every walk over them has one fixed order, so identical runs
+//!   report identically, the order of tied `link_stats` included.
+//! * **Requests.**  A run turns its workload into a request table — one
+//!   slot per distinct id, found through an id → slot map once per arrival
+//!   or admission — and keeps one *lane* per slot: the admitted
+//!   incarnation's epoch, pipeline and prefix.
+//! * **What a hop carries.**  [`Event::NodeArrival`] is a 24-byte [`Hop`]:
+//!   epoch, slot, tokens, stage index, phase.  The node, layers, model,
+//!   request id and prefix are read from the lane when the hop lands, and
+//!   the engine's work item is built there.
+//! * **The arrival rule.**  The workload's arrivals are a cursor over a
+//!   stable time-sorted list, merged with the [`EventQueue`] at pop: the
+//!   cursor goes first when its arrival is due no later than the queue's
+//!   head — the order one queue would give with the arrivals pushed first.
+//!   Deferred and re-submitted arrivals do go through the queue.  The queue
+//!   orders by `f64::total_cmp` on `time + 0.0`, then push order.
+//! * **Who invalidates a lane.**  A lane is written at dispatch and cleared
+//!   exactly where the control plane drops the flight: at the request's last
+//!   token and for every pipeline a fail-over strands.  Slots are never
+//!   reused within a run, so stale hops and tokens meet an empty lane or a
+//!   newer epoch and are dropped.
+//!
 //! # Example
 //!
 //! ```rust
@@ -57,9 +87,10 @@ mod event;
 mod metrics;
 mod session;
 mod simulator;
+mod tables;
 
 pub use engine::NodeEngine;
-pub use event::{Event, EventQueue, PerturbationEvent, SimTime};
+pub use event::{Event, EventQueue, Hop, PerturbationEvent, SimTime};
 // The link model lives beside the engine core; the runtime's fabric uses it too.
 pub use helix_core::LinkQueue;
 pub use metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};

@@ -6,18 +6,21 @@
 //! scripted perturbation events.
 
 use crate::engine::NodeEngine;
-use crate::event::{Event, EventQueue, PerturbationEvent, Phase, SimTime, WorkItem};
+use crate::event::{Event, EventQueue, Hop, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
+use crate::tables::{EngineTable, LinkTable};
 use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvTransferModel, KvTransferRecord, LinkQueue, ModelPlacement, NodeDirectory, PlacementDelta,
-    PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
-    ReplicationStats, Scheduler, Topology,
+    KvTransferModel, KvTransferRecord, ModelPlacement, NodeDirectory, PlacementDelta, PrefixStats,
+    PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
+    ReplicationStats, RequestPipeline, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
 use std::collections::{HashMap, VecDeque};
+use std::iter::Peekable;
+use std::sync::Arc;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,14 +77,11 @@ impl SimulationConfig {
 /// One model's engines as the scheduler sees them: queue/throughput/KV
 /// state of that model's engines only, so per-model KV masking sees its own
 /// partition.
-struct EngineView<'a> {
-    engines: &'a HashMap<(NodeId, ModelId), NodeEngine>,
-    model: ModelId,
-}
+struct EngineView<'a>(&'a [Option<NodeEngine>]);
 
 impl EngineView<'_> {
     fn engine(&self, node: NodeId) -> Option<&NodeEngine> {
-        self.engines.get(&(node, self.model))
+        self.0.get(node.index())?.as_ref()
     }
 }
 
@@ -99,6 +99,64 @@ impl ClusterState for EngineView<'_> {
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
         self.engine(node)
             .map_or(f64::INFINITY, NodeEngine::kv_capacity_tokens)
+    }
+}
+
+/// What the hops and tokens of one admitted incarnation resolve against.
+struct Lane {
+    epoch: u64,
+    pipeline: Arc<RequestPipeline>,
+    prefix: Option<PrefixWork>,
+}
+
+/// One run's timeline and request table.
+struct Run {
+    queue: EventQueue,
+    /// The workload's arrivals in (time, workload position) order.  They are
+    /// merged with the queue at pop and never enter it; deferred and
+    /// re-submitted arrivals do.
+    arrivals: Peekable<std::vec::IntoIter<(SimTime, RequestId)>>,
+    /// The requests by slot.
+    specs: Vec<Request>,
+    /// Id → slot: consulted per arrival and admission, never per hop.
+    slots: HashMap<RequestId, u32>,
+    /// The live incarnation per slot: set at dispatch, cleared exactly where
+    /// the control plane drops the flight.  Slots are never reused within a
+    /// run, so stale work meets `None` or a newer epoch.
+    lanes: Vec<Option<Lane>>,
+}
+
+/// Orders arrivals by time as the queue orders events (`-0.0` and `0.0`
+/// are one instant), workload order breaking ties.
+fn arrival_stream(
+    mut arrivals: Vec<(SimTime, RequestId)>,
+) -> Peekable<std::vec::IntoIter<(SimTime, RequestId)>> {
+    debug_assert!(arrivals.iter().all(|&(at, _)| at.is_finite() && at >= 0.0));
+    arrivals.iter_mut().for_each(|(at, _)| *at += 0.0);
+    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    arrivals.into_iter().peekable()
+}
+
+impl Run {
+    /// The next event.  An arrival due no later than the queue's head goes
+    /// first: were the arrivals queued, they would hold the lowest sequence
+    /// numbers and win every tie.
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let head = self.queue.peek_time();
+        match self
+            .arrivals
+            .next_if(|&(at, _)| head.is_none_or(|t| at <= t))
+        {
+            Some((at, request)) => Some((at, Event::RequestArrival { request })),
+            None => self.queue.pop(),
+        }
+    }
+
+    /// The request and lane work of (`slot`, `epoch`) belongs to, unless it
+    /// is stale.
+    fn lane(&self, slot: u32, epoch: u64) -> Option<(&Request, &Lane)> {
+        let lane = self.lanes.get(slot as usize)?.as_ref()?;
+        (lane.epoch == epoch).then_some((self.specs.get(slot as usize)?, lane))
     }
 }
 
@@ -182,8 +240,8 @@ pub struct ClusterSimulator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy).
     control: ControlPlane,
-    engines: HashMap<(NodeId, ModelId), NodeEngine>,
-    links: HashMap<(Option<NodeId>, Option<NodeId>), LinkQueue>,
+    engines: EngineTable,
+    links: LinkTable,
     /// Active slowdown perturbations by node (applied to engines created by
     /// later re-plans too).
     slowdowns: HashMap<NodeId, f64>,
@@ -211,7 +269,11 @@ impl ClusterSimulator {
     }
 
     fn from_parts(fleet: FleetTopology, schedulers: Vec<Box<dyn Scheduler>>) -> Self {
-        let mut engines = HashMap::new();
+        let num_nodes = fleet
+            .profiles()
+            .first()
+            .map_or(0, |p| p.cluster().num_nodes());
+        let mut engines = EngineTable::new(num_nodes, fleet.num_models());
         for (m, topology) in fleet.topologies().iter().enumerate() {
             // Engines run at the analytic contention split (identical to the
             // planning profile when the fleet was planned without
@@ -225,13 +287,13 @@ impl ClusterSimulator {
                     n.layers.len(),
                     n.kv_capacity_tokens,
                 );
-                engines.insert((n.node, ModelId(m)), engine);
+                engines.insert(n.node, ModelId(m), engine);
             }
         }
         ClusterSimulator {
             control: ControlPlane::new(fleet, schedulers),
             engines,
-            links: HashMap::new(),
+            links: LinkTable::new(num_nodes),
             slowdowns: HashMap::new(),
             kv_transfers: Vec::new(),
         }
@@ -308,6 +370,14 @@ impl ClusterSimulator {
     /// With no events and no policy this is exactly
     /// [`ClusterSimulator::run_per_model`] (no observation ticks are
     /// scheduled, so event timing is bit-identical).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the first event, if a request targets a model the
+    /// fleet does not serve (see [`ClusterSimulator::run_per_model`]), or
+    /// cannot ride a hop: more than `u32::MAX` prompt + output tokens, a
+    /// model of more than `u16::MAX` layers (a pipeline has at most one stage
+    /// per layer), or a workload of 2³² requests or more.
     pub fn run_with_events(
         &mut self,
         workload: &Workload,
@@ -316,18 +386,42 @@ impl ClusterSimulator {
         policy: Option<ReplanPolicy>,
     ) -> FleetRunReport {
         let num_models = self.num_models();
-        let mut queue = EventQueue::new();
         // Each run's timeline restarts at zero; links and engines keep their
         // cumulative counters but must not stay "busy" (or frozen) into the
         // new epoch, and the policy clock restarts with them.
-        for link in self.links.values_mut() {
+        for (_, link) in &mut self.links.queues {
             link.rebase_epoch();
         }
-        for engine in self.engines.values_mut() {
+        for engine in self.engines.slots.iter_mut().flatten() {
             engine.rebase_epoch();
         }
         self.control.start_timeline(policy);
-        let mut specs: HashMap<RequestId, Request> = workload.iter().map(|r| (r.id, *r)).collect();
+
+        // The request table: a slot per distinct id (its first position); a
+        // repeated id overwrites its spec and still arrives once per
+        // occurrence.
+        let mut specs: Vec<Request> = Vec::with_capacity(workload.len());
+        let mut slots: HashMap<RequestId, u32> = HashMap::with_capacity(workload.len());
+        for r in workload.iter() {
+            assert!(
+                r.model.index() < num_models,
+                "request {} targets {} but the fleet serves {num_models} model(s)",
+                r.id,
+                r.model,
+            );
+            let depth = self.fleet().topologies()[r.model.index()].num_layers();
+            assert!(
+                u32::try_from(r.total_tokens()).is_ok() && u16::try_from(depth).is_ok(),
+                "request {} does not fit a hop: {} tokens over up to {depth} stages",
+                r.id,
+                r.total_tokens(),
+            );
+            let next = u32::try_from(specs.len()).expect("fewer than 2^32 requests");
+            match *slots.entry(r.id).or_insert(next) {
+                slot if slot == next => specs.push(*r),
+                slot => specs[slot as usize] = *r,
+            }
+        }
 
         // Arrival-rate shifts re-time the arrival process: gaps after the
         // shift point shrink by the rate factor.  Shifts are applied in
@@ -340,33 +434,32 @@ impl ClusterSimulator {
             })
             .collect();
         shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        if !shifts.is_empty() {
-            for spec in specs.values_mut() {
-                let mut t = spec.arrival_time;
-                for &(at, factor) in &shifts {
-                    if t > at && factor > 0.0 {
-                        t = at + (t - at) / factor;
-                    }
+        for spec in &mut specs {
+            for &(at, factor) in &shifts {
+                if spec.arrival_time > at && factor > 0.0 {
+                    spec.arrival_time = at + (spec.arrival_time - at) / factor;
                 }
-                spec.arrival_time = t;
             }
         }
 
-        for r in workload.iter() {
-            assert!(
-                r.model.index() < num_models,
-                "request {} targets {} but the fleet serves {num_models} model(s)",
-                r.id,
-                r.model,
-            );
-            let arrival = specs[&r.id].arrival_time;
-            queue.push(arrival, Event::RequestArrival { request: r.id });
-        }
+        let arrivals = workload.iter().filter_map(|r| {
+            let spec = specs.get(*slots.get(&r.id)? as usize)?;
+            Some((spec.arrival_time, r.id))
+        });
+        let mut run = Run {
+            queue: EventQueue::new(),
+            arrivals: arrival_stream(arrivals.collect()),
+            lanes: specs.iter().map(|_| None).collect(),
+            specs,
+            slots,
+        };
         let end_time = config.warmup_secs + config.duration_secs;
         for e in events {
             match e {
                 PerturbationEvent::ArrivalRateShift { .. } => {} // applied above
-                other => queue.push(other.at(), Event::Perturbation(*other)),
+                other => run
+                    .queue
+                    .push(other.at(), Event::Perturbation(Box::new(*other))),
             }
         }
         // Observation ticks exist only for perturbed / policy-driven runs, so
@@ -377,10 +470,13 @@ impl ClusterSimulator {
             .unwrap_or(10.0)
             .max(1e-3);
         if ticks_enabled && tick_interval <= end_time {
-            queue.push(tick_interval, Event::ObservationTick);
+            run.queue.push(tick_interval, Event::ObservationTick);
         }
 
         let mut backlog: VecDeque<RequestId> = VecDeque::new();
+        // The finished batch being routed; its buffer returns to the engine
+        // at the next completion.
+        let mut done: Vec<WorkItem> = Vec::new();
 
         // Per-model measurement accumulators.
         let mut decode_tokens: Vec<u64> = vec![0; num_models];
@@ -396,7 +492,7 @@ impl ClusterSimulator {
         let mut completions: Vec<CompletionRecord> = Vec::new();
         let mut interval_base: Vec<u64> = vec![0; num_models];
 
-        while let Some((time, event)) = queue.pop() {
+        while let Some((time, event)) = run.pop() {
             if time > end_time {
                 break;
             }
@@ -418,56 +514,60 @@ impl ClusterSimulator {
                         backlog.push_back(request);
                         continue;
                     }
-                    self.admit_request(request, &specs, &mut queue, now);
+                    self.admit_request(request, &mut run, now);
                 }
-                Event::NodeArrival { node, item } => {
-                    if self
-                        .control
-                        .flight(item.request)
-                        .is_none_or(|f| f.epoch != item.epoch)
-                    {
-                        // The request (incarnation) was aborted — e.g. its
-                        // pipeline crossed a failed node; drop the stale work.
+                Event::NodeArrival(hop) => {
+                    // No lane: the request (incarnation) was aborted — e.g.
+                    // its pipeline crossed a failed node; drop the stale work.
+                    let Some((spec, lane)) = run.lane(hop.slot, hop.epoch) else {
                         continue;
-                    }
-                    let model = item.model;
-                    if let Some(engine) = self.engines.get_mut(&(node, model)) {
-                        engine.enqueue(item);
+                    };
+                    let Some(&stage) = lane.pipeline.stages.get(usize::from(hop.stage)) else {
+                        continue;
+                    };
+                    let (node, model) = (stage.node, lane.pipeline.model);
+                    if let Some(engine) = self.engines.get_mut(node, model) {
+                        engine.enqueue(WorkItem {
+                            request: spec.id,
+                            hop,
+                            layers: stage.layers,
+                            prefix: lane.prefix.filter(|_| hop.phase == Phase::Prompt),
+                        });
                         if let Some(done) = engine.try_start_batch(now) {
-                            queue.push(done, Event::BatchComplete { node, model });
+                            run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
                 Event::BatchComplete { node, model } => {
-                    let items = self
-                        .engines
-                        .get_mut(&(node, model))
-                        .expect("batch completed on unknown engine")
-                        .complete_batch();
-                    for item in items {
-                        self.route_onward(node, item, &mut queue, now);
+                    let Some(engine) = self.engines.get_mut(node, model) else {
+                        continue;
+                    };
+                    engine.complete_batch(&mut done);
+                    for &item in &done {
+                        self.route_onward(node, item, &mut run, now);
                     }
-                    if let Some(engine) = self.engines.get_mut(&(node, model)) {
+                    if let Some(engine) = self.engines.get_mut(node, model) {
                         if let Some(done) = engine.try_start_batch(now) {
-                            queue.push(done, Event::BatchComplete { node, model });
+                            run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
-                Event::TokenAtCoordinator {
-                    request,
-                    epoch,
-                    phase: _,
-                } => {
-                    // `None`: a token of an aborted incarnation; ignore.
+                Event::TokenAtCoordinator { slot, epoch } => {
+                    // No lane: a token of an aborted incarnation; ignore.
+                    let Some((spec, lane)) = run.lane(slot, epoch) else {
+                        continue;
+                    };
+                    let Some(&first) = lane.pipeline.stages.first() else {
+                        continue;
+                    };
+                    let (request, model) = (spec.id, lane.pipeline.model);
+                    let arrival_time = spec.arrival_time.max(0.0);
                     let Some(progress) = self.control.on_token(request, epoch, now) else {
                         continue;
                     };
-                    let flight = self
-                        .control
-                        .flight(request)
-                        .expect("in flight until finished");
-                    let (model, first) = (flight.pipeline.model, flight.pipeline.stages[0]);
-                    let arrival_time = flight.request.arrival_time.max(0.0);
+                    debug_assert!(self.control.flight(request).is_some_and(|flight| {
+                        flight.epoch == epoch && Arc::ptr_eq(&flight.pipeline, &lane.pipeline)
+                    }));
                     let m = model.index();
                     let in_window = now >= config.warmup_secs;
                     total_decode_tokens[m] += 1;
@@ -488,10 +588,13 @@ impl ClusterSimulator {
                                 at: now,
                             });
                         }
-                        let flight = self.control.finish(request).expect("looked up above");
+                        run.lanes[slot as usize] = None;
+                        let Some(flight) = self.control.finish(request) else {
+                            continue;
+                        };
                         self.release_kv(&flight, false);
                         if let Some(next) = backlog.pop_front() {
-                            self.admit_request(next, &specs, &mut queue, now);
+                            self.admit_request(next, &mut run, now);
                         }
                     } else {
                         // Replica chunks travel the primary→standby links
@@ -506,41 +609,32 @@ impl ClusterSimulator {
                                 now,
                                 chunk.bytes,
                             );
-                            if let Some(engine) = self.engines.get_mut(&(chunk.standby, model)) {
+                            if let Some(engine) = self.engines.get_mut(chunk.standby, model) {
                                 engine.kv.seed(request, progress.durable_tokens);
                             }
                         }
                         // Schedule the next decode iteration over the same pipeline.
                         let arrival =
                             self.link_transfer(None, Some(first.node), now, TOKEN_WIRE_BYTES);
-                        queue.push(
-                            arrival,
-                            Event::NodeArrival {
-                                node: first.node,
-                                item: WorkItem {
-                                    request,
-                                    epoch,
-                                    model,
-                                    phase: Phase::Decode,
-                                    tokens: 1,
-                                    layers: first.layers,
-                                    stage_index: 0,
-                                    prefix: None,
-                                },
-                            },
-                        );
+                        let hop = Hop {
+                            epoch,
+                            slot,
+                            tokens: 1,
+                            stage: 0,
+                            phase: Phase::Decode,
+                        };
+                        run.queue.push(arrival, Event::NodeArrival(hop));
                     }
                 }
-                Event::MeasurementEnd => {}
                 Event::Perturbation(perturbation) => {
-                    self.apply_perturbation(perturbation, time, &mut queue);
+                    self.apply_perturbation(*perturbation, time, &mut run);
                 }
                 Event::EngineThaw { node, model } => {
                     // The KV hand-over finished; work that queued up during
                     // the freeze starts batching again.
-                    if let Some(engine) = self.engines.get_mut(&(node, model)) {
+                    if let Some(engine) = self.engines.get_mut(node, model) {
                         if let Some(done) = engine.try_start_batch(time) {
-                            queue.push(done, Event::BatchComplete { node, model });
+                            run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
@@ -560,13 +654,13 @@ impl ClusterSimulator {
                     let counters: Vec<_> = self
                         .engines
                         .iter()
-                        .map(|(&(node, model), engine)| (node, model, engine.counters()))
+                        .map(|(node, model, engine)| (node, model, engine.counters()))
                         .collect();
                     let outcome = self.control.observe(time, &counters);
-                    self.hand_over(outcome, time, &mut queue);
+                    self.hand_over(outcome, time, &mut run.queue);
                     let next = time + tick_interval;
                     if next <= end_time {
-                        queue.push(next, Event::ObservationTick);
+                        run.queue.push(next, Event::ObservationTick);
                     }
                 }
             }
@@ -575,7 +669,7 @@ impl ClusterSimulator {
         let measured = (now.min(end_time) - config.warmup_secs).max(1e-9);
         // Overall utilisation merges each node's per-model engines.
         let mut node_busy: HashMap<NodeId, f64> = HashMap::new();
-        for (&(node, _), engine) in &self.engines {
+        for (node, _, engine) in self.engines.iter() {
             *node_busy.entry(node).or_insert(0.0) += engine.counters().busy_secs;
         }
         let node_utilization: HashMap<NodeId, f64> = node_busy
@@ -584,8 +678,9 @@ impl ClusterSimulator {
             .collect();
         let mut link_stats: Vec<LinkStats> = self
             .links
+            .queues
             .iter()
-            .map(|(&(from, to), link)| LinkStats {
+            .map(|&((from, to), ref link)| LinkStats {
                 from,
                 to,
                 transfers: link.transfers,
@@ -605,8 +700,8 @@ impl ClusterSimulator {
                 let utilization: HashMap<NodeId, f64> = self
                     .engines
                     .iter()
-                    .filter(|((_, model), _)| model.index() == m)
-                    .map(|(&(node, _), engine)| {
+                    .filter(|(_, model, _)| model.index() == m)
+                    .map(|(node, _, engine)| {
                         (node, (engine.counters().busy_secs / now.max(1e-9)).min(1.0))
                     })
                     .collect();
@@ -650,10 +745,8 @@ impl ClusterSimulator {
     /// present and future.
     fn set_slowdown(&mut self, node: NodeId, factor: f64) {
         self.slowdowns.insert(node, factor);
-        for ((n, _), engine) in self.engines.iter_mut() {
-            if *n == node {
-                engine.set_slowdown(factor);
-            }
+        for engine in self.engines.of_node_mut(node) {
+            engine.set_slowdown(factor);
         }
     }
 
@@ -669,11 +762,12 @@ impl ClusterSimulator {
         &mut self,
         perturbation: PerturbationEvent,
         time: SimTime,
-        queue: &mut EventQueue,
+        run: &mut Run,
     ) {
+        let queue = &mut run.queue;
         let rejoin = |queue: &mut EventQueue, node: NodeId, at: SimTime| {
             let rejoin = PerturbationEvent::NodeRejoin { at, node };
-            queue.push(at, Event::Perturbation(rejoin));
+            queue.push(at, Event::Perturbation(Box::new(rejoin)));
         };
         match perturbation {
             PerturbationEvent::NodeSlowdown { node, factor, .. } => {
@@ -698,7 +792,7 @@ impl ClusterSimulator {
                 self.control.node_health_mut().mark_degraded(node);
                 let at = time + recover_secs.max(0.0);
                 let recovery = PerturbationEvent::NodeRecovery { at, node };
-                queue.push(at, Event::Perturbation(recovery));
+                queue.push(at, Event::Perturbation(Box::new(recovery)));
             }
             PerturbationEvent::NodeFlap {
                 node, down_secs, ..
@@ -707,7 +801,7 @@ impl ClusterSimulator {
                 // remembers the layer ranges the node holds right now, so
                 // the rejoin can hand them back.
                 rejoin(queue, node, time + down_secs.max(0.0));
-                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, queue);
+                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, run);
             }
             PerturbationEvent::RegionPartition {
                 region, heal_secs, ..
@@ -719,30 +813,26 @@ impl ClusterSimulator {
                 for &node in &nodes {
                     rejoin(queue, node, time + heal_secs.max(0.0));
                 }
-                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, queue);
+                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, run);
             }
             PerturbationEvent::NodeRejoin { node, .. } => {
                 // A flapped node comes back: its engines recover, and the
                 // control plane hands it its pre-failure layer ranges (a
                 // no-op when the node never left the plan).
                 if self.control.failed().contains(&node) {
-                    for ((n, _), engine) in self.engines.iter_mut() {
-                        if *n == node {
-                            engine.recover();
-                        }
-                    }
+                    self.engines.of_node_mut(node).for_each(|e| e.recover());
                 }
                 let outcome = self.control.rejoin(node, time);
                 self.hand_over(outcome, time, queue);
             }
             PerturbationEvent::NodeFailure { node, .. } => {
-                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, queue);
+                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, run);
             }
             PerturbationEvent::RegionOutage { region, .. } => {
                 // Fail the region's nodes together: one abort/re-admit
                 // sweep, one re-plan removing the whole region.
                 let nodes = self.region_nodes(region);
-                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, queue);
+                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, run);
             }
             PerturbationEvent::ArrivalRateShift { .. } => {
                 // Applied to the arrival process before the run started.
@@ -772,30 +862,25 @@ impl ClusterSimulator {
     ///
     /// [`NodeFailure`]: PerturbationEvent::NodeFailure
     /// [`RegionOutage`]: PerturbationEvent::RegionOutage
-    fn fail_nodes(
-        &mut self,
-        nodes: &[NodeId],
-        reason: ReplanReason,
-        time: SimTime,
-        queue: &mut EventQueue,
-    ) {
+    fn fail_nodes(&mut self, nodes: &[NodeId], reason: ReplanReason, time: SimTime, run: &mut Run) {
         if nodes.is_empty() {
             return;
         }
-        for ((n, _), engine) in self.engines.iter_mut() {
-            if nodes.contains(n) {
-                engine.fail();
-            }
+        for &node in nodes {
+            self.engines.of_node_mut(node).for_each(|e| e.fail());
         }
         let engines = &self.engines;
-        let has_engine = |node, model| engines.contains_key(&(node, model));
+        let has_engine = |node, model| engines.get(node, model).is_some();
         let failover = self.control.fail_nodes(nodes, reason, time, &has_engine);
         for flight in &failover.stranded {
             self.release_kv(flight, true);
             let request = flight.request.id;
-            queue.push(time, Event::RequestArrival { request });
+            if let Some(&slot) = run.slots.get(&request) {
+                run.lanes[slot as usize] = None;
+            }
+            run.queue.push(time, Event::RequestArrival { request });
         }
-        self.hand_over(failover.replan, time, queue);
+        self.hand_over(failover.replan, time, &mut run.queue);
     }
 
     /// Frees what one finished (or, with `purge`, aborted) incarnation held
@@ -805,8 +890,8 @@ impl ClusterSimulator {
     /// entry carries the request's reference along, so the release finds it
     /// wherever the entry lives now.
     fn release_kv(&mut self, flight: &InFlight, purge: bool) {
-        let model = flight.pipeline.model;
-        for (_, engine) in self.engines.iter_mut().filter(|(key, _)| key.1 == model) {
+        let engines = self.engines.of_model(flight.pipeline.model);
+        for engine in engines.iter_mut().flatten() {
             if purge {
                 engine.purge_request(flight.request.id);
             } else {
@@ -840,7 +925,7 @@ impl ClusterSimulator {
             for n in fleet.topologies()[model.index()].nodes() {
                 let (layers, kv_capacity) = (n.layers.len(), n.kv_capacity_tokens);
                 let node_profile = profile.node_profile(n.node);
-                match self.engines.get_mut(&(n.node, model)) {
+                match self.engines.get_mut(n.node, model) {
                     Some(engine) => engine.update_plan(node_profile, layers, kv_capacity),
                     None => {
                         let mut engine = NodeEngine::new(node_profile, layers, kv_capacity);
@@ -850,7 +935,7 @@ impl ClusterSimulator {
                         if self.control.failed().contains(&n.node) {
                             engine.fail();
                         }
-                        self.engines.insert((n.node, model), engine);
+                        self.engines.insert(n.node, model, engine);
                     }
                 }
             }
@@ -866,7 +951,7 @@ impl ClusterSimulator {
             // The simulator re-routes at once: the modelled freeze already
             // holds work on the migrated layers until the transfer lands.
             self.control.install_scheduler(m);
-            let Some(source) = self.engines.get(&(migration.from, m)) else {
+            let Some(source) = self.engines.get(migration.from, m) else {
                 continue;
             };
             let snapshot = source.kv.snapshot();
@@ -887,7 +972,7 @@ impl ClusterSimulator {
             let pages = transfer.pages(tokens);
             let bytes = transfer.bytes(tokens, migration.layers.len());
             let arrival = self.link_transfer(Some(migration.from), Some(migration.to), time, bytes);
-            if let Some(engine) = self.engines.get_mut(&(migration.from, m)) {
+            if let Some(engine) = self.engines.get_mut(migration.from, m) {
                 engine.freeze(migration.layers, arrival);
                 if source_retired {
                     // The whole range moved: every page now lives on the
@@ -900,7 +985,7 @@ impl ClusterSimulator {
                     engine.kv.clear_prefixes();
                 }
             }
-            if let Some(engine) = self.engines.get_mut(&(migration.to, m)) {
+            if let Some(engine) = self.engines.get_mut(migration.to, m) {
                 engine.freeze(migration.layers, arrival);
                 engine.kv.seed_snapshot(&snapshot, &prefix_snapshot);
             }
@@ -921,7 +1006,7 @@ impl ClusterSimulator {
     /// The standing engine of one (node, model) pair, if any — exposed so
     /// tests can compare surviving engines against freshly created ones.
     pub fn engine(&self, node: NodeId, model: ModelId) -> Option<&NodeEngine> {
-        self.engines.get(&(node, model))
+        self.engines.get(node, model)
     }
 
     /// Asks the control plane to admit `request` against its model's
@@ -929,27 +1014,21 @@ impl ClusterSimulator {
     /// attached (refcounted) on every pipeline node, a promoted request's
     /// replicated tokens are seeded as KV residency there, and the prefill
     /// travels to the first stage.  A deferred request retries shortly.
-    fn admit_request(
-        &mut self,
-        request: RequestId,
-        specs: &HashMap<RequestId, Request>,
-        queue: &mut EventQueue,
-        now: SimTime,
-    ) {
-        let Some(spec) = specs.get(&request) else {
+    fn admit_request(&mut self, request: RequestId, run: &mut Run, now: SimTime) {
+        let Some(&slot) = run.slots.get(&request) else {
+            return;
+        };
+        let Some(spec) = run.specs.get(slot as usize) else {
             return;
         };
         let model = spec.model;
-        let view = EngineView {
-            engines: &self.engines,
-            model,
-        };
+        let view = EngineView(self.engines.of_model(model));
         let Ok(Admission::Dispatch(dispatch)) = self.control.admit(spec, &view) else {
-            queue.push(now + 0.2, Event::RequestArrival { request });
+            run.queue.push(now + 0.2, Event::RequestArrival { request });
             return;
         };
         for stage in &dispatch.pipeline.stages {
-            if let Some(engine) = self.engines.get_mut(&(stage.node, model)) {
+            if let Some(engine) = self.engines.get_mut(stage.node, model) {
                 if let Some(tokens) = dispatch.resume_tokens {
                     engine.kv.seed(request, tokens);
                 }
@@ -961,63 +1040,49 @@ impl ClusterSimulator {
         let first = dispatch.pipeline.stages[0];
         let bytes = dispatch.prefill_tokens as f64 * TOKEN_WIRE_BYTES;
         let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-        queue.push(
-            arrival,
-            Event::NodeArrival {
-                node: first.node,
-                item: WorkItem {
-                    request,
-                    epoch: dispatch.epoch,
-                    model,
-                    phase: Phase::Prompt,
-                    tokens: dispatch.prefill_tokens,
-                    layers: first.layers,
-                    stage_index: 0,
-                    prefix: dispatch.prefix,
-                },
-            },
-        );
+        let hop = Hop {
+            epoch: dispatch.epoch,
+            slot,
+            // Never more than the request's total tokens, which fit (checked
+            // per request before the run).
+            tokens: u32::try_from(dispatch.prefill_tokens).unwrap_or(u32::MAX),
+            stage: 0,
+            phase: Phase::Prompt,
+        };
+        run.queue.push(arrival, Event::NodeArrival(hop));
+        run.lanes[slot as usize] = Some(Lane {
+            epoch: dispatch.epoch,
+            pipeline: dispatch.pipeline,
+            prefix: dispatch.prefix,
+        });
     }
 
-    fn route_onward(&mut self, node: NodeId, item: WorkItem, queue: &mut EventQueue, now: SimTime) {
-        let next_index = item.stage_index + 1;
-        let next = match self.control.flight(item.request) {
-            Some(flight) if flight.epoch == item.epoch => {
-                flight.pipeline.stages.get(next_index).copied()
-            }
-            // Work of an aborted incarnation describes the old pipeline, not
-            // the re-admitted one.  Drop it.
-            _ => return,
+    fn route_onward(&mut self, node: NodeId, item: WorkItem, run: &mut Run, now: SimTime) {
+        let hop = item.hop;
+        // Work of an aborted incarnation describes the old pipeline, not the
+        // re-admitted one, and work an earlier run left on an engine belongs
+        // to no lane of this one.  Drop it.
+        let lane = run.lane(hop.slot, hop.epoch);
+        let Some((_, lane)) = lane.filter(|(spec, _)| spec.id == item.request) else {
+            return;
         };
-        if let Some(next) = next {
-            let activation_bytes = self.fleet().topologies()[item.model.index()]
+        let model = lane.pipeline.model;
+        if let Some(next) = lane.pipeline.stages.get(usize::from(hop.stage) + 1) {
+            let activation_bytes = self.fleet().topologies()[model.index()]
                 .profile()
                 .model()
                 .activation_bytes();
-            let bytes = item.tokens as f64 * activation_bytes;
+            let bytes = f64::from(hop.tokens) * activation_bytes;
             let arrival = self.link_transfer(Some(node), Some(next.node), now, bytes);
-            queue.push(
-                arrival,
-                Event::NodeArrival {
-                    node: next.node,
-                    item: WorkItem {
-                        layers: next.layers,
-                        stage_index: next_index,
-                        ..item
-                    },
-                },
-            );
+            let stage = hop.stage + 1;
+            run.queue
+                .push(arrival, Event::NodeArrival(Hop { stage, ..hop }));
         } else {
             // Last stage: the generated token returns to the coordinator.
             let arrival = self.link_transfer(Some(node), None, now, TOKEN_WIRE_BYTES);
-            queue.push(
-                arrival,
-                Event::TokenAtCoordinator {
-                    request: item.request,
-                    epoch: item.epoch,
-                    phase: item.phase,
-                },
-            );
+            let (slot, epoch) = (hop.slot, hop.epoch);
+            run.queue
+                .push(arrival, Event::TokenAtCoordinator { slot, epoch });
         }
     }
 
@@ -1030,12 +1095,8 @@ impl ClusterSimulator {
     ) -> SimTime {
         // Link hardware is shared by every model; the first lane's profile
         // supplies the (model-independent) bandwidth and latency numbers.
-        let profile = self.control.fleet().topologies()[0].profile();
-        let link = self.links.entry((from, to)).or_insert_with(|| {
-            let spec = profile.cluster().link(from, to);
-            LinkQueue::new(spec.bandwidth_bytes_per_sec(), spec.latency_secs())
-        });
-        link.transfer(now, bytes)
+        let cluster = self.control.fleet().topologies()[0].profile().cluster();
+        self.links.queue(cluster, from, to).transfer(now, bytes)
     }
 }
 
@@ -1353,5 +1414,67 @@ mod tests {
         // Requests that finished before the failure keep exactly one counted
         // completion, and aborted incarnations are never double-counted.
         assert!(report.metrics.overall.completed_requests <= 40);
+    }
+
+    /// The parent's behaviour, kept as the oracle: every arrival pushed into
+    /// the one event queue first, in workload order.
+    #[test]
+    fn arrival_cursor_and_heap_pop_in_single_queue_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Few distinct instants (`-0.0` among them), so arrivals collide with
+        // each other and with tick / perturbation / hop times.
+        const TIMES: [f64; 5] = [0.0, -0.0, 0.2, 0.4, 1.0];
+        let other = |k: u64| match k % 3 {
+            0 => Event::ObservationTick,
+            1 => Event::Perturbation(Box::new(PerturbationEvent::NodeRecovery {
+                at: 0.0,
+                node: NodeId(k as usize),
+            })),
+            _ => Event::BatchComplete {
+                node: NodeId(k as usize),
+                model: ModelId(0),
+            },
+        };
+        for seed in 1..=32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pick = |n: u64| rng.gen_range(0..n);
+            let arrivals: Vec<(SimTime, RequestId)> = (0..40)
+                .map(|request| (TIMES[pick(5) as usize] * (1 + pick(3)) as f64, request))
+                .collect();
+            let mut oracle = EventQueue::new();
+            for &(at, request) in &arrivals {
+                oracle.push(at, Event::RequestArrival { request });
+            }
+            let mut run = Run {
+                queue: EventQueue::new(),
+                arrivals: arrival_stream(arrivals),
+                specs: Vec::new(),
+                slots: HashMap::new(),
+                lanes: Vec::new(),
+            };
+            for k in 0..30 {
+                let at = TIMES[pick(5) as usize] * (1 + pick(3)) as f64;
+                oracle.push(at, other(k));
+                run.queue.push(at, other(k));
+            }
+            let mut k = 30;
+            while let Some((time, event)) = oracle.pop() {
+                let (at, merged) = run.pop().expect("as many events as the oracle");
+                assert_eq!((time, &event), (at, &merged), "seed {seed}");
+                // Handling an event schedules more: hops and deferred
+                // (`now + 0.2`) or re-submitted (`now`) arrivals.
+                if k < 120 && pick(2) == 0 {
+                    k += 1;
+                    let later = time + TIMES[pick(5) as usize];
+                    let next = match pick(3) {
+                        0 => Event::RequestArrival { request: k },
+                        _ => other(k),
+                    };
+                    oracle.push(later, next.clone());
+                    run.queue.push(later, next);
+                }
+            }
+            assert!(run.pop().is_none());
+        }
     }
 }

@@ -3,7 +3,7 @@
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
 use helix_core::{heuristics, IwrrScheduler, Topology};
 use helix_sim::{ClusterSimulator, SimulationConfig};
-use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
+use helix_workload::{ArrivalPattern, AzureTraceConfig, Request, Workload};
 
 fn profile() -> ClusterProfile {
     ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b())
@@ -88,4 +88,43 @@ fn latency_percentiles_are_ordered() {
     let d = &metrics.decode_latency;
     assert!(d.p5 <= d.p50 && d.p50 <= d.p95);
     assert!(p.mean > 0.0 && d.mean > 0.0);
+}
+
+/// A repeated id keeps the request table's semantics: the last spec (shape
+/// *and* arrival time) stands for every occurrence, and the id still arrives
+/// once per occurrence.  Occurrences admitted together share one flight (one
+/// completion, the spec's output tokens once); behind an admission limit of
+/// one they run back to back (one completion each).  The counts were
+/// captured on the map-keyed simulator this table replaced.
+#[test]
+fn a_repeated_request_id_arrives_once_per_occurrence_with_its_last_spec() {
+    let request = |id, prompt_tokens, output_tokens, arrival_time| Request {
+        id,
+        prompt_tokens,
+        output_tokens,
+        arrival_time,
+        ..Default::default()
+    };
+    let w = Workload::new(vec![
+        request(1, 64, 8, 0.0),
+        request(2, 96, 12, 0.0),
+        request(3, 80, 10, 1.0),
+        request(3, 48, 7, 1.0),
+        request(4, 64, 9, 2.0),
+        request(2, 32, 5, 200.0),
+    ]);
+    let run = |admission_limit: usize| {
+        let profile = profile();
+        let placement = heuristics::petals_placement(&profile).unwrap();
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let config = SimulationConfig::offline(2_000.0)
+            .with_warmup(0.0)
+            .with_admission_limit(admission_limit);
+        let metrics = sim.run(&w, config);
+        (metrics.completed_requests, metrics.decode_tokens)
+    };
+    assert_eq!(run(512), (4, 29));
+    assert_eq!(run(1), (6, 41));
 }
