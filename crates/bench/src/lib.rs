@@ -79,7 +79,6 @@ impl ExperimentScale {
                 mean_output_tokens: 64.0,
                 max_input_tokens: 1024,
                 max_output_tokens: 256,
-                ..Default::default()
             },
             ExperimentScale::Full => AzureTraceConfig::default(),
         }

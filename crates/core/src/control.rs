@@ -48,19 +48,19 @@
 //!
 //! The control plane **owns** the standing [`FleetTopology`], the per-model
 //! schedulers and [`PrefixRouter`]s, the [`ReplicationPolicy`] and
-//! [`ReplicaTracker`], the failed-node set and [`NodeDirectory`], per-request
-//! epochs, the in-flight table, promotion credits awaiting re-admission, and
-//! the policy clock with the re-plan and fail-over logs.  Surfaces hold no
+//! [`ReplicaTracker`], the failed-node set, per-request epochs, the in-flight
+//! table, promotion credits awaiting re-admission, and the policy clock with
+//! the re-plan and fail-over logs.  Surfaces hold no
 //! copy of any of it; they read it through the accessors below.
 
 use crate::engine::IdMap;
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use crate::{
     select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology, HelixError,
-    IwrrScheduler, KvTransferModel, LayerRange, NodeDirectory, NodeObservations,
-    ObservationWindows, PlacementDelta, PrefixRoute, PrefixRouter, PrefixStats, PrefixWork,
-    ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker, ReplicationPolicy,
-    ReplicationStats, RequestPipeline, Scheduler,
+    IwrrScheduler, KvTransferModel, LayerRange, NodeObservations, ObservationWindows,
+    PlacementDelta, PrefixRoute, PrefixRouter, PrefixStats, PrefixWork, ReplanOutcome,
+    ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats,
+    RequestPipeline, Scheduler,
 };
 use helix_cluster::{ModelId, NodeId};
 use helix_workload::{Request, RequestId};
@@ -193,7 +193,6 @@ pub struct ControlPlane {
     replication: ReplicationPolicy,
     replica_tracker: ReplicaTracker,
     failed: HashSet<NodeId>,
-    node_health: NodeDirectory,
     /// Layer ranges each failed node held when it dropped, handed back to
     /// the planner if it rejoins.
     rejoin_ranges: HashMap<NodeId, Vec<(ModelId, LayerRange)>>,
@@ -220,10 +219,6 @@ impl ControlPlane {
             schedulers.len(),
             "one scheduler per model"
         );
-        let mut node_health = NodeDirectory::default();
-        for node in fleet.topologies().iter().flat_map(|t| t.nodes()) {
-            node_health.register(node.node, 0.0);
-        }
         ControlPlane {
             prefix_routers: schedulers.iter().map(|_| PrefixRouter::new()).collect(),
             fleet,
@@ -231,7 +226,6 @@ impl ControlPlane {
             replication: ReplicationPolicy::disabled(),
             replica_tracker: ReplicaTracker::new(),
             failed: HashSet::new(),
-            node_health,
             rejoin_ranges: HashMap::new(),
             epochs: IdMap::default(),
             in_flight: IdMap::default(),
@@ -277,16 +271,6 @@ impl ControlPlane {
     /// One model's cache-aware router.
     pub fn prefix_router(&self, model: ModelId) -> Option<&PrefixRouter> {
         self.prefix_routers.get(model.index())
-    }
-
-    /// Node-level health membership.
-    pub fn node_health(&self) -> &NodeDirectory {
-        &self.node_health
-    }
-
-    /// Health overrides a surface's own perturbations force (stragglers).
-    pub fn node_health_mut(&mut self) -> &mut NodeDirectory {
-        &mut self.node_health
     }
 
     /// Nodes that failed and have not rejoined.
@@ -597,7 +581,6 @@ impl ControlPlane {
             });
             self.rejoin_ranges.insert(node, held.collect());
             self.failed.insert(node);
-            self.node_health.mark_down(node);
             // Dead pipelines must not stay prefix homes.  The re-plan below
             // clears routers only when it succeeds; when removing the nodes
             // is infeasible (they were load-bearing) the old plan keeps
@@ -689,15 +672,14 @@ impl ControlPlane {
         Some(promoted)
     }
 
-    /// A failed node comes back at `now`: membership returns to Healthy and
-    /// one assign-delta re-plan hands the node the layer ranges it held when
+    /// A failed node comes back at `now`: it leaves the failed set and one
+    /// assign-delta re-plan hands the node the layer ranges it held when
     /// it dropped (`None` when it was not failed, or never left the plan
     /// because the failure-time removal was infeasible).
     pub fn rejoin(&mut self, node: NodeId, now: f64) -> Option<ReplanOutcome> {
         if !self.failed.remove(&node) {
             return None;
         }
-        self.node_health.mark_healthy(node, now);
         let mut delta = PlacementDelta::new();
         for (m, layers) in self.rejoin_ranges.remove(&node).unwrap_or_default() {
             if self.fleet.model(m).and_then(|t| t.node(node)).is_none() {
@@ -736,9 +718,6 @@ impl ControlPlane {
         .ok()?;
         for &model in &outcome.affected {
             self.prefix_routers[model.index()].clear();
-            for node in self.fleet.topologies()[model.index()].nodes() {
-                self.node_health.register(node.node, now);
-            }
             if !outcome.migrations.iter().any(|m| m.model == model) {
                 self.install_scheduler(model);
             }
@@ -762,10 +741,10 @@ impl ControlPlane {
         }
     }
 
-    /// One observation-window boundary at `now`: live engines heartbeat the
-    /// node directory, every engine's cumulative counters are measured into
-    /// a window, and the policy (if any) decides whether the measured speeds
-    /// have drifted far enough from the plan to re-plan.
+    /// One observation-window boundary at `now`: every engine's cumulative
+    /// counters are measured into a window, and the policy (if any) decides
+    /// whether the measured speeds have drifted far enough from the plan to
+    /// re-plan.
     pub fn observe(
         &mut self,
         now: f64,
@@ -775,9 +754,6 @@ impl ControlPlane {
         self.last_check = now;
         let mut observed = NodeObservations::new();
         for &(node, model, counters) in engines {
-            if !self.failed.contains(&node) {
-                self.node_health.heartbeat(node, now);
-            }
             let planned = self.fleet.observations();
             self.windows
                 .measure(&mut observed, node, model, counters, window, planned);

@@ -96,7 +96,6 @@ pub struct WorkUnit {
 pub struct ExecModel {
     prompt_secs_per_token_layer: f64,
     decode_secs_per_token_layer: f64,
-    batch_overhead_secs: f64,
 }
 
 impl ExecModel {
@@ -105,20 +104,7 @@ impl ExecModel {
         ExecModel {
             prompt_secs_per_token_layer: 1.0 / profile.prompt_tokens_per_layer_sec.max(1e-9),
             decode_secs_per_token_layer: 1.0 / profile.decode_tokens_per_layer_sec.max(1e-9),
-            batch_overhead_secs: BATCH_OVERHEAD_SECS,
         }
-    }
-
-    /// Overrides the per-batch overhead (useful to study batching
-    /// efficiency).
-    pub fn with_batch_overhead(mut self, secs: f64) -> Self {
-        self.batch_overhead_secs = secs.max(0.0);
-        self
-    }
-
-    /// The configured per-batch overhead in seconds.
-    pub fn batch_overhead_secs(&self) -> f64 {
-        self.batch_overhead_secs
     }
 
     /// Seconds one work item contributes to its batch (excluding the
@@ -141,7 +127,7 @@ impl ExecModel {
             total += self.item_secs(item);
         }
         if any {
-            self.batch_overhead_secs + total
+            BATCH_OVERHEAD_SECS + total
         } else {
             0.0
         }
@@ -187,8 +173,7 @@ mod tests {
 
     #[test]
     fn batching_amortises_the_fixed_overhead() {
-        let m = model().with_batch_overhead(0.5);
-        assert_eq!(m.batch_overhead_secs(), 0.5);
+        let m = model();
         let one = m.batch_secs([unit(Phase::Decode, 1, 2)]);
         let two_batched = m.batch_secs([unit(Phase::Decode, 1, 2), unit(Phase::Decode, 1, 2)]);
         assert!(two_batched < 2.0 * one);

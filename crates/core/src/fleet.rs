@@ -30,8 +30,11 @@
 //! strictly partitioned.
 
 use crate::error::HelixError;
-use crate::flow_graph::{Endpoint, FlowGraphBuilder};
+use crate::flow_graph::Endpoint;
 use crate::placement::incremental::IncrementalFlowEvaluator;
+use crate::placement::refine::{
+    cold_flow, metropolis, AnnealingOptions, FlowAnnealingPlanner, COOLING, INITIAL_TEMPERATURE,
+};
 use crate::placement::{LayerRange, ModelPlacement};
 use crate::replan::{NodeObservations, PlacementDelta, ReplanOutcome};
 use crate::scheduling::iwrr::IwrrScheduler;
@@ -737,20 +740,12 @@ impl FleetScheduler {
 pub struct FleetAnnealingOptions {
     /// Number of proposed moves across the whole fleet.
     pub iterations: usize,
-    /// Initial acceptance temperature as a fraction of the initial
-    /// (normalised) objective.
-    pub initial_temperature: f64,
-    /// Multiplicative cooling factor applied every iteration.
-    pub cooling: f64,
     /// RNG seed (searches are deterministic given the seed).
     pub seed: u64,
     /// Whether connection validity allows partial inference.
     pub partial_inference: bool,
     /// Optional cluster pruning degree for the flow evaluations.
     pub prune_degree: Option<usize>,
-    /// Probability that a proposal moves a node *between* models instead of
-    /// adjusting a layer range within one model.
-    pub cross_model_fraction: f64,
     /// Per-model traffic weights; `None` weighs every model equally.  The
     /// objective maximised is `Σ weight_m · flow_m / upper_bound_m`.
     pub weights: Option<Vec<f64>>,
@@ -760,15 +755,55 @@ impl Default for FleetAnnealingOptions {
     fn default() -> Self {
         FleetAnnealingOptions {
             iterations: 4000,
-            initial_temperature: 0.05,
-            cooling: 0.999,
             seed: 0x48454C49,
             partial_inference: true,
             prune_degree: None,
-            cross_model_fraction: 0.25,
             weights: None,
         }
     }
+}
+
+/// Probability that a proposal of the joint search moves a node *between*
+/// models instead of adjusting a layer range within one model.
+const CROSS_MODEL_FRACTION: f64 = 0.25;
+
+impl FleetAnnealingOptions {
+    /// The traffic weight of `model` (1.0 when unweighted).
+    pub(crate) fn weight(&self, model: usize) -> f64 {
+        self.weights
+            .as_ref()
+            .and_then(|w| w.get(model))
+            .copied()
+            .unwrap_or(1.0)
+    }
+}
+
+/// The single-model search a fleet search runs per model (or per pod): same
+/// budget, seed and connection settings.
+impl From<&FleetAnnealingOptions> for AnnealingOptions {
+    fn from(options: &FleetAnnealingOptions) -> Self {
+        AnnealingOptions {
+            iterations: options.iterations,
+            seed: options.seed,
+            partial_inference: options.partial_inference,
+            prune_degree: options.prune_degree,
+        }
+    }
+}
+
+/// Per-model max-flow throughputs of a fleet placement, one cold solve per
+/// model; invalid per-model placements score 0.
+pub(crate) fn cold_flows(
+    profiles: &[ClusterProfile],
+    placement: &FleetPlacement,
+    options: &FleetAnnealingOptions,
+) -> Vec<f64> {
+    placement
+        .placements()
+        .iter()
+        .zip(profiles)
+        .map(|(p, profile)| cold_flow(profile, p, options.partial_inference, options.prune_degree))
+        .collect()
 }
 
 /// Joint simulated-annealing placement search for a multi-model fleet.
@@ -828,28 +863,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
     /// Evaluates the per-model max-flow throughputs of a fleet placement
     /// with a cold solve per model; invalid per-model placements score 0.
     pub fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
-        placement
-            .placements()
-            .iter()
-            .zip(self.profiles)
-            .map(|(p, profile)| {
-                let mut builder = FlowGraphBuilder::new(profile)
-                    .partial_inference(self.options.partial_inference);
-                if let Some(d) = self.options.prune_degree {
-                    builder = builder.prune_to_degree(d);
-                }
-                builder.build(p).map(|g| g.max_flow().value).unwrap_or(0.0)
-            })
-            .collect()
-    }
-
-    fn weight(&self, model: usize) -> f64 {
-        self.options
-            .weights
-            .as_ref()
-            .and_then(|w| w.get(model))
-            .copied()
-            .unwrap_or(1.0)
+        cold_flows(self.profiles, placement, &self.options)
     }
 
     /// Runs the search: greedy node partition, per-model greedy seeds, then
@@ -864,15 +878,8 @@ impl<'a> FleetAnnealingPlanner<'a> {
         let num_models = self.profiles.len();
         if num_models == 1 {
             // Trivial fleet: the single-model annealer is the canonical path.
-            let single = crate::placement::refine::FlowAnnealingPlanner::new(&self.profiles[0])
-                .with_options(crate::placement::refine::AnnealingOptions {
-                    iterations: self.options.iterations,
-                    initial_temperature: self.options.initial_temperature,
-                    cooling: self.options.cooling,
-                    seed: self.options.seed,
-                    partial_inference: self.options.partial_inference,
-                    prune_degree: self.options.prune_degree,
-                });
+            let single =
+                FlowAnnealingPlanner::new(&self.profiles[0]).with_options((&self.options).into());
             let (placement, value) = single.solve()?;
             return Ok((FleetPlacement::single(placement), vec![value]));
         }
@@ -918,7 +925,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
             values
                 .iter()
                 .enumerate()
-                .map(|(m, &v)| self.weight(m) * v / uppers[m])
+                .map(|(m, &v)| self.options.weight(m) * v / uppers[m])
                 .sum()
         };
         let mut values: Vec<f64> = evaluators.iter().map(|e| e.value()).collect();
@@ -930,13 +937,13 @@ impl<'a> FleetAnnealingPlanner<'a> {
             best = evaluators.iter().map(|e| e.placement().clone()).collect();
         }
 
-        let mut temperature = self.options.initial_temperature * current_obj.abs().max(1e-9);
+        let mut temperature = INITIAL_TEMPERATURE * current_obj.abs().max(1e-9);
         let mut rng = StdRng::seed_from_u64(self.options.seed);
         let nodes: Vec<NodeId> = cluster.node_ids().collect();
 
         for _ in 0..self.options.iterations {
-            temperature *= self.options.cooling;
-            let cross = rng.gen::<f64>() < self.options.cross_model_fraction;
+            temperature *= COOLING;
+            let cross = rng.gen::<f64>() < CROSS_MODEL_FRACTION;
             let node = nodes[rng.gen_range(0..n)];
             let from_owner = owner[node.index()];
 
@@ -959,7 +966,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
                 new_values[a] = va;
                 new_values[b] = vb;
                 let new_obj = objective(&new_values);
-                if self.accept(new_obj, current_obj, temperature, &mut rng)
+                if metropolis(new_obj, current_obj, temperature, &mut rng)
                     && new_values.iter().all(|&v| v > 0.0)
                 {
                     owner[node.index()] = Some(b);
@@ -990,7 +997,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
                 let mut new_values = values.clone();
                 new_values[m] = vm;
                 let new_obj = objective(&new_values);
-                if self.accept(new_obj, current_obj, temperature, &mut rng)
+                if metropolis(new_obj, current_obj, temperature, &mut rng)
                     && new_values.iter().all(|&v| v > 0.0)
                 {
                     owner[node.index()] = Some(m);
@@ -1035,7 +1042,8 @@ impl<'a> FleetAnnealingPlanner<'a> {
         let demand: Vec<f64> = (0..num_models)
             .map(|m| {
                 let model = self.profiles[m].model();
-                (self.weight(m) * model.num_layers as f64 * model.layer_flops_per_token()).max(1e-9)
+                (self.options.weight(m) * model.num_layers as f64 * model.layer_flops_per_token())
+                    .max(1e-9)
             })
             .collect();
         let mut assigned = vec![0.0f64; num_models];
@@ -1101,13 +1109,6 @@ impl<'a> FleetAnnealingPlanner<'a> {
             owner[id.index()] = Some(starved);
         }
         Err(HelixError::NoPlacementFound)
-    }
-
-    fn accept(&self, value: f64, current: f64, temperature: f64, rng: &mut StdRng) -> bool {
-        value >= current || {
-            let delta = current - value;
-            temperature > 1e-12 && rng.gen::<f64>() < (-delta / temperature).exp()
-        }
     }
 }
 
@@ -1253,15 +1254,7 @@ mod tests {
         let options = quick_options();
         let planner = FleetAnnealingPlanner::new(&profiles).with_options(options.clone());
         let (placement, flows) = planner.solve().unwrap();
-        let single = crate::placement::refine::FlowAnnealingPlanner::new(&profiles[0])
-            .with_options(crate::placement::refine::AnnealingOptions {
-                iterations: options.iterations,
-                initial_temperature: options.initial_temperature,
-                cooling: options.cooling,
-                seed: options.seed,
-                partial_inference: options.partial_inference,
-                prune_degree: options.prune_degree,
-            });
+        let single = FlowAnnealingPlanner::new(&profiles[0]).with_options((&options).into());
         let (expected_placement, expected_value) = single.solve().unwrap();
         assert_eq!(placement.placements()[0], expected_placement);
         assert_eq!(flows, vec![expected_value]);

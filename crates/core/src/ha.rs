@@ -1,5 +1,5 @@
-//! High availability: KV replication for hot sequences, node-level health
-//! membership and fail-over accounting.
+//! High availability: KV replication for hot sequences and fail-over
+//! accounting.
 //!
 //! Node failure used to mean abort-and-readmit: every stranded pipeline's KV
 //! was purged and its request recomputed from token zero — the most expensive
@@ -17,10 +17,6 @@
 //! * [`select_standby`] — the deterministic standby choice both surfaces
 //!   share: the smallest-id other node of the same model whose layer range
 //!   covers the failed stage.
-//! * [`NodeDirectory`] — [`RegionDirectory`](crate::region::RegionDirectory)'s
-//!   Healthy → Degraded → Down heartbeat decay generalised down to the node
-//!   level, with the same operator-override contract (a forced-down node
-//!   stays down until an explicit `mark_healthy`, no matter how it flaps).
 //! * [`FailoverRecord`] / [`ReplicationStats`] — the report entries both
 //!   surfaces log, so the availability × throughput trade-off (replication
 //!   bandwidth stolen from serving vs recomputation saved) is measurable.
@@ -32,14 +28,8 @@
 
 use crate::engine::IdMap;
 use crate::placement::LayerRange;
-use crate::region::{MembershipOptions, RegionHealth};
 use helix_cluster::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Node-level health classification — the same three states (and the same
-/// decay and override semantics) as region membership.
-pub type Health = RegionHealth;
 
 /// Which requests replicate their KV to a standby tenancy, and how often.
 ///
@@ -304,128 +294,6 @@ pub fn select_standby(
         .min()
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct NodeEntry {
-    last_heartbeat: f64,
-    /// Operator / controller override: wins over heartbeat-derived health
-    /// until explicitly cleared — same contract as region membership.
-    forced: Option<Health>,
-}
-
-/// Node-level membership: [`RegionDirectory`](crate::region::RegionDirectory)'s
-/// heartbeat decay generalised to individual nodes, so flapping nodes,
-/// stragglers and partitions classify Healthy → Degraded → Down on both
-/// surfaces from the same caller-supplied clock.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeDirectory {
-    options: MembershipOptions,
-    entries: BTreeMap<NodeId, NodeEntry>,
-}
-
-impl NodeDirectory {
-    /// An empty directory with the given thresholds.
-    pub fn new(options: MembershipOptions) -> Self {
-        NodeDirectory {
-            options,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn options(&self) -> MembershipOptions {
-        self.options
-    }
-
-    /// Registers (or re-registers) a node, counting as a heartbeat.  A
-    /// forced override survives re-registration — a flapping node cannot
-    /// escape a planned drain by re-announcing itself.
-    pub fn register(&mut self, node: NodeId, now: f64) {
-        match self.entries.get_mut(&node) {
-            Some(entry) => entry.last_heartbeat = entry.last_heartbeat.max(now),
-            None => {
-                self.entries.insert(
-                    node,
-                    NodeEntry {
-                        last_heartbeat: now,
-                        forced: None,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Records a heartbeat; `false` for unregistered nodes.
-    pub fn heartbeat(&mut self, node: NodeId, now: f64) -> bool {
-        match self.entries.get_mut(&node) {
-            Some(entry) => {
-                entry.last_heartbeat = entry.last_heartbeat.max(now);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Forces `node` Down (failure signal or planned drain).
-    pub fn mark_down(&mut self, node: NodeId) {
-        if let Some(entry) = self.entries.get_mut(&node) {
-            entry.forced = Some(Health::Down);
-        }
-    }
-
-    /// Forces `node` Degraded (straggler).
-    pub fn mark_degraded(&mut self, node: NodeId) {
-        if let Some(entry) = self.entries.get_mut(&node) {
-            entry.forced = Some(Health::Degraded);
-        }
-    }
-
-    /// Clears any override and refreshes the heartbeat.
-    pub fn mark_healthy(&mut self, node: NodeId, now: f64) {
-        if let Some(entry) = self.entries.get_mut(&node) {
-            entry.forced = None;
-            entry.last_heartbeat = entry.last_heartbeat.max(now);
-        }
-    }
-
-    /// Health of `node` as of `now`: the override if set, else derived from
-    /// missed heartbeats.  Unregistered nodes are Down.
-    pub fn health(&self, node: NodeId, now: f64) -> Health {
-        let Some(entry) = self.entries.get(&node) else {
-            return Health::Down;
-        };
-        if let Some(forced) = entry.forced {
-            return forced;
-        }
-        let missed = ((now - entry.last_heartbeat) / self.options.heartbeat_interval_secs)
-            .max(0.0)
-            .floor() as u32;
-        if missed >= self.options.down_after_missed {
-            Health::Down
-        } else if missed >= self.options.degraded_after_missed {
-            Health::Degraded
-        } else {
-            Health::Healthy
-        }
-    }
-
-    /// `(node, health)` for every registered node as of `now`, in id order.
-    pub fn snapshot(&self, now: f64) -> Vec<(NodeId, Health)> {
-        self.entries
-            .keys()
-            .map(|&node| (node, self.health(node, now)))
-            .collect()
-    }
-
-    /// Nodes currently classified Down, in id order.
-    pub fn down_nodes(&self, now: f64) -> Vec<NodeId> {
-        self.entries
-            .keys()
-            .copied()
-            .filter(|&n| self.health(n, now) == Health::Down)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,43 +370,6 @@ mod tests {
         assert_eq!(
             select_standby(NodeId(4), LayerRange::new(0, 32), &candidates),
             None
-        );
-    }
-
-    #[test]
-    fn node_directory_decays_and_holds_forced_overrides() {
-        let mut d = NodeDirectory::new(MembershipOptions {
-            heartbeat_interval_secs: 1.0,
-            degraded_after_missed: 2,
-            down_after_missed: 4,
-        });
-        for n in 0..3usize {
-            d.register(NodeId(n), 0.0);
-        }
-        assert_eq!(d.health(NodeId(0), 0.0), Health::Healthy);
-        assert!(d.heartbeat(NodeId(1), 3.0));
-        assert!(d.heartbeat(NodeId(2), 3.0));
-        // Node 0 went silent at t=0: Degraded after 2 missed, Down after 4.
-        assert_eq!(d.health(NodeId(0), 2.5), Health::Degraded);
-        assert_eq!(d.health(NodeId(0), 4.5), Health::Down);
-        assert_eq!(d.health(NodeId(1), 4.5), Health::Healthy);
-        assert_eq!(d.health(NodeId(9), 0.0), Health::Down);
-        assert!(!d.heartbeat(NodeId(9), 0.0));
-        assert_eq!(d.down_nodes(4.5), vec![NodeId(0)]);
-        // A flapping node cannot clear a forced hold by re-registering.
-        d.mark_down(NodeId(2));
-        d.register(NodeId(2), 5.0);
-        d.heartbeat(NodeId(2), 5.0);
-        assert_eq!(d.health(NodeId(2), 5.0), Health::Down);
-        d.mark_healthy(NodeId(2), 5.0);
-        assert_eq!(d.health(NodeId(2), 5.0), Health::Healthy);
-        assert_eq!(
-            d.snapshot(5.0),
-            vec![
-                (NodeId(0), Health::Down),
-                (NodeId(1), Health::Degraded),
-                (NodeId(2), Health::Healthy),
-            ]
         );
     }
 }

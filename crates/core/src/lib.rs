@@ -53,6 +53,7 @@
 //!   routers, replication, fail-over and re-plan state and makes every
 //!   admission / progress / fail-over / re-plan decision once; the simulator
 //!   and the runtime are its two actuators.
+//! * [`obs`] — what both surfaces report in one shape ([`LatencyStats`]).
 //! * [`scheduling`] — baseline schedulers (Swarm throughput-proportional,
 //!   random, shortest-queue-first) used in the §6.7 scheduling deep dive.
 //!
@@ -84,6 +85,7 @@ pub mod fleet;
 pub mod flow_graph;
 pub mod ha;
 pub mod link;
+pub mod obs;
 pub mod placement;
 pub mod region;
 pub mod replan;
@@ -102,10 +104,11 @@ pub use fleet::{
 };
 pub use flow_graph::{Endpoint, FlowGraphBuilder, PlacementFlowGraph};
 pub use ha::{
-    select_standby, FailoverRecord, NodeDirectory, ReplicaTracker, ReplicationPolicy,
-    ReplicationStats, REPLICA_CHUNK_PAGES,
+    select_standby, FailoverRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats,
+    REPLICA_CHUNK_PAGES,
 };
 pub use link::LinkQueue;
+pub use obs::LatencyStats;
 pub use placement::heuristics;
 pub use placement::hierarchical::{
     HierarchicalFleetPlanner, HierarchicalOptions, HierarchicalPlan,

@@ -30,13 +30,16 @@
 //! [`FleetAnnealingPlanner`]: crate::fleet::FleetAnnealingPlanner
 
 use crate::error::HelixError;
-use crate::fleet::{propose_range, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement};
-use crate::flow_graph::FlowGraphBuilder;
+use crate::fleet::{
+    cold_flows, propose_range, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement,
+};
 use crate::placement::incremental::IncrementalFlowEvaluator;
 use crate::placement::partition::{
     sub_profile_over, Pod, PodMap, PodPartitionOptions, PodPartitioner,
 };
-use crate::placement::refine::{AnnealingOptions, FlowAnnealingPlanner};
+use crate::placement::refine::{
+    metropolis, AnnealingOptions, FlowAnnealingPlanner, COOLING, INITIAL_TEMPERATURE,
+};
 use crate::placement::{LayerRange, ModelPlacement};
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
 use helix_maxflow::MaxFlowAlgorithm;
@@ -45,37 +48,26 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// Options for the hierarchical planner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HierarchicalOptions {
     /// How the cluster is cut into pods.
     pub pods: PodPartitionOptions,
-    /// The total annealing budget and schedule.  `annealing.iterations` is
-    /// the **fleet-wide** move budget: pods split `(1 − refine_fraction)` of
-    /// it proportionally to their size and the refine pass gets the rest, so
-    /// hierarchical and joint searches are comparable at equal budgets.
+    /// The total annealing budget.  `annealing.iterations` is the
+    /// **fleet-wide** move budget: pods split 85 % of it proportionally to
+    /// their size and the refine pass gets the rest, so hierarchical and
+    /// joint searches are comparable at equal budgets.
     pub annealing: FleetAnnealingOptions,
-    /// Fraction of the iteration budget spent on the top-level cross-pod
-    /// refine pass.
-    pub refine_fraction: f64,
     /// Worker threads for the per-pod searches (`0` = one per available
     /// core).  The result does not depend on this value.
     pub threads: usize,
-    /// How many nearest cross-pod neighbours each node contributes to the
-    /// refine stage's sparse candidate set.
-    pub cross_pod_neighbors: usize,
 }
 
-impl Default for HierarchicalOptions {
-    fn default() -> Self {
-        HierarchicalOptions {
-            pods: PodPartitionOptions::default(),
-            annealing: FleetAnnealingOptions::default(),
-            refine_fraction: 0.15,
-            threads: 0,
-            cross_pod_neighbors: 2,
-        }
-    }
-}
+/// Fraction of the iteration budget spent on the top-level cross-pod refine
+/// pass.
+const REFINE_FRACTION: f64 = 0.15;
+/// How many nearest cross-pod neighbours each node contributes to the refine
+/// stage's sparse candidate set.
+const CROSS_POD_NEIGHBORS: usize = 2;
 
 /// The result of a hierarchical planning run.
 #[derive(Debug, Clone)]
@@ -196,22 +188,11 @@ impl<'a> HierarchicalFleetPlanner<'a> {
         })
     }
 
-    fn weight(&self, model: usize) -> f64 {
-        self.options
-            .annealing
-            .weights
-            .as_ref()
-            .and_then(|w| w.get(model))
-            .copied()
-            .unwrap_or(1.0)
-    }
-
     fn solve_hierarchical(&self, pods: PodMap) -> Result<HierarchicalPlan, HelixError> {
         let cluster = self.profiles[0].cluster();
         let n = cluster.num_nodes();
         let opts = &self.options.annealing;
-        let refine_iters = ((opts.iterations as f64) * self.options.refine_fraction.clamp(0.0, 1.0))
-            .round() as usize;
+        let refine_iters = ((opts.iterations as f64) * REFINE_FRACTION).round() as usize;
         let pod_budget_total = opts.iterations.saturating_sub(refine_iters);
 
         // --- Level 2: anneal every pod independently, in parallel. ---
@@ -252,19 +233,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
     /// Cold-evaluates the per-model flows of a fleet placement (same
     /// convention as [`FleetAnnealingPlanner::evaluate`]).
     pub fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
-        placement
-            .placements()
-            .iter()
-            .zip(self.profiles)
-            .map(|(p, profile)| {
-                let mut builder = FlowGraphBuilder::new(profile)
-                    .partial_inference(self.options.annealing.partial_inference);
-                if let Some(d) = self.options.annealing.prune_degree {
-                    builder = builder.prune_to_degree(d);
-                }
-                builder.build(p).map(|g| g.max_flow().value).unwrap_or(0.0)
-            })
-            .collect()
+        cold_flows(self.profiles, placement, &self.options.annealing)
     }
 
     /// Runs one annealing search per pod across at most
@@ -292,11 +261,8 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             let iterations = (budget_total * pod.nodes.len()) / n.max(1);
             let planner = FlowAnnealingPlanner::new(&sub_profile).with_options(AnnealingOptions {
                 iterations,
-                initial_temperature: self.options.annealing.initial_temperature,
-                cooling: self.options.annealing.cooling,
                 seed: mix_seed(self.options.annealing.seed, pod.id as u64),
-                partial_inference: self.options.annealing.partial_inference,
-                prune_degree: self.options.annealing.prune_degree,
+                ..(&self.options.annealing).into()
             });
             let (sub_placement, _) = planner.solve()?;
             let mut placement = ModelPlacement::empty(n);
@@ -362,8 +328,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
                 }
             }
         }
-        let k = self.options.cross_pod_neighbors;
-        if k > 0 && model_pods.len() > 1 {
+        if model_pods.len() > 1 {
             for pod in &model_pods {
                 for &a in &pod.nodes {
                     let mut foreign: Vec<NodeId> = model_pods
@@ -377,7 +342,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(x.index().cmp(&y.index()))
                     });
-                    for &b in foreign.iter().take(k) {
+                    for &b in foreign.iter().take(CROSS_POD_NEIGHBORS) {
                         set.insert((a.index(), b.index()));
                         set.insert((b.index(), a.index()));
                     }
@@ -421,7 +386,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             values
                 .iter()
                 .enumerate()
-                .map(|(m, &v)| self.weight(m) * v / uppers[m])
+                .map(|(m, &v)| opts.weight(m) * v / uppers[m])
                 .sum()
         };
         let mut values: Vec<f64> = evaluators.iter().map(|e| e.value()).collect();
@@ -443,11 +408,11 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             .map(|v| pods.pod_of(NodeId(v)).map(|p| pods.pods()[p].model.index()))
             .collect();
         let nodes: Vec<NodeId> = self.profiles[0].cluster().node_ids().collect();
-        let mut temperature = opts.initial_temperature * current_obj.abs().max(1e-9);
+        let mut temperature = INITIAL_TEMPERATURE * current_obj.abs().max(1e-9);
         let mut rng = StdRng::seed_from_u64(mix_seed(opts.seed, u64::MAX));
 
         for _ in 0..iterations {
-            temperature *= opts.cooling;
+            temperature *= COOLING;
             let node = nodes[rng.gen_range(0..nodes.len())];
             let Some(m) = model_of[node.index()] else {
                 continue;
@@ -462,10 +427,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             let mut new_values = values.clone();
             new_values[m] = new_value;
             let new_obj = objective(&new_values);
-            let accept = new_obj >= current_obj
-                || (temperature > 1e-12
-                    && rng.gen::<f64>() < ((new_obj - current_obj) / temperature).exp());
-            if accept && new_value > 0.0 {
+            if metropolis(new_obj, current_obj, temperature, &mut rng) && new_value > 0.0 {
                 values = new_values;
                 current_obj = new_obj;
                 if current_obj > best_obj {

@@ -28,9 +28,6 @@ pub struct PartitionOptions {
     /// num_layers`.  Values above 1.0 leave headroom for KV cache and load
     /// balancing.
     pub capacity_slack: f64,
-    /// Keep nodes of the same region together (avoids replicas that straddle
-    /// slow inter-region links).
-    pub group_by_region: bool,
     /// Planning budget used for each partition.
     pub annealing: AnnealingOptions,
 }
@@ -40,7 +37,6 @@ impl Default for PartitionOptions {
         PartitionOptions {
             max_partition_size: 16,
             capacity_slack: 1.2,
-            group_by_region: true,
             annealing: AnnealingOptions::default(),
         }
     }
@@ -141,30 +137,25 @@ impl<'a> PartitionedPlanner<'a> {
 
     /// Computes the node groups without planning placements for them.
     ///
-    /// Every group can hold at least one full model replica; groups respect
-    /// region boundaries when `group_by_region` is set and the regions are
-    /// large enough.
+    /// Every group can hold at least one full model replica; nodes of one
+    /// region stay together when the regions are large enough (no replica
+    /// straddles a slow inter-region link).
     pub fn node_groups(&self) -> Vec<Vec<NodeId>> {
         let profile = self.profile;
         let cluster = profile.cluster();
         let num_layers = profile.model().num_layers;
         let needed = (num_layers as f64 * self.options.capacity_slack).ceil() as usize;
 
-        // Order nodes region by region (or as one big group), strongest first
-        // within each region so every partition gets a share of strong nodes.
+        // Order nodes region by region, strongest first within each region so
+        // every partition gets a share of strong nodes.
         let mut ordered: Vec<NodeId> = Vec::with_capacity(cluster.num_nodes());
-        if self.options.group_by_region {
-            let mut by_region: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-            for node in cluster.nodes() {
-                by_region.entry(node.region.0).or_default().push(node.id);
-            }
-            for (_, mut nodes) in by_region {
-                nodes.sort_by_key(|&id| std::cmp::Reverse(profile.node_profile(id).max_layers));
-                ordered.extend(nodes);
-            }
-        } else {
-            ordered.extend(cluster.node_ids());
-            ordered.sort_by_key(|&id| std::cmp::Reverse(profile.node_profile(id).max_layers));
+        let mut by_region: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+        for node in cluster.nodes() {
+            by_region.entry(node.region.0).or_default().push(node.id);
+        }
+        for (_, mut nodes) in by_region {
+            nodes.sort_by_key(|&id| std::cmp::Reverse(profile.node_profile(id).max_layers));
+            ordered.extend(nodes);
         }
 
         let mut groups: Vec<Vec<NodeId>> = Vec::new();

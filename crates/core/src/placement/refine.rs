@@ -24,11 +24,6 @@ use rand::{Rng, SeedableRng};
 pub struct AnnealingOptions {
     /// Number of proposed moves.
     pub iterations: usize,
-    /// Initial acceptance temperature, as a fraction of the throughput upper
-    /// bound (higher accepts more regressions early on).
-    pub initial_temperature: f64,
-    /// Multiplicative cooling factor applied every iteration.
-    pub cooling: f64,
     /// RNG seed (searches are deterministic given the seed).
     pub seed: u64,
     /// Whether connection validity allows partial inference.
@@ -41,12 +36,45 @@ impl Default for AnnealingOptions {
     fn default() -> Self {
         AnnealingOptions {
             iterations: 4000,
-            initial_temperature: 0.05,
-            cooling: 0.999,
             seed: 0x48454C49,
             partial_inference: true,
             prune_degree: None,
         }
+    }
+}
+
+/// Initial acceptance temperature of every annealer, as a fraction of the
+/// scale of its objective (the throughput upper bound here, the initial
+/// normalised objective in the fleet searches).
+pub(crate) const INITIAL_TEMPERATURE: f64 = 0.05;
+/// Multiplicative cooling factor every annealer applies each iteration.
+pub(crate) const COOLING: f64 = 0.999;
+
+/// The serving throughput (max flow) of `placement`, solved cold; an invalid
+/// placement scores 0.
+pub(crate) fn cold_flow(
+    profile: &ClusterProfile,
+    placement: &ModelPlacement,
+    partial_inference: bool,
+    prune_degree: Option<usize>,
+) -> f64 {
+    let mut builder = FlowGraphBuilder::new(profile).partial_inference(partial_inference);
+    if let Some(d) = prune_degree {
+        builder = builder.prune_to_degree(d);
+    }
+    builder
+        .build(placement)
+        .map(|g| g.max_flow().value)
+        .unwrap_or(0.0)
+}
+
+/// The Metropolis rule: an improvement is always accepted, a regression with
+/// probability `exp(−Δ / temperature)` (one draw, made only for regressions
+/// above the temperature floor).
+pub(crate) fn metropolis(value: f64, current: f64, temperature: f64, rng: &mut StdRng) -> bool {
+    value >= current || {
+        let delta = current - value;
+        temperature > 1e-12 && rng.gen::<f64>() < (-delta / temperature).exp()
     }
 }
 
@@ -97,15 +125,12 @@ impl<'a> FlowAnnealingPlanner<'a> {
     /// Evaluates the serving throughput (max flow) of a placement under this
     /// planner's connection settings; invalid placements score 0.
     pub fn evaluate(&self, placement: &ModelPlacement) -> f64 {
-        let mut builder =
-            FlowGraphBuilder::new(self.profile).partial_inference(self.options.partial_inference);
-        if let Some(d) = self.options.prune_degree {
-            builder = builder.prune_to_degree(d);
-        }
-        builder
-            .build(placement)
-            .map(|g| g.max_flow().value)
-            .unwrap_or(0.0)
+        cold_flow(
+            self.profile,
+            placement,
+            self.options.partial_inference,
+            self.options.prune_degree,
+        )
     }
 
     /// Runs the search starting from the built-in heuristics.
@@ -169,17 +194,17 @@ impl<'a> FlowAnnealingPlanner<'a> {
         // the current state; only the best-so-far needs a snapshot.
         let (mut best_placement, mut best_value) = (start, current_value);
         let upper = self.profile.throughput_upper_bound().max(1e-9);
-        let mut temperature = self.options.initial_temperature * upper;
+        let mut temperature = INITIAL_TEMPERATURE * upper;
         let mut rng = StdRng::seed_from_u64(self.options.seed);
 
         for _ in 0..self.options.iterations {
             let Some((node, range)) = self.propose(evaluator.placement(), &mut rng) else {
-                temperature *= self.options.cooling;
+                temperature *= COOLING;
                 continue;
             };
             let previous = evaluator.placement().range(node);
             let value = evaluator.assign(node, range);
-            if self.accept(value, current_value, temperature, &mut rng) {
+            if metropolis(value, current_value, temperature, &mut rng) && value > 0.0 {
                 current_value = value;
                 if value > best_value {
                     best_value = value;
@@ -192,19 +217,11 @@ impl<'a> FlowAnnealingPlanner<'a> {
             } else {
                 evaluator.restore(node, previous);
             }
-            temperature *= self.options.cooling;
+            temperature *= COOLING;
         }
         // Report the canonical (cold) evaluation of the winner.
         let value = self.evaluate(&best_placement);
         Ok((best_placement, value))
-    }
-
-    fn accept(&self, value: f64, current_value: f64, temperature: f64, rng: &mut StdRng) -> bool {
-        let metropolis = value >= current_value || {
-            let delta = current_value - value;
-            temperature > 1e-12 && rng.gen::<f64>() < (-delta / temperature).exp()
-        };
-        metropolis && value > 0.0
     }
 
     /// Proposes a random single-node move: `(node, new range)`, or `None`

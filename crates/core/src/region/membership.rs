@@ -5,19 +5,12 @@
 //! shared state binding them: regions *register*, *heartbeat* on a fixed
 //! cadence, and are classified [`Healthy`](RegionHealth::Healthy),
 //! [`Degraded`](RegionHealth::Degraded) or [`Down`](RegionHealth::Down) from
-//! missed heartbeats (or by explicit operator override).  Health drives two
-//! consumers:
-//!
-//! * **ring re-weighting** — [`RegionDirectory::routing_weights`] feed the
-//!   [`RegionRing`](super::RegionRing), shifting new traffic away from sick
-//!   regions without moving keys between healthy ones;
-//! * **planner re-runs** — [`RegionDirectory::health_observations`] translate
-//!   region health into per-node [`NodeObservations`] so `PodPartitioner` /
-//!   `HierarchicalFleetPlanner` re-runs price a degraded region's nodes at
-//!   reduced speed and a down region's nodes at the planning floor.
+//! missed heartbeats (or by explicit operator override).  Health drives ring
+//! re-weighting: [`RegionDirectory::routing_weights`] feed the
+//! [`RegionRing`](super::RegionRing), shifting new traffic away from sick
+//! regions without moving keys between healthy ones.
 
-use crate::replan::{NodeObservations, MIN_SPEED_FACTOR};
-use helix_cluster::{ClusterSpec, ModelId, Region};
+use helix_cluster::Region;
 use std::collections::BTreeMap;
 
 /// Health classification of one region, from its heartbeat history.
@@ -46,15 +39,6 @@ impl RegionHealth {
     /// Whether a front tier may still send *new* requests here.
     pub fn is_routable(self) -> bool {
         !matches!(self, RegionHealth::Down)
-    }
-
-    /// The speed factor planner re-runs price this region's nodes at.
-    pub fn speed_factor(self) -> f64 {
-        match self {
-            RegionHealth::Healthy => 1.0,
-            RegionHealth::Degraded => 0.5,
-            RegionHealth::Down => MIN_SPEED_FACTOR,
-        }
     }
 }
 
@@ -247,35 +231,11 @@ impl RegionDirectory {
             .map(|r| (r, self.health(r, now).routing_weight()))
             .collect()
     }
-
-    /// Translates region health into per-node observations for planner
-    /// re-runs: every node of a Degraded region measures at half speed and
-    /// every node of a Down region at the planning floor, for all `models`.
-    /// Healthy regions contribute nothing (analytic shares stand).
-    pub fn health_observations(
-        &self,
-        spec: &ClusterSpec,
-        models: usize,
-        now: f64,
-    ) -> NodeObservations {
-        let mut observed = NodeObservations::new();
-        for node in spec.nodes() {
-            let health = self.health(node.region, now);
-            if health == RegionHealth::Healthy || !self.entries.contains_key(&node.region) {
-                continue;
-            }
-            for m in 0..models {
-                observed.record(node.id, ModelId(m), 0.0, health.speed_factor(), 1.0);
-            }
-        }
-        observed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helix_cluster::ClusterSpec;
 
     fn directory() -> RegionDirectory {
         let mut d = RegionDirectory::new(MembershipOptions::default());
@@ -360,35 +320,5 @@ mod tests {
             d.regions().find(|i| i.region == Region(1)).unwrap().nodes,
             8
         );
-    }
-
-    #[test]
-    fn health_feeds_planner_observations() {
-        // geo_distributed_24 spreads 24 nodes over regions 0..3.
-        let spec = ClusterSpec::geo_distributed_24();
-        let mut d = RegionDirectory::new(MembershipOptions::default());
-        for r in 0..3u32 {
-            d.register(RegionInfo::new(Region(r)), 0.0);
-        }
-        d.mark_degraded(Region(1));
-        d.mark_down(Region(2));
-        let observed = d.health_observations(&spec, 1, 0.0);
-        let mut degraded = 0;
-        let mut floored = 0;
-        for node in spec.nodes() {
-            let factor = observed.speed_factor(node.id, ModelId(0));
-            match d.health(node.region, 0.0) {
-                RegionHealth::Healthy => assert_eq!(factor, None),
-                RegionHealth::Degraded => {
-                    assert_eq!(factor, Some(0.5));
-                    degraded += 1;
-                }
-                RegionHealth::Down => {
-                    assert_eq!(factor, Some(MIN_SPEED_FACTOR));
-                    floored += 1;
-                }
-            }
-        }
-        assert!(degraded > 0 && floored > 0);
     }
 }

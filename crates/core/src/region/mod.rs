@@ -12,8 +12,8 @@
 //! * [`RegionDirectory`] — discovery/membership: regions register,
 //!   heartbeat, and are classified [`RegionHealth::Healthy`] /
 //!   [`Degraded`](RegionHealth::Degraded) / [`Down`](RegionHealth::Down);
-//!   health feeds ring re-weighting and planner re-runs
-//!   ([`RegionDirectory::health_observations`]).
+//!   health feeds ring re-weighting
+//!   ([`RegionDirectory::routing_weights`]).
 //! * [`RegionRebalancer`] / [`RegionTransferPricer`] — when a region goes
 //!   down or load skews, plan which prefix-affinity entries move where, and
 //!   price the resulting KV shipments over the inter-region link with the

@@ -121,12 +121,13 @@ pub struct RegionLoad {
     pub affinity_entries: usize,
 }
 
+/// A region rebalances when its pending load exceeds the routable mean by
+/// this factor.
+const SKEW_RATIO: f64 = 2.0;
+
 /// Thresholds of the skew-triggered rebalancer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceOptions {
-    /// A region rebalances when its pending load exceeds the routable mean
-    /// by this factor.
-    pub skew_ratio: f64,
     /// Affinity entries moved per planning round, per overloaded region
     /// (bounds the burst of inter-region traffic one round may create).
     pub max_moves_per_round: usize,
@@ -135,7 +136,6 @@ pub struct RebalanceOptions {
 impl Default for RebalanceOptions {
     fn default() -> Self {
         RebalanceOptions {
-            skew_ratio: 2.0,
             max_moves_per_round: 16,
         }
     }
@@ -160,7 +160,7 @@ pub struct RebalanceMove {
 ///
 /// * a **non-routable** region must shed *all* its affinity entries
 ///   (capped per round) — its pages are unreachable for new sharers;
-/// * a **skewed** healthy region (pending > `skew_ratio` × routable mean)
+/// * a **skewed** healthy region (pending > 2 × routable mean)
 ///   sheds entries to the least-loaded healthy region, draining future
 ///   sharers — not in-flight work — toward spare capacity.
 ///
@@ -212,7 +212,7 @@ impl RegionRebalancer {
                 RegionHealth::Down => load.affinity_entries,
                 // Load skew on a live region: shed proportionally.
                 RegionHealth::Healthy | RegionHealth::Degraded
-                    if load.pending as f64 > self.options.skew_ratio * mean_pending.max(1.0) =>
+                    if load.pending as f64 > SKEW_RATIO * mean_pending.max(1.0) =>
                 {
                     load.affinity_entries / 2
                 }
@@ -303,7 +303,6 @@ mod tests {
         // The per-round cap bounds the burst.
         let capped = RegionRebalancer::new(RebalanceOptions {
             max_moves_per_round: 3,
-            ..Default::default()
         });
         let moves = capped.plan(&loads, |r| {
             if r == Region(2) {

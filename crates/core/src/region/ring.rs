@@ -2,7 +2,7 @@
 //!
 //! The front tier maps every request to one regional cluster.  A consistent
 //! hash keeps the mapping stable as regions come and go: each region owns
-//! `vnodes_per_region` pseudo-random points on a `u64` ring, and a key routes
+//! 64 pseudo-random points (virtual nodes) on a `u64` ring, and a key routes
 //! to the region owning the first point at or after the key's hash (wrapping).
 //! Removing a region only re-routes the keys it owned; adding one only steals
 //! a proportional slice from each survivor — no global reshuffle, so prefix
@@ -27,14 +27,15 @@ pub fn stable_hash64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Virtual nodes per full-weight region.  More virtual nodes smooth the key
+/// distribution (the classic consistent-hashing variance argument) at a small
+/// lookup cost; 64 keeps the per-region share within a few percent of fair
+/// for realistic region counts.
+const VNODES_PER_REGION: usize = 64;
+
 /// Tuning knobs of a [`RegionRing`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingOptions {
-    /// Virtual nodes per full-weight region.  More virtual nodes smooth the
-    /// key distribution (the classic consistent-hashing variance argument)
-    /// at a small lookup cost; 64 keeps the per-region share within a few
-    /// percent of fair for realistic region counts.
-    pub vnodes_per_region: usize,
     /// Seed mixed into every ring position, so independent deployments
     /// shuffle differently while any one deployment is reproducible.
     pub seed: u64,
@@ -43,7 +44,6 @@ pub struct RingOptions {
 impl Default for RingOptions {
     fn default() -> Self {
         RingOptions {
-            vnodes_per_region: 64,
             seed: 0x0048_454C_4958_u64, // "HELIX"
         }
     }
@@ -135,7 +135,7 @@ impl RegionRing {
             } else {
                 // At least one point while routable, so a tiny weight still
                 // keeps the region reachable for affinity-pinned traffic.
-                ((self.options.vnodes_per_region as f64 * weight).round() as usize).max(1)
+                ((VNODES_PER_REGION as f64 * weight).round() as usize).max(1)
             };
             for vnode in 0..vnodes {
                 let point = stable_hash64(
@@ -163,13 +163,7 @@ mod tests {
         assert_eq!(a, b);
         let map_a = a.assignment(0..10_000u64);
         assert_eq!(map_a, b.assignment(0..10_000u64));
-        let c = RegionRing::new(
-            &regions(5),
-            RingOptions {
-                seed: 7,
-                ..Default::default()
-            },
-        );
+        let c = RegionRing::new(&regions(5), RingOptions { seed: 7 });
         assert_ne!(map_a, c.assignment(0..10_000u64));
     }
 

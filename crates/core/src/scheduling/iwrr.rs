@@ -9,14 +9,12 @@
 //! without creating bursts.
 
 use crate::error::HelixError;
-use crate::flow_graph::{Endpoint, PlacementFlowGraph};
-use crate::placement::ModelPlacement;
+use crate::flow_graph::Endpoint;
 use crate::scheduling::{
     walk_pipeline, ClusterState, RequestPipeline, Scheduler, SchedulerKind, TopologyGraph,
 };
 use crate::topology::Topology;
-use helix_cluster::{ClusterProfile, NodeId};
-use helix_maxflow::FlowResult;
+use helix_cluster::NodeId;
 use std::collections::HashMap;
 
 /// Fraction of a node's KV-cache capacity beyond which the scheduler stops
@@ -117,7 +115,6 @@ impl<T: Copy + Eq> IwrrChooser<T> {
 pub struct IwrrScheduler {
     topology: TopologyGraph,
     choosers: HashMap<Option<NodeId>, IwrrChooser<NodeId>>,
-    kv_high_water: f64,
     num_pipelines: usize,
 }
 
@@ -158,44 +155,8 @@ impl IwrrScheduler {
         Ok(IwrrScheduler {
             topology: graph,
             choosers,
-            kv_high_water: KV_HIGH_WATER,
             num_pipelines: topology.num_pipelines(),
         })
-    }
-
-    /// Builds the scheduler from a placement's flow graph and its max-flow
-    /// solution (materialises a [`Topology`] internally).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HelixError::NoCandidateAvailable`] if the max flow is zero
-    /// (no request could ever be scheduled).
-    pub fn from_flow(
-        profile: &ClusterProfile,
-        _placement: &ModelPlacement,
-        graph: &PlacementFlowGraph,
-        flow: &FlowResult,
-    ) -> Result<Self, HelixError> {
-        Self::from_topology(&Topology::from_flow_graph(profile, graph, flow))
-    }
-
-    /// Convenience constructor that plans a [`Topology`] internally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement-validation and zero-flow errors.
-    pub fn from_placement(
-        profile: &ClusterProfile,
-        placement: &ModelPlacement,
-        partial_inference: bool,
-    ) -> Result<Self, HelixError> {
-        Self::from_topology(&Topology::plan(profile, placement, partial_inference)?)
-    }
-
-    /// Overrides the KV high-water fraction (default [`KV_HIGH_WATER`]).
-    pub fn with_kv_high_water(mut self, fraction: f64) -> Self {
-        self.kv_high_water = fraction;
-        self
     }
 
     /// Number of distinct pipelines in the max-flow decomposition; a lower
@@ -219,7 +180,6 @@ impl Scheduler for IwrrScheduler {
 
     fn schedule(&mut self, state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
         let choosers = &mut self.choosers;
-        let kv_high_water = self.kv_high_water;
         walk_pipeline(&self.topology, |from, candidates| {
             let chooser = choosers.get_mut(&from)?;
             chooser.pick_unmasked(|node| {
@@ -230,7 +190,7 @@ impl Scheduler for IwrrScheduler {
                     return true;
                 }
                 let capacity = state.kv_capacity_tokens(node);
-                capacity.is_finite() && state.kv_used_tokens(node) > kv_high_water * capacity
+                capacity.is_finite() && state.kv_used_tokens(node) > KV_HIGH_WATER * capacity
             })
         })
     }
@@ -239,9 +199,10 @@ impl Scheduler for IwrrScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::heuristics;
+    use crate::placement::{heuristics, ModelPlacement};
     use crate::scheduling::IdleClusterState;
-    use helix_cluster::{ClusterSpec, ModelConfig};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+    use helix_maxflow::FlowResult;
     use std::collections::HashMap as StdHashMap;
 
     #[test]
@@ -300,7 +261,8 @@ mod tests {
     #[test]
     fn scheduler_produces_valid_pipelines_matching_flow_proportions() {
         let (profile, placement) = setup();
-        let mut scheduler = IwrrScheduler::from_placement(&profile, &placement, true).unwrap();
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
         assert_eq!(scheduler.kind(), SchedulerKind::HelixIwrr);
         assert!(scheduler.num_pipelines_possible() >= 1);
         let state = IdleClusterState;
@@ -333,9 +295,8 @@ mod tests {
     #[test]
     fn kv_high_water_masks_saturated_nodes() {
         let (profile, placement) = setup();
-        let mut scheduler = IwrrScheduler::from_placement(&profile, &placement, true)
-            .unwrap()
-            .with_kv_high_water(0.9);
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
         // Saturate one entry node's KV cache.
         let entries = placement.entry_nodes();
         let saturated = entries[0];
@@ -383,6 +344,7 @@ mod tests {
             value: 0.0,
             edge_flows: vec![0.0; graph.network().edge_count()],
         };
-        assert!(IwrrScheduler::from_flow(&profile, &placement, &graph, &zero).is_err());
+        let topology = Topology::from_flow_graph(&profile, &graph, &zero);
+        assert!(IwrrScheduler::from_topology(&topology).is_err());
     }
 }

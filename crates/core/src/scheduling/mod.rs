@@ -19,9 +19,9 @@ pub mod prefix;
 
 use crate::error::HelixError;
 use crate::flow_graph::Endpoint;
-use crate::placement::{LayerRange, ModelPlacement};
+use crate::placement::LayerRange;
 use crate::topology::Topology;
-use helix_cluster::{ClusterProfile, ModelId, NodeId};
+use helix_cluster::{ModelId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -194,36 +194,6 @@ impl TopologyGraph {
         }
     }
 
-    /// Builds the topology graph directly from a placement (without a flow
-    /// solve).  Prefer [`TopologyGraph::from_topology`] when a planned
-    /// [`Topology`] exists.
-    pub fn new(
-        profile: &ClusterProfile,
-        placement: &ModelPlacement,
-        partial_inference: bool,
-    ) -> Self {
-        let num_layers = profile.model().num_layers;
-        let entry = placement.entry_nodes();
-        let mut successors = HashMap::new();
-        let mut ranges = HashMap::new();
-        for (node, range) in placement.iter() {
-            ranges.insert(node, range);
-            let succ: Vec<NodeId> = placement
-                .iter()
-                .filter(|&(other, _)| other != node)
-                .filter(|&(other, _)| placement.connection_valid(node, other, partial_inference))
-                .map(|(other, _)| other)
-                .collect();
-            successors.insert(node, succ);
-        }
-        TopologyGraph {
-            entry,
-            successors,
-            ranges,
-            num_layers,
-        }
-    }
-
     /// Nodes that can start a pipeline.
     pub fn entry_candidates(&self) -> &[NodeId] {
         &self.entry
@@ -325,17 +295,6 @@ impl SwarmScheduler {
             topology: TopologyGraph::from_topology(topology),
         }
     }
-
-    /// Builds the scheduler directly from a placement (no flow solve).
-    pub fn from_placement(
-        profile: &ClusterProfile,
-        placement: &ModelPlacement,
-        partial_inference: bool,
-    ) -> Self {
-        SwarmScheduler {
-            topology: TopologyGraph::new(profile, placement, partial_inference),
-        }
-    }
 }
 
 impl Scheduler for SwarmScheduler {
@@ -372,19 +331,6 @@ impl RandomScheduler {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// Builds the scheduler directly from a placement (no flow solve).
-    pub fn from_placement(
-        profile: &ClusterProfile,
-        placement: &ModelPlacement,
-        partial_inference: bool,
-        seed: u64,
-    ) -> Self {
-        RandomScheduler {
-            topology: TopologyGraph::new(profile, placement, partial_inference),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
 }
 
 impl Scheduler for RandomScheduler {
@@ -414,17 +360,6 @@ impl ShortestQueueScheduler {
             topology: TopologyGraph::from_topology(topology),
         }
     }
-
-    /// Builds the scheduler directly from a placement (no flow solve).
-    pub fn from_placement(
-        profile: &ClusterProfile,
-        placement: &ModelPlacement,
-        partial_inference: bool,
-    ) -> Self {
-        ShortestQueueScheduler {
-            topology: TopologyGraph::new(profile, placement, partial_inference),
-        }
-    }
 }
 
 impl Scheduler for ShortestQueueScheduler {
@@ -445,7 +380,8 @@ impl Scheduler for ShortestQueueScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helix_cluster::{ClusterSpec, ModelConfig};
+    use crate::placement::ModelPlacement;
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
 
     fn small_setup() -> (ClusterProfile, ModelPlacement) {
         let profile =
@@ -461,8 +397,7 @@ mod tests {
 
     #[test]
     fn topology_graph_candidates_respect_position() {
-        let (profile, placement) = small_setup();
-        let topo = TopologyGraph::new(&profile, &placement, true);
+        let topo = TopologyGraph::from_topology(&small_topology());
         assert!(!topo.entry_candidates().is_empty());
         // From the coordinator only layer-0 holders are candidates.
         for n in topo.candidates(None, 0) {

@@ -28,7 +28,6 @@ fn hierarchical_options(
             ..Default::default()
         },
         threads,
-        ..Default::default()
     }
 }
 
@@ -212,7 +211,6 @@ proptest! {
                 ..Default::default()
             },
             threads: 2,
-            ..Default::default()
         });
         let Ok(plan) = planner.solve() else { return Ok(()); };
 

@@ -560,16 +560,6 @@ impl FlowNetwork {
         self.journal.active = false;
     }
 
-    /// Discards any flow stored on the network, returning every edge to the
-    /// zero-flow residual state.  Any open undo-log transaction is discarded.
-    pub fn reset_flows(&mut self) {
-        self.discard_undo_log();
-        for i in (0..self.edges.len()).step_by(2) {
-            self.edges[i].residual = self.edges[i].cap;
-            self.edges[i + 1].residual = 0.0;
-        }
-    }
-
     /// Re-solves the maximum flow **from the residual state left by the
     /// previous solve**, instead of from scratch.
     ///
@@ -1276,21 +1266,6 @@ mod tests {
         // The rolled-back network still resolves to the original maximum.
         let re = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
-            .unwrap();
-        assert!((re.value - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_flows_clears_the_standing_solution() {
-        let (mut net, s, t) = diamond();
-        let _ = net
-            .resolve_from_residual(s, t, MaxFlowAlgorithm::PushRelabel)
-            .unwrap();
-        assert!(net.edges().any(|e| e.flow > 0.0));
-        net.reset_flows();
-        assert!(net.edges().all(|e| e.flow == 0.0));
-        let re = net
-            .resolve_from_residual(s, t, MaxFlowAlgorithm::PushRelabel)
             .unwrap();
         assert!((re.value - 6.0).abs() < 1e-9);
     }

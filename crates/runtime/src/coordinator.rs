@@ -16,10 +16,10 @@
 //! in-flight KV hand-overs.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the session loop behind
-//! [`ServingSession`](crate::ServingSession): requests arrive through a
-//! control channel, completions stream back as they happen, and mid-run
-//! placement deltas can *spawn new workers* for (node, model) pairs the
-//! original build never had.
+//! [`ServingSession`](crate::ServingSession): requests arrive as control
+//! messages on the inbound channel, completions stream back as they happen,
+//! and mid-run placement deltas can *spawn new workers* for (node, model)
+//! pairs the original build never had.
 //!
 //! When a [`ReplanPolicy`] is configured the loop also closes the online
 //! re-planning feedback: every policy interval the workers' shared
@@ -41,7 +41,7 @@ use helix_core::{
     ReplanPolicy, ReplanReason, ReplicationPolicy, Scheduler,
 };
 use helix_workload::{Request, RequestId};
-use minirt::channel::{Receiver, Sender, TryRecvError};
+use minirt::channel::{Receiver, Sender};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,15 +51,14 @@ use std::time::{Duration, Instant};
 /// deadline that is microscopically in the past.
 const DEADLINE_SLACK: Duration = Duration::from_micros(1);
 
-/// What arrives on the coordinator's inbound channel: worker traffic routed
-/// by the fabric, or a wake-up ping the session sends right after queueing a
-/// control message so the coordinator's waker-based wait returns immediately
-/// and drains the control channel.
+/// What arrives on the coordinator's inbound channel, in one FIFO: worker
+/// traffic routed by the fabric and the session's control messages (each
+/// wakes the coordinator's waker-based wait by arriving).
 pub(crate) enum CoordinatorMsg {
     /// A message from a worker, delivered by the fabric.
     Runtime(RuntimeMsg),
-    /// The session queued a control message; drain the control channel now.
-    Wake,
+    /// A control message from the session.
+    Control(SessionControl),
 }
 
 /// Control messages a [`ServingSession`](crate::ServingSession) sends to its
@@ -104,8 +103,8 @@ pub(crate) struct CoordinatorSpec {
     pub estimators: Vec<KvCacheEstimator>,
     /// Shared virtual clock.
     pub clock: VirtualClock,
-    /// Messages arriving from workers through the fabric, plus session
-    /// wake-ups.
+    /// Messages arriving from workers through the fabric, plus the session's
+    /// control messages.
     pub inbound: Receiver<CoordinatorMsg>,
     /// Outgoing messages into the fabric.
     pub fabric: Sender<Envelope>,
@@ -226,8 +225,8 @@ impl Coordinator {
     }
 
     /// The live session loop: requests, placement deltas and drain/finish
-    /// commands arrive over `control`; completions stream out over
-    /// `completions` as they happen.
+    /// commands arrive on the inbound channel beside the workers' events;
+    /// completions stream out over `completions` as they happen.
     ///
     /// Requests are admitted when their `arrival_time` (virtual seconds)
     /// passes, so submit-all-then-drain replays a workload's arrival
@@ -236,7 +235,6 @@ impl Coordinator {
     /// its inbound channel's waker at zero cost.
     pub(crate) async fn run_live(
         &mut self,
-        control: Receiver<SessionControl>,
         completions: Sender<RequestOutcome>,
     ) -> Result<Vec<RequestOutcome>, RuntimeError> {
         self.completions = Some(completions);
@@ -250,125 +248,11 @@ impl Coordinator {
         let mut drain_started: Option<Duration> = None;
 
         loop {
-            // 1. Drain the control channel.
-            loop {
-                match control.try_recv() {
-                    Ok(SessionControl::Submit(request)) => {
-                        submitted += 1;
-                        pending.push_back(request);
-                    }
-                    Ok(SessionControl::ApplyDelta(delta)) => {
-                        let now = self.clock.now();
-                        let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
-                        self.hand_over(outcome, now);
-                    }
-                    Ok(SessionControl::FailNode(node, at)) => {
-                        self.pending_failures.push((at, node));
-                    }
-                    Ok(SessionControl::SetReplication(policy)) => {
-                        self.control.set_replication(policy);
-                    }
-                    Ok(SessionControl::Drain(ack)) => drain_acks.push(ack),
-                    Ok(SessionControl::Finish) => finishing = true,
-                    Err(TryRecvError::Empty) => break,
-                    // The session handle was dropped: finish cleanly.
-                    Err(TryRecvError::Disconnected) => {
-                        finishing = true;
-                        break;
-                    }
-                }
-            }
-            let draining = finishing || !drain_acks.is_empty();
-
-            // 2. The wall budget guards each drain (measured from when the
-            // drain began), never idle session time.
-            if draining {
-                let started = *drain_started.get_or_insert_with(|| self.clock.wall_elapsed());
-                if self.clock.wall_elapsed().saturating_sub(started) > self.max_wall {
-                    return Err(RuntimeError::WallClockBudgetExceeded {
-                        budget: self.max_wall,
-                        completed: self.outcomes.len(),
-                        total: submitted,
-                    });
-                }
-            } else {
-                drain_started = None;
-            }
-
-            // 3. Fire injected node failures whose virtual time has passed:
-            // promote replicated in-flight pipelines, abort the rest and
-            // queue them for re-admission through the normal path.
-            let now = self.clock.now();
-            let mut due = Vec::new();
-            self.pending_failures.retain(|&(at, node)| {
-                if at <= now {
-                    due.push(node);
-                }
-                at > now
-            });
-            if !due.is_empty() {
-                pending.extend(self.fail_nodes(&due, now)?);
-            }
-
-            // 4. Admit every request whose arrival time has passed, in
-            // submission order.
-            for _ in 0..pending.len() {
-                let request = pending.pop_front().expect("bounded by len");
-                if request.arrival_time <= now {
-                    if !self.try_dispatch(request)? {
-                        deferred.push_back(request);
-                    }
-                } else {
-                    pending.push_back(request);
-                }
-            }
-            // 5. Retry requests every candidate masked out earlier.
-            for _ in 0..deferred.len() {
-                let request = deferred.pop_front().expect("bounded by len");
-                if !self.try_dispatch(request)? {
-                    deferred.push_back(request);
-                }
-            }
-            // Deferred work is only genuinely stuck when nothing can still
-            // unmask a candidate: an in-flight completion frees KV, a landed
-            // transfer lifts its freeze, and a due failure re-plans — so a
-            // pending migration or failure postpones the stall verdict.
-            if draining
-                && !deferred.is_empty()
-                && self.control.in_flight_len() == 0
-                && self.pending_migrations.is_empty()
-                && self.pending_failures.is_empty()
-            {
-                return Err(RuntimeError::Stalled {
-                    pending: deferred.len() + pending.len(),
-                    completed: self.outcomes.len(),
-                });
-            }
-
-            // 6. Acknowledge drains once everything in sight completed —
-            // including any KV hand-over still in flight (its frozen workers
-            // resume before the drain resolves).
-            if draining
-                && pending.is_empty()
-                && deferred.is_empty()
-                && self.control.in_flight_len() == 0
-                && self.pending_migrations.is_empty()
-                && self.pending_failures.is_empty()
-            {
-                for ack in drain_acks.drain(..) {
-                    let _ = ack.send(());
-                }
-                if finishing {
-                    break;
-                }
-            }
-
-            // 7. Wait for worker events on the channel's waker.  A control
-            // message wakes this wait immediately (the session pings the
-            // inbound channel after queueing one); deadlines exist only to
-            // pace deferred arrivals, injected failures, policy ticks and
-            // the drain budget — a fully idle session waits with *no*
-            // deadline at all.
+            // 1. Wait for the next message on the channel's waker.  Deadlines
+            // exist only to pace deferred arrivals, injected failures, policy
+            // ticks and the drain budget — a fully idle session waits with
+            // *no* deadline at all.  (A backlog queued before the loop started
+            // is already there: the first wait returns at once.)
             let next_arrival = pending
                 .iter()
                 .map(|r| r.arrival_time)
@@ -391,18 +275,123 @@ impl Coordinator {
                     .ok(),
                 None => Some(self.inbound.recv().await),
             };
-            if let Some(result) = received {
-                match result {
-                    Ok(msg) => self.handle_inbound(msg)?,
-                    Err(_) => return Err(RuntimeError::Disconnected("network fabric")),
+            let mut next = match received {
+                Some(Ok(msg)) => Some(msg),
+                Some(Err(_)) => return Err(RuntimeError::Disconnected("network fabric")),
+                None => None,
+            };
+
+            // 2. Handle it and everything queued behind it, in arrival order.
+            while let Some(msg) = next {
+                match msg {
+                    CoordinatorMsg::Runtime(msg) => self.handle(msg)?,
+                    CoordinatorMsg::Control(SessionControl::Submit(request)) => {
+                        submitted += 1;
+                        pending.push_back(request);
+                    }
+                    CoordinatorMsg::Control(SessionControl::ApplyDelta(delta)) => {
+                        let now = self.clock.now();
+                        let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
+                        self.hand_over(outcome, now);
+                    }
+                    CoordinatorMsg::Control(SessionControl::FailNode(node, at)) => {
+                        self.pending_failures.push((at, node));
+                    }
+                    CoordinatorMsg::Control(SessionControl::SetReplication(policy)) => {
+                        self.control.set_replication(policy);
+                    }
+                    CoordinatorMsg::Control(SessionControl::Drain(ack)) => drain_acks.push(ack),
+                    CoordinatorMsg::Control(SessionControl::Finish) => finishing = true,
                 }
+                next = self.inbound.try_recv().ok();
             }
-            while let Ok(msg) = self.inbound.try_recv() {
-                self.handle_inbound(msg)?;
+            let draining = finishing || !drain_acks.is_empty();
+
+            // 3. Observe, consult the policy, re-plan, hand over.
+            self.maybe_replan();
+
+            // 4. The wall budget guards each drain (measured from when the
+            // drain began), never idle session time.
+            if draining {
+                let started = *drain_started.get_or_insert_with(|| self.clock.wall_elapsed());
+                if self.clock.wall_elapsed().saturating_sub(started) > self.max_wall {
+                    return Err(RuntimeError::WallClockBudgetExceeded {
+                        budget: self.max_wall,
+                        completed: self.outcomes.len(),
+                        total: submitted,
+                    });
+                }
+            } else {
+                drain_started = None;
             }
 
-            // 8. Observe, consult the policy, re-plan, hand over.
-            self.maybe_replan();
+            // 5. Fire injected node failures whose virtual time has passed:
+            // promote replicated in-flight pipelines, abort the rest and
+            // queue them for re-admission through the normal path.
+            let now = self.clock.now();
+            let mut due = Vec::new();
+            self.pending_failures.retain(|&(at, node)| {
+                if at <= now {
+                    due.push(node);
+                }
+                at > now
+            });
+            if !due.is_empty() {
+                pending.extend(self.fail_nodes(&due, now)?);
+            }
+
+            // 6. Admit every request whose arrival time has passed, in
+            // submission order.
+            for _ in 0..pending.len() {
+                let request = pending.pop_front().expect("bounded by len");
+                if request.arrival_time <= now {
+                    if !self.try_dispatch(request)? {
+                        deferred.push_back(request);
+                    }
+                } else {
+                    pending.push_back(request);
+                }
+            }
+            // 7. Retry requests every candidate masked out earlier.
+            for _ in 0..deferred.len() {
+                let request = deferred.pop_front().expect("bounded by len");
+                if !self.try_dispatch(request)? {
+                    deferred.push_back(request);
+                }
+            }
+            // Deferred work is only genuinely stuck when nothing can still
+            // unmask a candidate: an in-flight completion frees KV, a landed
+            // transfer lifts its freeze, and a due failure re-plans — so a
+            // pending migration or failure postpones the stall verdict.
+            if draining
+                && !deferred.is_empty()
+                && self.control.in_flight_len() == 0
+                && self.pending_migrations.is_empty()
+                && self.pending_failures.is_empty()
+            {
+                return Err(RuntimeError::Stalled {
+                    pending: deferred.len() + pending.len(),
+                    completed: self.outcomes.len(),
+                });
+            }
+
+            // 8. Acknowledge drains once everything in sight completed —
+            // including any KV hand-over still in flight (its frozen workers
+            // resume before the drain resolves).
+            if draining
+                && pending.is_empty()
+                && deferred.is_empty()
+                && self.control.in_flight_len() == 0
+                && self.pending_migrations.is_empty()
+                && self.pending_failures.is_empty()
+            {
+                for ack in drain_acks.drain(..) {
+                    let _ = ack.send(());
+                }
+                if finishing {
+                    break;
+                }
+            }
         }
         Ok(std::mem::take(&mut self.outcomes))
     }
@@ -422,10 +411,7 @@ impl Coordinator {
 
     /// One observation-window check of the online re-planning loop, when
     /// due: every live worker's shared statistics go to the control plane,
-    /// and a re-plan it applies is handed over.  A worker whose stats are
-    /// still readable is alive, so node-level membership decays from these
-    /// heartbeats exactly as region membership decays from region
-    /// heartbeats.
+    /// and a re-plan it applies is handed over.
     fn maybe_replan(&mut self) {
         // No policy, no clock read: this runs once per loop iteration.
         let Some(due) = self.next_policy_check() else {
@@ -686,14 +672,6 @@ impl Coordinator {
             })?;
         }
         Ok(())
-    }
-
-    fn handle_inbound(&mut self, msg: CoordinatorMsg) -> Result<(), RuntimeError> {
-        match msg {
-            CoordinatorMsg::Runtime(msg) => self.handle(msg),
-            // The next loop iteration drains the control channel.
-            CoordinatorMsg::Wake => Ok(()),
-        }
     }
 
     fn handle(&mut self, msg: RuntimeMsg) -> Result<(), RuntimeError> {

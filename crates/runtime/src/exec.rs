@@ -38,12 +38,6 @@ impl AnalyticExecution {
             exec: ExecModel::new(profile),
         }
     }
-
-    /// Overrides the per-batch overhead (useful to study batching efficiency).
-    pub fn with_batch_overhead(mut self, secs: f64) -> Self {
-        self.exec = self.exec.with_batch_overhead(secs);
-        self
-    }
 }
 
 impl ExecutionModel for AnalyticExecution {
@@ -110,7 +104,7 @@ mod tests {
 
     #[test]
     fn duration_scales_with_layers_and_batch_overhead_applies_once() {
-        let exec = model().with_batch_overhead(0.5);
+        let exec = model();
         let shallow = exec.batch_duration(&[work(Phase::Decode, 1, 2)]);
         let deep = exec.batch_duration(&[work(Phase::Decode, 1, 8)]);
         assert!(deep > shallow);

@@ -79,7 +79,7 @@ pub(crate) struct FabricSpec {
     /// spawned (or retired) mid-run become routable (or unroutable) at once.
     pub registry: Arc<WorkerRegistry>,
     /// Delivery channel of the coordinator (shared with the session's
-    /// wake-up pings).
+    /// control messages).
     pub coordinator_tx: Sender<CoordinatorMsg>,
 }
 
@@ -115,7 +115,7 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
         let now = clock.now();
         while heap.peek().map(|d| d.deliver_at <= now).unwrap_or(false) {
             let delivery = heap.pop().expect("peeked entry exists");
-            route(&delivery.envelope, &registry, &coordinator_tx);
+            route(delivery.envelope, &registry, &coordinator_tx);
         }
         if closed && heap.is_empty() {
             break;
@@ -172,7 +172,7 @@ fn schedule(
     }
 }
 
-fn route(envelope: &Envelope, registry: &WorkerRegistry, coordinator_tx: &Sender<CoordinatorMsg>) {
+fn route(envelope: Envelope, registry: &WorkerRegistry, coordinator_tx: &Sender<CoordinatorMsg>) {
     // A receiver that has already shut down (or been retired from the
     // registry) simply drops the message; the coordinator only exits once
     // every request has completed, so nothing the report depends on can be
@@ -180,11 +180,11 @@ fn route(envelope: &Envelope, registry: &WorkerRegistry, coordinator_tx: &Sender
     match envelope.to {
         Some(node) => {
             if let Some(tx) = registry.route((node, envelope.model)) {
-                let _ = tx.send(envelope.msg.clone());
+                let _ = tx.send(envelope.msg);
             }
         }
         None => {
-            let _ = coordinator_tx.send(CoordinatorMsg::Runtime(envelope.msg.clone()));
+            let _ = coordinator_tx.send(CoordinatorMsg::Runtime(envelope.msg));
         }
     }
 }

@@ -6,49 +6,12 @@
 //! placement and scheduling case studies (Figs. 9b and 10b).
 
 use helix_cluster::{ModelId, NodeId};
+pub use helix_core::obs::LatencyStats as LatencySummary;
 use helix_core::{
     FailoverRecord, KvTransferRecord, LinkQueue, PrefixStats, ReplanRecord, ReplicationStats,
 };
 use helix_workload::RequestId;
 use serde::Serialize;
-
-/// Summary statistics of a latency sample set, in virtual seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (50th percentile).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl LatencySummary {
-    /// Summarises a slice of latency samples.  Returns all zeros for an empty
-    /// slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let percentile = |q: f64| {
-            let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-            sorted[idx.min(sorted.len() - 1)]
-        };
-        LatencySummary {
-            count: sorted.len(),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: percentile(0.50),
-            p95: percentile(0.95),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-}
 
 /// The lifecycle record of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]

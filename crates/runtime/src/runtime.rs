@@ -40,10 +40,11 @@ pub struct RuntimeConfig {
     pub max_wall: Duration,
     /// Worker execution model.
     pub execution: ExecutionKind,
-    /// Initial average output length used by the KV estimator (§5.2); the
-    /// Azure Conversation trace averages 232 output tokens.
-    pub initial_avg_output_tokens: f64,
 }
+
+/// Initial average output length used by the KV estimator (§5.2); the Azure
+/// Conversation trace averages 232 output tokens.
+const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
@@ -51,7 +52,6 @@ impl Default for RuntimeConfig {
             wall_per_virtual: 0.002,
             max_wall: Duration::from_secs(120),
             execution: ExecutionKind::Analytic,
-            initial_avg_output_tokens: 232.0,
         }
     }
 }
@@ -64,7 +64,6 @@ impl RuntimeConfig {
             wall_per_virtual: 0.0002,
             execution: ExecutionKind::Instant,
             max_wall: Duration::from_secs(30),
-            ..RuntimeConfig::default()
         }
     }
 }
@@ -84,9 +83,9 @@ pub(crate) struct Wired {
     pub coordinator: Option<Coordinator>,
     pub registry: Arc<WorkerRegistry>,
     pub ingress_tx: Option<Sender<Envelope>>,
-    /// Clone of the coordinator's inbound sender; the session pings it after
-    /// queueing a control message so the coordinator reacts immediately.
-    pub wake_tx: Sender<CoordinatorMsg>,
+    /// Clone of the coordinator's inbound sender: the session's control
+    /// messages travel on it, beside the fabric's deliveries.
+    pub coordinator_tx: Sender<CoordinatorMsg>,
     pub traffic: LinkTrafficMap,
     pub max_wall: Duration,
 }
@@ -154,7 +153,7 @@ impl Wired {
             // observations); measured speed factors re-price planning only.
             let contention = fleet.contention_profile(model);
             let mut estimator =
-                KvCacheEstimator::new(topology.profile(), config.initial_avg_output_tokens);
+                KvCacheEstimator::new(topology.profile(), INITIAL_AVG_OUTPUT_TOKENS);
             for planned in topology.nodes() {
                 estimator.set_capacity(planned.node, planned.kv_capacity_tokens);
                 spawner.spawn(
@@ -188,7 +187,7 @@ impl Wired {
             coordinator: Some(coordinator),
             registry,
             ingress_tx: Some(ingress_tx),
-            wake_tx: coordinator_tx,
+            coordinator_tx,
             traffic,
             max_wall: config.max_wall,
         })
@@ -201,7 +200,7 @@ impl Wired {
     /// shutdowns and drop their fabric senders, the fabric flushes its
     /// in-flight deliveries and exits on ingress disconnect.
     pub(crate) fn shutdown_and_report(
-        mut self,
+        &mut self,
         outcome: Result<Vec<RequestOutcome>, RuntimeError>,
         artifacts: CoordinatorArtifacts,
     ) -> Result<RuntimeReport, RuntimeError> {

@@ -24,7 +24,7 @@ use crate::runtime::Wired;
 use helix_cluster::NodeId;
 use helix_core::{PlacementDelta, ReplicationPolicy};
 use helix_workload::{Request, TicketId, Workload};
-use minirt::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use minirt::channel::{unbounded, Receiver, RecvTimeoutError};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 
@@ -34,10 +34,9 @@ type LiveResult = (
     CoordinatorArtifacts,
 );
 
-/// The live half of a session: channels to the coordinator task on the
-/// data-plane thread.
+/// The live half of a session: the completion stream of the coordinator task
+/// and the data-plane thread driving it.
 struct Live {
-    control_tx: Sender<SessionControl>,
     completion_rx: Receiver<RequestOutcome>,
     handle: JoinHandle<LiveResult>,
 }
@@ -109,8 +108,8 @@ impl ServingSession {
 
     /// Starts the data-plane thread: one thread driving the executor that
     /// runs the coordinator's live loop alongside every worker task and the
-    /// fabric task.  `backlog` is queued before the loop first polls its
-    /// control channel, so the coordinator sees those requests together and
+    /// fabric task.  `backlog` is queued on the coordinator's channel before
+    /// the thread starts, so the coordinator sees those requests together and
     /// admits every due arrival before it processes any completion.
     fn go_live(&mut self, backlog: &[Request]) {
         let mut coordinator = self
@@ -119,36 +118,32 @@ impl ServingSession {
             .take()
             .expect("coordinator present until the session goes live");
         let executor = self.wired.executor.clone();
-        let (control_tx, control_rx) = unbounded();
         let (completion_tx, completion_rx) = unbounded();
         for request in backlog {
-            let _ = control_tx.send(SessionControl::Submit(*request));
+            let submit = CoordinatorMsg::Control(SessionControl::Submit(*request));
+            let _ = self.wired.coordinator_tx.send(submit);
         }
         self.submitted += backlog.len();
         let handle = std::thread::Builder::new()
             .name("helix-dataplane".to_string())
             .spawn(move || {
-                let result = executor.block_on(coordinator.run_live(control_rx, completion_tx));
+                let result = executor.block_on(coordinator.run_live(completion_tx));
                 let artifacts = coordinator.take_artifacts();
                 (result, artifacts)
             })
             .expect("spawning the data-plane thread never fails");
         self.live = Some(Live {
-            control_tx,
             completion_rx,
             handle,
         });
     }
 
-    /// Queues one control message and wakes the coordinator's waker-based
-    /// wait so it drains the control channel immediately.
+    /// Queues one control message on the coordinator's inbound channel; its
+    /// arrival wakes the coordinator's waker-based wait.  `false` when the
+    /// session is not live or the coordinator is gone.
     fn send_control(&self, msg: SessionControl) -> bool {
-        let Some(live) = &self.live else {
-            return false;
-        };
-        let sent = live.control_tx.send(msg).is_ok();
-        let _ = self.wired.wake_tx.send(CoordinatorMsg::Wake);
-        sent
+        let msg = CoordinatorMsg::Control(msg);
+        self.live.is_some() && self.wired.coordinator_tx.send(msg).is_ok()
     }
 
     /// Submits one request without blocking and returns its ticket.
@@ -303,11 +298,9 @@ impl ServingSession {
                 CoordinatorArtifacts::default(),
             );
         }
+        self.send_control(SessionControl::Finish);
         match self.live.take() {
             Some(live) => {
-                let _ = live.control_tx.send(SessionControl::Finish);
-                let _ = self.wired.wake_tx.send(CoordinatorMsg::Wake);
-                drop(live.control_tx);
                 let (result, artifacts) = match live.handle.join() {
                     Ok(result) => result,
                     Err(_) => (
@@ -357,10 +350,65 @@ impl ServingSession {
         let Some(live) = self.live.take() else {
             return RuntimeError::Disconnected("serving session");
         };
-        drop(live.control_tx);
         match live.handle.join() {
             Ok((Err(e), _)) => e,
             _ => RuntimeError::Disconnected("serving session"),
+        }
+    }
+}
+
+impl Drop for ServingSession {
+    /// A session dropped without [`finish`](Self::finish) tells its
+    /// coordinator to finish: the detached data-plane thread completes what
+    /// is in flight and exits, and the data plane is freed with it.
+    fn drop(&mut self) {
+        self.send_control(SessionControl::Finish);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{RuntimeConfig, ServingBuilder};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+    use helix_core::{heuristics, Topology};
+    use helix_workload::Request;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// The registry `Arc` is held by the session, the coordinator, the fabric
+    /// task and (through it) the executor's task list, so it can only die
+    /// once all of them are gone.
+    #[test]
+    fn a_session_dropped_mid_run_shuts_its_data_plane_down() {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let placement = heuristics::petals_placement(&profile).unwrap();
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let config = RuntimeConfig::fast_test();
+        let budget = config.max_wall;
+        let mut session = ServingBuilder::new()
+            .topology(&topology)
+            .config(config)
+            .build()
+            .unwrap();
+        for id in 0..8 {
+            session.submit(Request {
+                id,
+                prompt_tokens: 32,
+                output_tokens: 8,
+                ..Request::default()
+            });
+        }
+        let registry = Arc::downgrade(&session.wired.registry);
+        drop(session);
+        let deadline = Instant::now() + budget;
+        while registry.strong_count() > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "data plane still alive: {} registry handles",
+                registry.strong_count()
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }

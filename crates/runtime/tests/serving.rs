@@ -340,7 +340,6 @@ fn wall_clock_budget_is_enforced() {
             wall_per_virtual: 10.0,
             max_wall: std::time::Duration::from_millis(100),
             execution: ExecutionKind::Analytic,
-            ..RuntimeConfig::default()
         })
         .build()
         .unwrap();

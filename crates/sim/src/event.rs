@@ -109,10 +109,9 @@ pub enum PerturbationEvent {
         /// How long the node stays down before rejoining.
         down_secs: SimTime,
     },
-    /// The node keeps serving but `factor`× slower, and the health directory
-    /// marks it Degraded until it recovers `recover_secs` later — a straggler
-    /// rather than a failure.  Equivalent to a
-    /// [`PerturbationEvent::NodeSlowdown`] with a scheduled
+    /// The node keeps serving but `factor`× slower until it recovers
+    /// `recover_secs` later — a straggler rather than a failure.  Equivalent
+    /// to a [`PerturbationEvent::NodeSlowdown`] with a scheduled
     /// [`PerturbationEvent::NodeRecovery`].
     NodeStraggler {
         /// When the straggle begins.

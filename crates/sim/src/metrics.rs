@@ -1,60 +1,9 @@
 //! Serving metrics: decode throughput, prompt latency, decode latency.
 
 use helix_cluster::NodeId;
+pub use helix_core::obs::LatencyStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Latency distribution summary (box-plot statistics as in Figs. 6–8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean latency in seconds.
-    pub mean: f64,
-    /// 5th percentile.
-    pub p5: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub p50: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl LatencyStats {
-    /// Computes stats from raw samples; returns an all-zero summary for an
-    /// empty slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencyStats {
-                count: 0,
-                mean: 0.0,
-                p5: 0.0,
-                p25: 0.0,
-                p50: 0.0,
-                p75: 0.0,
-                p95: 0.0,
-            };
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pct = |p: f64| -> f64 {
-            let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-            sorted[idx]
-        };
-        LatencyStats {
-            count: sorted.len(),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p5: pct(0.05),
-            p25: pct(0.25),
-            p50: pct(0.50),
-            p75: pct(0.75),
-            p95: pct(0.95),
-        }
-    }
-}
 
 /// Per-link congestion statistics (used by the §6.7 case study).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -219,10 +219,10 @@ fn merge_metrics(base: &Metrics, next: &Metrics) -> Metrics {
 
 fn merge_latency(base: &LatencyStats, next: &LatencyStats) -> LatencyStats {
     if base.count == 0 {
-        return next.clone();
+        return *next;
     }
     if next.count == 0 {
-        return base.clone();
+        return *base;
     }
     let count = base.count + next.count;
     let weigh = |b: f64, n: f64| (b * base.count as f64 + n * next.count as f64) / count as f64;
@@ -234,6 +234,7 @@ fn merge_latency(base: &LatencyStats, next: &LatencyStats) -> LatencyStats {
         p50: weigh(base.p50, next.p50),
         p75: weigh(base.p75, next.p75),
         p95: weigh(base.p95, next.p95),
+        max: base.max.max(next.max),
     }
 }
 
@@ -257,7 +258,6 @@ mod tests {
             mean_output_tokens: 32.0,
             max_input_tokens: 512,
             max_output_tokens: 64,
-            ..Default::default()
         }
         .generate(n, seed)
         .with_arrivals(ArrivalPattern::Offline, 4)

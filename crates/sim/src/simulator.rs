@@ -13,12 +13,12 @@ use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvTransferModel, KvTransferRecord, ModelPlacement, NodeDirectory, PlacementDelta, PrefixStats,
-    PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
-    ReplicationStats, RequestPipeline, Scheduler, Topology,
+    KvTransferModel, KvTransferRecord, ModelPlacement, PlacementDelta, PrefixStats, PrefixWork,
+    ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
+    RequestPipeline, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::iter::Peekable;
 use std::sync::Arc;
 
@@ -33,9 +33,10 @@ pub struct SimulationConfig {
     /// further arrivals wait in the coordinator backlog.  This is how the
     /// offline setting saturates the cluster without infinite queues.
     pub admission_limit: usize,
-    /// Safety cap on processed events.
-    pub max_events: u64,
 }
+
+/// Safety cap on the events one run processes.
+const MAX_EVENTS: u64 = 200_000_000;
 
 impl SimulationConfig {
     /// Offline serving (paper: 1 minute warm-up, 10 minute measurement; here
@@ -46,7 +47,6 @@ impl SimulationConfig {
             warmup_secs: duration_secs * 0.1,
             duration_secs,
             admission_limit: 512,
-            max_events: 200_000_000,
         }
     }
 
@@ -57,7 +57,6 @@ impl SimulationConfig {
             warmup_secs: duration_secs * 0.05,
             duration_secs,
             admission_limit: usize::MAX,
-            max_events: 200_000_000,
         }
     }
 
@@ -316,10 +315,9 @@ impl ClusterSimulator {
         self.control.replication()
     }
 
-    /// The node-level health directory (heartbeats ride the observation
-    /// ticks; failures and stragglers are forced overrides).
-    pub fn node_health(&self) -> &NodeDirectory {
-        self.control.node_health()
+    /// Nodes that failed and have not rejoined.
+    pub fn failed_nodes(&self) -> &HashSet<NodeId> {
+        self.control.failed()
     }
 
     /// The topology the simulator runs for one model.
@@ -505,7 +503,7 @@ impl ClusterSimulator {
                 now = time;
             }
             processed_events += 1;
-            if processed_events > config.max_events {
+            if processed_events > MAX_EVENTS {
                 break;
             }
             match event {
@@ -770,26 +768,17 @@ impl ClusterSimulator {
             queue.push(at, Event::Perturbation(Box::new(rejoin)));
         };
         match perturbation {
-            PerturbationEvent::NodeSlowdown { node, factor, .. } => {
-                self.set_slowdown(node, factor);
-                if factor > 1.0 {
-                    self.control.node_health_mut().mark_degraded(node);
-                }
-            }
-            PerturbationEvent::NodeRecovery { node, .. } => {
-                self.set_slowdown(node, 1.0);
-                self.control.node_health_mut().mark_healthy(node, time);
-            }
+            PerturbationEvent::NodeSlowdown { node, factor, .. } => self.set_slowdown(node, factor),
+            PerturbationEvent::NodeRecovery { node, .. } => self.set_slowdown(node, 1.0),
             PerturbationEvent::NodeStraggler {
                 node,
                 factor,
                 recover_secs,
                 ..
             } => {
-                // A straggler is a slowdown that the health layer surfaces
-                // (Degraded) and that heals itself after `recover_secs`.
+                // A straggler is a slowdown that heals itself after
+                // `recover_secs`.
                 self.set_slowdown(node, factor);
-                self.control.node_health_mut().mark_degraded(node);
                 let at = time + recover_secs.max(0.0);
                 let recovery = PerturbationEvent::NodeRecovery { at, node };
                 queue.push(at, Event::Perturbation(Box::new(recovery)));
@@ -1123,7 +1112,6 @@ mod tests {
             mean_output_tokens: 32.0,
             max_input_tokens: 512,
             max_output_tokens: 64,
-            ..Default::default()
         };
         config
             .generate(n, 3)
@@ -1225,7 +1213,6 @@ mod tests {
             mean_output_tokens: 32.0,
             max_input_tokens: 512,
             max_output_tokens: 64,
-            ..Default::default()
         };
         let workload = Workload::merge(vec![
             config.generate(25, 3).with_model(helix_cluster::ModelId(0)),
@@ -1298,12 +1285,9 @@ mod tests {
             let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
             sim.run(
                 &workload,
-                SimulationConfig {
-                    warmup_secs: warmup,
-                    duration_secs: 60.0,
-                    admission_limit: 64,
-                    max_events: 10_000_000,
-                },
+                SimulationConfig::offline(60.0)
+                    .with_warmup(warmup)
+                    .with_admission_limit(64),
             )
         };
         let with_warmup = run(30.0);

@@ -15,7 +15,6 @@ fn workload(n: usize, seed: u64) -> Workload {
         mean_output_tokens: 24.0,
         max_input_tokens: 256,
         max_output_tokens: 48,
-        ..Default::default()
     }
     .generate(n, seed)
     .with_arrivals(ArrivalPattern::Offline, seed + 1)

@@ -42,7 +42,6 @@ fn identical_runs_report_identically_link_order_included() {
         mean_output_tokens: 32.0,
         max_input_tokens: 512,
         max_output_tokens: 64,
-        ..Default::default()
     }
     .generate(20, 3)
     .with_arrivals(ArrivalPattern::constant_rate(0.05), 5);

@@ -25,7 +25,6 @@ fn saturating_workload(n: usize) -> Workload {
         mean_output_tokens: 48.0,
         max_input_tokens: 384,
         max_output_tokens: 96,
-        ..Default::default()
     };
     config
         .generate(n, 9)

@@ -22,12 +22,13 @@ pub struct AzureTraceConfig {
     pub max_input_tokens: usize,
     /// Maximum output length.
     pub max_output_tokens: usize,
-    /// Shape (sigma of the underlying normal) of the input length
-    /// distribution; larger values make the distribution heavier-tailed.
-    pub input_sigma: f64,
-    /// Shape of the output length distribution.
-    pub output_sigma: f64,
 }
+
+/// Shape (sigma of the underlying normal) of the input length distribution;
+/// larger values make the distribution heavier-tailed.
+const INPUT_SIGMA: f64 = 0.9;
+/// Shape of the output length distribution.
+const OUTPUT_SIGMA: f64 = 0.8;
 
 impl Default for AzureTraceConfig {
     fn default() -> Self {
@@ -36,8 +37,6 @@ impl Default for AzureTraceConfig {
             mean_output_tokens: 232.0,
             max_input_tokens: 2048,
             max_output_tokens: 1024,
-            input_sigma: 0.9,
-            output_sigma: 0.8,
         }
     }
 }
@@ -50,18 +49,15 @@ impl AzureTraceConfig {
         // A log-normal with parameters (mu, sigma) has mean exp(mu + sigma^2/2).
         // Capping at max reduces the realised mean, so aim slightly above the
         // target and rely on the calibration test to keep us honest.
-        let input_mu = self.calibrated_mu(
-            self.mean_input_tokens,
-            self.input_sigma,
-            self.max_input_tokens,
-        );
+        let input_mu =
+            self.calibrated_mu(self.mean_input_tokens, INPUT_SIGMA, self.max_input_tokens);
         let output_mu = self.calibrated_mu(
             self.mean_output_tokens,
-            self.output_sigma,
+            OUTPUT_SIGMA,
             self.max_output_tokens,
         );
-        let input_dist = LogNormal::new(input_mu, self.input_sigma).expect("sigma is positive");
-        let output_dist = LogNormal::new(output_mu, self.output_sigma).expect("sigma is positive");
+        let input_dist = LogNormal::new(input_mu, INPUT_SIGMA).expect("sigma is positive");
+        let output_dist = LogNormal::new(output_mu, OUTPUT_SIGMA).expect("sigma is positive");
         let requests = (0..n)
             .map(|id| {
                 let prompt = Self::sample_capped(&input_dist, self.max_input_tokens, &mut rng);
@@ -130,7 +126,6 @@ mod tests {
             mean_output_tokens: 50.0,
             max_input_tokens: 256,
             max_output_tokens: 128,
-            ..Default::default()
         };
         let w = config.generate(4000, 2);
         let stats = w.statistics();

@@ -51,7 +51,6 @@ fn main() {
         mean_output_tokens: 48.0,
         max_input_tokens: 384,
         max_output_tokens: 96,
-        ..Default::default()
     }
     .generate(8000, 9)
     .with_arrivals(ArrivalPattern::Offline, 4);

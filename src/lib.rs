@@ -77,10 +77,10 @@ pub mod prelude {
         FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement, FleetScheduler,
         FleetTopology, FlowAnnealingPlanner, FlowGraphBuilder, HelixError, IwrrScheduler,
         KvCacheEstimator, LayerRange, MilpPlacementPlanner, MilpPlannerReport, ModelPlacement,
-        NodeDirectory, PipelineStage, PlacementFlowGraph, PlannerOptions, PrefixStats,
-        RandomScheduler, RegionDirectory, RegionHealth, RegionRing, ReplicationPolicy,
-        ReplicationStats, RequestPipeline, RingOptions, Scheduler, SchedulerKind,
-        ShortestQueueScheduler, SwarmScheduler, Topology,
+        PipelineStage, PlacementFlowGraph, PlannerOptions, PrefixStats, RandomScheduler,
+        RegionDirectory, RegionHealth, RegionRing, ReplicationPolicy, ReplicationStats,
+        RequestPipeline, RingOptions, Scheduler, SchedulerKind, ShortestQueueScheduler,
+        SwarmScheduler, Topology,
     };
     pub use helix_maxflow::{FlowNetwork, MaxFlowAlgorithm};
     pub use helix_milp::{MilpSolver, Model, ObjectiveSense, Sense, VarType};

@@ -50,9 +50,8 @@ use crate::front::ServingFrontEnd;
 use helix_cluster::{ModelConfig, ModelId, NodeId, PrefixId, Region};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::region::{
-    InterRegionLink, MembershipOptions, RebalanceMove, RebalanceOptions, RegionDirectory,
-    RegionHealth, RegionInfo, RegionLoad, RegionRebalancer, RegionRing, RegionTransferPricer,
-    RegionTransferRecord, RingOptions,
+    InterRegionLink, RebalanceMove, RegionDirectory, RegionHealth, RegionInfo, RegionLoad,
+    RegionRebalancer, RegionRing, RegionTransferPricer, RegionTransferRecord, RingOptions,
 };
 use helix_core::{KvTransferModel, LayerRange, PrefixStats, ReplicationPolicy};
 use helix_runtime::RuntimeReport;
@@ -60,19 +59,13 @@ use helix_sim::FleetRunReport;
 use helix_workload::{Request, TicketId};
 use std::collections::{BTreeMap, HashMap};
 
-/// Configuration of the front tier: ring geometry, membership thresholds,
-/// the inter-region link model used to price affinity moves, and the
-/// rebalancer's triggers.
+/// Configuration of the front tier: the inter-region link model used to
+/// price affinity moves.  Ring geometry, membership thresholds and the
+/// rebalancer's triggers are the `helix_core::region` defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontTierOptions {
-    /// Consistent-hash ring geometry (virtual nodes, seed).
-    pub ring: RingOptions,
-    /// Heartbeat thresholds of the region directory.
-    pub membership: MembershipOptions,
     /// Prices cross-region prefix moves (KV geometry × inter-region link).
     pub pricer: RegionTransferPricer,
-    /// Skew thresholds of the cross-region rebalancer.
-    pub rebalance: RebalanceOptions,
 }
 
 impl FrontTierOptions {
@@ -80,8 +73,6 @@ impl FrontTierOptions {
     /// the default 100 Mb/s / 50 ms inter-region link.
     pub fn for_model(model: &ModelConfig) -> Self {
         FrontTierOptions {
-            ring: RingOptions::default(),
-            membership: MembershipOptions::default(),
             pricer: RegionTransferPricer {
                 model: KvTransferModel::new(
                     model.kv_bytes_per_token_per_layer(),
@@ -90,7 +81,6 @@ impl FrontTierOptions {
                 num_layers: model.num_layers,
                 link: InterRegionLink::default(),
             },
-            rebalance: RebalanceOptions::default(),
         }
     }
 }
@@ -317,7 +307,7 @@ impl<F: ServingFrontEnd> MultiRegionSession<F> {
             !backends.is_empty(),
             "a MultiRegionSession needs at least one regional backend"
         );
-        let mut directory = RegionDirectory::new(options.membership);
+        let mut directory = RegionDirectory::default();
         let mut slots = Vec::with_capacity(backends.len());
         for (region, front) in backends {
             assert!(
@@ -336,9 +326,9 @@ impl<F: ServingFrontEnd> MultiRegionSession<F> {
         MultiRegionSession {
             slots,
             directory,
-            ring: RegionRing::new(&regions, options.ring),
+            ring: RegionRing::new(&regions, RingOptions::default()),
             affinity: HashMap::new(),
-            rebalancer: RegionRebalancer::new(options.rebalance),
+            rebalancer: RegionRebalancer::default(),
             pricer: options.pricer,
             stats: FrontTierStats::default(),
             transfers: Vec::new(),
@@ -484,20 +474,6 @@ impl<F: ServingFrontEnd> MultiRegionSession<F> {
             }
         }
         moves
-    }
-
-    /// Injects a speed factor on `node` *within one region* (the trait-level
-    /// [`inject_speed`](ServingFrontEnd::inject_speed) broadcasts instead,
-    /// since node ids are per-region namespaces).  Returns `false` for
-    /// unknown regions.
-    pub fn inject_speed_in(&mut self, region: Region, node: NodeId, factor: f64) -> bool {
-        match self.slot_mut(region) {
-            Some(slot) => {
-                slot.front.inject_speed(node, factor);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Migrates layers *within one region* (the trait-level
@@ -688,9 +664,7 @@ impl<F: ServingFrontEnd> ServingFrontEnd for MultiRegionSession<F> {
     }
 
     /// Broadcasts to every region: node ids are per-region namespaces, so a
-    /// fleet-wide slowdown of "node 3" means node 3 *everywhere*.  Use
-    /// [`inject_speed_in`](MultiRegionSession::inject_speed_in) to target
-    /// one region.
+    /// fleet-wide slowdown of "node 3" means node 3 *everywhere*.
     fn inject_speed(&mut self, node: NodeId, factor: f64) {
         for slot in &mut self.slots {
             slot.front.inject_speed(node, factor);
@@ -738,6 +712,7 @@ impl<F: ServingFrontEnd> ServingFrontEnd for MultiRegionSession<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helix_core::region::MembershipOptions;
     use std::convert::Infallible;
 
     /// A region backend that just records what it was handed; lets the

@@ -30,7 +30,6 @@ fn mixed_workload(n_per_model: usize) -> helix_workload::Workload {
         mean_output_tokens: 16.0,
         max_input_tokens: 256,
         max_output_tokens: 32,
-        ..Default::default()
     };
     helix_workload::Workload::merge(vec![
         config

@@ -198,7 +198,6 @@ fn iwrr_scheduling_avoids_congestion_better_than_random() {
         mean_output_tokens: 16.0,
         max_input_tokens: 256,
         max_output_tokens: 32,
-        ..Default::default()
     }
     .generate(60, 5)
     .with_arrivals(ArrivalPattern::Offline, 6);
