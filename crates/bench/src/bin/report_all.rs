@@ -1,6 +1,6 @@
 //! Runs every experiment harness in sequence (quick scale unless `--full`)
 //! and prints where each JSON report was written.  This is the one-command
-//! regeneration entry point referenced by EXPERIMENTS.md.
+//! regeneration entry point for `results/*.json`.
 //!
 //! ```text
 //! cargo run --release -p helix-bench --bin report_all [--full]

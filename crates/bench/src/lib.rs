@@ -11,7 +11,7 @@
 //! * [`run_serving`] — plan a placement for a system, build its scheduler,
 //!   simulate a workload and report the paper's metrics;
 //! * [`ExperimentReport`] — JSON + human-readable output written to
-//!   `results/` so `EXPERIMENTS.md` can reference machine-checkable numbers.
+//!   `results/*.json`, so every printed number is machine-checkable.
 
 use helix_cluster::ClusterProfile;
 use helix_core::{

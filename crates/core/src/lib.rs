@@ -122,9 +122,9 @@ pub use placement::partition::{
 pub use placement::refine::{AnnealingOptions, FlowAnnealingPlanner};
 pub use placement::{LayerRange, ModelPlacement};
 pub use region::{
-    InterRegionLink, MembershipOptions, RebalanceMove, RebalanceOptions, RegionDirectory,
-    RegionHealth, RegionInfo, RegionLoad, RegionRebalancer, RegionRing, RegionTransferPricer,
-    RegionTransferRecord, RingOptions,
+    InterRegionLink, RebalanceMove, RebalanceOptions, RegionDirectory, RegionHealth, RegionInfo,
+    RegionLoad, RegionRebalancer, RegionRing, RegionTransferPricer, RegionTransferRecord,
+    RingOptions,
 };
 pub use replan::{
     EngineCounters, KvMigration, KvTransferModel, KvTransferRecord, NodeObservation,

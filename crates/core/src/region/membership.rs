@@ -42,26 +42,12 @@ impl RegionHealth {
     }
 }
 
-/// Heartbeat cadence and the missed-beat thresholds for health transitions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipOptions {
-    /// Expected seconds between heartbeats.
-    pub heartbeat_interval_secs: f64,
-    /// Missed consecutive heartbeats before a region counts as Degraded.
-    pub degraded_after_missed: u32,
-    /// Missed consecutive heartbeats before a region counts as Down.
-    pub down_after_missed: u32,
-}
-
-impl Default for MembershipOptions {
-    fn default() -> Self {
-        MembershipOptions {
-            heartbeat_interval_secs: 10.0,
-            degraded_after_missed: 2,
-            down_after_missed: 5,
-        }
-    }
-}
+/// Expected seconds between a region's heartbeats.
+pub const HEARTBEAT_INTERVAL_SECS: f64 = 10.0;
+/// Missed consecutive heartbeats before a region counts as Degraded.
+pub const DEGRADED_AFTER_MISSED: u32 = 2;
+/// Missed consecutive heartbeats before a region counts as Down.
+pub const DOWN_AFTER_MISSED: u32 = 5;
 
 /// What a region announces when it registers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,22 +87,13 @@ struct RegionEntry {
 /// discrete-event simulator and the threaded runtime.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionDirectory {
-    options: MembershipOptions,
     entries: BTreeMap<Region, RegionEntry>,
 }
 
 impl RegionDirectory {
-    /// An empty directory with the given thresholds.
-    pub fn new(options: MembershipOptions) -> Self {
-        RegionDirectory {
-            options,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn options(&self) -> MembershipOptions {
-        self.options
+    /// An empty directory.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers (or re-registers) a region, counting as a heartbeat at
@@ -196,12 +173,12 @@ impl RegionDirectory {
         if let Some(forced) = entry.forced {
             return forced;
         }
-        let missed = ((now - entry.last_heartbeat) / self.options.heartbeat_interval_secs)
+        let missed = ((now - entry.last_heartbeat) / HEARTBEAT_INTERVAL_SECS)
             .max(0.0)
             .floor() as u32;
-        if missed >= self.options.down_after_missed {
+        if missed >= DOWN_AFTER_MISSED {
             RegionHealth::Down
-        } else if missed >= self.options.degraded_after_missed {
+        } else if missed >= DEGRADED_AFTER_MISSED {
             RegionHealth::Degraded
         } else {
             RegionHealth::Healthy
@@ -238,7 +215,7 @@ mod tests {
     use super::*;
 
     fn directory() -> RegionDirectory {
-        let mut d = RegionDirectory::new(MembershipOptions::default());
+        let mut d = RegionDirectory::new();
         for r in 0..3u32 {
             d.register(RegionInfo::new(Region(r)), 0.0);
         }

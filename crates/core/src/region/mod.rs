@@ -24,7 +24,10 @@ mod membership;
 mod rebalance;
 mod ring;
 
-pub use membership::{MembershipOptions, RegionDirectory, RegionHealth, RegionInfo};
+pub use membership::{
+    RegionDirectory, RegionHealth, RegionInfo, DEGRADED_AFTER_MISSED, DOWN_AFTER_MISSED,
+    HEARTBEAT_INTERVAL_SECS,
+};
 pub use rebalance::{
     InterRegionLink, RebalanceMove, RebalanceOptions, RegionLoad, RegionRebalancer,
     RegionTransferPricer, RegionTransferRecord,

@@ -11,7 +11,7 @@
 //! scheduler-count mismatch that used to be an `assert_eq!` in `new_fleet`.
 
 use crate::error::RuntimeError;
-use crate::runtime::{RuntimeConfig, Wired};
+use crate::runtime::RuntimeConfig;
 use crate::session::ServingSession;
 use helix_core::{FleetScheduler, FleetTopology, ReplanPolicy, Scheduler, Topology};
 
@@ -104,7 +104,8 @@ impl ServingBuilder {
         self
     }
 
-    /// Wires and starts the serving system: workers, fabric and coordinator.
+    /// Wires and starts the serving system — workers, fabric and coordinator
+    /// — on its `helix-dataplane` thread, and returns once it is wired.
     ///
     /// # Errors
     ///
@@ -144,6 +145,6 @@ impl ServingBuilder {
                 .into_parts(),
         };
         let config = self.config.unwrap_or_default();
-        Wired::build(fleet, schedulers, config, self.policy).map(ServingSession::from_wired)
+        ServingSession::start(fleet, schedulers, config, self.policy)
     }
 }

@@ -62,10 +62,15 @@ pub(crate) enum CoordinatorMsg {
 }
 
 /// Control messages a [`ServingSession`](crate::ServingSession) sends to its
-/// coordinator thread.
+/// coordinator; every session call travels this way, in call order.
 pub(crate) enum SessionControl {
     /// Admit one request (honouring its `arrival_time` in virtual seconds).
     Submit(Request),
+    /// Admit a whole workload: one message, so requests due at the same time
+    /// are seen — and admitted — together.
+    SubmitAll(Vec<Request>),
+    /// Slow every worker of a node, present and future, to the given factor.
+    InjectSpeed(NodeId, f64),
     /// Apply a placement delta to the standing fleet plan: re-plan, swap the
     /// affected models' schedulers, spawn workers for newly added
     /// (node, model) tenancies and retire ones the plan dropped (after their
@@ -85,14 +90,6 @@ pub(crate) enum SessionControl {
     Finish,
 }
 
-/// Everything a finished coordinator hands to the report besides the
-/// outcomes themselves.
-#[derive(Default)]
-pub(crate) struct CoordinatorArtifacts {
-    pub control: ControlLogs,
-    pub kv_transfers: Vec<KvTransferRecord>,
-}
-
 /// Everything the coordinator needs to run.
 pub(crate) struct CoordinatorSpec {
     /// One scheduling policy per model of the fleet (Helix IWRR or one of the
@@ -108,9 +105,8 @@ pub(crate) struct CoordinatorSpec {
     pub inbound: Receiver<CoordinatorMsg>,
     /// Outgoing messages into the fabric.
     pub fabric: Sender<Envelope>,
-    /// The live worker set (shared with the fabric and the front door).
-    pub registry: Arc<WorkerRegistry>,
-    /// Spawns additional workers when a re-plan adds a tenancy.
+    /// Spawns additional workers when a re-plan adds a tenancy, and holds
+    /// the live worker set (shared with the fabric).
     pub spawner: WorkerSpawner,
     /// Wall-clock budget for the whole run.
     pub max_wall: Duration,
@@ -138,14 +134,14 @@ impl ClusterState for CoordinatorView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
         self.registry
             .stats((node, self.model))
-            .map(|s| s.lock().queue_len)
+            .map(|s| s.borrow().queue_len)
             .unwrap_or(0)
     }
 
     fn recent_throughput(&self, node: NodeId) -> f64 {
         self.registry
             .stats((node, self.model))
-            .map(|s| s.lock().recent_throughput)
+            .map(|s| s.borrow().recent_throughput)
             .unwrap_or(0.0)
     }
 
@@ -166,7 +162,6 @@ pub(crate) struct Coordinator {
     clock: VirtualClock,
     inbound: Receiver<CoordinatorMsg>,
     fabric: Sender<Envelope>,
-    registry: Arc<WorkerRegistry>,
     spawner: WorkerSpawner,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
@@ -203,7 +198,6 @@ impl Coordinator {
             clock: spec.clock,
             inbound: spec.inbound,
             fabric: spec.fabric,
-            registry: spec.registry,
             spawner: spec.spawner,
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
@@ -215,13 +209,11 @@ impl Coordinator {
         }
     }
 
-    /// Everything the run accumulated besides the outcomes, taken once the
-    /// loop ends and threaded into the final report.
-    pub(crate) fn take_artifacts(&mut self) -> CoordinatorArtifacts {
-        CoordinatorArtifacts {
-            control: self.control.take_logs(),
-            kv_transfers: std::mem::take(&mut self.kv_transfers),
-        }
+    /// Everything the run accumulated besides the outcomes, for the final
+    /// report.  Consuming the coordinator drops its fabric senders, which
+    /// the fabric task waits for.
+    pub(crate) fn into_logs(mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
+        (self.control.take_logs(), self.kv_transfers)
     }
 
     /// The live session loop: requests, placement deltas and drain/finish
@@ -251,8 +243,7 @@ impl Coordinator {
             // 1. Wait for the next message on the channel's waker.  Deadlines
             // exist only to pace deferred arrivals, injected failures, policy
             // ticks and the drain budget — a fully idle session waits with
-            // *no* deadline at all.  (A backlog queued before the loop started
-            // is already there: the first wait returns at once.)
+            // *no* deadline at all.
             let next_arrival = pending
                 .iter()
                 .map(|r| r.arrival_time)
@@ -289,6 +280,13 @@ impl Coordinator {
                         submitted += 1;
                         pending.push_back(request);
                     }
+                    CoordinatorMsg::Control(SessionControl::SubmitAll(requests)) => {
+                        submitted += requests.len();
+                        pending.extend(requests);
+                    }
+                    CoordinatorMsg::Control(SessionControl::InjectSpeed(node, factor)) => {
+                        self.spawner.set_speed(node, factor);
+                    }
                     CoordinatorMsg::Control(SessionControl::ApplyDelta(delta)) => {
                         let now = self.clock.now();
                         let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
@@ -311,7 +309,7 @@ impl Coordinator {
             self.maybe_replan();
 
             // 4. The wall budget guards each drain (measured from when the
-            // drain began), never idle session time.
+            // drain began until it is acknowledged), never idle session time.
             if draining {
                 let started = *drain_started.get_or_insert_with(|| self.clock.wall_elapsed());
                 if self.clock.wall_elapsed().saturating_sub(started) > self.max_wall {
@@ -321,8 +319,6 @@ impl Coordinator {
                         total: submitted,
                     });
                 }
-            } else {
-                drain_started = None;
             }
 
             // 5. Fire injected node failures whose virtual time has passed:
@@ -388,6 +384,7 @@ impl Coordinator {
                 for ack in drain_acks.drain(..) {
                     let _ = ack.send(());
                 }
+                drain_started = None;
                 if finishing {
                     break;
                 }
@@ -421,7 +418,7 @@ impl Coordinator {
         if now < due {
             return;
         }
-        let stats = self.registry.live_stats_snapshot().into_iter();
+        let stats = self.spawner.registry.live_stats_snapshot().into_iter();
         let counters: Vec<_> = stats
             .map(|((node, model), stats)| {
                 let counters = EngineCounters {
@@ -473,7 +470,7 @@ impl Coordinator {
             // Pairs the plan no longer includes keep serving their in-flight
             // pipelines and are detached once those drain; new requests
             // already steer around them.
-            for key in self.registry.live_keys_for_model(model) {
+            for key in self.spawner.registry.live_keys_for_model(model) {
                 if !planned_nodes.contains(&key.0) {
                     self.pending_retire.insert(key);
                 }
@@ -493,7 +490,7 @@ impl Coordinator {
                 to,
                 layers,
             } = migration;
-            if let Some(source) = self.registry.route((from, model)) {
+            if let Some(source) = self.spawner.registry.route((from, model)) {
                 self.freeze_endpoint((from, model), layers);
                 self.freeze_endpoint((to, model), layers);
                 let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
@@ -550,7 +547,7 @@ impl Coordinator {
             .collect();
         for key in ready {
             self.pending_retire.remove(&key);
-            self.registry.detach(key);
+            self.spawner.registry.detach(key);
         }
     }
 
@@ -563,7 +560,7 @@ impl Coordinator {
         let view = CoordinatorView {
             model,
             estimators: &self.estimators,
-            registry: &self.registry,
+            registry: &self.spawner.registry,
         };
         let Admission::Dispatch(dispatch) = self.control.admit(&request, &view)? else {
             return Ok(false);
@@ -631,13 +628,13 @@ impl Coordinator {
             for m in 0..self.control.fleet().num_models() {
                 let key = (node, ModelId(m));
                 self.pending_retire.remove(&key);
-                if self.registry.is_live(key) {
-                    self.registry.detach(key);
+                if self.spawner.registry.is_routable(key) {
+                    self.spawner.registry.detach(key);
                 }
             }
         }
-        let registry = &self.registry;
-        let is_live = |node, model| registry.is_live((node, model));
+        let registry = &self.spawner.registry;
+        let is_live = |node, model| registry.is_routable((node, model));
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
         let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
         for flight in &failover.stranded {
@@ -662,7 +659,7 @@ impl Coordinator {
                 estimator.release_shared(stage.node, p.id);
             }
         }
-        for (node, _) in self.registry.live_keys_for_model(model) {
+        for (node, _) in self.spawner.registry.live_keys_for_model(model) {
             self.send(Envelope {
                 from: None,
                 to: Some(node),
@@ -756,7 +753,7 @@ impl Coordinator {
     /// freeze (and later thaw) their own range independently — and work on
     /// layers outside every frozen range keeps executing throughout.
     fn freeze_endpoint(&mut self, key: WorkerKey, layers: LayerRange) {
-        if let Some(tx) = self.registry.route(key) {
+        if let Some(tx) = self.spawner.registry.route(key) {
             let _ = tx.send(RuntimeMsg::Freeze(layers));
         }
     }
@@ -764,7 +761,7 @@ impl Coordinator {
     /// Thaws one hand-over's layer range on one endpoint (its transfer
     /// landed).
     fn thaw_endpoint(&mut self, key: WorkerKey, layers: LayerRange) {
-        if let Some(tx) = self.registry.route(key) {
+        if let Some(tx) = self.spawner.registry.route(key) {
             let _ = tx.send(RuntimeMsg::Resume(layers));
         }
     }

@@ -23,17 +23,18 @@ use crate::registry::WorkerRegistry;
 use helix_cluster::{ClusterProfile, NodeId};
 use helix_core::LinkQueue;
 use minirt::channel::{Receiver, Sender};
-use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A directed link endpoint pair; `None` denotes the coordinator.
 pub type LinkKey = (Option<NodeId>, Option<NodeId>);
 
-/// Shared, thread-safe view of the directed links that carried traffic: each
-/// link's queue state and its traffic counters.
-pub type LinkTrafficMap = Arc<Mutex<HashMap<LinkKey, LinkQueue>>>;
+/// The directed links that carried traffic: each link's queue state and its
+/// traffic counters.  The fabric task owns the map and returns it when it
+/// exits.
+pub(crate) type LinkTraffic = HashMap<LinkKey, LinkQueue>;
 
 /// A message waiting in the fabric for its delivery time.
 #[derive(Debug)]
@@ -77,35 +78,31 @@ pub(crate) struct FabricSpec {
     pub clock: VirtualClock,
     /// The live worker set: delivery is looked up per message, so workers
     /// spawned (or retired) mid-run become routable (or unroutable) at once.
-    pub registry: Arc<WorkerRegistry>,
+    pub registry: Rc<WorkerRegistry>,
     /// Delivery channel of the coordinator (shared with the session's
     /// control messages).
     pub coordinator_tx: Sender<CoordinatorMsg>,
 }
 
 /// Spawns the fabric task on `executor`.  The task drains in-flight
-/// deliveries and exits once every ingress sender has been dropped.  Returns
-/// the shared traffic counters.
+/// deliveries, exits once every ingress sender has been dropped and returns
+/// the traffic counters.
 pub(crate) fn spawn_fabric(
     executor: &minirt::Executor,
     spec: FabricSpec,
     ingress: Receiver<Envelope>,
-) -> LinkTrafficMap {
-    let traffic: LinkTrafficMap = Arc::new(Mutex::new(HashMap::new()));
-    let shared = Arc::clone(&traffic);
-    executor.spawn(async move {
-        run_fabric(spec, ingress, shared).await;
-    });
-    traffic
+) -> minirt::JoinHandle<LinkTraffic> {
+    executor.spawn(run_fabric(spec, ingress))
 }
 
-async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: LinkTrafficMap) {
+async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>) -> LinkTraffic {
     let FabricSpec {
         profile,
         clock,
         registry,
         coordinator_tx,
     } = spec;
+    let mut traffic = LinkTraffic::new();
     let mut heap: BinaryHeap<Delivery> = BinaryHeap::new();
     let mut seq: u64 = 0;
     let mut closed = false;
@@ -118,7 +115,7 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
             route(delivery.envelope, &registry, &coordinator_tx);
         }
         if closed && heap.is_empty() {
-            break;
+            return traffic;
         }
 
         // Wait for the next arrival or the next due delivery, whichever
@@ -139,7 +136,7 @@ async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>, traffic: Link
         match received {
             Ok(envelope) => {
                 seq += 1;
-                let delivery = schedule(envelope, seq, &profile, &clock, &traffic);
+                let delivery = schedule(envelope, seq, &profile, &clock, &mut traffic);
                 heap.push(delivery);
             }
             Err(_) => closed = true,
@@ -154,11 +151,10 @@ fn schedule(
     seq: u64,
     profile: &ClusterProfile,
     clock: &VirtualClock,
-    traffic: &LinkTrafficMap,
+    traffic: &mut LinkTraffic,
 ) -> Delivery {
     let (from, to) = (envelope.from, envelope.to);
     let deliver_at = traffic
-        .lock()
         .entry((from, to))
         .or_insert_with(|| {
             let link = profile.link_profile(from, to).link;
@@ -194,7 +190,7 @@ mod tests {
     use super::*;
     use crate::message::{Phase, RuntimeMsg};
     use crate::registry::WorkerMeta;
-    use crate::worker::{SharedWorkerStats, WorkerStats};
+    use crate::worker::SharedWorkerStats;
     use helix_cluster::{ClusterSpec, ModelConfig, ModelId};
     use minirt::channel::unbounded;
 
@@ -209,10 +205,10 @@ mod tests {
     /// Registers a bare channel as a routable "worker" (no task behind it).
     fn registry_with_endpoint(
         node: NodeId,
-    ) -> (Arc<WorkerRegistry>, minirt::channel::Receiver<RuntimeMsg>) {
-        let registry = Arc::new(WorkerRegistry::new());
+    ) -> (Rc<WorkerRegistry>, minirt::channel::Receiver<RuntimeMsg>) {
+        let registry = Rc::new(WorkerRegistry::new());
         let (tx, rx) = unbounded();
-        let stats: SharedWorkerStats = Arc::new(Mutex::new(WorkerStats::default()));
+        let stats = SharedWorkerStats::default();
         registry.register(
             (node, ModelId::default()),
             tx,
@@ -275,7 +271,7 @@ mod tests {
             CoordinatorMsg::Runtime(RuntimeMsg::IterationDone { request: 1, .. })
         ));
 
-        let map = traffic.lock();
+        let map = traffic.into_output().unwrap();
         assert_eq!(map.len(), 2);
         let entry = map.get(&(None, Some(NodeId(0)))).unwrap();
         assert_eq!(entry.transfers, 1);
@@ -317,7 +313,7 @@ mod tests {
             worker_rx.try_recv().unwrap();
         }
 
-        let map = traffic.lock();
+        let map = traffic.into_output().unwrap();
         let entry = map.get(&(Some(NodeId(0)), Some(NodeId(1)))).unwrap();
         assert_eq!(entry.transfers, 2);
         assert!(

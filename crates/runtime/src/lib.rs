@@ -22,10 +22,13 @@
 //!   study.
 //!
 //! Because workers are tasks rather than OS threads, the whole data plane —
-//! even a 500-node fleet — runs on a bounded number of threads: inline on
-//! the calling thread for batch runs, or on one `helix-dataplane` thread for
-//! live sessions.  Every wait is waker-based (channel wakers and virtual-time
-//! timers); nothing in the data plane polls on an interval.
+//! even a 500-node fleet — is built, driven and torn down by one
+//! `helix-dataplane` thread per session, and its state (executor, worker
+//! registry, statistics, link counters) is `Rc` / `RefCell` data that cannot
+//! leave that thread; the session reaches it only through the coordinator's
+//! inbound channel, the completion stream and the thread's join handle.
+//! Every wait is waker-based (channel wakers and virtual-time timers);
+//! nothing in the data plane polls on an interval.
 //!
 //! GPU kernels are replaced by a calibrated cost model ([`AnalyticExecution`])
 //! — the same substitution the paper's own simulator makes — while every other
@@ -91,6 +94,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod builder;
 mod clock;

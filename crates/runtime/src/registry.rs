@@ -1,5 +1,6 @@
-//! The live worker set shared by the coordinator, the network fabric and the
-//! serving front door.
+//! The live worker set shared by the coordinator and the network fabric —
+//! two tasks of one thread, so the sharing is an `Rc` and the mutability a
+//! `RefCell` (no borrow is held across an `.await`).
 //!
 //! The pre-session runtime fixed its worker set at build time: the fabric
 //! owned an immutable `HashMap` of delivery channels and online re-planning
@@ -21,8 +22,9 @@ use crate::runtime::ExecutionKind;
 use crate::worker::{self, SharedWorkerStats, WorkerConfig, WorkerStats};
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
 use minirt::channel::{unbounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Key of one worker: the (compute node, fleet model) pair it serves.
@@ -48,16 +50,11 @@ struct RegistryInner {
     meta: HashMap<WorkerKey, WorkerMeta>,
 }
 
-/// Thread-safe, mutable worker membership: who exists, how to reach them,
-/// and the statistics they share.
-///
-/// Reads vastly outnumber membership changes (the fabric resolves a route
-/// per message, the coordinator's scheduler view reads stats per candidate),
-/// so the map sits behind an `RwLock`: routing and observation take shared
-/// read locks and only spawn/retire take the write lock.
+/// Mutable worker membership: who exists, how to reach them, and the
+/// statistics they publish.  Confined to the data-plane thread.
 #[derive(Default)]
 pub(crate) struct WorkerRegistry {
-    inner: RwLock<RegistryInner>,
+    inner: RefCell<RegistryInner>,
 }
 
 impl WorkerRegistry {
@@ -79,10 +76,10 @@ impl WorkerRegistry {
         stats: SharedWorkerStats,
         meta: WorkerMeta,
     ) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         if let Some(previous) = inner.stats.get(&key) {
-            let prev = previous.lock().clone();
-            let mut fresh = stats.lock();
+            let prev = previous.borrow().clone();
+            let mut fresh = stats.borrow_mut();
             fresh.busy_secs += prev.busy_secs;
             fresh.nominal_busy_secs += prev.nominal_busy_secs;
             fresh.batches += prev.batches;
@@ -97,18 +94,18 @@ impl WorkerRegistry {
     }
 
     /// Whether a live (routable) worker exists for `key`.
-    pub(crate) fn is_live(&self, key: WorkerKey) -> bool {
-        self.inner.read().txs.contains_key(&key)
+    pub(crate) fn is_routable(&self, key: WorkerKey) -> bool {
+        self.inner.borrow().txs.contains_key(&key)
     }
 
     /// The delivery channel of a live worker, if any.
     pub(crate) fn route(&self, key: WorkerKey) -> Option<Sender<RuntimeMsg>> {
-        self.inner.read().txs.get(&key).cloned()
+        self.inner.borrow().txs.get(&key).cloned()
     }
 
     /// Sends `msg` to every live worker of `node`, across models.
     pub(crate) fn send_to_node(&self, node: NodeId, msg: RuntimeMsg) {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         for (&(n, _), tx) in &inner.txs {
             if n == node {
                 let _ = tx.send(msg.clone());
@@ -118,7 +115,7 @@ impl WorkerRegistry {
 
     /// The live worker keys of one model.
     pub(crate) fn live_keys_for_model(&self, model: ModelId) -> Vec<WorkerKey> {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         inner
             .txs
             .keys()
@@ -129,13 +126,13 @@ impl WorkerRegistry {
 
     /// The shared statistics handle of one worker (live or detached).
     pub(crate) fn stats(&self, key: WorkerKey) -> Option<SharedWorkerStats> {
-        self.inner.read().stats.get(&key).cloned()
+        self.inner.borrow().stats.get(&key).cloned()
     }
 
     /// Updates the report metadata of one worker after an in-place plan
     /// update changed its layer assignment.
     pub(crate) fn update_meta(&self, key: WorkerKey, layers: usize) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         if let Some(meta) = inner.meta.get_mut(&key) {
             meta.layers = layers;
         }
@@ -144,11 +141,11 @@ impl WorkerRegistry {
     /// Clones every *live* worker's current statistics, sorted by key for
     /// deterministic iteration (detached workers stop being observed).
     pub(crate) fn live_stats_snapshot(&self) -> Vec<(WorkerKey, WorkerStats)> {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         let mut out: Vec<(WorkerKey, WorkerStats)> = inner
             .txs
             .keys()
-            .map(|&key| (key, inner.stats[&key].lock().clone()))
+            .map(|&key| (key, inner.stats[&key].borrow().clone()))
             .collect();
         out.sort_by_key(|&(key, _)| key);
         out
@@ -157,12 +154,12 @@ impl WorkerRegistry {
     /// Report rows for every worker ever registered, sorted by (node, model)
     /// — the same order the pre-session runtime reported in.
     pub(crate) fn report_rows(&self) -> Vec<(WorkerKey, WorkerMeta, WorkerStats)> {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         let mut out: Vec<(WorkerKey, WorkerMeta, WorkerStats)> = inner
             .meta
             .iter()
             .map(|(&key, meta)| {
-                let stats = inner.stats[&key].lock().clone();
+                let stats = inner.stats[&key].borrow().clone();
                 (key, meta.clone(), stats)
             })
             .collect();
@@ -177,7 +174,7 @@ impl WorkerRegistry {
     /// The caller is responsible for only detaching workers whose in-flight
     /// pipelines have drained (drain-then-switch).
     pub(crate) fn detach(&self, key: WorkerKey) {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         if let Some(tx) = inner.txs.remove(&key) {
             let _ = tx.send(RuntimeMsg::Shutdown);
         }
@@ -185,7 +182,7 @@ impl WorkerRegistry {
 
     /// Sends a shutdown to every live worker.
     pub(crate) fn shutdown_all(&self) {
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         for tx in inner.txs.values() {
             let _ = tx.send(RuntimeMsg::Shutdown);
         }
@@ -193,17 +190,28 @@ impl WorkerRegistry {
 }
 
 /// Everything needed to spawn one more worker mid-run: the executor, the
-/// clock, the fabric ingress and the execution-model choice the original
-/// build used.
+/// clock, the fabric ingress, the execution-model choice the original build
+/// used and the slowdowns injected so far.
 pub(crate) struct WorkerSpawner {
     pub executor: minirt::Executor,
     pub clock: VirtualClock,
     pub fabric: Sender<Envelope>,
     pub execution: ExecutionKind,
-    pub registry: Arc<WorkerRegistry>,
+    pub registry: Rc<WorkerRegistry>,
+    /// The injected speed factor of every node that has one; a worker
+    /// spawned later on such a node starts slowed, as its siblings run.
+    pub slowdowns: HashMap<NodeId, f64>,
 }
 
 impl WorkerSpawner {
+    /// Slows every worker of `node`, present and future, to `factor`× the
+    /// cost model's prediction.
+    pub(crate) fn set_speed(&mut self, node: NodeId, factor: f64) {
+        self.slowdowns.insert(node, factor);
+        self.registry
+            .send_to_node(node, RuntimeMsg::SetSpeed(factor));
+    }
+
     /// Builds the execution model a worker of `node` should run under the
     /// current plan.
     fn execution_for(&self, profile: &ClusterProfile, node: NodeId) -> Arc<dyn ExecutionModel> {
@@ -227,7 +235,7 @@ impl WorkerSpawner {
         layers: usize,
         kv_capacity_tokens: f64,
     ) {
-        if self.registry.is_live((node, model)) {
+        if self.registry.is_routable((node, model)) {
             if let Some(tx) = self.registry.route((node, model)) {
                 let _ = tx.send(RuntimeMsg::UpdatePlan(PlanUpdate {
                     execution: self.execution_for(profile, node),
@@ -239,7 +247,10 @@ impl WorkerSpawner {
             return;
         }
         let (tx, rx) = unbounded::<RuntimeMsg>();
-        let stats: SharedWorkerStats = Arc::new(Mutex::new(WorkerStats::default()));
+        if let Some(&factor) = self.slowdowns.get(&node) {
+            let _ = tx.send(RuntimeMsg::SetSpeed(factor));
+        }
+        let stats = SharedWorkerStats::default();
         let config = WorkerConfig {
             node,
             model,
@@ -253,7 +264,7 @@ impl WorkerSpawner {
             self.clock,
             rx,
             self.fabric.clone(),
-            Arc::clone(&stats),
+            Rc::clone(&stats),
         );
         self.registry.register(
             (node, model),
@@ -273,7 +284,7 @@ mod tests {
 
     fn dummy_entry(registry: &WorkerRegistry, key: WorkerKey) -> Sender<RuntimeMsg> {
         let (tx, _rx) = unbounded::<RuntimeMsg>();
-        let stats: SharedWorkerStats = Arc::new(Mutex::new(WorkerStats::default()));
+        let stats = SharedWorkerStats::default();
         registry.register(
             key,
             tx.clone(),
@@ -291,11 +302,11 @@ mod tests {
         let registry = WorkerRegistry::new();
         let key = (NodeId(3), ModelId(1));
         let _tx = dummy_entry(&registry, key);
-        assert!(registry.is_live(key));
+        assert!(registry.is_routable(key));
         assert!(registry.route(key).is_some());
 
         registry.detach(key);
-        assert!(!registry.is_live(key));
+        assert!(!registry.is_routable(key));
         assert!(registry.route(key).is_none());
         // Stats and meta survive detachment for the final report.
         assert!(registry.stats(key).is_some());
@@ -311,7 +322,7 @@ mod tests {
         let _tx = dummy_entry(&registry, key);
         {
             let stats = registry.stats(key).unwrap();
-            let mut s = stats.lock();
+            let mut s = stats.borrow_mut();
             s.busy_secs = 3.0;
             s.batches = 7;
             s.decode_tokens = 40;
@@ -321,7 +332,7 @@ mod tests {
         // Re-adding the tenancy must not lose the first incarnation's work
         // from the report, nor make cumulative counters go backwards.
         let _tx2 = dummy_entry(&registry, key);
-        let seeded = registry.stats(key).unwrap().lock().clone();
+        let seeded = registry.stats(key).unwrap().borrow().clone();
         assert_eq!(seeded.batches, 7);
         assert_eq!(seeded.decode_tokens, 40);
         assert!((seeded.busy_secs - 3.0).abs() < 1e-12);

@@ -1,45 +1,35 @@
 //! The live serving front door.
 //!
-//! A [`ServingSession`] is a long-lived handle over the wired data plane
+//! A [`ServingSession`] is a long-lived handle over a running data plane
 //! (coordinator, workers, fabric): requests are submitted without blocking,
 //! completions stream back as they happen, and a small control plane accepts
 //! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
 //! placement deltas that can *spawn new workers*
 //! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
 //! retire dropped ones once they drain.  The batch call is a thin convenience
-//! wrapper: [`ServingSession::serve`] is submit-everything → drain → finish
-//! over the same loop every other call drives.
+//! wrapper: [`ServingSession::serve`] is submit-everything → finish over the
+//! same loop every other call drives.
 //!
 //! The whole data plane — coordinator, workers, fabric — is a set of async
-//! tasks on one executor.  Once the session goes live (first `submit`,
-//! `serve` or delta) a single dedicated `helix-dataplane` thread
-//! drives it, so the OS thread count stays O(1) however many nodes the fleet
-//! has.
+//! tasks on one executor, built and driven by a single dedicated
+//! `helix-dataplane` thread that starts with the session, so the OS thread
+//! count stays O(1) however many nodes the fleet has.  The session holds only
+//! what crosses to that thread: the coordinator's inbound channel (every
+//! call below is one message on it, handled in call order), the completion
+//! stream, and the thread's handle, whose result is the final report.
 
-use crate::coordinator::{CoordinatorArtifacts, CoordinatorMsg, SessionControl};
+use crate::clock::VirtualClock;
+use crate::coordinator::{CoordinatorMsg, SessionControl};
 use crate::error::RuntimeError;
-use crate::message::RuntimeMsg;
 use crate::metrics::{RequestOutcome, RuntimeReport};
-use crate::runtime::Wired;
+use crate::runtime::{self, PlaneSpec, RuntimeConfig};
 use helix_cluster::NodeId;
-use helix_core::{PlacementDelta, ReplicationPolicy};
+use helix_core::{FleetTopology, PlacementDelta, ReplanPolicy, ReplicationPolicy, Scheduler};
 use helix_workload::{Request, TicketId, Workload};
-use minirt::channel::{unbounded, Receiver, RecvTimeoutError};
+use minirt::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
-
-/// What the data-plane thread hands back when the live loop ends.
-type LiveResult = (
-    Result<Vec<RequestOutcome>, RuntimeError>,
-    CoordinatorArtifacts,
-);
-
-/// The live half of a session: the completion stream of the coordinator task
-/// and the data-plane thread driving it.
-struct Live {
-    completion_rx: Receiver<RequestOutcome>,
-    handle: JoinHandle<LiveResult>,
-}
+use std::time::Duration;
 
 /// A live handle over a running serving system.
 ///
@@ -57,93 +47,83 @@ struct Live {
 ///   completed; [`finish`](Self::finish) drains, shuts the data plane down
 ///   and returns the final [`RuntimeReport`].
 /// * [`serve`](Self::serve) is the batch convenience wrapper: it submits
-///   everything, drains and finishes.
+///   everything and finishes.
 pub struct ServingSession {
-    wired: Wired,
-    live: Option<Live>,
+    clock: VirtualClock,
+    max_wall: Duration,
+    control: Sender<CoordinatorMsg>,
+    completions: Receiver<RequestOutcome>,
+    /// The data-plane thread.  `None` once it died and was joined: its error
+    /// went to whoever observed the death first.
+    plane: Option<JoinHandle<Result<RuntimeReport, RuntimeError>>>,
     /// Completions pulled off the channel but not yet handed to the caller.
     undelivered: VecDeque<RequestOutcome>,
     submitted: usize,
     delivered: usize,
-    /// Set when the data-plane thread died; the session can only report the
-    /// failure once (the error is returned to whoever observed it first).
-    failed: bool,
 }
 
 impl std::fmt::Debug for ServingSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingSession")
-            .field("live", &self.live.is_some())
             .field("submitted", &self.submitted)
             .field("delivered", &self.delivered)
-            .field("failed", &self.failed)
+            .field("failed", &self.plane.is_none())
             .finish_non_exhaustive()
     }
 }
 
 impl ServingSession {
-    pub(crate) fn from_wired(wired: Wired) -> Self {
-        ServingSession {
-            wired,
-            live: None,
+    /// Starts the data-plane thread on a validated plan and returns once it
+    /// reports the plane wired, so a first `submit` never waits for
+    /// construction.  Virtual time starts here.
+    pub(crate) fn start(
+        fleet: FleetTopology,
+        schedulers: Vec<Box<dyn Scheduler>>,
+        config: RuntimeConfig,
+        policy: Option<ReplanPolicy>,
+    ) -> Result<Self, RuntimeError> {
+        runtime::validate(&fleet, &schedulers)?;
+        let clock = VirtualClock::new(config.wall_per_virtual);
+        let max_wall = config.max_wall;
+        let (control, inbound) = unbounded();
+        let (completion_tx, completions) = unbounded();
+        let (wired_tx, wired_rx) = unbounded();
+        let spec = PlaneSpec {
+            fleet,
+            schedulers,
+            config,
+            policy,
+            clock,
+            inbound,
+            coordinator_tx: control.clone(),
+            completions: completion_tx,
+            wired: wired_tx,
+        };
+        let plane = std::thread::Builder::new()
+            .name("helix-dataplane".to_string())
+            .spawn(move || runtime::run(spec))
+            .expect("spawning the data-plane thread never fails");
+        let mut session = ServingSession {
+            clock,
+            max_wall,
+            control,
+            completions,
+            plane: Some(plane),
             undelivered: VecDeque::new(),
             submitted: 0,
             delivered: 0,
-            failed: false,
+        };
+        match wired_rx.recv_blocking() {
+            Ok(()) => Ok(session),
+            Err(_) => Err(session.coordinator_died()),
         }
-    }
-
-    /// Whether the data plane is running on its own thread (true after the
-    /// first `submit` or delta).
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-
-    /// Starts the data-plane thread if it is not running yet.
-    fn ensure_live(&mut self) {
-        if self.live.is_none() && !self.failed {
-            self.go_live(&[]);
-        }
-    }
-
-    /// Starts the data-plane thread: one thread driving the executor that
-    /// runs the coordinator's live loop alongside every worker task and the
-    /// fabric task.  `backlog` is queued on the coordinator's channel before
-    /// the thread starts, so the coordinator sees those requests together and
-    /// admits every due arrival before it processes any completion.
-    fn go_live(&mut self, backlog: &[Request]) {
-        let mut coordinator = self
-            .wired
-            .coordinator
-            .take()
-            .expect("coordinator present until the session goes live");
-        let executor = self.wired.executor.clone();
-        let (completion_tx, completion_rx) = unbounded();
-        for request in backlog {
-            let submit = CoordinatorMsg::Control(SessionControl::Submit(*request));
-            let _ = self.wired.coordinator_tx.send(submit);
-        }
-        self.submitted += backlog.len();
-        let handle = std::thread::Builder::new()
-            .name("helix-dataplane".to_string())
-            .spawn(move || {
-                let result = executor.block_on(coordinator.run_live(completion_tx));
-                let artifacts = coordinator.take_artifacts();
-                (result, artifacts)
-            })
-            .expect("spawning the data-plane thread never fails");
-        self.live = Some(Live {
-            completion_rx,
-            handle,
-        });
     }
 
     /// Queues one control message on the coordinator's inbound channel; its
     /// arrival wakes the coordinator's waker-based wait.  `false` when the
-    /// session is not live or the coordinator is gone.
+    /// coordinator is gone.
     fn send_control(&self, msg: SessionControl) -> bool {
-        let msg = CoordinatorMsg::Control(msg);
-        self.live.is_some() && self.wired.coordinator_tx.send(msg).is_ok()
+        self.control.send(CoordinatorMsg::Control(msg)).is_ok()
     }
 
     /// Submits one request without blocking and returns its ticket.
@@ -153,7 +133,6 @@ impl ServingSession {
     /// coordinator replays its arrival process.  Request ids should be unique
     /// within the session; the ticket wraps the id.
     pub fn submit(&mut self, request: Request) -> TicketId {
-        self.ensure_live();
         self.submitted += 1;
         self.send_control(SessionControl::Submit(request));
         TicketId(request.id)
@@ -162,10 +141,8 @@ impl ServingSession {
     /// Returns every completion that has arrived since the last call,
     /// without blocking.
     pub fn try_completions(&mut self) -> Vec<RequestOutcome> {
-        if let Some(live) = &self.live {
-            while let Ok(outcome) = live.completion_rx.try_recv() {
-                self.undelivered.push_back(outcome);
-            }
+        while let Ok(outcome) = self.completions.try_recv() {
+            self.undelivered.push_back(outcome);
         }
         self.delivered += self.undelivered.len();
         self.undelivered.drain(..).collect()
@@ -183,11 +160,8 @@ impl ServingSession {
     /// never submitted can never complete), and propagates a coordinator
     /// failure.  The budget bounds each wait, not the session's lifetime.
     pub fn wait_completion(&mut self, ticket: TicketId) -> Result<RequestOutcome, RuntimeError> {
-        let wait_started = self.wired.clock.wall_elapsed();
-        let deadline = self
-            .wired
-            .clock
-            .instant_at_wall(wait_started + self.wired.max_wall);
+        let wait_started = self.clock.wall_elapsed();
+        let deadline = self.clock.instant_at_wall(wait_started + self.max_wall);
         loop {
             if let Some(pos) = self.undelivered.iter().position(|o| o.id == ticket.0) {
                 self.delivered += 1;
@@ -197,20 +171,17 @@ impl ServingSession {
             // channel goes quiet: a steady stream of other tickets'
             // completions must not starve the check (a never-submitted
             // ticket would otherwise wait forever on a busy session).
-            let waited = self.wired.clock.wall_elapsed().saturating_sub(wait_started);
-            if waited > self.wired.max_wall {
+            let waited = self.clock.wall_elapsed().saturating_sub(wait_started);
+            if waited > self.max_wall {
                 return Err(RuntimeError::WallClockBudgetExceeded {
-                    budget: self.wired.max_wall,
+                    budget: self.max_wall,
                     completed: self.delivered + self.undelivered.len(),
                     total: self.submitted,
                 });
             }
-            let Some(live) = &self.live else {
-                return Err(RuntimeError::Disconnected("serving session"));
-            };
             // Block on the channel's condvar until a completion arrives or
             // the budget expires — no 10 ms polling interval.
-            match live.completion_rx.recv_deadline(deadline) {
+            match self.completions.recv_deadline(deadline) {
                 Ok(outcome) => self.undelivered.push_back(outcome),
                 // The next iteration's budget check reports the exceeded
                 // budget.
@@ -220,14 +191,13 @@ impl ServingSession {
         }
     }
 
-    /// Injects a hardware slowdown on every worker of `node`: their batches
-    /// take `factor`× the cost model's prediction from now on (1.0 restores
-    /// nominal speed).  The workers *measure* the resulting gap; an adaptive
-    /// session reacts to the measurement, never to the injected value.
+    /// Injects a hardware slowdown on every worker of `node`, including ones
+    /// a later re-plan spawns: their batches take `factor`× the cost model's
+    /// prediction from now on (1.0 restores nominal speed).  The workers
+    /// *measure* the resulting gap; an adaptive session reacts to the
+    /// measurement, never to the injected value.
     pub fn inject_speed(&self, node: NodeId, factor: f64) {
-        self.wired
-            .registry
-            .send_to_node(node, RuntimeMsg::SetSpeed(factor));
+        self.send_control(SessionControl::InjectSpeed(node, factor));
     }
 
     /// Applies a placement delta to the standing fleet plan, asynchronously:
@@ -243,7 +213,6 @@ impl ServingSession {
     ///
     /// [`ReplanReason::Manual`]: helix_core::ReplanReason::Manual
     pub fn apply_placement_delta(&mut self, delta: PlacementDelta) {
-        self.ensure_live();
         self.send_control(SessionControl::ApplyDelta(delta));
     }
 
@@ -253,7 +222,6 @@ impl ServingSession {
     /// re-admitted from scratch, and the fleet re-plans around the hole.
     /// The fail-over shows up in the final report's `failovers` log.
     pub fn fail_node(&mut self, node: NodeId, at: f64) {
-        self.ensure_live();
         self.send_control(SessionControl::FailNode(node, at));
     }
 
@@ -262,7 +230,6 @@ impl ServingSession {
     /// policy threshold) trickle their KV to standby tenancies as decode
     /// proceeds, making them promotable if their primary fails.
     pub fn set_replication(&mut self, policy: ReplicationPolicy) {
-        self.ensure_live();
         self.send_control(SessionControl::SetReplication(policy));
     }
 
@@ -273,10 +240,6 @@ impl ServingSession {
     /// Propagates the coordinator's error if the drain cannot complete
     /// (stall, wall budget, disconnect).
     pub fn drain(&mut self) -> Result<(), RuntimeError> {
-        if self.live.is_none() {
-            // Nothing was ever submitted.
-            return Ok(());
-        }
         let (ack_tx, ack_rx) = unbounded();
         if !self.send_control(SessionControl::Drain(ack_tx)) {
             return Err(self.coordinator_died());
@@ -288,38 +251,16 @@ impl ServingSession {
     }
 
     /// Drains, shuts the whole data plane down (workers, fabric, coordinator)
-    /// and returns the final report.  The data-plane thread is joined and
-    /// every task run to completion before this method returns, even on
-    /// error.
+    /// and returns the final report.  The data-plane thread is joined — every
+    /// task run to completion — before this method returns, even on error.
     pub fn finish(mut self) -> Result<RuntimeReport, RuntimeError> {
-        if self.failed {
-            return self.wired.shutdown_and_report(
-                Err(RuntimeError::Disconnected("serving session")),
-                CoordinatorArtifacts::default(),
-            );
-        }
         self.send_control(SessionControl::Finish);
-        match self.live.take() {
-            Some(live) => {
-                let (result, artifacts) = match live.handle.join() {
-                    Ok(result) => result,
-                    Err(_) => (
-                        Err(RuntimeError::Disconnected("serving session")),
-                        CoordinatorArtifacts::default(),
-                    ),
-                };
-                self.wired.shutdown_and_report(result, artifacts)
-            }
-            None => self
-                .wired
-                .shutdown_and_report(Ok(Vec::new()), CoordinatorArtifacts::default()),
-        }
+        self.join_plane()
     }
 
     /// Serves a whole workload to completion: the batch convenience wrapper
-    /// — submit everything, drain, finish.  On a fresh session the whole
-    /// workload is queued before the data plane starts, so requests due at
-    /// the same time are admitted together.
+    /// — submit everything, finish.  The workload travels as one message,
+    /// so requests due at the same time are admitted together.
     ///
     /// # Errors
     ///
@@ -327,33 +268,23 @@ impl ServingSession {
     /// wall-clock budget runs out, [`RuntimeError::Stalled`] if no request
     /// can make progress, and propagates scheduling errors.
     pub fn serve(mut self, workload: &Workload) -> Result<RuntimeReport, RuntimeError> {
-        if self.live.is_none() && !self.failed && !workload.is_empty() {
-            self.go_live(workload.requests());
-        } else {
-            for request in workload.requests() {
-                self.submit(*request);
-            }
-        }
-        if let Err(e) = self.drain() {
-            // Still tear the whole data plane down (workers, fabric,
-            // coordinator) before surfacing the drain error.
-            let _ = self.finish();
-            return Err(e);
-        }
+        self.submitted += workload.len();
+        self.send_control(SessionControl::SubmitAll(workload.requests().to_vec()));
         self.finish()
     }
 
-    /// Tears the live half down after the data-plane thread died and
-    /// recovers its error.
-    fn coordinator_died(&mut self) -> RuntimeError {
-        self.failed = true;
-        let Some(live) = self.live.take() else {
-            return RuntimeError::Disconnected("serving session");
-        };
-        match live.handle.join() {
-            Ok((Err(e), _)) => e,
-            _ => RuntimeError::Disconnected("serving session"),
+    /// Joins the data-plane thread and returns what it returned.
+    fn join_plane(&mut self) -> Result<RuntimeReport, RuntimeError> {
+        match self.plane.take().map(JoinHandle::join) {
+            Some(Ok(result)) => result,
+            _ => Err(RuntimeError::Disconnected("serving session")),
         }
+    }
+
+    /// Joins the data-plane thread after it died and recovers its error.
+    fn coordinator_died(&mut self) -> RuntimeError {
+        let died = RuntimeError::Disconnected("serving session");
+        self.join_plane().err().unwrap_or(died)
     }
 }
 
@@ -368,16 +299,24 @@ impl Drop for ServingSession {
 
 #[cfg(test)]
 mod tests {
-    use crate::{RuntimeConfig, ServingBuilder};
+    use super::*;
+    use crate::ServingBuilder;
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
     use helix_core::{heuristics, Topology};
-    use helix_workload::Request;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
-    /// The registry `Arc` is held by the session, the coordinator, the fabric
-    /// task and (through it) the executor's task list, so it can only die
-    /// once all of them are gone.
+    /// Everything the session holds crosses to the data-plane thread by
+    /// channel or join handle, so the session itself may move between
+    /// threads.
+    #[test]
+    fn the_session_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ServingSession>();
+    }
+
+    /// The coordinator owns the receiving end of the control channel, so a
+    /// kept sender starts failing exactly when the data-plane thread has
+    /// left its live loop and dropped the coordinator.
     #[test]
     fn a_session_dropped_mid_run_shuts_its_data_plane_down() {
         let profile =
@@ -399,15 +338,12 @@ mod tests {
                 ..Request::default()
             });
         }
-        let registry = Arc::downgrade(&session.wired.registry);
+        let probe = session.control.clone();
         drop(session);
         let deadline = Instant::now() + budget;
-        while registry.strong_count() > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "data plane still alive: {} registry handles",
-                registry.strong_count()
-            );
+        let finish = || CoordinatorMsg::Control(SessionControl::Finish);
+        while probe.send(finish()).is_ok() {
+            assert!(Instant::now() < deadline, "data plane still alive");
             std::thread::sleep(Duration::from_millis(1));
         }
     }

@@ -31,7 +31,8 @@ use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::LayerRange;
 use helix_workload::RequestId;
 use minirt::channel::{Receiver, Sender};
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Pages per pipelined KV hand-over chunk: small enough that activation
@@ -91,8 +92,9 @@ pub struct WorkerStats {
     pub kv_shared_pages: usize,
 }
 
-/// Shared handle to a worker's statistics.
-pub type SharedWorkerStats = Arc<Mutex<WorkerStats>>;
+/// The worker's statistics, written by its task and read by the coordinator
+/// on the same thread.
+pub(crate) type SharedWorkerStats = Rc<RefCell<WorkerStats>>;
 
 /// Static configuration of one worker.
 #[derive(Debug, Clone)]
@@ -119,7 +121,7 @@ pub(crate) fn spawn_worker(
     fabric: Sender<Envelope>,
     stats: SharedWorkerStats,
 ) -> minirt::JoinHandle<()> {
-    stats.lock().kv_capacity_tokens = config.kv_capacity_tokens;
+    stats.borrow_mut().kv_capacity_tokens = config.kv_capacity_tokens;
     let mut worker = Worker {
         core: EngineCore::new(config.kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE),
         config,
@@ -253,7 +255,7 @@ impl Worker {
             RuntimeMsg::UpdatePlan(update) => {
                 self.execution = update.execution;
                 self.core.kv.resize(update.kv_capacity_tokens);
-                self.stats.lock().kv_capacity_tokens = update.kv_capacity_tokens;
+                self.stats.borrow_mut().kv_capacity_tokens = update.kv_capacity_tokens;
             }
             RuntimeMsg::Shutdown => {
                 self.shutdown = true;
@@ -345,7 +347,7 @@ impl Worker {
         self.clock.sleep_async(run.actual_secs).await;
         let now = self.clock.now();
         {
-            let mut s = self.stats.lock();
+            let mut s = self.stats.borrow_mut();
             s.busy_secs += run.actual_secs;
             s.nominal_busy_secs += run.nominal_secs;
             s.batches += 1;
@@ -397,7 +399,7 @@ impl Worker {
 
     fn publish_stats(&self) {
         let kv = &self.core.kv;
-        let mut s = self.stats.lock();
+        let mut s = self.stats.borrow_mut();
         s.queue_len = self.core.queue_len();
         s.kv_used_tokens = kv.used_tokens();
         s.kv_peak_utilization = kv.peak_utilization();
@@ -445,7 +447,7 @@ mod tests {
         let executor = minirt::Executor::new();
         let (inbound_tx, inbound_rx) = unbounded();
         let (fabric_tx, fabric_rx) = unbounded();
-        let stats: SharedWorkerStats = Arc::new(Mutex::new(WorkerStats::default()));
+        let stats = SharedWorkerStats::default();
         let config = WorkerConfig {
             node,
             model: ModelId::default(),
@@ -459,7 +461,7 @@ mod tests {
             VirtualClock::new(0.0001),
             inbound_rx,
             fabric_tx,
-            Arc::clone(&stats),
+            Rc::clone(&stats),
         );
         (executor, inbound_tx, fabric_rx, stats, handle)
     }
@@ -498,7 +500,7 @@ mod tests {
             }
             other => panic!("expected forwarded work, got {other:?}"),
         }
-        let s = stats.lock();
+        let s = stats.borrow();
         assert_eq!(s.prompt_tokens, 64);
         assert_eq!(s.batches, 1);
         assert!(s.kv_used_tokens >= 64.0);
@@ -530,7 +532,7 @@ mod tests {
         tx.send(work(1, Phase::Prompt, 128, 0)).unwrap();
         executor.drain();
         {
-            let s = stats.lock();
+            let s = stats.borrow();
             assert_eq!(s.kv_used_tokens, 128.0, "the overflow is resident");
             assert_eq!(s.kv_peak_utilization, 2.0, "8 pages used of 4");
         }
@@ -538,7 +540,7 @@ mod tests {
         tx.send(work(2, Phase::Prompt, 32, 0)).unwrap();
         tx.send(RuntimeMsg::Shutdown).unwrap();
         executor.drain();
-        let s = stats.lock();
+        let s = stats.borrow();
         assert_eq!(s.kv_rejections, 1);
         assert!(
             (s.kv_used_tokens - 32.0).abs() < 1e-9,
@@ -562,7 +564,7 @@ mod tests {
             delivered += 1;
         }
         assert_eq!(delivered, 5);
-        assert_eq!(stats.lock().decode_tokens, 5);
+        assert_eq!(stats.borrow().decode_tokens, 5);
     }
 
     #[test]
@@ -585,7 +587,7 @@ mod tests {
         tx.send(work(2, Phase::Decode, 1, 1)).unwrap();
         executor.drain();
         assert!(fabric.try_recv().is_err(), "intersecting layers are held");
-        assert_eq!(stats.lock().queue_len, 1);
+        assert_eq!(stats.borrow().queue_len, 1);
 
         // Thawing releases exactly the held range's work.
         tx.send(RuntimeMsg::Resume(LayerRange::new(4, 8))).unwrap();
@@ -707,7 +709,7 @@ mod tests {
         ));
         // 128 per-request tokens plus the 16-token shared prefix, installed
         // as one refcounted page.
-        let s = stats.lock();
+        let s = stats.borrow();
         assert!((s.kv_used_tokens - 144.0).abs() < 1e-9);
         assert_eq!(s.kv_shared_pages, 1);
         drop(s);
@@ -733,13 +735,17 @@ mod tests {
         })
         .unwrap();
         executor.drain();
-        assert_eq!(stats.lock().kv_shared_pages, 1);
+        assert_eq!(stats.borrow().kv_shared_pages, 1);
         tx.send(RuntimeMsg::Release(1)).unwrap();
         executor.drain();
-        assert_eq!(stats.lock().kv_shared_pages, 1, "request 2 still holds it");
+        assert_eq!(
+            stats.borrow().kv_shared_pages,
+            1,
+            "request 2 still holds it"
+        );
         tx.send(RuntimeMsg::Release(2)).unwrap();
         executor.drain();
-        let s = stats.lock();
+        let s = stats.borrow();
         assert_eq!(s.kv_shared_pages, 0);
         assert_eq!(s.kv_used_tokens, 0.0);
         drop(s);
@@ -772,21 +778,21 @@ mod tests {
         executor.drain();
         tx.send(prefix_work(2, 40, false)).unwrap();
         executor.drain();
-        assert!(stats.lock().kv_rejections > 0, "the prefix overflowed");
+        assert!(stats.borrow().kv_rejections > 0, "the prefix overflowed");
         tx.send(RuntimeMsg::Release(1)).unwrap();
         tx.send(prefix_work(3, 8, true)).unwrap();
         executor.drain();
-        assert_eq!(stats.lock().kv_shared_pages, 2);
+        assert_eq!(stats.borrow().kv_shared_pages, 2);
         tx.send(RuntimeMsg::Release(2)).unwrap();
         executor.drain();
         assert_eq!(
-            stats.lock().kv_shared_pages,
+            stats.borrow().kv_shared_pages,
             2,
             "request 3 still holds the prefix"
         );
         tx.send(RuntimeMsg::Release(3)).unwrap();
         executor.drain();
-        let s = stats.lock();
+        let s = stats.borrow();
         assert_eq!(s.kv_shared_pages, 0);
         assert_eq!(s.kv_used_tokens, 0.0);
         drop(s);
@@ -812,7 +818,7 @@ mod tests {
         tx.send(work(1, Phase::Decode, 1, 1)).unwrap();
         tx.send(RuntimeMsg::Shutdown).unwrap();
         executor.drain();
-        let s = stats.lock();
+        let s = stats.borrow();
         assert_eq!(s.kv_capacity_tokens, 4096.0, "pool resized in place");
         assert!(
             (s.nominal_busy_secs - 0.25).abs() < 1e-9,

@@ -517,13 +517,11 @@ fn session_tickets_resolve_out_of_order_and_stream_completions() {
         .config(RuntimeConfig::fast_test())
         .build()
         .unwrap();
-    assert!(!session.is_live());
     let tickets: Vec<_> = small_workload(6, 24, 2)
         .requests()
         .iter()
         .map(|r| session.submit(*r))
         .collect();
-    assert!(session.is_live());
 
     // Wait on a ticket in the middle: other completions buffer, not drop.
     let fourth = session.wait_completion(tickets[3]).unwrap();
@@ -583,12 +581,10 @@ fn idle_session_time_does_not_burn_the_drain_budget() {
     assert_eq!(report.completed(), 2);
 }
 
-#[test]
-fn placement_delta_spawns_a_worker_mid_run() {
-    // Plan a deployment that deliberately leaves one (redundant) node out,
-    // then scale out onto it mid-run through the session control plane: the
-    // re-plan must spawn a brand-new worker and route traffic through it —
-    // the capability the fixed-at-build worker set could not express.
+/// A deployment that deliberately leaves one (redundant) node out: the
+/// profile, the reduced topology, and the spare node with the layer range a
+/// scale-out gives it.
+fn scale_out_plan() -> (ClusterProfile, Topology, helix_cluster::NodeId, LayerRange) {
     let profile =
         ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_13b());
     let full = heuristics::swarm_placement(&profile).unwrap();
@@ -617,6 +613,16 @@ fn placement_delta_spawns_a_worker_mid_run() {
     let mut reduced = full.clone();
     reduced.clear(spare);
     let topology = Topology::plan(&profile, &reduced, true).unwrap();
+    (profile, topology, spare, spare_range)
+}
+
+#[test]
+fn placement_delta_spawns_a_worker_mid_run() {
+    // Scale out onto the spare node mid-run through the session control
+    // plane: the re-plan must spawn a brand-new worker and route traffic
+    // through it — the capability the fixed-at-build worker set could not
+    // express.
+    let (_profile, topology, spare, spare_range) = scale_out_plan();
     let mut session = ServingBuilder::new()
         .topology(&topology)
         .config(RuntimeConfig::fast_test())
@@ -650,6 +656,46 @@ fn placement_delta_spawns_a_worker_mid_run() {
         "the spawned worker served traffic (batches {}, tokens {})",
         spawned.batches,
         spawned.prompt_tokens + spawned.decode_tokens
+    );
+}
+
+#[test]
+fn a_worker_spawned_after_inject_speed_runs_slowed() {
+    // Regression test: the slowdown of a node used to reach only the workers
+    // that existed at the call, so a slowed node that gained a tenancy later
+    // served it at nominal speed (the simulator slows such engines).  Slow
+    // the spare node *before* the scale-out spawns its worker, and compare
+    // with an unslowed twin.  One request is in flight at a time, so every
+    // batch holds one item, both runs route identically and the spare's busy
+    // seconds per batch differ by exactly the injected factor.
+    let busy_per_batch = |factor: Option<f64>| {
+        let (_profile, topology, spare, spare_range) = scale_out_plan();
+        let mut session = ServingBuilder::new()
+            .topology(&topology)
+            .config(RuntimeConfig {
+                execution: ExecutionKind::Analytic,
+                ..RuntimeConfig::fast_test()
+            })
+            .build()
+            .unwrap();
+        if let Some(factor) = factor {
+            session.inject_speed(spare, factor);
+        }
+        session.apply_placement_delta(PlacementDelta::new().assign(ModelId(0), spare, spare_range));
+        for request in small_workload(16, 24, 3).requests() {
+            let ticket = session.submit(*request);
+            session.wait_completion(ticket).unwrap();
+        }
+        let report = session.finish().unwrap();
+        assert_eq!(report.completed(), 16);
+        let spawned = report.nodes.iter().find(|n| n.node == spare).unwrap();
+        assert!(spawned.batches > 0, "the spawned worker served traffic");
+        spawned.busy_secs / spawned.batches as f64
+    };
+    let ratio = busy_per_batch(Some(4.0)) / busy_per_batch(None);
+    assert!(
+        (ratio - 4.0).abs() < 0.2,
+        "the spawned pair ran at {ratio:.2}x its twin's batch time, expected 4x"
     );
 }
 

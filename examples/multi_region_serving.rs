@@ -43,7 +43,7 @@ fn main() {
         "front tier over {:?}: {} ring points, heartbeat interval {}s",
         tier.regions(),
         tier.ring().len(),
-        tier.directory().options().heartbeat_interval_secs,
+        helix::core::region::HEARTBEAT_INTERVAL_SECS,
     );
 
     // 300 requests: a third carry a user-locality tag, half share one of

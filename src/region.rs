@@ -712,7 +712,7 @@ impl<F: ServingFrontEnd> ServingFrontEnd for MultiRegionSession<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helix_core::region::MembershipOptions;
+    use helix_core::region::HEARTBEAT_INTERVAL_SECS;
     use std::convert::Infallible;
 
     /// A region backend that just records what it was handed; lets the
@@ -882,7 +882,7 @@ mod tests {
     #[test]
     fn heartbeat_decay_degrades_then_downs_a_silent_region() {
         let mut tier = tier(&[0, 1]);
-        let interval = MembershipOptions::default().heartbeat_interval_secs;
+        let interval = HEARTBEAT_INTERVAL_SECS;
         tier.heartbeat(Region(0), 0.0);
         tier.heartbeat(Region(1), 0.0);
         tier.advance(interval * 3.0);
