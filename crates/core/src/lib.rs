@@ -21,7 +21,8 @@
 //!   (batching, layer-range freezes, the KV-overflow decision) over the
 //!   [`PagedKvPool`] residency table.  The simulator's `NodeEngine` and the
 //!   runtime's worker task are this core plus their own scheduling glue;
-//!   [`LinkQueue`] is the FIFO link model they likewise share.
+//!   [`LinkQueue`] is the FIFO link model they likewise share, and
+//!   [`LinkTable`] the dense table both find a hop's link in.
 //! * [`MilpPlacementPlanner`] — the MILP formulation of §4.4 (Tables 5–6)
 //!   with optional partial inference, cluster pruning, heuristic warm starts
 //!   and the early-stop upper bound of §4.5.
@@ -107,7 +108,7 @@ pub use ha::{
     select_standby, FailoverRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats,
     REPLICA_CHUNK_PAGES,
 };
-pub use link::LinkQueue;
+pub use link::{LinkKey, LinkQueue, LinkTable};
 pub use obs::LatencyStats;
 pub use placement::heuristics;
 pub use placement::hierarchical::{

@@ -329,20 +329,24 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             }
         }
         if model_pods.len() > 1 {
+            let mut keyed: Vec<(f64, NodeId)> = Vec::new();
             for pod in &model_pods {
+                let foreign: Vec<NodeId> = model_pods
+                    .iter()
+                    .filter(|q| q.id != pod.id)
+                    .flat_map(|q| q.nodes.iter().copied())
+                    .collect();
                 for &a in &pod.nodes {
-                    let mut foreign: Vec<NodeId> = model_pods
-                        .iter()
-                        .filter(|q| q.id != pod.id)
-                        .flat_map(|q| q.nodes.iter().copied())
-                        .collect();
-                    foreign.sort_by(|&x, &y| {
-                        affinity(a, y)
-                            .partial_cmp(&affinity(a, x))
+                    // Each pair's affinity once; then affinity descending,
+                    // index ascending.
+                    keyed.clear();
+                    keyed.extend(foreign.iter().map(|&b| (affinity(a, b), b)));
+                    keyed.sort_unstable_by(|x, y| {
+                        y.0.partial_cmp(&x.0)
                             .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(x.index().cmp(&y.index()))
+                            .then(x.1.index().cmp(&y.1.index()))
                     });
-                    for &b in foreign.iter().take(CROSS_POD_NEIGHBORS) {
+                    for &(_, b) in keyed.iter().take(CROSS_POD_NEIGHBORS) {
                         set.insert((a.index(), b.index()));
                         set.insert((b.index(), a.index()));
                     }
@@ -529,5 +533,67 @@ mod tests {
         if plan.used_fallback {
             assert_eq!(plan.pods.num_pods(), profiles.len());
         }
+    }
+
+    /// The cross-pod neighbours are chosen from affinities computed once per
+    /// pair; the oracle recomputes them inside the sort comparator, as the
+    /// planner used to.
+    #[test]
+    fn refine_candidates_match_the_sort_by_recomputed_affinity_oracle() {
+        use helix_cluster::{ClusterBuilder, GpuType, Region};
+        // Three regions, four pods of one model (one region holds two), and
+        // a few overridden links so that affinities are neither all equal
+        // nor symmetric.
+        let node = |i: usize| Some(NodeId(i));
+        let cluster = ClusterBuilder::new("three-regions")
+            .intra_region(10_000.0, 1.0)
+            .inter_region(100.0, 50.0)
+            .add_nodes(GpuType::A100_40, 4, 1, Region(0))
+            .add_nodes(GpuType::L4, 8, 1, Region(1))
+            .add_nodes(GpuType::T4, 4, 1, Region(2))
+            .override_link(node(0), node(13), 900.0, 5.0)
+            .override_link(node(13), node(0), 300.0, 9.0)
+            .override_link(node(5), node(9), 2_000.0, 1.0)
+            .override_link(node(2), node(6), 100.0, 50.0)
+            .build();
+        let profiles = fleet_profiles(&cluster, &[ModelConfig::llama_13b()]);
+        let model = ModelId(0);
+        let pod = |id: usize, nodes: std::ops::Range<usize>| Pod {
+            id,
+            model,
+            nodes: nodes.map(NodeId).collect(),
+        };
+        let pods = vec![pod(0, 0..4), pod(1, 4..8), pod(2, 8..12), pod(3, 12..16)];
+        let pods = PodMap::from_pods(pods, cluster.num_nodes());
+        let planner = HierarchicalFleetPlanner::new(&profiles);
+
+        let affinity = |a: NodeId, b: NodeId| -> f64 {
+            let ab = cluster.link(Some(a), Some(b));
+            let ba = cluster.link(Some(b), Some(a));
+            let score = |bw: f64, lat: f64| bw / (1.0 + lat.max(0.0));
+            0.5 * (score(ab.bandwidth_mbps, ab.latency_ms)
+                + score(ba.bandwidth_mbps, ba.latency_ms))
+        };
+        let mut oracle: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        for pod in pods.pods() {
+            for &a in &pod.nodes {
+                oracle.extend(pod.nodes.iter().filter(|&&b| b != a).map(|&b| (a, b)));
+                let mut foreign: Vec<NodeId> = (0..16).map(NodeId).collect();
+                foreign.retain(|b| !pod.nodes.contains(b));
+                foreign.sort_by(|&x, &y| {
+                    affinity(a, y)
+                        .partial_cmp(&affinity(a, x))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(x.index().cmp(&y.index()))
+                });
+                for &b in foreign.iter().take(CROSS_POD_NEIGHBORS) {
+                    oracle.extend([(a, b), (b, a)]);
+                }
+            }
+        }
+        let expected: Vec<(NodeId, NodeId)> = oracle.into_iter().collect();
+        assert_eq!(planner.refine_candidates(&pods, 0), expected);
+        // Node 0's best foreign link is the overridden one, not an index tie.
+        assert!(expected.contains(&(NodeId(0), NodeId(13))));
     }
 }

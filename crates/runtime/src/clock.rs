@@ -52,7 +52,12 @@ impl VirtualClock {
 
     /// Virtual seconds elapsed since the clock was created.
     pub fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() / self.wall_per_virtual
+        self.virtual_at(Instant::now())
+    }
+
+    /// The virtual time of a wall-clock instant somebody already read.
+    pub(crate) fn virtual_at(&self, instant: Instant) -> f64 {
+        instant.duration_since(self.start).as_secs_f64() / self.wall_per_virtual
     }
 
     /// Wall-clock seconds elapsed since the clock was created.

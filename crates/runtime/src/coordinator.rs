@@ -103,10 +103,8 @@ pub(crate) struct CoordinatorSpec {
     /// Messages arriving from workers through the fabric, plus the session's
     /// control messages.
     pub inbound: Receiver<CoordinatorMsg>,
-    /// Outgoing messages into the fabric.
-    pub fabric: Sender<Envelope>,
     /// Spawns additional workers when a re-plan adds a tenancy, and holds
-    /// the live worker set (shared with the fabric).
+    /// the fabric and the live worker set it routes over.
     pub spawner: WorkerSpawner,
     /// Wall-clock budget for the whole run.
     pub max_wall: Duration,
@@ -161,7 +159,6 @@ pub(crate) struct Coordinator {
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<CoordinatorMsg>,
-    fabric: Sender<Envelope>,
     spawner: WorkerSpawner,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
@@ -197,7 +194,6 @@ impl Coordinator {
             estimators: spec.estimators,
             clock: spec.clock,
             inbound: spec.inbound,
-            fabric: spec.fabric,
             spawner: spec.spawner,
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
@@ -210,8 +206,7 @@ impl Coordinator {
     }
 
     /// Everything the run accumulated besides the outcomes, for the final
-    /// report.  Consuming the coordinator drops its fabric senders, which
-    /// the fabric task waits for.
+    /// report.
     pub(crate) fn into_logs(mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
         (self.control.take_logs(), self.kv_transfers)
     }
@@ -490,17 +485,19 @@ impl Coordinator {
                 to,
                 layers,
             } = migration;
-            if let Some(source) = self.spawner.registry.route((from, model)) {
-                self.freeze_endpoint((from, model), layers);
-                self.freeze_endpoint((to, model), layers);
+            let registry = &self.spawner.registry;
+            if registry.is_routable((from, model)) {
+                registry.deliver((from, model), RuntimeMsg::Freeze(layers));
+                registry.deliver((to, model), RuntimeMsg::Freeze(layers));
                 let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
                     .model()
                     .kv_bytes_per_token_per_layer();
-                let _ = source.send(RuntimeMsg::KvExtract {
+                let extract = RuntimeMsg::KvExtract {
                     to,
                     layers,
                     kv_bytes_per_token_per_layer,
-                });
+                };
+                registry.deliver((from, model), extract);
                 self.pending_migrations.push((migration, now));
             }
             self.reroute_when_settled(model);
@@ -581,7 +578,7 @@ impl Coordinator {
             // every promoted stage (the fail-over purge released them;
             // per-link FIFO delivers the purge first).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
-                let _ = self.send(Envelope {
+                self.spawner.fabric.send(Envelope {
                     from: None,
                     to: Some(stage.node),
                     model,
@@ -599,7 +596,7 @@ impl Coordinator {
                 });
             }
         }
-        self.send(Envelope {
+        self.spawner.fabric.send(Envelope {
             from: None,
             to: Some(dispatch.pipeline.stages[0].node),
             model,
@@ -613,7 +610,7 @@ impl Coordinator {
                 pipeline: dispatch.pipeline,
                 prefix: dispatch.prefix,
             }),
-        })?;
+        });
         Ok(true)
     }
 
@@ -638,7 +635,7 @@ impl Coordinator {
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
         let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
         for flight in &failover.stranded {
-            self.release_kv(flight)?;
+            self.release_kv(flight);
         }
         self.hand_over(failover.replan, now);
         self.sweep_retirements();
@@ -650,7 +647,7 @@ impl Coordinator {
     /// pipeline nodes — migrations seed destination workers and replication
     /// seeds standbys, and all those copies are keyed by the request id (so
     /// other requests are untouched).
-    fn release_kv(&mut self, flight: &InFlight) -> Result<(), RuntimeError> {
+    fn release_kv(&mut self, flight: &InFlight) {
         let model = flight.pipeline.model;
         let estimator = &mut self.estimators[model.index()];
         for stage in &flight.pipeline.stages {
@@ -660,15 +657,14 @@ impl Coordinator {
             }
         }
         for (node, _) in self.spawner.registry.live_keys_for_model(model) {
-            self.send(Envelope {
+            self.spawner.fabric.send(Envelope {
                 from: None,
                 to: Some(node),
                 model,
                 bytes: TOKEN_WIRE_BYTES,
                 msg: RuntimeMsg::Release(flight.request.id),
-            })?;
+            });
         }
-        Ok(())
     }
 
     fn handle(&mut self, msg: RuntimeMsg) -> Result<(), RuntimeError> {
@@ -714,7 +710,7 @@ impl Coordinator {
         // tokens as KV residency — replication steals link bandwidth and KV
         // headroom, which is exactly the trade-off measured.
         for chunk in &progress.chunks {
-            let _ = self.send(Envelope {
+            self.spawner.fabric.send(Envelope {
                 from: Some(chunk.primary),
                 to: Some(chunk.standby),
                 model,
@@ -731,7 +727,7 @@ impl Coordinator {
                 },
             });
         }
-        self.send(Envelope {
+        self.spawner.fabric.send(Envelope {
             from: None,
             to: Some(pipeline.stages[0].node),
             model,
@@ -745,25 +741,8 @@ impl Coordinator {
                 pipeline,
                 prefix: None,
             }),
-        })
-    }
-
-    /// Freezes one hand-over's layer range on one endpoint.  The worker
-    /// stacks ranges, so overlapping hand-overs sharing an endpoint each
-    /// freeze (and later thaw) their own range independently — and work on
-    /// layers outside every frozen range keeps executing throughout.
-    fn freeze_endpoint(&mut self, key: WorkerKey, layers: LayerRange) {
-        if let Some(tx) = self.spawner.registry.route(key) {
-            let _ = tx.send(RuntimeMsg::Freeze(layers));
-        }
-    }
-
-    /// Thaws one hand-over's layer range on one endpoint (its transfer
-    /// landed).
-    fn thaw_endpoint(&mut self, key: WorkerKey, layers: LayerRange) {
-        if let Some(tx) = self.spawner.registry.route(key) {
-            let _ = tx.send(RuntimeMsg::Resume(layers));
-        }
+        });
+        Ok(())
     }
 
     /// Completes one KV hand-over: records the transfer, re-routes once the
@@ -808,8 +787,9 @@ impl Coordinator {
             transfer_secs: (now - started).max(0.0),
         });
         self.reroute_when_settled(model);
-        self.thaw_endpoint((from, model), layers);
-        self.thaw_endpoint((to, model), layers);
+        let registry = &self.spawner.registry;
+        registry.deliver((from, model), RuntimeMsg::Resume(layers));
+        registry.deliver((to, model), RuntimeMsg::Resume(layers));
     }
 
     /// Completes a request: records its outcome and frees everything it
@@ -818,7 +798,7 @@ impl Coordinator {
         let Some(flight) = self.control.finish(request) else {
             return Ok(());
         };
-        self.release_kv(&flight)?;
+        self.release_kv(&flight);
         let outcome = RequestOutcome {
             id: request,
             model: flight.pipeline.model,
@@ -836,11 +816,5 @@ impl Coordinator {
         // A completed pipeline may free a pending-retire worker.
         self.sweep_retirements();
         Ok(())
-    }
-
-    fn send(&self, envelope: Envelope) -> Result<(), RuntimeError> {
-        self.fabric
-            .send(envelope)
-            .map_err(|_| RuntimeError::Disconnected("network fabric"))
     }
 }

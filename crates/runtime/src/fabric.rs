@@ -2,39 +2,34 @@
 //! workers with per-link bandwidth, latency and FIFO queueing.
 //!
 //! The paper's prototype ships tensors over ZeroMQ across real datacenter
-//! links; here a fabric *task* models each directed link as a
-//! [`LinkQueue`] — the simulator's link model: a serial resource (messages
-//! queue behind each other at the link's bandwidth) plus a propagation
-//! latency — using the same per-link numbers the planner sees through
-//! [`ClusterProfile::link_profile`].  Congestion on slow inter-region
-//! links — the effect behind the paper's Fig. 10b case study — emerges
-//! naturally from this model.
+//! links; here the fabric models each directed link as a [`LinkQueue`] — the
+//! simulator's link model: a serial resource (messages queue behind each
+//! other at the link's bandwidth) plus a propagation latency — in the
+//! [`LinkTable`] the simulator uses, from the same per-link numbers the
+//! planner sees through `ClusterProfile::link_profile`.  Congestion on slow
+//! inter-region links — the effect behind the paper's Fig. 10b case study —
+//! emerges naturally from this model.
 //!
-//! The fabric runs as an async task on the data plane's executor: idle, it
-//! parks on its ingress channel's waker; with deliveries in flight it
-//! suspends on a timer until the earliest delivery is due.  There is no
-//! polling interval — a message that arrives while the fabric sleeps wakes it
-//! immediately.
+//! The fabric is a structure its senders push into, not a task behind a
+//! channel: [`Fabric::send`] prices the transfer on the caller's stack and
+//! queues the delivery by `(deliver_at, seq)`.  One pump task hands the
+//! deliveries over: woken by its timer it reads the clock once, routes
+//! everything due, re-arms for the next delivery and parks; a send that
+//! becomes the earliest moves that timer.  There is no polling interval.
 
 use crate::clock::VirtualClock;
 use crate::coordinator::CoordinatorMsg;
 use crate::message::Envelope;
+use crate::metrics::LinkReport;
 use crate::registry::WorkerRegistry;
-use helix_cluster::{ClusterProfile, NodeId};
-use helix_core::LinkQueue;
-use minirt::channel::{Receiver, Sender};
+use helix_cluster::ClusterSpec;
+use helix_core::LinkTable;
+use minirt::channel::Sender;
+use minirt::time::Deadline;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::Arc;
-
-/// A directed link endpoint pair; `None` denotes the coordinator.
-pub type LinkKey = (Option<NodeId>, Option<NodeId>);
-
-/// The directed links that carried traffic: each link's queue state and its
-/// traffic counters.  The fabric task owns the map and returns it when it
-/// exits.
-pub(crate) type LinkTraffic = HashMap<LinkKey, LinkQueue>;
 
 /// A message waiting in the fabric for its delivery time.
 #[derive(Debug)]
@@ -46,7 +41,7 @@ struct Delivery {
 
 impl PartialEq for Delivery {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -60,128 +55,146 @@ impl PartialOrd for Delivery {
 
 impl Ord for Delivery {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest delivery pops first.
-        other
-            .deliver_at
-            .partial_cmp(&self.deliver_at)
-            .unwrap_or(Ordering::Equal)
-            .then(other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the earliest delivery pops
+        // first, and of equal times the one sent first.
+        let by_time = other.deliver_at.total_cmp(&self.deliver_at);
+        by_time.then(other.seq.cmp(&self.seq))
     }
 }
 
-/// Everything the fabric task needs to route messages.
-pub(crate) struct FabricSpec {
-    /// Profile supplying per-link bandwidth and latency (links are shared by
-    /// every model of the fleet, so one profile suffices).
-    pub profile: Arc<ClusterProfile>,
-    /// Shared virtual clock.
-    pub clock: VirtualClock,
+/// What senders and the pump share.
+struct InFlight {
+    /// The directed links that carried traffic: queue state and counters.
+    links: LinkTable,
+    heap: BinaryHeap<Delivery>,
+    seq: u64,
+}
+
+/// The fabric handle shared (`Rc`) by the coordinator, every worker and the
+/// pump task.
+pub(crate) struct Fabric {
+    /// Supplies per-link bandwidth and latency (links are shared by every
+    /// model of the fleet).
+    cluster: ClusterSpec,
+    clock: VirtualClock,
     /// The live worker set: delivery is looked up per message, so workers
     /// spawned (or retired) mid-run become routable (or unroutable) at once.
-    pub registry: Rc<WorkerRegistry>,
+    registry: Rc<WorkerRegistry>,
     /// Delivery channel of the coordinator (shared with the session's
     /// control messages).
-    pub coordinator_tx: Sender<CoordinatorMsg>,
+    coordinator_tx: Sender<CoordinatorMsg>,
+    in_flight: RefCell<InFlight>,
+    /// Armed for the earliest delivery in flight; the pump waits on it.
+    next_due: Deadline,
 }
 
-/// Spawns the fabric task on `executor`.  The task drains in-flight
-/// deliveries, exits once every ingress sender has been dropped and returns
-/// the traffic counters.
+/// Builds the fabric and spawns its pump on `executor`.  The pump never
+/// exits: idle it holds no timer, so [`minirt::Executor::drain`] delivers
+/// what is in flight and returns.
 pub(crate) fn spawn_fabric(
     executor: &minirt::Executor,
-    spec: FabricSpec,
-    ingress: Receiver<Envelope>,
-) -> minirt::JoinHandle<LinkTraffic> {
-    executor.spawn(run_fabric(spec, ingress))
-}
-
-async fn run_fabric(spec: FabricSpec, ingress: Receiver<Envelope>) -> LinkTraffic {
-    let FabricSpec {
-        profile,
+    cluster: ClusterSpec,
+    clock: VirtualClock,
+    registry: Rc<WorkerRegistry>,
+    coordinator_tx: Sender<CoordinatorMsg>,
+) -> Rc<Fabric> {
+    let fabric = Rc::new(Fabric {
+        in_flight: RefCell::new(InFlight {
+            links: LinkTable::new(cluster.num_nodes()),
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }),
+        cluster,
         clock,
         registry,
         coordinator_tx,
-    } = spec;
-    let mut traffic = LinkTraffic::new();
-    let mut heap: BinaryHeap<Delivery> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let mut closed = false;
+        next_due: Deadline::new(executor),
+    });
+    let pump = Rc::clone(&fabric);
+    let _pump = executor.spawn(async move {
+        loop {
+            let now = pump.clock.virtual_at(pump.next_due.wait().await);
+            pump.deliver_due(now);
+        }
+    });
+    fabric
+}
 
-    loop {
-        // Deliver everything that is due.
-        let now = clock.now();
-        while heap.peek().map(|d| d.deliver_at <= now).unwrap_or(false) {
-            let delivery = heap.pop().expect("peeked entry exists");
-            route(delivery.envelope, &registry, &coordinator_tx);
+impl Fabric {
+    /// Queues `envelope` on its link: the link's [`LinkQueue`] computes the
+    /// delivery time and records the traffic counters.
+    ///
+    /// [`LinkQueue`]: helix_core::LinkQueue
+    pub(crate) fn send(&self, envelope: Envelope) {
+        let mut in_flight = self.in_flight.borrow_mut();
+        let link = (envelope.from, envelope.to);
+        let queue = in_flight.links.queue(&self.cluster, link);
+        let deliver_at = queue.transfer(self.clock.now(), envelope.bytes.max(0.0));
+        in_flight.seq += 1;
+        let seq = in_flight.seq;
+        let next = in_flight.heap.peek();
+        let earliest = next.is_none_or(|d| deliver_at < d.deliver_at);
+        in_flight.heap.push(Delivery {
+            deliver_at,
+            seq,
+            envelope,
+        });
+        if earliest {
+            self.next_due.set(Some(self.clock.instant_at(deliver_at)));
         }
-        if closed && heap.is_empty() {
-            return traffic;
-        }
+    }
 
-        // Wait for the next arrival or the next due delivery, whichever
-        // comes first; both paths wake the task, neither polls.
-        let next_due = heap.peek().map(|d| clock.instant_at(d.deliver_at));
-        if closed {
-            let due = next_due.expect("non-empty heap when closed");
-            minirt::time::sleep_until(due).await;
-            continue;
-        }
-        let received = match next_due {
-            Some(due) => match minirt::time::timeout_at(due, ingress.recv()).await {
-                Ok(result) => result,
-                Err(_elapsed) => continue,
-            },
-            None => ingress.recv().await,
-        };
-        match received {
-            Ok(envelope) => {
-                seq += 1;
-                let delivery = schedule(envelope, seq, &profile, &clock, &mut traffic);
-                heap.push(delivery);
+    /// One pump turn at virtual time `now`: routes everything due, in
+    /// `(deliver_at, seq)` order, and re-arms for the next delivery.
+    fn deliver_due(&self, now: f64) {
+        let mut in_flight = self.in_flight.borrow_mut();
+        while in_flight.heap.peek().is_some_and(|d| d.deliver_at <= now) {
+            let envelope = in_flight.heap.pop().expect("peeked entry exists").envelope;
+            // A receiver that has already shut down (or been retired from
+            // the registry) simply drops the message; the coordinator only
+            // exits once every request has completed, so nothing the report
+            // depends on can be lost this way.
+            match envelope.to {
+                Some(node) => self.registry.deliver((node, envelope.model), envelope.msg),
+                None => {
+                    let _ = self
+                        .coordinator_tx
+                        .send(CoordinatorMsg::Runtime(envelope.msg));
+                }
             }
-            Err(_) => closed = true,
         }
+        let next = in_flight.heap.peek().map(|d| d.deliver_at);
+        self.next_due.set(next.map(|at| self.clock.instant_at(at)));
+    }
+
+    /// One report row per link that carried traffic.
+    pub(crate) fn link_reports(&self) -> Vec<LinkReport> {
+        let in_flight = self.in_flight.borrow();
+        let used = in_flight.links.used().iter();
+        used.map(|&((from, to), ref link)| LinkReport::new(from, to, link))
+            .collect()
     }
 }
 
-/// Queues an envelope on its link: the link's [`LinkQueue`] computes the
-/// delivery time and records the traffic counters.
-fn schedule(
-    envelope: Envelope,
-    seq: u64,
-    profile: &ClusterProfile,
-    clock: &VirtualClock,
-    traffic: &mut LinkTraffic,
-) -> Delivery {
-    let (from, to) = (envelope.from, envelope.to);
-    let deliver_at = traffic
-        .entry((from, to))
-        .or_insert_with(|| {
-            let link = profile.link_profile(from, to).link;
-            LinkQueue::new(link.bandwidth_bytes_per_sec(), link.latency_ms / 1000.0)
-        })
-        .transfer(clock.now(), envelope.bytes.max(0.0));
-    Delivery {
-        deliver_at,
-        seq,
-        envelope,
+#[cfg(test)]
+impl Fabric {
+    /// A fabric over the 10-node study cluster and an empty registry whose
+    /// pump never runs (its executor is gone): whatever a unit under test
+    /// sends stays in flight.
+    pub(crate) fn detached() -> Rc<Fabric> {
+        let registry = Rc::new(WorkerRegistry::new(10, 1));
+        let (coordinator_tx, _) = minirt::channel::unbounded();
+        let cluster = ClusterSpec::solver_quality_10();
+        let clock = VirtualClock::new(0.0001);
+        let nobody = minirt::Executor::new();
+        spawn_fabric(&nobody, cluster, clock, registry, coordinator_tx)
     }
-}
 
-fn route(envelope: Envelope, registry: &WorkerRegistry, coordinator_tx: &Sender<CoordinatorMsg>) {
-    // A receiver that has already shut down (or been retired from the
-    // registry) simply drops the message; the coordinator only exits once
-    // every request has completed, so nothing the report depends on can be
-    // lost this way.
-    match envelope.to {
-        Some(node) => {
-            if let Some(tx) = registry.route((node, envelope.model)) {
-                let _ = tx.send(envelope.msg);
-            }
-        }
-        None => {
-            let _ = coordinator_tx.send(CoordinatorMsg::Runtime(envelope.msg));
-        }
+    /// Takes everything in flight, in delivery order, undelivered.
+    pub(crate) fn take_in_flight(&self) -> Vec<Envelope> {
+        let heap = std::mem::take(&mut self.in_flight.borrow_mut().heap);
+        let in_order = heap.into_sorted_vec().into_iter().rev();
+        in_order.map(|delivery| delivery.envelope).collect()
     }
 }
 
@@ -191,44 +204,64 @@ mod tests {
     use crate::message::{Phase, RuntimeMsg};
     use crate::registry::WorkerMeta;
     use crate::worker::SharedWorkerStats;
-    use helix_cluster::{ClusterSpec, ModelConfig, ModelId};
-    use minirt::channel::unbounded;
+    use helix_cluster::{ModelId, NodeId};
+    use minirt::channel::{unbounded, Receiver};
+    use minirt::time::timeout_at;
+    use std::time::{Duration, Instant};
 
-    fn setup() -> (Arc<ClusterProfile>, VirtualClock) {
-        let profile = Arc::new(ClusterProfile::analytic(
-            ClusterSpec::solver_quality_10(),
-            ModelConfig::llama_30b(),
-        ));
-        (profile, VirtualClock::new(0.0005))
+    /// A pumped fabric over the 10-node study cluster (every link 10 Gb/s,
+    /// 1 ms) with one bare channel registered as the worker of `node`.
+    struct Rig {
+        executor: minirt::Executor,
+        clock: VirtualClock,
+        registry: Rc<WorkerRegistry>,
+        fabric: Rc<Fabric>,
+        worker_rx: Receiver<RuntimeMsg>,
+        coord_rx: Receiver<CoordinatorMsg>,
     }
 
-    /// Registers a bare channel as a routable "worker" (no task behind it).
-    fn registry_with_endpoint(
-        node: NodeId,
-    ) -> (Rc<WorkerRegistry>, minirt::channel::Receiver<RuntimeMsg>) {
-        let registry = Rc::new(WorkerRegistry::new());
-        let (tx, rx) = unbounded();
+    fn rig(node: NodeId, wall_per_virtual: f64) -> Rig {
+        let executor = minirt::Executor::new();
+        let clock = VirtualClock::new(wall_per_virtual);
+        let registry = Rc::new(WorkerRegistry::new(10, 1));
+        let (tx, worker_rx) = unbounded();
+        let meta = WorkerMeta {
+            name: format!("node{}", node.index()),
+            layers: 0,
+        };
         let stats = SharedWorkerStats::default();
-        registry.register(
-            (node, ModelId::default()),
-            tx,
-            stats,
-            WorkerMeta {
-                name: format!("node{}", node.index()),
-                layers: 0,
-            },
-        );
-        (registry, rx)
+        registry.register((node, ModelId::default()), tx, stats, meta);
+        let (coord_tx, coord_rx) = unbounded();
+        let cluster = ClusterSpec::solver_quality_10();
+        let fabric = spawn_fabric(&executor, cluster, clock, Rc::clone(&registry), coord_tx);
+        Rig {
+            executor,
+            clock,
+            registry,
+            fabric,
+            worker_rx,
+            coord_rx,
+        }
     }
 
-    fn iteration_done(from: Option<NodeId>, to: Option<NodeId>, bytes: f64) -> Envelope {
+    /// Bytes that occupy a 10 Gb/s link for `secs` virtual seconds.
+    fn link_secs(secs: f64) -> f64 {
+        1.25e9 * secs
+    }
+
+    fn iteration_done(
+        request: u64,
+        from: Option<NodeId>,
+        to: Option<NodeId>,
+        bytes: f64,
+    ) -> Envelope {
         Envelope {
             from,
             to,
             model: ModelId::default(),
             bytes,
             msg: RuntimeMsg::IterationDone {
-                request: 1,
+                request,
                 phase: Phase::Decode,
                 emitted_at: 0.0,
                 epoch: 0,
@@ -236,90 +269,75 @@ mod tests {
         }
     }
 
+    fn request_of(msg: RuntimeMsg) -> u64 {
+        match msg {
+            RuntimeMsg::IterationDone { request, .. } => request,
+            other => panic!("expected IterationDone, got {other:?}"),
+        }
+    }
+
     #[test]
     fn messages_reach_their_destination_with_traffic_accounting() {
-        let (profile, clock) = setup();
-        let (registry, worker_rx) = registry_with_endpoint(NodeId(0));
-        let (coord_tx, coord_rx) = unbounded();
-        let (ingress_tx, ingress_rx) = unbounded();
-        let executor = minirt::Executor::new();
-        let spec = FabricSpec {
-            profile,
-            clock,
-            registry,
-            coordinator_tx: coord_tx,
-        };
-        let traffic = spawn_fabric(&executor, spec, ingress_rx);
+        let rig = rig(NodeId(0), 0.0005);
+        rig.fabric
+            .send(iteration_done(1, None, Some(NodeId(0)), 4.0));
+        rig.fabric
+            .send(iteration_done(1, Some(NodeId(0)), None, 4.0));
+        rig.executor.drain();
 
-        ingress_tx
-            .send(iteration_done(None, Some(NodeId(0)), 4.0))
-            .unwrap();
-        ingress_tx
-            .send(iteration_done(Some(NodeId(0)), None, 4.0))
-            .unwrap();
-        drop(ingress_tx);
-        executor.drain();
-
-        let to_worker = worker_rx.try_recv().unwrap();
+        let to_worker = rig.worker_rx.try_recv().unwrap();
         assert!(matches!(
             to_worker,
             RuntimeMsg::IterationDone { request: 1, .. }
         ));
-        let to_coord = coord_rx.try_recv().unwrap();
+        let to_coord = rig.coord_rx.try_recv().ok().unwrap();
         assert!(matches!(
             to_coord,
             CoordinatorMsg::Runtime(RuntimeMsg::IterationDone { request: 1, .. })
         ));
 
-        let map = traffic.into_output().unwrap();
-        assert_eq!(map.len(), 2);
-        let entry = map.get(&(None, Some(NodeId(0)))).unwrap();
-        assert_eq!(entry.transfers, 1);
-        assert!((entry.bytes_transferred - 4.0).abs() < 1e-9);
-        assert_eq!(entry.mean_queue_delay(), entry.total_queue_delay);
+        // Exactly one transfer per envelope, one row per used link.
+        let links = rig.fabric.link_reports();
+        assert_eq!(links.len(), 2);
+        let entry = links
+            .iter()
+            .find(|l| (l.from, l.to) == (None, Some(NodeId(0))))
+            .unwrap();
+        assert_eq!(entry.messages, 1);
+        assert!((entry.bytes - 4.0).abs() < 1e-9);
+        assert_eq!(entry.mean_queue_delay, entry.max_queue_delay);
     }
 
     #[test]
     fn large_transfers_queue_behind_each_other() {
-        let (profile, clock) = setup();
-        let (registry, worker_rx) = registry_with_endpoint(NodeId(1));
-        let (coord_tx, _coord_rx) = unbounded();
-        let (ingress_tx, ingress_rx) = unbounded();
-        let executor = minirt::Executor::new();
-        let spec = FabricSpec {
-            profile: Arc::clone(&profile),
-            clock,
-            registry,
-            coordinator_tx: coord_tx,
-        };
-        let traffic = spawn_fabric(&executor, spec, ingress_rx);
-
+        let rig = rig(NodeId(1), 0.0005);
         // Two transfers sized to occupy the link for many virtual seconds
         // each; the second must queue behind the first.  The size is
         // deliberately huge: queueing is detected by comparing wall-clock
         // `now` against the link-busy horizon, so the busy window must be
         // wide enough (milliseconds of wall time at this clock scale) that
         // scheduler preemption between the two envelopes cannot swallow it.
-        let link = profile.link_profile(Some(NodeId(0)), Some(NodeId(1))).link;
-        let bytes = link.bandwidth_bytes_per_sec() * 20.0;
-        for _ in 0..2 {
-            ingress_tx
-                .send(iteration_done(Some(NodeId(0)), Some(NodeId(1)), bytes))
-                .unwrap();
+        for request in 0..2 {
+            let bytes = link_secs(20.0);
+            rig.fabric.send(iteration_done(
+                request,
+                Some(NodeId(0)),
+                Some(NodeId(1)),
+                bytes,
+            ));
         }
-        drop(ingress_tx);
-        executor.drain();
+        rig.executor.drain();
         for _ in 0..2 {
-            worker_rx.try_recv().unwrap();
+            rig.worker_rx.try_recv().unwrap();
         }
 
-        let map = traffic.into_output().unwrap();
-        let entry = map.get(&(Some(NodeId(0)), Some(NodeId(1)))).unwrap();
-        assert_eq!(entry.transfers, 2);
+        let links = rig.fabric.link_reports();
+        assert_eq!(links.len(), 1);
+        assert_eq!(links[0].messages, 2);
         assert!(
-            entry.max_queue_delay > 0.05,
+            links[0].max_queue_delay > 0.05,
             "second transfer should have queued, max delay {}",
-            entry.max_queue_delay
+            links[0].max_queue_delay
         );
     }
 
@@ -328,13 +346,110 @@ mod tests {
         let mk = |deliver_at: f64, seq: u64| Delivery {
             deliver_at,
             seq,
-            envelope: iteration_done(None, None, 0.0),
+            envelope: iteration_done(seq, None, None, 0.0),
         };
         let mut heap = BinaryHeap::new();
-        heap.push(mk(5.0, 1));
-        heap.push(mk(1.0, 2));
-        heap.push(mk(3.0, 3));
-        let order: Vec<f64> = std::iter::from_fn(|| heap.pop().map(|d| d.deliver_at)).collect();
-        assert_eq!(order, vec![1.0, 3.0, 5.0]);
+        for (deliver_at, seq) in [(5.0, 1), (1.0, 2), (3.0, 4), (3.0, 3)] {
+            heap.push(mk(deliver_at, seq));
+        }
+        // Equal times go to the one sent first.
+        let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|d| d.seq)).collect();
+        assert_eq!(order, vec![2, 3, 4, 1]);
+    }
+
+    #[test]
+    fn links_are_fifo_and_deliveries_cross_links_in_time_order() {
+        let rig = rig(NodeId(0), 0.0005);
+        let to_coord = |request, from: usize, secs| {
+            iteration_done(request, Some(NodeId(from)), None, link_secs(secs))
+        };
+        // Link 1 → coordinator: a slow message, then a fast one that must
+        // not overtake it.  Link 2 → coordinator: sent last, due first.
+        rig.fabric.send(to_coord(1, 1, 100.0));
+        rig.fabric.send(to_coord(2, 1, 0.0));
+        rig.fabric.send(to_coord(3, 2, 20.0));
+        rig.executor.drain();
+        let order: Vec<u64> = std::iter::from_fn(|| match rig.coord_rx.try_recv().ok()? {
+            CoordinatorMsg::Runtime(msg) => Some(request_of(msg)),
+            CoordinatorMsg::Control(_) => None,
+        })
+        .collect();
+        assert_eq!(order, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn nothing_is_delivered_before_its_delivery_time() {
+        // 1 virtual second = 1 wall second: 30 ms on the wire + 1 ms latency.
+        let rig = rig(NodeId(3), 1.0);
+        let sent_at = rig.clock.now();
+        rig.fabric
+            .send(iteration_done(7, None, Some(NodeId(3)), link_secs(0.030)));
+        let got = rig.executor.block_on(rig.worker_rx.recv()).unwrap();
+        assert_eq!(request_of(got), 7);
+        let took = rig.clock.now() - sent_at;
+        assert!(took >= 0.031, "delivered after {took} virtual seconds");
+    }
+
+    #[test]
+    fn a_new_earliest_delivery_moves_the_pumps_timer() {
+        // 1 virtual second = 1 wall second.  The pump parks on a delivery
+        // 60 s away; a 1 ms delivery sent afterwards must not wait for it.
+        let rig = rig(NodeId(0), 1.0);
+        let before = Instant::now();
+        let got = rig.executor.block_on(async {
+            rig.fabric
+                .send(iteration_done(1, Some(NodeId(1)), None, link_secs(60.0)));
+            minirt::time::sleep(Duration::from_millis(5)).await;
+            rig.fabric
+                .send(iteration_done(2, None, Some(NodeId(0)), 0.0));
+            timeout_at(before + Duration::from_secs(10), rig.worker_rx.recv()).await
+        });
+        let got = got.expect("delivered on its own time, not the parked one's");
+        assert_eq!(request_of(got.unwrap()), 2);
+        assert!(before.elapsed() < Duration::from_secs(10));
+        assert!(
+            rig.coord_rx.try_recv().is_err(),
+            "the slow one is in flight"
+        );
+    }
+
+    #[test]
+    fn messages_for_detached_or_unknown_workers_drop_silently() {
+        let rig = rig(NodeId(0), 0.0005);
+        rig.registry.detach((NodeId(0), ModelId::default()));
+        assert!(matches!(rig.worker_rx.try_recv(), Ok(RuntimeMsg::Shutdown)));
+        rig.fabric
+            .send(iteration_done(1, None, Some(NodeId(0)), 4.0));
+        rig.fabric
+            .send(iteration_done(2, None, Some(NodeId(5)), 4.0));
+        rig.executor.drain();
+        assert!(rig.worker_rx.try_recv().is_err());
+        // The wire carried them all the same.
+        let links = rig.fabric.link_reports();
+        assert_eq!(links.iter().map(|l| l.messages).sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn drain_delivers_what_is_in_flight_and_leaves_the_traffic_to_the_report() {
+        let rig = rig(NodeId(2), 0.0005);
+        let fabric = Rc::clone(&rig.fabric);
+        // Sent by a task, as a worker flushing its queue at shutdown does.
+        rig.executor.spawn(async move {
+            for request in 0..3 {
+                fabric.send(iteration_done(
+                    request,
+                    None,
+                    Some(NodeId(2)),
+                    link_secs(1.0),
+                ));
+            }
+        });
+        rig.executor.drain();
+        let delivered: Vec<u64> = std::iter::from_fn(|| rig.worker_rx.try_recv().ok())
+            .map(request_of)
+            .collect();
+        assert_eq!(delivered, vec![0, 1, 2]);
+        assert!(rig.fabric.take_in_flight().is_empty());
+        assert_eq!(rig.fabric.link_reports()[0].messages, 3);
     }
 }

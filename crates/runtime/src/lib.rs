@@ -16,10 +16,11 @@
 //!   paged KV-cache pool modelled after vLLM's PagedAttention block manager
 //!   ([`PagedKvPool`]) — batching and pool are [`helix_core::engine`], the
 //!   same code the simulator's engines run;
-//! * a **network fabric task** that delivers messages with per-link
-//!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
-//!   congestion on slow links emerges exactly as in the paper's Fig. 10b case
-//!   study.
+//! * a **network fabric** that senders push messages into — it prices each
+//!   on its link (per-link bandwidth, latency and FIFO queueing taken from
+//!   the cluster profile, so congestion on slow links emerges exactly as in
+//!   the paper's Fig. 10b case study) — and whose one pump task, woken by a
+//!   timer, hands over what is due.
 //!
 //! Because workers are tasks rather than OS threads, the whole data plane —
 //! even a 500-node fleet — is built, driven and torn down by one
@@ -114,7 +115,7 @@ pub use builder::ServingBuilder;
 pub use clock::VirtualClock;
 pub use error::RuntimeError;
 pub use exec::{AnalyticExecution, ExecutionModel, InstantExecution};
-pub use fabric::LinkKey;
+pub use helix_core::LinkKey;
 // The paged KV pool is the shared engine core's residency table.
 pub use helix_core::engine::{KvPoolError, PagedKvPool};
 pub use message::{Envelope, Phase, PlanUpdate, RuntimeMsg, StageWork};

@@ -1,5 +1,5 @@
 //! The live worker set shared by the coordinator and the network fabric —
-//! two tasks of one thread, so the sharing is an `Rc` and the mutability a
+//! both on one thread, so the sharing is an `Rc` and the mutability a
 //! `RefCell` (no borrow is held across an `.await`).
 //!
 //! The pre-session runtime fixed its worker set at build time: the fabric
@@ -17,7 +17,8 @@
 
 use crate::clock::VirtualClock;
 use crate::exec::{AnalyticExecution, ExecutionModel, InstantExecution};
-use crate::message::{Envelope, PlanUpdate, RuntimeMsg};
+use crate::fabric::Fabric;
+use crate::message::{PlanUpdate, RuntimeMsg};
 use crate::runtime::ExecutionKind;
 use crate::worker::{self, SharedWorkerStats, WorkerConfig, WorkerStats};
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
@@ -41,28 +42,62 @@ pub(crate) struct WorkerMeta {
 
 #[derive(Default)]
 struct RegistryInner {
-    /// Delivery channel per live worker; detached workers are removed here
-    /// (the fabric drops messages for them) but keep their stats and meta.
-    txs: HashMap<WorkerKey, Sender<RuntimeMsg>>,
+    /// Columns of the `model × node` table: the cluster's node count.
+    num_nodes: usize,
+    /// Delivery channel per live worker, at
+    /// `model.index() * num_nodes + node.index()`; detached workers are
+    /// removed here (the fabric drops messages for them) but keep their
+    /// stats and meta.  Sized for the whole cluster × fleet, because
+    /// re-plans spawn workers for pairs the first plan did not have.
+    txs: Vec<Option<Sender<RuntimeMsg>>>,
     /// Shared statistics of every worker ever registered.
     stats: HashMap<WorkerKey, SharedWorkerStats>,
     /// Report metadata of every worker ever registered.
     meta: HashMap<WorkerKey, WorkerMeta>,
 }
 
+impl RegistryInner {
+    fn slot(&self, (node, model): WorkerKey) -> Option<usize> {
+        let slot = model.index() * self.num_nodes + node.index();
+        (node.index() < self.num_nodes && slot < self.txs.len()).then_some(slot)
+    }
+
+    fn tx(&self, key: WorkerKey) -> Option<&Sender<RuntimeMsg>> {
+        self.txs[self.slot(key)?].as_ref()
+    }
+
+    /// Every live worker's channel with its pair, model by model in node
+    /// order.
+    fn live(&self) -> impl Iterator<Item = (WorkerKey, &Sender<RuntimeMsg>)> {
+        let n = self.num_nodes;
+        let txs = self.txs.iter().enumerate();
+        txs.filter_map(move |(i, tx)| Some(((NodeId(i % n), ModelId(i / n)), tx.as_ref()?)))
+    }
+}
+
 /// Mutable worker membership: who exists, how to reach them, and the
 /// statistics they publish.  Confined to the data-plane thread.
-#[derive(Default)]
 pub(crate) struct WorkerRegistry {
     inner: RefCell<RegistryInner>,
 }
 
 impl WorkerRegistry {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// An empty registry for a cluster of `num_nodes` nodes serving
+    /// `num_models` models.
+    pub(crate) fn new(num_nodes: usize, num_models: usize) -> Self {
+        // At least one column, so a slot always splits into its pair.
+        let num_nodes = num_nodes.max(1);
+        WorkerRegistry {
+            inner: RefCell::new(RegistryInner {
+                num_nodes,
+                txs: (0..num_nodes * num_models).map(|_| None).collect(),
+                ..RegistryInner::default()
+            }),
+        }
     }
 
-    /// Registers a newly spawned worker under `key`.
+    /// Registers a newly spawned worker under `key` (a pair outside the
+    /// table cannot be planned, and stays unroutable).
     ///
     /// A pair that is re-added after an earlier incarnation retired seeds
     /// the new worker's cumulative counters (busy/nominal seconds, batches,
@@ -88,40 +123,39 @@ impl WorkerRegistry {
             fresh.kv_rejections += prev.kv_rejections;
             fresh.kv_peak_utilization = fresh.kv_peak_utilization.max(prev.kv_peak_utilization);
         }
-        inner.txs.insert(key, tx);
+        if let Some(slot) = inner.slot(key) {
+            inner.txs[slot] = Some(tx);
+        }
         inner.stats.insert(key, stats);
         inner.meta.insert(key, meta);
     }
 
     /// Whether a live (routable) worker exists for `key`.
     pub(crate) fn is_routable(&self, key: WorkerKey) -> bool {
-        self.inner.borrow().txs.contains_key(&key)
+        self.inner.borrow().tx(key).is_some()
     }
 
-    /// The delivery channel of a live worker, if any.
-    pub(crate) fn route(&self, key: WorkerKey) -> Option<Sender<RuntimeMsg>> {
-        self.inner.borrow().txs.get(&key).cloned()
+    /// Hands `msg` to the live worker of `key`, in place; a message for a
+    /// detached or unknown worker is dropped.
+    pub(crate) fn deliver(&self, key: WorkerKey, msg: RuntimeMsg) {
+        if let Some(tx) = self.inner.borrow().tx(key) {
+            let _ = tx.send(msg);
+        }
     }
 
     /// Sends `msg` to every live worker of `node`, across models.
     pub(crate) fn send_to_node(&self, node: NodeId, msg: RuntimeMsg) {
         let inner = self.inner.borrow();
-        for (&(n, _), tx) in &inner.txs {
-            if n == node {
-                let _ = tx.send(msg.clone());
-            }
+        for (_, tx) in inner.live().filter(|&((n, _), _)| n == node) {
+            let _ = tx.send(msg.clone());
         }
     }
 
-    /// The live worker keys of one model.
+    /// The live worker keys of one model, in node order.
     pub(crate) fn live_keys_for_model(&self, model: ModelId) -> Vec<WorkerKey> {
         let inner = self.inner.borrow();
-        inner
-            .txs
-            .keys()
-            .copied()
-            .filter(|&(_, m)| m == model)
-            .collect()
+        let keys = inner.live().map(|(key, _)| key);
+        keys.filter(|&(_, m)| m == model).collect()
     }
 
     /// The shared statistics handle of one worker (live or detached).
@@ -143,9 +177,8 @@ impl WorkerRegistry {
     pub(crate) fn live_stats_snapshot(&self) -> Vec<(WorkerKey, WorkerStats)> {
         let inner = self.inner.borrow();
         let mut out: Vec<(WorkerKey, WorkerStats)> = inner
-            .txs
-            .keys()
-            .map(|&key| (key, inner.stats[&key].borrow().clone()))
+            .live()
+            .map(|(key, _)| (key, inner.stats[&key].borrow().clone()))
             .collect();
         out.sort_by_key(|&(key, _)| key);
         out
@@ -175,7 +208,8 @@ impl WorkerRegistry {
     /// pipelines have drained (drain-then-switch).
     pub(crate) fn detach(&self, key: WorkerKey) {
         let mut inner = self.inner.borrow_mut();
-        if let Some(tx) = inner.txs.remove(&key) {
+        let slot = inner.slot(key);
+        if let Some(tx) = slot.and_then(|slot| inner.txs[slot].take()) {
             let _ = tx.send(RuntimeMsg::Shutdown);
         }
     }
@@ -183,19 +217,19 @@ impl WorkerRegistry {
     /// Sends a shutdown to every live worker.
     pub(crate) fn shutdown_all(&self) {
         let inner = self.inner.borrow();
-        for tx in inner.txs.values() {
+        for (_, tx) in inner.live() {
             let _ = tx.send(RuntimeMsg::Shutdown);
         }
     }
 }
 
 /// Everything needed to spawn one more worker mid-run: the executor, the
-/// clock, the fabric ingress, the execution-model choice the original build
+/// clock, the fabric, the execution-model choice the original build
 /// used and the slowdowns injected so far.
 pub(crate) struct WorkerSpawner {
     pub executor: minirt::Executor,
     pub clock: VirtualClock,
-    pub fabric: Sender<Envelope>,
+    pub fabric: Rc<Fabric>,
     pub execution: ExecutionKind,
     pub registry: Rc<WorkerRegistry>,
     /// The injected speed factor of every node that has one; a worker
@@ -236,13 +270,13 @@ impl WorkerSpawner {
         kv_capacity_tokens: f64,
     ) {
         if self.registry.is_routable((node, model)) {
-            if let Some(tx) = self.registry.route((node, model)) {
-                let _ = tx.send(RuntimeMsg::UpdatePlan(PlanUpdate {
-                    execution: self.execution_for(profile, node),
-                    kv_capacity_tokens,
-                    layers,
-                }));
-            }
+            let update = PlanUpdate {
+                execution: self.execution_for(profile, node),
+                kv_capacity_tokens,
+                layers,
+            };
+            let msg = RuntimeMsg::UpdatePlan(update);
+            self.registry.deliver((node, model), msg);
             self.registry.update_meta((node, model), layers);
             return;
         }
@@ -263,7 +297,7 @@ impl WorkerSpawner {
             self.execution_for(profile, node),
             self.clock,
             rx,
-            self.fabric.clone(),
+            Rc::clone(&self.fabric),
             Rc::clone(&stats),
         );
         self.registry.register(
@@ -281,33 +315,39 @@ impl WorkerSpawner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minirt::channel::Receiver;
 
-    fn dummy_entry(registry: &WorkerRegistry, key: WorkerKey) -> Sender<RuntimeMsg> {
-        let (tx, _rx) = unbounded::<RuntimeMsg>();
+    fn dummy_entry(registry: &WorkerRegistry, key: WorkerKey) -> Receiver<RuntimeMsg> {
+        let (tx, rx) = unbounded::<RuntimeMsg>();
         let stats = SharedWorkerStats::default();
         registry.register(
             key,
-            tx.clone(),
+            tx,
             stats,
             WorkerMeta {
                 name: format!("n{}", key.0.index()),
                 layers: 4,
             },
         );
-        tx
+        rx
     }
 
     #[test]
     fn detach_stops_routing_but_keeps_the_report_row() {
-        let registry = WorkerRegistry::new();
+        let registry = WorkerRegistry::new(4, 2);
         let key = (NodeId(3), ModelId(1));
-        let _tx = dummy_entry(&registry, key);
+        let rx = dummy_entry(&registry, key);
         assert!(registry.is_routable(key));
-        assert!(registry.route(key).is_some());
+        registry.deliver(key, RuntimeMsg::SetSpeed(2.0));
+        assert!(matches!(rx.try_recv(), Ok(RuntimeMsg::SetSpeed(_))));
 
         registry.detach(key);
         assert!(!registry.is_routable(key));
-        assert!(registry.route(key).is_none());
+        assert!(matches!(rx.try_recv(), Ok(RuntimeMsg::Shutdown)));
+        // Delivery to a detached or out-of-table pair drops the message.
+        registry.deliver(key, RuntimeMsg::SetSpeed(2.0));
+        registry.deliver((NodeId(9), ModelId(0)), RuntimeMsg::SetSpeed(2.0));
+        assert!(rx.try_recv().is_err());
         // Stats and meta survive detachment for the final report.
         assert!(registry.stats(key).is_some());
         let rows = registry.report_rows();
@@ -317,9 +357,9 @@ mod tests {
 
     #[test]
     fn respawned_pair_inherits_its_predecessors_counters() {
-        let registry = WorkerRegistry::new();
+        let registry = WorkerRegistry::new(2, 1);
         let key = (NodeId(1), ModelId(0));
-        let _tx = dummy_entry(&registry, key);
+        let _rx = dummy_entry(&registry, key);
         {
             let stats = registry.stats(key).unwrap();
             let mut s = stats.borrow_mut();
@@ -331,7 +371,7 @@ mod tests {
 
         // Re-adding the tenancy must not lose the first incarnation's work
         // from the report, nor make cumulative counters go backwards.
-        let _tx2 = dummy_entry(&registry, key);
+        let _rx2 = dummy_entry(&registry, key);
         let seeded = registry.stats(key).unwrap().borrow().clone();
         assert_eq!(seeded.batches, 7);
         assert_eq!(seeded.decode_tokens, 40);
@@ -341,7 +381,7 @@ mod tests {
 
     #[test]
     fn report_rows_are_sorted_by_node_then_model() {
-        let registry = WorkerRegistry::new();
+        let registry = WorkerRegistry::new(3, 2);
         for key in [
             (NodeId(2), ModelId(0)),
             (NodeId(0), ModelId(1)),
@@ -364,9 +404,9 @@ mod tests {
 
     #[test]
     fn update_meta_rewrites_the_report_layer_count() {
-        let registry = WorkerRegistry::new();
+        let registry = WorkerRegistry::new(1, 1);
         let key = (NodeId(0), ModelId(0));
-        let _tx = dummy_entry(&registry, key);
+        let _rx = dummy_entry(&registry, key);
         registry.update_meta(key, 9);
         assert_eq!(registry.report_rows()[0].1.layers, 9);
     }

@@ -9,16 +9,14 @@
 use crate::clock::VirtualClock;
 use crate::coordinator::{Coordinator, CoordinatorMsg, CoordinatorSpec};
 use crate::error::RuntimeError;
-use crate::fabric::{self, FabricSpec};
-use crate::message::Envelope;
-use crate::metrics::{LinkReport, NodeReport, RequestOutcome, RuntimeReport};
+use crate::fabric;
+use crate::metrics::{NodeReport, RequestOutcome, RuntimeReport};
 use crate::registry::{WorkerRegistry, WorkerSpawner};
 use helix_cluster::ModelId;
 use helix_core::{FleetTopology, HelixError, KvCacheEstimator, ReplanPolicy, Scheduler};
-use minirt::channel::{unbounded, Receiver, Sender};
+use minirt::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Which execution model the workers use.
@@ -114,35 +112,30 @@ pub(crate) fn validate(
 /// The whole life of a data plane, on the thread that owns it.  Wires one
 /// worker task per (assigned node, model) pair — each with its own partition
 /// of the node's KV pool — one KV estimator per model, the network fabric
-/// task, and a coordinator that routes every request to its model's
-/// scheduler; drives them until the session says `Finish`; then shuts the
-/// workers down and runs every task to completion — even when the run ended
-/// in an error: workers process their shutdowns and drop their fabric
-/// senders, the fabric flushes its in-flight deliveries and exits on ingress
-/// disconnect — and assembles the final report.
+/// with its pump task, and a coordinator that routes every request to its
+/// model's scheduler; drives them until the session says `Finish`; then
+/// shuts the workers down and drains the executor — even when the run ended
+/// in an error: workers process their shutdowns, the fabric's pump delivers
+/// what is still in flight — and assembles the final report.
 pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
     let (fleet, config, clock) = (spec.fleet, spec.config, spec.clock);
     let executor = minirt::Executor::new();
-    let registry = Rc::new(WorkerRegistry::new());
-    let (ingress_tx, ingress_rx) = unbounded::<Envelope>();
-
+    // Link bandwidth/latency are model-independent; the fabric uses the
+    // first model's cluster.
+    let cluster = fleet.topologies()[0].profile().cluster();
+    let registry = Rc::new(WorkerRegistry::new(cluster.num_nodes(), fleet.num_models()));
     let fabric = fabric::spawn_fabric(
         &executor,
-        FabricSpec {
-            // Link bandwidth/latency are model-independent; the fabric uses
-            // the first model's profile.
-            profile: Arc::new(fleet.topologies()[0].profile().clone()),
-            clock,
-            registry: Rc::clone(&registry),
-            coordinator_tx: spec.coordinator_tx,
-        },
-        ingress_rx,
+        cluster.clone(),
+        clock,
+        Rc::clone(&registry),
+        spec.coordinator_tx,
     );
 
     let spawner = WorkerSpawner {
         executor: executor.clone(),
         clock,
-        fabric: ingress_tx.clone(),
+        fabric: Rc::clone(&fabric),
         execution: config.execution,
         registry: Rc::clone(&registry),
         slowdowns: HashMap::new(),
@@ -175,7 +168,6 @@ pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
         estimators,
         clock,
         inbound: spec.inbound,
-        fabric: ingress_tx,
         spawner,
         max_wall: config.max_wall,
         fleet,
@@ -223,12 +215,7 @@ pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
         })
         .collect();
 
-    let mut links: Vec<LinkReport> = fabric
-        .into_output()
-        .unwrap_or_default()
-        .iter()
-        .map(|(&(from, to), traffic)| LinkReport::new(from, to, traffic))
-        .collect();
+    let mut links = fabric.link_reports();
     links.sort_by_key(|l| (l.from, l.to));
 
     Ok(RuntimeReport {

@@ -24,13 +24,14 @@
 
 use crate::clock::VirtualClock;
 use crate::exec::ExecutionModel;
+use crate::fabric::Fabric;
 use crate::message::{Envelope, RuntimeMsg, StageWork};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::engine::{BatchRun, EngineCore, Work, WorkMeta};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::LayerRange;
 use helix_workload::RequestId;
-use minirt::channel::{Receiver, Sender};
+use minirt::channel::Receiver;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -118,7 +119,7 @@ pub(crate) fn spawn_worker(
     execution: Arc<dyn ExecutionModel>,
     clock: VirtualClock,
     inbound: Receiver<RuntimeMsg>,
-    fabric: Sender<Envelope>,
+    fabric: Rc<Fabric>,
     stats: SharedWorkerStats,
 ) -> minirt::JoinHandle<()> {
     stats.borrow_mut().kv_capacity_tokens = config.kv_capacity_tokens;
@@ -141,7 +142,7 @@ struct Worker {
     execution: Arc<dyn ExecutionModel>,
     clock: VirtualClock,
     inbound: Receiver<RuntimeMsg>,
-    fabric: Sender<Envelope>,
+    fabric: Rc<Fabric>,
     stats: SharedWorkerStats,
     /// Queue, frozen layer ranges, KV pool and batching rules.  A `Freeze`
     /// carries no deadline here: it holds until the matching `Resume`.
@@ -235,7 +236,7 @@ impl Worker {
                 // the whole residency is installed, so tell the coordinator
                 // the hand-over landed (it re-routes and thaws both ends).
                 if last {
-                    let _ = self.fabric.send(Envelope {
+                    self.fabric.send(Envelope {
                         from: Some(self.config.node),
                         to: None,
                         model: self.config.model,
@@ -318,7 +319,7 @@ impl Worker {
             };
             bytes_sent += chunk_bytes;
             let last = index == last_index;
-            let _ = self.fabric.send(Envelope {
+            self.fabric.send(Envelope {
                 from: Some(self.config.node),
                 to: Some(to),
                 model: self.config.model,
@@ -391,10 +392,7 @@ impl Worker {
                 msg: RuntimeMsg::Work(next),
             }
         };
-        // If the fabric has already shut down there is nowhere to forward to;
-        // the coordinator only exits after all requests complete, so this can
-        // only drop messages that no longer matter.
-        let _ = self.fabric.send(envelope);
+        self.fabric.send(envelope);
     }
 
     fn publish_stats(&self) {
@@ -416,7 +414,7 @@ mod tests {
     use crate::message::Phase;
     use helix_cluster::PrefixId;
     use helix_core::{PipelineStage, RequestPipeline};
-    use minirt::channel::unbounded;
+    use minirt::channel::{unbounded, Sender};
 
     fn two_stage_pipeline() -> Arc<RequestPipeline> {
         Arc::new(RequestPipeline {
@@ -440,13 +438,14 @@ mod tests {
     ) -> (
         minirt::Executor,
         Sender<RuntimeMsg>,
-        Receiver<Envelope>,
+        Rc<Fabric>,
         SharedWorkerStats,
         minirt::JoinHandle<()>,
     ) {
         let executor = minirt::Executor::new();
         let (inbound_tx, inbound_rx) = unbounded();
-        let (fabric_tx, fabric_rx) = unbounded();
+        // No pump: what the worker forwards stays in flight for the test.
+        let fabric = Fabric::detached();
         let stats = SharedWorkerStats::default();
         let config = WorkerConfig {
             node,
@@ -460,10 +459,10 @@ mod tests {
             Arc::new(InstantExecution),
             VirtualClock::new(0.0001),
             inbound_rx,
-            fabric_tx,
+            Rc::clone(&fabric),
             Rc::clone(&stats),
         );
-        (executor, inbound_tx, fabric_rx, stats, handle)
+        (executor, inbound_tx, fabric, stats, handle)
     }
 
     fn work(request: u64, phase: Phase, tokens: usize, stage_index: usize) -> RuntimeMsg {
@@ -486,7 +485,7 @@ mod tests {
         executor.drain();
         assert!(handle.is_finished());
 
-        let forwarded = fabric.try_recv().unwrap();
+        let forwarded = fabric.take_in_flight().pop().unwrap();
         assert_eq!(forwarded.from, Some(NodeId(0)));
         assert_eq!(forwarded.to, Some(NodeId(1)));
         assert!(
@@ -512,7 +511,7 @@ mod tests {
         tx.send(work(9, Phase::Prompt, 64, 1)).unwrap();
         tx.send(RuntimeMsg::Shutdown).unwrap();
         executor.drain();
-        let done = fabric.try_recv().unwrap();
+        let done = fabric.take_in_flight().pop().unwrap();
         assert_eq!(done.to, None);
         assert!(matches!(
             done.msg,
@@ -559,11 +558,7 @@ mod tests {
         drop(tx);
         executor.drain();
         assert!(handle.is_finished());
-        let mut delivered = 0;
-        while fabric.try_recv().is_ok() {
-            delivered += 1;
-        }
-        assert_eq!(delivered, 5);
+        assert_eq!(fabric.take_in_flight().len(), 5);
         assert_eq!(stats.borrow().decode_tokens, 5);
     }
 
@@ -576,7 +571,7 @@ mod tests {
         executor.drain();
         assert!(
             matches!(
-                fabric.try_recv().unwrap().msg,
+                fabric.take_in_flight().pop().unwrap().msg,
                 RuntimeMsg::IterationDone { request: 1, .. }
             ),
             "disjoint layers execute through a freeze"
@@ -586,14 +581,17 @@ mod tests {
         tx.send(RuntimeMsg::Freeze(LayerRange::new(4, 8))).unwrap();
         tx.send(work(2, Phase::Decode, 1, 1)).unwrap();
         executor.drain();
-        assert!(fabric.try_recv().is_err(), "intersecting layers are held");
+        assert!(
+            fabric.take_in_flight().is_empty(),
+            "intersecting layers are held"
+        );
         assert_eq!(stats.borrow().queue_len, 1);
 
         // Thawing releases exactly the held range's work.
         tx.send(RuntimeMsg::Resume(LayerRange::new(4, 8))).unwrap();
         executor.drain();
         assert!(matches!(
-            fabric.try_recv().unwrap().msg,
+            fabric.take_in_flight().pop().unwrap().msg,
             RuntimeMsg::IterationDone { request: 2, .. }
         ));
         tx.send(RuntimeMsg::Shutdown).unwrap();
@@ -618,12 +616,8 @@ mod tests {
         tx.send(RuntimeMsg::Shutdown).unwrap();
         executor.drain();
 
-        let mut chunks = Vec::new();
-        while let Ok(envelope) = fabric.try_recv() {
-            if let RuntimeMsg::KvChunk { .. } = envelope.msg {
-                chunks.push(envelope);
-            }
-        }
+        let mut chunks = fabric.take_in_flight();
+        chunks.retain(|envelope| matches!(envelope.msg, RuntimeMsg::KvChunk { .. }));
         assert!(
             chunks.len() > 1,
             "a large pool splits into multiple chunks, got {}",
@@ -684,7 +678,10 @@ mod tests {
         })
         .unwrap();
         executor.drain();
-        assert!(fabric.try_recv().is_err(), "no ack before the last chunk");
+        assert!(
+            fabric.take_in_flight().is_empty(),
+            "no ack before the last chunk"
+        );
         tx.send(RuntimeMsg::KvChunk {
             from: NodeId(0),
             layers,
@@ -697,7 +694,7 @@ mod tests {
         })
         .unwrap();
         executor.drain();
-        let ack = fabric.try_recv().unwrap();
+        let ack = fabric.take_in_flight().pop().unwrap();
         assert!(matches!(
             ack.msg,
             RuntimeMsg::KvInstalled {
@@ -824,6 +821,6 @@ mod tests {
             (s.nominal_busy_secs - 0.25).abs() < 1e-9,
             "new execution model prices the batch"
         );
-        assert!(fabric.try_recv().is_ok());
+        assert_eq!(fabric.take_in_flight().len(), 1);
     }
 }

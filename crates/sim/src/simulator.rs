@@ -8,14 +8,14 @@
 use crate::engine::NodeEngine;
 use crate::event::{Event, EventQueue, Hop, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use crate::tables::{EngineTable, LinkTable};
+use crate::tables::EngineTable;
 use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvTransferModel, KvTransferRecord, ModelPlacement, PlacementDelta, PrefixStats, PrefixWork,
-    ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
-    RequestPipeline, Scheduler, Topology,
+    KvTransferModel, KvTransferRecord, LinkTable, ModelPlacement, PlacementDelta, PrefixStats,
+    PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
+    ReplicationStats, RequestPipeline, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -387,9 +387,7 @@ impl ClusterSimulator {
         // Each run's timeline restarts at zero; links and engines keep their
         // cumulative counters but must not stay "busy" (or frozen) into the
         // new epoch, and the policy clock restarts with them.
-        for (_, link) in &mut self.links.queues {
-            link.rebase_epoch();
-        }
+        self.links.rebase_epoch();
         for engine in self.engines.slots.iter_mut().flatten() {
             engine.rebase_epoch();
         }
@@ -676,7 +674,7 @@ impl ClusterSimulator {
             .collect();
         let mut link_stats: Vec<LinkStats> = self
             .links
-            .queues
+            .used()
             .iter()
             .map(|&((from, to), ref link)| LinkStats {
                 from,
@@ -715,12 +713,21 @@ impl ClusterSimulator {
                 }
             })
             .collect();
+        // A one-model fleet's samples are that model's: summarised (sorted)
+        // once, above.
+        let (prompt_latency, decode_latency) = match per_model.as_slice() {
+            [only] => (only.prompt_latency, only.decode_latency),
+            _ => (
+                LatencyStats::from_samples(&prompt_latencies.concat()),
+                LatencyStats::from_samples(&decode_gaps.concat()),
+            ),
+        };
         let overall = Metrics {
             measured_seconds: measured,
             decode_tokens: decode_tokens.iter().sum(),
             completed_requests: completed.iter().sum(),
-            prompt_latency: LatencyStats::from_samples(&prompt_latencies.concat()),
-            decode_latency: LatencyStats::from_samples(&decode_gaps.concat()),
+            prompt_latency,
+            decode_latency,
             node_utilization,
             link_stats,
         };
@@ -1085,7 +1092,7 @@ impl ClusterSimulator {
         // Link hardware is shared by every model; the first lane's profile
         // supplies the (model-independent) bandwidth and latency numbers.
         let cluster = self.control.fleet().topologies()[0].profile().cluster();
-        self.links.queue(cluster, from, to).transfer(now, bytes)
+        self.links.queue(cluster, (from, to)).transfer(now, bytes)
     }
 }
 
@@ -1243,11 +1250,38 @@ mod tests {
                 .map(|m| m.completed_requests)
                 .sum::<u64>()
         );
+        // Two models: the overall summaries are over both models' samples.
+        let prompts = |m: &Metrics| m.prompt_latency.count;
+        let gaps = |m: &Metrics| m.decode_latency.count;
+        let (overall, per_model) = (&metrics.overall, &metrics.per_model);
+        assert!(per_model.iter().all(|m| prompts(m) > 0 && gaps(m) > 0));
+        assert_eq!(
+            prompts(overall),
+            per_model.iter().map(prompts).sum::<usize>()
+        );
+        assert_eq!(gaps(overall), per_model.iter().map(gaps).sum::<usize>());
         // The two models run on disjoint node partitions.
         let nodes0: Vec<_> = metrics.per_model[0].node_utilization.keys().collect();
         assert!(nodes0
             .iter()
             .all(|n| !metrics.per_model[1].node_utilization.contains_key(n)));
+    }
+
+    /// One model: its samples are the fleet's, summarised once.
+    #[test]
+    fn a_one_model_run_reports_its_models_latency_summaries_as_the_overall_ones() {
+        let profile = small_profile();
+        let topology = petals_topology(&profile);
+        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let config = SimulationConfig::offline(120.0).with_warmup(0.0);
+        let metrics = sim.run_per_model(&small_workload(40), config);
+        let [only] = metrics.per_model.as_slice() else {
+            panic!("one model, one entry");
+        };
+        assert!(only.prompt_latency.count > 0 && only.decode_latency.count > 0);
+        assert_eq!(metrics.overall.prompt_latency, only.prompt_latency);
+        assert_eq!(metrics.overall.decode_latency, only.decode_latency);
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The simulator's dense state tables.  `NodeId` and `ModelId` are dense
-//! indices, so a pipeline hop finds its engine and its link by indexing
-//! arrays — and every walk over them has one fixed order.
+//! The simulator's dense engine table.  `NodeId` and `ModelId` are dense
+//! indices, so a pipeline hop finds its engine by indexing an array — and
+//! every walk over the engines has one fixed order.  The link table a hop
+//! indexes the same way is [`helix_core::link::LinkTable`], shared with the
+//! runtime's fabric.
 
 use crate::engine::NodeEngine;
-use helix_cluster::{ClusterSpec, ModelId, NodeId};
-use helix_core::LinkQueue;
-
-/// A link endpoint (`None` = coordinator).
-type Endpoint = Option<NodeId>;
+use helix_cluster::{ModelId, NodeId};
 
 /// Every (node, model) engine, at `model.index() * num_nodes + node.index()`.
 /// Sized for the whole cluster × fleet, because re-plans create engines
@@ -66,51 +64,5 @@ impl EngineTable {
         let n = self.num_nodes;
         let engines = self.slots.iter().enumerate();
         engines.filter_map(move |(i, e)| Some((NodeId(i % n), ModelId(i / n), e.as_ref()?)))
-    }
-}
-
-/// Marks an endpoint pair that has carried no transfer yet.
-const UNUSED: u32 = u32::MAX;
-
-/// Link queues in first-use order behind a `(num_nodes + 1)²` table of
-/// slots, the coordinator being row and column 0.  Only the slots are dense:
-/// that is 4 MB at 1 008 nodes, where dense queues would be 57 MB.
-pub(crate) struct LinkTable {
-    side: usize,
-    slots: Vec<u32>,
-    /// Every used link with its endpoints, in first-use order.
-    pub(crate) queues: Vec<((Endpoint, Endpoint), LinkQueue)>,
-}
-
-impl LinkTable {
-    pub(crate) fn new(num_nodes: usize) -> Self {
-        let side = num_nodes + 1;
-        LinkTable {
-            side,
-            slots: vec![UNUSED; side * side],
-            queues: Vec::new(),
-        }
-    }
-
-    /// The queue of the `from → to` link, created from `cluster`'s link
-    /// spec on first use.
-    pub(crate) fn queue(
-        &mut self,
-        cluster: &ClusterSpec,
-        from: Endpoint,
-        to: Endpoint,
-    ) -> &mut LinkQueue {
-        let end = |endpoint: Endpoint| endpoint.map_or(0, |node| node.index() + 1);
-        debug_assert!(end(from) < self.side && end(to) < self.side);
-        let cell = end(from) * self.side + end(to);
-        let mut slot = self.slots[cell] as usize;
-        if slot >= self.queues.len() {
-            let spec = cluster.link(from, to);
-            let queue = LinkQueue::new(spec.bandwidth_bytes_per_sec(), spec.latency_secs());
-            slot = self.queues.len();
-            self.slots[cell] = u32::try_from(slot).unwrap_or(UNUSED);
-            self.queues.push(((from, to), queue));
-        }
-        &mut self.queues[slot].1
     }
 }
