@@ -4,7 +4,7 @@
 //! pipeline by IWRR over the max-flow solution, masks nodes by KV usage, and
 //! tracks every request until its last token.  This repository executes that
 //! coordinator on two surfaces — the discrete-event `helix-sim` and the
-//! task-per-engine `helix-runtime` — and [`ControlPlane`] is the part they
+//! wall-clock-paced `helix-runtime` — and [`ControlPlane`] is the part they
 //! share **by construction**: every decision is made here, once, and each
 //! surface only actuates the plain data the decision returns.
 //!

@@ -4,7 +4,7 @@
 //! The paper has **one** per-node worker — best-effort dynamic batching
 //! (§5.1) over one paged KV pool whose exhaustion forces slow offloading to
 //! host memory (§5.2, §6.1).  The simulator's `NodeEngine` and the runtime's
-//! worker task are both that worker, so both are built on the two plain
+//! worker row are both that worker, so both are built on the two plain
 //! structs of this module and neither keeps a private copy of the rules:
 //!
 //! * [`PagedKvPool`] — the KV residency table: tokens and pages per request,
@@ -42,10 +42,11 @@
 //! and the counters.  It never sees an event queue or a message: the
 //! *simulator* adds `SimTime` scheduling (it turns the returned duration
 //! into a `BatchComplete` event) and prices batches with
-//! [`ExecModel`]; the *runtime worker* adds the
-//! `minirt` task loop, sleeps the returned duration, forwards finished items
-//! through the fabric, ships hand-overs in chunks, publishes statistics and
-//! prices batches with its `ExecutionModel`.  Cross-engine facts (where a
+//! [`ExecModel`]; the *runtime worker* queues the returned duration in the
+//! fabric's heap beside the deliveries (or completes a zero-duration batch
+//! in place), forwards finished items through the fabric, ships hand-overs
+//! in chunks, keeps the report counters and prices batches with its
+//! `ExecutionModel`.  Cross-engine facts (where a
 //! migrated prefix went, which engines hold a request) stay with the
 //! surfaces' coordinators.
 //!
@@ -644,6 +645,22 @@ impl<W: Work> EngineCore<W> {
     /// Ends every freeze — teardown must not strand queued work.
     pub fn thaw_all(&mut self) {
         self.frozen.clear();
+    }
+
+    /// Takes the engine out of service: queued and executing work, freezes
+    /// and residency are dropped.  What is cumulative — the counters, the
+    /// pool's peak and rejection counts — and the slowdown survive, so a
+    /// tenancy that is planned again later continues them.
+    pub fn retire(&mut self) {
+        self.pending.clear();
+        self.in_flight.clear();
+        self.frozen.clear();
+        self.kv.clear();
+        (
+            self.window_tokens,
+            self.window_start,
+            self.recent_throughput,
+        ) = (0, 0.0, 0.0);
     }
 
     /// Starts a new timeline epoch: freezes and the throughput window are

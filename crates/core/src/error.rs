@@ -4,6 +4,44 @@ use helix_cluster::{ModelId, NodeId};
 use std::error::Error;
 use std::fmt;
 
+/// Why a scheduler had no pipeline to offer
+/// ([`HelixError::NoCandidateAvailable`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoCandidateReason {
+    /// The topology's max flow is zero: no request could ever be scheduled.
+    ZeroFlow,
+    /// No node holding `layer` is connected to the stage before it.
+    NoSuccessor {
+        /// The first layer the walk could not place.
+        layer: usize,
+    },
+    /// Every node that could continue from `layer` is masked out (e.g. all
+    /// KV caches above the high-water mark).
+    AllMasked {
+        /// The first layer of the masked hop.
+        layer: usize,
+    },
+    /// The walk did not reach the last layer within `num_layers` hops.
+    PlacementCycle,
+}
+
+impl fmt::Display for NoCandidateReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NoCandidateReason::ZeroFlow => write!(f, "placement admits zero serving throughput"),
+            NoCandidateReason::NoSuccessor { layer } => {
+                write!(f, "no successor can continue from layer {layer}")
+            }
+            NoCandidateReason::AllMasked { layer } => {
+                write!(f, "all successors at layer {layer} are masked out")
+            }
+            NoCandidateReason::PlacementCycle => {
+                write!(f, "pipeline walk did not terminate (placement cycle)")
+            }
+        }
+    }
+}
+
 /// Errors produced by Helix planning and scheduling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HelixError {
@@ -40,8 +78,10 @@ pub enum HelixError {
     /// A scheduler was asked to schedule before any pipeline exists or after
     /// all candidates were masked out.
     NoCandidateAvailable {
-        /// Human-readable context, e.g. which vertex had no candidates.
-        context: String,
+        /// Where the walk ended.  `Copy`: a deferred admission is retried —
+        /// and fails like this — thousands of times per run, and nobody
+        /// reads a sentence built for each.
+        reason: NoCandidateReason,
     },
     /// A request referenced a model the fleet does not serve.
     UnknownModel {
@@ -101,8 +141,8 @@ impl fmt::Display for HelixError {
             }
             HelixError::Milp(e) => write!(f, "milp solver error: {e}"),
             HelixError::Flow(e) => write!(f, "flow computation error: {e}"),
-            HelixError::NoCandidateAvailable { context } => {
-                write!(f, "no schedulable candidate available: {context}")
+            HelixError::NoCandidateAvailable { reason } => {
+                write!(f, "no schedulable candidate available: {reason}")
             }
             HelixError::UnknownModel { model, num_models } => {
                 write!(f, "request for {model} but the fleet serves {num_models} model(s)")
@@ -164,5 +204,28 @@ mod tests {
         assert!(from_milp.source().is_some());
         let from_flow: HelixError = helix_maxflow::FlowError::SourceIsSink.into();
         assert!(matches!(from_flow, HelixError::Flow(_)));
+    }
+
+    /// The sentences the `context: String` field carried, word for word.
+    #[test]
+    fn no_candidate_reasons_print_the_sentences_they_replaced() {
+        let text = |reason| HelixError::NoCandidateAvailable { reason }.to_string();
+        let prefix = "no schedulable candidate available: ";
+        assert_eq!(
+            text(NoCandidateReason::ZeroFlow),
+            format!("{prefix}placement admits zero serving throughput")
+        );
+        assert_eq!(
+            text(NoCandidateReason::NoSuccessor { layer: 12 }),
+            format!("{prefix}no successor can continue from layer 12")
+        );
+        assert_eq!(
+            text(NoCandidateReason::AllMasked { layer: 7 }),
+            format!("{prefix}all successors at layer 7 are masked out")
+        );
+        assert_eq!(
+            text(NoCandidateReason::PlacementCycle),
+            format!("{prefix}pipeline walk did not terminate (placement cycle)")
+        );
     }
 }

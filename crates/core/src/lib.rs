@@ -20,9 +20,10 @@
 //! * [`engine`] — the per-node worker of §5.1–§5.2 once: [`EngineCore`]
 //!   (batching, layer-range freezes, the KV-overflow decision) over the
 //!   [`PagedKvPool`] residency table.  The simulator's `NodeEngine` and the
-//!   runtime's worker task are this core plus their own scheduling glue;
-//!   [`LinkQueue`] is the FIFO link model they likewise share, and
-//!   [`LinkTable`] the dense table both find a hop's link in.
+//!   runtime's worker rows are this core plus their own scheduling glue;
+//!   [`LinkQueue`] is the FIFO link model they likewise share,
+//!   [`LinkTable`] the dense table both find a hop's link in and
+//!   [`PairTable`] the dense `model × node` table both keep those in.
 //! * [`MilpPlacementPlanner`] — the MILP formulation of §4.4 (Tables 5–6)
 //!   with optional partial inference, cluster pruning, heuristic warm starts
 //!   and the early-stop upper bound of §4.5.
@@ -87,6 +88,7 @@ pub mod flow_graph;
 pub mod ha;
 pub mod link;
 pub mod obs;
+pub mod pair_table;
 pub mod placement;
 pub mod region;
 pub mod replan;
@@ -97,7 +99,7 @@ pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };
 pub use engine::{EngineCore, KvPoolError, PagedKvPool};
-pub use error::HelixError;
+pub use error::{HelixError, NoCandidateReason};
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{
     fleet_profiles, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement, FleetScheduler,
@@ -110,6 +112,7 @@ pub use ha::{
 };
 pub use link::{LinkKey, LinkQueue, LinkTable};
 pub use obs::LatencyStats;
+pub use pair_table::PairTable;
 pub use placement::heuristics;
 pub use placement::hierarchical::{
     HierarchicalFleetPlanner, HierarchicalOptions, HierarchicalPlan,

@@ -8,7 +8,7 @@
 //! which spreads requests over the cluster in proportion to the max flow
 //! without creating bursts.
 
-use crate::error::HelixError;
+use crate::error::{HelixError, NoCandidateReason};
 use crate::flow_graph::Endpoint;
 use crate::scheduling::{
     walk_pipeline, ClusterState, RequestPipeline, Scheduler, SchedulerKind, TopologyGraph,
@@ -130,7 +130,7 @@ impl IwrrScheduler {
     pub fn from_topology(topology: &Topology) -> Result<Self, HelixError> {
         if topology.flow_value() <= 0.0 {
             return Err(HelixError::NoCandidateAvailable {
-                context: "placement admits zero serving throughput".to_string(),
+                reason: NoCandidateReason::ZeroFlow,
             });
         }
         let graph = TopologyGraph::from_topology(topology);

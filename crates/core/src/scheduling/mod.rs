@@ -17,7 +17,7 @@ pub mod iwrr;
 pub mod kv_estimate;
 pub mod prefix;
 
-use crate::error::HelixError;
+use crate::error::{HelixError, NoCandidateReason};
 use crate::flow_graph::Endpoint;
 use crate::placement::LayerRange;
 use crate::topology::Topology;
@@ -256,14 +256,12 @@ where
         }
         let candidates = topology.candidates(current, position);
         if candidates.is_empty() {
-            return Err(HelixError::NoCandidateAvailable {
-                context: format!("no successor can continue from layer {position}"),
-            });
+            let reason = NoCandidateReason::NoSuccessor { layer: position };
+            return Err(HelixError::NoCandidateAvailable { reason });
         }
         let Some(next) = choose(current, &candidates) else {
-            return Err(HelixError::NoCandidateAvailable {
-                context: format!("all successors at layer {position} are masked out"),
-            });
+            let reason = NoCandidateReason::AllMasked { layer: position };
+            return Err(HelixError::NoCandidateAvailable { reason });
         };
         let range = topology
             .range(next)
@@ -277,7 +275,7 @@ where
         current = Some(next);
     }
     Err(HelixError::NoCandidateAvailable {
-        context: "pipeline walk did not terminate (placement cycle)".to_string(),
+        reason: NoCandidateReason::PlacementCycle,
     })
 }
 

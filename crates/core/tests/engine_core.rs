@@ -407,6 +407,29 @@ fn a_failed_engine_starts_nothing_until_it_recovers_and_a_purge_drops_queued_wor
 }
 
 #[test]
+fn a_retired_engine_is_empty_and_idle_and_keeps_what_is_cumulative() {
+    let mut e: EngineCore<Item> = EngineCore::new(64.0, 16);
+    e.set_slowdown(3.0);
+    e.enqueue(item(1, 1, Phase::Prompt, 128, LayerRange::new(0, 4)));
+    let run = e.start_batch(0.0, cost).unwrap();
+    e.enqueue(decode(2));
+    e.freeze(LayerRange::new(0, 4), f64::INFINITY);
+    let before = e.counters();
+    e.retire();
+    assert!(!e.is_busy() && e.queue_len() == 0);
+    assert_eq!(complete(&mut e), vec![], "the executing batch is dropped");
+    assert_eq!(e.kv.used_tokens(), 0.0);
+    assert_eq!(e.counters(), before);
+    assert_eq!(e.kv.rejections(), 1, "128 tokens did not fit 64");
+    assert!(e.kv.peak_utilization() >= 2.0);
+    // Back in service: nothing frozen, still slowed.
+    e.enqueue(decode(3));
+    let again = e.start_batch(1.0, cost).unwrap();
+    assert_eq!(again.actual_secs, again.nominal_secs * 3.0);
+    assert!(run.actual_secs > 0.0);
+}
+
+#[test]
 fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
     // Freeze layers [0, 5) until t=10; work on [5, 10) must still run.

@@ -104,8 +104,9 @@ impl ServingBuilder {
         self
     }
 
-    /// Wires and starts the serving system — workers, fabric and coordinator
-    /// — on its `helix-dataplane` thread, and returns once it is wired.
+    /// Builds and starts the serving system — worker table, fabric and
+    /// coordinator — on its `helix-dataplane` thread, and returns once it is
+    /// built.
     ///
     /// # Errors
     ///

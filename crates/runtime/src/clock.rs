@@ -1,4 +1,4 @@
-//! Scaled virtual clock shared by every runtime thread.
+//! Scaled virtual clock shared by the session and its data plane.
 //!
 //! The runtime executes a *cost model* of GPU work rather than real kernels,
 //! so it can run faster than real time: one virtual second is mapped to
@@ -10,19 +10,8 @@
 use std::time::{Duration, Instant};
 
 /// A shared, monotonically increasing virtual clock.
-///
-/// # Example
-///
-/// ```rust
-/// use helix_runtime::VirtualClock;
-///
-/// let clock = VirtualClock::new(0.001); // 1 virtual second = 1 ms of wall time
-/// let start = clock.now();
-/// assert!(clock.now() >= start);
-/// assert_eq!(clock.wall_per_virtual(), 0.001);
-/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     start: Instant,
     wall_per_virtual: f64,
 }
@@ -34,7 +23,7 @@ impl VirtualClock {
     /// # Panics
     ///
     /// Panics if `wall_per_virtual` is not strictly positive and finite.
-    pub fn new(wall_per_virtual: f64) -> Self {
+    pub(crate) fn new(wall_per_virtual: f64) -> Self {
         assert!(
             wall_per_virtual.is_finite() && wall_per_virtual > 0.0,
             "wall_per_virtual must be positive and finite, got {wall_per_virtual}"
@@ -45,23 +34,13 @@ impl VirtualClock {
         }
     }
 
-    /// The wall-clock seconds corresponding to one virtual second.
-    pub fn wall_per_virtual(&self) -> f64 {
-        self.wall_per_virtual
-    }
-
     /// Virtual seconds elapsed since the clock was created.
-    pub fn now(&self) -> f64 {
-        self.virtual_at(Instant::now())
-    }
-
-    /// The virtual time of a wall-clock instant somebody already read.
-    pub(crate) fn virtual_at(&self, instant: Instant) -> f64 {
-        instant.duration_since(self.start).as_secs_f64() / self.wall_per_virtual
+    pub(crate) fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() / self.wall_per_virtual
     }
 
     /// Wall-clock seconds elapsed since the clock was created.
-    pub fn wall_elapsed(&self) -> Duration {
+    pub(crate) fn wall_elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -69,7 +48,7 @@ impl VirtualClock {
     /// `virtual_secs`, for deadline-based waits.  Times in the past (or
     /// non-finite) map to the clock's epoch; far futures are clamped so the
     /// conversion never overflows.
-    pub fn instant_at(&self, virtual_secs: f64) -> Instant {
+    pub(crate) fn instant_at(&self, virtual_secs: f64) -> Instant {
         if !virtual_secs.is_finite() || virtual_secs <= 0.0 {
             return self.start;
         }
@@ -79,21 +58,8 @@ impl VirtualClock {
 
     /// The wall-clock [`Instant`] `wall` after the clock's epoch — the
     /// deadline matching a `wall_elapsed() > wall` check.
-    pub fn instant_at_wall(&self, wall: Duration) -> Instant {
+    pub(crate) fn instant_at_wall(&self, wall: Duration) -> Instant {
         self.start + wall
-    }
-
-    /// Suspends the calling *task* for `virtual_secs` of virtual time (the
-    /// driving thread keeps running other tasks meanwhile).
-    ///
-    /// Negative or non-finite durations complete immediately.
-    pub async fn sleep_async(&self, virtual_secs: f64) {
-        if virtual_secs.is_finite() && virtual_secs > 0.0 {
-            minirt::time::sleep(Duration::from_secs_f64(
-                virtual_secs * self.wall_per_virtual,
-            ))
-            .await;
-        }
     }
 }
 
@@ -110,7 +76,15 @@ mod tests {
             "5 ms of wall time is at least 4 virtual seconds"
         );
         assert!(clock.wall_elapsed() >= Duration::from_millis(5));
-        assert_eq!(clock.wall_per_virtual(), 0.001);
+    }
+
+    /// What the type's doctest showed while the type was public.
+    #[test]
+    fn the_clock_never_runs_backwards() {
+        let clock = VirtualClock::new(0.001); // 1 virtual second = 1 ms of wall time
+        let start = clock.now();
+        assert!(start >= 0.0);
+        assert!(clock.now() >= start);
     }
 
     #[test]
@@ -129,20 +103,5 @@ mod tests {
             clock.instant_at_wall(Duration::from_millis(7)) - epoch,
             Duration::from_millis(7)
         );
-    }
-
-    #[test]
-    fn async_sleep_respects_the_scale() {
-        let clock = VirtualClock::new(0.0005);
-        let exec = minirt::Executor::new();
-        let before = Instant::now();
-        exec.block_on(async {
-            clock.sleep_async(10.0).await; // 5 ms of wall time
-            clock.sleep_async(-1.0).await; // immediate
-            clock.sleep_async(f64::NAN).await; // immediate
-        });
-        let elapsed = before.elapsed();
-        assert!(elapsed >= Duration::from_millis(4));
-        assert!(elapsed < Duration::from_millis(500));
     }
 }

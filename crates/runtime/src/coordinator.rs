@@ -11,19 +11,29 @@
 //! Every *decision* — admission, replication, fail-over, when and how to
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives); this module is its runtime actuator.  It owns what
-//! is genuinely the runtime's: the worker registry and spawner, the fabric
-//! envelopes, the §5.2 [`KvCacheEstimator`]s, drain-aware retirement and the
+//! is genuinely the runtime's: the worker table, the fabric with everything
+//! in flight, the §5.2 [`KvCacheEstimator`]s, drain-aware retirement and the
 //! in-flight KV hand-overs.
 //!
-//! There is one loop, [`Coordinator::run_live`] — the session loop behind
-//! [`ServingSession`](crate::ServingSession): requests arrive as control
-//! messages on the inbound channel, completions stream back as they happen,
-//! and mid-run placement deltas can *spawn new workers* for (node, model)
-//! pairs the original build never had.
+//! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
+//! the session loop behind [`ServingSession`](crate::ServingSession).  One
+//! turn ([`Coordinator::turn`]) waits for a session call or for the earliest
+//! thing due (the fabric's queue, an arrival, an injected failure, a policy
+//! tick, the drain budget); handles the session calls; applies every
+//! delivery and batch completion that is due, pass after pass until a fresh
+//! clock reading finds nothing more, and only then starts the batches of
+//! the rows those passes touched — until nothing is due and no row waits;
+//! and then — once per quiescence, not once per delivery — handles what
+//! reached the coordinator (starting what a landed hand-over thawed),
+//! observes, fails nodes, admits, retries what was deferred and
+//! acknowledges drains.  Requests
+//! arrive as control messages on the inbound channel, completions stream
+//! back as they happen, and mid-run placement deltas can add rows for
+//! (node, model) pairs the original build never had.
 //!
 //! When a [`ReplanPolicy`] is configured the loop also closes the online
-//! re-planning feedback: every policy interval the workers' shared
-//! statistics are handed to [`ControlPlane::observe`], and an applied
+//! re-planning feedback: every policy interval the workers' counters are
+//! handed to [`ControlPlane::observe`], and an applied
 //! re-plan is handed over **drain-then-switch** — the affected models'
 //! schedulers and KV estimators are swapped for *new* requests while every
 //! in-flight pipeline keeps the route it was assigned, so nothing is dropped
@@ -31,14 +41,15 @@
 
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
+use crate::fabric::{Event, Fabric};
 use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
 use crate::metrics::RequestOutcome;
-use crate::registry::{WorkerKey, WorkerRegistry, WorkerSpawner};
+use crate::registry::{WorkerKey, Workers};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::{
     Admission, ClusterState, ControlLogs, ControlPlane, EngineCounters, FleetTopology, InFlight,
-    KvCacheEstimator, KvMigration, KvTransferRecord, LayerRange, PlacementDelta, ReplanOutcome,
-    ReplanPolicy, ReplanReason, ReplicationPolicy, Scheduler,
+    KvCacheEstimator, KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy,
+    ReplanReason, ReplicationPolicy, Scheduler,
 };
 use helix_workload::{Request, RequestId};
 use minirt::channel::{Receiver, Sender};
@@ -46,20 +57,10 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Deadline slack absorbing float rounding between virtual-time deadlines and
+/// Slack absorbing float rounding between virtual-time deadlines and
 /// the wall clock, so a wait never wakes an iteration too early and re-arms a
 /// deadline that is microscopically in the past.
 const DEADLINE_SLACK: Duration = Duration::from_micros(1);
-
-/// What arrives on the coordinator's inbound channel, in one FIFO: worker
-/// traffic routed by the fabric and the session's control messages (each
-/// wakes the coordinator's waker-based wait by arriving).
-pub(crate) enum CoordinatorMsg {
-    /// A message from a worker, delivered by the fabric.
-    Runtime(RuntimeMsg),
-    /// A control message from the session.
-    Control(SessionControl),
-}
 
 /// Control messages a [`ServingSession`](crate::ServingSession) sends to its
 /// coordinator; every session call travels this way, in call order.
@@ -72,11 +73,11 @@ pub(crate) enum SessionControl {
     /// Slow every worker of a node, present and future, to the given factor.
     InjectSpeed(NodeId, f64),
     /// Apply a placement delta to the standing fleet plan: re-plan, swap the
-    /// affected models' schedulers, spawn workers for newly added
+    /// affected models' schedulers, add workers for newly added
     /// (node, model) tenancies and retire ones the plan dropped (after their
     /// in-flight pipelines drain).
     ApplyDelta(PlacementDelta),
-    /// Fail a node at the given virtual time: detach its workers, promote
+    /// Fail a node at the given virtual time: retire its workers, promote
     /// replicated in-flight pipelines onto their standbys (or abort and
     /// re-admit), and re-plan around the hole.
     FailNode(NodeId, f64),
@@ -100,12 +101,12 @@ pub(crate) struct CoordinatorSpec {
     pub estimators: Vec<KvCacheEstimator>,
     /// Shared virtual clock.
     pub clock: VirtualClock,
-    /// Messages arriving from workers through the fabric, plus the session's
-    /// control messages.
-    pub inbound: Receiver<CoordinatorMsg>,
-    /// Spawns additional workers when a re-plan adds a tenancy, and holds
-    /// the fabric and the live worker set it routes over.
-    pub spawner: WorkerSpawner,
+    /// The session's control messages.
+    pub inbound: Receiver<SessionControl>,
+    /// The worker table, with a row for every planned tenancy.
+    pub workers: Workers,
+    /// The links and what is in flight on them.
+    pub fabric: Fabric,
     /// Wall-clock budget for the whole run.
     pub max_wall: Duration,
     /// The standing fleet plan, mutated in place by re-plans.
@@ -113,34 +114,32 @@ pub(crate) struct CoordinatorSpec {
     /// When the observation-driven loop fires (None = only explicit deltas
     /// re-plan).
     pub policy: Option<ReplanPolicy>,
+    /// The completion stream of the live loop.
+    pub completions: Sender<RequestOutcome>,
 }
 
 /// The coordinator's runtime view of the cluster for one model, used by that
 /// model's scheduler.
 ///
-/// Queue lengths and recent throughput come from the model's workers' shared
-/// statistics (the runtime equivalent of the paper's runtime monitoring);
+/// Queue lengths and recent throughput are read off the model's rows of the
+/// worker table (the runtime equivalent of the paper's runtime monitoring);
 /// KV usage comes from the model's coordinator-side estimator, exactly as in
 /// §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
     estimators: &'a [KvCacheEstimator],
-    registry: &'a WorkerRegistry,
+    workers: &'a Workers,
 }
 
 impl ClusterState for CoordinatorView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
-        self.registry
-            .stats((node, self.model))
-            .map(|s| s.borrow().queue_len)
-            .unwrap_or(0)
+        let worker = self.workers.get((node, self.model));
+        worker.map_or(0, |w| w.core.queue_len())
     }
 
     fn recent_throughput(&self, node: NodeId) -> f64 {
-        self.registry
-            .stats((node, self.model))
-            .map(|s| s.borrow().recent_throughput)
-            .unwrap_or(0.0)
+        let worker = self.workers.get((node, self.model));
+        worker.map_or(0.0, |w| w.core.recent_throughput())
     }
 
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
@@ -158,8 +157,9 @@ pub(crate) struct Coordinator {
     control: ControlPlane,
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
-    inbound: Receiver<CoordinatorMsg>,
-    spawner: WorkerSpawner,
+    inbound: Receiver<SessionControl>,
+    pub workers: Workers,
+    pub fabric: Fabric,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
     /// Workers the plan dropped, awaiting their in-flight pipelines to drain.
@@ -167,17 +167,30 @@ pub(crate) struct Coordinator {
     /// KV hand-overs in flight, with the virtual time each freeze began.
     /// Drains wait for these; each resolves on the matching `KvInstalled`.
     /// Freezes are layer-scoped: each pending migration holds exactly one
-    /// `Freeze(layers)` on each endpoint, and overlapping hand-overs stack
+    /// freeze of its range on each endpoint, and overlapping hand-overs stack
     /// their ranges on the worker rather than refcounting here.  A model with
     /// a hand-over pending keeps its old scheduler (freeze → transfer →
     /// re-route → resume).
     pending_migrations: Vec<(KvMigration, f64)>,
     /// Completed KV hand-overs, for the final report.
     kv_transfers: Vec<KvTransferRecord>,
-    /// The completion stream of the live loop.
-    completions: Option<Sender<RequestOutcome>>,
+    completions: Sender<RequestOutcome>,
     /// Injected failures not yet due: `(virtual time, node)`.
     pending_failures: Vec<(f64, NodeId)>,
+    /// Submitted requests whose arrival time has not passed, in submission
+    /// order.
+    pending: VecDeque<Request>,
+    /// Requests every candidate masked out, retried once per turn.
+    deferred: VecDeque<Request>,
+    drain_acks: Vec<Sender<()>>,
+    /// What the fabric delivered to the coordinator during this turn's
+    /// passes, in delivery order.
+    arrived: VecDeque<RuntimeMsg>,
+    finishing: bool,
+    submitted: usize,
+    /// Wall-clock mark of when the current drain began; the budget bounds
+    /// each drain, not the session's lifetime.
+    drain_started: Option<Duration>,
 }
 
 impl Coordinator {
@@ -194,198 +207,249 @@ impl Coordinator {
             estimators: spec.estimators,
             clock: spec.clock,
             inbound: spec.inbound,
-            spawner: spec.spawner,
+            workers: spec.workers,
+            fabric: spec.fabric,
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
             pending_retire: HashSet::new(),
             pending_migrations: Vec::new(),
             kv_transfers: Vec::new(),
-            completions: None,
+            completions: spec.completions,
             pending_failures: Vec::new(),
+            pending: VecDeque::new(),
+            deferred: VecDeque::new(),
+            drain_acks: Vec::new(),
+            arrived: VecDeque::new(),
+            finishing: false,
+            submitted: 0,
+            drain_started: None,
         }
     }
 
     /// Everything the run accumulated besides the outcomes, for the final
     /// report.
-    pub(crate) fn into_logs(mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
-        (self.control.take_logs(), self.kv_transfers)
+    pub(crate) fn take_logs(&mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
+        let kv_transfers = std::mem::take(&mut self.kv_transfers);
+        (self.control.take_logs(), kv_transfers)
     }
 
-    /// The live session loop: requests, placement deltas and drain/finish
-    /// commands arrive on the inbound channel beside the workers' events;
-    /// completions stream out over `completions` as they happen.
+    /// The data plane's loop: requests, placement deltas and drain/finish
+    /// commands arrive on the inbound channel; completions stream out as
+    /// they happen.
     ///
     /// Requests are admitted when their `arrival_time` (virtual seconds)
     /// passes, so submit-all-then-drain replays a workload's arrival
     /// process.  The wall-clock budget is enforced only while a drain or
     /// finish is pending — an idle session may live indefinitely, parked on
-    /// its inbound channel's waker at zero cost.
-    pub(crate) async fn run_live(
-        &mut self,
-        completions: Sender<RequestOutcome>,
-    ) -> Result<Vec<RequestOutcome>, RuntimeError> {
-        self.completions = Some(completions);
-        let mut pending: VecDeque<Request> = VecDeque::new();
-        let mut deferred: VecDeque<Request> = VecDeque::new();
-        let mut drain_acks: Vec<Sender<()>> = Vec::new();
-        let mut finishing = false;
-        let mut submitted = 0usize;
-        // Wall-clock mark of when the current drain began; the budget bounds
-        // each drain, not the session's lifetime.
-        let mut drain_started: Option<Duration> = None;
-
+    /// its inbound channel's waker at zero cost.  The loop returns once no
+    /// request, KV hand-over or injected failure is pending; the `Release`s
+    /// of the last completions may still sit in the fabric's queue and are
+    /// dropped with it — the report reads only counters taken at the send
+    /// and cumulative ones, so teardown is that return.
+    pub(crate) async fn run_live(&mut self) -> Result<Vec<RequestOutcome>, RuntimeError> {
+        // A session that is gone — its `Drop` says `Finish`, then its sender
+        // closes the channel — has nothing more to say: the loop finishes
+        // what is in flight on its deadlines alone (a finishing plane always
+        // has one, the drain budget).
+        let mut open = true;
         loop {
-            // 1. Wait for the next message on the channel's waker.  Deadlines
-            // exist only to pace deferred arrivals, injected failures, policy
-            // ticks and the drain budget — a fully idle session waits with
-            // *no* deadline at all.
-            let next_arrival = pending
-                .iter()
-                .map(|r| r.arrival_time)
-                .chain(self.pending_failures.iter().map(|&(at, _)| at))
-                .fold(f64::INFINITY, f64::min);
-            let mut deadline: Option<Instant> = None;
-            if next_arrival.is_finite() {
-                deadline = Some(self.clock.instant_at(next_arrival));
-            }
-            if let Some(at) = self.next_policy_deadline() {
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
-            }
-            if let Some(started) = drain_started {
-                let at = self.clock.instant_at_wall(started + self.max_wall);
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
-            }
-            let received = match deadline {
-                Some(at) => minirt::time::timeout_at(at + DEADLINE_SLACK, self.inbound.recv())
-                    .await
-                    .ok(),
+            // Wait for the next session call on the channel's waker, or for
+            // the earliest thing due — a fully idle session waits with *no*
+            // deadline at all.
+            let received = match self.next_wake() {
+                Some(at) if !open => {
+                    minirt::time::sleep_until(at).await;
+                    None
+                }
+                Some(at) => minirt::time::timeout_at(at, self.inbound.recv()).await.ok(),
                 None => Some(self.inbound.recv().await),
             };
-            let mut next = match received {
-                Some(Ok(msg)) => Some(msg),
-                Some(Err(_)) => return Err(RuntimeError::Disconnected("network fabric")),
-                None => None,
-            };
-
-            // 2. Handle it and everything queued behind it, in arrival order.
-            while let Some(msg) = next {
-                match msg {
-                    CoordinatorMsg::Runtime(msg) => self.handle(msg)?,
-                    CoordinatorMsg::Control(SessionControl::Submit(request)) => {
-                        submitted += 1;
-                        pending.push_back(request);
-                    }
-                    CoordinatorMsg::Control(SessionControl::SubmitAll(requests)) => {
-                        submitted += requests.len();
-                        pending.extend(requests);
-                    }
-                    CoordinatorMsg::Control(SessionControl::InjectSpeed(node, factor)) => {
-                        self.spawner.set_speed(node, factor);
-                    }
-                    CoordinatorMsg::Control(SessionControl::ApplyDelta(delta)) => {
-                        let now = self.clock.now();
-                        let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
-                        self.hand_over(outcome, now);
-                    }
-                    CoordinatorMsg::Control(SessionControl::FailNode(node, at)) => {
-                        self.pending_failures.push((at, node));
-                    }
-                    CoordinatorMsg::Control(SessionControl::SetReplication(policy)) => {
-                        self.control.set_replication(policy);
-                    }
-                    CoordinatorMsg::Control(SessionControl::Drain(ack)) => drain_acks.push(ack),
-                    CoordinatorMsg::Control(SessionControl::Finish) => finishing = true,
-                }
-                next = self.inbound.try_recv().ok();
-            }
-            let draining = finishing || !drain_acks.is_empty();
-
-            // 3. Observe, consult the policy, re-plan, hand over.
-            self.maybe_replan();
-
-            // 4. The wall budget guards each drain (measured from when the
-            // drain began until it is acknowledged), never idle session time.
-            if draining {
-                let started = *drain_started.get_or_insert_with(|| self.clock.wall_elapsed());
-                if self.clock.wall_elapsed().saturating_sub(started) > self.max_wall {
-                    return Err(RuntimeError::WallClockBudgetExceeded {
-                        budget: self.max_wall,
-                        completed: self.outcomes.len(),
-                        total: submitted,
-                    });
-                }
-            }
-
-            // 5. Fire injected node failures whose virtual time has passed:
-            // promote replicated in-flight pipelines, abort the rest and
-            // queue them for re-admission through the normal path.
-            let now = self.clock.now();
-            let mut due = Vec::new();
-            self.pending_failures.retain(|&(at, node)| {
-                if at <= now {
-                    due.push(node);
-                }
-                at > now
+            let first = received.map(|msg| {
+                msg.unwrap_or_else(|_| {
+                    open = false;
+                    SessionControl::Finish
+                })
             });
-            if !due.is_empty() {
-                pending.extend(self.fail_nodes(&due, now)?);
-            }
-
-            // 6. Admit every request whose arrival time has passed, in
-            // submission order.
-            for _ in 0..pending.len() {
-                let request = pending.pop_front().expect("bounded by len");
-                if request.arrival_time <= now {
-                    if !self.try_dispatch(request)? {
-                        deferred.push_back(request);
-                    }
-                } else {
-                    pending.push_back(request);
-                }
-            }
-            // 7. Retry requests every candidate masked out earlier.
-            for _ in 0..deferred.len() {
-                let request = deferred.pop_front().expect("bounded by len");
-                if !self.try_dispatch(request)? {
-                    deferred.push_back(request);
-                }
-            }
-            // Deferred work is only genuinely stuck when nothing can still
-            // unmask a candidate: an in-flight completion frees KV, a landed
-            // transfer lifts its freeze, and a due failure re-plans — so a
-            // pending migration or failure postpones the stall verdict.
-            if draining
-                && !deferred.is_empty()
-                && self.control.in_flight_len() == 0
-                && self.pending_migrations.is_empty()
-                && self.pending_failures.is_empty()
-            {
-                return Err(RuntimeError::Stalled {
-                    pending: deferred.len() + pending.len(),
-                    completed: self.outcomes.len(),
-                });
-            }
-
-            // 8. Acknowledge drains once everything in sight completed —
-            // including any KV hand-over still in flight (its frozen workers
-            // resume before the drain resolves).
-            if draining
-                && pending.is_empty()
-                && deferred.is_empty()
-                && self.control.in_flight_len() == 0
-                && self.pending_migrations.is_empty()
-                && self.pending_failures.is_empty()
-            {
-                for ack in drain_acks.drain(..) {
-                    let _ = ack.send(());
-                }
-                drain_started = None;
-                if finishing {
-                    break;
-                }
+            if self.turn(first)? {
+                return Ok(std::mem::take(&mut self.outcomes));
             }
         }
-        Ok(std::mem::take(&mut self.outcomes))
+    }
+
+    /// When the loop has something to do without being called: the earliest
+    /// of the fabric's queue, the next arrival or injected failure, the next
+    /// policy tick and the drain budget.
+    fn next_wake(&self) -> Option<Instant> {
+        let arrivals = self.pending.iter().map(|r| r.arrival_time);
+        let failures = self.pending_failures.iter().map(|&(at, _)| at);
+        let paced = arrivals
+            .chain(failures)
+            .chain(self.next_policy_check())
+            .fold(f64::INFINITY, f64::min);
+        let paced = paced.is_finite().then(|| self.clock.instant_at(paced));
+        let budget = self.drain_started;
+        let budget = budget.map(|started| self.clock.instant_at_wall(started + self.max_wall));
+        // A queue entry is waited for to the instant: a microsecond of slack
+        // is several deliveries on a fast link.
+        let due = self.fabric.next_at().map(|at| self.clock.instant_at(at));
+        let slacked = [paced, budget].into_iter().flatten().min();
+        let slacked = slacked.map(|at| at + DEADLINE_SLACK);
+        [slacked, due].into_iter().flatten().min()
+    }
+
+    /// One turn of the loop, after its wait: `first` is the session call
+    /// that ended the wait, if one did.  Returns whether the session
+    /// finished.
+    fn turn(&mut self, first: Option<SessionControl>) -> Result<bool, RuntimeError> {
+        // 1. The session's calls, in call order.
+        let mut next = first;
+        while let Some(msg) = next {
+            match msg {
+                SessionControl::Submit(request) => {
+                    self.submitted += 1;
+                    self.pending.push_back(request);
+                }
+                SessionControl::SubmitAll(requests) => {
+                    self.submitted += requests.len();
+                    self.pending.extend(requests);
+                }
+                SessionControl::InjectSpeed(node, factor) => self.workers.set_speed(node, factor),
+                SessionControl::ApplyDelta(delta) => {
+                    let now = self.clock.now();
+                    let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
+                    self.hand_over(outcome, now);
+                }
+                SessionControl::FailNode(node, at) => self.pending_failures.push((at, node)),
+                SessionControl::SetReplication(policy) => self.control.set_replication(policy),
+                SessionControl::Drain(ack) => self.drain_acks.push(ack),
+                SessionControl::Finish => self.finishing = true,
+            }
+            next = self.inbound.try_recv().ok();
+        }
+        let draining = self.finishing || !self.drain_acks.is_empty();
+
+        // 2. Everything due on the data plane, until nothing is — and only
+        // then what it delivered to the coordinator and steps 3–8, once per
+        // quiescence rather than once per delivery pass: each round retries
+        // every deferred admission, and work dispatched between two passes
+        // fragments the batches of both.
+        let clock = self.clock;
+        let now = self.run_due(|| clock.now());
+        while let Some(msg) = self.arrived.pop_front() {
+            self.handle(msg, now);
+        }
+        // A landed hand-over thawed its rows: what they held starts now,
+        // and its sends or completion give the next wait its deadline.
+        self.workers.start_touched(now, &mut self.fabric);
+
+        // 3. Observe, consult the policy, re-plan, hand over.
+        self.maybe_replan(now);
+
+        // 4. The wall budget guards each drain (measured from when the
+        // drain began until it is acknowledged), never idle session time.
+        if draining {
+            let wall = self.clock.wall_elapsed();
+            let started = *self.drain_started.get_or_insert(wall);
+            if wall.saturating_sub(started) > self.max_wall {
+                return Err(RuntimeError::WallClockBudgetExceeded {
+                    budget: self.max_wall,
+                    completed: self.outcomes.len(),
+                    total: self.submitted,
+                });
+            }
+        }
+
+        // 5. Fire injected node failures whose virtual time has passed:
+        // promote replicated in-flight pipelines, abort the rest and
+        // queue them for re-admission through the normal path.
+        let mut due = Vec::new();
+        self.pending_failures.retain(|&(at, node)| {
+            if at <= now {
+                due.push(node);
+            }
+            at > now
+        });
+        if !due.is_empty() {
+            let stranded = self.fail_nodes(&due, now);
+            self.pending.extend(stranded);
+        }
+
+        // 6. Admit every request whose arrival time has passed, in
+        // submission order.
+        for _ in 0..self.pending.len() {
+            let request = self.pending.pop_front().expect("bounded by len");
+            if request.arrival_time > now {
+                self.pending.push_back(request);
+            } else if !self.try_dispatch(request)? {
+                self.deferred.push_back(request);
+            }
+        }
+        // 7. Retry requests every candidate masked out earlier.
+        for _ in 0..self.deferred.len() {
+            let request = self.deferred.pop_front().expect("bounded by len");
+            if !self.try_dispatch(request)? {
+                self.deferred.push_back(request);
+            }
+        }
+        // Deferred work is only genuinely stuck when nothing can still
+        // unmask a candidate: an in-flight completion frees KV, a landed
+        // transfer lifts its freeze, and a due failure re-plans — so a
+        // pending migration or failure postpones the stall verdict.
+        let settled = self.control.in_flight_len() == 0
+            && self.pending_migrations.is_empty()
+            && self.pending_failures.is_empty();
+        if draining && settled && !self.deferred.is_empty() {
+            return Err(RuntimeError::Stalled {
+                pending: self.deferred.len() + self.pending.len(),
+                completed: self.outcomes.len(),
+            });
+        }
+
+        // 8. Acknowledge drains once everything in sight completed —
+        // including any KV hand-over still in flight (its frozen workers
+        // resume before the drain resolves).
+        if draining && settled && self.pending.is_empty() {
+            for ack in self.drain_acks.drain(..) {
+                let _ = ack.send(());
+            }
+            self.drain_started = None;
+            return Ok(self.finishing);
+        }
+        Ok(false)
+    }
+
+    /// Applies every queue entry that is due, in `(at, seq)` order, one pass
+    /// per clock reading: a delivery is a call on its row (the coordinator's
+    /// own wait in `arrived` for the end of the turn).  The rows the passes
+    /// touched start their batches once a fresh reading finds nothing more
+    /// due — so everything that has arrived by the time a batch starts joins
+    /// it (§5.1's rule), however fast a pass is.  Zero-duration batches and
+    /// fast links make new entries due at once; the loop ends when nothing is
+    /// due and no row is waiting to start.  `read` is the clock (virtual
+    /// seconds; a test scripts it); returns its last reading.
+    fn run_due(&mut self, mut read: impl FnMut() -> f64) -> f64 {
+        loop {
+            let now = read();
+            let mut applied = false;
+            while let Some((at, event)) = self.fabric.pop_due(now) {
+                applied = true;
+                match event {
+                    Event::Deliver(envelope) => match envelope.to {
+                        Some(node) => {
+                            let key = (node, envelope.model);
+                            self.workers.deliver(key, envelope.msg, &mut self.fabric);
+                        }
+                        None => self.arrived.push_back(envelope.msg),
+                    },
+                    Event::BatchDone(key) => {
+                        self.workers.batch_done(key, at, now, &mut self.fabric);
+                    }
+                }
+            }
+            if !applied && !self.workers.start_touched(now, &mut self.fabric) {
+                return now;
+            }
+        }
     }
 
     /// When the next observation-window check is due (virtual seconds), if
@@ -395,33 +459,22 @@ impl Coordinator {
         Some(self.control.last_check() + policy.check_interval_secs)
     }
 
-    /// The wake-up deadline of the next policy check for the waker-based
-    /// waits.
-    fn next_policy_deadline(&self) -> Option<Instant> {
-        self.next_policy_check().map(|at| self.clock.instant_at(at))
-    }
-
     /// One observation-window check of the online re-planning loop, when
-    /// due: every live worker's shared statistics go to the control plane,
-    /// and a re-plan it applies is handed over.
-    fn maybe_replan(&mut self) {
-        // No policy, no clock read: this runs once per loop iteration.
-        let Some(due) = self.next_policy_check() else {
-            return;
-        };
-        let now = self.clock.now();
-        if now < due {
+    /// due: every live worker's counters go to the control plane, and a
+    /// re-plan it applies is handed over.
+    fn maybe_replan(&mut self, now: f64) {
+        if self.next_policy_check().is_none_or(|due| now < due) {
             return;
         }
-        let stats = self.spawner.registry.live_stats_snapshot().into_iter();
-        let counters: Vec<_> = stats
-            .map(|((node, model), stats)| {
+        let live = self.workers.rows().into_iter().filter(|w| w.live);
+        let counters: Vec<_> = live
+            .map(|w| {
                 let counters = EngineCounters {
-                    nominal_busy_secs: stats.nominal_busy_secs,
-                    busy_secs: stats.busy_secs,
-                    tokens: stats.prompt_tokens + stats.decode_tokens,
+                    nominal_busy_secs: w.nominal_busy_secs,
+                    busy_secs: w.busy_secs,
+                    tokens: w.prompt_tokens + w.decode_tokens,
                 };
-                (node, model, counters)
+                (w.key.0, w.key.1, counters)
             })
             .collect();
         let outcome = self.control.observe(now, &counters);
@@ -430,10 +483,10 @@ impl Coordinator {
 
     /// Actuates one applied re-plan (`None`: it was infeasible or not due,
     /// and the current plan keeps serving): swaps the affected models' KV
-    /// budgets for *new* requests (drain-then-switch), spawns workers for
-    /// (node, model) tenancies the delta added, queues drain-aware
-    /// retirement for ones it dropped, and starts the KV transfer of every
-    /// migration.
+    /// budgets for *new* requests (drain-then-switch), puts the rows of
+    /// (node, model) tenancies the delta added in service, queues
+    /// drain-aware retirement for ones it dropped, and starts the KV
+    /// transfer of every migration.
     fn hand_over(&mut self, outcome: Option<ReplanOutcome>, now: f64) {
         let Some(outcome) = outcome else {
             return;
@@ -441,11 +494,11 @@ impl Coordinator {
         let fleet = self.control.fleet();
         for &model in &outcome.affected {
             // Re-derived KV budgets, and dynamic membership — a tenancy the
-            // delta added gets a live worker on the spot, routable through
-            // the fabric immediately (a migration destination must exist
-            // before the pages can land).  New workers execute at the
-            // analytic contention split; measured speed factors re-price
-            // planning, not execution.
+            // delta added has a live row on the spot, routable through the
+            // fabric immediately (a migration destination must exist before
+            // the pages can land), and a surviving one takes the new facts
+            // in place.  Workers execute at the analytic contention split;
+            // measured speed factors re-price planning, not execution.
             let contention = fleet.contention_profile(model);
             let mut planned_nodes: HashSet<NodeId> = HashSet::new();
             for n in fleet.topologies()[model.index()].nodes() {
@@ -453,28 +506,21 @@ impl Coordinator {
                 planned_nodes.insert(n.node);
                 self.estimators[model.index()].set_capacity(n.node, kv_capacity_tokens);
                 self.pending_retire.remove(&(n.node, model));
-                self.spawner.spawn(
-                    &contention,
-                    n.node,
-                    model,
-                    &n.name,
-                    layers,
-                    kv_capacity_tokens,
-                );
+                let key = (n.node, model);
+                self.workers
+                    .plan(&contention, key, &n.name, layers, kv_capacity_tokens);
             }
             // Pairs the plan no longer includes keep serving their in-flight
-            // pipelines and are detached once those drain; new requests
+            // pipelines and are retired once those drain; new requests
             // already steer around them.
-            for key in self.spawner.registry.live_keys_for_model(model) {
-                if !planned_nodes.contains(&key.0) {
-                    self.pending_retire.insert(key);
-                }
-            }
+            let live = self.workers.live_of_model(model).map(|w| w.key);
+            let dropped = live.filter(|key| !planned_nodes.contains(&key.0));
+            self.pending_retire.extend(dropped);
         }
         // Initiate each migration's KV transfer — freeze the *migrated layer
         // range* on both ends (work on other layers keeps executing;
-        // overlapping hand-overs stack their ranges on the worker), then ask
-        // the source to extract its pool through the fabric as a pipelined
+        // overlapping hand-overs stack their ranges on the worker), then
+        // have the source ship its pool through the fabric as a pipelined
         // chunk stream (the pages queue behind — and interleave with —
         // activation traffic on the `from → to` link).  `KvInstalled`
         // re-routes and resumes.
@@ -485,19 +531,15 @@ impl Coordinator {
                 to,
                 layers,
             } = migration;
-            let registry = &self.spawner.registry;
-            if registry.is_routable((from, model)) {
-                registry.deliver((from, model), RuntimeMsg::Freeze(layers));
-                registry.deliver((to, model), RuntimeMsg::Freeze(layers));
-                let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
-                    .model()
-                    .kv_bytes_per_token_per_layer();
-                let extract = RuntimeMsg::KvExtract {
-                    to,
-                    layers,
-                    kv_bytes_per_token_per_layer,
-                };
-                registry.deliver((from, model), extract);
+            let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
+                .model()
+                .kv_bytes_per_token_per_layer();
+            if let Some(source) = self.workers.live_mut((from, model)) {
+                source.core.freeze(layers, f64::INFINITY);
+                source.extract_kv(to, layers, kv_bytes_per_token_per_layer, &mut self.fabric);
+                if let Some(destination) = self.workers.live_mut((to, model)) {
+                    destination.core.freeze(layers, f64::INFINITY);
+                }
                 self.pending_migrations.push((migration, now));
             }
             self.reroute_when_settled(model);
@@ -517,7 +559,7 @@ impl Coordinator {
         }
     }
 
-    /// Detaches every pending-retire worker whose in-flight pipelines have
+    /// Retires every pending-retire worker whose in-flight pipelines have
     /// all drained (drain-then-switch: the worker keeps executing the routes
     /// it was already part of, and disappears only when they finish).
     fn sweep_retirements(&mut self) {
@@ -544,7 +586,7 @@ impl Coordinator {
             .collect();
         for key in ready {
             self.pending_retire.remove(&key);
-            self.spawner.registry.detach(key);
+            self.workers.retire(key);
         }
     }
 
@@ -557,7 +599,7 @@ impl Coordinator {
         let view = CoordinatorView {
             model,
             estimators: &self.estimators,
-            registry: &self.spawner.registry,
+            workers: &self.workers,
         };
         let Admission::Dispatch(dispatch) = self.control.admit(&request, &view)? else {
             return Ok(false);
@@ -578,7 +620,7 @@ impl Coordinator {
             // every promoted stage (the fail-over purge released them;
             // per-link FIFO delivers the purge first).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
-                self.spawner.fabric.send(Envelope {
+                self.fabric.send(Envelope {
                     from: None,
                     to: Some(stage.node),
                     model,
@@ -596,7 +638,7 @@ impl Coordinator {
                 });
             }
         }
-        self.spawner.fabric.send(Envelope {
+        self.fabric.send(Envelope {
             from: None,
             to: Some(dispatch.pipeline.stages[0].node),
             model,
@@ -614,24 +656,23 @@ impl Coordinator {
         Ok(true)
     }
 
-    /// Fails `nodes` together at `now`: their workers are detached (their
-    /// in-flight work is lost, and messages routed to them from here on drop
-    /// harmlessly), every pipeline the control plane reports stranded has
-    /// its KV purged, and the removal re-plan is handed over.  Returns the
-    /// stranded requests for re-submission — the control plane resumes the
-    /// promoted ones on their replicas and re-admits the rest from scratch.
-    fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Result<Vec<Request>, RuntimeError> {
+    /// Fails `nodes` together at `now`: their workers are retired (what they
+    /// had queued or executing is lost, and messages routed to them from
+    /// here on drop harmlessly), every pipeline the control plane reports
+    /// stranded has its KV purged, and the removal re-plan is handed over.
+    /// Returns the stranded requests for re-submission — the control plane
+    /// resumes the promoted ones on their replicas and re-admits the rest
+    /// from scratch.
+    fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Vec<Request> {
         for &node in nodes {
             for m in 0..self.control.fleet().num_models() {
                 let key = (node, ModelId(m));
                 self.pending_retire.remove(&key);
-                if self.spawner.registry.is_routable(key) {
-                    self.spawner.registry.detach(key);
-                }
+                self.workers.retire(key);
             }
         }
-        let registry = &self.spawner.registry;
-        let is_live = |node, model| registry.is_routable((node, model));
+        let workers = &self.workers;
+        let is_live = |node, model| workers.is_live((node, model));
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
         let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
         for flight in &failover.stranded {
@@ -639,7 +680,7 @@ impl Coordinator {
         }
         self.hand_over(failover.replan, now);
         self.sweep_retirements();
-        Ok(failover.stranded.iter().map(|f| f.request).collect())
+        failover.stranded.iter().map(|f| f.request).collect()
     }
 
     /// Frees what one finished or aborted incarnation held: its estimator
@@ -656,10 +697,10 @@ impl Coordinator {
                 estimator.release_shared(stage.node, p.id);
             }
         }
-        for (node, _) in self.spawner.registry.live_keys_for_model(model) {
-            self.spawner.fabric.send(Envelope {
+        for worker in self.workers.live_of_model(model) {
+            self.fabric.send(Envelope {
                 from: None,
-                to: Some(node),
+                to: Some(worker.key.0),
                 model,
                 bytes: TOKEN_WIRE_BYTES,
                 msg: RuntimeMsg::Release(flight.request.id),
@@ -667,7 +708,8 @@ impl Coordinator {
         }
     }
 
-    fn handle(&mut self, msg: RuntimeMsg) -> Result<(), RuntimeError> {
+    /// Applies one message the fabric delivered to the coordinator.
+    fn handle(&mut self, msg: RuntimeMsg, now: f64) {
         let RuntimeMsg::IterationDone {
             request,
             emitted_at,
@@ -685,16 +727,22 @@ impl Coordinator {
                 bytes,
             } = msg
             {
-                self.finish_migration(model, from, to, layers, tokens, pages, bytes);
+                let migration = KvMigration {
+                    model,
+                    from,
+                    to,
+                    layers,
+                };
+                self.finish_migration(migration, tokens, pages, bytes, now);
             }
-            // Work/Release/Shutdown are worker-bound; nothing else to do.
-            return Ok(());
+            // Everything else is worker-bound; nothing to do.
+            return;
         };
         // `None`: a stale incarnation — pre-failure work was still draining
         // through surviving stages when the request was promoted or
         // re-admitted.
         let Some(progress) = self.control.on_token(request, epoch, emitted_at) else {
-            return Ok(());
+            return;
         };
         if progress.finished {
             return self.finish(request, emitted_at);
@@ -710,7 +758,7 @@ impl Coordinator {
         // tokens as KV residency — replication steals link bandwidth and KV
         // headroom, which is exactly the trade-off measured.
         for chunk in &progress.chunks {
-            self.spawner.fabric.send(Envelope {
+            self.fabric.send(Envelope {
                 from: Some(chunk.primary),
                 to: Some(chunk.standby),
                 model,
@@ -727,7 +775,7 @@ impl Coordinator {
                 },
             });
         }
-        self.spawner.fabric.send(Envelope {
+        self.fabric.send(Envelope {
             from: None,
             to: Some(pipeline.stages[0].node),
             model,
@@ -742,31 +790,20 @@ impl Coordinator {
                 prefix: None,
             }),
         });
-        Ok(())
     }
 
     /// Completes one KV hand-over: records the transfer, re-routes once the
     /// model's last pending transfer landed, and thaws the migrated layer
     /// range on both ends (an endpoint with another hand-over still in
     /// flight keeps that other range frozen).
-    #[allow(clippy::too_many_arguments)]
     fn finish_migration(
         &mut self,
-        model: ModelId,
-        from: NodeId,
-        to: NodeId,
-        layers: LayerRange,
+        migration: KvMigration,
         tokens: u64,
         pages: u64,
         bytes: f64,
+        now: f64,
     ) {
-        let now = self.clock.now();
-        let migration = KvMigration {
-            model,
-            from,
-            to,
-            layers,
-        };
         // Resolve the exact pending entry this `KvInstalled` acknowledges
         // (a migration is unique by (model, from, to, layers) at any time:
         // resolution would reject re-moving layers the source gave up).
@@ -786,17 +823,17 @@ impl Coordinator {
             bytes,
             transfer_secs: (now - started).max(0.0),
         });
-        self.reroute_when_settled(model);
-        let registry = &self.spawner.registry;
-        registry.deliver((from, model), RuntimeMsg::Resume(layers));
-        registry.deliver((to, model), RuntimeMsg::Resume(layers));
+        self.reroute_when_settled(migration.model);
+        for node in [migration.from, migration.to] {
+            self.workers.thaw((node, migration.model), migration.layers);
+        }
     }
 
     /// Completes a request: records its outcome and frees everything it
     /// held on the data plane.
-    fn finish(&mut self, request: RequestId, completed_at: f64) -> Result<(), RuntimeError> {
+    fn finish(&mut self, request: RequestId, completed_at: f64) {
         let Some(flight) = self.control.finish(request) else {
-            return Ok(());
+            return;
         };
         self.release_kv(&flight);
         let outcome = RequestOutcome {
@@ -809,12 +846,259 @@ impl Coordinator {
             completed_at,
             pipeline_depth: flight.pipeline.stages.len(),
         };
-        if let Some(tx) = &self.completions {
-            let _ = tx.send(outcome);
-        }
+        let _ = self.completions.send(outcome);
         self.outcomes.push(outcome);
         // A completed pipeline may free a pending-retire worker.
         self.sweep_retirements();
-        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{self, PlaneSpec, RuntimeConfig};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+    use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
+    use helix_core::{LayerRange, SchedulerKind, Topology};
+    use minirt::channel::unbounded;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// IWRR for the first request; every later call is counted and finds
+    /// every candidate masked, so each admission round shows as one call.
+    struct FirstOnly {
+        inner: IwrrScheduler,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl Scheduler for FirstOnly {
+        fn kind(&self) -> SchedulerKind {
+            self.inner.kind()
+        }
+
+        fn schedule(&mut self, state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                return self.inner.schedule(state);
+            }
+            let reason = NoCandidateReason::AllMasked { layer: 0 };
+            Err(HelixError::NoCandidateAvailable { reason })
+        }
+    }
+
+    /// The plane `runtime::run` builds — petals placement of LLaMA-30B on
+    /// the 10-node study cluster, instant execution — with the far ends of
+    /// its two channels; no thread, no executor: a test calls `turn`.
+    fn plane(
+        scheduler: impl FnOnce(&Topology) -> Box<dyn Scheduler>,
+        wall_per_virtual: f64,
+    ) -> (
+        Coordinator,
+        Sender<SessionControl>,
+        Receiver<RequestOutcome>,
+    ) {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let placement = heuristics::petals_placement(&profile).unwrap();
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let config = RuntimeConfig {
+            wall_per_virtual,
+            ..RuntimeConfig::fast_test()
+        };
+        let (control, inbound) = unbounded();
+        let (completions, completed) = unbounded();
+        let coordinator = runtime::build(PlaneSpec {
+            schedulers: vec![scheduler(&topology)],
+            fleet: FleetTopology::single(topology),
+            clock: VirtualClock::new(config.wall_per_virtual),
+            config,
+            policy: None,
+            inbound,
+            completions,
+        });
+        (coordinator, control, completed)
+    }
+
+    fn iwrr(topology: &Topology) -> Box<dyn Scheduler> {
+        Box::new(IwrrScheduler::from_topology(topology).unwrap())
+    }
+
+    fn request(id: u64) -> Request {
+        Request {
+            id,
+            prompt_tokens: 32,
+            output_tokens: 6,
+            ..Request::default()
+        }
+    }
+
+    /// The first live row of the plane, and one-stage work for it.
+    fn first_row(coordinator: &Coordinator) -> WorkerKey {
+        coordinator.workers.rows()[0].key
+    }
+
+    fn work_for(key: WorkerKey, request: u64) -> RuntimeMsg {
+        RuntimeMsg::Work(StageWork::one_stage(request, key.0, key.1))
+    }
+
+    /// PR 22's first finding, held without an executor: the loop's turn is a
+    /// plain call.  At a nanosecond of wall per virtual second every send is
+    /// due by the next clock reading, so one turn is many delivery passes —
+    /// a whole pipeline traversal — and still exactly one admission round.
+    #[test]
+    fn admission_and_retries_run_once_per_quiescence_not_once_per_pass() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let scripted = |topology: &Topology| -> Box<dyn Scheduler> {
+            Box::new(FirstOnly {
+                inner: IwrrScheduler::from_topology(topology).unwrap(),
+                calls: Arc::clone(&calls),
+            })
+        };
+        let (mut coordinator, control, completed) = plane(scripted, 1e-9);
+        let submit = SessionControl::SubmitAll(vec![request(0), request(1)]);
+
+        // Turn 1 admits request 0 and defers request 1 (calls 1 and 2), then
+        // retries it (call 3); every later turn retries it once more.
+        let mut turns = 1;
+        assert!(!coordinator.turn(Some(submit)).unwrap());
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        while completed.try_recv().is_err() {
+            assert!(!coordinator.turn(None).unwrap());
+            turns += 1;
+            assert!(turns < 1_000, "request 0 never completed");
+        }
+        // One turn per iteration of request 0, each a pipeline of several
+        // hops — several passes — and one admission round.
+        assert!(turns >= 6, "{turns} turns");
+        let batches: u64 = coordinator.workers.rows().iter().map(|w| w.batches).sum();
+        assert!(
+            batches > 2 * turns as u64,
+            "{batches} batches in {turns} turns"
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 2 + turns);
+
+        // Nothing in flight, request 1 still masked: finishing stalls.
+        let stalled = coordinator.turn(Some(SessionControl::Finish));
+        assert!(matches!(
+            stalled,
+            Err(RuntimeError::Stalled {
+                pending: 1,
+                completed: 1
+            })
+        ));
+        drop(control);
+    }
+
+    /// `run_due`'s catch-up rule on a scripted clock: a row's batch starts
+    /// only once a reading finds nothing more due, so a second wave that
+    /// comes due between two readings joins the batch of the first.
+    #[test]
+    fn what_comes_due_between_two_readings_joins_the_same_batch() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
+        let key = first_row(&coordinator);
+        // Two items for one row on one link, the second behind a second of
+        // transfer: due a virtual second apart.
+        for (request, bytes) in [(1, TOKEN_WIRE_BYTES), (2, 1.25e9)] {
+            coordinator.fabric.send(Envelope {
+                from: None,
+                to: Some(key.0),
+                model: key.1,
+                bytes,
+                msg: work_for(key, request),
+            });
+        }
+        let first = coordinator.fabric.next_at().unwrap();
+        let second = first + 2.0;
+        // Reading 1 delivers the first item, reading 2 the second; only
+        // reading 3 finds nothing due and starts the row's batch — whose two
+        // `IterationDone`s reading 4 delivers to the coordinator.
+        let mut readings = [first, second].into_iter();
+        let mut reads = 0;
+        let now = coordinator.run_due(|| {
+            reads += 1;
+            readings.next().unwrap_or(second)
+        });
+        assert_eq!((now, reads), (second, 5));
+        let row = coordinator.workers.get(key).unwrap();
+        assert_eq!((row.batches, row.decode_tokens), (1, 2));
+        assert_eq!(coordinator.arrived.len(), 2);
+        assert_eq!(coordinator.fabric.next_at(), None);
+    }
+
+    /// A landed KV hand-over thaws its rows after the turn's delivery
+    /// passes are over: what they held must start in that same turn, or an
+    /// otherwise empty queue leaves the loop nothing to wake for.
+    #[test]
+    fn work_thawed_by_a_landed_hand_over_starts_in_the_same_turn() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
+        let rows = coordinator.workers.rows();
+        let (from, to) = (rows[0].key, rows[1].key);
+        let layers = LayerRange::new(0, 4);
+        let migration = KvMigration {
+            model: from.1,
+            from: from.0,
+            to: to.0,
+            layers,
+        };
+        // The hand-over as `hand_over` leaves it: both ends frozen, the
+        // source holding work on the frozen range, nothing else in flight.
+        for key in [from, to] {
+            let row = coordinator.workers.live_mut(key).unwrap();
+            row.core.freeze(layers, f64::INFINITY);
+        }
+        coordinator.pending_migrations.push((migration, 0.0));
+        let held = work_for(from, 7);
+        coordinator
+            .workers
+            .deliver(from, held, &mut coordinator.fabric);
+        coordinator
+            .workers
+            .start_touched(0.0, &mut coordinator.fabric);
+        assert_eq!(coordinator.workers.get(from).unwrap().batches, 0);
+        assert_eq!(
+            coordinator.next_wake(),
+            None,
+            "held, and nothing to wake for"
+        );
+
+        coordinator.fabric.send(Envelope {
+            from: Some(to.0),
+            to: None,
+            model: from.1,
+            bytes: TOKEN_WIRE_BYTES,
+            msg: RuntimeMsg::KvInstalled {
+                model: from.1,
+                from: from.0,
+                to: to.0,
+                layers,
+                tokens: 0,
+                pages: 0,
+                bytes: 0.0,
+            },
+        });
+        let due = coordinator.fabric.next_at().unwrap();
+        while coordinator.clock.now() < due {}
+        assert!(!coordinator.turn(None).unwrap());
+        assert!(coordinator.pending_migrations.is_empty());
+        assert_eq!(coordinator.kv_transfers.len(), 1);
+        // The instant batch ran and forwarded: the loop has a deadline.
+        let row = coordinator.workers.get(from).unwrap();
+        assert_eq!((row.batches, row.core.queue_len()), (1, 0));
+        assert!(coordinator.fabric.next_at().is_some());
+        assert!(coordinator.next_wake().is_some());
+    }
+
+    /// A session that goes away without a word — no `Finish`, its sender
+    /// just closes the channel — is a `Finish`: the loop completes what was
+    /// submitted on its deadlines alone and returns.
+    #[test]
+    fn a_closed_inbound_channel_finishes_what_is_in_flight() {
+        let (mut coordinator, control, completed) = plane(iwrr, 0.0002);
+        let submit = SessionControl::SubmitAll((0..4).map(request).collect());
+        control.send(submit).ok().unwrap();
+        drop(control);
+        let outcomes = minirt::Executor::new()
+            .block_on(coordinator.run_live())
+            .unwrap();
+        assert_eq!(outcomes.len(), 4);
+        assert_eq!(std::iter::from_fn(|| completed.try_recv().ok()).count(), 4);
     }
 }

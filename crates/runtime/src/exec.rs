@@ -3,7 +3,7 @@
 //! The paper's prototype executes real transformer layers through vLLM; this
 //! runtime replaces the GPU kernels with a calibrated cost model (the same
 //! substitution the paper's own simulator makes, §6.1) while keeping the rest
-//! of the system — threads, queues, messages, batching, KV paging — real.
+//! of the system — queues, messages, batching, KV paging — real.
 //! The model is a trait so tests can plug in an instantaneous executor and
 //! future work can plug in real kernels.
 
@@ -12,11 +12,7 @@ use helix_cluster::NodeProfile;
 use helix_core::exec_model::{ExecModel, WorkUnit};
 
 /// Computes how long (in virtual seconds) a dynamic batch takes on a node.
-///
-/// `Send + Sync` so one model can be shared in an `Arc` between the
-/// coordinator (which builds replacements on re-plan) and the worker task
-/// applying it in place.
-pub trait ExecutionModel: Send + Sync {
+pub(crate) trait ExecutionModel {
     /// Duration of one batch of work items executing on this node.
     fn batch_duration(&self, items: &[StageWork]) -> f64;
 }
@@ -27,13 +23,13 @@ pub trait ExecutionModel: Send + Sync {
 /// with the number of layers the stage computes.  The simulator runs the
 /// *same* model, so the two implementations cannot drift.
 #[derive(Debug, Clone)]
-pub struct AnalyticExecution {
+pub(crate) struct AnalyticExecution {
     exec: ExecModel,
 }
 
 impl AnalyticExecution {
     /// Builds the cost model for a node from its profile.
-    pub fn new(profile: &NodeProfile) -> Self {
+    pub(crate) fn new(profile: &NodeProfile) -> Self {
         AnalyticExecution {
             exec: ExecModel::new(profile),
         }
@@ -54,7 +50,7 @@ impl ExecutionModel for AnalyticExecution {
 /// functional tests that exercise message routing, KV accounting and request
 /// lifecycle without waiting on the cost model.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InstantExecution;
+pub(crate) struct InstantExecution;
 
 impl ExecutionModel for InstantExecution {
     fn batch_duration(&self, _items: &[StageWork]) -> f64 {

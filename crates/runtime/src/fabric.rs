@@ -1,5 +1,4 @@
-//! The network fabric: delivers messages between the coordinator and the
-//! workers with per-link bandwidth, latency and FIFO queueing.
+//! The network fabric and the data plane's one time-ordered queue.
 //!
 //! The paper's prototype ships tensors over ZeroMQ across real datacenter
 //! links; here the fabric models each directed link as a [`LinkQueue`] — the
@@ -10,238 +9,162 @@
 //! inter-region links — the effect behind the paper's Fig. 10b case study —
 //! emerges naturally from this model.
 //!
-//! The fabric is a structure its senders push into, not a task behind a
-//! channel: [`Fabric::send`] prices the transfer on the caller's stack and
-//! queues the delivery by `(deliver_at, seq)`.  One pump task hands the
-//! deliveries over: woken by its timer it reads the clock once, routes
-//! everything due, re-arms for the next delivery and parks; a send that
-//! becomes the earliest moves that timer.  There is no polling interval.
+//! The fabric is plain data the plane's loop owns: [`Fabric::send`] prices
+//! the transfer on the caller's stack and queues the delivery by
+//! `(at, seq)`; a batch that takes time is an entry of the *same* heap
+//! ([`Fabric::batch_done`]), as in the simulator's event queue.  The loop
+//! waits for [`Fabric::next_at`] and applies [`Fabric::pop_due`] — nothing
+//! here runs, wakes or polls.
+//!
+//! [`LinkQueue`]: helix_core::LinkQueue
 
 use crate::clock::VirtualClock;
-use crate::coordinator::CoordinatorMsg;
 use crate::message::Envelope;
 use crate::metrics::LinkReport;
-use crate::registry::WorkerRegistry;
+use crate::registry::WorkerKey;
 use helix_cluster::ClusterSpec;
 use helix_core::LinkTable;
-use minirt::channel::Sender;
-use minirt::time::Deadline;
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
-/// A message waiting in the fabric for its delivery time.
+/// What becomes due at an instant of virtual time.
 #[derive(Debug)]
-struct Delivery {
-    deliver_at: f64,
-    seq: u64,
-    envelope: Envelope,
+pub(crate) enum Event {
+    /// A message reaches the far end of its link.
+    Deliver(Envelope),
+    /// The batch a worker started has run for its duration.
+    BatchDone(WorkerKey),
 }
 
-impl PartialEq for Delivery {
+/// One entry of the queue.
+#[derive(Debug)]
+struct Due {
+    at: f64,
+    seq: u64,
+    what: Event,
+}
+
+impl PartialEq for Due {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for Delivery {}
+impl Eq for Due {}
 
-impl PartialOrd for Delivery {
+impl PartialOrd for Due {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Delivery {
+impl Ord for Due {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest delivery pops
-        // first, and of equal times the one sent first.
-        let by_time = other.deliver_at.total_cmp(&self.deliver_at);
+        // BinaryHeap is a max-heap; invert so the earliest entry pops first,
+        // and of equal times the one queued first.
+        let by_time = other.at.total_cmp(&self.at);
         by_time.then(other.seq.cmp(&self.seq))
     }
 }
 
-/// What senders and the pump share.
-struct InFlight {
-    /// The directed links that carried traffic: queue state and counters.
-    links: LinkTable,
-    heap: BinaryHeap<Delivery>,
-    seq: u64,
-}
-
-/// The fabric handle shared (`Rc`) by the coordinator, every worker and the
-/// pump task.
+/// Link state and everything in flight, owned by the plane's loop.
 pub(crate) struct Fabric {
     /// Supplies per-link bandwidth and latency (links are shared by every
     /// model of the fleet).
     cluster: ClusterSpec,
     clock: VirtualClock,
-    /// The live worker set: delivery is looked up per message, so workers
-    /// spawned (or retired) mid-run become routable (or unroutable) at once.
-    registry: Rc<WorkerRegistry>,
-    /// Delivery channel of the coordinator (shared with the session's
-    /// control messages).
-    coordinator_tx: Sender<CoordinatorMsg>,
-    in_flight: RefCell<InFlight>,
-    /// Armed for the earliest delivery in flight; the pump waits on it.
-    next_due: Deadline,
-}
-
-/// Builds the fabric and spawns its pump on `executor`.  The pump never
-/// exits: idle it holds no timer, so [`minirt::Executor::drain`] delivers
-/// what is in flight and returns.
-pub(crate) fn spawn_fabric(
-    executor: &minirt::Executor,
-    cluster: ClusterSpec,
-    clock: VirtualClock,
-    registry: Rc<WorkerRegistry>,
-    coordinator_tx: Sender<CoordinatorMsg>,
-) -> Rc<Fabric> {
-    let fabric = Rc::new(Fabric {
-        in_flight: RefCell::new(InFlight {
-            links: LinkTable::new(cluster.num_nodes()),
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }),
-        cluster,
-        clock,
-        registry,
-        coordinator_tx,
-        next_due: Deadline::new(executor),
-    });
-    let pump = Rc::clone(&fabric);
-    let _pump = executor.spawn(async move {
-        loop {
-            let now = pump.clock.virtual_at(pump.next_due.wait().await);
-            pump.deliver_due(now);
-        }
-    });
-    fabric
+    /// The directed links that carried traffic: queue state and counters.
+    links: LinkTable,
+    heap: BinaryHeap<Due>,
+    seq: u64,
 }
 
 impl Fabric {
+    pub(crate) fn new(cluster: ClusterSpec, clock: VirtualClock) -> Self {
+        Fabric {
+            links: LinkTable::new(cluster.num_nodes()),
+            cluster,
+            clock,
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: f64, what: Event) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Due { at, seq, what });
+    }
+
     /// Queues `envelope` on its link: the link's [`LinkQueue`] computes the
-    /// delivery time and records the traffic counters.
+    /// delivery time and records the traffic counters — at the send, so the
+    /// report needs nothing delivered.
     ///
     /// [`LinkQueue`]: helix_core::LinkQueue
-    pub(crate) fn send(&self, envelope: Envelope) {
-        let mut in_flight = self.in_flight.borrow_mut();
+    pub(crate) fn send(&mut self, envelope: Envelope) {
         let link = (envelope.from, envelope.to);
-        let queue = in_flight.links.queue(&self.cluster, link);
-        let deliver_at = queue.transfer(self.clock.now(), envelope.bytes.max(0.0));
-        in_flight.seq += 1;
-        let seq = in_flight.seq;
-        let next = in_flight.heap.peek();
-        let earliest = next.is_none_or(|d| deliver_at < d.deliver_at);
-        in_flight.heap.push(Delivery {
-            deliver_at,
-            seq,
-            envelope,
-        });
-        if earliest {
-            self.next_due.set(Some(self.clock.instant_at(deliver_at)));
-        }
+        let queue = self.links.queue(&self.cluster, link);
+        let at = queue.transfer(self.clock.now(), envelope.bytes.max(0.0));
+        self.push(at, Event::Deliver(envelope));
     }
 
-    /// One pump turn at virtual time `now`: routes everything due, in
-    /// `(deliver_at, seq)` order, and re-arms for the next delivery.
-    fn deliver_due(&self, now: f64) {
-        let mut in_flight = self.in_flight.borrow_mut();
-        while in_flight.heap.peek().is_some_and(|d| d.deliver_at <= now) {
-            let envelope = in_flight.heap.pop().expect("peeked entry exists").envelope;
-            // A receiver that has already shut down (or been retired from
-            // the registry) simply drops the message; the coordinator only
-            // exits once every request has completed, so nothing the report
-            // depends on can be lost this way.
-            match envelope.to {
-                Some(node) => self.registry.deliver((node, envelope.model), envelope.msg),
-                None => {
-                    let _ = self
-                        .coordinator_tx
-                        .send(CoordinatorMsg::Runtime(envelope.msg));
-                }
-            }
-        }
-        let next = in_flight.heap.peek().map(|d| d.deliver_at);
-        self.next_due.set(next.map(|at| self.clock.instant_at(at)));
+    /// Queues the completion of the batch `key` started, due at `at`.
+    pub(crate) fn batch_done(&mut self, at: f64, key: WorkerKey) {
+        self.push(at, Event::BatchDone(key));
     }
 
-    /// One report row per link that carried traffic.
+    /// When the earliest entry is due.
+    pub(crate) fn next_at(&self) -> Option<f64> {
+        self.heap.peek().map(|due| due.at)
+    }
+
+    /// Pops the earliest entry if it is due at `now`, with its time —
+    /// entries come out in `(at, seq)` order and never before their `at`.
+    pub(crate) fn pop_due(&mut self, now: f64) -> Option<(f64, Event)> {
+        if self.heap.peek()?.at > now {
+            return None;
+        }
+        self.heap.pop().map(|due| (due.at, due.what))
+    }
+
+    /// One report row per link that carried traffic, by endpoints.
     pub(crate) fn link_reports(&self) -> Vec<LinkReport> {
-        let in_flight = self.in_flight.borrow();
-        let used = in_flight.links.used().iter();
-        used.map(|&((from, to), ref link)| LinkReport::new(from, to, link))
-            .collect()
+        let used = self.links.used().iter();
+        let mut rows: Vec<_> = used
+            .map(|&((from, to), ref link)| LinkReport::new(from, to, link))
+            .collect();
+        rows.sort_by_key(|l| (l.from, l.to));
+        rows
     }
 }
 
 #[cfg(test)]
 impl Fabric {
-    /// A fabric over the 10-node study cluster and an empty registry whose
-    /// pump never runs (its executor is gone): whatever a unit under test
-    /// sends stays in flight.
-    pub(crate) fn detached() -> Rc<Fabric> {
-        let registry = Rc::new(WorkerRegistry::new(10, 1));
-        let (coordinator_tx, _) = minirt::channel::unbounded();
-        let cluster = ClusterSpec::solver_quality_10();
-        let clock = VirtualClock::new(0.0001);
-        let nobody = minirt::Executor::new();
-        spawn_fabric(&nobody, cluster, clock, registry, coordinator_tx)
-    }
-
-    /// Takes everything in flight, in delivery order, undelivered.
-    pub(crate) fn take_in_flight(&self) -> Vec<Envelope> {
-        let heap = std::mem::take(&mut self.in_flight.borrow_mut().heap);
-        let in_order = heap.into_sorted_vec().into_iter().rev();
-        in_order.map(|delivery| delivery.envelope).collect()
+    /// Takes every message in flight, in delivery order, undelivered (batch
+    /// completions are dropped).
+    pub(crate) fn take_in_flight(&mut self) -> Vec<Envelope> {
+        let events = std::iter::from_fn(|| self.pop_due(f64::INFINITY));
+        let envelopes = events.filter_map(|(_, event)| match event {
+            Event::Deliver(envelope) => Some(envelope),
+            Event::BatchDone(_) => None,
+        });
+        envelopes.collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Phase, RuntimeMsg};
-    use crate::registry::WorkerMeta;
-    use crate::worker::SharedWorkerStats;
-    use helix_cluster::{ModelId, NodeId};
-    use minirt::channel::{unbounded, Receiver};
-    use minirt::time::timeout_at;
-    use std::time::{Duration, Instant};
+    use crate::message::RuntimeMsg;
+    use crate::registry::Workers;
+    use crate::runtime::ExecutionKind;
+    use helix_cluster::{ClusterProfile, ModelConfig, ModelId, NodeId};
 
-    /// A pumped fabric over the 10-node study cluster (every link 10 Gb/s,
-    /// 1 ms) with one bare channel registered as the worker of `node`.
-    struct Rig {
-        executor: minirt::Executor,
-        clock: VirtualClock,
-        registry: Rc<WorkerRegistry>,
-        fabric: Rc<Fabric>,
-        worker_rx: Receiver<RuntimeMsg>,
-        coord_rx: Receiver<CoordinatorMsg>,
-    }
-
-    fn rig(node: NodeId, wall_per_virtual: f64) -> Rig {
-        let executor = minirt::Executor::new();
-        let clock = VirtualClock::new(wall_per_virtual);
-        let registry = Rc::new(WorkerRegistry::new(10, 1));
-        let (tx, worker_rx) = unbounded();
-        let meta = WorkerMeta {
-            name: format!("node{}", node.index()),
-            layers: 0,
-        };
-        let stats = SharedWorkerStats::default();
-        registry.register((node, ModelId::default()), tx, stats, meta);
-        let (coord_tx, coord_rx) = unbounded();
-        let cluster = ClusterSpec::solver_quality_10();
-        let fabric = spawn_fabric(&executor, cluster, clock, Rc::clone(&registry), coord_tx);
-        Rig {
-            executor,
-            clock,
-            registry,
-            fabric,
-            worker_rx,
-            coord_rx,
-        }
+    /// A fabric over the 10-node study cluster (every link 10 Gb/s, 1 ms).
+    /// Its clock runs — `send` stamps the wall — but no test waits on it:
+    /// delivery times are read off the queue.
+    fn fabric() -> Fabric {
+        Fabric::new(ClusterSpec::solver_quality_10(), VirtualClock::new(1.0))
     }
 
     /// Bytes that occupy a 10 Gb/s link for `secs` virtual seconds.
@@ -249,93 +172,71 @@ mod tests {
         1.25e9 * secs
     }
 
-    fn iteration_done(
-        request: u64,
-        from: Option<NodeId>,
-        to: Option<NodeId>,
-        bytes: f64,
-    ) -> Envelope {
+    fn release(request: u64, from: Option<usize>, to: Option<usize>, bytes: f64) -> Envelope {
         Envelope {
-            from,
-            to,
+            from: from.map(NodeId),
+            to: to.map(NodeId),
             model: ModelId::default(),
             bytes,
-            msg: RuntimeMsg::IterationDone {
-                request,
-                phase: Phase::Decode,
-                emitted_at: 0.0,
-                epoch: 0,
-            },
+            msg: RuntimeMsg::Release(request),
         }
     }
 
-    fn request_of(msg: RuntimeMsg) -> u64 {
-        match msg {
-            RuntimeMsg::IterationDone { request, .. } => request,
-            other => panic!("expected IterationDone, got {other:?}"),
-        }
+    /// Everything in flight as `(at, request)`, in the order it pops.
+    fn drain(fabric: &mut Fabric) -> Vec<(f64, u64)> {
+        let events = std::iter::from_fn(|| fabric.pop_due(f64::INFINITY));
+        let releases = events.map(|(at, event)| match event {
+            Event::Deliver(Envelope {
+                msg: RuntimeMsg::Release(request),
+                ..
+            }) => (at, request),
+            other => panic!("expected a release in flight, got {other:?}"),
+        });
+        releases.collect()
     }
 
     #[test]
     fn messages_reach_their_destination_with_traffic_accounting() {
-        let rig = rig(NodeId(0), 0.0005);
-        rig.fabric
-            .send(iteration_done(1, None, Some(NodeId(0)), 4.0));
-        rig.fabric
-            .send(iteration_done(1, Some(NodeId(0)), None, 4.0));
-        rig.executor.drain();
+        let mut fabric = fabric();
+        fabric.send(release(1, None, Some(0), 4.0));
+        fabric.send(release(2, Some(0), None, 4.0));
+        let delivered = fabric.take_in_flight();
+        assert_eq!(delivered.len(), 2);
+        assert_eq!(
+            (delivered[0].from, delivered[0].to),
+            (None, Some(NodeId(0)))
+        );
+        assert_eq!(
+            (delivered[1].from, delivered[1].to),
+            (Some(NodeId(0)), None)
+        );
 
-        let to_worker = rig.worker_rx.try_recv().unwrap();
-        assert!(matches!(
-            to_worker,
-            RuntimeMsg::IterationDone { request: 1, .. }
-        ));
-        let to_coord = rig.coord_rx.try_recv().ok().unwrap();
-        assert!(matches!(
-            to_coord,
-            CoordinatorMsg::Runtime(RuntimeMsg::IterationDone { request: 1, .. })
-        ));
-
-        // Exactly one transfer per envelope, one row per used link.
-        let links = rig.fabric.link_reports();
+        // Exactly one transfer per envelope, one row per used link, sorted
+        // by endpoints — counted at the send, whatever happens after.
+        let links = fabric.link_reports();
         assert_eq!(links.len(), 2);
-        let entry = links
-            .iter()
-            .find(|l| (l.from, l.to) == (None, Some(NodeId(0))))
-            .unwrap();
-        assert_eq!(entry.messages, 1);
-        assert!((entry.bytes - 4.0).abs() < 1e-9);
-        assert_eq!(entry.mean_queue_delay, entry.max_queue_delay);
+        assert_eq!((links[0].from, links[0].to), (None, Some(NodeId(0))));
+        assert_eq!(links[0].messages, 1);
+        assert!((links[0].bytes - 4.0).abs() < 1e-9);
+        assert_eq!(links[0].mean_queue_delay, links[0].max_queue_delay);
+        assert_eq!(links[1].messages, 1);
     }
 
     #[test]
     fn large_transfers_queue_behind_each_other() {
-        let rig = rig(NodeId(1), 0.0005);
-        // Two transfers sized to occupy the link for many virtual seconds
-        // each; the second must queue behind the first.  The size is
-        // deliberately huge: queueing is detected by comparing wall-clock
-        // `now` against the link-busy horizon, so the busy window must be
-        // wide enough (milliseconds of wall time at this clock scale) that
-        // scheduler preemption between the two envelopes cannot swallow it.
+        let mut fabric = fabric();
+        // Two transfers sized to occupy the link for 20 virtual seconds
+        // each; the second must queue behind the first.
         for request in 0..2 {
-            let bytes = link_secs(20.0);
-            rig.fabric.send(iteration_done(
-                request,
-                Some(NodeId(0)),
-                Some(NodeId(1)),
-                bytes,
-            ));
+            fabric.send(release(request, Some(0), Some(1), link_secs(20.0)));
         }
-        rig.executor.drain();
-        for _ in 0..2 {
-            rig.worker_rx.try_recv().unwrap();
-        }
-
-        let links = rig.fabric.link_reports();
+        let arrivals = drain(&mut fabric);
+        assert!(arrivals[1].0 - arrivals[0].0 > 19.9, "{arrivals:?}");
+        let links = fabric.link_reports();
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].messages, 2);
         assert!(
-            links[0].max_queue_delay > 0.05,
+            links[0].max_queue_delay > 19.9,
             "second transfer should have queued, max delay {}",
             links[0].max_queue_delay
         );
@@ -343,113 +244,105 @@ mod tests {
 
     #[test]
     fn earliest_delivery_pops_first() {
-        let mk = |deliver_at: f64, seq: u64| Delivery {
-            deliver_at,
-            seq,
-            envelope: iteration_done(seq, None, None, 0.0),
-        };
-        let mut heap = BinaryHeap::new();
-        for (deliver_at, seq) in [(5.0, 1), (1.0, 2), (3.0, 4), (3.0, 3)] {
-            heap.push(mk(deliver_at, seq));
+        let mut fabric = fabric();
+        // Pushed out of order, with a tie: equal times go to the one queued
+        // first — deliveries and batch completions alike.
+        for (at, request) in [(5.0, 1), (1.0, 2), (3.0, 3)] {
+            fabric.push(at, Event::Deliver(release(request, None, None, 0.0)));
         }
-        // Equal times go to the one sent first.
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|d| d.seq)).collect();
-        assert_eq!(order, vec![2, 3, 4, 1]);
+        fabric.batch_done(3.0, (NodeId(4), ModelId(0)));
+        fabric.push(3.0, Event::Deliver(release(5, None, None, 0.0)));
+        assert_eq!(fabric.next_at(), Some(1.0));
+        let order: Vec<_> = std::iter::from_fn(|| fabric.pop_due(f64::INFINITY))
+            .map(|(at, event)| match event {
+                Event::Deliver(envelope) => match envelope.msg {
+                    RuntimeMsg::Release(request) => (at, request),
+                    other => panic!("unexpected {other:?}"),
+                },
+                Event::BatchDone((node, _)) => (at, node.index() as u64),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![(1.0, 2), (3.0, 3), (3.0, 4), (3.0, 5), (5.0, 1)]
+        );
     }
 
     #[test]
     fn links_are_fifo_and_deliveries_cross_links_in_time_order() {
-        let rig = rig(NodeId(0), 0.0005);
-        let to_coord = |request, from: usize, secs| {
-            iteration_done(request, Some(NodeId(from)), None, link_secs(secs))
-        };
+        let mut fabric = fabric();
         // Link 1 → coordinator: a slow message, then a fast one that must
         // not overtake it.  Link 2 → coordinator: sent last, due first.
-        rig.fabric.send(to_coord(1, 1, 100.0));
-        rig.fabric.send(to_coord(2, 1, 0.0));
-        rig.fabric.send(to_coord(3, 2, 20.0));
-        rig.executor.drain();
-        let order: Vec<u64> = std::iter::from_fn(|| match rig.coord_rx.try_recv().ok()? {
-            CoordinatorMsg::Runtime(msg) => Some(request_of(msg)),
-            CoordinatorMsg::Control(_) => None,
-        })
-        .collect();
+        fabric.send(release(1, Some(1), None, link_secs(100.0)));
+        fabric.send(release(2, Some(1), None, 0.0));
+        fabric.send(release(3, Some(2), None, link_secs(20.0)));
+        let order: Vec<u64> = drain(&mut fabric).into_iter().map(|(_, r)| r).collect();
         assert_eq!(order, vec![3, 1, 2]);
     }
 
     #[test]
     fn nothing_is_delivered_before_its_delivery_time() {
-        // 1 virtual second = 1 wall second: 30 ms on the wire + 1 ms latency.
-        let rig = rig(NodeId(3), 1.0);
-        let sent_at = rig.clock.now();
-        rig.fabric
-            .send(iteration_done(7, None, Some(NodeId(3)), link_secs(0.030)));
-        let got = rig.executor.block_on(rig.worker_rx.recv()).unwrap();
-        assert_eq!(request_of(got), 7);
-        let took = rig.clock.now() - sent_at;
-        assert!(took >= 0.031, "delivered after {took} virtual seconds");
+        let mut fabric = fabric();
+        let sent_at = fabric.clock.now();
+        // 30 ms on the wire + 1 ms latency.
+        fabric.send(release(7, None, Some(3), link_secs(0.030)));
+        let at = fabric.next_at().unwrap();
+        assert!(at - sent_at >= 0.031, "due {} after the send", at - sent_at);
+        assert!(fabric.pop_due(sent_at).is_none());
+        assert!(fabric.pop_due(at - 1e-9).is_none());
+        assert!(fabric.pop_due(at).is_some());
+        assert_eq!(fabric.next_at(), None);
     }
 
+    /// What the loop waits for is the queue's top, read afresh each turn: a
+    /// later send that is due earlier moves it.
     #[test]
-    fn a_new_earliest_delivery_moves_the_pumps_timer() {
-        // 1 virtual second = 1 wall second.  The pump parks on a delivery
-        // 60 s away; a 1 ms delivery sent afterwards must not wait for it.
-        let rig = rig(NodeId(0), 1.0);
-        let before = Instant::now();
-        let got = rig.executor.block_on(async {
-            rig.fabric
-                .send(iteration_done(1, Some(NodeId(1)), None, link_secs(60.0)));
-            minirt::time::sleep(Duration::from_millis(5)).await;
-            rig.fabric
-                .send(iteration_done(2, None, Some(NodeId(0)), 0.0));
-            timeout_at(before + Duration::from_secs(10), rig.worker_rx.recv()).await
-        });
-        let got = got.expect("delivered on its own time, not the parked one's");
-        assert_eq!(request_of(got.unwrap()), 2);
-        assert!(before.elapsed() < Duration::from_secs(10));
-        assert!(
-            rig.coord_rx.try_recv().is_err(),
-            "the slow one is in flight"
-        );
+    fn a_new_earliest_delivery_moves_the_next_wake() {
+        let mut fabric = fabric();
+        fabric.send(release(1, Some(1), None, link_secs(60.0)));
+        let far = fabric.next_at().unwrap();
+        fabric.send(release(2, None, Some(0), 0.0));
+        let near = fabric.next_at().unwrap();
+        assert!(near < far - 59.0, "near {near}, far {far}");
+        assert_eq!(drain(&mut fabric), vec![(near, 2), (far, 1)]);
     }
 
     #[test]
     fn messages_for_detached_or_unknown_workers_drop_silently() {
-        let rig = rig(NodeId(0), 0.0005);
-        rig.registry.detach((NodeId(0), ModelId::default()));
-        assert!(matches!(rig.worker_rx.try_recv(), Ok(RuntimeMsg::Shutdown)));
-        rig.fabric
-            .send(iteration_done(1, None, Some(NodeId(0)), 4.0));
-        rig.fabric
-            .send(iteration_done(2, None, Some(NodeId(5)), 4.0));
-        rig.executor.drain();
-        assert!(rig.worker_rx.try_recv().is_err());
-        // The wire carried them all the same.
-        let links = rig.fabric.link_reports();
-        assert_eq!(links.iter().map(|l| l.messages).sum::<u64>(), 2);
-    }
+        let mut fabric = fabric();
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let mut workers = Workers::new(10, 1, ExecutionKind::Instant);
+        let model = ModelId::default();
+        for node in [0, 1] {
+            workers.plan(&profile, (NodeId(node), model), "node", 4, 1_000.0);
+        }
+        workers.retire((NodeId(0), model));
 
-    #[test]
-    fn drain_delivers_what_is_in_flight_and_leaves_the_traffic_to_the_report() {
-        let rig = rig(NodeId(2), 0.0005);
-        let fabric = Rc::clone(&rig.fabric);
-        // Sent by a task, as a worker flushing its queue at shutdown does.
-        rig.executor.spawn(async move {
-            for request in 0..3 {
-                fabric.send(iteration_done(
-                    request,
-                    None,
-                    Some(NodeId(2)),
-                    link_secs(1.0),
-                ));
-            }
-        });
-        rig.executor.drain();
-        let delivered: Vec<u64> = std::iter::from_fn(|| rig.worker_rx.try_recv().ok())
-            .map(request_of)
-            .collect();
-        assert_eq!(delivered, vec![0, 1, 2]);
-        assert!(rig.fabric.take_in_flight().is_empty());
-        assert_eq!(rig.fabric.link_reports()[0].messages, 3);
+        // One-stage work for a retired, a never-planned and a live worker.
+        for node in [0, 5, 1] {
+            let work = crate::message::StageWork::one_stage(node as u64, NodeId(node), model);
+            let mut envelope = release(0, None, Some(node), 4.0);
+            envelope.msg = RuntimeMsg::Work(work);
+            fabric.send(envelope);
+        }
+        while let Some((_, Event::Deliver(envelope))) = fabric.pop_due(f64::INFINITY) {
+            let key = (envelope.to.unwrap(), envelope.model);
+            workers.deliver(key, envelope.msg, &mut fabric);
+        }
+        workers.start_touched(0.0, &mut fabric);
+        // Only the live row queued, batched and forwarded its item...
+        let batches = |node| workers.get((NodeId(node), model)).map(|w| w.batches);
+        assert_eq!(
+            (batches(0), batches(5), batches(1)),
+            (Some(0), None, Some(1))
+        );
+        assert_eq!(workers.get((NodeId(0), model)).unwrap().core.queue_len(), 0);
+        let forwarded = fabric.take_in_flight();
+        assert_eq!(forwarded.len(), 1);
+        assert_eq!(forwarded[0].from, Some(NodeId(1)));
+        // ...and the wire carried all three (and the one report) the same.
+        let links = fabric.link_reports();
+        assert_eq!(links.iter().map(|l| l.messages).sum::<u64>(), 4);
     }
 }

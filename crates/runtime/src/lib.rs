@@ -1,48 +1,53 @@
-//! Async prototype serving runtime for Helix.
+//! Prototype serving runtime for Helix.
 //!
 //! The paper evaluates two artefacts: a prototype system (vLLM workers plus a
 //! ZeroMQ control plane, §6.1) and a discrete-event simulator.  The
 //! [`helix-sim`](https://docs.rs/helix-sim) crate reproduces the simulator;
-//! this crate reproduces the *prototype's architecture* (Fig. 3) as a real
-//! concurrent system of async tasks on a vendored single-threaded executor
-//! (`minirt`):
+//! this crate reproduces the *prototype's architecture* (Fig. 3) — a
+//! coordinator, one worker per compute node, a message layer between them —
+//! paced by the wall clock, as **one loop over plain data**:
 //!
-//! * a **coordinator task** that admits requests, asks the configured
+//! * a **coordinator** that admits requests, asks the configured
 //!   [`Scheduler`](helix_core::Scheduler) for a per-request pipeline, tracks
 //!   decode iterations and releases KV cache when requests finish
 //!   (§5.1–§5.2);
-//! * one **worker task per (compute node, model) pair** running best-effort
-//!   dynamic batching over the layers the placement assigned to it, with a
-//!   paged KV-cache pool modelled after vLLM's PagedAttention block manager
+//! * one **worker row per (compute node, model) pair**, in the dense table
+//!   the simulator keeps its engines in, running best-effort dynamic
+//!   batching over the layers the placement assigned to it, with a paged
+//!   KV-cache pool modelled after vLLM's PagedAttention block manager
 //!   ([`PagedKvPool`]) — batching and pool are [`helix_core::engine`], the
 //!   same code the simulator's engines run;
-//! * a **network fabric** that senders push messages into — it prices each
-//!   on its link (per-link bandwidth, latency and FIFO queueing taken from
-//!   the cluster profile, so congestion on slow links emerges exactly as in
-//!   the paper's Fig. 10b case study) — and whose one pump task, woken by a
-//!   timer, hands over what is due.
+//! * a **network fabric** that prices each message on its link (per-link
+//!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
+//!   congestion on slow links emerges exactly as in the paper's Fig. 10b
+//!   case study) and keeps what is in flight — deliveries and the
+//!   completions of batches that take time alike — in one queue ordered by
+//!   virtual time.
 //!
-//! Because workers are tasks rather than OS threads, the whole data plane —
-//! even a 500-node fleet — is built, driven and torn down by one
-//! `helix-dataplane` thread per session, and its state (executor, worker
-//! registry, statistics, link counters) is `Rc` / `RefCell` data that cannot
-//! leave that thread; the session reaches it only through the coordinator's
-//! inbound channel, the completion stream and the thread's join handle.
-//! Every wait is waker-based (channel wakers and virtual-time timers);
-//! nothing in the data plane polls on an interval.
+//! The loop belongs to one `helix-dataplane` thread per session, which
+//! builds the plane, runs it and assembles the report; even a 500-node fleet
+//! is rows of a table, not threads or tasks.  One turn waits — on the
+//! session's channel, with the queue's earliest entry as deadline — then
+//! applies every delivery and completion that is due (a delivery is a method
+//! call on its row), starts the batches of the rows it touched, and, once
+//! nothing more is due, lets the coordinator consume what was delivered to
+//! it, admit and retry.  The session reaches the loop only through that
+//! channel, the completion stream and the thread's join handle; nothing in
+//! the data plane polls on an interval.
 //!
-//! GPU kernels are replaced by a calibrated cost model ([`AnalyticExecution`])
-//! — the same substitution the paper's own simulator makes — while every other
-//! part of the system (tasks, channels, batching, paging, backpressure) is
-//! real.  Time is virtualised by a [`VirtualClock`] so runs execute faster
-//! than real time; all reported latencies and throughputs are in virtual
-//! seconds and directly comparable with the simulator's output.
+//! GPU kernels are replaced by a calibrated cost model (the shared
+//! [`helix_core::exec_model`]) — the same substitution the paper's own
+//! simulator makes — while batching, paging, link queueing and backpressure
+//! play out in real time.  Time is virtualised by a scaled clock
+//! ([`RuntimeConfig::wall_per_virtual`]) so runs execute faster than real
+//! time; all reported latencies and throughputs are in virtual seconds and
+//! directly comparable with the simulator's output.
 //!
 //! The front door is session-oriented: a [`ServingBuilder`] unifies
 //! single-model, multi-model and adaptive construction, and the
 //! [`ServingSession`] it returns is a *live* handle — non-blocking
 //! [`submit`](ServingSession::submit), streaming completions, mid-run speed
-//! injection and placement deltas that can spawn workers for brand-new
+//! injection and placement deltas that can add workers for brand-new
 //! (node, model) tenancies.  The batch call survives as
 //! [`ServingSession::serve`]: submit everything, drain, finish — over the
 //! one coordinator loop, which is itself only the runtime *actuator* of the
@@ -112,17 +117,13 @@ mod session;
 mod worker;
 
 pub use builder::ServingBuilder;
-pub use clock::VirtualClock;
 pub use error::RuntimeError;
-pub use exec::{AnalyticExecution, ExecutionModel, InstantExecution};
-pub use helix_core::LinkKey;
 // The paged KV pool is the shared engine core's residency table.
 pub use helix_core::engine::{KvPoolError, PagedKvPool};
-pub use message::{Envelope, Phase, PlanUpdate, RuntimeMsg, StageWork};
+pub use message::Phase;
 pub use metrics::{LatencySummary, LinkReport, NodeReport, RequestOutcome, RuntimeReport};
 pub use runtime::{ExecutionKind, RuntimeConfig};
 pub use session::ServingSession;
-pub use worker::WorkerStats;
 
 // The ticket type is defined next to `Request` so every serving surface
 // (runtime and simulator) shares it; re-exported here for convenience.

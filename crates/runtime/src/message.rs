@@ -1,18 +1,20 @@
-//! Messages exchanged between the coordinator, the network fabric and the
+//! What travels the network fabric between the coordinator and the
 //! compute-node workers.
 //!
 //! The paper's prototype uses ZeroMQ to ship requests and activations between
 //! nodes (§6.1).  The runtime models the same message types: a *work* message
 //! carrying a request (and, implicitly, its activations) to the node that
 //! executes the next pipeline stage, a *release* message freeing the KV cache
-//! of a finished request, and an *iteration done* message returning the newly
-//! generated token to the coordinator.
+//! of a finished request, an *iteration done* message returning the newly
+//! generated token to the coordinator, and the chunks and acknowledgement of
+//! a KV hand-over.  Only what crosses a link is a message: what the
+//! coordinator does to a worker directly — freeze and thaw a layer range,
+//! slow it down, re-plan it, start a hand-over — is a method call on the
+//! worker's row.
 
-use crate::exec::ExecutionModel;
 use helix_cluster::{ModelId, NodeId, PrefixId};
 use helix_core::{LayerRange, PrefixWork, RequestPipeline};
 use helix_workload::RequestId;
-use std::fmt;
 use std::sync::Arc;
 
 /// Which phase of auto-regressive generation a work item belongs to (the
@@ -21,7 +23,7 @@ pub use helix_core::exec_model::Phase;
 
 /// One unit of work for one pipeline stage of one request iteration.
 #[derive(Debug, Clone)]
-pub struct StageWork {
+pub(crate) struct StageWork {
     /// The request being served.
     pub request: RequestId,
     /// Prompt or decode iteration.
@@ -87,7 +89,7 @@ impl StageWork {
 
 /// A message deliverable to a worker or to the coordinator.
 #[derive(Debug, Clone)]
-pub enum RuntimeMsg {
+pub(crate) enum RuntimeMsg {
     /// Execute one pipeline stage of one request iteration.
     Work(StageWork),
     /// Free all KV-cache pages held for a finished request.
@@ -97,44 +99,12 @@ pub enum RuntimeMsg {
     IterationDone {
         /// The request that generated the token.
         request: RequestId,
-        /// The phase the completed iteration belonged to.
-        phase: Phase,
         /// Virtual time at which the last stage finished.
         emitted_at: f64,
         /// The incarnation of the pipeline that executed the iteration; the
         /// coordinator drops reports whose epoch is stale (the request was
         /// promoted or re-admitted since the work was dispatched).
         epoch: u64,
-    },
-    /// Set the worker's hardware speed multiplier on batch duration
-    /// (`2.0` = batches take twice the cost model's prediction — an injected
-    /// slowdown standing in for thermal throttling or noisy neighbours).
-    /// Workers *measure* the resulting predicted-vs-actual gap and the
-    /// coordinator's re-plan loop reacts to the measurement, never to the
-    /// injected value itself.
-    SetSpeed(f64),
-    /// Freeze the given layer range of the worker: work whose stage
-    /// intersects the range keeps queueing but does not execute until the
-    /// matching [`RuntimeMsg::Resume`] — the freeze half of a KV hand-over,
-    /// sent by the coordinator to both ends of a migration.  Work on the
-    /// worker's *other* layers keeps executing throughout.
-    Freeze(LayerRange),
-    /// Resume executing the given layer range after a freeze (the
-    /// hand-over's transfer landed).
-    Resume(LayerRange),
-    /// Coordinator → migration source: snapshot the KV pool and ship it to
-    /// `to` through the fabric as a pipelined sequence of
-    /// [`RuntimeMsg::KvChunk`]s.  The worker prices the transfer with the
-    /// shared [`KvTransferModel`](helix_core::KvTransferModel) — the same
-    /// page-granular model the simulator uses — from the model's KV
-    /// geometry, the moved layer count and its own pool's page size.
-    KvExtract {
-        /// The destination node.
-        to: NodeId,
-        /// The migrated layer sub-range.
-        layers: LayerRange,
-        /// KV bytes one cached token occupies per model layer.
-        kv_bytes_per_token_per_layer: f64,
     },
     /// Migration source → destination: one pipelined slice of the migrated
     /// KV residency.  Each chunk travels the fabric as its own envelope
@@ -166,8 +136,8 @@ pub enum RuntimeMsg {
         last: bool,
     },
     /// Migration destination → coordinator: the migrated state is installed;
-    /// the coordinator re-routes (installs the deferred scheduler) and sends
-    /// [`RuntimeMsg::Resume`] to both ends.
+    /// the coordinator re-routes (installs the deferred scheduler) and thaws
+    /// the migrated range on both ends.
     KvInstalled {
         /// The migrated model.
         model: ModelId,
@@ -184,48 +154,18 @@ pub enum RuntimeMsg {
         /// Bytes shipped.
         bytes: f64,
     },
-    /// Coordinator → worker: a re-plan changed this (node, model) tenancy's
-    /// facts; apply them in place.  The pre-async runtime could only respawn
-    /// workers for *new* tenancies — surviving workers kept executing with
-    /// stale cost models while the simulator re-split its engines live; this
-    /// closes that fidelity gap.
-    UpdatePlan(PlanUpdate),
-    /// Stop processing after draining pending work.
-    Shutdown,
-}
-
-/// The re-planned execution facts of one worker, applied in place by
-/// [`RuntimeMsg::UpdatePlan`].
-#[derive(Clone)]
-pub struct PlanUpdate {
-    /// The re-derived execution model (e.g. the new analytic contention
-    /// split after tenancies moved on or off the node).
-    pub execution: Arc<dyn ExecutionModel>,
-    /// The re-derived KV pool capacity in tokens; resident pages survive.
-    pub kv_capacity_tokens: f64,
-    /// Layers the node now holds for the model (report metadata).
-    pub layers: usize,
-}
-
-impl fmt::Debug for PlanUpdate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanUpdate")
-            .field("kv_capacity_tokens", &self.kv_capacity_tokens)
-            .field("layers", &self.layers)
-            .finish_non_exhaustive()
-    }
 }
 
 /// An addressed message travelling through the network fabric.
 ///
 /// `None` endpoints denote the coordinator, mirroring the flow-graph
 /// convention where the coordinator is source and sink.  Worker delivery is
-/// resolved against the live worker registry *per message*, so a worker
-/// spawned by a mid-run placement delta becomes addressable the moment it
-/// registers (and a retired one stops being addressable the moment it
-/// detaches).
+/// resolved against the worker table *per message*, so a row a mid-run
+/// placement delta adds is addressable at once (and a retired or failed one
+/// stops being addressable at once: what is still on the wire for it is
+/// dropped on arrival).
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Sending endpoint (`None` = coordinator).
     pub from: Option<NodeId>,
     /// Receiving endpoint (`None` = coordinator).
@@ -237,6 +177,30 @@ pub struct Envelope {
     pub bytes: f64,
     /// The message itself.
     pub msg: RuntimeMsg,
+}
+
+#[cfg(test)]
+impl StageWork {
+    /// One decode token of `request` on a pipeline that is the single stage
+    /// `(node, model)` over layers `[0, 4)`.
+    pub(crate) fn one_stage(request: RequestId, node: NodeId, model: ModelId) -> Self {
+        let stage = helix_core::PipelineStage {
+            node,
+            layers: LayerRange::new(0, 4),
+        };
+        StageWork {
+            request,
+            phase: Phase::Decode,
+            tokens: 1,
+            stage_index: 0,
+            epoch: 0,
+            pipeline: Arc::new(RequestPipeline {
+                model,
+                stages: vec![stage],
+            }),
+            prefix: None,
+        }
+    }
 }
 
 #[cfg(test)]

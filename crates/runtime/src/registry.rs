@@ -1,395 +1,265 @@
-//! The live worker set shared by the coordinator and the network fabric —
-//! both on one thread, so the sharing is an `Rc` and the mutability a
-//! `RefCell` (no borrow is held across an `.await`).
+//! The worker table: one row per (compute node, fleet model) pair the plan
+//! has ever named, in the dense [`PairTable`] the simulator keeps its engines
+//! in.
 //!
-//! The pre-session runtime fixed its worker set at build time: the fabric
-//! owned an immutable `HashMap` of delivery channels and online re-planning
-//! could only re-weight the workers that already existed.  The registry makes
-//! membership dynamic: the coordinator can [`spawn`](WorkerSpawner::spawn) a
-//! worker for a (node, model) pair the moment a re-plan's `PlacementDelta`
-//! adds that tenancy, and [`detach`](WorkerRegistry::detach) one once its
-//! in-flight pipelines have drained — while the fabric keeps routing over
-//! whatever the set currently is.
-//!
-//! Workers are tasks on the data plane's executor, so the registry keeps no
-//! join handles: a worker finishes when it processes its shutdown, and the
-//! executor's `drain` runs every task to completion at teardown.
+//! Membership is dynamic and there is nothing to spawn or join: a re-plan's
+//! `PlacementDelta` that adds a tenancy [`plan`](Workers::plan)s its row —
+//! a new one, built slowed if its node was slowed, or a retired one brought
+//! back with its counters — and one the plan dropped (once its in-flight
+//! pipelines drained) or a failure killed is [`retire`](Workers::retire)d:
+//! the fabric's deliveries for it are dropped from then on, and its row stays
+//! for the report.  The coordinator reads a row's queue length or counters by
+//! indexing the table; the plane's loop applies deliveries and batch
+//! completions to it ([`deliver`](Workers::deliver),
+//! [`batch_done`](Workers::batch_done)) and starts the batches of the rows
+//! they touched once nothing more is due ([`start_touched`](Workers::start_touched)).
 
-use crate::clock::VirtualClock;
 use crate::exec::{AnalyticExecution, ExecutionModel, InstantExecution};
 use crate::fabric::Fabric;
-use crate::message::{PlanUpdate, RuntimeMsg};
+use crate::message::RuntimeMsg;
 use crate::runtime::ExecutionKind;
-use crate::worker::{self, SharedWorkerStats, WorkerConfig, WorkerStats};
+use crate::worker::Worker;
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
-use minirt::channel::{unbounded, Sender};
-use std::cell::RefCell;
+use helix_core::{LayerRange, PairTable};
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Key of one worker: the (compute node, fleet model) pair it serves.
 pub(crate) type WorkerKey = (NodeId, ModelId);
 
-/// Report-facing facts about one worker that outlive its task.
-#[derive(Debug, Clone)]
-pub(crate) struct WorkerMeta {
-    /// Human-readable node name from the cluster spec.
-    pub name: String,
-    /// Layers the worker's node holds for its model.
-    pub layers: usize,
+/// Every worker the plan has ever named, live or not.
+pub(crate) struct Workers {
+    table: PairTable<Worker>,
+    /// Rows that may have a batch to start once the current delivery pass
+    /// is over (each at most once: [`Worker::touched`]).
+    touched: Vec<WorkerKey>,
+    /// The execution-model choice every row is built with.
+    execution: ExecutionKind,
+    /// The injected speed factor of every node that has one; a row built
+    /// later on such a node starts slowed, as its siblings run.
+    slowdowns: HashMap<NodeId, f64>,
 }
 
-#[derive(Default)]
-struct RegistryInner {
-    /// Columns of the `model × node` table: the cluster's node count.
-    num_nodes: usize,
-    /// Delivery channel per live worker, at
-    /// `model.index() * num_nodes + node.index()`; detached workers are
-    /// removed here (the fabric drops messages for them) but keep their
-    /// stats and meta.  Sized for the whole cluster × fleet, because
-    /// re-plans spawn workers for pairs the first plan did not have.
-    txs: Vec<Option<Sender<RuntimeMsg>>>,
-    /// Shared statistics of every worker ever registered.
-    stats: HashMap<WorkerKey, SharedWorkerStats>,
-    /// Report metadata of every worker ever registered.
-    meta: HashMap<WorkerKey, WorkerMeta>,
-}
-
-impl RegistryInner {
-    fn slot(&self, (node, model): WorkerKey) -> Option<usize> {
-        let slot = model.index() * self.num_nodes + node.index();
-        (node.index() < self.num_nodes && slot < self.txs.len()).then_some(slot)
-    }
-
-    fn tx(&self, key: WorkerKey) -> Option<&Sender<RuntimeMsg>> {
-        self.txs[self.slot(key)?].as_ref()
-    }
-
-    /// Every live worker's channel with its pair, model by model in node
-    /// order.
-    fn live(&self) -> impl Iterator<Item = (WorkerKey, &Sender<RuntimeMsg>)> {
-        let n = self.num_nodes;
-        let txs = self.txs.iter().enumerate();
-        txs.filter_map(move |(i, tx)| Some(((NodeId(i % n), ModelId(i / n)), tx.as_ref()?)))
-    }
-}
-
-/// Mutable worker membership: who exists, how to reach them, and the
-/// statistics they publish.  Confined to the data-plane thread.
-pub(crate) struct WorkerRegistry {
-    inner: RefCell<RegistryInner>,
-}
-
-impl WorkerRegistry {
-    /// An empty registry for a cluster of `num_nodes` nodes serving
+impl Workers {
+    /// An empty table for a cluster of `num_nodes` nodes serving
     /// `num_models` models.
-    pub(crate) fn new(num_nodes: usize, num_models: usize) -> Self {
-        // At least one column, so a slot always splits into its pair.
-        let num_nodes = num_nodes.max(1);
-        WorkerRegistry {
-            inner: RefCell::new(RegistryInner {
-                num_nodes,
-                txs: (0..num_nodes * num_models).map(|_| None).collect(),
-                ..RegistryInner::default()
-            }),
+    pub(crate) fn new(num_nodes: usize, num_models: usize, execution: ExecutionKind) -> Self {
+        Workers {
+            table: PairTable::new(num_nodes, num_models),
+            touched: Vec::new(),
+            execution,
+            slowdowns: HashMap::new(),
         }
     }
 
-    /// Registers a newly spawned worker under `key` (a pair outside the
-    /// table cannot be planned, and stays unroutable).
-    ///
-    /// A pair that is re-added after an earlier incarnation retired seeds
-    /// the new worker's cumulative counters (busy/nominal seconds, batches,
-    /// tokens, rejections) from its predecessor, so the final report's
-    /// per-(node, model) totals stay complete and observation windows —
-    /// which mark cumulative counters — stay monotonic.
-    pub(crate) fn register(
-        &self,
-        key: WorkerKey,
-        tx: Sender<RuntimeMsg>,
-        stats: SharedWorkerStats,
-        meta: WorkerMeta,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(previous) = inner.stats.get(&key) {
-            let prev = previous.borrow().clone();
-            let mut fresh = stats.borrow_mut();
-            fresh.busy_secs += prev.busy_secs;
-            fresh.nominal_busy_secs += prev.nominal_busy_secs;
-            fresh.batches += prev.batches;
-            fresh.prompt_tokens += prev.prompt_tokens;
-            fresh.decode_tokens += prev.decode_tokens;
-            fresh.kv_rejections += prev.kv_rejections;
-            fresh.kv_peak_utilization = fresh.kv_peak_utilization.max(prev.kv_peak_utilization);
-        }
-        if let Some(slot) = inner.slot(key) {
-            inner.txs[slot] = Some(tx);
-        }
-        inner.stats.insert(key, stats);
-        inner.meta.insert(key, meta);
+    /// The row of `key`, live or not.
+    pub(crate) fn get(&self, (node, model): WorkerKey) -> Option<&Worker> {
+        self.table.get(node, model)
+    }
+
+    /// The row of `key` if the fabric delivers to it.
+    pub(crate) fn live_mut(&mut self, (node, model): WorkerKey) -> Option<&mut Worker> {
+        self.table.get_mut(node, model).filter(|worker| worker.live)
     }
 
     /// Whether a live (routable) worker exists for `key`.
-    pub(crate) fn is_routable(&self, key: WorkerKey) -> bool {
-        self.inner.borrow().tx(key).is_some()
+    pub(crate) fn is_live(&self, key: WorkerKey) -> bool {
+        self.get(key).is_some_and(|worker| worker.live)
     }
 
-    /// Hands `msg` to the live worker of `key`, in place; a message for a
-    /// detached or unknown worker is dropped.
-    pub(crate) fn deliver(&self, key: WorkerKey, msg: RuntimeMsg) {
-        if let Some(tx) = self.inner.borrow().tx(key) {
-            let _ = tx.send(msg);
-        }
+    /// The live workers of one model, in node order.
+    pub(crate) fn live_of_model(&mut self, model: ModelId) -> impl Iterator<Item = &Worker> {
+        let stride = self.table.of_model(model).iter().flatten();
+        stride.filter(|worker| worker.live)
     }
 
-    /// Sends `msg` to every live worker of `node`, across models.
-    pub(crate) fn send_to_node(&self, node: NodeId, msg: RuntimeMsg) {
-        let inner = self.inner.borrow();
-        for (_, tx) in inner.live().filter(|&((n, _), _)| n == node) {
-            let _ = tx.send(msg.clone());
-        }
+    /// Every row ever planned, sorted by (node, model) — the order reports
+    /// and observations are made in.
+    pub(crate) fn rows(&self) -> Vec<&Worker> {
+        let mut rows: Vec<_> = self.table.iter().map(|(_, _, worker)| worker).collect();
+        rows.sort_by_key(|worker| worker.key);
+        rows
     }
 
-    /// The live worker keys of one model, in node order.
-    pub(crate) fn live_keys_for_model(&self, model: ModelId) -> Vec<WorkerKey> {
-        let inner = self.inner.borrow();
-        let keys = inner.live().map(|(key, _)| key);
-        keys.filter(|&(_, m)| m == model).collect()
-    }
-
-    /// The shared statistics handle of one worker (live or detached).
-    pub(crate) fn stats(&self, key: WorkerKey) -> Option<SharedWorkerStats> {
-        self.inner.borrow().stats.get(&key).cloned()
-    }
-
-    /// Updates the report metadata of one worker after an in-place plan
-    /// update changed its layer assignment.
-    pub(crate) fn update_meta(&self, key: WorkerKey, layers: usize) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(meta) = inner.meta.get_mut(&key) {
-            meta.layers = layers;
-        }
-    }
-
-    /// Clones every *live* worker's current statistics, sorted by key for
-    /// deterministic iteration (detached workers stop being observed).
-    pub(crate) fn live_stats_snapshot(&self) -> Vec<(WorkerKey, WorkerStats)> {
-        let inner = self.inner.borrow();
-        let mut out: Vec<(WorkerKey, WorkerStats)> = inner
-            .live()
-            .map(|(key, _)| (key, inner.stats[&key].borrow().clone()))
-            .collect();
-        out.sort_by_key(|&(key, _)| key);
-        out
-    }
-
-    /// Report rows for every worker ever registered, sorted by (node, model)
-    /// — the same order the pre-session runtime reported in.
-    pub(crate) fn report_rows(&self) -> Vec<(WorkerKey, WorkerMeta, WorkerStats)> {
-        let inner = self.inner.borrow();
-        let mut out: Vec<(WorkerKey, WorkerMeta, WorkerStats)> = inner
-            .meta
-            .iter()
-            .map(|(&key, meta)| {
-                let stats = inner.stats[&key].borrow().clone();
-                (key, meta.clone(), stats)
-            })
-            .collect();
-        out.sort_by_key(|&(key, _, _)| key);
-        out
-    }
-
-    /// Retires one worker: sends it a shutdown and removes its delivery
-    /// channel so the fabric stops routing to it.  Its statistics and report
-    /// metadata survive; its task runs to completion on the executor.
-    ///
-    /// The caller is responsible for only detaching workers whose in-flight
-    /// pipelines have drained (drain-then-switch).
-    pub(crate) fn detach(&self, key: WorkerKey) {
-        let mut inner = self.inner.borrow_mut();
-        let slot = inner.slot(key);
-        if let Some(tx) = slot.and_then(|slot| inner.txs[slot].take()) {
-            let _ = tx.send(RuntimeMsg::Shutdown);
-        }
-    }
-
-    /// Sends a shutdown to every live worker.
-    pub(crate) fn shutdown_all(&self) {
-        let inner = self.inner.borrow();
-        for (_, tx) in inner.live() {
-            let _ = tx.send(RuntimeMsg::Shutdown);
-        }
-    }
-}
-
-/// Everything needed to spawn one more worker mid-run: the executor, the
-/// clock, the fabric, the execution-model choice the original build
-/// used and the slowdowns injected so far.
-pub(crate) struct WorkerSpawner {
-    pub executor: minirt::Executor,
-    pub clock: VirtualClock,
-    pub fabric: Rc<Fabric>,
-    pub execution: ExecutionKind,
-    pub registry: Rc<WorkerRegistry>,
-    /// The injected speed factor of every node that has one; a worker
-    /// spawned later on such a node starts slowed, as its siblings run.
-    pub slowdowns: HashMap<NodeId, f64>,
-}
-
-impl WorkerSpawner {
-    /// Slows every worker of `node`, present and future, to `factor`× the
-    /// cost model's prediction.
-    pub(crate) fn set_speed(&mut self, node: NodeId, factor: f64) {
-        self.slowdowns.insert(node, factor);
-        self.registry
-            .send_to_node(node, RuntimeMsg::SetSpeed(factor));
-    }
-
-    /// Builds the execution model a worker of `node` should run under the
-    /// current plan.
-    fn execution_for(&self, profile: &ClusterProfile, node: NodeId) -> Arc<dyn ExecutionModel> {
-        match self.execution {
-            ExecutionKind::Analytic => Arc::new(AnalyticExecution::new(profile.node_profile(node))),
-            ExecutionKind::Instant => Arc::new(InstantExecution),
-        }
-    }
-
-    /// Spawns and registers a worker task for `(node, model)` with the given
-    /// plan facts.  If a live worker already exists for the pair, its plan is
-    /// updated **in place** instead: the worker swaps its execution model and
-    /// re-sizes its KV pool without dropping queued work — surviving
-    /// tenancies track a re-plan just like the simulator's re-split engines.
-    pub(crate) fn spawn(
-        &self,
+    /// Puts `(node, model)` in service with the given plan facts.  A live
+    /// row takes them **in place**, keeping its queue and residency; a
+    /// retired one comes back empty with its counters; a pair the table
+    /// never held gets a new row (a pair outside the table cannot be
+    /// planned, and stays unroutable).
+    pub(crate) fn plan(
+        &mut self,
         profile: &ClusterProfile,
-        node: NodeId,
-        model: ModelId,
+        (node, model): WorkerKey,
         name: &str,
         layers: usize,
         kv_capacity_tokens: f64,
     ) {
-        if self.registry.is_routable((node, model)) {
-            let update = PlanUpdate {
-                execution: self.execution_for(profile, node),
-                kv_capacity_tokens,
-                layers,
-            };
-            let msg = RuntimeMsg::UpdatePlan(update);
-            self.registry.deliver((node, model), msg);
-            self.registry.update_meta((node, model), layers);
-            return;
-        }
-        let (tx, rx) = unbounded::<RuntimeMsg>();
-        if let Some(&factor) = self.slowdowns.get(&node) {
-            let _ = tx.send(RuntimeMsg::SetSpeed(factor));
-        }
-        let stats = SharedWorkerStats::default();
-        let config = WorkerConfig {
-            node,
-            model,
-            activation_bytes: profile.model().activation_bytes(),
-            kv_capacity_tokens,
+        let execution: Box<dyn ExecutionModel> = match self.execution {
+            ExecutionKind::Analytic => Box::new(AnalyticExecution::new(profile.node_profile(node))),
+            ExecutionKind::Instant => Box::new(InstantExecution),
         };
-        let _handle = worker::spawn_worker(
-            &self.executor,
-            config,
-            self.execution_for(profile, node),
-            self.clock,
-            rx,
-            Rc::clone(&self.fabric),
-            Rc::clone(&stats),
-        );
-        self.registry.register(
-            (node, model),
-            tx,
-            stats,
-            WorkerMeta {
-                name: name.to_string(),
-                layers,
-            },
-        );
+        if let Some(worker) = self.table.get_mut(node, model) {
+            return worker.plan(execution, kv_capacity_tokens, layers);
+        }
+        let activation = profile.model().activation_bytes();
+        let key = (node, model);
+        let mut worker = Worker::new(key, name, activation, execution, kv_capacity_tokens, layers);
+        if let Some(&factor) = self.slowdowns.get(&node) {
+            worker.core.set_slowdown(factor);
+        }
+        self.table.insert(node, model, worker);
+    }
+
+    /// Takes one worker out of service (the plan dropped it and its
+    /// in-flight pipelines drained, or its node failed): deliveries for it
+    /// are dropped from here on; its row stays for the report.
+    pub(crate) fn retire(&mut self, key: WorkerKey) {
+        if let Some(worker) = self.live_mut(key) {
+            worker.retire();
+        }
+    }
+
+    /// Slows every worker of `node`, present and future, to `factor`× the
+    /// cost model's prediction.  Workers *measure* the resulting
+    /// predicted-vs-actual gap and the re-plan loop reacts to the
+    /// measurement, never to the injected value itself.
+    pub(crate) fn set_speed(&mut self, node: NodeId, factor: f64) {
+        self.slowdowns.insert(node, factor);
+        for worker in self.table.of_node_mut(node) {
+            worker.core.set_slowdown(factor);
+        }
+    }
+
+    /// Applies `apply` to the live worker of `key` — nothing happens for a
+    /// retired or unknown one — and queues the row for
+    /// [`start_touched`](Self::start_touched) if that left it idle with work
+    /// queued.
+    fn with_live(&mut self, key: WorkerKey, apply: impl FnOnce(&mut Worker)) {
+        let Some(worker) = self.table.get_mut(key.0, key.1).filter(|w| w.live) else {
+            return;
+        };
+        apply(worker);
+        if !worker.touched && !worker.core.is_busy() && worker.core.queue_len() > 0 {
+            worker.touched = true;
+            self.touched.push(key);
+        }
+    }
+
+    /// Hands `msg` to the live worker of `key`; a message for a retired or
+    /// unknown worker is dropped.
+    pub(crate) fn deliver(&mut self, key: WorkerKey, msg: RuntimeMsg, fabric: &mut Fabric) {
+        self.with_live(key, |worker| worker.handle(msg, fabric));
+    }
+
+    /// The batch of `key` queued as due at `at` came up at `now`.
+    pub(crate) fn batch_done(&mut self, key: WorkerKey, at: f64, now: f64, fabric: &mut Fabric) {
+        self.with_live(key, |worker| worker.batch_done(at, now, fabric));
+    }
+
+    /// Ends one freeze of exactly `layers` on `key` (the hand-over landed).
+    pub(crate) fn thaw(&mut self, key: WorkerKey, layers: LayerRange) {
+        self.with_live(key, |worker| worker.core.thaw(layers));
+    }
+
+    /// Starts a batch on every row the passes touched — *after* them, so
+    /// everything delivered by then joins one batch (§5.1's rule).  Returns
+    /// whether any row was waiting.
+    pub(crate) fn start_touched(&mut self, now: f64, fabric: &mut Fabric) -> bool {
+        let any = !self.touched.is_empty();
+        for (node, model) in self.touched.drain(..) {
+            if let Some(worker) = self.table.get_mut(node, model) {
+                worker.touched = false;
+                worker.start_batch(now, fabric);
+            }
+        }
+        any
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minirt::channel::Receiver;
+    use crate::clock::VirtualClock;
+    use helix_cluster::{ClusterSpec, ModelConfig};
 
-    fn dummy_entry(registry: &WorkerRegistry, key: WorkerKey) -> Receiver<RuntimeMsg> {
-        let (tx, rx) = unbounded::<RuntimeMsg>();
-        let stats = SharedWorkerStats::default();
-        registry.register(
-            key,
-            tx,
-            stats,
-            WorkerMeta {
-                name: format!("n{}", key.0.index()),
-                layers: 4,
-            },
-        );
-        rx
+    fn profile() -> ClusterProfile {
+        ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b())
+    }
+
+    fn fabric() -> Fabric {
+        Fabric::new(ClusterSpec::solver_quality_10(), VirtualClock::new(0.0001))
+    }
+
+    fn planned(workers: &mut Workers, key: WorkerKey) {
+        let name = format!("n{}", key.0.index());
+        workers.plan(&profile(), key, &name, 4, 1_000.0);
     }
 
     #[test]
     fn detach_stops_routing_but_keeps_the_report_row() {
-        let registry = WorkerRegistry::new(4, 2);
+        let mut workers = Workers::new(4, 2, ExecutionKind::Instant);
+        let mut fabric = fabric();
         let key = (NodeId(3), ModelId(1));
-        let rx = dummy_entry(&registry, key);
-        assert!(registry.is_routable(key));
-        registry.deliver(key, RuntimeMsg::SetSpeed(2.0));
-        assert!(matches!(rx.try_recv(), Ok(RuntimeMsg::SetSpeed(_))));
+        planned(&mut workers, key);
+        assert!(workers.is_live(key));
+        workers.live_mut(key).unwrap().core.kv.seed(1, 64);
+        workers.deliver(key, RuntimeMsg::Release(1), &mut fabric);
+        assert_eq!(workers.get(key).unwrap().core.kv.used_tokens(), 0.0);
 
-        registry.detach(key);
-        assert!(!registry.is_routable(key));
-        assert!(matches!(rx.try_recv(), Ok(RuntimeMsg::Shutdown)));
-        // Delivery to a detached or out-of-table pair drops the message.
-        registry.deliver(key, RuntimeMsg::SetSpeed(2.0));
-        registry.deliver((NodeId(9), ModelId(0)), RuntimeMsg::SetSpeed(2.0));
-        assert!(rx.try_recv().is_err());
-        // Stats and meta survive detachment for the final report.
-        assert!(registry.stats(key).is_some());
-        let rows = registry.report_rows();
+        workers.live_mut(key).unwrap().batches = 3;
+        workers.retire(key);
+        assert!(!workers.is_live(key));
+        assert!(workers.live_mut(key).is_none());
+        assert_eq!(workers.live_of_model(ModelId(1)).count(), 0);
+        // Delivery to a retired or out-of-table pair drops the message;
+        // retiring twice, or what was never planned, is a no-op.
+        workers.deliver(key, RuntimeMsg::Release(1), &mut fabric);
+        workers.deliver((NodeId(9), ModelId(0)), RuntimeMsg::Release(1), &mut fabric);
+        workers.retire(key);
+        workers.retire((NodeId(0), ModelId(0)));
+        // The row survives retirement for the final report.
+        let rows = workers.rows();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, key);
+        assert_eq!((rows[0].key, rows[0].batches), (key, 3));
+        assert_eq!(rows[0].name, "n3");
     }
 
     #[test]
     fn respawned_pair_inherits_its_predecessors_counters() {
-        let registry = WorkerRegistry::new(2, 1);
+        let mut workers = Workers::new(2, 1, ExecutionKind::Instant);
         let key = (NodeId(1), ModelId(0));
-        let _rx = dummy_entry(&registry, key);
-        {
-            let stats = registry.stats(key).unwrap();
-            let mut s = stats.borrow_mut();
-            s.busy_secs = 3.0;
-            s.batches = 7;
-            s.decode_tokens = 40;
-        }
-        registry.detach(key);
+        planned(&mut workers, key);
+        let worker = workers.live_mut(key).unwrap();
+        (worker.busy_secs, worker.batches, worker.decode_tokens) = (3.0, 7, 40);
+        // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
+        worker.core.kv.grow(1, 2_000);
+        workers.retire(key);
 
         // Re-adding the tenancy must not lose the first incarnation's work
-        // from the report, nor make cumulative counters go backwards.
-        let _rx2 = dummy_entry(&registry, key);
-        let seeded = registry.stats(key).unwrap().borrow().clone();
-        assert_eq!(seeded.batches, 7);
-        assert_eq!(seeded.decode_tokens, 40);
-        assert!((seeded.busy_secs - 3.0).abs() < 1e-12);
-        registry.shutdown_all();
+        // from the report, nor make cumulative counters go backwards: the
+        // row comes back — empty, with the new plan's facts — and continues.
+        workers.plan(&profile(), key, "n1", 6, 500.0);
+        assert!(workers.is_live(key));
+        let revived = workers.get(key).unwrap();
+        assert_eq!((revived.batches, revived.decode_tokens), (7, 40));
+        assert!((revived.busy_secs - 3.0).abs() < 1e-12);
+        assert_eq!(revived.core.kv.rejections(), 1);
+        assert!(revived.core.kv.peak_utilization() >= 2.0);
+        assert_eq!(revived.core.kv.used_tokens(), 0.0);
+        assert_eq!(revived.core.kv.capacity_tokens(), 500.0);
+        assert_eq!(revived.layers, 6);
     }
 
     #[test]
     fn report_rows_are_sorted_by_node_then_model() {
-        let registry = WorkerRegistry::new(3, 2);
+        let mut workers = Workers::new(3, 2, ExecutionKind::Instant);
         for key in [
             (NodeId(2), ModelId(0)),
             (NodeId(0), ModelId(1)),
             (NodeId(0), ModelId(0)),
         ] {
-            let _ = dummy_entry(&registry, key);
+            planned(&mut workers, key);
         }
-        let keys: Vec<WorkerKey> = registry.report_rows().iter().map(|r| r.0).collect();
+        let keys: Vec<WorkerKey> = workers.rows().iter().map(|w| w.key).collect();
         assert_eq!(
             keys,
             vec![
@@ -398,16 +268,49 @@ mod tests {
                 (NodeId(2), ModelId(0)),
             ]
         );
-        assert_eq!(registry.live_keys_for_model(ModelId(0)).len(), 2);
-        registry.shutdown_all();
+        let of_model_0: Vec<_> = workers.live_of_model(ModelId(0)).map(|w| w.key.0).collect();
+        assert_eq!(of_model_0, vec![NodeId(0), NodeId(2)], "in node order");
     }
 
     #[test]
     fn update_meta_rewrites_the_report_layer_count() {
-        let registry = WorkerRegistry::new(1, 1);
+        let mut workers = Workers::new(1, 1, ExecutionKind::Instant);
         let key = (NodeId(0), ModelId(0));
-        let _rx = dummy_entry(&registry, key);
-        registry.update_meta(key, 9);
-        assert_eq!(registry.report_rows()[0].1.layers, 9);
+        planned(&mut workers, key);
+        workers.live_mut(key).unwrap().core.kv.seed(1, 64);
+        // Planning a live pair again updates it in place.
+        workers.plan(&profile(), key, "n0", 9, 2_000.0);
+        let rows = workers.rows();
+        assert_eq!((rows.len(), rows[0].layers), (1, 9));
+        assert_eq!(rows[0].core.kv.used_tokens(), 64.0, "residency survives");
+    }
+
+    /// A row built after its node was slowed runs slowed, and a slowdown
+    /// reaches every model's row of the node, retired ones included.
+    #[test]
+    fn slowdowns_reach_present_and_future_rows_of_a_node() {
+        let mut workers = Workers::new(2, 2, ExecutionKind::Analytic);
+        let mut fabric = fabric();
+        let (early, late) = ((NodeId(1), ModelId(0)), (NodeId(1), ModelId(1)));
+        planned(&mut workers, early);
+        workers.set_speed(NodeId(1), 4.0);
+        planned(&mut workers, late);
+        planned(&mut workers, (NodeId(0), ModelId(0)));
+        for key in [early, late, (NodeId(0), ModelId(0))] {
+            let work = crate::message::StageWork::one_stage(1, key.0, key.1);
+            workers.deliver(key, RuntimeMsg::Work(work), &mut fabric);
+        }
+        workers.start_touched(0.0, &mut fabric);
+        // Three batches in flight; the slowed node's take 4× their nominal.
+        while let Some((at, crate::fabric::Event::BatchDone(key))) = fabric.pop_due(f64::INFINITY) {
+            workers.batch_done(key, at, at, &mut fabric);
+        }
+        let factor = |key| {
+            let w = workers.get(key).unwrap();
+            w.busy_secs / w.nominal_busy_secs
+        };
+        assert!((factor(early) - 4.0).abs() < 1e-9);
+        assert!((factor(late) - 4.0).abs() < 1e-9);
+        assert!((factor((NodeId(0), ModelId(0))) - 1.0).abs() < 1e-9);
     }
 }

@@ -1,5 +1,6 @@
-//! The serving runtime: wires the coordinator, the workers and the network
-//! fabric together, on the one thread that then drives them.
+//! The serving runtime: builds the worker table, the network fabric and the
+//! coordinator on the one thread that then runs their loop, and assembles the
+//! report when it returns.
 //!
 //! Construction goes through [`ServingBuilder`](crate::ServingBuilder),
 //! which starts the `helix-dataplane` thread on [`run`] and returns the
@@ -7,16 +8,14 @@
 //! channels.
 
 use crate::clock::VirtualClock;
-use crate::coordinator::{Coordinator, CoordinatorMsg, CoordinatorSpec};
+use crate::coordinator::{Coordinator, CoordinatorSpec, SessionControl};
 use crate::error::RuntimeError;
-use crate::fabric;
+use crate::fabric::Fabric;
 use crate::metrics::{NodeReport, RequestOutcome, RuntimeReport};
-use crate::registry::{WorkerRegistry, WorkerSpawner};
+use crate::registry::Workers;
 use helix_cluster::ModelId;
 use helix_core::{FleetTopology, HelixError, KvCacheEstimator, ReplanPolicy, Scheduler};
 use minirt::channel::{Receiver, Sender};
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Duration;
 
 /// Which execution model the workers use.
@@ -69,21 +68,17 @@ impl RuntimeConfig {
 
 /// What the `helix-dataplane` thread is started with: the plan, and its
 /// ends of the channels that cross to the session's thread.  Everything
-/// built from it — executor, registry, fabric, workers, coordinator — is
-/// `!Send` and never leaves that thread.
+/// built from it — worker table, fabric, coordinator — is plain data the
+/// thread's loop owns.
 pub(crate) struct PlaneSpec {
     pub fleet: FleetTopology,
     pub schedulers: Vec<Box<dyn Scheduler>>,
     pub config: RuntimeConfig,
     pub policy: Option<ReplanPolicy>,
     pub clock: VirtualClock,
-    /// The coordinator's inbound channel: session control messages and the
-    /// fabric's deliveries (through `coordinator_tx`).
-    pub inbound: Receiver<CoordinatorMsg>,
-    pub coordinator_tx: Sender<CoordinatorMsg>,
+    /// The session's calls, in call order.
+    pub inbound: Receiver<SessionControl>,
     pub completions: Sender<RequestOutcome>,
-    /// Told once the plane is wired, so building a session includes it.
-    pub wired: Sender<()>,
 }
 
 /// What a plane cannot be built from; checked on the caller's thread so
@@ -109,37 +104,17 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// The whole life of a data plane, on the thread that owns it.  Wires one
-/// worker task per (assigned node, model) pair — each with its own partition
-/// of the node's KV pool — one KV estimator per model, the network fabric
-/// with its pump task, and a coordinator that routes every request to its
-/// model's scheduler; drives them until the session says `Finish`; then
-/// shuts the workers down and drains the executor — even when the run ended
-/// in an error: workers process their shutdowns, the fabric's pump delivers
-/// what is still in flight — and assembles the final report.
-pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
+/// Builds the plane as plain data: one worker row per (assigned node, model)
+/// pair — each with its own partition of the node's KV pool — one KV
+/// estimator per model, the network fabric, and a coordinator that routes
+/// every request to its model's scheduler.
+pub(crate) fn build(spec: PlaneSpec) -> Coordinator {
     let (fleet, config, clock) = (spec.fleet, spec.config, spec.clock);
-    let executor = minirt::Executor::new();
     // Link bandwidth/latency are model-independent; the fabric uses the
     // first model's cluster.
     let cluster = fleet.topologies()[0].profile().cluster();
-    let registry = Rc::new(WorkerRegistry::new(cluster.num_nodes(), fleet.num_models()));
-    let fabric = fabric::spawn_fabric(
-        &executor,
-        cluster.clone(),
-        clock,
-        Rc::clone(&registry),
-        spec.coordinator_tx,
-    );
-
-    let spawner = WorkerSpawner {
-        executor: executor.clone(),
-        clock,
-        fabric: Rc::clone(&fabric),
-        execution: config.execution,
-        registry: Rc::clone(&registry),
-        slowdowns: HashMap::new(),
-    };
+    let mut workers = Workers::new(cluster.num_nodes(), fleet.num_models(), config.execution);
+    let fabric = Fabric::new(cluster.clone(), clock);
 
     let mut estimators = Vec::with_capacity(fleet.num_models());
     for (m, topology) in fleet.topologies().iter().enumerate() {
@@ -151,10 +126,9 @@ pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
         let mut estimator = KvCacheEstimator::new(topology.profile(), INITIAL_AVG_OUTPUT_TOKENS);
         for planned in topology.nodes() {
             estimator.set_capacity(planned.node, planned.kv_capacity_tokens);
-            spawner.spawn(
+            workers.plan(
                 &contention,
-                planned.node,
-                model,
+                (planned.node, model),
                 &planned.name,
                 planned.layers.len(),
                 planned.kv_capacity_tokens,
@@ -163,22 +137,34 @@ pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
         estimators.push(estimator);
     }
 
-    let mut coordinator = Coordinator::new(CoordinatorSpec {
+    Coordinator::new(CoordinatorSpec {
         schedulers: spec.schedulers,
         estimators,
         clock,
         inbound: spec.inbound,
-        spawner,
+        workers,
+        fabric,
         max_wall: config.max_wall,
         fleet,
         policy: spec.policy,
-    });
-    let _ = spec.wired.send(());
+        completions: spec.completions,
+    })
+}
 
-    let outcome = executor.block_on(coordinator.run_live(spec.completions));
-    registry.shutdown_all();
-    let (control, kv_transfers) = coordinator.into_logs();
-    executor.drain();
+/// The whole life of a data plane, on the thread that owns it: builds it,
+/// runs its loop until the session says `Finish` (or is gone), and assembles
+/// the final report from the tables as they stand.  The loop returns once no
+/// request, KV hand-over or injected failure is pending; `Release`s still
+/// queued in the fabric are dropped with it, and the report reads only what
+/// was counted at the send (links) or is cumulative (rows) — so there is
+/// nothing to shut down or drain.  `wired` is told once the plane is built,
+/// so building a session includes it.
+pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, RuntimeError> {
+    let clock = spec.clock;
+    let mut coordinator = build(spec);
+    let _ = wired.send(());
+    let outcome = minirt::Executor::new().block_on(coordinator.run_live());
+    let (control, kv_transfers) = coordinator.take_logs();
 
     let outcomes = outcome?;
     let makespan = {
@@ -198,32 +184,28 @@ pub(crate) fn run(spec: PlaneSpec) -> Result<RuntimeReport, RuntimeError> {
         (last_completion - first_arrival).max(0.0)
     };
 
-    let nodes = registry
-        .report_rows()
-        .into_iter()
-        .map(|((node, model), meta, stats)| NodeReport {
-            node,
-            model,
-            name: meta.name,
-            layers_held: meta.layers,
-            busy_secs: stats.busy_secs,
-            batches: stats.batches,
-            prompt_tokens: stats.prompt_tokens,
-            decode_tokens: stats.decode_tokens,
-            kv_peak_utilization: stats.kv_peak_utilization,
-            kv_rejections: stats.kv_rejections,
+    let rows = coordinator.workers.rows().into_iter();
+    let nodes = rows
+        .map(|worker| NodeReport {
+            node: worker.key.0,
+            model: worker.key.1,
+            name: worker.name.clone(),
+            layers_held: worker.layers,
+            busy_secs: worker.busy_secs,
+            batches: worker.batches,
+            prompt_tokens: worker.prompt_tokens,
+            decode_tokens: worker.decode_tokens,
+            kv_peak_utilization: worker.core.kv.peak_utilization(),
+            kv_rejections: worker.core.kv.rejections(),
         })
         .collect();
-
-    let mut links = fabric.link_reports();
-    links.sort_by_key(|l| (l.from, l.to));
 
     Ok(RuntimeReport {
         outcomes,
         makespan,
         wall_seconds: clock.wall_elapsed().as_secs_f64(),
         nodes,
-        links,
+        links: coordinator.fabric.link_reports(),
         replans: control.replans,
         kv_transfers,
         prefix: control.prefix,

@@ -4,22 +4,22 @@
 //! (coordinator, workers, fabric): requests are submitted without blocking,
 //! completions stream back as they happen, and a small control plane accepts
 //! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
-//! placement deltas that can *spawn new workers*
+//! placement deltas that can *add new workers*
 //! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
 //! retire dropped ones once they drain.  The batch call is a thin convenience
 //! wrapper: [`ServingSession::serve`] is submit-everything → finish over the
 //! same loop every other call drives.
 //!
-//! The whole data plane — coordinator, workers, fabric — is a set of async
-//! tasks on one executor, built and driven by a single dedicated
-//! `helix-dataplane` thread that starts with the session, so the OS thread
-//! count stays O(1) however many nodes the fleet has.  The session holds only
+//! The whole data plane — coordinator, worker table, fabric — is one loop
+//! over plain data, built and run by a single dedicated `helix-dataplane`
+//! thread that starts with the session, so the OS thread count stays O(1)
+//! however many nodes the fleet has.  The session holds only
 //! what crosses to that thread: the coordinator's inbound channel (every
 //! call below is one message on it, handled in call order), the completion
 //! stream, and the thread's handle, whose result is the final report.
 
 use crate::clock::VirtualClock;
-use crate::coordinator::{CoordinatorMsg, SessionControl};
+use crate::coordinator::SessionControl;
 use crate::error::RuntimeError;
 use crate::metrics::{RequestOutcome, RuntimeReport};
 use crate::runtime::{self, PlaneSpec, RuntimeConfig};
@@ -51,7 +51,7 @@ use std::time::Duration;
 pub struct ServingSession {
     clock: VirtualClock,
     max_wall: Duration,
-    control: Sender<CoordinatorMsg>,
+    control: Sender<SessionControl>,
     completions: Receiver<RequestOutcome>,
     /// The data-plane thread.  `None` once it died and was joined: its error
     /// went to whoever observed the death first.
@@ -95,13 +95,11 @@ impl ServingSession {
             policy,
             clock,
             inbound,
-            coordinator_tx: control.clone(),
             completions: completion_tx,
-            wired: wired_tx,
         };
         let plane = std::thread::Builder::new()
             .name("helix-dataplane".to_string())
-            .spawn(move || runtime::run(spec))
+            .spawn(move || runtime::run(spec, wired_tx))
             .expect("spawning the data-plane thread never fails");
         let mut session = ServingSession {
             clock,
@@ -120,10 +118,10 @@ impl ServingSession {
     }
 
     /// Queues one control message on the coordinator's inbound channel; its
-    /// arrival wakes the coordinator's waker-based wait.  `false` when the
+    /// arrival wakes the loop's waker-based wait.  `false` when the
     /// coordinator is gone.
     fn send_control(&self, msg: SessionControl) -> bool {
-        self.control.send(CoordinatorMsg::Control(msg)).is_ok()
+        self.control.send(msg).is_ok()
     }
 
     /// Submits one request without blocking and returns its ticket.
@@ -192,7 +190,7 @@ impl ServingSession {
     }
 
     /// Injects a hardware slowdown on every worker of `node`, including ones
-    /// a later re-plan spawns: their batches take `factor`× the cost model's
+    /// a later re-plan adds: their batches take `factor`× the cost model's
     /// prediction from now on (1.0 restores nominal speed).  The workers
     /// *measure* the resulting gap; an adaptive session reacts to the
     /// measurement, never to the injected value.
@@ -203,9 +201,9 @@ impl ServingSession {
     /// Applies a placement delta to the standing fleet plan, asynchronously:
     /// the coordinator re-plans with the observations already priced in,
     /// swaps the affected models' schedulers and KV budgets for new requests,
-    /// **spawns a worker** for every (node, model) tenancy the delta added —
-    /// closing the mid-run scale-out loop — and retires workers the plan
-    /// dropped once their in-flight pipelines drain.
+    /// **puts a worker in service** for every (node, model) tenancy the delta
+    /// added — closing the mid-run scale-out loop — and retires workers the
+    /// plan dropped once their in-flight pipelines drain.
     ///
     /// An infeasible delta (e.g. one that breaks a model's pipeline) leaves
     /// the current plan serving; applied deltas show up in the final
@@ -216,7 +214,7 @@ impl ServingSession {
         self.send_control(SessionControl::ApplyDelta(delta));
     }
 
-    /// Fails `node` at virtual time `at`: its workers are detached, every
+    /// Fails `node` at virtual time `at`: its workers are retired, every
     /// in-flight pipeline crossing it is promoted onto its replica standbys
     /// (when the replication policy trickled its KV there) or aborted and
     /// re-admitted from scratch, and the fleet re-plans around the hole.
@@ -250,9 +248,8 @@ impl ServingSession {
         }
     }
 
-    /// Drains, shuts the whole data plane down (workers, fabric, coordinator)
-    /// and returns the final report.  The data-plane thread is joined — every
-    /// task run to completion — before this method returns, even on error.
+    /// Drains, ends the data plane's loop and returns the final report.  The
+    /// data-plane thread is joined before this method returns, even on error.
     pub fn finish(mut self) -> Result<RuntimeReport, RuntimeError> {
         self.send_control(SessionControl::Finish);
         self.join_plane()
@@ -341,8 +338,7 @@ mod tests {
         let probe = session.control.clone();
         drop(session);
         let deadline = Instant::now() + budget;
-        let finish = || CoordinatorMsg::Control(SessionControl::Finish);
-        while probe.send(finish()).is_ok() {
+        while probe.send(SessionControl::Finish).is_ok() {
             assert!(Instant::now() < deadline, "data plane still alive");
             std::thread::sleep(Duration::from_millis(1));
         }

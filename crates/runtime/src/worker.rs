@@ -1,4 +1,4 @@
-//! Compute-node worker tasks.
+//! Compute-node workers: the rows of the data plane's worker table.
 //!
 //! Each worker mirrors one compute node of the paper's prototype (Fig. 3): it
 //! owns the layers assigned to it by the model placement, keeps a paged KV
@@ -12,29 +12,25 @@
 //! frozen layer range, how KV residency grows, when a batch pays the
 //! overflow penalty — is the shared [`EngineCore`], the same code the
 //! simulator's engines run.  This module adds what is genuinely the
-//! runtime's: the task loop, sleeping the batch duration on the virtual
-//! clock, forwarding, the chunked KV hand-over and published statistics.
+//! runtime's: forwarding, the chunked KV hand-over and the report counters.
 //!
-//! Workers are **async tasks** on the data plane's [`minirt`] executor, not
-//! OS threads: a 500-node fleet is 500 tasks sharing one driver thread.  A
-//! worker waiting for work parks on its channel's waker; a worker executing
-//! a batch suspends on a virtual-time timer, so hundreds of "busy" workers
-//! overlap their modelled execution exactly as the thread-per-worker runtime
-//! overlapped real sleeps.
+//! A worker is **plain data**, not a task: the plane's loop calls
+//! [`Worker::handle`] with each message the fabric delivers,
+//! [`Worker::start_batch`] once everything that is due has been delivered, and
+//! [`Worker::batch_done`] when the batch's entry in the fabric's queue comes
+//! due.  A batch of zero duration completes inside `start_batch`.  Hundreds
+//! of "busy" workers overlap their modelled execution because each one's
+//! completion is just another entry of that queue.
 
-use crate::clock::VirtualClock;
 use crate::exec::ExecutionModel;
 use crate::fabric::Fabric;
 use crate::message::{Envelope, RuntimeMsg, StageWork};
-use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
+use crate::registry::WorkerKey;
+use helix_cluster::{NodeId, TOKEN_WIRE_BYTES};
 use helix_core::engine::{BatchRun, EngineCore, Work, WorkMeta};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::LayerRange;
 use helix_workload::RequestId;
-use minirt::channel::Receiver;
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
 
 /// Pages per pipelined KV hand-over chunk: small enough that activation
 /// traffic interleaves on the link, large enough that chunk count stays
@@ -53,12 +49,32 @@ impl Work for StageWork {
     }
 }
 
-/// Live statistics one worker shares with the coordinator and the final
-/// report.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkerStats {
-    /// Work items waiting for the next batch.
-    pub queue_len: usize,
+/// One (compute node, fleet model) tenancy: a shared node has one row per
+/// model, each with its own KV-pool partition.
+pub(crate) struct Worker {
+    pub key: WorkerKey,
+    /// Human-readable node name from the cluster spec, for the report.
+    pub name: String,
+    /// Layers the node holds for its model, for the report.
+    pub layers: usize,
+    /// Whether the fabric delivers to this row.  A row the plan dropped or a
+    /// failure killed stays in the table for the report — and to be planned
+    /// again, continuing its counters.
+    pub live: bool,
+    /// Queued for a batch start at the end of the current delivery pass.
+    pub touched: bool,
+    /// Bytes of activation transferred per token to the next pipeline stage.
+    activation_bytes: f64,
+    execution: Box<dyn ExecutionModel>,
+    /// Queue, frozen layer ranges, KV pool and batching rules.  A freeze
+    /// carries no deadline here: it holds until the matching thaw.
+    pub core: EngineCore<StageWork>,
+    /// The executing batch, if it takes time, and when its completion is
+    /// due in the fabric's queue.
+    running: Option<(f64, BatchRun)>,
+    /// The finished batch; its buffer goes back to the core at the next
+    /// completion, so steady-state batching allocates nothing.
+    done: Vec<StageWork>,
     /// Virtual seconds spent executing batches.
     pub busy_secs: f64,
     /// Virtual seconds the execution model *predicted* for those batches.
@@ -71,130 +87,71 @@ pub struct WorkerStats {
     pub prompt_tokens: u64,
     /// Decode tokens processed.
     pub decode_tokens: u64,
-    /// Tokens currently resident in the KV pool.  Every append is recorded,
-    /// so this may exceed the capacity: the excess is the modelled
-    /// host-memory offload.
-    pub kv_used_tokens: f64,
-    /// Planned capacity of the KV pool in tokens.
-    pub kv_capacity_tokens: f64,
-    /// Highest KV pool utilisation (used pages / whole pages of capacity)
-    /// observed at any allocation.  Not clamped: a value above 1.0 is the
-    /// share of residency that was offloaded.
-    pub kv_peak_utilization: f64,
-    /// KV allocations that did not fit the pool.  They are recorded anyway
-    /// (offloaded), and every batch that runs while the pool is over
-    /// capacity pays the overflow penalty.
-    pub kv_rejections: u64,
-    /// Tokens per second (prompt and decode) over the most recent
-    /// measurement window, refreshed when a batch starts.
-    pub recent_throughput: f64,
-    /// KV pages currently held by shared prefixes (counted once each,
-    /// regardless of how many resident requests share them).
-    pub kv_shared_pages: usize,
-}
-
-/// The worker's statistics, written by its task and read by the coordinator
-/// on the same thread.
-pub(crate) type SharedWorkerStats = Rc<RefCell<WorkerStats>>;
-
-/// Static configuration of one worker.
-#[derive(Debug, Clone)]
-pub(crate) struct WorkerConfig {
-    /// The compute node this worker represents.
-    pub node: NodeId,
-    /// The fleet model this worker serves (a shared node runs one worker per
-    /// model, each with its own KV-pool partition).
-    pub model: ModelId,
-    /// Bytes of activation transferred per token to the next pipeline stage.
-    pub activation_bytes: f64,
-    /// KV pool capacity in tokens (derived from the placement).
-    pub kv_capacity_tokens: f64,
-}
-
-/// Spawns a worker task on `executor`.  The task exits when it receives
-/// [`RuntimeMsg::Shutdown`] or its inbound channel disconnects.
-pub(crate) fn spawn_worker(
-    executor: &minirt::Executor,
-    config: WorkerConfig,
-    execution: Arc<dyn ExecutionModel>,
-    clock: VirtualClock,
-    inbound: Receiver<RuntimeMsg>,
-    fabric: Rc<Fabric>,
-    stats: SharedWorkerStats,
-) -> minirt::JoinHandle<()> {
-    stats.borrow_mut().kv_capacity_tokens = config.kv_capacity_tokens;
-    let mut worker = Worker {
-        core: EngineCore::new(config.kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE),
-        config,
-        execution,
-        clock,
-        inbound,
-        fabric,
-        stats,
-        done: Vec::new(),
-        shutdown: false,
-    };
-    executor.spawn(async move { worker.run().await })
-}
-
-struct Worker {
-    config: WorkerConfig,
-    execution: Arc<dyn ExecutionModel>,
-    clock: VirtualClock,
-    inbound: Receiver<RuntimeMsg>,
-    fabric: Rc<Fabric>,
-    stats: SharedWorkerStats,
-    /// Queue, frozen layer ranges, KV pool and batching rules.  A `Freeze`
-    /// carries no deadline here: it holds until the matching `Resume`.
-    core: EngineCore<StageWork>,
-    /// The finished batch; its buffer goes back to the core at the next
-    /// completion, so steady-state batching allocates nothing.
-    done: Vec<StageWork>,
-    shutdown: bool,
 }
 
 impl Worker {
-    async fn run(&mut self) {
-        loop {
-            // Dynamic batching: everything that has arrived by now joins the
-            // next batch.
-            while let Ok(msg) = self.inbound.try_recv() {
-                self.handle(msg);
-            }
-            if self.shutdown {
-                // Shutdown overrides every freeze so teardown never strands
-                // queued work.
-                self.core.thaw_all();
-            }
-            let execution = &self.execution;
-            // Nothing queued (the common wake-up on a lightly loaded fleet):
-            // park without reading the clock.
-            let started = match self.core.queue_len() {
-                0 => None,
-                _ => self
-                    .core
-                    .start_batch(self.clock.now(), |batch| execution.batch_duration(batch)),
-            };
-            match started {
-                Some(run) => self.execute_batch(run).await,
-                None if self.shutdown => break,
-                // Idle (or every queued item frozen mid-hand-over): park on
-                // the channel's waker until something arrives — a frozen
-                // range only thaws on `Resume` or shutdown.
-                None => match self.inbound.recv().await {
-                    Ok(msg) => self.handle(msg),
-                    Err(_) => break,
-                },
-            }
+    /// A live row with the given plan facts, an empty queue and pool and no
+    /// history.
+    pub(crate) fn new(
+        key: WorkerKey,
+        name: &str,
+        activation_bytes: f64,
+        execution: Box<dyn ExecutionModel>,
+        kv_capacity_tokens: f64,
+        layers: usize,
+    ) -> Self {
+        Worker {
+            key,
+            name: name.to_string(),
+            layers,
+            live: true,
+            touched: false,
+            activation_bytes,
+            execution,
+            core: EngineCore::new(kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE),
+            running: None,
+            done: Vec::new(),
+            busy_secs: 0.0,
+            nominal_busy_secs: 0.0,
+            batches: 0,
+            prompt_tokens: 0,
+            decode_tokens: 0,
         }
-        self.publish_stats();
     }
 
-    fn handle(&mut self, msg: RuntimeMsg) {
+    /// Applies a plan's facts for this tenancy in place: the execution model
+    /// (e.g. the new analytic contention split after tenancies moved on or
+    /// off the node) is swapped and the KV pool re-sized without dropping
+    /// queued work or residency — as the simulator re-splits its engines —
+    /// and a row that was out of service is back in it.
+    pub(crate) fn plan(
+        &mut self,
+        execution: Box<dyn ExecutionModel>,
+        kv_capacity_tokens: f64,
+        layers: usize,
+    ) {
+        self.execution = execution;
+        self.core.kv.resize(kv_capacity_tokens);
+        self.layers = layers;
+        self.live = true;
+    }
+
+    /// Takes the row out of service: whatever it had queued, executing or
+    /// resident is dropped (a completion still in the fabric's queue finds
+    /// nothing running); its counters and name stay for the report.
+    pub(crate) fn retire(&mut self) {
+        self.live = false;
+        self.running = None;
+        self.core.retire();
+    }
+
+    /// Applies one delivered message.  Work only queues: the loop starts the
+    /// batch once everything due at this instant is in.
+    pub(crate) fn handle(&mut self, msg: RuntimeMsg, fabric: &mut Fabric) {
+        let (node, model) = self.key;
         match msg {
             RuntimeMsg::Work(work) => {
-                debug_assert_eq!(work.node(), self.config.node, "misrouted work item");
-                debug_assert_eq!(work.model(), self.config.model, "misrouted model");
+                debug_assert_eq!((work.node(), work.model()), self.key, "misrouted work");
                 self.core.enqueue(work);
             }
             RuntimeMsg::Release(request) => {
@@ -205,19 +162,6 @@ impl Worker {
                 // incarnation's own completion release, so a repeated (or
                 // unmatched) Release is a no-op, not a protocol bug.
                 self.core.release_request(request);
-            }
-            RuntimeMsg::IterationDone { .. } | RuntimeMsg::KvInstalled { .. } => {
-                // Only the coordinator consumes these; ignore defensively.
-            }
-            RuntimeMsg::SetSpeed(factor) => self.core.set_slowdown(factor),
-            RuntimeMsg::Freeze(layers) => self.core.freeze(layers, f64::INFINITY),
-            RuntimeMsg::Resume(layers) => self.core.thaw(layers),
-            RuntimeMsg::KvExtract {
-                to,
-                layers,
-                kv_bytes_per_token_per_layer,
-            } => {
-                self.extract_kv(to, layers, kv_bytes_per_token_per_layer);
             }
             RuntimeMsg::KvChunk {
                 from,
@@ -236,15 +180,15 @@ impl Worker {
                 // the whole residency is installed, so tell the coordinator
                 // the hand-over landed (it re-routes and thaws both ends).
                 if last {
-                    self.fabric.send(Envelope {
-                        from: Some(self.config.node),
+                    fabric.send(Envelope {
+                        from: Some(node),
                         to: None,
-                        model: self.config.model,
+                        model,
                         bytes: TOKEN_WIRE_BYTES,
                         msg: RuntimeMsg::KvInstalled {
-                            model: self.config.model,
+                            model,
                             from,
-                            to: self.config.node,
+                            to: node,
                             layers,
                             tokens,
                             pages,
@@ -253,16 +197,10 @@ impl Worker {
                     });
                 }
             }
-            RuntimeMsg::UpdatePlan(update) => {
-                self.execution = update.execution;
-                self.core.kv.resize(update.kv_capacity_tokens);
-                self.stats.borrow_mut().kv_capacity_tokens = update.kv_capacity_tokens;
-            }
-            RuntimeMsg::Shutdown => {
-                self.shutdown = true;
+            RuntimeMsg::IterationDone { .. } | RuntimeMsg::KvInstalled { .. } => {
+                debug_assert!(false, "coordinator-bound message delivered to a worker");
             }
         }
-        self.publish_stats();
     }
 
     /// The source half of a KV hand-over: snapshot the pool's residency,
@@ -274,7 +212,14 @@ impl Worker {
     /// instead of blocking it with one monolithic blob.
     ///
     /// [`KvTransferModel`]: helix_core::KvTransferModel
-    fn extract_kv(&mut self, to: NodeId, layers: LayerRange, kv_bytes_per_token_per_layer: f64) {
+    pub(crate) fn extract_kv(
+        &mut self,
+        to: NodeId,
+        layers: LayerRange,
+        kv_bytes_per_token_per_layer: f64,
+        fabric: &mut Fabric,
+    ) {
+        let (node, model) = self.key;
         let kv = &self.core.kv;
         let entries = kv.snapshot();
         // Shared prefixes travel once each, no matter how many requests
@@ -319,13 +264,13 @@ impl Worker {
             };
             bytes_sent += chunk_bytes;
             let last = index == last_index;
-            self.fabric.send(Envelope {
-                from: Some(self.config.node),
+            fabric.send(Envelope {
+                from: Some(node),
                 to: Some(to),
-                model: self.config.model,
+                model,
                 bytes: chunk_bytes,
                 msg: RuntimeMsg::KvChunk {
-                    from: self.config.node,
+                    from: node,
                     layers,
                     entries: chunk,
                     prefix_entries: if last {
@@ -342,79 +287,93 @@ impl Worker {
         }
     }
 
-    /// Runs one started batch: suspend for its duration on the virtual
-    /// clock, account it, forward every item.
-    async fn execute_batch(&mut self, run: BatchRun) {
-        self.clock.sleep_async(run.actual_secs).await;
-        let now = self.clock.now();
-        {
-            let mut s = self.stats.borrow_mut();
-            s.busy_secs += run.actual_secs;
-            s.nominal_busy_secs += run.nominal_secs;
-            s.batches += 1;
-            s.prompt_tokens += run.prompt_tokens;
-            s.decode_tokens += run.decode_tokens;
+    /// Starts a batch at `now` if the row is idle and has unfrozen work — so
+    /// a row never runs two batches at once.  A batch that takes time
+    /// completes when its entry in the fabric's queue comes due; one of zero
+    /// duration (every instant-execution run) completes here.
+    pub(crate) fn start_batch(&mut self, now: f64, fabric: &mut Fabric) {
+        if self.core.queue_len() == 0 {
+            return;
         }
+        let execution = &self.execution;
+        let started = self
+            .core
+            .start_batch(now, |batch| execution.batch_duration(batch));
+        let Some(run) = started else {
+            return;
+        };
+        if run.actual_secs.is_finite() && run.actual_secs > 0.0 {
+            let at = now + run.actual_secs;
+            self.running = Some((at, run));
+            fabric.batch_done(at, self.key);
+        } else {
+            self.complete(run, now, fabric);
+        }
+    }
+
+    /// The queue entry of the batch due at `at` came up at `now`.  An entry
+    /// that outlived its batch (the row was retired meanwhile) matches
+    /// nothing running and is dropped.
+    pub(crate) fn batch_done(&mut self, at: f64, now: f64, fabric: &mut Fabric) {
+        if let Some((_, run)) = self.running.take_if(|&mut (due, _)| due == at) {
+            self.complete(run, now, fabric);
+        }
+    }
+
+    /// Accounts the finished batch and forwards every item.
+    fn complete(&mut self, run: BatchRun, now: f64, fabric: &mut Fabric) {
+        self.busy_secs += run.actual_secs;
+        self.nominal_busy_secs += run.nominal_secs;
+        self.batches += 1;
+        self.prompt_tokens += run.prompt_tokens;
+        self.decode_tokens += run.decode_tokens;
         let mut done = std::mem::take(&mut self.done);
         self.core.complete_batch(&mut done);
         for item in done.drain(..) {
-            self.forward(item, now);
+            self.forward(item, now, fabric);
         }
         self.done = done;
-        self.publish_stats();
     }
 
     /// Sends a finished stage onward: to the next node in the pipeline, or to
     /// the coordinator if this was the last stage.
-    fn forward(&mut self, item: StageWork, now: f64) {
-        let model = item.model();
+    fn forward(&self, item: StageWork, now: f64, fabric: &mut Fabric) {
+        let (node, model) = self.key;
         let envelope = if item.is_last_stage() {
             Envelope {
-                from: Some(self.config.node),
+                from: Some(node),
                 to: None,
                 model,
                 bytes: TOKEN_WIRE_BYTES,
                 msg: RuntimeMsg::IterationDone {
                     request: item.request,
-                    phase: item.phase,
                     emitted_at: now,
                     epoch: item.epoch,
                 },
             }
         } else {
             let next = item.next_stage();
-            let to = next.node();
             Envelope {
-                from: Some(self.config.node),
-                to: Some(to),
+                from: Some(node),
+                to: Some(next.node()),
                 model,
-                bytes: self.config.activation_bytes * next.tokens.max(1) as f64,
+                bytes: self.activation_bytes * next.tokens.max(1) as f64,
                 msg: RuntimeMsg::Work(next),
             }
         };
-        self.fabric.send(envelope);
-    }
-
-    fn publish_stats(&self) {
-        let kv = &self.core.kv;
-        let mut s = self.stats.borrow_mut();
-        s.queue_len = self.core.queue_len();
-        s.kv_used_tokens = kv.used_tokens();
-        s.kv_peak_utilization = kv.peak_utilization();
-        s.kv_rejections = kv.rejections();
-        s.kv_shared_pages = kv.shared_pages();
-        s.recent_throughput = self.core.recent_throughput();
+        fabric.send(envelope);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
     use crate::exec::InstantExecution;
     use crate::message::Phase;
-    use helix_cluster::PrefixId;
+    use helix_cluster::{ClusterSpec, ModelId, PrefixId};
     use helix_core::{PipelineStage, RequestPipeline};
-    use minirt::channel::{unbounded, Sender};
+    use std::sync::Arc;
 
     fn two_stage_pipeline() -> Arc<RequestPipeline> {
         Arc::new(RequestPipeline {
@@ -432,37 +391,23 @@ mod tests {
         })
     }
 
-    fn test_worker(
-        node: NodeId,
-        kv_capacity: f64,
-    ) -> (
-        minirt::Executor,
-        Sender<RuntimeMsg>,
-        Rc<Fabric>,
-        SharedWorkerStats,
-        minirt::JoinHandle<()>,
-    ) {
-        let executor = minirt::Executor::new();
-        let (inbound_tx, inbound_rx) = unbounded();
-        // No pump: what the worker forwards stays in flight for the test.
-        let fabric = Fabric::detached();
-        let stats = SharedWorkerStats::default();
-        let config = WorkerConfig {
-            node,
-            model: ModelId::default(),
-            activation_bytes: 16_384.0,
-            kv_capacity_tokens: kv_capacity,
-        };
-        let handle = spawn_worker(
-            &executor,
-            config,
-            Arc::new(InstantExecution),
-            VirtualClock::new(0.0001),
-            inbound_rx,
-            Rc::clone(&fabric),
-            Rc::clone(&stats),
-        );
-        (executor, inbound_tx, fabric, stats, handle)
+    /// Every batch takes a quarter of a virtual second.
+    struct Slow;
+    impl ExecutionModel for Slow {
+        fn batch_duration(&self, _items: &[StageWork]) -> f64 {
+            0.25
+        }
+    }
+
+    /// A live instant-execution row of `node` over a pool of `kv_capacity`
+    /// tokens, and a fabric over the 10-node study cluster to send into —
+    /// no executor, no loop: a test calls the row and reads the queue.
+    fn test_worker(node: NodeId, kv_capacity: f64) -> (Worker, Fabric) {
+        let key = (node, ModelId::default());
+        let instant = Box::new(InstantExecution);
+        let worker = Worker::new(key, "node", 16_384.0, instant, kv_capacity, 4);
+        let clock = VirtualClock::new(0.0001);
+        (worker, Fabric::new(ClusterSpec::solver_quality_10(), clock))
     }
 
     fn work(request: u64, phase: Phase, tokens: usize, stage_index: usize) -> RuntimeMsg {
@@ -477,13 +422,19 @@ mod tests {
         })
     }
 
+    /// Delivers `msgs` in one pass and starts the batch after it, as the
+    /// loop does.
+    fn pass(worker: &mut Worker, fabric: &mut Fabric, msgs: impl IntoIterator<Item = RuntimeMsg>) {
+        for msg in msgs {
+            worker.handle(msg, fabric);
+        }
+        worker.start_batch(0.0, fabric);
+    }
+
     #[test]
     fn first_stage_forwards_to_the_next_node_and_last_stage_reports_back() {
-        let (executor, tx, fabric, stats, handle) = test_worker(NodeId(0), 100_000.0);
-        tx.send(work(9, Phase::Prompt, 64, 0)).unwrap();
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
-        assert!(handle.is_finished());
+        let (mut worker, mut fabric) = test_worker(NodeId(0), 100_000.0);
+        pass(&mut worker, &mut fabric, [work(9, Phase::Prompt, 64, 0)]);
 
         let forwarded = fabric.take_in_flight().pop().unwrap();
         assert_eq!(forwarded.from, Some(NodeId(0)));
@@ -499,76 +450,133 @@ mod tests {
             }
             other => panic!("expected forwarded work, got {other:?}"),
         }
-        let s = stats.borrow();
-        assert_eq!(s.prompt_tokens, 64);
-        assert_eq!(s.batches, 1);
-        assert!(s.kv_used_tokens >= 64.0);
-        drop(s);
+        assert_eq!(worker.prompt_tokens, 64);
+        assert_eq!(worker.batches, 1);
+        assert!(worker.core.kv.used_tokens() >= 64.0);
 
         // The same work executed on the *last* stage reports to the
         // coordinator.
-        let (executor, tx, fabric, _stats, _handle) = test_worker(NodeId(1), 100_000.0);
-        tx.send(work(9, Phase::Prompt, 64, 1)).unwrap();
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        pass(&mut worker, &mut fabric, [work(9, Phase::Prompt, 64, 1)]);
         let done = fabric.take_in_flight().pop().unwrap();
         assert_eq!(done.to, None);
         assert!(matches!(
             done.msg,
-            RuntimeMsg::IterationDone {
-                request: 9,
-                phase: Phase::Prompt,
-                ..
-            }
+            RuntimeMsg::IterationDone { request: 9, .. }
         ));
     }
 
     #[test]
     fn release_frees_the_kv_pool_and_rejections_are_counted() {
-        let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(0), 64.0);
+        let (mut worker, mut fabric) = test_worker(NodeId(0), 64.0);
         // 128 tokens cannot fit in a 64-token pool: the batch still runs,
         // the allocation is recorded (modelled offload) and counted.
-        tx.send(work(1, Phase::Prompt, 128, 0)).unwrap();
-        executor.drain();
-        {
-            let s = stats.borrow();
-            assert_eq!(s.kv_used_tokens, 128.0, "the overflow is resident");
-            assert_eq!(s.kv_peak_utilization, 2.0, "8 pages used of 4");
-        }
-        tx.send(RuntimeMsg::Release(1)).unwrap();
-        tx.send(work(2, Phase::Prompt, 32, 0)).unwrap();
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
-        let s = stats.borrow();
-        assert_eq!(s.kv_rejections, 1);
+        pass(&mut worker, &mut fabric, [work(1, Phase::Prompt, 128, 0)]);
+        assert_eq!(
+            worker.core.kv.used_tokens(),
+            128.0,
+            "the overflow is resident"
+        );
+        assert_eq!(worker.core.kv.peak_utilization(), 2.0, "8 pages used of 4");
+        let next = [RuntimeMsg::Release(1), work(2, Phase::Prompt, 32, 0)];
+        pass(&mut worker, &mut fabric, next);
+        assert_eq!(worker.core.kv.rejections(), 1);
         assert!(
-            (s.kv_used_tokens - 32.0).abs() < 1e-9,
+            (worker.core.kv.used_tokens() - 32.0).abs() < 1e-9,
             "request 1 was released"
         );
-        assert_eq!(s.queue_len, 0);
+        assert_eq!(worker.core.queue_len(), 0);
+    }
+
+    /// §5.1's rule: what one pass delivered is one batch, because the batch
+    /// starts after the pass.  (Start it inside `handle` and this is three
+    /// batches of one.)
+    #[test]
+    fn everything_delivered_in_one_pass_joins_one_batch() {
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        let three = (0..3).map(|request| work(request, Phase::Decode, 1, 1));
+        pass(&mut worker, &mut fabric, three);
+        assert_eq!(worker.batches, 1);
+        assert_eq!(worker.decode_tokens, 3);
+        assert_eq!(fabric.take_in_flight().len(), 3);
     }
 
     #[test]
-    fn shutdown_drains_pending_work_before_exiting() {
-        let (executor, tx, fabric, stats, handle) = test_worker(NodeId(1), 100_000.0);
-        for request in 0..5 {
-            tx.send(work(request, Phase::Decode, 1, 1)).unwrap();
-        }
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        drop(tx);
-        executor.drain();
-        assert!(handle.is_finished());
-        assert_eq!(fabric.take_in_flight().len(), 5);
-        assert_eq!(stats.borrow().decode_tokens, 5);
+    fn a_row_never_runs_two_batches_at_once() {
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        worker.plan(Box::new(Slow), 100_000.0, 4);
+        pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
+        // A batch that takes time is an entry of the fabric's queue, due at
+        // start + duration; nothing is accounted or forwarded before it.
+        let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
+        assert!(matches!(event, crate::fabric::Event::BatchDone(key) if key == worker.key));
+        assert_eq!(at, 0.25);
+        assert_eq!(worker.batches, 0);
+
+        // Work that lands meanwhile queues behind the running batch.
+        pass(&mut worker, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
+        assert_eq!(worker.core.queue_len(), 1);
+        assert!(fabric.next_at().is_none(), "no second batch was started");
+
+        // A completion for another instant matches nothing running.
+        worker.batch_done(1.0, 1.0, &mut fabric);
+        assert_eq!(worker.batches, 0);
+        worker.batch_done(at, 0.5, &mut fabric);
+        assert_eq!(worker.batches, 1);
+        assert!((worker.busy_secs - 0.25).abs() < 1e-12);
+        let done = fabric.take_in_flight().pop().unwrap();
+        let RuntimeMsg::IterationDone { emitted_at, .. } = done.msg else {
+            panic!("expected the finished iteration, got {done:?}");
+        };
+        assert_eq!(emitted_at, 0.5, "stamped when the completion was applied");
+        // The loop starts the next batch after the passes that completed one.
+        worker.start_batch(0.5, &mut fabric);
+        assert_eq!(fabric.next_at(), Some(0.75));
+    }
+
+    /// Ordering change of the one-loop plane: the task-per-worker plane
+    /// applied a message that landed during a batch after the batch.
+    #[test]
+    fn a_message_landing_mid_batch_is_applied_on_delivery() {
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        worker.plan(Box::new(Slow), 100_000.0, 4);
+        pass(&mut worker, &mut fabric, [work(1, Phase::Prompt, 64, 1)]);
+        assert!(worker.core.is_busy());
+        assert_eq!(worker.core.kv.used_tokens(), 64.0);
+        worker.handle(RuntimeMsg::Release(1), &mut fabric);
+        assert!(worker.core.is_busy(), "the batch keeps running");
+        assert_eq!(worker.core.kv.used_tokens(), 0.0, "released on delivery");
+    }
+
+    /// Ordering change of the one-loop plane: a failed worker used to batch
+    /// and forward what it had queued, as a zombie, before it shut down.
+    #[test]
+    fn a_retired_row_drops_its_work_and_keeps_its_counters() {
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
+        fabric.take_in_flight();
+        worker.plan(Box::new(Slow), 100_000.0, 4);
+        pass(&mut worker, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
+        worker.handle(work(3, Phase::Decode, 1, 1), &mut fabric);
+        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+
+        worker.retire();
+        assert!(!worker.live);
+        assert_eq!(worker.core.queue_len(), 0);
+        assert_eq!(worker.core.kv.used_tokens(), 0.0);
+        // The completion still queued for the dropped batch finds nothing.
+        worker.batch_done(at, at, &mut fabric);
+        worker.start_batch(at, &mut fabric);
+        assert!(fabric.take_in_flight().is_empty(), "nothing is forwarded");
+        assert_eq!((worker.batches, worker.decode_tokens), (1, 1));
     }
 
     #[test]
     fn frozen_layers_hold_their_work_while_other_layers_keep_executing() {
-        let (executor, tx, fabric, stats, _handle) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
         // Freeze [0, 4): stage-1 work on layers [4, 8) must keep executing.
-        tx.send(RuntimeMsg::Freeze(LayerRange::new(0, 4))).unwrap();
-        tx.send(work(1, Phase::Decode, 1, 1)).unwrap();
-        executor.drain();
+        worker.core.freeze(LayerRange::new(0, 4), f64::INFINITY);
+        pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
         assert!(
             matches!(
                 fabric.take_in_flight().pop().unwrap().msg,
@@ -578,46 +586,34 @@ mod tests {
         );
 
         // Freeze [4, 8) too: now stage-1 work queues.
-        tx.send(RuntimeMsg::Freeze(LayerRange::new(4, 8))).unwrap();
-        tx.send(work(2, Phase::Decode, 1, 1)).unwrap();
-        executor.drain();
+        worker.core.freeze(LayerRange::new(4, 8), f64::INFINITY);
+        pass(&mut worker, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
         assert!(
             fabric.take_in_flight().is_empty(),
             "intersecting layers are held"
         );
-        assert_eq!(stats.borrow().queue_len, 1);
+        assert_eq!(worker.core.queue_len(), 1);
 
         // Thawing releases exactly the held range's work.
-        tx.send(RuntimeMsg::Resume(LayerRange::new(4, 8))).unwrap();
-        executor.drain();
+        worker.core.thaw(LayerRange::new(4, 8));
+        worker.start_batch(0.0, &mut fabric);
         assert!(matches!(
             fabric.take_in_flight().pop().unwrap().msg,
             RuntimeMsg::IterationDone { request: 2, .. }
         ));
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
     }
 
     #[test]
     fn kv_extract_ships_pipelined_chunks_whose_bytes_sum_to_the_priced_total() {
-        let (executor, tx, fabric, _stats, _handle) = test_worker(NodeId(0), 1_000_000.0);
+        let (mut worker, mut fabric) = test_worker(NodeId(0), 1_000_000.0);
         // Seed lots of residency: 40 requests × 256 tokens = 10 240 tokens
         // = 640 pages, far more than one 64-page chunk.
-        for request in 0..40 {
-            tx.send(work(request, Phase::Prompt, 256, 0)).unwrap();
-        }
-        executor.drain(); // Execute the batches so the residency exists.
-        tx.send(RuntimeMsg::KvExtract {
-            to: NodeId(1),
-            layers: LayerRange::new(0, 4),
-            kv_bytes_per_token_per_layer: 1024.0,
-        })
-        .unwrap();
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
+        let seed = (0..40).map(|request| work(request, Phase::Prompt, 256, 0));
+        pass(&mut worker, &mut fabric, seed);
+        fabric.take_in_flight();
+        worker.extract_kv(NodeId(1), LayerRange::new(0, 4), 1024.0, &mut fabric);
 
-        let mut chunks = fabric.take_in_flight();
-        chunks.retain(|envelope| matches!(envelope.msg, RuntimeMsg::KvChunk { .. }));
+        let chunks = fabric.take_in_flight();
         assert!(
             chunks.len() > 1,
             "a large pool splits into multiple chunks, got {}",
@@ -635,7 +631,7 @@ mod tests {
                 ..
             } = &envelope.msg
             else {
-                unreachable!()
+                panic!("expected a chunk, got {envelope:?}");
             };
             total_entry_tokens += entries.iter().map(|&(_, t)| t as u64).sum::<u64>();
             assert_eq!(*tokens, 10_240, "every chunk carries the totals");
@@ -662,56 +658,52 @@ mod tests {
         );
     }
 
-    #[test]
-    fn installing_chunks_seeds_kv_and_only_the_last_acknowledges() {
-        let (executor, tx, fabric, stats, _handle) = test_worker(NodeId(1), 100_000.0);
-        let layers = LayerRange::new(0, 4);
-        tx.send(RuntimeMsg::KvChunk {
+    fn chunk(
+        entries: Vec<(RequestId, usize)>,
+        prefix_entries: Vec<(PrefixId, usize, Vec<RequestId>)>,
+        tokens: u64,
+        last: bool,
+    ) -> RuntimeMsg {
+        RuntimeMsg::KvChunk {
             from: NodeId(0),
-            layers,
-            entries: vec![(1, 64), (2, 32)],
-            prefix_entries: vec![],
-            tokens: 128,
+            layers: LayerRange::new(0, 4),
+            entries,
+            prefix_entries,
+            tokens,
             pages: 8,
             bytes: 4096.0,
-            last: false,
-        })
-        .unwrap();
-        executor.drain();
+            last,
+        }
+    }
+
+    #[test]
+    fn installing_chunks_seeds_kv_and_only_the_last_acknowledges() {
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        let first = chunk(vec![(1, 64), (2, 32)], vec![], 128, false);
+        worker.handle(first, &mut fabric);
         assert!(
             fabric.take_in_flight().is_empty(),
             "no ack before the last chunk"
         );
-        tx.send(RuntimeMsg::KvChunk {
-            from: NodeId(0),
-            layers,
-            entries: vec![(3, 32)],
-            prefix_entries: vec![(PrefixId(4), 16, vec![1, 2])],
-            tokens: 128,
-            pages: 8,
-            bytes: 4096.0,
-            last: true,
-        })
-        .unwrap();
-        executor.drain();
+        let prefix = vec![(PrefixId(4), 16, vec![1, 2])];
+        worker.handle(chunk(vec![(3, 32)], prefix, 128, true), &mut fabric);
+        // The chunk is installed before its acknowledgement is even sent.
+        // 128 per-request tokens plus the 16-token shared prefix, installed
+        // as one refcounted page.
+        assert!((worker.core.kv.used_tokens() - 144.0).abs() < 1e-9);
+        assert_eq!(worker.core.kv.shared_pages(), 1);
         let ack = fabric.take_in_flight().pop().unwrap();
+        assert_eq!((ack.from, ack.to), (Some(NodeId(1)), None));
         assert!(matches!(
             ack.msg,
             RuntimeMsg::KvInstalled {
                 from: NodeId(0),
+                to: NodeId(1),
                 tokens: 128,
                 pages: 8,
                 ..
             }
         ));
-        // 128 per-request tokens plus the 16-token shared prefix, installed
-        // as one refcounted page.
-        let s = stats.borrow();
-        assert!((s.kv_used_tokens - 144.0).abs() < 1e-9);
-        assert_eq!(s.kv_shared_pages, 1);
-        drop(s);
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
     }
 
     /// Regression: a migrated prefix arrives with its holders, so the
@@ -719,35 +711,16 @@ mod tests {
     /// for ever — nothing on the destination knew who referenced it).
     #[test]
     fn releases_after_a_hand_over_free_the_migrated_prefix() {
-        let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(1), 100_000.0);
-        tx.send(RuntimeMsg::KvChunk {
-            from: NodeId(0),
-            layers: LayerRange::new(0, 4),
-            entries: vec![(1, 64), (2, 32)],
-            prefix_entries: vec![(PrefixId(4), 16, vec![1, 2])],
-            tokens: 112,
-            pages: 7,
-            bytes: 4096.0,
-            last: true,
-        })
-        .unwrap();
-        executor.drain();
-        assert_eq!(stats.borrow().kv_shared_pages, 1);
-        tx.send(RuntimeMsg::Release(1)).unwrap();
-        executor.drain();
-        assert_eq!(
-            stats.borrow().kv_shared_pages,
-            1,
-            "request 2 still holds it"
-        );
-        tx.send(RuntimeMsg::Release(2)).unwrap();
-        executor.drain();
-        let s = stats.borrow();
-        assert_eq!(s.kv_shared_pages, 0);
-        assert_eq!(s.kv_used_tokens, 0.0);
-        drop(s);
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
+        let prefix = vec![(PrefixId(4), 16, vec![1, 2])];
+        let only = chunk(vec![(1, 64), (2, 32)], prefix, 112, true);
+        worker.handle(only, &mut fabric);
+        assert_eq!(worker.core.kv.shared_pages(), 1);
+        worker.handle(RuntimeMsg::Release(1), &mut fabric);
+        assert_eq!(worker.core.kv.shared_pages(), 1, "request 2 still holds it");
+        worker.handle(RuntimeMsg::Release(2), &mut fabric);
+        assert_eq!(worker.core.kv.shared_pages(), 0);
+        assert_eq!(worker.core.kv.used_tokens(), 0.0);
     }
 
     /// Regression: a sharer whose prefix allocation did not fit used to
@@ -769,56 +742,44 @@ mod tests {
                 }),
             })
         };
-        let (executor, tx, _fabric, stats, _handle) = test_worker(NodeId(1), 64.0);
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 64.0);
         // 3 of 4 pages taken; request 2's 2-page prefix does not fit.
-        tx.send(work(1, Phase::Prompt, 48, 1)).unwrap();
-        executor.drain();
-        tx.send(prefix_work(2, 40, false)).unwrap();
-        executor.drain();
-        assert!(stats.borrow().kv_rejections > 0, "the prefix overflowed");
-        tx.send(RuntimeMsg::Release(1)).unwrap();
-        tx.send(prefix_work(3, 8, true)).unwrap();
-        executor.drain();
-        assert_eq!(stats.borrow().kv_shared_pages, 2);
-        tx.send(RuntimeMsg::Release(2)).unwrap();
-        executor.drain();
+        pass(&mut worker, &mut fabric, [work(1, Phase::Prompt, 48, 1)]);
+        pass(&mut worker, &mut fabric, [prefix_work(2, 40, false)]);
+        assert!(worker.core.kv.rejections() > 0, "the prefix overflowed");
+        let next = [RuntimeMsg::Release(1), prefix_work(3, 8, true)];
+        pass(&mut worker, &mut fabric, next);
+        assert_eq!(worker.core.kv.shared_pages(), 2);
+        worker.handle(RuntimeMsg::Release(2), &mut fabric);
         assert_eq!(
-            stats.borrow().kv_shared_pages,
+            worker.core.kv.shared_pages(),
             2,
             "request 3 still holds the prefix"
         );
-        tx.send(RuntimeMsg::Release(3)).unwrap();
-        executor.drain();
-        let s = stats.borrow();
-        assert_eq!(s.kv_shared_pages, 0);
-        assert_eq!(s.kv_used_tokens, 0.0);
-        drop(s);
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
+        worker.handle(RuntimeMsg::Release(3), &mut fabric);
+        assert_eq!(worker.core.kv.shared_pages(), 0);
+        assert_eq!(worker.core.kv.used_tokens(), 0.0);
     }
 
     #[test]
     fn update_plan_swaps_the_execution_model_and_resizes_the_pool_in_place() {
-        struct Slow;
-        impl ExecutionModel for Slow {
-            fn batch_duration(&self, _items: &[StageWork]) -> f64 {
-                0.25
-            }
-        }
-        let (executor, tx, fabric, stats, _handle) = test_worker(NodeId(1), 64.0);
-        tx.send(RuntimeMsg::UpdatePlan(crate::message::PlanUpdate {
-            execution: Arc::new(Slow),
-            kv_capacity_tokens: 4096.0,
-            layers: 8,
-        }))
-        .unwrap();
-        tx.send(work(1, Phase::Decode, 1, 1)).unwrap();
-        tx.send(RuntimeMsg::Shutdown).unwrap();
-        executor.drain();
-        let s = stats.borrow();
-        assert_eq!(s.kv_capacity_tokens, 4096.0, "pool resized in place");
+        let (mut worker, mut fabric) = test_worker(NodeId(1), 64.0);
+        // Queued work and residency survive the update.
+        worker.handle(work(1, Phase::Decode, 1, 1), &mut fabric);
+        worker.core.kv.seed(7, 16);
+        worker.plan(Box::new(Slow), 4096.0, 8);
+        assert_eq!(
+            worker.core.kv.capacity_tokens(),
+            4096.0,
+            "pool resized in place"
+        );
+        assert_eq!(worker.core.kv.used_tokens(), 16.0);
+        assert_eq!(worker.layers, 8);
+        worker.start_batch(0.0, &mut fabric);
+        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+        worker.batch_done(at, at, &mut fabric);
         assert!(
-            (s.nominal_busy_secs - 0.25).abs() < 1e-9,
+            (worker.nominal_busy_secs - 0.25).abs() < 1e-9,
             "new execution model prices the batch"
         );
         assert_eq!(fabric.take_in_flight().len(), 1);

@@ -793,23 +793,21 @@ fn chain_placement(profile: &ClusterProfile) -> helix_core::ModelPlacement {
     placement
 }
 
-/// The tentpole's runtime-side acceptance test: a mid-run migration of a
-/// layer sub-range hands its KV pages over through the fabric — the
-/// coordinator sequences freeze → transfer → re-route → resume — and no
-/// in-flight pipeline is dropped.
-#[test]
-fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
-    use helix_core::ReplanReason;
-    // The smaller model: a half-capacity chain over the 10-node cluster
-    // covers all of its layers with headroom for the migrated merge.
+/// The smaller model on a half-capacity chain over the 10-node cluster
+/// (all of its layers, with headroom for the migrated merge), and a
+/// hand-over it admits: the suffix half of a chain node's range moving onto
+/// its successor (validated against the profile up front).
+fn migratable_chain() -> (
+    ClusterProfile,
+    Topology,
+    (helix_cluster::NodeId, helix_cluster::NodeId, LayerRange),
+) {
     let profile =
         ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_13b());
     let placement = chain_placement(&profile);
     let topology = Topology::plan(&profile, &placement, true).unwrap();
-    // Migrate the suffix half of the first chain node's range onto its
-    // successor (validated against the profile up front).
     let assigned: Vec<(helix_cluster::NodeId, LayerRange)> = placement.iter().collect();
-    let (from, to, moved) = assigned
+    let hand_over = assigned
         .windows(2)
         .find_map(|w| {
             let (from, range) = w[0];
@@ -826,6 +824,17 @@ fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
             .then_some((from, to, LayerRange::new(mid, range.end)))
         })
         .expect("some adjacent pair is migratable");
+    (profile, topology, hand_over)
+}
+
+/// The tentpole's runtime-side acceptance test: a mid-run migration of a
+/// layer sub-range hands its KV pages over through the fabric — the
+/// coordinator sequences freeze → transfer → re-route → resume — and no
+/// in-flight pipeline is dropped.
+#[test]
+fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
+    use helix_core::ReplanReason;
+    let (profile, topology, (from, to, moved)) = migratable_chain();
 
     let mut session = ServingBuilder::new()
         .topology(&topology)
@@ -872,6 +881,48 @@ fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
         .find(|n| n.node == to)
         .expect("destination worker reports");
     assert!(dest.batches > 0, "the destination served traffic");
+}
+
+/// On a chain every pipeline crosses the frozen source, so while a large
+/// pool's pages travel the whole plane comes to rest: every request held,
+/// nothing queued but the hand-over, no arrival pending.  The `KvInstalled`
+/// that thaws the rows is then the last thing the loop wakes for — what
+/// they held must start in that same turn, with no session call to nudge it
+/// (`wait_completion` sends none).
+#[test]
+fn a_hand_over_landing_on_a_plane_at_rest_resumes_the_held_work() {
+    let (_, topology, (from, to, moved)) = migratable_chain();
+    let mut session = ServingBuilder::new()
+        .topology(&topology)
+        .config(RuntimeConfig {
+            max_wall: std::time::Duration::from_secs(5),
+            ..RuntimeConfig::fast_test()
+        })
+        .build()
+        .unwrap();
+    // A short canary and long requests, all due at once: when the canary
+    // completes the others are resident on every stage and decoding.  Their
+    // prompts make the transfer (≈ half a virtual second) outlast many
+    // pipeline traversals (≈ 10 ms each).
+    let tickets: Vec<_> = (0..12)
+        .map(|id| {
+            let (prompt_tokens, output_tokens) = if id == 0 { (16, 2) } else { (512, 64) };
+            session.submit(Request {
+                id,
+                prompt_tokens,
+                output_tokens,
+                ..Request::default()
+            })
+        })
+        .collect();
+    session.wait_completion(tickets[0]).unwrap();
+    session.apply_placement_delta(PlacementDelta::new().migrate(ModelId(0), from, to, moved));
+    for &ticket in &tickets[1..] {
+        session.wait_completion(ticket).unwrap();
+    }
+    let report = session.finish().unwrap();
+    assert_eq!(report.completed(), 12);
+    assert_eq!(report.kv_transfers.len(), 1, "the hand-over landed");
 }
 
 /// PR 4 edge cases now under test: the wall budget bounds each completion

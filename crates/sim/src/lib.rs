@@ -36,9 +36,9 @@
 //! nothing is hashed per hop.
 //!
 //! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines sit in
-//!   one `Vec` at `model × num_nodes + node`, link queues in first-use order
-//!   behind a `(num_nodes + 1)²` table of slots (the coordinator is row and
-//!   column 0).  Every walk over them has one fixed order, so identical runs
+//!   the `helix_core::PairTable` the runtime keeps its workers in, link
+//!   queues in first-use order behind a `(num_nodes + 1)²` table of slots
+//!   (the coordinator is row and column 0).  Every walk over them has one fixed order, so identical runs
 //!   report identically, the order of tied `link_stats` included.
 //! * **Requests.**  A run turns its workload into a request table — one
 //!   slot per distinct id, found through an id → slot map once per arrival
@@ -87,7 +87,6 @@ mod event;
 mod metrics;
 mod session;
 mod simulator;
-mod tables;
 
 pub use engine::NodeEngine;
 pub use event::{Event, EventQueue, Hop, PerturbationEvent, SimTime};

@@ -8,14 +8,13 @@
 use crate::engine::NodeEngine;
 use crate::event::{Event, EventQueue, Hop, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use crate::tables::EngineTable;
 use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvTransferModel, KvTransferRecord, LinkTable, ModelPlacement, PlacementDelta, PrefixStats,
-    PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy,
-    ReplicationStats, RequestPipeline, Scheduler, Topology,
+    KvTransferModel, KvTransferRecord, LinkTable, ModelPlacement, PairTable, PlacementDelta,
+    PrefixStats, PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord,
+    ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler, Topology,
 };
 use helix_workload::{Request, RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -239,7 +238,7 @@ pub struct ClusterSimulator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy).
     control: ControlPlane,
-    engines: EngineTable,
+    engines: PairTable<NodeEngine>,
     links: LinkTable,
     /// Active slowdown perturbations by node (applied to engines created by
     /// later re-plans too).
@@ -272,7 +271,7 @@ impl ClusterSimulator {
             .profiles()
             .first()
             .map_or(0, |p| p.cluster().num_nodes());
-        let mut engines = EngineTable::new(num_nodes, fleet.num_models());
+        let mut engines = PairTable::new(num_nodes, fleet.num_models());
         for (m, topology) in fleet.topologies().iter().enumerate() {
             // Engines run at the analytic contention split (identical to the
             // planning profile when the fleet was planned without
@@ -388,7 +387,7 @@ impl ClusterSimulator {
         // cumulative counters but must not stay "busy" (or frozen) into the
         // new epoch, and the policy clock restarts with them.
         self.links.rebase_epoch();
-        for engine in self.engines.slots.iter_mut().flatten() {
+        for engine in self.engines.values_mut() {
             engine.rebase_epoch();
         }
         self.control.start_timeline(policy);

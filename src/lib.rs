@@ -10,8 +10,9 @@
 //! * [`core`] — model placement (MILP + heuristics + annealing) and
 //!   per-request pipeline scheduling (IWRR + baselines).
 //! * [`sim`] — the discrete-event serving simulator.
-//! * [`runtime`] — the task-per-engine prototype serving runtime (coordinator,
-//!   per-node workers with paged KV pools, network fabric).
+//! * [`runtime`] — the wall-clock-paced prototype serving runtime: one loop
+//!   over a coordinator, a table of per-node workers with paged KV pools and
+//!   a network fabric.
 //! * [`workload`] — synthetic Azure-Conversation-style workloads.
 //! * [`front`] — the [`ServingFrontEnd`](front::ServingFrontEnd) trait: one
 //!   submit → drain → finish surface over the runtime's `ServingSession`
