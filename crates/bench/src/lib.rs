@@ -1,7 +1,9 @@
-//! Shared harness code for reproducing the Helix paper's tables and figures.
+//! Reproduces the Helix paper's tables and figures.
 //!
-//! Each `src/bin/*.rs` binary regenerates one table or figure; this library
-//! holds the machinery they share:
+//! Each table or figure is one function of [`artifacts`], named in
+//! [`artifacts::ARTIFACTS`]; the `report` binary runs the ones it is asked
+//! for and writes their reports.  This library also holds the machinery they
+//! share:
 //!
 //! * [`ExperimentScale`] — every experiment runs either in `quick` mode
 //!   (scaled-down workloads so the whole suite finishes in minutes on a
@@ -11,18 +13,72 @@
 //! * [`run_serving`] — plan a placement for a system, build its scheduler,
 //!   simulate a workload and report the paper's metrics;
 //! * [`ExperimentReport`] — JSON + human-readable output written to
-//!   `results/*.json`, so every printed number is machine-checkable.
+//!   `results/*.json`, so every printed number is machine-checkable;
+//! * [`BenchError`] — why an artifact could not be produced.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+pub mod artifacts;
 
 use helix_cluster::ClusterProfile;
 use helix_core::{
-    heuristics, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder, IwrrScheduler,
-    ModelPlacement, RandomScheduler, Scheduler, SchedulerKind, ShortestQueueScheduler,
-    SwarmScheduler, Topology,
+    heuristics, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder, HelixError,
+    IwrrScheduler, LatencyStats, ModelPlacement, RandomScheduler, Scheduler, SchedulerKind,
+    ShortestQueueScheduler, SwarmScheduler, Topology,
 };
 use helix_sim::{ClusterSimulator, Metrics, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::path::PathBuf;
+
+/// Why an artifact could not be produced.
+#[derive(Debug)]
+pub enum BenchError {
+    /// No artifact has this name.
+    UnknownArtifact(String),
+    /// A planner or the flow machinery failed where the artifact needs its
+    /// result.
+    Planning(HelixError),
+    /// A report could not be serialised.
+    Json(serde_json::Error),
+    /// A report could not be written.
+    Io(std::io::Error),
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchError::UnknownArtifact(name) => write!(f, "no artifact is named `{name}`"),
+            BenchError::Planning(e) => write!(f, "planning failed: {e}"),
+            BenchError::Json(e) => write!(f, "report does not serialise: {e}"),
+            BenchError::Io(e) => write!(f, "report not written: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<HelixError> for BenchError {
+    fn from(e: HelixError) -> Self {
+        BenchError::Planning(e)
+    }
+}
+
+impl From<serde_json::Error> for BenchError {
+    fn from(e: serde_json::Error) -> Self {
+        BenchError::Json(e)
+    }
+}
+
+impl From<std::io::Error> for BenchError {
+    fn from(e: std::io::Error) -> Self {
+        BenchError::Io(e)
+    }
+}
 
 /// How big the experiment should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,16 +92,6 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses the scale from command-line arguments (`--full` switches to
-    /// full scale; everything else stays quick).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        }
-    }
-
     /// Number of requests in the generated trace.
     pub fn num_requests(self) -> usize {
         match self {
@@ -141,38 +187,34 @@ impl SystemKind {
     /// Builds the request scheduler this system would use for a planned
     /// topology.
     pub fn scheduler(self, topology: &Topology) -> Option<Box<dyn Scheduler>> {
-        match self {
+        let kind = match self {
             SystemKind::Helix
             | SystemKind::SeparatePipelines
-            | SystemKind::SeparatePipelinesPlus => IwrrScheduler::from_topology(topology)
-                .ok()
-                .map(|s| Box::new(s) as Box<dyn Scheduler>),
-            SystemKind::Swarm => {
-                Some(Box::new(SwarmScheduler::new(topology)) as Box<dyn Scheduler>)
-            }
-        }
+            | SystemKind::SeparatePipelinesPlus => SchedulerKind::HelixIwrr,
+            SystemKind::Swarm => SchedulerKind::Swarm,
+        };
+        // Neither kind draws from the seed.
+        scheduler_of_kind(kind, topology, 0).ok()
     }
 }
 
 /// Builds a scheduler of the given kind for an already-planned topology
-/// (used by the §6.7 scheduling deep dive).
+/// (used by the §6.6–§6.7 deep dives).
+///
+/// # Errors
+///
+/// The IWRR scheduler's, when the topology has no pipeline to weigh.
 pub fn scheduler_of_kind(
     kind: SchedulerKind,
     topology: &Topology,
     seed: u64,
-) -> Option<Box<dyn Scheduler>> {
-    match kind {
-        SchedulerKind::HelixIwrr => IwrrScheduler::from_topology(topology)
-            .ok()
-            .map(|s| Box::new(s) as Box<dyn Scheduler>),
-        SchedulerKind::Swarm => Some(Box::new(SwarmScheduler::new(topology)) as Box<dyn Scheduler>),
-        SchedulerKind::Random => {
-            Some(Box::new(RandomScheduler::new(topology, seed)) as Box<dyn Scheduler>)
-        }
-        SchedulerKind::ShortestQueue => {
-            Some(Box::new(ShortestQueueScheduler::new(topology)) as Box<dyn Scheduler>)
-        }
-    }
+) -> Result<Box<dyn Scheduler>, HelixError> {
+    Ok(match kind {
+        SchedulerKind::HelixIwrr => Box::new(IwrrScheduler::from_topology(topology)?),
+        SchedulerKind::Swarm => Box::new(SwarmScheduler::new(topology)),
+        SchedulerKind::Random => Box::new(RandomScheduler::new(topology, seed)),
+        SchedulerKind::ShortestQueue => Box::new(ShortestQueueScheduler::new(topology)),
+    })
 }
 
 /// Offline or online serving setting (§6.2).
@@ -211,18 +253,24 @@ pub struct ServingRow {
     pub pipeline_depth: usize,
     /// Measured decode throughput (tokens/s).
     pub decode_throughput: f64,
+    /// Prompt-latency samples in the measurement window; the three prompt
+    /// latencies are `None` (JSON `null`) without one.
+    pub prompt_samples: usize,
     /// Mean prompt latency (s).
-    pub prompt_latency_mean: f64,
+    pub prompt_latency_mean: Option<f64>,
     /// Median prompt latency (s).
-    pub prompt_latency_p50: f64,
+    pub prompt_latency_p50: Option<f64>,
     /// 95th-percentile prompt latency (s).
-    pub prompt_latency_p95: f64,
+    pub prompt_latency_p95: Option<f64>,
+    /// Decode-latency samples in the measurement window; the three decode
+    /// latencies are `None` (JSON `null`) without one.
+    pub decode_samples: usize,
     /// Mean decode latency (s/token).
-    pub decode_latency_mean: f64,
+    pub decode_latency_mean: Option<f64>,
     /// Median decode latency (s/token).
-    pub decode_latency_p50: f64,
+    pub decode_latency_p50: Option<f64>,
     /// 95th-percentile decode latency (s/token).
-    pub decode_latency_p95: f64,
+    pub decode_latency_p95: Option<f64>,
     /// Requests completed in the measurement window.
     pub completed_requests: u64,
 }
@@ -235,6 +283,9 @@ impl ServingRow {
         metrics: &Metrics,
     ) -> Self {
         let profile = topology.profile();
+        // An empty summary is all zeros; a row says "no sample" instead.
+        let (prompt, decode) = (&metrics.prompt_latency, &metrics.decode_latency);
+        let sampled = |stats: &LatencyStats, value: f64| (stats.count > 0).then_some(value);
         ServingRow {
             system: system.label().to_string(),
             setting: setting.label().to_string(),
@@ -245,12 +296,14 @@ impl ServingRow {
                 .placement()
                 .pipeline_depth(profile.model().num_layers),
             decode_throughput: metrics.decode_throughput(),
-            prompt_latency_mean: metrics.prompt_latency.mean,
-            prompt_latency_p50: metrics.prompt_latency.p50,
-            prompt_latency_p95: metrics.prompt_latency.p95,
-            decode_latency_mean: metrics.decode_latency.mean,
-            decode_latency_p50: metrics.decode_latency.p50,
-            decode_latency_p95: metrics.decode_latency.p95,
+            prompt_samples: prompt.count,
+            prompt_latency_mean: sampled(prompt, prompt.mean),
+            prompt_latency_p50: sampled(prompt, prompt.p50),
+            prompt_latency_p95: sampled(prompt, prompt.p95),
+            decode_samples: decode.count,
+            decode_latency_mean: sampled(decode, decode.mean),
+            decode_latency_p50: sampled(decode, decode.p50),
+            decode_latency_p95: sampled(decode, decode.p95),
             completed_requests: metrics.completed_requests,
         }
     }
@@ -325,20 +378,27 @@ pub fn run_serving(
     ))
 }
 
-/// Runs a fixed placement with a specific scheduler kind (§6.7 deep dive).
+/// Serves the offline workload on a fixed placement with a specific
+/// scheduler kind (the §6.6–§6.7 deep dives and the pruning ablation) and
+/// returns the metrics with the placement's max flow.
+///
+/// # Errors
+///
+/// When the placement cannot be planned into a topology or the scheduler
+/// cannot be built on it.
 pub fn run_with_scheduler(
     profile: &ClusterProfile,
     placement: &ModelPlacement,
     kind: SchedulerKind,
     scale: ExperimentScale,
     seed: u64,
-) -> Option<(Metrics, f64)> {
-    let topology = Topology::plan(profile, placement, true).ok()?;
+) -> Result<(Metrics, f64), HelixError> {
+    let topology = Topology::plan(profile, placement, true)?;
     let scheduler = scheduler_of_kind(kind, &topology, seed)?;
     let workload = experiment_workload(profile, ServingSetting::Offline, scale, seed);
     let mut sim = ClusterSimulator::new(&topology, scheduler);
     let metrics = sim.run(&workload, SimulationConfig::offline(scale.duration_secs()));
-    Some((metrics, topology.flow_value()))
+    Ok((metrics, topology.flow_value()))
 }
 
 /// A machine-readable experiment report written to `results/<name>.json`.
@@ -372,14 +432,15 @@ impl ExperimentReport {
 
     /// Writes the report to `results/<name>.json` (directory is created if
     /// needed) and returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Json`] or [`BenchError::Io`] when it cannot.
+    pub fn write(&self) -> Result<PathBuf, BenchError> {
         let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(self).expect("report serialises"),
-        )?;
+        std::fs::write(&path, serde_json::to_string_pretty(self)?)?;
         Ok(path)
     }
 }
@@ -392,31 +453,11 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Prints a serving-row table to stdout in the shape the paper's figures use.
-pub fn print_serving_table(title: &str, rows: &[ServingRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<8} {:<8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "system", "setting", "tokens/s", "prompt avg", "prompt p95", "decode avg", "decode p95"
-    );
-    for r in rows {
-        println!(
-            "{:<8} {:<8} {:>12.1} {:>12.2} {:>12.2} {:>12.3} {:>12.3}",
-            r.system,
-            r.setting,
-            r.decode_throughput,
-            r.prompt_latency_mean,
-            r.prompt_latency_p95,
-            r.decode_latency_mean,
-            r.decode_latency_p95
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use helix_cluster::{ClusterSpec, ModelConfig};
+    use std::collections::HashMap;
 
     #[test]
     fn scale_parsing_and_parameters() {
@@ -458,5 +499,41 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(loaded.name, "unit_test_report");
         assert_eq!(loaded.data["value"], 42);
+    }
+
+    /// Helix online at quick scale completes requests yet has no prompt
+    /// sample in the window (every arrival lands inside the warm-up): such a
+    /// summary is absent, never a latency of zero.
+    #[test]
+    fn a_summary_without_samples_is_absent_not_zero() {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let system = SystemKind::Swarm;
+        let topology = system.topology(&profile, ExperimentScale::Quick).unwrap();
+        let metrics = Metrics {
+            measured_seconds: 10.0,
+            decode_tokens: 640,
+            completed_requests: 5,
+            prompt_latency: LatencyStats::from_samples(&[]),
+            decode_latency: LatencyStats::from_samples(&[0.1, 0.2]),
+            node_utilization: HashMap::new(),
+            link_stats: Vec::new(),
+        };
+        let setting = ServingSetting::Online;
+        let row = ServingRow::from_metrics(system, setting, &topology, &metrics);
+        assert_eq!((row.prompt_samples, row.decode_samples), (0, 2));
+        assert_eq!(row.prompt_latency_mean, None);
+        assert_eq!(row.prompt_latency_p95, None);
+        assert!((row.decode_latency_mean.unwrap() - 0.15).abs() < 1e-12);
+        let json = serde_json::to_value(&row).unwrap();
+        for field in [
+            "prompt_latency_mean",
+            "prompt_latency_p50",
+            "prompt_latency_p95",
+        ] {
+            assert_eq!(json[field], serde_json::Value::Null, "{field}");
+        }
+        assert_eq!(json["prompt_samples"], 0);
+        assert_eq!(json["completed_requests"], 5);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The runtime executes a *cost model* of GPU work rather than real kernels,
 //! so it can run faster than real time: one virtual second is mapped to
-//! `wall_per_virtual` wall-clock seconds (default 0.01, i.e. a 100× speed-up).
+//! `wall_per_virtual` wall-clock seconds (default 0.002, i.e. a 500× speed-up).
 //! All latencies and throughputs reported by the runtime are in virtual
 //! seconds, which makes them directly comparable with the discrete-event
 //! simulator and with the paper's numbers.

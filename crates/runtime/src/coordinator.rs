@@ -16,10 +16,12 @@
 //! in-flight KV hand-overs.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
-//! the session loop behind [`ServingSession`](crate::ServingSession).  One
-//! turn ([`Coordinator::turn`]) waits for a session call or for the earliest
-//! thing due (the fabric's queue, an arrival, an injected failure, a policy
-//! tick, the drain budget); handles the session calls; applies every
+//! the session loop behind [`ServingSession`](crate::ServingSession), a
+//! plain function on the data plane's thread.  One turn waits
+//! ([`Coordinator::wait`], on the session's `std::sync::mpsc` channel) for a
+//! session call or for the earliest thing due (the fabric's queue, an
+//! arrival, an injected failure, a policy tick, the drain budget), and then
+//! ([`Coordinator::turn`]) handles the session calls; applies every
 //! delivery and batch completion that is due, pass after pass until a fresh
 //! clock reading finds nothing more, and only then starts the batches of
 //! the rows those passes touched — until nothing is due and no row waits;
@@ -52,8 +54,8 @@ use helix_core::{
     ReplanReason, ReplicationPolicy, Scheduler,
 };
 use helix_workload::{Request, RequestId};
-use minirt::channel::{Receiver, Sender};
 use std::collections::{HashSet, VecDeque};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,6 +63,11 @@ use std::time::{Duration, Instant};
 /// the wall clock, so a wait never wakes an iteration too early and re-arms a
 /// deadline that is microscopically in the past.
 const DEADLINE_SLACK: Duration = Duration::from_micros(1);
+
+/// A timed wait shorter than this is not worth a system call: the kernel
+/// rounds it up by its timer slack (50 µs by default), so the loop spins
+/// instead of blocking.
+const SHORTEST_PARK: Duration = Duration::from_micros(50);
 
 /// Control messages a [`ServingSession`](crate::ServingSession) sends to its
 /// coordinator; every session call travels this way, in call order.
@@ -240,38 +247,54 @@ impl Coordinator {
     /// Requests are admitted when their `arrival_time` (virtual seconds)
     /// passes, so submit-all-then-drain replays a workload's arrival
     /// process.  The wall-clock budget is enforced only while a drain or
-    /// finish is pending — an idle session may live indefinitely, parked on
-    /// its inbound channel's waker at zero cost.  The loop returns once no
+    /// finish is pending — an idle session may live indefinitely, blocked
+    /// on its inbound channel at zero cost.  The loop returns once no
     /// request, KV hand-over or injected failure is pending; the `Release`s
     /// of the last completions may still sit in the fabric's queue and are
     /// dropped with it — the report reads only counters taken at the send
     /// and cumulative ones, so teardown is that return.
-    pub(crate) async fn run_live(&mut self) -> Result<Vec<RequestOutcome>, RuntimeError> {
-        // A session that is gone — its `Drop` says `Finish`, then its sender
-        // closes the channel — has nothing more to say: the loop finishes
-        // what is in flight on its deadlines alone (a finishing plane always
-        // has one, the drain budget).
-        let mut open = true;
+    pub(crate) fn run_live(&mut self) -> Result<Vec<RequestOutcome>, RuntimeError> {
         loop {
-            // Wait for the next session call on the channel's waker, or for
-            // the earliest thing due — a fully idle session waits with *no*
-            // deadline at all.
-            let received = match self.next_wake() {
-                Some(at) if !open => {
-                    minirt::time::sleep_until(at).await;
-                    None
-                }
-                Some(at) => minirt::time::timeout_at(at, self.inbound.recv()).await.ok(),
-                None => Some(self.inbound.recv().await),
-            };
-            let first = received.map(|msg| {
-                msg.unwrap_or_else(|_| {
-                    open = false;
-                    SessionControl::Finish
-                })
-            });
+            let first = self.wait();
             if self.turn(first)? {
                 return Ok(std::mem::take(&mut self.outcomes));
+            }
+        }
+    }
+
+    /// The loop's one wait: for the next session call, or until the earliest
+    /// thing due ([`next_wake`](Self::next_wake)) — `None`.  A call already
+    /// queued or a deadline already past returns at once, a deadline nearer
+    /// than [`SHORTEST_PARK`] is spun for, and a fully idle session waits
+    /// with no deadline at all.  A closed channel is a `Finish` — the
+    /// session is gone and has nothing more to say — and a finishing loop
+    /// waits on its deadlines alone (it always has one, the drain budget).
+    fn wait(&self) -> Option<SessionControl> {
+        let deadline = self.next_wake();
+        loop {
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            let received = match left {
+                Some(left) if self.finishing => {
+                    if left >= SHORTEST_PARK {
+                        std::thread::sleep(left);
+                    }
+                    Err(RecvTimeoutError::Timeout)
+                }
+                Some(left) if left < SHORTEST_PARK => match self.inbound.try_recv() {
+                    Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
+                    polled => polled.map_err(|_| RecvTimeoutError::Timeout),
+                },
+                Some(left) => self.inbound.recv_timeout(left),
+                None => self
+                    .inbound
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match received {
+                Ok(msg) => return Some(msg),
+                Err(RecvTimeoutError::Disconnected) => return Some(SessionControl::Finish),
+                Err(RecvTimeoutError::Timeout) if left.is_some_and(|l| l.is_zero()) => return None,
+                Err(RecvTimeoutError::Timeout) => std::hint::spin_loop(),
             }
         }
     }
@@ -860,8 +883,8 @@ mod tests {
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
     use helix_core::{LayerRange, SchedulerKind, Topology};
-    use minirt::channel::unbounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
 
     /// IWRR for the first request; every later call is counted and finds
     /// every candidate masked, so each admission round shows as one call.
@@ -886,7 +909,8 @@ mod tests {
 
     /// The plane `runtime::run` builds — petals placement of LLaMA-30B on
     /// the 10-node study cluster, instant execution — with the far ends of
-    /// its two channels; no thread, no executor: a test calls `turn`.
+    /// its two channels; no thread: a test calls `wait`, `turn` or
+    /// `run_live`.
     fn plane(
         scheduler: impl FnOnce(&Topology) -> Box<dyn Scheduler>,
         wall_per_virtual: f64,
@@ -903,8 +927,8 @@ mod tests {
             wall_per_virtual,
             ..RuntimeConfig::fast_test()
         };
-        let (control, inbound) = unbounded();
-        let (completions, completed) = unbounded();
+        let (control, inbound) = channel();
+        let (completions, completed) = channel();
         let coordinator = runtime::build(PlaneSpec {
             schedulers: vec![scheduler(&topology)],
             fleet: FleetTopology::single(topology),
@@ -1086,18 +1110,66 @@ mod tests {
         assert!(coordinator.next_wake().is_some());
     }
 
+    /// A call already queued is returned without waiting for the deadline,
+    /// however far off it is.
+    #[test]
+    fn a_queued_call_is_returned_without_waiting() {
+        let (mut coordinator, control, _completed) = plane(iwrr, 1.0);
+        let far = Request {
+            arrival_time: 1e6,
+            ..request(0)
+        };
+        assert!(!coordinator.turn(Some(SessionControl::Submit(far))).unwrap());
+        let deadline = coordinator.next_wake().unwrap();
+        assert!(deadline > Instant::now() + Duration::from_secs(3_600));
+        control
+            .send(SessionControl::InjectSpeed(NodeId(0), 0.5))
+            .unwrap();
+        let started = Instant::now();
+        let call = coordinator.wait();
+        assert!(matches!(
+            call,
+            Some(SessionControl::InjectSpeed(NodeId(0), _))
+        ));
+        assert!(started.elapsed() < Duration::from_secs(60));
+    }
+
+    /// A deadline already past ends the wait at once — with the queued call
+    /// if there is one, with `None` otherwise — and never blocks on the
+    /// channel.
+    #[test]
+    fn a_deadline_in_the_past_returns_at_once() {
+        let (mut coordinator, control, _completed) = plane(iwrr, 1.0);
+        coordinator.pending_failures.push((0.0, NodeId(0)));
+        while coordinator
+            .next_wake()
+            .is_some_and(|at| at > Instant::now())
+        {}
+        assert!(coordinator.wait().is_none());
+        control
+            .send(SessionControl::InjectSpeed(NodeId(0), 0.5))
+            .unwrap();
+        let call = coordinator.wait();
+        assert!(matches!(call, Some(SessionControl::InjectSpeed(..))));
+        assert!(coordinator.wait().is_none());
+    }
+
     /// A session that goes away without a word — no `Finish`, its sender
-    /// just closes the channel — is a `Finish`: the loop completes what was
-    /// submitted on its deadlines alone and returns.
+    /// just closes the channel — is a `Finish`: what it said before comes
+    /// first, then the closed channel reads as `Finish`, and the loop
+    /// completes what was submitted on its deadlines alone and returns.
     #[test]
     fn a_closed_inbound_channel_finishes_what_is_in_flight() {
         let (mut coordinator, control, completed) = plane(iwrr, 0.0002);
         let submit = SessionControl::SubmitAll((0..4).map(request).collect());
         control.send(submit).ok().unwrap();
         drop(control);
-        let outcomes = minirt::Executor::new()
-            .block_on(coordinator.run_live())
-            .unwrap();
+        let submit = coordinator.wait();
+        assert!(matches!(submit, Some(SessionControl::SubmitAll(_))));
+        assert!(!coordinator.turn(submit).unwrap());
+        assert!(matches!(coordinator.wait(), Some(SessionControl::Finish)));
+        let outcomes = coordinator.run_live().unwrap();
+        assert!(coordinator.finishing);
         assert_eq!(outcomes.len(), 4);
         assert_eq!(std::iter::from_fn(|| completed.try_recv().ok()).count(), 4);
     }

@@ -26,8 +26,10 @@
 //!
 //! The loop belongs to one `helix-dataplane` thread per session, which
 //! builds the plane, runs it and assembles the report; even a 500-node fleet
-//! is rows of a table, not threads or tasks.  One turn waits — on the
-//! session's channel, with the queue's earliest entry as deadline — then
+//! is rows of a table, not threads or tasks, and the loop is a plain
+//! function — no executor, future or timer.  One turn waits — on the
+//! session's `std::sync::mpsc` channel, with the queue's earliest entry as
+//! deadline — then
 //! applies every delivery and completion that is due (a delivery is a method
 //! call on its row), starts the batches of the rows it touched, and, once
 //! nothing more is due, lets the coordinator consume what was delivered to

@@ -15,7 +15,7 @@ use crate::metrics::{NodeReport, RequestOutcome, RuntimeReport};
 use crate::registry::Workers;
 use helix_cluster::ModelId;
 use helix_core::{FleetTopology, HelixError, KvCacheEstimator, ReplanPolicy, Scheduler};
-use minirt::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
 /// Which execution model the workers use.
@@ -163,7 +163,7 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
     let clock = spec.clock;
     let mut coordinator = build(spec);
     let _ = wired.send(());
-    let outcome = minirt::Executor::new().block_on(coordinator.run_live());
+    let outcome = coordinator.run_live();
     let (control, kv_transfers) = coordinator.take_logs();
 
     let outcomes = outcome?;

@@ -26,8 +26,8 @@ use crate::runtime::{self, PlaneSpec, RuntimeConfig};
 use helix_cluster::NodeId;
 use helix_core::{FleetTopology, PlacementDelta, ReplanPolicy, ReplicationPolicy, Scheduler};
 use helix_workload::{Request, TicketId, Workload};
-use minirt::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -85,9 +85,9 @@ impl ServingSession {
         runtime::validate(&fleet, &schedulers)?;
         let clock = VirtualClock::new(config.wall_per_virtual);
         let max_wall = config.max_wall;
-        let (control, inbound) = unbounded();
-        let (completion_tx, completions) = unbounded();
-        let (wired_tx, wired_rx) = unbounded();
+        let (control, inbound) = channel();
+        let (completion_tx, completions) = channel();
+        let (wired_tx, wired_rx) = channel();
         let spec = PlaneSpec {
             fleet,
             schedulers,
@@ -111,15 +111,14 @@ impl ServingSession {
             submitted: 0,
             delivered: 0,
         };
-        match wired_rx.recv_blocking() {
+        match wired_rx.recv() {
             Ok(()) => Ok(session),
             Err(_) => Err(session.coordinator_died()),
         }
     }
 
     /// Queues one control message on the coordinator's inbound channel; its
-    /// arrival wakes the loop's waker-based wait.  `false` when the
-    /// coordinator is gone.
+    /// arrival ends the loop's wait.  `false` when the coordinator is gone.
     fn send_control(&self, msg: SessionControl) -> bool {
         self.control.send(msg).is_ok()
     }
@@ -159,7 +158,6 @@ impl ServingSession {
     /// failure.  The budget bounds each wait, not the session's lifetime.
     pub fn wait_completion(&mut self, ticket: TicketId) -> Result<RequestOutcome, RuntimeError> {
         let wait_started = self.clock.wall_elapsed();
-        let deadline = self.clock.instant_at_wall(wait_started + self.max_wall);
         loop {
             if let Some(pos) = self.undelivered.iter().position(|o| o.id == ticket.0) {
                 self.delivered += 1;
@@ -177,9 +175,9 @@ impl ServingSession {
                     total: self.submitted,
                 });
             }
-            // Block on the channel's condvar until a completion arrives or
-            // the budget expires — no 10 ms polling interval.
-            match self.completions.recv_deadline(deadline) {
+            // Block on the channel until a completion arrives or the budget
+            // expires — no 10 ms polling interval.
+            match self.completions.recv_timeout(self.max_wall - waited) {
                 Ok(outcome) => self.undelivered.push_back(outcome),
                 // The next iteration's budget check reports the exceeded
                 // budget.
@@ -238,11 +236,11 @@ impl ServingSession {
     /// Propagates the coordinator's error if the drain cannot complete
     /// (stall, wall budget, disconnect).
     pub fn drain(&mut self) -> Result<(), RuntimeError> {
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = channel();
         if !self.send_control(SessionControl::Drain(ack_tx)) {
             return Err(self.coordinator_died());
         }
-        match ack_rx.recv_blocking() {
+        match ack_rx.recv() {
             Ok(()) => Ok(()),
             Err(_) => Err(self.coordinator_died()),
         }

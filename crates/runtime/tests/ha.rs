@@ -43,7 +43,7 @@ fn redundant_topology() -> Topology {
 fn live_config() -> RuntimeConfig {
     RuntimeConfig {
         // Large enough that analytic batch durations dominate the per-event
-        // wall overhead (waker hops, channel sends): the virtual clock is
+        // wall overhead (the loop's turns and waits): the virtual clock is
         // wall-driven, and the failure must land while decode is genuinely
         // in flight — not while every pipeline is still stuck in per-event
         // overhead with zero tokens produced.

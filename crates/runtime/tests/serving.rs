@@ -998,8 +998,8 @@ fn wall_budgets_bound_waits_and_drains_and_finish_after_failure_is_clean() {
 
 #[test]
 fn a_500_node_fleet_serves_a_burst_on_a_bounded_thread_count() {
-    // The tentpole claim of the async data plane: workers are tasks, so a
-    // fleet far beyond thread-per-worker scale serves in one process with a
+    // Workers are rows of the data plane's table, not threads, so a fleet
+    // far beyond thread-per-worker scale serves in one process with a
     // handful of OS threads.  500 nodes, one model, burst submission.
     let spec = helix_cluster::ClusterBuilder::new("stress-500")
         .intra_region(10_000.0, 1.0)
