@@ -28,21 +28,19 @@
 //! # What a surface actuates
 //!
 //! The simulator owns engines, link queues and the event queue; the runtime
-//! owns the worker registry, fabric envelopes and the §5.2 KV estimators.
-//! A surface supplies exactly three things and nothing selectable:
+//! owns the worker table, the fabric and the §5.2 KV estimators.  A surface
+//! supplies exactly two things and nothing selectable:
 //!
 //! 1. the `&dyn ClusterState` view its admission is scheduled against;
 //! 2. a tenancy-liveness predicate for standby promotion (an engine exists /
-//!    a worker is routable);
-//! 3. the moment a rebuilt scheduler is installed for a model whose re-plan
-//!    owes a KV hand-over: the simulator calls
-//!    [`ControlPlane::install_scheduler`] at once, the runtime when the
-//!    model's last transfer lands.  *What* is installed is never the
-//!    surface's choice — it is re-derived from the fleet as it stands then.
+//!    a worker is routable).
 //!
 //! Everything a decision returns ([`Dispatch`], [`TokenProgress`],
 //! [`Failover`], [`ReplanOutcome`]) is plain data: the surface moves bytes,
-//! seeds or frees KV and spawns or retires tenancies accordingly.
+//! seeds or frees KV and spawns or retires tenancies accordingly — and
+//! performs each migration's KV hand-over with
+//! [`EngineCore::hand_over`](crate::engine::EngineCore::hand_over), priced
+//! by [`ControlPlane::kv_transfer`].
 //!
 //! # Who owns which state
 //!
@@ -522,15 +520,11 @@ impl ControlPlane {
             return Some(progress);
         }
         progress.durable_tokens = self.replica_tracker.replicated_tokens(request);
-        let transfer = KvTransferModel::new(
-            self.fleet.profiles()[flight.pipeline.model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer(),
-            DEFAULT_TOKENS_PER_PAGE,
-        );
+        let pipeline = Arc::clone(&flight.pipeline);
+        let transfer = self.kv_transfer(pipeline.model);
         let new_tokens = progress.new_tokens as f64;
         let standbys = self.replica_tracker.standbys(request);
-        for (stage, &(primary, standby)) in flight.pipeline.stages.iter().zip(standbys) {
+        for (stage, &(primary, standby)) in pipeline.stages.iter().zip(standbys) {
             progress.chunks.push(ReplicaChunk {
                 primary,
                 standby,
@@ -697,10 +691,10 @@ impl ControlPlane {
     /// models forget their prefix homes (pipelines of the old plan; in-flight
     /// references stay balanced through their own release) and get their
     /// scheduler rebuilt — drain-then-switch: in-flight pipelines keep their
-    /// routes.  A model owed a KV hand-over (`outcome.migrations`) keeps its
-    /// old scheduler until the surface calls
-    /// [`install_scheduler`](Self::install_scheduler).  `None` when the
-    /// re-plan is infeasible: the current plan keeps serving.
+    /// routes.  A model owed a KV hand-over (`outcome.migrations`) is
+    /// re-routed at once too: the hand-over's freeze holds work on the
+    /// migrated layers until the transfer arrives.  `None` when the re-plan
+    /// is infeasible: the current plan keeps serving.
     pub fn replan(
         &mut self,
         delta: &PlacementDelta,
@@ -718,9 +712,7 @@ impl ControlPlane {
         .ok()?;
         for &model in &outcome.affected {
             self.prefix_routers[model.index()].clear();
-            if !outcome.migrations.iter().any(|m| m.model == model) {
-                self.install_scheduler(model);
-            }
+            self.install_scheduler(model);
         }
         self.replans.push(ReplanRecord {
             at: now,
@@ -734,11 +726,19 @@ impl ControlPlane {
     /// Installs `model`'s IWRR weights, re-derived from the fleet as it
     /// stands now.  A model whose planned flow is zero keeps its old
     /// scheduler (serving degraded beats serving nothing).
-    pub fn install_scheduler(&mut self, model: ModelId) {
+    fn install_scheduler(&mut self, model: ModelId) {
         let rebuilt = self.fleet.model(model).map(IwrrScheduler::from_topology);
         if let Some(Ok(scheduler)) = rebuilt {
             self.schedulers[model.index()] = Box::new(scheduler);
         }
+    }
+
+    /// How `model`'s KV is priced when it crosses a link: replica chunks
+    /// and hand-overs alike.
+    pub fn kv_transfer(&self, model: ModelId) -> KvTransferModel {
+        let model = self.fleet.profiles()[model.index()].model();
+        let bytes_per_token_per_layer = model.kv_bytes_per_token_per_layer();
+        KvTransferModel::new(bytes_per_token_per_layer, DEFAULT_TOKENS_PER_PAGE)
     }
 
     /// One observation-window boundary at `now`: every engine's cumulative

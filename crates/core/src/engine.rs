@@ -32,9 +32,12 @@
 //!   slowed by [`KV_OVERFLOW_PENALTY`](crate::exec_model::KV_OVERFLOW_PENALTY)
 //!   when the pool is over capacity after the batch's appends.  This is the
 //!   rule `perf/exact.json` pins.
-//! * **Freezes.** A range thaws at its deadline or on an explicit
-//!   [`thaw`](EngineCore::thaw); a freeze with deadline `f64::INFINITY` only
-//!   thaws explicitly.
+//! * **Freezes.** A range thaws at its deadline: a KV hand-over freezes the
+//!   migrated range on both ends until its transfer arrives.
+//! * **Hand-overs.** [`EngineCore::hand_over`] is the one KV move of a
+//!   migration: the residency moves at once ([`PagedKvPool::hand_over`]),
+//!   [`KvTransferModel`] prices it as one transfer, and both ends freeze the
+//!   migrated range until that transfer arrives.
 //!
 //! # What each surface adds, and who owns which state
 //!
@@ -44,11 +47,11 @@
 //! into a `BatchComplete` event) and prices batches with
 //! [`ExecModel`]; the *runtime worker* queues the returned duration in the
 //! fabric's heap beside the deliveries (or completes a zero-duration batch
-//! in place), forwards finished items through the fabric, ships hand-overs
-//! in chunks, keeps the report counters and prices batches with its
-//! `ExecutionModel`.  Cross-engine facts (where a
-//! migrated prefix went, which engines hold a request) stay with the
-//! surfaces' coordinators.
+//! in place), forwards finished items through the fabric, keeps the report
+//! counters and prices batches with its `ExecutionModel`.  Each surface
+//! supplies the link a hand-over crosses and wakes both ends when it
+//! arrives.  Cross-engine facts (which engines hold a request) stay with
+//! the surfaces' coordinators.
 //!
 //! # Why the page size is a constructor argument
 //!
@@ -86,7 +89,7 @@
 
 use crate::exec_model::{ExecModel, Phase};
 use crate::placement::LayerRange;
-use crate::replan::EngineCounters;
+use crate::replan::{EngineCounters, KvMigration, KvTransferModel, KvTransferRecord};
 use crate::scheduling::prefix::PrefixWork;
 use helix_cluster::PrefixId;
 use helix_workload::RequestId;
@@ -437,18 +440,15 @@ impl PagedKvPool {
         true
     }
 
-    /// The per-request half of a hand-over snapshot (request → cached
-    /// tokens), sorted by request id.
+    /// Every request's cached tokens, sorted by request id.
     pub fn snapshot(&self) -> Vec<(RequestId, usize)> {
         let mut entries: Vec<_> = self.requests.iter().map(|(&r, h)| (r, h.tokens)).collect();
         entries.sort_unstable_by_key(|&(request, _)| request);
         entries
     }
 
-    /// The shared-prefix half of a hand-over snapshot, sorted by prefix id:
-    /// each prefix's cached tokens (they travel once, not once per sharer)
-    /// and the requests holding a reference, so the destination installs
-    /// the references where their owners' releases will find them.
+    /// Every shared prefix, sorted by prefix id: its cached tokens (counted
+    /// once, not once per sharer) and the requests holding a reference.
     pub fn prefix_snapshot(&self) -> Vec<(PrefixId, usize, Vec<RequestId>)> {
         let mut entries: Vec<_> = self
             .prefixes
@@ -470,27 +470,25 @@ impl PagedKvPool {
         entries
     }
 
-    /// Installs (part of) another pool's snapshot — the destination side of
-    /// a hand-over: residency merges as in [`seed`](Self::seed), and every
-    /// holder takes its reference here, so its release drops it here too.
-    pub fn seed_snapshot(
-        &mut self,
-        requests: &[(RequestId, usize)],
-        prefixes: &[(PrefixId, usize, Vec<RequestId>)],
-    ) {
-        for &(request, tokens) in requests {
-            self.seed(request, tokens);
+    /// The residency move of a KV hand-over to `destination`.  Every
+    /// request's residency merges there as in [`seed`](Self::seed), and
+    /// every shared prefix *moves* with its holders' references — they are
+    /// installed where the holders' releases will look, and this pool keeps
+    /// no stale copy to decrement.  A source whose node keeps layers of the
+    /// model (`keeps_layers`) keeps its per-request entries; one the plan
+    /// dropped keeps nothing.
+    pub fn hand_over(&mut self, destination: &mut PagedKvPool, keeps_layers: bool) {
+        for (request, tokens) in self.snapshot() {
+            destination.seed(request, tokens);
         }
-        for (prefix, tokens, holders) in prefixes {
-            for &holder in holders {
-                self.hold_prefix(holder, *prefix, *tokens);
+        for (prefix, tokens, holders) in self.prefix_snapshot() {
+            for holder in holders {
+                destination.hold_prefix(holder, prefix, tokens);
             }
         }
-    }
-
-    /// Drops every shared prefix and every request's reference — the source
-    /// side of a migration that *moves* the entries to the destination.
-    pub fn clear_prefixes(&mut self) {
+        if !keeps_layers {
+            return self.clear();
+        }
         for (_, entry) in self.prefixes.drain() {
             self.used_pages -= entry.pages;
             self.used_tokens -= entry.tokens;
@@ -501,8 +499,8 @@ impl PagedKvPool {
         }
     }
 
-    /// Drops all residency — the source side of a whole-range migration.
-    pub fn clear(&mut self) {
+    /// Drops all residency.
+    fn clear(&mut self) {
         self.requests.clear();
         self.prefixes.clear();
         (self.used_pages, self.used_tokens, self.shared_pages) = (0, 0, 0);
@@ -550,15 +548,15 @@ pub struct BatchRun {
 #[derive(Debug, Clone)]
 pub struct EngineCore<W> {
     /// The engine's KV residency table.  Batches grow it; the surfaces touch
-    /// it *between* batches: seeding a hand-over or a replica, admission-time
-    /// prefix references, re-sizing on a plan update.
+    /// it *between* batches: seeding a replica or a promoted request,
+    /// admission-time prefix references, re-sizing on a plan update.
     pub kv: PagedKvPool,
     /// Work waiting for the next batch.
     pending: Vec<W>,
     /// The executing batch (empty when idle).
     in_flight: Vec<W>,
-    /// Frozen layer ranges, each until its deadline or an explicit thaw.
-    /// Overlapping hand-overs stack.
+    /// Frozen layer ranges, each until its deadline.  Overlapping hand-overs
+    /// stack.
     frozen: Vec<(LayerRange, f64)>,
     /// Multiplier on batch duration: `1.0` = healthy hardware.
     slowdown: f64,
@@ -629,22 +627,42 @@ impl<W: Work> EngineCore<W> {
 
     /// Freezes `layers` until `until` (the freeze half of a KV hand-over):
     /// queued work touching them waits while work on disjoint layers keeps
-    /// batching.  Pass `f64::INFINITY` for a freeze that only an explicit
-    /// [`thaw`](Self::thaw) ends.
+    /// batching.  A batch started at or after `until` no longer sees it.
     pub fn freeze(&mut self, layers: LayerRange, until: f64) {
         self.frozen.push((layers, until));
     }
 
-    /// Ends one freeze of exactly `layers` (the hand-over landed).
-    pub fn thaw(&mut self, layers: LayerRange) {
-        if let Some(at) = self.frozen.iter().position(|&(range, _)| range == layers) {
-            self.frozen.remove(at);
+    /// The KV hand-over of `migration` from this engine to `destination`,
+    /// as both surfaces perform it.  The residency moves now
+    /// ([`PagedKvPool::hand_over`]; `keeps_layers` says whether this node
+    /// keeps layers of the model), `transfer` prices what this engine held
+    /// as one transfer, `link` queues those bytes on the `from → to` link
+    /// and returns when they arrive, and both ends freeze the migrated range
+    /// until then — the surface wakes both at that instant.  Returns the
+    /// transfer's record.
+    pub fn hand_over(
+        &mut self,
+        destination: &mut Self,
+        migration: KvMigration,
+        keeps_layers: bool,
+        transfer: KvTransferModel,
+        now: f64,
+        link: impl FnOnce(f64) -> f64,
+    ) -> KvTransferRecord {
+        let tokens = self.kv.used_tokens();
+        let bytes = transfer.bytes(tokens, migration.layers.len());
+        let at = link(bytes);
+        self.kv.hand_over(&mut destination.kv, keeps_layers);
+        self.freeze(migration.layers, at);
+        destination.freeze(migration.layers, at);
+        KvTransferRecord {
+            at,
+            migration,
+            tokens,
+            pages: transfer.pages(tokens),
+            bytes,
+            transfer_secs: at - now,
         }
-    }
-
-    /// Ends every freeze — teardown must not strand queued work.
-    pub fn thaw_all(&mut self) {
-        self.frozen.clear();
     }
 
     /// Takes the engine out of service: queued and executing work, freezes

@@ -8,8 +8,7 @@
 //!
 //! * [`ReplicationPolicy`] — *which* requests replicate (a replication factor
 //!   applied to hot sequences, chosen by decode-token rank) and at what
-//!   cadence (chunks of whole KV pages, matching the pipelined 64-page chunk
-//!   streams KV migration already uses).
+//!   cadence (chunks of [`REPLICA_CHUNK_PAGES`] whole KV pages).
 //! * [`ReplicaTracker`] — *how far* each request's KV has been replicated to
 //!   its standby tenancies.  On failure, tokens decoded since the last
 //!   replicated chunk are recomputed; everything else survives — that is the
@@ -46,12 +45,12 @@ pub struct ReplicationPolicy {
     /// Requests with at least this many output tokens count as hot.
     pub hot_threshold_tokens: usize,
     /// Replication cadence in tokens: a chunk ships each time this many new
-    /// tokens are cached (whole KV pages, like the migration chunk streams).
+    /// tokens are cached (whole KV pages).
     pub chunk_tokens: usize,
 }
 
-/// Pages per replica chunk — the same pipelined granularity KV migration
-/// streams use.
+/// Pages per replica chunk: small enough that a chunk trickles between
+/// decode steps, large enough that a long sequence ships few of them.
 pub const REPLICA_CHUNK_PAGES: usize = 64;
 
 impl ReplicationPolicy {

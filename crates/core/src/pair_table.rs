@@ -44,6 +44,18 @@ impl<T> PairTable<T> {
         self.slots.get_mut(index)?.as_mut()
     }
 
+    /// The entries of two different pairs at once, mutably — `None` unless
+    /// both were inserted and they differ.
+    pub fn pair_mut(
+        &mut self,
+        (a, m): (NodeId, ModelId),
+        (b, n): (NodeId, ModelId),
+    ) -> Option<[&mut T; 2]> {
+        let indices = [self.index(a, m)?, self.index(b, n)?];
+        let [a, b] = self.slots.get_disjoint_mut(indices).ok()?;
+        Some([a.as_mut()?, b.as_mut()?])
+    }
+
     /// Installs the entry of a pair inside the table (others cannot be
     /// planned: the table spans the cluster and the fleet).
     pub fn insert(&mut self, node: NodeId, model: ModelId, entry: T) {
@@ -96,6 +108,13 @@ mod tests {
         assert_eq!(table.of_model(ModelId(0)), &[Some(0), None, Some(120)]);
         assert_eq!(table.of_node_mut(NodeId(0)).count(), 2);
         assert_eq!(table.values_mut().count(), 3);
+        let (a, b) = ((NodeId(2), ModelId(0)), (NodeId(0), ModelId(1)));
+        let [x, y] = table.pair_mut(a, b).unwrap();
+        std::mem::swap(x, y);
+        assert_eq!(table.get(NodeId(2), ModelId(0)), Some(&1));
+        // One pair twice, or a pair never inserted, is no pair.
+        assert!(table.pair_mut(a, a).is_none());
+        assert!(table.pair_mut(a, (NodeId(1), ModelId(0))).is_none());
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //!    interleaving of append / prefix hold / release / hand-over / resize,
 //!    overflow included;
 //! 2. freeze-range batching: nothing frozen runs, nothing disjoint waits,
-//!    everything runs once or is purged, and a deadline is an explicit thaw;
+//!    and everything runs once or is purged;
 //! 3. batch formation and nominal durations do not depend on the page size
 //!    while neither pool overflows.
 
-use helix_cluster::PrefixId;
+use helix_cluster::{ModelId, NodeId, PrefixId};
 use helix_core::engine::{EngineCore, KvPoolError, PagedKvPool, Work, WorkMeta};
 use helix_core::exec_model::{Phase, KV_OVERFLOW_PENALTY};
-use helix_core::{LayerRange, PrefixWork};
+use helix_core::{KvMigration, KvTransferModel, LayerRange, PrefixWork};
 use helix_workload::RequestId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -117,12 +117,11 @@ fn a_hand_over_installs_the_references_where_the_releases_will_look() {
     // Request 2 is already being served (and attached) on the destination.
     destination.grow(2, 40);
     destination.hold_prefix(2, PrefixId(4), 16);
-    destination.seed_snapshot(&source.snapshot(), &source.prefix_snapshot());
+    source.hand_over(&mut destination, true);
     // Residency merges by max (the same sequence, not a second copy).
     assert_eq!(destination.snapshot(), vec![(1, 64), (2, 40)]);
     assert_eq!(destination.used_tokens(), 64.0 + 40.0 + 16.0);
     // The move leaves no stale reference behind on the source.
-    source.clear_prefixes();
     assert_eq!(source.shared_pages(), 0);
     assert_eq!(source.used_tokens(), 96.0);
     assert!(source.release(1) && source.release(2));
@@ -448,17 +447,127 @@ fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     assert!(e.start_batch(10.0, cost).is_some());
     assert_eq!(complete(&mut e), vec![held.clone()]);
 
-    // A freeze without a deadline holds until its explicit thaw; stacked
-    // freezes of one range thaw one at a time.
-    e.freeze(LayerRange::new(0, 5), f64::INFINITY);
-    e.freeze(LayerRange::new(0, 5), f64::INFINITY);
+    // Overlapping hand-overs stack: the range is held until the later one
+    // arrives.
+    e.freeze(LayerRange::new(0, 5), 20.0);
+    e.freeze(LayerRange::new(2, 3), 30.0);
     e.enqueue(held.clone());
-    assert!(e.start_batch(1e12, cost).is_none());
-    e.thaw(LayerRange::new(0, 5));
-    assert!(e.start_batch(1e12, cost).is_none(), "one freeze remains");
-    e.thaw(LayerRange::new(0, 5));
-    assert!(e.start_batch(1e12, cost).is_some());
+    assert!(e.start_batch(20.0, cost).is_none(), "one freeze remains");
+    assert!(e.start_batch(30.0, cost).is_some());
     assert_eq!(complete(&mut e), vec![held]);
+}
+
+// ---------------------------------------------------------------------------
+// The hand-over both surfaces perform
+// ---------------------------------------------------------------------------
+
+/// A migration of layers `[4, 8)` from node 0 to node 1.
+fn migration() -> KvMigration {
+    KvMigration {
+        model: ModelId(0),
+        from: NodeId(0),
+        to: NodeId(1),
+        layers: LayerRange::new(4, 8),
+    }
+}
+
+/// Regression, moved from the runtime worker's suite: a migrated prefix
+/// arrives with its holders, so the holders' releases free it on the
+/// destination (it used to stay resident for ever — nothing on the
+/// destination knew who referenced it).
+#[test]
+fn releases_after_a_hand_over_free_the_migrated_prefix() {
+    let mut source = PagedKvPool::new(100_000.0, 16);
+    source.grow(1, 64);
+    source.grow(2, 32);
+    source.hold_prefix(1, PrefixId(4), 16);
+    source.hold_prefix(2, PrefixId(4), 16);
+    let mut destination = PagedKvPool::new(100_000.0, 16);
+    source.hand_over(&mut destination, true);
+    assert_eq!(destination.shared_pages(), 1);
+    assert!(destination.release(1));
+    assert_eq!(destination.shared_pages(), 1, "request 2 still holds it");
+    assert!(destination.release(2));
+    assert_eq!(destination.shared_pages(), 0);
+    assert_eq!(destination.used_tokens(), 0.0);
+}
+
+/// The source's residency after a move: a node the plan dropped keeps
+/// nothing, one that keeps layers of the model keeps its per-request
+/// entries (its stages still serve them) but never the moved prefixes.
+#[test]
+fn a_dropped_source_keeps_nothing_and_a_source_with_layers_keeps_its_requests() {
+    let source = || {
+        let mut pool = PagedKvPool::new(100_000.0, 16);
+        pool.grow(1, 40);
+        pool.grow(2, 8);
+        pool.hold_prefix(2, PrefixId(9), 32);
+        pool
+    };
+    let mut dropped = source();
+    let mut destination = PagedKvPool::new(100_000.0, 16);
+    dropped.hand_over(&mut destination, false);
+    assert_eq!((dropped.used_pages(), dropped.used_tokens()), (0, 0.0));
+    assert!(dropped.snapshot().is_empty() && dropped.prefix_snapshot().is_empty());
+    assert_eq!(destination.snapshot(), vec![(1, 40), (2, 8)]);
+    assert_eq!(
+        destination.prefix_snapshot(),
+        vec![(PrefixId(9), 32, vec![2])]
+    );
+
+    let mut keeping = source();
+    let mut destination = PagedKvPool::new(100_000.0, 16);
+    keeping.hand_over(&mut destination, true);
+    assert_eq!(keeping.snapshot(), vec![(1, 40), (2, 8)]);
+    assert!(keeping.prefix_snapshot().is_empty());
+    assert_eq!(keeping.used_tokens(), 48.0);
+    assert_eq!(destination.used_tokens(), 80.0);
+    // Request 2's release on the source finds no prefix reference to drop.
+    assert!(keeping.release(2) && keeping.release(1));
+    assert_eq!(keeping.used_pages(), 0);
+}
+
+/// What the hand-over reports is what [`KvTransferModel`] prices for what
+/// the source held, crossing the link as one transfer; both ends freeze the
+/// migrated range until it arrives.
+#[test]
+fn a_hand_over_is_one_priced_transfer_and_freezes_both_ends_until_it_arrives() {
+    let mut source: EngineCore<Item> = EngineCore::new(100_000.0, 16);
+    let mut destination: EngineCore<Item> = EngineCore::new(100_000.0, 16);
+    source.kv.grow(1, 100);
+    source.kv.hold_prefix(1, PrefixId(3), 20);
+    let transfer = KvTransferModel::new(512.0, 16);
+    let mut sent = Vec::new();
+    let record = source.hand_over(
+        &mut destination,
+        migration(),
+        true,
+        transfer,
+        2.0,
+        |bytes| {
+            sent.push(bytes);
+            5.0
+        },
+    );
+    // 120 tokens (the prefix once) in ⌈120 / 16⌉ = 8 pages of 4 layers.
+    assert_eq!(record.tokens, 120.0);
+    assert_eq!(record.pages, transfer.pages(120.0));
+    assert_eq!(record.bytes, transfer.bytes(120.0, 4));
+    assert_eq!(record.bytes, 8.0 * 16.0 * 4.0 * 512.0);
+    assert_eq!(sent, [record.bytes], "one transfer of the priced bytes");
+    assert_eq!((record.at, record.transfer_secs), (5.0, 3.0));
+    assert_eq!(record.migration, migration());
+    assert_eq!(destination.kv.used_tokens(), 120.0);
+    // Both ends hold work on the migrated layers until the arrival, and
+    // only those layers.
+    let on = |layers, id| item(id, id, Phase::Decode, 1, layers);
+    for engine in [&mut source, &mut destination] {
+        engine.enqueue(on(LayerRange::new(0, 4), 1));
+        engine.enqueue(on(LayerRange::new(6, 7), 2));
+        assert_eq!(start(engine, 4.9).unwrap().0, [1]);
+        complete(engine);
+        assert_eq!(start(engine, 5.0).unwrap().0, [2]);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -616,8 +725,8 @@ proptest! {
 
     /// (i) PR 8's refcount property, on the shared table, widened: any
     /// interleaving of engine-path and checked-front operations on two
-    /// tables, hand-overs between them (copying, as the runtime does, or
-    /// moving, as the simulator does) and resizes keeps every running total
+    /// tables, hand-overs between them (from a source that keeps layers or
+    /// one the plan dropped) and resizes keeps every running total
     /// equal to a recount, keeps a prefix resident exactly as long as
     /// something references it (so it is freed once, by its last reference),
     /// and ends exactly empty once everything is released — overflow or not.
@@ -687,7 +796,10 @@ proptest! {
                     // Hand-over from `side` to the other table.
                     let (requests, prefixes) =
                         (pools[side].snapshot(), pools[side].prefix_snapshot());
-                    pools[other].seed_snapshot(&requests, &prefixes);
+                    let keeps_layers = tokens % 2 == 0;
+                    let [low, high] = &mut pools;
+                    let (source, destination) = if side == 0 { (low, high) } else { (high, low) };
+                    source.hand_over(destination, keeps_layers);
                     for (r, t) in requests {
                         let have = models[other].tokens.entry(r).or_insert(0);
                         *have = (*have).max(t);
@@ -697,19 +809,12 @@ proptest! {
                             models[other].hold(holder, p, t);
                         }
                     }
-                    match tokens % 3 {
-                        0 => {} // copy: the source keeps its residency
-                        1 => {
-                            // move the prefixes, references and all
-                            pools[side].clear_prefixes();
-                            models[side].holds.clear();
-                            models[side].unowned.clear();
-                        }
-                        _ => {
-                            // the whole range moved
-                            pools[side].clear();
-                            models[side] = TableModel::default();
-                        }
+                    if keeps_layers {
+                        // The prefixes moved, references and all.
+                        models[side].holds.clear();
+                        models[side].unowned.clear();
+                    } else {
+                        models[side] = TableModel::default();
                     }
                 }
                 _ => pools[side].resize(tokens as f64 * 7.0),
@@ -741,19 +846,17 @@ proptest! {
         }
     }
 
-    /// (ii) Over random enqueue / freeze / thaw / start / complete / purge
+    /// (ii) Over random enqueue / freeze / start / complete / purge
     /// sequences: a started batch is exactly the queued items whose layers
     /// intersect no live frozen range (nothing frozen runs, nothing disjoint
-    /// waits), every item executes exactly once or is purged, and a freeze
-    /// with deadline `until` (`timed`) behaves as an indefinite freeze thawed
-    /// explicitly at `until` (`manual`).
+    /// waits), a freeze ends at its deadline, and every item executes
+    /// exactly once or is purged.
     #[test]
     fn freezes_hold_exactly_the_intersecting_work(
-        ops in prop::collection::vec((0u8..10, 0usize..6, 1usize..4, 0u64..4), 1..150),
+        ops in prop::collection::vec((0u8..8, 0usize..6, 1usize..4, 0u64..4), 1..150),
     ) {
-        let mut timed: EngineCore<Item> = EngineCore::new(1e9, 16);
-        let mut manual: EngineCore<Item> = EngineCore::new(1e9, 16);
-        let (mut timed_done, mut manual_done) = (Vec::new(), Vec::new());
+        let mut engine: EngineCore<Item> = EngineCore::new(1e9, 16);
+        let mut done = Vec::new();
         let mut now = 0.0;
         // The model: live freezes, queued items in arrival order, fates.
         let mut live: Vec<(LayerRange, f64)> = Vec::new();
@@ -763,7 +866,7 @@ proptest! {
         let mut next_id = 0u64;
         // After the script, four start-or-complete steps drain the engine.
         let scripted = ops.len();
-        let draining = (0..4).map(|_| (9u8, 0usize, 1usize, 0u64));
+        let draining = (0..4).map(|_| (7u8, 0usize, 1usize, 0u64));
         for (step, (op, a, b, request)) in ops.into_iter().chain(draining).enumerate() {
             let drain = step >= scripted;
             let range = LayerRange::new(a, a + b);
@@ -771,94 +874,56 @@ proptest! {
                 0..=2 => {
                     let new = item(next_id, request, Phase::Decode, 1, range);
                     next_id += 1;
-                    timed.enqueue(new.clone());
-                    manual.enqueue(new.clone());
+                    engine.enqueue(new.clone());
                     queued.push(new);
                 }
                 3 => {
                     // A hand-over freeze that lands at `until`.
                     let until = now + request as f64 + 0.5;
-                    timed.freeze(range, until);
-                    manual.freeze(range, f64::INFINITY);
+                    engine.freeze(range, until);
                     live.push((range, until));
                 }
-                4 => {
-                    // An indefinite freeze (a wider family of ranges, so an
-                    // explicit thaw can never name a deadline freeze).
-                    let wide = LayerRange::new(a, a + 4);
-                    timed.freeze(wide, f64::INFINITY);
-                    manual.freeze(wide, f64::INFINITY);
-                    live.push((wide, f64::INFINITY));
-                }
+                4 => now += 1.0,
                 5 => {
-                    // Explicitly thaw the oldest indefinite freeze.
-                    if let Some(at) = live.iter().position(|&(_, until)| until.is_infinite()) {
-                        let (wide, _) = live.remove(at);
-                        timed.thaw(wide);
-                        manual.thaw(wide);
-                    }
-                }
-                6 => {
-                    now += 1.0;
-                    // `manual` gets the explicit thaw a deadline stands for.
-                    live.retain(|&(range, until)| {
-                        let landed = until <= now;
-                        if landed {
-                            manual.thaw(range);
-                        }
-                        !landed
-                    });
-                }
-                7 => {
-                    let done = complete_into(&mut timed, &mut timed_done);
-                    prop_assert_eq!(&complete_into(&mut manual, &mut manual_done), &done);
-                    prop_assert_eq!(&done, &in_flight);
+                    let finished = complete_into(&mut engine, &mut done);
+                    prop_assert_eq!(&finished, &in_flight);
                     for id in in_flight.drain(..) {
                         prop_assert!(executed.insert(id), "item {id} executed twice");
                     }
                 }
-                8 => {
-                    timed.purge_request(request);
-                    manual.purge_request(request);
+                6 => {
+                    engine.purge_request(request);
                     queued.retain(|i| i.meta.request != request || !purged.insert(i.id));
                 }
                 _ => {
                     if drain {
-                        // Land every hand-over, then run what is left.
+                        // Every hand-over has landed; run what is left.
                         now = 1e9;
-                        timed.thaw_all();
-                        manual.thaw_all();
-                        live.clear();
                     }
+                    live.retain(|&(_, until)| now < until);
                     let expected: Vec<u64> = if in_flight.is_empty() {
                         let frozen = |i: &Item| {
-                            live.iter().any(|&(range, until)| {
-                                now < until && range.intersects(i.meta.layers)
-                            })
+                            live.iter().any(|&(range, _)| range.intersects(i.meta.layers))
                         };
                         queued.iter().filter(|i| !frozen(i)).map(|i| i.id).collect()
                     } else {
                         Vec::new()
                     };
-                    let started = start(&mut timed, now).map(|(ids, _)| ids).unwrap_or_default();
-                    let same = start(&mut manual, now).map(|(ids, _)| ids).unwrap_or_default();
+                    let started = start(&mut engine, now).map(|(ids, _)| ids).unwrap_or_default();
                     prop_assert!(started == expected, "{started:?} != {expected:?} at {now}, {live:?}");
-                    prop_assert!(same == expected, "a deadline is not an explicit thaw: {same:?}");
                     if !expected.is_empty() {
                         queued.retain(|i| !expected.contains(&i.id));
                         in_flight = expected;
                     } else if drain {
-                        let done = complete_into(&mut timed, &mut timed_done);
-                        prop_assert_eq!(&complete_into(&mut manual, &mut manual_done), &done);
-                        prop_assert_eq!(&done, &in_flight);
+                        let finished = complete_into(&mut engine, &mut done);
+                        prop_assert_eq!(&finished, &in_flight);
                         for id in in_flight.drain(..) {
                             prop_assert!(executed.insert(id), "item {id} executed twice");
                         }
                     }
                 }
             }
-            prop_assert_eq!(timed.queue_len(), queued.len());
-            prop_assert_eq!(manual.queue_len(), queued.len());
+            prop_assert_eq!(engine.queue_len(), queued.len());
         }
         prop_assert!(queued.is_empty() && in_flight.is_empty(), "the drain runs everything");
         prop_assert!(executed.is_disjoint(&purged));

@@ -12,8 +12,11 @@
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives); this module is its runtime actuator.  It owns what
 //! is genuinely the runtime's: the worker table, the fabric with everything
-//! in flight, the §5.2 [`KvCacheEstimator`]s, drain-aware retirement and the
-//! in-flight KV hand-overs.
+//! in flight, the §5.2 [`KvCacheEstimator`]s and drain-aware retirement.
+//! KV bookkeeping — releasing a finished or aborted request, seeding a
+//! replica or a promoted request, handing a layer range over — is a call on
+//! the rows at the moment the simulator makes it, priced on the link it
+//! crosses.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
 //! the session loop behind [`ServingSession`](crate::ServingSession), a
@@ -22,13 +25,12 @@
 //! session call or for the earliest thing due (the fabric's queue, an
 //! arrival, an injected failure, a policy tick, the drain budget), and then
 //! ([`Coordinator::turn`]) handles the session calls; applies every
-//! delivery and batch completion that is due, pass after pass until a fresh
-//! clock reading finds nothing more, and only then starts the batches of
-//! the rows those passes touched — until nothing is due and no row waits;
-//! and then — once per quiescence, not once per delivery — handles what
-//! reached the coordinator (starting what a landed hand-over thawed),
-//! observes, fails nodes, admits, retries what was deferred and
-//! acknowledges drains.  Requests
+//! delivery, batch completion and hand-over arrival that is due, pass after
+//! pass until a fresh clock reading finds nothing more, and only then
+//! starts the batches of the rows those passes touched — until nothing is
+//! due and no row waits; and then — once per quiescence, not once per
+//! delivery — handles what reached the coordinator, observes, fails nodes,
+//! admits, retries what was deferred and acknowledges drains.  Requests
 //! arrive as control messages on the inbound channel, completions stream
 //! back as they happen, and mid-run placement deltas can add rows for
 //! (node, model) pairs the original build never had.
@@ -49,9 +51,9 @@ use crate::metrics::RequestOutcome;
 use crate::registry::{WorkerKey, Workers};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::{
-    Admission, ClusterState, ControlLogs, ControlPlane, EngineCounters, FleetTopology, InFlight,
-    KvCacheEstimator, KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy,
-    ReplanReason, ReplicationPolicy, Scheduler,
+    Admission, ClusterState, ControlLogs, ControlPlane, FleetTopology, InFlight, KvCacheEstimator,
+    KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy, ReplanReason,
+    ReplicationPolicy, Scheduler,
 };
 use helix_workload::{Request, RequestId};
 use std::collections::{HashSet, VecDeque};
@@ -171,15 +173,7 @@ pub(crate) struct Coordinator {
     outcomes: Vec<RequestOutcome>,
     /// Workers the plan dropped, awaiting their in-flight pipelines to drain.
     pending_retire: HashSet<WorkerKey>,
-    /// KV hand-overs in flight, with the virtual time each freeze began.
-    /// Drains wait for these; each resolves on the matching `KvInstalled`.
-    /// Freezes are layer-scoped: each pending migration holds exactly one
-    /// freeze of its range on each endpoint, and overlapping hand-overs stack
-    /// their ranges on the worker rather than refcounting here.  A model with
-    /// a hand-over pending keeps its old scheduler (freeze → transfer →
-    /// re-route → resume).
-    pending_migrations: Vec<(KvMigration, f64)>,
-    /// Completed KV hand-overs, for the final report.
+    /// KV hand-overs, for the final report.
     kv_transfers: Vec<KvTransferRecord>,
     completions: Sender<RequestOutcome>,
     /// Injected failures not yet due: `(virtual time, node)`.
@@ -190,9 +184,9 @@ pub(crate) struct Coordinator {
     /// Requests every candidate masked out, retried once per turn.
     deferred: VecDeque<Request>,
     drain_acks: Vec<Sender<()>>,
-    /// What the fabric delivered to the coordinator during this turn's
-    /// passes, in delivery order.
-    arrived: VecDeque<RuntimeMsg>,
+    /// The iterations the fabric reported to the coordinator during this
+    /// turn's passes, in delivery order: `(request, emitted_at, epoch)`.
+    arrived: VecDeque<(RequestId, f64, u64)>,
     finishing: bool,
     submitted: usize,
     /// Wall-clock mark of when the current drain began; the budget bounds
@@ -219,7 +213,6 @@ impl Coordinator {
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
             pending_retire: HashSet::new(),
-            pending_migrations: Vec::new(),
             kv_transfers: Vec::new(),
             completions: spec.completions,
             pending_failures: Vec::new(),
@@ -249,10 +242,10 @@ impl Coordinator {
     /// process.  The wall-clock budget is enforced only while a drain or
     /// finish is pending — an idle session may live indefinitely, blocked
     /// on its inbound channel at zero cost.  The loop returns once no
-    /// request, KV hand-over or injected failure is pending; the `Release`s
-    /// of the last completions may still sit in the fabric's queue and are
-    /// dropped with it — the report reads only counters taken at the send
-    /// and cumulative ones, so teardown is that return.
+    /// request or injected failure is pending; a hand-over's arrival may
+    /// still sit in the fabric's queue and is dropped with it — the report
+    /// reads only counters taken at the send and cumulative ones, so
+    /// teardown is that return.
     pub(crate) fn run_live(&mut self) -> Result<Vec<RequestOutcome>, RuntimeError> {
         loop {
             let first = self.wait();
@@ -358,12 +351,9 @@ impl Coordinator {
         // fragments the batches of both.
         let clock = self.clock;
         let now = self.run_due(|| clock.now());
-        while let Some(msg) = self.arrived.pop_front() {
-            self.handle(msg, now);
+        while let Some((request, emitted_at, epoch)) = self.arrived.pop_front() {
+            self.on_iteration(request, emitted_at, epoch);
         }
-        // A landed hand-over thawed its rows: what they held starts now,
-        // and its sends or completion give the next wait its deadline.
-        self.workers.start_touched(now, &mut self.fabric);
 
         // 3. Observe, consult the policy, re-plan, hand over.
         self.maybe_replan(now);
@@ -415,12 +405,10 @@ impl Coordinator {
             }
         }
         // Deferred work is only genuinely stuck when nothing can still
-        // unmask a candidate: an in-flight completion frees KV, a landed
-        // transfer lifts its freeze, and a due failure re-plans — so a
-        // pending migration or failure postpones the stall verdict.
-        let settled = self.control.in_flight_len() == 0
-            && self.pending_migrations.is_empty()
-            && self.pending_failures.is_empty();
+        // unmask a candidate: an in-flight completion frees KV and a due
+        // failure re-plans — so a pending failure postpones the stall
+        // verdict.  The requests a hand-over holds are in flight.
+        let settled = self.control.in_flight_len() == 0 && self.pending_failures.is_empty();
         if draining && settled && !self.deferred.is_empty() {
             return Err(RuntimeError::Stalled {
                 pending: self.deferred.len() + self.pending.len(),
@@ -428,9 +416,7 @@ impl Coordinator {
             });
         }
 
-        // 8. Acknowledge drains once everything in sight completed —
-        // including any KV hand-over still in flight (its frozen workers
-        // resume before the drain resolves).
+        // 8. Acknowledge drains once everything in sight completed.
         if draining && settled && self.pending.is_empty() {
             for ack in self.drain_acks.drain(..) {
                 let _ = ack.send(());
@@ -442,14 +428,15 @@ impl Coordinator {
     }
 
     /// Applies every queue entry that is due, in `(at, seq)` order, one pass
-    /// per clock reading: a delivery is a call on its row (the coordinator's
-    /// own wait in `arrived` for the end of the turn).  The rows the passes
-    /// touched start their batches once a fresh reading finds nothing more
-    /// due — so everything that has arrived by the time a batch starts joins
-    /// it (§5.1's rule), however fast a pass is.  Zero-duration batches and
-    /// fast links make new entries due at once; the loop ends when nothing is
-    /// due and no row is waiting to start.  `read` is the clock (virtual
-    /// seconds; a test scripts it); returns its last reading.
+    /// per clock reading: a delivery of work, a batch completion or a
+    /// hand-over's arrival is a call on its rows (the coordinator's own
+    /// reports wait in `arrived` for the end of the turn).  The rows the
+    /// passes touched start their batches once a fresh reading finds nothing
+    /// more due — so everything that has arrived by the time a batch starts
+    /// joins it (§5.1's rule), however fast a pass is.  Zero-duration batches
+    /// and fast links make new entries due at once; the loop ends when
+    /// nothing is due and no row is waiting to start.  `read` is the clock
+    /// (virtual seconds; a test scripts it); returns its last reading.
     fn run_due(&mut self, mut read: impl FnMut() -> f64) -> f64 {
         loop {
             let now = read();
@@ -457,16 +444,18 @@ impl Coordinator {
             while let Some((at, event)) = self.fabric.pop_due(now) {
                 applied = true;
                 match event {
-                    Event::Deliver(envelope) => match envelope.to {
-                        Some(node) => {
-                            let key = (node, envelope.model);
-                            self.workers.deliver(key, envelope.msg, &mut self.fabric);
-                        }
-                        None => self.arrived.push_back(envelope.msg),
+                    Event::Deliver(envelope) => match envelope.msg {
+                        RuntimeMsg::Work(work) => self.workers.deliver(work),
+                        RuntimeMsg::IterationDone {
+                            request,
+                            emitted_at,
+                            epoch,
+                        } => self.arrived.push_back((request, emitted_at, epoch)),
                     },
                     Event::BatchDone(key) => {
                         self.workers.batch_done(key, at, now, &mut self.fabric);
                     }
+                    Event::Landed(rows) => rows.into_iter().for_each(|key| self.workers.touch(key)),
                 }
             }
             if !applied && !self.workers.start_touched(now, &mut self.fabric) {
@@ -491,14 +480,7 @@ impl Coordinator {
         }
         let live = self.workers.rows().into_iter().filter(|w| w.live);
         let counters: Vec<_> = live
-            .map(|w| {
-                let counters = EngineCounters {
-                    nominal_busy_secs: w.nominal_busy_secs,
-                    busy_secs: w.busy_secs,
-                    tokens: w.prompt_tokens + w.decode_tokens,
-                };
-                (w.key.0, w.key.1, counters)
-            })
+            .map(|w| (w.key.0, w.key.1, w.core.counters()))
             .collect();
         let outcome = self.control.observe(now, &counters);
         self.hand_over(outcome, now);
@@ -508,8 +490,8 @@ impl Coordinator {
     /// and the current plan keeps serving): swaps the affected models' KV
     /// budgets for *new* requests (drain-then-switch), puts the rows of
     /// (node, model) tenancies the delta added in service, queues
-    /// drain-aware retirement for ones it dropped, and starts the KV
-    /// transfer of every migration.
+    /// drain-aware retirement for ones it dropped, and performs the KV
+    /// hand-over of every migration.
     fn hand_over(&mut self, outcome: Option<ReplanOutcome>, now: f64) {
         let Some(outcome) = outcome else {
             return;
@@ -540,46 +522,35 @@ impl Coordinator {
             let dropped = live.filter(|key| !planned_nodes.contains(&key.0));
             self.pending_retire.extend(dropped);
         }
-        // Initiate each migration's KV transfer — freeze the *migrated layer
-        // range* on both ends (work on other layers keeps executing;
-        // overlapping hand-overs stack their ranges on the worker), then
-        // have the source ship its pool through the fabric as a pipelined
-        // chunk stream (the pages queue behind — and interleave with —
-        // activation traffic on the `from → to` link).  `KvInstalled`
-        // re-routes and resumes.
+        // Each migration's KV hand-over, the one the simulator performs: the
+        // pages cross the `from → to` link as one transfer (queueing behind
+        // activations), both ends freeze *only the migrated layer range*
+        // until it arrives — work on other layers keeps executing — and one
+        // queue entry at the arrival starts what the freeze held.
         for &migration in &outcome.migrations {
             let KvMigration {
-                model,
-                from,
-                to,
-                layers,
+                model, from, to, ..
             } = migration;
-            let kv_bytes_per_token_per_layer = self.control.fleet().profiles()[model.index()]
-                .model()
-                .kv_bytes_per_token_per_layer();
-            if let Some(source) = self.workers.live_mut((from, model)) {
-                source.core.freeze(layers, f64::INFINITY);
-                source.extract_kv(to, layers, kv_bytes_per_token_per_layer, &mut self.fabric);
-                if let Some(destination) = self.workers.live_mut((to, model)) {
-                    destination.core.freeze(layers, f64::INFINITY);
-                }
-                self.pending_migrations.push((migration, now));
-            }
-            self.reroute_when_settled(model);
+            let keeps_layers = fleet.placement().placements()[model.index()]
+                .range(from)
+                .is_some();
+            let rows = [(from, model), (to, model)];
+            let Some([source, destination]) = self.workers.live_pair_mut(rows) else {
+                continue;
+            };
+            let fabric = &mut self.fabric;
+            let record = source.core.hand_over(
+                &mut destination.core,
+                migration,
+                keeps_layers,
+                self.control.kv_transfer(model),
+                now,
+                |bytes| fabric.transfer(Some(from), Some(to), bytes),
+            );
+            self.fabric.landed(record.at, rows);
+            self.kv_transfers.push(record);
         }
         self.sweep_retirements();
-    }
-
-    /// Installs `model`'s re-planned scheduler unless a KV transfer it owes
-    /// is still in flight (the last `KvInstalled` asks again).  The control
-    /// plane re-derives the weights from the fleet as it stands then, so a
-    /// node failure that re-planned mid-transfer never resurrects routes
-    /// through nodes that died since.
-    fn reroute_when_settled(&mut self, model: ModelId) {
-        let pending = &self.pending_migrations;
-        if !pending.iter().any(|&(m, _)| m.model == model) {
-            self.control.install_scheduler(model);
-        }
     }
 
     /// Retires every pending-retire worker whose in-flight pipelines have
@@ -640,31 +611,18 @@ impl Coordinator {
                 estimator.attach_shared(stage.node, p.id, p.tokens);
             }
             // A promoted request re-seeds its surviving replicated tokens on
-            // every promoted stage (the fail-over purge released them;
-            // per-link FIFO delivers the purge first).
+            // every promoted stage (the fail-over purge released them).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
-                self.fabric.send(Envelope {
-                    from: None,
-                    to: Some(stage.node),
-                    model,
-                    bytes: TOKEN_WIRE_BYTES,
-                    msg: RuntimeMsg::KvChunk {
-                        from: stage.node,
-                        layers: stage.layers,
-                        entries: vec![(request.id, tokens)],
-                        prefix_entries: Vec::new(),
-                        tokens: tokens as u64,
-                        pages: 0,
-                        bytes: 0.0,
-                        last: false,
-                    },
-                });
+                self.fabric
+                    .transfer(None, Some(stage.node), TOKEN_WIRE_BYTES);
+                if let Some(worker) = self.workers.live_mut((stage.node, model)) {
+                    worker.core.kv.seed(request.id, tokens);
+                }
             }
         }
         self.fabric.send(Envelope {
             from: None,
             to: Some(dispatch.pipeline.stages[0].node),
-            model,
             bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
             msg: RuntimeMsg::Work(StageWork {
                 request: request.id,
@@ -682,10 +640,12 @@ impl Coordinator {
     /// Fails `nodes` together at `now`: their workers are retired (what they
     /// had queued or executing is lost, and messages routed to them from
     /// here on drop harmlessly), every pipeline the control plane reports
-    /// stranded has its KV purged, and the removal re-plan is handed over.
-    /// Returns the stranded requests for re-submission — the control plane
-    /// resumes the promoted ones on their replicas and re-admits the rest
-    /// from scratch.
+    /// stranded is purged from every live row of its model — queued items
+    /// and KV — and the removal re-plan is handed over.  Returns the
+    /// stranded requests for re-submission — the control plane resumes the
+    /// promoted ones on their replicas and re-admits the rest from scratch,
+    /// after the purge (step 6 of the turn), so it never reaches the new
+    /// incarnation.
     fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Vec<Request> {
         for &node in nodes {
             for m in 0..self.control.fleet().num_models() {
@@ -699,68 +659,42 @@ impl Coordinator {
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
         let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
         for flight in &failover.stranded {
-            self.release_kv(flight);
+            self.release_kv(flight, true);
         }
         self.hand_over(failover.replan, now);
         self.sweep_retirements();
         failover.stranded.iter().map(|f| f.request).collect()
     }
 
-    /// Frees what one finished or aborted incarnation held: its estimator
-    /// entries, and its KV on *every* live worker of its model, not only its
-    /// pipeline nodes — migrations seed destination workers and replication
-    /// seeds standbys, and all those copies are keyed by the request id (so
-    /// other requests are untouched).
-    fn release_kv(&mut self, flight: &InFlight) {
-        let model = flight.pipeline.model;
+    /// Frees what one finished (or, with `purge`, aborted) incarnation held:
+    /// its estimator entries, and its KV on *every* live worker of its
+    /// model, not only its pipeline nodes — migrations seed destination
+    /// workers and replication seeds standbys, and all those copies are
+    /// keyed by the request id (so other requests are untouched).  A purge
+    /// also drops the incarnation's queued items.  Each row's call is priced
+    /// as a coordinator → row message on its link.
+    fn release_kv(&mut self, flight: &InFlight, purge: bool) {
+        let (model, request) = (flight.pipeline.model, flight.request.id);
         let estimator = &mut self.estimators[model.index()];
         for stage in &flight.pipeline.stages {
-            estimator.on_finished(stage.node, flight.request.id, flight.generated);
+            estimator.on_finished(stage.node, request, flight.generated);
             if let Some(p) = flight.prefix {
                 estimator.release_shared(stage.node, p.id);
             }
         }
         for worker in self.workers.live_of_model(model) {
-            self.fabric.send(Envelope {
-                from: None,
-                to: Some(worker.key.0),
-                model,
-                bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::Release(flight.request.id),
-            });
+            self.fabric
+                .transfer(None, Some(worker.key.0), TOKEN_WIRE_BYTES);
+            if purge {
+                worker.core.purge_request(request);
+            } else {
+                worker.core.release_request(request);
+            }
         }
     }
 
-    /// Applies one message the fabric delivered to the coordinator.
-    fn handle(&mut self, msg: RuntimeMsg, now: f64) {
-        let RuntimeMsg::IterationDone {
-            request,
-            emitted_at,
-            epoch,
-            ..
-        } = msg
-        else {
-            if let RuntimeMsg::KvInstalled {
-                model,
-                from,
-                to,
-                layers,
-                tokens,
-                pages,
-                bytes,
-            } = msg
-            {
-                let migration = KvMigration {
-                    model,
-                    from,
-                    to,
-                    layers,
-                };
-                self.finish_migration(migration, tokens, pages, bytes, now);
-            }
-            // Everything else is worker-bound; nothing to do.
-            return;
-        };
+    /// Applies one iteration the fabric reported to the coordinator.
+    fn on_iteration(&mut self, request: RequestId, emitted_at: f64, epoch: u64) {
         // `None`: a stale incarnation — pre-failure work was still draining
         // through surviving stages when the request was promoted or
         // re-admitted.
@@ -776,32 +710,20 @@ impl Coordinator {
             .expect("in flight until finished");
         let pipeline = Arc::clone(&flight.pipeline);
         let model = pipeline.model;
-        // Replica chunks travel from every primary stage to its standby as
-        // non-final `KvChunk`s, and the standby workers seed the durable
-        // tokens as KV residency — replication steals link bandwidth and KV
-        // headroom, which is exactly the trade-off measured.
+        // Replica chunks cross the link from every primary stage to its
+        // standby, and the standby workers seed the durable tokens as KV
+        // residency — replication steals link bandwidth and KV headroom,
+        // which is exactly the trade-off measured.
         for chunk in &progress.chunks {
-            self.fabric.send(Envelope {
-                from: Some(chunk.primary),
-                to: Some(chunk.standby),
-                model,
-                bytes: chunk.bytes,
-                msg: RuntimeMsg::KvChunk {
-                    from: chunk.primary,
-                    layers: chunk.layers,
-                    entries: vec![(request, progress.durable_tokens)],
-                    prefix_entries: Vec::new(),
-                    tokens: progress.new_tokens as u64,
-                    pages: chunk.pages,
-                    bytes: chunk.bytes,
-                    last: false,
-                },
-            });
+            self.fabric
+                .transfer(Some(chunk.primary), Some(chunk.standby), chunk.bytes);
+            if let Some(standby) = self.workers.live_mut((chunk.standby, model)) {
+                standby.core.kv.seed(request, progress.durable_tokens);
+            }
         }
         self.fabric.send(Envelope {
             from: None,
             to: Some(pipeline.stages[0].node),
-            model,
             bytes: TOKEN_WIRE_BYTES,
             msg: RuntimeMsg::Work(StageWork {
                 request,
@@ -815,50 +737,13 @@ impl Coordinator {
         });
     }
 
-    /// Completes one KV hand-over: records the transfer, re-routes once the
-    /// model's last pending transfer landed, and thaws the migrated layer
-    /// range on both ends (an endpoint with another hand-over still in
-    /// flight keeps that other range frozen).
-    fn finish_migration(
-        &mut self,
-        migration: KvMigration,
-        tokens: u64,
-        pages: u64,
-        bytes: f64,
-        now: f64,
-    ) {
-        // Resolve the exact pending entry this `KvInstalled` acknowledges
-        // (a migration is unique by (model, from, to, layers) at any time:
-        // resolution would reject re-moving layers the source gave up).
-        let Some(position) = self
-            .pending_migrations
-            .iter()
-            .position(|&(pending, _)| pending == migration)
-        else {
-            return;
-        };
-        let (_, started) = self.pending_migrations.remove(position);
-        self.kv_transfers.push(KvTransferRecord {
-            at: now,
-            migration,
-            tokens: tokens as f64,
-            pages,
-            bytes,
-            transfer_secs: (now - started).max(0.0),
-        });
-        self.reroute_when_settled(migration.model);
-        for node in [migration.from, migration.to] {
-            self.workers.thaw((node, migration.model), migration.layers);
-        }
-    }
-
     /// Completes a request: records its outcome and frees everything it
     /// held on the data plane.
     fn finish(&mut self, request: RequestId, completed_at: f64) {
         let Some(flight) = self.control.finish(request) else {
             return;
         };
-        self.release_kv(&flight);
+        self.release_kv(&flight, false);
         let outcome = RequestOutcome {
             id: request,
             model: flight.pipeline.model,
@@ -880,9 +765,12 @@ impl Coordinator {
 mod tests {
     use super::*;
     use crate::runtime::{self, PlaneSpec, RuntimeConfig};
-    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+    use helix_cluster::{
+        ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
+    };
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
-    use helix_core::{LayerRange, SchedulerKind, Topology};
+    use helix_core::{LayerRange, ModelPlacement, PipelineStage, SchedulerKind, Topology};
+    use helix_workload::PrefixId;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::channel;
 
@@ -923,6 +811,19 @@ mod tests {
             ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
         let placement = heuristics::petals_placement(&profile).unwrap();
         let topology = Topology::plan(&profile, &placement, true).unwrap();
+        plane_on(topology, scheduler, wall_per_virtual)
+    }
+
+    /// [`plane`] over `topology`.
+    fn plane_on(
+        topology: Topology,
+        scheduler: impl FnOnce(&Topology) -> Box<dyn Scheduler>,
+        wall_per_virtual: f64,
+    ) -> (
+        Coordinator,
+        Sender<SessionControl>,
+        Receiver<RequestOutcome>,
+    ) {
         let config = RuntimeConfig {
             wall_per_virtual,
             ..RuntimeConfig::fast_test()
@@ -959,8 +860,8 @@ mod tests {
         coordinator.workers.rows()[0].key
     }
 
-    fn work_for(key: WorkerKey, request: u64) -> RuntimeMsg {
-        RuntimeMsg::Work(StageWork::one_stage(request, key.0, key.1))
+    fn work_for(key: WorkerKey, request: u64) -> StageWork {
+        StageWork::one_stage(request, key.0, key.1)
     }
 
     /// PR 22's first finding, held without an executor: the loop's turn is a
@@ -1024,9 +925,8 @@ mod tests {
             coordinator.fabric.send(Envelope {
                 from: None,
                 to: Some(key.0),
-                model: key.1,
                 bytes,
-                msg: work_for(key, request),
+                msg: RuntimeMsg::Work(work_for(key, request)),
             });
         }
         let first = coordinator.fabric.next_at().unwrap();
@@ -1047,67 +947,206 @@ mod tests {
         assert_eq!(coordinator.fabric.next_at(), None);
     }
 
-    /// A landed KV hand-over thaws its rows after the turn's delivery
-    /// passes are over: what they held must start in that same turn, or an
-    /// otherwise empty queue leaves the loop nothing to wake for.
+    /// A hand-over freezes the migrated range on both ends until its
+    /// transfer arrives, and one queue entry at that arrival starts what the
+    /// freeze held — on a plane with nothing else in flight it is the only
+    /// deadline the loop has.
     #[test]
-    fn work_thawed_by_a_landed_hand_over_starts_in_the_same_turn() {
+    fn work_held_by_a_hand_over_starts_when_its_arrival_comes_due() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
         let rows = coordinator.workers.rows();
         let (from, to) = (rows[0].key, rows[1].key);
-        let layers = LayerRange::new(0, 4);
         let migration = KvMigration {
             model: from.1,
             from: from.0,
             to: to.0,
-            layers,
+            layers: LayerRange::new(0, 4),
         };
-        // The hand-over as `hand_over` leaves it: both ends frozen, the
-        // source holding work on the frozen range, nothing else in flight.
-        for key in [from, to] {
-            let row = coordinator.workers.live_mut(key).unwrap();
-            row.core.freeze(layers, f64::INFINITY);
-        }
-        coordinator.pending_migrations.push((migration, 0.0));
-        let held = work_for(from, 7);
-        coordinator
-            .workers
-            .deliver(from, held, &mut coordinator.fabric);
+        let outcome = ReplanOutcome {
+            affected: Vec::new(),
+            warm_flow_values: Vec::new(),
+            migrations: vec![migration],
+        };
+        coordinator.hand_over(Some(outcome), 0.0);
+        let [record] = coordinator.kv_transfers.as_slice() else {
+            panic!("one hand-over, recorded when it starts");
+        };
+        let due = record.at;
+        assert_eq!(coordinator.fabric.next_at(), Some(due), "its arrival alone");
+        // Work on the migrated range is held on the source.
+        coordinator.workers.deliver(work_for(from, 7));
         coordinator
             .workers
             .start_touched(0.0, &mut coordinator.fabric);
         assert_eq!(coordinator.workers.get(from).unwrap().batches, 0);
-        assert_eq!(
-            coordinator.next_wake(),
-            None,
-            "held, and nothing to wake for"
-        );
 
-        coordinator.fabric.send(Envelope {
-            from: Some(to.0),
-            to: None,
-            model: from.1,
-            bytes: TOKEN_WIRE_BYTES,
-            msg: RuntimeMsg::KvInstalled {
-                model: from.1,
-                from: from.0,
-                to: to.0,
-                layers,
-                tokens: 0,
-                pages: 0,
-                bytes: 0.0,
-            },
-        });
-        let due = coordinator.fabric.next_at().unwrap();
         while coordinator.clock.now() < due {}
         assert!(!coordinator.turn(None).unwrap());
-        assert!(coordinator.pending_migrations.is_empty());
-        assert_eq!(coordinator.kv_transfers.len(), 1);
-        // The instant batch ran and forwarded: the loop has a deadline.
         let row = coordinator.workers.get(from).unwrap();
         assert_eq!((row.batches, row.core.queue_len()), (1, 0));
-        assert!(coordinator.fabric.next_at().is_some());
-        assert!(coordinator.next_wake().is_some());
+    }
+
+    /// KV bookkeeping is a call: a release frees every live row's pool at
+    /// once and is priced as one coordinator → row message on each row's
+    /// link, with nothing queued.
+    #[test]
+    fn a_release_is_counted_on_its_link_and_frees_the_pool_at_once() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
+        let keys: Vec<WorkerKey> = coordinator.workers.rows().iter().map(|w| w.key).collect();
+        for &key in &keys {
+            coordinator
+                .workers
+                .live_mut(key)
+                .unwrap()
+                .core
+                .kv
+                .seed(7, 64);
+        }
+        let stage = PipelineStage {
+            node: keys[0].0,
+            layers: LayerRange::new(0, 4),
+        };
+        let flight = InFlight {
+            request: request(7),
+            pipeline: Arc::new(RequestPipeline {
+                model: keys[0].1,
+                stages: vec![stage],
+            }),
+            generated: 0,
+            epoch: 0,
+            prefix: None,
+            first_token_at: None,
+            last_token_at: None,
+        };
+        coordinator.release_kv(&flight, false);
+        for &key in &keys {
+            let row = coordinator.workers.get(key).unwrap();
+            assert_eq!(row.core.kv.used_tokens(), 0.0, "{key:?} still holds KV");
+        }
+        assert_eq!(coordinator.fabric.next_at(), None, "nothing is queued");
+        let links = coordinator.fabric.link_reports();
+        assert_eq!(links.len(), keys.len());
+        assert!(links.iter().all(|l| l.from.is_none() && l.messages == 1));
+    }
+
+    /// The runtime purges on abort, as the simulator does: the failure turn
+    /// drops the stranded incarnation's queued items (and KV) from every
+    /// live row before step 6 re-admits it, and the new incarnation then
+    /// completes.
+    #[test]
+    fn a_failure_purges_the_stranded_incarnation_from_every_live_row() {
+        let (mut coordinator, control, _completed) = plane(iwrr, 1e-4);
+        assert!(!coordinator
+            .turn(Some(SessionControl::Submit(request(0))))
+            .unwrap());
+        let pipeline = Arc::clone(&coordinator.control.flight(0).unwrap().pipeline);
+        let topology = &coordinator.control.fleet().topologies()[0];
+        let redundant = |node| {
+            let mut without = topology.placement().clone();
+            without.clear(node);
+            without.has_complete_pipeline(topology.num_layers())
+        };
+        let stages = &pipeline.stages;
+        let failed = stages.iter().map(|s| s.node).find(|&n| redundant(n));
+        let failed = failed.expect("the plan can lose a stage of the pipeline");
+        let (stage_index, survivor) = stages
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.node != failed)
+            .expect("a pipeline of several stages");
+        let key = (survivor.node, pipeline.model);
+        // An item of the incarnation held on the survivor by a freeze that
+        // outlasts the failure turn (as a hand-over's would, with its
+        // arrival queued).
+        let until = 1_000.0;
+        let row = coordinator.workers.live_mut(key).unwrap();
+        row.core.freeze(survivor.layers, until);
+        coordinator.fabric.landed(until, [key, key]);
+        coordinator.workers.deliver(StageWork {
+            stage_index,
+            pipeline: Arc::clone(&pipeline),
+            ..work_for(key, 0)
+        });
+
+        assert!(!coordinator
+            .turn(Some(SessionControl::FailNode(failed, 0.0)))
+            .unwrap());
+        let readmitted = coordinator.control.flight(0).map(|f| f.epoch);
+        assert_eq!(readmitted, Some(1), "re-admitted under a new epoch");
+        let row = coordinator.workers.get(key).unwrap();
+        assert_eq!(row.core.queue_len(), 0, "the stranded item is gone");
+
+        control.send(SessionControl::Finish).unwrap();
+        let outcomes = coordinator.run_live().unwrap();
+        assert_eq!(outcomes.iter().map(|o| o.id).collect::<Vec<_>>(), [0]);
+    }
+
+    /// Aim 3's invariant on the runtime: with RF=2 replication, shared
+    /// prefixes, a mid-run migration and a node failure, every live row's
+    /// pool is empty once the plane has finished — every release, purge,
+    /// seed and hand-over balanced.
+    #[test]
+    fn kv_is_balanced_at_quiescence_after_replication_a_migration_and_a_failure() {
+        // Every stage doubled: nodes 0 and 2 hold the bottom half, 1 and 3
+        // the top half.
+        let cluster = ClusterBuilder::new("balance-4")
+            .intra_region(10_000.0, 1.0)
+            .add_nodes(GpuType::A100_80, 4, 1, Region(0))
+            .build();
+        let profile = ClusterProfile::analytic(cluster, ModelConfig::llama_13b());
+        let layers = profile.model().num_layers;
+        let (quarter, half) = (layers / 4, layers / 2);
+        let mut placement = ModelPlacement::empty(4);
+        for (node, start, end) in [
+            (0, 0, half),
+            (2, 0, half),
+            (1, half, layers),
+            (3, half, layers),
+        ] {
+            placement.assign(NodeId(node), LayerRange::new(start, end));
+        }
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let (mut coordinator, control, _completed) = plane_on(topology, iwrr, 0.01);
+        let requests: Vec<Request> = (0..40)
+            .map(|id| Request {
+                id,
+                prompt_tokens: 48,
+                output_tokens: 32,
+                arrival_time: 0.02 * id as f64,
+                prefix: (id % 2 == 0).then_some(PrefixId(id % 3)),
+                prefix_tokens: if id % 2 == 0 { 16 } else { 0 },
+                ..Request::default()
+            })
+            .collect();
+        let replication = ReplicationPolicy::rf2(0, 16);
+        control
+            .send(SessionControl::SetReplication(replication))
+            .unwrap();
+        control.send(SessionControl::SubmitAll(requests)).unwrap();
+        while coordinator.clock.now() < 0.3 {
+            let first = coordinator.wait();
+            assert!(!coordinator.turn(first).unwrap());
+        }
+        // Mid-run: node 0 hands layers [quarter, half) to node 1, and node 3
+        // fails later.
+        let moved = LayerRange::new(quarter, half);
+        let migrate = PlacementDelta::new().migrate(ModelId(0), NodeId(0), NodeId(1), moved);
+        control.send(SessionControl::ApplyDelta(migrate)).unwrap();
+        control
+            .send(SessionControl::FailNode(NodeId(3), 0.5))
+            .unwrap();
+        control.send(SessionControl::Finish).unwrap();
+        assert_eq!(coordinator.run_live().unwrap().len(), 40);
+
+        let (logs, transfers) = coordinator.take_logs();
+        assert_eq!(transfers.len(), 1, "the migration handed over");
+        assert_eq!(logs.failovers.len(), 1);
+        assert!(logs.replication.chunks > 0, "replicas were seeded");
+        for row in coordinator.workers.rows().into_iter().filter(|w| w.live) {
+            let kv = &row.core.kv;
+            let held = (kv.used_tokens(), kv.shared_pages());
+            assert_eq!(held, (0.0, 0), "{:?} still holds KV", row.key);
+        }
     }
 
     /// A call already queued is returned without waiting for the deadline,

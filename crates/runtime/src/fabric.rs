@@ -9,12 +9,14 @@
 //! inter-region links — the effect behind the paper's Fig. 10b case study —
 //! emerges naturally from this model.
 //!
-//! The fabric is plain data the plane's loop owns: [`Fabric::send`] prices
-//! the transfer on the caller's stack and queues the delivery by
-//! `(at, seq)`; a batch that takes time is an entry of the *same* heap
-//! ([`Fabric::batch_done`]), as in the simulator's event queue.  The loop
-//! waits for [`Fabric::next_at`] and applies [`Fabric::pop_due`] — nothing
-//! here runs, wakes or polls.
+//! The fabric is plain data the plane's loop owns: [`Fabric::transfer`]
+//! prices bytes on a link on the caller's stack — KV bookkeeping, which
+//! takes effect at once, stops there — and [`Fabric::send`] also queues the
+//! delivery of a message by `(at, seq)`.  A batch that takes time and a KV
+//! hand-over's arrival are entries of the *same* heap
+//! ([`Fabric::batch_done`], [`Fabric::landed`]), as in the simulator's event
+//! queue.  The loop waits for [`Fabric::next_at`] and applies
+//! [`Fabric::pop_due`] — nothing here runs, wakes or polls.
 //!
 //! [`LinkQueue`]: helix_core::LinkQueue
 
@@ -22,7 +24,7 @@ use crate::clock::VirtualClock;
 use crate::message::Envelope;
 use crate::metrics::LinkReport;
 use crate::registry::WorkerKey;
-use helix_cluster::ClusterSpec;
+use helix_cluster::{ClusterSpec, NodeId};
 use helix_core::LinkTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -34,6 +36,9 @@ pub(crate) enum Event {
     Deliver(Envelope),
     /// The batch a worker started has run for its duration.
     BatchDone(WorkerKey),
+    /// A KV hand-over's transfer arrived: both ends' freezes of the migrated
+    /// range are over, and what they held may start.
+    Landed([WorkerKey; 2]),
 }
 
 /// One entry of the queue.
@@ -96,21 +101,31 @@ impl Fabric {
         self.heap.push(Due { at, seq, what });
     }
 
-    /// Queues `envelope` on its link: the link's [`LinkQueue`] computes the
-    /// delivery time and records the traffic counters — at the send, so the
-    /// report needs nothing delivered.
+    /// Puts `bytes` on the `from → to` link now and returns when they
+    /// arrive: the link's [`LinkQueue`] computes the time and records the
+    /// traffic counters — at the send, so the report needs nothing
+    /// delivered.
     ///
     /// [`LinkQueue`]: helix_core::LinkQueue
+    pub(crate) fn transfer(&mut self, from: Option<NodeId>, to: Option<NodeId>, bytes: f64) -> f64 {
+        let queue = self.links.queue(&self.cluster, (from, to));
+        queue.transfer(self.clock.now(), bytes.max(0.0))
+    }
+
+    /// Puts `envelope` on its link and queues its delivery.
     pub(crate) fn send(&mut self, envelope: Envelope) {
-        let link = (envelope.from, envelope.to);
-        let queue = self.links.queue(&self.cluster, link);
-        let at = queue.transfer(self.clock.now(), envelope.bytes.max(0.0));
+        let at = self.transfer(envelope.from, envelope.to, envelope.bytes);
         self.push(at, Event::Deliver(envelope));
     }
 
     /// Queues the completion of the batch `key` started, due at `at`.
     pub(crate) fn batch_done(&mut self, at: f64, key: WorkerKey) {
         self.push(at, Event::BatchDone(key));
+    }
+
+    /// Queues the arrival of a KV hand-over between `rows`, due at `at`.
+    pub(crate) fn landed(&mut self, at: f64, rows: [WorkerKey; 2]) {
+        self.push(at, Event::Landed(rows));
     }
 
     /// When the earliest entry is due.
@@ -146,7 +161,7 @@ impl Fabric {
         let events = std::iter::from_fn(|| self.pop_due(f64::INFINITY));
         let envelopes = events.filter_map(|(_, event)| match event {
             Event::Deliver(envelope) => Some(envelope),
-            Event::BatchDone(_) => None,
+            Event::BatchDone(_) | Event::Landed(_) => None,
         });
         envelopes.collect()
     }
@@ -172,34 +187,43 @@ mod tests {
         1.25e9 * secs
     }
 
-    fn release(request: u64, from: Option<usize>, to: Option<usize>, bytes: f64) -> Envelope {
+    /// A message of `request` — which kind does not matter to the fabric.
+    fn message(request: u64, from: Option<usize>, to: Option<usize>, bytes: f64) -> Envelope {
         Envelope {
             from: from.map(NodeId),
             to: to.map(NodeId),
-            model: ModelId::default(),
             bytes,
-            msg: RuntimeMsg::Release(request),
+            msg: RuntimeMsg::IterationDone {
+                request,
+                emitted_at: 0.0,
+                epoch: 0,
+            },
+        }
+    }
+
+    /// The request of a message built by [`message`].
+    fn request_of(envelope: &Envelope) -> u64 {
+        match envelope.msg {
+            RuntimeMsg::IterationDone { request, .. } => request,
+            RuntimeMsg::Work(ref work) => work.request,
         }
     }
 
     /// Everything in flight as `(at, request)`, in the order it pops.
     fn drain(fabric: &mut Fabric) -> Vec<(f64, u64)> {
         let events = std::iter::from_fn(|| fabric.pop_due(f64::INFINITY));
-        let releases = events.map(|(at, event)| match event {
-            Event::Deliver(Envelope {
-                msg: RuntimeMsg::Release(request),
-                ..
-            }) => (at, request),
-            other => panic!("expected a release in flight, got {other:?}"),
+        let messages = events.map(|(at, event)| match event {
+            Event::Deliver(envelope) => (at, request_of(&envelope)),
+            other => panic!("expected a message in flight, got {other:?}"),
         });
-        releases.collect()
+        messages.collect()
     }
 
     #[test]
     fn messages_reach_their_destination_with_traffic_accounting() {
         let mut fabric = fabric();
-        fabric.send(release(1, None, Some(0), 4.0));
-        fabric.send(release(2, Some(0), None, 4.0));
+        fabric.send(message(1, None, Some(0), 4.0));
+        fabric.send(message(2, Some(0), None, 4.0));
         let delivered = fabric.take_in_flight();
         assert_eq!(delivered.len(), 2);
         assert_eq!(
@@ -222,13 +246,33 @@ mod tests {
         assert_eq!(links[1].messages, 1);
     }
 
+    /// A priced transfer is a message on its link and nothing in the queue:
+    /// KV bookkeeping pays for the wire and takes effect at once.
+    #[test]
+    fn a_transfer_is_counted_on_its_link_and_queues_nothing() {
+        let mut fabric = fabric();
+        let sent_at = fabric.clock.now();
+        let at = fabric.transfer(None, Some(NodeId(2)), link_secs(0.030));
+        assert!(
+            at - sent_at >= 0.031,
+            "arrives {} after the send",
+            at - sent_at
+        );
+        assert_eq!(fabric.next_at(), None);
+        // It occupies the link: a message sent behind it queues.
+        fabric.send(message(1, None, Some(2), 0.0));
+        assert!(fabric.next_at().unwrap() >= at);
+        let links = fabric.link_reports();
+        assert_eq!((links[0].messages, links[0].bytes), (2, link_secs(0.030)));
+    }
+
     #[test]
     fn large_transfers_queue_behind_each_other() {
         let mut fabric = fabric();
         // Two transfers sized to occupy the link for 20 virtual seconds
         // each; the second must queue behind the first.
         for request in 0..2 {
-            fabric.send(release(request, Some(0), Some(1), link_secs(20.0)));
+            fabric.send(message(request, Some(0), Some(1), link_secs(20.0)));
         }
         let arrivals = drain(&mut fabric);
         assert!(arrivals[1].0 - arrivals[0].0 > 19.9, "{arrivals:?}");
@@ -246,25 +290,26 @@ mod tests {
     fn earliest_delivery_pops_first() {
         let mut fabric = fabric();
         // Pushed out of order, with a tie: equal times go to the one queued
-        // first — deliveries and batch completions alike.
+        // first — deliveries, batch completions and arrivals alike.
         for (at, request) in [(5.0, 1), (1.0, 2), (3.0, 3)] {
-            fabric.push(at, Event::Deliver(release(request, None, None, 0.0)));
+            fabric.push(at, Event::Deliver(message(request, None, None, 0.0)));
         }
         fabric.batch_done(3.0, (NodeId(4), ModelId(0)));
-        fabric.push(3.0, Event::Deliver(release(5, None, None, 0.0)));
+        fabric.push(3.0, Event::Deliver(message(5, None, None, 0.0)));
+        let row = (NodeId(6), ModelId(0));
+        fabric.landed(3.0, [row, row]);
         assert_eq!(fabric.next_at(), Some(1.0));
         let order: Vec<_> = std::iter::from_fn(|| fabric.pop_due(f64::INFINITY))
             .map(|(at, event)| match event {
-                Event::Deliver(envelope) => match envelope.msg {
-                    RuntimeMsg::Release(request) => (at, request),
-                    other => panic!("unexpected {other:?}"),
-                },
-                Event::BatchDone((node, _)) => (at, node.index() as u64),
+                Event::Deliver(envelope) => (at, request_of(&envelope)),
+                Event::BatchDone((node, _)) | Event::Landed([(node, _), _]) => {
+                    (at, node.index() as u64)
+                }
             })
             .collect();
         assert_eq!(
             order,
-            vec![(1.0, 2), (3.0, 3), (3.0, 4), (3.0, 5), (5.0, 1)]
+            vec![(1.0, 2), (3.0, 3), (3.0, 4), (3.0, 5), (3.0, 6), (5.0, 1)]
         );
     }
 
@@ -273,9 +318,9 @@ mod tests {
         let mut fabric = fabric();
         // Link 1 → coordinator: a slow message, then a fast one that must
         // not overtake it.  Link 2 → coordinator: sent last, due first.
-        fabric.send(release(1, Some(1), None, link_secs(100.0)));
-        fabric.send(release(2, Some(1), None, 0.0));
-        fabric.send(release(3, Some(2), None, link_secs(20.0)));
+        fabric.send(message(1, Some(1), None, link_secs(100.0)));
+        fabric.send(message(2, Some(1), None, 0.0));
+        fabric.send(message(3, Some(2), None, link_secs(20.0)));
         let order: Vec<u64> = drain(&mut fabric).into_iter().map(|(_, r)| r).collect();
         assert_eq!(order, vec![3, 1, 2]);
     }
@@ -285,7 +330,7 @@ mod tests {
         let mut fabric = fabric();
         let sent_at = fabric.clock.now();
         // 30 ms on the wire + 1 ms latency.
-        fabric.send(release(7, None, Some(3), link_secs(0.030)));
+        fabric.send(message(7, None, Some(3), link_secs(0.030)));
         let at = fabric.next_at().unwrap();
         assert!(at - sent_at >= 0.031, "due {} after the send", at - sent_at);
         assert!(fabric.pop_due(sent_at).is_none());
@@ -299,9 +344,9 @@ mod tests {
     #[test]
     fn a_new_earliest_delivery_moves_the_next_wake() {
         let mut fabric = fabric();
-        fabric.send(release(1, Some(1), None, link_secs(60.0)));
+        fabric.send(message(1, Some(1), None, link_secs(60.0)));
         let far = fabric.next_at().unwrap();
-        fabric.send(release(2, None, Some(0), 0.0));
+        fabric.send(message(2, None, Some(0), 0.0));
         let near = fabric.next_at().unwrap();
         assert!(near < far - 59.0, "near {near}, far {far}");
         assert_eq!(drain(&mut fabric), vec![(near, 2), (far, 1)]);
@@ -322,13 +367,15 @@ mod tests {
         // One-stage work for a retired, a never-planned and a live worker.
         for node in [0, 5, 1] {
             let work = crate::message::StageWork::one_stage(node as u64, NodeId(node), model);
-            let mut envelope = release(0, None, Some(node), 4.0);
+            let mut envelope = message(0, None, Some(node), 4.0);
             envelope.msg = RuntimeMsg::Work(work);
             fabric.send(envelope);
         }
         while let Some((_, Event::Deliver(envelope))) = fabric.pop_due(f64::INFINITY) {
-            let key = (envelope.to.unwrap(), envelope.model);
-            workers.deliver(key, envelope.msg, &mut fabric);
+            let RuntimeMsg::Work(work) = envelope.msg else {
+                panic!("only work was sent");
+            };
+            workers.deliver(work);
         }
         workers.start_touched(0.0, &mut fabric);
         // Only the live row queued, batched and forwarded its item...

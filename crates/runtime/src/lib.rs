@@ -10,7 +10,8 @@
 //! * a **coordinator** that admits requests, asks the configured
 //!   [`Scheduler`](helix_core::Scheduler) for a per-request pipeline, tracks
 //!   decode iterations and releases KV cache when requests finish
-//!   (§5.1–§5.2);
+//!   (§5.1–§5.2) — releases, seeds and hand-overs are calls on the worker
+//!   rows, priced on their links, exactly where the simulator makes them;
 //! * one **worker row per (compute node, model) pair**, in the dense table
 //!   the simulator keeps its engines in, running best-effort dynamic
 //!   batching over the layers the placement assigned to it, with a paged
@@ -20,9 +21,9 @@
 //! * a **network fabric** that prices each message on its link (per-link
 //!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
 //!   congestion on slow links emerges exactly as in the paper's Fig. 10b
-//!   case study) and keeps what is in flight — deliveries and the
-//!   completions of batches that take time alike — in one queue ordered by
-//!   virtual time.
+//!   case study) and keeps what is in flight — deliveries, the completions
+//!   of batches that take time and the arrivals of KV hand-overs alike — in
+//!   one queue ordered by virtual time.
 //!
 //! The loop belongs to one `helix-dataplane` thread per session, which
 //! builds the plane, runs it and assembles the report; even a 500-node fleet

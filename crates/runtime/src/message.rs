@@ -2,18 +2,17 @@
 //! compute-node workers.
 //!
 //! The paper's prototype uses ZeroMQ to ship requests and activations between
-//! nodes (§6.1).  The runtime models the same message types: a *work* message
-//! carrying a request (and, implicitly, its activations) to the node that
-//! executes the next pipeline stage, a *release* message freeing the KV cache
-//! of a finished request, an *iteration done* message returning the newly
-//! generated token to the coordinator, and the chunks and acknowledgement of
-//! a KV hand-over.  Only what crosses a link is a message: what the
-//! coordinator does to a worker directly — freeze and thaw a layer range,
-//! slow it down, re-plan it, start a hand-over — is a method call on the
-//! worker's row.
+//! nodes (§6.1).  The runtime's messages are what a pipeline does: a *work*
+//! message carrying a request (and, implicitly, its activations) to the node
+//! that executes the next pipeline stage, and an *iteration done* message
+//! returning the newly generated token to the coordinator.  KV bookkeeping
+//! is not a message: releasing or seeding a request's KV and handing a
+//! layer range over are method calls on the worker's row, priced on the
+//! link they would cross (`Fabric::transfer`) — as the simulator does them —
+//! and so are slowing a row down and re-planning it.
 
-use helix_cluster::{ModelId, NodeId, PrefixId};
-use helix_core::{LayerRange, PrefixWork, RequestPipeline};
+use helix_cluster::{ModelId, NodeId};
+use helix_core::{PrefixWork, RequestPipeline};
 use helix_workload::RequestId;
 use std::sync::Arc;
 
@@ -92,8 +91,6 @@ impl StageWork {
 pub(crate) enum RuntimeMsg {
     /// Execute one pipeline stage of one request iteration.
     Work(StageWork),
-    /// Free all KV-cache pages held for a finished request.
-    Release(RequestId),
     /// A full pipeline pass finished and produced one token; sent to the
     /// coordinator by the node executing the last stage.
     IterationDone {
@@ -106,73 +103,24 @@ pub(crate) enum RuntimeMsg {
         /// promoted or re-admitted since the work was dispatched).
         epoch: u64,
     },
-    /// Migration source → destination: one pipelined slice of the migrated
-    /// KV residency.  Each chunk travels the fabric as its own envelope
-    /// sized at the chunk's share of the transfer bytes, so activation
-    /// traffic interleaves between chunks on the `from → to` link instead of
-    /// queueing behind one monolithic blob.  Per-link FIFO delivery
-    /// guarantees the `last` chunk arrives after every other chunk.
-    KvChunk {
-        /// The source node.
-        from: NodeId,
-        /// The migrated layer sub-range.
-        layers: LayerRange,
-        /// Per-request cached token counts carried by this chunk.
-        entries: Vec<(RequestId, usize)>,
-        /// Shared-prefix residency carried by this chunk: prefix, cached
-        /// tokens and the requests holding a reference (installed with the
-        /// entry, so each holder's `Release` drops its reference on the
-        /// destination too).  Each prefix travels once — its pages are
-        /// priced a single time no matter how many requests share it.
-        prefix_entries: Vec<(PrefixId, usize, Vec<RequestId>)>,
-        /// Total tokens of the whole hand-over (priced once at the source).
-        tokens: u64,
-        /// Total KV pages of the whole hand-over.
-        pages: u64,
-        /// Total bytes of the whole hand-over.
-        bytes: f64,
-        /// Whether this is the final chunk; the destination acknowledges
-        /// the hand-over with [`RuntimeMsg::KvInstalled`] on receipt.
-        last: bool,
-    },
-    /// Migration destination → coordinator: the migrated state is installed;
-    /// the coordinator re-routes (installs the deferred scheduler) and thaws
-    /// the migrated range on both ends.
-    KvInstalled {
-        /// The migrated model.
-        model: ModelId,
-        /// The source node.
-        from: NodeId,
-        /// The destination node.
-        to: NodeId,
-        /// The migrated layer sub-range.
-        layers: LayerRange,
-        /// Total tokens moved.
-        tokens: u64,
-        /// KV pages moved.
-        pages: u64,
-        /// Bytes shipped.
-        bytes: f64,
-    },
 }
 
 /// An addressed message travelling through the network fabric.
 ///
 /// `None` endpoints denote the coordinator, mirroring the flow-graph
-/// convention where the coordinator is source and sink.  Worker delivery is
-/// resolved against the worker table *per message*, so a row a mid-run
-/// placement delta adds is addressable at once (and a retired or failed one
-/// stops being addressable at once: what is still on the wire for it is
-/// dropped on arrival).
+/// convention where the coordinator is source and sink; the endpoints name
+/// the link, which every model of the fleet shares.  Work is delivered to
+/// the (node, model) row of its stage, resolved against the worker table
+/// *per message*, so a row a mid-run placement delta adds is addressable at
+/// once (and a retired or failed one stops being addressable at once: what
+/// is still on the wire for it is dropped on arrival).  An iteration report
+/// goes to the coordinator.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     /// Sending endpoint (`None` = coordinator).
     pub from: Option<NodeId>,
     /// Receiving endpoint (`None` = coordinator).
     pub to: Option<NodeId>,
-    /// Which model's worker receives the message on a shared node (the
-    /// physical link is shared; delivery is per (node, model) worker).
-    pub model: ModelId,
     /// Payload size used for bandwidth modelling.
     pub bytes: f64,
     /// The message itself.
@@ -186,7 +134,7 @@ impl StageWork {
     pub(crate) fn one_stage(request: RequestId, node: NodeId, model: ModelId) -> Self {
         let stage = helix_core::PipelineStage {
             node,
-            layers: LayerRange::new(0, 4),
+            layers: helix_core::LayerRange::new(0, 4),
         };
         StageWork {
             request,

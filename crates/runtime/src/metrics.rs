@@ -62,7 +62,8 @@ pub struct NodeReport {
     pub name: String,
     /// Layers the node held for this model.
     pub layers_held: usize,
-    /// Virtual seconds spent executing batches.
+    /// Virtual seconds spent executing batches, each counted when it starts
+    /// (the engine core's counter the re-plan loop observes).
     pub busy_secs: f64,
     /// Batches executed.
     pub batches: u64,

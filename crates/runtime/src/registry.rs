@@ -8,19 +8,20 @@
 //! back with its counters — and one the plan dropped (once its in-flight
 //! pipelines drained) or a failure killed is [`retire`](Workers::retire)d:
 //! the fabric's deliveries for it are dropped from then on, and its row stays
-//! for the report.  The coordinator reads a row's queue length or counters by
-//! indexing the table; the plane's loop applies deliveries and batch
-//! completions to it ([`deliver`](Workers::deliver),
-//! [`batch_done`](Workers::batch_done)) and starts the batches of the rows
-//! they touched once nothing more is due ([`start_touched`](Workers::start_touched)).
+//! for the report.  The coordinator reads a row's queue length or counters,
+//! and releases, seeds or hands over its KV, by indexing the table; the
+//! plane's loop applies deliveries, batch completions and hand-over arrivals
+//! to it ([`deliver`](Workers::deliver), [`batch_done`](Workers::batch_done),
+//! [`touch`](Workers::touch)) and starts the batches of the rows they
+//! touched once nothing more is due ([`start_touched`](Workers::start_touched)).
 
 use crate::exec::{AnalyticExecution, ExecutionModel, InstantExecution};
 use crate::fabric::Fabric;
-use crate::message::RuntimeMsg;
+use crate::message::StageWork;
 use crate::runtime::ExecutionKind;
 use crate::worker::Worker;
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
-use helix_core::{LayerRange, PairTable};
+use helix_core::PairTable;
 use std::collections::HashMap;
 
 /// Key of one worker: the (compute node, fleet model) pair it serves.
@@ -66,9 +67,16 @@ impl Workers {
         self.get(key).is_some_and(|worker| worker.live)
     }
 
+    /// The live rows of two different pairs at once.
+    pub(crate) fn live_pair_mut(&mut self, [a, b]: [WorkerKey; 2]) -> Option<[&mut Worker; 2]> {
+        self.table
+            .pair_mut(a, b)
+            .filter(|pair| pair.iter().all(|w| w.live))
+    }
+
     /// The live workers of one model, in node order.
-    pub(crate) fn live_of_model(&mut self, model: ModelId) -> impl Iterator<Item = &Worker> {
-        let stride = self.table.of_model(model).iter().flatten();
+    pub(crate) fn live_of_model(&mut self, model: ModelId) -> impl Iterator<Item = &mut Worker> {
+        let stride = self.table.of_model(model).iter_mut().flatten();
         stride.filter(|worker| worker.live)
     }
 
@@ -144,10 +152,12 @@ impl Workers {
         }
     }
 
-    /// Hands `msg` to the live worker of `key`; a message for a retired or
-    /// unknown worker is dropped.
-    pub(crate) fn deliver(&mut self, key: WorkerKey, msg: RuntimeMsg, fabric: &mut Fabric) {
-        self.with_live(key, |worker| worker.handle(msg, fabric));
+    /// Queues `work` on the live worker of its stage: the batch starts once
+    /// everything due at this instant is in.  Work for a retired or unknown
+    /// worker is dropped.
+    pub(crate) fn deliver(&mut self, work: StageWork) {
+        let key = (work.node(), work.model());
+        self.with_live(key, |worker| worker.core.enqueue(work));
     }
 
     /// The batch of `key` queued as due at `at` came up at `now`.
@@ -155,9 +165,10 @@ impl Workers {
         self.with_live(key, |worker| worker.batch_done(at, now, fabric));
     }
 
-    /// Ends one freeze of exactly `layers` on `key` (the hand-over landed).
-    pub(crate) fn thaw(&mut self, key: WorkerKey, layers: LayerRange) {
-        self.with_live(key, |worker| worker.core.thaw(layers));
+    /// A freeze on `key` may have ended (a hand-over arrived): what the row
+    /// holds starts with the touched rows.
+    pub(crate) fn touch(&mut self, key: WorkerKey) {
+        self.with_live(key, |_| {});
     }
 
     /// Starts a batch on every row the passes touched — *after* them, so
@@ -194,26 +205,30 @@ mod tests {
         workers.plan(&profile(), key, &name, 4, 1_000.0);
     }
 
+    fn work((node, model): WorkerKey) -> StageWork {
+        StageWork::one_stage(1, node, model)
+    }
+
     #[test]
     fn detach_stops_routing_but_keeps_the_report_row() {
         let mut workers = Workers::new(4, 2, ExecutionKind::Instant);
-        let mut fabric = fabric();
         let key = (NodeId(3), ModelId(1));
         planned(&mut workers, key);
         assert!(workers.is_live(key));
-        workers.live_mut(key).unwrap().core.kv.seed(1, 64);
-        workers.deliver(key, RuntimeMsg::Release(1), &mut fabric);
-        assert_eq!(workers.get(key).unwrap().core.kv.used_tokens(), 0.0);
+        workers.deliver(work(key));
+        assert_eq!(workers.get(key).unwrap().core.queue_len(), 1);
 
         workers.live_mut(key).unwrap().batches = 3;
         workers.retire(key);
         assert!(!workers.is_live(key));
         assert!(workers.live_mut(key).is_none());
         assert_eq!(workers.live_of_model(ModelId(1)).count(), 0);
-        // Delivery to a retired or out-of-table pair drops the message;
+        // Delivery to a retired or out-of-table pair drops the work;
         // retiring twice, or what was never planned, is a no-op.
-        workers.deliver(key, RuntimeMsg::Release(1), &mut fabric);
-        workers.deliver((NodeId(9), ModelId(0)), RuntimeMsg::Release(1), &mut fabric);
+        workers.deliver(work(key));
+        assert_eq!(workers.get(key).unwrap().core.queue_len(), 0);
+        let outside = (NodeId(9), ModelId(0));
+        workers.deliver(work(outside));
         workers.retire(key);
         workers.retire((NodeId(0), ModelId(0)));
         // The row survives retirement for the final report.
@@ -225,13 +240,19 @@ mod tests {
 
     #[test]
     fn respawned_pair_inherits_its_predecessors_counters() {
-        let mut workers = Workers::new(2, 1, ExecutionKind::Instant);
+        let mut workers = Workers::new(2, 1, ExecutionKind::Analytic);
+        let mut fabric = fabric();
         let key = (NodeId(1), ModelId(0));
         planned(&mut workers, key);
+        // A batch that takes time: the core counts it when it starts.
+        workers.deliver(work(key));
+        workers.start_touched(0.0, &mut fabric);
         let worker = workers.live_mut(key).unwrap();
-        (worker.busy_secs, worker.batches, worker.decode_tokens) = (3.0, 7, 40);
+        (worker.batches, worker.decode_tokens) = (7, 40);
         // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
         worker.core.kv.grow(1, 2_000);
+        let counters = worker.core.counters();
+        assert!(counters.busy_secs > 0.0);
         workers.retire(key);
 
         // Re-adding the tenancy must not lose the first incarnation's work
@@ -241,7 +262,7 @@ mod tests {
         assert!(workers.is_live(key));
         let revived = workers.get(key).unwrap();
         assert_eq!((revived.batches, revived.decode_tokens), (7, 40));
-        assert!((revived.busy_secs - 3.0).abs() < 1e-12);
+        assert_eq!(revived.core.counters(), counters);
         assert_eq!(revived.core.kv.rejections(), 1);
         assert!(revived.core.kv.peak_utilization() >= 2.0);
         assert_eq!(revived.core.kv.used_tokens(), 0.0);
@@ -297,17 +318,13 @@ mod tests {
         planned(&mut workers, late);
         planned(&mut workers, (NodeId(0), ModelId(0)));
         for key in [early, late, (NodeId(0), ModelId(0))] {
-            let work = crate::message::StageWork::one_stage(1, key.0, key.1);
-            workers.deliver(key, RuntimeMsg::Work(work), &mut fabric);
+            workers.deliver(work(key));
         }
         workers.start_touched(0.0, &mut fabric);
         // Three batches in flight; the slowed node's take 4× their nominal.
-        while let Some((at, crate::fabric::Event::BatchDone(key))) = fabric.pop_due(f64::INFINITY) {
-            workers.batch_done(key, at, at, &mut fabric);
-        }
         let factor = |key| {
-            let w = workers.get(key).unwrap();
-            w.busy_secs / w.nominal_busy_secs
+            let counters = workers.get(key).unwrap().core.counters();
+            counters.busy_secs / counters.nominal_busy_secs
         };
         assert!((factor(early) - 4.0).abs() < 1e-9);
         assert!((factor(late) - 4.0).abs() < 1e-9);

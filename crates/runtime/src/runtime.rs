@@ -154,8 +154,8 @@ pub(crate) fn build(spec: PlaneSpec) -> Coordinator {
 /// The whole life of a data plane, on the thread that owns it: builds it,
 /// runs its loop until the session says `Finish` (or is gone), and assembles
 /// the final report from the tables as they stand.  The loop returns once no
-/// request, KV hand-over or injected failure is pending; `Release`s still
-/// queued in the fabric are dropped with it, and the report reads only what
+/// request or injected failure is pending; a hand-over's arrival still
+/// queued in the fabric is dropped with it, and the report reads only what
 /// was counted at the send (links) or is cumulative (rows) — so there is
 /// nothing to shut down or drain.  `wired` is told once the plane is built,
 /// so building a session includes it.
@@ -191,7 +191,7 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
             model: worker.key.1,
             name: worker.name.clone(),
             layers_held: worker.layers,
-            busy_secs: worker.busy_secs,
+            busy_secs: worker.core.counters().busy_secs,
             batches: worker.batches,
             prompt_tokens: worker.prompt_tokens,
             decode_tokens: worker.decode_tokens,

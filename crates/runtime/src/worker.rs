@@ -10,32 +10,26 @@
 //!
 //! What a worker *decides* — which queued items batch, which wait behind a
 //! frozen layer range, how KV residency grows, when a batch pays the
-//! overflow penalty — is the shared [`EngineCore`], the same code the
-//! simulator's engines run.  This module adds what is genuinely the
-//! runtime's: forwarding, the chunked KV hand-over and the report counters.
+//! overflow penalty, how a hand-over moves its KV — is the shared
+//! [`EngineCore`], the same code the simulator's engines run.  This module
+//! adds what is genuinely the runtime's: forwarding and the report counters.
 //!
-//! A worker is **plain data**, not a task: the plane's loop calls
-//! [`Worker::handle`] with each message the fabric delivers,
-//! [`Worker::start_batch`] once everything that is due has been delivered, and
-//! [`Worker::batch_done`] when the batch's entry in the fabric's queue comes
-//! due.  A batch of zero duration completes inside `start_batch`.  Hundreds
-//! of "busy" workers overlap their modelled execution because each one's
-//! completion is just another entry of that queue.
+//! A worker is **plain data**, not a task: the plane's loop queues the work
+//! the fabric delivers on its core, calls [`Worker::start_batch`] once
+//! everything that is due has been delivered, and [`Worker::batch_done`]
+//! when the batch's entry in the fabric's queue comes due.  A batch of zero
+//! duration completes inside `start_batch`.  Hundreds of "busy" workers
+//! overlap their modelled execution because each one's completion is just
+//! another entry of that queue.  The coordinator releases, seeds and hands
+//! over KV by calling the core directly.
 
 use crate::exec::ExecutionModel;
 use crate::fabric::Fabric;
 use crate::message::{Envelope, RuntimeMsg, StageWork};
 use crate::registry::WorkerKey;
-use helix_cluster::{NodeId, TOKEN_WIRE_BYTES};
+use helix_cluster::TOKEN_WIRE_BYTES;
 use helix_core::engine::{BatchRun, EngineCore, Work, WorkMeta};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
-use helix_core::LayerRange;
-use helix_workload::RequestId;
-
-/// Pages per pipelined KV hand-over chunk: small enough that activation
-/// traffic interleaves on the link, large enough that chunk count stays
-/// bounded for big pools.
-const KV_CHUNK_PAGES: usize = 64;
 
 impl Work for StageWork {
     fn meta(&self) -> WorkMeta {
@@ -66,8 +60,8 @@ pub(crate) struct Worker {
     /// Bytes of activation transferred per token to the next pipeline stage.
     activation_bytes: f64,
     execution: Box<dyn ExecutionModel>,
-    /// Queue, frozen layer ranges, KV pool and batching rules.  A freeze
-    /// carries no deadline here: it holds until the matching thaw.
+    /// Queue, frozen layer ranges, KV pool, batching rules and the busy
+    /// counters the re-plan loop observes.
     pub core: EngineCore<StageWork>,
     /// The executing batch, if it takes time, and when its completion is
     /// due in the fabric's queue.
@@ -75,12 +69,6 @@ pub(crate) struct Worker {
     /// The finished batch; its buffer goes back to the core at the next
     /// completion, so steady-state batching allocates nothing.
     done: Vec<StageWork>,
-    /// Virtual seconds spent executing batches.
-    pub busy_secs: f64,
-    /// Virtual seconds the execution model *predicted* for those batches.
-    /// `nominal_busy_secs / busy_secs` is the worker's measured speed factor
-    /// — the observation the coordinator's re-plan loop consumes.
-    pub nominal_busy_secs: f64,
     /// Batches executed.
     pub batches: u64,
     /// Prompt tokens processed.
@@ -111,8 +99,6 @@ impl Worker {
             core: EngineCore::new(kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE),
             running: None,
             done: Vec::new(),
-            busy_secs: 0.0,
-            nominal_busy_secs: 0.0,
             batches: 0,
             prompt_tokens: 0,
             decode_tokens: 0,
@@ -143,148 +129,6 @@ impl Worker {
         self.live = false;
         self.running = None;
         self.core.retire();
-    }
-
-    /// Applies one delivered message.  Work only queues: the loop starts the
-    /// batch once everything due at this instant is in.
-    pub(crate) fn handle(&mut self, msg: RuntimeMsg, fabric: &mut Fabric) {
-        let (node, model) = self.key;
-        match msg {
-            RuntimeMsg::Work(work) => {
-                debug_assert_eq!((work.node(), work.model()), self.key, "misrouted work");
-                self.core.enqueue(work);
-            }
-            RuntimeMsg::Release(request) => {
-                // The coordinator releases on *every* live worker of the
-                // model — migration destinations and replica standbys hold
-                // seeded residency the pipeline alone does not name — and a
-                // fail-over purge may be followed by the promoted
-                // incarnation's own completion release, so a repeated (or
-                // unmatched) Release is a no-op, not a protocol bug.
-                self.core.release_request(request);
-            }
-            RuntimeMsg::KvChunk {
-                from,
-                layers,
-                entries,
-                prefix_entries,
-                tokens,
-                pages,
-                bytes,
-                last,
-            } => {
-                // Each migrated prefix arrives with the requests holding it,
-                // so their `Release`s drop the references here too.
-                self.core.kv.seed_snapshot(&entries, &prefix_entries);
-                // Per-link FIFO delivery means the last chunk arrives last:
-                // the whole residency is installed, so tell the coordinator
-                // the hand-over landed (it re-routes and thaws both ends).
-                if last {
-                    fabric.send(Envelope {
-                        from: Some(node),
-                        to: None,
-                        model,
-                        bytes: TOKEN_WIRE_BYTES,
-                        msg: RuntimeMsg::KvInstalled {
-                            model,
-                            from,
-                            to: node,
-                            layers,
-                            tokens,
-                            pages,
-                            bytes,
-                        },
-                    });
-                }
-            }
-            RuntimeMsg::IterationDone { .. } | RuntimeMsg::KvInstalled { .. } => {
-                debug_assert!(false, "coordinator-bound message delivered to a worker");
-            }
-        }
-    }
-
-    /// The source half of a KV hand-over: snapshot the pool's residency,
-    /// price the transfer with the shared [`KvTransferModel`] (identical to
-    /// the simulator's pricing) and ship it to the destination as a
-    /// *pipelined* sequence of page-bounded chunks.  Each chunk's envelope
-    /// carries its share of the transfer bytes, so the pages queue behind —
-    /// and interleave with — activation traffic on the inter-node link
-    /// instead of blocking it with one monolithic blob.
-    ///
-    /// [`KvTransferModel`]: helix_core::KvTransferModel
-    pub(crate) fn extract_kv(
-        &mut self,
-        to: NodeId,
-        layers: LayerRange,
-        kv_bytes_per_token_per_layer: f64,
-        fabric: &mut Fabric,
-    ) {
-        let (node, model) = self.key;
-        let kv = &self.core.kv;
-        let entries = kv.snapshot();
-        // Shared prefixes travel once each, no matter how many requests
-        // share them — the transfer prices the deduplicated pages.  They
-        // ride on the final chunk (FIFO delivery installs them before the
-        // destination acknowledges).
-        let prefix_entries = kv.prefix_snapshot();
-        let tokens = kv.used_tokens();
-        let transfer =
-            helix_core::KvTransferModel::new(kv_bytes_per_token_per_layer, DEFAULT_TOKENS_PER_PAGE);
-        // Totals priced once over the whole hand-over, exactly as the
-        // single-blob protocol (and the simulator) price it, so reports and
-        // cross-surface comparisons are unchanged by chunking.
-        let pages = transfer.pages(tokens);
-        let bytes = transfer.bytes(tokens, layers.len());
-        let tokens = tokens as u64;
-
-        let chunk_tokens_budget = KV_CHUNK_PAGES * DEFAULT_TOKENS_PER_PAGE;
-        let mut chunks: Vec<Vec<(RequestId, usize)>> = Vec::new();
-        let mut current: Vec<(RequestId, usize)> = Vec::new();
-        let mut current_tokens = 0usize;
-        for entry in entries {
-            if current_tokens >= chunk_tokens_budget && !current.is_empty() {
-                chunks.push(std::mem::take(&mut current));
-                current_tokens = 0;
-            }
-            current_tokens += entry.1;
-            current.push(entry);
-        }
-        chunks.push(current); // Always ship a final (possibly empty) chunk.
-
-        let total_chunk_tokens: u64 = tokens.max(1);
-        let mut bytes_sent = 0.0;
-        let last_index = chunks.len() - 1;
-        for (index, chunk) in chunks.into_iter().enumerate() {
-            let chunk_tokens: u64 = chunk.iter().map(|&(_, t)| t as u64).sum();
-            // Proportional byte split whose sum is exactly the priced total.
-            let chunk_bytes = if index == last_index {
-                bytes - bytes_sent
-            } else {
-                bytes * (chunk_tokens as f64 / total_chunk_tokens as f64)
-            };
-            bytes_sent += chunk_bytes;
-            let last = index == last_index;
-            fabric.send(Envelope {
-                from: Some(node),
-                to: Some(to),
-                model,
-                bytes: chunk_bytes,
-                msg: RuntimeMsg::KvChunk {
-                    from: node,
-                    layers,
-                    entries: chunk,
-                    prefix_entries: if last {
-                        prefix_entries.clone()
-                    } else {
-                        Vec::new()
-                    },
-                    tokens,
-                    pages,
-                    bytes,
-                    last,
-                },
-            });
-        }
     }
 
     /// Starts a batch at `now` if the row is idle and has unfrozen work — so
@@ -322,8 +166,6 @@ impl Worker {
 
     /// Accounts the finished batch and forwards every item.
     fn complete(&mut self, run: BatchRun, now: f64, fabric: &mut Fabric) {
-        self.busy_secs += run.actual_secs;
-        self.nominal_busy_secs += run.nominal_secs;
         self.batches += 1;
         self.prompt_tokens += run.prompt_tokens;
         self.decode_tokens += run.decode_tokens;
@@ -338,12 +180,11 @@ impl Worker {
     /// Sends a finished stage onward: to the next node in the pipeline, or to
     /// the coordinator if this was the last stage.
     fn forward(&self, item: StageWork, now: f64, fabric: &mut Fabric) {
-        let (node, model) = self.key;
+        let from = Some(self.key.0);
         let envelope = if item.is_last_stage() {
             Envelope {
-                from: Some(node),
+                from,
                 to: None,
-                model,
                 bytes: TOKEN_WIRE_BYTES,
                 msg: RuntimeMsg::IterationDone {
                     request: item.request,
@@ -354,9 +195,8 @@ impl Worker {
         } else {
             let next = item.next_stage();
             Envelope {
-                from: Some(node),
+                from,
                 to: Some(next.node()),
-                model,
                 bytes: self.activation_bytes * next.tokens.max(1) as f64,
                 msg: RuntimeMsg::Work(next),
             }
@@ -371,8 +211,8 @@ mod tests {
     use crate::clock::VirtualClock;
     use crate::exec::InstantExecution;
     use crate::message::Phase;
-    use helix_cluster::{ClusterSpec, ModelId, PrefixId};
-    use helix_core::{PipelineStage, RequestPipeline};
+    use helix_cluster::{ClusterSpec, ModelId, NodeId, PrefixId};
+    use helix_core::{LayerRange, PipelineStage, RequestPipeline};
     use std::sync::Arc;
 
     fn two_stage_pipeline() -> Arc<RequestPipeline> {
@@ -410,8 +250,8 @@ mod tests {
         (worker, Fabric::new(ClusterSpec::solver_quality_10(), clock))
     }
 
-    fn work(request: u64, phase: Phase, tokens: usize, stage_index: usize) -> RuntimeMsg {
-        RuntimeMsg::Work(StageWork {
+    fn work(request: u64, phase: Phase, tokens: usize, stage_index: usize) -> StageWork {
+        StageWork {
             request,
             phase,
             tokens,
@@ -419,14 +259,14 @@ mod tests {
             epoch: 0,
             pipeline: two_stage_pipeline(),
             prefix: None,
-        })
+        }
     }
 
-    /// Delivers `msgs` in one pass and starts the batch after it, as the
-    /// loop does.
-    fn pass(worker: &mut Worker, fabric: &mut Fabric, msgs: impl IntoIterator<Item = RuntimeMsg>) {
-        for msg in msgs {
-            worker.handle(msg, fabric);
+    /// Queues `items` in one pass and starts the batch after it, as the loop
+    /// does.
+    fn pass(worker: &mut Worker, fabric: &mut Fabric, items: impl IntoIterator<Item = StageWork>) {
+        for item in items {
+            worker.core.enqueue(item);
         }
         worker.start_batch(0.0, fabric);
     }
@@ -478,8 +318,8 @@ mod tests {
             "the overflow is resident"
         );
         assert_eq!(worker.core.kv.peak_utilization(), 2.0, "8 pages used of 4");
-        let next = [RuntimeMsg::Release(1), work(2, Phase::Prompt, 32, 0)];
-        pass(&mut worker, &mut fabric, next);
+        worker.core.release_request(1);
+        pass(&mut worker, &mut fabric, [work(2, Phase::Prompt, 32, 0)]);
         assert_eq!(worker.core.kv.rejections(), 1);
         assert!(
             (worker.core.kv.used_tokens() - 32.0).abs() < 1e-9,
@@ -489,7 +329,7 @@ mod tests {
     }
 
     /// §5.1's rule: what one pass delivered is one batch, because the batch
-    /// starts after the pass.  (Start it inside `handle` and this is three
+    /// starts after the pass.  (Start it on delivery and this is three
     /// batches of one.)
     #[test]
     fn everything_delivered_in_one_pass_joins_one_batch() {
@@ -507,7 +347,7 @@ mod tests {
         worker.plan(Box::new(Slow), 100_000.0, 4);
         pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
         // A batch that takes time is an entry of the fabric's queue, due at
-        // start + duration; nothing is accounted or forwarded before it.
+        // start + duration; nothing is forwarded before it.
         let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
         assert!(matches!(event, crate::fabric::Event::BatchDone(key) if key == worker.key));
         assert_eq!(at, 0.25);
@@ -523,7 +363,7 @@ mod tests {
         assert_eq!(worker.batches, 0);
         worker.batch_done(at, 0.5, &mut fabric);
         assert_eq!(worker.batches, 1);
-        assert!((worker.busy_secs - 0.25).abs() < 1e-12);
+        assert!((worker.core.counters().busy_secs - 0.25).abs() < 1e-12);
         let done = fabric.take_in_flight().pop().unwrap();
         let RuntimeMsg::IterationDone { emitted_at, .. } = done.msg else {
             panic!("expected the finished iteration, got {done:?}");
@@ -535,7 +375,9 @@ mod tests {
     }
 
     /// Ordering change of the one-loop plane: the task-per-worker plane
-    /// applied a message that landed during a batch after the batch.
+    /// applied what landed during a batch after the batch.  Work queues on
+    /// delivery, and a release — a call since KV bookkeeping stopped being
+    /// a message — frees the pool under the running batch.
     #[test]
     fn a_message_landing_mid_batch_is_applied_on_delivery() {
         let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
@@ -543,9 +385,11 @@ mod tests {
         pass(&mut worker, &mut fabric, [work(1, Phase::Prompt, 64, 1)]);
         assert!(worker.core.is_busy());
         assert_eq!(worker.core.kv.used_tokens(), 64.0);
-        worker.handle(RuntimeMsg::Release(1), &mut fabric);
+        worker.core.enqueue(work(2, Phase::Decode, 1, 1));
+        assert_eq!(worker.core.queue_len(), 1, "queued on delivery");
+        worker.core.release_request(1);
         assert!(worker.core.is_busy(), "the batch keeps running");
-        assert_eq!(worker.core.kv.used_tokens(), 0.0, "released on delivery");
+        assert_eq!(worker.core.kv.used_tokens(), 0.0, "released at once");
     }
 
     /// Ordering change of the one-loop plane: a failed worker used to batch
@@ -557,7 +401,7 @@ mod tests {
         fabric.take_in_flight();
         worker.plan(Box::new(Slow), 100_000.0, 4);
         pass(&mut worker, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
-        worker.handle(work(3, Phase::Decode, 1, 1), &mut fabric);
+        worker.core.enqueue(work(3, Phase::Decode, 1, 1));
         let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
 
         worker.retire();
@@ -574,8 +418,9 @@ mod tests {
     #[test]
     fn frozen_layers_hold_their_work_while_other_layers_keep_executing() {
         let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
-        // Freeze [0, 4): stage-1 work on layers [4, 8) must keep executing.
-        worker.core.freeze(LayerRange::new(0, 4), f64::INFINITY);
+        // Freeze [0, 4) until t = 1: stage-1 work on layers [4, 8) must keep
+        // executing.
+        worker.core.freeze(LayerRange::new(0, 4), 1.0);
         pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
         assert!(
             matches!(
@@ -586,7 +431,7 @@ mod tests {
         );
 
         // Freeze [4, 8) too: now stage-1 work queues.
-        worker.core.freeze(LayerRange::new(4, 8), f64::INFINITY);
+        worker.core.freeze(LayerRange::new(4, 8), 1.0);
         pass(&mut worker, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
         assert!(
             fabric.take_in_flight().is_empty(),
@@ -594,169 +439,41 @@ mod tests {
         );
         assert_eq!(worker.core.queue_len(), 1);
 
-        // Thawing releases exactly the held range's work.
-        worker.core.thaw(LayerRange::new(4, 8));
-        worker.start_batch(0.0, &mut fabric);
+        // At the deadline the held range's work runs.
+        worker.start_batch(1.0, &mut fabric);
         assert!(matches!(
             fabric.take_in_flight().pop().unwrap().msg,
             RuntimeMsg::IterationDone { request: 2, .. }
         ));
     }
 
-    #[test]
-    fn kv_extract_ships_pipelined_chunks_whose_bytes_sum_to_the_priced_total() {
-        let (mut worker, mut fabric) = test_worker(NodeId(0), 1_000_000.0);
-        // Seed lots of residency: 40 requests × 256 tokens = 10 240 tokens
-        // = 640 pages, far more than one 64-page chunk.
-        let seed = (0..40).map(|request| work(request, Phase::Prompt, 256, 0));
-        pass(&mut worker, &mut fabric, seed);
-        fabric.take_in_flight();
-        worker.extract_kv(NodeId(1), LayerRange::new(0, 4), 1024.0, &mut fabric);
-
-        let chunks = fabric.take_in_flight();
-        assert!(
-            chunks.len() > 1,
-            "a large pool splits into multiple chunks, got {}",
-            chunks.len()
-        );
-        let (mut total_entry_tokens, mut envelope_bytes) = (0u64, 0.0);
-        let mut lasts = 0;
-        for envelope in &chunks {
-            envelope_bytes += envelope.bytes;
-            let RuntimeMsg::KvChunk {
-                entries,
-                tokens,
-                bytes,
-                last,
-                ..
-            } = &envelope.msg
-            else {
-                panic!("expected a chunk, got {envelope:?}");
-            };
-            total_entry_tokens += entries.iter().map(|&(_, t)| t as u64).sum::<u64>();
-            assert_eq!(*tokens, 10_240, "every chunk carries the totals");
-            assert!(*bytes > 0.0);
-            if *last {
-                lasts += 1;
-            }
-        }
-        assert_eq!(lasts, 1, "exactly one final chunk");
-        assert!(
-            matches!(
-                chunks.last().unwrap().msg,
-                RuntimeMsg::KvChunk { last: true, .. }
-            ),
-            "the final chunk is sent last"
-        );
-        assert_eq!(total_entry_tokens, 10_240, "every entry travels once");
-        let RuntimeMsg::KvChunk { bytes, .. } = &chunks[0].msg else {
-            unreachable!()
-        };
-        assert!(
-            (envelope_bytes - *bytes).abs() < 1e-6,
-            "chunk envelope bytes sum exactly to the priced total"
-        );
-    }
-
-    fn chunk(
-        entries: Vec<(RequestId, usize)>,
-        prefix_entries: Vec<(PrefixId, usize, Vec<RequestId>)>,
-        tokens: u64,
-        last: bool,
-    ) -> RuntimeMsg {
-        RuntimeMsg::KvChunk {
-            from: NodeId(0),
-            layers: LayerRange::new(0, 4),
-            entries,
-            prefix_entries,
-            tokens,
-            pages: 8,
-            bytes: 4096.0,
-            last,
-        }
-    }
-
-    #[test]
-    fn installing_chunks_seeds_kv_and_only_the_last_acknowledges() {
-        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
-        let first = chunk(vec![(1, 64), (2, 32)], vec![], 128, false);
-        worker.handle(first, &mut fabric);
-        assert!(
-            fabric.take_in_flight().is_empty(),
-            "no ack before the last chunk"
-        );
-        let prefix = vec![(PrefixId(4), 16, vec![1, 2])];
-        worker.handle(chunk(vec![(3, 32)], prefix, 128, true), &mut fabric);
-        // The chunk is installed before its acknowledgement is even sent.
-        // 128 per-request tokens plus the 16-token shared prefix, installed
-        // as one refcounted page.
-        assert!((worker.core.kv.used_tokens() - 144.0).abs() < 1e-9);
-        assert_eq!(worker.core.kv.shared_pages(), 1);
-        let ack = fabric.take_in_flight().pop().unwrap();
-        assert_eq!((ack.from, ack.to), (Some(NodeId(1)), None));
-        assert!(matches!(
-            ack.msg,
-            RuntimeMsg::KvInstalled {
-                from: NodeId(0),
-                to: NodeId(1),
-                tokens: 128,
-                pages: 8,
-                ..
-            }
-        ));
-    }
-
-    /// Regression: a migrated prefix arrives with its holders, so the
-    /// holders' releases free it on the destination (it used to stay resident
-    /// for ever — nothing on the destination knew who referenced it).
-    #[test]
-    fn releases_after_a_hand_over_free_the_migrated_prefix() {
-        let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
-        let prefix = vec![(PrefixId(4), 16, vec![1, 2])];
-        let only = chunk(vec![(1, 64), (2, 32)], prefix, 112, true);
-        worker.handle(only, &mut fabric);
-        assert_eq!(worker.core.kv.shared_pages(), 1);
-        worker.handle(RuntimeMsg::Release(1), &mut fabric);
-        assert_eq!(worker.core.kv.shared_pages(), 1, "request 2 still holds it");
-        worker.handle(RuntimeMsg::Release(2), &mut fabric);
-        assert_eq!(worker.core.kv.shared_pages(), 0);
-        assert_eq!(worker.core.kv.used_tokens(), 0.0);
-    }
-
     /// Regression: a sharer whose prefix allocation did not fit used to
     /// detach on release anyway, freeing a prefix another request held.
     #[test]
     fn an_overflowing_sharers_release_leaves_the_prefix_to_the_other_holder() {
-        let prefix_work = |request, tokens, hit| {
-            RuntimeMsg::Work(StageWork {
-                request,
-                phase: Phase::Prompt,
-                tokens,
-                stage_index: 1,
-                epoch: 0,
-                pipeline: two_stage_pipeline(),
-                prefix: Some(helix_core::PrefixWork {
-                    id: PrefixId(7),
-                    tokens: 32,
-                    hit,
-                }),
-            })
+        let prefix_work = |request, tokens, hit| StageWork {
+            prefix: Some(helix_core::PrefixWork {
+                id: PrefixId(7),
+                tokens: 32,
+                hit,
+            }),
+            ..work(request, Phase::Prompt, tokens, 1)
         };
         let (mut worker, mut fabric) = test_worker(NodeId(1), 64.0);
         // 3 of 4 pages taken; request 2's 2-page prefix does not fit.
         pass(&mut worker, &mut fabric, [work(1, Phase::Prompt, 48, 1)]);
         pass(&mut worker, &mut fabric, [prefix_work(2, 40, false)]);
         assert!(worker.core.kv.rejections() > 0, "the prefix overflowed");
-        let next = [RuntimeMsg::Release(1), prefix_work(3, 8, true)];
-        pass(&mut worker, &mut fabric, next);
+        worker.core.release_request(1);
+        pass(&mut worker, &mut fabric, [prefix_work(3, 8, true)]);
         assert_eq!(worker.core.kv.shared_pages(), 2);
-        worker.handle(RuntimeMsg::Release(2), &mut fabric);
+        worker.core.release_request(2);
         assert_eq!(
             worker.core.kv.shared_pages(),
             2,
             "request 3 still holds the prefix"
         );
-        worker.handle(RuntimeMsg::Release(3), &mut fabric);
+        worker.core.release_request(3);
         assert_eq!(worker.core.kv.shared_pages(), 0);
         assert_eq!(worker.core.kv.used_tokens(), 0.0);
     }
@@ -765,7 +482,7 @@ mod tests {
     fn update_plan_swaps_the_execution_model_and_resizes_the_pool_in_place() {
         let (mut worker, mut fabric) = test_worker(NodeId(1), 64.0);
         // Queued work and residency survive the update.
-        worker.handle(work(1, Phase::Decode, 1, 1), &mut fabric);
+        worker.core.enqueue(work(1, Phase::Decode, 1, 1));
         worker.core.kv.seed(7, 16);
         worker.plan(Box::new(Slow), 4096.0, 8);
         assert_eq!(
@@ -776,12 +493,12 @@ mod tests {
         assert_eq!(worker.core.kv.used_tokens(), 16.0);
         assert_eq!(worker.layers, 8);
         worker.start_batch(0.0, &mut fabric);
-        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
-        worker.batch_done(at, at, &mut fabric);
         assert!(
-            (worker.nominal_busy_secs - 0.25).abs() < 1e-9,
+            (worker.core.counters().nominal_busy_secs - 0.25).abs() < 1e-9,
             "new execution model prices the batch"
         );
+        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+        worker.batch_done(at, at, &mut fabric);
         assert_eq!(fabric.take_in_flight().len(), 1);
     }
 }

@@ -828,8 +828,8 @@ fn migratable_chain() -> (
 }
 
 /// The tentpole's runtime-side acceptance test: a mid-run migration of a
-/// layer sub-range hands its KV pages over through the fabric — the
-/// coordinator sequences freeze → transfer → re-route → resume — and no
+/// layer sub-range hands its KV pages over as one transfer on the fabric —
+/// re-route, move, both ends frozen until the pages arrive — and no
 /// in-flight pipeline is dropped.
 #[test]
 fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
@@ -885,10 +885,10 @@ fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
 
 /// On a chain every pipeline crosses the frozen source, so while a large
 /// pool's pages travel the whole plane comes to rest: every request held,
-/// nothing queued but the hand-over, no arrival pending.  The `KvInstalled`
-/// that thaws the rows is then the last thing the loop wakes for — what
-/// they held must start in that same turn, with no session call to nudge it
-/// (`wait_completion` sends none).
+/// nothing queued but the hand-over's arrival, no arrival pending.  That
+/// arrival, which ends the freeze on both rows, is then the last thing the
+/// loop wakes for — what they held must start in that same turn, with no
+/// session call to nudge it (`wait_completion` sends none).
 #[test]
 fn a_hand_over_landing_on_a_plane_at_rest_resumes_the_held_work() {
     let (_, topology, (from, to, moved)) = migratable_chain();

@@ -9,10 +9,9 @@ use crate::engine::NodeEngine;
 use crate::event::{Event, EventQueue, Hop, PerturbationEvent, Phase, SimTime, WorkItem};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
-use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvTransferModel, KvTransferRecord, LinkTable, ModelPlacement, PairTable, PlacementDelta,
+    KvMigration, KvTransferRecord, LinkTable, ModelPlacement, PairTable, PlacementDelta,
     PrefixStats, PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord,
     ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler, Topology,
 };
@@ -935,66 +934,36 @@ impl ClusterSimulator {
                 }
             }
         }
-        // Move the KV state of each migration.  The moved pages travel as
-        // real traffic on the `from → to` link (queueing behind
-        // activations), and both ends freeze *only the migrated layer
-        // range* until the transfer lands — freeze → transfer → re-route →
-        // resume.  Requests whose stages run on disjoint layers of the same
-        // nodes keep decoding throughout.
-        for migration in &outcome.migrations {
-            let m = migration.model;
-            // The simulator re-routes at once: the modelled freeze already
-            // holds work on the migrated layers until the transfer lands.
-            self.control.install_scheduler(m);
-            let Some(source) = self.engines.get(migration.from, m) else {
+        // Each migration's KV hand-over, the one the runtime performs too:
+        // the pages travel as one transfer on the `from → to` link (queueing
+        // behind activations), and both ends freeze *only the migrated layer
+        // range* until it lands.  Requests whose stages run on disjoint
+        // layers of the same nodes keep decoding throughout.
+        let cluster = fleet.topologies()[0].profile().cluster();
+        for &migration in &outcome.migrations {
+            let KvMigration {
+                model, from, to, ..
+            } = migration;
+            let keeps_layers = fleet.placement().placements()[model.index()]
+                .range(from)
+                .is_some();
+            let Some([source, destination]) = self.engines.pair_mut((from, model), (to, model))
+            else {
                 continue;
             };
-            let snapshot = source.kv.snapshot();
-            let prefix_snapshot = source.kv.prefix_snapshot();
-            // Shared prefixes travel once each, no matter how many requests
-            // reference them — the transfer prices the deduplicated pages.
-            let tokens = source.kv_used_tokens();
-            let fleet = self.control.fleet();
-            let transfer = KvTransferModel::new(
-                fleet.profiles()[m.index()]
-                    .model()
-                    .kv_bytes_per_token_per_layer(),
-                DEFAULT_TOKENS_PER_PAGE,
+            let link = self.links.queue(cluster, (Some(from), Some(to)));
+            let record = source.hand_over(
+                destination,
+                migration,
+                keeps_layers,
+                self.control.kv_transfer(model),
+                time,
+                |bytes| link.transfer(time, bytes),
             );
-            let source_retired = fleet.placement().placements()[m.index()]
-                .range(migration.from)
-                .is_none();
-            let pages = transfer.pages(tokens);
-            let bytes = transfer.bytes(tokens, migration.layers.len());
-            let arrival = self.link_transfer(Some(migration.from), Some(migration.to), time, bytes);
-            if let Some(engine) = self.engines.get_mut(migration.from, m) {
-                engine.freeze(migration.layers, arrival);
-                if source_retired {
-                    // The whole range moved: every page now lives on the
-                    // destination.
-                    engine.kv.clear();
-                } else {
-                    // Shared-prefix entries *move*, their holders'
-                    // references included: the source keeps no stale copy
-                    // to decrement.
-                    engine.kv.clear_prefixes();
-                }
+            for node in [from, to] {
+                queue.push(record.at, Event::EngineThaw { node, model });
             }
-            if let Some(engine) = self.engines.get_mut(migration.to, m) {
-                engine.freeze(migration.layers, arrival);
-                engine.kv.seed_snapshot(&snapshot, &prefix_snapshot);
-            }
-            for node in [migration.from, migration.to] {
-                queue.push(arrival, Event::EngineThaw { node, model: m });
-            }
-            self.kv_transfers.push(KvTransferRecord {
-                at: arrival,
-                migration: *migration,
-                tokens,
-                pages,
-                bytes,
-                transfer_secs: arrival - time,
-            });
+            self.kv_transfers.push(record);
         }
     }
 
