@@ -120,9 +120,13 @@ impl Hasher for IdHasher {
         let wide = u128::from(self.0 ^ id) * 0x9E37_79B9_7F4A_7C15_u128;
         self.0 = (wide as u64) ^ ((wide >> 64) as u64);
     }
+
+    fn write_usize(&mut self, id: usize) {
+        self.write_u64(id as u64);
+    }
 }
 
-/// A map keyed by a `RequestId` or `PrefixId`.
+/// A map keyed by a `RequestId` or `PrefixId`, alone or with a `NodeId`.
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Error returned when the checked front cannot satisfy an allocation.

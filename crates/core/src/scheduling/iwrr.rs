@@ -10,16 +10,21 @@
 
 use crate::error::{HelixError, NoCandidateReason};
 use crate::flow_graph::Endpoint;
-use crate::scheduling::{
-    walk_pipeline, ClusterState, RequestPipeline, Scheduler, SchedulerKind, TopologyGraph,
-};
+use crate::scheduling::{ClusterState, PipelineWalker, RequestPipeline, Scheduler, SchedulerKind};
 use crate::topology::Topology;
 use helix_cluster::NodeId;
-use std::collections::HashMap;
 
 /// Fraction of a node's KV-cache capacity beyond which the scheduler stops
 /// sending it new requests (§5.2 "high water mark").
 pub const KV_HIGH_WATER: f64 = 0.9;
+
+/// Whether `used` KV tokens put a node of `capacity` tokens above
+/// [`KV_HIGH_WATER`] — the one predicate behind IWRR masking, prefix
+/// routing and [`KvCacheEstimator`](crate::KvCacheEstimator).  An unbounded
+/// (infinite) capacity never is.
+pub fn above_high_water(used: f64, capacity: f64) -> bool {
+    capacity.is_finite() && used > KV_HIGH_WATER * capacity
+}
 
 /// An interleaved weighted round-robin chooser over a fixed candidate set.
 ///
@@ -113,9 +118,17 @@ impl<T: Copy + Eq> IwrrChooser<T> {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct IwrrScheduler {
-    topology: TopologyGraph,
-    choosers: HashMap<Option<NodeId>, IwrrChooser<NodeId>>,
+    walker: PipelineWalker,
+    /// One chooser per vertex: the coordinator's at slot 0, node `n`'s at
+    /// slot `n + 1` ([`chooser_slot`]).
+    choosers: Vec<IwrrChooser<NodeId>>,
     num_pipelines: usize,
+}
+
+/// The slot of vertex `from` (`None` = coordinator) in
+/// [`IwrrScheduler`]'s chooser table.
+fn chooser_slot(from: Option<NodeId>) -> usize {
+    from.map_or(0, |node| node.index() + 1)
 }
 
 impl IwrrScheduler {
@@ -133,8 +146,8 @@ impl IwrrScheduler {
                 reason: NoCandidateReason::ZeroFlow,
             });
         }
-        let graph = TopologyGraph::from_topology(topology);
-        let mut choosers = HashMap::new();
+        let num_nodes = topology.profile().cluster().num_nodes();
+        let mut choosers = vec![IwrrChooser::new([]); num_nodes + 1];
         let node_weights = |from: Endpoint| -> Vec<(NodeId, f64)> {
             topology
                 .outgoing_flows(from)
@@ -145,15 +158,13 @@ impl IwrrScheduler {
                 })
                 .collect()
         };
-        choosers.insert(None, IwrrChooser::new(node_weights(Endpoint::Coordinator)));
+        choosers[0] = IwrrChooser::new(node_weights(Endpoint::Coordinator));
         for n in topology.nodes() {
-            choosers.insert(
-                Some(n.node),
-                IwrrChooser::new(node_weights(Endpoint::Node(n.node))),
-            );
+            let weights = node_weights(Endpoint::Node(n.node));
+            choosers[chooser_slot(Some(n.node))] = IwrrChooser::new(weights);
         }
         Ok(IwrrScheduler {
-            topology: graph,
+            walker: PipelineWalker::new(topology),
             choosers,
             num_pipelines: topology.num_pipelines(),
         })
@@ -169,7 +180,9 @@ impl IwrrScheduler {
     /// The IWRR weight (tokens/s of flow) assigned to `to` at vertex `from`
     /// (`None` = coordinator).
     pub fn weight(&self, from: Option<NodeId>, to: NodeId) -> Option<f64> {
-        self.choosers.get(&from).and_then(|c| c.weight(to))
+        self.choosers
+            .get(chooser_slot(from))
+            .and_then(|c| c.weight(to))
     }
 }
 
@@ -180,18 +193,17 @@ impl Scheduler for IwrrScheduler {
 
     fn schedule(&mut self, state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
         let choosers = &mut self.choosers;
-        walk_pipeline(&self.topology, |from, candidates| {
-            let chooser = choosers.get_mut(&from)?;
-            chooser.pick_unmasked(|node| {
+        self.walker.walk(|from, candidates| {
+            let chooser = choosers.get_mut(chooser_slot(from))?;
+            let hop = |node| candidates.iter().copied().find(|&(n, _)| n == node);
+            let node = chooser.pick_unmasked(|node| {
                 // Only nodes that are valid *for this request's position* may
                 // be chosen, and nodes above the KV high-water mark are
                 // masked out (§5.2).
-                if !candidates.contains(&node) {
-                    return true;
-                }
-                let capacity = state.kv_capacity_tokens(node);
-                capacity.is_finite() && state.kv_used_tokens(node) > KV_HIGH_WATER * capacity
-            })
+                hop(node).is_none()
+                    || above_high_water(state.kv_used_tokens(node), state.kv_capacity_tokens(node))
+            })?;
+            hop(node)
         })
     }
 }

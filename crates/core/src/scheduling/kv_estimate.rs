@@ -6,8 +6,9 @@
 //! estimated usage exceeds the high-water mark are masked out of IWRR
 //! scheduling until requests finish.
 
+use crate::engine::IdMap;
+use crate::scheduling::iwrr::above_high_water;
 use helix_cluster::{ClusterProfile, NodeId, PrefixId};
-use std::collections::HashMap;
 
 /// Coordinator-side estimator of per-node KV-cache usage.
 ///
@@ -29,38 +30,46 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct KvCacheEstimator {
-    /// Estimated tokens resident per node.
-    estimated: HashMap<NodeId, f64>,
+    /// Estimated tokens resident, by node index.
+    estimated: Vec<f64>,
     /// Requests in flight per node, with their assumed footprint.
-    in_flight: HashMap<(NodeId, u64), f64>,
+    in_flight: IdMap<(NodeId, u64), f64>,
     /// Running average output length used for new requests.
     avg_output_len: f64,
     /// Number of completed requests folded into the average.
     completed: u64,
-    /// KV capacity per node in tokens, given the layers each node holds.
-    capacity: HashMap<NodeId, f64>,
+    /// KV capacity in tokens, by node index, given the layers each node
+    /// holds (infinite until set).
+    capacity: Vec<f64>,
     /// Shared prefix entries per (node, prefix): their token footprint and
     /// how many in-flight requests reference them.  Counted once per node no
     /// matter how many requests attach — the estimator-side mirror of the
     /// refcounted pool entries on both execution surfaces.
-    shared: HashMap<(NodeId, PrefixId), (f64, usize)>,
+    shared: IdMap<(NodeId, PrefixId), (f64, usize)>,
+}
+
+/// The entry of `node` in a per-node table, which grows — with `fill` — to
+/// hold a node beyond the profile's.
+fn entry(table: &mut Vec<f64>, node: NodeId, fill: f64) -> &mut f64 {
+    let index = node.index();
+    if index >= table.len() {
+        table.resize(index + 1, fill);
+    }
+    &mut table[index]
 }
 
 impl KvCacheEstimator {
     /// Creates an estimator with an initial average output length (the Azure
     /// Conversation trace averages 232 output tokens).
     pub fn new(profile: &ClusterProfile, initial_avg_output_len: f64) -> Self {
+        let num_nodes = profile.cluster().num_nodes();
         KvCacheEstimator {
-            estimated: HashMap::new(),
-            in_flight: HashMap::new(),
+            estimated: vec![0.0; num_nodes],
+            in_flight: IdMap::default(),
             avg_output_len: initial_avg_output_len.max(1.0),
             completed: 0,
-            capacity: profile
-                .cluster()
-                .node_ids()
-                .map(|id| (id, f64::INFINITY))
-                .collect(),
-            shared: HashMap::new(),
+            capacity: vec![f64::INFINITY; num_nodes],
+            shared: IdMap::default(),
         }
     }
 
@@ -68,7 +77,7 @@ impl KvCacheEstimator {
     /// depends on the placement, so the caller provides it once the placement
     /// is fixed).
     pub fn set_capacity(&mut self, node: NodeId, capacity_tokens: f64) {
-        self.capacity.insert(node, capacity_tokens);
+        *entry(&mut self.capacity, node, f64::INFINITY) = capacity_tokens;
     }
 
     /// Records that request `request_id` with `prompt_len` prompt tokens was
@@ -76,7 +85,7 @@ impl KvCacheEstimator {
     /// plus the average output length.
     pub fn on_scheduled(&mut self, node: NodeId, request_id: u64, prompt_len: usize) {
         let footprint = prompt_len as f64 + self.avg_output_len;
-        *self.estimated.entry(node).or_insert(0.0) += footprint;
+        *entry(&mut self.estimated, node, 0.0) += footprint;
         self.in_flight.insert((node, request_id), footprint);
     }
 
@@ -85,7 +94,7 @@ impl KvCacheEstimator {
     /// running average output length.
     pub fn on_finished(&mut self, node: NodeId, request_id: u64, output_len: usize) {
         if let Some(footprint) = self.in_flight.remove(&(node, request_id)) {
-            if let Some(e) = self.estimated.get_mut(&node) {
+            if let Some(e) = self.estimated.get_mut(node.index()) {
                 *e = (*e - footprint).max(0.0);
             }
         }
@@ -105,12 +114,12 @@ impl KvCacheEstimator {
     /// (prompt length minus the shared range) so the per-request and shared
     /// halves add up to the same bytes the execution surfaces account.
     pub fn attach_shared(&mut self, node: NodeId, prefix: PrefixId, tokens: usize) {
-        let entry = self.shared.entry((node, prefix)).or_insert((0.0, 0));
-        if entry.1 == 0 {
-            entry.0 = tokens as f64;
-            *self.estimated.entry(node).or_insert(0.0) += entry.0;
+        let shared = self.shared.entry((node, prefix)).or_insert((0.0, 0));
+        if shared.1 == 0 {
+            shared.0 = tokens as f64;
+            *entry(&mut self.estimated, node, 0.0) += shared.0;
         }
-        entry.1 += 1;
+        shared.1 += 1;
     }
 
     /// Drops one reference to shared prefix `prefix` on `node`; the last
@@ -122,7 +131,7 @@ impl KvCacheEstimator {
             if entry.1 == 0 {
                 let tokens = entry.0;
                 self.shared.remove(&(node, prefix));
-                if let Some(e) = self.estimated.get_mut(&node) {
+                if let Some(e) = self.estimated.get_mut(node.index()) {
                     *e = (*e - tokens).max(0.0);
                 }
             }
@@ -131,13 +140,16 @@ impl KvCacheEstimator {
 
     /// Estimated KV tokens resident on `node`.
     pub fn estimated_tokens(&self, node: NodeId) -> f64 {
-        self.estimated.get(&node).copied().unwrap_or(0.0)
+        self.estimated.get(node.index()).copied().unwrap_or(0.0)
     }
 
     /// KV capacity of `node` in tokens (infinite until
     /// [`KvCacheEstimator::set_capacity`] is called).
     pub fn capacity_tokens(&self, node: NodeId) -> f64 {
-        self.capacity.get(&node).copied().unwrap_or(f64::INFINITY)
+        self.capacity
+            .get(node.index())
+            .copied()
+            .unwrap_or(f64::INFINITY)
     }
 
     /// The current running average output length.
@@ -145,11 +157,10 @@ impl KvCacheEstimator {
         self.avg_output_len
     }
 
-    /// Whether `node` is above the given high-water fraction of its KV
-    /// capacity.
-    pub fn is_above_high_water(&self, node: NodeId, high_water: f64) -> bool {
-        let cap = self.capacity_tokens(node);
-        cap.is_finite() && self.estimated_tokens(node) > high_water * cap
+    /// Whether `node`'s estimate is [`above_high_water`] — the rule IWRR
+    /// masks it by.
+    pub fn is_above_high_water(&self, node: NodeId) -> bool {
+        above_high_water(self.estimated_tokens(node), self.capacity_tokens(node))
     }
 }
 
@@ -225,11 +236,36 @@ mod tests {
         let node = NodeId(2);
         // Unlimited capacity: never above high water.
         est.on_scheduled(node, 1, 10_000);
-        assert!(!est.is_above_high_water(node, 0.9));
+        assert!(!est.is_above_high_water(node));
         est.set_capacity(node, 1_000.0);
-        assert!(est.is_above_high_water(node, 0.9));
+        assert!(est.is_above_high_water(node));
         assert_eq!(est.capacity_tokens(node), 1_000.0);
         est.on_finished(node, 1, 1);
-        assert!(!est.is_above_high_water(node, 0.9));
+        assert!(!est.is_above_high_water(node));
+    }
+
+    /// The tables are dense over the profile's nodes; a node beyond them
+    /// reads as an unused node of unbounded capacity until it is set.
+    #[test]
+    fn a_node_beyond_the_profile_reads_unbounded_and_empty_until_set() {
+        // The study cluster has ten nodes.
+        let mut est = estimator();
+        let beyond = NodeId(15);
+        assert_eq!(est.capacity_tokens(beyond), f64::INFINITY);
+        assert_eq!(est.estimated_tokens(beyond), 0.0);
+        est.release_shared(beyond, PrefixId(1));
+        assert_eq!(est.estimated_tokens(beyond), 0.0);
+
+        // 100 prompt tokens + the 200-token average output.
+        est.on_scheduled(beyond, 1, 100);
+        assert!((est.estimated_tokens(beyond) - 300.0).abs() < 1e-9);
+        assert!(!est.is_above_high_water(beyond));
+        est.set_capacity(beyond, 200.0);
+        assert!(est.is_above_high_water(beyond));
+        // The nodes between the profile's last and this one stay unset.
+        assert_eq!(est.capacity_tokens(NodeId(12)), f64::INFINITY);
+        assert_eq!(est.estimated_tokens(NodeId(12)), 0.0);
+        est.on_finished(beyond, 1, 10);
+        assert_eq!(est.estimated_tokens(beyond), 0.0);
     }
 }

@@ -25,7 +25,6 @@ use helix_cluster::{ModelId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One stage of a per-request pipeline: a node and the layers it will compute
 /// for this request.
@@ -149,15 +148,15 @@ pub trait Scheduler: Send {
 }
 
 /// The topology graph of §5.1: valid next-hops per endpoint under a given
-/// placement.
+/// placement, in tables indexed by node.
 #[derive(Debug, Clone)]
 pub struct TopologyGraph {
     /// Entry candidates (nodes holding layer 0).
     entry: Vec<NodeId>,
-    /// Valid successors per node.
-    successors: HashMap<NodeId, Vec<NodeId>>,
-    /// Layer range held by each assigned node.
-    ranges: HashMap<NodeId, LayerRange>,
+    /// Valid successors, by node index.
+    successors: Vec<Vec<NodeId>>,
+    /// Layer range held by each assigned node, by node index.
+    ranges: Vec<Option<LayerRange>>,
     num_layers: usize,
 }
 
@@ -167,30 +166,29 @@ impl TopologyGraph {
     /// materialised, so the scheduler can never disagree with the planner
     /// about which hops exist.
     pub fn from_topology(topology: &Topology) -> Self {
-        let num_layers = topology.num_layers();
+        let num_nodes = topology.profile().cluster().num_nodes();
         let mut entry: Vec<NodeId> = Vec::new();
-        let mut successors: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        let mut ranges = HashMap::new();
+        let mut successors = vec![Vec::new(); num_nodes];
+        let mut ranges = vec![None; num_nodes];
         for n in topology.nodes() {
-            ranges.insert(n.node, n.layers);
-            successors.entry(n.node).or_default();
+            ranges[n.node.index()] = Some(n.layers);
         }
         for link in topology.links() {
             match (link.from, link.to) {
                 (Endpoint::Coordinator, Endpoint::Node(n)) => entry.push(n),
-                (Endpoint::Node(a), Endpoint::Node(b)) => successors.entry(a).or_default().push(b),
+                (Endpoint::Node(a), Endpoint::Node(b)) => successors[a.index()].push(b),
                 _ => {}
             }
         }
         entry.sort();
-        for succ in successors.values_mut() {
+        for succ in &mut successors {
             succ.sort();
         }
         TopologyGraph {
             entry,
             successors,
             ranges,
-            num_layers,
+            num_layers: topology.num_layers(),
         }
     }
 
@@ -201,12 +199,12 @@ impl TopologyGraph {
 
     /// Valid successors of `node`.
     pub fn successors(&self, node: NodeId) -> &[NodeId] {
-        self.successors.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.successors.get(node.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The layer range held by `node` under the placement.
     pub fn range(&self, node: NodeId) -> Option<LayerRange> {
-        self.ranges.get(&node).copied()
+        self.ranges.get(node.index()).copied().flatten()
     }
 
     /// Number of model layers.
@@ -215,82 +213,106 @@ impl TopologyGraph {
     }
 
     /// Candidates that can continue a request currently at `position` layers
-    /// completed, reachable from `from` (`None` = coordinator).
-    pub fn candidates(&self, from: Option<NodeId>, position: usize) -> Vec<NodeId> {
-        let base: Vec<NodeId> = match from {
-            None => self.entry.clone(),
-            Some(node) => self.successors(node).to_vec(),
+    /// completed, reachable from `from` (`None` = coordinator), each with the
+    /// layer range it holds.
+    pub fn candidates(
+        &self,
+        from: Option<NodeId>,
+        position: usize,
+    ) -> impl Iterator<Item = (NodeId, LayerRange)> + '_ {
+        let base = match from {
+            None => &self.entry[..],
+            Some(node) => self.successors(node),
         };
-        base.into_iter()
-            .filter(|n| {
-                self.ranges
-                    .get(n)
-                    .map(|r| r.start <= position && position < r.end)
-                    .unwrap_or(false)
-            })
-            .collect()
+        base.iter().filter_map(move |&n| {
+            let range = self.range(n)?;
+            (range.start <= position && position < range.end).then_some((n, range))
+        })
     }
 }
 
-/// Shared pipeline-walking logic: repeatedly pick the next node from the
-/// candidate list using `choose` until the model is covered.
-pub(crate) fn walk_pipeline<F>(
-    topology: &TopologyGraph,
-    mut choose: F,
-) -> Result<RequestPipeline, HelixError>
-where
-    F: FnMut(Option<NodeId>, &[NodeId]) -> Option<NodeId>,
-{
-    let num_layers = topology.num_layers();
-    let mut stages = Vec::new();
-    let mut position = 0usize;
-    let mut current: Option<NodeId> = None;
-    // Position strictly increases each stage, so `num_layers` hops is a safe
-    // upper bound.
-    for _ in 0..=num_layers {
-        if position >= num_layers {
-            return Ok(RequestPipeline {
-                model: ModelId::default(),
-                stages,
-            });
+/// A [`TopologyGraph`] with the buffers of its walk: every hop's candidates
+/// and the stages so far are gathered in buffers sized once, so a walk
+/// allocates only the pipeline it returns.
+#[derive(Debug, Clone)]
+pub(crate) struct PipelineWalker {
+    graph: TopologyGraph,
+    hops: Vec<(NodeId, LayerRange)>,
+    stages: Vec<PipelineStage>,
+}
+
+impl PipelineWalker {
+    pub(crate) fn new(topology: &Topology) -> Self {
+        let graph = TopologyGraph::from_topology(topology);
+        let widest = graph.successors.iter().map(Vec::len);
+        let widest = widest.chain([graph.entry.len()]).max().unwrap_or(0);
+        PipelineWalker {
+            hops: Vec::with_capacity(widest),
+            // Every stage advances at least one layer.
+            stages: Vec::with_capacity(graph.num_layers),
+            graph,
         }
-        let candidates = topology.candidates(current, position);
-        if candidates.is_empty() {
-            let reason = NoCandidateReason::NoSuccessor { layer: position };
-            return Err(HelixError::NoCandidateAvailable { reason });
-        }
-        let Some(next) = choose(current, &candidates) else {
-            let reason = NoCandidateReason::AllMasked { layer: position };
-            return Err(HelixError::NoCandidateAvailable { reason });
-        };
-        let range = topology
-            .range(next)
-            .expect("candidates always hold a range");
-        let stage_layers = LayerRange::new(position, range.end);
-        stages.push(PipelineStage {
-            node: next,
-            layers: stage_layers,
-        });
-        position = range.end;
-        current = Some(next);
     }
-    Err(HelixError::NoCandidateAvailable {
-        reason: NoCandidateReason::PlacementCycle,
-    })
+
+    /// Repeatedly picks the next hop from the candidates using `choose`
+    /// until the model is covered.
+    pub(crate) fn walk<F>(&mut self, mut choose: F) -> Result<RequestPipeline, HelixError>
+    where
+        F: FnMut(Option<NodeId>, &[(NodeId, LayerRange)]) -> Option<(NodeId, LayerRange)>,
+    {
+        let PipelineWalker {
+            graph,
+            hops,
+            stages,
+        } = self;
+        let num_layers = graph.num_layers();
+        stages.clear();
+        let mut position = 0usize;
+        let mut current: Option<NodeId> = None;
+        // Position strictly increases each stage, so `num_layers` hops is a
+        // safe upper bound.
+        for _ in 0..=num_layers {
+            if position >= num_layers {
+                return Ok(RequestPipeline {
+                    model: ModelId::default(),
+                    stages: stages.clone(),
+                });
+            }
+            hops.clear();
+            hops.extend(graph.candidates(current, position));
+            if hops.is_empty() {
+                let reason = NoCandidateReason::NoSuccessor { layer: position };
+                return Err(HelixError::NoCandidateAvailable { reason });
+            }
+            let Some((next, range)) = choose(current, hops) else {
+                let reason = NoCandidateReason::AllMasked { layer: position };
+                return Err(HelixError::NoCandidateAvailable { reason });
+            };
+            stages.push(PipelineStage {
+                node: next,
+                layers: LayerRange::new(position, range.end),
+            });
+            position = range.end;
+            current = Some(next);
+        }
+        Err(HelixError::NoCandidateAvailable {
+            reason: NoCandidateReason::PlacementCycle,
+        })
+    }
 }
 
 /// Swarm-style scheduler: at every hop pick the candidate with the highest
 /// recent throughput (ties broken by node id).
 #[derive(Debug, Clone)]
 pub struct SwarmScheduler {
-    topology: TopologyGraph,
+    walker: PipelineWalker,
 }
 
 impl SwarmScheduler {
     /// Builds the scheduler from the shared planning artifact.
     pub fn new(topology: &Topology) -> Self {
         SwarmScheduler {
-            topology: TopologyGraph::from_topology(topology),
+            walker: PipelineWalker::new(topology),
         }
     }
 }
@@ -301,8 +323,8 @@ impl Scheduler for SwarmScheduler {
     }
 
     fn schedule(&mut self, state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
-        walk_pipeline(&self.topology, |_, candidates| {
-            candidates.iter().copied().max_by(|&a, &b| {
+        self.walker.walk(|_, candidates| {
+            candidates.iter().copied().max_by(|&(a, _), &(b, _)| {
                 state
                     .recent_throughput(a)
                     .partial_cmp(&state.recent_throughput(b))
@@ -316,7 +338,7 @@ impl Scheduler for SwarmScheduler {
 /// Random scheduler: uniform choice among valid candidates.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    topology: TopologyGraph,
+    walker: PipelineWalker,
     rng: StdRng,
 }
 
@@ -325,7 +347,7 @@ impl RandomScheduler {
     /// deterministic seed.
     pub fn new(topology: &Topology, seed: u64) -> Self {
         RandomScheduler {
-            topology: TopologyGraph::from_topology(topology),
+            walker: PipelineWalker::new(topology),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -338,9 +360,8 @@ impl Scheduler for RandomScheduler {
 
     fn schedule(&mut self, _state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
         let rng = &mut self.rng;
-        walk_pipeline(&self.topology, |_, candidates| {
-            Some(candidates[rng.gen_range(0..candidates.len())])
-        })
+        self.walker
+            .walk(|_, candidates| Some(candidates[rng.gen_range(0..candidates.len())]))
     }
 }
 
@@ -348,14 +369,14 @@ impl Scheduler for RandomScheduler {
 /// requests.
 #[derive(Debug, Clone)]
 pub struct ShortestQueueScheduler {
-    topology: TopologyGraph,
+    walker: PipelineWalker,
 }
 
 impl ShortestQueueScheduler {
     /// Builds the scheduler from the shared planning artifact.
     pub fn new(topology: &Topology) -> Self {
         ShortestQueueScheduler {
-            topology: TopologyGraph::from_topology(topology),
+            walker: PipelineWalker::new(topology),
         }
     }
 }
@@ -366,11 +387,11 @@ impl Scheduler for ShortestQueueScheduler {
     }
 
     fn schedule(&mut self, state: &dyn ClusterState) -> Result<RequestPipeline, HelixError> {
-        walk_pipeline(&self.topology, |_, candidates| {
+        self.walker.walk(|_, candidates| {
             candidates
                 .iter()
                 .copied()
-                .min_by_key(|&n| (state.queue_len(n), n))
+                .min_by_key(|&(n, _)| (state.queue_len(n), n))
         })
     }
 }
@@ -398,8 +419,9 @@ mod tests {
         let topo = TopologyGraph::from_topology(&small_topology());
         assert!(!topo.entry_candidates().is_empty());
         // From the coordinator only layer-0 holders are candidates.
-        for n in topo.candidates(None, 0) {
-            assert_eq!(topo.range(n).unwrap().start, 0);
+        for (n, range) in topo.candidates(None, 0) {
+            assert_eq!(range.start, 0);
+            assert_eq!(topo.range(n), Some(range));
         }
         assert_eq!(topo.num_layers(), 60);
     }

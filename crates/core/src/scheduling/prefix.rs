@@ -25,7 +25,7 @@
 
 use super::{ClusterState, RequestPipeline};
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
-use crate::scheduling::iwrr::KV_HIGH_WATER;
+use crate::scheduling::iwrr::above_high_water;
 use helix_cluster::PrefixId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -120,8 +120,8 @@ impl Default for PrefixRouter {
 }
 
 impl PrefixRouter {
-    /// Creates an empty router.  The feasibility check uses the
-    /// [`KV_HIGH_WATER`] fraction and the `shared_pages` counter
+    /// Creates an empty router.  The feasibility check is
+    /// [`above_high_water`], and the `shared_pages` counter counts
     /// [`DEFAULT_TOKENS_PER_PAGE`]-token pages.
     pub fn new() -> Self {
         PrefixRouter {
@@ -146,8 +146,10 @@ impl PrefixRouter {
             return PrefixRoute::Miss;
         };
         let saturated = home.pipeline.stages.iter().any(|stage| {
-            let capacity = state.kv_capacity_tokens(stage.node);
-            capacity.is_finite() && state.kv_used_tokens(stage.node) > KV_HIGH_WATER * capacity
+            above_high_water(
+                state.kv_used_tokens(stage.node),
+                state.kv_capacity_tokens(stage.node),
+            )
         });
         if saturated {
             return PrefixRoute::Bypass;

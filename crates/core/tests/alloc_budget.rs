@@ -1,0 +1,100 @@
+//! The allocation budget of one IWRR `schedule` on the 24-node swarm
+//! topology: a walk that every first-hop candidate masks allocates nothing,
+//! and a successful one allocates only the pipeline it returns.  The
+//! runtime's coordinator retries every deferred admission at every
+//! quiescence, so a masked walk is its most frequent call.
+//!
+//! A global allocator counts the allocations of the calling thread, so tests
+//! running alongside on other threads do not disturb the count.
+
+use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
+use helix_core::{
+    heuristics, ClusterState, HelixError, IdleClusterState, IwrrScheduler, NoCandidateReason,
+    Scheduler, Topology,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation and reallocation on the
+/// thread that makes it.
+struct Counting;
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, so each
+// call meets `System`'s contract exactly when the caller meets
+// `GlobalAlloc`'s; counting touches only a constant-initialised thread-local
+// `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What `f` returns, and how many allocations it made.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Every node's KV cache full: IWRR masks every candidate.
+struct Saturated;
+
+impl ClusterState for Saturated {
+    fn queue_len(&self, _node: NodeId) -> usize {
+        0
+    }
+    fn recent_throughput(&self, _node: NodeId) -> f64 {
+        0.0
+    }
+    fn kv_used_tokens(&self, _node: NodeId) -> f64 {
+        1_000.0
+    }
+    fn kv_capacity_tokens(&self, _node: NodeId) -> f64 {
+        1_000.0
+    }
+}
+
+#[test]
+fn an_iwrr_schedule_allocates_nothing_but_its_pipeline() {
+    let profile =
+        ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama_30b());
+    let placement = heuristics::swarm_placement(&profile).unwrap();
+    let topology = Topology::plan(&profile, &placement, true).unwrap();
+    let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+    let num_layers = profile.model().num_layers;
+    for _ in 0..100 {
+        let (masked, allocations) = allocations_in(|| scheduler.schedule(&Saturated));
+        let reason = NoCandidateReason::AllMasked { layer: 0 };
+        assert!(
+            matches!(masked, Err(HelixError::NoCandidateAvailable { reason: r }) if r == reason),
+            "{masked:?}"
+        );
+        assert_eq!(allocations, 0, "a walk masked at its first hop allocated");
+
+        let (pipeline, allocations) = allocations_in(|| scheduler.schedule(&IdleClusterState));
+        let pipeline = pipeline.unwrap();
+        assert!(pipeline.covers_model(num_layers));
+        assert_eq!(allocations, 1, "a {}-stage walk", pipeline.depth());
+    }
+}

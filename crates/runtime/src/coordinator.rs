@@ -35,6 +35,14 @@
 //! back as they happen, and mid-run placement deltas can add rows for
 //! (node, model) pairs the original build never had.
 //!
+//! The clock is read once per pass and not in between: the fabric has none,
+//! so every send and priced transfer carries the reading its caller acts on
+//! — a pass's reading for the forwards of the batches it completes, the
+//! turn's last reading for the coordinator's dispatches, decode launches,
+//! releases, seeds and hand-overs.  Everything in flight waits in the
+//! fabric's one queue under a 24-byte `(at, seq, slot)` key, its event in a
+//! reused slab slot.
+//!
 //! When a [`ReplanPolicy`] is configured the loop also closes the online
 //! re-planning feedback: every policy interval the workers' counters are
 //! handed to [`ControlPlane::observe`], and an applied
@@ -352,7 +360,7 @@ impl Coordinator {
         let clock = self.clock;
         let now = self.run_due(|| clock.now());
         while let Some((request, emitted_at, epoch)) = self.arrived.pop_front() {
-            self.on_iteration(request, emitted_at, epoch);
+            self.on_iteration(request, emitted_at, epoch, now);
         }
 
         // 3. Observe, consult the policy, re-plan, hand over.
@@ -390,17 +398,21 @@ impl Coordinator {
         // 6. Admit every request whose arrival time has passed, in
         // submission order.
         for _ in 0..self.pending.len() {
-            let request = self.pending.pop_front().expect("bounded by len");
+            let Some(request) = self.pending.pop_front() else {
+                break;
+            };
             if request.arrival_time > now {
                 self.pending.push_back(request);
-            } else if !self.try_dispatch(request)? {
+            } else if !self.try_dispatch(request, now)? {
                 self.deferred.push_back(request);
             }
         }
         // 7. Retry requests every candidate masked out earlier.
         for _ in 0..self.deferred.len() {
-            let request = self.deferred.pop_front().expect("bounded by len");
-            if !self.try_dispatch(request)? {
+            let Some(request) = self.deferred.pop_front() else {
+                break;
+            };
+            if !self.try_dispatch(request, now)? {
                 self.deferred.push_back(request);
             }
         }
@@ -430,7 +442,8 @@ impl Coordinator {
     /// Applies every queue entry that is due, in `(at, seq)` order, one pass
     /// per clock reading: a delivery of work, a batch completion or a
     /// hand-over's arrival is a call on its rows (the coordinator's own
-    /// reports wait in `arrived` for the end of the turn).  The rows the
+    /// reports wait in `arrived` for the end of the turn), and whatever the
+    /// pass sends is stamped with its reading.  The rows the
     /// passes touched start their batches once a fresh reading finds nothing
     /// more due — so everything that has arrived by the time a batch starts
     /// joins it (§5.1's rule), however fast a pass is.  Zero-duration batches
@@ -545,7 +558,7 @@ impl Coordinator {
                 keeps_layers,
                 self.control.kv_transfer(model),
                 now,
-                |bytes| fabric.transfer(Some(from), Some(to), bytes),
+                |bytes| fabric.transfer(now, Some(from), Some(to), bytes),
             );
             self.fabric.landed(record.at, rows);
             self.kv_transfers.push(record);
@@ -585,10 +598,10 @@ impl Coordinator {
     }
 
     /// Asks the control plane to admit one request and puts the dispatch on
-    /// the wire.  Returns `Ok(false)` if the admission was deferred (every
-    /// candidate masked, or only dead pipelines on offer) and the request
-    /// should be retried later.
-    fn try_dispatch(&mut self, request: Request) -> Result<bool, RuntimeError> {
+    /// the wire at `now`.  Returns `Ok(false)` if the admission was deferred
+    /// (every candidate masked, or only dead pipelines on offer) and the
+    /// request should be retried later.
+    fn try_dispatch(&mut self, request: Request, now: f64) -> Result<bool, RuntimeError> {
         let model = request.model;
         let view = CoordinatorView {
             model,
@@ -614,26 +627,29 @@ impl Coordinator {
             // every promoted stage (the fail-over purge released them).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
                 self.fabric
-                    .transfer(None, Some(stage.node), TOKEN_WIRE_BYTES);
+                    .transfer(now, None, Some(stage.node), TOKEN_WIRE_BYTES);
                 if let Some(worker) = self.workers.live_mut((stage.node, model)) {
                     worker.core.kv.seed(request.id, tokens);
                 }
             }
         }
-        self.fabric.send(Envelope {
-            from: None,
-            to: Some(dispatch.pipeline.stages[0].node),
-            bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
-            msg: RuntimeMsg::Work(StageWork {
-                request: request.id,
-                phase: Phase::Prompt,
-                tokens: dispatch.prefill_tokens,
-                stage_index: 0,
-                epoch: dispatch.epoch,
-                pipeline: dispatch.pipeline,
-                prefix: dispatch.prefix,
-            }),
-        });
+        self.fabric.send(
+            now,
+            Envelope {
+                from: None,
+                to: Some(dispatch.pipeline.stages[0].node),
+                bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
+                msg: RuntimeMsg::Work(StageWork {
+                    request: request.id,
+                    phase: Phase::Prompt,
+                    tokens: dispatch.prefill_tokens,
+                    stage_index: 0,
+                    epoch: dispatch.epoch,
+                    pipeline: dispatch.pipeline,
+                    prefix: dispatch.prefix,
+                }),
+            },
+        );
         Ok(true)
     }
 
@@ -659,7 +675,7 @@ impl Coordinator {
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
         let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
         for flight in &failover.stranded {
-            self.release_kv(flight, true);
+            self.release_kv(flight, true, now);
         }
         self.hand_over(failover.replan, now);
         self.sweep_retirements();
@@ -672,8 +688,8 @@ impl Coordinator {
     /// workers and replication seeds standbys, and all those copies are
     /// keyed by the request id (so other requests are untouched).  A purge
     /// also drops the incarnation's queued items.  Each row's call is priced
-    /// as a coordinator → row message on its link.
-    fn release_kv(&mut self, flight: &InFlight, purge: bool) {
+    /// as a coordinator → row message on its link at `now`.
+    fn release_kv(&mut self, flight: &InFlight, purge: bool, now: f64) {
         let (model, request) = (flight.pipeline.model, flight.request.id);
         let estimator = &mut self.estimators[model.index()];
         for stage in &flight.pipeline.stages {
@@ -684,7 +700,7 @@ impl Coordinator {
         }
         for worker in self.workers.live_of_model(model) {
             self.fabric
-                .transfer(None, Some(worker.key.0), TOKEN_WIRE_BYTES);
+                .transfer(now, None, Some(worker.key.0), TOKEN_WIRE_BYTES);
             if purge {
                 worker.core.purge_request(request);
             } else {
@@ -693,8 +709,9 @@ impl Coordinator {
         }
     }
 
-    /// Applies one iteration the fabric reported to the coordinator.
-    fn on_iteration(&mut self, request: RequestId, emitted_at: f64, epoch: u64) {
+    /// Applies one iteration the fabric reported to the coordinator; what it
+    /// sends leaves at `now`, the turn's reading.
+    fn on_iteration(&mut self, request: RequestId, emitted_at: f64, epoch: u64, now: f64) {
         // `None`: a stale incarnation — pre-failure work was still draining
         // through surviving stages when the request was promoted or
         // re-admitted.
@@ -702,12 +719,12 @@ impl Coordinator {
             return;
         };
         if progress.finished {
-            return self.finish(request, emitted_at);
+            return self.finish(request, emitted_at, now);
         }
-        let flight = self
-            .control
-            .flight(request)
-            .expect("in flight until finished");
+        // A request the control plane has not finished is in flight.
+        let Some(flight) = self.control.flight(request) else {
+            return;
+        };
         let pipeline = Arc::clone(&flight.pipeline);
         let model = pipeline.model;
         // Replica chunks cross the link from every primary stage to its
@@ -716,34 +733,37 @@ impl Coordinator {
         // which is exactly the trade-off measured.
         for chunk in &progress.chunks {
             self.fabric
-                .transfer(Some(chunk.primary), Some(chunk.standby), chunk.bytes);
+                .transfer(now, Some(chunk.primary), Some(chunk.standby), chunk.bytes);
             if let Some(standby) = self.workers.live_mut((chunk.standby, model)) {
                 standby.core.kv.seed(request, progress.durable_tokens);
             }
         }
-        self.fabric.send(Envelope {
-            from: None,
-            to: Some(pipeline.stages[0].node),
-            bytes: TOKEN_WIRE_BYTES,
-            msg: RuntimeMsg::Work(StageWork {
-                request,
-                phase: Phase::Decode,
-                tokens: 1,
-                stage_index: 0,
-                epoch,
-                pipeline,
-                prefix: None,
-            }),
-        });
+        self.fabric.send(
+            now,
+            Envelope {
+                from: None,
+                to: Some(pipeline.stages[0].node),
+                bytes: TOKEN_WIRE_BYTES,
+                msg: RuntimeMsg::Work(StageWork {
+                    request,
+                    phase: Phase::Decode,
+                    tokens: 1,
+                    stage_index: 0,
+                    epoch,
+                    pipeline,
+                    prefix: None,
+                }),
+            },
+        );
     }
 
     /// Completes a request: records its outcome and frees everything it
-    /// held on the data plane.
-    fn finish(&mut self, request: RequestId, completed_at: f64) {
+    /// held on the data plane, priced at `now`.
+    fn finish(&mut self, request: RequestId, completed_at: f64, now: f64) {
         let Some(flight) = self.control.finish(request) else {
             return;
         };
-        self.release_kv(&flight, false);
+        self.release_kv(&flight, false, now);
         let outcome = RequestOutcome {
             id: request,
             model: flight.pipeline.model,
@@ -922,29 +942,64 @@ mod tests {
         // Two items for one row on one link, the second behind a second of
         // transfer: due a virtual second apart.
         for (request, bytes) in [(1, TOKEN_WIRE_BYTES), (2, 1.25e9)] {
-            coordinator.fabric.send(Envelope {
-                from: None,
-                to: Some(key.0),
-                bytes,
-                msg: RuntimeMsg::Work(work_for(key, request)),
-            });
+            coordinator.fabric.send(
+                0.0,
+                Envelope {
+                    from: None,
+                    to: Some(key.0),
+                    bytes,
+                    msg: RuntimeMsg::Work(work_for(key, request)),
+                },
+            );
         }
         let first = coordinator.fabric.next_at().unwrap();
-        let second = first + 2.0;
+        let (second, later) = (first + 2.0, first + 3.0);
         // Reading 1 delivers the first item, reading 2 the second; only
         // reading 3 finds nothing due and starts the row's batch — whose two
-        // `IterationDone`s reading 4 delivers to the coordinator.
-        let mut readings = [first, second].into_iter();
+        // `IterationDone`s leave stamped with that reading, and reading 4
+        // delivers them to the coordinator.
+        let mut readings = [first, second, second].into_iter();
         let mut reads = 0;
         let now = coordinator.run_due(|| {
             reads += 1;
-            readings.next().unwrap_or(second)
+            readings.next().unwrap_or(later)
         });
-        assert_eq!((now, reads), (second, 5));
+        assert_eq!((now, reads), (later, 5));
         let row = coordinator.workers.get(key).unwrap();
         assert_eq!((row.batches, row.decode_tokens), (1, 2));
-        assert_eq!(coordinator.arrived.len(), 2);
+        let emitted: Vec<f64> = coordinator.arrived.iter().map(|a| a.1).collect();
+        assert_eq!(emitted, [second, second]);
         assert_eq!(coordinator.fabric.next_at(), None);
+    }
+
+    /// A pass's sends are stamped with its reading, never with the wall: on
+    /// a clock where a wall nanosecond is a virtual second, the reports two
+    /// rows forward in one pass leave at the scripted reading and, on two
+    /// equal links, arrive together.
+    #[test]
+    fn the_sends_of_one_pass_are_stamped_with_its_reading() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
+        let rows = coordinator.workers.rows();
+        let (a, b) = (rows[0].key, rows[1].key);
+        coordinator.workers.deliver(work_for(a, 1));
+        coordinator.workers.deliver(work_for(b, 2));
+        let reading = 5.0;
+        assert!(coordinator.clock.now() > 1e3 * reading, "the wall is ahead");
+        assert_eq!(coordinator.run_due(|| reading), reading);
+        let due = std::iter::from_fn(|| coordinator.fabric.pop_due(f64::INFINITY));
+        let reports: Vec<(f64, f64)> = due
+            .map(|(at, event)| match event {
+                Event::Deliver(Envelope {
+                    msg: RuntimeMsg::IterationDone { emitted_at, .. },
+                    ..
+                }) => (at, emitted_at),
+                other => panic!("expected a report, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(reports.len(), 2);
+        assert!(reports.iter().all(|&(_, emitted_at)| emitted_at == reading));
+        assert_eq!(reports[0].0, reports[1].0, "{reports:?}");
+        assert!(reports[0].0 - reading < 0.01, "{reports:?}");
     }
 
     /// A hand-over freezes the migrated range on both ends until its
@@ -1018,7 +1073,7 @@ mod tests {
             first_token_at: None,
             last_token_at: None,
         };
-        coordinator.release_kv(&flight, false);
+        coordinator.release_kv(&flight, false, 0.0);
         for &key in &keys {
             let row = coordinator.workers.get(key).unwrap();
             assert_eq!(row.core.kv.used_tokens(), 0.0, "{key:?} still holds KV");

@@ -9,18 +9,21 @@
 //! inter-region links — the effect behind the paper's Fig. 10b case study —
 //! emerges naturally from this model.
 //!
-//! The fabric is plain data the plane's loop owns: [`Fabric::transfer`]
-//! prices bytes on a link on the caller's stack — KV bookkeeping, which
-//! takes effect at once, stops there — and [`Fabric::send`] also queues the
-//! delivery of a message by `(at, seq)`.  A batch that takes time and a KV
-//! hand-over's arrival are entries of the *same* heap
-//! ([`Fabric::batch_done`], [`Fabric::landed`]), as in the simulator's event
-//! queue.  The loop waits for [`Fabric::next_at`] and applies
-//! [`Fabric::pop_due`] — nothing here runs, wakes or polls.
+//! The fabric is plain data the plane's loop owns, and it has no clock:
+//! [`Fabric::transfer`] prices bytes on a link at the `now` its caller acts
+//! on — KV bookkeeping, which takes effect at once, stops there — and
+//! [`Fabric::send`] also queues the delivery of a message by `(at, seq)`.
+//! A send is stamped with the clock reading of the pass (or turn) that makes
+//! it, never with a reading of its own, so however long a pass runs, its
+//! sends leave at one instant.  A batch that takes time and a KV hand-over's
+//! arrival are entries of the *same* queue ([`Fabric::batch_done`],
+//! [`Fabric::landed`]), as in the simulator's event queue.  The heap holds
+//! only 24-byte keys `(at, seq, slot)`; the event itself waits in a slab
+//! slot, reused once popped.  The loop waits for [`Fabric::next_at`] and
+//! applies [`Fabric::pop_due`] — nothing here runs, wakes or polls.
 //!
 //! [`LinkQueue`]: helix_core::LinkQueue
 
-use crate::clock::VirtualClock;
 use crate::message::Envelope;
 use crate::metrics::LinkReport;
 use crate::registry::WorkerKey;
@@ -41,12 +44,12 @@ pub(crate) enum Event {
     Landed([WorkerKey; 2]),
 }
 
-/// One entry of the queue.
+/// One key of the queue: when, in which order, and the slab slot of what.
 #[derive(Debug)]
 struct Due {
     at: f64,
     seq: u64,
-    what: Event,
+    slot: usize,
 }
 
 impl PartialEq for Due {
@@ -77,44 +80,64 @@ pub(crate) struct Fabric {
     /// Supplies per-link bandwidth and latency (links are shared by every
     /// model of the fleet).
     cluster: ClusterSpec,
-    clock: VirtualClock,
     /// The directed links that carried traffic: queue state and counters.
     links: LinkTable,
     heap: BinaryHeap<Due>,
+    /// What the heap's keys name, by slot; `None` once popped.
+    slab: Vec<Option<Event>>,
+    /// Slots of `slab` free for the next push.
+    free: Vec<usize>,
     seq: u64,
 }
 
 impl Fabric {
-    pub(crate) fn new(cluster: ClusterSpec, clock: VirtualClock) -> Self {
+    pub(crate) fn new(cluster: ClusterSpec) -> Self {
         Fabric {
             links: LinkTable::new(cluster.num_nodes()),
             cluster,
-            clock,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
 
     fn push(&mut self, at: f64, what: Event) {
         self.seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(what);
+                slot
+            }
+            None => {
+                self.slab.push(Some(what));
+                self.slab.len() - 1
+            }
+        };
         let seq = self.seq;
-        self.heap.push(Due { at, seq, what });
+        self.heap.push(Due { at, seq, slot });
     }
 
-    /// Puts `bytes` on the `from → to` link now and returns when they
+    /// Puts `bytes` on the `from → to` link at `now` and returns when they
     /// arrive: the link's [`LinkQueue`] computes the time and records the
     /// traffic counters — at the send, so the report needs nothing
     /// delivered.
     ///
     /// [`LinkQueue`]: helix_core::LinkQueue
-    pub(crate) fn transfer(&mut self, from: Option<NodeId>, to: Option<NodeId>, bytes: f64) -> f64 {
+    pub(crate) fn transfer(
+        &mut self,
+        now: f64,
+        from: Option<NodeId>,
+        to: Option<NodeId>,
+        bytes: f64,
+    ) -> f64 {
         let queue = self.links.queue(&self.cluster, (from, to));
-        queue.transfer(self.clock.now(), bytes.max(0.0))
+        queue.transfer(now, bytes.max(0.0))
     }
 
-    /// Puts `envelope` on its link and queues its delivery.
-    pub(crate) fn send(&mut self, envelope: Envelope) {
-        let at = self.transfer(envelope.from, envelope.to, envelope.bytes);
+    /// Puts `envelope` on its link at `now` and queues its delivery.
+    pub(crate) fn send(&mut self, now: f64, envelope: Envelope) {
+        let at = self.transfer(now, envelope.from, envelope.to, envelope.bytes);
         self.push(at, Event::Deliver(envelope));
     }
 
@@ -139,7 +162,10 @@ impl Fabric {
         if self.heap.peek()?.at > now {
             return None;
         }
-        self.heap.pop().map(|due| (due.at, due.what))
+        let due = self.heap.pop()?;
+        self.free.push(due.slot);
+        let what = self.slab.get_mut(due.slot)?.take()?;
+        Some((due.at, what))
     }
 
     /// One report row per link that carried traffic, by endpoints.
@@ -176,10 +202,9 @@ mod tests {
     use helix_cluster::{ClusterProfile, ModelConfig, ModelId, NodeId};
 
     /// A fabric over the 10-node study cluster (every link 10 Gb/s, 1 ms).
-    /// Its clock runs — `send` stamps the wall — but no test waits on it:
-    /// delivery times are read off the queue.
+    /// Every send names its time; delivery times are read off the queue.
     fn fabric() -> Fabric {
-        Fabric::new(ClusterSpec::solver_quality_10(), VirtualClock::new(1.0))
+        Fabric::new(ClusterSpec::solver_quality_10())
     }
 
     /// Bytes that occupy a 10 Gb/s link for `secs` virtual seconds.
@@ -222,8 +247,8 @@ mod tests {
     #[test]
     fn messages_reach_their_destination_with_traffic_accounting() {
         let mut fabric = fabric();
-        fabric.send(message(1, None, Some(0), 4.0));
-        fabric.send(message(2, Some(0), None, 4.0));
+        fabric.send(0.0, message(1, None, Some(0), 4.0));
+        fabric.send(0.0, message(2, Some(0), None, 4.0));
         let delivered = fabric.take_in_flight();
         assert_eq!(delivered.len(), 2);
         assert_eq!(
@@ -251,16 +276,14 @@ mod tests {
     #[test]
     fn a_transfer_is_counted_on_its_link_and_queues_nothing() {
         let mut fabric = fabric();
-        let sent_at = fabric.clock.now();
-        let at = fabric.transfer(None, Some(NodeId(2)), link_secs(0.030));
-        assert!(
-            at - sent_at >= 0.031,
-            "arrives {} after the send",
-            at - sent_at
-        );
+        let sent_at = 2.0;
+        let at = fabric.transfer(sent_at, None, Some(NodeId(2)), link_secs(0.030));
+        // 30 ms on the wire + 1 ms latency, from the time it was given.
+        assert!((at - sent_at - 0.031).abs() < 1e-9, "arrives at {at}");
         assert_eq!(fabric.next_at(), None);
-        // It occupies the link: a message sent behind it queues.
-        fabric.send(message(1, None, Some(2), 0.0));
+        // It occupies the link: a message sent behind it at the same
+        // reading queues.
+        fabric.send(sent_at, message(1, None, Some(2), 0.0));
         assert!(fabric.next_at().unwrap() >= at);
         let links = fabric.link_reports();
         assert_eq!((links[0].messages, links[0].bytes), (2, link_secs(0.030)));
@@ -272,7 +295,7 @@ mod tests {
         // Two transfers sized to occupy the link for 20 virtual seconds
         // each; the second must queue behind the first.
         for request in 0..2 {
-            fabric.send(message(request, Some(0), Some(1), link_secs(20.0)));
+            fabric.send(0.0, message(request, Some(0), Some(1), link_secs(20.0)));
         }
         let arrivals = drain(&mut fabric);
         assert!(arrivals[1].0 - arrivals[0].0 > 19.9, "{arrivals:?}");
@@ -318,9 +341,9 @@ mod tests {
         let mut fabric = fabric();
         // Link 1 → coordinator: a slow message, then a fast one that must
         // not overtake it.  Link 2 → coordinator: sent last, due first.
-        fabric.send(message(1, Some(1), None, link_secs(100.0)));
-        fabric.send(message(2, Some(1), None, 0.0));
-        fabric.send(message(3, Some(2), None, link_secs(20.0)));
+        fabric.send(0.0, message(1, Some(1), None, link_secs(100.0)));
+        fabric.send(0.0, message(2, Some(1), None, 0.0));
+        fabric.send(0.0, message(3, Some(2), None, link_secs(20.0)));
         let order: Vec<u64> = drain(&mut fabric).into_iter().map(|(_, r)| r).collect();
         assert_eq!(order, vec![3, 1, 2]);
     }
@@ -328,11 +351,11 @@ mod tests {
     #[test]
     fn nothing_is_delivered_before_its_delivery_time() {
         let mut fabric = fabric();
-        let sent_at = fabric.clock.now();
+        let sent_at = 5.0;
         // 30 ms on the wire + 1 ms latency.
-        fabric.send(message(7, None, Some(3), link_secs(0.030)));
+        fabric.send(sent_at, message(7, None, Some(3), link_secs(0.030)));
         let at = fabric.next_at().unwrap();
-        assert!(at - sent_at >= 0.031, "due {} after the send", at - sent_at);
+        assert!((at - sent_at - 0.031).abs() < 1e-9, "due at {at}");
         assert!(fabric.pop_due(sent_at).is_none());
         assert!(fabric.pop_due(at - 1e-9).is_none());
         assert!(fabric.pop_due(at).is_some());
@@ -344,9 +367,9 @@ mod tests {
     #[test]
     fn a_new_earliest_delivery_moves_the_next_wake() {
         let mut fabric = fabric();
-        fabric.send(message(1, Some(1), None, link_secs(60.0)));
+        fabric.send(0.0, message(1, Some(1), None, link_secs(60.0)));
         let far = fabric.next_at().unwrap();
-        fabric.send(message(2, None, Some(0), 0.0));
+        fabric.send(0.0, message(2, None, Some(0), 0.0));
         let near = fabric.next_at().unwrap();
         assert!(near < far - 59.0, "near {near}, far {far}");
         assert_eq!(drain(&mut fabric), vec![(near, 2), (far, 1)]);
@@ -369,7 +392,7 @@ mod tests {
             let work = crate::message::StageWork::one_stage(node as u64, NodeId(node), model);
             let mut envelope = message(0, None, Some(node), 4.0);
             envelope.msg = RuntimeMsg::Work(work);
-            fabric.send(envelope);
+            fabric.send(0.0, envelope);
         }
         while let Some((_, Event::Deliver(envelope))) = fabric.pop_due(f64::INFINITY) {
             let RuntimeMsg::Work(work) = envelope.msg else {
@@ -391,5 +414,59 @@ mod tests {
         // ...and the wire carried all three (and the one report) the same.
         let links = fabric.link_reports();
         assert_eq!(links.iter().map(|l| l.messages).sum::<u64>(), 4);
+    }
+
+    /// The queue pops in `(at, seq)` order under interleaved pushes and pops
+    /// with many tied times, and its slab holds no more slots than were ever
+    /// live at once.
+    #[test]
+    fn the_slab_queue_pops_in_at_seq_order_and_reuses_its_slots() {
+        assert_eq!(std::mem::size_of::<Due>(), 24, "a sift moves 24 bytes");
+        // xorshift64: a fixed, seeded interleaving.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut fabric = fabric();
+        // The reference: every live entry's (at, seq), kept sorted.
+        let mut reference: Vec<(f64, u64)> = Vec::new();
+        let (mut seq, mut peak, mut popped) = (0u64, 0usize, 0usize);
+        for _ in 0..10_000 {
+            if reference.is_empty() || draw(5) < 3 {
+                // Times on a grid of eight values: ties are common.
+                let at = draw(8) as f64 * 0.5;
+                seq += 1;
+                let key = (NodeId(seq as usize), ModelId(0));
+                fabric.batch_done(at, key);
+                let place = reference.partition_point(|&(a, s)| (a, s) < (at, seq));
+                reference.insert(place, (at, seq));
+                peak = peak.max(reference.len());
+            } else {
+                let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
+                let Event::BatchDone((node, _)) = event else {
+                    panic!("only batch completions were queued");
+                };
+                assert_eq!((at, node.index() as u64), reference.remove(0));
+                popped += 1;
+            }
+            assert!(
+                fabric.slab.len() <= peak,
+                "{} slots, peak {peak}",
+                fabric.slab.len()
+            );
+        }
+        assert!(popped > 2_000, "{popped} pops");
+        for expected in reference {
+            let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
+            let Event::BatchDone((node, _)) = event else {
+                panic!("only batch completions were queued");
+            };
+            assert_eq!((at, node.index() as u64), expected);
+        }
+        assert!(fabric.pop_due(f64::INFINITY).is_none());
+        assert_eq!(fabric.free.len(), fabric.slab.len(), "every slot is free");
     }
 }

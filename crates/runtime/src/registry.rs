@@ -189,7 +189,6 @@ impl Workers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use helix_cluster::{ClusterSpec, ModelConfig};
 
     fn profile() -> ClusterProfile {
@@ -197,7 +196,7 @@ mod tests {
     }
 
     fn fabric() -> Fabric {
-        Fabric::new(ClusterSpec::solver_quality_10(), VirtualClock::new(0.0001))
+        Fabric::new(ClusterSpec::solver_quality_10())
     }
 
     fn planned(workers: &mut Workers, key: WorkerKey) {

@@ -114,7 +114,7 @@ pub(crate) fn build(spec: PlaneSpec) -> Coordinator {
     // first model's cluster.
     let cluster = fleet.topologies()[0].profile().cluster();
     let mut workers = Workers::new(cluster.num_nodes(), fleet.num_models(), config.execution);
-    let fabric = Fabric::new(cluster.clone(), clock);
+    let fabric = Fabric::new(cluster.clone());
 
     let mut estimators = Vec::with_capacity(fleet.num_models());
     for (m, topology) in fleet.topologies().iter().enumerate() {

@@ -100,7 +100,7 @@ impl ServingSession {
         let plane = std::thread::Builder::new()
             .name("helix-dataplane".to_string())
             .spawn(move || runtime::run(spec, wired_tx))
-            .expect("spawning the data-plane thread never fails");
+            .map_err(|_| RuntimeError::Disconnected("the data-plane thread did not start"))?;
         let mut session = ServingSession {
             clock,
             max_wall,
@@ -159,9 +159,10 @@ impl ServingSession {
     pub fn wait_completion(&mut self, ticket: TicketId) -> Result<RequestOutcome, RuntimeError> {
         let wait_started = self.clock.wall_elapsed();
         loop {
-            if let Some(pos) = self.undelivered.iter().position(|o| o.id == ticket.0) {
+            let pos = self.undelivered.iter().position(|o| o.id == ticket.0);
+            if let Some(outcome) = pos.and_then(|pos| self.undelivered.remove(pos)) {
                 self.delivered += 1;
-                return Ok(self.undelivered.remove(pos).expect("position just found"));
+                return Ok(outcome);
             }
             // Check the budget on *every* iteration, not only when the
             // channel goes quiet: a steady stream of other tickets'

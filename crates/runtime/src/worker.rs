@@ -201,14 +201,13 @@ impl Worker {
                 msg: RuntimeMsg::Work(next),
             }
         };
-        fabric.send(envelope);
+        fabric.send(now, envelope);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use crate::exec::InstantExecution;
     use crate::message::Phase;
     use helix_cluster::{ClusterSpec, ModelId, NodeId, PrefixId};
@@ -246,8 +245,7 @@ mod tests {
         let key = (node, ModelId::default());
         let instant = Box::new(InstantExecution);
         let worker = Worker::new(key, "node", 16_384.0, instant, kv_capacity, 4);
-        let clock = VirtualClock::new(0.0001);
-        (worker, Fabric::new(ClusterSpec::solver_quality_10(), clock))
+        (worker, Fabric::new(ClusterSpec::solver_quality_10()))
     }
 
     fn work(request: u64, phase: Phase, tokens: usize, stage_index: usize) -> StageWork {

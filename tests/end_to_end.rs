@@ -162,7 +162,7 @@ fn kv_cache_estimator_integrates_with_scheduling() {
     // the high-water mark.
     let entry = placement.entry_nodes()[0];
     let mut scheduled = 0u64;
-    while !estimator.is_above_high_water(entry, 0.9) {
+    while !estimator.is_above_high_water(entry) {
         estimator.on_scheduled(entry, scheduled, 512);
         scheduled += 1;
         assert!(scheduled < 1_000_000, "capacity should be finite");
@@ -172,5 +172,5 @@ fn kv_cache_estimator_integrates_with_scheduling() {
     for id in 0..scheduled {
         estimator.on_finished(entry, id, 64);
     }
-    assert!(!estimator.is_above_high_water(entry, 0.9));
+    assert!(!estimator.is_above_high_water(entry));
 }
