@@ -18,6 +18,11 @@
 //! analytic roofline-style model of the same quantities (see `DESIGN.md` for
 //! the substitution rationale).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod cluster_spec;
 mod gpu;
 mod model;

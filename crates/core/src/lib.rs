@@ -125,11 +125,7 @@ pub use placement::partition::{
 };
 pub use placement::refine::{AnnealingOptions, FlowAnnealingPlanner};
 pub use placement::{LayerRange, ModelPlacement};
-pub use region::{
-    InterRegionLink, RebalanceMove, RebalanceOptions, RegionDirectory, RegionHealth, RegionInfo,
-    RegionLoad, RegionRebalancer, RegionRing, RegionTransferPricer, RegionTransferRecord,
-    RingOptions,
-};
+pub use region::{RegionRing, RingOptions};
 pub use replan::{
     EngineCounters, KvMigration, KvTransferModel, KvTransferRecord, NodeObservation,
     NodeObservations, ObservationWindows, PlacementDelta, ReplanOutcome, ReplanPolicy,

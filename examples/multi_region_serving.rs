@@ -1,11 +1,10 @@
 //! Multi-region serving through the front tier: three regional fleets behind
-//! one [`MultiRegionSession`], with a mid-run degradation, a short outage and
-//! a rebalancing round.
+//! one [`MultiRegionSession`], with a mid-run outage and a recovery.
 //!
 //! Each region runs its own flow-planned fleet (here: simulator-backed); the
-//! front tier routes by locality tag, prefix affinity and consistent
-//! hashing, re-weights the ring as health changes, and prices every
-//! cross-region affinity move over the slow inter-region link.
+//! front tier routes by region tag, then by a consistent-hash ring keyed by
+//! shared prefix or request id.  A region marked down leaves the ring and
+//! spills its buffered requests to the survivors.
 //!
 //! ```text
 //! cargo run --release --example multi_region_serving
@@ -35,19 +34,12 @@ fn regional_session(region: Region) -> SimSession {
 
 fn main() {
     let regions = [Region(0), Region(1), Region(2)];
-    let mut tier = MultiRegionSession::with_options(
-        regions.iter().map(|&r| (r, regional_session(r))).collect(),
-        FrontTierOptions::for_model(&ModelConfig::llama_13b()),
-    );
-    println!(
-        "front tier over {:?}: {} ring points, heartbeat interval {}s",
-        tier.regions(),
-        tier.ring().len(),
-        helix::core::region::HEARTBEAT_INTERVAL_SECS,
-    );
+    let mut tier =
+        MultiRegionSession::new(regions.iter().map(|&r| (r, regional_session(r))).collect());
+    println!("front tier over {:?}", tier.regions());
 
     // 300 requests: a third carry a user-locality tag, half share one of
-    // twelve prompt prefixes, the rest are placed by consistent hashing.
+    // twelve prompt prefixes, the rest are placed by their id.
     let mut requests = Workload::azure_like(300, 7)
         .with_arrivals(ArrivalPattern::Offline, 3)
         .with_shared_prefixes(12, 64, 0.5)
@@ -58,42 +50,28 @@ fn main() {
     }
     let total = requests.len() as u64;
 
-    // First half of the traffic against a healthy fleet-of-fleets.
-    for request in requests.iter().take(150) {
+    // The first third of the traffic meets a healthy fleet-of-fleets; then
+    // region 2 goes down and its buffered requests spill to the survivors.
+    let (first, rest) = requests.split_at(100);
+    let (second, third) = rest.split_at(100);
+    for request in first {
         tier.submit(*request);
     }
-
-    // Sixty seconds in, every region heartbeats (a silent region would decay
-    // Healthy → Degraded → Down on its own).  Then region 1 degrades (it
-    // keeps a quarter of its ring weight) and region 2 goes down outright:
-    // its buffered requests re-route, its prefix homes drain to the
-    // survivors as priced transfers.
-    for region in regions {
-        tier.heartbeat(region, 60.0);
-    }
-    tier.mark_degraded(Region(1));
     tier.mark_down(Region(2));
     println!(
-        "\nafter 60s: region1 {:?} (weight {:.2}), region2 {:?} — {} requests rerouted",
-        tier.health(Region(1)),
-        tier.ring().weight(Region(1)).unwrap_or(0.0),
-        tier.health(Region(2)),
-        tier.stats().reroutes,
+        "region2 down: {} buffered requests spilled",
+        tier.stats().reroutes
     );
 
-    // Second half lands while the fleet is sick; a rebalance round then
-    // drains affinity away from the overloaded survivors.
-    for request in requests.iter().skip(150) {
+    // The second third lands on the two survivors; then region 2 recovers
+    // and the last third routes over all three regions again.
+    for request in second {
         tier.submit(*request);
     }
-    let moves = tier.rebalance();
-    println!("rebalance planned {} move(s)", moves.len());
-
-    // Region 2 recovers before the run ends.
-    for region in [Region(0), Region(1)] {
-        tier.heartbeat(region, 120.0);
-    }
     tier.mark_healthy(Region(2));
+    for request in third {
+        tier.submit(*request);
+    }
 
     let report = tier.finish().expect("the tier finishes");
 
@@ -112,41 +90,25 @@ fn main() {
     }
     let stats = &report.stats;
     println!(
-        "\nrouting: {} locality, {} affinity ({} hits, {:.0}% hit rate), {} ring, {} reroutes",
-        stats.locality_routes,
-        stats.affinity_hits + stats.affinity_misses,
-        stats.affinity_hits,
-        stats.affinity_hit_rate() * 100.0,
-        stats.ring_routes,
-        stats.reroutes,
-    );
-    println!(
-        "cross-region transfers: {} ({} homes drained, {:.1} MB, {:.2}s link time)",
-        report.transfers.len(),
-        stats.affinity_drains,
-        report.transfers.iter().map(|t| t.bytes).sum::<f64>() / 1e6,
-        report
-            .transfers
-            .iter()
-            .map(|t| t.transfer_secs)
-            .sum::<f64>(),
+        "\nrouting: {} by tag, {} by ring, {} spilled",
+        stats.locality_routes, stats.ring_routes, stats.reroutes,
     );
 
     // The contract the front tier exists for: an outage mid-run loses
-    // nothing, and prefix affinity keeps paying off across regions.
+    // nothing.
     assert_eq!(
         report.completed_requests(),
         total,
         "every request completes despite the outage"
     );
-    assert_eq!(stats.total_routed(), total);
+    assert_eq!(
+        report.regions.iter().map(|r| r.submitted).sum::<u64>(),
+        total
+    );
+    assert!(stats.reroutes > 0, "the outage spilled buffered work");
     assert!(
-        stats.affinity_hit_rate() > 0.0,
-        "prefix sharers reuse their home region"
+        report.regions[2].submitted > 0,
+        "the recovered region serves again"
     );
-    assert!(stats.reroutes > 0, "the outage re-routed buffered work");
-    println!(
-        "\nzero requests lost; affinity hit rate {:.0}%",
-        stats.affinity_hit_rate() * 100.0
-    );
+    println!("\nzero requests lost");
 }

@@ -19,8 +19,9 @@
 //!   and the simulator's `SimSession`.
 //! * [`region`] — the front tier: a
 //!   [`MultiRegionSession`](region::MultiRegionSession) routes requests
-//!   across a fleet of regional fleets with consistent hashing, prefix
-//!   affinity, heartbeat membership and cross-region rebalancing.
+//!   across a fleet of regional fleets by region tag, then by a
+//!   consistent-hash ring keyed by shared prefix or request id; a region
+//!   marked down leaves the ring and spills its buffered requests.
 //!
 //! # Quick start
 //!
@@ -51,6 +52,11 @@
 //! println!("decode throughput: {:.1} tokens/s", metrics.decode_throughput());
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub use helix_cluster as cluster;
 pub use helix_core as core;
 pub use helix_maxflow as maxflow;
@@ -66,8 +72,7 @@ pub mod region;
 pub mod prelude {
     pub use crate::front::ServingFrontEnd;
     pub use crate::region::{
-        FrontTierOptions, FrontTierStats, MultiRegionReport, MultiRegionSession, RegionReport,
-        ReportTotals,
+        FrontTierStats, MultiRegionReport, MultiRegionSession, RegionReport, ReportTotals,
     };
     pub use helix_cluster::{
         ClusterBuilder, ClusterProfile, ClusterSpec, ComputeNode, GpuSpec, GpuType, ModelConfig,
@@ -79,9 +84,8 @@ pub mod prelude {
         FleetTopology, FlowAnnealingPlanner, FlowGraphBuilder, HelixError, IwrrScheduler,
         KvCacheEstimator, LayerRange, MilpPlacementPlanner, MilpPlannerReport, ModelPlacement,
         PipelineStage, PlacementFlowGraph, PlannerOptions, PrefixStats, RandomScheduler,
-        RegionDirectory, RegionHealth, RegionRing, ReplicationPolicy, ReplicationStats,
-        RequestPipeline, RingOptions, Scheduler, SchedulerKind, ShortestQueueScheduler,
-        SwarmScheduler, Topology,
+        RegionRing, ReplicationPolicy, ReplicationStats, RequestPipeline, RingOptions, Scheduler,
+        SchedulerKind, ShortestQueueScheduler, SwarmScheduler, Topology,
     };
     pub use helix_maxflow::{FlowNetwork, MaxFlowAlgorithm};
     pub use helix_milp::{MilpSolver, Model, ObjectiveSense, Sense, VarType};

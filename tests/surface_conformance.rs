@@ -13,7 +13,7 @@
 use helix::core::KvTransferRecord;
 use helix::front::ServingFrontEnd;
 use helix::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn profile_13b() -> ClusterProfile {
     ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_13b())
@@ -504,7 +504,8 @@ fn speed_injection_is_honoured_on_both_surfaces() {
 }
 
 /// Mixed multi-region batch: locality-tagged, prefix-tagged and plain
-/// requests, exercising all three tiers of the front-tier routing priority.
+/// requests — the tag, then the ring keyed by prefix or request id.  No
+/// tagged request carries a prefix.
 fn multi_region_batch() -> Vec<Request> {
     let mut batch = Vec::new();
     for i in 0..8u64 {
@@ -538,6 +539,44 @@ fn front_tier<F: ServingFrontEnd>(backends: Vec<F>) -> MultiRegionSession<F> {
     )
 }
 
+fn submitted_by_region<R>(report: &MultiRegionReport<R>) -> Vec<u64> {
+    report.regions.iter().map(|r| r.submitted).collect()
+}
+
+/// For each shared prefix in `batch`, the regions whose completions hold
+/// one of its sharers; `completed` lists one region's completed ids.
+fn prefix_regions<R>(
+    batch: &[Request],
+    report: &MultiRegionReport<R>,
+    completed: impl Fn(&R) -> Vec<u64>,
+) -> BTreeMap<u64, BTreeSet<Region>> {
+    let mut regions: BTreeMap<u64, BTreeSet<Region>> = BTreeMap::new();
+    for region in &report.regions {
+        let ids = completed(&region.report);
+        for request in batch.iter().filter(|r| ids.contains(&r.id)) {
+            if let Some((prefix, _)) = request.shared_prefix() {
+                regions.entry(prefix.0).or_default().insert(region.region);
+            }
+        }
+    }
+    regions
+}
+
+/// Each prefix's sharers land in one region, the same on both surfaces.
+fn assert_sharers_meet(
+    batch: &[Request],
+    sim: &MultiRegionReport<FleetRunReport>,
+    runtime: &MultiRegionReport<RuntimeReport>,
+) {
+    let sim_regions = prefix_regions(batch, sim, |r| r.completions.iter().map(|c| c.id).collect());
+    let runtime_regions = prefix_regions(batch, runtime, |r| {
+        r.outcomes.iter().map(|o| o.id).collect()
+    });
+    assert_eq!(sim_regions.len(), 2, "both prefixes were served");
+    assert!(sim_regions.values().all(|regions| regions.len() == 1));
+    assert_eq!(sim_regions, runtime_regions);
+}
+
 #[test]
 fn multi_region_front_tier_conforms_across_surfaces() {
     let profile = profile_13b();
@@ -564,10 +603,13 @@ fn multi_region_front_tier_conforms_across_surfaces() {
     // The front tier's routing is deterministic and surface-independent:
     // both tiers hand every region the identical share, counted identically.
     assert_eq!(sim_report.stats, runtime_report.stats);
-    assert_eq!(sim_report.stats.total_routed(), batch.len() as u64);
-    assert!(sim_report.stats.locality_routes == 8);
-    assert!(sim_report.stats.affinity_hits + sim_report.stats.affinity_misses == 8);
-    assert!(sim_report.stats.affinity_hit_rate() > 0.0);
+    assert_eq!(sim_report.stats.locality_routes, 8);
+    assert_eq!(sim_report.stats.ring_routes, 16);
+    // No tagged request shares a prefix, so the ring keyed by prefix id
+    // places every request where the affinity table used to.
+    assert_eq!(submitted_by_region(&sim_report), vec![5, 12, 7]);
+    assert_eq!(submitted_by_region(&runtime_report), vec![5, 12, 7]);
+    assert_sharers_meet(&batch, &sim_report, &runtime_report);
 
     // Every region completed exactly what it was handed, on both surfaces,
     // and the per-region totals agree across surfaces.
@@ -636,16 +678,19 @@ fn region_outage_mid_run_loses_zero_completions_on_both_surfaces() {
         &batch,
     );
 
-    for report in [&sim_report.stats, &runtime_report.stats] {
-        assert!(report.reroutes > 0, "the dead region's buffer moved");
-        assert_eq!(report.total_routed(), batch.len() as u64);
-        assert_eq!(*report.routed.get(&Region(1)).unwrap_or(&0), 0);
-    }
+    assert!(
+        sim_report.stats.reroutes > 0,
+        "the dead region's buffer moved"
+    );
     assert_eq!(sim_report.stats, runtime_report.stats);
+    // The spill lands where the parent's reroute did: region 1's buffer
+    // went to its ring successors, prefixes re-homed as one.
+    assert_eq!(submitted_by_region(&sim_report), vec![11, 0, 13]);
+    assert_eq!(submitted_by_region(&runtime_report), vec![11, 0, 13]);
+    assert_sharers_meet(&batch, &sim_report, &runtime_report);
     // Zero completions lost on either surface; the dead region served none.
     assert_eq!(sim_report.completed_requests(), batch.len() as u64);
     assert_eq!(runtime_report.completed_requests(), batch.len() as u64);
-    assert_eq!(sim_report.region(Region(1)).unwrap().submitted, 0);
     assert_eq!(
         sim_report
             .region(Region(1))
