@@ -32,12 +32,12 @@
 //! supplies exactly two things and nothing selectable:
 //!
 //! 1. the `&dyn ClusterState` view its admission is scheduled against;
-//! 2. a tenancy-liveness predicate for standby promotion (an engine exists /
-//!    a worker is routable).
+//! 2. a tenancy-liveness predicate for standby promotion (an engine or a
+//!    worker row exists for the pair).
 //!
 //! Everything a decision returns ([`Dispatch`], [`TokenProgress`],
 //! [`Failover`], [`ReplanOutcome`]) is plain data: the surface moves bytes,
-//! seeds or frees KV and spawns or retires tenancies accordingly — and
+//! seeds or frees KV and puts planned tenancies in service accordingly — and
 //! performs each migration's KV hand-over with
 //! [`EngineCore::hand_over`](crate::engine::EngineCore::hand_over), priced
 //! by [`ControlPlane::kv_transfer`].
@@ -50,6 +50,7 @@
 //! table, promotion credits awaiting re-admission, and the policy clock with
 //! the re-plan and fail-over logs.  Surfaces hold no
 //! copy of any of it; they read it through the accessors below.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::engine::IdMap;
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
@@ -603,7 +604,9 @@ impl ControlPlane {
         };
         let mut stranded = Vec::with_capacity(doomed.len());
         for id in doomed {
-            let flight = self.in_flight.remove(&id).expect("listed above");
+            let Some(flight) = self.in_flight.remove(&id) else {
+                continue;
+            };
             if let Some(p) = flight.prefix {
                 self.prefix_routers[flight.pipeline.model.index()].release(p.id);
             }

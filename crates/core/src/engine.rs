@@ -669,22 +669,6 @@ impl<W: Work> EngineCore<W> {
         }
     }
 
-    /// Takes the engine out of service: queued and executing work, freezes
-    /// and residency are dropped.  What is cumulative — the counters, the
-    /// pool's peak and rejection counts — and the slowdown survive, so a
-    /// tenancy that is planned again later continues them.
-    pub fn retire(&mut self) {
-        self.pending.clear();
-        self.in_flight.clear();
-        self.frozen.clear();
-        self.kv.clear();
-        (
-            self.window_tokens,
-            self.window_start,
-            self.recent_throughput,
-        ) = (0, 0.0, 0.0);
-    }
-
     /// Starts a new timeline epoch: freezes and the throughput window are
     /// timeline-relative and reset; cumulative counters survive.
     pub fn rebase_epoch(&mut self) {

@@ -262,11 +262,9 @@ fn derive_link_shares(
 ///
 /// Beyond the one-shot [`FleetTopology::plan`], the artifact is **mutable**:
 /// [`FleetTopology::replan`] closes the online loop by applying a
-/// [`PlacementDelta`] and a fresh [`NodeObservations`] snapshot, re-deriving
-/// compute/KV shares only for the touched nodes and re-solving only the
-/// affected models, through a deterministic materialisation that is
-/// property-tested bit-identical to a from-scratch [`FleetTopology::plan`]
-/// of the mutated placement.
+/// [`PlacementDelta`] and a fresh [`NodeObservations`] snapshot — one
+/// [`FleetTopology::plan_observed`] of the mutated placement — and reports
+/// which models the change affects.
 #[derive(Debug, Clone)]
 pub struct FleetTopology {
     /// Base (unscaled) per-model profiles; scaling is re-derived on re-plan.
@@ -280,12 +278,6 @@ pub struct FleetTopology {
     /// compute (1.0 for sole tenants and for nodes the model does not use),
     /// multiplied by the observed speed factor when one is recorded.
     compute_shares: Vec<Vec<f64>>,
-    /// `vram_overrides[model][node]`: the VRAM slice backing this model's KV
-    /// arithmetic on shared nodes (`None` = full node VRAM).
-    vram_overrides: Vec<Vec<Option<f64>>>,
-    /// Pass-1 (unsplit-link) node→node flows per model, the inputs to the
-    /// cross-model link split.
-    unsplit_link_flows: Vec<BTreeMap<(NodeId, NodeId), f64>>,
     /// Per-model shares of links valid under ≥2 models (empty for a model
     /// whose links are all sole-tenant).
     link_shares: Vec<BTreeMap<(NodeId, NodeId), f64>>,
@@ -377,8 +369,6 @@ impl FleetTopology {
             observations: observed.clone(),
             topologies,
             compute_shares,
-            vram_overrides,
-            unsplit_link_flows,
             link_shares,
         })
     }
@@ -387,7 +377,6 @@ impl FleetTopology {
     /// fleet (the trivial N=1 case; nothing is re-planned).
     pub fn single(topology: Topology) -> Self {
         let n = topology.profile().cluster().num_nodes();
-        let unsplit = node_link_flows(&topology);
         FleetTopology {
             profiles: vec![topology.profile().clone()],
             placement: FleetPlacement::single(topology.placement().clone()),
@@ -395,20 +384,18 @@ impl FleetTopology {
             observations: NodeObservations::new(),
             topologies: vec![topology],
             compute_shares: vec![vec![1.0; n]],
-            vram_overrides: vec![vec![None; n]],
-            unsplit_link_flows: vec![unsplit],
             link_shares: vec![BTreeMap::new()],
         }
     }
 
     /// Applies a placement delta plus a fresh observation snapshot to the
-    /// standing fleet plan: re-derives compute/KV shares **only for the
-    /// nodes the delta or the observation change touches** and
-    /// re-materialises only the affected models' topologies (through the same
-    /// deterministic code path as [`FleetTopology::plan_observed`], so the
-    /// result is bit-identical to a from-scratch plan of the mutated
-    /// placement under the same observations).  Unaffected models' planned
-    /// topologies, IWRR weights and link splits are left untouched.
+    /// standing fleet plan: the new plan is one
+    /// [`FleetTopology::plan_observed`] of the mutated placement under
+    /// `observed`, and the outcome names the models it affects — the old or
+    /// new tenants of every node the delta moves or whose observation
+    /// changed, every model the delta names, and every model whose link
+    /// split moved.  An unaffected model's topology, IWRR weights and link
+    /// split come out of the new plan bit-identical to the old.
     ///
     /// `observed` is a full snapshot: pairs present in the previous snapshot
     /// but absent here revert to their analytic shares.
@@ -435,141 +422,41 @@ impl FleetTopology {
                 return Err(HelixError::UnknownModel { model, num_models });
             }
         }
-
-        // 1. Resolve migrations against the current placement into explicit
-        // changes, then mutate and validate (on a copy; commit later).
-        let changes = delta.resolve(&self.placement)?;
-        let mut new_placements = self.placement.placements().to_vec();
-        for &(model, node, range) in &changes {
+        let mut placements = self.placement.placements().to_vec();
+        for (model, node, range) in delta.resolve(&self.placement)? {
             match range {
-                Some(r) => new_placements[model.index()].assign(node, r),
-                None => new_placements[model.index()].clear(node),
+                Some(r) => placements[model.index()].assign(node, r),
+                None => placements[model.index()].clear(node),
             }
         }
-        let new_placement = FleetPlacement::new(new_placements);
-        new_placement.validate(&self.profiles)?;
+        let placement = FleetPlacement::new(placements);
+        let next =
+            Self::plan_observed(&self.profiles, &placement, self.partial_inference, observed)?;
 
-        // 2. Touched nodes: everything the delta moves plus every node whose
-        // effective observation changed against the stored snapshot.
-        let cluster = self.profiles[0].cluster().clone();
         let mut touched = delta.touched_nodes();
-        for node in cluster.node_ids() {
-            if touched.contains(&node) {
-                continue;
-            }
-            let changed = (0..num_models).any(|m| {
-                observed.speed_factor(node, ModelId(m))
-                    != self.observations.speed_factor(node, ModelId(m))
-            });
-            if changed {
-                touched.push(node);
-            }
-        }
-        touched.sort();
-
-        // 3. Affected models: any tenant (old or new) of a touched node,
-        // plus every model the delta names.
+        touched.extend(self.profiles[0].cluster().node_ids().filter(|&node| {
+            (0..num_models)
+                .map(ModelId)
+                .any(|m| observed.speed_factor(node, m) != self.observations.speed_factor(node, m))
+        }));
         let mut affected: Vec<usize> = delta.models().iter().map(|m| m.index()).collect();
-        for &node in &touched {
-            for m in 0..num_models {
-                if self.placement.placements()[m].range(node).is_some()
-                    || new_placement.placements()[m].range(node).is_some()
-                {
-                    affected.push(m);
-                }
-            }
+        for node in touched {
+            affected.extend((0..num_models).filter(|&m| {
+                self.placement.placements()[m].range(node).is_some()
+                    || placement.placements()[m].range(node).is_some()
+            }));
         }
+        affected.extend((0..num_models).filter(|&m| next.link_shares[m] != self.link_shares[m]));
         affected.sort();
         affected.dedup();
-        if affected.is_empty() {
-            self.placement = new_placement;
-            self.observations = observed.clone();
-            return Ok(ReplanOutcome {
-                affected: Vec::new(),
-                warm_flow_values: Vec::new(),
-                migrations: Vec::new(),
-            });
-        }
 
-        // 4. Re-derive shares for the touched nodes only.
-        let mut compute_shares = self.compute_shares.clone();
-        let mut vram_overrides = self.vram_overrides.clone();
-        for &node in &touched {
-            let split = node_capacity_split(&self.profiles, &new_placement, observed, node);
-            for (m, (share, vram)) in split.into_iter().enumerate() {
-                compute_shares[m][node.index()] = share;
-                vram_overrides[m][node.index()] = vram;
-            }
-        }
-
-        // 5. Pass 1 for the affected models (fallible; nothing committed yet).
-        let mut scaled_profiles: BTreeMap<usize, ClusterProfile> = BTreeMap::new();
-        let mut pass1: BTreeMap<usize, Topology> = BTreeMap::new();
-        let mut unsplit = self.unsplit_link_flows.clone();
-        for &m in &affected {
-            let scaled = self.profiles[m].scaled(&compute_shares[m], &vram_overrides[m]);
-            let topology = Topology::plan(
-                &scaled,
-                &new_placement.placements()[m],
-                self.partial_inference,
-            )?;
-            unsplit[m] = node_link_flows(&topology);
-            pass1.insert(m, topology);
-            scaled_profiles.insert(m, scaled);
-        }
-
-        // 6. Re-derive the cross-model link split.  A model whose link
-        // shares moved is coupled into the affected set even if none of its
-        // own nodes were touched.
-        let link_shares = derive_link_shares(&unsplit);
-        let mut final_affected = affected;
-        for (m, shares) in link_shares.iter().enumerate() {
-            if *shares != self.link_shares[m] && !final_affected.contains(&m) {
-                final_affected.push(m);
-            }
-        }
-        final_affected.sort();
-
-        // 7. Materialise the affected models' final topologies (the last
-        // fallible step; `self` is untouched until it succeeds).
-        let mut new_topologies: BTreeMap<usize, Topology> = BTreeMap::new();
-        for &m in &final_affected {
-            let scaled = scaled_profiles
-                .remove(&m)
-                .unwrap_or_else(|| self.profiles[m].scaled(&compute_shares[m], &vram_overrides[m]));
-            let topology = if link_shares[m].is_empty() {
-                match pass1.remove(&m) {
-                    Some(t) => t,
-                    None => Topology::plan(
-                        &scaled,
-                        &new_placement.placements()[m],
-                        self.partial_inference,
-                    )?,
-                }
-            } else {
-                Topology::plan_with_link_shares(
-                    &scaled,
-                    &new_placement.placements()[m],
-                    self.partial_inference,
-                    &link_shares[m],
-                )?
-            };
-            new_topologies.insert(m, topology);
-        }
-
-        // 8. Commit: swap in the new planning facts.
-        let warm_flow_values = new_topologies.values().map(Topology::flow_value).collect();
-        for (m, topology) in new_topologies {
-            self.topologies[m] = topology;
-        }
-        self.compute_shares = compute_shares;
-        self.vram_overrides = vram_overrides;
-        self.unsplit_link_flows = unsplit;
-        self.link_shares = link_shares;
-        self.placement = new_placement;
-        self.observations = observed.clone();
+        let warm_flow_values = affected
+            .iter()
+            .map(|&m| next.topologies[m].flow_value())
+            .collect();
+        *self = next;
         Ok(ReplanOutcome {
-            affected: final_affected.into_iter().map(ModelId).collect(),
+            affected: affected.into_iter().map(ModelId).collect(),
             warm_flow_values,
             migrations: delta.migrations().to_vec(),
         })
@@ -746,9 +633,6 @@ pub struct FleetAnnealingOptions {
     pub partial_inference: bool,
     /// Optional cluster pruning degree for the flow evaluations.
     pub prune_degree: Option<usize>,
-    /// Per-model traffic weights; `None` weighs every model equally.  The
-    /// objective maximised is `Σ weight_m · flow_m / upper_bound_m`.
-    pub weights: Option<Vec<f64>>,
 }
 
 impl Default for FleetAnnealingOptions {
@@ -758,7 +642,6 @@ impl Default for FleetAnnealingOptions {
             seed: 0x48454C49,
             partial_inference: true,
             prune_degree: None,
-            weights: None,
         }
     }
 }
@@ -766,17 +649,6 @@ impl Default for FleetAnnealingOptions {
 /// Probability that a proposal of the joint search moves a node *between*
 /// models instead of adjusting a layer range within one model.
 const CROSS_MODEL_FRACTION: f64 = 0.25;
-
-impl FleetAnnealingOptions {
-    /// The traffic weight of `model` (1.0 when unweighted).
-    pub(crate) fn weight(&self, model: usize) -> f64 {
-        self.weights
-            .as_ref()
-            .and_then(|w| w.get(model))
-            .copied()
-            .unwrap_or(1.0)
-    }
-}
 
 /// The single-model search a fleet search runs per model (or per pod): same
 /// budget, seed and connection settings.
@@ -921,13 +793,9 @@ impl<'a> FleetAnnealingPlanner<'a> {
             .iter()
             .map(|p| p.throughput_upper_bound().max(1e-9))
             .collect();
-        let objective = |values: &[f64]| -> f64 {
-            values
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| self.options.weight(m) * v / uppers[m])
-                .sum()
-        };
+        // Every model weighs the same: `Σ flow_m / upper_bound_m`.
+        let objective =
+            |values: &[f64]| -> f64 { values.iter().zip(&uppers).map(|(&v, &u)| v / u).sum() };
         let mut values: Vec<f64> = evaluators.iter().map(|e| e.value()).collect();
         let mut current_obj = objective(&values);
         let mut best_obj = f64::NEG_INFINITY;
@@ -1038,12 +906,11 @@ impl<'a> FleetAnnealingPlanner<'a> {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
-        // Demand of a model: weighted total FLOPs to push one token through it.
+        // Demand of a model: total FLOPs to push one token through it.
         let demand: Vec<f64> = (0..num_models)
             .map(|m| {
                 let model = self.profiles[m].model();
-                (self.options.weight(m) * model.num_layers as f64 * model.layer_flops_per_token())
-                    .max(1e-9)
+                (model.num_layers as f64 * model.layer_flops_per_token()).max(1e-9)
             })
             .collect();
         let mut assigned = vec![0.0f64; num_models];
@@ -1423,6 +1290,41 @@ mod tests {
         assert_eq!(outcome.affected, vec![ModelId(0)]);
         assert_eq!(fleet.compute_share(ModelId(0), slow), 1.0);
         assert_eq!(fleet.model(ModelId(0)).unwrap().flow_value(), before[0]);
+    }
+
+    /// A model none of whose nodes a delta touches is still affected when
+    /// its share of a link it shares with a touched model moves: the control
+    /// plane must rebuild its scheduler from the new split.
+    #[test]
+    fn a_model_whose_link_split_moved_is_affected() {
+        let cluster = ClusterSpec::solver_quality_10();
+        let profiles = fleet_profiles(
+            &cluster,
+            &[ModelConfig::llama_13b(), ModelConfig::llama_13b()],
+        );
+        let placement = half_chain_placement(&profiles);
+        let shared = FleetPlacement::new(vec![placement.clone(), placement.clone()]);
+        let mut fleet = FleetTopology::plan(&profiles, &shared, true).unwrap();
+        let before = fleet.clone();
+        // Model 0 alone gains a replica of its first stage on a free node.
+        let free = cluster.node_ids().find(|&n| placement.range(n).is_none());
+        let free = free.expect("the half chain leaves a node free");
+        let (_, first) = placement.iter().next().unwrap();
+        let len = first.len().min(profiles[0].node_profile(free).max_layers);
+        let delta = PlacementDelta::new().assign(ModelId(0), free, LayerRange::new(0, len));
+        let outcome = fleet.replan(&delta, &NodeObservations::new()).unwrap();
+
+        let pairs = || {
+            cluster
+                .node_ids()
+                .flat_map(|a| cluster.node_ids().map(move |b| (a, b)))
+        };
+        let share = |fleet: &FleetTopology, (a, b)| fleet.link_share(ModelId(1), a, b);
+        assert!(
+            pairs().any(|link| share(&fleet, link) != share(&before, link)),
+            "model 1's link split moved"
+        );
+        assert_eq!(outcome.affected, vec![ModelId(0), ModelId(1)]);
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //! * [`replan`] — the feedback half of online re-planning: measured
 //!   [`NodeObservations`] that override the analytic compute shares, sparse
 //!   [`PlacementDelta`]s, and the [`ReplanPolicy`] both execution surfaces
-//!   share.  [`FleetTopology::replan`] applies them by re-solving only the
-//!   affected models.
+//!   share.  [`FleetTopology::replan`] applies them with one
+//!   [`FleetTopology::plan_observed`] of the mutated placement and names the
+//!   models the change affects.
 //! * [`control`] — the one coordinator of the paper's Fig. 3:
 //!   [`ControlPlane`] owns the standing fleet plan, schedulers, prefix
 //!   routers, replication, fail-over and re-plan state and makes every

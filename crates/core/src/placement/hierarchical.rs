@@ -150,12 +150,8 @@ impl<'a> HierarchicalFleetPlanner<'a> {
     /// Returns [`HelixError::NoPlacementFound`] if no feasible placement
     /// exists (also the flat fallback's failure mode).
     pub fn solve(&self) -> Result<HierarchicalPlan, HelixError> {
-        let mut pod_options = self.options.pods.clone();
-        if pod_options.weights.is_none() {
-            pod_options.weights = self.options.annealing.weights.clone();
-        }
         let partition = PodPartitioner::new(self.profiles)
-            .with_options(pod_options)
+            .with_options(self.options.pods.clone())
             .partition();
         match partition {
             Ok(pods) if pods.num_pods() >= self.profiles.len() => self.solve_hierarchical(pods),
@@ -386,13 +382,8 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             .iter()
             .map(|p| p.throughput_upper_bound().max(1e-9))
             .collect();
-        let objective = |values: &[f64]| -> f64 {
-            values
-                .iter()
-                .enumerate()
-                .map(|(m, &v)| opts.weight(m) * v / uppers[m])
-                .sum()
-        };
+        let objective =
+            |values: &[f64]| -> f64 { values.iter().zip(&uppers).map(|(&v, &u)| v / u).sum() };
         let mut values: Vec<f64> = evaluators.iter().map(|e| e.value()).collect();
         if values.iter().any(|&v| v <= 0.0) {
             // A pod's replica came out flow-less (should not happen after a
@@ -523,7 +514,6 @@ mod tests {
                     // Force a single pod so the fallback triggers.
                     max_pod_size: 10,
                     capacity_slack: 5.0,
-                    weights: None,
                 },
                 ..quick(300, 1)
             })

@@ -295,9 +295,6 @@ pub struct PodPartitionOptions {
     ///
     /// [`FleetPlacement`]: crate::fleet::FleetPlacement
     pub capacity_slack: f64,
-    /// Per-model traffic weights used when balancing compute across models
-    /// (`None` = uniform).  Normalised internally.
-    pub weights: Option<Vec<f64>>,
 }
 
 impl Default for PodPartitionOptions {
@@ -305,7 +302,6 @@ impl Default for PodPartitionOptions {
         PodPartitionOptions {
             max_pod_size: 24,
             capacity_slack: 1.25,
-            weights: None,
         }
     }
 }
@@ -454,21 +450,6 @@ impl<'a> PodPartitioner<'a> {
     pub fn with_options(mut self, options: PodPartitionOptions) -> Self {
         self.options = options;
         self
-    }
-
-    /// Normalised per-model weight.
-    fn weight(&self, m: usize) -> f64 {
-        match &self.options.weights {
-            Some(w) => {
-                let total: f64 = w.iter().sum();
-                if total <= 0.0 {
-                    1.0 / self.profiles.len() as f64
-                } else {
-                    w.get(m).copied().unwrap_or(0.0) / total
-                }
-            }
-            None => 1.0 / self.profiles.len() as f64,
-        }
     }
 
     /// Symmetrised link affinity between two nodes: high bandwidth and low
@@ -687,11 +668,13 @@ impl<'a> PodPartitioner<'a> {
             return Err(HelixError::NoPlacementFound);
         }
 
-        // --- Step 3: assign models to pods, balancing compute vs demand. ---
+        // --- Step 3: assign models to pods, balancing compute vs demand
+        // (every model weighs 1 / num_models). ---
+        let weight = 1.0 / num_models as f64;
         let demand: Vec<f64> = (0..num_models)
             .map(|m| {
                 let model = self.profiles[m].model();
-                (self.weight(m) * model.num_layers as f64 * model.layer_flops_per_token()).max(1e-9)
+                (weight * model.num_layers as f64 * model.layer_flops_per_token()).max(1e-9)
             })
             .collect();
         let pod_compute: Vec<f64> = pods_nodes
@@ -729,7 +712,7 @@ impl<'a> PodPartitioner<'a> {
         }
 
         // Every model must own at least one pod: if one came up empty (all
-        // pods preferred other models — only possible with extreme weight
+        // pods preferred other models — only possible with extreme demand
         // skew), give it the largest pod it can hold.
         for m in 0..num_models {
             if pod_model.contains(&m) {

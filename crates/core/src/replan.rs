@@ -642,14 +642,14 @@ pub struct KvTransferRecord {
 }
 
 /// What [`FleetTopology::replan`](crate::FleetTopology::replan) did: which
-/// models were re-solved and the flow value of each one's new plan.
+/// models the change affects and the flow value of each one's new plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
-    /// Models whose shares changed or placement moved; only these were
-    /// re-solved — every other model's topology is untouched.
+    /// Models whose shares, placement or link split changed; every other
+    /// model's topology comes out of the re-plan bit-identical.
     pub affected: Vec<ModelId>,
     /// Max-flow value per affected model, in `affected` order: the
-    /// `flow_value()` of the model's re-materialised
+    /// `flow_value()` of the model's new
     /// [`Topology`](crate::Topology).  No warm solve produces it; the name
     /// survives only because the frozen harness (`perf/src/surface.rs`)
     /// reads the field.

@@ -1,13 +1,13 @@
 //! Property test: online re-planning is exact.
 //!
 //! For any valid sequence of placement deltas and observation snapshots,
-//! [`FleetTopology::replan`] — which re-derives shares only for touched
-//! nodes and re-solves only affected models — must produce node capacities,
-//! flows, KV capacities, link capacities, link splits and IWRR weights
-//! **bit-identical** to a from-scratch
+//! [`FleetTopology::replan`] — one `plan_observed` of the mutated placement
+//! on the standing fleet, plus the set of models the change affects — must
+//! produce node capacities, flows, KV capacities, link capacities, link
+//! splits and IWRR weights **bit-identical** to a from-scratch
 //! [`FleetTopology::plan_observed`] of the mutated placement under the same
-//! observations.  The incremental path may not drift from the canonical one,
-//! not even after several chained re-plans.
+//! observations: resolving a delta against the standing placement, and
+//! chaining several re-plans, may not drift from planning the result anew.
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
 use helix_core::fleet::{fleet_profiles, FleetPlacement, FleetTopology};

@@ -12,11 +12,13 @@
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives); this module is its runtime actuator.  It owns what
 //! is genuinely the runtime's: the worker table, the fabric with everything
-//! in flight, the §5.2 [`KvCacheEstimator`]s and drain-aware retirement.
-//! KV bookkeeping — releasing a finished or aborted request, seeding a
-//! replica or a promoted request, handing a layer range over — is a call on
-//! the rows at the moment the simulator makes it, priced on the link it
-//! crosses.
+//! in flight and the §5.2 [`KvCacheEstimator`]s.  The rows follow the
+//! simulator's engine lifecycle: a tenancy the plan drops keeps executing
+//! what it holds and gets no new pipeline, and a failed node's rows start
+//! no batch but stay in the table.  KV bookkeeping — releasing a finished or
+//! aborted request, seeding a replica or a promoted request, handing a
+//! layer range over — is a call on every row of the model at the moment the
+//! simulator makes it, priced on the link it crosses.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
 //! the session loop behind [`ServingSession`](crate::ServingSession), a
@@ -56,7 +58,7 @@ use crate::error::RuntimeError;
 use crate::fabric::{Event, Fabric};
 use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
 use crate::metrics::RequestOutcome;
-use crate::registry::{WorkerKey, Workers};
+use crate::registry::Workers;
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::{
     Admission, ClusterState, ControlLogs, ControlPlane, FleetTopology, InFlight, KvCacheEstimator,
@@ -64,7 +66,7 @@ use helix_core::{
     ReplicationPolicy, Scheduler,
 };
 use helix_workload::{Request, RequestId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,11 +92,10 @@ pub(crate) enum SessionControl {
     /// Slow every worker of a node, present and future, to the given factor.
     InjectSpeed(NodeId, f64),
     /// Apply a placement delta to the standing fleet plan: re-plan, swap the
-    /// affected models' schedulers, add workers for newly added
-    /// (node, model) tenancies and retire ones the plan dropped (after their
-    /// in-flight pipelines drain).
+    /// affected models' schedulers and add workers for newly added
+    /// (node, model) tenancies; ones the plan dropped get no new pipeline.
     ApplyDelta(PlacementDelta),
-    /// Fail a node at the given virtual time: retire its workers, promote
+    /// Fail a node at the given virtual time: fail its workers, promote
     /// replicated in-flight pipelines onto their standbys (or abort and
     /// re-admit), and re-plan around the hole.
     FailNode(NodeId, f64),
@@ -179,8 +180,6 @@ pub(crate) struct Coordinator {
     pub fabric: Fabric,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
-    /// Workers the plan dropped, awaiting their in-flight pipelines to drain.
-    pending_retire: HashSet<WorkerKey>,
     /// KV hand-overs, for the final report.
     kv_transfers: Vec<KvTransferRecord>,
     completions: Sender<RequestOutcome>,
@@ -220,7 +219,6 @@ impl Coordinator {
             fabric: spec.fabric,
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
-            pending_retire: HashSet::new(),
             kv_transfers: Vec::new(),
             completions: spec.completions,
             pending_failures: Vec::new(),
@@ -485,14 +483,15 @@ impl Coordinator {
     }
 
     /// One observation-window check of the online re-planning loop, when
-    /// due: every live worker's counters go to the control plane, and a
-    /// re-plan it applies is handed over.
+    /// due: every row's counters go to the control plane, as every engine's
+    /// do in the simulator, and a re-plan it applies is handed over.
     fn maybe_replan(&mut self, now: f64) {
         if self.next_policy_check().is_none_or(|due| now < due) {
             return;
         }
-        let live = self.workers.rows().into_iter().filter(|w| w.live);
-        let counters: Vec<_> = live
+        let rows = self.workers.rows();
+        let counters: Vec<_> = rows
+            .iter()
             .map(|w| (w.key.0, w.key.1, w.core.counters()))
             .collect();
         let outcome = self.control.observe(now, &counters);
@@ -502,9 +501,9 @@ impl Coordinator {
     /// Actuates one applied re-plan (`None`: it was infeasible or not due,
     /// and the current plan keeps serving): swaps the affected models' KV
     /// budgets for *new* requests (drain-then-switch), puts the rows of
-    /// (node, model) tenancies the delta added in service, queues
-    /// drain-aware retirement for ones it dropped, and performs the KV
-    /// hand-over of every migration.
+    /// (node, model) tenancies the delta added in service, and performs the
+    /// KV hand-over of every migration.  A row the plan dropped stays as it
+    /// is: it executes what it holds, and new requests steer around it.
     fn hand_over(&mut self, outcome: Option<ReplanOutcome>, now: f64) {
         let Some(outcome) = outcome else {
             return;
@@ -512,28 +511,19 @@ impl Coordinator {
         let fleet = self.control.fleet();
         for &model in &outcome.affected {
             // Re-derived KV budgets, and dynamic membership — a tenancy the
-            // delta added has a live row on the spot, routable through the
+            // delta added has a row on the spot, routable through the
             // fabric immediately (a migration destination must exist before
             // the pages can land), and a surviving one takes the new facts
             // in place.  Workers execute at the analytic contention split;
             // measured speed factors re-price planning, not execution.
             let contention = fleet.contention_profile(model);
-            let mut planned_nodes: HashSet<NodeId> = HashSet::new();
             for n in fleet.topologies()[model.index()].nodes() {
                 let (layers, kv_capacity_tokens) = (n.layers.len(), n.kv_capacity_tokens);
-                planned_nodes.insert(n.node);
                 self.estimators[model.index()].set_capacity(n.node, kv_capacity_tokens);
-                self.pending_retire.remove(&(n.node, model));
                 let key = (n.node, model);
                 self.workers
                     .plan(&contention, key, &n.name, layers, kv_capacity_tokens);
             }
-            // Pairs the plan no longer includes keep serving their in-flight
-            // pipelines and are retired once those drain; new requests
-            // already steer around them.
-            let live = self.workers.live_of_model(model).map(|w| w.key);
-            let dropped = live.filter(|key| !planned_nodes.contains(&key.0));
-            self.pending_retire.extend(dropped);
         }
         // Each migration's KV hand-over, the one the simulator performs: the
         // pages cross the `from → to` link as one transfer (queueing behind
@@ -548,7 +538,7 @@ impl Coordinator {
                 .range(from)
                 .is_some();
             let rows = [(from, model), (to, model)];
-            let Some([source, destination]) = self.workers.live_pair_mut(rows) else {
+            let Some([source, destination]) = self.workers.pair_mut(rows) else {
                 continue;
             };
             let fabric = &mut self.fabric;
@@ -562,38 +552,6 @@ impl Coordinator {
             );
             self.fabric.landed(record.at, rows);
             self.kv_transfers.push(record);
-        }
-        self.sweep_retirements();
-    }
-
-    /// Retires every pending-retire worker whose in-flight pipelines have
-    /// all drained (drain-then-switch: the worker keeps executing the routes
-    /// it was already part of, and disappears only when they finish).
-    fn sweep_retirements(&mut self) {
-        if self.pending_retire.is_empty() {
-            return;
-        }
-        let busy: HashSet<WorkerKey> = self
-            .control
-            .flights()
-            .flat_map(|flight| {
-                let model = flight.pipeline.model;
-                flight
-                    .pipeline
-                    .stages
-                    .iter()
-                    .map(move |stage| (stage.node, model))
-            })
-            .collect();
-        let ready: Vec<WorkerKey> = self
-            .pending_retire
-            .iter()
-            .copied()
-            .filter(|key| !busy.contains(key))
-            .collect();
-        for key in ready {
-            self.pending_retire.remove(&key);
-            self.workers.retire(key);
         }
     }
 
@@ -628,7 +586,7 @@ impl Coordinator {
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
                 self.fabric
                     .transfer(now, None, Some(stage.node), TOKEN_WIRE_BYTES);
-                if let Some(worker) = self.workers.live_mut((stage.node, model)) {
+                if let Some(worker) = self.workers.get_mut((stage.node, model)) {
                     worker.core.kv.seed(request.id, tokens);
                 }
             }
@@ -653,42 +611,36 @@ impl Coordinator {
         Ok(true)
     }
 
-    /// Fails `nodes` together at `now`: their workers are retired (what they
-    /// had queued or executing is lost, and messages routed to them from
-    /// here on drop harmlessly), every pipeline the control plane reports
-    /// stranded is purged from every live row of its model — queued items
-    /// and KV — and the removal re-plan is handed over.  Returns the
-    /// stranded requests for re-submission — the control plane resumes the
-    /// promoted ones on their replicas and re-admits the rest from scratch,
-    /// after the purge (step 6 of the turn), so it never reaches the new
-    /// incarnation.
+    /// Fails `nodes` together at `now`: their workers are failed (the batch
+    /// each was executing is dropped and none starts again; what reaches
+    /// them queues), every pipeline the control plane reports stranded is
+    /// purged from every row of its model — queued items and KV — and the
+    /// removal re-plan is handed over.  Returns the stranded requests for
+    /// re-submission — the control plane resumes the promoted ones on their
+    /// replicas and re-admits the rest from scratch, after the purge (step 6
+    /// of the turn), so it never reaches the new incarnation.
     fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Vec<Request> {
         for &node in nodes {
-            for m in 0..self.control.fleet().num_models() {
-                let key = (node, ModelId(m));
-                self.pending_retire.remove(&key);
-                self.workers.retire(key);
-            }
+            self.workers.fail(node);
         }
         let workers = &self.workers;
-        let is_live = |node, model| workers.is_live((node, model));
+        let has_row = |node, model| workers.get((node, model)).is_some();
         let reason = ReplanReason::NodeFailure { node: nodes[0] };
-        let failover = self.control.fail_nodes(nodes, reason, now, &is_live);
+        let failover = self.control.fail_nodes(nodes, reason, now, &has_row);
         for flight in &failover.stranded {
             self.release_kv(flight, true, now);
         }
         self.hand_over(failover.replan, now);
-        self.sweep_retirements();
         failover.stranded.iter().map(|f| f.request).collect()
     }
 
     /// Frees what one finished (or, with `purge`, aborted) incarnation held:
-    /// its estimator entries, and its KV on *every* live worker of its
-    /// model, not only its pipeline nodes — migrations seed destination
-    /// workers and replication seeds standbys, and all those copies are
-    /// keyed by the request id (so other requests are untouched).  A purge
-    /// also drops the incarnation's queued items.  Each row's call is priced
-    /// as a coordinator → row message on its link at `now`.
+    /// its estimator entries, and its KV on *every* worker of its model, not
+    /// only its pipeline nodes — migrations seed destination workers and
+    /// replication seeds standbys, and all those copies are keyed by the
+    /// request id (so other requests are untouched).  A purge also drops the
+    /// incarnation's queued items.  Each row's call is priced as a
+    /// coordinator → row message on its link at `now`.
     fn release_kv(&mut self, flight: &InFlight, purge: bool, now: f64) {
         let (model, request) = (flight.pipeline.model, flight.request.id);
         let estimator = &mut self.estimators[model.index()];
@@ -698,7 +650,7 @@ impl Coordinator {
                 estimator.release_shared(stage.node, p.id);
             }
         }
-        for worker in self.workers.live_of_model(model) {
+        for worker in self.workers.of_model_mut(model) {
             self.fabric
                 .transfer(now, None, Some(worker.key.0), TOKEN_WIRE_BYTES);
             if purge {
@@ -734,7 +686,7 @@ impl Coordinator {
         for chunk in &progress.chunks {
             self.fabric
                 .transfer(now, Some(chunk.primary), Some(chunk.standby), chunk.bytes);
-            if let Some(standby) = self.workers.live_mut((chunk.standby, model)) {
+            if let Some(standby) = self.workers.get_mut((chunk.standby, model)) {
                 standby.core.kv.seed(request, progress.durable_tokens);
             }
         }
@@ -776,14 +728,13 @@ impl Coordinator {
         };
         let _ = self.completions.send(outcome);
         self.outcomes.push(outcome);
-        // A completed pipeline may free a pending-retire worker.
-        self.sweep_retirements();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::WorkerKey;
     use crate::runtime::{self, PlaneSpec, RuntimeConfig};
     use helix_cluster::{
         ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
@@ -875,7 +826,7 @@ mod tests {
         }
     }
 
-    /// The first live row of the plane, and one-stage work for it.
+    /// The first row of the plane, and one-stage work for it.
     fn first_row(coordinator: &Coordinator) -> WorkerKey {
         coordinator.workers.rows()[0].key
     }
@@ -1041,7 +992,7 @@ mod tests {
         assert_eq!((row.batches, row.core.queue_len()), (1, 0));
     }
 
-    /// KV bookkeeping is a call: a release frees every live row's pool at
+    /// KV bookkeeping is a call: a release frees every row's pool at
     /// once and is priced as one coordinator → row message on each row's
     /// link, with nothing queued.
     #[test]
@@ -1051,7 +1002,7 @@ mod tests {
         for &key in &keys {
             coordinator
                 .workers
-                .live_mut(key)
+                .get_mut(key)
                 .unwrap()
                 .core
                 .kv
@@ -1086,7 +1037,7 @@ mod tests {
 
     /// The runtime purges on abort, as the simulator does: the failure turn
     /// drops the stranded incarnation's queued items (and KV) from every
-    /// live row before step 6 re-admits it, and the new incarnation then
+    /// row before step 6 re-admits it, and the new incarnation then
     /// completes.
     #[test]
     fn a_failure_purges_the_stranded_incarnation_from_every_live_row() {
@@ -1114,7 +1065,7 @@ mod tests {
         // outlasts the failure turn (as a hand-over's would, with its
         // arrival queued).
         let until = 1_000.0;
-        let row = coordinator.workers.live_mut(key).unwrap();
+        let row = coordinator.workers.get_mut(key).unwrap();
         row.core.freeze(survivor.layers, until);
         coordinator.fabric.landed(until, [key, key]);
         coordinator.workers.deliver(StageWork {
@@ -1137,7 +1088,7 @@ mod tests {
     }
 
     /// Aim 3's invariant on the runtime: with RF=2 replication, shared
-    /// prefixes, a mid-run migration and a node failure, every live row's
+    /// prefixes, a mid-run migration and a node failure, every row's
     /// pool is empty once the plane has finished — every release, purge,
     /// seed and hand-over balanced.
     #[test]
@@ -1197,11 +1148,51 @@ mod tests {
         assert_eq!(transfers.len(), 1, "the migration handed over");
         assert_eq!(logs.failovers.len(), 1);
         assert!(logs.replication.chunks > 0, "replicas were seeded");
-        for row in coordinator.workers.rows().into_iter().filter(|w| w.live) {
+        for row in coordinator.workers.rows() {
             let kv = &row.core.kv;
             let held = (kv.used_tokens(), kv.shared_pages());
             assert_eq!(held, (0.0, 0), "{:?} still holds KV", row.key);
         }
+    }
+
+    /// A re-plan does not put a failed node's row back in service.  Node 0
+    /// alone holds the bottom half, so its removal is infeasible and it stays
+    /// in the plan; a later migration re-plans the model over it, and work
+    /// that reaches its row still starts no batch.
+    #[test]
+    fn a_replan_does_not_revive_a_failed_row() {
+        let cluster = ClusterBuilder::new("revive-4")
+            .intra_region(10_000.0, 1.0)
+            .add_nodes(GpuType::A100_80, 4, 1, Region(0))
+            .build();
+        let profile = ClusterProfile::analytic(cluster, ModelConfig::llama_13b());
+        let layers = profile.model().num_layers;
+        let top = LayerRange::new(layers / 2, layers);
+        let mut placement = ModelPlacement::empty(4);
+        placement.assign(NodeId(0), LayerRange::new(0, layers / 2));
+        placement.assign(NodeId(1), top);
+        placement.assign(NodeId(2), top);
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let (mut coordinator, _control, _completed) = plane_on(topology, iwrr, 1.0);
+        let failed = (NodeId(0), ModelId(0));
+
+        let fail = SessionControl::FailNode(failed.0, 0.0);
+        assert!(!coordinator.turn(Some(fail)).unwrap());
+        let migrate = PlacementDelta::new().migrate(ModelId(0), NodeId(1), NodeId(3), top);
+        assert!(!coordinator
+            .turn(Some(SessionControl::ApplyDelta(migrate)))
+            .unwrap());
+        let plan = &coordinator.control.fleet().topologies()[0];
+        assert!(plan.node(failed.0).is_some(), "the removal was infeasible");
+        assert!(plan.node(NodeId(1)).is_none() && plan.node(NodeId(3)).is_some());
+
+        coordinator.workers.deliver(work_for(failed, 7));
+        coordinator
+            .workers
+            .start_touched(coordinator.clock.now(), &mut coordinator.fabric);
+        let row = coordinator.workers.get(failed).unwrap();
+        assert_eq!((row.batches, row.core.queue_len()), (0, 1));
+        assert!(!row.core.is_busy());
     }
 
     /// A call already queued is returned without waiting for the deadline,

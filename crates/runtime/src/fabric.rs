@@ -385,9 +385,9 @@ mod tests {
         for node in [0, 1] {
             workers.plan(&profile, (NodeId(node), model), "node", 4, 1_000.0);
         }
-        workers.retire((NodeId(0), model));
+        workers.fail(NodeId(0));
 
-        // One-stage work for a retired, a never-planned and a live worker.
+        // One-stage work for a failed, a never-planned and a healthy worker.
         for node in [0, 5, 1] {
             let work = crate::message::StageWork::one_stage(node as u64, NodeId(node), model);
             let mut envelope = message(0, None, Some(node), 4.0);
@@ -401,13 +401,14 @@ mod tests {
             workers.deliver(work);
         }
         workers.start_touched(0.0, &mut fabric);
-        // Only the live row queued, batched and forwarded its item...
+        // Only the healthy row batched and forwarded its item; the failed
+        // one holds it...
         let batches = |node| workers.get((NodeId(node), model)).map(|w| w.batches);
         assert_eq!(
             (batches(0), batches(5), batches(1)),
             (Some(0), None, Some(1))
         );
-        assert_eq!(workers.get((NodeId(0), model)).unwrap().core.queue_len(), 0);
+        assert_eq!(workers.get((NodeId(0), model)).unwrap().core.queue_len(), 1);
         let forwarded = fabric.take_in_flight();
         assert_eq!(forwarded.len(), 1);
         assert_eq!(forwarded[0].from, Some(NodeId(1)));

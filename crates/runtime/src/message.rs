@@ -9,7 +9,7 @@
 //! is not a message: releasing or seeding a request's KV and handing a
 //! layer range over are method calls on the worker's row, priced on the
 //! link they would cross (`Fabric::transfer`) — as the simulator does them —
-//! and so are slowing a row down and re-planning it.
+//! and so are slowing a row down, re-planning it and failing it.
 
 use helix_cluster::{ModelId, NodeId};
 use helix_core::{PrefixWork, RequestPipeline};
@@ -112,9 +112,9 @@ pub(crate) enum RuntimeMsg {
 /// the link, which every model of the fleet shares.  Work is delivered to
 /// the (node, model) row of its stage, resolved against the worker table
 /// *per message*, so a row a mid-run placement delta adds is addressable at
-/// once (and a retired or failed one stops being addressable at once: what
-/// is still on the wire for it is dropped on arrival).  An iteration report
-/// goes to the coordinator.
+/// once.  A row is never removed: one the plan dropped still executes what
+/// reaches it, and a failed one queues it behind no batch.  An iteration
+/// report goes to the coordinator.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     /// Sending endpoint (`None` = coordinator).

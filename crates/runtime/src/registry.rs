@@ -2,18 +2,20 @@
 //! has ever named, in the dense [`PairTable`] the simulator keeps its engines
 //! in.
 //!
-//! Membership is dynamic and there is nothing to spawn or join: a re-plan's
-//! `PlacementDelta` that adds a tenancy [`plan`](Workers::plan)s its row —
-//! a new one, built slowed if its node was slowed, or a retired one brought
-//! back with its counters — and one the plan dropped (once its in-flight
-//! pipelines drained) or a failure killed is [`retire`](Workers::retire)d:
-//! the fabric's deliveries for it are dropped from then on, and its row stays
-//! for the report.  The coordinator reads a row's queue length or counters,
-//! and releases, seeds or hands over its KV, by indexing the table; the
-//! plane's loop applies deliveries, batch completions and hand-over arrivals
-//! to it ([`deliver`](Workers::deliver), [`batch_done`](Workers::batch_done),
-//! [`touch`](Workers::touch)) and starts the batches of the rows they
-//! touched once nothing more is due ([`start_touched`](Workers::start_touched)).
+//! A row follows the lifecycle of the simulator's engine, and there is
+//! nothing to spawn or join: a re-plan's `PlacementDelta` that adds a
+//! tenancy [`plan`](Workers::plan)s its row — a new one, built slowed if its
+//! node was slowed — and a surviving one takes the new plan's facts in
+//! place.  A row is never taken out of the table: one the plan dropped keeps
+//! executing what it holds and gets no new pipeline, and the rows of a node
+//! that failed start no batch ([`fail`](Workers::fail)) but keep what they
+//! hold until a release frees it.  The coordinator reads a row's queue
+//! length or counters, and releases, seeds or hands over its KV, by indexing
+//! the table; the plane's loop applies deliveries, batch completions and
+//! hand-over arrivals to it ([`deliver`](Workers::deliver),
+//! [`batch_done`](Workers::batch_done), [`touch`](Workers::touch)) and
+//! starts the batches of the rows they touched once nothing more is due
+//! ([`start_touched`](Workers::start_touched)).
 
 use crate::exec::{AnalyticExecution, ExecutionModel, InstantExecution};
 use crate::fabric::Fabric;
@@ -27,7 +29,7 @@ use std::collections::HashMap;
 /// Key of one worker: the (compute node, fleet model) pair it serves.
 pub(crate) type WorkerKey = (NodeId, ModelId);
 
-/// Every worker the plan has ever named, live or not.
+/// Every worker the plan has ever named.
 pub(crate) struct Workers {
     table: PairTable<Worker>,
     /// Rows that may have a batch to start once the current delivery pass
@@ -52,32 +54,24 @@ impl Workers {
         }
     }
 
-    /// The row of `key`, live or not.
+    /// The row of `key`.
     pub(crate) fn get(&self, (node, model): WorkerKey) -> Option<&Worker> {
         self.table.get(node, model)
     }
 
-    /// The row of `key` if the fabric delivers to it.
-    pub(crate) fn live_mut(&mut self, (node, model): WorkerKey) -> Option<&mut Worker> {
-        self.table.get_mut(node, model).filter(|worker| worker.live)
+    /// The row of `key`, to change.
+    pub(crate) fn get_mut(&mut self, (node, model): WorkerKey) -> Option<&mut Worker> {
+        self.table.get_mut(node, model)
     }
 
-    /// Whether a live (routable) worker exists for `key`.
-    pub(crate) fn is_live(&self, key: WorkerKey) -> bool {
-        self.get(key).is_some_and(|worker| worker.live)
+    /// The rows of two different pairs at once.
+    pub(crate) fn pair_mut(&mut self, [a, b]: [WorkerKey; 2]) -> Option<[&mut Worker; 2]> {
+        self.table.pair_mut(a, b)
     }
 
-    /// The live rows of two different pairs at once.
-    pub(crate) fn live_pair_mut(&mut self, [a, b]: [WorkerKey; 2]) -> Option<[&mut Worker; 2]> {
-        self.table
-            .pair_mut(a, b)
-            .filter(|pair| pair.iter().all(|w| w.live))
-    }
-
-    /// The live workers of one model, in node order.
-    pub(crate) fn live_of_model(&mut self, model: ModelId) -> impl Iterator<Item = &mut Worker> {
-        let stride = self.table.of_model(model).iter_mut().flatten();
-        stride.filter(|worker| worker.live)
+    /// The rows of one model, in node order.
+    pub(crate) fn of_model_mut(&mut self, model: ModelId) -> impl Iterator<Item = &mut Worker> {
+        self.table.of_model(model).iter_mut().flatten()
     }
 
     /// Every row ever planned, sorted by (node, model) — the order reports
@@ -88,11 +82,11 @@ impl Workers {
         rows
     }
 
-    /// Puts `(node, model)` in service with the given plan facts.  A live
-    /// row takes them **in place**, keeping its queue and residency; a
-    /// retired one comes back empty with its counters; a pair the table
-    /// never held gets a new row (a pair outside the table cannot be
-    /// planned, and stays unroutable).
+    /// Puts `(node, model)` in service with the given plan facts.  A row
+    /// the table holds takes them **in place**, keeping its queue,
+    /// residency and counters (and staying failed if its node failed); a
+    /// pair the table never held gets a new row (a pair outside the table
+    /// cannot be planned, and stays unroutable).
     pub(crate) fn plan(
         &mut self,
         profile: &ClusterProfile,
@@ -117,13 +111,10 @@ impl Workers {
         self.table.insert(node, model, worker);
     }
 
-    /// Takes one worker out of service (the plan dropped it and its
-    /// in-flight pipelines drained, or its node failed): deliveries for it
-    /// are dropped from here on; its row stays for the report.
-    pub(crate) fn retire(&mut self, key: WorkerKey) {
-        if let Some(worker) = self.live_mut(key) {
-            worker.retire();
-        }
+    /// Fails every row of `node`: each drops its executing batch and starts
+    /// no other ([`Worker::fail`]).
+    pub(crate) fn fail(&mut self, node: NodeId) {
+        self.table.of_node_mut(node).for_each(Worker::fail);
     }
 
     /// Slows every worker of `node`, present and future, to `factor`× the
@@ -137,12 +128,12 @@ impl Workers {
         }
     }
 
-    /// Applies `apply` to the live worker of `key` — nothing happens for a
-    /// retired or unknown one — and queues the row for
+    /// Applies `apply` to the worker of `key` — nothing happens for a pair
+    /// outside the table — and queues the row for
     /// [`start_touched`](Self::start_touched) if that left it idle with work
     /// queued.
-    fn with_live(&mut self, key: WorkerKey, apply: impl FnOnce(&mut Worker)) {
-        let Some(worker) = self.table.get_mut(key.0, key.1).filter(|w| w.live) else {
+    fn with_row(&mut self, key: WorkerKey, apply: impl FnOnce(&mut Worker)) {
+        let Some(worker) = self.table.get_mut(key.0, key.1) else {
             return;
         };
         apply(worker);
@@ -152,23 +143,23 @@ impl Workers {
         }
     }
 
-    /// Queues `work` on the live worker of its stage: the batch starts once
-    /// everything due at this instant is in.  Work for a retired or unknown
-    /// worker is dropped.
+    /// Queues `work` on the worker of its stage: the batch starts once
+    /// everything due at this instant is in (a failed row only queues it).
+    /// Work for a pair outside the table is dropped.
     pub(crate) fn deliver(&mut self, work: StageWork) {
         let key = (work.node(), work.model());
-        self.with_live(key, |worker| worker.core.enqueue(work));
+        self.with_row(key, |worker| worker.core.enqueue(work));
     }
 
     /// The batch of `key` queued as due at `at` came up at `now`.
     pub(crate) fn batch_done(&mut self, key: WorkerKey, at: f64, now: f64, fabric: &mut Fabric) {
-        self.with_live(key, |worker| worker.batch_done(at, now, fabric));
+        self.with_row(key, |worker| worker.batch_done(at, now, fabric));
     }
 
     /// A freeze on `key` may have ended (a hand-over arrived): what the row
     /// holds starts with the touched rows.
     pub(crate) fn touch(&mut self, key: WorkerKey) {
-        self.with_live(key, |_| {});
+        self.with_row(key, |_| {});
     }
 
     /// Starts a batch on every row the passes touched — *after* them, so
@@ -208,65 +199,48 @@ mod tests {
         StageWork::one_stage(1, node, model)
     }
 
+    /// A failed row stays in the table, as the simulator's failed engine
+    /// does: what reaches it queues, it starts no batch — not even once a
+    /// re-plan gives it new facts — and it keeps its counters, its residency
+    /// and its report row.  Work for a pair outside the table is dropped.
     #[test]
-    fn detach_stops_routing_but_keeps_the_report_row() {
-        let mut workers = Workers::new(4, 2, ExecutionKind::Instant);
-        let key = (NodeId(3), ModelId(1));
-        planned(&mut workers, key);
-        assert!(workers.is_live(key));
-        workers.deliver(work(key));
-        assert_eq!(workers.get(key).unwrap().core.queue_len(), 1);
-
-        workers.live_mut(key).unwrap().batches = 3;
-        workers.retire(key);
-        assert!(!workers.is_live(key));
-        assert!(workers.live_mut(key).is_none());
-        assert_eq!(workers.live_of_model(ModelId(1)).count(), 0);
-        // Delivery to a retired or out-of-table pair drops the work;
-        // retiring twice, or what was never planned, is a no-op.
-        workers.deliver(work(key));
-        assert_eq!(workers.get(key).unwrap().core.queue_len(), 0);
-        let outside = (NodeId(9), ModelId(0));
-        workers.deliver(work(outside));
-        workers.retire(key);
-        workers.retire((NodeId(0), ModelId(0)));
-        // The row survives retirement for the final report.
-        let rows = workers.rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!((rows[0].key, rows[0].batches), (key, 3));
-        assert_eq!(rows[0].name, "n3");
-    }
-
-    #[test]
-    fn respawned_pair_inherits_its_predecessors_counters() {
-        let mut workers = Workers::new(2, 1, ExecutionKind::Analytic);
+    fn a_failed_row_queues_its_work_starts_no_batch_and_keeps_its_counters() {
+        let mut workers = Workers::new(4, 2, ExecutionKind::Analytic);
         let mut fabric = fabric();
-        let key = (NodeId(1), ModelId(0));
+        let key = (NodeId(3), ModelId(1));
         planned(&mut workers, key);
         // A batch that takes time: the core counts it when it starts.
         workers.deliver(work(key));
         workers.start_touched(0.0, &mut fabric);
-        let worker = workers.live_mut(key).unwrap();
+        let worker = workers.get_mut(key).unwrap();
         (worker.batches, worker.decode_tokens) = (7, 40);
         // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
         worker.core.kv.grow(1, 2_000);
         let counters = worker.core.counters();
         assert!(counters.busy_secs > 0.0);
-        workers.retire(key);
 
-        // Re-adding the tenancy must not lose the first incarnation's work
-        // from the report, nor make cumulative counters go backwards: the
-        // row comes back — empty, with the new plan's facts — and continues.
-        workers.plan(&profile(), key, "n1", 6, 500.0);
-        assert!(workers.is_live(key));
-        let revived = workers.get(key).unwrap();
-        assert_eq!((revived.batches, revived.decode_tokens), (7, 40));
-        assert_eq!(revived.core.counters(), counters);
-        assert_eq!(revived.core.kv.rejections(), 1);
-        assert!(revived.core.kv.peak_utilization() >= 2.0);
-        assert_eq!(revived.core.kv.used_tokens(), 0.0);
-        assert_eq!(revived.core.kv.capacity_tokens(), 500.0);
-        assert_eq!(revived.layers, 6);
+        workers.fail(NodeId(3));
+        workers.deliver(work(key));
+        workers.deliver(work((NodeId(9), ModelId(0))));
+        workers.start_touched(1.0, &mut fabric);
+        // The row takes a re-plan's facts in place and stays failed.
+        workers.plan(&profile(), key, "n3", 6, 500.0);
+        workers.touch(key);
+        workers.start_touched(2.0, &mut fabric);
+
+        let rows = workers.rows();
+        assert_eq!(rows.len(), 1, "the outside pair dropped its work");
+        let row = rows[0];
+        assert_eq!((row.key, row.name.as_str()), (key, "n3"));
+        assert!(!row.core.is_busy(), "the running batch was dropped");
+        assert_eq!(row.core.queue_len(), 1, "what reached it queued");
+        assert_eq!((row.batches, row.decode_tokens), (7, 40));
+        assert_eq!(row.core.counters(), counters, "no batch started");
+        assert_eq!(row.core.kv.rejections(), 1);
+        assert!(row.core.kv.peak_utilization() >= 2.0);
+        assert_eq!(row.core.kv.used_tokens(), 2_001.0, "held until released");
+        assert_eq!(row.core.kv.capacity_tokens(), 500.0);
+        assert_eq!(row.layers, 6);
     }
 
     #[test]
@@ -288,7 +262,7 @@ mod tests {
                 (NodeId(2), ModelId(0)),
             ]
         );
-        let of_model_0: Vec<_> = workers.live_of_model(ModelId(0)).map(|w| w.key.0).collect();
+        let of_model_0: Vec<_> = workers.of_model_mut(ModelId(0)).map(|w| w.key.0).collect();
         assert_eq!(of_model_0, vec![NodeId(0), NodeId(2)], "in node order");
     }
 
@@ -297,8 +271,8 @@ mod tests {
         let mut workers = Workers::new(1, 1, ExecutionKind::Instant);
         let key = (NodeId(0), ModelId(0));
         planned(&mut workers, key);
-        workers.live_mut(key).unwrap().core.kv.seed(1, 64);
-        // Planning a live pair again updates it in place.
+        workers.get_mut(key).unwrap().core.kv.seed(1, 64);
+        // Planning a pair again updates it in place.
         workers.plan(&profile(), key, "n0", 9, 2_000.0);
         let rows = workers.rows();
         assert_eq!((rows.len(), rows[0].layers), (1, 9));
@@ -306,7 +280,7 @@ mod tests {
     }
 
     /// A row built after its node was slowed runs slowed, and a slowdown
-    /// reaches every model's row of the node, retired ones included.
+    /// reaches every model's row of the node.
     #[test]
     fn slowdowns_reach_present_and_future_rows_of_a_node() {
         let mut workers = Workers::new(2, 2, ExecutionKind::Analytic);

@@ -6,7 +6,7 @@
 //! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
 //! placement deltas that can *add new workers*
 //! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
-//! retire dropped ones once they drain.  The batch call is a thin convenience
+//! node failures ([`fail_node`](ServingSession::fail_node)).  The batch call is a thin convenience
 //! wrapper: [`ServingSession::serve`] is submit-everything → finish over the
 //! same loop every other call drives.
 //!
@@ -201,8 +201,9 @@ impl ServingSession {
     /// the coordinator re-plans with the observations already priced in,
     /// swaps the affected models' schedulers and KV budgets for new requests,
     /// **puts a worker in service** for every (node, model) tenancy the delta
-    /// added — closing the mid-run scale-out loop — and retires workers the
-    /// plan dropped once their in-flight pipelines drain.
+    /// added — closing the mid-run scale-out loop.  A worker the plan dropped
+    /// keeps executing what it holds and gets no new pipeline, as the
+    /// simulator's engine does.
     ///
     /// An infeasible delta (e.g. one that breaks a model's pipeline) leaves
     /// the current plan serving; applied deltas show up in the final
@@ -213,7 +214,9 @@ impl ServingSession {
         self.send_control(SessionControl::ApplyDelta(delta));
     }
 
-    /// Fails `node` at virtual time `at`: its workers are retired, every
+    /// Fails `node` at virtual time `at`: its workers drop the batch they
+    /// were executing and start no other (they stay in the report, and what
+    /// they hold stays until a release frees it), every
     /// in-flight pipeline crossing it is promoted onto its replica standbys
     /// (when the replication policy trickled its KV there) or aborted and
     /// re-admitted from scratch, and the fleet re-plans around the hole.

@@ -51,10 +51,6 @@ pub(crate) struct Worker {
     pub name: String,
     /// Layers the node holds for its model, for the report.
     pub layers: usize,
-    /// Whether the fabric delivers to this row.  A row the plan dropped or a
-    /// failure killed stays in the table for the report — and to be planned
-    /// again, continuing its counters.
-    pub live: bool,
     /// Queued for a batch start at the end of the current delivery pass.
     pub touched: bool,
     /// Bytes of activation transferred per token to the next pipeline stage.
@@ -78,7 +74,7 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// A live row with the given plan facts, an empty queue and pool and no
+    /// A row with the given plan facts, an empty queue and pool and no
     /// history.
     pub(crate) fn new(
         key: WorkerKey,
@@ -92,7 +88,6 @@ impl Worker {
             key,
             name: name.to_string(),
             layers,
-            live: true,
             touched: false,
             activation_bytes,
             execution,
@@ -108,8 +103,8 @@ impl Worker {
     /// Applies a plan's facts for this tenancy in place: the execution model
     /// (e.g. the new analytic contention split after tenancies moved on or
     /// off the node) is swapped and the KV pool re-sized without dropping
-    /// queued work or residency — as the simulator re-splits its engines —
-    /// and a row that was out of service is back in it.
+    /// queued work or residency — as the simulator re-splits its engines.
+    /// A failed row stays failed.
     pub(crate) fn plan(
         &mut self,
         execution: Box<dyn ExecutionModel>,
@@ -119,16 +114,18 @@ impl Worker {
         self.execution = execution;
         self.core.kv.resize(kv_capacity_tokens);
         self.layers = layers;
-        self.live = true;
     }
 
-    /// Takes the row out of service: whatever it had queued, executing or
-    /// resident is dropped (a completion still in the fabric's queue finds
-    /// nothing running); its counters and name stay for the report.
-    pub(crate) fn retire(&mut self) {
-        self.live = false;
+    /// The row's node failed: the executing batch is dropped (its
+    /// completion, still in the fabric's queue, finds nothing running) and
+    /// the core starts no further batch.  What the row holds stays until a
+    /// release or purge frees it, and what reaches it queues; its counters
+    /// stay for the report.
+    pub(crate) fn fail(&mut self) {
         self.running = None;
-        self.core.retire();
+        self.core.complete_batch(&mut self.done);
+        self.done.clear();
+        self.core.fail();
     }
 
     /// Starts a batch at `now` if the row is idle and has unfrozen work — so
@@ -156,8 +153,8 @@ impl Worker {
     }
 
     /// The queue entry of the batch due at `at` came up at `now`.  An entry
-    /// that outlived its batch (the row was retired meanwhile) matches
-    /// nothing running and is dropped.
+    /// that outlived its batch (the row failed meanwhile) matches nothing
+    /// running and is dropped.
     pub(crate) fn batch_done(&mut self, at: f64, now: f64, fabric: &mut Fabric) {
         if let Some((_, run)) = self.running.take_if(|&mut (due, _)| due == at) {
             self.complete(run, now, fabric);
@@ -390,10 +387,13 @@ mod tests {
         assert_eq!(worker.core.kv.used_tokens(), 0.0, "released at once");
     }
 
-    /// Ordering change of the one-loop plane: a failed worker used to batch
-    /// and forward what it had queued, as a zombie, before it shut down.
+    /// A failed row follows the simulator's failed engine: it starts no
+    /// batch, and what it holds stays until a release frees it.  It also
+    /// drops the batch it was executing, which the simulator's engine would
+    /// complete — every item of it belongs to a pipeline the failure
+    /// stranded, whose work is stale.
     #[test]
-    fn a_retired_row_drops_its_work_and_keeps_its_counters() {
+    fn a_failed_row_drops_its_running_batch_and_keeps_its_counters() {
         let (mut worker, mut fabric) = test_worker(NodeId(1), 100_000.0);
         pass(&mut worker, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
         fabric.take_in_flight();
@@ -402,15 +402,21 @@ mod tests {
         worker.core.enqueue(work(3, Phase::Decode, 1, 1));
         let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
 
-        worker.retire();
-        assert!(!worker.live);
-        assert_eq!(worker.core.queue_len(), 0);
-        assert_eq!(worker.core.kv.used_tokens(), 0.0);
-        // The completion still queued for the dropped batch finds nothing.
+        worker.fail();
+        assert!(!worker.core.is_busy());
+        assert_eq!(worker.core.queue_len(), 1, "queued work stays");
+        assert_eq!(worker.core.kv.used_tokens(), 2.0, "so does residency");
+        // The completion still queued for the dropped batch finds nothing,
+        // and what reaches the row queues behind no batch.
         worker.batch_done(at, at, &mut fabric);
-        worker.start_batch(at, &mut fabric);
+        pass(&mut worker, &mut fabric, [work(4, Phase::Decode, 1, 1)]);
         assert!(fabric.take_in_flight().is_empty(), "nothing is forwarded");
+        assert_eq!(fabric.next_at(), None, "no batch started");
+        assert_eq!(worker.core.queue_len(), 2);
         assert_eq!((worker.batches, worker.decode_tokens), (1, 1));
+        worker.core.release_request(1);
+        worker.core.release_request(2);
+        assert_eq!(worker.core.kv.used_tokens(), 0.0, "a release frees it");
     }
 
     #[test]

@@ -82,6 +82,11 @@
 //! assert!(metrics.decode_throughput() > 0.0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod engine;
 mod event;
 mod metrics;

@@ -394,6 +394,11 @@ impl ClusterSimulator {
         // The request table: a slot per distinct id (its first position); a
         // repeated id overwrites its spec and still arrives once per
         // occurrence.
+        assert!(
+            u32::try_from(workload.len()).is_ok(),
+            "a workload of {} requests does not fit a 32-bit slot",
+            workload.len(),
+        );
         let mut specs: Vec<Request> = Vec::with_capacity(workload.len());
         let mut slots: HashMap<RequestId, u32> = HashMap::with_capacity(workload.len());
         for r in workload.iter() {
@@ -410,7 +415,7 @@ impl ClusterSimulator {
                 r.id,
                 r.total_tokens(),
             );
-            let next = u32::try_from(specs.len()).expect("fewer than 2^32 requests");
+            let next = specs.len() as u32;
             match *slots.entry(r.id).or_insert(next) {
                 slot if slot == next => specs.push(*r),
                 slot => specs[slot as usize] = *r,

@@ -1,9 +1,10 @@
 //! Cross-surface conformance suite: the threaded prototype runtime
 //! (`ServingSession`) and the discrete-event simulator (`SimSession`) are
 //! driven through the one generic `ServingFrontEnd` over a matrix of
-//! scenarios — single-model and fleet serving, a mid-run migration delta,
-//! speed injection, and drain-then-submit — asserting that both surfaces
-//! complete the same request sets and that their reports stay monotonic.
+//! scenarios — single-model and fleet serving, a mid-run migration delta (one
+//! of which drops a tenancy), speed injection, and drain-then-submit —
+//! asserting that both surfaces complete the same request sets and that
+//! their reports stay monotonic.
 //!
 //! The two surfaces model the same cluster with different mechanics (worker
 //! threads and a fabric vs one event loop), so the suite compares
@@ -375,6 +376,134 @@ fn unfrozen_layers_keep_completing_through_the_migration_transfer_window() {
         "simulator: pipelines on un-frozen layers keep completing during the \
          transfer window ({start:.3}..{end:.3}), got none"
     );
+}
+
+#[test]
+fn a_tenancy_the_plan_drops_finishes_what_it_held_and_gets_no_new_pipeline() {
+    // Nodes 0 and 2 serve [0, half), node 1 serves [half, L) and node 3 is
+    // free; mid-run, node 2's whole range moves to node 3, so the re-plan
+    // drops node 2's tenancy while pipelines through it are decoding.
+    let spec = ClusterBuilder::new("dropped-tenancy-4")
+        .intra_region(10_000.0, 1.0)
+        .add_nodes(GpuType::A100_80, 4, 1, Region(0))
+        .build();
+    let profile = ClusterProfile::analytic(spec, ModelConfig::llama_13b());
+    let num_layers = profile.model().num_layers;
+    let bottom = LayerRange::new(0, num_layers / 2);
+    let mut placement = ModelPlacement::empty(4);
+    placement.assign(NodeId(0), bottom);
+    placement.assign(NodeId(2), bottom);
+    placement.assign(NodeId(1), LayerRange::new(num_layers / 2, num_layers));
+    let topology = Topology::plan(&profile, &placement, true).unwrap();
+    let (model, dropped, to) = (ModelId(0), NodeId(2), NodeId(3));
+    // Long decodes over spread arrivals: several pipelines are in flight
+    // when the re-plan lands, and later arrivals are admitted after it.
+    let batch1: Vec<Request> = (0..12u64)
+        .map(|i| Request {
+            id: i,
+            prompt_tokens: 32,
+            output_tokens: 512,
+            arrival_time: 0.1 * i as f64,
+            model,
+            ..Request::default()
+        })
+        .collect();
+    // Every batch-2 prompt outweighs all batch-1 prompts together, so one
+    // batch-2 admission through the dropped node would show in its count.
+    let batch2: Vec<Request> = (100..104u64)
+        .map(|id| Request {
+            prompt_tokens: 512,
+            ..requests(1, id, model)[0]
+        })
+        .collect();
+    let batch1_prompts: usize = batch1.iter().map(|r| r.prompt_tokens).sum();
+    assert!(batch2.iter().all(|r| r.prompt_tokens > batch1_prompts));
+    let mut submitted = id_set(&batch1);
+    submitted.extend(id_set(&batch2));
+    let held_at_replan = |transfers: &[KvTransferRecord]| {
+        assert_eq!(transfers.len(), 1);
+        assert_eq!(
+            (transfers[0].migration.from, transfers[0].migration.to),
+            (dropped, to)
+        );
+        transfers[0].tokens
+    };
+
+    // Runtime: migrate once a batch-1 request has completed.  The delta
+    // races the data plane in wall time (ROADMAP item 2), so a coarse clock
+    // keeps the pipelines through node 2 in flight for tens of wall
+    // milliseconds after that completion, even on a busy host.
+    let mut session = ServingBuilder::new()
+        .topology(&topology)
+        .config(RuntimeConfig {
+            wall_per_virtual: 0.05,
+            ..RuntimeConfig::fast_test()
+        })
+        .build()
+        .unwrap();
+    let tickets: Vec<TicketId> = batch1.iter().map(|r| session.submit(*r)).collect();
+    session.wait_completion(tickets[1]).unwrap();
+    let migrate = helix::core::PlacementDelta::new().migrate(model, dropped, to, bottom);
+    session.apply_placement_delta(migrate);
+    session.drain().unwrap();
+    for request in &batch2 {
+        session.submit(*request);
+    }
+    let runtime = session.finish().unwrap();
+    let runtime_ids: BTreeSet<u64> = runtime.outcomes.iter().map(|o| o.id).collect();
+    assert_eq!(runtime_ids, submitted, "runtime: nothing dropped");
+    assert!(
+        held_at_replan(&runtime.kv_transfers) > 0.0,
+        "runtime: node 2 held work"
+    );
+    let row = runtime
+        .nodes
+        .iter()
+        .find(|n| (n.node, n.model) == (dropped, model));
+    let prompts = row
+        .expect("the dropped row stays in the report")
+        .prompt_tokens;
+    assert!(
+        0 < prompts && prompts as usize <= batch1_prompts,
+        "runtime: no batch-2 admission ran through node 2 ({prompts} prompt tokens)"
+    );
+
+    // Simulator: the same migration at a fixed mid-run instant; the dropped
+    // engine's token count does not move while batch 2 is served.
+    let mut sim = sim_session(&topology);
+    for request in &batch1 {
+        sim.submit(*request);
+    }
+    sim.schedule(helix::sim::PerturbationEvent::Migrate {
+        at: 0.5,
+        model,
+        from: dropped,
+        to,
+        layers: bottom,
+    });
+    sim.drain();
+    let engine_tokens = |sim: &SimSession| {
+        let engine = sim.simulator().engine(dropped, model);
+        engine.expect("the dropped engine stays").counters().tokens
+    };
+    let after_batch1 = engine_tokens(&sim);
+    for request in &batch2 {
+        sim.submit(*request);
+    }
+    sim.drain();
+    assert_eq!(
+        engine_tokens(&sim),
+        after_batch1,
+        "simulator: no new pipeline"
+    );
+    let sim_report = sim.finish();
+    let sim_ids: BTreeSet<u64> = sim_report.completions.iter().map(|c| c.id).collect();
+    assert_eq!(sim_ids, submitted, "simulator: nothing dropped");
+    assert!(
+        held_at_replan(&sim_report.kv_transfers) > 0.0,
+        "simulator: node 2 held work"
+    );
+    assert_eq!(sim_ids, runtime_ids);
 }
 
 #[test]

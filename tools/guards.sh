@@ -1,0 +1,35 @@
+#!/bin/sh
+# Greps that must print nothing: each names a fork, a layer or a protocol
+# this repository removed on purpose, so bringing one back fails here
+# instead of in review.  Run from the repository root; exits 1 on any hit.
+# Usage: tools/guards.sh
+status=0
+guard() {
+    hits=$(sh -c "$2")
+    if [ -n "$hits" ]; then
+        echo "guard failed: $1"
+        echo "$hits"
+        status=1
+    fi
+}
+
+# The data plane is one loop on one thread: no lock, no shared cell, no task.
+guard "no lock or task in the data plane" \
+    "grep -rnE 'Mutex|RwLock|Rc<|RefCell|\.spawn\(async|Executor::spawn' crates/runtime/src | grep -v '^crates/runtime/src/session.rs.*thread::Builder'"
+guard "no task-per-worker plane" \
+    "grep -rnE 'Receiver<RuntimeMsg>|Sender<RuntimeMsg>|SharedWorkerStats|publish_stats|WorkerRegistry|WorkerSpawner|CoordinatorMsg|shutdown_all|Deadline' crates/runtime/src"
+guard "the plane has no executor" \
+    "grep -rn 'minirt\|async \|\.await\|block_on' crates/runtime/src crates/runtime/Cargo.toml"
+guard "the pair-table slot arithmetic exists once" \
+    "grep -rn 'index() \* self.num_nodes\|index() \* num_nodes' crates --include=*.rs | grep -v crates/core/src/pair_table.rs"
+guard "unbounded channels only at the session boundary" \
+    "grep -rn 'unbounded()' crates/runtime/src | grep -v 'src/session.rs'"
+guard "KV bookkeeping is a call, not a message" \
+    "grep -rnE 'KvChunk|KvInstalled|RuntimeMsg::Release|pending_migrations|extract_kv|KV_CHUNK_PAGES|fn thaw' crates/*/src src"
+guard "the region tier is a ring and a spill" \
+    "grep -rnE 'RegionDirectory|RegionHealth|RegionRebalancer|RegionTransfer|InterRegionLink|HEARTBEAT_INTERVAL|FrontTierOptions|mark_degraded|affinity_home' crates src tests examples"
+guard "worker rows follow the simulator's engine lifecycle" \
+    "grep -rnE 'pending_retire|sweep_retirements|live_mut|live_pair_mut|live_of_model|is_live\(|fn retire|\.live\b|live: bool' crates/runtime/src"
+guard "a re-plan is one plan_observed" \
+    "grep -nE 'self\.(unsplit_link_flows|vram_overrides)|^ {4}(unsplit_link_flows|vram_overrides): Vec' crates/core/src/fleet.rs"
+exit $status
