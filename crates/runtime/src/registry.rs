@@ -201,10 +201,10 @@ mod tests {
 
     /// A failed row stays in the table, as the simulator's failed engine
     /// does: what reaches it queues, it starts no batch — not even once a
-    /// re-plan gives it new facts — and it keeps its counters, its residency
-    /// and its report row.  Work for a pair outside the table is dropped.
+    /// re-plan gives it new facts — and it keeps its report row.  Work for a
+    /// pair outside the table is dropped.
     #[test]
-    fn a_failed_row_queues_its_work_starts_no_batch_and_keeps_its_counters() {
+    fn detach_stops_routing_but_keeps_the_report_row() {
         let mut workers = Workers::new(4, 2, ExecutionKind::Analytic);
         let mut fabric = fabric();
         let key = (NodeId(3), ModelId(1));
@@ -212,11 +212,7 @@ mod tests {
         // A batch that takes time: the core counts it when it starts.
         workers.deliver(work(key));
         workers.start_touched(0.0, &mut fabric);
-        let worker = workers.get_mut(key).unwrap();
-        (worker.batches, worker.decode_tokens) = (7, 40);
-        // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
-        worker.core.kv.grow(1, 2_000);
-        let counters = worker.core.counters();
+        let counters = workers.get(key).unwrap().core.counters();
         assert!(counters.busy_secs > 0.0);
 
         workers.fail(NodeId(3));
@@ -234,8 +230,35 @@ mod tests {
         assert_eq!((row.key, row.name.as_str()), (key, "n3"));
         assert!(!row.core.is_busy(), "the running batch was dropped");
         assert_eq!(row.core.queue_len(), 1, "what reached it queued");
-        assert_eq!((row.batches, row.decode_tokens), (7, 40));
         assert_eq!(row.core.counters(), counters, "no batch started");
+        assert_eq!(row.layers, 6);
+    }
+
+    /// A failed row that a re-plan names again is the same row: it keeps
+    /// its counters, its KV history and its residency, and takes the new
+    /// plan's facts.
+    #[test]
+    fn respawned_pair_inherits_its_predecessors_counters() {
+        let mut workers = Workers::new(4, 2, ExecutionKind::Analytic);
+        let mut fabric = fabric();
+        let key = (NodeId(3), ModelId(1));
+        planned(&mut workers, key);
+        workers.deliver(work(key));
+        workers.start_touched(0.0, &mut fabric);
+        let worker = workers.get_mut(key).unwrap();
+        (worker.batches, worker.decode_tokens) = (7, 40);
+        // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
+        worker.core.kv.grow(1, 2_000);
+        let counters = worker.core.counters();
+
+        workers.fail(NodeId(3));
+        workers.plan(&profile(), key, "n3", 6, 500.0);
+
+        let rows = workers.rows();
+        assert_eq!(rows.len(), 1);
+        let row = rows[0];
+        assert_eq!((row.batches, row.decode_tokens), (7, 40));
+        assert_eq!(row.core.counters(), counters);
         assert_eq!(row.core.kv.rejections(), 1);
         assert!(row.core.kv.peak_utilization() >= 2.0);
         assert_eq!(row.core.kv.used_tokens(), 2_001.0, "held until released");
