@@ -25,9 +25,8 @@ pub mod artifacts;
 
 use helix_cluster::ClusterProfile;
 use helix_core::{
-    heuristics, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder, HelixError,
-    IwrrScheduler, LatencyStats, ModelPlacement, RandomScheduler, Scheduler, SchedulerKind,
-    ShortestQueueScheduler, SwarmScheduler, Topology,
+    heuristics, scheduler_of_kind, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder,
+    HelixError, LatencyStats, ModelPlacement, Scheduler, SchedulerKind, Topology,
 };
 use helix_sim::{ClusterSimulator, Metrics, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
@@ -196,25 +195,6 @@ impl SystemKind {
         // Neither kind draws from the seed.
         scheduler_of_kind(kind, topology, 0).ok()
     }
-}
-
-/// Builds a scheduler of the given kind for an already-planned topology
-/// (used by the §6.6–§6.7 deep dives).
-///
-/// # Errors
-///
-/// The IWRR scheduler's, when the topology has no pipeline to weigh.
-pub fn scheduler_of_kind(
-    kind: SchedulerKind,
-    topology: &Topology,
-    seed: u64,
-) -> Result<Box<dyn Scheduler>, HelixError> {
-    Ok(match kind {
-        SchedulerKind::HelixIwrr => Box::new(IwrrScheduler::from_topology(topology)?),
-        SchedulerKind::Swarm => Box::new(SwarmScheduler::new(topology)),
-        SchedulerKind::Random => Box::new(RandomScheduler::new(topology, seed)),
-        SchedulerKind::ShortestQueue => Box::new(ShortestQueueScheduler::new(topology)),
-    })
 }
 
 /// Offline or online serving setting (§6.2).

@@ -50,16 +50,18 @@
 //! table, promotion credits awaiting re-admission, and the policy clock with
 //! the re-plan and fail-over logs.  Surfaces hold no
 //! copy of any of it; they read it through the accessors below.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::engine::IdMap;
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use crate::{
-    select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology, HelixError,
-    IwrrScheduler, KvTransferModel, LayerRange, NodeObservations, ObservationWindows,
-    PlacementDelta, PrefixRoute, PrefixRouter, PrefixStats, PrefixWork, ReplanOutcome,
-    ReplanPolicy, ReplanReason, ReplanRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats,
-    RequestPipeline, Scheduler,
+    scheduler_of_kind, select_standby, ClusterState, EngineCounters, FailoverRecord, FleetTopology,
+    HelixError, KvTransferModel, LayerRange, NodeObservations, ObservationWindows, PlacementDelta,
+    PrefixRoute, PrefixRouter, PrefixStats, PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason,
+    ReplanRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler,
 };
 use helix_cluster::{ModelId, NodeId};
 use helix_workload::{Request, RequestId};
@@ -726,13 +728,22 @@ impl ControlPlane {
         Some(outcome)
     }
 
-    /// Installs `model`'s IWRR weights, re-derived from the fleet as it
-    /// stands now.  A model whose planned flow is zero keeps its old
-    /// scheduler (serving degraded beats serving nothing).
+    /// Rebuilds `model`'s scheduler, of the kind it had, over the fleet as it
+    /// stands now: IWRR re-derives its weights, a baseline its graph.  A
+    /// rebuilt [`RandomScheduler`](crate::RandomScheduler) is seeded with
+    /// the number of re-plans applied before this one, so runs repeat and
+    /// successive rebuilds draw different sequences.  A model whose planned
+    /// flow is zero keeps its old IWRR scheduler (serving degraded beats
+    /// serving nothing).
     fn install_scheduler(&mut self, model: ModelId) {
-        let rebuilt = self.fleet.model(model).map(IwrrScheduler::from_topology);
+        let kind = self.schedulers[model.index()].kind();
+        let seed = self.replans.len() as u64;
+        let rebuilt = self
+            .fleet
+            .model(model)
+            .map(|t| scheduler_of_kind(kind, t, seed));
         if let Some(Ok(scheduler)) = rebuilt {
-            self.schedulers[model.index()] = Box::new(scheduler);
+            self.schedulers[model.index()] = scheduler;
         }
     }
 
@@ -769,5 +780,34 @@ impl ControlPlane {
         let outcome = self.replan(&PlacementDelta::new(), Some(&observed), reason, now)?;
         self.last_replan = Some(now);
         Some(outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{heuristics, SchedulerKind, SwarmScheduler, Topology};
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
+
+    /// A re-plan rebuilds each model's scheduler with the kind it had: a
+    /// Swarm run stays Swarm after a failure re-plans around a node.
+    #[test]
+    fn a_failure_replan_keeps_each_models_scheduler_kind() {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let placement = heuristics::petals_placement(&profile).unwrap();
+        let topology = Topology::plan(&profile, &placement, true).unwrap();
+        let redundant = topology.nodes().map(|n| n.node).find(|&node| {
+            let mut without = placement.clone();
+            without.clear(node);
+            without.has_complete_pipeline(topology.num_layers())
+        });
+        let node = redundant.expect("petals replicates some range");
+        let swarm: Box<dyn Scheduler> = Box::new(SwarmScheduler::new(&topology));
+        let mut control = ControlPlane::new(FleetTopology::single(topology), vec![swarm]);
+        let reason = ReplanReason::NodeFailure { node };
+        let failover = control.fail_nodes(&[node], reason, 1.0, &|_, _| true);
+        assert!(failover.replan.is_some(), "the removal re-planned");
+        assert_eq!(control.schedulers[0].kind(), SchedulerKind::Swarm);
     }
 }

@@ -1,11 +1,11 @@
-//! The per-node engine core: the one batch / freeze / KV-residency
+//! The per-node engine: the one batch / freeze / KV-residency
 //! implementation behind both execution surfaces.
 //!
 //! The paper has **one** per-node worker — best-effort dynamic batching
 //! (§5.1) over one paged KV pool whose exhaustion forces slow offloading to
-//! host memory (§5.2, §6.1).  The simulator's `NodeEngine` and the runtime's
-//! worker row are both that worker, so both are built on the two plain
-//! structs of this module and neither keeps a private copy of the rules:
+//! host memory (§5.2, §6.1).  The simulator's engines and the runtime's
+//! worker rows are both that worker — the same [`NodeEngine`] fed the same
+//! [`WorkItem`]s — and neither keeps a private copy of the rules:
 //!
 //! * [`PagedKvPool`] — the KV residency table: tokens and pages per request,
 //!   shared-prefix entries counted once however many requests reference
@@ -17,6 +17,11 @@
 //!   failed/recover and the cumulative counters.  It answers one question:
 //!   *given `now` and a cost function over the batch, which items start and
 //!   how long do they take*.
+//! * [`NodeEngine`] — an `EngineCore<WorkItem>` with the layers the node
+//!   holds and the [`ExecModel`] that prices its batches (none: every batch
+//!   takes no time).  A [`WorkItem`] is a landed [`Hop`] with its request,
+//!   layers and prefix work, read from the request's lane
+//!   ([`RequestTable`](crate::RequestTable)).
 //!
 //! # What the core decides
 //!
@@ -41,17 +46,17 @@
 //!
 //! # What each surface adds, and who owns which state
 //!
-//! The core owns the queue, the in-flight batch, the frozen ranges, the pool
-//! and the counters.  It never sees an event queue or a message: the
-//! *simulator* adds `SimTime` scheduling (it turns the returned duration
-//! into a `BatchComplete` event) and prices batches with
-//! [`ExecModel`]; the *runtime worker* queues the returned duration in the
-//! fabric's heap beside the deliveries (or completes a zero-duration batch
-//! in place), forwards finished items through the fabric, keeps the report
-//! counters and prices batches with its `ExecutionModel`.  Each surface
-//! supplies the link a hand-over crosses and wakes both ends when it
-//! arrives.  Cross-engine facts (which engines hold a request) stay with
-//! the surfaces' coordinators.
+//! The engine owns the queue, the in-flight batch, the frozen ranges, the
+//! pool, the cost model and the counters.  It never sees an event queue or a
+//! message: the *simulator* adds `SimTime` scheduling (it turns the returned
+//! duration into a `BatchComplete` event); the *runtime worker* queues the
+//! returned duration in the fabric's heap beside the deliveries (or
+//! completes a zero-duration batch in place), forwards finished items
+//! through the fabric and keeps the report counters.  Both find a finished
+//! item's next stage through its lane.  Each surface supplies the link a
+//! hand-over crosses and wakes both ends when it arrives.  Cross-engine
+//! facts (which engines hold a request) stay with the surfaces'
+//! coordinators.
 //!
 //! # Why the page size is a constructor argument
 //!
@@ -85,9 +90,13 @@
 //! of the same table for callers that want admission instead of offload: an
 //! allocation that fits is recorded, one that does not counts a rejection
 //! and leaves the table unchanged.  The engines never call them.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
-use crate::exec_model::{ExecModel, Phase};
+use crate::exec_model::{ExecModel, Phase, WorkUnit};
+use crate::lane::Hop;
 use crate::placement::LayerRange;
 use crate::replan::{EngineCounters, KvMigration, KvTransferModel, KvTransferRecord};
 use crate::scheduling::prefix::PrefixWork;
@@ -96,6 +105,7 @@ use helix_workload::RequestId;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// Seconds of the recent-throughput window.
 const THROUGHPUT_WINDOW_SECS: f64 = 10.0;
@@ -527,11 +537,43 @@ pub struct WorkMeta {
     pub prefix: Option<PrefixWork>,
 }
 
-/// The accessor that lets each surface queue its own item type (the
-/// simulator's `WorkItem`, the runtime's `StageWork`) in an [`EngineCore`].
+/// The accessor the core batches by; [`WorkItem`], what both surfaces
+/// queue, is its one implementation.
 pub trait Work {
     /// The facts the core batches and accounts by.
     fn meta(&self) -> WorkMeta;
+}
+
+/// A unit of work queued on an engine: a landed [`Hop`] with what the
+/// engine batches and accounts by (see
+/// [`RequestTable::land`](crate::RequestTable::land)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorkItem {
+    /// The request this work belongs to.
+    pub request: RequestId,
+    /// The hop that delivered it.
+    pub hop: Hop,
+    /// Layers this node computes for this request.
+    pub layers: LayerRange,
+    /// Shared-prefix work riding on this item (prompt phase only; `None`
+    /// for decode iterations and prefix-free requests).  A cache hit's
+    /// `tokens` already excludes the shared range; a miss's `tokens` include
+    /// it, but the engine accounts the shared range in its refcounted
+    /// prefix residency instead of the per-request KV entry.
+    pub prefix: Option<PrefixWork>,
+}
+
+impl Work for WorkItem {
+    #[inline]
+    fn meta(&self) -> WorkMeta {
+        WorkMeta {
+            request: self.request,
+            phase: self.hop.phase,
+            tokens: self.hop.tokens as usize,
+            layers: self.layers,
+            prefix: self.prefix,
+        }
+    }
 }
 
 /// One started batch: how long it takes and what it processes.
@@ -764,5 +806,187 @@ impl<W: Work> EngineCore<W> {
     pub fn complete_batch(&mut self, done: &mut Vec<W>) {
         done.clear();
         std::mem::swap(&mut self.in_flight, done);
+    }
+}
+
+/// The execution engine of one (node, model) tenancy — the row both
+/// surfaces keep in their [`PairTable`](crate::PairTable).
+///
+/// It is the shared [`EngineCore`] over [`WorkItem`]s — every method of the
+/// core is available through `Deref` — plus the layers the node holds and
+/// the analytic cost model that prices its batches.  Without a cost model
+/// every batch completes in no time (the runtime's `ExecutionKind::Instant`).
+#[derive(Debug, Clone)]
+pub struct NodeEngine {
+    layers_held: usize,
+    exec: Option<ExecModel>,
+    core: EngineCore<WorkItem>,
+}
+
+impl Deref for NodeEngine {
+    type Target = EngineCore<WorkItem>;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.core
+    }
+}
+
+impl DerefMut for NodeEngine {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.core
+    }
+}
+
+impl NodeEngine {
+    /// An idle engine for a node holding `layers_held` layers, pricing its
+    /// batches with `exec`, over a pool of `kv_capacity_tokens` tokens in
+    /// pages of `tokens_per_page`.
+    pub fn new(
+        exec: Option<ExecModel>,
+        layers_held: usize,
+        kv_capacity_tokens: f64,
+        tokens_per_page: usize,
+    ) -> Self {
+        NodeEngine {
+            layers_held,
+            exec,
+            core: EngineCore::new(kv_capacity_tokens, tokens_per_page),
+        }
+    }
+
+    /// Number of layers the node holds.
+    pub fn layers_held(&self) -> usize {
+        self.layers_held
+    }
+
+    /// Takes a re-plan's facts in place: re-plans can move layers,
+    /// re-partition a shared node's KV pool *and re-split its compute*
+    /// between tenants, so the cost model is rebuilt from the re-planned
+    /// (share-scaled) profile and a surviving engine prices its batches
+    /// exactly like a freshly created one.  Queued work, the batch in flight
+    /// and cached tokens survive.
+    pub fn update_plan(
+        &mut self,
+        exec: Option<ExecModel>,
+        layers_held: usize,
+        kv_capacity_tokens: f64,
+    ) {
+        self.layers_held = layers_held;
+        self.core.kv.resize(kv_capacity_tokens);
+        self.exec = exec;
+    }
+
+    /// The cost model the engine currently prices batches with.
+    pub fn exec_model(&self) -> Option<&ExecModel> {
+        self.exec.as_ref()
+    }
+
+    /// Starts a batch at `now` if the engine is idle, healthy and has
+    /// runnable work, priced by the cost model.
+    #[inline]
+    pub fn try_start_batch(&mut self, now: f64) -> Option<BatchRun> {
+        let exec = &self.exec;
+        self.core.start_batch(now, |batch| {
+            exec.as_ref().map_or(0.0, |exec| {
+                exec.batch_secs(batch.iter().map(|item| WorkUnit {
+                    phase: item.hop.phase,
+                    tokens: item.hop.tokens as usize,
+                    layers: item.layers.len(),
+                }))
+            })
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
+
+    // Batching, freezes, KV residency and the throughput window are the
+    // core's and are tested in `crates/core/tests/engine_core.rs`; what is
+    // tested here is what `NodeEngine` adds.
+
+    fn engine(kv_capacity_tokens: f64) -> NodeEngine {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
+        let exec = ExecModel::new(profile.node_profile(NodeId(0)));
+        NodeEngine::new(Some(exec), 10, kv_capacity_tokens, 1)
+    }
+
+    fn item(request: u64, phase: Phase, tokens: u32) -> WorkItem {
+        WorkItem {
+            request,
+            hop: Hop {
+                epoch: 0,
+                slot: 0,
+                tokens,
+                stage: 0,
+                phase,
+            },
+            layers: LayerRange::new(0, 10),
+            prefix: None,
+        }
+    }
+
+    #[test]
+    fn batches_complete_after_the_cost_models_duration() {
+        let mut e = engine(10_000.0);
+        assert!(e.try_start_batch(0.0).is_none(), "no work, no batch");
+        e.enqueue(item(1, Phase::Decode, 1));
+        let run = e.try_start_batch(2.0).unwrap();
+        assert!(run.actual_secs > crate::exec_model::BATCH_OVERHEAD_SECS);
+        assert!((run.actual_secs - e.counters().busy_secs).abs() < 1e-12);
+        let mut done = Vec::new();
+        e.complete_batch(&mut done);
+        assert_eq!(done.len(), 1);
+        assert_eq!(e.layers_held(), 10);
+    }
+
+    #[test]
+    fn prompt_tokens_cost_less_per_token_than_decode() {
+        let mut e = engine(10_000.0);
+        e.enqueue(item(1, Phase::Prompt, 100));
+        let prompt = e.try_start_batch(0.0).unwrap();
+
+        let mut e2 = engine(10_000.0);
+        for i in 0..100 {
+            e2.enqueue(item(i, Phase::Decode, 1));
+        }
+        let decode = e2.try_start_batch(0.0).unwrap();
+        // 100 prompt tokens in one batch are much faster than 100 decode tokens.
+        assert!(prompt.actual_secs < decode.actual_secs);
+    }
+
+    #[test]
+    fn overflow_compares_whole_tokens_against_the_planned_fractional_capacity() {
+        // 1-token pages: residency is the token count and the capacity is
+        // the planned `f64`, so 50 tokens fit 50.5 and the 51st overflows.
+        let mut fits = engine(50.5);
+        let mut over = engine(50.5);
+        fits.enqueue(item(1, Phase::Prompt, 50));
+        over.enqueue(item(1, Phase::Prompt, 51));
+        let fast = fits.try_start_batch(0.0).unwrap().actual_secs;
+        let slow = over.try_start_batch(0.0).unwrap().actual_secs;
+        assert!(slow > fast * 2.0, "the overflowing batch is penalised");
+        assert_eq!(over.kv.used_tokens(), 51.0, "overflow is still recorded");
+        assert_eq!(over.kv.capacity_tokens(), 50.5);
+        over.complete_batch(&mut Vec::new());
+        over.release_request(1);
+        assert_eq!(over.kv.used_tokens(), 0.0);
+    }
+
+    /// Without a cost model a batch takes no time, overflowing or slowed.
+    #[test]
+    fn instant_execution_is_free() {
+        let mut e = NodeEngine::new(None, 10, 8.0, 1);
+        e.set_slowdown(4.0);
+        e.enqueue(item(1, Phase::Prompt, 1_000));
+        let run = e.try_start_batch(0.0).unwrap();
+        assert_eq!((run.nominal_secs, run.actual_secs), (0.0, 0.0));
+        assert_eq!(run.prompt_tokens, 1_000);
+        assert!(e.kv.over_capacity());
     }
 }

@@ -38,7 +38,6 @@ use crate::placement::refine::{
 use crate::placement::{LayerRange, ModelPlacement};
 use crate::replan::{NodeObservations, PlacementDelta, ReplanOutcome};
 use crate::scheduling::iwrr::IwrrScheduler;
-use crate::scheduling::prefix::PrefixRouter;
 use crate::scheduling::{ClusterState, RequestPipeline, Scheduler, SchedulerKind};
 use crate::topology::Topology;
 use helix_cluster::{
@@ -583,15 +582,6 @@ impl FleetScheduler {
     /// drive one scheduler per model).
     pub fn into_parts(self) -> Vec<Box<dyn Scheduler>> {
         self.schedulers
-    }
-
-    /// One cache-aware [`PrefixRouter`] per model, to be layered on top of
-    /// the base per-model schedulers (consult the router first; fall back to
-    /// the base policy on a miss or bypass).
-    pub fn prefix_routers(&self) -> Vec<PrefixRouter> {
-        (0..self.schedulers.len())
-            .map(|_| PrefixRouter::new())
-            .collect()
     }
 
     /// The scheduling policy used for one model.

@@ -36,8 +36,7 @@ use serde::{Deserialize, Serialize};
 /// today's unreplicated serving, `2` keeps one standby copy per pipeline
 /// stage.  "Hot" is decided per request from its decode length (requests
 /// that will decode many tokens amortise the replication bandwidth over the
-/// most recomputation saved); the threshold is typically chosen by rank via
-/// [`hot_threshold_by_rank`](Self::hot_threshold_by_rank).
+/// most recomputation saved).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationPolicy {
     /// Total copies of a hot request's KV (1 = no replication).
@@ -83,22 +82,6 @@ impl ReplicationPolicy {
     /// Deterministic per request, so both surfaces pick the same hot set.
     pub fn replicates(&self, output_tokens: usize) -> bool {
         self.enabled() && output_tokens >= self.hot_threshold_tokens
-    }
-
-    /// The decode-token-rank threshold: the smallest output length within
-    /// the hottest `fraction` of `output_lengths` (0 when the fraction
-    /// covers everything, `usize::MAX` when it rounds to nobody).
-    pub fn hot_threshold_by_rank(output_lengths: &[usize], fraction: f64) -> usize {
-        if output_lengths.is_empty() {
-            return 0;
-        }
-        let mut sorted = output_lengths.to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let count = ((output_lengths.len() as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-        match count {
-            0 => usize::MAX,
-            n => sorted[n.min(sorted.len()) - 1],
-        }
     }
 }
 
@@ -244,11 +227,6 @@ impl ReplicaTracker {
         self.stats.bytes += bytes;
     }
 
-    /// Tokens `request` would have to recompute if its primary failed now.
-    pub fn loss_if_failed(&self, request: u64, total_tokens: usize) -> usize {
-        total_tokens.saturating_sub(self.replicated_tokens(request))
-    }
-
     /// Stops tracking `request` (completed or aborted), returning whether it
     /// was tracked.
     pub fn finish(&mut self, request: u64) -> bool {
@@ -299,17 +277,6 @@ mod tests {
 
     #[test]
     fn hot_threshold_comes_from_decode_token_rank() {
-        let lengths = [10, 400, 50, 200, 100, 30, 800, 20, 60, 5];
-        // Hottest 30% of 10 requests = top 3 by decode length: 800, 400, 200.
-        assert_eq!(ReplicationPolicy::hot_threshold_by_rank(&lengths, 0.3), 200);
-        // Everything hot / nothing hot / empty inputs.
-        assert_eq!(ReplicationPolicy::hot_threshold_by_rank(&lengths, 1.0), 5);
-        assert_eq!(
-            ReplicationPolicy::hot_threshold_by_rank(&lengths, 0.0),
-            usize::MAX
-        );
-        assert_eq!(ReplicationPolicy::hot_threshold_by_rank(&[], 0.5), 0);
-
         let policy = ReplicationPolicy::rf2(200, 16);
         assert!(policy.enabled());
         assert_eq!(policy.chunk_tokens, REPLICA_CHUNK_PAGES * 16);
@@ -329,19 +296,16 @@ mod tests {
         // Decode trickles: nothing ships until the next 64-token boundary
         // past the already-durable 100.
         assert_eq!(tracker.record_progress(7, 120, 64, false), 0);
-        assert_eq!(tracker.loss_if_failed(7, 120), 20);
         assert_eq!(tracker.record_progress(7, 128, 64, false), 28);
         assert_eq!(tracker.replicated_tokens(7), 128);
         assert_eq!(tracker.record_progress(7, 191, 64, false), 0);
-        assert_eq!(tracker.loss_if_failed(7, 191), 63);
         assert_eq!(tracker.record_progress(7, 192, 64, false), 64);
         // Two stages ship per milestone; tokens count once per request.
         let stats = tracker.stats();
         assert_eq!(stats.chunks, 6);
         assert_eq!(stats.tokens, 192);
-        // Untracked requests never replicate and lose everything.
+        // Untracked requests never replicate.
         assert_eq!(tracker.record_progress(9, 500, 64, true), 0);
-        assert_eq!(tracker.loss_if_failed(9, 500), 500);
         assert!(tracker.finish(7));
         assert!(!tracker.finish(7));
         assert!(tracker.tracked().is_empty());

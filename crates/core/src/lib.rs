@@ -19,9 +19,11 @@
 //!   the runtime so the two can never drift apart.
 //! * [`engine`] — the per-node worker of §5.1–§5.2 once: [`EngineCore`]
 //!   (batching, layer-range freezes, the KV-overflow decision) over the
-//!   [`PagedKvPool`] residency table.  The simulator's `NodeEngine` and the
-//!   runtime's worker rows are this core plus their own scheduling glue;
-//!   [`LinkQueue`] is the FIFO link model they likewise share,
+//!   [`PagedKvPool`] residency table, and [`NodeEngine`], that core with its
+//!   cost model — the simulator's engines and the runtime's worker rows are
+//!   both a `NodeEngine` fed [`WorkItem`]s.  [`lane`] is the request table
+//!   a 24-byte [`Hop`] is resolved against, stale work dropped by slot and
+//!   epoch; [`LinkQueue`] is the FIFO link model the surfaces likewise share,
 //!   [`LinkTable`] the dense table both find a hop's link in and
 //!   [`PairTable`] the dense `model × node` table both keep those in.
 //! * [`MilpPlacementPlanner`] — the MILP formulation of §4.4 (Tables 5–6)
@@ -87,6 +89,7 @@ pub mod exec_model;
 pub mod fleet;
 pub mod flow_graph;
 pub mod ha;
+pub mod lane;
 pub mod link;
 pub mod obs;
 pub mod pair_table;
@@ -99,7 +102,7 @@ pub mod topology;
 pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };
-pub use engine::{EngineCore, KvPoolError, PagedKvPool};
+pub use engine::{EngineCore, KvPoolError, NodeEngine, PagedKvPool, WorkItem};
 pub use error::{HelixError, NoCandidateReason};
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{
@@ -111,6 +114,7 @@ pub use ha::{
     select_standby, FailoverRecord, ReplicaTracker, ReplicationPolicy, ReplicationStats,
     REPLICA_CHUNK_PAGES,
 };
+pub use lane::{Hop, Lane, RequestTable};
 pub use link::{LinkKey, LinkQueue, LinkTable};
 pub use obs::LatencyStats;
 pub use pair_table::PairTable;
@@ -136,7 +140,8 @@ pub use scheduling::iwrr::IwrrScheduler;
 pub use scheduling::kv_estimate::KvCacheEstimator;
 pub use scheduling::prefix::{PrefixRoute, PrefixRouter, PrefixStats, PrefixWork};
 pub use scheduling::{
-    ClusterState, IdleClusterState, PipelineStage, RandomScheduler, RequestPipeline, Scheduler,
-    SchedulerKind, ShortestQueueScheduler, SwarmScheduler, TopologyGraph,
+    scheduler_of_kind, ClusterState, IdleClusterState, PipelineStage, RandomScheduler,
+    RequestPipeline, Scheduler, SchedulerKind, ShortestQueueScheduler, SwarmScheduler,
+    TopologyGraph,
 };
 pub use topology::{Topology, TopologyLink, TopologyNode};

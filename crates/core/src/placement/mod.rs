@@ -151,11 +151,6 @@ impl ModelPlacement {
             .collect()
     }
 
-    /// Total layers held across all nodes (counts replicas).
-    pub fn total_layers_held(&self) -> usize {
-        self.iter().map(|(_, r)| r.len()).sum()
-    }
-
     /// The minimum number of pipeline stages a request must traverse, i.e.
     /// the length of the shortest node chain from layer 0 to `num_layers`
     /// (the paper's "pipeline depth").  Returns `usize::MAX` if no complete
@@ -281,7 +276,6 @@ mod tests {
         assert_eq!(p.entry_nodes(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(p.exit_nodes(6), vec![NodeId(1), NodeId(2)]);
         assert_eq!(p.holders_of(4), vec![NodeId(1), NodeId(2)]);
-        assert_eq!(p.total_layers_held(), 12);
         assert_eq!(p.range(NodeId(3)), None);
     }
 

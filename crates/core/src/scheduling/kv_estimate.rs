@@ -93,14 +93,21 @@ impl KvCacheEstimator {
     /// `output_len` tokens; frees its estimated footprint and updates the
     /// running average output length.
     pub fn on_finished(&mut self, node: NodeId, request_id: u64, output_len: usize) {
+        self.on_aborted(node, request_id);
+        self.completed += 1;
+        let n = self.completed as f64;
+        self.avg_output_len = self.avg_output_len * (n - 1.0) / n + output_len as f64 / n;
+    }
+
+    /// Frees the estimated footprint of request `request_id` on `node`
+    /// without touching the running average: an aborted incarnation's
+    /// partial decode count says nothing about output lengths.
+    pub fn on_aborted(&mut self, node: NodeId, request_id: u64) {
         if let Some(footprint) = self.in_flight.remove(&(node, request_id)) {
             if let Some(e) = self.estimated.get_mut(node.index()) {
                 *e = (*e - footprint).max(0.0);
             }
         }
-        self.completed += 1;
-        let n = self.completed as f64;
-        self.avg_output_len = self.avg_output_len * (n - 1.0) / n + output_len as f64 / n;
     }
 
     /// Records that a request referencing shared prefix `prefix`
@@ -201,6 +208,28 @@ mod tests {
         // Average moves from the prior (200) towards the observed 100.
         assert!(est.avg_output_len() < 200.0);
         assert!(est.avg_output_len() >= 100.0);
+    }
+
+    #[test]
+    fn an_aborted_incarnation_frees_its_footprint_and_leaves_the_average() {
+        let mut est = estimator();
+        let node = NodeId(0);
+        est.on_scheduled(node, 1, 100);
+        est.on_scheduled(node, 2, 100);
+        est.on_aborted(node, 1);
+        assert!((est.estimated_tokens(node) - 300.0).abs() < 1e-9);
+        assert_eq!(est.avg_output_len(), 200.0, "no completion was folded in");
+        // Aborting twice, or what was never scheduled, is harmless.
+        est.on_aborted(node, 1);
+        est.on_aborted(node, 9);
+        assert!((est.estimated_tokens(node) - 300.0).abs() < 1e-9);
+        // The first completion replaces the prior; a folded-in abort would
+        // have halved it.
+        est.on_finished(node, 2, 100);
+        assert_eq!(
+            (est.estimated_tokens(node), est.avg_output_len()),
+            (0.0, 100.0)
+        );
     }
 
     #[test]

@@ -98,6 +98,25 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
+/// Builds a scheduler of `kind` over `topology`; `seed` seeds a
+/// [`RandomScheduler`] and is ignored by the other kinds.
+///
+/// # Errors
+///
+/// The IWRR scheduler's, when the topology has no pipeline to weigh.
+pub fn scheduler_of_kind(
+    kind: SchedulerKind,
+    topology: &Topology,
+    seed: u64,
+) -> Result<Box<dyn Scheduler>, HelixError> {
+    Ok(match kind {
+        SchedulerKind::HelixIwrr => Box::new(crate::IwrrScheduler::from_topology(topology)?),
+        SchedulerKind::Swarm => Box::new(SwarmScheduler::new(topology)),
+        SchedulerKind::Random => Box::new(RandomScheduler::new(topology, seed)),
+        SchedulerKind::ShortestQueue => Box::new(ShortestQueueScheduler::new(topology)),
+    })
+}
+
 /// Runtime cluster feedback a scheduler may consult when picking candidates.
 ///
 /// The simulator implements this; [`IdleClusterState`] provides an

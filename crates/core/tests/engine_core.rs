@@ -16,9 +16,9 @@
 //!    while neither pool overflows.
 
 use helix_cluster::{ModelId, NodeId, PrefixId};
-use helix_core::engine::{EngineCore, KvPoolError, PagedKvPool, Work, WorkMeta};
+use helix_core::engine::{EngineCore, KvPoolError, PagedKvPool};
 use helix_core::exec_model::{Phase, KV_OVERFLOW_PENALTY};
-use helix_core::{KvMigration, KvTransferModel, LayerRange, PrefixWork};
+use helix_core::{Hop, KvMigration, KvTransferModel, LayerRange, PrefixWork, WorkItem};
 use helix_workload::RequestId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -242,29 +242,24 @@ fn resize_keeps_residency_and_never_evicts() {
 // The engine (moved from `crates/sim/src/engine.rs`)
 // ---------------------------------------------------------------------------
 
-/// A queued item as these tests see it: the core's view plus an identity.
-#[derive(Debug, Clone, PartialEq)]
-struct Item {
-    id: u64,
-    meta: WorkMeta,
-}
-
-impl Work for Item {
-    fn meta(&self) -> WorkMeta {
-        self.meta
-    }
-}
+/// A queued item as these tests see it: the surfaces' work item, numbered
+/// by its hop's epoch field.
+type Item = WorkItem;
 
 fn item(id: u64, request: RequestId, phase: Phase, tokens: usize, layers: LayerRange) -> Item {
-    Item {
-        id,
-        meta: WorkMeta {
-            request,
-            phase,
-            tokens,
-            layers,
-            prefix: None,
-        },
+    let tokens = u32::try_from(tokens).unwrap();
+    let hop = Hop {
+        epoch: id,
+        slot: 0,
+        tokens,
+        stage: 0,
+        phase,
+    };
+    WorkItem {
+        request,
+        hop,
+        layers,
+        prefix: None,
     }
 }
 
@@ -277,7 +272,7 @@ fn cost(batch: &[Item]) -> f64 {
     0.015
         + batch
             .iter()
-            .map(|i| i.meta.tokens as f64 * 1e-3)
+            .map(|i| f64::from(i.hop.tokens) * 1e-3)
             .sum::<f64>()
 }
 
@@ -344,7 +339,7 @@ fn a_prefix_miss_caches_the_shared_range_once_and_a_hit_reuses_it() {
             tokens,
             LayerRange::new(0, 10),
         );
-        i.meta.prefix = Some(PrefixWork {
+        i.prefix = Some(PrefixWork {
             id: PrefixId(3),
             tokens: 64,
             hit,
@@ -412,8 +407,8 @@ fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     e.freeze(LayerRange::new(0, 5), 10.0);
     let held = item(1, 1, Phase::Decode, 1, LayerRange::new(0, 5));
     let runnable = item(2, 2, Phase::Decode, 1, LayerRange::new(5, 10));
-    e.enqueue(held.clone());
-    e.enqueue(runnable.clone());
+    e.enqueue(held);
+    e.enqueue(runnable);
 
     assert!(e.start_batch(0.0, cost).is_some(), "disjoint layers batch");
     assert_eq!(complete(&mut e), vec![runnable], "only un-frozen work");
@@ -422,13 +417,13 @@ fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
     assert!(e.start_batch(9.9, cost).is_none());
     // ...but once the freeze expires it batches normally.
     assert!(e.start_batch(10.0, cost).is_some());
-    assert_eq!(complete(&mut e), vec![held.clone()]);
+    assert_eq!(complete(&mut e), vec![held]);
 
     // Overlapping hand-overs stack: the range is held until the later one
     // arrives.
     e.freeze(LayerRange::new(0, 5), 20.0);
     e.freeze(LayerRange::new(2, 3), 30.0);
-    e.enqueue(held.clone());
+    e.enqueue(held);
     assert!(e.start_batch(20.0, cost).is_none(), "one freeze remains");
     assert!(e.start_batch(30.0, cost).is_some());
     assert_eq!(complete(&mut e), vec![held]);
@@ -672,7 +667,7 @@ fn a_frozen_range_partitions_between_two_swapped_batches() {
 fn start(engine: &mut EngineCore<Item>, now: f64) -> Option<(Vec<u64>, f64)> {
     let mut ids = Vec::new();
     let run = engine.start_batch(now, |batch| {
-        ids = batch.iter().map(|i| i.id).collect();
+        ids = batch.iter().map(|i| i.hop.epoch).collect();
         cost(batch)
     })?;
     Some((ids, run.nominal_secs))
@@ -690,11 +685,11 @@ fn complete(engine: &mut EngineCore<Item>) -> Vec<Item> {
 /// surfaces do: the buffers rotate between caller, `in_flight` and `pending`.
 fn complete_into(engine: &mut EngineCore<Item>, done: &mut Vec<Item>) -> Vec<u64> {
     engine.complete_batch(done);
-    done.iter().map(|i| i.id).collect()
+    done.iter().map(|i| i.hop.epoch).collect()
 }
 
 fn ids(items: Vec<Item>) -> Vec<u64> {
-    items.into_iter().map(|i| i.id).collect()
+    items.into_iter().map(|i| i.hop.epoch).collect()
 }
 
 proptest! {
@@ -851,7 +846,7 @@ proptest! {
                 0..=2 => {
                     let new = item(next_id, request, Phase::Decode, 1, range);
                     next_id += 1;
-                    engine.enqueue(new.clone());
+                    engine.enqueue(new);
                     queued.push(new);
                 }
                 3 => {
@@ -870,7 +865,7 @@ proptest! {
                 }
                 6 => {
                     engine.purge_request(request);
-                    queued.retain(|i| i.meta.request != request || !purged.insert(i.id));
+                    queued.retain(|i| i.request != request || !purged.insert(i.hop.epoch));
                 }
                 _ => {
                     if drain {
@@ -880,16 +875,16 @@ proptest! {
                     live.retain(|&(_, until)| now < until);
                     let expected: Vec<u64> = if in_flight.is_empty() {
                         let frozen = |i: &Item| {
-                            live.iter().any(|&(range, _)| range.intersects(i.meta.layers))
+                            live.iter().any(|&(range, _)| range.intersects(i.layers))
                         };
-                        queued.iter().filter(|i| !frozen(i)).map(|i| i.id).collect()
+                        queued.iter().filter(|i| !frozen(i)).map(|i| i.hop.epoch).collect()
                     } else {
                         Vec::new()
                     };
                     let started = start(&mut engine, now).map(|(ids, _)| ids).unwrap_or_default();
                     prop_assert!(started == expected, "{started:?} != {expected:?} at {now}, {live:?}");
                     if !expected.is_empty() {
-                        queued.retain(|i| !expected.contains(&i.id));
+                        queued.retain(|i| !expected.contains(&i.hop.epoch));
                         in_flight = expected;
                     } else if drain {
                         let finished = complete_into(&mut engine, &mut done);
@@ -925,7 +920,7 @@ proptest! {
                     let (phase, tokens) = if prompt { (Phase::Prompt, tokens) } else { (Phase::Decode, 1) };
                     let new = item(next_id, request, phase, tokens, LayerRange::new(0, 8));
                     next_id += 1;
-                    fine.enqueue(new.clone());
+                    fine.enqueue(new);
                     paged.enqueue(new);
                 }
                 3 => {

@@ -12,13 +12,20 @@
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives); this module is its runtime actuator.  It owns what
 //! is genuinely the runtime's: the worker table, the fabric with everything
-//! in flight and the §5.2 [`KvCacheEstimator`]s.  The rows follow the
-//! simulator's engine lifecycle: a tenancy the plan drops keeps executing
-//! what it holds and gets no new pipeline, and a failed node's rows start
-//! no batch but stay in the table.  KV bookkeeping — releasing a finished or
-//! aborted request, seeding a replica or a promoted request, handing a
-//! layer range over — is a call on every row of the model at the moment the
-//! simulator makes it, priced on the link it crosses.
+//! in flight and the §5.2 [`KvCacheEstimator`]s — and, as the simulator
+//! keeps one per run, the [`RequestTable`]: each dispatched request gets a
+//! slot whose lane is its live incarnation, and every hop and iteration
+//! report is resolved against that lane, so the work of an aborted
+//! incarnation is dropped where it lands, without a lookup.  Slots are
+//! never reused within a session: the table grows by one entry per
+//! distinct request id, as the report's outcomes do.  The rows are the
+//! simulator's engines and follow their lifecycle: a tenancy the plan
+//! drops keeps executing what it holds and gets no new pipeline, and a
+//! failed node's rows start no batch but stay in the table.  KV bookkeeping
+//! — releasing a finished or aborted request, seeding a replica or a
+//! promoted request, handing a layer range over — is a call on every row of
+//! the model at the moment the simulator makes it, priced on the link it
+//! crosses.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
 //! the session loop behind [`ServingSession`](crate::ServingSession), a
@@ -56,19 +63,18 @@
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
 use crate::fabric::{Event, Fabric};
-use crate::message::{Envelope, Phase, RuntimeMsg, StageWork};
+use crate::message::{Envelope, RuntimeMsg};
 use crate::metrics::RequestOutcome;
 use crate::registry::Workers;
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::{
-    Admission, ClusterState, ControlLogs, ControlPlane, FleetTopology, InFlight, KvCacheEstimator,
-    KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy, ReplanReason,
-    ReplicationPolicy, Scheduler,
+    Admission, ClusterState, ControlLogs, ControlPlane, FleetTopology, Hop, InFlight,
+    KvCacheEstimator, KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy,
+    ReplanReason, ReplicationPolicy, RequestTable, Scheduler,
 };
 use helix_workload::{Request, RequestId};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Slack absorbing float rounding between virtual-time deadlines and
@@ -152,12 +158,12 @@ struct CoordinatorView<'a> {
 impl ClusterState for CoordinatorView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
         let worker = self.workers.get((node, self.model));
-        worker.map_or(0, |w| w.core.queue_len())
+        worker.map_or(0, |w| w.engine.queue_len())
     }
 
     fn recent_throughput(&self, node: NodeId) -> f64 {
         let worker = self.workers.get((node, self.model));
-        worker.map_or(0.0, |w| w.core.recent_throughput())
+        worker.map_or(0.0, |w| w.engine.recent_throughput())
     }
 
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
@@ -178,6 +184,9 @@ pub(crate) struct Coordinator {
     inbound: Receiver<SessionControl>,
     pub workers: Workers,
     pub fabric: Fabric,
+    /// Every dispatched request's slot and the lane of its live
+    /// incarnation; one entry per distinct id, never shrinking.
+    requests: RequestTable,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
     /// KV hand-overs, for the final report.
@@ -192,8 +201,8 @@ pub(crate) struct Coordinator {
     deferred: VecDeque<Request>,
     drain_acks: Vec<Sender<()>>,
     /// The iterations the fabric reported to the coordinator during this
-    /// turn's passes, in delivery order: `(request, emitted_at, epoch)`.
-    arrived: VecDeque<(RequestId, f64, u64)>,
+    /// turn's passes, in delivery order: `(slot, emitted_at, epoch)`.
+    arrived: VecDeque<(u32, f64, u64)>,
     finishing: bool,
     submitted: usize,
     /// Wall-clock mark of when the current drain began; the budget bounds
@@ -217,6 +226,7 @@ impl Coordinator {
             inbound: spec.inbound,
             workers: spec.workers,
             fabric: spec.fabric,
+            requests: RequestTable::default(),
             max_wall: spec.max_wall,
             outcomes: Vec::new(),
             kv_transfers: Vec::new(),
@@ -357,8 +367,8 @@ impl Coordinator {
         // fragments the batches of both.
         let clock = self.clock;
         let now = self.run_due(|| clock.now());
-        while let Some((request, emitted_at, epoch)) = self.arrived.pop_front() {
-            self.on_iteration(request, emitted_at, epoch, now);
+        while let Some((slot, emitted_at, epoch)) = self.arrived.pop_front() {
+            self.on_iteration(slot, emitted_at, epoch, now);
         }
 
         // 3. Observe, consult the policy, re-plan, hand over.
@@ -438,13 +448,14 @@ impl Coordinator {
     }
 
     /// Applies every queue entry that is due, in `(at, seq)` order, one pass
-    /// per clock reading: a delivery of work, a batch completion or a
-    /// hand-over's arrival is a call on its rows (the coordinator's own
-    /// reports wait in `arrived` for the end of the turn), and whatever the
-    /// pass sends is stamped with its reading.  The rows the
-    /// passes touched start their batches once a fresh reading finds nothing
-    /// more due — so everything that has arrived by the time a batch starts
-    /// joins it (§5.1's rule), however fast a pass is.  Zero-duration batches
+    /// per clock reading: a delivery of work (resolved against its lane, and
+    /// dropped if stale), a batch completion or a hand-over's arrival is a
+    /// call on its rows (the coordinator's own reports wait in `arrived` for
+    /// the end of the turn), and whatever the pass sends is stamped with its
+    /// reading.  The rows the passes touched start their batches once a
+    /// fresh reading finds nothing more due — so everything that has arrived
+    /// by the time a batch starts joins it (§5.1's rule), however fast a
+    /// pass is.  Zero-duration batches
     /// and fast links make new entries due at once; the loop ends when
     /// nothing is due and no row is waiting to start.  `read` is the clock
     /// (virtual seconds; a test scripts it); returns its last reading.
@@ -456,20 +467,26 @@ impl Coordinator {
                 applied = true;
                 match event {
                     Event::Deliver(envelope) => match envelope.msg {
-                        RuntimeMsg::Work(work) => self.workers.deliver(work),
+                        RuntimeMsg::Work(hop) => self.workers.deliver(hop, &self.requests),
                         RuntimeMsg::IterationDone {
-                            request,
-                            emitted_at,
+                            slot,
                             epoch,
-                        } => self.arrived.push_back((request, emitted_at, epoch)),
+                            emitted_at,
+                        } => self.arrived.push_back((slot, emitted_at, epoch)),
                     },
                     Event::BatchDone(key) => {
-                        self.workers.batch_done(key, at, now, &mut self.fabric);
+                        let requests = &self.requests;
+                        self.workers
+                            .batch_done(key, at, now, requests, &mut self.fabric);
                     }
                     Event::Landed(rows) => rows.into_iter().for_each(|key| self.workers.touch(key)),
                 }
             }
-            if !applied && !self.workers.start_touched(now, &mut self.fabric) {
+            if !applied
+                && !self
+                    .workers
+                    .start_touched(now, &self.requests, &mut self.fabric)
+            {
                 return now;
             }
         }
@@ -492,7 +509,7 @@ impl Coordinator {
         let rows = self.workers.rows();
         let counters: Vec<_> = rows
             .iter()
-            .map(|w| (w.key.0, w.key.1, w.core.counters()))
+            .map(|w| (w.key.0, w.key.1, w.engine.counters()))
             .collect();
         let outcome = self.control.observe(now, &counters);
         self.hand_over(outcome, now);
@@ -542,8 +559,8 @@ impl Coordinator {
                 continue;
             };
             let fabric = &mut self.fabric;
-            let record = source.core.hand_over(
-                &mut destination.core,
+            let record = source.engine.hand_over(
+                &mut destination.engine,
                 migration,
                 keeps_layers,
                 self.control.kv_transfer(model),
@@ -587,25 +604,19 @@ impl Coordinator {
                 self.fabric
                     .transfer(now, None, Some(stage.node), TOKEN_WIRE_BYTES);
                 if let Some(worker) = self.workers.get_mut((stage.node, model)) {
-                    worker.core.kv.seed(request.id, tokens);
+                    worker.engine.kv.seed(request.id, tokens);
                 }
             }
         }
+        let slot = self.requests.insert(request);
+        let hop = self.requests.open(slot, &dispatch);
         self.fabric.send(
             now,
             Envelope {
                 from: None,
                 to: Some(dispatch.pipeline.stages[0].node),
                 bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
-                msg: RuntimeMsg::Work(StageWork {
-                    request: request.id,
-                    phase: Phase::Prompt,
-                    tokens: dispatch.prefill_tokens,
-                    stage_index: 0,
-                    epoch: dispatch.epoch,
-                    pipeline: dispatch.pipeline,
-                    prefix: dispatch.prefix,
-                }),
+                msg: RuntimeMsg::Work(hop),
             },
         );
         Ok(true)
@@ -614,11 +625,12 @@ impl Coordinator {
     /// Fails `nodes` together at `now`: their workers are failed (the batch
     /// each was executing is dropped and none starts again; what reaches
     /// them queues), every pipeline the control plane reports stranded is
-    /// purged from every row of its model — queued items and KV — and the
-    /// removal re-plan is handed over.  Returns the stranded requests for
-    /// re-submission — the control plane resumes the promoted ones on their
-    /// replicas and re-admits the rest from scratch, after the purge (step 6
-    /// of the turn), so it never reaches the new incarnation.
+    /// purged from every row of its model — queued items and KV — and its
+    /// lane closed, so what of it is still on a link is dropped where it
+    /// lands; and the removal re-plan is handed over.  Returns the stranded
+    /// requests for re-submission — the control plane resumes the promoted
+    /// ones on their replicas and re-admits the rest from scratch, after the
+    /// purge (step 6 of the turn), so it never reaches the new incarnation.
     fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Vec<Request> {
         for &node in nodes {
             self.workers.fail(node);
@@ -629,6 +641,7 @@ impl Coordinator {
         let failover = self.control.fail_nodes(nodes, reason, now, &has_row);
         for flight in &failover.stranded {
             self.release_kv(flight, true, now);
+            self.requests.close(flight.request.id);
         }
         self.hand_over(failover.replan, now);
         failover.stranded.iter().map(|f| f.request).collect()
@@ -639,13 +652,18 @@ impl Coordinator {
     /// only its pipeline nodes — migrations seed destination workers and
     /// replication seeds standbys, and all those copies are keyed by the
     /// request id (so other requests are untouched).  A purge also drops the
-    /// incarnation's queued items.  Each row's call is priced as a
+    /// incarnation's queued items, and its estimate leaves the running
+    /// output-length average alone.  Each row's call is priced as a
     /// coordinator → row message on its link at `now`.
     fn release_kv(&mut self, flight: &InFlight, purge: bool, now: f64) {
         let (model, request) = (flight.pipeline.model, flight.request.id);
         let estimator = &mut self.estimators[model.index()];
         for stage in &flight.pipeline.stages {
-            estimator.on_finished(stage.node, request, flight.generated);
+            if purge {
+                estimator.on_aborted(stage.node, request);
+            } else {
+                estimator.on_finished(stage.node, request, flight.generated);
+            }
             if let Some(p) = flight.prefix {
                 estimator.release_shared(stage.node, p.id);
             }
@@ -654,31 +672,32 @@ impl Coordinator {
             self.fabric
                 .transfer(now, None, Some(worker.key.0), TOKEN_WIRE_BYTES);
             if purge {
-                worker.core.purge_request(request);
+                worker.engine.purge_request(request);
             } else {
-                worker.core.release_request(request);
+                worker.engine.release_request(request);
             }
         }
     }
 
     /// Applies one iteration the fabric reported to the coordinator; what it
     /// sends leaves at `now`, the turn's reading.
-    fn on_iteration(&mut self, request: RequestId, emitted_at: f64, epoch: u64, now: f64) {
-        // `None`: a stale incarnation — pre-failure work was still draining
+    fn on_iteration(&mut self, slot: u32, emitted_at: f64, epoch: u64, now: f64) {
+        // No lane: a stale incarnation — pre-failure work was still draining
         // through surviving stages when the request was promoted or
         // re-admitted.
+        let Some((spec, lane)) = self.requests.lane(slot, epoch) else {
+            return;
+        };
+        let (request, model) = (spec.id, lane.pipeline.model);
+        let Some(first) = lane.pipeline.stages.first().map(|stage| stage.node) else {
+            return;
+        };
         let Some(progress) = self.control.on_token(request, epoch, emitted_at) else {
             return;
         };
         if progress.finished {
             return self.finish(request, emitted_at, now);
         }
-        // A request the control plane has not finished is in flight.
-        let Some(flight) = self.control.flight(request) else {
-            return;
-        };
-        let pipeline = Arc::clone(&flight.pipeline);
-        let model = pipeline.model;
         // Replica chunks cross the link from every primary stage to its
         // standby, and the standby workers seed the durable tokens as KV
         // residency — replication steals link bandwidth and KV headroom,
@@ -687,31 +706,24 @@ impl Coordinator {
             self.fabric
                 .transfer(now, Some(chunk.primary), Some(chunk.standby), chunk.bytes);
             if let Some(standby) = self.workers.get_mut((chunk.standby, model)) {
-                standby.core.kv.seed(request, progress.durable_tokens);
+                standby.engine.kv.seed(request, progress.durable_tokens);
             }
         }
         self.fabric.send(
             now,
             Envelope {
                 from: None,
-                to: Some(pipeline.stages[0].node),
+                to: Some(first),
                 bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::Work(StageWork {
-                    request,
-                    phase: Phase::Decode,
-                    tokens: 1,
-                    stage_index: 0,
-                    epoch,
-                    pipeline,
-                    prefix: None,
-                }),
+                msg: RuntimeMsg::Work(Hop::decode(slot, epoch)),
             },
         );
     }
 
-    /// Completes a request: records its outcome and frees everything it
-    /// held on the data plane, priced at `now`.
+    /// Completes a request: closes its lane, records its outcome and frees
+    /// everything it held on the data plane, priced at `now`.
     fn finish(&mut self, request: RequestId, completed_at: f64, now: f64) {
+        self.requests.close(request);
         let Some(flight) = self.control.finish(request) else {
             return;
         };
@@ -734,6 +746,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{one_stage_hop, Phase};
     use crate::registry::WorkerKey;
     use crate::runtime::{self, PlaneSpec, RuntimeConfig};
     use helix_cluster::{
@@ -744,6 +757,7 @@ mod tests {
     use helix_workload::PrefixId;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::channel;
+    use std::sync::Arc;
 
     /// IWRR for the first request; every later call is counted and finds
     /// every candidate masked, so each admission round shows as one call.
@@ -826,13 +840,21 @@ mod tests {
         }
     }
 
-    /// The first row of the plane, and one-stage work for it.
+    /// The first row of the plane.
     fn first_row(coordinator: &Coordinator) -> WorkerKey {
         coordinator.workers.rows()[0].key
     }
 
-    fn work_for(key: WorkerKey, request: u64) -> StageWork {
-        StageWork::one_stage(request, key.0, key.1)
+    /// One-stage work for the row `key`: `request` gets a slot whose lane is
+    /// that row alone, and this is its decode hop.
+    fn hop_for(coordinator: &mut Coordinator, key: WorkerKey, request: u64) -> Hop {
+        one_stage_hop(&mut coordinator.requests, request, key)
+    }
+
+    /// Delivers one-stage work of `request` to the row `key`.
+    fn deliver(coordinator: &mut Coordinator, key: WorkerKey, request: u64) {
+        let hop = hop_for(coordinator, key, request);
+        coordinator.workers.deliver(hop, &coordinator.requests);
     }
 
     /// PR 22's first finding, held without an executor: the loop's turn is a
@@ -893,13 +915,14 @@ mod tests {
         // Two items for one row on one link, the second behind a second of
         // transfer: due a virtual second apart.
         for (request, bytes) in [(1, TOKEN_WIRE_BYTES), (2, 1.25e9)] {
+            let hop = hop_for(&mut coordinator, key, request);
             coordinator.fabric.send(
                 0.0,
                 Envelope {
                     from: None,
                     to: Some(key.0),
                     bytes,
-                    msg: RuntimeMsg::Work(work_for(key, request)),
+                    msg: RuntimeMsg::Work(hop),
                 },
             );
         }
@@ -932,8 +955,8 @@ mod tests {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
         let rows = coordinator.workers.rows();
         let (a, b) = (rows[0].key, rows[1].key);
-        coordinator.workers.deliver(work_for(a, 1));
-        coordinator.workers.deliver(work_for(b, 2));
+        deliver(&mut coordinator, a, 1);
+        deliver(&mut coordinator, b, 2);
         let reading = 5.0;
         assert!(coordinator.clock.now() > 1e3 * reading, "the wall is ahead");
         assert_eq!(coordinator.run_due(|| reading), reading);
@@ -980,16 +1003,17 @@ mod tests {
         let due = record.at;
         assert_eq!(coordinator.fabric.next_at(), Some(due), "its arrival alone");
         // Work on the migrated range is held on the source.
-        coordinator.workers.deliver(work_for(from, 7));
+        deliver(&mut coordinator, from, 7);
+        let requests = &coordinator.requests;
         coordinator
             .workers
-            .start_touched(0.0, &mut coordinator.fabric);
+            .start_touched(0.0, requests, &mut coordinator.fabric);
         assert_eq!(coordinator.workers.get(from).unwrap().batches, 0);
 
         while coordinator.clock.now() < due {}
         assert!(!coordinator.turn(None).unwrap());
         let row = coordinator.workers.get(from).unwrap();
-        assert_eq!((row.batches, row.core.queue_len()), (1, 0));
+        assert_eq!((row.batches, row.engine.queue_len()), (1, 0));
     }
 
     /// KV bookkeeping is a call: a release frees every row's pool at
@@ -1004,7 +1028,7 @@ mod tests {
                 .workers
                 .get_mut(key)
                 .unwrap()
-                .core
+                .engine
                 .kv
                 .seed(7, 64);
         }
@@ -1027,7 +1051,7 @@ mod tests {
         coordinator.release_kv(&flight, false, 0.0);
         for &key in &keys {
             let row = coordinator.workers.get(key).unwrap();
-            assert_eq!(row.core.kv.used_tokens(), 0.0, "{key:?} still holds KV");
+            assert_eq!(row.engine.kv.used_tokens(), 0.0, "{key:?} still holds KV");
         }
         assert_eq!(coordinator.fabric.next_at(), None, "nothing is queued");
         let links = coordinator.fabric.link_reports();
@@ -1066,13 +1090,17 @@ mod tests {
         // arrival queued).
         let until = 1_000.0;
         let row = coordinator.workers.get_mut(key).unwrap();
-        row.core.freeze(survivor.layers, until);
+        row.engine.freeze(survivor.layers, until);
         coordinator.fabric.landed(until, [key, key]);
-        coordinator.workers.deliver(StageWork {
-            stage_index,
-            pipeline: Arc::clone(&pipeline),
-            ..work_for(key, 0)
-        });
+        let hop = Hop {
+            epoch: 0,
+            slot: coordinator.requests.slot(0).unwrap(),
+            tokens: 1,
+            stage: stage_index as u16,
+            phase: Phase::Decode,
+        };
+        coordinator.workers.deliver(hop, &coordinator.requests);
+        assert_eq!(coordinator.workers.get(key).unwrap().engine.queue_len(), 1);
 
         assert!(!coordinator
             .turn(Some(SessionControl::FailNode(failed, 0.0)))
@@ -1080,11 +1108,75 @@ mod tests {
         let readmitted = coordinator.control.flight(0).map(|f| f.epoch);
         assert_eq!(readmitted, Some(1), "re-admitted under a new epoch");
         let row = coordinator.workers.get(key).unwrap();
-        assert_eq!(row.core.queue_len(), 0, "the stranded item is gone");
+        assert_eq!(row.engine.queue_len(), 0, "the stranded item is gone");
 
         control.send(SessionControl::Finish).unwrap();
         let outcomes = coordinator.run_live().unwrap();
         assert_eq!(outcomes.iter().map(|o| o.id).collect::<Vec<_>>(), [0]);
+    }
+
+    /// A hop of an aborted incarnation, still on a link when a node of its
+    /// pipeline failed, reaches a surviving row after the request was
+    /// re-admitted under a new epoch: it is dropped where it lands, by its
+    /// slot's lane, so the row's queue, KV and batch count do not move.
+    #[test]
+    fn a_stale_hop_reaching_a_surviving_row_moves_nothing() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
+        assert!(coordinator.try_dispatch(request(0), 0.0).unwrap());
+        let pipeline = Arc::clone(&coordinator.control.flight(0).unwrap().pipeline);
+        let topology = &coordinator.control.fleet().topologies()[0];
+        let redundant = |node| {
+            let mut without = topology.placement().clone();
+            without.clear(node);
+            without.has_complete_pipeline(topology.num_layers())
+        };
+        let stages = &pipeline.stages;
+        let failed = stages.iter().map(|s| s.node).find(|&n| redundant(n));
+        let failed = failed.expect("the plan can lose a stage of the pipeline");
+        let (stage, survivor) = stages
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.node != failed)
+            .expect("a pipeline of several stages");
+        // The incarnation's decode hop to the survivor is on its link.
+        let slot = coordinator.requests.slot(0).unwrap();
+        let stale = Hop {
+            epoch: 0,
+            slot,
+            tokens: 1,
+            stage: stage as u16,
+            phase: Phase::Decode,
+        };
+        let envelope = Envelope {
+            from: None,
+            to: Some(survivor.node),
+            bytes: 0.0,
+            msg: RuntimeMsg::Work(stale),
+        };
+        coordinator.fabric.send(0.0, envelope);
+
+        let stranded = coordinator.fail_nodes(&[failed], 0.0);
+        assert_eq!(stranded.iter().map(|r| r.id).collect::<Vec<_>>(), [0]);
+        assert!(coordinator.try_dispatch(request(0), 1.0).unwrap());
+        assert_eq!(coordinator.control.flight(0).map(|f| f.epoch), Some(1));
+        let key = (survivor.node, pipeline.model);
+        let state = |coordinator: &Coordinator| {
+            let row = coordinator.workers.get(key).unwrap();
+            let kv = row.engine.kv.used_tokens();
+            (
+                row.engine.queue_len(),
+                kv,
+                row.batches,
+                row.engine.is_busy(),
+            )
+        };
+        let before = state(&coordinator);
+
+        // Everything sent before the failure lands; the new prefill, sent
+        // at 1.0, is not due yet.
+        coordinator.run_due(|| 0.5);
+        assert_eq!(state(&coordinator), before);
+        assert!(coordinator.fabric.next_at().unwrap() >= 1.0);
     }
 
     /// Aim 3's invariant on the runtime: with RF=2 replication, shared
@@ -1149,7 +1241,7 @@ mod tests {
         assert_eq!(logs.failovers.len(), 1);
         assert!(logs.replication.chunks > 0, "replicas were seeded");
         for row in coordinator.workers.rows() {
-            let kv = &row.core.kv;
+            let kv = &row.engine.kv;
             let held = (kv.used_tokens(), kv.shared_pages());
             assert_eq!(held, (0.0, 0), "{:?} still holds KV", row.key);
         }
@@ -1186,13 +1278,14 @@ mod tests {
         assert!(plan.node(failed.0).is_some(), "the removal was infeasible");
         assert!(plan.node(NodeId(1)).is_none() && plan.node(NodeId(3)).is_some());
 
-        coordinator.workers.deliver(work_for(failed, 7));
+        deliver(&mut coordinator, failed, 7);
+        let (now, requests) = (coordinator.clock.now(), &coordinator.requests);
         coordinator
             .workers
-            .start_touched(coordinator.clock.now(), &mut coordinator.fabric);
+            .start_touched(now, requests, &mut coordinator.fabric);
         let row = coordinator.workers.get(failed).unwrap();
-        assert_eq!((row.batches, row.core.queue_len()), (0, 1));
-        assert!(!row.core.is_busy());
+        assert_eq!((row.batches, row.engine.queue_len()), (0, 1));
+        assert!(!row.engine.is_busy());
     }
 
     /// A call already queued is returned without waiting for the deadline,

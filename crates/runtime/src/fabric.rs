@@ -196,10 +196,11 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::RuntimeMsg;
+    use crate::message::{one_stage_hop, RuntimeMsg};
     use crate::registry::Workers;
     use crate::runtime::ExecutionKind;
     use helix_cluster::{ClusterProfile, ModelConfig, ModelId, NodeId};
+    use helix_core::{Hop, RequestTable};
 
     /// A fabric over the 10-node study cluster (every link 10 Gb/s, 1 ms).
     /// Every send names its time; delivery times are read off the queue.
@@ -219,9 +220,9 @@ mod tests {
             to: to.map(NodeId),
             bytes,
             msg: RuntimeMsg::IterationDone {
-                request,
-                emitted_at: 0.0,
+                slot: request as u32,
                 epoch: 0,
+                emitted_at: 0.0,
             },
         }
     }
@@ -229,8 +230,9 @@ mod tests {
     /// The request of a message built by [`message`].
     fn request_of(envelope: &Envelope) -> u64 {
         match envelope.msg {
-            RuntimeMsg::IterationDone { request, .. } => request,
-            RuntimeMsg::Work(ref work) => work.request,
+            RuntimeMsg::IterationDone { slot, .. } | RuntimeMsg::Work(Hop { slot, .. }) => {
+                u64::from(slot)
+            }
         }
     }
 
@@ -388,19 +390,20 @@ mod tests {
         workers.fail(NodeId(0));
 
         // One-stage work for a failed, a never-planned and a healthy worker.
+        let mut requests = RequestTable::default();
         for node in [0, 5, 1] {
-            let work = crate::message::StageWork::one_stage(node as u64, NodeId(node), model);
+            let hop = one_stage_hop(&mut requests, node as u64, (NodeId(node), model));
             let mut envelope = message(0, None, Some(node), 4.0);
-            envelope.msg = RuntimeMsg::Work(work);
+            envelope.msg = RuntimeMsg::Work(hop);
             fabric.send(0.0, envelope);
         }
         while let Some((_, Event::Deliver(envelope))) = fabric.pop_due(f64::INFINITY) {
-            let RuntimeMsg::Work(work) = envelope.msg else {
+            let RuntimeMsg::Work(hop) = envelope.msg else {
                 panic!("only work was sent");
             };
-            workers.deliver(work);
+            workers.deliver(hop, &requests);
         }
-        workers.start_touched(0.0, &mut fabric);
+        workers.start_touched(0.0, &requests, &mut fabric);
         // Only the healthy row batched and forwarded its item; the failed
         // one holds it...
         let batches = |node| workers.get((NodeId(node), model)).map(|w| w.batches);
@@ -408,7 +411,10 @@ mod tests {
             (batches(0), batches(5), batches(1)),
             (Some(0), None, Some(1))
         );
-        assert_eq!(workers.get((NodeId(0), model)).unwrap().core.queue_len(), 1);
+        assert_eq!(
+            workers.get((NodeId(0), model)).unwrap().engine.queue_len(),
+            1
+        );
         let forwarded = fabric.take_in_flight();
         assert_eq!(forwarded.len(), 1);
         assert_eq!(forwarded[0].from, Some(NodeId(1)));

@@ -16,8 +16,10 @@
 //!   the simulator keeps its engines in, running best-effort dynamic
 //!   batching over the layers the placement assigned to it, with a paged
 //!   KV-cache pool modelled after vLLM's PagedAttention block manager
-//!   ([`PagedKvPool`]) — batching and pool are [`helix_core::engine`], the
-//!   same code the simulator's engines run;
+//!   ([`PagedKvPool`]) — each row *is* a simulator engine
+//!   ([`helix_core::NodeEngine`]), fed the simulator's work items: a hop
+//!   is resolved against its request's lane where it lands, and the work of
+//!   an aborted incarnation is dropped there;
 //! * a **network fabric** that prices each message on its link (per-link
 //!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
 //!   congestion on slow links emerges exactly as in the paper's Fig. 10b
@@ -114,7 +116,6 @@ mod builder;
 mod clock;
 mod coordinator;
 mod error;
-mod exec;
 mod fabric;
 mod message;
 mod metrics;

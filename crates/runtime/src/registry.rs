@@ -2,28 +2,28 @@
 //! has ever named, in the dense [`PairTable`] the simulator keeps its engines
 //! in.
 //!
-//! A row follows the lifecycle of the simulator's engine, and there is
-//! nothing to spawn or join: a re-plan's `PlacementDelta` that adds a
-//! tenancy [`plan`](Workers::plan)s its row — a new one, built slowed if its
-//! node was slowed — and a surviving one takes the new plan's facts in
-//! place.  A row is never taken out of the table: one the plan dropped keeps
-//! executing what it holds and gets no new pipeline, and the rows of a node
-//! that failed start no batch ([`fail`](Workers::fail)) but keep what they
-//! hold until a release frees it.  The coordinator reads a row's queue
-//! length or counters, and releases, seeds or hands over its KV, by indexing
-//! the table; the plane's loop applies deliveries, batch completions and
-//! hand-over arrivals to it ([`deliver`](Workers::deliver),
-//! [`batch_done`](Workers::batch_done), [`touch`](Workers::touch)) and
-//! starts the batches of the rows they touched once nothing more is due
-//! ([`start_touched`](Workers::start_touched)).
+//! A row is the simulator's engine ([`NodeEngine`]) and follows its
+//! lifecycle; there is nothing to spawn or join: a re-plan's
+//! `PlacementDelta` that adds a tenancy [`plan`](Workers::plan)s its row —
+//! a new one, built slowed if its node was slowed — and a surviving one
+//! takes the new plan's facts in place.  A row is never taken out of the
+//! table: one the plan dropped keeps executing what it holds and gets no
+//! new pipeline, and the rows of a node that failed start no batch
+//! ([`fail`](Workers::fail)) but keep what they hold until a release frees
+//! it.  The coordinator reads a row's queue length or counters, and
+//! releases, seeds or hands over its KV, by indexing the table; the plane's
+//! loop applies deliveries — each hop resolved against the coordinator's
+//! request table — batch completions and hand-over arrivals to it
+//! ([`deliver`](Workers::deliver), [`batch_done`](Workers::batch_done),
+//! [`touch`](Workers::touch)) and starts the batches of the rows they
+//! touched once nothing more is due ([`start_touched`](Workers::start_touched)).
 
-use crate::exec::{AnalyticExecution, ExecutionModel, InstantExecution};
 use crate::fabric::Fabric;
-use crate::message::StageWork;
 use crate::runtime::ExecutionKind;
 use crate::worker::Worker;
 use helix_cluster::{ClusterProfile, ModelId, NodeId};
-use helix_core::PairTable;
+use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
+use helix_core::{ExecModel, Hop, NodeEngine, PairTable, RequestTable};
 use std::collections::HashMap;
 
 /// Key of one worker: the (compute node, fleet model) pair it serves.
@@ -35,7 +35,8 @@ pub(crate) struct Workers {
     /// Rows that may have a batch to start once the current delivery pass
     /// is over (each at most once: [`Worker::touched`]).
     touched: Vec<WorkerKey>,
-    /// The execution-model choice every row is built with.
+    /// The execution-model choice every row is built with: the analytic
+    /// cost model, or none (instant).
     execution: ExecutionKind,
     /// The injected speed factor of every node that has one; a row built
     /// later on such a node starts slowed, as its siblings run.
@@ -95,18 +96,18 @@ impl Workers {
         layers: usize,
         kv_capacity_tokens: f64,
     ) {
-        let execution: Box<dyn ExecutionModel> = match self.execution {
-            ExecutionKind::Analytic => Box::new(AnalyticExecution::new(profile.node_profile(node))),
-            ExecutionKind::Instant => Box::new(InstantExecution),
+        let exec = match self.execution {
+            ExecutionKind::Analytic => Some(ExecModel::new(profile.node_profile(node))),
+            ExecutionKind::Instant => None,
         };
         if let Some(worker) = self.table.get_mut(node, model) {
-            return worker.plan(execution, kv_capacity_tokens, layers);
+            return worker.engine.update_plan(exec, layers, kv_capacity_tokens);
         }
+        let engine = NodeEngine::new(exec, layers, kv_capacity_tokens, DEFAULT_TOKENS_PER_PAGE);
         let activation = profile.model().activation_bytes();
-        let key = (node, model);
-        let mut worker = Worker::new(key, name, activation, execution, kv_capacity_tokens, layers);
+        let mut worker = Worker::new((node, model), name, activation, engine);
         if let Some(&factor) = self.slowdowns.get(&node) {
-            worker.core.set_slowdown(factor);
+            worker.engine.set_slowdown(factor);
         }
         self.table.insert(node, model, worker);
     }
@@ -124,7 +125,7 @@ impl Workers {
     pub(crate) fn set_speed(&mut self, node: NodeId, factor: f64) {
         self.slowdowns.insert(node, factor);
         for worker in self.table.of_node_mut(node) {
-            worker.core.set_slowdown(factor);
+            worker.engine.set_slowdown(factor);
         }
     }
 
@@ -137,23 +138,34 @@ impl Workers {
             return;
         };
         apply(worker);
-        if !worker.touched && !worker.core.is_busy() && worker.core.queue_len() > 0 {
+        if !worker.touched && !worker.engine.is_busy() && worker.engine.queue_len() > 0 {
             worker.touched = true;
             self.touched.push(key);
         }
     }
 
-    /// Queues `work` on the worker of its stage: the batch starts once
-    /// everything due at this instant is in (a failed row only queues it).
-    /// Work for a pair outside the table is dropped.
-    pub(crate) fn deliver(&mut self, work: StageWork) {
-        let key = (work.node(), work.model());
-        self.with_row(key, |worker| worker.core.enqueue(work));
+    /// Resolves `hop` against its lane in `requests` and queues the work
+    /// item on the row of its stage: the batch starts once everything due
+    /// at this instant is in (a failed row only queues it).  A stale hop —
+    /// its incarnation aborted, so its lane is closed or on a newer epoch —
+    /// is dropped, as the simulator drops it; so is work for a pair outside
+    /// the table.
+    pub(crate) fn deliver(&mut self, hop: Hop, requests: &RequestTable) {
+        if let Some((node, model, item)) = requests.land(hop) {
+            self.with_row((node, model), |worker| worker.engine.enqueue(item));
+        }
     }
 
     /// The batch of `key` queued as due at `at` came up at `now`.
-    pub(crate) fn batch_done(&mut self, key: WorkerKey, at: f64, now: f64, fabric: &mut Fabric) {
-        self.with_row(key, |worker| worker.batch_done(at, now, fabric));
+    pub(crate) fn batch_done(
+        &mut self,
+        key: WorkerKey,
+        at: f64,
+        now: f64,
+        requests: &RequestTable,
+        fabric: &mut Fabric,
+    ) {
+        self.with_row(key, |worker| worker.batch_done(at, now, requests, fabric));
     }
 
     /// A freeze on `key` may have ended (a hand-over arrived): what the row
@@ -165,12 +177,17 @@ impl Workers {
     /// Starts a batch on every row the passes touched — *after* them, so
     /// everything delivered by then joins one batch (§5.1's rule).  Returns
     /// whether any row was waiting.
-    pub(crate) fn start_touched(&mut self, now: f64, fabric: &mut Fabric) -> bool {
+    pub(crate) fn start_touched(
+        &mut self,
+        now: f64,
+        requests: &RequestTable,
+        fabric: &mut Fabric,
+    ) -> bool {
         let any = !self.touched.is_empty();
         for (node, model) in self.touched.drain(..) {
             if let Some(worker) = self.table.get_mut(node, model) {
                 worker.touched = false;
-                worker.start_batch(now, fabric);
+                worker.start_batch(now, requests, fabric);
             }
         }
         any
@@ -195,8 +212,12 @@ mod tests {
         workers.plan(&profile(), key, &name, 4, 1_000.0);
     }
 
-    fn work((node, model): WorkerKey) -> StageWork {
-        StageWork::one_stage(1, node, model)
+    /// A table in which request 1 runs on the single stage `key`, and its
+    /// decode hop.
+    fn work(key: WorkerKey) -> (RequestTable, Hop) {
+        let mut requests = RequestTable::default();
+        let hop = crate::message::one_stage_hop(&mut requests, 1, key);
+        (requests, hop)
     }
 
     /// A failed row stays in the table, as the simulator's failed engine
@@ -209,29 +230,31 @@ mod tests {
         let mut fabric = fabric();
         let key = (NodeId(3), ModelId(1));
         planned(&mut workers, key);
-        // A batch that takes time: the core counts it when it starts.
-        workers.deliver(work(key));
-        workers.start_touched(0.0, &mut fabric);
-        let counters = workers.get(key).unwrap().core.counters();
+        // A batch that takes time: the engine counts it when it starts.
+        let (requests, hop) = work(key);
+        workers.deliver(hop, &requests);
+        workers.start_touched(0.0, &requests, &mut fabric);
+        let counters = workers.get(key).unwrap().engine.counters();
         assert!(counters.busy_secs > 0.0);
 
         workers.fail(NodeId(3));
-        workers.deliver(work(key));
-        workers.deliver(work((NodeId(9), ModelId(0))));
-        workers.start_touched(1.0, &mut fabric);
+        workers.deliver(hop, &requests);
+        let (outside, hop) = work((NodeId(9), ModelId(0)));
+        workers.deliver(hop, &outside);
+        workers.start_touched(1.0, &requests, &mut fabric);
         // The row takes a re-plan's facts in place and stays failed.
         workers.plan(&profile(), key, "n3", 6, 500.0);
         workers.touch(key);
-        workers.start_touched(2.0, &mut fabric);
+        workers.start_touched(2.0, &requests, &mut fabric);
 
         let rows = workers.rows();
         assert_eq!(rows.len(), 1, "the outside pair dropped its work");
         let row = rows[0];
         assert_eq!((row.key, row.name.as_str()), (key, "n3"));
-        assert!(!row.core.is_busy(), "the running batch was dropped");
-        assert_eq!(row.core.queue_len(), 1, "what reached it queued");
-        assert_eq!(row.core.counters(), counters, "no batch started");
-        assert_eq!(row.layers, 6);
+        assert!(!row.engine.is_busy(), "the running batch was dropped");
+        assert_eq!(row.engine.queue_len(), 1, "what reached it queued");
+        assert_eq!(row.engine.counters(), counters, "no batch started");
+        assert_eq!(row.engine.layers_held(), 6);
     }
 
     /// A failed row that a re-plan names again is the same row: it keeps
@@ -243,13 +266,14 @@ mod tests {
         let mut fabric = fabric();
         let key = (NodeId(3), ModelId(1));
         planned(&mut workers, key);
-        workers.deliver(work(key));
-        workers.start_touched(0.0, &mut fabric);
+        let (requests, hop) = work(key);
+        workers.deliver(hop, &requests);
+        workers.start_touched(0.0, &requests, &mut fabric);
         let worker = workers.get_mut(key).unwrap();
         (worker.batches, worker.decode_tokens) = (7, 40);
         // 2 000 tokens in a 1 000-token pool: a rejection and a peak of 2.
-        worker.core.kv.grow(1, 2_000);
-        let counters = worker.core.counters();
+        worker.engine.kv.grow(1, 2_000);
+        let counters = worker.engine.counters();
 
         workers.fail(NodeId(3));
         workers.plan(&profile(), key, "n3", 6, 500.0);
@@ -258,12 +282,12 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let row = rows[0];
         assert_eq!((row.batches, row.decode_tokens), (7, 40));
-        assert_eq!(row.core.counters(), counters);
-        assert_eq!(row.core.kv.rejections(), 1);
-        assert!(row.core.kv.peak_utilization() >= 2.0);
-        assert_eq!(row.core.kv.used_tokens(), 2_001.0, "held until released");
-        assert_eq!(row.core.kv.capacity_tokens(), 500.0);
-        assert_eq!(row.layers, 6);
+        assert_eq!(row.engine.counters(), counters);
+        assert_eq!(row.engine.kv.rejections(), 1);
+        assert!(row.engine.kv.peak_utilization() >= 2.0);
+        assert_eq!(row.engine.kv.used_tokens(), 2_001.0, "held until released");
+        assert_eq!(row.engine.kv.capacity_tokens(), 500.0);
+        assert_eq!(row.engine.layers_held(), 6);
     }
 
     #[test]
@@ -294,12 +318,12 @@ mod tests {
         let mut workers = Workers::new(1, 1, ExecutionKind::Instant);
         let key = (NodeId(0), ModelId(0));
         planned(&mut workers, key);
-        workers.get_mut(key).unwrap().core.kv.seed(1, 64);
+        workers.get_mut(key).unwrap().engine.kv.seed(1, 64);
         // Planning a pair again updates it in place.
         workers.plan(&profile(), key, "n0", 9, 2_000.0);
         let rows = workers.rows();
-        assert_eq!((rows.len(), rows[0].layers), (1, 9));
-        assert_eq!(rows[0].core.kv.used_tokens(), 64.0, "residency survives");
+        assert_eq!((rows.len(), rows[0].engine.layers_held()), (1, 9));
+        assert_eq!(rows[0].engine.kv.used_tokens(), 64.0, "residency survives");
     }
 
     /// A row built after its node was slowed runs slowed, and a slowdown
@@ -313,13 +337,18 @@ mod tests {
         workers.set_speed(NodeId(1), 4.0);
         planned(&mut workers, late);
         planned(&mut workers, (NodeId(0), ModelId(0)));
-        for key in [early, late, (NodeId(0), ModelId(0))] {
-            workers.deliver(work(key));
+        let mut requests = RequestTable::default();
+        for (request, key) in [early, late, (NodeId(0), ModelId(0))]
+            .into_iter()
+            .enumerate()
+        {
+            let hop = crate::message::one_stage_hop(&mut requests, request as u64, key);
+            workers.deliver(hop, &requests);
         }
-        workers.start_touched(0.0, &mut fabric);
+        workers.start_touched(0.0, &requests, &mut fabric);
         // Three batches in flight; the slowed node's take 4× their nominal.
         let factor = |key| {
-            let counters = workers.get(key).unwrap().core.counters();
+            let counters = workers.get(key).unwrap().engine.counters();
             counters.busy_secs / counters.nominal_busy_secs
         };
         assert!((factor(early) - 4.0).abs() < 1e-9);

@@ -21,10 +21,12 @@ use std::time::Duration;
 /// Which execution model the workers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionKind {
-    /// Roofline cost model derived from the node profiles (the default).
+    /// Roofline cost model derived from the node profiles (the default):
+    /// the simulator's [`ExecModel`](helix_core::ExecModel).
     #[default]
     Analytic,
-    /// Batches complete instantly; useful for functional tests.
+    /// Batches complete instantly (an engine without a cost model); useful
+    /// for functional tests.
     Instant,
 }
 
@@ -190,13 +192,13 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
             node: worker.key.0,
             model: worker.key.1,
             name: worker.name.clone(),
-            layers_held: worker.layers,
-            busy_secs: worker.core.counters().busy_secs,
+            layers_held: worker.engine.layers_held(),
+            busy_secs: worker.engine.counters().busy_secs,
             batches: worker.batches,
             prompt_tokens: worker.prompt_tokens,
             decode_tokens: worker.decode_tokens,
-            kv_peak_utilization: worker.core.kv.peak_utilization(),
-            kv_rejections: worker.core.kv.rejections(),
+            kv_peak_utilization: worker.engine.kv.peak_utilization(),
+            kv_rejections: worker.engine.kv.rejections(),
         })
         .collect();
 

@@ -1,55 +1,13 @@
 //! Discrete-event queue.
 
 use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{LayerRange, PrefixWork};
+use helix_core::{Hop, LayerRange};
 use helix_workload::RequestId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Simulation time in seconds since the start of the run.
 pub type SimTime = f64;
-
-/// Phase of an LLM request iteration (the shared execution-model type).
-pub use helix_core::exec_model::Phase;
-
-/// One pipeline hop on the wire — what a [`Event::NodeArrival`] carries.
-/// Everything else about the work (request id, node, layers, model, prefix)
-/// is read from the request's lane when the hop lands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hop {
-    /// Which admission of the request this work belongs to (0 for the
-    /// first).  A node failure aborts and re-admits the pipelines it
-    /// strands; hops of the aborted incarnation still in flight carry the
-    /// old epoch and are dropped instead of corrupting the new pipeline.
-    pub epoch: u64,
-    /// The request's slot in the run's request table.
-    pub slot: u32,
-    /// Number of tokens to run through the layers (prompt length for the
-    /// prompt phase, 1 for decode).
-    pub tokens: u32,
-    /// Index of the destination stage within the request's pipeline.
-    pub stage: u16,
-    /// Prompt or decode.
-    pub phase: Phase,
-}
-
-/// A unit of work queued on a compute node: a landed [`Hop`] with what the
-/// engine batches and accounts by.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkItem {
-    /// The request this work belongs to.
-    pub request: RequestId,
-    /// The hop that delivered it.
-    pub hop: Hop,
-    /// Layers this node computes for this request.
-    pub layers: LayerRange,
-    /// Shared-prefix work riding on this item (prompt phase only; `None`
-    /// for decode iterations and prefix-free requests).  A cache hit's
-    /// `tokens` already excludes the shared range; a miss's `tokens` include
-    /// it, but the engine accounts the shared range in its refcounted
-    /// prefix residency instead of the per-request KV entry.
-    pub prefix: Option<PrefixWork>,
-}
 
 /// A scripted mid-run disturbance of the cluster or the workload — the
 /// scenarios the online re-planning loop exists to absorb.

@@ -35,19 +35,23 @@
 //! One pipeline hop costs array indexing and one small heap operation;
 //! nothing is hashed per hop.
 //!
-//! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines sit in
-//!   the `helix_core::PairTable` the runtime keeps its workers in, link
-//!   queues in first-use order behind a `(num_nodes + 1)²` table of slots
-//!   (the coordinator is row and column 0).  Every walk over them has one fixed order, so identical runs
-//!   report identically, the order of tied `link_stats` included.
-//! * **Requests.**  A run turns its workload into a request table — one
-//!   slot per distinct id, found through an id → slot map once per arrival
-//!   or admission — and keeps one *lane* per slot: the admitted
-//!   incarnation's epoch, pipeline and prefix.
+//! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines — the
+//!   [`NodeEngine`] the runtime's worker rows also are — sit in the
+//!   `helix_core::PairTable` the runtime keeps its workers in, link queues
+//!   in first-use order behind a `(num_nodes + 1)²` table of slots (the
+//!   coordinator is row and column 0).  Every walk over them has one fixed
+//!   order, so identical runs report identically, the order of tied
+//!   `link_stats` included.
+//! * **Requests.**  A run turns its workload into a
+//!   [`RequestTable`](helix_core::RequestTable) — one slot per distinct id,
+//!   found through an id → slot map once per arrival, admission or finish —
+//!   and keeps one *lane* per slot: the admitted incarnation's epoch,
+//!   pipeline and prefix.  The runtime's coordinator keeps the same table.
 //! * **What a hop carries.**  [`Event::NodeArrival`] is a 24-byte [`Hop`]:
-//!   epoch, slot, tokens, stage index, phase.  The node, layers, model,
-//!   request id and prefix are read from the lane when the hop lands, and
-//!   the engine's work item is built there.
+//!   epoch, slot, tokens, stage index, phase — the runtime's work message
+//!   too.  The node, layers, model, request id and prefix are read from the
+//!   lane when the hop lands (`RequestTable::land`), and the engine's work
+//!   item is built there.
 //! * **The arrival rule.**  The workload's arrivals are a cursor over a
 //!   stable time-sorted list, merged with the [`EventQueue`] at pop: the
 //!   cursor goes first when its arrival is due no later than the queue's
@@ -87,16 +91,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-mod engine;
 mod event;
 mod metrics;
 mod session;
 mod simulator;
 
-pub use engine::NodeEngine;
-pub use event::{Event, EventQueue, Hop, PerturbationEvent, SimTime};
-// The link model lives beside the engine core; the runtime's fabric uses it too.
-pub use helix_core::LinkQueue;
+pub use event::{Event, EventQueue, PerturbationEvent, SimTime};
+// The engine, the hop and the link model are the runtime's too.
+pub use helix_core::{Hop, LinkQueue, NodeEngine};
 pub use metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 pub use session::SimSession;
 pub use simulator::{

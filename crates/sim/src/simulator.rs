@@ -5,17 +5,16 @@
 //! re-plans with their KV hand-overs — plus metrics collection and the
 //! scripted perturbation events.
 
-use crate::engine::NodeEngine;
-use crate::event::{Event, EventQueue, Hop, PerturbationEvent, Phase, SimTime, WorkItem};
+use crate::event::{Event, EventQueue, PerturbationEvent, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
 use helix_core::{
-    Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology, InFlight,
-    KvMigration, KvTransferRecord, LinkTable, ModelPlacement, PairTable, PlacementDelta,
-    PrefixStats, PrefixWork, ReplanOutcome, ReplanPolicy, ReplanReason, ReplanRecord,
-    ReplicationPolicy, ReplicationStats, RequestPipeline, Scheduler, Topology,
+    Admission, ClusterState, ControlPlane, ExecModel, FailoverRecord, FleetScheduler,
+    FleetTopology, Hop, InFlight, KvMigration, KvTransferRecord, LinkTable, ModelPlacement,
+    NodeEngine, PairTable, PlacementDelta, PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason,
+    ReplanRecord, ReplicationPolicy, ReplicationStats, RequestTable, Scheduler, Topology, WorkItem,
 };
-use helix_workload::{Request, RequestId, Workload};
+use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::iter::Peekable;
 use std::sync::Arc;
@@ -35,6 +34,12 @@ pub struct SimulationConfig {
 
 /// Safety cap on the events one run processes.
 const MAX_EVENTS: u64 = 200_000_000;
+
+/// The simulator caches whole tokens against the planned `f64` capacity:
+/// 1-token pages make the shared page table exactly that accounting (see
+/// [`helix_core::engine`]).  Moving to the runtime's 16 changes modelled
+/// results and needs `perf/exact.json` re-recorded.
+const SIM_TOKENS_PER_PAGE: usize = 1;
 
 impl SimulationConfig {
     /// Offline serving (paper: 1 minute warm-up, 10 minute measurement; here
@@ -91,19 +96,12 @@ impl ClusterState for EngineView<'_> {
         self.engine(node).map_or(0.0, |e| e.recent_throughput())
     }
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.engine(node).map_or(0.0, NodeEngine::kv_used_tokens)
+        self.engine(node).map_or(0.0, |e| e.kv.used_tokens())
     }
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
         self.engine(node)
-            .map_or(f64::INFINITY, NodeEngine::kv_capacity_tokens)
+            .map_or(f64::INFINITY, |e| e.kv.capacity_tokens())
     }
-}
-
-/// What the hops and tokens of one admitted incarnation resolve against.
-struct Lane {
-    epoch: u64,
-    pipeline: Arc<RequestPipeline>,
-    prefix: Option<PrefixWork>,
 }
 
 /// One run's timeline and request table.
@@ -113,14 +111,8 @@ struct Run {
     /// merged with the queue at pop and never enter it; deferred and
     /// re-submitted arrivals do.
     arrivals: Peekable<std::vec::IntoIter<(SimTime, RequestId)>>,
-    /// The requests by slot.
-    specs: Vec<Request>,
-    /// Id → slot: consulted per arrival and admission, never per hop.
-    slots: HashMap<RequestId, u32>,
-    /// The live incarnation per slot: set at dispatch, cleared exactly where
-    /// the control plane drops the flight.  Slots are never reused within a
-    /// run, so stale work meets `None` or a newer epoch.
-    lanes: Vec<Option<Lane>>,
+    /// The requests by slot and the live incarnation of each.
+    requests: RequestTable,
 }
 
 /// Orders arrivals by time as the queue orders events (`-0.0` and `0.0`
@@ -147,13 +139,6 @@ impl Run {
             Some((at, request)) => Some((at, Event::RequestArrival { request })),
             None => self.queue.pop(),
         }
-    }
-
-    /// The request and lane work of (`slot`, `epoch`) belongs to, unless it
-    /// is stale.
-    fn lane(&self, slot: u32, epoch: u64) -> Option<(&Request, &Lane)> {
-        let lane = self.lanes.get(slot as usize)?.as_ref()?;
-        (lane.epoch == epoch).then_some((self.specs.get(slot as usize)?, lane))
     }
 }
 
@@ -280,9 +265,10 @@ impl ClusterSimulator {
             let profile = fleet.contention_profile(ModelId(m));
             for n in topology.nodes() {
                 let engine = NodeEngine::new(
-                    profile.node_profile(n.node),
+                    Some(ExecModel::new(profile.node_profile(n.node))),
                     n.layers.len(),
                     n.kv_capacity_tokens,
+                    SIM_TOKENS_PER_PAGE,
                 );
                 engines.insert(n.node, ModelId(m), engine);
             }
@@ -399,8 +385,7 @@ impl ClusterSimulator {
             "a workload of {} requests does not fit a 32-bit slot",
             workload.len(),
         );
-        let mut specs: Vec<Request> = Vec::with_capacity(workload.len());
-        let mut slots: HashMap<RequestId, u32> = HashMap::with_capacity(workload.len());
+        let mut requests = RequestTable::with_capacity(workload.len());
         for r in workload.iter() {
             assert!(
                 r.model.index() < num_models,
@@ -415,11 +400,7 @@ impl ClusterSimulator {
                 r.id,
                 r.total_tokens(),
             );
-            let next = specs.len() as u32;
-            match *slots.entry(r.id).or_insert(next) {
-                slot if slot == next => specs.push(*r),
-                slot => specs[slot as usize] = *r,
-            }
+            requests.insert(*r);
         }
 
         // Arrival-rate shifts re-time the arrival process: gaps after the
@@ -433,7 +414,7 @@ impl ClusterSimulator {
             })
             .collect();
         shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for spec in &mut specs {
+        for spec in requests.specs_mut() {
             for &(at, factor) in &shifts {
                 if spec.arrival_time > at && factor > 0.0 {
                     spec.arrival_time = at + (spec.arrival_time - at) / factor;
@@ -442,15 +423,13 @@ impl ClusterSimulator {
         }
 
         let arrivals = workload.iter().filter_map(|r| {
-            let spec = specs.get(*slots.get(&r.id)? as usize)?;
+            let spec = requests.spec(requests.slot(r.id)?)?;
             Some((spec.arrival_time, r.id))
         });
         let mut run = Run {
             queue: EventQueue::new(),
             arrivals: arrival_stream(arrivals.collect()),
-            lanes: specs.iter().map(|_| None).collect(),
-            specs,
-            slots,
+            requests,
         };
         let end_time = config.warmup_secs + config.duration_secs;
         for e in events {
@@ -518,21 +497,13 @@ impl ClusterSimulator {
                 Event::NodeArrival(hop) => {
                     // No lane: the request (incarnation) was aborted — e.g.
                     // its pipeline crossed a failed node; drop the stale work.
-                    let Some((spec, lane)) = run.lane(hop.slot, hop.epoch) else {
+                    let Some((node, model, item)) = run.requests.land(hop) else {
                         continue;
                     };
-                    let Some(&stage) = lane.pipeline.stages.get(usize::from(hop.stage)) else {
-                        continue;
-                    };
-                    let (node, model) = (stage.node, lane.pipeline.model);
                     if let Some(engine) = self.engines.get_mut(node, model) {
-                        engine.enqueue(WorkItem {
-                            request: spec.id,
-                            hop,
-                            layers: stage.layers,
-                            prefix: lane.prefix.filter(|_| hop.phase == Phase::Prompt),
-                        });
-                        if let Some(done) = engine.try_start_batch(now) {
+                        engine.enqueue(item);
+                        if let Some(batch) = engine.try_start_batch(now) {
+                            let done = now + batch.actual_secs;
                             run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
@@ -546,14 +517,15 @@ impl ClusterSimulator {
                         self.route_onward(node, item, &mut run, now);
                     }
                     if let Some(engine) = self.engines.get_mut(node, model) {
-                        if let Some(done) = engine.try_start_batch(now) {
+                        if let Some(batch) = engine.try_start_batch(now) {
+                            let done = now + batch.actual_secs;
                             run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
                 Event::TokenAtCoordinator { slot, epoch } => {
                     // No lane: a token of an aborted incarnation; ignore.
-                    let Some((spec, lane)) = run.lane(slot, epoch) else {
+                    let Some((spec, lane)) = run.requests.lane(slot, epoch) else {
                         continue;
                     };
                     let Some(&first) = lane.pipeline.stages.first() else {
@@ -587,7 +559,7 @@ impl ClusterSimulator {
                                 at: now,
                             });
                         }
-                        run.lanes[slot as usize] = None;
+                        run.requests.close(request);
                         let Some(flight) = self.control.finish(request) else {
                             continue;
                         };
@@ -615,13 +587,7 @@ impl ClusterSimulator {
                         // Schedule the next decode iteration over the same pipeline.
                         let arrival =
                             self.link_transfer(None, Some(first.node), now, TOKEN_WIRE_BYTES);
-                        let hop = Hop {
-                            epoch,
-                            slot,
-                            tokens: 1,
-                            stage: 0,
-                            phase: Phase::Decode,
-                        };
+                        let hop = Hop::decode(slot, epoch);
                         run.queue.push(arrival, Event::NodeArrival(hop));
                     }
                 }
@@ -632,7 +598,8 @@ impl ClusterSimulator {
                     // The KV hand-over finished; work that queued up during
                     // the freeze starts batching again.
                     if let Some(engine) = self.engines.get_mut(node, model) {
-                        if let Some(done) = engine.try_start_batch(time) {
+                        if let Some(batch) = engine.try_start_batch(time) {
+                            let done = time + batch.actual_secs;
                             run.queue.push(done, Event::BatchComplete { node, model });
                         }
                     }
@@ -874,9 +841,7 @@ impl ClusterSimulator {
         for flight in &failover.stranded {
             self.release_kv(flight, true);
             let request = flight.request.id;
-            if let Some(&slot) = run.slots.get(&request) {
-                run.lanes[slot as usize] = None;
-            }
+            run.requests.close(request);
             run.queue.push(time, Event::RequestArrival { request });
         }
         self.hand_over(failover.replan, time, &mut run.queue);
@@ -923,11 +888,12 @@ impl ClusterSimulator {
             let profile = fleet.contention_profile(model);
             for n in fleet.topologies()[model.index()].nodes() {
                 let (layers, kv_capacity) = (n.layers.len(), n.kv_capacity_tokens);
-                let node_profile = profile.node_profile(n.node);
+                let exec = Some(ExecModel::new(profile.node_profile(n.node)));
                 match self.engines.get_mut(n.node, model) {
-                    Some(engine) => engine.update_plan(node_profile, layers, kv_capacity),
+                    Some(engine) => engine.update_plan(exec, layers, kv_capacity),
                     None => {
-                        let mut engine = NodeEngine::new(node_profile, layers, kv_capacity);
+                        let mut engine =
+                            NodeEngine::new(exec, layers, kv_capacity, SIM_TOKENS_PER_PAGE);
                         if let Some(&factor) = self.slowdowns.get(&n.node) {
                             engine.set_slowdown(factor);
                         }
@@ -984,10 +950,10 @@ impl ClusterSimulator {
     /// replicated tokens are seeded as KV residency there, and the prefill
     /// travels to the first stage.  A deferred request retries shortly.
     fn admit_request(&mut self, request: RequestId, run: &mut Run, now: SimTime) {
-        let Some(&slot) = run.slots.get(&request) else {
+        let Some(slot) = run.requests.slot(request) else {
             return;
         };
-        let Some(spec) = run.specs.get(slot as usize) else {
+        let Some(spec) = run.requests.spec(slot) else {
             return;
         };
         let model = spec.model;
@@ -1009,21 +975,8 @@ impl ClusterSimulator {
         let first = dispatch.pipeline.stages[0];
         let bytes = dispatch.prefill_tokens as f64 * TOKEN_WIRE_BYTES;
         let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-        let hop = Hop {
-            epoch: dispatch.epoch,
-            slot,
-            // Never more than the request's total tokens, which fit (checked
-            // per request before the run).
-            tokens: u32::try_from(dispatch.prefill_tokens).unwrap_or(u32::MAX),
-            stage: 0,
-            phase: Phase::Prompt,
-        };
+        let hop = run.requests.open(slot, &dispatch);
         run.queue.push(arrival, Event::NodeArrival(hop));
-        run.lanes[slot as usize] = Some(Lane {
-            epoch: dispatch.epoch,
-            pipeline: dispatch.pipeline,
-            prefix: dispatch.prefix,
-        });
     }
 
     fn route_onward(&mut self, node: NodeId, item: WorkItem, run: &mut Run, now: SimTime) {
@@ -1031,18 +984,17 @@ impl ClusterSimulator {
         // Work of an aborted incarnation describes the old pipeline, not the
         // re-admitted one, and work an earlier run left on an engine belongs
         // to no lane of this one.  Drop it.
-        let lane = run.lane(hop.slot, hop.epoch);
-        let Some((_, lane)) = lane.filter(|(spec, _)| spec.id == item.request) else {
+        let Some((lane, next)) = run.requests.onward(&item) else {
             return;
         };
         let model = lane.pipeline.model;
-        if let Some(next) = lane.pipeline.stages.get(usize::from(hop.stage) + 1) {
+        if let Some(next) = next {
             let activation_bytes = self.fleet().topologies()[model.index()]
                 .profile()
                 .model()
                 .activation_bytes();
             let bytes = f64::from(hop.tokens) * activation_bytes;
-            let arrival = self.link_transfer(Some(node), Some(next.node), now, bytes);
+            let arrival = self.link_transfer(Some(node), Some(next), now, bytes);
             let stage = hop.stage + 1;
             run.queue
                 .push(arrival, Event::NodeArrival(Hop { stage, ..hop }));
@@ -1439,9 +1391,7 @@ mod tests {
             let mut run = Run {
                 queue: EventQueue::new(),
                 arrivals: arrival_stream(arrivals),
-                specs: Vec::new(),
-                slots: HashMap::new(),
-                lanes: Vec::new(),
+                requests: RequestTable::default(),
             };
             for k in 0..30 {
                 let at = TIMES[pick(5) as usize] * (1 + pick(3)) as f64;

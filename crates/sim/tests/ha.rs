@@ -222,7 +222,7 @@ fn migrated_prefix_residency_releases_cleanly_at_completion() {
     for node in profile.cluster().node_ids() {
         if let Some(engine) = sim.engine(node, ModelId(0)) {
             assert_eq!(
-                engine.kv_used_tokens(),
+                engine.kv.used_tokens(),
                 0.0,
                 "node {node:?} leaked KV residency after all requests completed"
             );
@@ -255,7 +255,7 @@ fn node_failure_with_prefix_sharers_leaves_no_kv_residue() {
     for node in profile.cluster().node_ids() {
         if let Some(engine) = sim.engine(node, ModelId(0)) {
             assert_eq!(
-                engine.kv_used_tokens(),
+                engine.kv.used_tokens(),
                 0.0,
                 "node {node:?} leaked KV residency across the fail-over"
             );

@@ -383,7 +383,11 @@ fn tenancy_change_resplits_surviving_engine_speed_profiles() {
     let fleet = FleetTopology::plan(&profiles, &fleet_placement, true).unwrap();
     let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
     let mut sim = ClusterSimulator::new_fleet(&fleet, schedulers);
-    let shared_exec_before = sim.engine(source, ModelId(0)).unwrap().exec_model().clone();
+    let shared_exec_before = sim
+        .engine(source, ModelId(0))
+        .unwrap()
+        .exec_model()
+        .cloned();
 
     let workload = Workload::merge(vec![
         saturating_workload(25).with_model(ModelId(0)),
@@ -417,11 +421,13 @@ fn tenancy_change_resplits_surviving_engine_speed_profiles() {
     );
     let surviving = sim.engine(source, ModelId(0)).unwrap().exec_model();
     assert_eq!(
-        surviving, &fresh,
+        surviving,
+        Some(&fresh),
         "surviving engine re-split to sole tenancy"
     );
     assert_ne!(
-        surviving, &shared_exec_before,
+        surviving,
+        shared_exec_before.as_ref(),
         "the split actually changed (50% share -> sole tenant)"
     );
     // The destination engine exists and serves model 1's moved layers.

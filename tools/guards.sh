@@ -32,4 +32,8 @@ guard "worker rows follow the simulator's engine lifecycle" \
     "grep -rnE 'pending_retire|sweep_retirements|live_mut|live_pair_mut|live_of_model|is_live\(|fn retire|\.live\b|live: bool' crates/runtime/src"
 guard "a re-plan is one plan_observed" \
     "grep -nE 'self\.(unsplit_link_flows|vram_overrides)|^ {4}(unsplit_link_flows|vram_overrides): Vec' crates/core/src/fleet.rs"
+guard "runtime rows are the simulator's NodeEngine, fed its WorkItem" \
+    "grep -rnE 'StageWork|ExecutionModel|AnalyticExecution|InstantExecution' crates/runtime/src"
+guard "the tree's one impl Work is the core's" \
+    "grep -rn 'impl Work for' crates src tests examples --include=*.rs | grep -v '^crates/core/src/'"
 exit $status
