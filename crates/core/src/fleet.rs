@@ -818,23 +818,21 @@ impl<'a> FleetAnnealingPlanner<'a> {
                     continue;
                 };
                 let prev_a = evaluators[a].placement().range(node);
-                let va = evaluators[a].restore(node, None);
-                let vb = evaluators[b].assign(node, range);
-                let mut new_values = values.clone();
-                new_values[a] = va;
-                new_values[b] = vb;
-                let new_obj = objective(&new_values);
+                let (old_a, old_b) = (values[a], values[b]);
+                values[a] = evaluators[a].restore(node, None);
+                values[b] = evaluators[b].assign(node, range);
+                let new_obj = objective(&values);
                 if metropolis(new_obj, current_obj, temperature, &mut rng)
-                    && new_values.iter().all(|&v| v > 0.0)
+                    && values.iter().all(|&v| v > 0.0)
                 {
                     owner[node.index()] = Some(b);
-                    values = new_values;
                     current_obj = new_obj;
                     if current_obj > best_obj {
                         best_obj = current_obj;
                         best = evaluators.iter().map(|e| e.placement().clone()).collect();
                     }
                 } else {
+                    (values[a], values[b]) = (old_a, old_b);
                     evaluators[b].restore(node, None);
                     evaluators[a].restore(node, prev_a);
                 }
@@ -851,21 +849,20 @@ impl<'a> FleetAnnealingPlanner<'a> {
                     continue;
                 };
                 let prev = evaluators[m].placement().range(node);
-                let vm = evaluators[m].assign(node, range);
-                let mut new_values = values.clone();
-                new_values[m] = vm;
-                let new_obj = objective(&new_values);
+                let old = values[m];
+                values[m] = evaluators[m].assign(node, range);
+                let new_obj = objective(&values);
                 if metropolis(new_obj, current_obj, temperature, &mut rng)
-                    && new_values.iter().all(|&v| v > 0.0)
+                    && values.iter().all(|&v| v > 0.0)
                 {
                     owner[node.index()] = Some(m);
-                    values = new_values;
                     current_obj = new_obj;
                     if current_obj > best_obj {
                         best_obj = current_obj;
                         best = evaluators.iter().map(|e| e.placement().clone()).collect();
                     }
                 } else {
+                    values[m] = old;
                     evaluators[m].restore(node, prev);
                 }
             }
@@ -1011,11 +1008,9 @@ pub(crate) fn propose_range(
         }
         // Anchor right after a random assigned node of this model.
         2 => {
-            let assigned: Vec<(NodeId, LayerRange)> = placement.iter().collect();
-            if assigned.is_empty() {
+            let Some(other) = random_assigned(placement, rng) else {
                 return Some(LayerRange::new(0, max_layers));
-            }
-            let (_, other) = assigned[rng.gen_range(0..assigned.len())];
+            };
             if other.end < num_layers {
                 let len = max_layers.min(num_layers - other.end);
                 Some(LayerRange::new(other.end, other.end + len))
@@ -1026,15 +1021,24 @@ pub(crate) fn propose_range(
         }
         // Replicate a random assigned node's range (shrunk to fit).
         _ => {
-            let assigned: Vec<(NodeId, LayerRange)> = placement.iter().collect();
-            if assigned.is_empty() {
+            let Some(other) = random_assigned(placement, rng) else {
                 return Some(LayerRange::new(0, max_layers));
-            }
-            let (_, other) = assigned[rng.gen_range(0..assigned.len())];
+            };
             let len = max_layers.min(other.len());
             Some(LayerRange::new(other.start, other.start + len))
         }
     }
+}
+
+/// The range of an assigned node of `placement` drawn uniformly (one draw),
+/// or `None` without a draw when nothing is assigned.
+fn random_assigned(placement: &ModelPlacement, rng: &mut StdRng) -> Option<LayerRange> {
+    let assigned = placement.num_assigned();
+    if assigned == 0 {
+        return None;
+    }
+    let k = rng.gen_range(0..assigned);
+    placement.iter().nth(k).map(|(_, range)| range)
 }
 
 #[cfg(test)]

@@ -418,18 +418,18 @@ impl<'a> HierarchicalFleetPlanner<'a> {
                 continue;
             };
             let prev: Option<LayerRange> = evaluators[m].placement().range(node);
+            let old = values[m];
             let new_value = evaluators[m].assign(node, range);
-            let mut new_values = values.clone();
-            new_values[m] = new_value;
-            let new_obj = objective(&new_values);
+            values[m] = new_value;
+            let new_obj = objective(&values);
             if metropolis(new_obj, current_obj, temperature, &mut rng) && new_value > 0.0 {
-                values = new_values;
                 current_obj = new_obj;
                 if current_obj > best_obj {
                     best_obj = current_obj;
                     best = evaluators.iter().map(|e| e.placement().clone()).collect();
                 }
             } else {
+                values[m] = old;
                 evaluators[m].restore(node, prev);
             }
         }

@@ -10,8 +10,13 @@
 //! [`FlowNetwork`]** containing every node and every candidate connection,
 //! with invalid/unassigned edges held at capacity 0.  A single-node move then
 //! touches only the edges incident to that node
-//! ([`FlowNetwork::set_capacity`]) and re-solves **warm** from the previous
-//! flow ([`FlowNetwork::resolve_from_residual`]).
+//! ([`FlowNetwork::set_capacity`]; each node lists its connections with
+//! their edge and capacity, so nothing is looked up) and re-solves **warm**
+//! with Dinic from the previous flow
+//! ([`FlowNetwork::resolve_from_residual`]), whose repair and live-row
+//! upkeep pay only for the edges the move wrote.  A rejected move rolls back
+//! through the network's undo-log.  After the first move, an `assign` +
+//! `restore` cycle allocates nothing.
 //!
 //! Link capacities are clamped to a *placement-independent* bound (the sum of
 //! every node's best-case throughput) instead of the per-placement sum the
@@ -23,13 +28,16 @@
 //! standing network never needs re-clamping.
 //!
 //! [`FlowAnnealingPlanner::evaluate`]: crate::FlowAnnealingPlanner::evaluate
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::error::HelixError;
 use crate::flow_graph::FlowGraphBuilder;
 use crate::placement::{LayerRange, ModelPlacement};
 use helix_cluster::{ClusterProfile, NodeId};
 use helix_maxflow::{EdgeId, FlowNetwork, MaxFlowAlgorithm, NodeId as FlowNodeId};
-use std::collections::HashMap;
 
 /// A standing flow network over the whole candidate edge set, supporting
 /// cheap single-node placement moves with warm-started re-solving.
@@ -56,11 +64,9 @@ pub struct IncrementalFlowEvaluator {
     exit_caps: Vec<f64>,
     /// Placement-independent clamp applied to coordinator/link capacities.
     link_bound: f64,
-    /// Candidate node→node connections with their edge and raw capacity.
-    link_edges: HashMap<(NodeId, NodeId), (EdgeId, f64)>,
     /// Candidate connections incident to each node (both directions),
     /// indexed by node index.
-    incident: Vec<Vec<(NodeId, NodeId)>>,
+    incident: Vec<Vec<Link>>,
     placement: ModelPlacement,
     value: f64,
     /// Number of warm (incremental) re-solves performed.
@@ -68,6 +74,17 @@ pub struct IncrementalFlowEvaluator {
     /// Single-level undo state captured by the last `assign`; taken by
     /// `restore`, so `Some` means it describes the most recent move.
     undo: Option<UndoState>,
+}
+
+/// A candidate node→node connection as listed at both of its endpoints.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    from: NodeId,
+    to: NodeId,
+    /// The standing edge `from.out → to.in`.
+    edge: EdgeId,
+    /// Raw (unclamped) token capacity when the connection is valid.
+    capacity: f64,
 }
 
 /// What `assign` saves beside the network's undo-log so `restore` can roll
@@ -165,41 +182,47 @@ impl IncrementalFlowEvaluator {
             let node_cap = range
                 .map(|r| profile.node_profile(id).throughput(r.len()))
                 .unwrap_or(0.0);
-            node_edges.push(network.add_edge(cin, cout, node_cap));
+            node_edges.push(network.try_add_edge(cin, cout, node_cap)?);
 
             let entry_cap = profile.link_profile(None, Some(id)).tokens_per_sec;
             let entry_on = range.map(|r| r.start == 0).unwrap_or(false);
-            entry_edges.push(network.add_edge(
+            entry_edges.push(network.try_add_edge(
                 source,
                 cin,
                 if entry_on { clamp(entry_cap) } else { 0.0 },
-            ));
+            )?);
             entry_caps.push(entry_cap);
 
             let exit_cap = profile.link_profile(Some(id), None).tokens_per_sec;
             let exit_on = range.map(|r| r.end == num_layers).unwrap_or(false);
-            exit_edges.push(network.add_edge(
+            exit_edges.push(network.try_add_edge(
                 cout,
                 sink,
                 if exit_on { clamp(exit_cap) } else { 0.0 },
-            ));
+            )?);
             exit_caps.push(exit_cap);
         }
 
-        let mut link_edges = HashMap::with_capacity(candidates.len());
-        let mut incident: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); n];
-        for &(a, b) in candidates {
-            let cap = profile.link_profile(Some(a), Some(b)).tokens_per_sec;
-            let on = placement.connection_valid(a, b, partial_inference);
-            let (_, a_out) = vertices[a.index()];
-            let (b_in, _) = vertices[b.index()];
-            let edge = network.add_edge(a_out, b_in, if on { clamp(cap) } else { 0.0 });
-            link_edges.insert((a, b), (edge, cap));
-            incident[a.index()].push((a, b));
-            incident[b.index()].push((a, b));
+        let mut incident: Vec<Vec<Link>> = vec![Vec::new(); n];
+        for &(from, to) in candidates {
+            let capacity = profile.link_profile(Some(from), Some(to)).tokens_per_sec;
+            let on = placement.connection_valid(from, to, partial_inference);
+            let (_, from_out) = vertices[from.index()];
+            let (to_in, _) = vertices[to.index()];
+            let edge =
+                network.try_add_edge(from_out, to_in, if on { clamp(capacity) } else { 0.0 })?;
+            let link = Link {
+                from,
+                to,
+                edge,
+                capacity,
+            };
+            incident[from.index()].push(link);
+            incident[to.index()].push(link);
         }
 
-        let mut evaluator = IncrementalFlowEvaluator {
+        let value = network.resolve_from_residual(source, sink, algorithm)?;
+        Ok(IncrementalFlowEvaluator {
             profile: profile.clone(),
             partial_inference,
             algorithm,
@@ -212,15 +235,12 @@ impl IncrementalFlowEvaluator {
             entry_caps,
             exit_caps,
             link_bound: global_bound,
-            link_edges,
             incident,
             placement: placement.clone(),
-            value: 0.0,
-            warm_solves: 0,
+            value,
+            warm_solves: 1,
             undo: None,
-        };
-        evaluator.value = evaluator.resolve();
-        Ok(evaluator)
+        })
     }
 
     /// Number of standing-network arena edges touched by the last `assign`
@@ -304,53 +324,58 @@ impl IncrementalFlowEvaluator {
         let node_cap = range
             .map(|r| self.profile.node_profile(node).throughput(r.len()))
             .unwrap_or(0.0);
-        self.network
-            .set_capacity(self.node_edges[idx], node_cap)
-            .expect("standing node edge is valid");
+        write_capacity(&mut self.network, self.node_edges[idx], node_cap);
 
         let entry_on = range.map(|r| r.start == 0).unwrap_or(false);
-        self.network
-            .set_capacity(
-                self.entry_edges[idx],
-                if entry_on {
-                    self.entry_caps[idx].min(self.link_bound)
-                } else {
-                    0.0
-                },
-            )
-            .expect("standing entry edge is valid");
+        let entry_cap = if entry_on {
+            self.entry_caps[idx].min(self.link_bound)
+        } else {
+            0.0
+        };
+        write_capacity(&mut self.network, self.entry_edges[idx], entry_cap);
 
         let exit_on = range.map(|r| r.end == num_layers).unwrap_or(false);
-        self.network
-            .set_capacity(
-                self.exit_edges[idx],
-                if exit_on {
-                    self.exit_caps[idx].min(self.link_bound)
-                } else {
-                    0.0
-                },
-            )
-            .expect("standing exit edge is valid");
+        let exit_cap = if exit_on {
+            self.exit_caps[idx].min(self.link_bound)
+        } else {
+            0.0
+        };
+        write_capacity(&mut self.network, self.exit_edges[idx], exit_cap);
 
-        for i in 0..self.incident[idx].len() {
-            let (a, b) = self.incident[idx][i];
-            let (edge, cap) = self.link_edges[&(a, b)];
+        for link in &self.incident[idx] {
             let on = self
                 .placement
-                .connection_valid(a, b, self.partial_inference);
-            self.network
-                .set_capacity(edge, if on { cap.min(self.link_bound) } else { 0.0 })
-                .expect("standing link edge is valid");
+                .connection_valid(link.from, link.to, self.partial_inference);
+            let cap = if on {
+                link.capacity.min(self.link_bound)
+            } else {
+                0.0
+            };
+            write_capacity(&mut self.network, link.edge, cap);
         }
     }
 
     fn resolve(&mut self) -> f64 {
         self.warm_solves += 1;
+        // Cannot fail: the source and sink are two distinct nodes of this
+        // network, which the first solve (in `with_candidates`) checked.
         self.network
             .resolve_from_residual(self.source, self.sink, self.algorithm)
-            .expect("standing network endpoints are valid")
-            .value
+            .unwrap_or(0.0)
     }
+}
+
+/// Writes `capacity` into a standing edge of `network`.  Cannot fail: the
+/// edge is one this network added, and a capacity that is not a
+/// finite non-negative number — which only a degenerate profile yields —
+/// is written as 0 (no capacity), so `set_capacity` has nothing to reject.
+fn write_capacity(network: &mut FlowNetwork, edge: EdgeId, capacity: f64) {
+    let capacity = if capacity.is_finite() && capacity > 0.0 {
+        capacity
+    } else {
+        0.0
+    };
+    let _ = network.set_capacity(edge, capacity);
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! budgets on Gurobi.  This module provides the practical large-cluster path
 //! of our reproduction: a simulated-annealing search whose objective is the
 //! *exact same quantity* the MILP maximises — the max flow of the placement's
-//! graph abstraction — evaluated directly with the preflow-push solver.
-//! Starting from the heuristic placements and locally perturbing layer
-//! ranges, it reliably reaches placements close to the throughput upper
-//! bound of §4.5.
+//! graph abstraction — evaluated per move by a warm Dinic re-solve on one
+//! standing network ([`IncrementalFlowEvaluator`]), with the winner reported
+//! from a cold preflow-push solve.  Starting from the heuristic placements
+//! and locally perturbing layer ranges, it reliably reaches placements close
+//! to the throughput upper bound of §4.5.
 
 use crate::error::HelixError;
 use crate::flow_graph::FlowGraphBuilder;
@@ -234,8 +235,8 @@ impl<'a> FlowAnnealingPlanner<'a> {
     ) -> Option<(NodeId, LayerRange)> {
         let profile = self.profile;
         let num_layers = profile.model().num_layers;
-        let nodes: Vec<NodeId> = profile.cluster().node_ids().collect();
-        let node = nodes[rng.gen_range(0..nodes.len())];
+        let num_nodes = profile.cluster().num_nodes();
+        let node = NodeId(rng.gen_range(0..num_nodes));
         let max_layers = profile.node_profile(node).max_layers.min(num_layers);
         if max_layers == 0 {
             return None;
@@ -261,7 +262,7 @@ impl<'a> FlowAnnealingPlanner<'a> {
             }
             // Re-anchor: continue right after another node's range.
             2 => {
-                let other = nodes[rng.gen_range(0..nodes.len())];
+                let other = NodeId(rng.gen_range(0..num_nodes));
                 let other_range = placement.range(other)?;
                 if other_range.end < num_layers {
                     let len = max_layers.min(num_layers - other_range.end);
@@ -280,7 +281,7 @@ impl<'a> FlowAnnealingPlanner<'a> {
             }
             // Replicate: copy another node's range (shrunk to fit VRAM).
             _ => {
-                let other = nodes[rng.gen_range(0..nodes.len())];
+                let other = NodeId(rng.gen_range(0..num_nodes));
                 let other_range = placement.range(other)?;
                 let len = max_layers.min(other_range.len());
                 Some((

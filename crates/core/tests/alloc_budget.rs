@@ -1,17 +1,24 @@
-//! The allocation budget of one IWRR `schedule` on the 24-node swarm
-//! topology: a walk that every first-hop candidate masks allocates nothing,
-//! and a successful one allocates only the pipeline it returns.  The
-//! runtime's coordinator retries every deferred admission at every
-//! quiescence, so a masked walk is its most frequent call.
+//! Allocation budgets of two hot paths on 24-node clusters.
+//!
+//! - One IWRR `schedule` on the swarm topology: a walk that every first-hop
+//!   candidate masks allocates nothing, and a successful one allocates only
+//!   the pipeline it returns.  The runtime's coordinator retries every
+//!   deferred admission at every quiescence, so a masked walk is its most
+//!   frequent call.
+//! - One rejected annealing move on the standing max-flow network
+//!   (`IncrementalFlowEvaluator::assign` + `restore`): after the first move
+//!   it allocates nothing — the warm re-solve's repair, live rows and undo-log
+//!   all reuse buffers the network keeps.
 //!
 //! A global allocator counts the allocations of the calling thread, so tests
 //! running alongside on other threads do not disturb the count.
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
 use helix_core::{
-    heuristics, ClusterState, HelixError, IdleClusterState, IwrrScheduler, NoCandidateReason,
-    Scheduler, Topology,
+    heuristics, ClusterState, HelixError, IdleClusterState, IncrementalFlowEvaluator,
+    IwrrScheduler, LayerRange, NoCandidateReason, Scheduler, Topology,
 };
+use helix_maxflow::MaxFlowAlgorithm;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,4 +104,52 @@ fn an_iwrr_schedule_allocates_nothing_but_its_pipeline() {
         assert!(pipeline.covers_model(num_layers));
         assert_eq!(allocations, 1, "a {}-stage walk", pipeline.depth());
     }
+}
+
+#[test]
+fn a_rejected_warm_move_allocates_nothing_after_the_first() {
+    let profile =
+        ClusterProfile::analytic(ClusterSpec::geo_distributed_24(), ModelConfig::llama2_70b());
+    let placement = heuristics::swarm_placement(&profile).unwrap();
+    // A deterministic tour of 64 single-node moves shaped like the planner's
+    // proposals: resizes and shifts on every node in turn.
+    let num_layers = profile.model().num_layers;
+    let nodes: Vec<NodeId> = profile.cluster().node_ids().collect();
+    let mut moves = Vec::with_capacity(64);
+    let mut step = 0usize;
+    while moves.len() < 64 {
+        let node = nodes[step % nodes.len()];
+        let max_layers = profile.node_profile(node).max_layers.min(num_layers);
+        step += 1;
+        if max_layers == 0 {
+            continue;
+        }
+        let len = 1 + (step * 3) % max_layers;
+        let start = (step * 11) % (num_layers - len + 1);
+        moves.push((node, LayerRange::new(start, start + len)));
+    }
+    let mut evaluator =
+        IncrementalFlowEvaluator::new(&profile, &placement, true, None, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+    let base = evaluator.value();
+    let (node, range) = moves[0];
+    evaluator.assign(node, range);
+    evaluator.restore(node, placement.range(node));
+    let mut solved = 0;
+    for &(node, range) in moves.iter().cycle().skip(1).take(100) {
+        let (value, allocations) = allocations_in(|| {
+            let value = evaluator.assign(node, range);
+            evaluator.restore(node, placement.range(node));
+            value
+        });
+        assert_eq!(
+            allocations,
+            0,
+            "a warm move on node {} allocated",
+            node.index()
+        );
+        assert_eq!(evaluator.value().to_bits(), base.to_bits());
+        solved += usize::from(value != base);
+    }
+    assert!(solved > 10, "only {solved} of 100 moves changed the flow");
 }

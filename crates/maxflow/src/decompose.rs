@@ -88,8 +88,9 @@ pub fn decompose_paths(
         let mut node = source.index();
         let mut path_nodes = vec![source];
         let mut path_edges: Vec<EdgeId> = Vec::new();
-        let mut visited = vec![false; n];
-        visited[node] = true;
+        // Index in `path_nodes` of each node on the walk.
+        let mut on_walk: Vec<Option<usize>> = vec![None; n];
+        on_walk[node] = Some(0);
         let mut reached_sink = false;
         while node != sink.index() {
             let next = out[node]
@@ -104,12 +105,9 @@ pub fn decompose_paths(
                 reached_sink = true;
                 break;
             }
-            if visited[node] {
-                // Found a cycle: cancel the flow around it and restart the walk.
-                let cycle_start = path_nodes
-                    .iter()
-                    .position(|&p| p == NodeId(node))
-                    .expect("visited node must appear earlier on the walk");
+            if let Some(cycle_start) = on_walk[node] {
+                // Found a cycle: cancel the flow around it and rewind the
+                // walk to where the cycle starts.
                 let cycle_edges = &path_edges[cycle_start..];
                 let bottleneck = cycle_edges
                     .iter()
@@ -118,15 +116,14 @@ pub fn decompose_paths(
                 for e in cycle_edges {
                     remaining[e.index()] -= bottleneck;
                 }
+                for p in &path_nodes[cycle_start + 1..path_nodes.len() - 1] {
+                    on_walk[p.index()] = None;
+                }
                 path_nodes.truncate(cycle_start + 1);
                 path_edges.truncate(cycle_start);
-                node = path_nodes
-                    .last()
-                    .expect("walk always contains the source")
-                    .index();
                 continue;
             }
-            visited[node] = true;
+            on_walk[node] = Some(path_nodes.len() - 1);
         }
         if !reached_sink {
             break;
@@ -248,5 +245,31 @@ mod tests {
         let paths = decompose_paths(&net, &flow, s, t).unwrap();
         let total: f64 = paths.iter().map(|p| p.amount).sum();
         assert!((total - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_node_dropped_by_a_cancelled_cycle_can_be_walked_again() {
+        // The walk s->a->b->c->a closes the cycle a->b->c->a, whose
+        // cancellation drops b and c from the walk; the walk then resumes at
+        // a and re-enters b, which must count as a fresh node, not a cycle.
+        let mut net = FlowNetwork::new();
+        let s = net.add_node("s");
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let c = net.add_node("c");
+        let t = net.add_node("t");
+        net.add_edge(s, a, 1.0); // e0
+        net.add_edge(a, b, 2.0); // e1
+        net.add_edge(b, c, 1.0); // e2, listed before b->t
+        net.add_edge(c, a, 1.0); // e3
+        net.add_edge(b, t, 1.0); // e4
+        let flow = FlowResult {
+            value: 1.0,
+            edge_flows: vec![1.0, 2.0, 1.0, 1.0, 1.0],
+        };
+        let paths = decompose_paths(&net, &flow, s, t).unwrap();
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].nodes, vec![s, a, b, t]);
+        assert!((paths[0].amount - flow.value).abs() < 1e-9);
     }
 }

@@ -1,12 +1,13 @@
 //! Dinic's blocking-flow maximum-flow algorithm.
 //!
-//! Used as an independent cross-check of the preflow-push implementation and
-//! as the default algorithm for very sparse graphs where its `O(E * V^2)`
-//! bound with unit-ish capacities behaves well.
+//! What the planners' warm re-solves run
+//! ([`FlowNetwork::resolve_from_residual`]), and an independent cross-check
+//! of the preflow-push cold solves.  A standing network keeps Dinic's
+//! live-edge rows between warm solves and patches only the rows an arena
+//! write made stale.
 
-use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, UndoJournal};
+use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
 use crate::FLOW_EPS;
-use std::collections::VecDeque;
 
 /// Computes the maximum flow on `network` from `source` to `sink` with
 /// Dinic's algorithm.
@@ -18,81 +19,229 @@ pub fn dinic(network: &FlowNetwork, source: NodeId, sink: NodeId) -> FlowResult 
     network.max_flow_with(source, sink, crate::MaxFlowAlgorithm::Dinic)
 }
 
+/// Whether the pair `eid` / `eid ^ 1` can carry flow in either direction.
+/// Pushes conserve a pair's residual total, so a pair dead at the start of a
+/// solve stays dead through it.
+#[inline]
+fn live(edges: &[ArenaEdge], eid: usize) -> bool {
+    edges[eid].residual > FLOW_EPS || edges[eid ^ 1].residual > FLOW_EPS
+}
+
+/// The live-edge rows: per node, the arena entries of its adjacency whose
+/// pair is [`live`], in adjacency order.
+///
+/// Warm re-solves over standing networks keep invalid connections as edges
+/// of capacity zero, so those networks are dominated by permanently dead
+/// pairs; every BFS round and DFS walk scans only the rows.  Each node owns
+/// fixed slots sized to its adjacency, so a row is rebuilt in place, and a
+/// warm solve rebuilds only the rows [`DirtyRows`] names.
+#[derive(Debug, Clone, Default)]
+struct LiveRows {
+    /// `start[u]..start[u + 1]` are node `u`'s slots, one per adjacency entry.
+    start: Vec<usize>,
+    /// Number of live entries at the head of each node's slots.
+    len: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+impl LiveRows {
+    #[inline]
+    fn row(&self, u: usize) -> &[usize] {
+        &self.slots[self.start[u]..self.start[u] + self.len[u]]
+    }
+
+    fn rebuild_row(&mut self, u: usize, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) {
+        let base = self.start[u];
+        let mut k = base;
+        for &eid in &adjacency[u] {
+            if live(edges, eid) {
+                self.slots[k] = eid;
+                k += 1;
+            }
+        }
+        self.len[u] = k - base;
+    }
+
+    fn rebuild_all(&mut self, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) {
+        self.start.clear();
+        self.start.push(0);
+        let mut total = 0;
+        for adj in adjacency {
+            total += adj.len();
+            self.start.push(total);
+        }
+        self.len.clear();
+        self.len.resize(adjacency.len(), 0);
+        self.slots.clear();
+        self.slots.resize(total, 0);
+        for u in 0..adjacency.len() {
+            self.rebuild_row(u, edges, adjacency);
+        }
+    }
+
+    /// Whether every row equals what a full rebuild would produce now.
+    fn match_a_rebuild(&self, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) -> bool {
+        self.start.len() == adjacency.len() + 1
+            && adjacency.iter().enumerate().all(|(u, adj)| {
+                self.start[u + 1] - self.start[u] == adj.len()
+                    && self
+                        .row(u)
+                        .iter()
+                        .copied()
+                        .eq(adj.iter().copied().filter(|&eid| live(edges, eid)))
+            })
+    }
+}
+
+/// The nodes whose live rows an arena write has made stale since the last
+/// Dinic solve on the network.  [`Writes::touch_pair`] marks them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DirtyRows {
+    /// Whether the network's rows exist; until a Dinic solve builds them,
+    /// every mark is a no-op and that solve builds every row.
+    built: bool,
+    /// Whether a node is in `nodes`.
+    marked: Vec<bool>,
+    nodes: Vec<usize>,
+}
+
+impl DirtyRows {
+    /// Marks both endpoints of the arena pair `eid` / `eid ^ 1` stale.  With
+    /// no rows built (stateless solves, warm push-relabel and Edmonds–Karp)
+    /// it reads nothing.
+    #[inline]
+    pub(crate) fn mark_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
+        if self.built {
+            self.mark(edges[eid].to);
+            self.mark(edges[eid ^ 1].to);
+        }
+    }
+
+    /// Whether the network's rows exist.
+    pub(crate) fn is_built(&self) -> bool {
+        self.built
+    }
+
+    #[inline]
+    fn mark(&mut self, node: usize) {
+        if !self.marked[node] {
+            self.marked[node] = true;
+            self.nodes.push(node);
+        }
+    }
+
+    /// Drops the rows: the next Dinic solve rebuilds every one.  Called when
+    /// the adjacency changes and before warm push-relabel and Edmonds–Karp
+    /// solves, which write everywhere.
+    pub(crate) fn invalidate(&mut self) {
+        self.built = false;
+    }
+}
+
+/// Dinic's rows and buffers, owned by a network so that warm solves reuse
+/// them.  Between solves `level` is all -1.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace {
+    rows: LiveRows,
+    /// BFS level per node, -1 when unreached.
+    level: Vec<i32>,
+    /// Next row position to try per node in a blocking-flow phase.
+    iter: Vec<usize>,
+    /// The BFS queue; after a BFS it lists exactly the nodes it reached.
+    queue: Vec<usize>,
+}
+
 /// Core Dinic routine operating on the shared arena representation.
 ///
-/// Warm re-solves over standing networks (see
-/// `FlowNetwork::resolve_from_residual`) keep invalid connections as edges of
-/// capacity zero, so those networks are dominated by permanently dead edge
-/// pairs (`residual + reverse residual == 0`, which no push can ever change).
-/// A flat CSR adjacency over the *live* pairs is built once per solve and
-/// every BFS round and DFS walk scans only it — isolated rejected-move
-/// evaluations on sparse placements stop paying for dead edges.
+/// Brings the rows up to date first — all of them when `writes.dirty` has
+/// none built, else only the stale ones — then runs BFS phases over the rows
+/// and resets only the nodes a phase reached.
 pub(crate) fn run(
     edges: &mut [ArenaEdge],
     adjacency: &[Vec<usize>],
-    n: usize,
     source: usize,
     sink: usize,
-    journal: &mut UndoJournal,
+    writes: &mut Writes,
+    ws: &mut Workspace,
 ) -> f64 {
-    // CSR of live edges: an edge pair is dead for the whole solve when both
-    // residuals are (numerically) zero — pushes conserve the pair total.
-    let mut live_start = Vec::with_capacity(n + 1);
-    let mut live: Vec<usize> = Vec::new();
-    live_start.push(0);
-    for adj in adjacency.iter() {
-        for &eid in adj {
-            if edges[eid].residual > FLOW_EPS || edges[eid ^ 1].residual > FLOW_EPS {
-                live.push(eid);
-            }
+    let n = adjacency.len();
+    let dirty = &mut writes.dirty;
+    if dirty.built {
+        for &u in &dirty.nodes {
+            ws.rows.rebuild_row(u, edges, adjacency);
+            dirty.marked[u] = false;
         }
-        live_start.push(live.len());
+        dirty.nodes.clear();
+    } else {
+        ws.rows.rebuild_all(edges, adjacency);
+        dirty.marked.clear();
+        dirty.marked.resize(n, false);
+        dirty.nodes.clear();
+        dirty.nodes.reserve(n);
+        dirty.built = true;
+        ws.level.clear();
+        ws.level.resize(n, -1);
+        ws.iter.clear();
+        ws.iter.resize(n, 0);
+        ws.queue.clear();
+        ws.queue.reserve(n);
     }
+    debug_assert!(
+        ws.rows.match_a_rebuild(edges, adjacency),
+        "patched live rows differ from a full rebuild"
+    );
 
+    let Workspace {
+        rows,
+        level,
+        iter,
+        queue,
+    } = ws;
     let mut total = 0.0f64;
-    let mut level = vec![-1i32; n];
-    let mut iter = vec![0usize; n];
-
     loop {
         // BFS over live edges to build the level graph.
-        for l in level.iter_mut() {
-            *l = -1;
-        }
         level[source] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            for &eid in &live[live_start[u]..live_start[u + 1]] {
+        queue.clear();
+        queue.push(source);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &eid in rows.row(u) {
                 let v = edges[eid].to;
                 if level[v] < 0 && edges[eid].residual > FLOW_EPS {
                     level[v] = level[u] + 1;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }
-        if level[sink] < 0 {
-            break;
-        }
-        for it in iter.iter_mut() {
-            *it = 0;
-        }
-        // Repeatedly find augmenting paths in the level graph (blocking flow).
-        loop {
-            let pushed = dfs(
-                edges,
-                &live,
-                &live_start,
-                &level,
-                &mut iter,
-                source,
-                sink,
-                f64::INFINITY,
-                journal,
-            );
-            if pushed <= FLOW_EPS {
-                break;
+        let reached = level[sink] >= 0;
+        if reached {
+            for &u in queue.iter() {
+                iter[u] = 0;
             }
-            total += pushed;
+            // Repeatedly find augmenting paths in the level graph (blocking flow).
+            loop {
+                let pushed = dfs(
+                    edges,
+                    rows,
+                    level,
+                    iter,
+                    source,
+                    sink,
+                    f64::INFINITY,
+                    writes,
+                );
+                if pushed <= FLOW_EPS {
+                    break;
+                }
+                total += pushed;
+            }
+        }
+        for &u in queue.iter() {
+            level[u] = -1;
+        }
+        if !reached {
+            break;
         }
     }
     total
@@ -103,36 +252,34 @@ pub(crate) fn run(
 #[allow(clippy::too_many_arguments)]
 fn dfs(
     edges: &mut [ArenaEdge],
-    live: &[usize],
-    live_start: &[usize],
+    rows: &LiveRows,
     level: &[i32],
     iter: &mut [usize],
     u: usize,
     sink: usize,
     limit: f64,
-    journal: &mut UndoJournal,
+    writes: &mut Writes,
 ) -> f64 {
     if u == sink {
         return limit;
     }
-    let row = &live[live_start[u]..live_start[u + 1]];
+    let row = rows.row(u);
     while iter[u] < row.len() {
         let eid = row[iter[u]];
         let v = edges[eid].to;
         if edges[eid].residual > FLOW_EPS && level[v] == level[u] + 1 {
             let pushed = dfs(
                 edges,
-                live,
-                live_start,
+                rows,
                 level,
                 iter,
                 v,
                 sink,
                 limit.min(edges[eid].residual),
-                journal,
+                writes,
             );
             if pushed > FLOW_EPS {
-                journal.touch_pair(eid, edges);
+                writes.touch_pair(eid, edges);
                 edges[eid].residual -= pushed;
                 edges[eid ^ 1].residual += pushed;
                 return pushed;

@@ -3,7 +3,7 @@
 //! Slow but simple; used in tests and property checks as a third independent
 //! implementation to compare against push-relabel and Dinic.
 
-use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, UndoJournal};
+use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
 use crate::FLOW_EPS;
 use std::collections::VecDeque;
 
@@ -24,7 +24,7 @@ pub(crate) fn run(
     n: usize,
     source: usize,
     sink: usize,
-    journal: &mut UndoJournal,
+    writes: &mut Writes,
 ) -> f64 {
     let mut total = 0.0f64;
     loop {
@@ -63,7 +63,7 @@ pub(crate) fn run(
         let mut v = sink;
         while v != source {
             let eid = parent_edge[v];
-            journal.touch_pair(eid, edges);
+            writes.journal_pair(eid, edges);
             edges[eid].residual -= bottleneck;
             edges[eid ^ 1].residual += bottleneck;
             v = edges[eid ^ 1].to;

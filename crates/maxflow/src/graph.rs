@@ -5,8 +5,9 @@
 //! are `f64` because Helix edge capacities are tokens/second derived from
 //! profiled throughputs and bandwidths (paper §4.3) and are not integral.
 
+use crate::dinic::{self, DirtyRows};
 use crate::error::FlowError;
-use crate::{dinic, edmonds_karp, push_relabel, MaxFlowAlgorithm, FLOW_EPS};
+use crate::{edmonds_karp, push_relabel, MaxFlowAlgorithm, FLOW_EPS};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -84,7 +85,7 @@ pub(crate) struct ArenaEdge {
 /// epoch-stamp array so each edge is recorded at most once per transaction
 /// without clearing any per-edge state between transactions.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct UndoJournal {
+struct UndoJournal {
     /// Whether a transaction is open; when false every hook is a no-op.
     active: bool,
     /// `(arena index, capacity, residual)` at first touch, in touch order.
@@ -98,21 +99,116 @@ pub(crate) struct UndoJournal {
 impl UndoJournal {
     /// Records the pre-mutation state of one arena edge, once per transaction.
     #[inline]
-    fn record(&mut self, idx: usize, cap: f64, residual: f64) {
+    fn record(&mut self, idx: usize, edge: &ArenaEdge) {
         if self.stamp[idx] != self.epoch {
             self.stamp[idx] = self.epoch;
-            self.entries.push((idx, cap, residual));
+            self.entries.push((idx, edge.cap, edge.residual));
         }
     }
 
-    /// Records a forward/twin arena pair about to be pushed on by a solver.
+    /// Records both arena edges of the pair `eid` / `eid ^ 1` when a
+    /// transaction is open.
+    #[inline]
+    fn record_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
+        if self.active {
+            self.record(eid, &edges[eid]);
+            self.record(eid ^ 1, &edges[eid ^ 1]);
+        }
+    }
+}
+
+/// The arena's one write hook.  Every write to an edge pair — a capacity
+/// update, a rollback, the flow repair, a solver's push — goes through
+/// [`Writes::touch_pair`] first, which feeds both the undo-log and the set of
+/// nodes whose Dinic live rows the next warm solve rebuilds.  The solvers
+/// that run with no rows built push through [`Writes::journal_pair`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Writes {
+    journal: UndoJournal,
+    pub(crate) dirty: DirtyRows,
+}
+
+impl Writes {
+    /// Announces a write to the pair `eid` / `eid ^ 1`: records both arena
+    /// edges in the open undo-log transaction (once each) and marks both
+    /// endpoints' live rows stale.
     #[inline]
     pub(crate) fn touch_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
-        if self.active {
-            self.record(eid, edges[eid].cap, edges[eid].residual);
-            let twin = eid ^ 1;
-            self.record(twin, edges[twin].cap, edges[twin].residual);
+        self.journal.record_pair(eid, edges);
+        self.dirty.mark_pair(eid, edges);
+    }
+
+    /// [`Writes::touch_pair`] for a solve that runs with no live rows built —
+    /// push-relabel and Edmonds–Karp, whose warm solves drop the rows first
+    /// and whose stateless solves have none — so only the undo-log is fed.
+    /// Their inner loops push on every iteration; skipping the row check
+    /// keeps them as fast as before the rows existed.
+    #[inline]
+    pub(crate) fn journal_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
+        debug_assert!(!self.dirty.is_built(), "a row-less solve found rows");
+        self.journal.record_pair(eid, edges);
+    }
+}
+
+/// The flow repair's buffers, kept across warm solves so a re-solve
+/// allocates nothing.  Between repairs `imbalance` is all zero, `unbalanced`
+/// and `path` are empty and `position` is all `None`.
+#[derive(Debug, Clone, Default)]
+struct Repair {
+    /// Forward arena indices whose residual [`FlowNetwork::set_capacity`] (or
+    /// a rollback) took below zero since the last repair; may repeat.
+    lowered: Vec<usize>,
+    /// Flow-conservation violation per node.
+    imbalance: Vec<f64>,
+    /// The nodes whose `imbalance` this repair wrote, each once.
+    unbalanced: Vec<usize>,
+    /// Whether a node is in `unbalanced`.
+    listed: Vec<bool>,
+    /// `cancel_walk`'s flow-carrying arena edges of the current path.
+    path: Vec<usize>,
+    /// `cancel_walk`'s index in `path` per node on it.
+    position: Vec<Option<usize>>,
+}
+
+impl Repair {
+    /// Sizes the per-node buffers for `n` nodes and reserves the lists at
+    /// their bounds, so that no later repair grows them.
+    fn fit(&mut self, n: usize, forward_edges: usize) {
+        self.imbalance.resize(n, 0.0);
+        self.listed.resize(n, false);
+        self.position.resize(n, None);
+        reserve_total(&mut self.unbalanced, n);
+        reserve_total(&mut self.path, n);
+        reserve_total(&mut self.lowered, forward_edges);
+    }
+
+    /// Whether `node` still carries a deficit (`forward`) or an excess
+    /// (`!forward`) beyond `eps`.
+    fn off_balance(&self, node: usize, eps: f64, forward: bool) -> bool {
+        if forward {
+            self.imbalance[node] < -eps
+        } else {
+            self.imbalance[node] > eps
         }
+    }
+
+    /// Adds `overflow` leaving `from` for `to` to the imbalances.
+    fn overflow(&mut self, from: usize, to: usize, overflow: f64) {
+        self.imbalance[from] += overflow;
+        self.imbalance[to] -= overflow;
+        for node in [from, to] {
+            if !self.listed[node] {
+                self.listed[node] = true;
+                self.unbalanced.push(node);
+            }
+        }
+    }
+}
+
+/// Grows `v`'s capacity to at least `total` elements.
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    if v.capacity() < total {
+        v.reserve(total - v.len());
     }
 }
 
@@ -166,8 +262,18 @@ pub struct FlowNetwork {
     pub(crate) edges: Vec<ArenaEdge>,
     /// Maps forward-edge id -> arena index (always 2 * id, kept explicit for clarity).
     forward: Vec<usize>,
-    /// Delta undo-log for the warm-start rollback path.
-    journal: UndoJournal,
+    /// The largest capacity in the arena (0 when there is none), kept current
+    /// by every capacity write; see `track_max`.
+    max_cap: f64,
+    /// Number of forward edges whose capacity equals `max_cap`; 0 with a
+    /// positive `max_cap` means the maximum left and must be found again.
+    at_max: usize,
+    /// Undo-log and stale Dinic rows, fed by every arena write.
+    writes: Writes,
+    /// Warm Dinic's live rows and buffers, kept between warm solves.
+    dinic: dinic::Workspace,
+    /// Warm solves' flow-repair buffers.
+    repair: Repair,
 }
 
 impl FlowNetwork {
@@ -184,7 +290,7 @@ impl FlowNetwork {
             adjacency: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges * 2),
             forward: Vec::with_capacity(edges),
-            journal: UndoJournal::default(),
+            ..Self::default()
         }
     }
 
@@ -198,6 +304,7 @@ impl FlowNetwork {
         self.name_index.entry(name.clone()).or_insert(id);
         self.names.push(name);
         self.adjacency.push(Vec::new());
+        self.writes.dirty.invalidate();
         NodeId(id)
     }
 
@@ -236,6 +343,10 @@ impl FlowNetwork {
     ///
     /// Panics if either node is invalid or the capacity is negative/NaN; use
     /// [`FlowNetwork::try_add_edge`] for a fallible version.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented panicking wrapper of try_add_edge"
+    )]
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, capacity: f64) -> EdgeId {
         self.try_add_edge(from, to, capacity)
             .expect("invalid edge passed to FlowNetwork::add_edge")
@@ -277,30 +388,52 @@ impl FlowNetwork {
         self.adjacency[from.0].push(fwd_idx);
         self.adjacency[to.0].push(fwd_idx + 1);
         self.forward.push(fwd_idx);
+        if capacity > self.max_cap {
+            self.max_cap = capacity;
+            self.at_max = 1;
+        } else if capacity == self.max_cap {
+            self.at_max += 1;
+        }
+        self.writes.dirty.invalidate();
         Ok(EdgeId(id))
     }
 
-    /// Returns a view of a forward edge, with `flow = 0` (flows are only
-    /// materialised in [`FlowResult`]).
-    pub fn edge(&self, id: EdgeId) -> Result<EdgeRef, FlowError> {
-        let idx = *self.forward.get(id.0).ok_or(FlowError::InvalidEdge {
-            index: id.0,
-            len: self.forward.len(),
-        })?;
+    /// The view of forward edge `id`, which must be below `edge_count`.
+    fn edge_ref(&self, id: usize) -> EdgeRef {
+        let idx = self.forward[id];
         let e = &self.edges[idx];
         let twin = &self.edges[idx + 1];
-        Ok(EdgeRef {
-            id,
+        EdgeRef {
+            id: EdgeId(id),
             from: NodeId(twin.to),
             to: NodeId(e.to),
             capacity: e.cap,
             flow: e.cap - e.residual,
-        })
+        }
+    }
+
+    /// Returns a view of a forward edge.  Its `flow` is the edge's share of
+    /// the standing flow left by [`FlowNetwork::resolve_from_residual`] (0
+    /// on a network no warm solve has run on; stateless solves materialise
+    /// their flows only in [`FlowResult`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidEdge`] if the id is out of range.
+    pub fn edge(&self, id: EdgeId) -> Result<EdgeRef, FlowError> {
+        if id.0 < self.forward.len() {
+            Ok(self.edge_ref(id.0))
+        } else {
+            Err(FlowError::InvalidEdge {
+                index: id.0,
+                len: self.forward.len(),
+            })
+        }
     }
 
     /// Iterates over all forward edges.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        (0..self.forward.len()).map(|i| self.edge(EdgeId(i)).expect("edge ids are dense"))
+        (0..self.forward.len()).map(|i| self.edge_ref(i))
     }
 
     /// Returns the ids of forward edges leaving `node`.
@@ -331,14 +464,12 @@ impl FlowNetwork {
 
     /// Total capacity of edges leaving `node`.
     pub fn out_capacity(&self, node: NodeId) -> f64 {
-        self.out_edges(node)
-            .iter()
-            .map(|&e| {
-                self.edge(e)
-                    .expect("edge ids from out_edges are valid")
-                    .capacity
-            })
-            .sum()
+        self.adjacency.get(node.0).map_or(0.0, |adj| {
+            adj.iter()
+                .filter(|&&idx| idx % 2 == 0)
+                .map(|&idx| self.edges[idx].cap)
+                .sum()
+        })
     }
 
     /// Computes the maximum flow from `source` to `sink` using the default
@@ -355,7 +486,12 @@ impl FlowNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `source == sink` or either node is invalid.
+    /// Panics if `source == sink` or either node is invalid; use
+    /// [`FlowNetwork::try_max_flow`] for a fallible version.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented panicking wrapper of try_max_flow"
+    )]
     pub fn max_flow_with(
         &self,
         source: NodeId,
@@ -378,18 +514,12 @@ impl FlowNetwork {
         sink: NodeId,
         algorithm: MaxFlowAlgorithm,
     ) -> Result<FlowResult, FlowError> {
+        self.check_endpoints(source, sink)?;
         let len = self.names.len();
-        for n in [source, sink] {
-            if n.0 >= len {
-                return Err(FlowError::InvalidNode { index: n.0, len });
-            }
-        }
-        if source == sink {
-            return Err(FlowError::SourceIsSink);
-        }
         let mut scratch = self.clone_arena();
-        // Stateless solves work on a scratch arena; no undo-log to maintain.
-        let mut no_journal = UndoJournal::default();
+        // Stateless solves work on a scratch arena: no undo-log to maintain,
+        // and Dinic builds every live row afresh.
+        let mut writes = Writes::default();
         let value = match algorithm {
             MaxFlowAlgorithm::PushRelabel => push_relabel::run(
                 &mut scratch,
@@ -397,15 +527,15 @@ impl FlowNetwork {
                 len,
                 source.0,
                 sink.0,
-                &mut no_journal,
+                &mut writes,
             ),
             MaxFlowAlgorithm::Dinic => dinic::run(
                 &mut scratch,
                 &self.adjacency,
-                len,
                 source.0,
                 sink.0,
-                &mut no_journal,
+                &mut writes,
+                &mut dinic::Workspace::default(),
             ),
             MaxFlowAlgorithm::EdmondsKarp => edmonds_karp::run(
                 &mut scratch,
@@ -413,7 +543,7 @@ impl FlowNetwork {
                 len,
                 source.0,
                 sink.0,
-                &mut no_journal,
+                &mut writes,
             ),
         };
         let edge_flows = self
@@ -429,6 +559,20 @@ impl FlowNetwork {
             })
             .collect();
         Ok(FlowResult { value, edge_flows })
+    }
+
+    /// Rejects endpoints outside the network and a source that is the sink.
+    fn check_endpoints(&self, source: NodeId, sink: NodeId) -> Result<(), FlowError> {
+        let len = self.names.len();
+        for n in [source, sink] {
+            if n.0 >= len {
+                return Err(FlowError::InvalidNode { index: n.0, len });
+            }
+        }
+        if source == sink {
+            return Err(FlowError::SourceIsSink);
+        }
+        Ok(())
     }
 
     /// Clones the arena in the zero-flow state, so stateless solves are
@@ -474,28 +618,49 @@ impl FlowNetwork {
             index: edge.0,
             len: self.forward.len(),
         })?;
-        let delta = capacity - self.edges[idx].cap;
+        let old = self.edges[idx].cap;
+        let delta = capacity - old;
         if delta == 0.0 {
             // Zero-delta short-circuit: nothing changes, nothing to journal.
             return Ok(());
         }
-        self.journal_touch(idx);
+        self.writes.touch_pair(idx, &self.edges);
+        let was_feasible = self.edges[idx].residual >= 0.0;
         self.edges[idx].cap = capacity;
         self.edges[idx].residual += delta;
+        if was_feasible && self.edges[idx].residual < 0.0 {
+            self.repair.lowered.push(idx);
+        }
+        self.track_max(old, capacity);
         Ok(())
     }
 
-    /// Records the pre-mutation state of one arena edge into the active
-    /// undo-log (no-op when no transaction is open).
-    #[inline]
-    fn journal_touch(&mut self, idx: usize) {
-        if self.journal.active {
-            let (cap, residual) = {
-                let e = &self.edges[idx];
-                (e.cap, e.residual)
-            };
-            self.journal.record(idx, cap, residual);
+    /// Keeps `max_cap` / `at_max` current across one forward edge's capacity
+    /// change from `old` to `new`.
+    fn track_max(&mut self, old: f64, new: f64) {
+        if new > self.max_cap {
+            self.max_cap = new;
+            self.at_max = 1;
+        } else if old == self.max_cap && new != old {
+            self.at_max -= 1;
+        } else if new == self.max_cap && old != new {
+            self.at_max += 1;
         }
+    }
+
+    /// The largest capacity in the arena (0 when there is none).  Found
+    /// again by one scan only after the last edge at the maximum was
+    /// lowered.
+    fn max_capacity(&mut self) -> f64 {
+        if self.at_max == 0 && self.max_cap > 0.0 {
+            self.max_cap = self.edges.iter().map(|e| e.cap).fold(0.0_f64, f64::max);
+            self.at_max = self
+                .forward
+                .iter()
+                .filter(|&&idx| self.edges[idx].cap == self.max_cap)
+                .count();
+        }
+        self.max_cap
     }
 
     /// Opens an undo-log transaction: every arena edge mutated by subsequent
@@ -510,29 +675,31 @@ impl FlowNetwork {
     /// so rolling back only what was written dominates at fleet scale.
     /// Calling `begin_undo_log` while a transaction is open discards the old
     /// transaction and starts a fresh one.  The journal's buffers are reused
-    /// across transactions, so a steady-state begin/rollback cycle does not
-    /// allocate.
+    /// across transactions and sized for every edge, so a steady-state
+    /// begin/rollback cycle does not allocate.
     pub fn begin_undo_log(&mut self) {
-        self.journal.entries.clear();
-        self.journal.stamp.resize(self.edges.len(), 0);
-        self.journal.epoch = self.journal.epoch.wrapping_add(1);
-        if self.journal.epoch == 0 {
+        let journal = &mut self.writes.journal;
+        journal.entries.clear();
+        journal.entries.reserve(self.edges.len());
+        journal.stamp.resize(self.edges.len(), 0);
+        journal.epoch = journal.epoch.wrapping_add(1);
+        if journal.epoch == 0 {
             // u32 epoch wrapped: clear all stamps once and restart at 1.
-            self.journal.stamp.fill(0);
-            self.journal.epoch = 1;
+            journal.stamp.fill(0);
+            journal.epoch = 1;
         }
-        self.journal.active = true;
+        journal.active = true;
     }
 
     /// Number of arena edges recorded by the open undo-log transaction
     /// (0 when no transaction is open or nothing was touched).
     pub fn undo_log_len(&self) -> usize {
-        self.journal.entries.len()
+        self.writes.journal.entries.len()
     }
 
     /// Whether an undo-log transaction is open.
     pub fn undo_log_active(&self) -> bool {
-        self.journal.active
+        self.writes.journal.active
     }
 
     /// Restores every edge recorded since [`FlowNetwork::begin_undo_log`] to
@@ -542,31 +709,45 @@ impl FlowNetwork {
     /// Runs in O(touched); a transaction that touched nothing rolls back for
     /// free (no edge writes, no allocation).
     pub fn rollback_undo_log(&mut self) -> usize {
-        let n = self.journal.entries.len();
-        for i in 0..n {
-            let (idx, cap, residual) = self.journal.entries[i];
+        // Closed first, so the restoring writes below reach the stale rows
+        // but not the journal they are read from.
+        self.writes.journal.active = false;
+        let mut entries = std::mem::take(&mut self.writes.journal.entries);
+        for &(idx, cap, residual) in &entries {
+            self.writes.touch_pair(idx, &self.edges);
+            let old = self.edges[idx].cap;
+            let was_feasible = self.edges[idx].residual >= 0.0;
             self.edges[idx].cap = cap;
             self.edges[idx].residual = residual;
+            if idx % 2 == 0 {
+                if was_feasible && residual < 0.0 {
+                    self.repair.lowered.push(idx);
+                }
+                self.track_max(old, cap);
+            }
         }
-        self.journal.entries.clear();
-        self.journal.active = false;
+        let n = entries.len();
+        entries.clear();
+        self.writes.journal.entries = entries;
         n
     }
 
     /// Closes the open undo-log transaction without restoring anything,
     /// committing the mutations made since [`FlowNetwork::begin_undo_log`].
     pub fn discard_undo_log(&mut self) {
-        self.journal.entries.clear();
-        self.journal.active = false;
+        self.writes.journal.entries.clear();
+        self.writes.journal.active = false;
     }
 
     /// Re-solves the maximum flow **from the residual state left by the
-    /// previous solve**, instead of from scratch.
+    /// previous solve**, instead of from scratch, and returns its value.
     ///
     /// Unlike [`FlowNetwork::max_flow_with`] — which clones the arena and
     /// leaves the network untouched — this method maintains a standing flow
-    /// on the network itself.  Calling it repeatedly after
-    /// [`FlowNetwork::set_capacity`] updates gives warm-started re-solving:
+    /// on the network itself ([`EdgeRef::flow`] of [`FlowNetwork::edges`]
+    /// reads it).
+    /// Calling it repeatedly after [`FlowNetwork::set_capacity`] updates
+    /// gives warm-started re-solving:
     ///
     /// 1. edges whose capacity dropped below their stored flow are clamped,
     ///    and the resulting conservation violations are repaired by
@@ -574,6 +755,10 @@ impl FlowNetwork {
     /// 2. the chosen algorithm then augments from the repaired feasible flow,
     ///    touching only the residual network.
     ///
+    /// The cost follows what changed since the previous solve: the repair
+    /// visits only the edges `set_capacity` lowered, and Dinic rebuilds the
+    /// live rows only of nodes incident to an edge written since (the
+    /// network keeps both between solves, so a re-solve allocates nothing).
     /// For small capacity changes (the single-node placement moves of the
     /// annealing planner) step 2 starts from an almost-maximum flow and does
     /// a fraction of the work of a cold solve.  The result is identical to a
@@ -589,53 +774,50 @@ impl FlowNetwork {
         source: NodeId,
         sink: NodeId,
         algorithm: MaxFlowAlgorithm,
-    ) -> Result<FlowResult, FlowError> {
+    ) -> Result<f64, FlowError> {
+        self.check_endpoints(source, sink)?;
         let n = self.names.len();
-        for node in [source, sink] {
-            if node.0 >= n {
-                return Err(FlowError::InvalidNode {
-                    index: node.0,
-                    len: n,
-                });
-            }
-        }
-        if source == sink {
-            return Err(FlowError::SourceIsSink);
-        }
-        let max_cap = self.edges.iter().map(|e| e.cap).fold(0.0_f64, f64::max);
-        let eps = (max_cap * 1e-12).max(FLOW_EPS);
+        let eps = (self.max_capacity() * 1e-12).max(FLOW_EPS);
 
+        self.repair.fit(n, self.forward.len());
         self.repair_infeasible_flow(source.0, sink.0, eps);
 
         match algorithm {
-            MaxFlowAlgorithm::PushRelabel => push_relabel::run(
-                &mut self.edges,
-                &self.adjacency,
-                n,
-                source.0,
-                sink.0,
-                &mut self.journal,
-            ),
+            MaxFlowAlgorithm::PushRelabel => {
+                // Pushes everywhere: the next warm Dinic builds all rows.
+                self.writes.dirty.invalidate();
+                push_relabel::run(
+                    &mut self.edges,
+                    &self.adjacency,
+                    n,
+                    source.0,
+                    sink.0,
+                    &mut self.writes,
+                )
+            }
             MaxFlowAlgorithm::Dinic => dinic::run(
                 &mut self.edges,
                 &self.adjacency,
-                n,
                 source.0,
                 sink.0,
-                &mut self.journal,
+                &mut self.writes,
+                &mut self.dinic,
             ),
-            MaxFlowAlgorithm::EdmondsKarp => edmonds_karp::run(
-                &mut self.edges,
-                &self.adjacency,
-                n,
-                source.0,
-                sink.0,
-                &mut self.journal,
-            ),
+            MaxFlowAlgorithm::EdmondsKarp => {
+                self.writes.dirty.invalidate();
+                edmonds_karp::run(
+                    &mut self.edges,
+                    &self.adjacency,
+                    n,
+                    source.0,
+                    sink.0,
+                    &mut self.writes,
+                )
+            }
         };
 
-        // Read the value and per-edge flows off the standing arena: the
-        // algorithms only report the flow pushed *this* run, not the total.
+        // Read the value off the standing arena: the algorithms only report
+        // the flow pushed *this* run, not the total.
         let mut value = 0.0;
         for &idx in &self.adjacency[source.0] {
             if idx % 2 == 0 {
@@ -648,66 +830,59 @@ impl FlowNetwork {
         if value.abs() < eps {
             value = 0.0;
         }
-        let edge_flows = self
-            .forward
-            .iter()
-            .map(|&idx| {
-                let flow = self.edges[idx].cap - self.edges[idx].residual;
-                if flow.abs() < FLOW_EPS {
-                    0.0
-                } else {
-                    flow
-                }
-            })
-            .collect();
-        Ok(FlowResult { value, edge_flows })
+        Ok(value)
     }
 
     /// Clamps edges whose stored flow exceeds their (possibly just reduced)
     /// capacity and restores flow conservation by cancelling the overflow
     /// along the flow paths and cycles that carried it.
+    ///
+    /// Only `set_capacity` (and a rollback restoring its effect) drives a
+    /// residual below zero, and both list the edge, so the repair visits the
+    /// listed edges — in ascending index order, as a scan of every edge
+    /// would — and then only the nodes their overflow unbalanced, again in
+    /// ascending order.
     fn repair_infeasible_flow(&mut self, source: usize, sink: usize, eps: f64) {
-        let n = self.names.len();
-        let mut imbalance = vec![0.0f64; n];
-        let mut any = false;
-        for i in (0..self.edges.len()).step_by(2) {
+        if self.repair.lowered.is_empty() {
+            return;
+        }
+        let mut repair = std::mem::take(&mut self.repair);
+        repair.lowered.sort_unstable();
+        repair.lowered.dedup();
+        for k in 0..repair.lowered.len() {
+            let i = repair.lowered[k];
             if self.edges[i].residual < 0.0 {
                 let overflow = -self.edges[i].residual;
-                self.journal_touch(i);
-                self.journal_touch(i + 1);
+                self.writes.touch_pair(i, &self.edges);
                 self.edges[i].residual = 0.0;
                 self.edges[i + 1].residual = self.edges[i].cap;
                 if overflow > eps {
-                    let from = self.edges[i + 1].to;
-                    let to = self.edges[i].to;
-                    imbalance[from] += overflow;
-                    imbalance[to] -= overflow;
-                    any = true;
+                    repair.overflow(self.edges[i + 1].to, self.edges[i].to, overflow);
                 }
             }
         }
-        if !any {
-            return;
-        }
+        repair.lowered.clear();
+        repair.unbalanced.sort_unstable();
         // Deficits first (they may terminate at excess nodes and settle both
         // sides at once), then remaining excesses drain back towards the
         // source.
-        for node in 0..n {
-            if node == source || node == sink {
-                continue;
-            }
-            while imbalance[node] < -eps {
-                self.cancel_walk(node, source, sink, &mut imbalance, eps, true);
-            }
-        }
-        for node in 0..n {
-            if node == source || node == sink {
-                continue;
-            }
-            while imbalance[node] > eps {
-                self.cancel_walk(node, source, sink, &mut imbalance, eps, false);
+        for forward in [true, false] {
+            for k in 0..repair.unbalanced.len() {
+                let node = repair.unbalanced[k];
+                if node == source || node == sink {
+                    continue;
+                }
+                while repair.off_balance(node, eps, forward) {
+                    self.cancel_walk(&mut repair, node, source, sink, eps, forward);
+                }
             }
         }
+        for &node in &repair.unbalanced {
+            repair.imbalance[node] = 0.0;
+            repair.listed[node] = false;
+        }
+        repair.unbalanced.clear();
+        self.repair = repair;
     }
 
     /// Cancels one unit-path of flow starting at an imbalanced node.
@@ -718,19 +893,22 @@ impl FlowNetwork {
     /// flow.  Cycles encountered along the way are cancelled outright.
     fn cancel_walk(
         &mut self,
+        repair: &mut Repair,
         start: usize,
         source: usize,
         sink: usize,
-        imbalance: &mut [f64],
         eps: f64,
         forward: bool,
     ) {
-        let n = self.names.len();
         // Arena indices of the flow-carrying edges on the current path; for
         // forward walks these are forward-edge indices, for backward walks
         // twin indices.
-        let mut path: Vec<usize> = Vec::new();
-        let mut position: Vec<Option<usize>> = vec![None; n];
+        let Repair {
+            imbalance,
+            path,
+            position,
+            ..
+        } = repair;
         let mut current = start;
         position[current] = Some(0);
         loop {
@@ -751,38 +929,17 @@ impl FlowNetwork {
             let Some(arena_idx) = next_arena else {
                 // Numerical dust: no flow edge left to cancel against.
                 imbalance[start] = 0.0;
-                return;
+                break;
             };
             let next = self.edges[arena_idx].to;
             if let Some(cycle_start) = position[next] {
                 // Cancel the cycle portion and retry from `next`.
-                let cycle = &path[cycle_start..];
-                let amount = cycle
-                    .iter()
-                    .chain(std::iter::once(&arena_idx))
-                    .map(|&idx| {
-                        if forward {
-                            self.edges[idx ^ 1].residual
-                        } else {
-                            self.edges[idx].residual
-                        }
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                for &idx in cycle.iter().chain(std::iter::once(&arena_idx)) {
-                    self.journal_touch(idx);
-                    self.journal_touch(idx ^ 1);
-                    if forward {
-                        self.edges[idx].residual += amount;
-                        self.edges[idx ^ 1].residual -= amount;
-                    } else {
-                        self.edges[idx ^ 1].residual += amount;
-                        self.edges[idx].residual -= amount;
-                    }
-                }
+                path.push(arena_idx);
+                self.cancel_along(&path[cycle_start..], forward);
+                path.pop();
                 // Clear path positions past the cycle start and rewind.
                 for &idx in &path[cycle_start..] {
-                    let node = self.edges[idx].to;
-                    position[node] = None;
+                    position[self.edges[idx].to] = None;
                 }
                 path.truncate(cycle_start);
                 current = next;
@@ -797,31 +954,11 @@ impl FlowNetwork {
             };
             if next == sink || next == source || terminal_excess {
                 let magnitude = imbalance[start].abs();
-                let bottleneck = path
-                    .iter()
-                    .map(|&idx| {
-                        if forward {
-                            self.edges[idx ^ 1].residual
-                        } else {
-                            self.edges[idx].residual
-                        }
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                let mut amount = magnitude.min(bottleneck);
+                let mut amount = magnitude.min(self.flow_along(path, forward));
                 if terminal_excess {
                     amount = amount.min(imbalance[next].abs());
                 }
-                for &idx in &path {
-                    self.journal_touch(idx);
-                    self.journal_touch(idx ^ 1);
-                    if forward {
-                        self.edges[idx].residual += amount;
-                        self.edges[idx ^ 1].residual -= amount;
-                    } else {
-                        self.edges[idx ^ 1].residual += amount;
-                        self.edges[idx].residual -= amount;
-                    }
-                }
+                self.cancel_amount(path, forward, amount);
                 if forward {
                     imbalance[start] += amount;
                     if terminal_excess {
@@ -833,10 +970,50 @@ impl FlowNetwork {
                         imbalance[next] += amount;
                     }
                 }
-                return;
+                break;
             }
             current = next;
             position[current] = Some(path.len());
+        }
+        // Leave the walk's buffers at rest for the next one.
+        position[start] = None;
+        for &idx in path.iter() {
+            position[self.edges[idx].to] = None;
+        }
+        path.clear();
+    }
+
+    /// The smallest flow carried by the arena edges of `walk` in the walk
+    /// direction.
+    fn flow_along(&self, walk: &[usize], forward: bool) -> f64 {
+        walk.iter()
+            .map(|&idx| {
+                if forward {
+                    self.edges[idx ^ 1].residual
+                } else {
+                    self.edges[idx].residual
+                }
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Cancels the whole flow a cycle carries.
+    fn cancel_along(&mut self, cycle: &[usize], forward: bool) {
+        let amount = self.flow_along(cycle, forward);
+        self.cancel_amount(cycle, forward, amount);
+    }
+
+    /// Cancels `amount` of flow along the arena edges of `walk`.
+    fn cancel_amount(&mut self, walk: &[usize], forward: bool, amount: f64) {
+        for &idx in walk {
+            self.writes.touch_pair(idx, &self.edges);
+            if forward {
+                self.edges[idx].residual += amount;
+                self.edges[idx ^ 1].residual -= amount;
+            } else {
+                self.edges[idx ^ 1].residual += amount;
+                self.edges[idx].residual -= amount;
+            }
         }
     }
 
@@ -857,7 +1034,7 @@ impl FlowNetwork {
     ) -> Result<(), FlowError> {
         let mut balance = vec![0.0f64; self.node_count()];
         for (i, &f) in flows.iter().enumerate().take(self.forward.len()) {
-            let e = self.edge(EdgeId(i)).expect("dense edge ids");
+            let e = self.edge_ref(i);
             if f < -FLOW_EPS || f > e.capacity + 1e-6 {
                 return Err(FlowError::InvalidCapacity { capacity: f });
             }
@@ -879,6 +1056,11 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The standing per-edge flows a warm solve left on `net`.
+    fn standing(net: &FlowNetwork) -> Vec<f64> {
+        net.edges().map(|e| e.flow).collect()
+    }
 
     fn diamond() -> (FlowNetwork, NodeId, NodeId) {
         let mut net = FlowNetwork::new();
@@ -1081,7 +1263,7 @@ mod tests {
         let first = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::PushRelabel)
             .unwrap();
-        assert!((first.value - 6.0).abs() < 1e-9);
+        assert!((first - 6.0).abs() < 1e-9);
         // Raise the s->b edge: more flow becomes routable.
         net.set_capacity(EdgeId(1), 5.0).unwrap();
         let warm = net
@@ -1089,12 +1271,12 @@ mod tests {
             .unwrap();
         let cold = net.max_flow(s, t);
         assert!(
-            (warm.value - cold.value).abs() < 1e-9,
+            (warm - cold.value).abs() < 1e-9,
             "warm {} cold {}",
-            warm.value,
+            warm,
             cold.value
         );
-        net.validate_flow(&warm.edge_flows, s, t).unwrap();
+        net.validate_flow(&standing(&net), s, t).unwrap();
     }
 
     #[test]
@@ -1110,19 +1292,19 @@ mod tests {
             .unwrap();
         let cold = net.max_flow(s, t);
         assert!(
-            (warm.value - cold.value).abs() < 1e-9,
+            (warm - cold.value).abs() < 1e-9,
             "warm {} cold {}",
-            warm.value,
+            warm,
             cold.value
         );
-        net.validate_flow(&warm.edge_flows, s, t).unwrap();
+        net.validate_flow(&standing(&net), s, t).unwrap();
         // Restore: warm solve must recover the original maximum.
         net.set_capacity(EdgeId(0), 4.0).unwrap();
         let restored = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
-        assert!((restored.value - 6.0).abs() < 1e-9);
-        net.validate_flow(&restored.edge_flows, s, t).unwrap();
+        assert!((restored - 6.0).abs() < 1e-9);
+        net.validate_flow(&standing(&net), s, t).unwrap();
     }
 
     #[test]
@@ -1137,15 +1319,15 @@ mod tests {
         let zero = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::EdmondsKarp)
             .unwrap();
-        assert_eq!(zero.value, 0.0);
+        assert_eq!(zero, 0.0);
         // Bring the network back in a different shape.
         net.set_capacity(EdgeId(0), 2.0).unwrap();
         net.set_capacity(EdgeId(2), 2.0).unwrap();
         let back = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::EdmondsKarp)
             .unwrap();
-        assert!((back.value - 2.0).abs() < 1e-9);
-        net.validate_flow(&back.edge_flows, s, t).unwrap();
+        assert!((back - 2.0).abs() < 1e-9);
+        net.validate_flow(&standing(&net), s, t).unwrap();
     }
 
     fn arena_state(net: &FlowNetwork) -> Vec<(f64, f64)> {
@@ -1161,13 +1343,13 @@ mod tests {
         ] {
             let (mut net, s, t) = diamond();
             let first = net.resolve_from_residual(s, t, alg).unwrap();
-            assert!((first.value - 6.0).abs() < 1e-9);
+            assert!((first - 6.0).abs() < 1e-9);
             let before = arena_state(&net);
 
             net.begin_undo_log();
             net.set_capacity(EdgeId(0), 1.0).unwrap();
             let perturbed = net.resolve_from_residual(s, t, alg).unwrap();
-            assert!(perturbed.value < first.value);
+            assert!(perturbed < first);
             assert!(net.undo_log_len() > 0, "{alg:?} recorded nothing");
             assert_ne!(arena_state(&net), before);
 
@@ -1199,7 +1381,7 @@ mod tests {
         let re = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
-        assert!((re.value - 6.0).abs() < 1e-9);
+        assert!((re - 6.0).abs() < 1e-9);
         assert_eq!(net.undo_log_len(), 0);
         assert_eq!(net.rollback_undo_log(), 0);
         assert_eq!(arena_state(&net), before);
@@ -1222,7 +1404,7 @@ mod tests {
         let after = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
-        assert!((after.value - improved.value).abs() < 1e-9);
+        assert!((after - improved).abs() < 1e-9);
     }
 
     #[test]
@@ -1267,6 +1449,58 @@ mod tests {
         let re = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
-        assert!((re.value - 6.0).abs() < 1e-9);
+        assert!((re - 6.0).abs() < 1e-9);
+    }
+
+    fn folded_max(net: &FlowNetwork) -> f64 {
+        net.edges.iter().map(|e| e.cap).fold(0.0_f64, f64::max)
+    }
+
+    #[test]
+    fn max_capacity_follows_capacity_writes_and_rollbacks() {
+        let (mut net, s, t) = diamond();
+        assert_eq!(net.max_capacity(), 10.0);
+        // Lower the only edge at the maximum: the next read finds 4.0.
+        net.set_capacity(EdgeId(4), 1.0).unwrap();
+        assert_eq!(net.max_capacity(), folded_max(&net));
+        net.begin_undo_log();
+        net.set_capacity(EdgeId(0), 12.0).unwrap();
+        net.set_capacity(EdgeId(1), 12.0).unwrap();
+        net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        assert_eq!(net.max_capacity(), 12.0);
+        net.set_capacity(EdgeId(0), 0.0).unwrap();
+        assert_eq!(net.max_capacity(), 12.0);
+        net.rollback_undo_log();
+        assert_eq!(net.max_capacity(), folded_max(&net));
+        assert_eq!(net.max_capacity(), 4.0);
+        net.add_edge(s, t, 30.0);
+        assert_eq!(net.max_capacity(), 30.0);
+    }
+
+    #[test]
+    fn a_rollback_that_restores_an_overflow_is_repaired_by_the_next_solve() {
+        // Lowered below its flow outside any transaction, the edge overflows
+        // when the transaction opens; the rollback restores that overflow,
+        // and the next warm solve must still clamp and repair it.
+        let (mut net, s, t) = diamond();
+        net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        net.set_capacity(EdgeId(0), 1.0).unwrap();
+        net.begin_undo_log();
+        net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        net.rollback_undo_log();
+        assert!(net.edges[0].residual < 0.0);
+        let value = net
+            .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        let cold = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
+        assert!(
+            (value - cold.value).abs() < 1e-9,
+            "{value} vs {}",
+            cold.value
+        );
+        net.validate_flow(&standing(&net), s, t).unwrap();
     }
 }

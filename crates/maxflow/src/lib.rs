@@ -33,6 +33,11 @@
 //! assert_eq!(result.value, 5.0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod decompose;
 mod dinic;
 mod edmonds_karp;

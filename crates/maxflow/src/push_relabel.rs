@@ -10,7 +10,7 @@
 //! on, so on termination every non-terminal node is balanced and the computed
 //! preflow is a genuine flow (not just a max *value*).
 
-use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, UndoJournal};
+use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
 use crate::FLOW_EPS;
 use std::collections::VecDeque;
 
@@ -38,7 +38,7 @@ pub(crate) fn run(
     n: usize,
     source: usize,
     sink: usize,
-    journal: &mut UndoJournal,
+    writes: &mut Writes,
 ) -> f64 {
     // Work with a tolerance proportional to the largest capacity: with
     // capacities spanning many orders of magnitude (coordinator links measure
@@ -86,7 +86,7 @@ pub(crate) fn run(
         if v == source {
             continue;
         }
-        journal.touch_pair(eid, edges);
+        writes.journal_pair(eid, edges);
         edges[eid].residual -= delta;
         edges[eid ^ 1].residual += delta;
         excess[v] += delta;
@@ -124,7 +124,7 @@ pub(crate) fn run(
             let v = edges[eid].to;
             if edges[eid].residual > eps && height[u] == height[v] + 1 {
                 let delta = excess[u].min(edges[eid].residual);
-                journal.touch_pair(eid, edges);
+                writes.journal_pair(eid, edges);
                 edges[eid].residual -= delta;
                 edges[eid ^ 1].residual += delta;
                 excess[u] -= delta;

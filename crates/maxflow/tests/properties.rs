@@ -1,6 +1,6 @@
 //! Property-based tests for the max-flow algorithms.
 
-use helix_maxflow::{decompose_paths, min_cut, FlowNetwork, MaxFlowAlgorithm, NodeId};
+use helix_maxflow::{decompose_paths, min_cut, FlowNetwork, MaxFlowAlgorithm, NodeId, FLOW_EPS};
 use proptest::prelude::*;
 
 /// Builds a random directed graph over `n` nodes from a list of
@@ -16,6 +16,11 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> (FlowNetwork, NodeId, NodeI
         }
     }
     (net, ids[0], ids[n - 1])
+}
+
+/// The standing per-edge flows a warm solve left on `net`.
+fn standing(net: &FlowNetwork) -> Vec<f64> {
+    net.edges().map(|e| e.flow).collect()
 }
 
 fn edge_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
@@ -138,13 +143,80 @@ proptest! {
             let warm = net.resolve_from_residual(s, t, alg).unwrap();
             let cold = net.max_flow_with(s, t, alg);
             prop_assert!(
-                (warm.value - cold.value).abs() < 1e-6,
+                (warm - cold.value).abs() < 1e-6,
                 "{alg:?}: warm {} vs cold {}",
-                warm.value,
+                warm,
                 cold.value
             );
-            prop_assert!(net.validate_flow(&warm.edge_flows, s, t).is_ok(),
+            prop_assert!(net.validate_flow(&standing(&net), s, t).is_ok(),
                 "{alg:?} left an infeasible standing flow");
+        }
+    }
+
+    /// One standing network through everything that writes its arena:
+    /// capacities flipped between 0 and positive, capacities in
+    /// `(FLOW_EPS, 2·FLOW_EPS]` (where one push can leave both residuals of a
+    /// pair at or below `FLOW_EPS` and kill it), undo-log transactions that
+    /// roll back or commit, and a different algorithm on each warm solve.
+    /// Every warm solve matches a cold one and leaves a feasible flow, every
+    /// rollback restores the arena exactly, and every warm Dinic solve
+    /// checks (in debug builds) that its patched live rows equal a full
+    /// rebuild.
+    #[test]
+    fn warm_rows_and_repair_stay_exact_through_flips_dust_rollbacks_and_switches(
+        n in 2usize..10,
+        edges in edge_strategy(10),
+        dust_edges in prop::collection::vec((0usize..10, 0usize..10, 0.0f64..1.0), 0..12),
+        steps in prop::collection::vec((0u8..6, 0usize..80, 0.0f64..25.0, 0u8..4), 1..40),
+    ) {
+        let dust = |frac: f64| FLOW_EPS * (2.0 - frac);
+        let mut all: Vec<_> = edges.clone();
+        all.extend(dust_edges.iter().map(|&(a, b, f)| (a, b, dust(f))));
+        let (mut net, s, t) = build(n, &all);
+        if net.edge_count() == 0 {
+            return Ok(());
+        }
+        let ids: Vec<_> = net.edges().map(|e| e.id).collect();
+        let algorithm = |pick: u8| match pick {
+            0 => MaxFlowAlgorithm::PushRelabel,
+            1 => MaxFlowAlgorithm::EdmondsKarp,
+            _ => MaxFlowAlgorithm::Dinic,
+        };
+        net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic).unwrap();
+        let mut saved: Option<Vec<_>> = None;
+        for &(kind, edge_seed, cap, pick) in &steps {
+            let edge = ids[edge_seed % ids.len()];
+            match kind {
+                0 => net.set_capacity(edge, 0.0).unwrap(),
+                1 => net.set_capacity(edge, cap).unwrap(),
+                2 => net.set_capacity(edge, dust(cap / 25.0)).unwrap(),
+                3 => {
+                    net.begin_undo_log();
+                    saved = Some(net.edges().collect());
+                }
+                4 => {
+                    net.rollback_undo_log();
+                    if let Some(before) = saved.take() {
+                        prop_assert!(net.edges().eq(before), "rollback diverged");
+                    }
+                }
+                _ => {
+                    net.discard_undo_log();
+                    saved = None;
+                }
+            }
+            let alg = algorithm(pick);
+            let warm = net.resolve_from_residual(s, t, alg).unwrap();
+            let cold = net.max_flow_with(s, t, alg);
+            prop_assert!(
+                (warm - cold.value).abs() < 1e-6,
+                "{alg:?}: warm {warm} vs cold {}",
+                cold.value
+            );
+            prop_assert!(
+                net.validate_flow(&standing(&net), s, t).is_ok(),
+                "{alg:?} left an infeasible standing flow"
+            );
         }
     }
 }
