@@ -27,20 +27,23 @@
 //!
 //! # What a surface actuates
 //!
-//! The simulator owns engines, link queues and the event queue; the runtime
-//! owns the worker table, the fabric and the §5.2 KV estimators.  A surface
-//! supplies exactly two things and nothing selectable:
-//!
-//! 1. the `&dyn ClusterState` view its admission is scheduled against;
-//! 2. a tenancy-liveness predicate for standby promotion (an engine or a
-//!    worker row exists for the pair).
-//!
 //! Everything a decision returns ([`Dispatch`], [`TokenProgress`],
-//! [`Failover`], [`ReplanOutcome`]) is plain data: the surface moves bytes,
-//! seeds or frees KV and puts planned tenancies in service accordingly — and
-//! performs each migration's KV hand-over with
+//! [`Failover`], [`ReplanOutcome`]) is plain data, and one
+//! [`Actuator`](crate::Actuator) acts on it for both surfaces: it puts
+//! planned tenancies in service, moves bytes, seeds or frees KV, fails rows
+//! over and performs each migration's KV hand-over with
 //! [`EngineCore::hand_over`](crate::engine::EngineCore::hand_over), priced
-//! by [`ControlPlane::kv_transfer`].
+//! by [`ControlPlane::kv_transfer`].  A surface supplies exactly two things
+//! and nothing selectable:
+//!
+//! 1. a KV view — the `&dyn ClusterState` its admission is scheduled
+//!    against (the simulator reads its engines, the runtime its §5.2 KV
+//!    estimators);
+//! 2. a [`Wire`](crate::Wire) — how bytes move: the simulator's link queues
+//!    and event queue, or the runtime's fabric.
+//!
+//! The tenancy-liveness predicate standby promotion needs is the
+//! actuator's: a row exists for the pair.
 //!
 //! # Who owns which state
 //!

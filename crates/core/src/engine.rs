@@ -51,12 +51,11 @@
 //! message: the *simulator* adds `SimTime` scheduling (it turns the returned
 //! duration into a `BatchComplete` event); the *runtime worker* queues the
 //! returned duration in the fabric's heap beside the deliveries (or
-//! completes a zero-duration batch in place), forwards finished items
-//! through the fabric and keeps the report counters.  Both find a finished
-//! item's next stage through its lane.  Each surface supplies the link a
-//! hand-over crosses and wakes both ends when it arrives.  Cross-engine
-//! facts (which engines hold a request) stay with the surfaces'
-//! coordinators.
+//! completes a zero-duration batch in place) and keeps the report counters.
+//! Cross-engine work — forwarding a finished item through its lane, a
+//! hand-over between two engines, releasing a request on every engine of
+//! its model — is the shared [`Actuator`](crate::Actuator)'s, over each
+//! surface's wire.
 //!
 //! # Why the page size is a constructor argument
 //!
@@ -665,6 +664,11 @@ impl<W: Work> EngineCore<W> {
         self.failed = true;
     }
 
+    /// Whether the node failed (and has not recovered).
+    pub fn is_failed(&self) -> bool {
+        self.failed
+    }
+
     /// Brings a failed engine back into service.  Its work and residency
     /// were purged when it failed; it picks up work on the next dispatch.
     pub fn recover(&mut self) {
@@ -836,6 +840,15 @@ impl DerefMut for NodeEngine {
     #[inline]
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.core
+    }
+}
+
+/// The simulator's rows are bare engines; see
+/// [`Actuator`](crate::Actuator).
+impl AsMut<NodeEngine> for NodeEngine {
+    #[inline]
+    fn as_mut(&mut self) -> &mut NodeEngine {
+        self
     }
 }
 

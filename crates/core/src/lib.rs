@@ -57,7 +57,11 @@
 //!   [`ControlPlane`] owns the standing fleet plan, schedulers, prefix
 //!   routers, replication, fail-over and re-plan state and makes every
 //!   admission / progress / fail-over / re-plan decision once; the simulator
-//!   and the runtime are its two actuators.
+//!   and the runtime are its two surfaces.
+//! * [`actuator`] — what both surfaces do with those decisions, once:
+//!   [`Actuator`] plans the engine rows, hands KV over, releases and purges
+//!   it, fails nodes over, dispatches, and takes the token and forward
+//!   steps; a surface supplies only its [`Wire`] (how bytes move).
 //! * [`obs`] — what both surfaces report in one shape ([`LatencyStats`]).
 //! * [`scheduling`] — baseline schedulers (Swarm throughput-proportional,
 //!   random, shortest-queue-first) used in the §6.7 scheduling deep dive.
@@ -82,6 +86,7 @@
 //! assert!(scheduler.num_pipelines_possible() >= 1);
 //! ```
 
+pub mod actuator;
 pub mod control;
 pub mod engine;
 pub mod error;
@@ -99,6 +104,7 @@ pub mod replan;
 pub mod scheduling;
 pub mod topology;
 
+pub use actuator::{Actuator, Token, Wire};
 pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };

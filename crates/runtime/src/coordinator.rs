@@ -10,22 +10,22 @@
 //!
 //! Every *decision* — admission, replication, fail-over, when and how to
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
-//! the simulator drives); this module is its runtime actuator.  It owns what
-//! is genuinely the runtime's: the worker table, the fabric with everything
-//! in flight and the §5.2 [`KvCacheEstimator`]s — and, as the simulator
-//! keeps one per run, the [`RequestTable`]: each dispatched request gets a
-//! slot whose lane is its live incarnation, and every hop and iteration
+//! the simulator drives), and every *action* on one — dispatch, the token
+//! step, releases, fail-over, re-plans with their KV hand-overs — by the
+//! shared [`Actuator`](helix_core::Actuator), whose rows are the worker
+//! table and whose wire is the fabric.  The actuator also keeps the
+//! [`RequestTable`](helix_core::RequestTable): each dispatched request gets
+//! a slot whose lane is its live incarnation, and every hop and iteration
 //! report is resolved against that lane, so the work of an aborted
 //! incarnation is dropped where it lands, without a lookup.  Slots are
 //! never reused within a session: the table grows by one entry per
-//! distinct request id, as the report's outcomes do.  The rows are the
-//! simulator's engines and follow their lifecycle: a tenancy the plan
-//! drops keeps executing what it holds and gets no new pipeline, and a
-//! failed node's rows start no batch but stay in the table.  KV bookkeeping
-//! — releasing a finished or aborted request, seeding a replica or a
-//! promoted request, handing a layer range over — is a call on every row of
-//! the model at the moment the simulator makes it, priced on the link it
-//! crosses.
+//! distinct request id, as the report's outcomes do.  What is genuinely the
+//! runtime's stays here: the loop and its wall-paced clock, the session's
+//! calls, the §5.2 [`KvCacheEstimator`]s admission reads, and the outcome
+//! records.  KV bookkeeping — releasing a finished or aborted request,
+//! seeding a replica or a promoted request, handing a layer range over — is
+//! a call on every row of the model at the moment the simulator makes it,
+//! priced on the link it crosses.
 //!
 //! There is one loop, [`Coordinator::run_live`] — the data plane's loop and
 //! the session loop behind [`ServingSession`](crate::ServingSession), a
@@ -38,8 +38,9 @@
 //! pass until a fresh clock reading finds nothing more, and only then
 //! starts the batches of the rows those passes touched — until nothing is
 //! due and no row waits; and then — once per quiescence, not once per
-//! delivery — handles what reached the coordinator, observes, fails nodes,
-//! admits, retries what was deferred and acknowledges drains.  Requests
+//! delivery — handles what reached the coordinator, observes, fails nodes
+//! (one fail-over per injected failure, in virtual-time order), admits,
+//! retries what was deferred and acknowledges drains.  Requests
 //! arrive as control messages on the inbound channel, completions stream
 //! back as they happen, and mid-run placement deltas can add rows for
 //! (node, model) pairs the original build never had.
@@ -63,16 +64,16 @@
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
 use crate::fabric::{Event, Fabric};
-use crate::message::{Envelope, RuntimeMsg};
+use crate::message::RuntimeMsg;
 use crate::metrics::RequestOutcome;
 use crate::registry::Workers;
-use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
+use crate::runtime::PlaneSpec;
+use helix_cluster::{ModelId, NodeId};
 use helix_core::{
-    Admission, ClusterState, ControlLogs, ControlPlane, FleetTopology, Hop, InFlight,
-    KvCacheEstimator, KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanPolicy,
-    ReplanReason, ReplicationPolicy, RequestTable, Scheduler,
+    Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
+    KvTransferRecord, PlacementDelta, ReplanReason, ReplicationPolicy, Topology, Wire,
 };
-use helix_workload::{Request, RequestId};
+use helix_workload::Request;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -115,40 +116,17 @@ pub(crate) enum SessionControl {
     Finish,
 }
 
-/// Everything the coordinator needs to run.
-pub(crate) struct CoordinatorSpec {
-    /// One scheduling policy per model of the fleet (Helix IWRR or one of the
-    /// baselines); single-model runs carry exactly one entry.
-    pub schedulers: Vec<Box<dyn Scheduler>>,
-    /// One KV-cache usage estimator per model (§5.2) — each model's slice of
-    /// a shared node's KV pool is masked independently.
-    pub estimators: Vec<KvCacheEstimator>,
-    /// Shared virtual clock.
-    pub clock: VirtualClock,
-    /// The session's control messages.
-    pub inbound: Receiver<SessionControl>,
-    /// The worker table, with a row for every planned tenancy.
-    pub workers: Workers,
-    /// The links and what is in flight on them.
-    pub fabric: Fabric,
-    /// Wall-clock budget for the whole run.
-    pub max_wall: Duration,
-    /// The standing fleet plan, mutated in place by re-plans.
-    pub fleet: FleetTopology,
-    /// When the observation-driven loop fires (None = only explicit deltas
-    /// re-plan).
-    pub policy: Option<ReplanPolicy>,
-    /// The completion stream of the live loop.
-    pub completions: Sender<RequestOutcome>,
-}
+/// Initial average output length used by the KV estimator (§5.2); the Azure
+/// Conversation trace averages 232 output tokens.
+const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
 
 /// The coordinator's runtime view of the cluster for one model, used by that
 /// model's scheduler.
 ///
-/// Queue lengths and recent throughput are read off the model's rows of the
-/// worker table (the runtime equivalent of the paper's runtime monitoring);
-/// KV usage comes from the model's coordinator-side estimator, exactly as in
-/// §5.2.
+/// Queue lengths, recent throughput and KV capacities are read off the
+/// model's rows of the worker table (the runtime equivalent of the paper's
+/// runtime monitoring); KV usage comes from the model's coordinator-side
+/// estimator, exactly as in §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
     estimators: &'a [KvCacheEstimator],
@@ -171,7 +149,8 @@ impl ClusterState for CoordinatorView<'_> {
     }
 
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.estimators[self.model.index()].capacity_tokens(node)
+        let worker = self.workers.get((node, self.model));
+        worker.map_or(f64::INFINITY, |w| w.engine.kv.capacity_tokens())
     }
 }
 
@@ -182,15 +161,11 @@ pub(crate) struct Coordinator {
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<SessionControl>,
+    /// The rows, with the shared actuator over them.
     pub workers: Workers,
     pub fabric: Fabric,
-    /// Every dispatched request's slot and the lane of its live
-    /// incarnation; one entry per distinct id, never shrinking.
-    requests: RequestTable,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
-    /// KV hand-overs, for the final report.
-    kv_transfers: Vec<KvTransferRecord>,
     completions: Sender<RequestOutcome>,
     /// Injected failures not yet due: `(virtual time, node)`.
     pending_failures: Vec<(f64, NodeId)>,
@@ -211,25 +186,29 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    pub(crate) fn new(spec: CoordinatorSpec) -> Self {
-        assert_eq!(
-            spec.schedulers.len(),
-            spec.estimators.len(),
-            "one estimator per model"
-        );
-        let mut control = ControlPlane::new(spec.fleet, spec.schedulers);
+    /// Builds the plane as plain data: one worker row per (assigned node,
+    /// model) pair — each with its own partition of the node's KV pool —
+    /// one KV estimator per model, the network fabric, and the control plane
+    /// that routes every request to its model's scheduler.
+    pub(crate) fn new(spec: PlaneSpec) -> Self {
+        let (fleet, config) = (spec.fleet, spec.config);
+        // Link bandwidth/latency are model-independent; the fabric uses the
+        // first model's cluster.
+        let fabric = Fabric::new(fleet.topologies()[0].profile().cluster().clone());
+        let workers = Workers::new(&fleet, config.execution);
+        let initial = |t: &Topology| KvCacheEstimator::new(t.profile(), INITIAL_AVG_OUTPUT_TOKENS);
+        let estimators = fleet.topologies().iter().map(initial).collect();
+        let mut control = ControlPlane::new(fleet, spec.schedulers);
         control.start_timeline(spec.policy);
         Coordinator {
             control,
-            estimators: spec.estimators,
+            estimators,
             clock: spec.clock,
             inbound: spec.inbound,
-            workers: spec.workers,
-            fabric: spec.fabric,
-            requests: RequestTable::default(),
-            max_wall: spec.max_wall,
+            workers,
+            fabric,
+            max_wall: config.max_wall,
             outcomes: Vec::new(),
-            kv_transfers: Vec::new(),
             completions: spec.completions,
             pending_failures: Vec::new(),
             pending: VecDeque::new(),
@@ -245,7 +224,7 @@ impl Coordinator {
     /// Everything the run accumulated besides the outcomes, for the final
     /// report.
     pub(crate) fn take_logs(&mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
-        let kv_transfers = std::mem::take(&mut self.kv_transfers);
+        let kv_transfers = self.workers.act.take_kv_transfers();
         (self.control.take_logs(), kv_transfers)
     }
 
@@ -345,11 +324,14 @@ impl Coordinator {
                     self.submitted += requests.len();
                     self.pending.extend(requests);
                 }
-                SessionControl::InjectSpeed(node, factor) => self.workers.set_speed(node, factor),
+                SessionControl::InjectSpeed(node, factor) => {
+                    self.workers.act.set_slowdown(node, factor);
+                }
                 SessionControl::ApplyDelta(delta) => {
                     let now = self.clock.now();
                     let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
-                    self.hand_over(outcome, now);
+                    let act = &mut self.workers.act;
+                    act.hand_over(&self.control, &mut self.fabric, outcome, now);
                 }
                 SessionControl::FailNode(node, at) => self.pending_failures.push((at, node)),
                 SessionControl::SetReplication(policy) => self.control.set_replication(policy),
@@ -368,7 +350,11 @@ impl Coordinator {
         let clock = self.clock;
         let now = self.run_due(|| clock.now());
         while let Some((slot, emitted_at, epoch)) = self.arrived.pop_front() {
-            self.on_iteration(slot, emitted_at, epoch, now);
+            let (act, fabric) = (&mut self.workers.act, &mut self.fabric);
+            let token = act.token(&mut self.control, fabric, slot, epoch, emitted_at, now);
+            if let Some(flight) = token.and_then(|token| token.finished) {
+                self.complete(flight, emitted_at);
+            }
         }
 
         // 3. Observe, consult the policy, re-plan, hand over.
@@ -388,19 +374,24 @@ impl Coordinator {
             }
         }
 
-        // 5. Fire injected node failures whose virtual time has passed:
-        // promote replicated in-flight pipelines, abort the rest and
-        // queue them for re-admission through the normal path.
-        let mut due = Vec::new();
-        self.pending_failures.retain(|&(at, node)| {
-            if at <= now {
-                due.push(node);
+        // 5. Fire injected node failures whose virtual time has passed, one
+        // fail-over each in virtual-time order (call order among equal
+        // times), as the simulator handles one failure event at a time:
+        // promote replicated in-flight pipelines, abort the rest and queue
+        // them for re-admission through the normal path, after the purge.
+        let due = self
+            .pending_failures
+            .extract_if(.., |&mut (at, _)| at <= now);
+        let mut due: Vec<(f64, NodeId)> = due.collect();
+        due.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (_, node) in due {
+            let reason = ReplanReason::NodeFailure { node };
+            let act = &mut self.workers.act;
+            let stranded = act.fail_over(&mut self.control, &mut self.fabric, &[node], reason, now);
+            for flight in stranded {
+                self.release_estimate(&flight, true);
+                self.pending.push_back(flight.request);
             }
-            at > now
-        });
-        if !due.is_empty() {
-            let stranded = self.fail_nodes(&due, now);
-            self.pending.extend(stranded);
         }
 
         // 6. Admit every request whose arrival time has passed, in
@@ -467,7 +458,7 @@ impl Coordinator {
                 applied = true;
                 match event {
                     Event::Deliver(envelope) => match envelope.msg {
-                        RuntimeMsg::Work(hop) => self.workers.deliver(hop, &self.requests),
+                        RuntimeMsg::Work(hop) => self.workers.deliver(hop),
                         RuntimeMsg::IterationDone {
                             slot,
                             epoch,
@@ -475,18 +466,12 @@ impl Coordinator {
                         } => self.arrived.push_back((slot, emitted_at, epoch)),
                     },
                     Event::BatchDone(key) => {
-                        let requests = &self.requests;
-                        self.workers
-                            .batch_done(key, at, now, requests, &mut self.fabric);
+                        self.workers.batch_done(key, at, now, &mut self.fabric)
                     }
                     Event::Landed(rows) => rows.into_iter().for_each(|key| self.workers.touch(key)),
                 }
             }
-            if !applied
-                && !self
-                    .workers
-                    .start_touched(now, &self.requests, &mut self.fabric)
-            {
+            if !applied && !self.workers.start_touched(now, &mut self.fabric) {
                 return now;
             }
         }
@@ -506,70 +491,13 @@ impl Coordinator {
         if self.next_policy_check().is_none_or(|due| now < due) {
             return;
         }
-        let rows = self.workers.rows();
+        let rows = self.workers.rows().into_iter();
         let counters: Vec<_> = rows
-            .iter()
-            .map(|w| (w.key.0, w.key.1, w.engine.counters()))
+            .map(|((node, model), w)| (node, model, w.engine.counters()))
             .collect();
         let outcome = self.control.observe(now, &counters);
-        self.hand_over(outcome, now);
-    }
-
-    /// Actuates one applied re-plan (`None`: it was infeasible or not due,
-    /// and the current plan keeps serving): swaps the affected models' KV
-    /// budgets for *new* requests (drain-then-switch), puts the rows of
-    /// (node, model) tenancies the delta added in service, and performs the
-    /// KV hand-over of every migration.  A row the plan dropped stays as it
-    /// is: it executes what it holds, and new requests steer around it.
-    fn hand_over(&mut self, outcome: Option<ReplanOutcome>, now: f64) {
-        let Some(outcome) = outcome else {
-            return;
-        };
-        let fleet = self.control.fleet();
-        for &model in &outcome.affected {
-            // Re-derived KV budgets, and dynamic membership — a tenancy the
-            // delta added has a row on the spot, routable through the
-            // fabric immediately (a migration destination must exist before
-            // the pages can land), and a surviving one takes the new facts
-            // in place.  Workers execute at the analytic contention split;
-            // measured speed factors re-price planning, not execution.
-            let contention = fleet.contention_profile(model);
-            for n in fleet.topologies()[model.index()].nodes() {
-                let (layers, kv_capacity_tokens) = (n.layers.len(), n.kv_capacity_tokens);
-                self.estimators[model.index()].set_capacity(n.node, kv_capacity_tokens);
-                let key = (n.node, model);
-                self.workers
-                    .plan(&contention, key, &n.name, layers, kv_capacity_tokens);
-            }
-        }
-        // Each migration's KV hand-over, the one the simulator performs: the
-        // pages cross the `from → to` link as one transfer (queueing behind
-        // activations), both ends freeze *only the migrated layer range*
-        // until it arrives — work on other layers keeps executing — and one
-        // queue entry at the arrival starts what the freeze held.
-        for &migration in &outcome.migrations {
-            let KvMigration {
-                model, from, to, ..
-            } = migration;
-            let keeps_layers = fleet.placement().placements()[model.index()]
-                .range(from)
-                .is_some();
-            let rows = [(from, model), (to, model)];
-            let Some([source, destination]) = self.workers.pair_mut(rows) else {
-                continue;
-            };
-            let fabric = &mut self.fabric;
-            let record = source.engine.hand_over(
-                &mut destination.engine,
-                migration,
-                keeps_layers,
-                self.control.kv_transfer(model),
-                now,
-                |bytes| fabric.transfer(now, Some(from), Some(to), bytes),
-            );
-            self.fabric.landed(record.at, rows);
-            self.kv_transfers.push(record);
-        }
+        let act = &mut self.workers.act;
+        act.hand_over(&self.control, &mut self.fabric, outcome, now);
     }
 
     /// Asks the control plane to admit one request and puts the dispatch on
@@ -601,61 +529,22 @@ impl Coordinator {
             // A promoted request re-seeds its surviving replicated tokens on
             // every promoted stage (the fail-over purge released them).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
-                self.fabric
-                    .transfer(now, None, Some(stage.node), TOKEN_WIRE_BYTES);
+                self.fabric.call(now, stage.node);
                 if let Some(worker) = self.workers.get_mut((stage.node, model)) {
                     worker.engine.kv.seed(request.id, tokens);
                 }
             }
         }
-        let slot = self.requests.insert(request);
-        let hop = self.requests.open(slot, &dispatch);
-        self.fabric.send(
-            now,
-            Envelope {
-                from: None,
-                to: Some(dispatch.pipeline.stages[0].node),
-                bytes: TOKEN_WIRE_BYTES * dispatch.prefill_tokens as f64,
-                msg: RuntimeMsg::Work(hop),
-            },
-        );
+        let act = &mut self.workers.act;
+        let slot = act.requests.insert(request);
+        act.dispatch(&mut self.fabric, slot, &dispatch, now);
         Ok(true)
     }
 
-    /// Fails `nodes` together at `now`: their workers are failed (the batch
-    /// each was executing is dropped and none starts again; what reaches
-    /// them queues), every pipeline the control plane reports stranded is
-    /// purged from every row of its model — queued items and KV — and its
-    /// lane closed, so what of it is still on a link is dropped where it
-    /// lands; and the removal re-plan is handed over.  Returns the stranded
-    /// requests for re-submission — the control plane resumes the promoted
-    /// ones on their replicas and re-admits the rest from scratch, after the
-    /// purge (step 6 of the turn), so it never reaches the new incarnation.
-    fn fail_nodes(&mut self, nodes: &[NodeId], now: f64) -> Vec<Request> {
-        for &node in nodes {
-            self.workers.fail(node);
-        }
-        let workers = &self.workers;
-        let has_row = |node, model| workers.get((node, model)).is_some();
-        let reason = ReplanReason::NodeFailure { node: nodes[0] };
-        let failover = self.control.fail_nodes(nodes, reason, now, &has_row);
-        for flight in &failover.stranded {
-            self.release_kv(flight, true, now);
-            self.requests.close(flight.request.id);
-        }
-        self.hand_over(failover.replan, now);
-        failover.stranded.iter().map(|f| f.request).collect()
-    }
-
-    /// Frees what one finished (or, with `purge`, aborted) incarnation held:
-    /// its estimator entries, and its KV on *every* worker of its model, not
-    /// only its pipeline nodes — migrations seed destination workers and
-    /// replication seeds standbys, and all those copies are keyed by the
-    /// request id (so other requests are untouched).  A purge also drops the
-    /// incarnation's queued items, and its estimate leaves the running
-    /// output-length average alone.  Each row's call is priced as a
-    /// coordinator → row message on its link at `now`.
-    fn release_kv(&mut self, flight: &InFlight, purge: bool, now: f64) {
+    /// Drops what one finished (or, with `purge`, aborted) incarnation
+    /// holds from its model's estimator; an aborted one's estimate leaves
+    /// the running output-length average alone.
+    fn release_estimate(&mut self, flight: &InFlight, purge: bool) {
         let (model, request) = (flight.pipeline.model, flight.request.id);
         let estimator = &mut self.estimators[model.index()];
         for stage in &flight.pipeline.stages {
@@ -668,68 +557,14 @@ impl Coordinator {
                 estimator.release_shared(stage.node, p.id);
             }
         }
-        for worker in self.workers.of_model_mut(model) {
-            self.fabric
-                .transfer(now, None, Some(worker.key.0), TOKEN_WIRE_BYTES);
-            if purge {
-                worker.engine.purge_request(request);
-            } else {
-                worker.engine.release_request(request);
-            }
-        }
     }
 
-    /// Applies one iteration the fabric reported to the coordinator; what it
-    /// sends leaves at `now`, the turn's reading.
-    fn on_iteration(&mut self, slot: u32, emitted_at: f64, epoch: u64, now: f64) {
-        // No lane: a stale incarnation — pre-failure work was still draining
-        // through surviving stages when the request was promoted or
-        // re-admitted.
-        let Some((spec, lane)) = self.requests.lane(slot, epoch) else {
-            return;
-        };
-        let (request, model) = (spec.id, lane.pipeline.model);
-        let Some(first) = lane.pipeline.stages.first().map(|stage| stage.node) else {
-            return;
-        };
-        let Some(progress) = self.control.on_token(request, epoch, emitted_at) else {
-            return;
-        };
-        if progress.finished {
-            return self.finish(request, emitted_at, now);
-        }
-        // Replica chunks cross the link from every primary stage to its
-        // standby, and the standby workers seed the durable tokens as KV
-        // residency — replication steals link bandwidth and KV headroom,
-        // which is exactly the trade-off measured.
-        for chunk in &progress.chunks {
-            self.fabric
-                .transfer(now, Some(chunk.primary), Some(chunk.standby), chunk.bytes);
-            if let Some(standby) = self.workers.get_mut((chunk.standby, model)) {
-                standby.engine.kv.seed(request, progress.durable_tokens);
-            }
-        }
-        self.fabric.send(
-            now,
-            Envelope {
-                from: None,
-                to: Some(first),
-                bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::Work(Hop::decode(slot, epoch)),
-            },
-        );
-    }
-
-    /// Completes a request: closes its lane, records its outcome and frees
-    /// everything it held on the data plane, priced at `now`.
-    fn finish(&mut self, request: RequestId, completed_at: f64, now: f64) {
-        self.requests.close(request);
-        let Some(flight) = self.control.finish(request) else {
-            return;
-        };
-        self.release_kv(&flight, false, now);
+    /// Records a request the token step finished — its KV already freed on
+    /// every row — and frees its estimate.
+    fn complete(&mut self, flight: InFlight, completed_at: f64) {
+        self.release_estimate(&flight, false);
         let outcome = RequestOutcome {
-            id: request,
+            id: flight.request.id,
             model: flight.pipeline.model,
             prompt_tokens: flight.request.prompt_tokens,
             output_tokens: flight.request.output_tokens,
@@ -746,13 +581,16 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{one_stage_hop, Phase};
+    use crate::message::{one_stage_hop, Envelope, Phase};
     use crate::registry::WorkerKey;
-    use crate::runtime::{self, PlaneSpec, RuntimeConfig};
+    use crate::runtime::RuntimeConfig;
+    use helix_cluster::TOKEN_WIRE_BYTES;
     use helix_cluster::{
         ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
     };
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
+    use helix_core::{FleetTopology, Scheduler};
+    use helix_core::{Hop, KvMigration, ReplanOutcome};
     use helix_core::{LayerRange, ModelPlacement, PipelineStage, SchedulerKind, Topology};
     use helix_workload::PrefixId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -815,7 +653,7 @@ mod tests {
         };
         let (control, inbound) = channel();
         let (completions, completed) = channel();
-        let coordinator = runtime::build(PlaneSpec {
+        let coordinator = Coordinator::new(PlaneSpec {
             schedulers: vec![scheduler(&topology)],
             fleet: FleetTopology::single(topology),
             clock: VirtualClock::new(config.wall_per_virtual),
@@ -842,19 +680,19 @@ mod tests {
 
     /// The first row of the plane.
     fn first_row(coordinator: &Coordinator) -> WorkerKey {
-        coordinator.workers.rows()[0].key
+        coordinator.workers.rows()[0].0
     }
 
     /// One-stage work for the row `key`: `request` gets a slot whose lane is
     /// that row alone, and this is its decode hop.
     fn hop_for(coordinator: &mut Coordinator, key: WorkerKey, request: u64) -> Hop {
-        one_stage_hop(&mut coordinator.requests, request, key)
+        one_stage_hop(&mut coordinator.workers.act.requests, request, key)
     }
 
     /// Delivers one-stage work of `request` to the row `key`.
     fn deliver(coordinator: &mut Coordinator, key: WorkerKey, request: u64) {
         let hop = hop_for(coordinator, key, request);
-        coordinator.workers.deliver(hop, &coordinator.requests);
+        coordinator.workers.deliver(hop);
     }
 
     /// PR 22's first finding, held without an executor: the loop's turn is a
@@ -886,7 +724,12 @@ mod tests {
         // One turn per iteration of request 0, each a pipeline of several
         // hops — several passes — and one admission round.
         assert!(turns >= 6, "{turns} turns");
-        let batches: u64 = coordinator.workers.rows().iter().map(|w| w.batches).sum();
+        let batches: u64 = coordinator
+            .workers
+            .rows()
+            .iter()
+            .map(|(_, w)| w.batches)
+            .sum();
         assert!(
             batches > 2 * turns as u64,
             "{batches} batches in {turns} turns"
@@ -954,7 +797,7 @@ mod tests {
     fn the_sends_of_one_pass_are_stamped_with_its_reading() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
         let rows = coordinator.workers.rows();
-        let (a, b) = (rows[0].key, rows[1].key);
+        let (a, b) = (rows[0].0, rows[1].0);
         deliver(&mut coordinator, a, 1);
         deliver(&mut coordinator, b, 2);
         let reading = 5.0;
@@ -984,7 +827,7 @@ mod tests {
     fn work_held_by_a_hand_over_starts_when_its_arrival_comes_due() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
         let rows = coordinator.workers.rows();
-        let (from, to) = (rows[0].key, rows[1].key);
+        let (from, to) = (rows[0].0, rows[1].0);
         let migration = KvMigration {
             model: from.1,
             from: from.0,
@@ -996,18 +839,24 @@ mod tests {
             warm_flow_values: Vec::new(),
             migrations: vec![migration],
         };
-        coordinator.hand_over(Some(outcome), 0.0);
-        let [record] = coordinator.kv_transfers.as_slice() else {
+        let act = &mut coordinator.workers.act;
+        act.hand_over(
+            &coordinator.control,
+            &mut coordinator.fabric,
+            Some(outcome),
+            0.0,
+        );
+        let transfers = act.take_kv_transfers();
+        let [record] = transfers.as_slice() else {
             panic!("one hand-over, recorded when it starts");
         };
         let due = record.at;
         assert_eq!(coordinator.fabric.next_at(), Some(due), "its arrival alone");
         // Work on the migrated range is held on the source.
         deliver(&mut coordinator, from, 7);
-        let requests = &coordinator.requests;
         coordinator
             .workers
-            .start_touched(0.0, requests, &mut coordinator.fabric);
+            .start_touched(0.0, &mut coordinator.fabric);
         assert_eq!(coordinator.workers.get(from).unwrap().batches, 0);
 
         while coordinator.clock.now() < due {}
@@ -1022,7 +871,7 @@ mod tests {
     #[test]
     fn a_release_is_counted_on_its_link_and_frees_the_pool_at_once() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
-        let keys: Vec<WorkerKey> = coordinator.workers.rows().iter().map(|w| w.key).collect();
+        let keys: Vec<WorkerKey> = coordinator.workers.rows().iter().map(|r| r.0).collect();
         for &key in &keys {
             coordinator
                 .workers
@@ -1048,7 +897,8 @@ mod tests {
             first_token_at: None,
             last_token_at: None,
         };
-        coordinator.release_kv(&flight, false, 0.0);
+        let act = &mut coordinator.workers.act;
+        act.release(&mut coordinator.fabric, &flight, false, 0.0);
         for &key in &keys {
             let row = coordinator.workers.get(key).unwrap();
             assert_eq!(row.engine.kv.used_tokens(), 0.0, "{key:?} still holds KV");
@@ -1094,12 +944,12 @@ mod tests {
         coordinator.fabric.landed(until, [key, key]);
         let hop = Hop {
             epoch: 0,
-            slot: coordinator.requests.slot(0).unwrap(),
+            slot: coordinator.workers.act.requests.slot(0).unwrap(),
             tokens: 1,
             stage: stage_index as u16,
             phase: Phase::Decode,
         };
-        coordinator.workers.deliver(hop, &coordinator.requests);
+        coordinator.workers.deliver(hop);
         assert_eq!(coordinator.workers.get(key).unwrap().engine.queue_len(), 1);
 
         assert!(!coordinator
@@ -1139,7 +989,7 @@ mod tests {
             .find(|(_, s)| s.node != failed)
             .expect("a pipeline of several stages");
         // The incarnation's decode hop to the survivor is on its link.
-        let slot = coordinator.requests.slot(0).unwrap();
+        let slot = coordinator.workers.act.requests.slot(0).unwrap();
         let stale = Hop {
             epoch: 0,
             slot,
@@ -1155,8 +1005,13 @@ mod tests {
         };
         coordinator.fabric.send(0.0, envelope);
 
-        let stranded = coordinator.fail_nodes(&[failed], 0.0);
-        assert_eq!(stranded.iter().map(|r| r.id).collect::<Vec<_>>(), [0]);
+        let (act, control) = (&mut coordinator.workers.act, &mut coordinator.control);
+        let reason = ReplanReason::NodeFailure { node: failed };
+        let stranded = act.fail_over(control, &mut coordinator.fabric, &[failed], reason, 0.0);
+        assert_eq!(
+            stranded.iter().map(|f| f.request.id).collect::<Vec<_>>(),
+            [0]
+        );
         assert!(coordinator.try_dispatch(request(0), 1.0).unwrap());
         assert_eq!(coordinator.control.flight(0).map(|f| f.epoch), Some(1));
         let key = (survivor.node, pipeline.model);
@@ -1240,10 +1095,10 @@ mod tests {
         assert_eq!(transfers.len(), 1, "the migration handed over");
         assert_eq!(logs.failovers.len(), 1);
         assert!(logs.replication.chunks > 0, "replicas were seeded");
-        for row in coordinator.workers.rows() {
+        for (key, row) in coordinator.workers.rows() {
             let kv = &row.engine.kv;
             let held = (kv.used_tokens(), kv.shared_pages());
-            assert_eq!(held, (0.0, 0), "{:?} still holds KV", row.key);
+            assert_eq!(held, (0.0, 0), "{key:?} still holds KV");
         }
     }
 
@@ -1279,10 +1134,10 @@ mod tests {
         assert!(plan.node(NodeId(1)).is_none() && plan.node(NodeId(3)).is_some());
 
         deliver(&mut coordinator, failed, 7);
-        let (now, requests) = (coordinator.clock.now(), &coordinator.requests);
+        let now = coordinator.clock.now();
         coordinator
             .workers
-            .start_touched(now, requests, &mut coordinator.fabric);
+            .start_touched(now, &mut coordinator.fabric);
         let row = coordinator.workers.get(failed).unwrap();
         assert_eq!((row.batches, row.engine.queue_len()), (0, 1));
         assert!(!row.engine.is_busy());

@@ -9,26 +9,27 @@
 //! inter-region links — the effect behind the paper's Fig. 10b case study —
 //! emerges naturally from this model.
 //!
-//! The fabric is plain data the plane's loop owns, and it has no clock:
-//! [`Fabric::transfer`] prices bytes on a link at the `now` its caller acts
+//! The fabric is plain data the plane's loop owns, it has no clock, and it
+//! is the runtime's [`Wire`] — the one surface-specific part of the shared
+//! actuator: `transfer` prices bytes on a link at the `now` its caller acts
 //! on — KV bookkeeping, which takes effect at once, stops there — and
-//! [`Fabric::send`] also queues the delivery of a message by `(at, seq)`.
-//! A send is stamped with the clock reading of the pass (or turn) that makes
-//! it, never with a reading of its own, so however long a pass runs, its
-//! sends leave at one instant.  A batch that takes time and a KV hand-over's
-//! arrival are entries of the *same* queue ([`Fabric::batch_done`],
-//! [`Fabric::landed`]), as in the simulator's event queue.  The heap holds
-//! only 24-byte keys `(at, seq, slot)`; the event itself waits in a slab
-//! slot, reused once popped.  The loop waits for [`Fabric::next_at`] and
+//! [`Fabric::send`] (a hop: `send_hop`) also queues the delivery of a
+//! message by `(at, seq)`.  A send is stamped with the clock reading of the
+//! pass (or turn) that makes it, never with a reading of its own, so however
+//! long a pass runs, its sends leave at one instant.  A batch that takes
+//! time and a KV hand-over's arrival are entries of the *same* queue
+//! ([`Fabric::batch_done`], `landed`), as in the simulator's event queue.
+//! The heap holds only 24-byte keys `(at, seq, slot)`; the event itself
+//! waits in a slab slot, reused once popped.  The loop waits for [`Fabric::next_at`] and
 //! applies [`Fabric::pop_due`] — nothing here runs, wakes or polls.
 //!
 //! [`LinkQueue`]: helix_core::LinkQueue
 
-use crate::message::Envelope;
+use crate::message::{Envelope, RuntimeMsg};
 use crate::metrics::LinkReport;
 use crate::registry::WorkerKey;
-use helix_cluster::{ClusterSpec, NodeId};
-use helix_core::LinkTable;
+use helix_cluster::{ClusterSpec, NodeId, TOKEN_WIRE_BYTES};
+use helix_core::{Hop, LinkKey, LinkTable, Wire};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -118,37 +119,15 @@ impl Fabric {
         self.heap.push(Due { at, seq, slot });
     }
 
-    /// Puts `bytes` on the `from → to` link at `now` and returns when they
-    /// arrive: the link's [`LinkQueue`] computes the time and records the
-    /// traffic counters — at the send, so the report needs nothing
-    /// delivered.
-    ///
-    /// [`LinkQueue`]: helix_core::LinkQueue
-    pub(crate) fn transfer(
-        &mut self,
-        now: f64,
-        from: Option<NodeId>,
-        to: Option<NodeId>,
-        bytes: f64,
-    ) -> f64 {
-        let queue = self.links.queue(&self.cluster, (from, to));
-        queue.transfer(now, bytes.max(0.0))
-    }
-
     /// Puts `envelope` on its link at `now` and queues its delivery.
     pub(crate) fn send(&mut self, now: f64, envelope: Envelope) {
-        let at = self.transfer(now, envelope.from, envelope.to, envelope.bytes);
+        let at = self.transfer(now, (envelope.from, envelope.to), envelope.bytes);
         self.push(at, Event::Deliver(envelope));
     }
 
     /// Queues the completion of the batch `key` started, due at `at`.
     pub(crate) fn batch_done(&mut self, at: f64, key: WorkerKey) {
         self.push(at, Event::BatchDone(key));
-    }
-
-    /// Queues the arrival of a KV hand-over between `rows`, due at `at`.
-    pub(crate) fn landed(&mut self, at: f64, rows: [WorkerKey; 2]) {
-        self.push(at, Event::Landed(rows));
     }
 
     /// When the earliest entry is due.
@@ -179,6 +158,52 @@ impl Fabric {
     }
 }
 
+/// The runtime's side of the shared actuator: hops are messages, a
+/// hand-over's arrival an entry of the queue, and KV bookkeeping a
+/// coordinator → row message on its link, counted but never queued.
+impl Wire for Fabric {
+    /// The link's [`LinkQueue`] computes the arrival and records the
+    /// traffic counters — at the send, so the report needs nothing
+    /// delivered.
+    ///
+    /// [`LinkQueue`]: helix_core::LinkQueue
+    #[inline]
+    fn transfer(&mut self, now: f64, link: LinkKey, bytes: f64) -> f64 {
+        self.links
+            .queue(&self.cluster, link)
+            .transfer(now, bytes.max(0.0))
+    }
+
+    #[inline]
+    fn send_hop(&mut self, now: f64, (from, to): LinkKey, bytes: f64, hop: Hop) {
+        let msg = match to {
+            Some(_) => RuntimeMsg::Work(hop),
+            None => RuntimeMsg::IterationDone {
+                slot: hop.slot,
+                epoch: hop.epoch,
+                emitted_at: now,
+            },
+        };
+        self.send(
+            now,
+            Envelope {
+                from,
+                to,
+                bytes,
+                msg,
+            },
+        );
+    }
+
+    fn landed(&mut self, at: f64, rows: [WorkerKey; 2]) {
+        self.push(at, Event::Landed(rows));
+    }
+
+    fn call(&mut self, now: f64, node: NodeId) {
+        self.transfer(now, (None, Some(node)), TOKEN_WIRE_BYTES);
+    }
+}
+
 #[cfg(test)]
 impl Fabric {
     /// Takes every message in flight, in delivery order, undelivered (batch
@@ -196,11 +221,10 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{one_stage_hop, RuntimeMsg};
+    use crate::message::one_stage_hop;
     use crate::registry::Workers;
     use crate::runtime::ExecutionKind;
-    use helix_cluster::{ClusterProfile, ModelConfig, ModelId, NodeId};
-    use helix_core::{Hop, RequestTable};
+    use helix_cluster::{ModelId, NodeId};
 
     /// A fabric over the 10-node study cluster (every link 10 Gb/s, 1 ms).
     /// Every send names its time; delivery times are read off the queue.
@@ -279,7 +303,7 @@ mod tests {
     fn a_transfer_is_counted_on_its_link_and_queues_nothing() {
         let mut fabric = fabric();
         let sent_at = 2.0;
-        let at = fabric.transfer(sent_at, None, Some(NodeId(2)), link_secs(0.030));
+        let at = fabric.transfer(sent_at, (None, Some(NodeId(2))), link_secs(0.030));
         // 30 ms on the wire + 1 ms latency, from the time it was given.
         assert!((at - sent_at - 0.031).abs() < 1e-9, "arrives at {at}");
         assert_eq!(fabric.next_at(), None);
@@ -380,19 +404,16 @@ mod tests {
     #[test]
     fn messages_for_detached_or_unknown_workers_drop_silently() {
         let mut fabric = fabric();
-        let profile =
-            ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
-        let mut workers = Workers::new(10, 1, ExecutionKind::Instant);
+        let halves = crate::registry::fleet(&[&[(0, 0, 2), (1, 2, 4)]]);
+        let mut workers = Workers::new(&halves, ExecutionKind::Instant);
         let model = ModelId::default();
-        for node in [0, 1] {
-            workers.plan(&profile, (NodeId(node), model), "node", 4, 1_000.0);
-        }
-        workers.fail(NodeId(0));
+        let failed = workers.act.rows.get_mut(NodeId(0), model).unwrap();
+        failed.engine.fail();
 
         // One-stage work for a failed, a never-planned and a healthy worker.
-        let mut requests = RequestTable::default();
-        for node in [0, 5, 1] {
-            let hop = one_stage_hop(&mut requests, node as u64, (NodeId(node), model));
+        for node in [0, 3, 1] {
+            let requests = &mut workers.act.requests;
+            let hop = one_stage_hop(requests, node as u64, (NodeId(node), model));
             let mut envelope = message(0, None, Some(node), 4.0);
             envelope.msg = RuntimeMsg::Work(hop);
             fabric.send(0.0, envelope);
@@ -401,14 +422,14 @@ mod tests {
             let RuntimeMsg::Work(hop) = envelope.msg else {
                 panic!("only work was sent");
             };
-            workers.deliver(hop, &requests);
+            workers.deliver(hop);
         }
-        workers.start_touched(0.0, &requests, &mut fabric);
+        workers.start_touched(0.0, &mut fabric);
         // Only the healthy row batched and forwarded its item; the failed
         // one holds it...
         let batches = |node| workers.get((NodeId(node), model)).map(|w| w.batches);
         assert_eq!(
-            (batches(0), batches(5), batches(1)),
+            (batches(0), batches(3), batches(1)),
             (Some(0), None, Some(1))
         );
         assert_eq!(

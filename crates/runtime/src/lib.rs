@@ -10,8 +10,9 @@
 //! * a **coordinator** that admits requests, asks the configured
 //!   [`Scheduler`](helix_core::Scheduler) for a per-request pipeline, tracks
 //!   decode iterations and releases KV cache when requests finish
-//!   (§5.1–§5.2) — releases, seeds and hand-overs are calls on the worker
-//!   rows, priced on their links, exactly where the simulator makes them;
+//!   (§5.1–§5.2) — releases, seeds, hand-overs, fail-overs and the token
+//!   and forward steps are the simulator's own, the shared
+//!   [`helix_core::Actuator`] acting on the worker rows over the fabric;
 //! * one **worker row per (compute node, model) pair**, in the dense table
 //!   the simulator keeps its engines in, running best-effort dynamic
 //!   batching over the layers the placement assigned to it, with a paged

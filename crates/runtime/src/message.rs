@@ -8,13 +8,14 @@
 //! next pipeline stage, and an *iteration done* message returns the newly
 //! generated token to the coordinator under the request's slot and epoch.
 //! Neither carries the pipeline: a hop is resolved against its slot's lane
-//! in the coordinator's [`RequestTable`](helix_core::RequestTable) where it
+//! in the actuator's [`RequestTable`](helix_core::RequestTable) where it
 //! lands and where its stage finishes, so work of an aborted incarnation is
-//! dropped there without a lookup.  KV bookkeeping is not a message:
+//! dropped there without a lookup.  The shared actuator sends both through
+//! the fabric's `Wire::send_hop`.  KV bookkeeping is not a message:
 //! releasing or seeding a request's KV and handing a layer range over are
-//! method calls on the worker's row, priced on the link they would cross
-//! (`Fabric::transfer`) — as the simulator does them — and so are slowing a
-//! row down, re-planning it and failing it.
+//! the actuator's calls on the worker rows, priced on the link they would
+//! cross (`Wire::transfer`, `Wire::call`) — exactly as for the simulator —
+//! and so are slowing a row down, re-planning it and failing it.
 
 use helix_cluster::NodeId;
 use helix_core::Hop;

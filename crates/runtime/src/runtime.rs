@@ -8,13 +8,10 @@
 //! channels.
 
 use crate::clock::VirtualClock;
-use crate::coordinator::{Coordinator, CoordinatorSpec, SessionControl};
+use crate::coordinator::{Coordinator, SessionControl};
 use crate::error::RuntimeError;
-use crate::fabric::Fabric;
 use crate::metrics::{NodeReport, RequestOutcome, RuntimeReport};
-use crate::registry::Workers;
-use helix_cluster::ModelId;
-use helix_core::{FleetTopology, HelixError, KvCacheEstimator, ReplanPolicy, Scheduler};
+use helix_core::{FleetTopology, HelixError, ReplanPolicy, Scheduler};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
@@ -41,10 +38,6 @@ pub struct RuntimeConfig {
     /// Worker execution model.
     pub execution: ExecutionKind,
 }
-
-/// Initial average output length used by the KV estimator (§5.2); the Azure
-/// Conversation trace averages 232 output tokens.
-const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
@@ -106,53 +99,6 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// Builds the plane as plain data: one worker row per (assigned node, model)
-/// pair — each with its own partition of the node's KV pool — one KV
-/// estimator per model, the network fabric, and a coordinator that routes
-/// every request to its model's scheduler.
-pub(crate) fn build(spec: PlaneSpec) -> Coordinator {
-    let (fleet, config, clock) = (spec.fleet, spec.config, spec.clock);
-    // Link bandwidth/latency are model-independent; the fabric uses the
-    // first model's cluster.
-    let cluster = fleet.topologies()[0].profile().cluster();
-    let mut workers = Workers::new(cluster.num_nodes(), fleet.num_models(), config.execution);
-    let fabric = Fabric::new(cluster.clone());
-
-    let mut estimators = Vec::with_capacity(fleet.num_models());
-    for (m, topology) in fleet.topologies().iter().enumerate() {
-        let model = ModelId(m);
-        // Workers execute at the analytic contention split (identical to
-        // the planning profile when the fleet was planned without
-        // observations); measured speed factors re-price planning only.
-        let contention = fleet.contention_profile(model);
-        let mut estimator = KvCacheEstimator::new(topology.profile(), INITIAL_AVG_OUTPUT_TOKENS);
-        for planned in topology.nodes() {
-            estimator.set_capacity(planned.node, planned.kv_capacity_tokens);
-            workers.plan(
-                &contention,
-                (planned.node, model),
-                &planned.name,
-                planned.layers.len(),
-                planned.kv_capacity_tokens,
-            );
-        }
-        estimators.push(estimator);
-    }
-
-    Coordinator::new(CoordinatorSpec {
-        schedulers: spec.schedulers,
-        estimators,
-        clock,
-        inbound: spec.inbound,
-        workers,
-        fabric,
-        max_wall: config.max_wall,
-        fleet,
-        policy: spec.policy,
-        completions: spec.completions,
-    })
-}
-
 /// The whole life of a data plane, on the thread that owns it: builds it,
 /// runs its loop until the session says `Finish` (or is gone), and assembles
 /// the final report from the tables as they stand.  The loop returns once no
@@ -163,7 +109,8 @@ pub(crate) fn build(spec: PlaneSpec) -> Coordinator {
 /// so building a session includes it.
 pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, RuntimeError> {
     let clock = spec.clock;
-    let mut coordinator = build(spec);
+    let cluster = spec.fleet.topologies()[0].profile().cluster().clone();
+    let mut coordinator = Coordinator::new(spec);
     let _ = wired.send(());
     let outcome = coordinator.run_live();
     let (control, kv_transfers) = coordinator.take_logs();
@@ -188,10 +135,10 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
 
     let rows = coordinator.workers.rows().into_iter();
     let nodes = rows
-        .map(|worker| NodeReport {
-            node: worker.key.0,
-            model: worker.key.1,
-            name: worker.name.clone(),
+        .map(|((node, model), worker)| NodeReport {
+            node,
+            model,
+            name: cluster.node(node).name.clone(),
             layers_held: worker.engine.layers_held(),
             busy_secs: worker.engine.counters().busy_secs,
             batches: worker.batches,

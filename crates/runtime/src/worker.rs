@@ -4,8 +4,8 @@
 //! owns the layers assigned to it by the model placement, keeps a paged KV
 //! pool, and runs best-effort dynamic batching — a batch starts as soon as the
 //! node is idle and includes every work item that arrived while the previous
-//! batch was executing (§5.1).  Finished stages are forwarded to the next
-//! node in the request's pipeline through the network fabric, or back to the
+//! batch was executing (§5.1).  Finished stages go to the next node in the
+//! request's pipeline through the network fabric, or back to the
 //! coordinator when the last stage completes.
 //!
 //! A worker *is* the simulator's engine: a [`NodeEngine`] — the shared
@@ -14,37 +14,33 @@
 //! queued items batch, which wait behind a frozen layer range, how KV
 //! residency grows, when a batch pays the overflow penalty, how long it
 //! takes and how a hand-over moves its KV.  This module adds what is
-//! genuinely the runtime's: forwarding, the pending batch-done entry and the
-//! report counters.  A row finds its next stage through the request's lane
-//! when it forwards, and drops the work of an aborted incarnation there, as
-//! the simulator's engines do.
+//! genuinely the runtime's: the pending batch-done entry and the report
+//! counters.  What a row finished is forwarded by the shared
+//! [`forward`](helix_core::actuator::forward) step through the request's
+//! lane — the work of an aborted incarnation is dropped there, as the
+//! simulator's engines drop it — and planning, slowing, failing, releasing,
+//! seeding and handing over a row are the shared
+//! [`Actuator`](helix_core::Actuator)'s, which keeps the rows.
 //!
 //! A worker is **plain data**, not a task: the plane's loop queues the work
 //! the fabric delivers on its engine, calls [`Worker::start_batch`] once
 //! everything that is due has been delivered, and [`Worker::batch_done`]
-//! when the batch's entry in the fabric's queue comes due.  A batch of zero
-//! duration completes inside `start_batch`.  Hundreds of "busy" workers
-//! overlap their modelled execution because each one's completion is just
-//! another entry of that queue.  The coordinator releases, seeds and hands
-//! over KV by calling the engine directly.
+//! when the batch's entry in the fabric's queue comes due; each returns
+//! what the batch finished, if it did.  A batch of zero duration completes
+//! inside `start_batch`.  Hundreds of "busy" workers overlap their modelled
+//! execution because each one's completion is just another entry of that
+//! queue.
 
 use crate::fabric::Fabric;
-use crate::message::{Envelope, RuntimeMsg};
 use crate::registry::WorkerKey;
-use helix_cluster::TOKEN_WIRE_BYTES;
 use helix_core::engine::BatchRun;
-use helix_core::{Hop, NodeEngine, RequestTable, WorkItem};
+use helix_core::{NodeEngine, WorkItem};
 
 /// One (compute node, fleet model) tenancy: a shared node has one row per
 /// model, each with its own KV-pool partition.
 pub(crate) struct Worker {
-    pub key: WorkerKey,
-    /// Human-readable node name from the cluster spec, for the report.
-    pub name: String,
     /// Queued for a batch start at the end of the current delivery pass.
     pub touched: bool,
-    /// Bytes of activation transferred per token to the next pipeline stage.
-    activation_bytes: f64,
     /// Queue, frozen layer ranges, KV pool, batching rules, cost model,
     /// layers held and the busy counters the re-plan loop observes.
     pub engine: NodeEngine,
@@ -62,19 +58,11 @@ pub(crate) struct Worker {
     pub decode_tokens: u64,
 }
 
-impl Worker {
+impl From<NodeEngine> for Worker {
     /// A row over `engine`, with no history.
-    pub(crate) fn new(
-        key: WorkerKey,
-        name: &str,
-        activation_bytes: f64,
-        engine: NodeEngine,
-    ) -> Self {
+    fn from(engine: NodeEngine) -> Self {
         Worker {
-            key,
-            name: name.to_string(),
             touched: false,
-            activation_bytes,
             engine,
             running: None,
             done: Vec::new(),
@@ -83,107 +71,71 @@ impl Worker {
             decode_tokens: 0,
         }
     }
+}
 
-    /// The row's node failed: the executing batch is dropped (its
-    /// completion, still in the fabric's queue, finds nothing running) and
-    /// the engine starts no further batch.  What the row holds stays until a
-    /// release or purge frees it, and what reaches it queues; its counters
-    /// stay for the report.
-    pub(crate) fn fail(&mut self) {
-        self.running = None;
-        self.engine.complete_batch(&mut self.done);
-        self.done.clear();
-        self.engine.fail();
+impl AsMut<NodeEngine> for Worker {
+    fn as_mut(&mut self) -> &mut NodeEngine {
+        &mut self.engine
     }
+}
 
-    /// Starts a batch at `now` if the row is idle and has unfrozen work — so
-    /// a row never runs two batches at once.  A batch that takes time
-    /// completes when its entry in the fabric's queue comes due; one of zero
-    /// duration (every instant-execution run) completes here.
-    pub(crate) fn start_batch(&mut self, now: f64, requests: &RequestTable, fabric: &mut Fabric) {
-        if self.engine.queue_len() == 0 {
-            return;
-        }
+impl Worker {
+    /// Starts a batch at `now` if the row `key` is idle and has unfrozen
+    /// work — so a row never runs two batches at once.  A batch that takes
+    /// time completes when its entry in the fabric's queue comes due; one of
+    /// zero duration (every instant-execution run) completes here, and its
+    /// items are returned for forwarding.
+    pub(crate) fn start_batch(
+        &mut self,
+        key: WorkerKey,
+        now: f64,
+        fabric: &mut Fabric,
+    ) -> &[WorkItem] {
         let Some(run) = self.engine.try_start_batch(now) else {
-            return;
+            return &[];
         };
         if run.actual_secs.is_finite() && run.actual_secs > 0.0 {
             let at = now + run.actual_secs;
             self.running = Some((at, run));
-            fabric.batch_done(at, self.key);
-        } else {
-            self.complete(run, now, requests, fabric);
+            fabric.batch_done(at, key);
+            return &[];
+        }
+        self.complete(run)
+    }
+
+    /// The queue entry of the batch due at `at` came up: the batch's items,
+    /// for forwarding.  An entry that matches nothing running is dropped.
+    pub(crate) fn batch_done(&mut self, at: f64) -> &[WorkItem] {
+        match self.running.take_if(|&mut (due, _)| due == at) {
+            Some((_, run)) => self.complete(run),
+            None => &[],
         }
     }
 
-    /// The queue entry of the batch due at `at` came up at `now`.  An entry
-    /// that outlived its batch (the row failed meanwhile) matches nothing
-    /// running and is dropped.
-    pub(crate) fn batch_done(
-        &mut self,
-        at: f64,
-        now: f64,
-        requests: &RequestTable,
-        fabric: &mut Fabric,
-    ) {
-        if let Some((_, run)) = self.running.take_if(|&mut (due, _)| due == at) {
-            self.complete(run, now, requests, fabric);
+    /// Accounts the finished batch and returns its items.  The batch of a
+    /// row that failed while it ran is dropped uncounted: every item of it
+    /// belongs to a pipeline the failure stranded.
+    fn complete(&mut self, run: BatchRun) -> &[WorkItem] {
+        self.engine.complete_batch(&mut self.done);
+        if self.engine.is_failed() {
+            return &[];
         }
-    }
-
-    /// Accounts the finished batch and forwards every item.
-    fn complete(&mut self, run: BatchRun, now: f64, requests: &RequestTable, fabric: &mut Fabric) {
         self.batches += 1;
         self.prompt_tokens += run.prompt_tokens;
         self.decode_tokens += run.decode_tokens;
-        let mut done = std::mem::take(&mut self.done);
-        self.engine.complete_batch(&mut done);
-        for item in &done {
-            self.forward(item, requests, now, fabric);
-        }
-        self.done = done;
-    }
-
-    /// Sends a finished stage onward through its lane: to the next node in
-    /// the pipeline, or to the coordinator if this was the last stage.
-    /// Work of an aborted incarnation has no lane and goes nowhere.
-    fn forward(&self, item: &WorkItem, requests: &RequestTable, now: f64, fabric: &mut Fabric) {
-        let Some((_, next)) = requests.onward(item) else {
-            return;
-        };
-        let (from, hop) = (Some(self.key.0), item.hop);
-        let envelope = match next {
-            Some(node) => Envelope {
-                from,
-                to: Some(node),
-                bytes: self.activation_bytes * f64::from(hop.tokens.max(1)),
-                msg: RuntimeMsg::Work(Hop {
-                    stage: hop.stage + 1,
-                    ..hop
-                }),
-            },
-            None => Envelope {
-                from,
-                to: None,
-                bytes: TOKEN_WIRE_BYTES,
-                msg: RuntimeMsg::IterationDone {
-                    slot: hop.slot,
-                    epoch: hop.epoch,
-                    emitted_at: now,
-                },
-            },
-        };
-        fabric.send(now, envelope);
+        &self.done
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Phase;
+    use crate::message::{Phase, RuntimeMsg};
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId, PrefixId};
+    use helix_core::actuator::forward;
     use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
-    use helix_core::{Dispatch, ExecModel, LayerRange, PipelineStage, RequestPipeline};
+    use helix_core::RequestTable;
+    use helix_core::{Dispatch, ExecModel, Hop, LayerRange, PipelineStage, RequestPipeline};
     use helix_workload::Request;
     use std::sync::Arc;
 
@@ -230,19 +182,53 @@ mod tests {
         Some(ExecModel::new(profile.node_profile(NodeId(1))))
     }
 
-    /// A live instant-execution row of `node` over a pool of `kv_capacity`
-    /// tokens, a fabric over the 10-node study cluster to send into and the
-    /// requests' lanes — no executor, no loop: a test calls the row and
-    /// reads the queue.
-    fn test_worker(node: NodeId, kv_capacity: f64) -> (Worker, Fabric, RequestTable) {
-        let key = (node, ModelId::default());
+    /// Activation bytes per token of the rows under test.
+    const ACTIVATION_BYTES: f64 = 16_384.0;
+
+    /// The key of the row under test on `node`.
+    fn row(node: usize) -> WorkerKey {
+        (NodeId(node), ModelId::default())
+    }
+
+    /// A live instant-execution row over a pool of `kv_capacity` tokens, a
+    /// fabric over the 10-node study cluster to send into and the requests'
+    /// lanes — no executor, no loop: a test calls the row and reads the
+    /// queue.
+    fn test_worker(kv_capacity: f64) -> (Worker, Fabric, RequestTable) {
         let engine = NodeEngine::new(None, 4, kv_capacity, DEFAULT_TOKENS_PER_PAGE);
-        let worker = Worker::new(key, "node", 16_384.0, engine);
         (
-            worker,
+            Worker::from(engine),
             Fabric::new(ClusterSpec::solver_quality_10()),
             lanes(),
         )
+    }
+
+    /// [`Worker::start_batch`] on the row `key`, forwarding what finished.
+    fn start(
+        worker: &mut Worker,
+        key: WorkerKey,
+        now: f64,
+        requests: &RequestTable,
+        fabric: &mut Fabric,
+    ) {
+        for item in worker.start_batch(key, now, fabric) {
+            forward(requests, fabric, ACTIVATION_BYTES, key.0, item, now);
+        }
+    }
+
+    /// [`Worker::batch_done`] at `now` on the row `key`, forwarding what
+    /// finished.
+    fn done(
+        worker: &mut Worker,
+        key: WorkerKey,
+        at: f64,
+        now: f64,
+        requests: &RequestTable,
+        fabric: &mut Fabric,
+    ) {
+        for item in worker.batch_done(at) {
+            forward(requests, fabric, ACTIVATION_BYTES, key.0, item, now);
+        }
     }
 
     fn work(request: u64, phase: Phase, tokens: u32, stage: u16) -> WorkItem {
@@ -261,10 +247,11 @@ mod tests {
         }
     }
 
-    /// Queues `items` in one pass and starts the batch after it, as the loop
-    /// does.
+    /// Queues `items` on the row `key` in one pass and starts the batch
+    /// after it, as the loop does.
     fn pass(
         worker: &mut Worker,
+        key: WorkerKey,
         fabric: &mut Fabric,
         requests: &RequestTable,
         items: impl IntoIterator<Item = WorkItem>,
@@ -272,14 +259,16 @@ mod tests {
         for item in items {
             worker.engine.enqueue(item);
         }
-        worker.start_batch(0.0, requests, fabric);
+        start(worker, key, 0.0, requests, fabric);
     }
 
     #[test]
     fn first_stage_forwards_to_the_next_node_and_last_stage_reports_back() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(0), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(5, Phase::Prompt, 64, 0)],
@@ -305,9 +294,11 @@ mod tests {
 
         // The same work executed on the *last* stage reports to the
         // coordinator.
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(5, Phase::Prompt, 64, 1)],
@@ -322,11 +313,13 @@ mod tests {
 
     #[test]
     fn release_frees_the_kv_pool_and_rejections_are_counted() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(0), 64.0);
+        let (mut worker, mut fabric, requests) = test_worker(64.0);
+        let key = row(0);
         // 128 tokens cannot fit in a 64-token pool: the batch still runs,
         // the allocation is recorded (modelled offload) and counted.
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Prompt, 128, 0)],
@@ -344,6 +337,7 @@ mod tests {
         worker.engine.release_request(1);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(2, Phase::Prompt, 32, 0)],
@@ -361,9 +355,10 @@ mod tests {
     /// batches of one.)
     #[test]
     fn everything_delivered_in_one_pass_joins_one_batch() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         let three = (0..3).map(|request| work(request, Phase::Decode, 1, 1));
-        pass(&mut worker, &mut fabric, &requests, three);
+        pass(&mut worker, key, &mut fabric, &requests, three);
         assert_eq!(worker.batches, 1);
         assert_eq!(worker.decode_tokens, 3);
         assert_eq!(fabric.take_in_flight().len(), 3);
@@ -371,10 +366,12 @@ mod tests {
 
     #[test]
     fn a_row_never_runs_two_batches_at_once() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         worker.engine.update_plan(analytic(), 4, 100_000.0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Decode, 1, 1)],
@@ -382,7 +379,7 @@ mod tests {
         // A batch that takes time is an entry of the fabric's queue, due at
         // start + duration; nothing is forwarded before it.
         let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
-        assert!(matches!(event, crate::fabric::Event::BatchDone(key) if key == worker.key));
+        assert!(matches!(event, crate::fabric::Event::BatchDone(due) if due == key));
         assert!(at > 0.0);
         assert_eq!(at, worker.engine.counters().busy_secs);
         assert_eq!(worker.batches, 0);
@@ -390,6 +387,7 @@ mod tests {
         // Work that lands meanwhile queues behind the running batch.
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(2, Phase::Decode, 1, 1)],
@@ -398,9 +396,9 @@ mod tests {
         assert!(fabric.next_at().is_none(), "no second batch was started");
 
         // A completion for another instant matches nothing running.
-        worker.batch_done(at + 1.0, at + 1.0, &requests, &mut fabric);
+        done(&mut worker, key, at + 1.0, at + 1.0, &requests, &mut fabric);
         assert_eq!(worker.batches, 0);
-        worker.batch_done(at, 0.5, &requests, &mut fabric);
+        done(&mut worker, key, at, 0.5, &requests, &mut fabric);
         assert_eq!(worker.batches, 1);
         let done = fabric.take_in_flight().pop().unwrap();
         let RuntimeMsg::IterationDone { emitted_at, .. } = done.msg else {
@@ -409,7 +407,7 @@ mod tests {
         assert_eq!(emitted_at, 0.5, "stamped when the completion was applied");
         // The loop starts the next batch after the passes that completed
         // one; it is the same shape, so it takes as long.
-        worker.start_batch(0.5, &requests, &mut fabric);
+        start(&mut worker, key, 0.5, &requests, &mut fabric);
         assert_eq!(fabric.next_at(), Some(0.5 + at));
     }
 
@@ -419,10 +417,12 @@ mod tests {
     /// a message — frees the pool under the running batch.
     #[test]
     fn a_message_landing_mid_batch_is_applied_on_delivery() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         worker.engine.update_plan(analytic(), 4, 100_000.0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Prompt, 64, 1)],
@@ -437,15 +437,17 @@ mod tests {
     }
 
     /// A failed row follows the simulator's failed engine: it starts no
-    /// batch, and what it holds stays until a release frees it.  It also
-    /// drops the batch it was executing, which the simulator's engine would
-    /// complete — every item of it belongs to a pipeline the failure
-    /// stranded, whose work is stale.
+    /// batch, and what it holds stays until a release frees it.  The batch
+    /// it was executing is dropped, uncounted and unforwarded, when its
+    /// completion comes due — every item of it belongs to a pipeline the
+    /// failure stranded, whose work is stale.
     #[test]
     fn a_failed_row_drops_its_running_batch_and_keeps_its_counters() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Decode, 1, 1)],
@@ -454,6 +456,7 @@ mod tests {
         worker.engine.update_plan(analytic(), 4, 100_000.0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(2, Phase::Decode, 1, 1)],
@@ -461,15 +464,16 @@ mod tests {
         worker.engine.enqueue(work(3, Phase::Decode, 1, 1));
         let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
 
-        worker.fail();
-        assert!(!worker.engine.is_busy());
+        worker.engine.fail();
         assert_eq!(worker.engine.queue_len(), 1, "queued work stays");
         assert_eq!(worker.engine.kv.used_tokens(), 2.0, "so does residency");
-        // The completion still queued for the dropped batch finds nothing,
-        // and what reaches the row queues behind no batch.
-        worker.batch_done(at, at, &requests, &mut fabric);
+        // The completion of the running batch drops it, and what reaches
+        // the row queues behind no batch.
+        done(&mut worker, key, at, at, &requests, &mut fabric);
+        assert!(!worker.engine.is_busy());
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(4, Phase::Decode, 1, 1)],
@@ -485,12 +489,14 @@ mod tests {
 
     #[test]
     fn frozen_layers_hold_their_work_while_other_layers_keep_executing() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 100_000.0);
+        let (mut worker, mut fabric, requests) = test_worker(100_000.0);
+        let key = row(1);
         // Freeze [0, 4) until t = 1: stage-1 work on layers [4, 8) must keep
         // executing.
         worker.engine.freeze(LayerRange::new(0, 4), 1.0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Decode, 1, 1)],
@@ -507,6 +513,7 @@ mod tests {
         worker.engine.freeze(LayerRange::new(4, 8), 1.0);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(2, Phase::Decode, 1, 1)],
@@ -518,7 +525,7 @@ mod tests {
         assert_eq!(worker.engine.queue_len(), 1);
 
         // At the deadline the held range's work runs.
-        worker.start_batch(1.0, &requests, &mut fabric);
+        start(&mut worker, key, 1.0, &requests, &mut fabric);
         assert!(matches!(
             fabric.take_in_flight().pop().unwrap().msg,
             RuntimeMsg::IterationDone { slot: 2, .. }
@@ -537,16 +544,19 @@ mod tests {
             }),
             ..work(request, Phase::Prompt, tokens, 1)
         };
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 64.0);
+        let (mut worker, mut fabric, requests) = test_worker(64.0);
+        let key = row(1);
         // 3 of 4 pages taken; request 2's 2-page prefix does not fit.
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(1, Phase::Prompt, 48, 1)],
         );
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [prefix_work(2, 40, false)],
@@ -555,6 +565,7 @@ mod tests {
         worker.engine.release_request(1);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [prefix_work(3, 8, true)],
@@ -573,7 +584,8 @@ mod tests {
 
     #[test]
     fn update_plan_swaps_the_execution_model_and_resizes_the_pool_in_place() {
-        let (mut worker, mut fabric, requests) = test_worker(NodeId(1), 64.0);
+        let (mut worker, mut fabric, requests) = test_worker(64.0);
+        let key = row(1);
         // Queued work and residency survive the update.
         worker.engine.enqueue(work(1, Phase::Decode, 1, 1));
         worker.engine.kv.seed(7, 16);
@@ -585,13 +597,13 @@ mod tests {
         );
         assert_eq!(worker.engine.kv.used_tokens(), 16.0);
         assert_eq!(worker.engine.layers_held(), 8);
-        worker.start_batch(0.0, &requests, &mut fabric);
+        start(&mut worker, key, 0.0, &requests, &mut fabric);
         assert!(
             worker.engine.counters().nominal_busy_secs > 0.0,
             "new execution model prices the batch"
         );
         let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
-        worker.batch_done(at, at, &requests, &mut fabric);
+        done(&mut worker, key, at, at, &requests, &mut fabric);
         assert_eq!(fabric.take_in_flight().len(), 1);
     }
 
@@ -600,10 +612,12 @@ mod tests {
     /// but is forwarded nowhere, as the simulator's `route_onward` drops it.
     #[test]
     fn finished_work_of_a_closed_lane_goes_nowhere() {
-        let (mut worker, mut fabric, mut requests) = test_worker(NodeId(0), 100_000.0);
+        let (mut worker, mut fabric, mut requests) = test_worker(100_000.0);
+        let key = row(0);
         requests.close(3);
         pass(
             &mut worker,
+            key,
             &mut fabric,
             &requests,
             [work(3, Phase::Decode, 1, 0)],

@@ -36,8 +36,10 @@
 //! nothing is hashed per hop.
 //!
 //! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines — the
-//!   [`NodeEngine`] the runtime's worker rows also are — sit in the
-//!   `helix_core::PairTable` the runtime keeps its workers in, link queues
+//!   [`NodeEngine`] the runtime's worker rows also are — are the rows of the
+//!   shared [`Actuator`](helix_core::Actuator), which the runtime keeps its
+//!   workers in and which does every dispatch, token and forward step,
+//!   release, fail-over and hand-over for both surfaces; link queues
 //!   in first-use order behind a `(num_nodes + 1)²` table of slots (the
 //!   coordinator is row and column 0).  Every walk over them has one fixed
 //!   order, so identical runs report identically, the order of tied
@@ -46,7 +48,7 @@
 //!   [`RequestTable`](helix_core::RequestTable) — one slot per distinct id,
 //!   found through an id → slot map once per arrival, admission or finish —
 //!   and keeps one *lane* per slot: the admitted incarnation's epoch,
-//!   pipeline and prefix.  The runtime's coordinator keeps the same table.
+//!   pipeline and prefix.  The actuator keeps it, on both surfaces.
 //! * **What a hop carries.**  [`Event::NodeArrival`] is a 24-byte [`Hop`]:
 //!   epoch, slot, tokens, stage index, phase — the runtime's work message
 //!   too.  The node, layers, model, request id and prefix are read from the

@@ -1,23 +1,25 @@
-//! The cluster simulator: the discrete-event actuator of the shared
-//! [`ControlPlane`].  It owns engines, link queues and the event queue, fills
-//! the scheduler's `ClusterState` view from its engines, and applies what the
-//! control plane decides — dispatches, replica chunks, stranded pipelines,
-//! re-plans with their KV hand-overs — plus metrics collection and the
-//! scripted perturbation events.
+//! The cluster simulator: the discrete-event surface of the shared
+//! [`ControlPlane`].  Its loop and virtual clock, the scheduler's
+//! `ClusterState` view of its engines, the admission cap, metrics and the
+//! scripted perturbation events are its own; every action on the control
+//! plane's decisions — dispatches, the token and forward steps, releases,
+//! fail-overs, re-plans with their KV hand-overs — is the shared
+//! [`Actuator`]'s, over the simulator's [`Wire`]: its link queues and its
+//! event queue.
 
 use crate::event::{Event, EventQueue, PerturbationEvent, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use helix_cluster::{ModelId, NodeId, Region, TOKEN_WIRE_BYTES};
+use helix_cluster::{ClusterSpec, ModelId, NodeId, Region};
+use helix_core::actuator::forward;
 use helix_core::{
-    Admission, ClusterState, ControlPlane, ExecModel, FailoverRecord, FleetScheduler,
-    FleetTopology, Hop, InFlight, KvMigration, KvTransferRecord, LinkTable, ModelPlacement,
-    NodeEngine, PairTable, PlacementDelta, PrefixStats, ReplanOutcome, ReplanPolicy, ReplanReason,
-    ReplanRecord, ReplicationPolicy, ReplicationStats, RequestTable, Scheduler, Topology, WorkItem,
+    Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
+    Hop, KvTransferRecord, LinkKey, LinkTable, ModelPlacement, NodeEngine, PlacementDelta,
+    PrefixStats, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
+    RequestTable, Scheduler, Topology, Wire, WorkItem,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::iter::Peekable;
-use std::sync::Arc;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,42 +106,72 @@ impl ClusterState for EngineView<'_> {
     }
 }
 
-/// One run's timeline and request table.
-struct Run {
-    queue: EventQueue,
-    /// The workload's arrivals in (time, workload position) order.  They are
-    /// merged with the queue at pop and never enter it; deferred and
-    /// re-submitted arrivals do.
-    arrivals: Peekable<std::vec::IntoIter<(SimTime, RequestId)>>,
-    /// The requests by slot and the live incarnation of each.
-    requests: RequestTable,
-}
+/// A run's workload arrivals in (time, workload position) order.  They are
+/// merged with the event queue at pop and never enter it; deferred and
+/// re-submitted arrivals do.
+type Arrivals = Peekable<std::vec::IntoIter<(SimTime, RequestId)>>;
 
 /// Orders arrivals by time as the queue orders events (`-0.0` and `0.0`
 /// are one instant), workload order breaking ties.
-fn arrival_stream(
-    mut arrivals: Vec<(SimTime, RequestId)>,
-) -> Peekable<std::vec::IntoIter<(SimTime, RequestId)>> {
+fn arrival_stream(mut arrivals: Vec<(SimTime, RequestId)>) -> Arrivals {
     debug_assert!(arrivals.iter().all(|&(at, _)| at.is_finite() && at >= 0.0));
     arrivals.iter_mut().for_each(|(at, _)| *at += 0.0);
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
     arrivals.into_iter().peekable()
 }
 
-impl Run {
+/// The simulator's [`Wire`]: a transfer is priced on its link's queue, a
+/// hop or a hand-over's arrival is an event, and a coordinator → engine
+/// call is free.
+struct SimWire {
+    /// Supplies every link's bandwidth and latency (links are shared by the
+    /// fleet's models).
+    cluster: ClusterSpec,
+    links: LinkTable,
+    /// The run's timeline.
+    queue: EventQueue,
+}
+
+impl SimWire {
     /// The next event.  An arrival due no later than the queue's head goes
     /// first: were the arrivals queued, they would hold the lowest sequence
     /// numbers and win every tie.
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
+    fn pop(&mut self, arrivals: &mut Arrivals) -> Option<(SimTime, Event)> {
         let head = self.queue.peek_time();
-        match self
-            .arrivals
-            .next_if(|&(at, _)| head.is_none_or(|t| at <= t))
-        {
+        match arrivals.next_if(|&(at, _)| head.is_none_or(|t| at <= t)) {
             Some((at, request)) => Some((at, Event::RequestArrival { request })),
             None => self.queue.pop(),
         }
     }
+}
+
+impl Wire for SimWire {
+    #[inline]
+    fn transfer(&mut self, now: f64, link: LinkKey, bytes: f64) -> f64 {
+        self.links.queue(&self.cluster, link).transfer(now, bytes)
+    }
+
+    #[inline]
+    fn send_hop(&mut self, now: f64, link: LinkKey, bytes: f64, hop: Hop) {
+        let at = self.transfer(now, link, bytes);
+        let event = match link.1 {
+            Some(_) => Event::NodeArrival(hop),
+            None => Event::TokenAtCoordinator {
+                slot: hop.slot,
+                epoch: hop.epoch,
+            },
+        };
+        self.queue.push(at, event);
+    }
+
+    fn landed(&mut self, at: f64, rows: [(NodeId, ModelId); 2]) {
+        for (node, model) in rows {
+            self.queue.push(at, Event::EngineThaw { node, model });
+        }
+    }
+
+    #[inline]
+    fn call(&mut self, _now: f64, _node: NodeId) {}
 }
 
 /// Per-model metrics of a fleet simulation, alongside the combined view.
@@ -202,8 +234,8 @@ pub struct FleetRunReport {
 ///
 /// Every coordinator *decision* — admission, replication, fail-over, when
 /// and how to re-plan — is made by the shared [`ControlPlane`], which owns
-/// the standing [`FleetTopology`]; the simulator actuates those decisions
-/// against its engines, link queues and event queue.
+/// the standing [`FleetTopology`], and acted on by the shared [`Actuator`]
+/// over the simulator's engines, link queues and event queue.
 /// [`ClusterSimulator::run_with_events`] closes the loop mid-run: engines
 /// are observed over windows, a [`ReplanPolicy`] decides when the observed
 /// throughput gap warrants action, and the plan is re-derived — after which
@@ -222,13 +254,9 @@ pub struct ClusterSimulator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy).
     control: ControlPlane,
-    engines: PairTable<NodeEngine>,
-    links: LinkTable,
-    /// Active slowdown perturbations by node (applied to engines created by
-    /// later re-plans too).
-    slowdowns: HashMap<NodeId, f64>,
-    /// KV hand-overs of the current run, drained into its report.
-    kv_transfers: Vec<KvTransferRecord>,
+    /// The engines, the run's request table, slowdowns and KV hand-overs.
+    act: Actuator<NodeEngine>,
+    wire: SimWire,
 }
 
 impl ClusterSimulator {
@@ -251,34 +279,18 @@ impl ClusterSimulator {
     }
 
     fn from_parts(fleet: FleetTopology, schedulers: Vec<Box<dyn Scheduler>>) -> Self {
-        let num_nodes = fleet
-            .profiles()
-            .first()
-            .map_or(0, |p| p.cluster().num_nodes());
-        let mut engines = PairTable::new(num_nodes, fleet.num_models());
-        for (m, topology) in fleet.topologies().iter().enumerate() {
-            // Engines run at the analytic contention split (identical to the
-            // planning profile when the fleet was planned without
-            // observations); measured speed factors never slow an engine —
-            // they re-price planning against a degradation the engine's own
-            // slowdown state delivers.
-            let profile = fleet.contention_profile(ModelId(m));
-            for n in topology.nodes() {
-                let engine = NodeEngine::new(
-                    Some(ExecModel::new(profile.node_profile(n.node))),
-                    n.layers.len(),
-                    n.kv_capacity_tokens,
-                    SIM_TOKENS_PER_PAGE,
-                );
-                engines.insert(n.node, ModelId(m), engine);
-            }
-        }
+        // Link hardware is shared by every model; the first profile's
+        // cluster supplies the (model-independent) numbers.
+        let cluster = fleet.profiles()[0].cluster().clone();
+        let wire = SimWire {
+            links: LinkTable::new(cluster.num_nodes()),
+            cluster,
+            queue: EventQueue::new(),
+        };
         ClusterSimulator {
+            act: Actuator::new(&fleet, SIM_TOKENS_PER_PAGE, true),
             control: ControlPlane::new(fleet, schedulers),
-            engines,
-            links: LinkTable::new(num_nodes),
-            slowdowns: HashMap::new(),
-            kv_transfers: Vec::new(),
+            wire,
         }
     }
 
@@ -371,8 +383,9 @@ impl ClusterSimulator {
         // Each run's timeline restarts at zero; links and engines keep their
         // cumulative counters but must not stay "busy" (or frozen) into the
         // new epoch, and the policy clock restarts with them.
-        self.links.rebase_epoch();
-        for engine in self.engines.values_mut() {
+        self.wire.links.rebase_epoch();
+        self.wire.queue = EventQueue::new();
+        for engine in self.act.rows.values_mut() {
             engine.rebase_epoch();
         }
         self.control.start_timeline(policy);
@@ -426,16 +439,14 @@ impl ClusterSimulator {
             let spec = requests.spec(requests.slot(r.id)?)?;
             Some((spec.arrival_time, r.id))
         });
-        let mut run = Run {
-            queue: EventQueue::new(),
-            arrivals: arrival_stream(arrivals.collect()),
-            requests,
-        };
+        let mut arrivals = arrival_stream(arrivals.collect());
+        self.act.requests = requests;
         let end_time = config.warmup_secs + config.duration_secs;
         for e in events {
             match e {
                 PerturbationEvent::ArrivalRateShift { .. } => {} // applied above
-                other => run
+                other => self
+                    .wire
                     .queue
                     .push(other.at(), Event::Perturbation(Box::new(*other))),
             }
@@ -448,7 +459,7 @@ impl ClusterSimulator {
             .unwrap_or(10.0)
             .max(1e-3);
         if ticks_enabled && tick_interval <= end_time {
-            run.queue.push(tick_interval, Event::ObservationTick);
+            self.wire.queue.push(tick_interval, Event::ObservationTick);
         }
 
         let mut backlog: VecDeque<RequestId> = VecDeque::new();
@@ -470,7 +481,7 @@ impl ClusterSimulator {
         let mut completions: Vec<CompletionRecord> = Vec::new();
         let mut interval_base: Vec<u64> = vec![0; num_models];
 
-        while let Some((time, event)) = run.pop() {
+        while let Some((time, event)) = self.wire.pop(&mut arrivals) {
             if time > end_time {
                 break;
             }
@@ -492,60 +503,57 @@ impl ClusterSimulator {
                         backlog.push_back(request);
                         continue;
                     }
-                    self.admit_request(request, &mut run, now);
+                    self.admit_request(request, now);
                 }
                 Event::NodeArrival(hop) => {
                     // No lane: the request (incarnation) was aborted — e.g.
                     // its pipeline crossed a failed node; drop the stale work.
-                    let Some((node, model, item)) = run.requests.land(hop) else {
+                    let Some((node, model, item)) = self.act.requests.land(hop) else {
                         continue;
                     };
-                    if let Some(engine) = self.engines.get_mut(node, model) {
+                    if let Some(engine) = self.act.rows.get_mut(node, model) {
                         engine.enqueue(item);
                         if let Some(batch) = engine.try_start_batch(now) {
                             let done = now + batch.actual_secs;
-                            run.queue.push(done, Event::BatchComplete { node, model });
+                            self.wire
+                                .queue
+                                .push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
                 Event::BatchComplete { node, model } => {
-                    let Some(engine) = self.engines.get_mut(node, model) else {
+                    let activation_bytes = self.act.activation_bytes(model);
+                    let Some(engine) = self.act.rows.get_mut(node, model) else {
                         continue;
                     };
                     engine.complete_batch(&mut done);
-                    for &item in &done {
-                        self.route_onward(node, item, &mut run, now);
+                    for item in &done {
+                        let requests = &self.act.requests;
+                        forward(requests, &mut self.wire, activation_bytes, node, item, now);
                     }
-                    if let Some(engine) = self.engines.get_mut(node, model) {
-                        if let Some(batch) = engine.try_start_batch(now) {
-                            let done = now + batch.actual_secs;
-                            run.queue.push(done, Event::BatchComplete { node, model });
-                        }
+                    if let Some(batch) = engine.try_start_batch(now) {
+                        let done = now + batch.actual_secs;
+                        self.wire
+                            .queue
+                            .push(done, Event::BatchComplete { node, model });
                     }
                 }
                 Event::TokenAtCoordinator { slot, epoch } => {
-                    // No lane: a token of an aborted incarnation; ignore.
-                    let Some((spec, lane)) = run.requests.lane(slot, epoch) else {
+                    // `None`: a token of an aborted incarnation; ignore.
+                    let wire = &mut self.wire;
+                    let token = self
+                        .act
+                        .token(&mut self.control, wire, slot, epoch, now, now);
+                    let Some(token) = token else {
                         continue;
                     };
-                    let Some(&first) = lane.pipeline.stages.first() else {
-                        continue;
-                    };
-                    let (request, model) = (spec.id, lane.pipeline.model);
-                    let arrival_time = spec.arrival_time.max(0.0);
-                    let Some(progress) = self.control.on_token(request, epoch, now) else {
-                        continue;
-                    };
-                    debug_assert!(self.control.flight(request).is_some_and(|flight| {
-                        flight.epoch == epoch && Arc::ptr_eq(&flight.pipeline, &lane.pipeline)
-                    }));
-                    let m = model.index();
+                    let (progress, m) = (&token.progress, token.model.index());
                     let in_window = now >= config.warmup_secs;
                     total_decode_tokens[m] += 1;
                     if in_window {
                         decode_tokens[m] += 1;
                         if progress.first {
-                            prompt_latencies[m].push(now - arrival_time);
+                            prompt_latencies[m].push(now - token.arrival_time.max(0.0));
                         } else if let Some(gap) = progress.gap {
                             decode_gaps[m].push(gap);
                         }
@@ -554,53 +562,28 @@ impl ClusterSimulator {
                         if in_window {
                             completed[m] += 1;
                             completions.push(CompletionRecord {
-                                id: request,
-                                model,
+                                id: token.request,
+                                model: token.model,
                                 at: now,
                             });
                         }
-                        run.requests.close(request);
-                        let Some(flight) = self.control.finish(request) else {
-                            continue;
-                        };
-                        self.release_kv(&flight, false);
                         if let Some(next) = backlog.pop_front() {
-                            self.admit_request(next, &mut run, now);
+                            self.admit_request(next, now);
                         }
-                    } else {
-                        // Replica chunks travel the primary→standby links
-                        // like any other transfer, and the standby engines
-                        // seed the durable tokens as KV residency —
-                        // replication steals serving bandwidth and KV
-                        // headroom, which is exactly the trade-off measured.
-                        for chunk in &progress.chunks {
-                            self.link_transfer(
-                                Some(chunk.primary),
-                                Some(chunk.standby),
-                                now,
-                                chunk.bytes,
-                            );
-                            if let Some(engine) = self.engines.get_mut(chunk.standby, model) {
-                                engine.kv.seed(request, progress.durable_tokens);
-                            }
-                        }
-                        // Schedule the next decode iteration over the same pipeline.
-                        let arrival =
-                            self.link_transfer(None, Some(first.node), now, TOKEN_WIRE_BYTES);
-                        let hop = Hop::decode(slot, epoch);
-                        run.queue.push(arrival, Event::NodeArrival(hop));
                     }
                 }
                 Event::Perturbation(perturbation) => {
-                    self.apply_perturbation(*perturbation, time, &mut run);
+                    self.apply_perturbation(*perturbation, time);
                 }
                 Event::EngineThaw { node, model } => {
                     // The KV hand-over finished; work that queued up during
                     // the freeze starts batching again.
-                    if let Some(engine) = self.engines.get_mut(node, model) {
+                    if let Some(engine) = self.act.rows.get_mut(node, model) {
                         if let Some(batch) = engine.try_start_batch(time) {
                             let done = time + batch.actual_secs;
-                            run.queue.push(done, Event::BatchComplete { node, model });
+                            self.wire
+                                .queue
+                                .push(done, Event::BatchComplete { node, model });
                         }
                     }
                 }
@@ -617,16 +600,16 @@ impl ClusterSimulator {
                             .collect(),
                     });
                     interval_base.clone_from(&total_decode_tokens);
-                    let counters: Vec<_> = self
-                        .engines
-                        .iter()
+                    let engines = self.act.rows.iter();
+                    let counters: Vec<_> = engines
                         .map(|(node, model, engine)| (node, model, engine.counters()))
                         .collect();
                     let outcome = self.control.observe(time, &counters);
-                    self.hand_over(outcome, time, &mut run.queue);
+                    self.act
+                        .hand_over(&self.control, &mut self.wire, outcome, time);
                     let next = time + tick_interval;
                     if next <= end_time {
-                        run.queue.push(next, Event::ObservationTick);
+                        self.wire.queue.push(next, Event::ObservationTick);
                     }
                 }
             }
@@ -635,7 +618,7 @@ impl ClusterSimulator {
         let measured = (now.min(end_time) - config.warmup_secs).max(1e-9);
         // Overall utilisation merges each node's per-model engines.
         let mut node_busy: HashMap<NodeId, f64> = HashMap::new();
-        for (node, _, engine) in self.engines.iter() {
+        for (node, _, engine) in self.act.rows.iter() {
             *node_busy.entry(node).or_insert(0.0) += engine.counters().busy_secs;
         }
         let node_utilization: HashMap<NodeId, f64> = node_busy
@@ -643,6 +626,7 @@ impl ClusterSimulator {
             .map(|(node, busy)| (node, (busy / now.max(1e-9)).min(1.0)))
             .collect();
         let mut link_stats: Vec<LinkStats> = self
+            .wire
             .links
             .used()
             .iter()
@@ -664,7 +648,8 @@ impl ClusterSimulator {
         let per_model: Vec<Metrics> = (0..num_models)
             .map(|m| {
                 let utilization: HashMap<NodeId, f64> = self
-                    .engines
+                    .act
+                    .rows
                     .iter()
                     .filter(|(_, model, _)| model.index() == m)
                     .map(|(node, _, engine)| {
@@ -708,7 +693,7 @@ impl ClusterSimulator {
             metrics: FleetMetrics { overall, per_model },
             intervals,
             replans: logs.replans,
-            kv_transfers: std::mem::take(&mut self.kv_transfers),
+            kv_transfers: self.act.take_kv_transfers(),
             completions,
             prefix: logs.prefix,
             failovers: logs.failovers,
@@ -716,37 +701,25 @@ impl ClusterSimulator {
         }
     }
 
-    /// Applies (or, at `1.0`, lifts) a slowdown on every engine of `node`,
-    /// present and future.
-    fn set_slowdown(&mut self, node: NodeId, factor: f64) {
-        self.slowdowns.insert(node, factor);
-        for engine in self.engines.of_node_mut(node) {
-            engine.set_slowdown(factor);
-        }
-    }
-
     /// The nodes the fleet's cluster spec (all profiles share one) places
     /// in `region`.
     fn region_nodes(&self, region: Region) -> Vec<NodeId> {
-        let cluster = self.fleet().profiles()[0].cluster();
-        let in_region = cluster.nodes().iter().filter(|n| n.region == region);
+        let in_region = self.wire.cluster.nodes().iter();
+        let in_region = in_region.filter(|n| n.region == region);
         in_region.map(|n| n.id).collect()
     }
 
-    fn apply_perturbation(
-        &mut self,
-        perturbation: PerturbationEvent,
-        time: SimTime,
-        run: &mut Run,
-    ) {
-        let queue = &mut run.queue;
+    fn apply_perturbation(&mut self, perturbation: PerturbationEvent, time: SimTime) {
+        let queue = &mut self.wire.queue;
         let rejoin = |queue: &mut EventQueue, node: NodeId, at: SimTime| {
             let rejoin = PerturbationEvent::NodeRejoin { at, node };
             queue.push(at, Event::Perturbation(Box::new(rejoin)));
         };
         match perturbation {
-            PerturbationEvent::NodeSlowdown { node, factor, .. } => self.set_slowdown(node, factor),
-            PerturbationEvent::NodeRecovery { node, .. } => self.set_slowdown(node, 1.0),
+            PerturbationEvent::NodeSlowdown { node, factor, .. } => {
+                self.act.set_slowdown(node, factor);
+            }
+            PerturbationEvent::NodeRecovery { node, .. } => self.act.set_slowdown(node, 1.0),
             PerturbationEvent::NodeStraggler {
                 node,
                 factor,
@@ -755,7 +728,7 @@ impl ClusterSimulator {
             } => {
                 // A straggler is a slowdown that heals itself after
                 // `recover_secs`.
-                self.set_slowdown(node, factor);
+                self.act.set_slowdown(node, factor);
                 let at = time + recover_secs.max(0.0);
                 let recovery = PerturbationEvent::NodeRecovery { at, node };
                 queue.push(at, Event::Perturbation(Box::new(recovery)));
@@ -767,7 +740,7 @@ impl ClusterSimulator {
                 // remembers the layer ranges the node holds right now, so
                 // the rejoin can hand them back.
                 rejoin(queue, node, time + down_secs.max(0.0));
-                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, run);
+                self.fail(&[node], ReplanReason::NodeFailure { node }, time);
             }
             PerturbationEvent::RegionPartition {
                 region, heal_secs, ..
@@ -777,28 +750,29 @@ impl ClusterSimulator {
                 // rejoins when the partition heals.
                 let nodes = self.region_nodes(region);
                 for &node in &nodes {
-                    rejoin(queue, node, time + heal_secs.max(0.0));
+                    rejoin(&mut self.wire.queue, node, time + heal_secs.max(0.0));
                 }
-                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, run);
+                self.fail(&nodes, ReplanReason::RegionOutage { region }, time);
             }
             PerturbationEvent::NodeRejoin { node, .. } => {
                 // A flapped node comes back: its engines recover, and the
                 // control plane hands it its pre-failure layer ranges (a
                 // no-op when the node never left the plan).
                 if self.control.failed().contains(&node) {
-                    self.engines.of_node_mut(node).for_each(|e| e.recover());
+                    self.act.rows.of_node_mut(node).for_each(|e| e.recover());
                 }
                 let outcome = self.control.rejoin(node, time);
-                self.hand_over(outcome, time, queue);
+                self.act
+                    .hand_over(&self.control, &mut self.wire, outcome, time);
             }
             PerturbationEvent::NodeFailure { node, .. } => {
-                self.fail_nodes(&[node], ReplanReason::NodeFailure { node }, time, run);
+                self.fail(&[node], ReplanReason::NodeFailure { node }, time);
             }
             PerturbationEvent::RegionOutage { region, .. } => {
                 // Fail the region's nodes together: one abort/re-admit
                 // sweep, one re-plan removing the whole region.
                 let nodes = self.region_nodes(region);
-                self.fail_nodes(&nodes, ReplanReason::RegionOutage { region }, time, run);
+                self.fail(&nodes, ReplanReason::RegionOutage { region }, time);
             }
             PerturbationEvent::ArrivalRateShift { .. } => {
                 // Applied to the arrival process before the run started.
@@ -814,134 +788,37 @@ impl ClusterSimulator {
                 let outcome = self
                     .control
                     .replan(&delta, None, ReplanReason::Manual, time);
-                self.hand_over(outcome, time, queue);
+                self.act
+                    .hand_over(&self.control, &mut self.wire, outcome, time);
             }
         }
     }
 
     /// Fails a set of nodes at once (one node for [`NodeFailure`], a whole
-    /// region for [`RegionOutage`]): their engines stop, and every pipeline
-    /// the control plane reports stranded has its KV purged and its request
-    /// re-submitted (promoted requests resume on their replicas, the rest
-    /// re-admit under a new epoch; stale work of the old incarnation is
-    /// dropped on arrival).  Completed requests are untouched.
+    /// region for [`RegionOutage`]) and re-submits every request the
+    /// fail-over stranded at `time` (promoted requests resume on their
+    /// replicas, the rest re-admit under a new epoch).  Completed requests
+    /// are untouched.
     ///
     /// [`NodeFailure`]: PerturbationEvent::NodeFailure
     /// [`RegionOutage`]: PerturbationEvent::RegionOutage
-    fn fail_nodes(&mut self, nodes: &[NodeId], reason: ReplanReason, time: SimTime, run: &mut Run) {
-        if nodes.is_empty() {
-            return;
-        }
-        for &node in nodes {
-            self.engines.of_node_mut(node).for_each(|e| e.fail());
-        }
-        let engines = &self.engines;
-        let has_engine = |node, model| engines.get(node, model).is_some();
-        let failover = self.control.fail_nodes(nodes, reason, time, &has_engine);
-        for flight in &failover.stranded {
-            self.release_kv(flight, true);
+    fn fail(&mut self, nodes: &[NodeId], reason: ReplanReason, time: SimTime) {
+        let wire = &mut self.wire;
+        let stranded = self
+            .act
+            .fail_over(&mut self.control, wire, nodes, reason, time);
+        for flight in stranded {
             let request = flight.request.id;
-            run.requests.close(request);
-            run.queue.push(time, Event::RequestArrival { request });
-        }
-        self.hand_over(failover.replan, time, &mut run.queue);
-    }
-
-    /// Frees what one finished (or, with `purge`, aborted) incarnation held
-    /// on the engines.  It goes on *every* engine of its model, not only its
-    /// pipeline nodes: migrations seed destination engines and replication
-    /// seeds standbys, all keyed by the request id — and a migrated prefix
-    /// entry carries the request's reference along, so the release finds it
-    /// wherever the entry lives now.
-    fn release_kv(&mut self, flight: &InFlight, purge: bool) {
-        let engines = self.engines.of_model(flight.pipeline.model);
-        for engine in engines.iter_mut().flatten() {
-            if purge {
-                engine.purge_request(flight.request.id);
-            } else {
-                engine.release_request(flight.request.id);
-            }
-        }
-    }
-
-    /// Actuates one applied re-plan (`None`: it was infeasible or not due,
-    /// and the current plan keeps serving): reconciles the engine set with
-    /// the new plan and performs the KV hand-over of any partial-layer
-    /// migration the delta carried.
-    fn hand_over(&mut self, outcome: Option<ReplanOutcome>, time: SimTime, queue: &mut EventQueue) {
-        let Some(outcome) = outcome else {
-            return;
-        };
-        let fleet = self.control.fleet();
-        for &model in &outcome.affected {
-            // Existing engines take the new layer count / KV budget in place
-            // (their queues and cached tokens survive) *and rebuild their
-            // execution cost model from the re-derived contention split*, so
-            // a surviving engine on a node whose tenancy changed runs at the
-            // same re-split speed a freshly created engine would; pairs the
-            // plan no longer includes keep draining their in-flight work but
-            // receive no new pipelines; newly planned pairs get fresh
-            // engines.  Engines run at the analytic contention split;
-            // observed speed factors only re-price planning (the engine's
-            // own `slowdown` already delivers the physical degradation
-            // being measured).
-            let profile = fleet.contention_profile(model);
-            for n in fleet.topologies()[model.index()].nodes() {
-                let (layers, kv_capacity) = (n.layers.len(), n.kv_capacity_tokens);
-                let exec = Some(ExecModel::new(profile.node_profile(n.node)));
-                match self.engines.get_mut(n.node, model) {
-                    Some(engine) => engine.update_plan(exec, layers, kv_capacity),
-                    None => {
-                        let mut engine =
-                            NodeEngine::new(exec, layers, kv_capacity, SIM_TOKENS_PER_PAGE);
-                        if let Some(&factor) = self.slowdowns.get(&n.node) {
-                            engine.set_slowdown(factor);
-                        }
-                        if self.control.failed().contains(&n.node) {
-                            engine.fail();
-                        }
-                        self.engines.insert(n.node, model, engine);
-                    }
-                }
-            }
-        }
-        // Each migration's KV hand-over, the one the runtime performs too:
-        // the pages travel as one transfer on the `from → to` link (queueing
-        // behind activations), and both ends freeze *only the migrated layer
-        // range* until it lands.  Requests whose stages run on disjoint
-        // layers of the same nodes keep decoding throughout.
-        let cluster = fleet.topologies()[0].profile().cluster();
-        for &migration in &outcome.migrations {
-            let KvMigration {
-                model, from, to, ..
-            } = migration;
-            let keeps_layers = fleet.placement().placements()[model.index()]
-                .range(from)
-                .is_some();
-            let Some([source, destination]) = self.engines.pair_mut((from, model), (to, model))
-            else {
-                continue;
-            };
-            let link = self.links.queue(cluster, (Some(from), Some(to)));
-            let record = source.hand_over(
-                destination,
-                migration,
-                keeps_layers,
-                self.control.kv_transfer(model),
-                time,
-                |bytes| link.transfer(time, bytes),
-            );
-            for node in [from, to] {
-                queue.push(record.at, Event::EngineThaw { node, model });
-            }
-            self.kv_transfers.push(record);
+            self.wire
+                .queue
+                .push(time, Event::RequestArrival { request });
         }
     }
 
     /// The standing engine of one (node, model) pair, if any — exposed so
     /// tests can compare surviving engines against freshly created ones.
     pub fn engine(&self, node: NodeId, model: ModelId) -> Option<&NodeEngine> {
-        self.engines.get(node, model)
+        self.act.rows.get(node, model)
     }
 
     /// Asks the control plane to admit `request` against its model's
@@ -949,21 +826,23 @@ impl ClusterSimulator {
     /// attached (refcounted) on every pipeline node, a promoted request's
     /// replicated tokens are seeded as KV residency there, and the prefill
     /// travels to the first stage.  A deferred request retries shortly.
-    fn admit_request(&mut self, request: RequestId, run: &mut Run, now: SimTime) {
-        let Some(slot) = run.requests.slot(request) else {
-            return;
-        };
-        let Some(spec) = run.requests.spec(slot) else {
+    fn admit_request(&mut self, request: RequestId, now: SimTime) {
+        let requests = &self.act.requests;
+        let Some((slot, spec)) = requests
+            .slot(request)
+            .and_then(|s| Some((s, requests.spec(s)?)))
+        else {
             return;
         };
         let model = spec.model;
-        let view = EngineView(self.engines.of_model(model));
+        let view = EngineView(self.act.rows.of_model(model));
         let Ok(Admission::Dispatch(dispatch)) = self.control.admit(spec, &view) else {
-            run.queue.push(now + 0.2, Event::RequestArrival { request });
+            let retry = Event::RequestArrival { request };
+            self.wire.queue.push(now + 0.2, retry);
             return;
         };
         for stage in &dispatch.pipeline.stages {
-            if let Some(engine) = self.engines.get_mut(stage.node, model) {
+            if let Some(engine) = self.act.rows.get_mut(stage.node, model) {
                 if let Some(tokens) = dispatch.resume_tokens {
                     engine.kv.seed(request, tokens);
                 }
@@ -972,52 +851,7 @@ impl ClusterSimulator {
                 }
             }
         }
-        let first = dispatch.pipeline.stages[0];
-        let bytes = dispatch.prefill_tokens as f64 * TOKEN_WIRE_BYTES;
-        let arrival = self.link_transfer(None, Some(first.node), now, bytes);
-        let hop = run.requests.open(slot, &dispatch);
-        run.queue.push(arrival, Event::NodeArrival(hop));
-    }
-
-    fn route_onward(&mut self, node: NodeId, item: WorkItem, run: &mut Run, now: SimTime) {
-        let hop = item.hop;
-        // Work of an aborted incarnation describes the old pipeline, not the
-        // re-admitted one, and work an earlier run left on an engine belongs
-        // to no lane of this one.  Drop it.
-        let Some((lane, next)) = run.requests.onward(&item) else {
-            return;
-        };
-        let model = lane.pipeline.model;
-        if let Some(next) = next {
-            let activation_bytes = self.fleet().topologies()[model.index()]
-                .profile()
-                .model()
-                .activation_bytes();
-            let bytes = f64::from(hop.tokens) * activation_bytes;
-            let arrival = self.link_transfer(Some(node), Some(next), now, bytes);
-            let stage = hop.stage + 1;
-            run.queue
-                .push(arrival, Event::NodeArrival(Hop { stage, ..hop }));
-        } else {
-            // Last stage: the generated token returns to the coordinator.
-            let arrival = self.link_transfer(Some(node), None, now, TOKEN_WIRE_BYTES);
-            let (slot, epoch) = (hop.slot, hop.epoch);
-            run.queue
-                .push(arrival, Event::TokenAtCoordinator { slot, epoch });
-        }
-    }
-
-    fn link_transfer(
-        &mut self,
-        from: Option<NodeId>,
-        to: Option<NodeId>,
-        now: SimTime,
-        bytes: f64,
-    ) -> SimTime {
-        // Link hardware is shared by every model; the first lane's profile
-        // supplies the (model-independent) bandwidth and latency numbers.
-        let cluster = self.control.fleet().topologies()[0].profile().cluster();
-        self.links.queue(cluster, (from, to)).transfer(now, bytes)
+        self.act.dispatch(&mut self.wire, slot, &dispatch, now);
     }
 }
 
@@ -1388,19 +1222,22 @@ mod tests {
             for &(at, request) in &arrivals {
                 oracle.push(at, Event::RequestArrival { request });
             }
-            let mut run = Run {
+            let mut wire = SimWire {
+                cluster: ClusterSpec::solver_quality_10(),
+                links: LinkTable::new(10),
                 queue: EventQueue::new(),
-                arrivals: arrival_stream(arrivals),
-                requests: RequestTable::default(),
             };
+            let mut arrivals = arrival_stream(arrivals);
             for k in 0..30 {
                 let at = TIMES[pick(5) as usize] * (1 + pick(3)) as f64;
                 oracle.push(at, other(k));
-                run.queue.push(at, other(k));
+                wire.queue.push(at, other(k));
             }
             let mut k = 30;
             while let Some((time, event)) = oracle.pop() {
-                let (at, merged) = run.pop().expect("as many events as the oracle");
+                let (at, merged) = wire
+                    .pop(&mut arrivals)
+                    .expect("as many events as the oracle");
                 assert_eq!((time, &event), (at, &merged), "seed {seed}");
                 // Handling an event schedules more: hops and deferred
                 // (`now + 0.2`) or re-submitted (`now`) arrivals.
@@ -1412,10 +1249,10 @@ mod tests {
                         _ => other(k),
                     };
                     oracle.push(later, next.clone());
-                    run.queue.push(later, next);
+                    wire.queue.push(later, next);
                 }
             }
-            assert!(run.pop().is_none());
+            assert!(wire.pop(&mut arrivals).is_none());
         }
     }
 }

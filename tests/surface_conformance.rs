@@ -11,7 +11,7 @@
 //! *behavioural* contracts (who completed, what was logged, monotonicity),
 //! not timings.
 
-use helix::core::KvTransferRecord;
+use helix::core::{KvTransferRecord, ReplanReason, ReplanRecord};
 use helix::front::ServingFrontEnd;
 use helix::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1061,6 +1061,74 @@ fn node_failure_during_migration_transfer_window_loses_zero_completions() {
         assert_eq!(record.tokens_recomputed, record.abort_recompute_tokens);
         assert_eq!(record.replica_tokens_used, 0);
     }
+}
+
+/// Two failures injected for one virtual instant are two fail-overs, one
+/// per node, in call order, on both surfaces: the simulator handles one
+/// failure event at a time, and the runtime fails over once per due node.
+/// Every request is mid-decode when nodes 3 and 2 die (a top and a bottom
+/// stage of `redundant_topology`), so the stranded sets follow from the
+/// shared IWRR rotation alone: the first record aborts every pipeline
+/// through node 3, the second the rest of those through node 2.  Only the
+/// records' times may differ: the runtime's is the reading of the turn that
+/// fired them.
+#[test]
+fn two_failures_at_one_instant_are_two_failovers_in_call_order_on_both_surfaces() {
+    fn serve<F: ServingFrontEnd>(mut front: F, batch: &[Request]) -> F::Report {
+        for request in batch {
+            front.submit(*request);
+        }
+        front.fail_node(NodeId(3), 2.0);
+        front.fail_node(NodeId(2), 2.0);
+        front.drain().expect("the failed-over batch drains");
+        front.finish().expect("the session finishes")
+    }
+    let topology = redundant_topology();
+    let batch: Vec<Request> = (0..24u64)
+        .map(|i| Request {
+            id: i,
+            prompt_tokens: 32,
+            output_tokens: 256,
+            arrival_time: 0.01 * i as f64,
+            model: ModelId(0),
+            ..Request::default()
+        })
+        .collect();
+    let runtime_report = serve(ha_runtime_session(&topology), &batch);
+    let sim_report = serve(sim_session(&topology), &batch);
+
+    let runtime_ids: BTreeSet<u64> = runtime_report.outcomes.iter().map(|o| o.id).collect();
+    let sim_ids: BTreeSet<u64> = sim_report.completions.iter().map(|c| c.id).collect();
+    assert_eq!(runtime_ids, id_set(&batch), "runtime loses nothing");
+    assert_eq!(sim_ids, id_set(&batch), "simulator loses nothing");
+    // (node, promoted, aborted) of each record, in order.
+    let shape = |records: &[FailoverRecord]| -> Vec<(NodeId, Vec<u64>, Vec<u64>)> {
+        let shape = records.iter().map(|r| {
+            assert!(r.at >= 2.0, "fired before it was due: {r:?}");
+            (r.node, r.promoted.clone(), r.aborted.clone())
+        });
+        shape.collect()
+    };
+    let (runtime, sim) = (
+        shape(&runtime_report.failovers),
+        shape(&sim_report.failovers),
+    );
+    let nodes: Vec<NodeId> = runtime.iter().map(|r| r.0).collect();
+    assert_eq!(
+        nodes,
+        [NodeId(3), NodeId(2)],
+        "one record per node, in call order"
+    );
+    assert_eq!(runtime, sim, "the same fail-overs on both surfaces");
+    assert!(runtime
+        .iter()
+        .all(|(_, promoted, aborted)| promoted.is_empty() && !aborted.is_empty()));
+    let reasons = |replans: &[ReplanRecord]| -> Vec<ReplanReason> {
+        replans.iter().map(|r| r.reason).collect()
+    };
+    let removals = [NodeId(3), NodeId(2)].map(|node| ReplanReason::NodeFailure { node });
+    assert_eq!(reasons(&runtime_report.replans), removals);
+    assert_eq!(reasons(&sim_report.replans), removals);
 }
 
 #[test]

@@ -36,4 +36,9 @@ guard "runtime rows are the simulator's NodeEngine, fed its WorkItem" \
     "grep -rnE 'StageWork|ExecutionModel|AnalyticExecution|InstantExecution' crates/runtime/src"
 guard "the tree's one impl Work is the core's" \
     "grep -rn 'impl Work for' crates src tests examples --include=*.rs | grep -v '^crates/core/src/'"
+# What the surfaces do with a control-plane decision is written once, in
+# `helix_core::actuator`: no surface keeps its own KV hand-over, release,
+# fail-over, token or forward step, or its own map of node slowdowns.
+guard "one actuator for both surfaces" \
+    "grep -rnE 'fn (hand_over|release_kv|fail_nodes|route_onward|on_iteration)\b|slowdowns: HashMap|self\.slowdowns' crates/sim/src crates/runtime/src"
 exit $status
