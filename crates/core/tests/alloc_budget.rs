@@ -5,10 +5,12 @@
 //!   the pipeline it returns.  The runtime's coordinator retries every
 //!   deferred admission at every quiescence, so a masked walk is its most
 //!   frequent call.
-//! - One rejected annealing move on the standing max-flow network
-//!   (`IncrementalFlowEvaluator::assign` + `restore`): after the first move
-//!   it allocates nothing — the warm re-solve's repair, live rows and undo-log
-//!   all reuse buffers the network keeps.
+//! - One annealing move on the standing max-flow network, rejected
+//!   (`IncrementalFlowEvaluator::assign` + `restore`) or accepted (`assign`,
+//!   committed by the next `assign`): after the first move it allocates
+//!   nothing — the warm re-solve's repair, the pairs registered for the
+//!   live-row sync, the row edits and the undo-log all reuse buffers the
+//!   network keeps.
 //!
 //! A global allocator counts the allocations of the calling thread, so tests
 //! running alongside on other threads do not disturb the count.
@@ -16,7 +18,7 @@
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
 use helix_core::{
     heuristics, ClusterState, HelixError, IdleClusterState, IncrementalFlowEvaluator,
-    IwrrScheduler, LayerRange, NoCandidateReason, Scheduler, Topology,
+    IwrrScheduler, LayerRange, ModelPlacement, NoCandidateReason, Scheduler, Topology,
 };
 use helix_maxflow::MaxFlowAlgorithm;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,13 +108,13 @@ fn an_iwrr_schedule_allocates_nothing_but_its_pipeline() {
     }
 }
 
-#[test]
-fn a_rejected_warm_move_allocates_nothing_after_the_first() {
+/// The geo-distributed 24-node cluster, its swarm placement, and a
+/// deterministic tour of 64 single-node moves shaped like the planner's
+/// proposals: resizes and shifts on every node in turn.
+fn move_tour() -> (ClusterProfile, ModelPlacement, Vec<(NodeId, LayerRange)>) {
     let profile =
         ClusterProfile::analytic(ClusterSpec::geo_distributed_24(), ModelConfig::llama2_70b());
     let placement = heuristics::swarm_placement(&profile).unwrap();
-    // A deterministic tour of 64 single-node moves shaped like the planner's
-    // proposals: resizes and shifts on every node in turn.
     let num_layers = profile.model().num_layers;
     let nodes: Vec<NodeId> = profile.cluster().node_ids().collect();
     let mut moves = Vec::with_capacity(64);
@@ -128,6 +130,12 @@ fn a_rejected_warm_move_allocates_nothing_after_the_first() {
         let start = (step * 11) % (num_layers - len + 1);
         moves.push((node, LayerRange::new(start, start + len)));
     }
+    (profile, placement, moves)
+}
+
+#[test]
+fn a_rejected_warm_move_allocates_nothing_after_the_first() {
+    let (profile, placement, moves) = move_tour();
     let mut evaluator =
         IncrementalFlowEvaluator::new(&profile, &placement, true, None, MaxFlowAlgorithm::Dinic)
             .unwrap();
@@ -152,4 +160,38 @@ fn a_rejected_warm_move_allocates_nothing_after_the_first() {
         solved += usize::from(value != base);
     }
     assert!(solved > 10, "only {solved} of 100 moves changed the flow");
+}
+
+#[test]
+fn an_accepted_warm_move_allocates_nothing_after_the_first() {
+    let (profile, placement, moves) = move_tour();
+    let mut evaluator =
+        IncrementalFlowEvaluator::new(&profile, &placement, true, None, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+    let base = evaluator.value();
+    let (node, range) = moves[0];
+    evaluator.assign(node, range);
+    evaluator.assign(node, placement.range(node).unwrap());
+    let mut changed = 0;
+    // Every move stands, and so does the move back to the swarm range that
+    // follows it: each `assign` commits the one before and opens its own.
+    for &(node, range) in moves.iter().cycle().skip(1).take(100) {
+        let back = placement.range(node).unwrap();
+        let ((value, restored), allocations) = allocations_in(|| {
+            let value = evaluator.assign(node, range);
+            (value, evaluator.assign(node, back))
+        });
+        assert_eq!(
+            allocations,
+            0,
+            "an accepted warm move on node {} allocated",
+            node.index()
+        );
+        assert!(
+            (restored - base).abs() <= 1e-9 * base,
+            "{restored} vs {base}"
+        );
+        changed += usize::from(value != restored);
+    }
+    assert!(changed > 10, "only {changed} of 100 moves changed the flow");
 }

@@ -3,8 +3,9 @@
 //! What the planners' warm re-solves run
 //! ([`FlowNetwork::resolve_from_residual`]), and an independent cross-check
 //! of the preflow-push cold solves.  A standing network keeps Dinic's
-//! live-edge rows between warm solves and patches only the rows an arena
-//! write made stale.
+//! live-edge rows between warm solves and edits them only where a written
+//! pair's liveness flipped: a warm solve's row cost follows the flips, not
+//! the adjacency of the nodes a write touched.
 
 use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
 use crate::FLOW_EPS;
@@ -28,38 +29,31 @@ fn live(edges: &[ArenaEdge], eid: usize) -> bool {
 }
 
 /// The live-edge rows: per node, the arena entries of its adjacency whose
-/// pair is [`live`], in adjacency order.
+/// pair is [`live`], in adjacency order (which is ascending arena order).
 ///
 /// Warm re-solves over standing networks keep invalid connections as edges
 /// of capacity zero, so those networks are dominated by permanently dead
-/// pairs; every BFS round and DFS walk scans only the rows.  Each node owns
-/// fixed slots sized to its adjacency, so a row is rebuilt in place, and a
-/// warm solve rebuilds only the rows [`DirtyRows`] names.
+/// pairs; every BFS round, DFS walk and flow-repair walk scans only the
+/// rows.  Each node owns fixed slots sized to its adjacency, and `held`
+/// records per pair whether its two entries are in the rows, so [`sync`]
+/// edits a row only where a pair [`DirtyRows`] lists was found to have
+/// flipped.
 #[derive(Debug, Clone, Default)]
-struct LiveRows {
+pub(crate) struct LiveRows {
     /// `start[u]..start[u + 1]` are node `u`'s slots, one per adjacency entry.
     start: Vec<usize>,
     /// Number of live entries at the head of each node's slots.
     len: Vec<usize>,
     slots: Vec<usize>,
+    /// Per pair (`eid >> 1`), whether the rows hold its two entries.
+    held: Vec<bool>,
 }
 
 impl LiveRows {
+    /// Node `u`'s live row.
     #[inline]
-    fn row(&self, u: usize) -> &[usize] {
+    pub(crate) fn row(&self, u: usize) -> &[usize] {
         &self.slots[self.start[u]..self.start[u] + self.len[u]]
-    }
-
-    fn rebuild_row(&mut self, u: usize, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) {
-        let base = self.start[u];
-        let mut k = base;
-        for &eid in &adjacency[u] {
-            if live(edges, eid) {
-                self.slots[k] = eid;
-                k += 1;
-            }
-        }
-        self.len[u] = k - base;
     }
 
     fn rebuild_all(&mut self, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) {
@@ -74,14 +68,55 @@ impl LiveRows {
         self.len.resize(adjacency.len(), 0);
         self.slots.clear();
         self.slots.resize(total, 0);
-        for u in 0..adjacency.len() {
-            self.rebuild_row(u, edges, adjacency);
+        for (u, adj) in adjacency.iter().enumerate() {
+            let base = self.start[u];
+            for &eid in adj {
+                if live(edges, eid) {
+                    self.slots[base + self.len[u]] = eid;
+                    self.len[u] += 1;
+                }
+            }
         }
+        self.held.clear();
+        self.held
+            .extend((0..edges.len() / 2).map(|pair| live(edges, 2 * pair)));
     }
 
-    /// Whether every row equals what a full rebuild would produce now.
+    /// Puts arena entry `eid` into its tail's row, keeping the row ascending.
+    fn insert(&mut self, eid: usize, edges: &[ArenaEdge]) {
+        let u = edges[eid ^ 1].to;
+        let base = self.start[u];
+        let len = self.len[u];
+        debug_assert!(base + len < self.start[u + 1], "a row outgrew its slots");
+        let row = &mut self.slots[base..=base + len];
+        let pos = row[..len].partition_point(|&x| x < eid);
+        row.copy_within(pos..len, pos + 1);
+        row[pos] = eid;
+        self.len[u] = len + 1;
+    }
+
+    /// Takes arena entry `eid` out of its tail's row.
+    fn remove(&mut self, eid: usize, edges: &[ArenaEdge]) {
+        let u = edges[eid ^ 1].to;
+        let base = self.start[u];
+        let len = self.len[u];
+        let row = &mut self.slots[base..base + len];
+        let pos = row.partition_point(|&x| x < eid);
+        debug_assert_eq!(row.get(pos), Some(&eid), "a held entry is not in its row");
+        row.copy_within(pos + 1..len, pos);
+        self.len[u] = len - 1;
+    }
+
+    /// Whether every row and every `held` bit equal what a full rebuild would
+    /// produce now.
     fn match_a_rebuild(&self, edges: &[ArenaEdge], adjacency: &[Vec<usize>]) -> bool {
         self.start.len() == adjacency.len() + 1
+            && self.held.len() == edges.len() / 2
+            && self
+                .held
+                .iter()
+                .enumerate()
+                .all(|(pair, &held)| held == live(edges, 2 * pair))
             && adjacency.iter().enumerate().all(|(u, adj)| {
                 self.start[u + 1] - self.start[u] == adj.len()
                     && self
@@ -93,41 +128,35 @@ impl LiveRows {
     }
 }
 
-/// The nodes whose live rows an arena write has made stale since the last
-/// Dinic solve on the network.  [`Writes::touch_pair`] marks them.
+/// The arena pairs written since the network's live rows were last synced.
+/// [`Writes::touch_pair`] registers them; [`sync`] compares each one's
+/// liveness with what the rows hold.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DirtyRows {
     /// Whether the network's rows exist; until a Dinic solve builds them,
-    /// every mark is a no-op and that solve builds every row.
+    /// every registration is a no-op and that solve builds every row.
     built: bool,
-    /// Whether a node is in `nodes`.
-    marked: Vec<bool>,
-    nodes: Vec<usize>,
+    /// Per pair (`eid >> 1`), whether it is in `pairs`.
+    registered: Vec<bool>,
+    /// Forward arena indices of the registered pairs, in write order.
+    pairs: Vec<usize>,
 }
 
 impl DirtyRows {
-    /// Marks both endpoints of the arena pair `eid` / `eid ^ 1` stale.  With
-    /// no rows built (stateless solves, warm push-relabel and Edmonds–Karp)
-    /// it reads nothing.
+    /// Registers the arena pair `eid` / `eid ^ 1`, once until the next sync.
+    /// With no rows built (stateless solves, warm push-relabel and
+    /// Edmonds–Karp) it does nothing.
     #[inline]
-    pub(crate) fn mark_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
-        if self.built {
-            self.mark(edges[eid].to);
-            self.mark(edges[eid ^ 1].to);
+    pub(crate) fn register_pair(&mut self, eid: usize) {
+        if self.built && !self.registered[eid >> 1] {
+            self.registered[eid >> 1] = true;
+            self.pairs.push(eid & !1);
         }
     }
 
     /// Whether the network's rows exist.
     pub(crate) fn is_built(&self) -> bool {
         self.built
-    }
-
-    #[inline]
-    fn mark(&mut self, node: usize) {
-        if !self.marked[node] {
-            self.marked[node] = true;
-            self.nodes.push(node);
-        }
     }
 
     /// Drops the rows: the next Dinic solve rebuilds every one.  Called when
@@ -138,11 +167,34 @@ impl DirtyRows {
     }
 }
 
+/// Brings built rows up to date with the arena: each registered pair whose
+/// liveness differs from what the rows hold has its two entries inserted
+/// into, or removed from, their tails' rows.  A pair whose liveness did not
+/// flip costs one comparison.
+pub(crate) fn sync(rows: &mut LiveRows, dirty: &mut DirtyRows, edges: &[ArenaEdge]) {
+    for &fwd in &dirty.pairs {
+        let pair = fwd >> 1;
+        dirty.registered[pair] = false;
+        let now = live(edges, fwd);
+        if now != rows.held[pair] {
+            rows.held[pair] = now;
+            for eid in [fwd, fwd + 1] {
+                if now {
+                    rows.insert(eid, edges);
+                } else {
+                    rows.remove(eid, edges);
+                }
+            }
+        }
+    }
+    dirty.pairs.clear();
+}
+
 /// Dinic's rows and buffers, owned by a network so that warm solves reuse
 /// them.  Between solves `level` is all -1.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
-    rows: LiveRows,
+    pub(crate) rows: LiveRows,
     /// BFS level per node, -1 when unreached.
     level: Vec<i32>,
     /// Next row position to try per node in a blocking-flow phase.
@@ -153,9 +205,9 @@ pub(crate) struct Workspace {
 
 /// Core Dinic routine operating on the shared arena representation.
 ///
-/// Brings the rows up to date first — all of them when `writes.dirty` has
-/// none built, else only the stale ones — then runs BFS phases over the rows
-/// and resets only the nodes a phase reached.
+/// Brings the rows up to date first — builds all of them when
+/// `writes.dirty` has none built, else [`sync`]s the registered pairs — then
+/// runs BFS phases over the rows and resets only the nodes a phase reached.
 pub(crate) fn run(
     edges: &mut [ArenaEdge],
     adjacency: &[Vec<usize>],
@@ -167,17 +219,14 @@ pub(crate) fn run(
     let n = adjacency.len();
     let dirty = &mut writes.dirty;
     if dirty.built {
-        for &u in &dirty.nodes {
-            ws.rows.rebuild_row(u, edges, adjacency);
-            dirty.marked[u] = false;
-        }
-        dirty.nodes.clear();
+        sync(&mut ws.rows, dirty, edges);
     } else {
         ws.rows.rebuild_all(edges, adjacency);
-        dirty.marked.clear();
-        dirty.marked.resize(n, false);
-        dirty.nodes.clear();
-        dirty.nodes.reserve(n);
+        let pairs = edges.len() / 2;
+        dirty.registered.clear();
+        dirty.registered.resize(pairs, false);
+        dirty.pairs.clear();
+        dirty.pairs.reserve(pairs);
         dirty.built = true;
         ws.level.clear();
         ws.level.resize(n, -1);
@@ -188,7 +237,7 @@ pub(crate) fn run(
     }
     debug_assert!(
         ws.rows.match_a_rebuild(edges, adjacency),
-        "patched live rows differ from a full rebuild"
+        "synced live rows differ from a full rebuild"
     );
 
     let Workspace {

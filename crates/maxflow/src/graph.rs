@@ -119,9 +119,10 @@ impl UndoJournal {
 
 /// The arena's one write hook.  Every write to an edge pair — a capacity
 /// update, a rollback, the flow repair, a solver's push — goes through
-/// [`Writes::touch_pair`] first, which feeds both the undo-log and the set of
-/// nodes whose Dinic live rows the next warm solve rebuilds.  The solvers
-/// that run with no rows built push through [`Writes::journal_pair`].
+/// [`Writes::touch_pair`] first, which feeds both the undo-log and the list
+/// of pairs whose liveness the next sync of Dinic's live rows compares with
+/// what the rows hold.  The solvers that run with no rows built push through
+/// [`Writes::journal_pair`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Writes {
     journal: UndoJournal,
@@ -130,12 +131,12 @@ pub(crate) struct Writes {
 
 impl Writes {
     /// Announces a write to the pair `eid` / `eid ^ 1`: records both arena
-    /// edges in the open undo-log transaction (once each) and marks both
-    /// endpoints' live rows stale.
+    /// edges in the open undo-log transaction (once each) and registers the
+    /// pair for the next sync of the live rows (once).
     #[inline]
     pub(crate) fn touch_pair(&mut self, eid: usize, edges: &[ArenaEdge]) {
         self.journal.record_pair(eid, edges);
-        self.dirty.mark_pair(eid, edges);
+        self.dirty.register_pair(eid);
     }
 
     /// [`Writes::touch_pair`] for a solve that runs with no live rows built —
@@ -268,7 +269,8 @@ pub struct FlowNetwork {
     /// Number of forward edges whose capacity equals `max_cap`; 0 with a
     /// positive `max_cap` means the maximum left and must be found again.
     at_max: usize,
-    /// Undo-log and stale Dinic rows, fed by every arena write.
+    /// Undo-log and the pairs Dinic's rows must be synced for, fed by every
+    /// arena write.
     writes: Writes,
     /// Warm Dinic's live rows and buffers, kept between warm solves.
     dinic: dinic::Workspace,
@@ -756,9 +758,10 @@ impl FlowNetwork {
     ///    touching only the residual network.
     ///
     /// The cost follows what changed since the previous solve: the repair
-    /// visits only the edges `set_capacity` lowered, and Dinic rebuilds the
-    /// live rows only of nodes incident to an edge written since (the
-    /// network keeps both between solves, so a re-solve allocates nothing).
+    /// visits only the edges `set_capacity` lowered and walks Dinic's live
+    /// rows, and those rows are edited only where a pair written since the
+    /// last solve flipped between live and dead (the network keeps rows and
+    /// buffers between solves, so a re-solve allocates nothing).
     /// For small capacity changes (the single-node placement moves of the
     /// annealing planner) step 2 starts from an almost-maximum flow and does
     /// a fraction of the work of a cold solve.  The result is identical to a
@@ -842,9 +845,16 @@ impl FlowNetwork {
     /// listed edges — in ascending index order, as a scan of every edge
     /// would — and then only the nodes their overflow unbalanced, again in
     /// ascending order.
+    ///
+    /// With Dinic's rows built they are synced first, because the walks read
+    /// them: a rollback can put flow back on a pair whose death took it out
+    /// of the rows, and only the pair's registration knows.
     fn repair_infeasible_flow(&mut self, source: usize, sink: usize, eps: f64) {
         if self.repair.lowered.is_empty() {
             return;
+        }
+        if self.writes.dirty.is_built() {
+            dinic::sync(&mut self.dinic.rows, &mut self.writes.dirty, &self.edges);
         }
         let mut repair = std::mem::take(&mut self.repair);
         repair.lowered.sort_unstable();
@@ -891,6 +901,12 @@ impl FlowNetwork {
     /// *with* the flow until the sink, the source or an excess node is
     /// reached; `forward = false` repairs an excess by walking *against* the
     /// flow.  Cycles encountered along the way are cancelled outright.
+    ///
+    /// Each step scans the live row of the node it stands on when Dinic's
+    /// rows are built, and its adjacency otherwise.  The row scan finds the
+    /// adjacency scan's edge: a flow-carrying pair is live, the rows were
+    /// synced before the repair began, and cancelling never puts flow on a
+    /// pair that had none.
     fn cancel_walk(
         &mut self,
         repair: &mut Repair,
@@ -912,21 +928,7 @@ impl FlowNetwork {
         let mut current = start;
         position[current] = Some(0);
         loop {
-            // A flow-carrying edge incident to `current` in the walk
-            // direction: forward walks follow forward edges with positive
-            // flow (twin residual > eps); backward walks follow twin entries
-            // with positive residual (= flow on the forward edge into
-            // `current`).
-            let next_arena = self.adjacency[current].iter().copied().find(|&idx| {
-                if forward {
-                    idx % 2 == 0
-                        && self.edges[idx ^ 1].residual > eps
-                        && self.edges[idx].to != current
-                } else {
-                    idx % 2 == 1 && self.edges[idx].residual > eps && self.edges[idx].to != current
-                }
-            });
-            let Some(arena_idx) = next_arena else {
+            let Some(arena_idx) = self.flow_edge_from(current, eps, forward) else {
                 // Numerical dust: no flow edge left to cancel against.
                 imbalance[start] = 0.0;
                 break;
@@ -981,6 +983,33 @@ impl FlowNetwork {
             position[self.edges[idx].to] = None;
         }
         path.clear();
+    }
+
+    /// The first flow-carrying arena entry leaving `current` in the walk
+    /// direction: forward walks follow forward edges with positive flow
+    /// (twin residual > eps); backward walks follow twin entries with
+    /// positive residual (= flow on the forward edge into `current`).
+    fn flow_edge_from(&self, current: usize, eps: f64, forward: bool) -> Option<usize> {
+        let carries = |&idx: &usize| {
+            let flow = if forward {
+                idx % 2 == 0 && self.edges[idx ^ 1].residual > eps
+            } else {
+                idx % 2 == 1 && self.edges[idx].residual > eps
+            };
+            flow && self.edges[idx].to != current
+        };
+        let scan = if self.writes.dirty.is_built() {
+            self.dinic.rows.row(current)
+        } else {
+            &self.adjacency[current]
+        };
+        let found = scan.iter().copied().find(carries);
+        debug_assert_eq!(
+            found,
+            self.adjacency[current].iter().copied().find(carries),
+            "the repair's row walk left the adjacency walk"
+        );
+        found
     }
 
     /// The smallest flow carried by the arena edges of `walk` in the walk
@@ -1501,6 +1530,41 @@ mod tests {
             "{value} vs {}",
             cold.value
         );
+        net.validate_flow(&standing(&net), s, t).unwrap();
+    }
+
+    #[test]
+    fn a_rollback_that_revives_a_dead_flow_pair_is_synced_before_the_repair() {
+        // s -> a -> b -> t carries 4.  Zeroing a -> b kills its pair, and the
+        // warm solve takes it out of the rows; the rollback puts the flow
+        // back, which only the pair's registration records.  Lowering s -> a
+        // then leaves a with a deficit whose one way out is a -> b: the
+        // repair finds it only if it syncs the rows before walking them.
+        let mut net = FlowNetwork::new();
+        let s = net.add_node("s");
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let t = net.add_node("t");
+        let sa = net.add_edge(s, a, 4.0);
+        let ab = net.add_edge(a, b, 4.0);
+        net.add_edge(b, t, 4.0);
+        net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        net.begin_undo_log();
+        net.set_capacity(ab, 0.0).unwrap();
+        let cut = net
+            .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        assert_eq!(cut, 0.0);
+        net.rollback_undo_log();
+        assert_eq!(net.edge(ab).unwrap().flow, 4.0);
+        net.set_capacity(sa, 1.0).unwrap();
+        let warm = net
+            .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
+            .unwrap();
+        let cold = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
+        assert!((warm - cold.value).abs() < 1e-9, "{warm} vs {}", cold.value);
+        assert!((warm - 1.0).abs() < 1e-9, "{warm}");
         net.validate_flow(&standing(&net), s, t).unwrap();
     }
 }

@@ -41,4 +41,8 @@ guard "the tree's one impl Work is the core's" \
 # fail-over, token or forward step, or its own map of node slowdowns.
 guard "one actuator for both surfaces" \
     "grep -rnE 'fn (hand_over|release_kv|fail_nodes|route_onward|on_iteration)\b|slowdowns: HashMap|self\.slowdowns' crates/sim/src crates/runtime/src"
+# A warm solve edits Dinic's live rows only where a written pair flipped
+# between live and dead: no per-node stale marks, no per-node row rebuild.
+guard "Dinic rows are edited per flipped pair" \
+    "grep -rnE 'fn mark\\(|marked: Vec|fn rebuild_row' crates/maxflow/src"
 exit $status
