@@ -297,8 +297,8 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
         wire.send_hop(now, (None, Some(first.node)), bytes, hop);
     }
 
-    /// The token of the iteration (`slot`, `epoch`) emitted at `at` reaches
-    /// the coordinator; what it triggers leaves at `now`.  A finished
+    /// The token of the iteration (`slot`, `epoch`) reaches the coordinator
+    /// at `at`; what it triggers leaves at `now`.  A finished
     /// request's lane closes and its KV is released everywhere; otherwise
     /// its replica chunks cross the primary → standby links, the standby
     /// rows seed the durable tokens, and the next decode hop leaves for the

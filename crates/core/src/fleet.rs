@@ -29,6 +29,11 @@
 //! of magnitude above compute capacity.  Node compute and KV capacity are
 //! strictly partitioned.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::error::HelixError;
 use crate::flow_graph::Endpoint;
 use crate::placement::incremental::IncrementalFlowEvaluator;
@@ -122,6 +127,10 @@ impl FleetPlacement {
     /// Returns the first per-model validation error, or
     /// [`HelixError::FleetVramOverflow`] when co-located models over-commit a
     /// node's VRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profiles` does not hold exactly one profile per model.
     pub fn validate(&self, profiles: &[ClusterProfile]) -> Result<(), HelixError> {
         assert_eq!(
             self.placements.len(),
@@ -910,7 +919,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
                         .partial_cmp(&(assigned[y] / demand[y]))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
-                .expect("at least one model");
+                .ok_or(HelixError::NoPlacementFound)?;
             owner[id.index()] = Some(m);
             assigned[m] += flops;
         }

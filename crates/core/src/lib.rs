@@ -90,6 +90,7 @@ pub mod actuator;
 pub mod control;
 pub mod engine;
 pub mod error;
+pub mod event;
 pub mod exec_model;
 pub mod fleet;
 pub mod flow_graph;
@@ -110,6 +111,7 @@ pub use control::{
 };
 pub use engine::{EngineCore, KvPoolError, NodeEngine, PagedKvPool, WorkItem};
 pub use error::{HelixError, NoCandidateReason};
+pub use event::Timeline;
 pub use exec_model::{ExecModel, Phase, WorkUnit};
 pub use fleet::{
     fleet_profiles, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement, FleetScheduler,

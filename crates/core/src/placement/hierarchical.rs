@@ -29,6 +29,11 @@
 //!
 //! [`FleetAnnealingPlanner`]: crate::fleet::FleetAnnealingPlanner
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::error::HelixError;
 use crate::fleet::{
     cold_flows, propose_range, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement,
@@ -297,7 +302,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
         }
         results
             .into_iter()
-            .map(|r| r.expect("every pod annealed"))
+            .map(|r| r.unwrap_or(Err(HelixError::NoPlacementFound)))
             .collect()
     }
 

@@ -50,8 +50,9 @@
 //! — a pass's reading for the forwards of the batches it completes, the
 //! turn's last reading for the coordinator's dispatches, decode launches,
 //! releases, seeds and hand-overs.  Everything in flight waits in the
-//! fabric's one queue under a 24-byte `(at, seq, slot)` key, its event in a
-//! reused slab slot.
+//! fabric's one queue — the shared [`Timeline`](helix_core::Timeline) of
+//! the simulator's 24-byte wire events — and a token is timed by its
+//! arrival at the coordinator, as in the simulator.
 //!
 //! When a [`ReplanPolicy`] is configured the loop also closes the online
 //! re-planning feedback: every policy interval the workers' counters are
@@ -64,7 +65,6 @@
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
 use crate::fabric::{Event, Fabric};
-use crate::message::RuntimeMsg;
 use crate::metrics::RequestOutcome;
 use crate::registry::Workers;
 use crate::runtime::PlaneSpec;
@@ -175,8 +175,8 @@ pub(crate) struct Coordinator {
     /// Requests every candidate masked out, retried once per turn.
     deferred: VecDeque<Request>,
     drain_acks: Vec<Sender<()>>,
-    /// The iterations the fabric reported to the coordinator during this
-    /// turn's passes, in delivery order: `(slot, emitted_at, epoch)`.
+    /// The tokens that reached the coordinator during this turn's passes,
+    /// in arrival order: `(slot, arrival time, epoch)`.
     arrived: VecDeque<(u32, f64, u64)>,
     finishing: bool,
     submitted: usize,
@@ -302,7 +302,8 @@ impl Coordinator {
         let budget = budget.map(|started| self.clock.instant_at_wall(started + self.max_wall));
         // A queue entry is waited for to the instant: a microsecond of slack
         // is several deliveries on a fast link.
-        let due = self.fabric.next_at().map(|at| self.clock.instant_at(at));
+        let due = self.fabric.queue.peek_time();
+        let due = due.map(|at| self.clock.instant_at(at));
         let slacked = [paced, budget].into_iter().flatten().min();
         let slacked = slacked.map(|at| at + DEADLINE_SLACK);
         [slacked, due].into_iter().flatten().min()
@@ -349,13 +350,7 @@ impl Coordinator {
         // fragments the batches of both.
         let clock = self.clock;
         let now = self.run_due(|| clock.now());
-        while let Some((slot, emitted_at, epoch)) = self.arrived.pop_front() {
-            let (act, fabric) = (&mut self.workers.act, &mut self.fabric);
-            let token = act.token(&mut self.control, fabric, slot, epoch, emitted_at, now);
-            if let Some(flight) = token.and_then(|token| token.finished) {
-                self.complete(flight, emitted_at);
-            }
-        }
+        self.take_tokens(now);
 
         // 3. Observe, consult the policy, re-plan, hand over.
         self.maybe_replan(now);
@@ -454,25 +449,34 @@ impl Coordinator {
         loop {
             let now = read();
             let mut applied = false;
-            while let Some((at, event)) = self.fabric.pop_due(now) {
+            while let Some((at, event)) = self.fabric.queue.pop_due(now) {
                 applied = true;
                 match event {
-                    Event::Deliver(envelope) => match envelope.msg {
-                        RuntimeMsg::Work(hop) => self.workers.deliver(hop),
-                        RuntimeMsg::IterationDone {
-                            slot,
-                            epoch,
-                            emitted_at,
-                        } => self.arrived.push_back((slot, emitted_at, epoch)),
-                    },
-                    Event::BatchDone(key) => {
+                    Event::NodeArrival(hop) => self.workers.deliver(hop),
+                    Event::TokenAtCoordinator { slot, epoch } => {
+                        self.arrived.push_back((slot, at, epoch))
+                    }
+                    Event::BatchComplete(key) => {
                         self.workers.batch_done(key, at, now, &mut self.fabric)
                     }
-                    Event::Landed(rows) => rows.into_iter().for_each(|key| self.workers.touch(key)),
+                    Event::EngineThaw(key) => self.workers.touch(key),
                 }
             }
             if !applied && !self.workers.start_touched(now, &mut self.fabric) {
                 return now;
+            }
+        }
+    }
+
+    /// The token step for every token that reached the coordinator during
+    /// the turn's passes, in arrival order: a token is timed by its arrival,
+    /// as in the simulator, and what it triggers leaves at `now`.
+    fn take_tokens(&mut self, now: f64) {
+        while let Some((slot, at, epoch)) = self.arrived.pop_front() {
+            let (act, fabric) = (&mut self.workers.act, &mut self.fabric);
+            let token = act.token(&mut self.control, fabric, slot, epoch, at, now);
+            if let Some(flight) = token.and_then(|token| token.finished) {
+                self.complete(flight, at);
             }
         }
     }
@@ -581,9 +585,9 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{one_stage_hop, Envelope, Phase};
-    use crate::registry::WorkerKey;
+    use crate::registry::{one_stage_hop, WorkerKey};
     use crate::runtime::RuntimeConfig;
+    use crate::Phase;
     use helix_cluster::TOKEN_WIRE_BYTES;
     use helix_cluster::{
         ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
@@ -695,6 +699,15 @@ mod tests {
         coordinator.workers.deliver(hop);
     }
 
+    /// When tokens sent at `now` from `nodes`, in order, reach the
+    /// coordinator over links of the plane's cluster that carried nothing
+    /// before.
+    fn tokens_sent_at(now: f64, nodes: &[NodeId]) -> Vec<f64> {
+        let mut fabric = Fabric::new(ClusterSpec::solver_quality_10());
+        let send = |&node| fabric.transfer(now, (Some(node), None), TOKEN_WIRE_BYTES);
+        nodes.iter().map(send).collect()
+    }
+
     /// PR 22's first finding, held without an executor: the loop's turn is a
     /// plain call.  At a nanosecond of wall per virtual second every send is
     /// due by the next clock reading, so one turn is many delivery passes —
@@ -759,22 +772,15 @@ mod tests {
         // transfer: due a virtual second apart.
         for (request, bytes) in [(1, TOKEN_WIRE_BYTES), (2, 1.25e9)] {
             let hop = hop_for(&mut coordinator, key, request);
-            coordinator.fabric.send(
-                0.0,
-                Envelope {
-                    from: None,
-                    to: Some(key.0),
-                    bytes,
-                    msg: RuntimeMsg::Work(hop),
-                },
-            );
+            let link = (None, Some(key.0));
+            coordinator.fabric.send_hop(0.0, link, bytes, hop);
         }
-        let first = coordinator.fabric.next_at().unwrap();
+        let first = coordinator.fabric.queue.peek_time().unwrap();
         let (second, later) = (first + 2.0, first + 3.0);
         // Reading 1 delivers the first item, reading 2 the second; only
         // reading 3 finds nothing due and starts the row's batch — whose two
-        // `IterationDone`s leave stamped with that reading, and reading 4
-        // delivers them to the coordinator.
+        // tokens leave stamped with that reading, and reading 4 delivers
+        // them to the coordinator.
         let mut readings = [first, second, second].into_iter();
         let mut reads = 0;
         let now = coordinator.run_due(|| {
@@ -784,9 +790,9 @@ mod tests {
         assert_eq!((now, reads), (later, 5));
         let row = coordinator.workers.get(key).unwrap();
         assert_eq!((row.batches, row.decode_tokens), (1, 2));
-        let emitted: Vec<f64> = coordinator.arrived.iter().map(|a| a.1).collect();
-        assert_eq!(emitted, [second, second]);
-        assert_eq!(coordinator.fabric.next_at(), None);
+        let arrived: Vec<f64> = coordinator.arrived.iter().map(|a| a.1).collect();
+        assert_eq!(arrived, tokens_sent_at(second, &[key.0, key.0]));
+        assert_eq!(coordinator.fabric.queue.peek_time(), None);
     }
 
     /// A pass's sends are stamped with its reading, never with the wall: on
@@ -803,20 +809,46 @@ mod tests {
         let reading = 5.0;
         assert!(coordinator.clock.now() > 1e3 * reading, "the wall is ahead");
         assert_eq!(coordinator.run_due(|| reading), reading);
-        let due = std::iter::from_fn(|| coordinator.fabric.pop_due(f64::INFINITY));
-        let reports: Vec<(f64, f64)> = due
+        let due = std::iter::from_fn(|| coordinator.fabric.queue.pop());
+        let tokens: Vec<f64> = due
             .map(|(at, event)| match event {
-                Event::Deliver(Envelope {
-                    msg: RuntimeMsg::IterationDone { emitted_at, .. },
-                    ..
-                }) => (at, emitted_at),
-                other => panic!("expected a report, got {other:?}"),
+                Event::TokenAtCoordinator { .. } => at,
+                other => panic!("expected a token, got {other:?}"),
             })
             .collect();
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|&(_, emitted_at)| emitted_at == reading));
-        assert_eq!(reports[0].0, reports[1].0, "{reports:?}");
-        assert!(reports[0].0 - reading < 0.01, "{reports:?}");
+        assert_eq!(tokens, tokens_sent_at(reading, &[a.0, b.0]));
+        assert_eq!(tokens[0], tokens[1], "{tokens:?}");
+        assert!(tokens[0] - reading < 0.01, "{tokens:?}");
+    }
+
+    /// The simulator's token rule: a token is timed when it reaches the
+    /// coordinator — the reading of the pass that sent it plus the
+    /// transfer on its node → coordinator link — not when it was sent.
+    #[test]
+    fn a_token_is_timed_by_its_arrival_at_the_coordinator() {
+        let (mut coordinator, _control, completed) = plane(iwrr, 1.0);
+        let one_token = Request {
+            output_tokens: 1,
+            ..request(0)
+        };
+        assert!(coordinator.try_dispatch(one_token, 0.0).unwrap());
+        let pipeline = Arc::clone(&coordinator.control.flight(0).unwrap().pipeline);
+        let last = pipeline.stages.last().unwrap().node;
+        // One hop per reading: a reading delivers what the one before sent,
+        // and the row it reaches forwards it at once.
+        let mut reading = 0.0;
+        while coordinator.arrived.is_empty() {
+            reading += 1.0;
+            assert!(reading < 100.0, "the token never arrived");
+            coordinator.run_due(|| reading);
+        }
+        // The last stage sent it at the reading before.
+        let arrival = tokens_sent_at(reading - 1.0, &[last])[0];
+        coordinator.take_tokens(reading);
+        let outcome = completed.try_recv().unwrap();
+        let timed = (outcome.first_token_at, outcome.completed_at);
+        assert_eq!(timed, (arrival, arrival));
+        assert!(arrival > reading - 1.0, "the link took time");
     }
 
     /// A hand-over freezes the migrated range on both ends until its
@@ -851,7 +883,11 @@ mod tests {
             panic!("one hand-over, recorded when it starts");
         };
         let due = record.at;
-        assert_eq!(coordinator.fabric.next_at(), Some(due), "its arrival alone");
+        assert_eq!(
+            coordinator.fabric.queue.peek_time(),
+            Some(due),
+            "its arrival alone"
+        );
         // Work on the migrated range is held on the source.
         deliver(&mut coordinator, from, 7);
         coordinator
@@ -903,7 +939,11 @@ mod tests {
             let row = coordinator.workers.get(key).unwrap();
             assert_eq!(row.engine.kv.used_tokens(), 0.0, "{key:?} still holds KV");
         }
-        assert_eq!(coordinator.fabric.next_at(), None, "nothing is queued");
+        assert_eq!(
+            coordinator.fabric.queue.peek_time(),
+            None,
+            "nothing is queued"
+        );
         let links = coordinator.fabric.link_reports();
         assert_eq!(links.len(), keys.len());
         assert!(links.iter().all(|l| l.from.is_none() && l.messages == 1));
@@ -997,13 +1037,8 @@ mod tests {
             stage: stage as u16,
             phase: Phase::Decode,
         };
-        let envelope = Envelope {
-            from: None,
-            to: Some(survivor.node),
-            bytes: 0.0,
-            msg: RuntimeMsg::Work(stale),
-        };
-        coordinator.fabric.send(0.0, envelope);
+        let link = (None, Some(survivor.node));
+        coordinator.fabric.send_hop(0.0, link, 0.0, stale);
 
         let (act, control) = (&mut coordinator.workers.act, &mut coordinator.control);
         let reason = ReplanReason::NodeFailure { node: failed };
@@ -1031,7 +1066,7 @@ mod tests {
         // at 1.0, is not due yet.
         coordinator.run_due(|| 0.5);
         assert_eq!(state(&coordinator), before);
-        assert!(coordinator.fabric.next_at().unwrap() >= 1.0);
+        assert!(coordinator.fabric.queue.peek_time().unwrap() >= 1.0);
     }
 
     /// Aim 3's invariant on the runtime: with RF=2 replication, shared

@@ -4,7 +4,7 @@
 //! ZeroMQ control plane, §6.1) and a discrete-event simulator.  The
 //! [`helix-sim`](https://docs.rs/helix-sim) crate reproduces the simulator;
 //! this crate reproduces the *prototype's architecture* (Fig. 3) — a
-//! coordinator, one worker per compute node, a message layer between them —
+//! coordinator, one worker per compute node and the network between them —
 //! paced by the wall clock, as **one loop over plain data**:
 //!
 //! * a **coordinator** that admits requests, asks the configured
@@ -24,9 +24,10 @@
 //! * a **network fabric** that prices each message on its link (per-link
 //!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
 //!   congestion on slow links emerges exactly as in the paper's Fig. 10b
-//!   case study) and keeps what is in flight — deliveries, the completions
-//!   of batches that take time and the arrivals of KV hand-overs alike — in
-//!   one queue ordered by virtual time.
+//!   case study) and keeps what is in flight in the simulator's event queue
+//!   ([`helix_core::Timeline`]), as the simulator's wire events: a hop
+//!   reaching its stage, a token reaching the coordinator, a batch that
+//!   takes time completing and a KV hand-over thawing its rows.
 //!
 //! The loop belongs to one `helix-dataplane` thread per session, which
 //! builds the plane, runs it and assembles the report; even a 500-node fleet
@@ -118,7 +119,6 @@ mod clock;
 mod coordinator;
 mod error;
 mod fabric;
-mod message;
 mod metrics;
 mod registry;
 mod runtime;
@@ -129,7 +129,9 @@ pub use builder::ServingBuilder;
 pub use error::RuntimeError;
 // The paged KV pool is the shared engine core's residency table.
 pub use helix_core::engine::{KvPoolError, PagedKvPool};
-pub use message::Phase;
+/// Which phase of auto-regressive generation a work item belongs to (the
+/// shared execution-model type).
+pub use helix_core::exec_model::Phase;
 pub use metrics::{LatencySummary, LinkReport, NodeReport, RequestOutcome, RuntimeReport};
 pub use runtime::{ExecutionKind, RuntimeConfig};
 pub use session::ServingSession;

@@ -166,9 +166,38 @@ pub(crate) fn fleet(models: &[&[(usize, usize, usize)]]) -> FleetTopology {
 }
 
 #[cfg(test)]
+/// Gives `request` a slot in `requests` whose lane is the single stage
+/// `(node, model)` over layers `[0, 4)`, and returns the decode hop of it.
+pub(crate) fn one_stage_hop(
+    requests: &mut helix_core::RequestTable,
+    request: helix_workload::RequestId,
+    (node, model): WorkerKey,
+) -> Hop {
+    use helix_core::{Dispatch, LayerRange, PipelineStage, RequestPipeline};
+    let slot = requests.insert(helix_workload::Request {
+        id: request,
+        model,
+        ..Default::default()
+    });
+    let stages = vec![PipelineStage {
+        node,
+        layers: LayerRange::new(0, 4),
+    }];
+    let dispatch = Dispatch {
+        pipeline: std::sync::Arc::new(RequestPipeline { model, stages }),
+        epoch: 0,
+        prefill_tokens: 1,
+        prefix: None,
+        resume_tokens: None,
+        generated: 0,
+    };
+    requests.open(slot, &dispatch);
+    Hop::decode(slot, 0)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::one_stage_hop;
     use helix_cluster::{ClusterBuilder, GpuType, Region};
     use std::collections::HashSet;
 
@@ -214,7 +243,7 @@ mod tests {
         assert!(counters.busy_secs > 0.0);
 
         fail(&mut workers, NodeId(3));
-        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+        let (at, _) = fabric.queue.pop().unwrap();
         workers.batch_done(key, at, at, &mut fabric);
         deliver(&mut workers, key, 2);
         deliver(&mut workers, (NodeId(1), ModelId(1)), 3);

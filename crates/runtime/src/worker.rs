@@ -31,7 +31,7 @@
 //! execution because each one's completion is just another entry of that
 //! queue.
 
-use crate::fabric::Fabric;
+use crate::fabric::{Event, Fabric};
 use crate::registry::WorkerKey;
 use helix_core::engine::BatchRun;
 use helix_core::{NodeEngine, WorkItem};
@@ -97,7 +97,7 @@ impl Worker {
         if run.actual_secs.is_finite() && run.actual_secs > 0.0 {
             let at = now + run.actual_secs;
             self.running = Some((at, run));
-            fabric.batch_done(at, key);
+            fabric.queue.push(at, Event::BatchComplete(key));
             return &[];
         }
         self.complete(run)
@@ -130,12 +130,14 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Phase, RuntimeMsg};
-    use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId, PrefixId};
+    use crate::Phase;
+    use helix_cluster::{
+        ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId, PrefixId, TOKEN_WIRE_BYTES,
+    };
     use helix_core::actuator::forward;
     use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
-    use helix_core::RequestTable;
     use helix_core::{Dispatch, ExecModel, Hop, LayerRange, PipelineStage, RequestPipeline};
+    use helix_core::{RequestTable, Wire};
     use helix_workload::Request;
     use std::sync::Arc;
 
@@ -274,20 +276,19 @@ mod tests {
             [work(5, Phase::Prompt, 64, 0)],
         );
 
-        let forwarded = fabric.take_in_flight().pop().unwrap();
-        assert_eq!(forwarded.from, Some(NodeId(0)));
-        assert_eq!(forwarded.to, Some(NodeId(1)));
+        let (_, forwarded) = fabric.take_in_flight().pop().unwrap();
+        let Event::NodeArrival(next) = forwarded else {
+            panic!("expected forwarded work, got {forwarded:?}");
+        };
+        assert_eq!((next.slot, next.stage, next.tokens), (5, 1, 64));
+        assert_eq!(next.phase, Phase::Prompt);
+        let links = fabric.link_reports();
+        let link = (links[0].from, links[0].to);
+        assert_eq!(link, (Some(NodeId(0)), Some(NodeId(1))));
         assert!(
-            forwarded.bytes > 16_384.0,
+            links[0].bytes > 16_384.0,
             "prompt activations scale with token count"
         );
-        match forwarded.msg {
-            RuntimeMsg::Work(next) => {
-                assert_eq!((next.slot, next.stage, next.tokens), (5, 1, 64));
-                assert_eq!(next.phase, Phase::Prompt);
-            }
-            other => panic!("expected forwarded work, got {other:?}"),
-        }
         assert_eq!(worker.prompt_tokens, 64);
         assert_eq!(worker.batches, 1);
         assert!(worker.engine.kv.used_tokens() >= 64.0);
@@ -303,12 +304,8 @@ mod tests {
             &requests,
             [work(5, Phase::Prompt, 64, 1)],
         );
-        let done = fabric.take_in_flight().pop().unwrap();
-        assert_eq!(done.to, None);
-        assert!(matches!(
-            done.msg,
-            RuntimeMsg::IterationDone { slot: 5, .. }
-        ));
+        let (_, done) = fabric.take_in_flight().pop().unwrap();
+        assert!(matches!(done, Event::TokenAtCoordinator { slot: 5, .. }));
     }
 
     #[test]
@@ -378,8 +375,8 @@ mod tests {
         );
         // A batch that takes time is an entry of the fabric's queue, due at
         // start + duration; nothing is forwarded before it.
-        let (at, event) = fabric.pop_due(f64::INFINITY).unwrap();
-        assert!(matches!(event, crate::fabric::Event::BatchDone(due) if due == key));
+        let (at, event) = fabric.queue.pop().unwrap();
+        assert!(matches!(event, Event::BatchComplete(due) if due == key));
         assert!(at > 0.0);
         assert_eq!(at, worker.engine.counters().busy_secs);
         assert_eq!(worker.batches, 0);
@@ -393,22 +390,26 @@ mod tests {
             [work(2, Phase::Decode, 1, 1)],
         );
         assert_eq!(worker.engine.queue_len(), 1);
-        assert!(fabric.next_at().is_none(), "no second batch was started");
+        assert!(
+            fabric.queue.peek_time().is_none(),
+            "no second batch was started"
+        );
 
         // A completion for another instant matches nothing running.
         done(&mut worker, key, at + 1.0, at + 1.0, &requests, &mut fabric);
         assert_eq!(worker.batches, 0);
         done(&mut worker, key, at, 0.5, &requests, &mut fabric);
         assert_eq!(worker.batches, 1);
-        let done = fabric.take_in_flight().pop().unwrap();
-        let RuntimeMsg::IterationDone { emitted_at, .. } = done.msg else {
-            panic!("expected the finished iteration, got {done:?}");
-        };
-        assert_eq!(emitted_at, 0.5, "stamped when the completion was applied");
+        let (arrives, token) = fabric.take_in_flight().pop().unwrap();
+        assert!(matches!(token, Event::TokenAtCoordinator { slot: 1, .. }));
+        // It left at 0.5 on the row's so far unused link to the coordinator.
+        let mut fresh = Fabric::new(ClusterSpec::solver_quality_10());
+        let sent = fresh.transfer(0.5, (Some(key.0), None), TOKEN_WIRE_BYTES);
+        assert_eq!(arrives, sent, "stamped when the completion was applied");
         // The loop starts the next batch after the passes that completed
         // one; it is the same shape, so it takes as long.
         start(&mut worker, key, 0.5, &requests, &mut fabric);
-        assert_eq!(fabric.next_at(), Some(0.5 + at));
+        assert_eq!(fabric.queue.peek_time(), Some(0.5 + at));
     }
 
     /// Ordering change of the one-loop plane: the task-per-worker plane
@@ -462,7 +463,7 @@ mod tests {
             [work(2, Phase::Decode, 1, 1)],
         );
         worker.engine.enqueue(work(3, Phase::Decode, 1, 1));
-        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+        let (at, _) = fabric.queue.pop().unwrap();
 
         worker.engine.fail();
         assert_eq!(worker.engine.queue_len(), 1, "queued work stays");
@@ -479,7 +480,7 @@ mod tests {
             [work(4, Phase::Decode, 1, 1)],
         );
         assert!(fabric.take_in_flight().is_empty(), "nothing is forwarded");
-        assert_eq!(fabric.next_at(), None, "no batch started");
+        assert_eq!(fabric.queue.peek_time(), None, "no batch started");
         assert_eq!(worker.engine.queue_len(), 2);
         assert_eq!((worker.batches, worker.decode_tokens), (1, 1));
         worker.engine.release_request(1);
@@ -503,8 +504,8 @@ mod tests {
         );
         assert!(
             matches!(
-                fabric.take_in_flight().pop().unwrap().msg,
-                RuntimeMsg::IterationDone { slot: 1, .. }
+                fabric.take_in_flight().pop().unwrap().1,
+                Event::TokenAtCoordinator { slot: 1, .. }
             ),
             "disjoint layers execute through a freeze"
         );
@@ -527,8 +528,8 @@ mod tests {
         // At the deadline the held range's work runs.
         start(&mut worker, key, 1.0, &requests, &mut fabric);
         assert!(matches!(
-            fabric.take_in_flight().pop().unwrap().msg,
-            RuntimeMsg::IterationDone { slot: 2, .. }
+            fabric.take_in_flight().pop().unwrap().1,
+            Event::TokenAtCoordinator { slot: 2, .. }
         ));
     }
 
@@ -602,7 +603,7 @@ mod tests {
             worker.engine.counters().nominal_busy_secs > 0.0,
             "new execution model prices the batch"
         );
-        let (at, _) = fabric.pop_due(f64::INFINITY).unwrap();
+        let (at, _) = fabric.queue.pop().unwrap();
         done(&mut worker, key, at, at, &requests, &mut fabric);
         assert_eq!(fabric.take_in_flight().len(), 1);
     }

@@ -1,10 +1,8 @@
-//! Discrete-event queue.
+//! The simulator's events and their queue.
 
 use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{Hop, LayerRange};
+use helix_core::{Hop, LayerRange, Timeline};
 use helix_workload::RequestId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Simulation time in seconds since the start of the run.
 pub type SimTime = f64;
@@ -189,155 +187,15 @@ pub enum Event {
     },
 }
 
-/// An event scheduled at a point in simulated time.
-#[derive(Debug, Clone)]
-struct ScheduledEvent {
-    /// `time + 0.0`: `-0.0` and `0.0` are one instant under `total_cmp`.
-    time: SimTime,
-    sequence: u64,
-    event: Event,
-}
-
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for ScheduledEvent {}
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.sequence.cmp(&self.sequence))
-    }
-}
-
-/// A time-ordered event queue with FIFO tie-breaking.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<ScheduledEvent>,
-    sequence: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: Event) {
-        debug_assert!(
-            time.is_finite() && time >= 0.0,
-            "event scheduled at invalid time {time}"
-        );
-        self.heap.push(ScheduledEvent {
-            time: time + 0.0,
-            sequence: self.sequence,
-            event,
-        });
-        self.sequence += 1;
-    }
-
-    /// Pops the earliest event, returning `(time, event)`.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// When the earliest pending event is due.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
+/// The simulator's time-ordered event queue: time order, then push order.
+pub type EventQueue = Timeline<Event>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    #[test]
-    fn events_pop_in_time_order_with_fifo_ties() {
-        let mut q = EventQueue::new();
-        q.push(5.0, Event::RequestArrival { request: 4 });
-        q.push(1.0, Event::RequestArrival { request: 1 });
-        q.push(1.0, Event::RequestArrival { request: 2 });
-        q.push(3.0, Event::RequestArrival { request: 3 });
-        assert_eq!(q.len(), 4);
-        let (t1, e1) = q.pop().unwrap();
-        assert_eq!(t1, 1.0);
-        assert_eq!(e1, Event::RequestArrival { request: 1 });
-        let (_, e2) = q.pop().unwrap();
-        assert_eq!(e2, Event::RequestArrival { request: 2 });
-        let (t3, _) = q.pop().unwrap();
-        assert_eq!(t3, 3.0);
-        let (t4, _) = q.pop().unwrap();
-        assert_eq!(t4, 5.0);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pops_follow_time_then_push_order() {
-        // Few distinct times, so most pushes tie; `-0.0` and `0.0` are one
-        // instant.  The oracle is a stable sort of the pushes by time.
-        const TIMES: [f64; 6] = [0.0, -0.0, 0.25, 0.5, 0.5, 3.0];
-        for seed in 1..=32u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut q = EventQueue::new();
-            let mut pushed: Vec<(SimTime, RequestId)> = Vec::new();
-            let mut popped = Vec::new();
-            let mut floor = 0.0;
-            for request in 0..400 {
-                // Pushes never go back in time past what was already popped
-                // (at the start the offset is the time, so `-0.0` survives).
-                let offset = TIMES[rng.gen_range(0..TIMES.len())];
-                let time = if floor == 0.0 { offset } else { floor + offset };
-                q.push(time, Event::RequestArrival { request });
-                pushed.push((time, request));
-                if rng.gen_bool(0.25) {
-                    let (at, event) = q.pop().unwrap();
-                    floor = at;
-                    popped.push((at, event));
-                }
-            }
-            popped.extend(std::iter::from_fn(|| q.pop()));
-            pushed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            assert_eq!(popped.len(), pushed.len());
-            for (&(time, request), (at, event)) in pushed.iter().zip(&popped) {
-                assert_eq!(time, *at, "seed {seed}");
-                assert_eq!(*event, Event::RequestArrival { request }, "seed {seed}");
-            }
-        }
-    }
 
     #[test]
     fn an_event_is_three_words() {
         assert!(std::mem::size_of::<Event>() <= 24);
-        assert!(std::mem::size_of::<ScheduledEvent>() <= 40);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid time")]
-    #[cfg(debug_assertions)]
-    fn scheduling_at_nan_time_panics_in_debug() {
-        let mut q = EventQueue::new();
-        q.push(f64::NAN, Event::ObservationTick);
     }
 }

@@ -50,8 +50,7 @@
 //!   and keeps one *lane* per slot: the admitted incarnation's epoch,
 //!   pipeline and prefix.  The actuator keeps it, on both surfaces.
 //! * **What a hop carries.**  [`Event::NodeArrival`] is a 24-byte [`Hop`]:
-//!   epoch, slot, tokens, stage index, phase — the runtime's work message
-//!   too.  The node, layers, model, request id and prefix are read from the
+//!   epoch, slot, tokens, stage index, phase.  The node, layers, model, request id and prefix are read from the
 //!   lane when the hop lands (`RequestTable::land`), and the engine's work
 //!   item is built there.
 //! * **The arrival rule.**  The workload's arrivals are a cursor over a
@@ -60,6 +59,12 @@
 //!   head — the order one queue would give with the arrivals pushed first.
 //!   Deferred and re-submitted arrivals do go through the queue.  The queue
 //!   orders by `f64::total_cmp` on `time + 0.0`, then push order.
+//! * **One queue for both surfaces.**  [`EventQueue`] is the shared
+//!   [`helix_core::Timeline`] over this crate's [`Event`], entries stored
+//!   inline (40 bytes each).  The runtime's fabric queues the same four
+//!   wire events — `NodeArrival`, `TokenAtCoordinator`, `BatchComplete` and
+//!   `EngineThaw` — in a `Timeline` of its own, and times a token, as here,
+//!   when it reaches the coordinator.
 //! * **Who invalidates a lane.**  A lane is written at dispatch and cleared
 //!   exactly where the control plane drops the flight: at the request's last
 //!   token and for every pipeline a fail-over strands.  Slots are never

@@ -41,6 +41,11 @@ guard "the tree's one impl Work is the core's" \
 # fail-over, token or forward step, or its own map of node slowdowns.
 guard "one actuator for both surfaces" \
     "grep -rnE 'fn (hand_over|release_kv|fail_nodes|route_onward|on_iteration)\b|slowdowns: HashMap|self\.slowdowns' crates/sim/src crates/runtime/src"
+# Both surfaces queue their events in the one `helix_core::Timeline`, and the
+# runtime queues the simulator's wire events: no second heap, no envelope or
+# message type, and a token is timed by its arrival, not its send.
+guard "one time-ordered queue, no message layer" \
+    "grep -rnE 'BinaryHeap|Envelope|RuntimeMsg|emitted_at' crates/sim/src crates/runtime/src"
 # A warm solve edits Dinic's live rows only where a written pair flipped
 # between live and dead: no per-node stale marks, no per-node row rebuild.
 guard "Dinic rows are edited per flipped pair" \
