@@ -8,6 +8,11 @@
 //! tensors between compute nodes).  The max flow from source to sink equals
 //! the cluster's maximum serving throughput under the placement.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::error::HelixError;
 use crate::placement::ModelPlacement;
 use helix_cluster::{ClusterProfile, NodeId};
@@ -120,6 +125,32 @@ impl<'a> FlowGraphBuilder<'a> {
     /// Returns an error if the placement is invalid for this profile (bad
     /// layer ranges, VRAM overruns, or no complete pipeline).
     pub fn build(&self, placement: &ModelPlacement) -> Result<PlacementFlowGraph, HelixError> {
+        match self.prune_degree {
+            // A connection needs both ends placed: unpruned, the candidates
+            // worth visiting are the ordered pairs of placed nodes, in the
+            // `(a, b)` order of `candidate_connections`, so the arena is the
+            // one a walk over every candidate would build.
+            None => {
+                let placed: Vec<NodeId> = placement.iter().map(|(node, _)| node).collect();
+                let pairs = placed.iter().flat_map(|&a| {
+                    placed
+                        .iter()
+                        .filter(move |&&b| b != a)
+                        .map(move |&b| (a, b))
+                });
+                self.build_over(placement, pairs)
+            }
+            Some(_) => self.build_over(placement, self.candidate_connections()),
+        }
+    }
+
+    /// Builds the flow graph for `placement` with node→node edges for the
+    /// valid connections among `pairs`, in `pairs` order.
+    fn build_over(
+        &self,
+        placement: &ModelPlacement,
+        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Result<PlacementFlowGraph, HelixError> {
         placement.validate(self.profile)?;
         let profile = self.profile;
         let model = profile.model();
@@ -174,7 +205,7 @@ impl<'a> FlowGraphBuilder<'a> {
         }
 
         // Node→node edges for valid connections among the candidate set.
-        for (a, b) in self.candidate_connections() {
+        for (a, b) in pairs {
             if placement.connection_valid(a, b, self.partial_inference) {
                 let (_, a_out) = node_vertices[&a];
                 let (b_in, _) = node_vertices[&b];
@@ -280,9 +311,13 @@ impl PlacementFlowGraph {
 
     /// The token-throughput capacity of a compute node in this graph.
     pub fn node_capacity(&self, node: NodeId) -> Option<f64> {
-        self.node_edges
-            .get(&node)
-            .map(|&e| self.network.edge(e).expect("node edges are valid").capacity)
+        self.edge_capacity(*self.node_edges.get(&node)?)
+    }
+
+    /// The capacity of one of this graph's edges (all of them are valid, so
+    /// this is `None` only for an id from another graph).
+    fn edge_capacity(&self, edge: EdgeId) -> Option<f64> {
+        self.network.edge(edge).ok().map(|e| e.capacity)
     }
 
     /// Per-node utilisation (flow / capacity) under a max-flow solution; used
@@ -290,10 +325,10 @@ impl PlacementFlowGraph {
     pub fn node_utilization(&self, flow: &FlowResult) -> HashMap<NodeId, f64> {
         self.node_edges
             .iter()
-            .map(|(&node, &e)| {
-                let cap = self.network.edge(e).expect("node edges are valid").capacity;
+            .filter_map(|(&node, &e)| {
+                let cap = self.edge_capacity(e)?;
                 let f = flow.flow(e);
-                (node, if cap > 0.0 { f / cap } else { 0.0 })
+                Some((node, if cap > 0.0 { f / cap } else { 0.0 }))
             })
             .collect()
     }
@@ -303,13 +338,7 @@ impl PlacementFlowGraph {
     pub fn connections(&self) -> Vec<(Endpoint, Endpoint, f64)> {
         self.link_edges
             .iter()
-            .map(|(&(from, to), &e)| {
-                (
-                    from,
-                    to,
-                    self.network.edge(e).expect("link edges are valid").capacity,
-                )
-            })
+            .filter_map(|(&(from, to), &e)| Some((from, to, self.edge_capacity(e)?)))
             .collect()
     }
 
@@ -437,6 +466,62 @@ mod tests {
             FlowGraphBuilder::new(&profile).build(&p),
             Err(HelixError::NoCompletePipeline)
         ));
+    }
+
+    /// The unpruned build visits placed pairs only; the oracle walks every
+    /// candidate connection.  Both must lay the arena out edge for edge.
+    #[test]
+    fn placed_pairs_build_the_arena_of_every_candidate_pair() {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama_13b());
+        let num_layers = profile.model().num_layers;
+        let mut p = ModelPlacement::empty(24);
+        // Nodes 1, 5 and 9 to 22 hold staggered stages as wide as the
+        // smallest of them can hold (two or more nodes per stage); the rest
+        // (0, 2–4, 6–8 and 23) hold nothing.
+        let placed = [1, 5, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22];
+        let width = placed
+            .iter()
+            .map(|&v| profile.node_profile(NodeId(v)).max_layers)
+            .min()
+            .unwrap();
+        let stages = num_layers.div_ceil(width);
+        assert!(
+            width > 2 && 2 * stages <= placed.len(),
+            "{width} layers wide"
+        );
+        for (k, &v) in placed.iter().enumerate() {
+            let stage = k % stages;
+            let start = if stage + 1 == stages {
+                num_layers - width
+            } else {
+                (stage * width).saturating_sub(k % 3)
+            };
+            p.assign(NodeId(v), LayerRange::new(start, start + width));
+        }
+        for partial in [true, false] {
+            let builder = FlowGraphBuilder::new(&profile).partial_inference(partial);
+            let placed_only = builder.build(&p).unwrap();
+            let every_pair = builder
+                .build_over(&p, builder.candidate_connections())
+                .unwrap();
+            let arena = |g: &PlacementFlowGraph| -> Vec<(usize, usize, u64)> {
+                g.network()
+                    .edges()
+                    .map(|e| (e.from.index(), e.to.index(), e.capacity.to_bits()))
+                    .collect()
+            };
+            assert_eq!(arena(&placed_only), arena(&every_pair));
+            assert_eq!(
+                placed_only.network().node_count(),
+                every_pair.network().node_count()
+            );
+            assert!(placed_only.connections().len() > placed.len());
+            assert_eq!(
+                placed_only.max_flow().value.to_bits(),
+                every_pair.max_flow().value.to_bits()
+            );
+        }
     }
 
     #[test]

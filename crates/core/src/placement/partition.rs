@@ -19,7 +19,8 @@ use crate::error::HelixError;
 use crate::placement::refine::{AnnealingOptions, FlowAnnealingPlanner};
 use crate::placement::{LayerRange, ModelPlacement};
 use helix_cluster::{ClusterBuilder, ClusterProfile, ModelId, NodeId};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Options controlling how the cluster is partitioned and how each partition
 /// is planned.
@@ -436,6 +437,110 @@ impl DisjointSets {
     }
 }
 
+/// A node pair keyed for agglomeration.  Greater means earlier: higher
+/// affinity, then smaller `a`, then smaller `b` — so a max-heap pops pairs in
+/// the order a descending sort by affinity, `a`, `b` lists them.
+#[derive(Debug, Clone, Copy)]
+struct NodePair {
+    affinity: f64,
+    a: u32,
+    b: u32,
+}
+
+impl Ord for NodePair {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.affinity
+            .partial_cmp(&other.affinity)
+            .unwrap_or(Ordering::Equal)
+            .then(other.a.cmp(&self.a))
+            .then(other.b.cmp(&self.b))
+    }
+}
+
+impl PartialOrd for NodePair {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for NodePair {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for NodePair {}
+
+/// The state of the agglomeration: components, their per-model capacity and
+/// how many roots still lack the capacity for some model.
+struct Agglomeration<'n> {
+    sets: DisjointSets,
+    /// Component capacity per model, indexed by current root.
+    cap: Vec<Vec<usize>>,
+    needed: &'n [usize],
+    starved_roots: usize,
+}
+
+impl<'n> Agglomeration<'n> {
+    fn new(layer_cap: &[Vec<usize>], needed: &'n [usize]) -> Self {
+        let n = layer_cap.first().map_or(0, Vec::len);
+        let cap: Vec<Vec<usize>> = (0..n)
+            .map(|v| layer_cap.iter().map(|per_node| per_node[v]).collect())
+            .collect();
+        let mut agglomeration = Agglomeration {
+            sets: DisjointSets::new(n),
+            cap,
+            needed,
+            starved_roots: 0,
+        };
+        agglomeration.starved_roots = (0..n).filter(|&v| agglomeration.starved(v)).count();
+        agglomeration
+    }
+
+    fn starved(&self, root: usize) -> bool {
+        self.cap[root].iter().zip(self.needed).any(|(c, n)| c < n)
+    }
+
+    /// Merges the components of `a` and `b` if they differ and either still
+    /// lacks the capacity to hold every model.  Inside a region (uniform high
+    /// affinity) this coalesces the whole region into one locality group;
+    /// cross-region pairs come later, so regions only merge when one of them
+    /// cannot hold a model by itself.  The size cap is applied when groups
+    /// are dealt into pods, not here.
+    fn offer(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.sets.find(a), self.sets.find(b));
+        if ra == rb {
+            return;
+        }
+        let starved = usize::from(self.starved(ra)) + usize::from(self.starved(rb));
+        if starved == 0 {
+            return;
+        }
+        let merged: Vec<usize> = self.cap[ra]
+            .iter()
+            .zip(&self.cap[rb])
+            .map(|(x, y)| x + y)
+            .collect();
+        let root = self.sets.union(ra, rb);
+        self.cap[root] = merged;
+        self.starved_roots = self.starved_roots - starved + usize::from(self.starved(root));
+    }
+
+    /// The components, each ascending, in ascending order of their smallest
+    /// node.
+    fn groups(mut self) -> Vec<Vec<usize>> {
+        let n = self.cap.len();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for v in 0..n {
+            let r = self.sets.find(v);
+            members[r].push(v);
+        }
+        let mut groups: Vec<Vec<usize>> = members.into_iter().filter(|g| !g.is_empty()).collect();
+        groups.sort_by_key(|g| g[0]);
+        groups
+    }
+}
+
 impl<'a> PodPartitioner<'a> {
     /// Creates a partitioner over the fleet's per-model profiles (which must
     /// share one cluster), with default options.
@@ -467,6 +572,64 @@ impl<'a> PodPartitioner<'a> {
         0.5 * (score(ab.bandwidth_mbps, ab.latency_ms) + score(ba.bandwidth_mbps, ba.latency_ms))
     }
 
+    /// The coarse capacity model: the layers each node can hold per model
+    /// (`[model][node]`), and the per-model layer count a pod needs (with
+    /// slack).
+    fn coarse_capacity(&self) -> (Vec<Vec<usize>>, Vec<usize>) {
+        let cluster = self.profiles[0].cluster();
+        let layer_cap = self
+            .profiles
+            .iter()
+            .map(|profile| {
+                cluster
+                    .node_ids()
+                    .map(|id| profile.node_profile(id).max_layers)
+                    .collect()
+            })
+            .collect();
+        let needed = self
+            .profiles
+            .iter()
+            .map(|profile| {
+                let layers = profile.model().num_layers as f64;
+                (layers * self.options.capacity_slack.max(1.0)).ceil() as usize
+            })
+            .collect();
+        (layer_cap, needed)
+    }
+
+    /// The agglomeration step of [`PodPartitioner::partition`]: Kruskal-style
+    /// merging over node pairs in descending affinity (ties by ascending `a`,
+    /// then `b`), while either side lacks the capacity `needed` for some
+    /// model.  Returns the locality groups, each ascending, ordered by their
+    /// smallest node.
+    ///
+    /// Capacities only grow under merging, so once no component is starved
+    /// no later pair can merge: the pairs come off a heap (built in O(pairs))
+    /// in sorted order only until then, and the rest are never ordered.
+    fn locality_groups(&self, layer_cap: &[Vec<usize>], needed: &[usize]) -> Vec<Vec<usize>> {
+        let n = self.profiles[0].cluster().num_nodes();
+        let mut agglomeration = Agglomeration::new(layer_cap, needed);
+        let mut pairs = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                pairs.push(NodePair {
+                    affinity: self.affinity(NodeId(a), NodeId(b)),
+                    a: a as u32,
+                    b: b as u32,
+                });
+            }
+        }
+        let mut pairs = BinaryHeap::from(pairs);
+        while agglomeration.starved_roots > 0 {
+            let Some(pair) = pairs.pop() else {
+                break;
+            };
+            agglomeration.offer(pair.a as usize, pair.b as usize);
+        }
+        agglomeration.groups()
+    }
+
     /// Computes the pod partition and the model assignment.
     ///
     /// # Errors
@@ -482,71 +645,10 @@ impl<'a> PodPartitioner<'a> {
             return Err(HelixError::NoPlacementFound);
         }
 
-        // Coarse capacity model: layers a node can hold per model, and the
-        // per-model layer count a pod needs (with slack).
-        let layer_cap: Vec<Vec<usize>> = (0..num_models)
-            .map(|m| {
-                cluster
-                    .node_ids()
-                    .map(|id| self.profiles[m].node_profile(id).max_layers)
-                    .collect()
-            })
-            .collect();
-        let needed: Vec<usize> = (0..num_models)
-            .map(|m| {
-                let layers = self.profiles[m].model().num_layers as f64;
-                (layers * self.options.capacity_slack.max(1.0)).ceil() as usize
-            })
-            .collect();
+        let (layer_cap, needed) = self.coarse_capacity();
 
         // --- Step 1: greedy agglomeration over the cluster graph. ---
-        let mut sets = DisjointSets::new(n);
-        // Component capacity per model, indexed by current root.
-        let mut cap: Vec<Vec<usize>> = (0..n)
-            .map(|v| (0..num_models).map(|m| layer_cap[m][v]).collect())
-            .collect();
-        let starved =
-            |cap: &[Vec<usize>], root: usize| (0..num_models).any(|m| cap[root][m] < needed[m]);
-
-        let mut pairs: Vec<(f64, u32, u32)> = Vec::with_capacity(n * (n - 1) / 2);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                pairs.push((self.affinity(NodeId(a), NodeId(b)), a as u32, b as u32));
-            }
-        }
-        pairs.sort_unstable_by(|x, y| {
-            y.0.partial_cmp(&x.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.1.cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-        });
-        for &(_, a, b) in &pairs {
-            let (ra, rb) = (sets.find(a as usize), sets.find(b as usize));
-            if ra == rb {
-                continue;
-            }
-            // Merge while either side still lacks the capacity to hold every
-            // model.  Inside a region (uniform high affinity) this coalesces
-            // the whole region into one locality group; cross-region pairs
-            // sort later, so regions only merge when one of them cannot hold
-            // a model by itself.  The size cap is applied when groups are
-            // dealt into pods, not here.
-            if !(starved(&cap, ra) || starved(&cap, rb)) {
-                continue;
-            }
-            let merged: Vec<usize> = (0..num_models).map(|m| cap[ra][m] + cap[rb][m]).collect();
-            let root = sets.union(ra, rb);
-            cap[root] = merged;
-        }
-
-        // Collect locality groups in deterministic order (ascending min id).
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let r = sets.find(v);
-            members[r].push(v);
-        }
-        let mut groups: Vec<Vec<usize>> = members.into_iter().filter(|g| !g.is_empty()).collect();
-        groups.sort_by_key(|g| g[0]);
+        let mut groups = self.locality_groups(&layer_cap, &needed);
 
         // Fold any still-starved group into its highest-affinity neighbour
         // group until every group can hold every model.  At most one group
@@ -982,6 +1084,97 @@ mod tests {
             assert_eq!(pa.model, pb.model);
             assert_eq!(pa.nodes, pb.nodes);
         }
+    }
+
+    /// Step 1 as it ran before the heap: every pair sorted, every pair
+    /// offered.
+    fn locality_groups_by_sorting_every_pair(partitioner: &PodPartitioner) -> Vec<Vec<usize>> {
+        let (layer_cap, needed) = partitioner.coarse_capacity();
+        let n = partitioner.profiles[0].cluster().num_nodes();
+        let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                pairs.push((partitioner.affinity(NodeId(a), NodeId(b)), a, b));
+            }
+        }
+        pairs.sort_unstable_by(|x, y| {
+            y.0.partial_cmp(&x.0)
+                .unwrap_or(Ordering::Equal)
+                .then(x.1.cmp(&y.1))
+                .then(x.2.cmp(&y.2))
+        });
+        let mut agglomeration = Agglomeration::new(&layer_cap, &needed);
+        for (_, a, b) in pairs {
+            agglomeration.offer(a, b);
+        }
+        agglomeration.groups()
+    }
+
+    fn assert_groups_match_the_sorted_oracle(profiles: &[ClusterProfile]) -> Vec<Vec<usize>> {
+        let partitioner = PodPartitioner::new(profiles);
+        let (layer_cap, needed) = partitioner.coarse_capacity();
+        let lazy = partitioner.locality_groups(&layer_cap, &needed);
+        assert_eq!(lazy, locality_groups_by_sorting_every_pair(&partitioner));
+        lazy
+    }
+
+    #[test]
+    fn lazy_agglomeration_matches_sorting_every_pair_under_distinct_affinities() {
+        use helix_cluster::{ClusterBuilder, GpuType, Region};
+        // Three regions of weak nodes and a few hundred overridden links, so
+        // that affinities take many distinct values and merges straddle
+        // regions.
+        let mut builder = ClusterBuilder::new("overridden")
+            .intra_region(10_000.0, 1.0)
+            .inter_region(150.0, 40.0)
+            .add_nodes(GpuType::T4, 14, 1, Region(0))
+            .add_nodes(GpuType::L4, 10, 1, Region(1))
+            .add_nodes(GpuType::T4, 12, 1, Region(2));
+        let mut x: u64 = 0x9E37_79B9;
+        let mut draw = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for _ in 0..400 {
+            let (a, b) = (draw(36) as usize, draw(36) as usize);
+            if a != b {
+                let bandwidth = 50.0 + draw(20_000) as f64;
+                let latency = 0.5 + draw(80) as f64;
+                builder =
+                    builder.override_link(Some(NodeId(a)), Some(NodeId(b)), bandwidth, latency);
+            }
+        }
+        let profiles = fleet(builder.build(), &[ModelConfig::llama_13b()]);
+        let groups = assert_groups_match_the_sorted_oracle(&profiles);
+        assert!(groups.len() > 1, "{groups:?}");
+    }
+
+    #[test]
+    fn lazy_agglomeration_matches_sorting_every_pair_on_1008_nodes() {
+        use helix_cluster::{ClusterBuilder, GpuType, Region};
+        let mut builder = ClusterBuilder::new("planet-1008")
+            .intra_region(10_000.0, 1.0)
+            .inter_region(150.0, 40.0);
+        for r in 0..12u32 {
+            builder = builder
+                .add_nodes(GpuType::A100_40, 16, 1, Region(r))
+                .add_nodes(GpuType::L4, 28, 1, Region(r))
+                .add_nodes(GpuType::T4, 40, 1, Region(r));
+        }
+        let profiles = fleet(
+            builder.build(),
+            &[
+                ModelConfig::llama_30b(),
+                ModelConfig::llama_13b(),
+                ModelConfig::llama2_70b(),
+                ModelConfig::llama3_405b(),
+            ],
+        );
+        // The 405B model starves every region, so the regions end as one
+        // group, merged over the slow inter-region pairs.
+        assert_eq!(assert_groups_match_the_sorted_oracle(&profiles).len(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * [`FlowNetwork`] — a directed graph with `f64` capacities and named nodes.
 //! * [`push_relabel`] — the preflow-push algorithm (the algorithm cited by the
-//!   paper), with FIFO active-node selection, the gap heuristic and periodic
-//!   global relabeling.
+//!   paper), with FIFO active-node selection and one global relabeling at
+//!   the start; what cold solves run.
 //! * [`dinic`] — Dinic's algorithm: what the planners' warm re-solves
 //!   ([`FlowNetwork::resolve_from_residual`]) run, and an independent
 //!   cross-check of cold solves.
