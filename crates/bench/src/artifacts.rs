@@ -320,8 +320,8 @@ fn table8_problem_size(run: Run) -> Result<ExperimentReport, BenchError> {
         let profile = ClusterProfile::analytic(cluster, ModelConfig::llama2_70b());
         let pruned = MilpPlacementPlanner::new(&profile)
             .prune_to_degree(12)
-            .problem_size();
-        let full = MilpPlacementPlanner::new(&profile).problem_size();
+            .problem_size()?;
+        let full = MilpPlacementPlanner::new(&profile).problem_size()?;
         println!(
             "{:<12} {:>10} var {:>6} cstr {:>12} var {:>6} cstr",
             name, pruned.0, pruned.1, full.0, full.1

@@ -13,8 +13,8 @@
 //!   failed if its node failed.  A row is never taken out: one the plan
 //!   drops keeps executing what it holds and gets no new pipeline.
 //! * **KV hand-over** ([`Actuator::hand_over`]): each migration's
-//!   [`EngineCore::hand_over`](crate::EngineCore::hand_over) between its
-//!   two rows, priced on the `from → to` link.
+//!   [`NodeEngine::hand_over`] between its two rows, priced on the
+//!   `from → to` link.
 //! * **Release and purge** ([`Actuator::release`]): a request is freed on
 //!   every row of its model, not only its pipeline's — migrations seed
 //!   destinations and replication seeds standbys, all keyed by request id.
@@ -26,27 +26,25 @@
 //! * **Token step** ([`Actuator::token`]): an iteration's token reaches the
 //!   coordinator; the request finishes, or its replica chunks ship, its
 //!   standbys seed the durable tokens and its next decode hop leaves.
-//! * **Forward step** ([`forward`]): a finished stage goes to the next stage,
-//!   or its token to the coordinator.
+//! * **Batch step** ([`Actuator::start`], [`Actuator::complete`]): a row
+//!   starts a batch; one that takes time completes when the wire's entry
+//!   for it comes due, one of zero duration at once; each finished stage
+//!   goes to the next stage, or its token to the coordinator.
 //!
 //! # What a surface supplies
 //!
-//! A row type `R` that is at least its [`NodeEngine`] (the simulator's rows
-//! *are* engines; the runtime's add batching glue and report counters), and
-//! a [`Wire`]: how a transfer is priced, how a hop travels, how a hand-over's
-//! arrival is signalled and what a coordinator → row call costs.  The
-//! simulator's wire is its link table and event queue, the runtime's its
-//! fabric.  Every action makes its wire calls in one fixed order — the
-//! simulator's heap breaks ties by push order, so that order is part of the
-//! modelled results.  Each surface keeps its loop and clock, its
-//! `ClusterState` view, its admission cap or KV estimators, and its metrics.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+//! A [`Wire`]: how a transfer is priced, how a hop travels, how a hand-over's
+//! arrival and a batch's completion are signalled and what a coordinator →
+//! row call costs.  The simulator's wire is its link table and event queue,
+//! the runtime's its fabric.  Every action makes its wire calls in one fixed
+//! order — the simulator's heap breaks ties by push order, so that order is
+//! part of the modelled results.  Each surface keeps its loop and clock, its
+//! rule for *when* a row starts a batch (the simulator's on every arrival,
+//! the runtime's once nothing more is due), its `ClusterState` view, its
+//! admission cap or KV estimators, and its metrics.
 
 use crate::control::{ControlPlane, Dispatch, InFlight, TokenProgress};
-use crate::engine::{NodeEngine, WorkItem};
+use crate::engine::NodeEngine;
 use crate::exec_model::ExecModel;
 use crate::fleet::FleetTopology;
 use crate::lane::{Hop, RequestTable};
@@ -74,6 +72,10 @@ pub trait Wire {
     /// Prices one coordinator → row call on `node` at `now` (KV
     /// bookkeeping: a release, a purge, a seed).
     fn call(&mut self, now: f64, node: NodeId);
+
+    /// The batch `row` just started completes at `at`: queue its
+    /// [`Actuator::complete`].
+    fn completes(&mut self, at: f64, row: (NodeId, ModelId));
 }
 
 /// What one token reaching the coordinator did, for the surface's metrics.
@@ -95,9 +97,9 @@ pub struct Token {
 /// The rows, the request table and what acting on them logs; see the
 /// [module documentation](self).
 #[derive(Debug, Clone)]
-pub struct Actuator<R> {
+pub struct Actuator {
     /// One row per (node, model) tenancy any plan has named.
-    pub rows: PairTable<R>,
+    pub rows: PairTable<NodeEngine>,
     /// The requests by slot and the lane of each live incarnation.
     pub requests: RequestTable,
     /// The slowdown of every node that has one, for rows built later.
@@ -113,7 +115,7 @@ pub struct Actuator<R> {
     priced: bool,
 }
 
-impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
+impl Actuator {
     /// An actuator with a row for every tenancy `fleet` plans, each over a
     /// KV pool of `tokens_per_page`-token pages and — when `priced` — the
     /// analytic cost model of its node.
@@ -157,7 +159,7 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
                 let exec = self.priced.then(|| ExecModel::new(node));
                 let (layers, kv_capacity) = (n.layers.len(), n.kv_capacity_tokens);
                 if let Some(row) = self.rows.get_mut(n.node, model) {
-                    row.as_mut().update_plan(exec, layers, kv_capacity);
+                    row.update_plan(exec, layers, kv_capacity);
                     continue;
                 }
                 let mut engine = NodeEngine::new(exec, layers, kv_capacity, self.tokens_per_page);
@@ -167,7 +169,7 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
                 if failed.contains(&n.node) {
                     engine.fail();
                 }
-                self.rows.insert(n.node, model, R::from(engine));
+                self.rows.insert(n.node, model, engine);
             }
         }
     }
@@ -177,7 +179,7 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
     pub fn set_slowdown(&mut self, node: NodeId, factor: f64) {
         self.slowdowns.insert(node, factor);
         for row in self.rows.of_node_mut(node) {
-            row.as_mut().set_slowdown(factor);
+            row.set_slowdown(factor);
         }
     }
 
@@ -221,8 +223,8 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
             let Some([source, destination]) = self.rows.pair_mut(rows[0], rows[1]) else {
                 continue;
             };
-            let record = source.as_mut().hand_over(
-                destination.as_mut(),
+            let record = source.hand_over(
+                destination,
                 migration,
                 keeps_layers,
                 control.kv_transfer(model),
@@ -246,9 +248,9 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
             };
             wire.call(now, NodeId(node));
             if purge {
-                row.as_mut().purge_request(request);
+                row.purge_request(request);
             } else {
-                row.as_mut().release_request(request);
+                row.release_request(request);
             }
         }
     }
@@ -272,7 +274,7 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
             return Vec::new();
         }
         for &node in nodes {
-            self.rows.of_node_mut(node).for_each(|r| r.as_mut().fail());
+            self.rows.of_node_mut(node).for_each(NodeEngine::fail);
         }
         let rows = &self.rows;
         let has_row = |node, model| rows.get(node, model).is_some();
@@ -344,50 +346,72 @@ impl<R: AsMut<NodeEngine> + From<NodeEngine>> Actuator<R> {
             wire.transfer(now, link, chunk.bytes);
             if let Some(standby) = self.rows.get_mut(chunk.standby, model) {
                 let durable = token.progress.durable_tokens;
-                standby.as_mut().kv.seed(request, durable);
+                standby.kv.seed(request, durable);
             }
         }
         let hop = Hop::decode(slot, epoch);
         wire.send_hop(now, (None, Some(first)), TOKEN_WIRE_BYTES, hop);
         Some(token)
     }
-}
 
-/// Sends `item`, whose stage just ran on `node`, onward at `now`: its
-/// activations (`activation_bytes` per token) to the next stage's node, or
-/// — after the last stage — its token to the coordinator.  Work of an
-/// aborted incarnation, or one an earlier run left on the row, has no lane
-/// and goes nowhere.
-#[inline]
-pub fn forward(
-    requests: &RequestTable,
-    wire: &mut impl Wire,
-    activation_bytes: f64,
-    node: NodeId,
-    item: &WorkItem,
-    now: f64,
-) {
-    let Some((_, next)) = requests.onward(item) else {
-        return;
-    };
-    let hop = item.hop;
-    match next {
-        Some(next) => {
-            let bytes = f64::from(hop.tokens) * activation_bytes;
-            let stage = hop.stage + 1;
-            wire.send_hop(now, (Some(node), Some(next)), bytes, Hop { stage, ..hop });
+    /// Starts a batch on the row of (`node`, `model`) at `now` if it is
+    /// idle, healthy and has unfrozen work — so a row never runs two batches
+    /// at once.  A batch that takes time completes when the wire's entry for
+    /// it comes due; one of zero duration (a row without a cost model)
+    /// completes here, its items leaving at `now`.
+    #[inline]
+    pub fn start(&mut self, wire: &mut impl Wire, node: NodeId, model: ModelId, now: f64) {
+        let Some(run) = self
+            .rows
+            .get_mut(node, model)
+            .and_then(|row| row.try_start_batch(now))
+        else {
+            return;
+        };
+        if run.actual_secs > 0.0 {
+            wire.completes(now + run.actual_secs, (node, model));
+        } else {
+            self.complete(wire, node, model, now);
         }
-        None => wire.send_hop(now, (Some(node), None), TOKEN_WIRE_BYTES, hop),
+    }
+
+    /// The batch of the row of (`node`, `model`) completes at `now`: each
+    /// finished item goes onward — its activations to the next stage's
+    /// node, or after the last stage its token to the coordinator.  Work of
+    /// an aborted incarnation, or one an earlier run left on the row, has no
+    /// lane and goes nowhere; so does the batch of a row that failed.
+    #[inline]
+    pub fn complete(&mut self, wire: &mut impl Wire, node: NodeId, model: ModelId, now: f64) {
+        let activation_bytes = self.activation_bytes(model);
+        let Some(row) = self.rows.get_mut(node, model) else {
+            return;
+        };
+        let requests = &self.requests;
+        row.complete_batch(|item| {
+            let Some((_, next)) = requests.onward(item) else {
+                return;
+            };
+            let hop = item.hop;
+            match next {
+                Some(next) => {
+                    let bytes = f64::from(hop.tokens) * activation_bytes;
+                    let stage = hop.stage + 1;
+                    wire.send_hop(now, (Some(node), Some(next)), bytes, Hop { stage, ..hop });
+                }
+                None => wire.send_hop(now, (Some(node), None), TOKEN_WIRE_BYTES, hop),
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BatchTotals;
     use crate::fleet::{fleet_profiles, FleetPlacement, FleetScheduler};
     use crate::{
         Admission, IdleClusterState, LayerRange, ModelPlacement, PipelineStage, PlacementDelta,
-        RequestPipeline,
+        RequestPipeline, WorkItem,
     };
     use helix_cluster::{ClusterBuilder, GpuType, ModelConfig, Region};
     use helix_workload::Request;
@@ -402,6 +426,7 @@ mod tests {
         Hop(f64, LinkKey, Hop),
         Landed(f64, [(NodeId, ModelId); 2]),
         Call(f64, NodeId),
+        Completes(f64, (NodeId, ModelId)),
     }
 
     /// A wire that records its calls; every transfer arrives a second after
@@ -423,12 +448,15 @@ mod tests {
         fn call(&mut self, now: f64, node: NodeId) {
             self.0.push(Sent::Call(now, node));
         }
+        fn completes(&mut self, at: f64, row: (NodeId, ModelId)) {
+            self.0.push(Sent::Completes(at, row));
+        }
     }
 
     /// LLaMA-13B on four A100s in two stages, each held twice: nodes 0 and
     /// 2 the bottom half, nodes 1 and 3 the top half; rows of 1-token
     /// pages that batch in no time.
-    fn plane() -> (ControlPlane, Actuator<NodeEngine>) {
+    fn plane() -> (ControlPlane, Actuator) {
         let cluster = ClusterBuilder::new("actuator-4")
             .intra_region(10_000.0, 1.0)
             .add_nodes(GpuType::A100_80, 4, 1, Region(0))
@@ -447,19 +475,19 @@ mod tests {
         (ControlPlane::new(fleet, schedulers), actuator)
     }
 
-    fn engine(actuator: &mut Actuator<NodeEngine>, node: usize) -> &mut NodeEngine {
+    fn engine(actuator: &mut Actuator, node: usize) -> &mut NodeEngine {
         actuator.rows.get_mut(NodeId(node), MODEL).unwrap()
     }
 
     /// Tokens `request` holds on each node's row, in node order.
-    fn held(actuator: &mut Actuator<NodeEngine>, request: RequestId) -> Vec<usize> {
+    fn held(actuator: &mut Actuator, request: RequestId) -> Vec<usize> {
         (0..4)
             .map(|n| engine(actuator, n).kv.tokens_of(request))
             .collect()
     }
 
     /// Admits request `id` on an idle view and dispatches it at `now`.
-    fn admit(control: &mut ControlPlane, actuator: &mut Actuator<NodeEngine>, id: u64) -> InFlight {
+    fn admit(control: &mut ControlPlane, actuator: &mut Actuator, id: u64) -> InFlight {
         let request = Request {
             id,
             prompt_tokens: 32,
@@ -561,7 +589,7 @@ mod tests {
         assert_eq!(wire.0, calls.collect::<Vec<_>>(), "the removal moves no KV");
         assert!(engine(&mut actuator, failed.index()).is_failed());
         assert_eq!(held(&mut actuator, 1), [0, 0, 0, 0]);
-        let lane = |actuator: &Actuator<NodeEngine>, id| {
+        let lane = |actuator: &Actuator, id| {
             let slot = actuator.requests.slot(id).unwrap();
             actuator.requests.lane(slot, 0).is_some()
         };
@@ -623,5 +651,77 @@ mod tests {
             assert!(row.try_start_batch(2.5).is_none(), "node {node} is frozen");
             assert!(row.try_start_batch(3.0).is_some(), "node {node} thawed");
         }
+    }
+
+    /// The simulator's tie order: a completion's forwards are pushed before
+    /// the completion entry of the batch the row starts next, so at equal
+    /// times the forwarded work pops first.  A batch that takes time leaves
+    /// nothing but its entry, and a busy row starts no second batch.
+    #[test]
+    fn a_completions_forwards_are_pushed_before_the_next_batchs_entry() {
+        let (mut control, _) = plane();
+        let mut actuator = Actuator::new(control.fleet(), 1, true);
+        let flight = admit(&mut control, &mut actuator, 1);
+        let slot = actuator.requests.slot(1).unwrap();
+        let (node, model, item) = actuator.requests.land(Hop::decode(slot, 0)).unwrap();
+        let next = flight.pipeline.stages[1].node;
+        let mut wire = Recorder::default();
+        actuator.rows.get_mut(node, model).unwrap().enqueue(item);
+        actuator.start(&mut wire, node, model, 0.0);
+        let [Sent::Completes(at, row)] = wire.0[..] else {
+            panic!("one completion entry, got {:?}", wire.0);
+        };
+        assert!(at > 0.0 && row == (node, model));
+        // Work landing meanwhile queues behind the running batch.
+        actuator.rows.get_mut(node, model).unwrap().enqueue(item);
+        actuator.start(&mut wire, node, model, at / 2.0);
+        assert_eq!(wire.0.len(), 1, "no second batch");
+
+        wire.0.clear();
+        actuator.complete(&mut wire, node, model, at);
+        actuator.start(&mut wire, node, model, at);
+        let forwarded = Hop {
+            stage: 1,
+            ..item.hop
+        };
+        let link = (Some(node), Some(next));
+        let [Sent::Hop(sent, to, hop), Sent::Completes(due, row)] = wire.0[..] else {
+            panic!("the forward, then the next entry; got {:?}", wire.0);
+        };
+        assert_eq!((sent, to, hop, row), (at, link, forwarded, (node, model)));
+        assert!(due > at);
+    }
+
+    /// A batch of zero duration (a row without a cost model) completes
+    /// inside `start`: its items leave at `now`, nothing is queued for it,
+    /// and it is counted once — a later completion finds nothing.
+    #[test]
+    fn a_zero_duration_batch_completes_inside_start_and_counts_once() {
+        let (mut control, mut actuator) = plane();
+        let flight = admit(&mut control, &mut actuator, 1);
+        let slot = actuator.requests.slot(1).unwrap();
+        let (node, model, item) = actuator.requests.land(Hop::decode(slot, 0)).unwrap();
+        let next = flight.pipeline.stages[1].node;
+        actuator.rows.get_mut(node, model).unwrap().enqueue(item);
+
+        let mut wire = Recorder::default();
+        actuator.start(&mut wire, node, model, 2.0);
+        let forwarded = Hop {
+            stage: 1,
+            ..item.hop
+        };
+        let link = (Some(node), Some(next));
+        assert_eq!(wire.0, [Sent::Hop(2.0, link, forwarded)]);
+        let counted = BatchTotals {
+            batches: 1,
+            prompt_tokens: 0,
+            decode_tokens: 1,
+        };
+        let row = actuator.rows.get(node, model).unwrap();
+        assert!(!row.is_busy());
+        assert_eq!(row.totals(), counted);
+        actuator.complete(&mut wire, node, model, 3.0);
+        assert_eq!(wire.0.len(), 1, "nothing more leaves");
+        assert_eq!(actuator.rows.get(node, model).unwrap().totals(), counted);
     }
 }

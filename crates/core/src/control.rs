@@ -32,7 +32,7 @@
 //! [`Actuator`](crate::Actuator) acts on it for both surfaces: it puts
 //! planned tenancies in service, moves bytes, seeds or frees KV, fails rows
 //! over and performs each migration's KV hand-over with
-//! [`EngineCore::hand_over`](crate::engine::EngineCore::hand_over), priced
+//! [`NodeEngine::hand_over`](crate::engine::NodeEngine::hand_over), priced
 //! by [`ControlPlane::kv_transfer`].  A surface supplies exactly two things
 //! and nothing selectable:
 //!
@@ -53,10 +53,6 @@
 //! table, promotion credits awaiting re-admission, and the policy clock with
 //! the re-plan and fail-over logs.  Surfaces hold no
 //! copy of any of it; they read it through the accessors below.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 
 use crate::engine::IdMap;
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;

@@ -4,7 +4,7 @@
 //! The paper has **one** per-node worker — best-effort dynamic batching
 //! (§5.1) over one paged KV pool whose exhaustion forces slow offloading to
 //! host memory (§5.2, §6.1).  The simulator's engines and the runtime's
-//! worker rows are both that worker — the same [`NodeEngine`] fed the same
+//! rows are both that worker — the same [`NodeEngine`] fed the same
 //! [`WorkItem`]s — and neither keeps a private copy of the rules:
 //!
 //! * [`PagedKvPool`] — the KV residency table: tokens and pages per request,
@@ -12,18 +12,16 @@
 //!   them, *which request holds which prefix reference*, and running totals
 //!   (used pages, used tokens, shared pages, peak utilisation, allocations
 //!   that did not fit), all O(1) to read.
-//! * [`EngineCore`] — the pending queue partitioned by frozen layer ranges,
+//! * [`NodeEngine`] — the pending queue partitioned by frozen layer ranges,
 //!   batch formation, per-item KV growth, the overflow decision, slowdown,
-//!   failed/recover and the cumulative counters.  It answers one question:
-//!   *given `now` and a cost function over the batch, which items start and
-//!   how long do they take*.
-//! * [`NodeEngine`] — an `EngineCore<WorkItem>` with the layers the node
-//!   holds and the [`ExecModel`] that prices its batches (none: every batch
-//!   takes no time).  A [`WorkItem`] is a landed [`Hop`] with its request,
-//!   layers and prefix work, read from the request's lane
+//!   failed/recover, the cumulative counters, the layers the node holds and
+//!   the [`ExecModel`] that prices its batches (none: every batch takes no
+//!   time).  It answers one question: *given `now`, which items start and
+//!   how long do they take*.  A [`WorkItem`] is a landed [`Hop`] with its
+//!   request, layers and prefix work, read from the request's lane
 //!   ([`RequestTable`](crate::RequestTable)).
 //!
-//! # What the core decides
+//! # What the engine decides
 //!
 //! * **Batching.** An idle, healthy engine starts a batch of every queued
 //!   item whose layers intersect no live frozen range; the rest stay queued.
@@ -39,23 +37,24 @@
 //!   rule `perf/exact.json` pins.
 //! * **Freezes.** A range thaws at its deadline: a KV hand-over freezes the
 //!   migrated range on both ends until its transfer arrives.
-//! * **Hand-overs.** [`EngineCore::hand_over`] is the one KV move of a
+//! * **Hand-overs.** [`NodeEngine::hand_over`] is the one KV move of a
 //!   migration: the residency moves at once ([`PagedKvPool::hand_over`]),
 //!   [`KvTransferModel`] prices it as one transfer, and both ends freeze the
 //!   migrated range until that transfer arrives.
+//! * **Completion.** A completed batch counts in [`NodeEngine::totals`]
+//!   (the runtime report's per-row counters); the batch of an engine that
+//!   failed while it ran is dropped uncounted.
 //!
 //! # What each surface adds, and who owns which state
 //!
 //! The engine owns the queue, the in-flight batch, the frozen ranges, the
 //! pool, the cost model and the counters.  It never sees an event queue or a
-//! message: the *simulator* adds `SimTime` scheduling (it turns the returned
-//! duration into a `BatchComplete` event); the *runtime worker* queues the
-//! returned duration in the fabric's heap beside the deliveries (or
-//! completes a zero-duration batch in place) and keeps the report counters.
-//! Cross-engine work — forwarding a finished item through its lane, a
-//! hand-over between two engines, releasing a request on every engine of
-//! its model — is the shared [`Actuator`](crate::Actuator)'s, over each
-//! surface's wire.
+//! message.  Starting a batch, queueing its completion on the surface's
+//! wire — or completing a zero-duration batch at once — and forwarding what
+//! it finished through its lane is the shared
+//! [`Actuator`](crate::Actuator)'s `start` / `complete` step, as are all
+//! other cross-engine actions: a hand-over between two engines, releasing a
+//! request on every engine of its model.
 //!
 //! # Why the page size is a constructor argument
 //!
@@ -71,11 +70,11 @@
 //! # Batch buffers and id hashing
 //!
 //! Steady-state batching allocates nothing.  With no live freeze,
-//! [`start_batch`](EngineCore::start_batch) swaps the queue with the (empty)
+//! [`start_batch`](NodeEngine::start_batch) swaps the queue with the (empty)
 //! in-flight buffer instead of partitioning it, and
-//! [`complete_batch`](EngineCore::complete_batch) swaps the finished batch
-//! into a buffer the caller owns — so three buffers rotate between the
-//! caller, the batch and the queue, each keeping its capacity.  The maps
+//! [`complete_batch`](NodeEngine::complete_batch) hands the finished items
+//! to its caller in place and empties the buffer — so two buffers rotate
+//! between the queue and the batch, each keeping its capacity.  The maps
 //! that remain on the per-token and per-batch-item paths (this pool's, the
 //! control plane's in-flight, epoch and resume tables, the replica tracker)
 //! are keyed by request and prefix ids — integers minted in-process — and use
@@ -89,10 +88,6 @@
 //! of the same table for callers that want admission instead of offload: an
 //! allocation that fits is recorded, one that does not counts a rejection
 //! and leaves the table unchanged.  The engines never call them.
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 
 use crate::exec_model::{ExecModel, Phase, WorkUnit};
 use crate::lane::Hop;
@@ -104,7 +99,6 @@ use helix_workload::RequestId;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Deref, DerefMut};
 
 /// Seconds of the recent-throughput window.
 const THROUGHPUT_WINDOW_SECS: f64 = 10.0;
@@ -520,29 +514,6 @@ impl PagedKvPool {
     }
 }
 
-/// What the core needs to know about a queued work item.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkMeta {
-    /// The request the item belongs to.
-    pub request: RequestId,
-    /// Prompt or decode.
-    pub phase: Phase,
-    /// Tokens the item runs through the layers.
-    pub tokens: usize,
-    /// Layers the node computes for the item.
-    pub layers: LayerRange,
-    /// Shared-prefix work riding on the item (prompt phase only).  A hit's
-    /// `tokens` already exclude the shared range; a miss's include it.
-    pub prefix: Option<PrefixWork>,
-}
-
-/// The accessor the core batches by; [`WorkItem`], what both surfaces
-/// queue, is its one implementation.
-pub trait Work {
-    /// The facts the core batches and accounts by.
-    fn meta(&self) -> WorkMeta;
-}
-
 /// A unit of work queued on an engine: a landed [`Hop`] with what the
 /// engine batches and accounts by (see
 /// [`RequestTable::land`](crate::RequestTable::land)).
@@ -562,19 +533,6 @@ pub struct WorkItem {
     pub prefix: Option<PrefixWork>,
 }
 
-impl Work for WorkItem {
-    #[inline]
-    fn meta(&self) -> WorkMeta {
-        WorkMeta {
-            request: self.request,
-            phase: self.hop.phase,
-            tokens: self.hop.tokens as usize,
-            layers: self.layers,
-            prefix: self.prefix,
-        }
-    }
-}
-
 /// One started batch: how long it takes and what it processes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchRun {
@@ -588,18 +546,35 @@ pub struct BatchRun {
     pub decode_tokens: u64,
 }
 
-/// The synchronous core of one (node, model) engine; see the
-/// [module documentation](self).
+/// What an engine's completed batches processed — the runtime report's
+/// per-row counters.  A batch counts when it completes, so the batch a
+/// failed engine was running is dropped uncounted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchTotals {
+    /// Batches completed.
+    pub batches: u64,
+    /// Prompt tokens they processed.
+    pub prompt_tokens: u64,
+    /// Decode tokens they processed.
+    pub decode_tokens: u64,
+}
+
+/// The execution engine of one (node, model) tenancy — the row both
+/// surfaces keep in their [`PairTable`](crate::PairTable); see the
+/// [module documentation](self).  Without a cost model every batch
+/// completes in no time (the runtime's `ExecutionKind::Instant`).
 #[derive(Debug, Clone)]
-pub struct EngineCore<W> {
+pub struct NodeEngine {
     /// The engine's KV residency table.  Batches grow it; the surfaces touch
     /// it *between* batches: seeding a replica or a promoted request,
     /// admission-time prefix references, re-sizing on a plan update.
     pub kv: PagedKvPool,
+    layers_held: usize,
+    exec: Option<ExecModel>,
     /// Work waiting for the next batch.
-    pending: Vec<W>,
+    pending: Vec<WorkItem>,
     /// The executing batch (empty when idle).
-    in_flight: Vec<W>,
+    in_flight: Vec<WorkItem>,
     /// Frozen layer ranges, each until its deadline.  Overlapping hand-overs
     /// stack.
     frozen: Vec<(LayerRange, f64)>,
@@ -607,27 +582,64 @@ pub struct EngineCore<W> {
     slowdown: f64,
     failed: bool,
     counters: EngineCounters,
+    totals: BatchTotals,
     window_tokens: u64,
     window_start: f64,
     recent_throughput: f64,
 }
 
-impl<W: Work> EngineCore<W> {
-    /// Creates an idle engine over a pool of `kv_capacity_tokens` tokens in
+impl NodeEngine {
+    /// An idle engine for a node holding `layers_held` layers, pricing its
+    /// batches with `exec`, over a pool of `kv_capacity_tokens` tokens in
     /// pages of `tokens_per_page`.
-    pub fn new(kv_capacity_tokens: f64, tokens_per_page: usize) -> Self {
-        EngineCore {
+    pub fn new(
+        exec: Option<ExecModel>,
+        layers_held: usize,
+        kv_capacity_tokens: f64,
+        tokens_per_page: usize,
+    ) -> Self {
+        NodeEngine {
             kv: PagedKvPool::new(kv_capacity_tokens, tokens_per_page),
+            layers_held,
+            exec,
             pending: Vec::new(),
             in_flight: Vec::new(),
             frozen: Vec::new(),
             slowdown: 1.0,
             failed: false,
             counters: EngineCounters::default(),
+            totals: BatchTotals::default(),
             window_tokens: 0,
             window_start: 0.0,
             recent_throughput: 0.0,
         }
+    }
+
+    /// Number of layers the node holds.
+    pub fn layers_held(&self) -> usize {
+        self.layers_held
+    }
+
+    /// Takes a re-plan's facts in place: re-plans can move layers,
+    /// re-partition a shared node's KV pool *and re-split its compute*
+    /// between tenants, so the cost model is rebuilt from the re-planned
+    /// (share-scaled) profile and a surviving engine prices its batches
+    /// exactly like a freshly created one.  Queued work, the batch in flight
+    /// and cached tokens survive.
+    pub fn update_plan(
+        &mut self,
+        exec: Option<ExecModel>,
+        layers_held: usize,
+        kv_capacity_tokens: f64,
+    ) {
+        self.layers_held = layers_held;
+        self.kv.resize(kv_capacity_tokens);
+        self.exec = exec;
+    }
+
+    /// The cost model the engine currently prices batches with.
+    pub fn exec_model(&self) -> Option<&ExecModel> {
+        self.exec.as_ref()
     }
 
     /// Items waiting for the next batch.
@@ -647,6 +659,11 @@ impl<W: Work> EngineCore<W> {
         self.counters
     }
 
+    /// What the completed batches processed.
+    pub fn totals(&self) -> BatchTotals {
+        self.totals
+    }
+
     /// Tokens per second (prompt and decode) over the last completed
     /// measurement window, refreshed at batch start.
     pub fn recent_throughput(&self) -> f64 {
@@ -659,7 +676,8 @@ impl<W: Work> EngineCore<W> {
         self.slowdown = factor.max(1e-6);
     }
 
-    /// Marks the node failed: the engine starts no further batches.
+    /// Marks the node failed: the engine starts no further batches, and
+    /// the batch it is running is dropped when it completes.
     pub fn fail(&mut self) {
         self.failed = true;
     }
@@ -724,14 +742,14 @@ impl<W: Work> EngineCore<W> {
     }
 
     /// Adds a work item to the pending queue.
-    pub fn enqueue(&mut self, item: W) {
+    pub fn enqueue(&mut self, item: WorkItem) {
         self.pending.push(item);
     }
 
     /// Drops every pending item of `request` and frees what it holds — the
     /// abort path when a failed node strands an in-flight pipeline.
     pub fn purge_request(&mut self, request: RequestId) {
-        self.pending.retain(|item| item.meta().request != request);
+        self.pending.retain(|item| item.request != request);
         self.kv.release(request);
     }
 
@@ -741,10 +759,30 @@ impl<W: Work> EngineCore<W> {
     }
 
     /// Starts a batch at `now` if the engine is idle, healthy and has
+    /// runnable work, priced by the cost model.
+    #[inline]
+    pub fn try_start_batch(&mut self, now: f64) -> Option<BatchRun> {
+        let exec = self.exec;
+        self.start_batch(now, |batch| {
+            exec.as_ref().map_or(0.0, |exec| {
+                exec.batch_secs(batch.iter().map(|item| WorkUnit {
+                    phase: item.hop.phase,
+                    tokens: item.hop.tokens as usize,
+                    layers: item.layers.len(),
+                }))
+            })
+        })
+    }
+
+    /// Starts a batch at `now` if the engine is idle, healthy and has
     /// runnable work; `cost` prices the batch (seconds, before any overflow
     /// penalty or slowdown).  The batch stays in flight until
     /// [`complete_batch`](Self::complete_batch).
-    pub fn start_batch(&mut self, now: f64, cost: impl FnOnce(&[W]) -> f64) -> Option<BatchRun> {
+    pub fn start_batch(
+        &mut self,
+        now: f64,
+        cost: impl FnOnce(&[WorkItem]) -> f64,
+    ) -> Option<BatchRun> {
         if self.is_busy() || self.failed || self.pending.is_empty() {
             return None;
         }
@@ -756,8 +794,9 @@ impl<W: Work> EngineCore<W> {
         } else {
             let frozen = &self.frozen;
             let runnable = self.pending.extract_if(.., |item| {
-                let layers = item.meta().layers;
-                !frozen.iter().any(|&(range, _)| range.intersects(layers))
+                !frozen
+                    .iter()
+                    .any(|&(range, _)| range.intersects(item.layers))
             });
             self.in_flight.extend(runnable);
             if self.in_flight.is_empty() {
@@ -771,18 +810,18 @@ impl<W: Work> EngineCore<W> {
             decode_tokens: 0,
         };
         for item in &self.in_flight {
-            let item = item.meta();
-            let mut cached = item.tokens;
+            let tokens = item.hop.tokens as usize;
+            let mut cached = tokens;
             if let Some(p) = item.prefix {
                 self.kv.hold_prefix(item.request, p.id, p.tokens);
                 if !p.hit {
-                    cached -= p.tokens.min(item.tokens);
+                    cached -= p.tokens.min(tokens);
                 }
             }
             self.kv.grow(item.request, cached);
-            match item.phase {
-                Phase::Prompt => run.prompt_tokens += item.tokens as u64,
-                Phase::Decode => run.decode_tokens += item.tokens as u64,
+            match item.hop.phase {
+                Phase::Prompt => run.prompt_tokens += tokens as u64,
+                Phase::Decode => run.decode_tokens += tokens as u64,
             }
         }
         run.nominal_secs = ExecModel::apply_kv_overflow(run.nominal_secs, self.kv.over_capacity());
@@ -804,112 +843,24 @@ impl<W: Work> EngineCore<W> {
         Some(run)
     }
 
-    /// Completes the executing batch: `done` is emptied and receives the
-    /// batch's items for routing (none when the engine is idle), and its
-    /// buffer becomes the engine's next batch buffer.
-    pub fn complete_batch(&mut self, done: &mut Vec<W>) {
-        done.clear();
-        std::mem::swap(&mut self.in_flight, done);
-    }
-}
-
-/// The execution engine of one (node, model) tenancy — the row both
-/// surfaces keep in their [`PairTable`](crate::PairTable).
-///
-/// It is the shared [`EngineCore`] over [`WorkItem`]s — every method of the
-/// core is available through `Deref` — plus the layers the node holds and
-/// the analytic cost model that prices its batches.  Without a cost model
-/// every batch completes in no time (the runtime's `ExecutionKind::Instant`).
-#[derive(Debug, Clone)]
-pub struct NodeEngine {
-    layers_held: usize,
-    exec: Option<ExecModel>,
-    core: EngineCore<WorkItem>,
-}
-
-impl Deref for NodeEngine {
-    type Target = EngineCore<WorkItem>;
-
-    #[inline]
-    fn deref(&self) -> &Self::Target {
-        &self.core
-    }
-}
-
-impl DerefMut for NodeEngine {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.core
-    }
-}
-
-/// The simulator's rows are bare engines; see
-/// [`Actuator`](crate::Actuator).
-impl AsMut<NodeEngine> for NodeEngine {
-    #[inline]
-    fn as_mut(&mut self) -> &mut NodeEngine {
-        self
-    }
-}
-
-impl NodeEngine {
-    /// An idle engine for a node holding `layers_held` layers, pricing its
-    /// batches with `exec`, over a pool of `kv_capacity_tokens` tokens in
-    /// pages of `tokens_per_page`.
-    pub fn new(
-        exec: Option<ExecModel>,
-        layers_held: usize,
-        kv_capacity_tokens: f64,
-        tokens_per_page: usize,
-    ) -> Self {
-        NodeEngine {
-            layers_held,
-            exec,
-            core: EngineCore::new(kv_capacity_tokens, tokens_per_page),
+    /// Completes the executing batch (none when the engine is idle): hands
+    /// each of its items to `finished`, for routing, and counts it in
+    /// [`totals`](Self::totals).  The batch of an engine that failed while
+    /// it ran is dropped uncounted: every item of it belongs to a pipeline
+    /// the failure stranded.
+    pub fn complete_batch(&mut self, mut finished: impl FnMut(&WorkItem)) {
+        if !self.failed && !self.in_flight.is_empty() {
+            self.totals.batches += 1;
+            for item in &self.in_flight {
+                let tokens = u64::from(item.hop.tokens);
+                match item.hop.phase {
+                    Phase::Prompt => self.totals.prompt_tokens += tokens,
+                    Phase::Decode => self.totals.decode_tokens += tokens,
+                }
+                finished(item);
+            }
         }
-    }
-
-    /// Number of layers the node holds.
-    pub fn layers_held(&self) -> usize {
-        self.layers_held
-    }
-
-    /// Takes a re-plan's facts in place: re-plans can move layers,
-    /// re-partition a shared node's KV pool *and re-split its compute*
-    /// between tenants, so the cost model is rebuilt from the re-planned
-    /// (share-scaled) profile and a surviving engine prices its batches
-    /// exactly like a freshly created one.  Queued work, the batch in flight
-    /// and cached tokens survive.
-    pub fn update_plan(
-        &mut self,
-        exec: Option<ExecModel>,
-        layers_held: usize,
-        kv_capacity_tokens: f64,
-    ) {
-        self.layers_held = layers_held;
-        self.core.kv.resize(kv_capacity_tokens);
-        self.exec = exec;
-    }
-
-    /// The cost model the engine currently prices batches with.
-    pub fn exec_model(&self) -> Option<&ExecModel> {
-        self.exec.as_ref()
-    }
-
-    /// Starts a batch at `now` if the engine is idle, healthy and has
-    /// runnable work, priced by the cost model.
-    #[inline]
-    pub fn try_start_batch(&mut self, now: f64) -> Option<BatchRun> {
-        let exec = &self.exec;
-        self.core.start_batch(now, |batch| {
-            exec.as_ref().map_or(0.0, |exec| {
-                exec.batch_secs(batch.iter().map(|item| WorkUnit {
-                    phase: item.hop.phase,
-                    tokens: item.hop.tokens as usize,
-                    layers: item.layers.len(),
-                }))
-            })
-        })
+        self.in_flight.clear();
     }
 }
 
@@ -918,9 +869,9 @@ mod tests {
     use super::*;
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, NodeId};
 
-    // Batching, freezes, KV residency and the throughput window are the
-    // core's and are tested in `crates/core/tests/engine_core.rs`; what is
-    // tested here is what `NodeEngine` adds.
+    // Batching, freezes, KV residency and the throughput window are
+    // tested in `crates/core/tests/engine_core.rs` with their own cost
+    // function; what is tested here is the analytic cost model's pricing.
 
     fn engine(kv_capacity_tokens: f64) -> NodeEngine {
         let profile =
@@ -952,9 +903,9 @@ mod tests {
         let run = e.try_start_batch(2.0).unwrap();
         assert!(run.actual_secs > crate::exec_model::BATCH_OVERHEAD_SECS);
         assert!((run.actual_secs - e.counters().busy_secs).abs() < 1e-12);
-        let mut done = Vec::new();
-        e.complete_batch(&mut done);
-        assert_eq!(done.len(), 1);
+        let mut done = 0;
+        e.complete_batch(|_| done += 1);
+        assert_eq!(done, 1);
         assert_eq!(e.layers_held(), 10);
     }
 
@@ -986,7 +937,7 @@ mod tests {
         assert!(slow > fast * 2.0, "the overflowing batch is penalised");
         assert_eq!(over.kv.used_tokens(), 51.0, "overflow is still recorded");
         assert_eq!(over.kv.capacity_tokens(), 50.5);
-        over.complete_batch(&mut Vec::new());
+        over.complete_batch(|_| {});
         over.release_request(1);
         assert_eq!(over.kv.used_tokens(), 0.0);
     }

@@ -92,7 +92,7 @@ pub struct WorkUnit {
 /// let decode = model.batch_secs([WorkUnit { phase: Phase::Decode, tokens: 100, layers: 8 }]);
 /// assert!(decode > prompt, "decode tokens are memory-bound and cost more");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecModel {
     prompt_secs_per_token_layer: f64,
     decode_secs_per_token_layer: f64,

@@ -29,11 +29,6 @@
 //! of magnitude above compute capacity.  Node compute and KV capacity are
 //! strictly partitioned.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::error::HelixError;
 use crate::flow_graph::Endpoint;
 use crate::placement::incremental::IncrementalFlowEvaluator;

@@ -8,11 +8,6 @@
 //! tensors between compute nodes).  The max flow from source to sink equals
 //! the cluster's maximum serving throughput under the placement.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::error::HelixError;
 use crate::placement::ModelPlacement;
 use helix_cluster::{ClusterProfile, NodeId};

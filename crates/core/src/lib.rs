@@ -17,11 +17,11 @@
 //! * [`exec_model`] — the execution cost model (batching formula, prompt vs
 //!   decode token costs, KV-overflow penalty) shared by the simulator and
 //!   the runtime so the two can never drift apart.
-//! * [`engine`] — the per-node worker of §5.1–§5.2 once: [`EngineCore`]
-//!   (batching, layer-range freezes, the KV-overflow decision) over the
-//!   [`PagedKvPool`] residency table, and [`NodeEngine`], that core with its
-//!   cost model — the simulator's engines and the runtime's worker rows are
-//!   both a `NodeEngine` fed [`WorkItem`]s.  [`lane`] is the request table
+//! * [`engine`] — the per-node worker of §5.1–§5.2 once: [`NodeEngine`]
+//!   (batching, layer-range freezes, the KV-overflow decision, its cost
+//!   model) over the [`PagedKvPool`] residency table — the simulator's
+//!   engines and the runtime's rows are both a `NodeEngine` fed
+//!   [`WorkItem`]s.  [`lane`] is the request table
 //!   a 24-byte [`Hop`] is resolved against, stale work dropped by slot and
 //!   epoch; [`LinkQueue`] is the FIFO link model the surfaces likewise share,
 //!   [`LinkTable`] the dense table both find a hop's link in and
@@ -60,7 +60,7 @@
 //!   and the runtime are its two surfaces.
 //! * [`actuator`] — what both surfaces do with those decisions, once:
 //!   [`Actuator`] plans the engine rows, hands KV over, releases and purges
-//!   it, fails nodes over, dispatches, and takes the token and forward
+//!   it, fails nodes over, dispatches, and takes the token and batch
 //!   steps; a surface supplies only its [`Wire`] (how bytes move).
 //! * [`obs`] — what both surfaces report in one shape ([`LatencyStats`]).
 //! * [`scheduling`] — baseline schedulers (Swarm throughput-proportional,
@@ -86,6 +86,11 @@
 //! assert!(scheduler.num_pipelines_possible() >= 1);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod actuator;
 pub mod control;
 pub mod engine;
@@ -109,7 +114,7 @@ pub use actuator::{Actuator, Token, Wire};
 pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };
-pub use engine::{EngineCore, KvPoolError, NodeEngine, PagedKvPool, WorkItem};
+pub use engine::{BatchTotals, KvPoolError, NodeEngine, PagedKvPool, WorkItem};
 pub use error::{HelixError, NoCandidateReason};
 pub use event::Timeline;
 pub use exec_model::{ExecModel, Phase, WorkUnit};

@@ -1,5 +1,5 @@
 //! The dense `model × node` table both serving surfaces keep their per-pair
-//! state in — the simulator its engines, the runtime its workers.  `NodeId`
+//! engines in (the [`Actuator`](crate::Actuator)'s rows).  `NodeId`
 //! and `ModelId` are dense indices, so a pipeline hop finds its pair by
 //! indexing an array, and every walk over the pairs has one fixed order.  The
 //! link table a hop indexes the same way is [`LinkTable`](crate::LinkTable).

@@ -31,11 +31,6 @@
 //!
 //! [`FleetAnnealingPlanner`]: crate::fleet::FleetAnnealingPlanner
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::error::HelixError;
 use crate::fleet::{
     cold_flows, propose_range, FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement,

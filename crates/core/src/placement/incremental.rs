@@ -28,10 +28,6 @@
 //! standing network never needs re-clamping.
 //!
 //! [`FlowAnnealingPlanner::evaluate`]: crate::FlowAnnealingPlanner::evaluate
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 
 use crate::error::HelixError;
 use crate::flow_graph::FlowGraphBuilder;

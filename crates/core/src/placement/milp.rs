@@ -199,9 +199,14 @@ impl<'a> MilpPlacementPlanner<'a> {
 
     /// Builds the MILP and returns its size as `(variables, constraints)`
     /// without solving — used for Table 8.
-    pub fn problem_size(&self) -> (usize, usize) {
-        let (model, _) = self.build_model();
-        (model.num_vars(), model.num_constraints())
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HelixError::NoPlacementFound`] if a candidate connection
+    /// names a node outside the cluster.
+    pub fn problem_size(&self) -> Result<(usize, usize), HelixError> {
+        let (model, _) = self.build_model()?;
+        Ok((model.num_vars(), model.num_constraints()))
     }
 
     /// Runs the planner: builds the MILP, optionally warm-starts it from the
@@ -211,10 +216,11 @@ impl<'a> MilpPlacementPlanner<'a> {
     /// # Errors
     ///
     /// Returns [`HelixError::NoPlacementFound`] when neither the solver nor
-    /// the heuristics produce a feasible placement, or a wrapped
+    /// the heuristics produce a feasible placement (or the model cannot be
+    /// built, see [`problem_size`](Self::problem_size)), or a wrapped
     /// [`HelixError::Milp`] error on solver failure.
     pub fn solve(&mut self) -> Result<(ModelPlacement, MilpPlannerReport), HelixError> {
-        let (model, index) = self.build_model();
+        let (model, index) = self.build_model()?;
         let num_vars = model.num_vars();
         let num_constraints = model.num_constraints();
 
@@ -295,7 +301,7 @@ impl<'a> MilpPlacementPlanner<'a> {
         b
     }
 
-    fn build_model(&self) -> (Model, VarIndex) {
+    fn build_model(&self) -> Result<(Model, VarIndex), HelixError> {
         let profile = self.profile;
         let num_layers = profile.model().num_layers;
         let l = num_layers as f64;
@@ -409,11 +415,9 @@ impl<'a> MilpPlacementPlanner<'a> {
             });
         }
 
-        let node_pos = |id: NodeId| -> usize {
-            nodes
-                .iter()
-                .position(|&n| n == id)
-                .expect("node ids are dense")
+        let node_pos = |id: NodeId| -> Result<usize, HelixError> {
+            let position = nodes.iter().position(|&n| n == id);
+            position.ok_or(HelixError::NoPlacementFound)
         };
 
         // Constraint group 2 & 3: flow conservation and inference throughput.
@@ -454,19 +458,19 @@ impl<'a> MilpPlacementPlanner<'a> {
             match (c.from, c.to) {
                 (Endpoint::Coordinator, Endpoint::Node(to)) => {
                     // s_to <= L (1 - d)   <=>   s_to + L d <= L
-                    let i = node_pos(to);
+                    let i = node_pos(to)?;
                     let expr = LinExpr::term(s_vars[i], 1.0) + LinExpr::term(c.d, l);
                     model.add_constraint_expr(format!("valid_src_{ci}"), expr, Sense::Le, l);
                 }
                 (Endpoint::Node(from), Endpoint::Coordinator) => {
                     // L d <= e_from   <=>   L d - e_from <= 0
-                    let i = node_pos(from);
+                    let i = node_pos(from)?;
                     let expr = LinExpr::term(c.d, l) - e_expr(i);
                     model.add_constraint_expr(format!("valid_snk_{ci}"), expr, Sense::Le, 0.0);
                 }
                 (Endpoint::Node(from), Endpoint::Node(to)) => {
-                    let i = node_pos(from);
-                    let j = node_pos(to);
+                    let i = node_pos(from)?;
+                    let j = node_pos(to)?;
                     if let Some((c1, c2)) = c.cond {
                         // (L+1)(1 - cond1) >= s_j - e_i
                         //   <=>  s_j - e_i + (L+1) cond1 <= L+1
@@ -500,14 +504,12 @@ impl<'a> MilpPlacementPlanner<'a> {
             model.add_constraint_expr(format!("trans_{ci}"), expr, Sense::Le, 0.0);
         }
 
-        (
-            model,
-            VarIndex {
-                s: s_vars,
-                b: b_vars,
-                conns,
-            },
-        )
+        let index = VarIndex {
+            s: s_vars,
+            b: b_vars,
+            conns,
+        };
+        Ok((model, index))
     }
 
     /// Picks the best heuristic placement (by max-flow value) as warm start.
@@ -655,10 +657,11 @@ mod tests {
     #[test]
     fn problem_size_is_linear_in_connections() {
         let profile = tiny_profile(6);
-        let full = MilpPlacementPlanner::new(&profile).problem_size();
+        let full = MilpPlacementPlanner::new(&profile).problem_size().unwrap();
         let pruned = MilpPlacementPlanner::new(&profile)
             .prune_to_degree(1)
-            .problem_size();
+            .problem_size()
+            .unwrap();
         assert!(pruned.0 < full.0);
         assert!(pruned.1 < full.1);
     }
@@ -785,7 +788,7 @@ mod tests {
         assert!((report.objective_tokens_per_sec - warm).abs() <= 1e-9 * warm);
 
         // The same search again, keeping the solver to read its node log.
-        let (model, index) = planner.build_model();
+        let (model, index) = planner.build_model().unwrap();
         let (_, assignment) = planner.heuristic_warm_start(&model, &index).unwrap();
         let mut solver = planner.milp_solver(Some(assignment));
         let result = solver.solve(&model).unwrap();
@@ -842,11 +845,13 @@ mod tests {
         );
         let (v24, c24) = MilpPlacementPlanner::new(&p24)
             .prune_to_degree(12)
-            .problem_size();
+            .problem_size()
+            .unwrap();
         let (v42, c42) = MilpPlacementPlanner::new(&p42)
             .prune_to_degree(12)
-            .problem_size();
-        let (v24_full, c24_full) = MilpPlacementPlanner::new(&p24).problem_size();
+            .problem_size()
+            .unwrap();
+        let (v24_full, c24_full) = MilpPlacementPlanner::new(&p24).problem_size().unwrap();
         assert!(v42 > v24 && c42 > c24);
         assert!(v24_full > v24 && c24_full > c24);
     }

@@ -10,11 +10,6 @@
 //! plans a placement for every partition independently, and combines the
 //! results into one placement whose replicas serve traffic side by side.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::error::HelixError;
 use crate::placement::refine::{AnnealingOptions, FlowAnnealingPlanner};
 use crate::placement::{LayerRange, ModelPlacement};

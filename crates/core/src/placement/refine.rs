@@ -11,11 +11,6 @@
 //! and locally perturbing layer ranges, it reliably reaches placements close
 //! to the throughput upper bound of §4.5.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::error::HelixError;
 use crate::flow_graph::FlowGraphBuilder;
 use crate::placement::incremental::IncrementalFlowEvaluator;

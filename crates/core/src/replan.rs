@@ -1,5 +1,5 @@
 //! The feedback half of the online re-planning loop: observations flowing
-//! from an execution surface (simulator engines, runtime workers) back into
+//! from an execution surface's engine rows back into
 //! the fleet planner, placement deltas describing what should change, and the
 //! policy deciding *when* the loop fires.
 //!
@@ -167,8 +167,8 @@ pub struct ObservationWindows {
     marks: BTreeMap<(NodeId, ModelId), EngineCounters>,
 }
 
-/// One engine's *cumulative* counters, as read from a simulator engine or a
-/// runtime worker's shared statistics.
+/// One engine's *cumulative* counters, as either surface reads them off its
+/// [`NodeEngine`](crate::NodeEngine) rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineCounters {
     /// Busy seconds the execution cost model predicted for all batches run.

@@ -1,7 +1,8 @@
-//! The engine core against itself: [`PagedKvPool`] and [`EngineCore`] driven
-//! directly, with nothing from `helix_sim` or `helix_runtime` in scope.
-//! Whatever holds here holds for the simulator's engines and the runtime's
-//! workers alike, because both are this core plus scheduling glue.
+//! The engine against itself: [`PagedKvPool`] and [`NodeEngine`] driven
+//! directly, batches priced by a cost function of the test's own, with
+//! nothing from `helix_sim` or `helix_runtime` in scope.  Whatever holds
+//! here holds for the simulator's engines and the runtime's rows alike,
+//! because both are this engine.
 //!
 //! The unit tests are the pool tests that used to live in the runtime's
 //! `kv_pool.rs` and the engine tests that used to live in the simulator's
@@ -16,7 +17,7 @@
 //!    while neither pool overflows.
 
 use helix_cluster::{ModelId, NodeId, PrefixId};
-use helix_core::engine::{EngineCore, KvPoolError, PagedKvPool};
+use helix_core::engine::{KvPoolError, NodeEngine, PagedKvPool};
 use helix_core::exec_model::{Phase, KV_OVERFLOW_PENALTY};
 use helix_core::{Hop, KvMigration, KvTransferModel, LayerRange, PrefixWork, WorkItem};
 use helix_workload::RequestId;
@@ -242,11 +243,8 @@ fn resize_keeps_residency_and_never_evicts() {
 // The engine (moved from `crates/sim/src/engine.rs`)
 // ---------------------------------------------------------------------------
 
-/// A queued item as these tests see it: the surfaces' work item, numbered
-/// by its hop's epoch field.
-type Item = WorkItem;
-
-fn item(id: u64, request: RequestId, phase: Phase, tokens: usize, layers: LayerRange) -> Item {
+/// A queued item, numbered by its hop's epoch field.
+fn item(id: u64, request: RequestId, phase: Phase, tokens: usize, layers: LayerRange) -> WorkItem {
     let tokens = u32::try_from(tokens).unwrap();
     let hop = Hop {
         epoch: id,
@@ -263,12 +261,12 @@ fn item(id: u64, request: RequestId, phase: Phase, tokens: usize, layers: LayerR
     }
 }
 
-fn decode(request: RequestId) -> Item {
+fn decode(request: RequestId) -> WorkItem {
     item(request, request, Phase::Decode, 1, LayerRange::new(0, 10))
 }
 
 /// A deterministic stand-in for the surfaces' cost models.
-fn cost(batch: &[Item]) -> f64 {
+fn cost(batch: &[WorkItem]) -> f64 {
     0.015
         + batch
             .iter()
@@ -278,7 +276,7 @@ fn cost(batch: &[Item]) -> f64 {
 
 #[test]
 fn an_idle_engine_starts_a_batch_and_a_busy_one_does_not() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     assert!(e.start_batch(0.0, cost).is_none(), "no work, no batch");
     e.enqueue(decode(1));
     let run = e.start_batch(0.0, cost).unwrap();
@@ -297,7 +295,7 @@ fn an_idle_engine_starts_a_batch_and_a_busy_one_does_not() {
 /// Replaces `completing_idle_node_panics`: an idle completion is empty.
 #[test]
 fn completing_an_idle_engine_returns_nothing() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     assert!(complete(&mut e).is_empty());
     e.enqueue(decode(1));
     assert!(complete(&mut e).is_empty(), "queued is not in flight");
@@ -307,8 +305,8 @@ fn completing_an_idle_engine_returns_nothing() {
 #[test]
 fn kv_accounting_and_the_overflow_penalty() {
     let prompt = |request| item(request, request, Phase::Prompt, 200, LayerRange::new(0, 10));
-    let mut small: EngineCore<Item> = EngineCore::new(50.0, 1);
-    let mut big: EngineCore<Item> = EngineCore::new(1e9, 1);
+    let mut small: NodeEngine = NodeEngine::new(None, 0, 50.0, 1);
+    let mut big: NodeEngine = NodeEngine::new(None, 0, 1e9, 1);
     small.enqueue(prompt(1));
     big.enqueue(prompt(1));
     let slow = small.start_batch(0.0, cost).unwrap();
@@ -346,7 +344,7 @@ fn a_prefix_miss_caches_the_shared_range_once_and_a_hit_reuses_it() {
         });
         i
     };
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     // The miss computes 100 tokens; 64 land in the shared entry, 36 in its own.
     e.enqueue(with_prefix(1, 100, false));
     // The hit's 30 tokens already exclude the shared range.
@@ -365,7 +363,7 @@ fn a_prefix_miss_caches_the_shared_range_once_and_a_hit_reuses_it() {
 
 #[test]
 fn the_throughput_window_and_the_counters_update() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     e.set_slowdown(2.0);
     let mut now = 0.0;
     for round in 0..200u64 {
@@ -386,7 +384,7 @@ fn the_throughput_window_and_the_counters_update() {
 
 #[test]
 fn a_failed_engine_starts_nothing_until_it_recovers_and_a_purge_drops_queued_work() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     e.enqueue(decode(1));
     e.enqueue(decode(2));
     e.kv.seed(1, 40);
@@ -402,7 +400,7 @@ fn a_failed_engine_starts_nothing_until_it_recovers_and_a_purge_drops_queued_wor
 
 #[test]
 fn frozen_layers_hold_work_while_disjoint_layers_keep_batching() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     // Freeze layers [0, 5) until t=10; work on [5, 10) must still run.
     e.freeze(LayerRange::new(0, 5), 10.0);
     let held = item(1, 1, Phase::Decode, 1, LayerRange::new(0, 5));
@@ -504,8 +502,8 @@ fn a_dropped_source_keeps_nothing_and_a_source_with_layers_keeps_its_requests() 
 /// migrated range until it arrives.
 #[test]
 fn a_hand_over_is_one_priced_transfer_and_freezes_both_ends_until_it_arrives() {
-    let mut source: EngineCore<Item> = EngineCore::new(100_000.0, 16);
-    let mut destination: EngineCore<Item> = EngineCore::new(100_000.0, 16);
+    let mut source: NodeEngine = NodeEngine::new(None, 0, 100_000.0, 16);
+    let mut destination: NodeEngine = NodeEngine::new(None, 0, 100_000.0, 16);
     source.kv.grow(1, 100);
     source.kv.hold_prefix(1, PrefixId(3), 20);
     let transfer = KvTransferModel::new(512.0, 16);
@@ -624,11 +622,10 @@ fn check_table(pool: &PagedKvPool, model: &TableModel, page: usize) -> Result<()
 
 /// Un-frozen batches take the whole queue by swapping buffers; a live freeze
 /// forces the partition path in between.  Order, contents and the queue
-/// length agree across the switch, through one standing caller buffer.
+/// length agree across the switch, through the engine's rotating buffers.
 #[test]
 fn a_frozen_range_partitions_between_two_swapped_batches() {
-    let mut e: EngineCore<Item> = EngineCore::new(10_000.0, 16);
-    let mut done = Vec::new();
+    let mut e: NodeEngine = NodeEngine::new(None, 0, 10_000.0, 16);
     let low = |id| item(id, id, Phase::Decode, 1, LayerRange::new(0, 4));
     let high = |id| item(id, id, Phase::Decode, 1, LayerRange::new(4, 8));
     // Swap path: everything queued runs, in arrival order.
@@ -637,7 +634,7 @@ fn a_frozen_range_partitions_between_two_swapped_batches() {
     }
     assert_eq!(start(&mut e, 0.0).unwrap().0, [1, 2, 3]);
     e.enqueue(low(4));
-    assert_eq!(complete_into(&mut e, &mut done), [1, 2, 3]);
+    assert_eq!(ids(complete(&mut e)), [1, 2, 3]);
     // Partition path: layers 4..8 freeze until t = 5, so 5 and 7 wait while
     // 4 and 6 run — both halves keep their arrival order.
     e.freeze(LayerRange::new(4, 8), 5.0);
@@ -646,7 +643,7 @@ fn a_frozen_range_partitions_between_two_swapped_batches() {
     }
     assert_eq!(start(&mut e, 1.0).unwrap().0, [4, 6]);
     assert_eq!(e.queue_len(), 2);
-    assert_eq!(complete_into(&mut e, &mut done), [4, 6]);
+    assert_eq!(ids(complete(&mut e)), [4, 6]);
     // Everything runnable is frozen: no batch, nothing lost.
     assert!(start(&mut e, 2.0).is_none());
     assert!(!e.is_busy());
@@ -654,17 +651,13 @@ fn a_frozen_range_partitions_between_two_swapped_batches() {
     // Swap path again once the deadline passed, behind the held work.
     e.enqueue(low(8));
     assert_eq!(start(&mut e, 5.0).unwrap().0, [5, 7, 8]);
-    assert_eq!(complete_into(&mut e, &mut done), [5, 7, 8]);
-    assert_eq!(
-        complete_into(&mut e, &mut done),
-        [0u64; 0],
-        "idle: nothing completes"
-    );
+    assert_eq!(ids(complete(&mut e)), [5, 7, 8]);
+    assert_eq!(ids(complete(&mut e)), [0u64; 0], "idle: nothing completes");
     assert_eq!(e.queue_len(), 0);
 }
 
 /// Runs `start_batch` and reports the ids it started with its nominal time.
-fn start(engine: &mut EngineCore<Item>, now: f64) -> Option<(Vec<u64>, f64)> {
+fn start(engine: &mut NodeEngine, now: f64) -> Option<(Vec<u64>, f64)> {
     let mut ids = Vec::new();
     let run = engine.start_batch(now, |batch| {
         ids = batch.iter().map(|i| i.hop.epoch).collect();
@@ -673,22 +666,14 @@ fn start(engine: &mut EngineCore<Item>, now: f64) -> Option<(Vec<u64>, f64)> {
     Some((ids, run.nominal_secs))
 }
 
-/// Completes the executing batch into a buffer whose stale content must not
-/// survive.
-fn complete(engine: &mut EngineCore<Item>) -> Vec<Item> {
-    let mut done = vec![decode(u64::MAX)];
-    engine.complete_batch(&mut done);
+/// Completes the executing batch and takes its items.
+fn complete(engine: &mut NodeEngine) -> Vec<WorkItem> {
+    let mut done = Vec::new();
+    engine.complete_batch(|item| done.push(*item));
     done
 }
 
-/// Completes the executing batch into the caller's standing buffer, as the
-/// surfaces do: the buffers rotate between caller, `in_flight` and `pending`.
-fn complete_into(engine: &mut EngineCore<Item>, done: &mut Vec<Item>) -> Vec<u64> {
-    engine.complete_batch(done);
-    done.iter().map(|i| i.hop.epoch).collect()
-}
-
-fn ids(items: Vec<Item>) -> Vec<u64> {
+fn ids(items: Vec<WorkItem>) -> Vec<u64> {
     items.into_iter().map(|i| i.hop.epoch).collect()
 }
 
@@ -827,12 +812,11 @@ proptest! {
     fn freezes_hold_exactly_the_intersecting_work(
         ops in prop::collection::vec((0u8..8, 0usize..6, 1usize..4, 0u64..4), 1..150),
     ) {
-        let mut engine: EngineCore<Item> = EngineCore::new(1e9, 16);
-        let mut done = Vec::new();
-        let mut now = 0.0;
+        let mut engine: NodeEngine = NodeEngine::new(None, 0, 1e9, 16);
+            let mut now = 0.0;
         // The model: live freezes, queued items in arrival order, fates.
         let mut live: Vec<(LayerRange, f64)> = Vec::new();
-        let mut queued: Vec<Item> = Vec::new();
+        let mut queued: Vec<WorkItem> = Vec::new();
         let mut in_flight: Vec<u64> = Vec::new();
         let (mut executed, mut purged) = (BTreeSet::new(), BTreeSet::new());
         let mut next_id = 0u64;
@@ -857,7 +841,7 @@ proptest! {
                 }
                 4 => now += 1.0,
                 5 => {
-                    let finished = complete_into(&mut engine, &mut done);
+                    let finished = ids(complete(&mut engine));
                     prop_assert_eq!(&finished, &in_flight);
                     for id in in_flight.drain(..) {
                         prop_assert!(executed.insert(id), "item {id} executed twice");
@@ -874,7 +858,7 @@ proptest! {
                     }
                     live.retain(|&(_, until)| now < until);
                     let expected: Vec<u64> = if in_flight.is_empty() {
-                        let frozen = |i: &Item| {
+                        let frozen = |i: &WorkItem| {
                             live.iter().any(|&(range, _)| range.intersects(i.layers))
                         };
                         queued.iter().filter(|i| !frozen(i)).map(|i| i.hop.epoch).collect()
@@ -887,7 +871,7 @@ proptest! {
                         queued.retain(|i| !expected.contains(&i.hop.epoch));
                         in_flight = expected;
                     } else if drain {
-                        let finished = complete_into(&mut engine, &mut done);
+                        let finished = ids(complete(&mut engine));
                         prop_assert_eq!(&finished, &in_flight);
                         for id in in_flight.drain(..) {
                             prop_assert!(executed.insert(id), "item {id} executed twice");
@@ -911,8 +895,8 @@ proptest! {
         capacity in 200usize..6000,
         ops in prop::collection::vec((0u8..6, 0u64..6, 1usize..300, prop::bool::ANY), 1..100),
     ) {
-        let mut fine: EngineCore<Item> = EngineCore::new(capacity as f64, 1);
-        let mut paged: EngineCore<Item> = EngineCore::new(capacity as f64, 16);
+        let mut fine: NodeEngine = NodeEngine::new(None, 0, capacity as f64, 1);
+        let mut paged: NodeEngine = NodeEngine::new(None, 0, capacity as f64, 16);
         let (mut next_id, mut now) = (0u64, 0.0);
         for (op, request, tokens, prompt) in ops {
             match op {

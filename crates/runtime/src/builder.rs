@@ -104,7 +104,7 @@ impl ServingBuilder {
         self
     }
 
-    /// Builds and starts the serving system — worker table, fabric and
+    /// Builds and starts the serving system — row table, fabric and
     /// coordinator — on its `helix-dataplane` thread, and returns once it is
     /// built.
     ///

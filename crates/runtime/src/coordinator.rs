@@ -11,9 +11,8 @@
 //! Every *decision* — admission, replication, fail-over, when and how to
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives), and every *action* on one — dispatch, the token
-//! step, releases, fail-over, re-plans with their KV hand-overs — by the
-//! shared [`Actuator`](helix_core::Actuator), whose rows are the worker
-//! table and whose wire is the fabric.  The actuator also keeps the
+//! step, the batch step, releases, fail-over, re-plans with their KV
+//! hand-overs — by the shared [`Actuator`], whose wire is the fabric.  The actuator also keeps the
 //! [`RequestTable`](helix_core::RequestTable): each dispatched request gets
 //! a slot whose lane is its live incarnation, and every hop and iteration
 //! report is resolved against that lane, so the work of an aborted
@@ -21,8 +20,9 @@
 //! never reused within a session: the table grows by one entry per
 //! distinct request id, as the report's outcomes do.  What is genuinely the
 //! runtime's stays here: the loop and its wall-paced clock, the session's
-//! calls, the §5.2 [`KvCacheEstimator`]s admission reads, and the outcome
-//! records.  KV bookkeeping — releasing a finished or aborted request,
+//! calls, the list of rows to start once nothing more is due (see
+//! [`registry`](crate::registry)), the §5.2 [`KvCacheEstimator`]s admission
+//! reads, and the outcome records.  KV bookkeeping — releasing a finished or aborted request,
 //! seeding a replica or a promoted request, handing a layer range over — is
 //! a call on every row of the model at the moment the simulator makes it,
 //! priced on the link it crosses.
@@ -55,7 +55,7 @@
 //! arrival at the coordinator, as in the simulator.
 //!
 //! When a [`ReplanPolicy`] is configured the loop also closes the online
-//! re-planning feedback: every policy interval the workers' counters are
+//! re-planning feedback: every policy interval the rows' counters are
 //! handed to [`ControlPlane::observe`], and an applied
 //! re-plan is handed over **drain-then-switch** — the affected models'
 //! schedulers and KV estimators are swapped for *new* requests while every
@@ -64,14 +64,15 @@
 
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
-use crate::fabric::{Event, Fabric};
+use crate::fabric::{Event, Fabric, RowKey};
 use crate::metrics::RequestOutcome;
-use crate::registry::Workers;
-use crate::runtime::PlaneSpec;
+use crate::runtime::{ExecutionKind, PlaneSpec};
 use helix_cluster::{ModelId, NodeId};
+use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
-    KvTransferRecord, PlacementDelta, ReplanReason, ReplicationPolicy, Topology, Wire,
+    Actuator, Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
+    KvTransferRecord, NodeEngine, PairTable, PlacementDelta, ReplanReason, ReplicationPolicy,
+    Topology, Wire,
 };
 use helix_workload::Request;
 use std::collections::VecDeque;
@@ -96,13 +97,13 @@ pub(crate) enum SessionControl {
     /// Admit a whole workload: one message, so requests due at the same time
     /// are seen — and admitted — together.
     SubmitAll(Vec<Request>),
-    /// Slow every worker of a node, present and future, to the given factor.
+    /// Slow every row of a node, present and future, to the given factor.
     InjectSpeed(NodeId, f64),
     /// Apply a placement delta to the standing fleet plan: re-plan, swap the
-    /// affected models' schedulers and add workers for newly added
+    /// affected models' schedulers and add rows for newly added
     /// (node, model) tenancies; ones the plan dropped get no new pipeline.
     ApplyDelta(PlacementDelta),
-    /// Fail a node at the given virtual time: fail its workers, promote
+    /// Fail a node at the given virtual time: fail its rows, promote
     /// replicated in-flight pipelines onto their standbys (or abort and
     /// re-admit), and re-plan around the hole.
     FailNode(NodeId, f64),
@@ -124,24 +125,24 @@ const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
 /// model's scheduler.
 ///
 /// Queue lengths, recent throughput and KV capacities are read off the
-/// model's rows of the worker table (the runtime equivalent of the paper's
+/// model's rows (the runtime equivalent of the paper's
 /// runtime monitoring); KV usage comes from the model's coordinator-side
 /// estimator, exactly as in §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
     estimators: &'a [KvCacheEstimator],
-    workers: &'a Workers,
+    rows: &'a PairTable<NodeEngine>,
 }
 
 impl ClusterState for CoordinatorView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
-        let worker = self.workers.get((node, self.model));
-        worker.map_or(0, |w| w.engine.queue_len())
+        let row = self.rows.get(node, self.model);
+        row.map_or(0, NodeEngine::queue_len)
     }
 
     fn recent_throughput(&self, node: NodeId) -> f64 {
-        let worker = self.workers.get((node, self.model));
-        worker.map_or(0.0, |w| w.engine.recent_throughput())
+        let row = self.rows.get(node, self.model);
+        row.map_or(0.0, NodeEngine::recent_throughput)
     }
 
     fn kv_used_tokens(&self, node: NodeId) -> f64 {
@@ -149,8 +150,8 @@ impl ClusterState for CoordinatorView<'_> {
     }
 
     fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        let worker = self.workers.get((node, self.model));
-        worker.map_or(f64::INFINITY, |w| w.engine.kv.capacity_tokens())
+        let row = self.rows.get(node, self.model);
+        row.map_or(f64::INFINITY, |row| row.kv.capacity_tokens())
     }
 }
 
@@ -161,9 +162,13 @@ pub(crate) struct Coordinator {
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<SessionControl>,
-    /// The rows, with the shared actuator over them.
-    pub workers: Workers,
+    /// The rows, the request table and the KV-transfer log.
+    pub act: Actuator,
     pub fabric: Fabric,
+    /// Rows that may have a batch to start once the current passes are
+    /// over, each at most once: `queued` marks those in the list.
+    pub touched: Vec<RowKey>,
+    pub queued: PairTable<bool>,
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
     completions: Sender<RequestOutcome>,
@@ -186,16 +191,20 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    /// Builds the plane as plain data: one worker row per (assigned node,
-    /// model) pair — each with its own partition of the node's KV pool —
+    /// Builds the plane as plain data: one row per (assigned node, model)
+    /// pair — each with its own partition of the node's KV pool, over the
+    /// runtime's 16-token pages —
     /// one KV estimator per model, the network fabric, and the control plane
     /// that routes every request to its model's scheduler.
     pub(crate) fn new(spec: PlaneSpec) -> Self {
         let (fleet, config) = (spec.fleet, spec.config);
         // Link bandwidth/latency are model-independent; the fabric uses the
         // first model's cluster.
-        let fabric = Fabric::new(fleet.topologies()[0].profile().cluster().clone());
-        let workers = Workers::new(&fleet, config.execution);
+        let cluster = fleet.topologies()[0].profile().cluster().clone();
+        let queued = PairTable::new(cluster.num_nodes(), fleet.num_models());
+        let fabric = Fabric::new(cluster);
+        let priced = config.execution == ExecutionKind::Analytic;
+        let act = Actuator::new(&fleet, DEFAULT_TOKENS_PER_PAGE, priced);
         let initial = |t: &Topology| KvCacheEstimator::new(t.profile(), INITIAL_AVG_OUTPUT_TOKENS);
         let estimators = fleet.topologies().iter().map(initial).collect();
         let mut control = ControlPlane::new(fleet, spec.schedulers);
@@ -205,8 +214,10 @@ impl Coordinator {
             estimators,
             clock: spec.clock,
             inbound: spec.inbound,
-            workers,
+            act,
             fabric,
+            touched: Vec::new(),
+            queued,
             max_wall: config.max_wall,
             outcomes: Vec::new(),
             completions: spec.completions,
@@ -224,7 +235,7 @@ impl Coordinator {
     /// Everything the run accumulated besides the outcomes, for the final
     /// report.
     pub(crate) fn take_logs(&mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
-        let kv_transfers = self.workers.act.take_kv_transfers();
+        let kv_transfers = self.act.take_kv_transfers();
         (self.control.take_logs(), kv_transfers)
     }
 
@@ -326,13 +337,13 @@ impl Coordinator {
                     self.pending.extend(requests);
                 }
                 SessionControl::InjectSpeed(node, factor) => {
-                    self.workers.act.set_slowdown(node, factor);
+                    self.act.set_slowdown(node, factor);
                 }
                 SessionControl::ApplyDelta(delta) => {
                     let now = self.clock.now();
                     let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
-                    let act = &mut self.workers.act;
-                    act.hand_over(&self.control, &mut self.fabric, outcome, now);
+                    self.act
+                        .hand_over(&self.control, &mut self.fabric, outcome, now);
                 }
                 SessionControl::FailNode(node, at) => self.pending_failures.push((at, node)),
                 SessionControl::SetReplication(policy) => self.control.set_replication(policy),
@@ -381,8 +392,8 @@ impl Coordinator {
         due.sort_by(|a, b| a.0.total_cmp(&b.0));
         for (_, node) in due {
             let reason = ReplanReason::NodeFailure { node };
-            let act = &mut self.workers.act;
-            let stranded = act.fail_over(&mut self.control, &mut self.fabric, &[node], reason, now);
+            let (control, fabric) = (&mut self.control, &mut self.fabric);
+            let stranded = self.act.fail_over(control, fabric, &[node], reason, now);
             for flight in stranded {
                 self.release_estimate(&flight, true);
                 self.pending.push_back(flight.request);
@@ -452,17 +463,18 @@ impl Coordinator {
             while let Some((at, event)) = self.fabric.queue.pop_due(now) {
                 applied = true;
                 match event {
-                    Event::NodeArrival(hop) => self.workers.deliver(hop),
+                    Event::NodeArrival(hop) => self.deliver(hop),
                     Event::TokenAtCoordinator { slot, epoch } => {
                         self.arrived.push_back((slot, at, epoch))
                     }
-                    Event::BatchComplete(key) => {
-                        self.workers.batch_done(key, at, now, &mut self.fabric)
+                    Event::BatchComplete((node, model)) => {
+                        self.act.complete(&mut self.fabric, node, model, now);
+                        self.touch((node, model));
                     }
-                    Event::EngineThaw(key) => self.workers.touch(key),
+                    Event::EngineThaw(key) => self.touch(key),
                 }
             }
-            if !applied && !self.workers.start_touched(now, &mut self.fabric) {
+            if !applied && !self.start_touched(now) {
                 return now;
             }
         }
@@ -473,8 +485,8 @@ impl Coordinator {
     /// as in the simulator, and what it triggers leaves at `now`.
     fn take_tokens(&mut self, now: f64) {
         while let Some((slot, at, epoch)) = self.arrived.pop_front() {
-            let (act, fabric) = (&mut self.workers.act, &mut self.fabric);
-            let token = act.token(&mut self.control, fabric, slot, epoch, at, now);
+            let (control, fabric) = (&mut self.control, &mut self.fabric);
+            let token = self.act.token(control, fabric, slot, epoch, at, now);
             if let Some(flight) = token.and_then(|token| token.finished) {
                 self.complete(flight, at);
             }
@@ -495,13 +507,13 @@ impl Coordinator {
         if self.next_policy_check().is_none_or(|due| now < due) {
             return;
         }
-        let rows = self.workers.rows().into_iter();
+        let rows = self.rows().into_iter();
         let counters: Vec<_> = rows
-            .map(|((node, model), w)| (node, model, w.engine.counters()))
+            .map(|((node, model), row)| (node, model, row.counters()))
             .collect();
         let outcome = self.control.observe(now, &counters);
-        let act = &mut self.workers.act;
-        act.hand_over(&self.control, &mut self.fabric, outcome, now);
+        self.act
+            .hand_over(&self.control, &mut self.fabric, outcome, now);
     }
 
     /// Asks the control plane to admit one request and puts the dispatch on
@@ -513,7 +525,7 @@ impl Coordinator {
         let view = CoordinatorView {
             model,
             estimators: &self.estimators,
-            workers: &self.workers,
+            rows: &self.act.rows,
         };
         let Admission::Dispatch(dispatch) = self.control.admit(&request, &view)? else {
             return Ok(false);
@@ -521,7 +533,7 @@ impl Coordinator {
         // The per-request estimate covers only the unshared suffix (plus, for
         // a promoted incarnation, what it had already decoded); the shared
         // range is attached (refcounted, counted once per node) so the
-        // estimator mirrors the workers' refcounted pool entries.
+        // estimator mirrors the rows' refcounted pool entries.
         let shared = dispatch.prefix.map_or(0, |p| p.tokens);
         let cached = request.prompt_tokens - shared.min(request.prompt_tokens) + dispatch.generated;
         for stage in &dispatch.pipeline.stages {
@@ -534,14 +546,13 @@ impl Coordinator {
             // every promoted stage (the fail-over purge released them).
             if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
                 self.fabric.call(now, stage.node);
-                if let Some(worker) = self.workers.get_mut((stage.node, model)) {
-                    worker.engine.kv.seed(request.id, tokens);
+                if let Some(row) = self.act.rows.get_mut(stage.node, model) {
+                    row.kv.seed(request.id, tokens);
                 }
             }
         }
-        let act = &mut self.workers.act;
-        let slot = act.requests.insert(request);
-        act.dispatch(&mut self.fabric, slot, &dispatch, now);
+        let slot = self.act.requests.insert(request);
+        self.act.dispatch(&mut self.fabric, slot, &dispatch, now);
         Ok(true)
     }
 
@@ -585,7 +596,8 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{one_stage_hop, WorkerKey};
+    use crate::fabric::RowKey;
+    use crate::registry::one_stage_hop;
     use crate::runtime::RuntimeConfig;
     use crate::Phase;
     use helix_cluster::TOKEN_WIRE_BYTES;
@@ -682,21 +694,26 @@ mod tests {
         }
     }
 
+    /// The row of `key`.
+    fn row(coordinator: &Coordinator, (node, model): RowKey) -> &NodeEngine {
+        coordinator.act.rows.get(node, model).unwrap()
+    }
+
     /// The first row of the plane.
-    fn first_row(coordinator: &Coordinator) -> WorkerKey {
-        coordinator.workers.rows()[0].0
+    fn first_row(coordinator: &Coordinator) -> RowKey {
+        coordinator.rows()[0].0
     }
 
     /// One-stage work for the row `key`: `request` gets a slot whose lane is
     /// that row alone, and this is its decode hop.
-    fn hop_for(coordinator: &mut Coordinator, key: WorkerKey, request: u64) -> Hop {
-        one_stage_hop(&mut coordinator.workers.act.requests, request, key)
+    fn hop_for(coordinator: &mut Coordinator, key: RowKey, request: u64) -> Hop {
+        one_stage_hop(&mut coordinator.act.requests, request, key)
     }
 
     /// Delivers one-stage work of `request` to the row `key`.
-    fn deliver(coordinator: &mut Coordinator, key: WorkerKey, request: u64) {
+    fn deliver(coordinator: &mut Coordinator, key: RowKey, request: u64) {
         let hop = hop_for(coordinator, key, request);
-        coordinator.workers.deliver(hop);
+        coordinator.deliver(hop);
     }
 
     /// When tokens sent at `now` from `nodes`, in order, reach the
@@ -738,10 +755,9 @@ mod tests {
         // hops — several passes — and one admission round.
         assert!(turns >= 6, "{turns} turns");
         let batches: u64 = coordinator
-            .workers
             .rows()
             .iter()
-            .map(|(_, w)| w.batches)
+            .map(|(_, row)| row.totals().batches)
             .sum();
         assert!(
             batches > 2 * turns as u64,
@@ -788,8 +804,8 @@ mod tests {
             readings.next().unwrap_or(later)
         });
         assert_eq!((now, reads), (later, 5));
-        let row = coordinator.workers.get(key).unwrap();
-        assert_eq!((row.batches, row.decode_tokens), (1, 2));
+        let totals = row(&coordinator, key).totals();
+        assert_eq!((totals.batches, totals.decode_tokens), (1, 2));
         let arrived: Vec<f64> = coordinator.arrived.iter().map(|a| a.1).collect();
         assert_eq!(arrived, tokens_sent_at(second, &[key.0, key.0]));
         assert_eq!(coordinator.fabric.queue.peek_time(), None);
@@ -802,7 +818,7 @@ mod tests {
     #[test]
     fn the_sends_of_one_pass_are_stamped_with_its_reading() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
-        let rows = coordinator.workers.rows();
+        let rows = coordinator.rows();
         let (a, b) = (rows[0].0, rows[1].0);
         deliver(&mut coordinator, a, 1);
         deliver(&mut coordinator, b, 2);
@@ -858,7 +874,7 @@ mod tests {
     #[test]
     fn work_held_by_a_hand_over_starts_when_its_arrival_comes_due() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
-        let rows = coordinator.workers.rows();
+        let rows = coordinator.rows();
         let (from, to) = (rows[0].0, rows[1].0);
         let migration = KvMigration {
             model: from.1,
@@ -871,7 +887,7 @@ mod tests {
             warm_flow_values: Vec::new(),
             migrations: vec![migration],
         };
-        let act = &mut coordinator.workers.act;
+        let act = &mut coordinator.act;
         act.hand_over(
             &coordinator.control,
             &mut coordinator.fabric,
@@ -890,15 +906,13 @@ mod tests {
         );
         // Work on the migrated range is held on the source.
         deliver(&mut coordinator, from, 7);
-        coordinator
-            .workers
-            .start_touched(0.0, &mut coordinator.fabric);
-        assert_eq!(coordinator.workers.get(from).unwrap().batches, 0);
+        coordinator.start_touched(0.0);
+        assert_eq!(row(&coordinator, from).totals().batches, 0);
 
         while coordinator.clock.now() < due {}
         assert!(!coordinator.turn(None).unwrap());
-        let row = coordinator.workers.get(from).unwrap();
-        assert_eq!((row.batches, row.engine.queue_len()), (1, 0));
+        let row = row(&coordinator, from);
+        assert_eq!((row.totals().batches, row.queue_len()), (1, 0));
     }
 
     /// KV bookkeeping is a call: a release frees every row's pool at
@@ -907,15 +921,10 @@ mod tests {
     #[test]
     fn a_release_is_counted_on_its_link_and_frees_the_pool_at_once() {
         let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
-        let keys: Vec<WorkerKey> = coordinator.workers.rows().iter().map(|r| r.0).collect();
-        for &key in &keys {
-            coordinator
-                .workers
-                .get_mut(key)
-                .unwrap()
-                .engine
-                .kv
-                .seed(7, 64);
+        let keys: Vec<RowKey> = coordinator.rows().iter().map(|r| r.0).collect();
+        for &(node, model) in &keys {
+            let row = coordinator.act.rows.get_mut(node, model).unwrap();
+            row.kv.seed(7, 64);
         }
         let stage = PipelineStage {
             node: keys[0].0,
@@ -933,11 +942,11 @@ mod tests {
             first_token_at: None,
             last_token_at: None,
         };
-        let act = &mut coordinator.workers.act;
+        let act = &mut coordinator.act;
         act.release(&mut coordinator.fabric, &flight, false, 0.0);
         for &key in &keys {
-            let row = coordinator.workers.get(key).unwrap();
-            assert_eq!(row.engine.kv.used_tokens(), 0.0, "{key:?} still holds KV");
+            let kv = row(&coordinator, key).kv.used_tokens();
+            assert_eq!(kv, 0.0, "{key:?} still holds KV");
         }
         assert_eq!(
             coordinator.fabric.queue.peek_time(),
@@ -979,26 +988,26 @@ mod tests {
         // outlasts the failure turn (as a hand-over's would, with its
         // arrival queued).
         let until = 1_000.0;
-        let row = coordinator.workers.get_mut(key).unwrap();
-        row.engine.freeze(survivor.layers, until);
+        let held = coordinator.act.rows.get_mut(key.0, key.1).unwrap();
+        held.freeze(survivor.layers, until);
         coordinator.fabric.landed(until, [key, key]);
         let hop = Hop {
             epoch: 0,
-            slot: coordinator.workers.act.requests.slot(0).unwrap(),
+            slot: coordinator.act.requests.slot(0).unwrap(),
             tokens: 1,
             stage: stage_index as u16,
             phase: Phase::Decode,
         };
-        coordinator.workers.deliver(hop);
-        assert_eq!(coordinator.workers.get(key).unwrap().engine.queue_len(), 1);
+        coordinator.deliver(hop);
+        assert_eq!(row(&coordinator, key).queue_len(), 1);
 
         assert!(!coordinator
             .turn(Some(SessionControl::FailNode(failed, 0.0)))
             .unwrap());
         let readmitted = coordinator.control.flight(0).map(|f| f.epoch);
         assert_eq!(readmitted, Some(1), "re-admitted under a new epoch");
-        let row = coordinator.workers.get(key).unwrap();
-        assert_eq!(row.engine.queue_len(), 0, "the stranded item is gone");
+        let queued = row(&coordinator, key).queue_len();
+        assert_eq!(queued, 0, "the stranded item is gone");
 
         control.send(SessionControl::Finish).unwrap();
         let outcomes = coordinator.run_live().unwrap();
@@ -1029,7 +1038,7 @@ mod tests {
             .find(|(_, s)| s.node != failed)
             .expect("a pipeline of several stages");
         // The incarnation's decode hop to the survivor is on its link.
-        let slot = coordinator.workers.act.requests.slot(0).unwrap();
+        let slot = coordinator.act.requests.slot(0).unwrap();
         let stale = Hop {
             epoch: 0,
             slot,
@@ -1040,7 +1049,7 @@ mod tests {
         let link = (None, Some(survivor.node));
         coordinator.fabric.send_hop(0.0, link, 0.0, stale);
 
-        let (act, control) = (&mut coordinator.workers.act, &mut coordinator.control);
+        let (act, control) = (&mut coordinator.act, &mut coordinator.control);
         let reason = ReplanReason::NodeFailure { node: failed };
         let stranded = act.fail_over(control, &mut coordinator.fabric, &[failed], reason, 0.0);
         assert_eq!(
@@ -1051,14 +1060,9 @@ mod tests {
         assert_eq!(coordinator.control.flight(0).map(|f| f.epoch), Some(1));
         let key = (survivor.node, pipeline.model);
         let state = |coordinator: &Coordinator| {
-            let row = coordinator.workers.get(key).unwrap();
-            let kv = row.engine.kv.used_tokens();
-            (
-                row.engine.queue_len(),
-                kv,
-                row.batches,
-                row.engine.is_busy(),
-            )
+            let row = row(coordinator, key);
+            let kv = row.kv.used_tokens();
+            (row.queue_len(), kv, row.totals().batches, row.is_busy())
         };
         let before = state(&coordinator);
 
@@ -1130,8 +1134,8 @@ mod tests {
         assert_eq!(transfers.len(), 1, "the migration handed over");
         assert_eq!(logs.failovers.len(), 1);
         assert!(logs.replication.chunks > 0, "replicas were seeded");
-        for (key, row) in coordinator.workers.rows() {
-            let kv = &row.engine.kv;
+        for (key, row) in coordinator.rows() {
+            let kv = &row.kv;
             let held = (kv.used_tokens(), kv.shared_pages());
             assert_eq!(held, (0.0, 0), "{key:?} still holds KV");
         }
@@ -1170,12 +1174,10 @@ mod tests {
 
         deliver(&mut coordinator, failed, 7);
         let now = coordinator.clock.now();
-        coordinator
-            .workers
-            .start_touched(now, &mut coordinator.fabric);
-        let row = coordinator.workers.get(failed).unwrap();
-        assert_eq!((row.batches, row.engine.queue_len()), (0, 1));
-        assert!(!row.engine.is_busy());
+        coordinator.start_touched(now);
+        let row = row(&coordinator, failed);
+        assert_eq!((row.totals().batches, row.queue_len()), (0, 1));
+        assert!(!row.is_busy());
     }
 
     /// A call already queued is returned without waiting for the deadline,

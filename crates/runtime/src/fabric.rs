@@ -19,7 +19,7 @@
 //! of its own, so however long a pass runs, its sends leave at one instant.
 //! What is in flight waits in the shared [`Timeline`], as the simulator's
 //! 24-byte wire events: [`Event::NodeArrival`], [`Event::TokenAtCoordinator`],
-//! a batch that takes time ([`Event::BatchComplete`]) and one
+//! a batch that takes time ([`Event::BatchComplete`], `completes`) and one
 //! [`Event::EngineThaw`] per row when a KV hand-over arrives (`landed`).
 //! The loop waits for the queue's earliest time and pops what is due —
 //! nothing here runs, wakes or polls.
@@ -27,9 +27,11 @@
 //! [`LinkQueue`]: helix_core::LinkQueue
 
 use crate::metrics::LinkReport;
-use crate::registry::WorkerKey;
-use helix_cluster::{ClusterSpec, NodeId, TOKEN_WIRE_BYTES};
+use helix_cluster::{ClusterSpec, ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_core::{Hop, LinkKey, LinkTable, Timeline, Wire};
+
+/// Key of one row: the (compute node, fleet model) pair it serves.
+pub(crate) type RowKey = (NodeId, ModelId);
 
 /// What becomes due at an instant of virtual time: the simulator's four
 /// wire events, named as there.
@@ -45,10 +47,10 @@ pub(crate) enum Event {
         epoch: u64,
     },
     /// The batch a row started has run for its duration.
-    BatchComplete(WorkerKey),
+    BatchComplete(RowKey),
     /// A KV hand-over's transfer arrived: the row's freeze of the migrated
     /// range is over, and what it held may start.
-    EngineThaw(WorkerKey),
+    EngineThaw(RowKey),
 }
 
 /// Link state and everything in flight, owned by the plane's loop.
@@ -82,9 +84,9 @@ impl Fabric {
     }
 }
 
-/// The runtime's side of the shared actuator: a hop and a hand-over's
-/// arrival are events of the queue, and KV bookkeeping a coordinator → row
-/// message on its link, counted but never queued.
+/// The runtime's side of the shared actuator: a hop, a hand-over's arrival
+/// and a batch's completion are events of the queue, and KV bookkeeping a
+/// coordinator → row message on its link, counted but never queued.
 impl Wire for Fabric {
     /// The link's [`LinkQueue`] computes the arrival and records the
     /// traffic counters — at the send, so the report needs nothing
@@ -111,7 +113,7 @@ impl Wire for Fabric {
         self.queue.push(at, event);
     }
 
-    fn landed(&mut self, at: f64, rows: [WorkerKey; 2]) {
+    fn landed(&mut self, at: f64, rows: [RowKey; 2]) {
         for key in rows {
             self.queue.push(at, Event::EngineThaw(key));
         }
@@ -119,6 +121,10 @@ impl Wire for Fabric {
 
     fn call(&mut self, now: f64, node: NodeId) {
         self.transfer(now, (None, Some(node)), TOKEN_WIRE_BYTES);
+    }
+
+    fn completes(&mut self, at: f64, row: RowKey) {
+        self.queue.push(at, Event::BatchComplete(row));
     }
 }
 
@@ -141,7 +147,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{one_stage_hop, Workers};
+    use crate::registry::{one_stage_hop, plane_of};
     use crate::runtime::ExecutionKind;
     use helix_cluster::{ModelId, NodeId};
 
@@ -319,41 +325,39 @@ mod tests {
 
     #[test]
     fn messages_for_detached_or_unknown_workers_drop_silently() {
-        let mut fabric = fabric();
         let halves = crate::registry::fleet(&[&[(0, 0, 2), (1, 2, 4)]]);
-        let mut workers = Workers::new(&halves, ExecutionKind::Instant);
+        let mut plane = plane_of(halves, ExecutionKind::Instant);
         let model = ModelId::default();
-        let failed = workers.act.rows.get_mut(NodeId(0), model).unwrap();
-        failed.engine.fail();
+        plane.act.rows.get_mut(NodeId(0), model).unwrap().fail();
 
-        // One-stage work for a failed, a never-planned and a healthy worker.
+        // One-stage work for a failed, a never-planned and a healthy row.
         for node in [0, 3, 1] {
-            let requests = &mut workers.act.requests;
+            let requests = &mut plane.act.requests;
             let hop = one_stage_hop(requests, node as u64, (NodeId(node), model));
-            fabric.send_hop(0.0, (None, Some(NodeId(node))), 4.0, hop);
+            plane
+                .fabric
+                .send_hop(0.0, (None, Some(NodeId(node))), 4.0, hop);
         }
-        while let Some((_, Event::NodeArrival(hop))) = fabric.queue.pop() {
-            workers.deliver(hop);
+        while let Some((_, Event::NodeArrival(hop))) = plane.fabric.queue.pop() {
+            plane.deliver(hop);
         }
-        workers.start_touched(0.0, &mut fabric);
+        plane.start_touched(0.0);
         // Only the healthy row batched and forwarded its item; the failed
         // one holds it...
-        let batches = |node| workers.get((NodeId(node), model)).map(|w| w.batches);
+        let row = |node| plane.act.rows.get(NodeId(node), model);
+        let batches = |node| row(node).map(|row| row.totals().batches);
         assert_eq!(
             (batches(0), batches(3), batches(1)),
             (Some(0), None, Some(1))
         );
-        assert_eq!(
-            workers.get((NodeId(0), model)).unwrap().engine.queue_len(),
-            1
-        );
-        let forwarded = fabric.take_in_flight();
-        let slot = workers.act.requests.slot(1).unwrap();
+        assert_eq!(row(0).unwrap().queue_len(), 1);
+        let slot = plane.act.requests.slot(1).unwrap();
+        let forwarded = plane.fabric.take_in_flight();
         let token = Event::TokenAtCoordinator { slot, epoch: 0 };
         assert_eq!(forwarded.iter().map(|f| f.1).collect::<Vec<_>>(), [token]);
         // ...and the wire carried all three (and the one token, on the
         // healthy node's link to the coordinator) the same.
-        let links = fabric.link_reports();
+        let links = plane.fabric.link_reports();
         assert_eq!(links.iter().map(|l| l.messages).sum::<u64>(), 4);
         assert!(links
             .iter()

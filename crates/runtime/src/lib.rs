@@ -11,9 +11,9 @@
 //!   [`Scheduler`](helix_core::Scheduler) for a per-request pipeline, tracks
 //!   decode iterations and releases KV cache when requests finish
 //!   (§5.1–§5.2) — releases, seeds, hand-overs, fail-overs and the token
-//!   and forward steps are the simulator's own, the shared
-//!   [`helix_core::Actuator`] acting on the worker rows over the fabric;
-//! * one **worker row per (compute node, model) pair**, in the dense table
+//!   and batch steps are the simulator's own, the shared
+//!   [`helix_core::Actuator`] acting on the rows over the fabric;
+//! * one **row per (compute node, model) pair**, in the dense table
 //!   the simulator keeps its engines in, running best-effort dynamic
 //!   batching over the layers the placement assigned to it, with a paged
 //!   KV-cache pool modelled after vLLM's PagedAttention block manager
@@ -123,11 +123,10 @@ mod metrics;
 mod registry;
 mod runtime;
 mod session;
-mod worker;
 
 pub use builder::ServingBuilder;
 pub use error::RuntimeError;
-// The paged KV pool is the shared engine core's residency table.
+// The paged KV pool is the shared engine's residency table.
 pub use helix_core::engine::{KvPoolError, PagedKvPool};
 /// Which phase of auto-regressive generation a work item belongs to (the
 /// shared execution-model type).

@@ -55,7 +55,7 @@ impl RequestOutcome {
 pub struct NodeReport {
     /// The compute node.
     pub node: NodeId,
-    /// The fleet model this worker served (shared nodes report one entry per
+    /// The fleet model this row served (shared nodes report one entry per
     /// model).
     pub model: ModelId,
     /// Human-readable node name.
@@ -63,16 +63,17 @@ pub struct NodeReport {
     /// Layers the node held for this model.
     pub layers_held: usize,
     /// Virtual seconds spent executing batches, each counted when it starts
-    /// (the engine core's counter the re-plan loop observes).
+    /// (the engine's counter the re-plan loop observes).
     pub busy_secs: f64,
-    /// Batches executed.
+    /// Batches completed, counted by the engine when each completes: the
+    /// batch a failed row was running is dropped uncounted.
     pub batches: u64,
-    /// Prompt tokens processed.
+    /// Prompt tokens those batches processed.
     pub prompt_tokens: u64,
-    /// Decode tokens processed.
+    /// Decode tokens those batches processed.
     pub decode_tokens: u64,
     /// Highest KV-pool utilisation (used pages / whole pages of capacity)
-    /// observed at any allocation.  Not clamped: workers record every append
+    /// observed at any allocation.  Not clamped: rows record every append
     /// and penalise batches that run over capacity, so a value above 1.0 is
     /// the share of residency that was (modelled as) offloaded to host
     /// memory.

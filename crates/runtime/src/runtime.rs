@@ -1,4 +1,4 @@
-//! The serving runtime: builds the worker table, the network fabric and the
+//! The serving runtime: builds the row table, the network fabric and the
 //! coordinator on the one thread that then runs their loop, and assembles the
 //! report when it returns.
 //!
@@ -15,7 +15,7 @@ use helix_core::{FleetTopology, HelixError, ReplanPolicy, Scheduler};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
-/// Which execution model the workers use.
+/// Which execution model the rows use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionKind {
     /// Roofline cost model derived from the node profiles (the default):
@@ -35,7 +35,7 @@ pub struct RuntimeConfig {
     /// Hard wall-clock budget: it bounds each drain (so each `serve` call)
     /// and each completion wait, not idle session time.
     pub max_wall: Duration,
-    /// Worker execution model.
+    /// Row execution model.
     pub execution: ExecutionKind,
 }
 
@@ -63,7 +63,7 @@ impl RuntimeConfig {
 
 /// What the `helix-dataplane` thread is started with: the plan, and its
 /// ends of the channels that cross to the session's thread.  Everything
-/// built from it — worker table, fabric, coordinator — is plain data the
+/// built from it — row table, fabric, coordinator — is plain data the
 /// thread's loop owns.
 pub(crate) struct PlaneSpec {
     pub fleet: FleetTopology,
@@ -133,19 +133,19 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
         (last_completion - first_arrival).max(0.0)
     };
 
-    let rows = coordinator.workers.rows().into_iter();
+    let rows = coordinator.rows().into_iter();
     let nodes = rows
-        .map(|((node, model), worker)| NodeReport {
+        .map(|((node, model), row)| NodeReport {
             node,
             model,
             name: cluster.node(node).name.clone(),
-            layers_held: worker.engine.layers_held(),
-            busy_secs: worker.engine.counters().busy_secs,
-            batches: worker.batches,
-            prompt_tokens: worker.prompt_tokens,
-            decode_tokens: worker.decode_tokens,
-            kv_peak_utilization: worker.engine.kv.peak_utilization(),
-            kv_rejections: worker.engine.kv.rejections(),
+            layers_held: row.layers_held(),
+            busy_secs: row.counters().busy_secs,
+            batches: row.totals().batches,
+            prompt_tokens: row.totals().prompt_tokens,
+            decode_tokens: row.totals().decode_tokens,
+            kv_peak_utilization: row.kv.peak_utilization(),
+            kv_rejections: row.kv.rejections(),
         })
         .collect();
 

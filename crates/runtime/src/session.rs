@@ -10,7 +10,7 @@
 //! wrapper: [`ServingSession::serve`] is submit-everything → finish over the
 //! same loop every other call drives.
 //!
-//! The whole data plane — coordinator, worker table, fabric — is one loop
+//! The whole data plane — coordinator, row table, fabric — is one loop
 //! over plain data, built and run by a single dedicated `helix-dataplane`
 //! thread that starts with the session, so the OS thread count stays O(1)
 //! however many nodes the fleet has.  The session holds only

@@ -36,10 +36,10 @@
 //! nothing is hashed per hop.
 //!
 //! * **Tables.**  `NodeId` and `ModelId` are dense indices: engines — the
-//!   [`NodeEngine`] the runtime's worker rows also are — are the rows of the
-//!   shared [`Actuator`](helix_core::Actuator), which the runtime keeps its
-//!   workers in and which does every dispatch, token and forward step,
-//!   release, fail-over and hand-over for both surfaces; link queues
+//!   [`NodeEngine`] the runtime's rows also are — are the rows of the
+//!   shared [`Actuator`](helix_core::Actuator), which does every dispatch,
+//!   token and batch step, release, fail-over and hand-over for both
+//!   surfaces; link queues
 //!   in first-use order behind a `(num_nodes + 1)²` table of slots (the
 //!   coordinator is row and column 0).  Every walk over them has one fixed
 //!   order, so identical runs report identically, the order of tied

@@ -2,7 +2,7 @@
 //! [`ControlPlane`].  Its loop and virtual clock, the scheduler's
 //! `ClusterState` view of its engines, the admission cap, metrics and the
 //! scripted perturbation events are its own; every action on the control
-//! plane's decisions — dispatches, the token and forward steps, releases,
+//! plane's decisions — dispatches, the token and batch steps, releases,
 //! fail-overs, re-plans with their KV hand-overs — is the shared
 //! [`Actuator`]'s, over the simulator's [`Wire`]: its link queues and its
 //! event queue.
@@ -10,12 +10,11 @@
 use crate::event::{Event, EventQueue, PerturbationEvent, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use helix_cluster::{ClusterSpec, ModelId, NodeId, Region};
-use helix_core::actuator::forward;
 use helix_core::{
     Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
     Hop, KvTransferRecord, LinkKey, LinkTable, ModelPlacement, NodeEngine, PlacementDelta,
     PrefixStats, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
-    RequestTable, Scheduler, Topology, Wire, WorkItem,
+    RequestTable, Scheduler, Topology, Wire,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -121,8 +120,8 @@ fn arrival_stream(mut arrivals: Vec<(SimTime, RequestId)>) -> Arrivals {
 }
 
 /// The simulator's [`Wire`]: a transfer is priced on its link's queue, a
-/// hop or a hand-over's arrival is an event, and a coordinator → engine
-/// call is free.
+/// hop, a hand-over's arrival or a batch's completion is an event, and a
+/// coordinator → engine call is free.
 struct SimWire {
     /// Supplies every link's bandwidth and latency (links are shared by the
     /// fleet's models).
@@ -172,6 +171,11 @@ impl Wire for SimWire {
 
     #[inline]
     fn call(&mut self, _now: f64, _node: NodeId) {}
+
+    #[inline]
+    fn completes(&mut self, at: f64, (node, model): (NodeId, ModelId)) {
+        self.queue.push(at, Event::BatchComplete { node, model });
+    }
 }
 
 /// Per-model metrics of a fleet simulation, alongside the combined view.
@@ -255,7 +259,7 @@ pub struct ClusterSimulator {
     /// routers, replication, fail-over, re-plan policy).
     control: ControlPlane,
     /// The engines, the run's request table, slowdowns and KV hand-overs.
-    act: Actuator<NodeEngine>,
+    act: Actuator,
     wire: SimWire,
 }
 
@@ -463,9 +467,6 @@ impl ClusterSimulator {
         }
 
         let mut backlog: VecDeque<RequestId> = VecDeque::new();
-        // The finished batch being routed; its buffer returns to the engine
-        // at the next completion.
-        let mut done: Vec<WorkItem> = Vec::new();
 
         // Per-model measurement accumulators.
         let mut decode_tokens: Vec<u64> = vec![0; num_models];
@@ -513,30 +514,12 @@ impl ClusterSimulator {
                     };
                     if let Some(engine) = self.act.rows.get_mut(node, model) {
                         engine.enqueue(item);
-                        if let Some(batch) = engine.try_start_batch(now) {
-                            let done = now + batch.actual_secs;
-                            self.wire
-                                .queue
-                                .push(done, Event::BatchComplete { node, model });
-                        }
+                        self.act.start(&mut self.wire, node, model, now);
                     }
                 }
                 Event::BatchComplete { node, model } => {
-                    let activation_bytes = self.act.activation_bytes(model);
-                    let Some(engine) = self.act.rows.get_mut(node, model) else {
-                        continue;
-                    };
-                    engine.complete_batch(&mut done);
-                    for item in &done {
-                        let requests = &self.act.requests;
-                        forward(requests, &mut self.wire, activation_bytes, node, item, now);
-                    }
-                    if let Some(batch) = engine.try_start_batch(now) {
-                        let done = now + batch.actual_secs;
-                        self.wire
-                            .queue
-                            .push(done, Event::BatchComplete { node, model });
-                    }
+                    self.act.complete(&mut self.wire, node, model, now);
+                    self.act.start(&mut self.wire, node, model, now);
                 }
                 Event::TokenAtCoordinator { slot, epoch } => {
                     // `None`: a token of an aborted incarnation; ignore.
@@ -578,14 +561,7 @@ impl ClusterSimulator {
                 Event::EngineThaw { node, model } => {
                     // The KV hand-over finished; work that queued up during
                     // the freeze starts batching again.
-                    if let Some(engine) = self.act.rows.get_mut(node, model) {
-                        if let Some(batch) = engine.try_start_batch(time) {
-                            let done = time + batch.actual_secs;
-                            self.wire
-                                .queue
-                                .push(done, Event::BatchComplete { node, model });
-                        }
-                    }
+                    self.act.start(&mut self.wire, node, model, time);
                 }
                 Event::ObservationTick => {
                     // Close the interval window, then let the control plane

@@ -98,10 +98,11 @@ fn cluster_pruning_shrinks_the_milp_without_losing_much_throughput() {
     // achievable throughput stays close to the unpruned one.
     let profile =
         ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama2_70b());
-    let full_size = MilpPlacementPlanner::new(&profile).problem_size();
+    let full_size = MilpPlacementPlanner::new(&profile).problem_size().unwrap();
     let pruned_size = MilpPlacementPlanner::new(&profile)
         .prune_to_degree(12)
-        .problem_size();
+        .problem_size()
+        .unwrap();
     assert!(pruned_size.0 < full_size.0 && pruned_size.1 < full_size.1);
 
     let placement = heuristics::petals_placement(&profile).unwrap();

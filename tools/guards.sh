@@ -34,8 +34,10 @@ guard "a re-plan is one plan_observed" \
     "grep -nE 'self\.(unsplit_link_flows|vram_overrides)|^ {4}(unsplit_link_flows|vram_overrides): Vec' crates/core/src/fleet.rs"
 guard "runtime rows are the simulator's NodeEngine, fed its WorkItem" \
     "grep -rnE 'StageWork|ExecutionModel|AnalyticExecution|InstantExecution' crates/runtime/src"
-guard "the tree's one impl Work is the core's" \
-    "grep -rn 'impl Work for' crates src tests examples --include=*.rs | grep -v '^crates/core/src/'"
+# Both surfaces' row is the one concrete `NodeEngine`: no work trait, no
+# generic core under it, no runtime wrapper row over it, no row parameter.
+guard "one engine row" \
+    "grep -rnE 'trait Work\\b|WorkMeta|EngineCore|struct Workers?\\b|AsMut<NodeEngine>|From<NodeEngine>|Actuator<' crates src tests examples"
 # What the surfaces do with a control-plane decision is written once, in
 # `helix_core::actuator`: no surface keeps its own KV hand-over, release,
 # fail-over, token or forward step, or its own map of node slowdowns.
