@@ -277,7 +277,19 @@ fn fig5_trace_stats(run: Run) -> Result<ExperimentReport, BenchError> {
             "*".repeat(count / 5)
         );
     }
-    Ok(run.report("Figure 5", serde_json::to_value(&stats)?))
+    Ok(run.report(
+        "Figure 5",
+        json!({
+            "num_requests": stats.num_requests,
+            "mean_input_tokens": stats.mean_input_tokens,
+            "mean_output_tokens": stats.mean_output_tokens,
+            "max_input_tokens": stats.max_input_tokens,
+            "max_output_tokens": stats.max_output_tokens,
+            "input_histogram": stats.input_histogram,
+            "output_histogram": stats.output_histogram,
+            "arrivals_per_minute": stats.arrivals_per_minute,
+        }),
+    ))
 }
 
 fn print_histogram(hist: &[usize], total: usize) {
@@ -390,10 +402,22 @@ fn fig12_solver_quality(run: Run) -> Result<ExperimentReport, BenchError> {
         report.nodes_explored,
         report.solve_seconds
     );
+    let events: Vec<Value> = report
+        .events
+        .iter()
+        .map(|e| {
+            json!({
+                "elapsed_seconds": e.elapsed_seconds,
+                "nodes_explored": e.nodes_explored,
+                "incumbent": e.incumbent,
+                "best_bound": e.best_bound,
+            })
+        })
+        .collect();
     Ok(run.report(
         "Figure 12",
         json!({
-            "events": report.events,
+            "events": events,
             "objective": report.objective_tokens_per_sec,
             "best_bound": report.best_bound,
             "upper_bound": profile.throughput_upper_bound(),
@@ -750,7 +774,8 @@ fn serving_figure(run: Run, figure: ServingFigure) -> Result<ExperimentReport, B
         }
         all_rows.extend(rows);
     }
-    Ok(run.report(figure.paper_artifact, serde_json::to_value(&all_rows)?))
+    let rows = all_rows.iter().map(ServingRow::to_json).collect();
+    Ok(run.report(figure.paper_artifact, Value::Array(rows)))
 }
 
 /// Prints a serving-row table in the shape the paper's figures use; a

@@ -30,7 +30,7 @@ use helix_core::{
 };
 use helix_sim::{ClusterSimulator, Metrics, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -80,7 +80,7 @@ impl From<std::io::Error> for BenchError {
 }
 
 /// How big the experiment should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// Scaled-down workloads (default): hundreds of requests, a few simulated
     /// minutes.  Preserves the relative ordering of systems.
@@ -131,7 +131,7 @@ impl ExperimentScale {
 }
 
 /// The serving systems compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Helix: flow-maximising placement + IWRR scheduling.
     Helix,
@@ -198,7 +198,7 @@ impl SystemKind {
 }
 
 /// Offline or online serving setting (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingSetting {
     /// Requests arrive as fast as the cluster can absorb them.
     Offline,
@@ -217,7 +217,7 @@ impl ServingSetting {
 }
 
 /// One measured row: a (system, setting) pair and its serving metrics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServingRow {
     /// System label ("Helix", "Swarm", "SP", "SP+").
     pub system: String,
@@ -286,6 +286,28 @@ impl ServingRow {
             decode_latency_p95: sampled(decode, decode.p95),
             completed_requests: metrics.completed_requests,
         }
+    }
+
+    /// The row as a JSON object, one key per field in declaration order.
+    pub fn to_json(&self) -> Value {
+        json!({
+            "system": self.system,
+            "setting": self.setting,
+            "model": self.model,
+            "cluster": self.cluster,
+            "placement_max_flow": self.placement_max_flow,
+            "pipeline_depth": self.pipeline_depth,
+            "decode_throughput": self.decode_throughput,
+            "prompt_samples": self.prompt_samples,
+            "prompt_latency_mean": self.prompt_latency_mean,
+            "prompt_latency_p50": self.prompt_latency_p50,
+            "prompt_latency_p95": self.prompt_latency_p95,
+            "decode_samples": self.decode_samples,
+            "decode_latency_mean": self.decode_latency_mean,
+            "decode_latency_p50": self.decode_latency_p50,
+            "decode_latency_p95": self.decode_latency_p95,
+            "completed_requests": self.completed_requests,
+        })
     }
 }
 
@@ -381,17 +403,18 @@ pub fn run_with_scheduler(
     Ok((metrics, topology.flow_value()))
 }
 
-/// A machine-readable experiment report written to `results/<name>.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A machine-readable experiment report, written to `results/<name>.json`
+/// as one object with the four fields below, in order.
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Experiment identifier, e.g. `"fig6_single_cluster"`.
     pub name: String,
     /// Which paper artifact this reproduces.
     pub paper_artifact: String,
-    /// Scale the run used.
+    /// Scale the run used, written as `"Quick"` or `"Full"`.
     pub scale: ExperimentScale,
     /// Arbitrary JSON payload with the measured rows/series.
-    pub data: serde_json::Value,
+    pub data: Value,
 }
 
 impl ExperimentReport {
@@ -400,7 +423,7 @@ impl ExperimentReport {
         name: impl Into<String>,
         paper_artifact: impl Into<String>,
         scale: ExperimentScale,
-        data: serde_json::Value,
+        data: Value,
     ) -> Self {
         ExperimentReport {
             name: name.into(),
@@ -420,7 +443,17 @@ impl ExperimentReport {
         let dir = results_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.name));
-        std::fs::write(&path, serde_json::to_string_pretty(self)?)?;
+        let scale = match self.scale {
+            ExperimentScale::Quick => "Quick",
+            ExperimentScale::Full => "Full",
+        };
+        let json = json!({
+            "name": self.name,
+            "paper_artifact": self.paper_artifact,
+            "scale": scale,
+            "data": self.data,
+        });
+        std::fs::write(&path, serde_json::to_string_pretty(&json)?)?;
         Ok(path)
     }
 }
@@ -472,13 +505,14 @@ mod tests {
             "unit_test_report",
             "none",
             ExperimentScale::Quick,
-            serde_json::json!({"value": 42}),
+            json!({"value": 42}),
         );
         let path = report.write().unwrap();
-        let loaded: ExperimentReport =
-            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(loaded.name, "unit_test_report");
-        assert_eq!(loaded.data["value"], 42);
+        let loaded: Value = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(loaded["name"], "unit_test_report");
+        assert_eq!(loaded["paper_artifact"], "none");
+        assert_eq!(loaded["scale"], "Quick");
+        assert_eq!(loaded["data"]["value"], 42);
     }
 
     /// Helix online at quick scale completes requests yet has no prompt
@@ -505,13 +539,13 @@ mod tests {
         assert_eq!(row.prompt_latency_mean, None);
         assert_eq!(row.prompt_latency_p95, None);
         assert!((row.decode_latency_mean.unwrap() - 0.15).abs() < 1e-12);
-        let json = serde_json::to_value(&row).unwrap();
+        let json = row.to_json();
         for field in [
             "prompt_latency_mean",
             "prompt_latency_p50",
             "prompt_latency_p95",
         ] {
-            assert_eq!(json[field], serde_json::Value::Null, "{field}");
+            assert_eq!(json[field], Value::Null, "{field}");
         }
         assert_eq!(json["prompt_samples"], 0);
         assert_eq!(json["completed_requests"], 5);

@@ -2,7 +2,6 @@
 
 use crate::gpu::GpuType;
 use crate::node::{ComputeNode, NetworkLink, NodeId, Region};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Endpoint key used for link overrides (`None` = coordinator).
@@ -28,7 +27,7 @@ type Endpoint = Option<NodeId>;
 /// let link = cluster.link(None, Some(cluster.nodes()[0].id));
 /// assert_eq!(link.bandwidth_mbps, 10_000.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable name of the setup.
     pub name: String,
@@ -72,14 +71,6 @@ impl ClusterSpec {
         (0..self.nodes.len()).map(NodeId)
     }
 
-    /// Number of distinct GPU types present.
-    pub fn num_gpu_types(&self) -> usize {
-        let mut types: Vec<GpuType> = self.nodes.iter().map(|n| n.gpu).collect();
-        types.sort();
-        types.dedup();
-        types.len()
-    }
-
     /// The directed network link between two endpoints (`None` =
     /// coordinator).
     ///
@@ -119,22 +110,6 @@ impl ClusterSpec {
             bandwidth_mbps: bw,
             latency_ms: lat,
         }
-    }
-
-    /// All directed links between distinct compute nodes plus
-    /// coordinator→node and node→coordinator links.
-    pub fn all_links(&self) -> Vec<NetworkLink> {
-        let mut links = Vec::new();
-        for a in self.node_ids() {
-            links.push(self.link(None, Some(a)));
-            links.push(self.link(Some(a), None));
-            for b in self.node_ids() {
-                if a != b {
-                    links.push(self.link(Some(a), Some(b)));
-                }
-            }
-        }
-        links
     }
 
     // ------------------------------------------------------------------
@@ -361,7 +336,6 @@ mod tests {
         let l4 = c.nodes().iter().filter(|n| n.gpu == GpuType::L4).count();
         let t4 = c.nodes().iter().filter(|n| n.gpu == GpuType::T4).count();
         assert_eq!((a100, l4, t4), (4, 8, 12));
-        assert_eq!(c.num_gpu_types(), 3);
     }
 
     #[test]
@@ -422,14 +396,6 @@ mod tests {
             c.link(Some(NodeId(0)), Some(NodeId(2))).bandwidth_mbps,
             50.0
         );
-    }
-
-    #[test]
-    fn all_links_enumerates_every_directed_pair() {
-        let c = ClusterSpec::solver_quality_10();
-        let n = c.num_nodes();
-        // n*(n-1) node-to-node + 2n coordinator links.
-        assert_eq!(c.all_links().len(), n * (n - 1) + 2 * n);
     }
 
     #[test]

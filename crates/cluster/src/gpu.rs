@@ -1,11 +1,10 @@
 //! GPU catalogue (paper Table 3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// GPU models considered by the paper (Tables 2–4 and the evaluation
 /// clusters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GpuType {
     /// NVIDIA H100 SXM (80 GB).
     H100,
@@ -108,7 +107,7 @@ impl fmt::Display for GpuType {
 }
 
 /// Hardware characteristics of one GPU (paper Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Which GPU this spec describes.
     pub gpu: GpuType,
@@ -133,11 +132,6 @@ impl GpuSpec {
     /// FP16 throughput in FLOP/s.
     pub fn fp16_flops(&self) -> f64 {
         self.fp16_tflops * 1e12
-    }
-
-    /// Memory bandwidth in bytes/s.
-    pub fn memory_bandwidth_bytes(&self) -> f64 {
-        self.memory_bandwidth_gbps * 1e9
     }
 }
 
@@ -179,7 +173,6 @@ mod tests {
         let t4 = GpuType::T4.spec();
         assert_eq!(t4.memory_bytes(), 16e9);
         assert_eq!(t4.fp16_flops(), 65e12);
-        assert_eq!(t4.memory_bandwidth_bytes(), 300e9);
     }
 
     #[test]

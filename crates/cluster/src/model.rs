@@ -1,6 +1,5 @@
 //! LLM model configurations and per-token cost accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one model of a multi-model fleet sharing a cluster.
@@ -8,9 +7,7 @@ use std::fmt;
 /// The single-model pipeline is the `ModelId(0)` special case: every
 /// request, pipeline and worker in a one-model deployment carries the
 /// default id and behaves exactly as before the fleet generalisation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ModelId(pub usize);
 
 impl ModelId {
@@ -35,7 +32,7 @@ impl fmt::Display for ModelId {
 /// pages instead of re-prefilling them (the RadixAttention / paged-sharing
 /// idea).  The id is opaque: traces may derive it from a session id, a
 /// template hash or an explicit `prefix` column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrefixId(pub u64);
 
 impl fmt::Display for PrefixId {
@@ -61,7 +58,7 @@ impl fmt::Display for PrefixId {
 /// // Activation of one token is ~16 KB in FP16, matching paper Fig. 2.
 /// assert!((llama70b.activation_bytes() - 16_384.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable model name.
     pub name: String,

@@ -1,14 +1,13 @@
 //! Compute nodes, regions and network links.
 
 use crate::gpu::GpuType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a compute node within a [`ClusterSpec`](crate::ClusterSpec).
 ///
 /// Ids are dense indices assigned in the order nodes were added; the
 /// coordinator is not a compute node and has no `NodeId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -26,7 +25,7 @@ impl fmt::Display for NodeId {
 
 /// A geographic region / datacenter; traffic within a region uses the
 /// intra-region bandwidth, traffic across regions the inter-region bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Region(pub u32);
 
 impl fmt::Display for Region {
@@ -40,7 +39,7 @@ impl fmt::Display for Region {
 /// Multi-GPU machines are treated as a single logical node aggregating the
 /// GPUs' compute and VRAM (paper §4.1), with tensor parallelism assumed
 /// inside the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeNode {
     /// Identifier within the cluster.
     pub id: NodeId,
@@ -81,7 +80,7 @@ impl ComputeNode {
 ///
 /// `None` as an endpoint denotes the coordinator node (source/sink of the
 /// flow abstraction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkLink {
     /// Origin (`None` = coordinator).
     pub from: Option<NodeId>,

@@ -12,7 +12,6 @@ use crate::cluster_spec::ClusterSpec;
 use crate::model::ModelConfig;
 use crate::node::{NetworkLink, NodeId};
 use crate::{DECODE_EFFICIENCY, TOKEN_WIRE_BYTES, WEIGHT_VRAM_FRACTION};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of peak FP16 throughput sustained during prompt processing
 /// (large, compute-bound batches).
@@ -25,7 +24,7 @@ pub const PROMPT_EFFICIENCY: f64 = 0.40;
 pub const MAX_WEIGHT_VRAM_FRACTION: f64 = 0.95;
 
 /// Profiled characteristics of one compute node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeProfile {
     /// Which node this profile describes.
     pub node: NodeId,
@@ -58,18 +57,10 @@ impl NodeProfile {
         }
         (self.decode_tokens_per_layer_sec / layers as f64).min(self.nic_tokens_per_sec)
     }
-
-    /// Prompt-phase throughput (tokens/s) when holding `layers` layers.
-    pub fn prompt_throughput(&self, layers: usize) -> f64 {
-        if layers == 0 || layers > self.max_layers_absolute {
-            return 0.0;
-        }
-        self.prompt_tokens_per_layer_sec / layers as f64
-    }
 }
 
 /// Profiled characteristics of one directed network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
     /// The underlying link (bandwidth, latency, endpoints).
     pub link: NetworkLink,
@@ -95,7 +86,7 @@ pub struct LinkProfile {
 /// let first = profile.cluster().nodes()[0].id;
 /// assert!(profile.node_profile(first).max_layers > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterProfile {
     cluster: ClusterSpec,
     model: ModelConfig,
@@ -302,7 +293,6 @@ mod tests {
         assert!(np.max_layers_absolute >= np.max_layers);
         // Over-packing beyond the recommended budget is possible but slower per token held.
         assert!(np.throughput(np.max_layers_absolute) <= np.throughput(np.max_layers));
-        assert!(np.prompt_throughput(1) > np.throughput(1));
     }
 
     #[test]

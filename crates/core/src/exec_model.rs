@@ -20,7 +20,6 @@
 //!   multiplying the whole batch duration by [`KV_OVERFLOW_PENALTY`].
 
 use helix_cluster::NodeProfile;
-use serde::{Deserialize, Serialize};
 
 /// Fixed per-batch overhead in seconds (kernel launches, batch assembly,
 /// framework bookkeeping).  Penalises very deep pipelines and tiny batches
@@ -44,7 +43,7 @@ pub const DEFAULT_TOKENS_PER_PAGE: usize = 16;
 ///
 /// This is the one `Phase` type used across the scheduler, the simulator and
 /// the runtime (each previously declared its own).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// The first iteration: all prompt tokens are processed at once
     /// (compute-bound, cheap per token).
@@ -65,7 +64,7 @@ impl std::fmt::Display for Phase {
 
 /// One work item as the cost model sees it: which phase, how many tokens,
 /// through how many layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Prompt or decode.
     pub phase: Phase,

@@ -28,7 +28,6 @@
 use crate::engine::IdMap;
 use crate::placement::LayerRange;
 use helix_cluster::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Which requests replicate their KV to a standby tenancy, and how often.
 ///
@@ -37,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// stage.  "Hot" is decided per request from its decode length (requests
 /// that will decode many tokens amortise the replication bandwidth over the
 /// most recomputation saved).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicationPolicy {
     /// Total copies of a hot request's KV (1 = no replication).
     pub replication_factor: usize,
@@ -86,7 +85,7 @@ impl ReplicationPolicy {
 }
 
 /// Replication traffic counters, reported by both surfaces.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicationStats {
     /// Replica chunks shipped (one per stage per milestone).
     pub chunks: u64,
@@ -107,7 +106,7 @@ impl ReplicationStats {
 }
 
 /// One fail-over the controller handled, for the final report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailoverRecord {
     /// When the failure was observed (surface seconds).
     pub at: f64,

@@ -3,7 +3,6 @@
 //! the simulator's link queues and the runtime's network fabric.
 
 use helix_cluster::{ClusterSpec, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A directed link's endpoint pair; `None` denotes the coordinator.
 pub type LinkKey = (Option<NodeId>, Option<NodeId>);
@@ -16,7 +15,7 @@ pub type LinkKey = (Option<NodeId>, Option<NodeId>);
 /// propagation latency after serialisation completes.  The queueing delay a
 /// transfer experiences before it starts being sent is what the paper's
 /// §6.7 case study calls congestion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkQueue {
     bandwidth_bytes_per_sec: f64,
     latency_secs: f64,

@@ -2,13 +2,11 @@
 //! first resident; the shared report schema and event trace of ROADMAP item 2
 //! grow here.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency distribution summary in the surface's (virtual) seconds:
 /// nearest-rank percentiles (the box-plot statistics of Figs. 6–8), mean and
 /// maximum.  The simulator re-exports it under this name, the runtime as
 /// `LatencySummary`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: usize,

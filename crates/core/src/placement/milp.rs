@@ -25,7 +25,6 @@ use helix_milp::{
     BranchEvent, LinExpr, MilpError, MilpOptions, MilpSolver, Model, ObjectiveSense, Sense, VarId,
     VarType,
 };
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Options controlling the MILP placement search.
@@ -65,7 +64,7 @@ impl Default for PlannerOptions {
 }
 
 /// Outcome statistics of a planner run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MilpPlannerReport {
     /// Number of variables in the MILP (Table 8).
     pub num_variables: usize,
@@ -81,7 +80,6 @@ pub struct MilpPlannerReport {
     pub nodes_explored: u64,
     /// Simplex iterations (pivots and bound flips) over all nodes; unlike
     /// `solve_seconds` it repeats exactly.
-    #[serde(default)]
     pub lp_iterations: u64,
     /// Throughput of the warm-start heuristic placement, if one was used.
     pub warm_start_tokens_per_sec: Option<f64>,
@@ -707,16 +705,6 @@ mod tests {
             .time_limit(Duration::from_secs(10));
         let (placement, _) = planner.solve().unwrap();
         placement.validate(&profile).unwrap();
-    }
-
-    #[test]
-    fn reports_recorded_before_lp_iterations_still_load() {
-        let old = r#"{"num_variables": 376, "num_constraints": 320,
-            "objective_tokens_per_sec": 1041.3, "best_bound": 152288.8,
-            "solve_seconds": 0.9, "nodes_explored": 10,
-            "warm_start_tokens_per_sec": 1041.3, "events": []}"#;
-        let report: MilpPlannerReport = serde_json::from_str(old).unwrap();
-        assert_eq!((report.nodes_explored, report.lp_iterations), (10, 0));
     }
 
     #[test]

@@ -9,11 +9,10 @@ pub mod refine;
 
 use crate::error::HelixError;
 use helix_cluster::{ClusterProfile, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous range of model layers `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerRange {
     /// First layer held (inclusive).
     pub start: usize,
@@ -80,7 +79,7 @@ impl fmt::Display for LayerRange {
 /// // Node 2 covers the whole model by itself, so the shortest pipeline has one stage.
 /// assert_eq!(placement.pipeline_depth(4), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPlacement {
     assignments: Vec<Option<LayerRange>>,
 }
@@ -141,14 +140,6 @@ impl ModelPlacement {
     /// Nodes holding the first layer of the model.
     pub fn entry_nodes(&self) -> Vec<NodeId> {
         self.holders_of(0)
-    }
-
-    /// Nodes holding the last layer of a model with `num_layers` layers.
-    pub fn exit_nodes(&self, num_layers: usize) -> Vec<NodeId> {
-        self.iter()
-            .filter(|(_, r)| r.end == num_layers)
-            .map(|(n, _)| n)
-            .collect()
     }
 
     /// The minimum number of pipeline stages a request must traverse, i.e.
@@ -274,7 +265,6 @@ mod tests {
         assert_eq!(p.num_nodes(), 4);
         assert_eq!(p.num_assigned(), 3);
         assert_eq!(p.entry_nodes(), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(p.exit_nodes(6), vec![NodeId(1), NodeId(2)]);
         assert_eq!(p.holders_of(4), vec![NodeId(1), NodeId(2)]);
         assert_eq!(p.range(NodeId(3)), None);
     }

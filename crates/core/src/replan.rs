@@ -30,7 +30,6 @@ use crate::error::HelixError;
 use crate::fleet::FleetPlacement;
 use crate::placement::LayerRange;
 use helix_cluster::{ModelId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Lower clamp on observed speed factors: even a node measured as stalled
@@ -225,7 +224,7 @@ impl ObservationWindows {
 /// (prefix, suffix or the whole range), so the remainder stays contiguous;
 /// on the destination it must either start a new range or merge contiguously
 /// with an existing one.  [`PlacementDelta::resolve`] checks both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvMigration {
     /// The model whose layers move.
     pub model: ModelId,
@@ -520,7 +519,7 @@ impl ReplanPolicy {
 }
 
 /// Why a re-plan fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplanReason {
     /// An engine's observed speed factor fell below the policy threshold.
     ThroughputGap {
@@ -553,7 +552,7 @@ pub enum ReplanReason {
 }
 
 /// One entry of a run's re-plan log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanRecord {
     /// Virtual time the re-plan was applied.
     pub at: f64,
@@ -625,7 +624,7 @@ impl KvTransferModel {
 }
 
 /// One completed KV-state transfer, as logged by an execution surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvTransferRecord {
     /// Virtual time the transfer completed at the destination.
     pub at: f64,

@@ -24,11 +24,10 @@ use crate::topology::Topology;
 use helix_cluster::{ModelId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One stage of a per-request pipeline: a node and the layers it will compute
 /// for this request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStage {
     /// Node executing this stage.
     pub node: NodeId,
@@ -39,7 +38,7 @@ pub struct PipelineStage {
 
 /// A complete per-request pipeline covering every model layer exactly once
 /// and in order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestPipeline {
     /// Which model of the fleet the pipeline serves (`ModelId(0)` for the
     /// single-model pipeline).
@@ -74,7 +73,7 @@ impl RequestPipeline {
 }
 
 /// Identifies which scheduling policy produced a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Helix: interleaved weighted round-robin with max-flow weights.
     HelixIwrr,

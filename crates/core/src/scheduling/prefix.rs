@@ -27,7 +27,6 @@ use super::{ClusterState, RequestPipeline};
 use crate::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use crate::scheduling::iwrr::above_high_water;
 use helix_cluster::PrefixId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The shared-prefix work attached to one scheduled request: which prefix it
@@ -35,7 +34,7 @@ use std::collections::HashMap;
 /// whether the request was routed as a cache hit (prefix already resident —
 /// skip prefilling the shared range) or a miss (this request materialises
 /// the prefix for later sharers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixWork {
     /// The shared prefix referenced.
     pub id: PrefixId,
@@ -46,7 +45,7 @@ pub struct PrefixWork {
 }
 
 /// Counters describing how much work prefix sharing saved during a run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixStats {
     /// Requests routed to a pipeline already holding their prefix.
     pub prefix_hits: u64,

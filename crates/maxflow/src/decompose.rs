@@ -9,10 +9,9 @@
 use crate::error::FlowError;
 use crate::graph::{EdgeId, FlowNetwork, FlowResult, NodeId};
 use crate::FLOW_EPS;
-use serde::{Deserialize, Serialize};
 
 /// One source→sink path and the amount of flow assigned to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowPath {
     /// Nodes along the path, starting at the source and ending at the sink.
     pub nodes: Vec<NodeId>,

@@ -8,12 +8,11 @@
 use crate::dinic::{self, DirtyRows};
 use crate::error::FlowError;
 use crate::{edmonds_karp, push_relabel, MaxFlowAlgorithm, FLOW_EPS};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a node in a [`FlowNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -33,7 +32,7 @@ impl fmt::Display for NodeId {
 ///
 /// Edge ids refer to *forward* edges only (the ones added by
 /// [`FlowNetwork::add_edge`]); residual twins are an implementation detail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub(crate) usize);
 
 impl EdgeId {
@@ -50,7 +49,7 @@ impl fmt::Display for EdgeId {
 }
 
 /// A view of one forward edge together with its current flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeRef {
     /// Identifier of the edge.
     pub id: EdgeId,
@@ -214,7 +213,7 @@ fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
 }
 
 /// Result of a maximum-flow computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowResult {
     /// Total flow value from source to sink.
     pub value: f64,
@@ -313,15 +312,6 @@ impl FlowNetwork {
     /// Looks up a node by the name given to [`FlowNetwork::add_node`].
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.name_index.get(name).copied().map(NodeId)
-    }
-
-    /// Returns the name of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this network.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
     }
 
     /// Number of nodes.
@@ -436,19 +426,6 @@ impl FlowNetwork {
     /// Iterates over all forward edges.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
         (0..self.forward.len()).map(|i| self.edge_ref(i))
-    }
-
-    /// Returns the ids of forward edges leaving `node`.
-    pub fn out_edges(&self, node: NodeId) -> Vec<EdgeId> {
-        self.adjacency
-            .get(node.0)
-            .map(|adj| {
-                adj.iter()
-                    .filter(|&&idx| idx % 2 == 0)
-                    .map(|&idx| EdgeId(idx / 2))
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// Returns the ids of forward edges entering `node`.
@@ -1114,7 +1091,6 @@ mod tests {
         assert_eq!(net.node_by_name("alpha"), Some(a));
         assert_eq!(net.node_by_name("beta"), Some(b));
         assert_eq!(net.node_by_name("gamma"), None);
-        assert_eq!(net.node_name(a), "alpha");
     }
 
     #[test]
@@ -1154,8 +1130,6 @@ mod tests {
         assert_eq!(e0.capacity, 4.0);
         assert_eq!(net.edge_count(), 5);
         assert!(net.edge(EdgeId(42)).is_err());
-        let out_s = net.out_edges(s);
-        assert_eq!(out_s.len(), 2);
         let in_t = net.in_edges(t);
         assert_eq!(in_t.len(), 2);
         assert_eq!(net.out_capacity(s), 6.0);

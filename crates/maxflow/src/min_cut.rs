@@ -2,12 +2,11 @@
 
 use crate::graph::{EdgeId, FlowNetwork, FlowResult, NodeId};
 use crate::FLOW_EPS;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A minimum s-t cut: the source-side node set and the saturated edges that
 /// cross it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinCut {
     /// Capacity of the cut (equals the max-flow value).
     pub capacity: f64,

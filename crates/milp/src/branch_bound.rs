@@ -5,7 +5,6 @@ use crate::model::{Model, ObjectiveSense};
 use crate::simplex::{Basis, LpOutcome, LpSolver};
 use crate::solution::{MilpResult, SolveStatus};
 use crate::INT_EPS;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -15,7 +14,7 @@ use std::time::{Duration, Instant};
 ///
 /// The Helix paper's Fig. 12 plots exactly this: the best solution found so
 /// far and the best upper bound, against wall-clock solving time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchEvent {
     /// Seconds since the solve started.
     pub elapsed_seconds: f64,
@@ -33,7 +32,7 @@ pub struct BranchEvent {
 /// Together the records of a solve describe every relaxation it solved: the
 /// bounds of a node are the root's, tightened by the `branch` of each node on
 /// the path down to it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeRecord {
     /// Position of the parent node in [`MilpSolver::nodes`]; `None` for the
     /// root.

@@ -1,12 +1,11 @@
 //! Linear expressions over model variables.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// Identifier of a variable in a [`Model`](crate::Model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -37,7 +36,7 @@ impl fmt::Display for VarId {
 /// assert_eq!(expr.coefficient(x), 2.0);
 /// assert_eq!(expr.constant(), -1.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     terms: BTreeMap<VarId, f64>,
     constant: f64,

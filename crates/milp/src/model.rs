@@ -2,10 +2,9 @@
 
 use crate::error::MilpError;
 use crate::expr::{LinExpr, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Whether the objective is minimised or maximised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectiveSense {
     /// Minimise the objective expression.
     Minimize,
@@ -14,7 +13,7 @@ pub enum ObjectiveSense {
 }
 
 /// Domain of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarType {
     /// A real-valued variable.
     Continuous,
@@ -32,7 +31,7 @@ impl VarType {
 }
 
 /// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sense {
     /// `expr <= rhs`
     Le,
@@ -43,7 +42,7 @@ pub enum Sense {
 }
 
 /// A decision variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     /// Human-readable name (used in debugging output).
     pub name: String,
@@ -58,7 +57,7 @@ pub struct Variable {
 }
 
 /// A linear constraint `expr (<=|==|>=) rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Human-readable name.
     pub name: String,
@@ -73,7 +72,7 @@ pub struct Constraint {
 /// An LP/MILP model: variables, linear constraints and a linear objective.
 ///
 /// See the [crate-level documentation](crate) for a complete solve example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     sense: ObjectiveSense,
     variables: Vec<Variable>,
@@ -260,14 +259,6 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Number of integer/binary variables.
-    pub fn num_integer_vars(&self) -> usize {
-        self.variables
-            .iter()
-            .filter(|v| v.var_type.is_integral())
-            .count()
-    }
-
     /// The variables, indexed by [`VarId::index`].
     pub fn variables(&self) -> &[Variable] {
         &self.variables
@@ -341,7 +332,6 @@ mod tests {
         m.add_constraint("c0", [(x, 1.0), (y, 2.0)], Sense::Le, 8.0);
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.num_integer_vars(), 1);
         assert_eq!(m.variable(x).unwrap().name, "x");
         assert_eq!(m.variable(y).unwrap().upper, 1.0);
         assert_eq!(m.sense(), ObjectiveSense::Maximize);

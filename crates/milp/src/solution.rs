@@ -1,9 +1,7 @@
 //! Result types for MILP solves.
 
-use serde::{Deserialize, Serialize};
-
 /// How the branch & bound search terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveStatus {
     /// The incumbent is provably optimal (tree exhausted or gap closed).
     Optimal,
@@ -17,7 +15,7 @@ pub enum SolveStatus {
 }
 
 /// Result of a MILP solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MilpResult {
     /// Objective value of the incumbent, in the model's own sense.
     pub objective: f64,

@@ -11,10 +11,9 @@ use helix_core::{
     FailoverRecord, KvTransferRecord, LinkQueue, PrefixStats, ReplanRecord, ReplicationStats,
 };
 use helix_workload::RequestId;
-use serde::Serialize;
 
 /// The lifecycle record of one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestOutcome {
     /// Request id.
     pub id: RequestId,
@@ -51,7 +50,7 @@ impl RequestOutcome {
 }
 
 /// Per-node execution summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NodeReport {
     /// The compute node.
     pub node: NodeId,
@@ -96,7 +95,7 @@ impl NodeReport {
 }
 
 /// Per-link traffic summary (`None` endpoints denote the coordinator).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkReport {
     /// Sending endpoint.
     pub from: Option<NodeId>,
@@ -126,7 +125,7 @@ impl LinkReport {
 }
 
 /// The full report of one serving run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RuntimeReport {
     /// Per-request lifecycle records, in completion order.
     pub outcomes: Vec<RequestOutcome>,

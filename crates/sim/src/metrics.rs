@@ -2,11 +2,10 @@
 
 use helix_cluster::NodeId;
 pub use helix_core::obs::LatencyStats;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-link congestion statistics (used by the §6.7 case study).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkStats {
     /// Origin (`None` = coordinator).
     pub from: Option<NodeId>,
@@ -25,7 +24,7 @@ pub struct LinkStats {
 /// Windowed per-model progress emitted during a run (not just at its end),
 /// so the re-plan policy — and tests asserting recovery — can read
 /// throughput *while the run is still going*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalMetrics {
     /// Window start (simulated seconds).
     pub start: f64,
@@ -53,7 +52,7 @@ impl IntervalMetrics {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Length of the measurement window in seconds (excludes warm-up).
     pub measured_seconds: f64,

@@ -4,10 +4,9 @@ use crate::request::Request;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Exp};
-use serde::{Deserialize, Serialize};
 
 /// How request arrival times are assigned (paper §6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
     /// Offline serving: every request is available at time zero and the
     /// cluster runs saturated.

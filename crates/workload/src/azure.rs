@@ -5,14 +5,13 @@ use crate::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic Azure-Conversation-style trace.
 ///
 /// Defaults are calibrated so the generated lengths reproduce the statistics
 /// the paper reports for the pruned trace (average input 763, average output
 /// 232, caps 2048 / 1024).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AzureTraceConfig {
     /// Target mean prompt length in tokens.
     pub mean_input_tokens: f64,

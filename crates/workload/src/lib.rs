@@ -26,7 +26,6 @@ pub use request::{PrefixId, Request, RequestId, TicketId};
 pub use trace::TraceError;
 
 use helix_cluster::ModelId;
-use serde::{Deserialize, Serialize};
 
 /// A set of requests with lengths and arrival times, sorted by arrival time.
 ///
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// let stats = workload.statistics();
 /// assert!((stats.mean_input_tokens - 763.0).abs() < 80.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     requests: Vec<Request>,
 }
@@ -62,23 +61,6 @@ impl Workload {
     /// and all arrival times at zero (offline setting).
     pub fn azure_like(n: usize, seed: u64) -> Self {
         AzureTraceConfig::default().generate(n, seed)
-    }
-
-    /// Generates a mixed-model workload: `counts[m]` Azure-like requests
-    /// tagged `ModelId(m)` for every model of the fleet, with globally unique
-    /// request ids.  Arrival times start at zero; use
-    /// [`Workload::with_arrivals`] to spread them out.
-    pub fn mixed_azure_like(counts: &[usize], seed: u64) -> Self {
-        let workloads = counts
-            .iter()
-            .enumerate()
-            .map(|(m, &n)| {
-                AzureTraceConfig::default()
-                    .generate(n, seed.wrapping_add(m as u64))
-                    .with_model(ModelId(m))
-            })
-            .collect();
-        Self::merge(workloads)
     }
 
     /// Tags every request with `model`.
@@ -158,12 +140,6 @@ impl Workload {
         self.requests.iter()
     }
 
-    /// Truncates the workload to requests arriving before `horizon_secs`.
-    pub fn truncate_to_horizon(mut self, horizon_secs: f64) -> Self {
-        self.requests.retain(|r| r.arrival_time < horizon_secs);
-        self
-    }
-
     /// Keeps only the first `n` requests (by arrival order).
     pub fn take(mut self, n: usize) -> Self {
         self.requests.truncate(n);
@@ -226,15 +202,10 @@ impl Workload {
     pub fn total_output_tokens(&self) -> u64 {
         self.requests.iter().map(|r| r.output_tokens as u64).sum()
     }
-
-    /// Total number of prompt tokens across all requests.
-    pub fn total_prompt_tokens(&self) -> u64 {
-        self.requests.iter().map(|r| r.prompt_tokens as u64).sum()
-    }
 }
 
 /// Summary statistics of a workload (paper Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStatistics {
     /// Number of requests.
     pub num_requests: usize,
@@ -338,9 +309,6 @@ mod tests {
         assert!(times.windows(2).all(|p| p[0] <= p[1]));
         // Roughly 500 requests at 5 req/s -> about 100 seconds.
         assert!(*times.last().unwrap() > 50.0 && *times.last().unwrap() < 200.0);
-        let truncated = w.clone().truncate_to_horizon(10.0);
-        assert!(truncated.len() < w.len());
-        assert!(truncated.iter().all(|r| r.arrival_time < 10.0));
         let first = w.clone().take(10);
         assert_eq!(first.len(), 10);
     }
@@ -353,12 +321,18 @@ mod tests {
         assert_eq!(stats.output_histogram.iter().sum::<usize>(), 2000);
         assert_eq!(stats.arrivals_per_minute.iter().sum::<usize>(), 2000);
         assert!(w.total_output_tokens() > 0);
-        assert!(w.total_prompt_tokens() > w.total_output_tokens());
     }
 
     #[test]
     fn mixed_model_workloads_merge_split_and_stay_unique() {
-        let w = Workload::mixed_azure_like(&[30, 20], 5);
+        let w = Workload::merge(vec![
+            AzureTraceConfig::default()
+                .generate(30, 5)
+                .with_model(ModelId(0)),
+            AzureTraceConfig::default()
+                .generate(20, 6)
+                .with_model(ModelId(1)),
+        ]);
         assert_eq!(w.len(), 50);
         assert_eq!(w.models(), vec![ModelId(0), ModelId(1)]);
         // Ids are globally unique.

@@ -1,7 +1,6 @@
 //! Request records.
 
 use helix_cluster::{ModelId, Region};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a request within a workload.
 pub type RequestId = u64;
@@ -12,7 +11,7 @@ pub type RequestId = u64;
 /// (the threaded runtime's `ServingSession`, the simulator's `SimSession`)
 /// hand it back so completions can be awaited per request.  Request ids must
 /// be unique within one session for tickets to be unambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TicketId(pub RequestId);
 
 impl TicketId {
@@ -34,7 +33,7 @@ pub use helix_cluster::PrefixId;
 ///
 /// Requests default to no shared prefix (`prefix: None`): every existing
 /// trace and workload behaves exactly as before prefix sharing existed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Unique id within the workload.
     pub id: RequestId,
@@ -55,8 +54,6 @@ pub struct Request {
     /// The region the request prefers (user locality), if any.  A front-tier
     /// router honours the tag while the region is healthy; untagged requests
     /// are placed by consistent hashing.  Single-region surfaces ignore it.
-    /// (Absent in pre-region serialised workloads; missing fields
-    /// deserialise to `None`.)
     pub region: Option<Region>,
 }
 

@@ -250,12 +250,6 @@ mod tests {
         assert_eq!(r[3].shared_prefix(), None);
         assert_eq!(r[3].prefix_tokens, 0);
 
-        // Serde round trip: a workload with prefixes survives JSON and the
-        // stripped form equals an untagged parse.
-        let json = serde_json::to_string(&w).unwrap();
-        let back: Workload = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, w);
-
         // Malformed prefix tags are rejected with the line number.
         let bad = "{\"prompt_tokens\": 10, \"output_tokens\": 1, \"prefix\": -2}";
         assert!(matches!(
@@ -290,15 +284,6 @@ mod tests {
         assert_eq!(r[2].shared_prefix(), Some((PrefixId(7), 20)));
         // Untagged records stay region-free and route by hashing alone.
         assert_eq!(r[3].region, None);
-
-        // Serde round trip preserves region tags, and pre-region JSON (no
-        // `region` key on the request objects) still deserialises.
-        let json = serde_json::to_string(&w).unwrap();
-        let back: Workload = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, w);
-        let legacy = r#"{"requests":[{"id":0,"prompt_tokens":8,"output_tokens":2,"arrival_time":0.0,"model":0,"prefix":null,"prefix_tokens":0}]}"#;
-        let old: Workload = serde_json::from_str(legacy).unwrap();
-        assert_eq!(old.requests()[0].region, None);
 
         // Malformed region tags are rejected with the line number.
         let bad = "{\"prompt_tokens\": 10, \"output_tokens\": 1, \"region\": -1}";

@@ -52,4 +52,9 @@ guard "one time-ordered queue, no message layer" \
 # between live and dead: no per-node stale marks, no per-node row rebuild.
 guard "Dinic rows are edited per flipped pair" \
     "grep -rnE 'fn mark\\(|marked: Vec|fn rebuild_row' crates/maxflow/src"
+# The only JSON is the paper artifacts, built with `serde_json::json!` over
+# std types: no derive, no `Serialize` / `Deserialize` trait and no vendored
+# `serde` or `serde_derive` under them.
+guard "no serialisation framework in the tree" \
+    "grep -rnE 'Serialize|Deserialize|serde::|#\\[serde|serde_derive' crates src tests examples; ls -d vendor/serde vendor/serde_derive 2>/dev/null"
 exit $status
