@@ -189,10 +189,9 @@ impl Actuator {
         self.activation.get(model.index()).copied().unwrap_or(0.0)
     }
 
-    /// Takes the KV hand-overs performed so far (a later run reports its
-    /// own).
-    pub fn take_kv_transfers(&mut self) -> Vec<KvTransferRecord> {
-        std::mem::take(&mut self.kv_transfers)
+    /// The KV hand-overs performed so far, in the order they started.
+    pub fn kv_transfers(&self) -> &[KvTransferRecord] {
+        &self.kv_transfers
     }
 
     /// Actuates one applied re-plan (`None`: infeasible or not due, and the
@@ -621,8 +620,7 @@ mod tests {
 
         let mut wire = Recorder::default();
         actuator.hand_over(&control, &mut wire, outcome, 2.0);
-        let transfers = actuator.take_kv_transfers();
-        let [record] = transfers.as_slice() else {
+        let [record] = actuator.kv_transfers() else {
             panic!("one hand-over");
         };
         let rows = [(NodeId(0), MODEL), (NodeId(3), MODEL)];

@@ -239,13 +239,9 @@ impl ControlPlane {
         }
     }
 
-    /// The surface's clock (re)starts at zero under `policy`: the policy
-    /// clock and window marks reset, everything else stands.
-    pub fn start_timeline(&mut self, policy: Option<ReplanPolicy>) {
+    /// Closes the observe → re-plan loop under `policy` (`None` opens it).
+    pub fn set_policy(&mut self, policy: Option<ReplanPolicy>) {
         self.policy = policy;
-        self.windows = ObservationWindows::new();
-        self.last_check = 0.0;
-        self.last_replan = None;
     }
 
     /// The standing fleet plan (re-plans update it).
@@ -303,17 +299,17 @@ impl ControlPlane {
         self.in_flight.len()
     }
 
-    /// Takes the run's logs and counters (a later run reports its own).
-    pub fn take_logs(&mut self) -> ControlLogs {
+    /// The logs and counters since the control plane was built.
+    pub fn logs(&self) -> ControlLogs {
         let mut prefix = PrefixStats::default();
-        for router in &mut self.prefix_routers {
-            prefix.merge(&router.take_stats());
+        for router in &self.prefix_routers {
+            prefix.merge(router.stats());
         }
         ControlLogs {
-            replans: std::mem::take(&mut self.replans),
-            failovers: std::mem::take(&mut self.failovers),
+            replans: self.replans.clone(),
+            failovers: self.failovers.clone(),
             prefix,
-            replication: self.replica_tracker.take_stats(),
+            replication: self.replica_tracker.stats(),
         }
     }
 

@@ -733,14 +733,6 @@ impl NodeEngine {
         }
     }
 
-    /// Starts a new timeline epoch: freezes and the throughput window are
-    /// timeline-relative and reset; cumulative counters survive.
-    pub fn rebase_epoch(&mut self) {
-        self.frozen.clear();
-        self.window_start = 0.0;
-        self.window_tokens = 0;
-    }
-
     /// Adds a work item to the pending queue.
     pub fn enqueue(&mut self, item: WorkItem) {
         self.pending.push(item);

@@ -616,46 +616,14 @@ impl FleetScheduler {
     }
 }
 
-/// Options for the joint fleet annealing search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetAnnealingOptions {
-    /// Number of proposed moves across the whole fleet.
-    pub iterations: usize,
-    /// RNG seed (searches are deterministic given the seed).
-    pub seed: u64,
-    /// Whether connection validity allows partial inference.
-    pub partial_inference: bool,
-    /// Optional cluster pruning degree for the flow evaluations.
-    pub prune_degree: Option<usize>,
-}
-
-impl Default for FleetAnnealingOptions {
-    fn default() -> Self {
-        FleetAnnealingOptions {
-            iterations: 4000,
-            seed: 0x48454C49,
-            partial_inference: true,
-            prune_degree: None,
-        }
-    }
-}
+/// Options for the joint fleet annealing search: the single-model search's,
+/// which a fleet search runs per model (or per pod) with the same budget,
+/// seed and connection settings.
+pub type FleetAnnealingOptions = AnnealingOptions;
 
 /// Probability that a proposal of the joint search moves a node *between*
 /// models instead of adjusting a layer range within one model.
 const CROSS_MODEL_FRACTION: f64 = 0.25;
-
-/// The single-model search a fleet search runs per model (or per pod): same
-/// budget, seed and connection settings.
-impl From<&FleetAnnealingOptions> for AnnealingOptions {
-    fn from(options: &FleetAnnealingOptions) -> Self {
-        AnnealingOptions {
-            iterations: options.iterations,
-            seed: options.seed,
-            partial_inference: options.partial_inference,
-            prune_degree: options.prune_degree,
-        }
-    }
-}
 
 /// Per-model max-flow throughputs of a fleet placement, one cold solve per
 /// model; invalid per-model placements score 0.
@@ -745,7 +713,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
         if num_models == 1 {
             // Trivial fleet: the single-model annealer is the canonical path.
             let single =
-                FlowAnnealingPlanner::new(&self.profiles[0]).with_options((&self.options).into());
+                FlowAnnealingPlanner::new(&self.profiles[0]).with_options(self.options.clone());
             let (placement, value) = single.solve()?;
             return Ok((FleetPlacement::single(placement), vec![value]));
         }
@@ -1119,7 +1087,7 @@ mod tests {
         let options = quick_options();
         let planner = FleetAnnealingPlanner::new(&profiles).with_options(options.clone());
         let (placement, flows) = planner.solve().unwrap();
-        let single = FlowAnnealingPlanner::new(&profiles[0]).with_options((&options).into());
+        let single = FlowAnnealingPlanner::new(&profiles[0]).with_options(options.clone());
         let (expected_placement, expected_value) = single.solve().unwrap();
         assert_eq!(placement.placements()[0], expected_placement);
         assert_eq!(flows, vec![expected_value]);

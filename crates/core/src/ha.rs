@@ -96,15 +96,6 @@ pub struct ReplicationStats {
     pub bytes: f64,
 }
 
-impl ReplicationStats {
-    /// Accumulates another surface's (or another drain's) counters.
-    pub fn merge(&mut self, other: &ReplicationStats) {
-        self.chunks += other.chunks;
-        self.tokens += other.tokens;
-        self.bytes += other.bytes;
-    }
-}
-
 /// One fail-over the controller handled, for the final report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverRecord {
@@ -242,12 +233,6 @@ impl ReplicaTracker {
     /// The accumulated traffic counters.
     pub fn stats(&self) -> ReplicationStats {
         self.stats
-    }
-
-    /// Takes the counters (for reports that must not double-count across
-    /// drains).
-    pub fn take_stats(&mut self) -> ReplicationStats {
-        std::mem::take(&mut self.stats)
     }
 }
 

@@ -72,15 +72,6 @@ impl LinkQueue {
     pub fn busy_until(&self) -> f64 {
         self.busy_until
     }
-
-    /// Starts a new timeline epoch: the link is idle at t=0 again while the
-    /// cumulative traffic counters survive.  Called between session drains,
-    /// whose event timelines each restart at zero — comparing a stale
-    /// `busy_until` against the new epoch's clock would stall the link for
-    /// the length of the previous batch.
-    pub fn rebase_epoch(&mut self) {
-        self.busy_until = 0.0;
-    }
 }
 
 /// Marks an endpoint pair that has carried no transfer yet.
@@ -136,13 +127,6 @@ impl LinkTable {
     /// first-use order.
     pub fn used(&self) -> &[(LinkKey, LinkQueue)] {
         &self.queues
-    }
-
-    /// [`LinkQueue::rebase_epoch`] on every used link.
-    pub fn rebase_epoch(&mut self) {
-        self.queues
-            .iter_mut()
-            .for_each(|(_, queue)| queue.rebase_epoch());
     }
 }
 

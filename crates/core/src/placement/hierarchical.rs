@@ -287,7 +287,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
             let planner = FlowAnnealingPlanner::new(&sub_profile).with_options(AnnealingOptions {
                 iterations,
                 seed: mix_seed(self.options.annealing.seed, pod.id as u64),
-                ..(&self.options.annealing).into()
+                ..self.options.annealing
             });
             let (sub_placement, _) = planner.solve()?;
             let mut placement = ModelPlacement::empty(n);

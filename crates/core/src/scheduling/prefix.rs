@@ -61,8 +61,8 @@ pub struct PrefixStats {
 }
 
 impl PrefixStats {
-    /// Folds `other` into `self` (plain summation; used when merging
-    /// per-batch reports).
+    /// Folds `other` into `self` (plain summation; sums the per-model
+    /// routers' counters).
     pub fn merge(&mut self, other: &PrefixStats) {
         self.prefix_hits += other.prefix_hits;
         self.prefix_misses += other.prefix_misses;
@@ -230,14 +230,9 @@ impl PrefixRouter {
         self.homes.get(&prefix).map(|home| &home.pipeline)
     }
 
-    /// Counters accumulated since the last [`take_stats`](Self::take_stats).
+    /// Counters accumulated since the router was built.
     pub fn stats(&self) -> &PrefixStats {
         &self.stats
-    }
-
-    /// Returns the accumulated counters and resets them (per-run reporting).
-    pub fn take_stats(&mut self) -> PrefixStats {
-        std::mem::take(&mut self.stats)
     }
 }
 
@@ -352,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_forgets_homes_and_take_stats_resets() {
+    fn clear_forgets_homes() {
         let mut router = PrefixRouter::new();
         router.adopt(PrefixId(0), 32, &pipeline(1));
         router.clear();
@@ -360,9 +355,7 @@ mod tests {
             router.route(PrefixId(0), 32, &IdleClusterState),
             PrefixRoute::Miss
         );
-        let stats = router.take_stats();
-        assert_eq!(stats.prefix_misses, 1);
-        assert_eq!(*router.stats(), PrefixStats::default());
+        assert_eq!(router.stats().prefix_misses, 1);
     }
 
     #[test]

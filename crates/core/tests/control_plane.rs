@@ -284,7 +284,7 @@ proptest! {
                 "prefix {p} still holds a reference at quiescence"
             );
         }
-        for record in h.control.take_logs().failovers {
+        for record in h.control.logs().failovers {
             prop_assert!(record.tokens_recomputed <= record.abort_recompute_tokens);
             prop_assert!(record.promoted.iter().all(|id| !record.aborted.contains(id)));
             let stranded = record.promoted.len() + record.aborted.len();

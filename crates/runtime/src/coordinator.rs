@@ -208,7 +208,7 @@ impl Coordinator {
         let initial = |t: &Topology| KvCacheEstimator::new(t.profile(), INITIAL_AVG_OUTPUT_TOKENS);
         let estimators = fleet.topologies().iter().map(initial).collect();
         let mut control = ControlPlane::new(fleet, spec.schedulers);
-        control.start_timeline(spec.policy);
+        control.set_policy(spec.policy);
         Coordinator {
             control,
             estimators,
@@ -234,9 +234,8 @@ impl Coordinator {
 
     /// Everything the run accumulated besides the outcomes, for the final
     /// report.
-    pub(crate) fn take_logs(&mut self) -> (ControlLogs, Vec<KvTransferRecord>) {
-        let kv_transfers = self.act.take_kv_transfers();
-        (self.control.take_logs(), kv_transfers)
+    pub(crate) fn logs(&self) -> (ControlLogs, Vec<KvTransferRecord>) {
+        (self.control.logs(), self.act.kv_transfers().to_vec())
     }
 
     /// The data plane's loop: requests, placement deltas and drain/finish
@@ -894,8 +893,7 @@ mod tests {
             Some(outcome),
             0.0,
         );
-        let transfers = act.take_kv_transfers();
-        let [record] = transfers.as_slice() else {
+        let [record] = act.kv_transfers() else {
             panic!("one hand-over, recorded when it starts");
         };
         let due = record.at;
@@ -1130,7 +1128,7 @@ mod tests {
         control.send(SessionControl::Finish).unwrap();
         assert_eq!(coordinator.run_live().unwrap().len(), 40);
 
-        let (logs, transfers) = coordinator.take_logs();
+        let (logs, transfers) = coordinator.logs();
         assert_eq!(transfers.len(), 1, "the migration handed over");
         assert_eq!(logs.failovers.len(), 1);
         assert!(logs.replication.chunks > 0, "replicas were seeded");

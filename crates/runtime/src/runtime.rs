@@ -113,7 +113,7 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
     let mut coordinator = Coordinator::new(spec);
     let _ = wired.send(());
     let outcome = coordinator.run_live();
-    let (control, kv_transfers) = coordinator.take_logs();
+    let (control, kv_transfers) = coordinator.logs();
 
     let outcomes = outcome?;
     let makespan = {

@@ -4,11 +4,17 @@ use helix_cluster::{ModelId, NodeId, Region};
 use helix_core::{Hop, LayerRange, Timeline};
 use helix_workload::RequestId;
 
-/// Simulation time in seconds since the start of the run.
+/// Simulation time in seconds since the simulator's clock started.
 pub type SimTime = f64;
 
 /// A scripted mid-run disturbance of the cluster or the workload — the
 /// scenarios the online re-planning loop exists to absorb.
+///
+/// Each is one primitive step at one instant, `at`, a reading of the
+/// simulator's clock: one timed before the clock's reading when it is run
+/// happens at that reading.  A disturbance with a duration is two steps,
+/// such as [`PerturbationEvent::NodeSlowdown`] and a later
+/// [`PerturbationEvent::NodeRecovery`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PerturbationEvent {
     /// The node's batches start taking `factor`× the cost model's prediction
@@ -52,49 +58,12 @@ pub enum PerturbationEvent {
         /// spec at apply time).
         region: Region,
     },
-    /// The node drops out and rejoins `down_secs` later — a flapping node.
-    /// The down edge is a full [`PerturbationEvent::NodeFailure`] (abort or
-    /// promote in-flight pipelines, purge, re-plan); the rejoin restores the
-    /// node's engines and hands its pre-failure layer ranges back to the
-    /// planner via an assign-delta re-plan.
-    NodeFlap {
-        /// When the node drops.
-        at: SimTime,
-        /// The flapping node.
-        node: NodeId,
-        /// How long the node stays down before rejoining.
-        down_secs: SimTime,
-    },
-    /// The node keeps serving but `factor`× slower until it recovers
-    /// `recover_secs` later — a straggler rather than a failure.  Equivalent
-    /// to a [`PerturbationEvent::NodeSlowdown`] with a scheduled
-    /// [`PerturbationEvent::NodeRecovery`].
-    NodeStraggler {
-        /// When the straggle begins.
-        at: SimTime,
-        /// The straggling node.
-        node: NodeId,
-        /// Duration multiplier while straggling.
-        factor: f64,
-        /// How long until the node returns to nominal speed.
-        recover_secs: SimTime,
-    },
-    /// Every node of `region` becomes unreachable for `heal_secs` — a network
-    /// partition rather than a power loss.  The partitioned side is treated
-    /// as failed (the coordinator cannot tell a partition from a crash), and
-    /// when the partition heals every node rejoins as in
-    /// [`PerturbationEvent::NodeFlap`].
-    RegionPartition {
-        /// When the partition forms.
-        at: SimTime,
-        /// The partitioned region.
-        region: Region,
-        /// How long until the partition heals.
-        heal_secs: SimTime,
-    },
-    /// Internal: a previously flapped/partitioned node comes back.  Scheduled
-    /// by [`PerturbationEvent::NodeFlap`] / [`PerturbationEvent::RegionPartition`];
-    /// not normally scripted directly.
+    /// A failed node comes back: its engines recover, and the planner hands
+    /// it back the layer ranges it held when it failed (an assign-delta
+    /// re-plan; a no-op for a node that never left the plan).  A flapping
+    /// node is a [`PerturbationEvent::NodeFailure`] and a later rejoin; a
+    /// healed partition is a [`PerturbationEvent::RegionOutage`] and one
+    /// rejoin per node of the region.
     NodeRejoin {
         /// When the node rejoins.
         at: SimTime,
@@ -137,9 +106,6 @@ impl PerturbationEvent {
             | PerturbationEvent::NodeRecovery { at, .. }
             | PerturbationEvent::NodeFailure { at, .. }
             | PerturbationEvent::RegionOutage { at, .. }
-            | PerturbationEvent::NodeFlap { at, .. }
-            | PerturbationEvent::NodeStraggler { at, .. }
-            | PerturbationEvent::RegionPartition { at, .. }
             | PerturbationEvent::NodeRejoin { at, .. }
             | PerturbationEvent::ArrivalRateShift { at, .. }
             | PerturbationEvent::Migrate { at, .. } => at,

@@ -44,7 +44,7 @@
 //!   coordinator is row and column 0).  Every walk over them has one fixed
 //!   order, so identical runs report identically, the order of tied
 //!   `link_stats` included.
-//! * **Requests.**  A run turns its workload into a
+//! * **Requests.**  Each run adds its workload to the simulator's one
 //!   [`RequestTable`](helix_core::RequestTable) — one slot per distinct id,
 //!   found through an id → slot map once per arrival, admission or finish —
 //!   and keeps one *lane* per slot: the admitted incarnation's epoch,
@@ -67,9 +67,17 @@
 //!   when it reaches the coordinator.
 //! * **Who invalidates a lane.**  A lane is written at dispatch and cleared
 //!   exactly where the control plane drops the flight: at the request's last
-//!   token and for every pipeline a fail-over strands.  Slots are never
-//!   reused within a run, so stale hops and tokens meet an empty lane or a
+//!   token and for every pipeline a fail-over strands.  A slot is never
+//!   given to another id, so stale hops and tokens meet an empty lane or a
 //!   newer epoch and are dropped.
+//! * **One clock.**  The simulator's clock reads zero when it is built, and
+//!   every run continues it, as a runtime session's drains continue the
+//!   runtime's: a request or perturbation timed before the clock's reading
+//!   happens at that reading, and a run stops at the window's end or once
+//!   nothing but the next observation tick is left.  Tokens, latency
+//!   samples, completions and interval windows accumulate over runs, so a
+//!   report's percentiles are exact over all of them.  Bookkeeping events
+//!   (ticks, perturbations, thaws) do not advance the measured clock.
 //!
 //! # Example
 //!

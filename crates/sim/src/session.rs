@@ -4,27 +4,30 @@
 //! (`submit` → `drain` → `finish`) so examples, tests and benches can drive
 //! the simulator and the prototype runtime through one API (the facade
 //! crate's `ServingFrontEnd` trait is implemented by both).  Because the
-//! simulator is pull-based, submissions are buffered and the event loop runs
-//! when the session drains; the underlying [`ClusterSimulator`] — including
-//! its standing fleet plan and any re-plans — persists across drains.
+//! simulator is pull-based, submissions and scripted perturbations are
+//! buffered and the event loop runs when the session drains.  Each drain
+//! continues the simulator's one clock, as a runtime drain continues the
+//! runtime's: the fleet plan, re-plans, engines, links and measurements
+//! persist, a request or perturbation timed before the clock's reading
+//! happens at that reading, and a drain with only perturbations runs them.
 
 use crate::event::PerturbationEvent;
-use crate::metrics::{LatencyStats, Metrics};
 use crate::simulator::{ClusterSimulator, FleetRunReport, SimulationConfig};
 use helix_cluster::{ModelId, NodeId};
 use helix_core::{LayerRange, ReplanPolicy, ReplicationPolicy};
 use helix_workload::{Request, TicketId, Workload};
 
 /// A live handle over a [`ClusterSimulator`], shaped like the runtime's
-/// serving session.
+/// serving session.  Times are readings of the simulator's clock, which
+/// starts at zero with the session's simulator and runs on across drains.
 ///
 /// * [`submit`](Self::submit) buffers a request and returns its ticket.
 /// * [`inject_speed`](Self::inject_speed) schedules a slowdown (or recovery)
-///   at the start of the next drained batch — the simulated counterpart of
+///   at the start of the next drain — the simulated counterpart of
 ///   flipping a live worker's speed mid-session.
 /// * [`schedule`](Self::schedule) scripts an arbitrary mid-run
 ///   [`PerturbationEvent`] at a simulated time.
-/// * [`drain`](Self::drain) simulates everything submitted so far (with the
+/// * [`drain`](Self::drain) simulates everything buffered so far (with the
 ///   configured [`ReplanPolicy`], if any, closing the feedback loop);
 ///   [`finish`](Self::finish) drains and returns the final
 ///   [`FleetRunReport`].
@@ -34,7 +37,6 @@ pub struct SimSession {
     policy: Option<ReplanPolicy>,
     pending: Vec<Request>,
     events: Vec<PerturbationEvent>,
-    report: Option<FleetRunReport>,
 }
 
 impl SimSession {
@@ -46,11 +48,10 @@ impl SimSession {
             policy: None,
             pending: Vec::new(),
             events: Vec::new(),
-            report: None,
         }
     }
 
-    /// Closes the observe → re-plan → hand-over loop for every drained batch.
+    /// Closes the observe → re-plan → hand-over loop for every drain.
     #[must_use]
     pub fn with_policy(mut self, policy: ReplanPolicy) -> Self {
         self.policy = Some(policy);
@@ -63,9 +64,9 @@ impl SimSession {
         TicketId(request.id)
     }
 
-    /// Injects a node slowdown at the start of the next drained batch
-    /// (`factor` multiplies batch durations; 1.0 restores nominal speed).
-    /// The simulator *measures* the resulting gap; a policy-driven session
+    /// Injects a node slowdown at the start of the next drain (`factor`
+    /// multiplies batch durations; 1.0 restores nominal speed).  The
+    /// simulator *measures* the resulting gap; a policy-driven session
     /// reacts to the measurement, never to the injected value.
     pub fn inject_speed(&mut self, node: NodeId, factor: f64) {
         self.events.push(PerturbationEvent::NodeSlowdown {
@@ -75,12 +76,12 @@ impl SimSession {
         });
     }
 
-    /// Scripts a mid-run perturbation for the next drained batch.
+    /// Scripts a perturbation for the next drain, at its session time.
     pub fn schedule(&mut self, event: PerturbationEvent) {
         self.events.push(event);
     }
 
-    /// Kills one node at simulated time `at` of the next drained batch (see
+    /// Kills one node at session time `at` (see
     /// [`PerturbationEvent::NodeFailure`]).  With a replication policy set,
     /// in-flight replicated pipelines promote their standbys and resume with
     /// bounded token loss; everything else aborts and re-admits.
@@ -95,20 +96,20 @@ impl SimSession {
         self.sim.set_replication(policy);
     }
 
-    /// Takes a whole region down at the start of the next drained batch:
-    /// every node the fleet's cluster spec places in `region` fails at once
-    /// (see [`PerturbationEvent::RegionOutage`]).  In-flight requests
-    /// through the region are re-admitted on surviving pipelines; its prefix
-    /// homes are evicted.
+    /// Takes a whole region down at the start of the next drain: every node
+    /// the fleet's cluster spec places in `region` fails at once (see
+    /// [`PerturbationEvent::RegionOutage`]).  In-flight requests through the
+    /// region are re-admitted on surviving pipelines; its prefix homes are
+    /// evicted.
     pub fn fail_region(&mut self, region: helix_cluster::Region) {
         self.events
             .push(PerturbationEvent::RegionOutage { at: 0.0, region });
     }
 
-    /// Queues a partial-layer migration at the start of the next drained
-    /// batch: `layers` of `model` move from `from` to `to`, their KV pages
-    /// travel the `from → to` link as modelled traffic, and both engines
-    /// freeze until the transfer lands — the simulated counterpart of
+    /// Queues a partial-layer migration at the start of the next drain:
+    /// `layers` of `model` move from `from` to `to`, their KV pages travel
+    /// the `from → to` link as modelled traffic, and both engines freeze
+    /// until the transfer lands — the simulated counterpart of
     /// [`ServingSession::apply_placement_delta`] with a
     /// [`PlacementDelta::migrate`] delta.
     ///
@@ -124,117 +125,33 @@ impl SimSession {
         });
     }
 
-    /// Simulates everything submitted since the last drain.  A drain with no
-    /// pending requests is a no-op; a later batch runs on the same simulator
-    /// (its fleet plan, applied re-plans and slowdowns persist), and its
-    /// results are **merged** into the session report so
-    /// [`finish`](Self::finish) covers every drained batch — matching the
-    /// runtime session, whose report covers all submissions.
+    /// Runs the clock on over everything submitted and scheduled since the
+    /// last drain, until nothing but the next observation tick is left to
+    /// happen.  The simulator's fleet plan, applied re-plans, slowdowns and
+    /// measurements persist, so [`finish`](Self::finish) covers every drain
+    /// — matching the runtime session, whose report covers all submissions.
     pub fn drain(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
         let workload = Workload::new(std::mem::take(&mut self.pending));
         let events = std::mem::take(&mut self.events);
-        let next = self
-            .sim
-            .run_with_events(&workload, self.config, &events, self.policy);
-        match self.report.take() {
-            Some(base) => self.report = Some(merge_reports(base, next)),
-            None => self.report = Some(next),
-        }
+        self.sim
+            .advance(&workload, self.config, &events, self.policy);
     }
 
-    /// Drains and returns the session's cumulative report, covering every
-    /// drained batch (an empty run's report if nothing was ever submitted).
+    /// Drains and returns the session's report.
     pub fn finish(mut self) -> FleetRunReport {
         self.drain();
-        match self.report.take() {
-            Some(report) => report,
-            None => {
-                // Nothing was submitted: report an empty, well-formed run.
-                let events = std::mem::take(&mut self.events);
-                self.sim.run_with_events(
-                    &Workload::new(Vec::new()),
-                    self.config,
-                    &events,
-                    self.policy,
-                )
-            }
-        }
+        self.report()
     }
 
-    /// The cumulative report over every batch drained so far, if any.
-    pub fn report(&self) -> Option<&FleetRunReport> {
-        self.report.as_ref()
+    /// What the session's clock has measured so far, over every drain.
+    pub fn report(&self) -> FleetRunReport {
+        self.sim.report(self.config)
     }
 
     /// The underlying simulator (its standing fleet plan reflects applied
     /// re-plans).
     pub fn simulator(&self) -> &ClusterSimulator {
         &self.sim
-    }
-}
-
-/// Merges a later drained batch into the session's cumulative report.
-///
-/// Counts (tokens, completions, measured seconds) add exactly; interval
-/// windows and re-plan logs concatenate (each batch's timeline restarts at
-/// zero); node utilisation and link statistics come from the latest batch,
-/// whose engines and links already carry the cumulative state.  Latency
-/// distributions are merged count-weighted — the mean stays exact, the
-/// percentiles are approximations (the raw samples are not retained).
-fn merge_reports(mut base: FleetRunReport, next: FleetRunReport) -> FleetRunReport {
-    base.metrics.overall = merge_metrics(&base.metrics.overall, &next.metrics.overall);
-    base.metrics.per_model = base
-        .metrics
-        .per_model
-        .iter()
-        .zip(&next.metrics.per_model)
-        .map(|(b, n)| merge_metrics(b, n))
-        .collect();
-    base.intervals.extend(next.intervals);
-    base.replans.extend(next.replans);
-    base.kv_transfers.extend(next.kv_transfers);
-    base.completions.extend(next.completions);
-    base.prefix.merge(&next.prefix);
-    base.failovers.extend(next.failovers);
-    base.replication.merge(&next.replication);
-    base
-}
-
-fn merge_metrics(base: &Metrics, next: &Metrics) -> Metrics {
-    Metrics {
-        measured_seconds: base.measured_seconds + next.measured_seconds,
-        decode_tokens: base.decode_tokens + next.decode_tokens,
-        completed_requests: base.completed_requests + next.completed_requests,
-        prompt_latency: merge_latency(&base.prompt_latency, &next.prompt_latency),
-        decode_latency: merge_latency(&base.decode_latency, &next.decode_latency),
-        // The simulator's engines and links persist across batches, so the
-        // latest batch's views already reflect the whole session.
-        node_utilization: next.node_utilization.clone(),
-        link_stats: next.link_stats.clone(),
-    }
-}
-
-fn merge_latency(base: &LatencyStats, next: &LatencyStats) -> LatencyStats {
-    if base.count == 0 {
-        return *next;
-    }
-    if next.count == 0 {
-        return *base;
-    }
-    let count = base.count + next.count;
-    let weigh = |b: f64, n: f64| (b * base.count as f64 + n * next.count as f64) / count as f64;
-    LatencyStats {
-        count,
-        mean: weigh(base.mean, next.mean),
-        p5: weigh(base.p5, next.p5),
-        p25: weigh(base.p25, next.p25),
-        p50: weigh(base.p50, next.p50),
-        p75: weigh(base.p75, next.p75),
-        p95: weigh(base.p95, next.p95),
-        max: base.max.max(next.max),
     }
 }
 
@@ -302,7 +219,7 @@ mod tests {
             session.submit(*request);
         }
         session.drain();
-        let first_batch = session.report().unwrap().metrics.overall.clone();
+        let first_batch = session.report().metrics.overall;
         assert_eq!(first_batch.completed_requests, 10);
 
         for request in workload(10, 2).requests() {
@@ -314,6 +231,41 @@ mod tests {
         assert_eq!(report.metrics.overall.completed_requests, 20);
         assert!(report.metrics.overall.decode_tokens > first_batch.decode_tokens);
         assert_eq!(report.metrics.overall.prompt_latency.count, 20);
+    }
+
+    /// A later drain continues the clock: the second request arrives when
+    /// the first drain stopped and completes after the first, and the
+    /// report's percentiles are read from both requests' samples.
+    #[test]
+    fn a_later_drain_continues_the_clock_and_its_percentiles_are_exact() {
+        let topology = topology();
+        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+        let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let config = SimulationConfig::offline(100.0).with_warmup(0.0);
+        let mut session = SimSession::new(sim, config);
+        let request = |id, prompt_tokens| Request {
+            id,
+            prompt_tokens,
+            output_tokens: 4,
+            ..Request::default()
+        };
+        session.submit(request(0, 512));
+        session.drain();
+        session.submit(request(1, 32));
+        let report = session.finish();
+
+        let [first, second] = report.completions.as_slice() else {
+            panic!("two completions, got {:?}", report.completions);
+        };
+        assert_eq!((first.id, second.id), (0, 1));
+        assert!(
+            second.at > first.at,
+            "the second drain starts where the first stopped: {second:?} after {first:?}"
+        );
+        let prompt = report.metrics.overall.prompt_latency;
+        assert_eq!(prompt.count, 2);
+        assert!(prompt.p5 < prompt.p50, "{prompt:?}");
+        assert_eq!(prompt.p50, prompt.max);
     }
 
     #[test]

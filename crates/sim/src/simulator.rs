@@ -14,7 +14,7 @@ use helix_core::{
     Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
     Hop, KvTransferRecord, LinkKey, LinkTable, ModelPlacement, NodeEngine, PlacementDelta,
     PrefixStats, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
-    RequestTable, Scheduler, Topology, Wire,
+    Scheduler, Token, Topology, Wire,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -33,7 +33,7 @@ pub struct SimulationConfig {
     pub admission_limit: usize,
 }
 
-/// Safety cap on the events one run processes.
+/// Safety cap on the events a simulator processes over its runs.
 const MAX_EVENTS: u64 = 200_000_000;
 
 /// The simulator caches whole tokens against the planned `f64` capacity:
@@ -105,9 +105,9 @@ impl ClusterState for EngineView<'_> {
     }
 }
 
-/// A run's workload arrivals in (time, workload position) order.  They are
-/// merged with the event queue at pop and never enter it; deferred and
-/// re-submitted arrivals do.
+/// A run's workload arrivals in (time, workload position) order, none before
+/// the clock's reading.  They are merged with the event queue at pop and
+/// never enter it; deferred and re-submitted arrivals do.
 type Arrivals = Peekable<std::vec::IntoIter<(SimTime, RequestId)>>;
 
 /// Orders arrivals by time as the queue orders events (`-0.0` and `0.0`
@@ -127,15 +127,20 @@ struct SimWire {
     /// fleet's models).
     cluster: ClusterSpec,
     links: LinkTable,
-    /// The run's timeline.
+    /// The clock's timeline.
     queue: EventQueue,
 }
 
 impl SimWire {
-    /// The next event.  An arrival due no later than the queue's head goes
-    /// first: were the arrivals queued, they would hold the lowest sequence
-    /// numbers and win every tie.
-    fn pop(&mut self, arrivals: &mut Arrivals) -> Option<(SimTime, Event)> {
+    /// The next event, or `None` once no arrival is pending and nothing but
+    /// the pending observation tick (if `tick_pending`) is queued: a tick
+    /// alone does not run the clock.  An arrival due no later than the
+    /// queue's head goes first: were the arrivals queued, they would hold
+    /// the lowest sequence numbers and win every tie.
+    fn pop(&mut self, arrivals: &mut Arrivals, tick_pending: bool) -> Option<(SimTime, Event)> {
+        if arrivals.peek().is_none() && self.queue.len() == usize::from(tick_pending) {
+            return None;
+        }
         let head = self.queue.peek_time();
         match arrivals.next_if(|&(at, _)| head.is_none_or(|t| at <= t)) {
             Some((at, request)) => Some((at, Event::RequestArrival { request })),
@@ -202,15 +207,17 @@ pub struct CompletionRecord {
     pub at: SimTime,
 }
 
-/// The full result of a [`ClusterSimulator::run_with_events`] run: end-of-run
-/// metrics plus the windowed interval metrics and the re-plan log.
+/// What a simulator's clock has measured since it started at zero, as
+/// [`ClusterSimulator::run_with_events`] returns it: the metrics plus the
+/// windowed interval metrics and the re-plan log.  On a simulator driven
+/// more than once it covers every call.
 #[derive(Debug, Clone)]
 pub struct FleetRunReport {
-    /// End-of-run metrics (identical shape to [`ClusterSimulator::run_per_model`]).
+    /// The metrics (identical shape to [`ClusterSimulator::run_per_model`]).
     pub metrics: FleetMetrics,
     /// Windowed per-model decode progress, one entry per observation window.
     pub intervals: Vec<IntervalMetrics>,
-    /// Every re-plan the run applied, in order.
+    /// Every re-plan applied, in order.
     pub replans: Vec<ReplanRecord>,
     /// Every KV hand-over a partial-layer migration performed, in completion
     /// order.
@@ -221,10 +228,10 @@ pub struct FleetRunReport {
     /// Prefix-sharing counters summed over all models (all zeros when no
     /// request carries a prefix tag).
     pub prefix: PrefixStats,
-    /// Every fail-over the run handled (one record per failure event), with
+    /// Every fail-over handled (one record per failure event), with
     /// the promoted/aborted request sets and the recompute-token accounting.
     pub failovers: Vec<FailoverRecord>,
-    /// Replica traffic the run's replication policy trickled to standbys.
+    /// Replica traffic the replication policy trickled to standbys.
     pub replication: ReplicationStats,
 }
 
@@ -249,6 +256,11 @@ pub struct FleetRunReport {
 /// [`ClusterSimulator::run_per_model`] paths schedule no observation ticks
 /// and are bit-identical to the static pipeline.
 ///
+/// The simulator has one clock.  It reads zero when the simulator is built,
+/// and every run continues it: requests and perturbations timed before its
+/// reading happen at that reading, and each report covers everything the
+/// clock has measured since zero.
+///
 /// To drive the simulator through the same submit → drain → finish surface
 /// as the threaded runtime's serving session, wrap it in a
 /// [`SimSession`](crate::SimSession).
@@ -258,9 +270,81 @@ pub struct ClusterSimulator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy).
     control: ControlPlane,
-    /// The engines, the run's request table, slowdowns and KV hand-overs.
+    /// The engines, the request table, slowdowns and KV hand-overs.
     act: Actuator,
     wire: SimWire,
+    clock: Clock,
+}
+
+/// The simulator's clock and what it has measured, kept across runs so a
+/// later run continues where the last one stopped.
+struct Clock {
+    /// The measured clock: the time of the last event that is not
+    /// bookkeeping.
+    now: SimTime,
+    /// Events processed, against [`MAX_EVENTS`].
+    events: u64,
+    /// Requests submitted, each taking a 32-bit slot at most.
+    requests: usize,
+    /// Arrivals waiting for the admission cap.
+    backlog: VecDeque<RequestId>,
+    /// Whether an observation tick is queued.
+    tick_pending: bool,
+    /// Per-model measurements inside the window.
+    decode_tokens: Vec<u64>,
+    completed: Vec<u64>,
+    prompt_latencies: Vec<Vec<f64>>,
+    decode_gaps: Vec<Vec<f64>>,
+    /// Per-model decode tokens, warm-up included, and their counts when the
+    /// last interval window closed.
+    total_decode_tokens: Vec<u64>,
+    interval_base: Vec<u64>,
+    intervals: Vec<IntervalMetrics>,
+    completions: Vec<CompletionRecord>,
+}
+
+impl Clock {
+    fn new(num_models: usize) -> Self {
+        Clock {
+            now: 0.0,
+            events: 0,
+            requests: 0,
+            backlog: VecDeque::new(),
+            tick_pending: false,
+            decode_tokens: vec![0; num_models],
+            completed: vec![0; num_models],
+            prompt_latencies: vec![Vec::new(); num_models],
+            decode_gaps: vec![Vec::new(); num_models],
+            total_decode_tokens: vec![0; num_models],
+            interval_base: vec![0; num_models],
+            intervals: Vec::new(),
+            completions: Vec::new(),
+        }
+    }
+
+    /// Counts a token that reached the coordinator at `now`: toward the
+    /// interval windows always, toward the metrics after the warm-up.
+    fn count(&mut self, token: &Token, now: SimTime, warmup_secs: f64) {
+        let (progress, m) = (&token.progress, token.model.index());
+        self.total_decode_tokens[m] += 1;
+        if now < warmup_secs {
+            return;
+        }
+        self.decode_tokens[m] += 1;
+        if progress.first {
+            self.prompt_latencies[m].push(now - token.arrival_time.max(0.0));
+        } else if let Some(gap) = progress.gap {
+            self.decode_gaps[m].push(gap);
+        }
+        if progress.finished {
+            self.completed[m] += 1;
+            self.completions.push(CompletionRecord {
+                id: token.request,
+                model: token.model,
+                at: now,
+            });
+        }
+    }
 }
 
 impl ClusterSimulator {
@@ -292,6 +376,7 @@ impl ClusterSimulator {
             queue: EventQueue::new(),
         };
         ClusterSimulator {
+            clock: Clock::new(fleet.num_models()),
             act: Actuator::new(&fleet, SIM_TOKENS_PER_PAGE, true),
             control: ControlPlane::new(fleet, schedulers),
             wire,
@@ -365,6 +450,12 @@ impl ClusterSimulator {
     /// re-plan immediately (removal delta), aborting and re-admitting the
     /// pipelines they strand.
     ///
+    /// The run continues the simulator's one clock: a request or
+    /// perturbation timed before the clock's reading happens at that
+    /// reading.  It stops at the end of the window, or once nothing but the
+    /// next observation tick is left to happen, and reports everything the
+    /// clock has measured since zero.
+    ///
     /// With no events and no policy this is exactly
     /// [`ClusterSimulator::run_per_model`] (no observation ticks are
     /// scheduled, so event timing is bit-identical).
@@ -375,7 +466,7 @@ impl ClusterSimulator {
     /// fleet does not serve (see [`ClusterSimulator::run_per_model`]), or
     /// cannot ride a hop: more than `u32::MAX` prompt + output tokens, a
     /// model of more than `u16::MAX` layers (a pipeline has at most one stage
-    /// per layer), or a workload of 2³² requests or more.
+    /// per layer), or 2³² requests or more over the simulator's runs.
     pub fn run_with_events(
         &mut self,
         workload: &Workload,
@@ -383,26 +474,43 @@ impl ClusterSimulator {
         events: &[PerturbationEvent],
         policy: Option<ReplanPolicy>,
     ) -> FleetRunReport {
-        let num_models = self.num_models();
-        // Each run's timeline restarts at zero; links and engines keep their
-        // cumulative counters but must not stay "busy" (or frozen) into the
-        // new epoch, and the policy clock restarts with them.
-        self.wire.links.rebase_epoch();
-        self.wire.queue = EventQueue::new();
-        for engine in self.act.rows.values_mut() {
-            engine.rebase_epoch();
-        }
-        self.control.start_timeline(policy);
+        self.advance(workload, config, events, policy);
+        self.report(config)
+    }
 
+    /// Runs the clock on over `workload` and `events`, as
+    /// [`ClusterSimulator::run_with_events`] does, without reporting.
+    pub(crate) fn advance(
+        &mut self,
+        workload: &Workload,
+        config: SimulationConfig,
+        events: &[PerturbationEvent],
+        policy: Option<ReplanPolicy>,
+    ) {
+        let num_models = self.num_models();
+        let clock = self.clock.now;
+        self.control.set_policy(policy);
+
+        let requests = self.clock.requests + workload.len();
+        assert!(
+            u32::try_from(requests).is_ok(),
+            "{requests} requests do not fit a 32-bit slot",
+        );
+        self.clock.requests = requests;
+        // Arrival-rate shifts re-time the arrival process: gaps after the
+        // shift point shrink by the rate factor.  Shifts are applied in
+        // effect-time order, each in the already-shifted timeline.
+        let mut shifts: Vec<(SimTime, f64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                PerturbationEvent::ArrivalRateShift { at, factor } => Some((at.max(clock), factor)),
+                _ => None,
+            })
+            .collect();
+        shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         // The request table: a slot per distinct id (its first position); a
         // repeated id overwrites its spec and still arrives once per
         // occurrence.
-        assert!(
-            u32::try_from(workload.len()).is_ok(),
-            "a workload of {} requests does not fit a 32-bit slot",
-            workload.len(),
-        );
-        let mut requests = RequestTable::with_capacity(workload.len());
         for r in workload.iter() {
             assert!(
                 r.model.index() < num_models,
@@ -417,34 +525,21 @@ impl ClusterSimulator {
                 r.id,
                 r.total_tokens(),
             );
-            requests.insert(*r);
-        }
-
-        // Arrival-rate shifts re-time the arrival process: gaps after the
-        // shift point shrink by the rate factor.  Shifts are applied in
-        // effect-time order, each in the already-shifted timeline.
-        let mut shifts: Vec<(SimTime, f64)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                PerturbationEvent::ArrivalRateShift { at, factor } => Some((at, factor)),
-                _ => None,
-            })
-            .collect();
-        shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        for spec in requests.specs_mut() {
+            let mut spec = *r;
             for &(at, factor) in &shifts {
                 if spec.arrival_time > at && factor > 0.0 {
                     spec.arrival_time = at + (spec.arrival_time - at) / factor;
                 }
             }
+            self.act.requests.insert(spec);
         }
 
+        let requests = &self.act.requests;
         let arrivals = workload.iter().filter_map(|r| {
             let spec = requests.spec(requests.slot(r.id)?)?;
-            Some((spec.arrival_time, r.id))
+            Some((spec.arrival_time.max(clock), r.id))
         });
         let mut arrivals = arrival_stream(arrivals.collect());
-        self.act.requests = requests;
         let end_time = config.warmup_secs + config.duration_secs;
         for e in events {
             match e {
@@ -452,37 +547,23 @@ impl ClusterSimulator {
                 other => self
                     .wire
                     .queue
-                    .push(other.at(), Event::Perturbation(Box::new(*other))),
+                    .push(other.at().max(clock), Event::Perturbation(Box::new(*other))),
             }
         }
         // Observation ticks exist only for perturbed / policy-driven runs, so
         // the static serve path schedules exactly the events it always did.
-        let ticks_enabled = policy.is_some() || !events.is_empty();
         let tick_interval = policy
             .map(|p| p.check_interval_secs)
             .unwrap_or(10.0)
             .max(1e-3);
-        if ticks_enabled && tick_interval <= end_time {
-            self.wire.queue.push(tick_interval, Event::ObservationTick);
+        let tick = self.control.last_check().max(clock) + tick_interval;
+        let ticks_enabled = policy.is_some() || !events.is_empty();
+        if ticks_enabled && !self.clock.tick_pending && tick <= end_time {
+            self.wire.queue.push(tick, Event::ObservationTick);
+            self.clock.tick_pending = true;
         }
 
-        let mut backlog: VecDeque<RequestId> = VecDeque::new();
-
-        // Per-model measurement accumulators.
-        let mut decode_tokens: Vec<u64> = vec![0; num_models];
-        let mut completed: Vec<u64> = vec![0; num_models];
-        let mut prompt_latencies: Vec<Vec<f64>> = vec![Vec::new(); num_models];
-        let mut decode_gaps: Vec<Vec<f64>> = vec![Vec::new(); num_models];
-        // Warmup-independent totals backing the windowed interval metrics.
-        let mut total_decode_tokens: Vec<u64> = vec![0; num_models];
-        let mut processed_events: u64 = 0;
-        let mut now: SimTime = 0.0;
-
-        let mut intervals: Vec<IntervalMetrics> = Vec::new();
-        let mut completions: Vec<CompletionRecord> = Vec::new();
-        let mut interval_base: Vec<u64> = vec![0; num_models];
-
-        while let Some((time, event)) = self.wire.pop(&mut arrivals) {
+        while let Some((time, event)) = self.wire.pop(&mut arrivals, self.clock.tick_pending) {
             if time > end_time {
                 break;
             }
@@ -492,16 +573,17 @@ impl ClusterSimulator {
                 event,
                 Event::ObservationTick | Event::Perturbation(_) | Event::EngineThaw { .. }
             ) {
-                now = time;
+                self.clock.now = time;
             }
-            processed_events += 1;
-            if processed_events > MAX_EVENTS {
+            let now = self.clock.now;
+            self.clock.events += 1;
+            if self.clock.events > MAX_EVENTS {
                 break;
             }
             match event {
                 Event::RequestArrival { request } => {
                     if self.control.in_flight_len() >= config.admission_limit {
-                        backlog.push_back(request);
+                        self.clock.backlog.push_back(request);
                         continue;
                     }
                     self.admit_request(request, now);
@@ -530,27 +612,9 @@ impl ClusterSimulator {
                     let Some(token) = token else {
                         continue;
                     };
-                    let (progress, m) = (&token.progress, token.model.index());
-                    let in_window = now >= config.warmup_secs;
-                    total_decode_tokens[m] += 1;
-                    if in_window {
-                        decode_tokens[m] += 1;
-                        if progress.first {
-                            prompt_latencies[m].push(now - token.arrival_time.max(0.0));
-                        } else if let Some(gap) = progress.gap {
-                            decode_gaps[m].push(gap);
-                        }
-                    }
-                    if progress.finished {
-                        if in_window {
-                            completed[m] += 1;
-                            completions.push(CompletionRecord {
-                                id: token.request,
-                                model: token.model,
-                                at: now,
-                            });
-                        }
-                        if let Some(next) = backlog.pop_front() {
+                    self.clock.count(&token, now, config.warmup_secs);
+                    if token.progress.finished {
+                        if let Some(next) = self.clock.backlog.pop_front() {
                             self.admit_request(next, now);
                         }
                     }
@@ -566,16 +630,19 @@ impl ClusterSimulator {
                 Event::ObservationTick => {
                     // Close the interval window, then let the control plane
                     // measure the engines and consult the policy.
-                    intervals.push(IntervalMetrics {
+                    let clock = &mut self.clock;
+                    clock.tick_pending = false;
+                    clock.intervals.push(IntervalMetrics {
                         start: self.control.last_check(),
                         end: time,
-                        decode_tokens: total_decode_tokens
+                        decode_tokens: clock
+                            .total_decode_tokens
                             .iter()
-                            .zip(&interval_base)
+                            .zip(&clock.interval_base)
                             .map(|(t, b)| t - b)
                             .collect(),
                     });
-                    interval_base.clone_from(&total_decode_tokens);
+                    clock.interval_base.clone_from(&clock.total_decode_tokens);
                     let engines = self.act.rows.iter();
                     let counters: Vec<_> = engines
                         .map(|(node, model, engine)| (node, model, engine.counters()))
@@ -586,11 +653,19 @@ impl ClusterSimulator {
                     let next = time + tick_interval;
                     if next <= end_time {
                         self.wire.queue.push(next, Event::ObservationTick);
+                        self.clock.tick_pending = true;
                     }
                 }
             }
         }
+    }
 
+    /// What the clock has measured since zero, over the window and warm-up
+    /// of `config`.
+    pub(crate) fn report(&self, config: SimulationConfig) -> FleetRunReport {
+        let (num_models, clock) = (self.num_models(), &self.clock);
+        let now = clock.now;
+        let end_time = config.warmup_secs + config.duration_secs;
         let measured = (now.min(end_time) - config.warmup_secs).max(1e-9);
         // Overall utilisation merges each node's per-model engines.
         let mut node_busy: HashMap<NodeId, f64> = HashMap::new();
@@ -634,10 +709,10 @@ impl ClusterSimulator {
                     .collect();
                 Metrics {
                     measured_seconds: measured,
-                    decode_tokens: decode_tokens[m],
-                    completed_requests: completed[m],
-                    prompt_latency: LatencyStats::from_samples(&prompt_latencies[m]),
-                    decode_latency: LatencyStats::from_samples(&decode_gaps[m]),
+                    decode_tokens: clock.decode_tokens[m],
+                    completed_requests: clock.completed[m],
+                    prompt_latency: LatencyStats::from_samples(&clock.prompt_latencies[m]),
+                    decode_latency: LatencyStats::from_samples(&clock.decode_gaps[m]),
                     node_utilization: utilization,
                     // Links are shared across the fleet; see `overall`.
                     link_stats: Vec::new(),
@@ -649,28 +724,26 @@ impl ClusterSimulator {
         let (prompt_latency, decode_latency) = match per_model.as_slice() {
             [only] => (only.prompt_latency, only.decode_latency),
             _ => (
-                LatencyStats::from_samples(&prompt_latencies.concat()),
-                LatencyStats::from_samples(&decode_gaps.concat()),
+                LatencyStats::from_samples(&clock.prompt_latencies.concat()),
+                LatencyStats::from_samples(&clock.decode_gaps.concat()),
             ),
         };
         let overall = Metrics {
             measured_seconds: measured,
-            decode_tokens: decode_tokens.iter().sum(),
-            completed_requests: completed.iter().sum(),
+            decode_tokens: clock.decode_tokens.iter().sum(),
+            completed_requests: clock.completed.iter().sum(),
             prompt_latency,
             decode_latency,
             node_utilization,
             link_stats,
         };
-        // Per-run logs and counters: taken (not copied) so back-to-back runs
-        // on one simulator — e.g. session drains — each report their own.
-        let logs = self.control.take_logs();
+        let logs = self.control.logs();
         FleetRunReport {
             metrics: FleetMetrics { overall, per_model },
-            intervals,
+            intervals: clock.intervals.clone(),
             replans: logs.replans,
-            kv_transfers: self.act.take_kv_transfers(),
-            completions,
+            kv_transfers: self.act.kv_transfers().to_vec(),
+            completions: clock.completions.clone(),
             prefix: logs.prefix,
             failovers: logs.failovers,
             replication: logs.replication,
@@ -686,52 +759,13 @@ impl ClusterSimulator {
     }
 
     fn apply_perturbation(&mut self, perturbation: PerturbationEvent, time: SimTime) {
-        let queue = &mut self.wire.queue;
-        let rejoin = |queue: &mut EventQueue, node: NodeId, at: SimTime| {
-            let rejoin = PerturbationEvent::NodeRejoin { at, node };
-            queue.push(at, Event::Perturbation(Box::new(rejoin)));
-        };
         match perturbation {
             PerturbationEvent::NodeSlowdown { node, factor, .. } => {
                 self.act.set_slowdown(node, factor);
             }
             PerturbationEvent::NodeRecovery { node, .. } => self.act.set_slowdown(node, 1.0),
-            PerturbationEvent::NodeStraggler {
-                node,
-                factor,
-                recover_secs,
-                ..
-            } => {
-                // A straggler is a slowdown that heals itself after
-                // `recover_secs`.
-                self.act.set_slowdown(node, factor);
-                let at = time + recover_secs.max(0.0);
-                let recovery = PerturbationEvent::NodeRecovery { at, node };
-                queue.push(at, Event::Perturbation(Box::new(recovery)));
-            }
-            PerturbationEvent::NodeFlap {
-                node, down_secs, ..
-            } => {
-                // The down edge is a full node failure; the control plane
-                // remembers the layer ranges the node holds right now, so
-                // the rejoin can hand them back.
-                rejoin(queue, node, time + down_secs.max(0.0));
-                self.fail(&[node], ReplanReason::NodeFailure { node }, time);
-            }
-            PerturbationEvent::RegionPartition {
-                region, heal_secs, ..
-            } => {
-                // The coordinator cannot tell a partition from a crash: the
-                // unreachable side fails as a region outage, and every node
-                // rejoins when the partition heals.
-                let nodes = self.region_nodes(region);
-                for &node in &nodes {
-                    rejoin(&mut self.wire.queue, node, time + heal_secs.max(0.0));
-                }
-                self.fail(&nodes, ReplanReason::RegionOutage { region }, time);
-            }
             PerturbationEvent::NodeRejoin { node, .. } => {
-                // A flapped node comes back: its engines recover, and the
+                // A failed node comes back: its engines recover, and the
                 // control plane hands it its pre-failure layer ranges (a
                 // no-op when the node never left the plan).
                 if self.control.failed().contains(&node) {
@@ -1212,7 +1246,7 @@ mod tests {
             let mut k = 30;
             while let Some((time, event)) = oracle.pop() {
                 let (at, merged) = wire
-                    .pop(&mut arrivals)
+                    .pop(&mut arrivals, false)
                     .expect("as many events as the oracle");
                 assert_eq!((time, &event), (at, &merged), "seed {seed}");
                 // Handling an event schedules more: hops and deferred
@@ -1228,7 +1262,7 @@ mod tests {
                     wire.queue.push(later, next);
                 }
             }
-            assert!(wire.pop(&mut arrivals).is_none());
+            assert!(wire.pop(&mut arrivals, false).is_none());
         }
     }
 }

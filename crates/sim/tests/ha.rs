@@ -1,7 +1,8 @@
 //! High-availability behaviour on the simulator surface: KV replication to
 //! standby tenancies, replica promotion with bounded token loss on node
-//! failure, the abort-and-readmit fallback, flap/straggler/partition
-//! perturbations, and the shared-prefix refcount leak regressions
+//! failure, the abort-and-readmit fallback, flaps, stragglers and
+//! partitions scripted as pairs of primitive perturbations, and the
+//! shared-prefix refcount leak regressions
 //! (migration-seeded copies and fail-over purges must both release cleanly).
 
 use helix_cluster::{
@@ -263,8 +264,8 @@ fn node_failure_with_prefix_sharers_leaves_no_kv_residue() {
     }
 }
 
-/// A flapping node goes down mid-run and rejoins after `down_secs`: the
-/// fail-over re-routes its pipelines, the rejoin hands its layer ranges
+/// A flapping node goes down mid-run and rejoins six seconds later (a
+/// `NodeFailure`, then a `NodeRejoin`): the fail-over re-routes its pipelines, the rejoin hands its layer ranges
 /// back (a `NodeRejoin` re-plan), and the health directory reflects the
 /// recovery.  No request is lost across the flap.
 #[test]
@@ -276,11 +277,16 @@ fn flapping_node_rejoins_and_serves_again() {
     let report = sim.run_with_events(
         &workload,
         SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::NodeFlap {
-            at: 3.0,
-            node: NodeId(0),
-            down_secs: 6.0,
-        }],
+        &[
+            PerturbationEvent::NodeFailure {
+                at: 3.0,
+                node: NodeId(0),
+            },
+            PerturbationEvent::NodeRejoin {
+                at: 9.0,
+                node: NodeId(0),
+            },
+        ],
         None,
     );
 
@@ -301,7 +307,7 @@ fn flapping_node_rejoins_and_serves_again() {
 }
 
 /// A straggler is a soft perturbation: the node slows down and recovers on
-/// schedule — no fail-over, no re-plan, every request completes.
+/// schedule (a `NodeSlowdown`, then a `NodeRecovery`) — no fail-over, no re-plan, every request completes.
 #[test]
 fn straggler_degrades_then_recovers_without_failover() {
     let (profile, placement) = redundant_profile();
@@ -310,12 +316,17 @@ fn straggler_degrades_then_recovers_without_failover() {
     let report = sim.run_with_events(
         &workload,
         SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::NodeStraggler {
-            at: 2.0,
-            node: NodeId(1),
-            factor: 4.0,
-            recover_secs: 5.0,
-        }],
+        &[
+            PerturbationEvent::NodeSlowdown {
+                at: 2.0,
+                node: NodeId(1),
+                factor: 4.0,
+            },
+            PerturbationEvent::NodeRecovery {
+                at: 7.0,
+                node: NodeId(1),
+            },
+        ],
         None,
     );
 
@@ -325,7 +336,7 @@ fn straggler_degrades_then_recovers_without_failover() {
 }
 
 /// A region partition takes every node of the region down at once and heals
-/// later: the surviving region absorbs the traffic, the healed nodes rejoin
+/// later (a `RegionOutage`, then a `NodeRejoin` per node): the surviving region absorbs the traffic, the healed nodes rejoin
 /// with their old ranges, and no request is lost.
 #[test]
 fn region_partition_heals_and_nodes_rejoin() {
@@ -335,11 +346,20 @@ fn region_partition_heals_and_nodes_rejoin() {
     let report = sim.run_with_events(
         &workload,
         SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::RegionPartition {
-            at: 3.0,
-            region: Region(1),
-            heal_secs: 6.0,
-        }],
+        &[
+            PerturbationEvent::RegionOutage {
+                at: 3.0,
+                region: Region(1),
+            },
+            PerturbationEvent::NodeRejoin {
+                at: 9.0,
+                node: NodeId(2),
+            },
+            PerturbationEvent::NodeRejoin {
+                at: 9.0,
+                node: NodeId(3),
+            },
+        ],
         None,
     );
 

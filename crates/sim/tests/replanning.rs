@@ -297,7 +297,7 @@ fn partial_layer_migration_moves_kv_and_matches_a_fresh_plan() {
         session.submit(*request);
     }
     session.drain();
-    let first = session.report().unwrap().clone();
+    let first = session.report();
 
     // The KV pages moved as link traffic, and nothing was dropped.
     assert_eq!(first.replans.len(), 1, "the migration re-planned once");
@@ -326,7 +326,7 @@ fn partial_layer_migration_moves_kv_and_matches_a_fresh_plan() {
         session.submit(*request);
     }
     session.drain();
-    let merged = session.report().unwrap().clone();
+    let merged = session.report();
     let batch2_tokens =
         (merged.metrics.overall.decode_tokens - first.metrics.overall.decode_tokens) as f64;
     let batch2_secs =

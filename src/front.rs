@@ -53,7 +53,7 @@ pub trait ServingFrontEnd {
     /// hand-over sequences freeze → transfer → re-route → resume so no
     /// in-flight pipeline drops.  On the prototype runtime the migration
     /// applies immediately; on the simulator it applies at the start of the
-    /// next drained batch.
+    /// next drain.
     fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange);
 
     /// Installs the fleet-wide KV replication policy governing subsequently
@@ -62,8 +62,8 @@ pub trait ServingFrontEnd {
     /// primary fails.
     fn set_replication(&mut self, policy: ReplicationPolicy);
 
-    /// Kills `node` at virtual time `at` (seconds since the surface
-    /// started serving the current batch): its workers stop, in-flight
+    /// Kills `node` at virtual time `at` (seconds since the session
+    /// started; a time already past means now): its workers stop, in-flight
     /// pipelines crossing it promote their replicas — when the replication
     /// policy trickled their KV to standbys — or abort and re-admit, and the
     /// fleet re-plans around the hole.  The fail-over shows up in the final

@@ -1180,13 +1180,13 @@ fn drain_then_submit_is_served_and_reports_stay_monotonic() {
         session.submit(*request);
     }
     SimSession::drain(&mut session);
-    let first = session.report().unwrap().metrics.overall.clone();
+    let first = session.report().metrics.overall;
     assert_eq!(first.completed_requests, batch1.len() as u64);
     for request in &batch2 {
         session.submit(*request);
     }
     SimSession::drain(&mut session);
-    let second = session.report().unwrap().metrics.overall.clone();
+    let second = session.report().metrics.overall;
     assert!(second.completed_requests >= first.completed_requests);
     assert!(second.decode_tokens >= first.decode_tokens);
     assert!(second.measured_seconds >= first.measured_seconds);
@@ -1194,5 +1194,18 @@ fn drain_then_submit_is_served_and_reports_stay_monotonic() {
     assert_eq!(
         report.metrics.overall.completed_requests,
         (batch1.len() + batch2.len()) as u64
+    );
+    // One clock: batch 2 arrives when the first drain stopped, so each of
+    // its completions comes after all of batch 1's.
+    let batch1_ids = id_set(&batch1);
+    let (early, late): (Vec<&helix::sim::CompletionRecord>, Vec<_>) = report
+        .completions
+        .iter()
+        .partition(|c| batch1_ids.contains(&c.id));
+    let batch1_done = early.iter().map(|c| c.at).fold(0.0, f64::max);
+    assert_eq!(late.len(), batch2.len());
+    assert!(
+        late.iter().all(|c| c.at > batch1_done),
+        "batch 2 completed before batch 1 did: {late:?} vs {batch1_done}"
     );
 }

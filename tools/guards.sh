@@ -57,4 +57,9 @@ guard "Dinic rows are edited per flipped pair" \
 # `serde` or `serde_derive` under them.
 guard "no serialisation framework in the tree" \
     "grep -rnE 'Serialize|Deserialize|serde::|#\\[serde|serde_derive' crates src tests examples; ls -d vendor/serde vendor/serde_derive 2>/dev/null"
+# The simulator has one clock and a later run continues it: nothing restarts
+# a timeline, merges per-run reports or resets a counter when read, and a
+# disturbance with a duration is two primitive perturbations.
+guard "one clock per simulator" \
+    "grep -rnE 'rebase_epoch|start_timeline|take_logs|take_kv_transfers|take_stats|merge_reports|merge_metrics|merge_latency|NodeFlap|NodeStraggler|RegionPartition' crates src tests examples"
 exit $status
