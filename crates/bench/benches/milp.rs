@@ -14,7 +14,7 @@ use std::time::Duration;
 fn knapsack(n: usize) -> Model {
     let mut m = Model::new(ObjectiveSense::Maximize);
     let vars: Vec<_> = (0..n)
-        .map(|i| m.add_binary(format!("x{i}"), 5.0 + (i % 7) as f64))
+        .map(|i| m.add_binary(format!("x{i}"), 5.0 + (i % 7) as f64).unwrap())
         .collect();
     let weights: Vec<_> = vars
         .iter()
@@ -22,7 +22,7 @@ fn knapsack(n: usize) -> Model {
         .map(|(i, &v)| (v, 2.0 + (i % 5) as f64))
         .collect();
     let cap: f64 = weights.iter().map(|(_, w)| w).sum::<f64>() * 0.4;
-    m.add_constraint("cap", weights, Sense::Le, cap);
+    m.add_constraint("cap", weights, Sense::Le, cap).unwrap();
     m
 }
 
@@ -33,13 +33,16 @@ fn transportation(n: usize) -> Model {
     for (i, row) in vars.iter_mut().enumerate() {
         for j in 0..n {
             let cost = ((i * 13 + j * 7) % 10 + 1) as f64;
-            row.push(m.add_var(
-                format!("x{i}_{j}"),
-                VarType::Continuous,
-                0.0,
-                f64::INFINITY,
-                cost,
-            ));
+            row.push(
+                m.add_var(
+                    format!("x{i}_{j}"),
+                    VarType::Continuous,
+                    0.0,
+                    f64::INFINITY,
+                    cost,
+                )
+                .unwrap(),
+            );
         }
     }
     for (i, row) in vars.iter().enumerate() {
@@ -49,11 +52,13 @@ fn transportation(n: usize) -> Model {
             terms,
             Sense::Le,
             10.0 + (i % 3) as f64,
-        );
+        )
+        .unwrap();
     }
     for j in 0..n {
         let terms: Vec<_> = vars.iter().map(|row| (row[j], 1.0)).collect();
-        m.add_constraint(format!("demand{j}"), terms, Sense::Ge, 5.0 + (j % 4) as f64);
+        m.add_constraint(format!("demand{j}"), terms, Sense::Ge, 5.0 + (j % 4) as f64)
+            .unwrap();
     }
     m
 }

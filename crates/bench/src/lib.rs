@@ -28,7 +28,7 @@ use helix_core::{
     heuristics, scheduler_of_kind, AnnealingOptions, FlowAnnealingPlanner, FlowGraphBuilder,
     HelixError, LatencyStats, ModelPlacement, Scheduler, SchedulerKind, Topology,
 };
-use helix_sim::{ClusterSimulator, Metrics, SimulationConfig};
+use helix_sim::{ClusterSimulator, Metrics, SimSession, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
 use serde_json::{json, Value};
 use std::fmt;
@@ -117,7 +117,7 @@ impl ExperimentScale {
 
     /// Mean output length used when sizing request lengths; quick mode trims
     /// request lengths to keep the event count manageable.
-    pub fn trace_config(self) -> AzureTraceConfig {
+    fn trace_config(self) -> AzureTraceConfig {
         match self {
             ExperimentScale::Quick => AzureTraceConfig {
                 mean_input_tokens: 256.0,
@@ -312,7 +312,7 @@ impl ServingRow {
 }
 
 /// Generates the workload used by a serving experiment.
-pub fn experiment_workload(
+fn experiment_workload(
     profile: &ClusterProfile,
     setting: ServingSetting,
     scale: ExperimentScale,
@@ -373,8 +373,11 @@ pub fn run_serving(
         ServingSetting::Offline => SimulationConfig::offline(scale.duration_secs()),
         ServingSetting::Online => SimulationConfig::online(scale.duration_secs()),
     };
-    let mut sim = ClusterSimulator::new(&topology, scheduler);
-    let metrics = sim.run(&workload, config);
+    let sim = ClusterSimulator::new(&topology, scheduler);
+    let metrics = SimSession::new(sim, config)
+        .serve(&workload)
+        .metrics
+        .overall;
     Some(ServingRow::from_metrics(
         system, setting, &topology, &metrics,
     ))
@@ -398,8 +401,12 @@ pub fn run_with_scheduler(
     let topology = Topology::plan(profile, placement, true)?;
     let scheduler = scheduler_of_kind(kind, &topology, seed)?;
     let workload = experiment_workload(profile, ServingSetting::Offline, scale, seed);
-    let mut sim = ClusterSimulator::new(&topology, scheduler);
-    let metrics = sim.run(&workload, SimulationConfig::offline(scale.duration_secs()));
+    let sim = ClusterSimulator::new(&topology, scheduler);
+    let config = SimulationConfig::offline(scale.duration_secs());
+    let metrics = SimSession::new(sim, config)
+        .serve(&workload)
+        .metrics
+        .overall;
     Ok((metrics, topology.flow_value()))
 }
 
@@ -460,7 +467,7 @@ impl ExperimentReport {
 
 /// The directory experiment outputs are written to (`HELIX_RESULTS_DIR` or
 /// `./results`).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     std::env::var("HELIX_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("results"))

@@ -181,7 +181,7 @@ impl ModelConfig {
     /// Attention contributes `2 h^2 + 2 h * h * kv/heads` (Q,O full width;
     /// K,V shrunk by grouped-query attention) and the MLP contributes
     /// `mlp_matrices * h * intermediate`.
-    pub fn layer_params(&self) -> f64 {
+    fn layer_params(&self) -> f64 {
         let h = self.hidden_size as f64;
         let inter = self.intermediate_size as f64;
         let kv_frac = self.num_kv_heads as f64 / self.num_heads as f64;
@@ -191,7 +191,7 @@ impl ModelConfig {
     }
 
     /// Parameters in the input/output embeddings.
-    pub fn embedding_params(&self) -> f64 {
+    fn embedding_params(&self) -> f64 {
         2.0 * self.hidden_size as f64 * self.vocab_size as f64
     }
 

@@ -586,7 +586,6 @@ mod tests {
         );
         let calls = (0..4).map(|n| Sent::Call(3.0, NodeId(n)));
         assert_eq!(wire.0, calls.collect::<Vec<_>>(), "the removal moves no KV");
-        assert!(engine(&mut actuator, failed.index()).is_failed());
         assert_eq!(held(&mut actuator, 1), [0, 0, 0, 0]);
         let lane = |actuator: &Actuator, id| {
             let slot = actuator.requests.slot(id).unwrap();
@@ -602,6 +601,17 @@ mod tests {
             let shared = nodes(&flights[1]).contains(&node);
             assert_eq!(row.queue_len(), usize::from(shared), "node {node:?}");
         }
+        // The failed row is marked failed: idle, with work queued, it starts
+        // no batch.
+        let slot = actuator.requests.slot(2).unwrap();
+        let (_, _, item) = actuator.requests.land(Hop::decode(slot, 0)).unwrap();
+        let row = engine(&mut actuator, failed.index());
+        row.enqueue(item);
+        assert!(!row.is_busy());
+        assert!(
+            row.start_batch(3.0, |_| 1.0).is_none(),
+            "a failed row starts no batch"
+        );
     }
 
     /// A hand-over moves the source row's KV at once, priced as one

@@ -682,11 +682,6 @@ impl NodeEngine {
         self.failed = true;
     }
 
-    /// Whether the node failed (and has not recovered).
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Brings a failed engine back into service.  Its work and residency
     /// were purged when it failed; it picks up work on the next dispatch.
     pub fn recover(&mut self) {

@@ -108,7 +108,7 @@ impl ExecModel {
 
     /// Seconds one work item contributes to its batch (excluding the
     /// per-batch overhead).
-    pub fn item_secs(&self, item: WorkUnit) -> f64 {
+    fn item_secs(&self, item: WorkUnit) -> f64 {
         let per_token_layer = match item.phase {
             Phase::Prompt => self.prompt_secs_per_token_layer,
             Phase::Decode => self.decode_secs_per_token_layer,

@@ -221,7 +221,6 @@ impl<'a> FlowGraphBuilder<'a> {
             network,
             source,
             sink,
-            node_vertices,
             node_edges,
             link_edges,
             placement: placement.clone(),
@@ -236,7 +235,6 @@ pub struct PlacementFlowGraph {
     network: FlowNetwork,
     source: FlowNodeId,
     sink: FlowNodeId,
-    node_vertices: HashMap<NodeId, (FlowNodeId, FlowNodeId)>,
     node_edges: HashMap<NodeId, EdgeId>,
     link_edges: HashMap<(Endpoint, Endpoint), EdgeId>,
     placement: ModelPlacement,
@@ -296,12 +294,6 @@ impl PlacementFlowGraph {
     /// holds no layers.
     pub fn node_flow(&self, flow: &FlowResult, node: NodeId) -> Option<f64> {
         self.node_edges.get(&node).map(|&e| flow.flow(e))
-    }
-
-    /// The flow-network vertices (`c_in`, `c_out`) representing a compute
-    /// node, if the node holds layers under this placement.
-    pub fn node_vertices(&self, node: NodeId) -> Option<(FlowNodeId, FlowNodeId)> {
-        self.node_vertices.get(&node).copied()
     }
 
     /// The token-throughput capacity of a compute node in this graph.

@@ -114,11 +114,6 @@ impl RequestTable {
         self.specs.get(slot as usize)
     }
 
-    /// Every request, by slot, to change.
-    pub fn specs_mut(&mut self) -> &mut [Request] {
-        &mut self.specs
-    }
-
     /// Opens `slot`'s lane for the incarnation `dispatch` admitted, and
     /// returns its prefill hop to the pipeline's first stage.
     pub fn open(&mut self, slot: u32, dispatch: &Dispatch) -> Hop {

@@ -70,7 +70,7 @@
 //!
 //! ```rust
 //! use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
-//! use helix_core::{heuristics, IwrrScheduler, Topology};
+//! use helix_core::{heuristics, IdleClusterState, IwrrScheduler, Scheduler, Topology};
 //!
 //! let profile = ClusterProfile::analytic(
 //!     ClusterSpec::solver_quality_10(),
@@ -82,8 +82,9 @@
 //! // and the max-flow solution, and every downstream surface consumes it.
 //! let topology = Topology::plan(&profile, &placement, true).unwrap();
 //! assert!(topology.flow_value() > 0.0);
-//! let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-//! assert!(scheduler.num_pipelines_possible() >= 1);
+//! let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+//! let pipeline = scheduler.schedule(&IdleClusterState).unwrap();
+//! assert!(!pipeline.stages.is_empty());
 //! ```
 
 #![cfg_attr(

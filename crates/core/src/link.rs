@@ -67,11 +67,6 @@ impl LinkQueue {
             self.total_queue_delay / self.transfers as f64
         }
     }
-
-    /// The time until which the link is busy serialising.
-    pub fn busy_until(&self) -> f64 {
-        self.busy_until
-    }
 }
 
 /// Marks an endpoint pair that has carried no transfer yet.
@@ -152,7 +147,7 @@ mod tests {
         assert!((second - 2.0).abs() < 1e-12);
         assert!((link.mean_queue_delay() - 0.5).abs() < 1e-12);
         assert!((link.max_queue_delay - 1.0).abs() < 1e-12);
-        assert!(link.busy_until() >= 2.0 - 1e-12);
+        assert!(link.busy_until >= 2.0 - 1e-12);
     }
 
     #[test]

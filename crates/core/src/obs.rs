@@ -4,8 +4,7 @@
 
 /// Latency distribution summary in the surface's (virtual) seconds:
 /// nearest-rank percentiles (the box-plot statistics of Figs. 6–8), mean and
-/// maximum.  The simulator re-exports it under this name, the runtime as
-/// `LatencySummary`.
+/// maximum.  Both surfaces' reports carry it under this one name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.

@@ -239,15 +239,6 @@ impl IncrementalFlowEvaluator {
         })
     }
 
-    /// Number of standing-network arena edges touched by the last `assign`
-    /// (capacity updates, flow repair and warm re-solve combined), as
-    /// recorded by the delta undo-log.
-    ///
-    /// Returns 0 after a rollback.
-    pub fn last_move_touched_edges(&self) -> usize {
-        self.network.undo_log_len()
-    }
-
     /// The current placement reflected in the standing network.
     pub fn placement(&self) -> &ModelPlacement {
         &self.placement
@@ -256,11 +247,6 @@ impl IncrementalFlowEvaluator {
     /// The max-flow value of the current placement.
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// Number of warm re-solves performed so far.
-    pub fn warm_solves(&self) -> u64 {
-        self.warm_solves
     }
 
     /// Applies a single-node move — assigning `range` to `node` — by
@@ -474,7 +460,7 @@ mod tests {
         );
         assert_eq!(evaluator.placement().range(node), old);
         // The rollback replayed the undo-log instead of re-solving.
-        assert_eq!(evaluator.warm_solves(), 2);
+        assert_eq!(evaluator.warm_solves, 2);
     }
 
     #[test]
@@ -590,7 +576,7 @@ mod tests {
             let after = evaluator.assign(node, range);
             assert_eq!(after.to_bits(), before.to_bits(), "no-op move moved value");
             assert_eq!(
-                evaluator.last_move_touched_edges(),
+                evaluator.network.undo_log_len(),
                 0,
                 "no-op move touched standing edges"
             );

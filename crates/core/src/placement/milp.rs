@@ -317,10 +317,10 @@ impl<'a> MilpPlacementPlanner<'a> {
                 0.0,
                 l - 1.0,
                 0.0,
-            );
+            )?;
             let bs: Vec<VarId> = (1..=k)
                 .map(|j| model.add_binary(format!("b_{}_{}", node.index(), j), 0.0))
-                .collect();
+                .collect::<Result<_, _>>()?;
             s_vars.push(s);
             b_vars.push(bs);
         }
@@ -336,13 +336,13 @@ impl<'a> MilpPlacementPlanner<'a> {
         // Constraint group 1: model placement.
         for (i, &node) in nodes.iter().enumerate() {
             let terms: Vec<(VarId, f64)> = b_vars[i].iter().map(|&b| (b, 1.0)).collect();
-            model.add_constraint(format!("one_size_{}", node.index()), terms, Sense::Eq, 1.0);
+            model.add_constraint(format!("one_size_{}", node.index()), terms, Sense::Eq, 1.0)?;
             model.add_constraint_expr(
                 format!("end_le_L_{}", node.index()),
                 e_expr(i),
                 Sense::Le,
                 l,
-            );
+            )?;
         }
 
         // Candidate connections: coordinator edges plus (pruned) node pairs.
@@ -357,8 +357,8 @@ impl<'a> MilpPlacementPlanner<'a> {
                 0.0,
                 cap,
                 1.0, // objective: maximise total flow out of the source
-            );
-            let d = model.add_binary(format!("d_src_{}", node.index()), 0.0);
+            )?;
+            let d = model.add_binary(format!("d_src_{}", node.index()), 0.0)?;
             conns.push(ConnVars {
                 from: Endpoint::Coordinator,
                 to: Endpoint::Node(node),
@@ -375,8 +375,8 @@ impl<'a> MilpPlacementPlanner<'a> {
                 0.0,
                 cap,
                 0.0,
-            );
-            let d = model.add_binary(format!("d_{}_snk", node.index()), 0.0);
+            )?;
+            let d = model.add_binary(format!("d_{}_snk", node.index()), 0.0)?;
             conns.push(ConnVars {
                 from: Endpoint::Node(node),
                 to: Endpoint::Coordinator,
@@ -394,11 +394,11 @@ impl<'a> MilpPlacementPlanner<'a> {
                 0.0,
                 cap,
                 0.0,
-            );
-            let d = model.add_binary(format!("d_{}_{}", a.index(), b.index()), 0.0);
+            )?;
+            let d = model.add_binary(format!("d_{}_{}", a.index(), b.index()), 0.0)?;
             let cond = if self.options.partial_inference {
-                let c1 = model.add_binary(format!("cond1_{}_{}", a.index(), b.index()), 0.0);
-                let c2 = model.add_binary(format!("cond2_{}_{}", a.index(), b.index()), 0.0);
+                let c1 = model.add_binary(format!("cond1_{}_{}", a.index(), b.index()), 0.0)?;
+                let c2 = model.add_binary(format!("cond2_{}_{}", a.index(), b.index()), 0.0)?;
                 Some((c1, c2))
             } else {
                 None
@@ -436,7 +436,7 @@ impl<'a> MilpPlacementPlanner<'a> {
                 conservation,
                 Sense::Eq,
                 0.0,
-            );
+            )?;
             // inflow <= sum_j b_i^j * T_j
             let mut cap_expr = inflow;
             for (j, &b) in b_vars[i].iter().enumerate() {
@@ -448,7 +448,7 @@ impl<'a> MilpPlacementPlanner<'a> {
                 cap_expr,
                 Sense::Le,
                 0.0,
-            );
+            )?;
         }
 
         // Constraint group 4 & 5: connection validity and transmission.
@@ -458,13 +458,13 @@ impl<'a> MilpPlacementPlanner<'a> {
                     // s_to <= L (1 - d)   <=>   s_to + L d <= L
                     let i = node_pos(to)?;
                     let expr = LinExpr::term(s_vars[i], 1.0) + LinExpr::term(c.d, l);
-                    model.add_constraint_expr(format!("valid_src_{ci}"), expr, Sense::Le, l);
+                    model.add_constraint_expr(format!("valid_src_{ci}"), expr, Sense::Le, l)?;
                 }
                 (Endpoint::Node(from), Endpoint::Coordinator) => {
                     // L d <= e_from   <=>   L d - e_from <= 0
                     let i = node_pos(from)?;
                     let expr = LinExpr::term(c.d, l) - e_expr(i);
-                    model.add_constraint_expr(format!("valid_snk_{ci}"), expr, Sense::Le, 0.0);
+                    model.add_constraint_expr(format!("valid_snk_{ci}"), expr, Sense::Le, 0.0)?;
                 }
                 (Endpoint::Node(from), Endpoint::Node(to)) => {
                     let i = node_pos(from)?;
@@ -474,32 +474,37 @@ impl<'a> MilpPlacementPlanner<'a> {
                         //   <=>  s_j - e_i + (L+1) cond1 <= L+1
                         let expr =
                             LinExpr::term(s_vars[j], 1.0) - e_expr(i) + LinExpr::term(c1, l + 1.0);
-                        model.add_constraint_expr(format!("cond1_{ci}"), expr, Sense::Le, l + 1.0);
+                        model.add_constraint_expr(
+                            format!("cond1_{ci}"),
+                            expr,
+                            Sense::Le,
+                            l + 1.0,
+                        )?;
                         // e_j - e_i >= 1 - (L+1)(1 - cond2)
                         //   <=>  e_j - e_i - (L+1) cond2 >= -L
                         let expr = e_expr(j) - e_expr(i) - LinExpr::term(c2, l + 1.0);
-                        model.add_constraint_expr(format!("cond2_{ci}"), expr, Sense::Ge, -l);
+                        model.add_constraint_expr(format!("cond2_{ci}"), expr, Sense::Ge, -l)?;
                         // d <= 0.5 cond1 + 0.5 cond2
                         let expr = LinExpr::term(c.d, 1.0)
                             - LinExpr::term(c1, 0.5)
                             - LinExpr::term(c2, 0.5);
-                        model.add_constraint_expr(format!("valid_{ci}"), expr, Sense::Le, 0.0);
+                        model.add_constraint_expr(format!("valid_{ci}"), expr, Sense::Le, 0.0)?;
                     } else {
                         // Without partial inference: d = 1 only if e_i == s_j.
                         // L d <= L + s_j - e_i  and  L d <= L - s_j + e_i.
                         let expr =
                             LinExpr::term(c.d, l) - LinExpr::term(s_vars[j], 1.0) + e_expr(i);
-                        model.add_constraint_expr(format!("exact_a_{ci}"), expr, Sense::Le, l);
+                        model.add_constraint_expr(format!("exact_a_{ci}"), expr, Sense::Le, l)?;
                         let expr =
                             LinExpr::term(c.d, l) + LinExpr::term(s_vars[j], 1.0) - e_expr(i);
-                        model.add_constraint_expr(format!("exact_b_{ci}"), expr, Sense::Le, l);
+                        model.add_constraint_expr(format!("exact_b_{ci}"), expr, Sense::Le, l)?;
                     }
                 }
                 _ => unreachable!("coordinator-to-coordinator connections are never generated"),
             }
             // Transmission throughput: f <= d * S.
             let expr = LinExpr::term(c.f, 1.0) - LinExpr::term(c.d, c.capacity);
-            model.add_constraint_expr(format!("trans_{ci}"), expr, Sense::Le, 0.0);
+            model.add_constraint_expr(format!("trans_{ci}"), expr, Sense::Le, 0.0)?;
         }
 
         let index = VarIndex {

@@ -130,7 +130,7 @@ impl ModelPlacement {
     }
 
     /// Nodes that hold the given layer.
-    pub fn holders_of(&self, layer: usize) -> Vec<NodeId> {
+    fn holders_of(&self, layer: usize) -> Vec<NodeId> {
         self.iter()
             .filter(|(_, r)| r.contains(layer))
             .map(|(n, _)| n)

@@ -64,11 +64,6 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// The individual partitions.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
-    }
-
     /// Number of independent model replicas (one per partition).
     pub fn num_replicas(&self) -> usize {
         self.partitions.len()
@@ -141,7 +136,7 @@ impl<'a> PartitionedPlanner<'a> {
     /// Every group can hold at least one full model replica; nodes of one
     /// region stay together when the regions are large enough (no replica
     /// straddles a slow inter-region link).
-    pub fn node_groups(&self) -> Vec<Vec<NodeId>> {
+    fn node_groups(&self) -> Vec<Vec<NodeId>> {
         let profile = self.profile;
         let cluster = profile.cluster();
         let num_layers = profile.model().num_layers;
@@ -943,7 +938,7 @@ mod tests {
             flow.value,
             plan.total_throughput()
         );
-        for partition in plan.partitions() {
+        for partition in &plan.partitions {
             assert!(partition.throughput > 0.0);
             assert!(partition.placement.num_assigned() >= 1);
             assert!(partition.placement.num_assigned() <= partition.nodes.len());

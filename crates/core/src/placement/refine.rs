@@ -159,10 +159,7 @@ impl<'a> FlowAnnealingPlanner<'a> {
     ///
     /// Returns [`HelixError::NoPlacementFound`] if `starts` is empty or no
     /// start is feasible.
-    pub fn solve_from(
-        &self,
-        starts: &[ModelPlacement],
-    ) -> Result<(ModelPlacement, f64), HelixError> {
+    fn solve_from(&self, starts: &[ModelPlacement]) -> Result<(ModelPlacement, f64), HelixError> {
         let mut best: Option<(ModelPlacement, f64)> = None;
         for s in starts {
             let v = self.evaluate(s);

@@ -254,11 +254,11 @@ pub struct KvMigration {
 /// let delta = PlacementDelta::new()
 ///     .assign(ModelId(0), NodeId(2), LayerRange::new(0, 8))
 ///     .remove(ModelId(1), NodeId(5));
-/// assert_eq!(delta.changes().len(), 2);
 /// assert_eq!(delta.touched_nodes(), vec![NodeId(2), NodeId(5)]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlacementDelta {
+    /// The raw change list in insertion order (later entries win).
     changes: Vec<(ModelId, NodeId, Option<LayerRange>)>,
     migrations: Vec<KvMigration>,
 }
@@ -310,11 +310,6 @@ impl PlacementDelta {
         self
     }
 
-    /// The raw change list in insertion order (later entries win).
-    pub fn changes(&self) -> &[(ModelId, NodeId, Option<LayerRange>)] {
-        &self.changes
-    }
-
     /// The migration moves of the delta, in insertion order.
     pub fn migrations(&self) -> &[KvMigration] {
         &self.migrations
@@ -349,7 +344,7 @@ impl PlacementDelta {
     }
 
     /// Resolves the delta against a concrete placement into the full,
-    /// explicit change list: the raw [`changes`](Self::changes) followed by
+    /// explicit change list: the raw assignments and removals followed by
     /// the placement mutations each migration implies (source range shrunk
     /// from the moved edge, destination range created or merged).
     ///
@@ -472,7 +467,7 @@ impl Default for ReplanPolicy {
 
 impl ReplanPolicy {
     /// Whether the cooldown since the previous re-plan has elapsed at `now`.
-    pub fn cooldown_elapsed(&self, now: f64, last_replan: Option<f64>) -> bool {
+    fn cooldown_elapsed(&self, now: f64, last_replan: Option<f64>) -> bool {
         last_replan.is_none_or(|t| now - t >= self.cooldown_secs)
     }
 
@@ -706,7 +701,7 @@ mod tests {
             .remove_node(NodeId(2), 2);
         assert_eq!(delta.touched_nodes(), vec![NodeId(2), NodeId(4)]);
         assert_eq!(delta.models(), vec![ModelId(0), ModelId(1)]);
-        assert_eq!(delta.changes().len(), 4);
+        assert_eq!(delta.changes.len(), 4);
         assert!(!delta.is_empty());
         assert!(PlacementDelta::new().is_empty());
     }

@@ -73,7 +73,7 @@ impl<T: Copy + Eq> IwrrChooser<T> {
 
     /// Picks the next candidate, skipping any for which `masked` returns
     /// true.  Returns `None` if every candidate is masked.
-    pub fn pick_unmasked(&mut self, mut masked: impl FnMut(T) -> bool) -> Option<T> {
+    fn pick_unmasked(&mut self, mut masked: impl FnMut(T) -> bool) -> Option<T> {
         if self.candidates.is_empty() {
             return None;
         }
@@ -105,11 +105,6 @@ impl<T: Copy + Eq> IwrrChooser<T> {
             }
         }
     }
-
-    /// Picks the next candidate with no masking.
-    pub fn pick(&mut self) -> Option<T> {
-        self.pick_unmasked(|_| false)
-    }
 }
 
 /// Helix's scheduler: IWRR over the topology graph with max-flow weights and
@@ -122,7 +117,6 @@ pub struct IwrrScheduler {
     /// One chooser per vertex: the coordinator's at slot 0, node `n`'s at
     /// slot `n + 1` ([`chooser_slot`]).
     choosers: Vec<IwrrChooser<NodeId>>,
-    num_pipelines: usize,
 }
 
 /// The slot of vertex `from` (`None` = coordinator) in
@@ -166,15 +160,7 @@ impl IwrrScheduler {
         Ok(IwrrScheduler {
             walker: PipelineWalker::new(topology),
             choosers,
-            num_pipelines: topology.num_pipelines(),
         })
-    }
-
-    /// Number of distinct pipelines in the max-flow decomposition; a lower
-    /// bound on the number of per-request pipelines the scheduler will
-    /// actually generate over time.
-    pub fn num_pipelines_possible(&self) -> usize {
-        self.num_pipelines.max(1)
     }
 
     /// The IWRR weight (tokens/s of flow) assigned to `to` at vertex `from`
@@ -222,7 +208,7 @@ mod tests {
         let mut chooser = IwrrChooser::new([(0usize, 3.0), (1, 1.0)]);
         let mut counts = [0usize; 2];
         for _ in 0..4000 {
-            counts[chooser.pick().unwrap()] += 1;
+            counts[chooser.pick_unmasked(|_| false).unwrap()] += 1;
         }
         assert_eq!(counts[0] + counts[1], 4000);
         assert_eq!(counts[0], 3000);
@@ -232,7 +218,9 @@ mod tests {
     #[test]
     fn iwrr_chooser_interleaves_rather_than_bursts() {
         let mut chooser = IwrrChooser::new([(0usize, 2.0), (1, 1.0)]);
-        let picks: Vec<usize> = (0..6).map(|_| chooser.pick().unwrap()).collect();
+        let picks: Vec<usize> = (0..6)
+            .map(|_| chooser.pick_unmasked(|_| false).unwrap())
+            .collect();
         // With weights 2:1 the longest run of candidate 0 must be 2, not 4.
         let mut longest_run = 1;
         let mut run = 1;
@@ -276,7 +264,6 @@ mod tests {
         let topology = Topology::plan(&profile, &placement, true).unwrap();
         let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
         assert_eq!(scheduler.kind(), SchedulerKind::HelixIwrr);
-        assert!(scheduler.num_pipelines_possible() >= 1);
         let state = IdleClusterState;
         let num_layers = profile.model().num_layers;
         let mut first_hop_counts: StdHashMap<helix_cluster::NodeId, usize> = StdHashMap::new();

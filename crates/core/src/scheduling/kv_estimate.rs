@@ -159,11 +159,6 @@ impl KvCacheEstimator {
             .unwrap_or(f64::INFINITY)
     }
 
-    /// The current running average output length.
-    pub fn avg_output_len(&self) -> f64 {
-        self.avg_output_len
-    }
-
     /// Whether `node`'s estimate is [`above_high_water`] — the rule IWRR
     /// masks it by.
     pub fn is_above_high_water(&self, node: NodeId) -> bool {
@@ -206,8 +201,8 @@ mod tests {
             est.on_finished(node, i, 100);
         }
         // Average moves from the prior (200) towards the observed 100.
-        assert!(est.avg_output_len() < 200.0);
-        assert!(est.avg_output_len() >= 100.0);
+        assert!(est.avg_output_len < 200.0);
+        assert!(est.avg_output_len >= 100.0);
     }
 
     #[test]
@@ -218,7 +213,7 @@ mod tests {
         est.on_scheduled(node, 2, 100);
         est.on_aborted(node, 1);
         assert!((est.estimated_tokens(node) - 300.0).abs() < 1e-9);
-        assert_eq!(est.avg_output_len(), 200.0, "no completion was folded in");
+        assert_eq!(est.avg_output_len, 200.0, "no completion was folded in");
         // Aborting twice, or what was never scheduled, is harmless.
         est.on_aborted(node, 1);
         est.on_aborted(node, 9);
@@ -227,7 +222,7 @@ mod tests {
         // have halved it.
         est.on_finished(node, 2, 100);
         assert_eq!(
-            (est.estimated_tokens(node), est.avg_output_len()),
+            (est.estimated_tokens(node), est.avg_output_len),
             (0.0, 100.0)
         );
     }

@@ -210,11 +210,6 @@ impl TopologyGraph {
         }
     }
 
-    /// Nodes that can start a pipeline.
-    pub fn entry_candidates(&self) -> &[NodeId] {
-        &self.entry
-    }
-
     /// Valid successors of `node`.
     pub fn successors(&self, node: NodeId) -> &[NodeId] {
         self.successors.get(node.index()).map_or(&[], Vec::as_slice)
@@ -435,7 +430,7 @@ mod tests {
     #[test]
     fn topology_graph_candidates_respect_position() {
         let topo = TopologyGraph::from_topology(&small_topology());
-        assert!(!topo.entry_candidates().is_empty());
+        assert!(!topo.entry.is_empty());
         // From the coordinator only layer-0 holders are candidates.
         for (n, range) in topo.candidates(None, 0) {
             assert_eq!(range.start, 0);
@@ -506,7 +501,7 @@ mod tests {
         }
         let topology = Topology::plan(&profile, &placement, true).unwrap();
         let topo = TopologyGraph::from_topology(&topology);
-        let entries = topo.entry_candidates().to_vec();
+        let entries = topo.entry.clone();
         if entries.len() >= 2 {
             let busy = entries[0];
             let mut sched = ShortestQueueScheduler::new(&topology);

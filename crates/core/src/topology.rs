@@ -132,7 +132,7 @@ impl Topology {
 
     /// Builds the topology from an already-constructed flow graph and its
     /// max-flow solution (used by planners that already solved the graph).
-    pub fn from_flow_graph(
+    pub(crate) fn from_flow_graph(
         profile: &ClusterProfile,
         graph: &PlacementFlowGraph,
         flow: &FlowResult,

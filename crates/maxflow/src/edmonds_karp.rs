@@ -3,19 +3,9 @@
 //! Slow but simple; used in tests and property checks as a third independent
 //! implementation to compare against push-relabel and Dinic.
 
-use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
+use crate::graph::{ArenaEdge, Writes};
 use crate::FLOW_EPS;
 use std::collections::VecDeque;
-
-/// Computes the maximum flow on `network` from `source` to `sink` with the
-/// Edmonds–Karp algorithm.
-///
-/// # Panics
-///
-/// Panics if `source == sink` or either node is not part of `network`.
-pub fn edmonds_karp(network: &FlowNetwork, source: NodeId, sink: NodeId) -> FlowResult {
-    network.max_flow_with(source, sink, crate::MaxFlowAlgorithm::EdmondsKarp)
-}
 
 /// Core Edmonds–Karp routine operating on the shared arena representation.
 pub(crate) fn run(

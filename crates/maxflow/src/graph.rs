@@ -465,8 +465,7 @@ impl FlowNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `source == sink` or either node is invalid; use
-    /// [`FlowNetwork::try_max_flow`] for a fallible version.
+    /// Panics if `source == sink` or either node is invalid.
     #[allow(
         clippy::expect_used,
         reason = "the documented panicking wrapper of try_max_flow"
@@ -481,13 +480,10 @@ impl FlowNetwork {
             .expect("invalid source/sink passed to max_flow")
     }
 
-    /// Fallible version of [`FlowNetwork::max_flow_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::SourceIsSink`] if the two endpoints coincide and
+    /// [`FlowNetwork::max_flow_with`], with the endpoints checked:
+    /// [`FlowError::SourceIsSink`] if the two coincide,
     /// [`FlowError::InvalidNode`] if either is out of range.
-    pub fn try_max_flow(
+    fn try_max_flow(
         &self,
         source: NodeId,
         sink: NodeId,
@@ -674,11 +670,6 @@ impl FlowNetwork {
     /// (0 when no transaction is open or nothing was touched).
     pub fn undo_log_len(&self) -> usize {
         self.writes.journal.entries.len()
-    }
-
-    /// Whether an undo-log transaction is open.
-    pub fn undo_log_active(&self) -> bool {
-        self.writes.journal.active
     }
 
     /// Restores every edge recorded since [`FlowNetwork::begin_undo_log`] to
@@ -1358,7 +1349,7 @@ mod tests {
 
             let restored = net.rollback_undo_log();
             assert!(restored > 0);
-            assert!(!net.undo_log_active());
+            assert!(!net.writes.journal.active);
             // Bit-identical to the pre-transaction state, not just equivalent.
             assert_eq!(arena_state(&net), before, "{alg:?} rollback diverged");
         }
@@ -1402,7 +1393,7 @@ mod tests {
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
         net.discard_undo_log();
-        assert!(!net.undo_log_active());
+        assert!(!net.writes.journal.active);
         assert_eq!(net.capacity(EdgeId(1)).unwrap(), 5.0);
         let after = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)

@@ -6,14 +6,18 @@
 //! representation and the flow algorithms used by the placement planner and
 //! the per-request pipeline scheduler:
 //!
-//! * [`FlowNetwork`] — a directed graph with `f64` capacities and named nodes.
-//! * [`push_relabel`] — the preflow-push algorithm (the algorithm cited by the
-//!   paper), with FIFO active-node selection and one global relabeling at
-//!   the start; what cold solves run.
-//! * [`dinic`] — Dinic's algorithm: what the planners' warm re-solves
-//!   ([`FlowNetwork::resolve_from_residual`]) run, and an independent
-//!   cross-check of cold solves.
-//! * [`edmonds_karp`] — Edmonds–Karp, used in tests for a third opinion.
+//! * [`FlowNetwork`] — a directed graph with `f64` capacities and named nodes;
+//!   [`FlowNetwork::max_flow_with`] runs the [`MaxFlowAlgorithm`] it is
+//!   given:
+//!   * [`MaxFlowAlgorithm::PushRelabel`] — the preflow-push algorithm (the
+//!     algorithm cited by the paper), with FIFO active-node selection and
+//!     one global relabeling at the start; what cold solves run;
+//!   * [`MaxFlowAlgorithm::Dinic`] — Dinic's algorithm: what the planners'
+//!     warm re-solves ([`FlowNetwork::resolve_from_residual`]) run, and an
+//!     independent cross-check of cold solves ([`dinic`] is its one-shot
+//!     form);
+//!   * [`MaxFlowAlgorithm::EdmondsKarp`] — Edmonds–Karp, used in tests for a
+//!     third opinion.
 //! * [`min_cut`] — the source-side minimum cut induced by a maximum flow.
 //! * [`decompose_paths`] — decomposition of a feasible flow into source→sink
 //!   paths; the per-path flow values become the IWRR scheduling weights.
@@ -48,11 +52,9 @@ mod push_relabel;
 
 pub use decompose::{decompose_paths, FlowPath};
 pub use dinic::dinic;
-pub use edmonds_karp::edmonds_karp;
 pub use error::FlowError;
 pub use graph::{EdgeId, EdgeRef, FlowNetwork, FlowResult, NodeId};
 pub use min_cut::{min_cut, MinCut};
-pub use push_relabel::push_relabel;
 
 /// Tolerance used when comparing floating-point flow values.
 pub const FLOW_EPS: f64 = 1e-9;

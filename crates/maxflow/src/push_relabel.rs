@@ -22,23 +22,9 @@
 //! on, so on termination every non-terminal node is balanced and the computed
 //! preflow is a genuine flow (not just a max *value*).
 
-use crate::graph::{ArenaEdge, FlowNetwork, FlowResult, NodeId, Writes};
+use crate::graph::{ArenaEdge, Writes};
 use crate::FLOW_EPS;
 use std::collections::VecDeque;
-
-/// Computes the maximum flow on `network` from `source` to `sink` with the
-/// preflow-push algorithm.
-///
-/// This is a convenience wrapper over
-/// [`FlowNetwork::max_flow_with`](crate::FlowNetwork::max_flow_with) with
-/// [`MaxFlowAlgorithm::PushRelabel`](crate::MaxFlowAlgorithm::PushRelabel).
-///
-/// # Panics
-///
-/// Panics if `source == sink` or either node is not part of `network`.
-pub fn push_relabel(network: &FlowNetwork, source: NodeId, sink: NodeId) -> FlowResult {
-    network.max_flow_with(source, sink, crate::MaxFlowAlgorithm::PushRelabel)
-}
 
 /// One residual arc of the packed layout.
 #[derive(Debug, Clone, Copy)]
@@ -233,7 +219,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeId, MaxFlowAlgorithm};
+    use crate::{EdgeId, FlowNetwork, MaxFlowAlgorithm, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -460,14 +460,14 @@ mod tests {
     fn node_log_accounts_for_every_iteration() {
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(format!("x{i}"), 3.0 + (i % 4) as f64))
+            .map(|i| m.add_binary(format!("x{i}"), 3.0 + (i % 4) as f64).unwrap())
             .collect();
         let weights: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, 2.0 + (i % 3) as f64))
             .collect();
-        m.add_constraint("w", weights, Sense::Le, 11.5);
+        m.add_constraint("w", weights, Sense::Le, 11.5).unwrap();
         let mut solver = MilpSolver::new().record_events();
         let r = solver.solve(&m).unwrap();
         let nodes = solver.nodes();
@@ -492,10 +492,11 @@ mod tests {
     fn knapsack_small() {
         // Classic 0/1 knapsack: values 60,100,120; weights 10,20,30; cap 50 -> 220.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x1 = m.add_binary("x1", 60.0);
-        let x2 = m.add_binary("x2", 100.0);
-        let x3 = m.add_binary("x3", 120.0);
-        m.add_constraint("w", [(x1, 10.0), (x2, 20.0), (x3, 30.0)], Sense::Le, 50.0);
+        let x1 = m.add_binary("x1", 60.0).unwrap();
+        let x2 = m.add_binary("x2", 100.0).unwrap();
+        let x3 = m.add_binary("x3", 120.0).unwrap();
+        m.add_constraint("w", [(x1, 10.0), (x2, 20.0), (x3, 30.0)], Sense::Le, 50.0)
+            .unwrap();
         let r = MilpSolver::new().solve(&m).unwrap();
         assert_eq!(r.objective.round(), 220.0);
         assert_eq!(r.values[x1.index()].round(), 0.0);
@@ -509,9 +510,10 @@ mod tests {
     fn integer_rounding_differs_from_lp() {
         // max x + y s.t. 2x + 2y <= 5 integer -> LP gives 2.5, MILP gives 2.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
-        let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 1.0);
-        m.add_constraint("c", [(x, 2.0), (y, 2.0)], Sense::Le, 5.0);
+        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0).unwrap();
+        let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 1.0).unwrap();
+        m.add_constraint("c", [(x, 2.0), (y, 2.0)], Sense::Le, 5.0)
+            .unwrap();
         let r = MilpSolver::new().solve(&m).unwrap();
         assert_eq!(r.objective.round(), 2.0);
     }
@@ -520,9 +522,10 @@ mod tests {
     fn minimization_milp() {
         // min 5x + 4y s.t. x + y >= 3, x,y binary-ish integers up to 3 -> x=0,y=3 cost 12.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_var("x", VarType::Integer, 0.0, 3.0, 5.0);
-        let y = m.add_var("y", VarType::Integer, 0.0, 3.0, 4.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
+        let x = m.add_var("x", VarType::Integer, 0.0, 3.0, 5.0).unwrap();
+        let y = m.add_var("y", VarType::Integer, 0.0, 3.0, 4.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Ge, 3.0)
+            .unwrap();
         let r = MilpSolver::new().solve(&m).unwrap();
         assert_eq!(r.objective.round(), 12.0);
         assert_eq!(r.values[y.index()].round(), 3.0);
@@ -531,8 +534,8 @@ mod tests {
     #[test]
     fn infeasible_milp_reports_error() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        m.add_constraint("ge", [(x, 1.0)], Sense::Ge, 2.0);
+        let x = m.add_binary("x", 1.0).unwrap();
+        m.add_constraint("ge", [(x, 1.0)], Sense::Ge, 2.0).unwrap();
         assert_eq!(
             MilpSolver::new().solve(&m).unwrap_err(),
             MilpError::Infeasible
@@ -542,9 +545,10 @@ mod tests {
     #[test]
     fn warm_start_is_used_as_incumbent() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0);
+        let x = m.add_binary("x", 1.0).unwrap();
+        let y = m.add_binary("y", 1.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0)
+            .unwrap();
         let mut solver = MilpSolver::new().warm_start(vec![1.0, 0.0]).record_events();
         let r = solver.solve(&m).unwrap();
         assert_eq!(r.objective.round(), 1.0);
@@ -555,9 +559,10 @@ mod tests {
     #[test]
     fn infeasible_warm_start_is_ignored() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_binary("x", 3.0);
-        let y = m.add_binary("y", 2.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0);
+        let x = m.add_binary("x", 3.0).unwrap();
+        let y = m.add_binary("y", 2.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0)
+            .unwrap();
         // Warm start violates the constraint.
         let r = MilpSolver::new()
             .warm_start(vec![1.0, 1.0])
@@ -571,10 +576,10 @@ mod tests {
         // A knapsack where reaching objective >= 100 is easy.
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..12)
-            .map(|i| m.add_binary(format!("x{i}"), 10.0 + i as f64))
+            .map(|i| m.add_binary(format!("x{i}"), 10.0 + i as f64).unwrap())
             .collect();
         let weights: Vec<_> = vars.iter().map(|&v| (v, 5.0)).collect();
-        m.add_constraint("w", weights, Sense::Le, 30.0);
+        m.add_constraint("w", weights, Sense::Le, 30.0).unwrap();
         let mut solver = MilpSolver::new().early_stop_objective(50.0);
         let r = solver.solve(&m).unwrap();
         assert!(r.objective >= 50.0);
@@ -584,10 +589,11 @@ mod tests {
     fn mixed_integer_continuous() {
         // max 2x + 3y, x integer <= 4.3 constraint, y continuous <= 2.5; x + y <= 5.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 2.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, 2.5, 3.0);
-        m.add_constraint("a", [(x, 1.0)], Sense::Le, 4.3);
-        m.add_constraint("b", [(x, 1.0), (y, 1.0)], Sense::Le, 5.0);
+        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 2.0).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 0.0, 2.5, 3.0).unwrap();
+        m.add_constraint("a", [(x, 1.0)], Sense::Le, 4.3).unwrap();
+        m.add_constraint("b", [(x, 1.0), (y, 1.0)], Sense::Le, 5.0)
+            .unwrap();
         let r = MilpSolver::new().solve(&m).unwrap();
         // Optimum is x=3, y=2 -> 2*3 + 3*2 = 12 (beats x=2,y=2.5 -> 11.5 and x=4,y=1 -> 11).
         assert!((r.objective - 12.0).abs() < 1e-5);
@@ -599,14 +605,14 @@ mod tests {
     fn incumbent_never_exceeds_bound() {
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..8)
-            .map(|i| m.add_binary(format!("x{i}"), (i + 1) as f64))
+            .map(|i| m.add_binary(format!("x{i}"), (i + 1) as f64).unwrap())
             .collect();
         let weights: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i % 3 + 1) as f64))
             .collect();
-        m.add_constraint("w", weights, Sense::Le, 6.0);
+        m.add_constraint("w", weights, Sense::Le, 6.0).unwrap();
         let r = MilpSolver::new().solve(&m).unwrap();
         assert!(r.objective <= r.best_bound + 1e-6);
     }
@@ -615,10 +621,13 @@ mod tests {
     fn node_limit_returns_feasible_status() {
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..15)
-            .map(|i| m.add_binary(format!("x{i}"), 1.0 + (i as f64) * 0.01))
+            .map(|i| {
+                m.add_binary(format!("x{i}"), 1.0 + (i as f64) * 0.01)
+                    .unwrap()
+            })
             .collect();
         let weights: Vec<_> = vars.iter().map(|&v| (v, 2.0)).collect();
-        m.add_constraint("w", weights, Sense::Le, 29.0);
+        m.add_constraint("w", weights, Sense::Le, 29.0).unwrap();
         let opts = MilpOptions {
             node_limit: 3,
             warm_start: Some(vec![0.0; 15]),

@@ -30,8 +30,8 @@ impl fmt::Display for VarId {
 /// use helix_milp::{LinExpr, Model, ObjectiveSense, VarType};
 ///
 /// let mut m = Model::new(ObjectiveSense::Maximize);
-/// let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
-/// let y = m.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0);
+/// let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
+/// let y = m.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
 /// let expr = LinExpr::term(x, 2.0) + LinExpr::term(y, 3.0) - 1.0;
 /// assert_eq!(expr.coefficient(x), 2.0);
 /// assert_eq!(expr.constant(), -1.0);
@@ -56,7 +56,7 @@ impl LinExpr {
     }
 
     /// A constant expression.
-    pub fn constant_expr(value: f64) -> Self {
+    fn constant_expr(value: f64) -> Self {
         LinExpr {
             terms: BTreeMap::new(),
             constant: value,

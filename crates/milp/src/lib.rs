@@ -6,6 +6,8 @@
 //!
 //! * [`Model`] — a builder for LP/MILP problems: continuous, integer and
 //!   binary variables with bounds, linear constraints and a linear objective.
+//!   Every builder call is fallible: a NaN, an inverted bound or an unknown
+//!   variable is a [`MilpError`], never a panic.
 //! * [`LpSolver`] — a bounded-variable simplex for the LP relaxation: bounds
 //!   are carried by the columns (no upper-bound rows, artificials only where
 //!   a row needs one), the table is one dense row-major array priced from a
@@ -36,13 +38,19 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x,y >= 0 integer
 //! let mut model = Model::new(ObjectiveSense::Maximize);
-//! let x = model.add_var("x", VarType::Integer, 0.0, f64::INFINITY, 3.0);
-//! let y = model.add_var("y", VarType::Integer, 0.0, f64::INFINITY, 2.0);
-//! model.add_constraint("cap", [(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
-//! model.add_constraint("xcap", [(x, 1.0)], Sense::Le, 2.0);
-//! let result = MilpSolver::new().solve(&model).unwrap();
+//! let x = model.add_var("x", VarType::Integer, 0.0, f64::INFINITY, 3.0)?;
+//! let y = model.add_var("y", VarType::Integer, 0.0, f64::INFINITY, 2.0)?;
+//! model.add_constraint("cap", [(x, 1.0), (y, 1.0)], Sense::Le, 4.0)?;
+//! model.add_constraint("xcap", [(x, 1.0)], Sense::Le, 2.0)?;
+//! let result = MilpSolver::new().solve(&model)?;
 //! assert_eq!(result.objective.round(), 10.0); // x=2, y=2
+//! # Ok::<(), helix_milp::MilpError>(())
 //! ```
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod branch_bound;
 mod error;

@@ -98,29 +98,11 @@ impl Model {
     ///
     /// Binary variables have their bounds clamped to `[0, 1]`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `lower > upper` or a bound is NaN; use
-    /// [`Model::try_add_var`] for a fallible version.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        var_type: VarType,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
-        self.try_add_var(name, var_type, lower, upper, objective)
-            .expect("invalid variable passed to Model::add_var")
-    }
-
-    /// Adds a variable and returns its id.
-    ///
     /// # Errors
     ///
     /// Returns [`MilpError::InvalidBounds`] if `lower > upper` or a bound is
     /// NaN, and [`MilpError::NotANumber`] if the objective coefficient is NaN.
-    pub fn try_add_var(
+    pub fn add_var(
         &mut self,
         name: impl Into<String>,
         var_type: VarType,
@@ -151,54 +133,43 @@ impl Model {
     }
 
     /// Adds a binary variable with the given objective coefficient.
-    pub fn add_binary(&mut self, name: impl Into<String>, objective: f64) -> VarId {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MilpError::NotANumber`] if the objective coefficient is NaN.
+    pub fn add_binary(
+        &mut self,
+        name: impl Into<String>,
+        objective: f64,
+    ) -> Result<VarId, MilpError> {
         self.add_var(name, VarType::Binary, 0.0, 1.0, objective)
     }
 
-    /// Adds a linear constraint built from `(variable, coefficient)` terms.
+    /// Adds a linear constraint built from `(variable, coefficient)` terms
+    /// and returns its index.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any referenced variable does not belong to the model or a
-    /// number is NaN; use [`Model::try_add_constraint_expr`] for a fallible
-    /// version.
+    /// As [`Model::add_constraint_expr`].
     pub fn add_constraint(
         &mut self,
         name: impl Into<String>,
         terms: impl IntoIterator<Item = (VarId, f64)>,
         sense: Sense,
         rhs: f64,
-    ) -> usize {
+    ) -> Result<usize, MilpError> {
         let expr: LinExpr = terms.into_iter().collect();
-        self.try_add_constraint_expr(name, expr, sense, rhs)
-            .expect("invalid constraint passed to Model::add_constraint")
+        self.add_constraint_expr(name, expr, sense, rhs)
     }
 
-    /// Adds a linear constraint from a pre-built expression.
-    ///
-    /// The expression's constant is moved to the right-hand side.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN values or unknown variables.
-    pub fn add_constraint_expr(
-        &mut self,
-        name: impl Into<String>,
-        expr: LinExpr,
-        sense: Sense,
-        rhs: f64,
-    ) -> usize {
-        self.try_add_constraint_expr(name, expr, sense, rhs)
-            .expect("invalid constraint passed to Model::add_constraint_expr")
-    }
-
-    /// Fallible version of [`Model::add_constraint_expr`].
+    /// Adds a linear constraint from a pre-built expression and returns its
+    /// index.  The expression's constant is moved to the right-hand side.
     ///
     /// # Errors
     ///
     /// Returns [`MilpError::InvalidVariable`] if the expression references an
     /// unknown variable and [`MilpError::NotANumber`] on NaN coefficients.
-    pub fn try_add_constraint_expr(
+    pub fn add_constraint_expr(
         &mut self,
         name: impl Into<String>,
         expr: LinExpr,
@@ -227,26 +198,6 @@ impl Model {
             rhs: adjusted_rhs,
         });
         Ok(idx)
-    }
-
-    /// Overwrites the bounds of an existing variable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MilpError::InvalidBounds`] if `lower > upper`.
-    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) -> Result<(), MilpError> {
-        if var.0 >= self.variables.len() {
-            return Err(MilpError::InvalidVariable {
-                index: var.0,
-                len: self.variables.len(),
-            });
-        }
-        if lower.is_nan() || upper.is_nan() || lower > upper {
-            return Err(MilpError::InvalidBounds { lower, upper });
-        }
-        self.variables[var.0].lower = lower;
-        self.variables[var.0].upper = upper;
-        Ok(())
     }
 
     /// Number of variables.
@@ -327,9 +278,10 @@ mod tests {
     #[test]
     fn build_small_model() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
-        let y = m.add_binary("y", 5.0);
-        m.add_constraint("c0", [(x, 1.0), (y, 2.0)], Sense::Le, 8.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
+        let y = m.add_binary("y", 5.0).unwrap();
+        m.add_constraint("c0", [(x, 1.0), (y, 2.0)], Sense::Le, 8.0)
+            .unwrap();
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 1);
         assert_eq!(m.variable(x).unwrap().name, "x");
@@ -341,24 +293,21 @@ mod tests {
     fn invalid_bounds_rejected() {
         let mut m = Model::new(ObjectiveSense::Minimize);
         assert!(m
-            .try_add_var("bad", VarType::Continuous, 3.0, 1.0, 0.0)
+            .add_var("bad", VarType::Continuous, 3.0, 1.0, 0.0)
             .is_err());
         assert!(m
-            .try_add_var("nan", VarType::Continuous, f64::NAN, 1.0, 0.0)
+            .add_var("nan", VarType::Continuous, f64::NAN, 1.0, 0.0)
             .is_err());
-        let x = m.add_var("x", VarType::Continuous, 0.0, 1.0, 0.0);
-        assert!(m.set_bounds(x, 2.0, 1.0).is_err());
-        assert!(m.set_bounds(VarId(99), 0.0, 1.0).is_err());
-        assert!(m.set_bounds(x, 0.5, 0.9).is_ok());
-        assert_eq!(m.variable(x).unwrap().lower, 0.5);
+        assert_eq!(m.add_binary("b", f64::NAN), Err(MilpError::NotANumber));
+        assert_eq!(m.num_vars(), 0, "a rejected variable is not added");
     }
 
     #[test]
     fn constraint_constant_folds_into_rhs() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
         let expr = LinExpr::term(x, 2.0) + 3.0;
-        m.add_constraint_expr("c", expr, Sense::Le, 10.0);
+        m.add_constraint_expr("c", expr, Sense::Le, 10.0).unwrap();
         let c = &m.constraints()[0];
         assert_eq!(c.rhs, 7.0);
         assert_eq!(c.expr.constant(), 0.0);
@@ -367,19 +316,18 @@ mod tests {
     #[test]
     fn unknown_variable_in_constraint_rejected() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let _x = m.add_var("x", VarType::Continuous, 0.0, 1.0, 0.0);
+        let _x = m.add_var("x", VarType::Continuous, 0.0, 1.0, 0.0).unwrap();
         let bogus = LinExpr::term(VarId(5), 1.0);
-        assert!(m
-            .try_add_constraint_expr("c", bogus, Sense::Le, 1.0)
-            .is_err());
+        assert!(m.add_constraint_expr("c", bogus, Sense::Le, 1.0).is_err());
     }
 
     #[test]
     fn feasibility_check() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Integer, 0.0, 5.0, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, 5.0, 1.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 6.0);
+        let x = m.add_var("x", VarType::Integer, 0.0, 5.0, 1.0).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 0.0, 5.0, 1.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 6.0)
+            .unwrap();
         assert!(m.is_feasible(&[3.0, 2.5], 1e-9));
         assert!(!m.is_feasible(&[3.5, 1.0], 1e-9)); // x not integral
         assert!(!m.is_feasible(&[5.0, 2.0], 1e-9)); // constraint violated

@@ -82,10 +82,10 @@ impl LpOutcome {
 /// use helix_milp::{solve_lp, Model, ObjectiveSense, Sense, VarType};
 ///
 /// let mut m = Model::new(ObjectiveSense::Maximize);
-/// let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-/// let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-/// m.add_constraint("c", [(x, 2.0), (y, 1.0)], Sense::Le, 4.0);
-/// m.add_constraint("d", [(x, 1.0), (y, 3.0)], Sense::Le, 6.0);
+/// let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0).unwrap();
+/// let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0).unwrap();
+/// m.add_constraint("c", [(x, 2.0), (y, 1.0)], Sense::Le, 4.0).unwrap();
+/// m.add_constraint("d", [(x, 1.0), (y, 3.0)], Sense::Le, 6.0).unwrap();
 /// let sol = solve_lp(&m).unwrap().optimal().unwrap();
 /// assert!((sol.objective - 2.8).abs() < 1e-6);
 /// ```
@@ -168,9 +168,9 @@ enum Status {
 /// use helix_milp::{LpSolver, Model, ObjectiveSense, Sense, VarType};
 ///
 /// let mut m = Model::new(ObjectiveSense::Maximize);
-/// let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
-/// let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 1.0);
-/// m.add_constraint("c", [(x, 2.0), (y, 2.0)], Sense::Le, 5.0);
+/// let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0).unwrap();
+/// let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 1.0).unwrap();
+/// m.add_constraint("c", [(x, 2.0), (y, 2.0)], Sense::Le, 5.0).unwrap();
 /// let root = [(0.0, 10.0), (0.0, 10.0)];
 /// let mut lp = LpSolver::new(&m, &root).unwrap();
 /// let relaxed = lp.solve(&root).unwrap().optimal().unwrap();
@@ -995,11 +995,16 @@ mod tests {
     fn simple_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 (classic, opt 36 at x=2,y=6)
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 3.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 5.0);
-        m.add_constraint("c1", [(x, 1.0)], Sense::Le, 4.0);
-        m.add_constraint("c2", [(y, 2.0)], Sense::Le, 12.0);
-        m.add_constraint("c3", [(x, 3.0), (y, 2.0)], Sense::Le, 18.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 3.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 5.0)
+            .unwrap();
+        m.add_constraint("c1", [(x, 1.0)], Sense::Le, 4.0).unwrap();
+        m.add_constraint("c2", [(y, 2.0)], Sense::Le, 12.0).unwrap();
+        m.add_constraint("c3", [(x, 3.0), (y, 2.0)], Sense::Le, 18.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 36.0);
         assert_close(sol.values[x.index()], 2.0);
@@ -1010,11 +1015,18 @@ mod tests {
     fn minimization_with_ge_constraints() {
         // min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3  (opt: x=7,y=3 -> 23)
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 2.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 3.0);
-        m.add_constraint("sum", [(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
-        m.add_constraint("xmin", [(x, 1.0)], Sense::Ge, 2.0);
-        m.add_constraint("ymin", [(y, 1.0)], Sense::Ge, 3.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 2.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 3.0)
+            .unwrap();
+        m.add_constraint("sum", [(x, 1.0), (y, 1.0)], Sense::Ge, 10.0)
+            .unwrap();
+        m.add_constraint("xmin", [(x, 1.0)], Sense::Ge, 2.0)
+            .unwrap();
+        m.add_constraint("ymin", [(y, 1.0)], Sense::Ge, 3.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 23.0);
     }
@@ -1023,10 +1035,16 @@ mod tests {
     fn equality_constraints() {
         // max x + y s.t. x + y = 5, x - y = 1  (x=3, y=2)
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        m.add_constraint("sum", [(x, 1.0), (y, 1.0)], Sense::Eq, 5.0);
-        m.add_constraint("diff", [(x, 1.0), (y, -1.0)], Sense::Eq, 1.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        m.add_constraint("sum", [(x, 1.0), (y, 1.0)], Sense::Eq, 5.0)
+            .unwrap();
+        m.add_constraint("diff", [(x, 1.0), (y, -1.0)], Sense::Eq, 1.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 5.0);
         assert_close(sol.values[x.index()], 3.0);
@@ -1036,9 +1054,10 @@ mod tests {
     #[test]
     fn variable_upper_bounds_are_respected() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 2.5, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 1.0, 3.0, 1.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 100.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 2.5, 1.0).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 1.0, 3.0, 1.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 100.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 5.5);
         assert_close(sol.values[x.index()], 2.5);
@@ -1049,9 +1068,14 @@ mod tests {
     fn nonzero_lower_bounds_shift_correctly() {
         // min x + y with x >= 2, y >= 3, x + y >= 7
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_var("x", VarType::Continuous, 2.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 3.0, f64::INFINITY, 1.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Ge, 7.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 2.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 3.0, f64::INFINITY, 1.0)
+            .unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Ge, 7.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 7.0);
     }
@@ -1061,14 +1085,16 @@ mod tests {
         // min x s.t. x >= -5 is unbounded below without the constraint;
         // with x free and x >= -5 via constraint: optimum -5.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_var(
-            "x",
-            VarType::Continuous,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            1.0,
-        );
-        m.add_constraint("lb", [(x, 1.0)], Sense::Ge, -5.0);
+        let x = m
+            .add_var(
+                "x",
+                VarType::Continuous,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                1.0,
+            )
+            .unwrap();
+        m.add_constraint("lb", [(x, 1.0)], Sense::Ge, -5.0).unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, -5.0);
         assert_close(sol.values[x.index()], -5.0);
@@ -1078,8 +1104,11 @@ mod tests {
     fn mirrored_variable_only_upper_bound() {
         // max x with x <= 9 and no lower bound, but constrained x >= 0 via row.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, f64::NEG_INFINITY, 9.0, 1.0);
-        m.add_constraint("nonneg", [(x, 1.0)], Sense::Ge, 0.0);
+        let x = m
+            .add_var("x", VarType::Continuous, f64::NEG_INFINITY, 9.0, 1.0)
+            .unwrap();
+        m.add_constraint("nonneg", [(x, 1.0)], Sense::Ge, 0.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 9.0);
     }
@@ -1087,9 +1116,10 @@ mod tests {
     #[test]
     fn fixed_variables_are_substituted() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 4.0, 4.0, 2.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0);
-        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 9.0);
+        let x = m.add_var("x", VarType::Continuous, 4.0, 4.0, 2.0).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 9.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.values[x.index()], 4.0);
         assert_close(sol.values[y.index()], 5.0);
@@ -1099,18 +1129,23 @@ mod tests {
     #[test]
     fn infeasible_model_detected() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
-        m.add_constraint("a", [(x, 1.0)], Sense::Ge, 5.0);
-        m.add_constraint("b", [(x, 1.0)], Sense::Le, 3.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
+        m.add_constraint("a", [(x, 1.0)], Sense::Ge, 5.0).unwrap();
+        m.add_constraint("b", [(x, 1.0)], Sense::Le, 3.0).unwrap();
         assert_eq!(solve_lp(&m).unwrap(), LpOutcome::Infeasible);
     }
 
     #[test]
     fn unbounded_model_detected() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 0.0);
-        m.add_constraint("c", [(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 0.0)
+            .unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, -1.0)], Sense::Le, 1.0)
+            .unwrap();
         assert_eq!(solve_lp(&m).unwrap(), LpOutcome::Unbounded);
     }
 
@@ -1118,9 +1153,10 @@ mod tests {
     fn negative_rhs_rows_are_normalised() {
         // x - y <= -2  (i.e. y >= x + 2), maximise x with x,y <= 5.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 5.0, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, 5.0, 0.0);
-        m.add_constraint("c", [(x, 1.0), (y, -1.0)], Sense::Le, -2.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 5.0, 1.0).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 0.0, 5.0, 0.0).unwrap();
+        m.add_constraint("c", [(x, 1.0), (y, -1.0)], Sense::Le, -2.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 3.0);
     }
@@ -1128,7 +1164,7 @@ mod tests {
     #[test]
     fn bound_overrides_take_effect() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
+        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
         let sol = solve_lp_with_bounds(&m, &[(0.0, 4.0)])
             .unwrap()
             .optimal()
@@ -1159,15 +1195,20 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Many redundant constraints through the same vertex.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
+        let x = m
+            .add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = m
+            .add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
         for i in 0..10 {
             m.add_constraint(
                 format!("c{i}"),
                 [(x, 1.0), (y, 1.0 + i as f64 * 1e-9)],
                 Sense::Le,
                 4.0,
-            );
+            )
+            .unwrap();
         }
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert!((sol.objective - 4.0).abs() < 1e-5);
@@ -1179,14 +1220,26 @@ mod tests {
         // sources (capacities 15, 10) to two sinks (demands 12, 8), costs
         // c11=1, c12=4, c21=2, c22=1 -> optimal cost 12*1 + 0*4 + 0*2 + 8*1 = 20.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x11 = m.add_var("x11", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        let x12 = m.add_var("x12", VarType::Continuous, 0.0, f64::INFINITY, 4.0);
-        let x21 = m.add_var("x21", VarType::Continuous, 0.0, f64::INFINITY, 2.0);
-        let x22 = m.add_var("x22", VarType::Continuous, 0.0, f64::INFINITY, 1.0);
-        m.add_constraint("s1", [(x11, 1.0), (x12, 1.0)], Sense::Le, 15.0);
-        m.add_constraint("s2", [(x21, 1.0), (x22, 1.0)], Sense::Le, 10.0);
-        m.add_constraint("d1", [(x11, 1.0), (x21, 1.0)], Sense::Eq, 12.0);
-        m.add_constraint("d2", [(x12, 1.0), (x22, 1.0)], Sense::Eq, 8.0);
+        let x11 = m
+            .add_var("x11", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let x12 = m
+            .add_var("x12", VarType::Continuous, 0.0, f64::INFINITY, 4.0)
+            .unwrap();
+        let x21 = m
+            .add_var("x21", VarType::Continuous, 0.0, f64::INFINITY, 2.0)
+            .unwrap();
+        let x22 = m
+            .add_var("x22", VarType::Continuous, 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        m.add_constraint("s1", [(x11, 1.0), (x12, 1.0)], Sense::Le, 15.0)
+            .unwrap();
+        m.add_constraint("s2", [(x21, 1.0), (x22, 1.0)], Sense::Le, 10.0)
+            .unwrap();
+        m.add_constraint("d1", [(x11, 1.0), (x21, 1.0)], Sense::Eq, 12.0)
+            .unwrap();
+        m.add_constraint("d2", [(x12, 1.0), (x22, 1.0)], Sense::Eq, 8.0)
+            .unwrap();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
         assert_close(sol.objective, 20.0);
     }

@@ -61,6 +61,7 @@ fn mixed_model(maximize: bool, var_type: VarType, vars: &[VarSpec], rows: &[RowS
                 upper,
                 f64::from(objective),
             )
+            .unwrap()
         })
         .collect();
     for (r, (sense, margin, coefficients)) in rows.iter().enumerate() {
@@ -77,7 +78,8 @@ fn mixed_model(maximize: bool, var_type: VarType, vars: &[VarSpec], rows: &[RowS
             2 | 3 => (Sense::Ge, at_reference - margin),
             _ => (Sense::Eq, at_reference + margin.min(0.0)),
         };
-        m.add_constraint(format!("r{r}"), terms, sense, rhs);
+        m.add_constraint(format!("r{r}"), terms, sense, rhs)
+            .unwrap();
     }
     m
 }
@@ -105,10 +107,10 @@ fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Model {
     let vars: Vec<_> = values
         .iter()
         .enumerate()
-        .map(|(i, &v)| m.add_binary(format!("x{i}"), v))
+        .map(|(i, &v)| m.add_binary(format!("x{i}"), v).unwrap())
         .collect();
     let terms: Vec<_> = vars.iter().zip(weights).map(|(&x, &w)| (x, w)).collect();
-    m.add_constraint("cap", terms, Sense::Le, cap);
+    m.add_constraint("cap", terms, Sense::Le, cap).unwrap();
     m
 }
 
@@ -138,23 +140,31 @@ fn brute_force(values: &[f64], weights: &[f64], cap: f64) -> f64 {
 fn beale_cycling_example_terminates_at_the_optimum() {
     let mut m = Model::new(ObjectiveSense::Minimize);
     let inf = f64::INFINITY;
-    let x1 = m.add_var("x1", VarType::Continuous, 0.0, inf, -0.75);
-    let x2 = m.add_var("x2", VarType::Continuous, 0.0, inf, 150.0);
-    let x3 = m.add_var("x3", VarType::Continuous, 0.0, inf, -0.02);
-    let x4 = m.add_var("x4", VarType::Continuous, 0.0, inf, 6.0);
+    let x1 = m
+        .add_var("x1", VarType::Continuous, 0.0, inf, -0.75)
+        .unwrap();
+    let x2 = m
+        .add_var("x2", VarType::Continuous, 0.0, inf, 150.0)
+        .unwrap();
+    let x3 = m
+        .add_var("x3", VarType::Continuous, 0.0, inf, -0.02)
+        .unwrap();
+    let x4 = m.add_var("x4", VarType::Continuous, 0.0, inf, 6.0).unwrap();
     m.add_constraint(
         "a",
         [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
         Sense::Le,
         0.0,
-    );
+    )
+    .unwrap();
     m.add_constraint(
         "b",
         [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
         Sense::Le,
         0.0,
-    );
-    m.add_constraint("c", [(x3, 1.0)], Sense::Le, 1.0);
+    )
+    .unwrap();
+    m.add_constraint("c", [(x3, 1.0)], Sense::Le, 1.0).unwrap();
     let sol = solve_lp(&m).unwrap().optimal().unwrap();
     assert!((sol.objective + 0.05).abs() < 1e-9, "{}", sol.objective);
     assert!((sol.values[x1.index()] - 0.04).abs() < 1e-9);
@@ -340,7 +350,7 @@ proptest! {
         let n = coeffs.len().min(uppers.len());
         let mut m = Model::new(ObjectiveSense::Maximize);
         for i in 0..n {
-            m.add_var(format!("x{i}"), VarType::Continuous, 0.0, uppers[i], coeffs[i]);
+            m.add_var(format!("x{i}"), VarType::Continuous, 0.0, uppers[i], coeffs[i]).unwrap();
         }
         let expected: f64 = (0..n).map(|i| if coeffs[i] > 0.0 { coeffs[i] * uppers[i] } else { 0.0 }).sum();
         let sol = solve_lp(&m).unwrap().optimal().unwrap();
@@ -355,11 +365,11 @@ proptest! {
         cap in 5.0f64..50.0,
     ) {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, c1);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, c2);
-        m.add_constraint("cap", [(x, 1.0), (y, 1.0)], Sense::Le, cap);
+        let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, c1).unwrap();
+        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, c2).unwrap();
+        m.add_constraint("cap", [(x, 1.0), (y, 1.0)], Sense::Le, cap).unwrap();
         let base = solve_lp(&m).unwrap().optimal().unwrap().objective;
-        m.add_constraint("redundant", [(x, 1.0), (y, 1.0)], Sense::Le, cap * 2.0);
+        m.add_constraint("redundant", [(x, 1.0), (y, 1.0)], Sense::Le, cap * 2.0).unwrap();
         let with_redundant = solve_lp(&m).unwrap().optimal().unwrap().objective;
         prop_assert!((base - with_redundant).abs() < 1e-6);
     }

@@ -131,7 +131,7 @@ pub use helix_core::engine::{KvPoolError, PagedKvPool};
 /// Which phase of auto-regressive generation a work item belongs to (the
 /// shared execution-model type).
 pub use helix_core::exec_model::Phase;
-pub use metrics::{LatencySummary, LinkReport, NodeReport, RequestOutcome, RuntimeReport};
+pub use metrics::{LinkReport, NodeReport, RequestOutcome, RuntimeReport};
 pub use runtime::{ExecutionKind, RuntimeConfig};
 pub use session::ServingSession;
 

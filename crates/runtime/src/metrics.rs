@@ -6,7 +6,7 @@
 //! placement and scheduling case studies (Figs. 9b and 10b).
 
 use helix_cluster::{ModelId, NodeId};
-pub use helix_core::obs::LatencyStats as LatencySummary;
+use helix_core::obs::LatencyStats;
 use helix_core::{
     FailoverRecord, KvTransferRecord, LinkQueue, PrefixStats, ReplanRecord, ReplicationStats,
 };
@@ -40,7 +40,7 @@ impl RequestOutcome {
     }
 
     /// Mean decode latency per generated token after the first.
-    pub fn decode_latency_per_token(&self) -> f64 {
+    fn decode_latency_per_token(&self) -> f64 {
         let decode_tokens = self.output_tokens.saturating_sub(1);
         if decode_tokens == 0 {
             return 0.0;
@@ -176,23 +176,23 @@ impl RuntimeReport {
     }
 
     /// Prompt latency summary across completed requests.
-    pub fn prompt_latency(&self) -> LatencySummary {
+    pub fn prompt_latency(&self) -> LatencyStats {
         let samples: Vec<f64> = self
             .outcomes
             .iter()
             .map(RequestOutcome::prompt_latency)
             .collect();
-        LatencySummary::from_samples(&samples)
+        LatencyStats::from_samples(&samples)
     }
 
     /// Per-token decode latency summary across completed requests.
-    pub fn decode_latency(&self) -> LatencySummary {
+    pub fn decode_latency(&self) -> LatencyStats {
         let samples: Vec<f64> = self
             .outcomes
             .iter()
             .map(RequestOutcome::decode_latency_per_token)
             .collect();
-        LatencySummary::from_samples(&samples)
+        LatencyStats::from_samples(&samples)
     }
 
     /// The outcomes of one model's requests.
@@ -219,25 +219,25 @@ impl RuntimeReport {
     }
 
     /// Prompt latency summary of one model's requests.
-    pub fn prompt_latency_for(&self, model: ModelId) -> LatencySummary {
+    pub fn prompt_latency_for(&self, model: ModelId) -> LatencyStats {
         let samples: Vec<f64> = self
             .outcomes
             .iter()
             .filter(|o| o.model == model)
             .map(RequestOutcome::prompt_latency)
             .collect();
-        LatencySummary::from_samples(&samples)
+        LatencyStats::from_samples(&samples)
     }
 
     /// Per-token decode latency summary of one model's requests.
-    pub fn decode_latency_for(&self, model: ModelId) -> LatencySummary {
+    pub fn decode_latency_for(&self, model: ModelId) -> LatencyStats {
         let samples: Vec<f64> = self
             .outcomes
             .iter()
             .filter(|o| o.model == model)
             .map(RequestOutcome::decode_latency_per_token)
             .collect();
-        LatencySummary::from_samples(&samples)
+        LatencyStats::from_samples(&samples)
     }
 
     /// The `n` links with the largest mean queueing delay.
@@ -273,13 +273,13 @@ mod tests {
     #[test]
     fn latency_summary_percentiles() {
         let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let s = LatencyStats::from_samples(&samples);
         assert_eq!(s.count, 100);
         assert!((s.mean - 50.5).abs() < 1e-9);
         assert!((s.p50 - 50.0).abs() <= 1.0);
         assert!((s.p95 - 95.0).abs() <= 1.0);
         assert_eq!(s.max, 100.0);
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
+        assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!   coordinator is row and column 0).  Every walk over them has one fixed
 //!   order, so identical runs report identically, the order of tied
 //!   `link_stats` included.
-//! * **Requests.**  Each run adds its workload to the simulator's one
+//! * **Requests.**  Each drain adds its workload to the simulator's one
 //!   [`RequestTable`](helix_core::RequestTable) — one slot per distinct id,
 //!   found through an id → slot map once per arrival, admission or finish —
 //!   and keeps one *lane* per slot: the admitted incarnation's epoch,
@@ -70,12 +70,13 @@
 //!   token and for every pipeline a fail-over strands.  A slot is never
 //!   given to another id, so stale hops and tokens meet an empty lane or a
 //!   newer epoch and are dropped.
-//! * **One clock.**  The simulator's clock reads zero when it is built, and
-//!   every run continues it, as a runtime session's drains continue the
+//! * **One clock, one door.**  A [`SimSession`] is the only way to drive a
+//!   simulator.  Its clock reads zero when the simulator is built, and
+//!   every drain continues it, as a runtime session's drains continue the
 //!   runtime's: a request or perturbation timed before the clock's reading
-//!   happens at that reading, and a run stops at the window's end or once
+//!   happens at that reading, and a drain stops at the window's end or once
 //!   nothing but the next observation tick is left.  Tokens, latency
-//!   samples, completions and interval windows accumulate over runs, so a
+//!   samples, completions and interval windows accumulate over drains, so a
 //!   report's percentiles are exact over all of them.  Bookkeeping events
 //!   (ticks, perturbations, thaws) do not advance the measured clock.
 //!
@@ -84,7 +85,7 @@
 //! ```rust
 //! use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
 //! use helix_core::{heuristics, IwrrScheduler, Topology};
-//! use helix_sim::{ClusterSimulator, SimulationConfig};
+//! use helix_sim::{ClusterSimulator, SimSession, SimulationConfig};
 //! use helix_workload::{ArrivalPattern, Workload};
 //!
 //! let profile = ClusterProfile::analytic(
@@ -96,9 +97,9 @@
 //! let topology = Topology::plan(&profile, &placement, true).unwrap();
 //! let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
 //! let workload = Workload::azure_like(50, 1).with_arrivals(ArrivalPattern::Offline, 2);
-//! let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-//! let metrics = sim.run(&workload, SimulationConfig::offline(60.0));
-//! assert!(metrics.decode_throughput() > 0.0);
+//! let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+//! let report = SimSession::new(sim, SimulationConfig::offline(60.0)).serve(&workload);
+//! assert!(report.metrics.overall.decode_throughput() > 0.0);
 //! ```
 
 #![cfg_attr(

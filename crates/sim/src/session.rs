@@ -1,9 +1,10 @@
-//! A session-style front door over the discrete-event simulator.
+//! The one front door to the discrete-event simulator.
 //!
 //! [`SimSession`] mirrors the threaded runtime's serving-session surface
-//! (`submit` → `drain` → `finish`) so examples, tests and benches can drive
-//! the simulator and the prototype runtime through one API (the facade
-//! crate's `ServingFrontEnd` trait is implemented by both).  Because the
+//! (`submit` → `drain` → `finish`, or `serve` for a whole workload) so
+//! examples, tests and benches drive the simulator and the prototype runtime
+//! through one API (the facade crate's `ServingFrontEnd` trait is
+//! implemented by both).  Because the
 //! simulator is pull-based, submissions and scripted perturbations are
 //! buffered and the event loop runs when the session drains.  Each drain
 //! continues the simulator's one clock, as a runtime drain continues the
@@ -18,8 +19,9 @@ use helix_core::{LayerRange, ReplanPolicy, ReplicationPolicy};
 use helix_workload::{Request, TicketId, Workload};
 
 /// A live handle over a [`ClusterSimulator`], shaped like the runtime's
-/// serving session.  Times are readings of the simulator's clock, which
-/// starts at zero with the session's simulator and runs on across drains.
+/// serving session, and the only way to drive one.  Times are readings of
+/// the simulator's clock, which starts at zero with the session's simulator
+/// and runs on across drains.
 ///
 /// * [`submit`](Self::submit) buffers a request and returns its ticket.
 /// * [`inject_speed`](Self::inject_speed) schedules a slowdown (or recovery)
@@ -30,7 +32,8 @@ use helix_workload::{Request, TicketId, Workload};
 /// * [`drain`](Self::drain) simulates everything buffered so far (with the
 ///   configured [`ReplanPolicy`], if any, closing the feedback loop);
 ///   [`finish`](Self::finish) drains and returns the final
-///   [`FleetRunReport`].
+///   [`FleetRunReport`]; [`serve`](Self::serve) submits a whole workload,
+///   then finishes.
 pub struct SimSession {
     sim: ClusterSimulator,
     config: SimulationConfig,
@@ -130,6 +133,15 @@ impl SimSession {
     /// happen.  The simulator's fleet plan, applied re-plans, slowdowns and
     /// measurements persist, so [`finish`](Self::finish) covers every drain
     /// — matching the runtime session, whose report covers all submissions.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the first event, if a request targets a model the
+    /// fleet does not serve — the same workload fails loudly on the runtime
+    /// surface too (`HelixError::UnknownModel`) — or cannot ride a hop: more
+    /// than `u32::MAX` prompt + output tokens, a model of more than
+    /// `u16::MAX` layers (a pipeline has at most one stage per layer), or
+    /// 2³² requests or more over the simulator's life.
     pub fn drain(&mut self) {
         let workload = Workload::new(std::mem::take(&mut self.pending));
         let events = std::mem::take(&mut self.events);
@@ -141,6 +153,15 @@ impl SimSession {
     pub fn finish(mut self) -> FleetRunReport {
         self.drain();
         self.report()
+    }
+
+    /// Serves a whole workload: submits every request, then finishes — the
+    /// counterpart of the runtime session's `serve`.
+    pub fn serve(mut self, workload: &Workload) -> FleetRunReport {
+        for request in workload.requests() {
+            self.submit(*request);
+        }
+        self.finish()
     }
 
     /// What the session's clock has measured so far, over every drain.
@@ -178,33 +199,6 @@ mod tests {
         }
         .generate(n, seed)
         .with_arrivals(ArrivalPattern::Offline, 4)
-    }
-
-    #[test]
-    fn session_drain_matches_a_direct_run() {
-        let topology = topology();
-        let config = SimulationConfig::offline(100.0).with_warmup(0.0);
-        let workload = workload(30, 3);
-
-        let direct = {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run_per_model(&workload, config)
-        };
-        let via_session = {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            let mut session = SimSession::new(sim, config);
-            for request in workload.requests() {
-                session.submit(*request);
-            }
-            session.finish()
-        };
-        // The session path schedules no extra events, so the discrete-event
-        // timeline — and therefore every metric — is bit-identical.
-        assert_eq!(direct.overall, via_session.metrics.overall);
-        assert_eq!(direct.per_model, via_session.metrics.per_model);
-        assert!(via_session.replans.is_empty());
     }
 
     #[test]

@@ -12,9 +12,9 @@ use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use helix_cluster::{ClusterSpec, ModelId, NodeId, Region};
 use helix_core::{
     Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
-    Hop, KvTransferRecord, LinkKey, LinkTable, ModelPlacement, NodeEngine, PlacementDelta,
-    PrefixStats, ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats,
-    Scheduler, Token, Topology, Wire,
+    Hop, KvTransferRecord, LinkKey, LinkTable, NodeEngine, PlacementDelta, PrefixStats,
+    ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler,
+    Token, Topology, Wire,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -207,13 +207,12 @@ pub struct CompletionRecord {
     pub at: SimTime,
 }
 
-/// What a simulator's clock has measured since it started at zero, as
-/// [`ClusterSimulator::run_with_events`] returns it: the metrics plus the
-/// windowed interval metrics and the re-plan log.  On a simulator driven
-/// more than once it covers every call.
+/// What a simulator's clock has measured since it started at zero, as a
+/// [`SimSession`](crate::SimSession) reports it: the metrics plus the
+/// windowed interval metrics and the re-plan log.  It covers every drain.
 #[derive(Debug, Clone)]
 pub struct FleetRunReport {
-    /// The metrics (identical shape to [`ClusterSimulator::run_per_model`]).
+    /// The combined and per-model metrics.
     pub metrics: FleetMetrics,
     /// Windowed per-model decode progress, one entry per observation window.
     pub intervals: Vec<IntervalMetrics>,
@@ -246,24 +245,26 @@ pub struct FleetRunReport {
 /// Every coordinator *decision* — admission, replication, fail-over, when
 /// and how to re-plan — is made by the shared [`ControlPlane`], which owns
 /// the standing [`FleetTopology`], and acted on by the shared [`Actuator`]
-/// over the simulator's engines, link queues and event queue.
-/// [`ClusterSimulator::run_with_events`] closes the loop mid-run: engines
-/// are observed over windows, a [`ReplanPolicy`] decides when the observed
-/// throughput gap warrants action, and the plan is re-derived — after which
-/// schedulers are swapped **drain-then-switch**: in-flight pipelines keep
-/// routing over the engines they were assigned, while new requests follow
-/// the re-planned IWRR weights.  The plain [`ClusterSimulator::run`] /
-/// [`ClusterSimulator::run_per_model`] paths schedule no observation ticks
-/// and are bit-identical to the static pipeline.
+/// over the simulator's engines, link queues and event queue.  A session
+/// with a [`ReplanPolicy`] ([`SimSession::with_policy`]) closes the loop
+/// mid-run: engines are observed over windows, the policy decides when the
+/// observed throughput gap warrants action, and the plan is re-derived —
+/// after which schedulers are swapped **drain-then-switch**: in-flight
+/// pipelines keep routing over the engines they were assigned, while new
+/// requests follow the re-planned IWRR weights.  A session with no policy
+/// and no perturbation schedules no observation tick.
 ///
 /// The simulator has one clock.  It reads zero when the simulator is built,
-/// and every run continues it: requests and perturbations timed before its
+/// and every drain continues it: requests and perturbations timed before its
 /// reading happen at that reading, and each report covers everything the
 /// clock has measured since zero.
 ///
-/// To drive the simulator through the same submit → drain → finish surface
-/// as the threaded runtime's serving session, wrap it in a
-/// [`SimSession`](crate::SimSession).
+/// A [`SimSession`] is the one way to drive it, through the same
+/// submit → drain → finish surface as the threaded runtime's serving
+/// session.
+///
+/// [`SimSession`]: crate::SimSession
+/// [`SimSession::with_policy`]: crate::SimSession::with_policy
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct ClusterSimulator {
@@ -391,13 +392,8 @@ impl ClusterSimulator {
     /// Sets the fleet-wide KV replication policy.  Takes effect for requests
     /// admitted afterwards; [`ReplicationPolicy::disabled`] (the default)
     /// reproduces pure abort-and-readmit recovery.
-    pub fn set_replication(&mut self, policy: ReplicationPolicy) {
+    pub(crate) fn set_replication(&mut self, policy: ReplicationPolicy) {
         self.control.set_replication(policy);
-    }
-
-    /// The current replication policy.
-    pub fn replication(&self) -> ReplicationPolicy {
-        self.control.replication()
     }
 
     /// Nodes that failed and have not rejoined.
@@ -405,81 +401,30 @@ impl ClusterSimulator {
         self.control.failed()
     }
 
-    /// The topology the simulator runs for one model.
-    pub fn model_topology(&self, model: ModelId) -> Option<&Topology> {
-        self.fleet().model(model)
-    }
-
     /// Number of models the simulator serves.
-    pub fn num_models(&self) -> usize {
+    pub(crate) fn num_models(&self) -> usize {
         self.fleet().num_models()
     }
 
-    /// The topology the simulator is running (the first model's lane).
-    pub fn topology(&self) -> &Topology {
-        &self.fleet().topologies()[0]
-    }
-
-    /// The placement the simulator is running (the first model's lane).
-    pub fn placement(&self) -> &ModelPlacement {
-        self.topology().placement()
-    }
-
-    /// Runs the simulation of `workload` and returns the combined metrics.
-    pub fn run(&mut self, workload: &Workload, config: SimulationConfig) -> Metrics {
-        self.run_per_model(workload, config).overall
-    }
-
-    /// Runs the simulation and reports both combined and per-model metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a request targets a model the fleet does not serve — the
-    /// same workload fails loudly on the runtime surface too
-    /// (`HelixError::UnknownModel`), so the two surfaces stay comparable.
-    pub fn run_per_model(&mut self, workload: &Workload, config: SimulationConfig) -> FleetMetrics {
-        self.run_with_events(workload, config, &[], None).metrics
-    }
-
-    /// Runs the simulation with scripted mid-run perturbations and (when a
-    /// policy is given) the closed re-planning loop: every
-    /// `check_interval_secs` the engines are measured into
-    /// [`NodeObservations`](helix_core::NodeObservations), interval metrics
-    /// are emitted, and the policy decides whether the observed-vs-planned
+    /// Runs the clock on over `workload` and `events`, with (when `policy`
+    /// is given) the closed re-planning loop: every `check_interval_secs`
+    /// the engines are measured into
+    /// [`NodeObservations`](helix_core::NodeObservations), an interval
+    /// window closes, and the policy decides whether the observed-vs-planned
     /// gap warrants a [`FleetTopology::replan`].  Node failures always
     /// re-plan immediately (removal delta), aborting and re-admitting the
-    /// pipelines they strand.
+    /// pipelines they strand.  With no events and no policy no observation
+    /// tick is scheduled.
     ///
-    /// The run continues the simulator's one clock: a request or
-    /// perturbation timed before the clock's reading happens at that
-    /// reading.  It stops at the end of the window, or once nothing but the
-    /// next observation tick is left to happen, and reports everything the
-    /// clock has measured since zero.
-    ///
-    /// With no events and no policy this is exactly
-    /// [`ClusterSimulator::run_per_model`] (no observation ticks are
-    /// scheduled, so event timing is bit-identical).
-    ///
-    /// # Panics
+    /// The run continues the one clock: a request or perturbation timed
+    /// before its reading happens at that reading.  It stops at the end of
+    /// `config`'s window, or once nothing but the next observation tick is
+    /// left to happen.
     ///
     /// Panics, before the first event, if a request targets a model the
-    /// fleet does not serve (see [`ClusterSimulator::run_per_model`]), or
-    /// cannot ride a hop: more than `u32::MAX` prompt + output tokens, a
-    /// model of more than `u16::MAX` layers (a pipeline has at most one stage
-    /// per layer), or 2³² requests or more over the simulator's runs.
-    pub fn run_with_events(
-        &mut self,
-        workload: &Workload,
-        config: SimulationConfig,
-        events: &[PerturbationEvent],
-        policy: Option<ReplanPolicy>,
-    ) -> FleetRunReport {
-        self.advance(workload, config, events, policy);
-        self.report(config)
-    }
-
-    /// Runs the clock on over `workload` and `events`, as
-    /// [`ClusterSimulator::run_with_events`] does, without reporting.
+    /// fleet does not serve, or cannot ride a hop (see [`SimSession::drain`]).
+    ///
+    /// [`SimSession::drain`]: crate::SimSession::drain
     pub(crate) fn advance(
         &mut self,
         workload: &Workload,
@@ -868,6 +813,7 @@ impl ClusterSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimSession;
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
     use helix_core::{heuristics, IwrrScheduler, RandomScheduler, SwarmScheduler};
     use helix_workload::ArrivalPattern;
@@ -879,6 +825,26 @@ mod tests {
     fn petals_topology(profile: &ClusterProfile) -> Topology {
         let placement = heuristics::petals_placement(profile).unwrap();
         Topology::plan(profile, &placement, true).unwrap()
+    }
+
+    /// Serves `workload` on a fresh one-model simulator.
+    fn serve(
+        topology: &Topology,
+        scheduler: Box<dyn Scheduler>,
+        workload: &Workload,
+        config: SimulationConfig,
+    ) -> FleetRunReport {
+        SimSession::new(ClusterSimulator::new(topology, scheduler), config).serve(workload)
+    }
+
+    /// Serves `workload` on a fresh one-model simulator under IWRR.
+    fn serve_iwrr(
+        topology: &Topology,
+        workload: &Workload,
+        config: SimulationConfig,
+    ) -> FleetRunReport {
+        let scheduler = IwrrScheduler::from_topology(topology).unwrap();
+        serve(topology, Box::new(scheduler), workload, config)
     }
 
     fn small_workload(n: usize) -> Workload {
@@ -898,10 +864,10 @@ mod tests {
     fn simulation_completes_requests_and_reports_metrics() {
         let profile = small_profile();
         let topology = petals_topology(&profile);
-        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let workload = small_workload(40);
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        let metrics = sim.run(&workload, SimulationConfig::offline(120.0).with_warmup(0.0));
+        let config = SimulationConfig::offline(120.0).with_warmup(0.0);
+        let metrics = serve_iwrr(&topology, &small_workload(40), config)
+            .metrics
+            .overall;
         assert!(metrics.decode_throughput() > 0.0);
         assert!(metrics.completed_requests > 0);
         assert!(metrics.avg_prompt_latency() > 0.0);
@@ -921,9 +887,8 @@ mod tests {
         let workload_light =
             small_workload(60).with_arrivals(ArrivalPattern::constant_rate(0.5), 5);
         let run = |w: &Workload| {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run(w, SimulationConfig::online(200.0).with_warmup(0.0))
+            let config = SimulationConfig::online(200.0).with_warmup(0.0);
+            serve_iwrr(&topology, w, config).metrics.overall
         };
         let saturated = run(&workload_sat);
         let light = run(&workload_light);
@@ -939,16 +904,11 @@ mod tests {
     fn admission_limit_throttles_concurrency() {
         let profile = small_profile();
         let topology = petals_topology(&profile);
-        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let workload = small_workload(30);
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        let metrics = sim.run(
-            &workload,
-            SimulationConfig::offline(120.0)
-                .with_warmup(0.0)
-                .with_admission_limit(2),
-        );
-        assert!(metrics.completed_requests > 0);
+        let config = SimulationConfig::offline(120.0)
+            .with_warmup(0.0)
+            .with_admission_limit(2);
+        let metrics = serve_iwrr(&topology, &small_workload(30), config);
+        assert!(metrics.metrics.overall.completed_requests > 0);
     }
 
     #[test]
@@ -962,10 +922,10 @@ mod tests {
             Box::new(SwarmScheduler::new(&topology)),
             Box::new(RandomScheduler::new(&topology, 11)),
         ];
+        let config = SimulationConfig::offline(90.0).with_warmup(0.0);
         for scheduler in schedulers {
-            let mut sim = ClusterSimulator::new(&topology, scheduler);
-            let metrics = sim.run(&workload, SimulationConfig::offline(90.0).with_warmup(0.0));
-            assert!(metrics.decode_tokens > 0);
+            let report = serve(&topology, scheduler, &workload, config);
+            assert!(report.metrics.overall.decode_tokens > 0);
         }
     }
 
@@ -995,10 +955,10 @@ mod tests {
             config.generate(25, 4).with_model(helix_cluster::ModelId(1)),
         ])
         .with_arrivals(ArrivalPattern::Offline, 4);
-        let mut sim = ClusterSimulator::new_fleet(&fleet, schedulers);
+        let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
         assert_eq!(sim.num_models(), 2);
-        let metrics =
-            sim.run_per_model(&workload, SimulationConfig::offline(150.0).with_warmup(0.0));
+        let config = SimulationConfig::offline(150.0).with_warmup(0.0);
+        let metrics = SimSession::new(sim, config).serve(&workload).metrics;
         assert_eq!(metrics.per_model.len(), 2);
         for m in &metrics.per_model {
             assert!(m.decode_tokens > 0, "every model makes progress");
@@ -1041,10 +1001,8 @@ mod tests {
     fn a_one_model_run_reports_its_models_latency_summaries_as_the_overall_ones() {
         let profile = small_profile();
         let topology = petals_topology(&profile);
-        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
         let config = SimulationConfig::offline(120.0).with_warmup(0.0);
-        let metrics = sim.run_per_model(&small_workload(40), config);
+        let metrics = serve_iwrr(&topology, &small_workload(40), config).metrics;
         let [only] = metrics.per_model.as_slice() else {
             panic!("one model, one entry");
         };
@@ -1059,16 +1017,12 @@ mod tests {
         let topology = petals_topology(&profile);
         let workload = small_workload(30);
         let config = SimulationConfig::offline(100.0).with_warmup(0.0);
-        let single = {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run(&workload, config)
-        };
+        let single = serve_iwrr(&topology, &workload, config).metrics.overall;
         let fleet_of_one = {
             let fleet = helix_core::FleetTopology::single(topology.clone());
             let schedulers = helix_core::FleetScheduler::iwrr(&fleet).unwrap();
-            let mut sim = ClusterSimulator::new_fleet(&fleet, schedulers);
-            sim.run_per_model(&workload, config)
+            let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
+            SimSession::new(sim, config).serve(&workload).metrics
         };
         assert_eq!(single, fleet_of_one.overall);
         // Per-model metrics carry no link stats (links are fleet-shared);
@@ -1084,40 +1038,27 @@ mod tests {
         let topology = petals_topology(&profile);
         let workload = small_workload(40);
         let run = |warmup: f64| {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run(
-                &workload,
-                SimulationConfig::offline(60.0)
-                    .with_warmup(warmup)
-                    .with_admission_limit(64),
-            )
+            let config = SimulationConfig::offline(60.0)
+                .with_warmup(warmup)
+                .with_admission_limit(64);
+            serve_iwrr(&topology, &workload, config).metrics.overall
         };
         let with_warmup = run(30.0);
         let without = run(0.0);
         assert!(with_warmup.decode_tokens <= without.decode_tokens);
     }
 
+    /// With no perturbation and no policy no observation tick is scheduled:
+    /// no interval window closes and nothing re-plans.
     #[test]
-    fn run_with_no_events_is_bit_identical_to_the_static_path() {
+    fn an_unperturbed_policy_free_session_reports_no_windows_and_no_replans() {
         let profile = small_profile();
         let topology = petals_topology(&profile);
-        let workload = small_workload(30);
         let config = SimulationConfig::offline(100.0).with_warmup(0.0);
-        let static_metrics = {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run_per_model(&workload, config)
-        };
-        let event_metrics = {
-            let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run_with_events(&workload, config, &[], None)
-        };
-        assert!(event_metrics.replans.is_empty());
-        assert!(event_metrics.intervals.is_empty());
-        assert_eq!(static_metrics.overall, event_metrics.metrics.overall);
-        assert_eq!(static_metrics.per_model, event_metrics.metrics.per_model);
+        let report = serve_iwrr(&topology, &small_workload(30), config);
+        assert!(report.metrics.overall.completed_requests > 0);
+        assert!(report.replans.is_empty());
+        assert!(report.intervals.is_empty());
     }
 
     #[test]
@@ -1139,8 +1080,10 @@ mod tests {
         }];
         let run = |events: &[PerturbationEvent]| {
             let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-            let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-            sim.run_with_events(&workload, config, events, None)
+            let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+            let mut session = SimSession::new(sim, config);
+            events.iter().for_each(|&e| session.schedule(e));
+            session.serve(&workload)
         };
         let healthy = run(&[]);
         let degraded = run(&events);
@@ -1177,13 +1120,15 @@ mod tests {
                 without.has_complete_pipeline(num_layers)
             })
             .expect("some node is redundant");
-        let events = [PerturbationEvent::NodeFailure {
-            at: 30.0,
-            node: failed,
-        }];
         let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        let report = sim.run_with_events(&workload, config, &events, None);
+        let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let mut session = SimSession::new(sim, config);
+        session.fail_node(failed, 30.0);
+        for request in workload.requests() {
+            session.submit(*request);
+        }
+        session.drain();
+        let (report, sim) = (session.report(), session.simulator());
         assert_eq!(report.replans.len(), 1);
         assert!(matches!(
             report.replans[0].reason,

@@ -2,7 +2,7 @@
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
 use helix_core::{heuristics, IwrrScheduler, Topology};
-use helix_sim::{ClusterSimulator, SimulationConfig};
+use helix_sim::{ClusterSimulator, SimSession, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Request, Workload};
 
 fn profile() -> ClusterProfile {
@@ -25,8 +25,9 @@ fn run(w: &Workload, duration: f64) -> helix_sim::Metrics {
     let placement = heuristics::petals_placement(&profile).unwrap();
     let topology = Topology::plan(&profile, &placement, true).unwrap();
     let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-    sim.run(w, SimulationConfig::offline(duration).with_warmup(0.0))
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    let config = SimulationConfig::offline(duration).with_warmup(0.0);
+    SimSession::new(sim, config).serve(w).metrics.overall
 }
 
 #[test]
@@ -117,11 +118,11 @@ fn a_repeated_request_id_arrives_once_per_occurrence_with_its_last_spec() {
         let placement = heuristics::petals_placement(&profile).unwrap();
         let topology = Topology::plan(&profile, &placement, true).unwrap();
         let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
         let config = SimulationConfig::offline(2_000.0)
             .with_warmup(0.0)
             .with_admission_limit(admission_limit);
-        let metrics = sim.run(&w, config);
+        let metrics = SimSession::new(sim, config).serve(&w).metrics.overall;
         (metrics.completed_requests, metrics.decode_tokens)
     };
     assert_eq!(run(512), (4, 29));

@@ -5,20 +5,20 @@
 
 use helix_cluster::{ClusterBuilder, ClusterProfile, GpuType, ModelConfig, NodeId, Region};
 use helix_core::{IwrrScheduler, LayerRange, ModelPlacement, ReplicationPolicy, Topology};
-use helix_sim::{ClusterSimulator, FleetRunReport, PerturbationEvent, SimulationConfig};
+use helix_sim::{ClusterSimulator, FleetRunReport, SimSession, SimulationConfig};
 use helix_workload::{ArrivalPattern, AzureTraceConfig, Workload};
 
 /// An under-capacity online run (one request every 20 s) with RF = 2 and a
 /// redundant node failing mid-decode, on a fresh simulator.
 fn run_once(topology: &Topology, workload: &Workload, failed: NodeId) -> FleetRunReport {
     let scheduler = IwrrScheduler::from_topology(topology).unwrap();
-    let mut sim = ClusterSimulator::new(topology, Box::new(scheduler));
-    sim.set_replication(ReplicationPolicy::rf2(0, 16));
-    // Shortly after the ninth arrival, so a pipeline is cut mid-decode.
-    let at = workload.requests()[8].arrival_time + 0.3;
-    let events = [PerturbationEvent::NodeFailure { at, node: failed }];
+    let sim = ClusterSimulator::new(topology, Box::new(scheduler));
     let config = SimulationConfig::online(2_000.0).with_warmup(0.0);
-    sim.run_with_events(workload, config, &events, None)
+    let mut session = SimSession::new(sim, config);
+    session.set_replication(ReplicationPolicy::rf2(0, 16));
+    // Shortly after the ninth arrival, so a pipeline is cut mid-decode.
+    session.fail_node(failed, workload.requests()[8].arrival_time + 0.3);
+    session.serve(workload)
 }
 
 #[test]

@@ -11,7 +11,9 @@ use helix_cluster::{
 use helix_core::{
     IwrrScheduler, LayerRange, ModelPlacement, ReplanReason, ReplicationPolicy, Topology,
 };
-use helix_sim::{ClusterSimulator, FleetRunReport, PerturbationEvent, SimulationConfig};
+use helix_sim::{
+    ClusterSimulator, FleetRunReport, PerturbationEvent, SimSession, SimulationConfig,
+};
 use helix_workload::{Request, Workload};
 
 /// Two-stage pipeline with every stage doubled: nodes 0 and 2 hold the
@@ -106,10 +108,28 @@ fn migratable_pair(
         .expect("some adjacent chain pair is migratable")
 }
 
-fn simulator(profile: &ClusterProfile, placement: &ModelPlacement) -> ClusterSimulator {
+/// A session over the planned simulator, its window long enough for every
+/// request to finish.
+fn session(profile: &ClusterProfile, placement: &ModelPlacement) -> SimSession {
     let topology = Topology::plan(profile, placement, true).unwrap();
     let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-    ClusterSimulator::new(&topology, Box::new(scheduler))
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    SimSession::new(sim, SimulationConfig::offline(600.0).with_warmup(0.0))
+}
+
+/// Scripts `events`, submits `workload` and drains — the simulator stays
+/// readable through the session — then reports.
+fn drain(
+    session: &mut SimSession,
+    workload: &Workload,
+    events: &[PerturbationEvent],
+) -> FleetRunReport {
+    events.iter().for_each(|&event| session.schedule(event));
+    for request in workload.requests() {
+        session.submit(*request);
+    }
+    session.drain();
+    session.report()
 }
 
 fn steady_requests(n: u64, prompt: usize, output: usize, spacing: f64) -> Workload {
@@ -129,18 +149,10 @@ fn steady_requests(n: u64, prompt: usize, output: usize, spacing: f64) -> Worklo
 
 fn run_failover(policy: ReplicationPolicy) -> FleetRunReport {
     let (profile, placement) = redundant_profile();
-    let mut sim = simulator(&profile, &placement);
-    sim.set_replication(policy);
-    let workload = steady_requests(48, 64, 24, 0.05);
-    sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::NodeFailure {
-            at: 3.0,
-            node: NodeId(0),
-        }],
-        None,
-    )
+    let mut session = session(&profile, &placement);
+    session.set_replication(policy);
+    session.fail_node(NodeId(0), 3.0);
+    session.serve(&steady_requests(48, 64, 24, 0.05))
 }
 
 /// The headline fail-over guarantee: with RF=2 a mid-run node failure loses
@@ -203,20 +215,17 @@ fn disabled_replication_falls_back_to_abort_and_readmit() {
 fn migrated_prefix_residency_releases_cleanly_at_completion() {
     let (profile, placement) = chain_profile();
     let (from, to, moved) = migratable_pair(&profile, &placement);
-    let mut sim = simulator(&profile, &placement);
+    let mut session = session(&profile, &placement);
     let workload = steady_requests(40, 96, 8, 0.2).with_shared_prefixes(4, 64, 1.0);
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::Migrate {
-            at: 2.0,
-            model: ModelId(0),
-            from,
-            to,
-            layers: moved,
-        }],
-        None,
-    );
+    let migrate = PerturbationEvent::Migrate {
+        at: 2.0,
+        model: ModelId(0),
+        from,
+        to,
+        layers: moved,
+    };
+    let report = drain(&mut session, &workload, &[migrate]);
+    let sim = session.simulator();
 
     assert_eq!(report.metrics.overall.completed_requests, 40);
     assert!(report.prefix.prefix_hits + report.prefix.prefix_misses > 0);
@@ -238,18 +247,15 @@ fn migrated_prefix_residency_releases_cleanly_at_completion() {
 #[test]
 fn node_failure_with_prefix_sharers_leaves_no_kv_residue() {
     let (profile, placement) = redundant_profile();
-    let mut sim = simulator(&profile, &placement);
-    sim.set_replication(ReplicationPolicy::rf2(0, 16));
+    let mut session = session(&profile, &placement);
+    session.set_replication(ReplicationPolicy::rf2(0, 16));
     let workload = steady_requests(32, 96, 12, 0.1).with_shared_prefixes(4, 64, 1.0);
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[PerturbationEvent::NodeFailure {
-            at: 2.0,
-            node: NodeId(0),
-        }],
-        None,
-    );
+    let failure = PerturbationEvent::NodeFailure {
+        at: 2.0,
+        node: NodeId(0),
+    };
+    let report = drain(&mut session, &workload, &[failure]);
+    let sim = session.simulator();
 
     assert_eq!(report.metrics.overall.completed_requests, 32);
     assert_eq!(report.failovers.len(), 1);
@@ -271,24 +277,21 @@ fn node_failure_with_prefix_sharers_leaves_no_kv_residue() {
 #[test]
 fn flapping_node_rejoins_and_serves_again() {
     let (profile, placement) = redundant_profile();
-    let mut sim = simulator(&profile, &placement);
-    sim.set_replication(ReplicationPolicy::rf2(0, 16));
+    let mut session = session(&profile, &placement);
+    session.set_replication(ReplicationPolicy::rf2(0, 16));
     let workload = steady_requests(48, 64, 24, 0.1);
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[
-            PerturbationEvent::NodeFailure {
-                at: 3.0,
-                node: NodeId(0),
-            },
-            PerturbationEvent::NodeRejoin {
-                at: 9.0,
-                node: NodeId(0),
-            },
-        ],
-        None,
-    );
+    let flap = [
+        PerturbationEvent::NodeFailure {
+            at: 3.0,
+            node: NodeId(0),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 9.0,
+            node: NodeId(0),
+        },
+    ];
+    let report = drain(&mut session, &workload, &flap);
+    let sim = session.simulator();
 
     assert_eq!(report.metrics.overall.completed_requests, 48);
     assert_eq!(report.failovers.len(), 1);
@@ -301,7 +304,7 @@ fn flapping_node_rejoins_and_serves_again() {
         .iter()
         .any(|r| matches!(r.reason, ReplanReason::NodeRejoin { node } if node == NodeId(0))));
     // The rejoined node holds layers again and is no longer marked down.
-    let topology = sim.model_topology(ModelId(0)).unwrap();
+    let topology = sim.fleet().model(ModelId(0)).unwrap();
     assert!(topology.node(NodeId(0)).is_some());
     assert!(sim.failed_nodes().is_empty());
 }
@@ -311,28 +314,20 @@ fn flapping_node_rejoins_and_serves_again() {
 #[test]
 fn straggler_degrades_then_recovers_without_failover() {
     let (profile, placement) = redundant_profile();
-    let mut sim = simulator(&profile, &placement);
-    let workload = steady_requests(32, 64, 16, 0.1);
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[
-            PerturbationEvent::NodeSlowdown {
-                at: 2.0,
-                node: NodeId(1),
-                factor: 4.0,
-            },
-            PerturbationEvent::NodeRecovery {
-                at: 7.0,
-                node: NodeId(1),
-            },
-        ],
-        None,
-    );
+    let mut session = session(&profile, &placement);
+    session.schedule(PerturbationEvent::NodeSlowdown {
+        at: 2.0,
+        node: NodeId(1),
+        factor: 4.0,
+    });
+    session.schedule(PerturbationEvent::NodeRecovery {
+        at: 7.0,
+        node: NodeId(1),
+    });
+    let report = session.serve(&steady_requests(32, 64, 16, 0.1));
 
     assert_eq!(report.metrics.overall.completed_requests, 32);
     assert!(report.failovers.is_empty());
-    let _ = profile;
 }
 
 /// A region partition takes every node of the region down at once and heals
@@ -341,27 +336,24 @@ fn straggler_degrades_then_recovers_without_failover() {
 #[test]
 fn region_partition_heals_and_nodes_rejoin() {
     let (profile, placement) = two_region_profile();
-    let mut sim = simulator(&profile, &placement);
+    let mut session = session(&profile, &placement);
     let workload = steady_requests(48, 64, 16, 0.1);
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &[
-            PerturbationEvent::RegionOutage {
-                at: 3.0,
-                region: Region(1),
-            },
-            PerturbationEvent::NodeRejoin {
-                at: 9.0,
-                node: NodeId(2),
-            },
-            PerturbationEvent::NodeRejoin {
-                at: 9.0,
-                node: NodeId(3),
-            },
-        ],
-        None,
-    );
+    let partition = [
+        PerturbationEvent::RegionOutage {
+            at: 3.0,
+            region: Region(1),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 9.0,
+            node: NodeId(2),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 9.0,
+            node: NodeId(3),
+        },
+    ];
+    let report = drain(&mut session, &workload, &partition);
+    let sim = session.simulator();
 
     assert_eq!(report.metrics.overall.completed_requests, 48);
     // Both partitioned nodes rejoined with their pre-failure ranges.
@@ -370,10 +362,9 @@ fn region_partition_heals_and_nodes_rejoin() {
             .replans
             .iter()
             .any(|r| matches!(r.reason, ReplanReason::NodeRejoin { node: n } if n == node)));
-        let topology = sim.model_topology(ModelId(0)).unwrap();
+        let topology = sim.fleet().model(ModelId(0)).unwrap();
         assert!(topology.node(node).is_some());
     }
-    let _ = placement;
 }
 
 /// Regression for the missing dead-node dispatch guard: when the failure
@@ -409,7 +400,8 @@ fn infeasible_failure_replan_never_dispatches_through_the_dead_node() {
     solitary.assign(NodeId(0), LayerRange::new(0, layers));
     let placement = FleetPlacement::new(vec![redundant, solitary]);
     let fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
-    let mut sim = ClusterSimulator::new_fleet(&fleet, FleetScheduler::iwrr(&fleet).unwrap());
+    let sim = ClusterSimulator::new_fleet(&fleet, FleetScheduler::iwrr(&fleet).unwrap());
+    let mut session = SimSession::new(sim, SimulationConfig::online(600.0).with_warmup(0.0));
 
     // Four model-0 requests in flight when node 0 dies at t=1.5, four more
     // arriving afterwards.
@@ -428,15 +420,8 @@ fn infeasible_failure_replan_never_dispatches_through_the_dead_node() {
             })
             .collect(),
     );
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::online(600.0).with_warmup(0.0),
-        &[PerturbationEvent::NodeFailure {
-            at: 1.5,
-            node: NodeId(0),
-        }],
-        None,
-    );
+    session.fail_node(NodeId(0), 1.5);
+    let report = session.serve(&workload);
 
     assert!(
         report.replans.is_empty(),

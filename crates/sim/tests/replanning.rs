@@ -5,7 +5,7 @@
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
 use helix_core::{heuristics, IwrrScheduler, ReplanPolicy, ReplanReason, Topology};
-use helix_sim::{ClusterSimulator, PerturbationEvent, SimulationConfig};
+use helix_sim::{ClusterSimulator, PerturbationEvent, SimSession, SimulationConfig};
 use helix_workload::{ArrivalPattern, Workload};
 
 fn profile() -> ClusterProfile {
@@ -29,6 +29,24 @@ fn saturating_workload(n: usize) -> Workload {
     config
         .generate(n, 9)
         .with_arrivals(ArrivalPattern::Offline, 4)
+}
+
+/// A session over a fresh one-model simulator under IWRR with `events`
+/// scripted, its loop closed by `policy` if one is given.
+fn session(
+    topology: &Topology,
+    config: SimulationConfig,
+    events: &[PerturbationEvent],
+    policy: Option<ReplanPolicy>,
+) -> SimSession {
+    let scheduler = IwrrScheduler::from_topology(topology).unwrap();
+    let sim = ClusterSimulator::new(topology, Box::new(scheduler));
+    let mut session = SimSession::new(sim, config);
+    if let Some(policy) = policy {
+        session = session.with_policy(policy);
+    }
+    events.iter().for_each(|&event| session.schedule(event));
+    session
 }
 
 /// Mean fleet-total interval throughput over windows inside `[from, to)`.
@@ -90,9 +108,12 @@ fn slowdown_triggers_replan_and_recovers_ninety_percent() {
         .with_warmup(0.0)
         .with_admission_limit(64);
 
-    let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-    let report = sim.run_with_events(&workload, config, &events, Some(policy));
+    let mut session = session(&topology, config, &events, Some(policy));
+    for request in workload.requests() {
+        session.submit(*request);
+    }
+    session.drain();
+    let report = session.report();
 
     // The loop fired: at least one gap-triggered re-plan after the slowdown.
     let gap_replans: Vec<_> = report
@@ -150,7 +171,7 @@ fn slowdown_triggers_replan_and_recovers_ninety_percent() {
         report.replans
     );
     assert_eq!(
-        sim.fleet().compute_share(ModelId(0), slow),
+        session.simulator().fleet().compute_share(ModelId(0), slow),
         1.0,
         "the recovered node is re-priced at full speed"
     );
@@ -170,9 +191,7 @@ fn replanning_beats_not_replanning_under_the_same_slowdown() {
         .with_warmup(60.0)
         .with_admission_limit(64);
     let run = |policy: Option<ReplanPolicy>| {
-        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        sim.run_with_events(&saturating_workload(2500), config, &events, policy)
+        session(&topology, config, &events, policy).serve(&saturating_workload(2500))
     };
     let with_loop = run(Some(ReplanPolicy::default()));
     let without_loop = run(None);
@@ -195,11 +214,8 @@ fn arrival_rate_shift_compresses_late_arrivals() {
     let topology = topology(&profile);
     let workload = saturating_workload(120).with_arrivals(ArrivalPattern::constant_rate(1.0), 5);
     let config = SimulationConfig::online(400.0).with_warmup(0.0);
-    let run = |events: &[PerturbationEvent]| {
-        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        sim.run_with_events(&workload, config, events, None)
-    };
+    let run =
+        |events: &[PerturbationEvent]| session(&topology, config, events, None).serve(&workload);
     let steady = run(&[]);
     // Doubling the arrival rate from t=30 squeezes the same requests into a
     // shorter horizon: every request still completes, sooner.
@@ -382,8 +398,10 @@ fn tenancy_change_resplits_surviving_engine_speed_profiles() {
 
     let fleet = FleetTopology::plan(&profiles, &fleet_placement, true).unwrap();
     let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
-    let mut sim = ClusterSimulator::new_fleet(&fleet, schedulers);
-    let shared_exec_before = sim
+    let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
+    let mut session = SimSession::new(sim, SimulationConfig::offline(600.0).with_warmup(0.0));
+    let shared_exec_before = session
+        .simulator()
         .engine(source, ModelId(0))
         .unwrap()
         .exec_model()
@@ -394,19 +412,18 @@ fn tenancy_change_resplits_surviving_engine_speed_profiles() {
         saturating_workload(25).with_model(ModelId(1)),
     ])
     .with_arrivals(ArrivalPattern::Offline, 4);
-    let events = [PerturbationEvent::Migrate {
+    session.schedule(PerturbationEvent::Migrate {
         at: 10.0,
         model: ModelId(1),
         from: source,
         to: free,
         layers: range,
-    }];
-    let report = sim.run_with_events(
-        &workload,
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-        &events,
-        None,
-    );
+    });
+    for request in workload.requests() {
+        session.submit(*request);
+    }
+    session.drain();
+    let (report, sim) = (session.report(), session.simulator());
     assert_eq!(report.replans.len(), 1);
     assert_eq!(report.kv_transfers.len(), 1);
     assert!(report.metrics.overall.completed_requests > 0);

@@ -55,15 +55,16 @@ fn main() {
     let scheduler =
         IwrrScheduler::from_topology(&topology).expect("placement has positive throughput");
     let workload = Workload::azure_like(400, 42).with_arrivals(ArrivalPattern::Offline, 7);
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
     // Cap concurrency below the cluster's KV budget: admitting the offline
     // default of 512 conversations at once exceeds the 10-node cluster's
     // aggregate KV capacity and the modelled offload penalty (§5.2) stalls
     // the run.
-    let metrics = sim.run(
-        &workload,
-        SimulationConfig::offline(300.0).with_admission_limit(48),
-    );
+    let config = SimulationConfig::offline(300.0).with_admission_limit(48);
+    let metrics = SimSession::new(sim, config)
+        .serve(&workload)
+        .metrics
+        .overall;
 
     println!(
         "\nsimulated serving ({} requests, offline):",

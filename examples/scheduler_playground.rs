@@ -58,14 +58,15 @@ fn main() {
         "scheduler", "tokens/s", "prompt (s)", "decode (s)", "worst link (s)"
     );
     for (name, scheduler) in schedulers {
-        let mut sim = ClusterSimulator::new(&topology, scheduler);
+        let sim = ClusterSimulator::new(&topology, scheduler);
         // Admission capped below the cluster's KV budget (see §5.2): the
         // offline default of 512 concurrent conversations would saturate
         // every KV cache and stall all schedulers alike.
-        let metrics = sim.run(
-            &workload,
-            SimulationConfig::offline(duration).with_admission_limit(64),
-        );
+        let config = SimulationConfig::offline(duration).with_admission_limit(64);
+        let metrics = SimSession::new(sim, config)
+            .serve(&workload)
+            .metrics
+            .overall;
         let worst_link = metrics
             .most_congested_links(1)
             .first()

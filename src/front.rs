@@ -2,8 +2,8 @@
 //!
 //! The workspace has two executable models of a Helix cluster: the
 //! discrete-event simulator ([`helix_sim::ClusterSimulator`]) and the
-//! wall-clock-paced prototype runtime (`helix_runtime`).  Both now expose a
-//! session-shaped API — [`helix_runtime::ServingSession`] and
+//! wall-clock-paced prototype runtime (`helix_runtime`).  Each is driven
+//! through one session — [`helix_runtime::ServingSession`] and
 //! [`helix_sim::SimSession`] — and this module ties them together with the
 //! [`ServingFrontEnd`] trait, so examples, tests and benches can drive either
 //! surface through one generic `submit → drain → finish` flow:
@@ -162,5 +162,9 @@ impl ServingFrontEnd for SimSession {
 
     fn finish(self) -> Result<FleetRunReport, Infallible> {
         Ok(SimSession::finish(self))
+    }
+
+    fn serve(self, workload: &Workload) -> Result<FleetRunReport, Infallible> {
+        Ok(SimSession::serve(self, workload))
     }
 }

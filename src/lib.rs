@@ -47,8 +47,9 @@
 //!
 //! // 4. Simulate serving a workload and read the metrics the paper reports.
 //! let workload = Workload::azure_like(50, 1).with_arrivals(ArrivalPattern::Offline, 2);
-//! let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-//! let metrics = sim.run(&workload, SimulationConfig::offline(60.0));
+//! let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+//! let report = SimSession::new(sim, SimulationConfig::offline(60.0)).serve(&workload);
+//! let metrics = report.metrics.overall;
 //! println!("decode throughput: {:.1} tokens/s", metrics.decode_throughput());
 //! ```
 

@@ -56,8 +56,12 @@ fn full_stack_helix_pipeline_produces_consistent_metrics() {
     // max-flow bound by more than measurement noise.
     let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
     let workload = tiny_workload(60, 11);
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-    let metrics = sim.run(&workload, SimulationConfig::offline(200.0).with_warmup(0.0));
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    let config = SimulationConfig::offline(200.0).with_warmup(0.0);
+    let metrics = SimSession::new(sim, config)
+        .serve(&workload)
+        .metrics
+        .overall;
     assert!(metrics.completed_requests > 0);
     assert!(metrics.decode_throughput() > 0.0);
     assert!(
@@ -82,9 +86,10 @@ fn helix_placement_beats_swarm_placement_in_simulation() {
     let run = |placement: &ModelPlacement| {
         let topology = Topology::plan(&profile, placement, true).unwrap();
         let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-        let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-        sim.run(&workload, SimulationConfig::offline(200.0).with_warmup(0.0))
-            .decode_throughput()
+        let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let config = SimulationConfig::offline(200.0).with_warmup(0.0);
+        let report = SimSession::new(sim, config).serve(&workload);
+        report.metrics.overall.decode_throughput()
     };
     let helix_tps = run(&helix_placement);
     let swarm_tps = run(&swarm_placement);

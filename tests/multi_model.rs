@@ -6,7 +6,6 @@
 use helix::prelude::*;
 use helix_core::fleet::{fleet_profiles, FleetAnnealingOptions, FleetAnnealingPlanner};
 use helix_core::{FleetScheduler, FleetTopology};
-use helix_sim::SimulationConfig;
 use helix_workload::AzureTraceConfig;
 
 fn planned_fleet() -> (Vec<ClusterProfile>, FleetTopology) {
@@ -46,9 +45,11 @@ fn mixed_workload(n_per_model: usize) -> helix_workload::Workload {
 fn two_model_mixed_workload_serves_in_the_simulator() {
     let (_, fleet) = planned_fleet();
     let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
-    let mut sim = helix_sim::ClusterSimulator::new_fleet(&fleet, schedulers);
-    let workload = mixed_workload(30);
-    let metrics = sim.run_per_model(&workload, SimulationConfig::offline(200.0).with_warmup(0.0));
+    let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
+    let config = SimulationConfig::offline(200.0).with_warmup(0.0);
+    let metrics = SimSession::new(sim, config)
+        .serve(&mixed_workload(30))
+        .metrics;
 
     assert_eq!(metrics.per_model.len(), 2);
     for (m, per_model) in metrics.per_model.iter().enumerate() {
@@ -120,8 +121,9 @@ fn jsonl_traces_with_model_mixes_replay_through_the_simulator() {
     assert_eq!(workload.len(), 30);
     assert_eq!(workload.models().len(), 2);
     let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
-    let mut sim = helix_sim::ClusterSimulator::new_fleet(&fleet, schedulers);
-    let metrics = sim.run_per_model(&workload, SimulationConfig::online(120.0).with_warmup(0.0));
+    let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
+    let config = SimulationConfig::online(120.0).with_warmup(0.0);
+    let metrics = SimSession::new(sim, config).serve(&workload).metrics;
     assert!(metrics.per_model[0].completed_requests > 0);
     assert!(metrics.per_model[1].completed_requests > 0);
 }

@@ -205,8 +205,12 @@ fn iwrr_scheduling_avoids_congestion_better_than_random() {
 
     let topology = Topology::plan(&profile, &placement, true).unwrap();
     let congestion = |scheduler: Box<dyn Scheduler>| {
-        let mut sim = ClusterSimulator::new(&topology, scheduler);
-        let metrics = sim.run(&workload, SimulationConfig::offline(150.0).with_warmup(0.0));
+        let sim = ClusterSimulator::new(&topology, scheduler);
+        let config = SimulationConfig::offline(150.0).with_warmup(0.0);
+        let metrics = SimSession::new(sim, config)
+            .serve(&workload)
+            .metrics
+            .overall;
         metrics
             .most_congested_links(1)
             .first()

@@ -59,8 +59,9 @@ fn simulator_throughput(
 ) -> f64 {
     let topology = Topology::plan(profile, placement, true).unwrap();
     let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-    let metrics = sim.run(workload, SimulationConfig::offline(600.0).with_warmup(0.0));
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    let config = SimulationConfig::offline(600.0).with_warmup(0.0);
+    let metrics = SimSession::new(sim, config).serve(workload).metrics.overall;
     assert!(metrics.decode_throughput() > 0.0);
     metrics.decode_throughput()
 }
@@ -125,10 +126,11 @@ fn partitioned_planning_scales_out_replicas() {
     let combined = plan.combined_placement();
     let topology = Topology::plan(&profile, &combined, true).unwrap();
     let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
-    let mut sim = ClusterSimulator::new(&topology, Box::new(scheduler));
-    let metrics = sim.run(
-        &burst(40),
-        SimulationConfig::offline(600.0).with_warmup(0.0),
-    );
+    let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+    let config = SimulationConfig::offline(600.0).with_warmup(0.0);
+    let metrics = SimSession::new(sim, config)
+        .serve(&burst(40))
+        .metrics
+        .overall;
     assert!(metrics.decode_throughput() > 0.0);
 }

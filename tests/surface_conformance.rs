@@ -543,9 +543,7 @@ fn prefix_sharing_saves_the_same_work_on_both_surfaces() {
     assert_eq!(runtime_ids, id_set(&batch), "runtime completes the set");
     assert_eq!(runtime_report.prefix, expected, "runtime prefix counters");
 
-    let sim_report = sim_session(&topology)
-        .serve(&workload)
-        .expect("the simulator serves the prefix-tagged batch");
+    let sim_report = sim_session(&topology).serve(&workload);
     assert_eq!(
         sim_report.metrics.overall.completed_requests,
         batch.len() as u64,
@@ -581,9 +579,7 @@ fn untagged_workloads_are_untouched_by_the_prefix_machinery() {
     // With every prefix `None` the simulator's report is bit-identical to
     // the stripped equivalent and logs no prefix activity at all.
     let sim_base = serve_generic(sim_session(&topology), &batch);
-    let sim_stripped = sim_session(&topology)
-        .serve(&stripped)
-        .expect("the simulator serves the stripped workload");
+    let sim_stripped = sim_session(&topology).serve(&stripped);
     assert_eq!(sim_base.metrics, sim_stripped.metrics);
     assert_eq!(sim_base.prefix, PrefixStats::default());
     assert_eq!(sim_stripped.prefix, PrefixStats::default());

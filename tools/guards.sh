@@ -62,4 +62,13 @@ guard "no serialisation framework in the tree" \
 # disturbance with a duration is two primitive perturbations.
 guard "one clock per simulator" \
     "grep -rnE 'rebase_epoch|start_timeline|take_logs|take_kv_transfers|take_stats|merge_reports|merge_metrics|merge_latency|NodeFlap|NodeStraggler|RegionPartition' crates src tests examples"
+# A simulator is driven through its `SimSession` alone, a MILP model is built
+# through one fallible call per element, and a type has one name: no direct
+# simulator run, no `try_` twin of a builder call, no alias of `LatencyStats`.
+# (The runtime's crate-private `run` is its data-plane thread's body.)
+guard "one way in" \
+    "grep -rnE '\\b(run_per_model|run_with_events|try_add_var|try_add_constraint_expr|LatencySummary)\\b|pub fn run\\(' crates/sim/src crates/milp/src crates/runtime/src src tests examples crates/sim/tests"
+# Every public function of the libraries has a caller in another file's
+# code, or a line in tools/pub-fn-allowlist.txt saying why it stays public.
+guard "every public function has a caller" "tools/pub-fn-callers.sh"
 exit $status
