@@ -23,13 +23,13 @@ fn layered_graph(
         for (i, &a) in prev.iter().enumerate() {
             for (j, &b) in layer.iter().enumerate() {
                 let cap = ((i * 7 + j * 13 + d * 3) % 23 + 1) as f64;
-                net.add_edge(a, b, cap);
+                net.add_edge(a, b, cap).unwrap();
             }
         }
         prev = layer;
     }
     for (i, &a) in prev.iter().enumerate() {
-        net.add_edge(a, t, (i % 11 + 5) as f64);
+        net.add_edge(a, t, (i % 11 + 5) as f64).unwrap();
     }
     (net, s, t)
 }

@@ -18,7 +18,7 @@ use helix_cluster::{ClusterProfile, ClusterSpec, GpuType, ModelConfig, NodeId};
 use helix_core::SchedulerKind::{self, HelixIwrr};
 use helix_core::{
     heuristics, AnnealingOptions, Endpoint, FlowAnnealingPlanner, FlowGraphBuilder, LayerRange,
-    MilpPlacementPlanner, ModelPlacement,
+    MilpPlacementPlanner, ModelPlacement, PlannerOptions,
 };
 use helix_workload::{ArrivalPattern, AzureTraceConfig, TraceStatistics};
 use serde_json::{json, Value};
@@ -330,9 +330,11 @@ fn table8_problem_size(run: Run) -> Result<ExperimentReport, BenchError> {
         ),
     ] {
         let profile = ClusterProfile::analytic(cluster, ModelConfig::llama2_70b());
-        let pruned = MilpPlacementPlanner::new(&profile)
-            .prune_to_degree(12)
-            .problem_size()?;
+        let options = PlannerOptions {
+            prune_degree: Some(12),
+            ..Default::default()
+        };
+        let pruned = MilpPlacementPlanner::with_options(&profile, options).problem_size()?;
         let full = MilpPlacementPlanner::new(&profile).problem_size()?;
         println!(
             "{:<12} {:>10} var {:>6} cstr {:>12} var {:>6} cstr",
@@ -368,14 +370,14 @@ fn fig12_solver_quality(run: Run) -> Result<ExperimentReport, BenchError> {
     );
 
     // Disable the early stop so the solver keeps tightening the bound.
-    let mut options = MilpPlacementPlanner::new(&profile)
-        .prune_to_degree(6)
-        .time_limit(budget)
-        .record_events()
-        .options()
-        .clone();
-    options.early_stop_fraction = None;
-    let mut planner = MilpPlacementPlanner::with_options(&profile, options).record_events();
+    let options = PlannerOptions {
+        prune_degree: Some(6),
+        time_limit: budget,
+        early_stop_fraction: None,
+        record_events: true,
+        ..Default::default()
+    };
+    let mut planner = MilpPlacementPlanner::with_options(&profile, options);
     let (_, report) = planner.solve()?;
     println!(
         "\n{:>10} {:>12} {:>14} {:>14}",
@@ -477,10 +479,13 @@ fn fig11_ablation(run: Run) -> Result<ExperimentReport, BenchError> {
     let mut warm_rows = Vec::new();
     for warm in [true, false] {
         let start = Instant::now();
-        let mut planner = MilpPlacementPlanner::new(&profile)
-            .prune_to_degree(6)
-            .warm_start_from_heuristics(warm)
-            .time_limit(budget);
+        let options = PlannerOptions {
+            prune_degree: Some(6),
+            warm_start_from_heuristics: warm,
+            time_limit: budget,
+            ..Default::default()
+        };
+        let mut planner = MilpPlacementPlanner::with_options(&profile, options);
         let result = planner.solve();
         let elapsed = start.elapsed().as_secs_f64();
         match result {

@@ -92,7 +92,7 @@ pub enum ExperimentScale {
 
 impl ExperimentScale {
     /// Number of requests in the generated trace.
-    pub fn num_requests(self) -> usize {
+    fn num_requests(self) -> usize {
         match self {
             ExperimentScale::Quick => 600,
             ExperimentScale::Full => 16_657,
@@ -100,7 +100,7 @@ impl ExperimentScale {
     }
 
     /// Simulated measurement duration in seconds.
-    pub fn duration_secs(self) -> f64 {
+    fn duration_secs(self) -> f64 {
         match self {
             ExperimentScale::Quick => 300.0,
             ExperimentScale::Full => 1800.0,
@@ -155,11 +155,7 @@ impl SystemKind {
     }
 
     /// Plans the model placement this system would use.
-    pub fn placement(
-        self,
-        profile: &ClusterProfile,
-        scale: ExperimentScale,
-    ) -> Option<ModelPlacement> {
+    fn placement(self, profile: &ClusterProfile, scale: ExperimentScale) -> Option<ModelPlacement> {
         match self {
             SystemKind::Helix => {
                 let planner = FlowAnnealingPlanner::new(profile).with_options(AnnealingOptions {
@@ -178,14 +174,14 @@ impl SystemKind {
 
     /// Plans this system's placement and materialises it as the shared
     /// [`Topology`] artifact every downstream surface consumes.
-    pub fn topology(self, profile: &ClusterProfile, scale: ExperimentScale) -> Option<Topology> {
+    fn topology(self, profile: &ClusterProfile, scale: ExperimentScale) -> Option<Topology> {
         let placement = self.placement(profile, scale)?;
         Topology::plan(profile, &placement, true).ok()
     }
 
     /// Builds the request scheduler this system would use for a planned
     /// topology.
-    pub fn scheduler(self, topology: &Topology) -> Option<Box<dyn Scheduler>> {
+    fn scheduler(self, topology: &Topology) -> Option<Box<dyn Scheduler>> {
         let kind = match self {
             SystemKind::Helix
             | SystemKind::SeparatePipelines
@@ -208,7 +204,7 @@ pub enum ServingSetting {
 
 impl ServingSetting {
     /// Short label used in table rows.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             ServingSetting::Offline => "offline",
             ServingSetting::Online => "online",

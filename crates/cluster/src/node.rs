@@ -65,15 +65,6 @@ impl ComputeNode {
     pub fn total_fp16_flops(&self) -> f64 {
         self.gpu.spec().fp16_flops() * self.gpu_count as f64
     }
-
-    /// Short label such as `"2xL4"` used in placement case studies.
-    pub fn label(&self) -> String {
-        if self.gpu_count == 1 {
-            self.gpu.short_name().to_string()
-        } else {
-            format!("{}x{}", self.gpu_count, self.gpu.short_name())
-        }
-    }
 }
 
 /// A directed network connection between two endpoints of the cluster.
@@ -120,12 +111,6 @@ mod tests {
         };
         assert_eq!(node.total_vram_bytes(), 4.0 * 16e9);
         assert_eq!(node.total_fp16_flops(), 4.0 * 65e12);
-        assert_eq!(node.label(), "4xT4");
-        let single = ComputeNode {
-            gpu_count: 1,
-            ..node
-        };
-        assert_eq!(single.label(), "T4");
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl Actuator {
 
     /// Activation bytes one token carries between two stages of `model`.
     #[inline]
-    pub fn activation_bytes(&self, model: ModelId) -> f64 {
+    fn activation_bytes(&self, model: ModelId) -> f64 {
         self.activation.get(model.index()).copied().unwrap_or(0.0)
     }
 
@@ -467,7 +467,7 @@ mod tests {
             let first = (node % 2) * half;
             placement.assign(NodeId(node), LayerRange::new(first, first + half));
         }
-        let placement = FleetPlacement::single(placement);
+        let placement = FleetPlacement::new(vec![placement]);
         let fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
         let schedulers = FleetScheduler::iwrr(&fleet).unwrap().into_parts();
         let actuator = Actuator::new(&fleet, 1, false);

@@ -249,11 +249,6 @@ impl ControlPlane {
         &self.fleet
     }
 
-    /// The replication policy applied at admission.
-    pub fn replication(&self) -> ReplicationPolicy {
-        self.replication
-    }
-
     /// Sets the replication policy for requests admitted from now on.
     pub fn set_replication(&mut self, policy: ReplicationPolicy) {
         self.replication = policy;

@@ -38,7 +38,7 @@ use crate::placement::refine::{
 use crate::placement::{LayerRange, ModelPlacement};
 use crate::replan::{NodeObservations, PlacementDelta, ReplanOutcome};
 use crate::scheduling::iwrr::IwrrScheduler;
-use crate::scheduling::{ClusterState, RequestPipeline, Scheduler, SchedulerKind};
+use crate::scheduling::Scheduler;
 use crate::topology::Topology;
 use helix_cluster::{
     ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId, MAX_WEIGHT_VRAM_FRACTION,
@@ -71,8 +71,8 @@ pub fn fleet_profiles(cluster: &ClusterSpec, models: &[ModelConfig]) -> Vec<Clus
 ///     &[ModelConfig::llama_30b()],
 /// );
 /// let placement = heuristics::swarm_placement(&profiles[0]).unwrap();
-/// let fleet = FleetPlacement::single(placement);
-/// assert_eq!(fleet.num_models(), 1);
+/// let fleet = FleetPlacement::new(vec![placement]);
+/// assert_eq!(fleet.placements().len(), 1);
 /// assert!(fleet.validate(&profiles).is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -92,15 +92,10 @@ impl FleetPlacement {
     }
 
     /// Wraps a single-model placement as a one-model fleet.
-    pub fn single(placement: ModelPlacement) -> Self {
+    fn single(placement: ModelPlacement) -> Self {
         FleetPlacement {
             placements: vec![placement],
         }
-    }
-
-    /// Number of models in the fleet.
-    pub fn num_models(&self) -> usize {
-        self.placements.len()
     }
 
     /// The placement of one model.
@@ -490,11 +485,6 @@ impl FleetTopology {
         &self.profiles
     }
 
-    /// Whether connection validity allows partial inference.
-    pub fn partial_inference(&self) -> bool {
-        self.partial_inference
-    }
-
     /// The observation snapshot the current shares were derived from.
     pub fn observations(&self) -> &NodeObservations {
         &self.observations
@@ -547,7 +537,11 @@ impl FleetTopology {
     }
 }
 
-/// Per-model schedulers behind one `schedule(model, state)` entry point.
+/// One scheduler per model of a fleet, in model order.  [`iwrr`](Self::iwrr)
+/// builds the paper's default set; the simulator's `new_fleet` and the
+/// runtime's builder take it apart with [`into_parts`](Self::into_parts),
+/// and the control plane dispatches each model's requests through that
+/// model's own scheduler.
 pub struct FleetScheduler {
     schedulers: Vec<Box<dyn Scheduler>>,
 }
@@ -567,52 +561,10 @@ impl FleetScheduler {
         Ok(FleetScheduler { schedulers })
     }
 
-    /// Builds the fleet scheduler from explicit per-model schedulers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedulers` is empty.
-    pub fn new(schedulers: Vec<Box<dyn Scheduler>>) -> Self {
-        assert!(!schedulers.is_empty(), "a fleet serves at least one model");
-        FleetScheduler { schedulers }
-    }
-
-    /// Number of models the scheduler serves.
-    pub fn num_models(&self) -> usize {
-        self.schedulers.len()
-    }
-
     /// Unwraps the per-model schedulers (consumed by execution surfaces that
     /// drive one scheduler per model).
     pub fn into_parts(self) -> Vec<Box<dyn Scheduler>> {
         self.schedulers
-    }
-
-    /// The scheduling policy used for one model.
-    pub fn kind(&self, model: ModelId) -> Option<SchedulerKind> {
-        self.schedulers.get(model.index()).map(|s| s.kind())
-    }
-
-    /// Produces a pipeline for the next request of `model`, tagged with the
-    /// model id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HelixError::UnknownModel`] for an out-of-range model and
-    /// propagates the underlying scheduler's errors.
-    pub fn schedule(
-        &mut self,
-        model: ModelId,
-        state: &dyn ClusterState,
-    ) -> Result<RequestPipeline, HelixError> {
-        let num_models = self.schedulers.len();
-        let scheduler = self
-            .schedulers
-            .get_mut(model.index())
-            .ok_or(HelixError::UnknownModel { model, num_models })?;
-        let mut pipeline = scheduler.schedule(state)?;
-        pipeline.model = model;
-        Ok(pipeline)
     }
 }
 
@@ -696,7 +648,7 @@ impl<'a> FleetAnnealingPlanner<'a> {
 
     /// Evaluates the per-model max-flow throughputs of a fleet placement
     /// with a cold solve per model; invalid per-model placements score 0.
-    pub fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
+    fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
         cold_flows(self.profiles, placement, &self.options)
     }
 
@@ -1017,7 +969,7 @@ fn random_assigned(placement: &ModelPlacement, rng: &mut StdRng) -> Option<Layer
 mod tests {
     use super::*;
     use crate::placement::heuristics;
-    use crate::scheduling::IdleClusterState;
+    use crate::scheduling::{IdleClusterState, SchedulerKind};
     use helix_cluster::ClusterSpec;
 
     fn two_model_profiles() -> Vec<ClusterProfile> {
@@ -1039,7 +991,7 @@ mod tests {
         let profiles = two_model_profiles();
         let planner = FleetAnnealingPlanner::new(&profiles).with_options(quick_options());
         let (placement, flows) = planner.solve().unwrap();
-        assert_eq!(placement.num_models(), 2);
+        assert_eq!(placement.placements().len(), 2);
         assert!(flows.iter().all(|&f| f > 0.0), "flows {flows:?}");
         placement.validate(&profiles).unwrap();
         let fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
@@ -1051,21 +1003,19 @@ mod tests {
                 assert_eq!(fleet.compute_share(ModelId(m), node), 1.0);
             }
         }
-        // Per-model schedulers produce pipelines tagged with their model.
-        let mut scheduler = FleetScheduler::iwrr(&fleet).unwrap();
-        assert_eq!(scheduler.num_models(), 2);
+        // Each model's IWRR scheduler covers its model on its own nodes.
+        let mut schedulers = FleetScheduler::iwrr(&fleet).unwrap().into_parts();
+        assert_eq!(schedulers.len(), 2);
         let state = IdleClusterState;
-        for (m, profile) in profiles.iter().enumerate() {
-            let pipeline = scheduler.schedule(ModelId(m), &state).unwrap();
-            assert_eq!(pipeline.model, ModelId(m));
+        for (m, (profile, scheduler)) in profiles.iter().zip(&mut schedulers).enumerate() {
+            assert_eq!(scheduler.kind(), SchedulerKind::HelixIwrr);
+            let pipeline = scheduler.schedule(&state).unwrap();
             assert!(pipeline.covers_model(profile.model().num_layers));
             // Every stage runs on a node owned by this model.
             for stage in &pipeline.stages {
                 assert!(placement.placements()[m].range(stage.node).is_some());
             }
         }
-        assert_eq!(scheduler.kind(ModelId(0)), Some(SchedulerKind::HelixIwrr));
-        assert_eq!(scheduler.kind(ModelId(7)), None);
     }
 
     #[test]
@@ -1350,10 +1300,17 @@ mod tests {
         let placement = heuristics::petals_placement(&profiles[0]).unwrap();
         let fleet =
             FleetTopology::plan(&profiles, &FleetPlacement::single(placement), true).unwrap();
-        let mut scheduler = FleetScheduler::iwrr(&fleet).unwrap();
-        let err = scheduler
-            .schedule(ModelId(3), &IdleClusterState)
-            .unwrap_err();
+        let schedulers = FleetScheduler::iwrr(&fleet).unwrap().into_parts();
+        // The control plane dispatches per model: a model the fleet does not
+        // serve is a typed error at admission.
+        let mut control = crate::ControlPlane::new(fleet, schedulers);
+        let request = helix_workload::Request {
+            model: ModelId(3),
+            prompt_tokens: 8,
+            output_tokens: 1,
+            ..Default::default()
+        };
+        let err = control.admit(&request, &IdleClusterState).unwrap_err();
         assert!(matches!(err, HelixError::UnknownModel { .. }));
         assert!(err.to_string().contains("model3"));
     }

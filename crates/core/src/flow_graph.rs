@@ -12,8 +12,7 @@ use crate::error::HelixError;
 use crate::placement::ModelPlacement;
 use helix_cluster::{ClusterProfile, NodeId};
 use helix_maxflow::{
-    decompose_paths, min_cut, EdgeId, FlowNetwork, FlowPath, FlowResult, MinCut,
-    NodeId as FlowNodeId,
+    decompose_paths, EdgeId, FlowNetwork, FlowPath, FlowResult, NodeId as FlowNodeId,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -164,7 +163,7 @@ impl<'a> FlowGraphBuilder<'a> {
             let cin = network.add_node(format!("{name}.in"));
             let cout = network.add_node(format!("{name}.out"));
             let capacity = profile.node_profile(node).throughput(range.len());
-            let edge = network.add_edge(cin, cout, capacity);
+            let edge = network.add_edge(cin, cout, capacity)?;
             node_vertices.insert(node, (cin, cout));
             node_edges.insert(node, edge);
         }
@@ -189,12 +188,12 @@ impl<'a> FlowGraphBuilder<'a> {
             let (cin, cout) = node_vertices[&node];
             if range.start == 0 {
                 let cap = clamp(profile.link_profile(None, Some(node)).tokens_per_sec);
-                let e = network.add_edge(source, cin, cap);
+                let e = network.add_edge(source, cin, cap)?;
                 link_edges.insert((Endpoint::Coordinator, Endpoint::Node(node)), e);
             }
             if range.end == num_layers {
                 let cap = clamp(profile.link_profile(Some(node), None).tokens_per_sec);
-                let e = network.add_edge(cout, sink, cap);
+                let e = network.add_edge(cout, sink, cap)?;
                 link_edges.insert((Endpoint::Node(node), Endpoint::Coordinator), e);
             }
         }
@@ -212,7 +211,7 @@ impl<'a> FlowGraphBuilder<'a> {
                     Some(&share) => clamp(raw * share),
                     None => clamp(raw),
                 };
-                let e = network.add_edge(a_out, b_in, cap);
+                let e = network.add_edge(a_out, b_in, cap)?;
                 link_edges.insert((Endpoint::Node(a), Endpoint::Node(b)), e);
             }
         }
@@ -261,11 +260,6 @@ impl PlacementFlowGraph {
     /// placement, together with per-edge flows.
     pub fn max_flow(&self) -> FlowResult {
         self.network.max_flow(self.source, self.sink)
-    }
-
-    /// The minimum cut certifying the max flow (the throughput bottleneck).
-    pub fn bottleneck(&self, flow: &FlowResult) -> MinCut {
-        min_cut(&self.network, flow, self.source, self.sink)
     }
 
     /// Decomposes a flow into explicit source→sink paths (candidate
@@ -328,19 +322,6 @@ impl PlacementFlowGraph {
             .filter_map(|(&(from, to), &e)| Some((from, to, self.edge_capacity(e)?)))
             .collect()
     }
-
-    /// Outgoing connections of an endpoint with their flow in a max-flow
-    /// solution — the IWRR scheduling weights of §5.1.
-    pub fn outgoing_flows(&self, flow: &FlowResult, from: Endpoint) -> Vec<(Endpoint, f64)> {
-        let mut out: Vec<(Endpoint, f64)> = self
-            .link_edges
-            .iter()
-            .filter(|((f, _), _)| *f == from)
-            .map(|(&(_, to), &e)| (to, flow.flow(e)))
-            .collect();
-        out.sort_by_key(|a| a.0);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -348,6 +329,7 @@ mod tests {
     use super::*;
     use crate::placement::LayerRange;
     use helix_cluster::{ClusterSpec, ModelConfig};
+    use helix_maxflow::min_cut;
 
     /// The Fig. 2 example: A100 holds layers 1-2, T4-1 holds layer 1 (partial
     /// replica of layer 0 in our 0-based indexing), T4-2 holds layer 3.
@@ -393,8 +375,8 @@ mod tests {
         // Flow decomposes into pipelines ending at T4-2.
         let paths = graph.decompose(&flow).unwrap();
         assert!(!paths.is_empty());
-        // Bottleneck cut capacity equals the flow.
-        let cut = graph.bottleneck(&flow);
+        // The minimum cut's capacity equals the flow.
+        let cut = min_cut(&graph.network, &flow, graph.source, graph.sink);
         assert!((cut.capacity - flow.value).abs() < 1e-6);
     }
 
@@ -521,9 +503,14 @@ mod tests {
         for u in util.values() {
             assert!(*u >= 0.0 && *u <= 1.0 + 1e-9);
         }
-        let out = graph.outgoing_flows(&flow, Endpoint::Coordinator);
+        let out: Vec<f64> = graph
+            .link_edges
+            .iter()
+            .filter(|((from, _), _)| *from == Endpoint::Coordinator)
+            .map(|(_, &e)| flow.flow(e))
+            .collect();
         assert!(!out.is_empty());
-        let total: f64 = out.iter().map(|(_, f)| f).sum();
+        let total: f64 = out.iter().sum();
         assert!((total - flow.value).abs() < 1e-6);
         assert!(graph.node_capacity(NodeId(0)).unwrap() > 0.0);
         assert!(graph.node_capacity(NodeId(3)).is_none());

@@ -73,7 +73,7 @@ impl ReplicationPolicy {
     }
 
     /// Whether replication is on at all.
-    pub fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.replication_factor >= 2
     }
 

@@ -81,15 +81,6 @@ pub struct RequestTable {
 }
 
 impl RequestTable {
-    /// An empty table with room for `capacity` requests.
-    pub fn with_capacity(capacity: usize) -> Self {
-        RequestTable {
-            specs: Vec::with_capacity(capacity),
-            slots: IdMap::with_capacity_and_hasher(capacity, Default::default()),
-            lanes: Vec::with_capacity(capacity),
-        }
-    }
-
     /// The slot of `request`: a new one for an id the table has not seen,
     /// else the id's slot, whose spec `request` overwrites.
     pub fn insert(&mut self, request: Request) -> u32 {

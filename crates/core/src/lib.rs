@@ -156,6 +156,5 @@ pub use scheduling::prefix::{PrefixRoute, PrefixRouter, PrefixStats, PrefixWork}
 pub use scheduling::{
     scheduler_of_kind, ClusterState, IdleClusterState, PipelineStage, RandomScheduler,
     RequestPipeline, Scheduler, SchedulerKind, ShortestQueueScheduler, SwarmScheduler,
-    TopologyGraph,
 };
 pub use topology::{Topology, TopologyLink, TopologyNode};

@@ -83,11 +83,6 @@ impl<T> PairTable<T> {
         let entries = self.slots.iter().enumerate();
         entries.filter_map(move |(i, e)| Some((NodeId(i % n), ModelId(i / n), e.as_ref()?)))
     }
-
-    /// Every entry, mutably, in [`iter`](Self::iter)'s order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().flatten()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(walk, vec![(0, 0, 0), (2, 0, 120), (0, 1, 1)]);
         assert_eq!(table.of_model(ModelId(0)), &[Some(0), None, Some(120)]);
         assert_eq!(table.of_node_mut(NodeId(0)).count(), 2);
-        assert_eq!(table.values_mut().count(), 3);
         let (a, b) = ((NodeId(2), ModelId(0)), (NodeId(0), ModelId(1)));
         let [x, y] = table.pair_mut(a, b).unwrap();
         std::mem::swap(x, y);

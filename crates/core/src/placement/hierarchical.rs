@@ -260,7 +260,7 @@ impl<'a> HierarchicalFleetPlanner<'a> {
 
     /// Cold-evaluates the per-model flows of a fleet placement (same
     /// convention as [`FleetAnnealingPlanner::evaluate`]).
-    pub fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
+    fn evaluate(&self, placement: &FleetPlacement) -> Vec<f64> {
         cold_flows(self.profiles, placement, &self.options.annealing)
     }
 

@@ -178,11 +178,11 @@ impl IncrementalFlowEvaluator {
             let node_cap = range
                 .map(|r| profile.node_profile(id).throughput(r.len()))
                 .unwrap_or(0.0);
-            node_edges.push(network.try_add_edge(cin, cout, node_cap)?);
+            node_edges.push(network.add_edge(cin, cout, node_cap)?);
 
             let entry_cap = profile.link_profile(None, Some(id)).tokens_per_sec;
             let entry_on = range.map(|r| r.start == 0).unwrap_or(false);
-            entry_edges.push(network.try_add_edge(
+            entry_edges.push(network.add_edge(
                 source,
                 cin,
                 if entry_on { clamp(entry_cap) } else { 0.0 },
@@ -191,7 +191,7 @@ impl IncrementalFlowEvaluator {
 
             let exit_cap = profile.link_profile(Some(id), None).tokens_per_sec;
             let exit_on = range.map(|r| r.end == num_layers).unwrap_or(false);
-            exit_edges.push(network.try_add_edge(
+            exit_edges.push(network.add_edge(
                 cout,
                 sink,
                 if exit_on { clamp(exit_cap) } else { 0.0 },
@@ -205,8 +205,7 @@ impl IncrementalFlowEvaluator {
             let on = placement.connection_valid(from, to, partial_inference);
             let (_, from_out) = vertices[from.index()];
             let (to_in, _) = vertices[to.index()];
-            let edge =
-                network.try_add_edge(from_out, to_in, if on { clamp(capacity) } else { 0.0 })?;
+            let edge = network.add_edge(from_out, to_in, if on { clamp(capacity) } else { 0.0 })?;
             let link = Link {
                 from,
                 to,

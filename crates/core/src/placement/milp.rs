@@ -15,7 +15,9 @@
 //! The §4.5 optimisations are supported: cluster pruning limits the
 //! connection set, heuristic placements warm-start the solver, and the
 //! search early-stops once the incumbent reaches a configurable fraction of
-//! the cluster's throughput upper bound.
+//! the cluster's throughput upper bound.  Each is a field of
+//! [`PlannerOptions`], the planner's one configuration
+//! ([`MilpPlacementPlanner::with_options`]).
 
 use crate::error::HelixError;
 use crate::flow_graph::{Endpoint, FlowGraphBuilder};
@@ -128,13 +130,17 @@ struct ConnVars {
 /// ```rust,no_run
 /// use std::time::Duration;
 /// use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
-/// use helix_core::MilpPlacementPlanner;
+/// use helix_core::{MilpPlacementPlanner, PlannerOptions};
 ///
 /// let profile = ClusterProfile::analytic(
 ///     ClusterSpec::solver_quality_10(),
 ///     ModelConfig::llama_30b(),
 /// );
-/// let mut planner = MilpPlacementPlanner::new(&profile).time_limit(Duration::from_secs(30));
+/// let options = PlannerOptions {
+///     time_limit: Duration::from_secs(30),
+///     ..Default::default()
+/// };
+/// let mut planner = MilpPlacementPlanner::with_options(&profile, options);
 /// let (placement, report) = planner.solve().unwrap();
 /// println!("{} tokens/s with {} MILP variables",
 ///     report.objective_tokens_per_sec, report.num_variables);
@@ -160,48 +166,13 @@ impl<'a> MilpPlacementPlanner<'a> {
         MilpPlacementPlanner { profile, options }
     }
 
-    /// Enables/disables partial inference.
-    pub fn partial_inference(mut self, enabled: bool) -> Self {
-        self.options.partial_inference = enabled;
-        self
-    }
-
-    /// Enables cluster pruning to the given out-degree.
-    pub fn prune_to_degree(mut self, degree: usize) -> Self {
-        self.options.prune_degree = Some(degree);
-        self
-    }
-
-    /// Sets the solver wall-clock budget.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.options.time_limit = limit;
-        self
-    }
-
-    /// Enables/disables heuristic warm starts.
-    pub fn warm_start_from_heuristics(mut self, enabled: bool) -> Self {
-        self.options.warm_start_from_heuristics = enabled;
-        self
-    }
-
-    /// Enables incumbent/bound event recording.
-    pub fn record_events(mut self) -> Self {
-        self.options.record_events = true;
-        self
-    }
-
-    /// The current options.
-    pub fn options(&self) -> &PlannerOptions {
-        &self.options
-    }
-
     /// Builds the MILP and returns its size as `(variables, constraints)`
     /// without solving — used for Table 8.
     ///
     /// # Errors
     ///
     /// Returns [`HelixError::NoPlacementFound`] if a candidate connection
-    /// names a node outside the cluster.
+    /// names a node outside the cluster or joins the coordinator to itself.
     pub fn problem_size(&self) -> Result<(usize, usize), HelixError> {
         let (model, _) = self.build_model()?;
         Ok((model.num_vars(), model.num_constraints()))
@@ -500,7 +471,11 @@ impl<'a> MilpPlacementPlanner<'a> {
                         model.add_constraint_expr(format!("exact_b_{ci}"), expr, Sense::Le, l)?;
                     }
                 }
-                _ => unreachable!("coordinator-to-coordinator connections are never generated"),
+                // Coordinator-to-coordinator connections are never
+                // generated; one would name no node of the formulation.
+                (Endpoint::Coordinator, Endpoint::Coordinator) => {
+                    return Err(HelixError::NoPlacementFound)
+                }
             }
             // Transmission throughput: f <= d * S.
             let expr = LinExpr::term(c.f, 1.0) - LinExpr::term(c.d, c.capacity);
@@ -657,12 +632,19 @@ mod tests {
         ClusterProfile::analytic(cluster, model)
     }
 
+    /// The default options, pruned to out-degree `degree` (§4.5).
+    fn pruned(degree: usize) -> PlannerOptions {
+        PlannerOptions {
+            prune_degree: Some(degree),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn problem_size_is_linear_in_connections() {
         let profile = tiny_profile(6);
         let full = MilpPlacementPlanner::new(&profile).problem_size().unwrap();
-        let pruned = MilpPlacementPlanner::new(&profile)
-            .prune_to_degree(1)
+        let pruned = MilpPlacementPlanner::with_options(&profile, pruned(1))
             .problem_size()
             .unwrap();
         assert!(pruned.0 < full.0);
@@ -672,9 +654,12 @@ mod tests {
     #[test]
     fn planner_finds_valid_placement_on_tiny_cluster() {
         let profile = tiny_profile(6);
-        let mut planner = MilpPlacementPlanner::new(&profile)
-            .time_limit(Duration::from_secs(10))
-            .warm_start_from_heuristics(true);
+        let options = PlannerOptions {
+            time_limit: Duration::from_secs(10),
+            warm_start_from_heuristics: true,
+            ..Default::default()
+        };
+        let mut planner = MilpPlacementPlanner::with_options(&profile, options);
         let (placement, report) = planner.solve().unwrap();
         placement.validate(&profile).unwrap();
         assert!(report.objective_tokens_per_sec > 0.0);
@@ -693,9 +678,12 @@ mod tests {
     #[test]
     fn planner_beats_or_matches_warm_start() {
         let profile = tiny_profile(6);
-        let mut planner = MilpPlacementPlanner::new(&profile)
-            .time_limit(Duration::from_secs(10))
-            .record_events();
+        let options = PlannerOptions {
+            time_limit: Duration::from_secs(10),
+            record_events: true,
+            ..Default::default()
+        };
+        let mut planner = MilpPlacementPlanner::with_options(&profile, options);
         let (_, report) = planner.solve().unwrap();
         if let Some(ws) = report.warm_start_tokens_per_sec {
             assert!(report.objective_tokens_per_sec >= ws - 1e-6);
@@ -705,9 +693,12 @@ mod tests {
     #[test]
     fn strict_pipelines_without_partial_inference_also_solve() {
         let profile = tiny_profile(6);
-        let mut planner = MilpPlacementPlanner::new(&profile)
-            .partial_inference(false)
-            .time_limit(Duration::from_secs(10));
+        let options = PlannerOptions {
+            partial_inference: false,
+            time_limit: Duration::from_secs(10),
+            ..Default::default()
+        };
+        let mut planner = MilpPlacementPlanner::with_options(&profile, options);
         let (placement, _) = planner.solve().unwrap();
         placement.validate(&profile).unwrap();
     }
@@ -836,12 +827,10 @@ mod tests {
             ClusterSpec::high_heterogeneity_42(),
             ModelConfig::llama2_70b(),
         );
-        let (v24, c24) = MilpPlacementPlanner::new(&p24)
-            .prune_to_degree(12)
+        let (v24, c24) = MilpPlacementPlanner::with_options(&p24, pruned(12))
             .problem_size()
             .unwrap();
-        let (v42, c42) = MilpPlacementPlanner::new(&p42)
-            .prune_to_degree(12)
+        let (v42, c42) = MilpPlacementPlanner::with_options(&p42, pruned(12))
             .problem_size()
             .unwrap();
         let (v24_full, c24_full) = MilpPlacementPlanner::new(&p24).problem_size().unwrap();

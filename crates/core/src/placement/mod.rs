@@ -44,11 +44,6 @@ impl LayerRange {
         false
     }
 
-    /// Whether `layer` falls inside the range.
-    pub fn contains(&self, layer: usize) -> bool {
-        layer >= self.start && layer < self.end
-    }
-
     /// Whether two ranges share at least one layer.
     pub fn intersects(&self, other: LayerRange) -> bool {
         self.start < other.end && other.start < self.end
@@ -92,11 +87,6 @@ impl ModelPlacement {
         }
     }
 
-    /// Number of nodes this placement covers (assigned or not).
-    pub fn num_nodes(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// Assigns `range` to `node`, replacing any previous assignment.
     ///
     /// # Panics
@@ -127,19 +117,6 @@ impl ModelPlacement {
     /// Number of nodes holding at least one layer.
     pub fn num_assigned(&self) -> usize {
         self.assignments.iter().filter(|r| r.is_some()).count()
-    }
-
-    /// Nodes that hold the given layer.
-    fn holders_of(&self, layer: usize) -> Vec<NodeId> {
-        self.iter()
-            .filter(|(_, r)| r.contains(layer))
-            .map(|(n, _)| n)
-            .collect()
-    }
-
-    /// Nodes holding the first layer of the model.
-    pub fn entry_nodes(&self) -> Vec<NodeId> {
-        self.holders_of(0)
     }
 
     /// The minimum number of pipeline stages a request must traverse, i.e.
@@ -248,7 +225,8 @@ mod tests {
     fn layer_range_basics() {
         let r = LayerRange::new(2, 5);
         assert_eq!(r.len(), 3);
-        assert!(r.contains(2) && r.contains(4) && !r.contains(5));
+        let layers = r.start..r.end;
+        assert!(layers.contains(&2) && layers.contains(&4) && !layers.contains(&5));
         assert_eq!(r.to_string(), "[2, 5)");
         assert!(!r.is_empty());
     }
@@ -262,10 +240,16 @@ mod tests {
     #[test]
     fn placement_queries() {
         let p = tiny_placement();
-        assert_eq!(p.num_nodes(), 4);
+        assert_eq!(p.assignments.len(), 4);
         assert_eq!(p.num_assigned(), 3);
-        assert_eq!(p.entry_nodes(), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(p.holders_of(4), vec![NodeId(1), NodeId(2)]);
+        let holders = |layer| -> Vec<NodeId> {
+            p.iter()
+                .filter(|(_, r)| (r.start..r.end).contains(&layer))
+                .map(|(n, _)| n)
+                .collect()
+        };
+        assert_eq!(holders(0), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(holders(4), vec![NodeId(1), NodeId(2)]);
         assert_eq!(p.range(NodeId(3)), None);
     }
 

@@ -69,11 +69,6 @@ impl PartitionPlan {
         self.partitions.len()
     }
 
-    /// Sum of the partitions' planned throughputs.
-    pub fn total_throughput(&self) -> f64 {
-        self.partitions.iter().map(|p| p.throughput).sum()
-    }
-
     /// The union of all partition placements: a single placement for the full
     /// cluster in which every partition serves its own replica.
     pub fn combined_placement(&self) -> ModelPlacement {
@@ -103,7 +98,6 @@ impl PartitionPlan {
 ///     .with_options(PartitionOptions { max_partition_size: 10, ..Default::default() });
 /// let plan = planner.solve().unwrap();
 /// assert!(plan.num_replicas() >= 2);
-/// assert!(plan.total_throughput() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartitionedPlanner<'a> {
@@ -124,11 +118,6 @@ impl<'a> PartitionedPlanner<'a> {
     pub fn with_options(mut self, options: PartitionOptions) -> Self {
         self.options = options;
         self
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &PartitionOptions {
-        &self.options
     }
 
     /// Computes the node groups without planning placements for them.
@@ -923,7 +912,8 @@ mod tests {
         let planner = PartitionedPlanner::new(&profile).with_options(quick_options(8));
         let plan = planner.solve().unwrap();
         assert!(plan.num_replicas() >= 2);
-        assert!(plan.total_throughput() > 0.0);
+        let total: f64 = plan.partitions.iter().map(|p| p.throughput).sum();
+        assert!(total > 0.0);
 
         let combined = plan.combined_placement();
         combined.validate(&profile).unwrap();
@@ -933,10 +923,9 @@ mod tests {
         // at least (almost) the sum of per-partition throughputs, and each
         // partition contributes something.
         assert!(
-            flow.value >= 0.95 * plan.total_throughput(),
-            "combined flow {} vs partition sum {}",
+            flow.value >= 0.95 * total,
+            "combined flow {} vs partition sum {total}",
             flow.value,
-            plan.total_throughput()
         );
         for partition in &plan.partitions {
             assert!(partition.throughput > 0.0);

@@ -118,11 +118,6 @@ impl<'a> FlowAnnealingPlanner<'a> {
         self
     }
 
-    /// The current options.
-    pub fn options(&self) -> &AnnealingOptions {
-        &self.options
-    }
-
     /// Evaluates the serving throughput (max flow) of a placement under this
     /// planner's connection settings; invalid placements score 0.
     pub fn evaluate(&self, placement: &ModelPlacement) -> f64 {

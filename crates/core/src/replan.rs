@@ -59,7 +59,7 @@ pub struct NodeObservation {
 
 impl NodeObservation {
     /// The speed factor clamped to the range planning accepts.
-    pub fn speed_factor(&self) -> f64 {
+    fn speed_factor(&self) -> f64 {
         if self.speed.is_finite() {
             self.speed.clamp(MIN_SPEED_FACTOR, MAX_SPEED_FACTOR)
         } else {
@@ -115,13 +115,8 @@ impl NodeObservations {
         );
     }
 
-    /// Removes the observation for a pair (e.g. after the engine was drained).
-    pub fn clear(&mut self, node: NodeId, model: ModelId) {
-        self.observations.remove(&(node, model));
-    }
-
     /// The stored observation for a pair.
-    pub fn get(&self, node: NodeId, model: ModelId) -> Option<&NodeObservation> {
+    fn get(&self, node: NodeId, model: ModelId) -> Option<&NodeObservation> {
         self.observations.get(&(node, model))
     }
 
@@ -131,20 +126,10 @@ impl NodeObservations {
     }
 
     /// Iterates all observations in deterministic (node, model) order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, ModelId, &NodeObservation)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (NodeId, ModelId, &NodeObservation)> + '_ {
         self.observations
             .iter()
             .map(|(&(node, model), obs)| (node, model, obs))
-    }
-
-    /// Whether no observation is stored.
-    pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
-    }
-
-    /// Number of (node, model) pairs observed.
-    pub fn len(&self) -> usize {
-        self.observations.len()
     }
 }
 
@@ -565,9 +550,9 @@ pub struct ReplanRecord {
 /// KV state moves at page granularity: the tokens resident for the moved
 /// layers occupy `⌈tokens / tokens_per_page⌉` pages, each page holds
 /// `tokens_per_page × moved_layers × kv_bytes_per_token_per_layer` bytes, and
-/// the transfer ships `bytes = pages × page size` over the inter-node link —
-/// `bytes / bandwidth + latency` seconds on an idle link (queueing behind
-/// activation traffic comes on top, from the link model of each surface).
+/// the transfer ships `bytes = pages × page size` over the inter-node link,
+/// where each surface's link queue prices it (`LinkQueue`, queued behind
+/// activation traffic like any other bytes).
 ///
 /// # Example
 ///
@@ -578,7 +563,6 @@ pub struct ReplanRecord {
 /// assert_eq!(model.pages(100.0), 7); // ceil(100 / 16)
 /// let bytes = model.bytes(100.0, 5); // 7 pages x 16 tokens x 5 layers x 1 KiB
 /// assert_eq!(bytes, 7.0 * 16.0 * 5.0 * 1024.0);
-/// assert!((KvTransferModel::transfer_secs(bytes, 1e9, 0.001) - (bytes / 1e9 + 0.001)).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvTransferModel {
@@ -610,11 +594,6 @@ impl KvTransferModel {
     /// Bytes the transfer ships: pages × page size.
     pub fn bytes(&self, tokens: f64, layers: usize) -> f64 {
         self.pages(tokens) as f64 * self.page_bytes(layers)
-    }
-
-    /// Seconds the transfer takes on an idle link.
-    pub fn transfer_secs(bytes: f64, bandwidth_bytes_per_sec: f64, latency_secs: f64) -> f64 {
-        bytes.max(0.0) / bandwidth_bytes_per_sec.max(1.0) + latency_secs.max(0.0)
     }
 }
 
@@ -681,16 +660,14 @@ mod tests {
         obs.record(NodeId(5), ModelId(1), 50.0, 0.8, 0.5);
         obs.record(NodeId(1), ModelId(0), 100.0, 0.4, 0.9);
         obs.record(NodeId(5), ModelId(1), 55.0, 0.9, 0.6); // replaces
-        assert_eq!(obs.len(), 2);
+        assert_eq!(obs.observations.len(), 2);
         let order: Vec<_> = obs.iter().map(|(n, m, _)| (n, m)).collect();
         assert_eq!(
             order,
             vec![(NodeId(1), ModelId(0)), (NodeId(5), ModelId(1))]
         );
         assert_eq!(obs.speed_factor(NodeId(5), ModelId(1)), Some(0.9));
-        obs.clear(NodeId(5), ModelId(1));
-        assert_eq!(obs.get(NodeId(5), ModelId(1)), None);
-        assert!(!obs.is_empty());
+        assert_eq!(obs.get(NodeId(2), ModelId(1)), None);
     }
 
     #[test]
@@ -772,9 +749,6 @@ mod tests {
         assert_eq!(model.pages(17.0), 2);
         assert_eq!(model.page_bytes(5), 16.0 * 5.0 * 100.0);
         assert_eq!(model.bytes(17.0, 5), 2.0 * 16.0 * 5.0 * 100.0);
-        assert_eq!(KvTransferModel::transfer_secs(1000.0, 500.0, 0.25), 2.25);
-        // Degenerate inputs stay finite.
-        assert_eq!(KvTransferModel::transfer_secs(-1.0, 0.0, -1.0), 0.0);
         assert_eq!(KvTransferModel::new(100.0, 0).tokens_per_page, 1);
     }
 

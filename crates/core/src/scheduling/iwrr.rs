@@ -34,7 +34,7 @@ pub fn above_high_water(used: f64, capacity: f64) -> bool {
 /// candidate is selected with frequency proportional to its weight, with the
 /// selections interleaved rather than bursty.
 #[derive(Debug, Clone)]
-pub struct IwrrChooser<T> {
+struct IwrrChooser<T> {
     candidates: Vec<(T, f64)>,
     credits: Vec<f64>,
     total: f64,
@@ -42,7 +42,7 @@ pub struct IwrrChooser<T> {
 
 impl<T: Copy + Eq> IwrrChooser<T> {
     /// Creates a chooser; candidates with non-positive weight are dropped.
-    pub fn new(candidates: impl IntoIterator<Item = (T, f64)>) -> Self {
+    fn new(candidates: impl IntoIterator<Item = (T, f64)>) -> Self {
         let candidates: Vec<(T, f64)> = candidates.into_iter().filter(|(_, w)| *w > 0.0).collect();
         let total = candidates.iter().map(|(_, w)| w).sum();
         let credits = vec![0.0; candidates.len()];
@@ -53,18 +53,8 @@ impl<T: Copy + Eq> IwrrChooser<T> {
         }
     }
 
-    /// Number of candidates with positive weight.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Whether no candidate has positive weight.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
     /// The weight associated with a candidate.
-    pub fn weight(&self, candidate: T) -> Option<f64> {
+    fn weight(&self, candidate: T) -> Option<f64> {
         self.candidates
             .iter()
             .find(|(c, _)| *c == candidate)
@@ -238,8 +228,8 @@ mod tests {
     #[test]
     fn iwrr_chooser_drops_zero_weight_and_handles_masking() {
         let mut chooser = IwrrChooser::new([(0usize, 0.0), (1, 1.0), (2, 1.0)]);
-        assert_eq!(chooser.len(), 2);
-        assert!(!chooser.is_empty());
+        assert_eq!(chooser.candidates.len(), 2);
+        assert!(!chooser.candidates.is_empty());
         assert_eq!(chooser.weight(0), None);
         // Mask out candidate 1: only 2 can be returned.
         for _ in 0..5 {
@@ -248,7 +238,7 @@ mod tests {
         // Mask everything: None.
         assert_eq!(chooser.pick_unmasked(|_| true), None);
         let empty: IwrrChooser<usize> = IwrrChooser::new([]);
-        assert!(empty.is_empty());
+        assert!(empty.candidates.is_empty());
     }
 
     fn setup() -> (ClusterProfile, ModelPlacement) {
@@ -297,7 +287,11 @@ mod tests {
         let topology = Topology::plan(&profile, &placement, true).unwrap();
         let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
         // Saturate one entry node's KV cache.
-        let entries = placement.entry_nodes();
+        let entries: Vec<_> = placement
+            .iter()
+            .filter(|(_, r)| r.start == 0)
+            .map(|(n, _)| n)
+            .collect();
         let saturated = entries[0];
         struct SaturatedState {
             node: helix_cluster::NodeId,

@@ -4,13 +4,18 @@
 //! keeps an *estimate* of each node's KV-cache usage: every in-flight request
 //! is assumed to grow to the running average output length, and nodes whose
 //! estimated usage exceeds the high-water mark are masked out of IWRR
-//! scheduling until requests finish.
+//! scheduling until requests finish.  The estimator holds usage only: the
+//! capacity it is compared with is the node's row
+//! ([`ClusterState::kv_capacity_tokens`](crate::ClusterState::kv_capacity_tokens)),
+//! and the mask is IWRR's [`above_high_water`](crate::scheduling::iwrr::above_high_water).
 
 use crate::engine::IdMap;
-use crate::scheduling::iwrr::above_high_water;
 use helix_cluster::{ClusterProfile, NodeId, PrefixId};
 
-/// Coordinator-side estimator of per-node KV-cache usage.
+/// Coordinator-side estimator of per-node KV-cache usage.  It holds no
+/// capacity: a node is masked when
+/// `above_high_water(estimated_tokens(node), capacity)` over its row's
+/// capacity.
 ///
 /// # Example
 ///
@@ -38,9 +43,6 @@ pub struct KvCacheEstimator {
     avg_output_len: f64,
     /// Number of completed requests folded into the average.
     completed: u64,
-    /// KV capacity in tokens, by node index, given the layers each node
-    /// holds (infinite until set).
-    capacity: Vec<f64>,
     /// Shared prefix entries per (node, prefix): their token footprint and
     /// how many in-flight requests reference them.  Counted once per node no
     /// matter how many requests attach — the estimator-side mirror of the
@@ -48,12 +50,12 @@ pub struct KvCacheEstimator {
     shared: IdMap<(NodeId, PrefixId), (f64, usize)>,
 }
 
-/// The entry of `node` in a per-node table, which grows — with `fill` — to
+/// The entry of `node` in a per-node table, which grows — with zeros — to
 /// hold a node beyond the profile's.
-fn entry(table: &mut Vec<f64>, node: NodeId, fill: f64) -> &mut f64 {
+fn entry(table: &mut Vec<f64>, node: NodeId) -> &mut f64 {
     let index = node.index();
     if index >= table.len() {
-        table.resize(index + 1, fill);
+        table.resize(index + 1, 0.0);
     }
     &mut table[index]
 }
@@ -68,16 +70,8 @@ impl KvCacheEstimator {
             in_flight: IdMap::default(),
             avg_output_len: initial_avg_output_len.max(1.0),
             completed: 0,
-            capacity: vec![f64::INFINITY; num_nodes],
             shared: IdMap::default(),
         }
-    }
-
-    /// Registers the KV capacity of a node holding `layers` layers (capacity
-    /// depends on the placement, so the caller provides it once the placement
-    /// is fixed).
-    pub fn set_capacity(&mut self, node: NodeId, capacity_tokens: f64) {
-        *entry(&mut self.capacity, node, f64::INFINITY) = capacity_tokens;
     }
 
     /// Records that request `request_id` with `prompt_len` prompt tokens was
@@ -85,7 +79,7 @@ impl KvCacheEstimator {
     /// plus the average output length.
     pub fn on_scheduled(&mut self, node: NodeId, request_id: u64, prompt_len: usize) {
         let footprint = prompt_len as f64 + self.avg_output_len;
-        *entry(&mut self.estimated, node, 0.0) += footprint;
+        *entry(&mut self.estimated, node) += footprint;
         self.in_flight.insert((node, request_id), footprint);
     }
 
@@ -124,7 +118,7 @@ impl KvCacheEstimator {
         let shared = self.shared.entry((node, prefix)).or_insert((0.0, 0));
         if shared.1 == 0 {
             shared.0 = tokens as f64;
-            *entry(&mut self.estimated, node, 0.0) += shared.0;
+            *entry(&mut self.estimated, node) += shared.0;
         }
         shared.1 += 1;
     }
@@ -149,26 +143,12 @@ impl KvCacheEstimator {
     pub fn estimated_tokens(&self, node: NodeId) -> f64 {
         self.estimated.get(node.index()).copied().unwrap_or(0.0)
     }
-
-    /// KV capacity of `node` in tokens (infinite until
-    /// [`KvCacheEstimator::set_capacity`] is called).
-    pub fn capacity_tokens(&self, node: NodeId) -> f64 {
-        self.capacity
-            .get(node.index())
-            .copied()
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// Whether `node`'s estimate is [`above_high_water`] — the rule IWRR
-    /// masks it by.
-    pub fn is_above_high_water(&self, node: NodeId) -> bool {
-        above_high_water(self.estimated_tokens(node), self.capacity_tokens(node))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduling::iwrr::above_high_water;
     use helix_cluster::{ClusterSpec, ModelConfig};
 
     fn estimator() -> KvCacheEstimator {
@@ -260,22 +240,19 @@ mod tests {
         let node = NodeId(2);
         // Unlimited capacity: never above high water.
         est.on_scheduled(node, 1, 10_000);
-        assert!(!est.is_above_high_water(node));
-        est.set_capacity(node, 1_000.0);
-        assert!(est.is_above_high_water(node));
-        assert_eq!(est.capacity_tokens(node), 1_000.0);
+        assert!(!above_high_water(est.estimated_tokens(node), f64::INFINITY));
+        assert!(above_high_water(est.estimated_tokens(node), 1_000.0));
         est.on_finished(node, 1, 1);
-        assert!(!est.is_above_high_water(node));
+        assert!(!above_high_water(est.estimated_tokens(node), 1_000.0));
     }
 
-    /// The tables are dense over the profile's nodes; a node beyond them
-    /// reads as an unused node of unbounded capacity until it is set.
+    /// The table is dense over the profile's nodes; a node beyond them reads
+    /// as an unused node until something is scheduled onto it.
     #[test]
-    fn a_node_beyond_the_profile_reads_unbounded_and_empty_until_set() {
+    fn a_node_beyond_the_profile_reads_empty_until_scheduled() {
         // The study cluster has ten nodes.
         let mut est = estimator();
         let beyond = NodeId(15);
-        assert_eq!(est.capacity_tokens(beyond), f64::INFINITY);
         assert_eq!(est.estimated_tokens(beyond), 0.0);
         est.release_shared(beyond, PrefixId(1));
         assert_eq!(est.estimated_tokens(beyond), 0.0);
@@ -283,11 +260,8 @@ mod tests {
         // 100 prompt tokens + the 200-token average output.
         est.on_scheduled(beyond, 1, 100);
         assert!((est.estimated_tokens(beyond) - 300.0).abs() < 1e-9);
-        assert!(!est.is_above_high_water(beyond));
-        est.set_capacity(beyond, 200.0);
-        assert!(est.is_above_high_water(beyond));
-        // The nodes between the profile's last and this one stay unset.
-        assert_eq!(est.capacity_tokens(NodeId(12)), f64::INFINITY);
+        assert!(above_high_water(est.estimated_tokens(beyond), 200.0));
+        // The nodes between the profile's last and this one stay empty.
         assert_eq!(est.estimated_tokens(NodeId(12)), 0.0);
         est.on_finished(beyond, 1, 10);
         assert_eq!(est.estimated_tokens(beyond), 0.0);

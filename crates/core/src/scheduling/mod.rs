@@ -168,7 +168,7 @@ pub trait Scheduler: Send {
 /// The topology graph of §5.1: valid next-hops per endpoint under a given
 /// placement, in tables indexed by node.
 #[derive(Debug, Clone)]
-pub struct TopologyGraph {
+struct TopologyGraph {
     /// Entry candidates (nodes holding layer 0).
     entry: Vec<NodeId>,
     /// Valid successors, by node index.
@@ -183,7 +183,7 @@ impl TopologyGraph {
     /// successors are exactly the surviving connections the planner
     /// materialised, so the scheduler can never disagree with the planner
     /// about which hops exist.
-    pub fn from_topology(topology: &Topology) -> Self {
+    fn from_topology(topology: &Topology) -> Self {
         let num_nodes = topology.profile().cluster().num_nodes();
         let mut entry: Vec<NodeId> = Vec::new();
         let mut successors = vec![Vec::new(); num_nodes];
@@ -211,24 +211,24 @@ impl TopologyGraph {
     }
 
     /// Valid successors of `node`.
-    pub fn successors(&self, node: NodeId) -> &[NodeId] {
+    fn successors(&self, node: NodeId) -> &[NodeId] {
         self.successors.get(node.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The layer range held by `node` under the placement.
-    pub fn range(&self, node: NodeId) -> Option<LayerRange> {
+    fn range(&self, node: NodeId) -> Option<LayerRange> {
         self.ranges.get(node.index()).copied().flatten()
     }
 
     /// Number of model layers.
-    pub fn num_layers(&self) -> usize {
+    fn num_layers(&self) -> usize {
         self.num_layers
     }
 
     /// Candidates that can continue a request currently at `position` layers
     /// completed, reachable from `from` (`None` = coordinator), each with the
     /// layer range it holds.
-    pub fn candidates(
+    fn candidates(
         &self,
         from: Option<NodeId>,
         position: usize,

@@ -225,11 +225,6 @@ impl Topology {
             .collect()
     }
 
-    /// Nodes that can start a pipeline (hold layer 0).
-    pub fn entry_nodes(&self) -> Vec<NodeId> {
-        self.placement.entry_nodes()
-    }
-
     /// Number of model layers.
     pub fn num_layers(&self) -> usize {
         self.profile.model().num_layers
@@ -294,7 +289,7 @@ mod tests {
     #[test]
     fn entry_nodes_and_counts_are_exposed() {
         let topo = topology();
-        assert!(!topo.entry_nodes().is_empty());
+        assert!(topo.placement().iter().any(|(_, r)| r.start == 0));
         assert!(topo.num_pipelines() >= 1);
         assert_eq!(topo.num_layers(), 60);
         assert!(topo.partial_inference());

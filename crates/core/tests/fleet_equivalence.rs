@@ -65,7 +65,7 @@ proptest! {
         let profiles = vec![profile.clone()];
         let fleet = FleetTopology::plan(
             &profiles,
-            &FleetPlacement::single(placement.clone()),
+            &FleetPlacement::new(vec![placement.clone()]),
             true,
         )
         .unwrap();
@@ -99,9 +99,9 @@ proptest! {
         }
 
         // The per-model IWRR scheduler carries identical weights and emits
-        // identical pipelines (modulo the model tag).
+        // identical pipelines.
         let mut single_scheduler = IwrrScheduler::from_topology(&single).unwrap();
-        let mut fleet_scheduler = FleetScheduler::iwrr(&fleet).unwrap();
+        let mut fleet_scheduler = FleetScheduler::iwrr(&fleet).unwrap().into_parts().remove(0);
         for n in single.nodes() {
             for (to, w) in single.outgoing_flows(helix_core::Endpoint::Node(n.node)) {
                 if let helix_core::Endpoint::Node(to) = to {
@@ -115,9 +115,7 @@ proptest! {
         let state = IdleClusterState;
         for _ in 0..12 {
             let expected = helix_core::Scheduler::schedule(&mut single_scheduler, &state).unwrap();
-            let mut got = fleet_scheduler.schedule(ModelId(0), &state).unwrap();
-            prop_assert_eq!(got.model, ModelId(0));
-            got.model = expected.model;
+            let got = fleet_scheduler.schedule(&state).unwrap();
             prop_assert_eq!(got, expected);
         }
     }

@@ -21,18 +21,6 @@ pub struct FlowPath {
     pub amount: f64,
 }
 
-impl FlowPath {
-    /// Number of hops (edges) in the path.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the path has no edges (never produced by [`decompose_paths`]).
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-}
-
 /// Decomposes a feasible s-t flow into at most `E` paths (plus ignores any
 /// flow on cycles, which cannot contribute to throughput).
 ///
@@ -54,10 +42,10 @@ impl FlowPath {
 /// let a = net.add_node("a");
 /// let b = net.add_node("b");
 /// let t = net.add_node("t");
-/// net.add_edge(s, a, 2.0);
-/// net.add_edge(s, b, 1.0);
-/// net.add_edge(a, t, 2.0);
-/// net.add_edge(b, t, 1.0);
+/// net.add_edge(s, a, 2.0).unwrap();
+/// net.add_edge(s, b, 1.0).unwrap();
+/// net.add_edge(a, t, 2.0).unwrap();
+/// net.add_edge(b, t, 1.0).unwrap();
 /// let flow = net.max_flow(s, t);
 /// let paths = decompose_paths(&net, &flow, s, t).unwrap();
 /// let total: f64 = paths.iter().map(|p| p.amount).sum();
@@ -160,12 +148,12 @@ mod tests {
         let b = net.add_node("b");
         let c = net.add_node("c");
         let t = net.add_node("t");
-        net.add_edge(s, a, 4.0);
-        net.add_edge(s, b, 3.0);
-        net.add_edge(a, c, 2.0);
-        net.add_edge(a, t, 2.0);
-        net.add_edge(b, c, 3.0);
-        net.add_edge(c, t, 5.0);
+        net.add_edge(s, a, 4.0).unwrap();
+        net.add_edge(s, b, 3.0).unwrap();
+        net.add_edge(a, c, 2.0).unwrap();
+        net.add_edge(a, t, 2.0).unwrap();
+        net.add_edge(b, c, 3.0).unwrap();
+        net.add_edge(c, t, 5.0).unwrap();
         let flow = net.max_flow(s, t);
         let paths = decompose_paths(&net, &flow, s, t).unwrap();
         let total: f64 = paths.iter().map(|p| p.amount).sum();
@@ -174,7 +162,7 @@ mod tests {
             assert_eq!(p.nodes.first(), Some(&s));
             assert_eq!(p.nodes.last(), Some(&t));
             assert_eq!(p.nodes.len(), p.edges.len() + 1);
-            assert!(!p.is_empty());
+            assert!(!p.edges.is_empty());
         }
     }
 
@@ -184,8 +172,8 @@ mod tests {
         let s = net.add_node("s");
         let a = net.add_node("a");
         let t = net.add_node("t");
-        let e1 = net.add_edge(s, a, 5.0);
-        let e2 = net.add_edge(a, t, 3.0);
+        let e1 = net.add_edge(s, a, 5.0).unwrap();
+        let e2 = net.add_edge(a, t, 3.0).unwrap();
         let flow = net.max_flow(s, t);
         let paths = decompose_paths(&net, &flow, s, t).unwrap();
         let mut usage = vec![0.0; net.edge_count()];
@@ -214,8 +202,8 @@ mod tests {
         let s = net.add_node("s");
         let a = net.add_node("a");
         let t = net.add_node("t");
-        net.add_edge(s, a, 5.0);
-        net.add_edge(a, t, 5.0);
+        net.add_edge(s, a, 5.0).unwrap();
+        net.add_edge(a, t, 5.0).unwrap();
         let bogus = FlowResult {
             value: 2.0,
             edge_flows: vec![2.0, 0.0],
@@ -231,11 +219,11 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 2.0); // e0
-        net.add_edge(a, b, 3.0); // e1
-        net.add_edge(b, a, 3.0); // e2
-        net.add_edge(a, t, 2.0); // e3
-                                 // 2 units s->a->t plus 1 unit circulating a->b->a.
+        net.add_edge(s, a, 2.0).unwrap(); // e0
+        net.add_edge(a, b, 3.0).unwrap(); // e1
+        net.add_edge(b, a, 3.0).unwrap(); // e2
+        net.add_edge(a, t, 2.0).unwrap(); // e3
+                                          // 2 units s->a->t plus 1 unit circulating a->b->a.
         let flow = FlowResult {
             value: 2.0,
             edge_flows: vec![2.0, 1.0, 1.0, 2.0],
@@ -257,11 +245,11 @@ mod tests {
         let b = net.add_node("b");
         let c = net.add_node("c");
         let t = net.add_node("t");
-        net.add_edge(s, a, 1.0); // e0
-        net.add_edge(a, b, 2.0); // e1
-        net.add_edge(b, c, 1.0); // e2, listed before b->t
-        net.add_edge(c, a, 1.0); // e3
-        net.add_edge(b, t, 1.0); // e4
+        net.add_edge(s, a, 1.0).unwrap(); // e0
+        net.add_edge(a, b, 2.0).unwrap(); // e1
+        net.add_edge(b, c, 1.0).unwrap(); // e2, listed before b->t
+        net.add_edge(c, a, 1.0).unwrap(); // e3
+        net.add_edge(b, t, 1.0).unwrap(); // e4
         let flow = FlowResult {
             value: 1.0,
             edge_flows: vec![1.0, 2.0, 1.0, 1.0, 1.0],

@@ -353,15 +353,15 @@ mod tests {
         let v3 = net.add_node("v3");
         let v4 = net.add_node("v4");
         let t = net.add_node("t");
-        net.add_edge(s, v1, 16.0);
-        net.add_edge(s, v2, 13.0);
-        net.add_edge(v1, v3, 12.0);
-        net.add_edge(v2, v1, 4.0);
-        net.add_edge(v2, v4, 14.0);
-        net.add_edge(v3, v2, 9.0);
-        net.add_edge(v3, t, 20.0);
-        net.add_edge(v4, v3, 7.0);
-        net.add_edge(v4, t, 4.0);
+        net.add_edge(s, v1, 16.0).unwrap();
+        net.add_edge(s, v2, 13.0).unwrap();
+        net.add_edge(v1, v3, 12.0).unwrap();
+        net.add_edge(v2, v1, 4.0).unwrap();
+        net.add_edge(v2, v4, 14.0).unwrap();
+        net.add_edge(v3, v2, 9.0).unwrap();
+        net.add_edge(v3, t, 20.0).unwrap();
+        net.add_edge(v4, v3, 7.0).unwrap();
+        net.add_edge(v4, t, 4.0).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
         assert!((r.value - 23.0).abs() < 1e-9);
         net.validate_flow(&r.edge_flows, s, t).unwrap();
@@ -374,8 +374,8 @@ mod tests {
         let t = net.add_node("t");
         let mids: Vec<_> = (0..10).map(|i| net.add_node(format!("m{i}"))).collect();
         for (i, &m) in mids.iter().enumerate() {
-            net.add_edge(s, m, 1.0 + i as f64 * 0.1);
-            net.add_edge(m, t, 2.0);
+            net.add_edge(s, m, 1.0 + i as f64 * 0.1).unwrap();
+            net.add_edge(m, t, 2.0).unwrap();
         }
         let expected: f64 = (0..10).map(|i| 1.0 + i as f64 * 0.1).sum();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
@@ -388,8 +388,8 @@ mod tests {
         let s = net.add_node("s");
         let a = net.add_node("a");
         let t = net.add_node("t");
-        net.add_edge(t, a, 5.0);
-        net.add_edge(a, s, 5.0);
+        net.add_edge(t, a, 5.0).unwrap();
+        net.add_edge(a, s, 5.0).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
         assert_eq!(r.value, 0.0);
     }

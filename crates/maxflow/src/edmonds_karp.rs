@@ -72,7 +72,7 @@ mod tests {
         let mut net = FlowNetwork::new();
         let s = net.add_node("s");
         let t = net.add_node("t");
-        net.add_edge(s, t, 7.25);
+        net.add_edge(s, t, 7.25).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::EdmondsKarp);
         assert!((r.value - 7.25).abs() < 1e-12);
     }
@@ -86,11 +86,11 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 1.0);
-        net.add_edge(s, b, 1.0);
-        net.add_edge(a, b, 1.0);
-        net.add_edge(a, t, 1.0);
-        net.add_edge(b, t, 1.0);
+        net.add_edge(s, a, 1.0).unwrap();
+        net.add_edge(s, b, 1.0).unwrap();
+        net.add_edge(a, b, 1.0).unwrap();
+        net.add_edge(a, t, 1.0).unwrap();
+        net.add_edge(b, t, 1.0).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::EdmondsKarp);
         assert!((r.value - 2.0).abs() < 1e-12);
         net.validate_flow(&r.edge_flows, s, t).unwrap();
@@ -104,7 +104,7 @@ mod tests {
         for i in 0..8 {
             for j in (i + 1)..8 {
                 let cap = ((i * 7 + j * 13) % 11) as f64 + 0.5;
-                net.add_edge(nodes[i], nodes[j], cap);
+                net.add_edge(nodes[i], nodes[j], cap).unwrap();
             }
         }
         let s = nodes[0];

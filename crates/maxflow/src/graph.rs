@@ -245,11 +245,11 @@ impl FlowResult {
 /// let a = net.add_node("a");
 /// let b = net.add_node("b");
 /// let t = net.add_node("t");
-/// net.add_edge(s, a, 3.0);
-/// net.add_edge(s, b, 2.0);
-/// net.add_edge(a, t, 2.0);
-/// net.add_edge(b, t, 3.0);
-/// net.add_edge(a, b, 5.0);
+/// net.add_edge(s, a, 3.0).unwrap();
+/// net.add_edge(s, b, 2.0).unwrap();
+/// net.add_edge(a, t, 2.0).unwrap();
+/// net.add_edge(b, t, 3.0).unwrap();
+/// net.add_edge(a, b, 5.0).unwrap();
 /// let flow = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
 /// assert!((flow.value - 5.0).abs() < 1e-9);
 /// ```
@@ -324,33 +324,13 @@ impl FlowNetwork {
         self.forward.len()
     }
 
-    /// Iterates over node ids in insertion order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.names.len()).map(NodeId)
-    }
-
-    /// Adds a directed edge `from -> to` with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is invalid or the capacity is negative/NaN; use
-    /// [`FlowNetwork::try_add_edge`] for a fallible version.
-    #[allow(
-        clippy::expect_used,
-        reason = "the documented panicking wrapper of try_add_edge"
-    )]
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, capacity: f64) -> EdgeId {
-        self.try_add_edge(from, to, capacity)
-            .expect("invalid edge passed to FlowNetwork::add_edge")
-    }
-
     /// Adds a directed edge `from -> to` with the given capacity.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::InvalidNode`] if either endpoint is out of range
     /// and [`FlowError::InvalidCapacity`] if the capacity is negative or NaN.
-    pub fn try_add_edge(
+    pub fn add_edge(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -560,15 +540,6 @@ impl FlowNetwork {
             edges[i + 1].residual = 0.0;
         }
         edges
-    }
-
-    /// Current capacity of a forward edge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidEdge`] if the id is out of range.
-    pub fn capacity(&self, edge: EdgeId) -> Result<f64, FlowError> {
-        self.edge(edge).map(|e| e.capacity)
     }
 
     /// Updates the capacity of a forward edge **in place**, preserving the
@@ -1065,11 +1036,11 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 4.0);
-        net.add_edge(s, b, 2.0);
-        net.add_edge(a, t, 3.0);
-        net.add_edge(b, t, 3.0);
-        net.add_edge(a, b, 10.0);
+        net.add_edge(s, a, 4.0).unwrap();
+        net.add_edge(s, b, 2.0).unwrap();
+        net.add_edge(a, t, 3.0).unwrap();
+        net.add_edge(b, t, 3.0).unwrap();
+        net.add_edge(a, b, 10.0).unwrap();
         (net, s, t)
     }
 
@@ -1099,18 +1070,18 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         assert!(matches!(
-            net.try_add_edge(a, NodeId(7), 1.0),
+            net.add_edge(a, NodeId(7), 1.0),
             Err(FlowError::InvalidNode { .. })
         ));
         assert!(matches!(
-            net.try_add_edge(a, b, -1.0),
+            net.add_edge(a, b, -1.0),
             Err(FlowError::InvalidCapacity { .. })
         ));
         assert!(matches!(
-            net.try_add_edge(a, b, f64::NAN),
+            net.add_edge(a, b, f64::NAN),
             Err(FlowError::InvalidCapacity { .. })
         ));
-        assert!(net.try_add_edge(a, b, 0.0).is_ok());
+        assert!(net.add_edge(a, b, 0.0).is_ok());
     }
 
     #[test]
@@ -1163,7 +1134,7 @@ mod tests {
         let mut net = FlowNetwork::new();
         let s = net.add_node("s");
         let t = net.add_node("t");
-        let e = net.add_edge(s, t, 0.0);
+        let e = net.add_edge(s, t, 0.0).unwrap();
         let r = net.max_flow(s, t);
         assert_eq!(r.value, 0.0);
         assert_eq!(r.flow(e), 0.0);
@@ -1185,8 +1156,8 @@ mod tests {
         let mut net = FlowNetwork::new();
         let s = net.add_node("s");
         let t = net.add_node("t");
-        net.add_edge(s, t, 2.0);
-        net.add_edge(s, t, 3.0);
+        net.add_edge(s, t, 2.0).unwrap();
+        net.add_edge(s, t, 3.0).unwrap();
         let r = net.max_flow(s, t);
         assert!((r.value - 5.0).abs() < 1e-9);
     }
@@ -1197,9 +1168,9 @@ mod tests {
         let s = net.add_node("s");
         let a = net.add_node("a");
         let t = net.add_node("t");
-        net.add_edge(s, a, 5.0);
-        net.add_edge(a, a, 100.0);
-        net.add_edge(a, t, 3.0);
+        net.add_edge(s, a, 5.0).unwrap();
+        net.add_edge(a, a, 100.0).unwrap();
+        net.add_edge(a, t, 3.0).unwrap();
         for alg in [
             MaxFlowAlgorithm::PushRelabel,
             MaxFlowAlgorithm::Dinic,
@@ -1217,10 +1188,10 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 10.0);
-        net.add_edge(a, b, 4.0);
-        net.add_edge(b, a, 7.0);
-        net.add_edge(b, t, 10.0);
+        net.add_edge(s, a, 10.0).unwrap();
+        net.add_edge(a, b, 4.0).unwrap();
+        net.add_edge(b, a, 7.0).unwrap();
+        net.add_edge(b, t, 10.0).unwrap();
         let r = net.max_flow(s, t);
         assert!((r.value - 4.0).abs() < 1e-9);
     }
@@ -1247,7 +1218,6 @@ mod tests {
             Err(FlowError::InvalidCapacity { .. })
         ));
         net.set_capacity(EdgeId(0), 7.5).unwrap();
-        assert_eq!(net.capacity(EdgeId(0)).unwrap(), 7.5);
         assert_eq!(net.edge(EdgeId(0)).unwrap().capacity, 7.5);
     }
 
@@ -1367,7 +1337,7 @@ mod tests {
         // Re-assert the capacities the edges already have: the zero-delta
         // short-circuit must skip the writes entirely...
         for id in 0..net.edge_count() {
-            let cap = net.capacity(EdgeId(id)).unwrap();
+            let cap = net.edge(EdgeId(id)).unwrap().capacity;
             net.set_capacity(EdgeId(id), cap).unwrap();
         }
         // ...and a warm re-solve of an already-maximum flow finds no
@@ -1394,7 +1364,7 @@ mod tests {
             .unwrap();
         net.discard_undo_log();
         assert!(!net.writes.journal.active);
-        assert_eq!(net.capacity(EdgeId(1)).unwrap(), 5.0);
+        assert_eq!(net.edge(EdgeId(1)).unwrap().capacity, 5.0);
         let after = net
             .resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
@@ -1468,7 +1438,7 @@ mod tests {
         net.rollback_undo_log();
         assert_eq!(net.max_capacity(), folded_max(&net));
         assert_eq!(net.max_capacity(), 4.0);
-        net.add_edge(s, t, 30.0);
+        net.add_edge(s, t, 30.0).unwrap();
         assert_eq!(net.max_capacity(), 30.0);
     }
 
@@ -1510,9 +1480,9 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        let sa = net.add_edge(s, a, 4.0);
-        let ab = net.add_edge(a, b, 4.0);
-        net.add_edge(b, t, 4.0);
+        let sa = net.add_edge(s, a, 4.0).unwrap();
+        let ab = net.add_edge(a, b, 4.0).unwrap();
+        net.add_edge(b, t, 4.0).unwrap();
         net.resolve_from_residual(s, t, MaxFlowAlgorithm::Dinic)
             .unwrap();
         net.begin_undo_log();

@@ -24,17 +24,27 @@
 //!
 //! # Example
 //!
+//! Building a network is fallible: [`FlowNetwork::add_edge`] returns a
+//! [`FlowError`] for an unknown endpoint or a negative or NaN capacity.
+//! Solving is not, for endpoints the caller built:
+//! [`FlowNetwork::max_flow_with`] panics only if `source == sink` or an
+//! endpoint is not in the network (its `# Panics`), because its callers and
+//! the benchmark harness read the [`FlowResult`] directly.
+//!
 //! ```rust
 //! use helix_maxflow::FlowNetwork;
 //!
+//! # fn main() -> Result<(), helix_maxflow::FlowError> {
 //! let mut net = FlowNetwork::new();
 //! let s = net.add_node("source");
 //! let a = net.add_node("a");
 //! let t = net.add_node("sink");
-//! net.add_edge(s, a, 10.0);
-//! net.add_edge(a, t, 5.0);
+//! net.add_edge(s, a, 10.0)?;
+//! net.add_edge(a, t, 5.0)?;
 //! let result = net.max_flow(s, t);
 //! assert_eq!(result.value, 5.0);
+//! # Ok(())
+//! # }
 //! ```
 
 #![cfg_attr(

@@ -16,13 +16,6 @@ pub struct MinCut {
     pub cut_edges: Vec<EdgeId>,
 }
 
-impl MinCut {
-    /// Whether `node` lies on the source side of the cut.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.source_side.contains(&node)
-    }
-}
-
 /// Computes a minimum s-t cut from a previously computed maximum flow.
 ///
 /// `flow` must be the [`FlowResult`] returned by a max-flow run on the same
@@ -39,8 +32,8 @@ impl MinCut {
 /// let s = net.add_node("s");
 /// let a = net.add_node("a");
 /// let t = net.add_node("t");
-/// net.add_edge(s, a, 10.0);
-/// let bottleneck = net.add_edge(a, t, 4.0);
+/// net.add_edge(s, a, 10.0).unwrap();
+/// let bottleneck = net.add_edge(a, t, 4.0).unwrap();
 /// let flow = net.max_flow(s, t);
 /// let cut = min_cut(&net, &flow, s, t);
 /// assert_eq!(cut.cut_edges, vec![bottleneck]);
@@ -105,16 +98,16 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 3.0);
-        net.add_edge(s, b, 5.0);
-        net.add_edge(a, t, 4.0);
-        net.add_edge(b, t, 2.0);
-        net.add_edge(a, b, 1.0);
+        net.add_edge(s, a, 3.0).unwrap();
+        net.add_edge(s, b, 5.0).unwrap();
+        net.add_edge(a, t, 4.0).unwrap();
+        net.add_edge(b, t, 2.0).unwrap();
+        net.add_edge(a, b, 1.0).unwrap();
         let flow = net.max_flow(s, t);
         let cut = min_cut(&net, &flow, s, t);
         assert!((cut.capacity - flow.value).abs() < 1e-9);
-        assert!(cut.contains(s));
-        assert!(!cut.contains(t));
+        assert!(cut.source_side.contains(&s));
+        assert!(!cut.source_side.contains(&t));
     }
 
     #[test]
@@ -124,9 +117,9 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 100.0);
-        let narrow = net.add_edge(a, b, 2.5);
-        net.add_edge(b, t, 100.0);
+        net.add_edge(s, a, 100.0).unwrap();
+        let narrow = net.add_edge(a, b, 2.5).unwrap();
+        net.add_edge(b, t, 100.0).unwrap();
         let flow = net.max_flow(s, t);
         let cut = min_cut(&net, &flow, s, t);
         assert_eq!(cut.cut_edges, vec![narrow]);

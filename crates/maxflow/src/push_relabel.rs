@@ -319,7 +319,7 @@ mod tests {
                 1 => rng.gen_range(1e5..1e8),
                 _ => rng.gen_range(0.01..1e3),
             };
-            net.add_edge(a, b, cap);
+            net.add_edge(a, b, cap).unwrap();
         }
         net
     }
@@ -355,7 +355,7 @@ mod tests {
                 .unwrap();
             for e in 0..net.edge_count() {
                 if rng.gen_bool(0.3) {
-                    let cap = net.capacity(EdgeId(e)).unwrap();
+                    let cap = net.edge(EdgeId(e)).unwrap().capacity;
                     net.set_capacity(EdgeId(e), cap * 1.5 + 1.0).unwrap();
                 }
             }
@@ -370,11 +370,11 @@ mod tests {
         let mids: Vec<_> = (0..6).map(|i| net.add_node(format!("m{i}"))).collect();
         let t = net.add_node("t");
         for (i, &m) in mids.iter().enumerate() {
-            net.add_edge(s, m, (i + 1) as f64);
-            net.add_edge(m, t, (6 - i) as f64);
+            net.add_edge(s, m, (i + 1) as f64).unwrap();
+            net.add_edge(m, t, (6 - i) as f64).unwrap();
         }
         for w in mids.windows(2) {
-            net.add_edge(w[0], w[1], 2.5);
+            net.add_edge(w[0], w[1], 2.5).unwrap();
         }
         let pr = net.max_flow_with(s, t, MaxFlowAlgorithm::PushRelabel);
         let di = net.max_flow_with(s, t, MaxFlowAlgorithm::Dinic);
@@ -388,8 +388,8 @@ mod tests {
         let s = net.add_node("s");
         let a = net.add_node("a");
         let t = net.add_node("t");
-        net.add_edge(s, a, 0.3);
-        net.add_edge(a, t, 0.7);
+        net.add_edge(s, a, 0.3).unwrap();
+        net.add_edge(a, t, 0.7).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::PushRelabel);
         assert!((r.value - 0.3).abs() < 1e-9);
     }
@@ -402,9 +402,9 @@ mod tests {
         let a = net.add_node("a");
         let b = net.add_node("b");
         let t = net.add_node("t");
-        net.add_edge(s, a, 1000.0);
-        net.add_edge(a, b, 1.5);
-        net.add_edge(b, t, 1000.0);
+        net.add_edge(s, a, 1000.0).unwrap();
+        net.add_edge(a, b, 1.5).unwrap();
+        net.add_edge(b, t, 1000.0).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::PushRelabel);
         assert!((r.value - 1.5).abs() < 1e-9);
     }
@@ -417,9 +417,9 @@ mod tests {
         let a = net.add_node("a");
         let dead = net.add_node("dead");
         let t = net.add_node("t");
-        net.add_edge(s, a, 10.0);
-        net.add_edge(a, dead, 8.0);
-        net.add_edge(a, t, 2.0);
+        net.add_edge(s, a, 10.0).unwrap();
+        net.add_edge(a, dead, 8.0).unwrap();
+        net.add_edge(a, t, 2.0).unwrap();
         let r = net.max_flow_with(s, t, MaxFlowAlgorithm::PushRelabel);
         assert!((r.value - 2.0).abs() < 1e-9);
         net.validate_flow(&r.edge_flows, s, t).unwrap();
@@ -435,10 +435,12 @@ mod tests {
         for r in 0..6 {
             for c in 0..6 {
                 if c + 1 < 6 {
-                    net.add_edge(nodes[r][c], nodes[r][c + 1], ((r + c) % 3 + 1) as f64);
+                    net.add_edge(nodes[r][c], nodes[r][c + 1], ((r + c) % 3 + 1) as f64)
+                        .unwrap();
                 }
                 if r + 1 < 6 {
-                    net.add_edge(nodes[r][c], nodes[r + 1][c], ((r * c) % 4 + 1) as f64);
+                    net.add_edge(nodes[r][c], nodes[r + 1][c], ((r * c) % 4 + 1) as f64)
+                        .unwrap();
                 }
             }
         }

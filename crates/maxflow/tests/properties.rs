@@ -12,7 +12,7 @@ fn build(n: usize, edges: &[(usize, usize, f64)]) -> (FlowNetwork, NodeId, NodeI
         let from = ids[a % n];
         let to = ids[b % n];
         if from != to {
-            net.add_edge(from, to, c);
+            net.add_edge(from, to, c).unwrap();
         }
     }
     (net, ids[0], ids[n - 1])

@@ -141,30 +141,6 @@ impl MilpSolver {
         }
     }
 
-    /// Sets the wall-clock budget and returns `self` for chaining.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.options.time_limit = limit;
-        self
-    }
-
-    /// Sets the warm-start assignment and returns `self` for chaining.
-    pub fn warm_start(mut self, assignment: Vec<f64>) -> Self {
-        self.options.warm_start = Some(assignment);
-        self
-    }
-
-    /// Sets the early-stop objective and returns `self` for chaining.
-    pub fn early_stop_objective(mut self, objective: f64) -> Self {
-        self.options.early_stop_objective = Some(objective);
-        self
-    }
-
-    /// Enables event recording and returns `self` for chaining.
-    pub fn record_events(mut self) -> Self {
-        self.options.record_events = true;
-        self
-    }
-
     /// Timeline of incumbent/bound improvements from the most recent
     /// [`MilpSolver::solve`] call (empty unless event recording was enabled).
     pub fn events(&self) -> &[BranchEvent] {
@@ -468,7 +444,10 @@ mod tests {
             .map(|(i, &v)| (v, 2.0 + (i % 3) as f64))
             .collect();
         m.add_constraint("w", weights, Sense::Le, 11.5).unwrap();
-        let mut solver = MilpSolver::new().record_events();
+        let mut solver = MilpSolver::with_options(MilpOptions {
+            record_events: true,
+            ..Default::default()
+        });
         let r = solver.solve(&m).unwrap();
         let nodes = solver.nodes();
         assert_eq!(nodes.len() as u64, r.nodes_explored);
@@ -503,7 +482,7 @@ mod tests {
         assert_eq!(r.values[x2.index()].round(), 1.0);
         assert_eq!(r.values[x3.index()].round(), 1.0);
         assert_eq!(r.status, SolveStatus::Optimal);
-        assert!(r.gap() < 1e-6);
+        assert!((r.best_bound - r.objective).abs() < 1e-6);
     }
 
     #[test]
@@ -549,7 +528,11 @@ mod tests {
         let y = m.add_binary("y", 1.0).unwrap();
         m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0)
             .unwrap();
-        let mut solver = MilpSolver::new().warm_start(vec![1.0, 0.0]).record_events();
+        let mut solver = MilpSolver::with_options(MilpOptions {
+            warm_start: Some(vec![1.0, 0.0]),
+            record_events: true,
+            ..Default::default()
+        });
         let r = solver.solve(&m).unwrap();
         assert_eq!(r.objective.round(), 1.0);
         assert!(!solver.events().is_empty());
@@ -564,10 +547,12 @@ mod tests {
         m.add_constraint("c", [(x, 1.0), (y, 1.0)], Sense::Le, 1.0)
             .unwrap();
         // Warm start violates the constraint.
-        let r = MilpSolver::new()
-            .warm_start(vec![1.0, 1.0])
-            .solve(&m)
-            .unwrap();
+        let r = MilpSolver::with_options(MilpOptions {
+            warm_start: Some(vec![1.0, 1.0]),
+            ..Default::default()
+        })
+        .solve(&m)
+        .unwrap();
         assert_eq!(r.objective.round(), 3.0);
     }
 
@@ -580,7 +565,10 @@ mod tests {
             .collect();
         let weights: Vec<_> = vars.iter().map(|&v| (v, 5.0)).collect();
         m.add_constraint("w", weights, Sense::Le, 30.0).unwrap();
-        let mut solver = MilpSolver::new().early_stop_objective(50.0);
+        let mut solver = MilpSolver::with_options(MilpOptions {
+            early_stop_objective: Some(50.0),
+            ..Default::default()
+        });
         let r = solver.solve(&m).unwrap();
         assert!(r.objective >= 50.0);
     }

@@ -33,7 +33,7 @@ impl fmt::Display for VarId {
 /// let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
 /// let y = m.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0).unwrap();
 /// let expr = LinExpr::term(x, 2.0) + LinExpr::term(y, 3.0) - 1.0;
-/// assert_eq!(expr.coefficient(x), 2.0);
+/// assert_eq!(expr.iter().collect::<Vec<_>>(), [(x, 2.0), (y, 3.0)]);
 /// assert_eq!(expr.constant(), -1.0);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -79,11 +79,6 @@ impl LinExpr {
         self
     }
 
-    /// Coefficient of `var` (0 if absent).
-    pub fn coefficient(&self, var: VarId) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
-    }
-
     /// The constant offset of the expression.
     pub fn constant(&self) -> f64 {
         self.constant
@@ -92,16 +87,6 @@ impl LinExpr {
     /// Iterates over `(variable, coefficient)` terms in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         self.terms.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Number of non-zero terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Whether the expression has no variable terms.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// Evaluates the expression for an assignment indexed by
@@ -222,6 +207,11 @@ impl Neg for LinExpr {
 mod tests {
     use super::*;
 
+    /// Coefficient of `var` in `e` (0 if absent).
+    fn coefficient(e: &LinExpr, var: VarId) -> f64 {
+        e.terms.get(&var).copied().unwrap_or(0.0)
+    }
+
     #[test]
     fn building_and_merging_terms() {
         let x = VarId(0);
@@ -231,11 +221,11 @@ mod tests {
             .add_term(y, 1.0)
             .add_term(x, 3.0)
             .add_constant(4.0);
-        assert_eq!(e.coefficient(x), 5.0);
-        assert_eq!(e.coefficient(y), 1.0);
+        assert_eq!(coefficient(&e, x), 5.0);
+        assert_eq!(coefficient(&e, y), 1.0);
         assert_eq!(e.constant(), 4.0);
-        assert_eq!(e.len(), 2);
-        assert!(!e.is_empty());
+        assert_eq!(e.terms.len(), 2);
+        assert!(!e.terms.is_empty());
     }
 
     #[test]
@@ -243,8 +233,8 @@ mod tests {
         let x = VarId(0);
         let mut e = LinExpr::term(x, 2.0);
         e.add_term(x, -2.0);
-        assert!(e.is_empty());
-        assert_eq!(e.coefficient(x), 0.0);
+        assert!(e.terms.is_empty());
+        assert_eq!(coefficient(&e, x), 0.0);
     }
 
     #[test]
@@ -252,11 +242,11 @@ mod tests {
         let x = VarId(0);
         let y = VarId(1);
         let e = (LinExpr::term(x, 1.0) + LinExpr::term(y, 2.0)) * 3.0 - 1.5;
-        assert_eq!(e.coefficient(x), 3.0);
-        assert_eq!(e.coefficient(y), 6.0);
+        assert_eq!(coefficient(&e, x), 3.0);
+        assert_eq!(coefficient(&e, y), 6.0);
         assert_eq!(e.constant(), -1.5);
         let neg = -e;
-        assert_eq!(neg.coefficient(x), -3.0);
+        assert_eq!(coefficient(&neg, x), -3.0);
         assert_eq!(neg.constant(), 1.5);
     }
 
@@ -274,7 +264,7 @@ mod tests {
         let e: LinExpr = 3.5.into();
         assert_eq!(e.constant(), 3.5);
         let v: LinExpr = VarId(7).into();
-        assert_eq!(v.coefficient(VarId(7)), 1.0);
+        assert_eq!(coefficient(&v, VarId(7)), 1.0);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   its parent's basis.  The solver records an incumbent/bound timeline so
 //!   experiment harnesses can reproduce Fig. 12, and counts simplex
 //!   iterations ([`MilpResult::lp_iterations`]), a cost measure that repeats
-//!   exactly.
+//!   exactly.  All of its settings are one [`MilpOptions`] value, given to
+//!   [`MilpSolver::with_options`] ([`MilpSolver::new`] takes the defaults).
 //!
 //! The table is dense: a pivot costs rows × columns, which suits the
 //! relaxations Helix produces for small and medium clusters (the paper's

@@ -220,18 +220,6 @@ impl Model {
         &self.constraints
     }
 
-    /// Looks up a variable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MilpError::InvalidVariable`] for out-of-range ids.
-    pub fn variable(&self, var: VarId) -> Result<&Variable, MilpError> {
-        self.variables.get(var.0).ok_or(MilpError::InvalidVariable {
-            index: var.0,
-            len: self.variables.len(),
-        })
-    }
-
     /// The objective value of an assignment (indexed by [`VarId::index`]).
     pub fn objective_value(&self, assignment: &[f64]) -> f64 {
         self.variables
@@ -284,8 +272,8 @@ mod tests {
             .unwrap();
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.variable(x).unwrap().name, "x");
-        assert_eq!(m.variable(y).unwrap().upper, 1.0);
+        assert_eq!(m.variables()[x.index()].name, "x");
+        assert_eq!(m.variables()[y.index()].upper, 1.0);
         assert_eq!(m.sense(), ObjectiveSense::Maximize);
     }
 

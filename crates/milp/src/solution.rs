@@ -35,35 +35,3 @@ pub struct MilpResult {
     /// Wall-clock time spent solving, in seconds.
     pub solve_seconds: f64,
 }
-
-impl MilpResult {
-    /// Relative optimality gap `|bound - objective| / max(1, |objective|)`.
-    pub fn gap(&self) -> f64 {
-        (self.best_bound - self.objective).abs() / self.objective.abs().max(1.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gap_is_relative() {
-        let r = MilpResult {
-            objective: 100.0,
-            values: vec![],
-            status: SolveStatus::Feasible,
-            best_bound: 110.0,
-            nodes_explored: 5,
-            lp_iterations: 40,
-            solve_seconds: 0.1,
-        };
-        assert!((r.gap() - 0.1).abs() < 1e-12);
-        let tiny = MilpResult {
-            objective: 0.5,
-            best_bound: 0.6,
-            ..r
-        };
-        assert!((tiny.gap() - 0.1).abs() < 1e-12);
-    }
-}

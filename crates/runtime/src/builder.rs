@@ -43,7 +43,6 @@ pub struct ServingBuilder {
     topology: Option<Topology>,
     fleet: Option<FleetTopology>,
     schedulers: Vec<Box<dyn Scheduler>>,
-    fleet_schedulers: Option<FleetScheduler>,
     policy: Option<ReplanPolicy>,
     config: Option<RuntimeConfig>,
 }
@@ -79,14 +78,6 @@ impl ServingBuilder {
         self
     }
 
-    /// Supplies the whole per-model scheduler set at once (mutually
-    /// exclusive with [`scheduler`](Self::scheduler)).
-    #[must_use]
-    pub fn schedulers(mut self, schedulers: FleetScheduler) -> Self {
-        self.fleet_schedulers = Some(schedulers);
-        self
-    }
-
     /// Closes the online re-planning loop: workers are observed every
     /// `policy.check_interval_secs` of virtual time and the coordinator
     /// re-plans when measured speed factors fall below the threshold.
@@ -111,8 +102,7 @@ impl ServingBuilder {
     /// # Errors
     ///
     /// * [`RuntimeError::InvalidBuild`] when neither (or both) of
-    ///   `.topology(..)` / `.fleet(..)` were given, or both scheduler forms
-    ///   were used.
+    ///   `.topology(..)` / `.fleet(..)` were given.
     /// * [`RuntimeError::Scheduling`] when a placement is invalid for its
     ///   profile, a default scheduler cannot be derived, or the scheduler
     ///   count does not match the fleet's model count
@@ -133,17 +123,12 @@ impl ServingBuilder {
                 ))
             }
         };
-        let schedulers = match (self.schedulers.is_empty(), self.fleet_schedulers) {
-            (false, Some(_)) => {
-                return Err(RuntimeError::InvalidBuild(
-                    ".scheduler(..) and .schedulers(..) are mutually exclusive",
-                ))
-            }
-            (false, None) => self.schedulers,
-            (true, Some(fleet_schedulers)) => fleet_schedulers.into_parts(),
-            (true, None) => FleetScheduler::iwrr(&fleet)
+        let schedulers = if self.schedulers.is_empty() {
+            FleetScheduler::iwrr(&fleet)
                 .map_err(RuntimeError::Scheduling)?
-                .into_parts(),
+                .into_parts()
+        } else {
+            self.schedulers
         };
         let config = self.config.unwrap_or_default();
         ServingSession::start(fleet, schedulers, config, self.policy)

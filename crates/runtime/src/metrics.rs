@@ -35,7 +35,7 @@ pub struct RequestOutcome {
 
 impl RequestOutcome {
     /// Prompt latency: arrival to first token (the paper's "prompt latency").
-    pub fn prompt_latency(&self) -> f64 {
+    fn prompt_latency(&self) -> f64 {
         (self.first_token_at - self.arrival).max(0.0)
     }
 
@@ -229,17 +229,6 @@ impl RuntimeReport {
         LatencyStats::from_samples(&samples)
     }
 
-    /// Per-token decode latency summary of one model's requests.
-    pub fn decode_latency_for(&self, model: ModelId) -> LatencyStats {
-        let samples: Vec<f64> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.model == model)
-            .map(RequestOutcome::decode_latency_per_token)
-            .collect();
-        LatencyStats::from_samples(&samples)
-    }
-
     /// The `n` links with the largest mean queueing delay.
     pub fn most_congested_links(&self, n: usize) -> Vec<LinkReport> {
         let mut links = self.links.clone();
@@ -334,7 +323,6 @@ mod tests {
         assert_eq!(report.decode_tokens_for(ModelId(0)), 50);
         assert!((report.decode_throughput_for(ModelId(0)) - 5.0).abs() < 1e-9);
         assert!(report.prompt_latency_for(ModelId(1)).mean > 0.0);
-        assert_eq!(report.decode_latency_for(ModelId(7)).count, 0);
         let worst = report.most_congested_links(1);
         assert_eq!(worst.len(), 1);
         assert_eq!(worst[0].from, Some(NodeId(0)));

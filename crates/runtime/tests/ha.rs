@@ -170,11 +170,16 @@ fn infeasible_replan_still_evicts_failed_node_from_prefix_routers() {
     let placement = FleetPlacement::new(vec![doubled, sole]);
     placement.validate(&profiles).unwrap();
     let fleet = FleetTopology::plan(&profiles, &placement, true).unwrap();
-    let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
+    let builder = FleetScheduler::iwrr(&fleet)
+        .unwrap()
+        .into_parts()
+        .into_iter()
+        .fold(
+            ServingBuilder::new().fleet(&fleet),
+            ServingBuilder::scheduler,
+        );
 
-    let mut session: ServingSession = ServingBuilder::new()
-        .fleet(&fleet)
-        .schedulers(schedulers)
+    let mut session: ServingSession = builder
         .config(RuntimeConfig {
             wall_per_virtual: 0.0005,
             max_wall: Duration::from_secs(10),

@@ -106,7 +106,6 @@ fn every_request_completes_and_latencies_are_ordered() {
         assert!(outcome.first_token_at >= outcome.arrival);
         assert!(outcome.completed_at >= outcome.first_token_at);
         assert!(outcome.pipeline_depth >= 1);
-        assert!(outcome.prompt_latency() >= 0.0);
     }
     // Every pipeline ends at a node holding the last layer, so some node
     // processed decode tokens and some prompt tokens.
@@ -421,16 +420,6 @@ fn builder_validates_instead_of_panicking() {
         .build()
         .unwrap_err();
     assert!(matches!(err, RuntimeError::InvalidBuild(_)), "got {err}");
-
-    // Both scheduler forms.
-    let err = ServingBuilder::new()
-        .topology(&topology)
-        .scheduler(Box::new(IwrrScheduler::from_topology(&topology).unwrap()))
-        .schedulers(helix_core::FleetScheduler::iwrr(&fleet).unwrap())
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, RuntimeError::InvalidBuild(_)), "got {err}");
-    assert!(err.to_string().contains("mutually exclusive"));
 }
 
 #[test]

@@ -37,7 +37,7 @@ pub struct IntervalMetrics {
 
 impl IntervalMetrics {
     /// Window length in seconds.
-    pub fn duration(&self) -> f64 {
+    fn duration(&self) -> f64 {
         (self.end - self.start).max(0.0)
     }
 

@@ -3,7 +3,7 @@
 use crate::request::Request;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rand_distr::{Distribution, Exp};
+use rand_distr::{Distribution, Exp1};
 
 /// How request arrival times are assigned (paper §6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,7 +13,8 @@ pub enum ArrivalPattern {
     Offline,
     /// Poisson arrivals at a constant rate (requests per second).
     Poisson {
-        /// Mean arrival rate in requests per second.
+        /// Mean arrival rate in requests per second.  A rate below `1e-9`
+        /// (or NaN) reads as `1e-9`; `+∞` puts every arrival at time zero.
         rate_per_sec: f64,
     },
     /// Diurnal arrivals: a Poisson process whose rate follows a sinusoidal
@@ -64,10 +65,11 @@ impl ArrivalPattern {
             }
             ArrivalPattern::Poisson { rate_per_sec } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let exp = Exp::new(rate_per_sec.max(1e-9)).expect("rate is positive");
+                let rate = rate_per_sec.max(1e-9);
                 let mut t = 0.0;
                 for r in requests.iter_mut() {
-                    t += exp.sample(&mut rng);
+                    let gap: f64 = Exp1.sample(&mut rng);
+                    t += gap / rate;
                     r.arrival_time = t;
                 }
             }
@@ -80,14 +82,14 @@ impl ArrivalPattern {
                 // stepping one expected inter-arrival at a time at the local
                 // rate.
                 let mut rng = StdRng::seed_from_u64(seed);
-                let exp = Exp::new(1.0f64).expect("unit rate is positive");
                 let mut t = 0.0f64;
                 let amplitude = amplitude.clamp(0.0, 0.95);
                 for r in requests.iter_mut() {
                     let local_rate = mean_rate_per_sec
                         * (1.0 + amplitude * (2.0 * std::f64::consts::PI * t / period_secs).sin());
                     let local_rate = local_rate.max(mean_rate_per_sec * 0.05);
-                    t += exp.sample(&mut rng) / local_rate;
+                    let gap: f64 = Exp1.sample(&mut rng);
+                    t += gap / local_rate;
                     r.arrival_time = t;
                 }
             }

@@ -14,6 +14,15 @@
 //!   cluster's peak throughput, 75% in the paper).
 //! * [`TraceStatistics`] — the summaries plotted in Fig. 5 (length
 //!   distributions and arrival rate over time).
+//!
+//! Generation never panics: every configuration value and arrival rate maps
+//! into the domain a request has (see [`AzureTraceConfig`] and
+//! [`ArrivalPattern::Poisson`]).
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod arrival;
 mod azure;
@@ -84,30 +93,6 @@ impl Workload {
         Workload::new(requests)
     }
 
-    /// Splits the workload by model: entry `m` holds the requests tagged
-    /// `ModelId(m)` (ids preserved), for `num_models` models.
-    pub fn per_model(&self, num_models: usize) -> Vec<Workload> {
-        (0..num_models)
-            .map(|m| {
-                Workload::new(
-                    self.requests
-                        .iter()
-                        .filter(|r| r.model == ModelId(m))
-                        .copied()
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// The distinct models requests target, in id order.
-    pub fn models(&self) -> Vec<ModelId> {
-        let mut models: Vec<ModelId> = self.requests.iter().map(|r| r.model).collect();
-        models.sort();
-        models.dedup();
-        models
-    }
-
     /// Reassigns arrival times according to `pattern`.
     pub fn with_arrivals(mut self, pattern: ArrivalPattern, seed: u64) -> Self {
         pattern.assign(&mut self.requests, seed);
@@ -138,12 +123,6 @@ impl Workload {
     /// Iterates over the requests in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &Request> + '_ {
         self.requests.iter()
-    }
-
-    /// Keeps only the first `n` requests (by arrival order).
-    pub fn take(mut self, n: usize) -> Self {
-        self.requests.truncate(n);
-        self
     }
 
     /// Tags a deterministic fraction of requests with shared prompt
@@ -269,6 +248,36 @@ impl TraceStatistics {
 mod tests {
     use super::*;
 
+    /// Inputs outside a request's domain map into it instead of panicking:
+    /// a zero or NaN mean length, a zero cap and an infinite arrival rate.
+    #[test]
+    fn out_of_domain_inputs_generate_requests_instead_of_panicking() {
+        let base = AzureTraceConfig::default();
+        let zero_mean = AzureTraceConfig {
+            mean_input_tokens: 0.0,
+            ..base
+        };
+        let nan_mean = AzureTraceConfig {
+            mean_output_tokens: f64::NAN,
+            ..base
+        };
+        let zero_cap = AzureTraceConfig {
+            max_output_tokens: 0,
+            ..base
+        };
+        for config in [zero_mean, nan_mean, zero_cap] {
+            let w = config.generate(4, 1);
+            assert_eq!(w.len(), 4);
+            assert!(w
+                .iter()
+                .all(|r| r.prompt_tokens >= 1 && r.output_tokens >= 1));
+        }
+        assert!(zero_cap.generate(4, 1).iter().all(|r| r.output_tokens == 1));
+        let w = Workload::azure_like(2, 1)
+            .with_arrivals(ArrivalPattern::constant_rate(f64::INFINITY), 2);
+        assert!(w.iter().all(|r| r.arrival_time == 0.0));
+    }
+
     #[test]
     fn azure_like_matches_published_statistics() {
         let w = Workload::azure_like(16_657, 1);
@@ -303,14 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn arrival_patterns_sort_and_truncate() {
+    fn arrival_patterns_sort() {
         let w = Workload::azure_like(500, 3).with_arrivals(ArrivalPattern::constant_rate(5.0), 9);
         let times: Vec<f64> = w.iter().map(|r| r.arrival_time).collect();
         assert!(times.windows(2).all(|p| p[0] <= p[1]));
         // Roughly 500 requests at 5 req/s -> about 100 seconds.
         assert!(*times.last().unwrap() > 50.0 && *times.last().unwrap() < 200.0);
-        let first = w.clone().take(10);
-        assert_eq!(first.len(), 10);
     }
 
     #[test]
@@ -334,21 +341,16 @@ mod tests {
                 .with_model(ModelId(1)),
         ]);
         assert_eq!(w.len(), 50);
-        assert_eq!(w.models(), vec![ModelId(0), ModelId(1)]);
+        let count = |m| w.iter().filter(|r| r.model == ModelId(m)).count();
+        assert_eq!((count(0), count(1)), (30, 20));
         // Ids are globally unique.
         let mut ids: Vec<RequestId> = w.iter().map(|r| r.id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 50);
-        let per_model = w.per_model(2);
-        assert_eq!(per_model[0].len(), 30);
-        assert_eq!(per_model[1].len(), 20);
-        assert!(per_model[0].iter().all(|r| r.model == ModelId(0)));
-        assert!(per_model[1].iter().all(|r| r.model == ModelId(1)));
         // Tagging is total.
         let tagged = Workload::azure_like(10, 1).with_model(ModelId(3));
         assert!(tagged.iter().all(|r| r.model == ModelId(3)));
-        assert_eq!(tagged.models(), vec![ModelId(3)]);
         // Merging preserves arrival ordering.
         let merged = Workload::merge(vec![
             Workload::azure_like(5, 2).with_arrivals(ArrivalPattern::constant_rate(1.0), 3),

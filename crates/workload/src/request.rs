@@ -14,12 +14,7 @@ pub type RequestId = u64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TicketId(pub RequestId);
 
-impl TicketId {
-    /// The submitted request's id.
-    pub fn request(&self) -> RequestId {
-        self.0
-    }
-}
+impl TicketId {}
 
 pub use helix_cluster::PrefixId;
 

@@ -223,10 +223,6 @@ mod tests {
         assert_eq!(arrivals, vec![0.5, 1.0, 2.0]);
         let models: Vec<ModelId> = w.iter().map(|r| r.model).collect();
         assert_eq!(models, vec![ModelId(0), ModelId(1), ModelId(0)]);
-        assert_eq!(w.models(), vec![ModelId(0), ModelId(1)]);
-        let per_model = w.per_model(2);
-        assert_eq!(per_model[0].len(), 2);
-        assert_eq!(per_model[1].len(), 1);
     }
 
     #[test]

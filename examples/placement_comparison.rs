@@ -82,10 +82,13 @@ fn main() {
         println!("\nrunning the exact MILP planner on the 10-node study cluster…");
         let small =
             ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
-        let mut planner = MilpPlacementPlanner::new(&small)
-            .prune_to_degree(6)
-            .time_limit(Duration::from_secs(60))
-            .record_events();
+        let options = PlannerOptions {
+            prune_degree: Some(6),
+            time_limit: Duration::from_secs(60),
+            record_events: true,
+            ..Default::default()
+        };
+        let mut planner = MilpPlacementPlanner::with_options(&small, options);
         match planner.solve() {
             Ok((placement, report)) => {
                 println!(

@@ -105,13 +105,6 @@ pub struct MultiRegionReport<R> {
     pub stats: FrontTierStats,
 }
 
-impl<R> MultiRegionReport<R> {
-    /// The report of `region`, if it was part of the session.
-    pub fn region(&self, region: Region) -> Option<&RegionReport<R>> {
-        self.regions.iter().find(|r| r.region == region)
-    }
-}
-
 impl<R: ReportTotals> MultiRegionReport<R> {
     /// Completed requests summed over all regions.
     pub fn completed_requests(&self) -> u64 {
@@ -149,7 +142,8 @@ struct RegionSlot<F> {
 ///
 /// Owns one backing session per region and a [`RegionRing`] over the
 /// regions that are up.  Submissions are buffered per region and forwarded
-/// at [`drain`](Self::drain) — the same buffer-then-drain shape as
+/// when the session drains ([`ServingFrontEnd::drain`], or
+/// [`finish`](Self::finish)) — the same buffer-then-drain shape as
 /// [`SimSession`](helix_sim::SimSession) — so a region marked down mid-run
 /// loses nothing: its buffer spills to the survivors.
 ///
@@ -268,7 +262,7 @@ impl<F: ServingFrontEnd> MultiRegionSession<F> {
 
     /// Forwards every buffered request to its region and drains all
     /// regions.
-    pub fn drain(&mut self) -> Result<(), F::Error> {
+    fn drain(&mut self) -> Result<(), F::Error> {
         for slot in &mut self.slots {
             for request in slot.pending.drain(..) {
                 slot.front.submit(request);
@@ -538,6 +532,15 @@ mod tests {
         for region in &report.regions {
             assert_eq!(region.submitted as usize, region.report.len());
         }
-        assert_eq!(report.region(Region(1)).unwrap().report.len(), 0);
+        assert_eq!(
+            report
+                .regions
+                .iter()
+                .find(|r| r.region == Region(1))
+                .unwrap()
+                .report
+                .len(),
+            0
+        );
     }
 }

@@ -2,6 +2,7 @@
 //! profile → placement planning → max-flow → IWRR scheduling → simulation.
 
 use helix::prelude::*;
+use helix_core::scheduling::iwrr::above_high_water;
 
 /// A small fast workload for integration tests (short prompts/outputs so the
 /// debug-mode simulator stays quick).
@@ -114,8 +115,11 @@ fn milp_planner_and_annealing_agree_on_a_tiny_cluster() {
     model.num_layers = 6;
     let profile = ClusterProfile::analytic(cluster, model);
 
-    let mut milp =
-        MilpPlacementPlanner::new(&profile).time_limit(std::time::Duration::from_secs(20));
+    let options = PlannerOptions {
+        time_limit: std::time::Duration::from_secs(20),
+        ..Default::default()
+    };
+    let mut milp = MilpPlacementPlanner::with_options(&profile, options);
     let (milp_placement, milp_report) = milp.solve().expect("milp solves the tiny cluster");
     milp_placement.validate(&profile).unwrap();
 
@@ -160,14 +164,16 @@ fn kv_cache_estimator_integrates_with_scheduling() {
     let profile = study_profile();
     let placement = heuristics::petals_placement(&profile).unwrap();
     let mut estimator = KvCacheEstimator::new(&profile, 232.0);
-    for (node, range) in placement.iter() {
-        estimator.set_capacity(node, profile.kv_capacity_tokens(node, range.len()));
-    }
-    // Simulate scheduling lots of requests onto one entry node until it trips
-    // the high-water mark.
-    let entry = placement.entry_nodes()[0];
+    // Simulate scheduling lots of requests onto one entry node until its
+    // estimate trips the high-water mark over the node's capacity, as IWRR
+    // masks it.
+    let entry = placement.iter().find(|(_, r)| r.start == 0).unwrap().0;
+    let capacity = profile.kv_capacity_tokens(entry, placement.range(entry).unwrap().len());
+    let masked = |estimator: &KvCacheEstimator| {
+        above_high_water(estimator.estimated_tokens(entry), capacity)
+    };
     let mut scheduled = 0u64;
-    while !estimator.is_above_high_water(entry) {
+    while !masked(&estimator) {
         estimator.on_scheduled(entry, scheduled, 512);
         scheduled += 1;
         assert!(scheduled < 1_000_000, "capacity should be finite");
@@ -177,5 +183,5 @@ fn kv_cache_estimator_integrates_with_scheduling() {
     for id in 0..scheduled {
         estimator.on_finished(entry, id, 64);
     }
-    assert!(!estimator.is_above_high_water(entry));
+    assert!(!masked(&estimator));
 }

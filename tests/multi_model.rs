@@ -78,10 +78,14 @@ fn two_model_mixed_workload_serves_in_the_simulator() {
 #[test]
 fn two_model_mixed_workload_serves_in_the_runtime() {
     let (_, fleet) = planned_fleet();
-    let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
-    let session = helix_runtime::ServingBuilder::new()
-        .fleet(&fleet)
-        .schedulers(schedulers)
+    let session = FleetScheduler::iwrr(&fleet)
+        .unwrap()
+        .into_parts()
+        .into_iter()
+        .fold(
+            helix_runtime::ServingBuilder::new().fleet(&fleet),
+            helix_runtime::ServingBuilder::scheduler,
+        )
         .config(helix_runtime::RuntimeConfig::fast_test())
         .build()
         .unwrap();
@@ -119,7 +123,8 @@ fn jsonl_traces_with_model_mixes_replay_through_the_simulator() {
     }
     let workload = helix_workload::Workload::from_jsonl_str(&lines).unwrap();
     assert_eq!(workload.len(), 30);
-    assert_eq!(workload.models().len(), 2);
+    let models: std::collections::BTreeSet<ModelId> = workload.iter().map(|r| r.model).collect();
+    assert_eq!(models.len(), 2);
     let schedulers = FleetScheduler::iwrr(&fleet).unwrap();
     let sim = ClusterSimulator::new_fleet(&fleet, schedulers);
     let config = SimulationConfig::online(120.0).with_warmup(0.0);

@@ -28,7 +28,9 @@ fn fig2_max_flow_equals_serving_bottleneck() {
     let through_t42 = graph.node_flow(&flow, NodeId(2)).unwrap();
     assert!((through_t42 - flow.value).abs() < 1e-6);
     // The bottleneck (min cut) capacity matches, certifying optimality.
-    let cut = graph.bottleneck(&flow);
+    let network = graph.network();
+    let node = |name| network.node_by_name(name).unwrap();
+    let cut = helix_maxflow::min_cut(network, &flow, node("source"), node("sink"));
     assert!((cut.capacity - flow.value).abs() < 1e-6);
 }
 
@@ -99,8 +101,11 @@ fn cluster_pruning_shrinks_the_milp_without_losing_much_throughput() {
     let profile =
         ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama2_70b());
     let full_size = MilpPlacementPlanner::new(&profile).problem_size().unwrap();
-    let pruned_size = MilpPlacementPlanner::new(&profile)
-        .prune_to_degree(12)
+    let pruned = PlannerOptions {
+        prune_degree: Some(12),
+        ..Default::default()
+    };
+    let pruned_size = MilpPlacementPlanner::with_options(&profile, pruned)
         .problem_size()
         .unwrap();
     assert!(pruned_size.0 < full_size.0 && pruned_size.1 < full_size.1);
