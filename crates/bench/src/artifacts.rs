@@ -351,6 +351,17 @@ fn table8_problem_size(run: Run) -> Result<ExperimentReport, BenchError> {
     Ok(run.fixed_report("Table 8", json!({ "rows": rows })))
 }
 
+/// The branch-and-bound node budget of the MILP solves of Fig. 11b and
+/// Fig. 12.  A quick run explores the first tenth of the full run's nodes —
+/// the same search order, so the incumbent is still the heuristic warm
+/// start and the bound stays far above it — at a tenth of the cost.
+fn milp_node_limit(scale: ExperimentScale) -> u64 {
+    match scale {
+        ExperimentScale::Quick => 10_000,
+        ExperimentScale::Full => PlannerOptions::default().node_limit,
+    }
+}
+
 /// Figure 12: quality of the best incumbent and best bound found by the
 /// MILP solver as a function of solving time, for LLaMA 30B on a 4×L4 +
 /// 6×T4 cluster.  High-quality solutions appear early; proving optimality
@@ -373,6 +384,7 @@ fn fig12_solver_quality(run: Run) -> Result<ExperimentReport, BenchError> {
     let options = PlannerOptions {
         prune_degree: Some(6),
         time_limit: budget,
+        node_limit: milp_node_limit(run.scale),
         early_stop_fraction: None,
         record_events: true,
         ..Default::default()
@@ -483,6 +495,7 @@ fn fig11_ablation(run: Run) -> Result<ExperimentReport, BenchError> {
             prune_degree: Some(6),
             warm_start_from_heuristics: warm,
             time_limit: budget,
+            node_limit: milp_node_limit(scale),
             ..Default::default()
         };
         let mut planner = MilpPlacementPlanner::with_options(&profile, options);

@@ -21,8 +21,13 @@
 //! * **Fail-over** ([`Actuator::fail_over`]): the rows fail, the stranded
 //!   requests are purged and their lanes closed, and the removal re-plan is
 //!   handed over.
-//! * **Dispatch** ([`Actuator::dispatch`]): an admitted request's lane opens
-//!   and its prefill leaves for the first stage.
+//! * **Observation and manual re-plans** ([`Actuator::observe`],
+//!   [`Actuator::replan`]): the rows' counters go to
+//!   [`ControlPlane::observe`], or a placement delta to
+//!   [`ControlPlane::replan`], and what either applies is handed over.
+//! * **Dispatch** ([`Actuator::dispatch`]): an admitted request's lane opens,
+//!   a promoted request's replicated tokens are seeded on every stage, and
+//!   its prefill leaves for the first stage.
 //! * **Token step** ([`Actuator::token`]): an iteration's token reaches the
 //!   coordinator; the request finishes, or its replica chunks ship, its
 //!   standbys seed the durable tokens and its next decode hop leaves.
@@ -35,22 +40,26 @@
 //!
 //! A [`Wire`]: how a transfer is priced, how a hop travels, how a hand-over's
 //! arrival and a batch's completion are signalled and what a coordinator →
-//! row call costs.  The simulator's wire is its link table and event queue,
-//! the runtime's its fabric.  Every action makes its wire calls in one fixed
-//! order — the simulator's heap breaks ties by push order, so that order is
-//! part of the modelled results.  Each surface keeps its loop and clock, its
-//! rule for *when* a row starts a batch (the simulator's on every arrival,
-//! the runtime's once nothing more is due), its `ClusterState` view, its
-//! admission cap or KV estimators, and its metrics.
+//! row call costs.  Both surfaces supply the one [`LinkWire`] over their
+//! cluster's links and event queue; they differ only in whether a call is
+//! priced (the runtime's is a message, the simulator's is free).  Every
+//! action makes its wire calls in one fixed order — the simulator's heap
+//! breaks ties by push order, so that order is part of the modelled results.
+//! Each surface keeps its loop and clock, its rule for *when* a row starts a
+//! batch (the simulator's on every arrival, the runtime's once nothing more
+//! is due), its `ClusterState` view, its admission cap or KV estimators, the
+//! simulator its shared-prefix hold at admission, and its metrics.
+//!
+//! [`LinkWire`]: crate::link::LinkWire
 
 use crate::control::{ControlPlane, Dispatch, InFlight, TokenProgress};
 use crate::engine::NodeEngine;
 use crate::exec_model::ExecModel;
 use crate::fleet::FleetTopology;
 use crate::lane::{Hop, RequestTable};
-use crate::link::LinkKey;
+use crate::link::{LinkKey, RowKey};
 use crate::pair_table::PairTable;
-use crate::replan::{KvMigration, KvTransferRecord, ReplanOutcome, ReplanReason};
+use crate::replan::{KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanReason};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_workload::RequestId;
 use std::collections::{HashMap, HashSet};
@@ -67,15 +76,15 @@ pub trait Wire {
 
     /// A KV hand-over between `rows` arrives at `at`: both ends' freezes of
     /// the migrated range end then.
-    fn landed(&mut self, at: f64, rows: [(NodeId, ModelId); 2]);
+    fn landed(&mut self, at: f64, rows: [RowKey; 2]);
 
-    /// Prices one coordinator → row call on `node` at `now` (KV
-    /// bookkeeping: a release, a purge, a seed).
+    /// One coordinator → row call on `node` at `now` (KV bookkeeping: a
+    /// release, a purge, a seed); whether it costs a message is the wire's.
     fn call(&mut self, now: f64, node: NodeId);
 
     /// The batch `row` just started completes at `at`: queue its
     /// [`Actuator::complete`].
-    fn completes(&mut self, at: f64, row: (NodeId, ModelId));
+    fn completes(&mut self, at: f64, row: RowKey);
 }
 
 /// What one token reaching the coordinator did, for the surface's metrics.
@@ -235,6 +244,32 @@ impl Actuator {
         }
     }
 
+    /// One observation-window boundary at `now`: every row's cumulative
+    /// counters go to [`ControlPlane::observe`] (which keys them by node
+    /// and model, so the walk's order does not matter), and a re-plan its
+    /// policy applies is handed over.
+    pub fn observe(&mut self, control: &mut ControlPlane, wire: &mut impl Wire, now: f64) {
+        let rows = self.rows.iter();
+        let counters: Vec<_> = rows
+            .map(|(node, model, row)| (node, model, row.counters()))
+            .collect();
+        let outcome = control.observe(now, &counters);
+        self.hand_over(control, wire, outcome, now);
+    }
+
+    /// Re-plans the standing placement with `delta` at `now` — a manual
+    /// migration — and hands the outcome over.
+    pub fn replan(
+        &mut self,
+        control: &mut ControlPlane,
+        wire: &mut impl Wire,
+        delta: &PlacementDelta,
+        now: f64,
+    ) {
+        let outcome = control.replan(delta, None, ReplanReason::Manual, now);
+        self.hand_over(control, wire, outcome, now);
+    }
+
     /// Frees what one finished — or, with `purge`, aborted — incarnation
     /// holds on every row of its model, in node order, each a priced call at
     /// `now`.  A purge also drops its queued work.
@@ -288,11 +323,23 @@ impl Actuator {
 
     /// Opens the lane of the request in `slot` for the incarnation
     /// `dispatch` admitted and sends its prefill to the first stage at
-    /// `now`.
+    /// `now`.  A promoted request first re-seeds its replicated tokens on
+    /// every stage, one call each (the fail-over purge released them); a
+    /// promotion whose replicas received nothing seeds nothing.
     pub fn dispatch(&mut self, wire: &mut impl Wire, slot: u32, dispatch: &Dispatch, now: f64) {
         let Some(first) = dispatch.pipeline.stages.first() else {
             return;
         };
+        let resume = dispatch.resume_tokens.filter(|&tokens| tokens > 0);
+        if let (Some(tokens), Some(spec)) = (resume, self.requests.spec(slot)) {
+            let (request, model) = (spec.id, dispatch.pipeline.model);
+            for stage in &dispatch.pipeline.stages {
+                wire.call(now, stage.node);
+                if let Some(row) = self.rows.get_mut(stage.node, model) {
+                    row.kv.seed(request, tokens);
+                }
+            }
+        }
         let bytes = dispatch.prefill_tokens as f64 * TOKEN_WIRE_BYTES;
         let hop = self.requests.open(slot, dispatch);
         wire.send_hop(now, (None, Some(first.node)), bytes, hop);
@@ -547,6 +594,54 @@ mod tests {
         assert_eq!(wire.0, calls.collect::<Vec<_>>());
         assert_eq!(held(&mut actuator, 7), [0, 0, 0, 0]);
         assert_eq!(held(&mut actuator, 8), [16, 0, 0, 0], "request 8 stays");
+    }
+
+    /// A promoted request's dispatch seeds its replicated tokens on every
+    /// stage, one call per stage before its prefill leaves; a promotion
+    /// whose replicas received nothing seeds nothing and calls no row.
+    #[test]
+    fn a_resumed_dispatch_seeds_every_stage_one_call_each() {
+        let (control, mut actuator) = plane();
+        let half = control.fleet().model(MODEL).unwrap().num_layers() / 2;
+        let stages = [(1, 0), (2, half)].map(|(node, first)| PipelineStage {
+            node: NodeId(node),
+            layers: LayerRange::new(first, first + half),
+        });
+        for (id, resume) in [(7, 0), (8, 24)] {
+            let slot = actuator.requests.insert(Request {
+                id,
+                ..Request::default()
+            });
+            let dispatch = Dispatch {
+                pipeline: Arc::new(RequestPipeline {
+                    model: MODEL,
+                    stages: stages.to_vec(),
+                }),
+                epoch: 1,
+                prefill_tokens: 1,
+                prefix: None,
+                resume_tokens: Some(resume),
+                generated: 3,
+            };
+            let mut wire = Recorder::default();
+            actuator.dispatch(&mut wire, slot, &dispatch, 4.0);
+            let calls = stages.iter().filter(|_| resume > 0);
+            let mut expected: Vec<_> = calls.map(|s| Sent::Call(4.0, s.node)).collect();
+            let first = (None, Some(NodeId(1)));
+            expected.push(Sent::Hop(
+                4.0,
+                first,
+                Hop {
+                    epoch: 1,
+                    slot,
+                    tokens: 1,
+                    stage: 0,
+                    phase: crate::Phase::Prompt,
+                },
+            ));
+            assert_eq!(wire.0, expected, "request {id}");
+            assert_eq!(held(&mut actuator, id), [0, resume, resume, 0]);
+        }
     }
 
     /// A fail-over fails the node's rows, purges each stranded request from

@@ -39,8 +39,10 @@
 //! 1. a KV view — the `&dyn ClusterState` its admission is scheduled
 //!    against (the simulator reads its engines, the runtime its §5.2 KV
 //!    estimators);
-//! 2. a [`Wire`](crate::Wire) — how bytes move: the simulator's link queues
-//!    and event queue, or the runtime's fabric.
+//! 2. a [`Wire`](crate::Wire) — how bytes move: the one
+//!    [`LinkWire`](crate::LinkWire) over the surface's event queue, a
+//!    coordinator → row call free in the simulator and a message in the
+//!    runtime.
 //!
 //! The tenancy-liveness predicate standby promotion needs is the
 //! actuator's: a row exists for the pair.

@@ -1,7 +1,8 @@
 //! The time-ordered event queue both serving surfaces keep their events in.
 //!
-//! The simulator's timeline and the runtime's fabric each hold one
-//! [`Timeline`] of their own `Event` enum.  Entries pop in time order — by
+//! Each surface's [`LinkWire`](crate::LinkWire) holds one [`Timeline`]: the
+//! simulator's of its own `Event` enum, the runtime's of the four wire
+//! events themselves ([`WireEvent`](crate::WireEvent)).  Entries pop in time order — by
 //! `f64::total_cmp` on `at + 0.0`, so `-0.0` and `0.0` are one instant — and
 //! of equal times in push order; the modelled results of both surfaces
 //! depend on that tie-break.  Entries are stored inline in the heap: a

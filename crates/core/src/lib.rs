@@ -24,8 +24,9 @@
 //!   [`WorkItem`]s.  [`lane`] is the request table
 //!   a 24-byte [`Hop`] is resolved against, stale work dropped by slot and
 //!   epoch; [`LinkQueue`] is the FIFO link model the surfaces likewise share,
-//!   [`LinkTable`] the dense table both find a hop's link in and
-//!   [`PairTable`] the dense `model × node` table both keep those in.
+//!   [`LinkWire`] the one wire both act through — links in a dense table, a
+//!   [`Timeline`] of what is in flight — and [`PairTable`] the dense
+//!   `model × node` table both keep their rows in.
 //! * [`MilpPlacementPlanner`] — the MILP formulation of §4.4 (Tables 5–6)
 //!   with optional partial inference, cluster pruning, heuristic warm starts
 //!   and the early-stop upper bound of §4.5.
@@ -129,7 +130,7 @@ pub use ha::{
     REPLICA_CHUNK_PAGES,
 };
 pub use lane::{Hop, Lane, RequestTable};
-pub use link::{LinkKey, LinkQueue, LinkTable};
+pub use link::{LinkKey, LinkQueue, LinkWire, RowKey, WireEvent};
 pub use obs::LatencyStats;
 pub use pair_table::PairTable;
 pub use placement::heuristics;

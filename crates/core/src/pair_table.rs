@@ -2,7 +2,7 @@
 //! engines in (the [`Actuator`](crate::Actuator)'s rows).  `NodeId`
 //! and `ModelId` are dense indices, so a pipeline hop finds its pair by
 //! indexing an array, and every walk over the pairs has one fixed order.  The
-//! link table a hop indexes the same way is [`LinkTable`](crate::LinkTable).
+//! link table a hop indexes the same way is [`LinkWire`](crate::LinkWire)'s.
 
 use helix_cluster::{ModelId, NodeId};
 

@@ -102,7 +102,8 @@ impl ServingBuilder {
     /// # Errors
     ///
     /// * [`RuntimeError::InvalidBuild`] when neither (or both) of
-    ///   `.topology(..)` / `.fleet(..)` were given.
+    ///   `.topology(..)` / `.fleet(..)` were given, or when
+    ///   [`RuntimeConfig::wall_per_virtual`] is not positive and finite.
     /// * [`RuntimeError::Scheduling`] when a placement is invalid for its
     ///   profile, a default scheduler cannot be derived, or the scheduler
     ///   count does not match the fleet's model count

@@ -12,7 +12,9 @@
 //! re-plan — is made by the shared [`ControlPlane`] (the same state machine
 //! the simulator drives), and every *action* on one — dispatch, the token
 //! step, the batch step, releases, fail-over, re-plans with their KV
-//! hand-overs — by the shared [`Actuator`], whose wire is the fabric.  The actuator also keeps the
+//! hand-overs, observation windows — by the shared [`Actuator`], whose wire is
+//! the fabric ([`fabric`](crate::fabric): the shared `LinkWire`, calls
+//! priced).  The actuator also keeps the
 //! [`RequestTable`](helix_core::RequestTable): each dispatched request gets
 //! a slot whose lane is its live incarnation, and every hop and iteration
 //! report is resolved against that lane, so the work of an aborted
@@ -64,7 +66,6 @@
 
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
-use crate::fabric::{Event, Fabric, RowKey};
 use crate::metrics::RequestOutcome;
 use crate::runtime::{ExecutionKind, PlaneSpec};
 use helix_cluster::{ModelId, NodeId};
@@ -72,8 +73,9 @@ use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Actuator, Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
     KvTransferRecord, NodeEngine, PairTable, PlacementDelta, ReplanReason, ReplicationPolicy,
-    Topology, Wire,
+    Topology,
 };
+use helix_core::{LinkWire, RowKey, WireEvent};
 use helix_workload::Request;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -164,7 +166,7 @@ pub(crate) struct Coordinator {
     inbound: Receiver<SessionControl>,
     /// The rows, the request table and the KV-transfer log.
     pub act: Actuator,
-    pub fabric: Fabric,
+    pub wire: LinkWire<WireEvent>,
     /// Rows that may have a batch to start once the current passes are
     /// over, each at most once: `queued` marks those in the list.
     pub touched: Vec<RowKey>,
@@ -202,7 +204,6 @@ impl Coordinator {
         // first model's cluster.
         let cluster = fleet.topologies()[0].profile().cluster().clone();
         let queued = PairTable::new(cluster.num_nodes(), fleet.num_models());
-        let fabric = Fabric::new(cluster);
         let priced = config.execution == ExecutionKind::Analytic;
         let act = Actuator::new(&fleet, DEFAULT_TOKENS_PER_PAGE, priced);
         let initial = |t: &Topology| KvCacheEstimator::new(t.profile(), INITIAL_AVG_OUTPUT_TOKENS);
@@ -215,7 +216,8 @@ impl Coordinator {
             clock: spec.clock,
             inbound: spec.inbound,
             act,
-            fabric,
+            // A coordinator → row call is a message on its link.
+            wire: LinkWire::new(cluster, true),
             touched: Vec::new(),
             queued,
             max_wall: config.max_wall,
@@ -312,7 +314,7 @@ impl Coordinator {
         let budget = budget.map(|started| self.clock.instant_at_wall(started + self.max_wall));
         // A queue entry is waited for to the instant: a microsecond of slack
         // is several deliveries on a fast link.
-        let due = self.fabric.queue.peek_time();
+        let due = self.wire.queue.peek_time();
         let due = due.map(|at| self.clock.instant_at(at));
         let slacked = [paced, budget].into_iter().flatten().min();
         let slacked = slacked.map(|at| at + DEADLINE_SLACK);
@@ -339,10 +341,8 @@ impl Coordinator {
                     self.act.set_slowdown(node, factor);
                 }
                 SessionControl::ApplyDelta(delta) => {
-                    let now = self.clock.now();
-                    let outcome = self.control.replan(&delta, None, ReplanReason::Manual, now);
                     self.act
-                        .hand_over(&self.control, &mut self.fabric, outcome, now);
+                        .replan(&mut self.control, &mut self.wire, &delta, self.clock.now());
                 }
                 SessionControl::FailNode(node, at) => self.pending_failures.push((at, node)),
                 SessionControl::SetReplication(policy) => self.control.set_replication(policy),
@@ -362,8 +362,11 @@ impl Coordinator {
         let now = self.run_due(|| clock.now());
         self.take_tokens(now);
 
-        // 3. Observe, consult the policy, re-plan, hand over.
-        self.maybe_replan(now);
+        // 3. When a policy window is due, observe every row, as the
+        // simulator observes every engine, and hand a re-plan over.
+        if self.next_policy_check().is_some_and(|due| now >= due) {
+            self.act.observe(&mut self.control, &mut self.wire, now);
+        }
 
         // 4. The wall budget guards each drain (measured from when the
         // drain began until it is acknowledged), never idle session time.
@@ -391,8 +394,8 @@ impl Coordinator {
         due.sort_by(|a, b| a.0.total_cmp(&b.0));
         for (_, node) in due {
             let reason = ReplanReason::NodeFailure { node };
-            let (control, fabric) = (&mut self.control, &mut self.fabric);
-            let stranded = self.act.fail_over(control, fabric, &[node], reason, now);
+            let (control, wire) = (&mut self.control, &mut self.wire);
+            let stranded = self.act.fail_over(control, wire, &[node], reason, now);
             for flight in stranded {
                 self.release_estimate(&flight, true);
                 self.pending.push_back(flight.request);
@@ -459,18 +462,18 @@ impl Coordinator {
         loop {
             let now = read();
             let mut applied = false;
-            while let Some((at, event)) = self.fabric.queue.pop_due(now) {
+            while let Some((at, event)) = self.wire.queue.pop_due(now) {
                 applied = true;
                 match event {
-                    Event::NodeArrival(hop) => self.deliver(hop),
-                    Event::TokenAtCoordinator { slot, epoch } => {
+                    WireEvent::NodeArrival(hop) => self.deliver(hop),
+                    WireEvent::TokenAtCoordinator { slot, epoch } => {
                         self.arrived.push_back((slot, at, epoch))
                     }
-                    Event::BatchComplete((node, model)) => {
-                        self.act.complete(&mut self.fabric, node, model, now);
+                    WireEvent::BatchComplete((node, model)) => {
+                        self.act.complete(&mut self.wire, node, model, now);
                         self.touch((node, model));
                     }
-                    Event::EngineThaw(key) => self.touch(key),
+                    WireEvent::EngineThaw(key) => self.touch(key),
                 }
             }
             if !applied && !self.start_touched(now) {
@@ -484,8 +487,8 @@ impl Coordinator {
     /// as in the simulator, and what it triggers leaves at `now`.
     fn take_tokens(&mut self, now: f64) {
         while let Some((slot, at, epoch)) = self.arrived.pop_front() {
-            let (control, fabric) = (&mut self.control, &mut self.fabric);
-            let token = self.act.token(control, fabric, slot, epoch, at, now);
+            let (control, wire) = (&mut self.control, &mut self.wire);
+            let token = self.act.token(control, wire, slot, epoch, at, now);
             if let Some(flight) = token.and_then(|token| token.finished) {
                 self.complete(flight, at);
             }
@@ -497,22 +500,6 @@ impl Coordinator {
     fn next_policy_check(&self) -> Option<f64> {
         let policy = self.control.policy()?;
         Some(self.control.last_check() + policy.check_interval_secs)
-    }
-
-    /// One observation-window check of the online re-planning loop, when
-    /// due: every row's counters go to the control plane, as every engine's
-    /// do in the simulator, and a re-plan it applies is handed over.
-    fn maybe_replan(&mut self, now: f64) {
-        if self.next_policy_check().is_none_or(|due| now < due) {
-            return;
-        }
-        let rows = self.rows().into_iter();
-        let counters: Vec<_> = rows
-            .map(|((node, model), row)| (node, model, row.counters()))
-            .collect();
-        let outcome = self.control.observe(now, &counters);
-        self.act
-            .hand_over(&self.control, &mut self.fabric, outcome, now);
     }
 
     /// Asks the control plane to admit one request and puts the dispatch on
@@ -541,17 +528,9 @@ impl Coordinator {
             if let Some(p) = dispatch.prefix {
                 estimator.attach_shared(stage.node, p.id, p.tokens);
             }
-            // A promoted request re-seeds its surviving replicated tokens on
-            // every promoted stage (the fail-over purge released them).
-            if let Some(tokens) = dispatch.resume_tokens.filter(|&tokens| tokens > 0) {
-                self.fabric.call(now, stage.node);
-                if let Some(row) = self.act.rows.get_mut(stage.node, model) {
-                    row.kv.seed(request.id, tokens);
-                }
-            }
         }
         let slot = self.act.requests.insert(request);
-        self.act.dispatch(&mut self.fabric, slot, &dispatch, now);
+        self.act.dispatch(&mut self.wire, slot, &dispatch, now);
         Ok(true)
     }
 
@@ -595,7 +574,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::RowKey;
+    use crate::fabric::link_reports;
     use crate::registry::one_stage_hop;
     use crate::runtime::RuntimeConfig;
     use crate::Phase;
@@ -605,7 +584,7 @@ mod tests {
     };
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
     use helix_core::{FleetTopology, Scheduler};
-    use helix_core::{Hop, KvMigration, ReplanOutcome};
+    use helix_core::{Hop, KvMigration, ReplanOutcome, Wire};
     use helix_core::{LayerRange, ModelPlacement, PipelineStage, SchedulerKind, Topology};
     use helix_workload::PrefixId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -719,8 +698,8 @@ mod tests {
     /// coordinator over links of the plane's cluster that carried nothing
     /// before.
     fn tokens_sent_at(now: f64, nodes: &[NodeId]) -> Vec<f64> {
-        let mut fabric = Fabric::new(ClusterSpec::solver_quality_10());
-        let send = |&node| fabric.transfer(now, (Some(node), None), TOKEN_WIRE_BYTES);
+        let mut wire: LinkWire<WireEvent> = LinkWire::new(ClusterSpec::solver_quality_10(), true);
+        let send = |&node| wire.transfer(now, (Some(node), None), TOKEN_WIRE_BYTES);
         nodes.iter().map(send).collect()
     }
 
@@ -788,9 +767,9 @@ mod tests {
         for (request, bytes) in [(1, TOKEN_WIRE_BYTES), (2, 1.25e9)] {
             let hop = hop_for(&mut coordinator, key, request);
             let link = (None, Some(key.0));
-            coordinator.fabric.send_hop(0.0, link, bytes, hop);
+            coordinator.wire.send_hop(0.0, link, bytes, hop);
         }
-        let first = coordinator.fabric.queue.peek_time().unwrap();
+        let first = coordinator.wire.queue.peek_time().unwrap();
         let (second, later) = (first + 2.0, first + 3.0);
         // Reading 1 delivers the first item, reading 2 the second; only
         // reading 3 finds nothing due and starts the row's batch — whose two
@@ -807,7 +786,7 @@ mod tests {
         assert_eq!((totals.batches, totals.decode_tokens), (1, 2));
         let arrived: Vec<f64> = coordinator.arrived.iter().map(|a| a.1).collect();
         assert_eq!(arrived, tokens_sent_at(second, &[key.0, key.0]));
-        assert_eq!(coordinator.fabric.queue.peek_time(), None);
+        assert_eq!(coordinator.wire.queue.peek_time(), None);
     }
 
     /// A pass's sends are stamped with its reading, never with the wall: on
@@ -824,10 +803,10 @@ mod tests {
         let reading = 5.0;
         assert!(coordinator.clock.now() > 1e3 * reading, "the wall is ahead");
         assert_eq!(coordinator.run_due(|| reading), reading);
-        let due = std::iter::from_fn(|| coordinator.fabric.queue.pop());
+        let due = std::iter::from_fn(|| coordinator.wire.queue.pop());
         let tokens: Vec<f64> = due
             .map(|(at, event)| match event {
-                Event::TokenAtCoordinator { .. } => at,
+                WireEvent::TokenAtCoordinator { .. } => at,
                 other => panic!("expected a token, got {other:?}"),
             })
             .collect();
@@ -889,7 +868,7 @@ mod tests {
         let act = &mut coordinator.act;
         act.hand_over(
             &coordinator.control,
-            &mut coordinator.fabric,
+            &mut coordinator.wire,
             Some(outcome),
             0.0,
         );
@@ -898,7 +877,7 @@ mod tests {
         };
         let due = record.at;
         assert_eq!(
-            coordinator.fabric.queue.peek_time(),
+            coordinator.wire.queue.peek_time(),
             Some(due),
             "its arrival alone"
         );
@@ -941,17 +920,17 @@ mod tests {
             last_token_at: None,
         };
         let act = &mut coordinator.act;
-        act.release(&mut coordinator.fabric, &flight, false, 0.0);
+        act.release(&mut coordinator.wire, &flight, false, 0.0);
         for &key in &keys {
             let kv = row(&coordinator, key).kv.used_tokens();
             assert_eq!(kv, 0.0, "{key:?} still holds KV");
         }
         assert_eq!(
-            coordinator.fabric.queue.peek_time(),
+            coordinator.wire.queue.peek_time(),
             None,
             "nothing is queued"
         );
-        let links = coordinator.fabric.link_reports();
+        let links = link_reports(&coordinator.wire);
         assert_eq!(links.len(), keys.len());
         assert!(links.iter().all(|l| l.from.is_none() && l.messages == 1));
     }
@@ -988,7 +967,7 @@ mod tests {
         let until = 1_000.0;
         let held = coordinator.act.rows.get_mut(key.0, key.1).unwrap();
         held.freeze(survivor.layers, until);
-        coordinator.fabric.landed(until, [key, key]);
+        coordinator.wire.landed(until, [key, key]);
         let hop = Hop {
             epoch: 0,
             slot: coordinator.act.requests.slot(0).unwrap(),
@@ -1045,11 +1024,11 @@ mod tests {
             phase: Phase::Decode,
         };
         let link = (None, Some(survivor.node));
-        coordinator.fabric.send_hop(0.0, link, 0.0, stale);
+        coordinator.wire.send_hop(0.0, link, 0.0, stale);
 
         let (act, control) = (&mut coordinator.act, &mut coordinator.control);
         let reason = ReplanReason::NodeFailure { node: failed };
-        let stranded = act.fail_over(control, &mut coordinator.fabric, &[failed], reason, 0.0);
+        let stranded = act.fail_over(control, &mut coordinator.wire, &[failed], reason, 0.0);
         assert_eq!(
             stranded.iter().map(|f| f.request.id).collect::<Vec<_>>(),
             [0]
@@ -1068,7 +1047,7 @@ mod tests {
         // at 1.0, is not due yet.
         coordinator.run_due(|| 0.5);
         assert_eq!(state(&coordinator), before);
-        assert!(coordinator.fabric.queue.peek_time().unwrap() >= 1.0);
+        assert!(coordinator.wire.queue.peek_time().unwrap() >= 1.0);
     }
 
     /// Aim 3's invariant on the runtime: with RF=2 replication, shared

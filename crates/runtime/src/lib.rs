@@ -21,13 +21,16 @@
 //!   ([`helix_core::NodeEngine`]), fed the simulator's work items: a hop
 //!   is resolved against its request's lane where it lands, and the work of
 //!   an aborted incarnation is dropped there;
-//! * a **network fabric** that prices each message on its link (per-link
-//!   bandwidth, latency and FIFO queueing taken from the cluster profile, so
-//!   congestion on slow links emerges exactly as in the paper's Fig. 10b
-//!   case study) and keeps what is in flight in the simulator's event queue
-//!   ([`helix_core::Timeline`]), as the simulator's wire events: a hop
-//!   reaching its stage, a token reaching the coordinator, a batch that
-//!   takes time completing and a KV hand-over thawing its rows.
+//! * a **network fabric** — the simulator's own wire,
+//!   [`helix_core::LinkWire`] — that prices each message on its link
+//!   (per-link bandwidth, latency and FIFO queueing taken from the cluster
+//!   profile, so congestion on slow links emerges exactly as in the paper's
+//!   Fig. 10b case study) and keeps what is in flight in the simulator's
+//!   event queue ([`helix_core::Timeline`]), as the four wire events
+//!   ([`helix_core::WireEvent`]): a hop reaching its stage, a token reaching
+//!   the coordinator, a batch that takes time completing and a KV hand-over
+//!   thawing its rows.  The one thing the runtime sets differently is that
+//!   a coordinator → row call (a release, a purge, a seed) is a message.
 //!
 //! The loop belongs to one `helix-dataplane` thread per session, which
 //! builds the plane, runs it and assembles the report; even a 500-node fleet

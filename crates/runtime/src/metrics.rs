@@ -7,9 +7,7 @@
 
 use helix_cluster::{ModelId, NodeId};
 use helix_core::obs::LatencyStats;
-use helix_core::{
-    FailoverRecord, KvTransferRecord, LinkQueue, PrefixStats, ReplanRecord, ReplicationStats,
-};
+use helix_core::{FailoverRecord, KvTransferRecord, PrefixStats, ReplanRecord, ReplicationStats};
 use helix_workload::RequestId;
 
 /// The lifecycle record of one completed request.
@@ -109,19 +107,6 @@ pub struct LinkReport {
     pub mean_queue_delay: f64,
     /// Largest queueing delay observed (seconds).
     pub max_queue_delay: f64,
-}
-
-impl LinkReport {
-    pub(crate) fn new(from: Option<NodeId>, to: Option<NodeId>, link: &LinkQueue) -> Self {
-        LinkReport {
-            from,
-            to,
-            messages: link.transfers,
-            bytes: link.bytes_transferred,
-            mean_queue_delay: link.mean_queue_delay(),
-            max_queue_delay: link.max_queue_delay,
-        }
-    }
 }
 
 /// The full report of one serving run.

@@ -23,7 +23,7 @@
 //! another entry of the fabric's queue.
 
 use crate::coordinator::Coordinator;
-use crate::fabric::RowKey;
+use helix_core::RowKey;
 use helix_core::{Hop, NodeEngine};
 
 impl Coordinator {
@@ -75,7 +75,7 @@ impl Coordinator {
         let any = !self.touched.is_empty();
         for (node, model) in self.touched.drain(..) {
             self.queued.insert(node, model, false);
-            self.act.start(&mut self.fabric, node, model, now);
+            self.act.start(&mut self.wire, node, model, now);
         }
         any
     }
@@ -168,13 +168,14 @@ pub(crate) fn one_stage_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{Event, Fabric};
+    use crate::fabric::{link_reports, take_in_flight};
     use crate::{ExecutionKind, Phase};
     use helix_cluster::TOKEN_WIRE_BYTES;
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId, PrefixId};
     use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
     use helix_core::Actuator;
     use helix_core::{BatchTotals, Dispatch, ExecModel, LayerRange, PipelineStage};
+    use helix_core::{LinkWire, WireEvent};
     use helix_core::{RequestPipeline, RequestTable, Wire, WorkItem};
     use helix_workload::Request;
     use std::collections::HashSet;
@@ -222,8 +223,8 @@ mod tests {
         assert!(counters.busy_secs > 0.0);
 
         fail(&mut plane, NodeId(3));
-        let (at, _) = plane.fabric.queue.pop().unwrap();
-        plane.act.complete(&mut plane.fabric, key.0, key.1, at);
+        let (at, _) = plane.wire.queue.pop().unwrap();
+        plane.act.complete(&mut plane.wire, key.0, key.1, at);
         deliver(&mut plane, key, 2);
         deliver(&mut plane, (NodeId(1), ModelId(1)), 3);
         plane.start_touched(at);
@@ -247,7 +248,7 @@ mod tests {
         assert_eq!(row.counters(), counters, "no batch started");
         assert_eq!(row.layers_held(), 30);
         assert!(
-            plane.fabric.take_in_flight().is_empty(),
+            take_in_flight(&mut plane.wire).is_empty(),
             "nothing was forwarded"
         );
     }
@@ -261,8 +262,8 @@ mod tests {
         let key = (NodeId(3), ModelId(0));
         deliver(&mut plane, key, 1);
         plane.start_touched(0.0);
-        let (at, _) = plane.fabric.queue.pop().unwrap();
-        plane.act.complete(&mut plane.fabric, key.0, key.1, at);
+        let (at, _) = plane.wire.queue.pop().unwrap();
+        plane.act.complete(&mut plane.wire, key.0, key.1, at);
         let totals = BatchTotals {
             batches: 1,
             prompt_tokens: 0,
@@ -415,7 +416,7 @@ mod tests {
     /// of `kv_capacity` tokens, the requests' lanes, and a fabric over the
     /// 10-node study cluster to send into — no loop: a test calls the
     /// actuator and reads the queue.
-    fn test_rows(kv_capacity: f64) -> (Actuator, Fabric) {
+    fn test_rows(kv_capacity: f64) -> (Actuator, LinkWire<WireEvent>) {
         let halves = fleet(&[&[(0, 0, 2), (1, 2, 4)]]);
         let mut act = Actuator::new(&halves, DEFAULT_TOKENS_PER_PAGE, false);
         for (node, _) in STAGES {
@@ -423,7 +424,7 @@ mod tests {
             act.rows.insert(NodeId(node), ModelId::default(), engine);
         }
         act.requests = lanes();
-        (act, Fabric::new(ClusterSpec::solver_quality_10()))
+        (act, LinkWire::new(ClusterSpec::solver_quality_10(), true))
     }
 
     /// The row under test on `node`.
@@ -448,15 +449,15 @@ mod tests {
     }
 
     /// The batch step's start on the row of `node` at `now`.
-    fn start(act: &mut Actuator, node: usize, now: f64, fabric: &mut Fabric) {
+    fn start(act: &mut Actuator, node: usize, now: f64, wire: &mut LinkWire<WireEvent>) {
         let (node, model) = key(node);
-        act.start(fabric, node, model, now);
+        act.start(wire, node, model, now);
     }
 
     /// The batch step's completion on the row of `node` at `now`.
-    fn done(act: &mut Actuator, node: usize, now: f64, fabric: &mut Fabric) {
+    fn done(act: &mut Actuator, node: usize, now: f64, wire: &mut LinkWire<WireEvent>) {
         let (node, model) = key(node);
-        act.complete(fabric, node, model, now);
+        act.complete(wire, node, model, now);
     }
 
     /// Queues `items` on the row of `node` in one pass and starts the batch
@@ -464,27 +465,27 @@ mod tests {
     fn pass(
         act: &mut Actuator,
         node: usize,
-        fabric: &mut Fabric,
+        wire: &mut LinkWire<WireEvent>,
         items: impl IntoIterator<Item = WorkItem>,
     ) {
         for item in items {
             engine(act, node).enqueue(item);
         }
-        start(act, node, 0.0, fabric);
+        start(act, node, 0.0, wire);
     }
 
     #[test]
     fn first_stage_forwards_to_the_next_node_and_last_stage_reports_back() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
-        pass(&mut act, 0, &mut fabric, [work(5, Phase::Prompt, 64, 0)]);
+        let (mut act, mut wire) = test_rows(100_000.0);
+        pass(&mut act, 0, &mut wire, [work(5, Phase::Prompt, 64, 0)]);
 
-        let (_, forwarded) = fabric.take_in_flight().pop().unwrap();
-        let Event::NodeArrival(next) = forwarded else {
+        let (_, forwarded) = take_in_flight(&mut wire).pop().unwrap();
+        let WireEvent::NodeArrival(next) = forwarded else {
             panic!("expected forwarded work, got {forwarded:?}");
         };
         assert_eq!((next.slot, next.stage, next.tokens), (5, 1, 64));
         assert_eq!(next.phase, Phase::Prompt);
-        let links = fabric.link_reports();
+        let links = link_reports(&wire);
         let link = (links[0].from, links[0].to);
         assert_eq!(link, (Some(NodeId(0)), Some(NodeId(1))));
         assert!(
@@ -498,23 +499,26 @@ mod tests {
 
         // The same work executed on the *last* stage reports to the
         // coordinator.
-        let (mut act, mut fabric) = test_rows(100_000.0);
-        pass(&mut act, 1, &mut fabric, [work(5, Phase::Prompt, 64, 1)]);
-        let (_, done) = fabric.take_in_flight().pop().unwrap();
-        assert!(matches!(done, Event::TokenAtCoordinator { slot: 5, .. }));
+        let (mut act, mut wire) = test_rows(100_000.0);
+        pass(&mut act, 1, &mut wire, [work(5, Phase::Prompt, 64, 1)]);
+        let (_, done) = take_in_flight(&mut wire).pop().unwrap();
+        assert!(matches!(
+            done,
+            WireEvent::TokenAtCoordinator { slot: 5, .. }
+        ));
     }
 
     #[test]
     fn release_frees_the_kv_pool_and_rejections_are_counted() {
-        let (mut act, mut fabric) = test_rows(64.0);
+        let (mut act, mut wire) = test_rows(64.0);
         // 128 tokens cannot fit in a 64-token pool: the batch still runs,
         // the allocation is recorded (modelled offload) and counted.
-        pass(&mut act, 0, &mut fabric, [work(1, Phase::Prompt, 128, 0)]);
+        pass(&mut act, 0, &mut wire, [work(1, Phase::Prompt, 128, 0)]);
         let row = engine(&mut act, 0);
         assert_eq!(row.kv.used_tokens(), 128.0, "the overflow is resident");
         assert_eq!(row.kv.peak_utilization(), 2.0, "8 pages used of 4");
         row.release_request(1);
-        pass(&mut act, 0, &mut fabric, [work(2, Phase::Prompt, 32, 0)]);
+        pass(&mut act, 0, &mut wire, [work(2, Phase::Prompt, 32, 0)]);
         let row = engine(&mut act, 0);
         assert_eq!(row.kv.rejections(), 1);
         assert!(
@@ -529,48 +533,51 @@ mod tests {
     /// batches of one.)
     #[test]
     fn everything_delivered_in_one_pass_joins_one_batch() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
+        let (mut act, mut wire) = test_rows(100_000.0);
         let three = (0..3).map(|request| work(request, Phase::Decode, 1, 1));
-        pass(&mut act, 1, &mut fabric, three);
+        pass(&mut act, 1, &mut wire, three);
         let totals = engine(&mut act, 1).totals();
         assert_eq!(totals.batches, 1);
         assert_eq!(totals.decode_tokens, 3);
-        assert_eq!(fabric.take_in_flight().len(), 3);
+        assert_eq!(take_in_flight(&mut wire).len(), 3);
     }
 
     #[test]
     fn a_row_never_runs_two_batches_at_once() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
+        let (mut act, mut wire) = test_rows(100_000.0);
         engine(&mut act, 1).update_plan(analytic(), 4, 100_000.0);
-        pass(&mut act, 1, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
+        pass(&mut act, 1, &mut wire, [work(1, Phase::Decode, 1, 1)]);
         // A batch that takes time is an entry of the fabric's queue, due at
         // start + duration; nothing is forwarded before it.
-        let (at, event) = fabric.queue.pop().unwrap();
-        assert!(matches!(event, Event::BatchComplete(due) if due == key(1)));
+        let (at, event) = wire.queue.pop().unwrap();
+        assert!(matches!(event, WireEvent::BatchComplete(due) if due == key(1)));
         assert!(at > 0.0);
         assert_eq!(at, engine(&mut act, 1).counters().busy_secs);
         assert_eq!(engine(&mut act, 1).totals().batches, 0);
 
         // Work that lands meanwhile queues behind the running batch.
-        pass(&mut act, 1, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
+        pass(&mut act, 1, &mut wire, [work(2, Phase::Decode, 1, 1)]);
         assert_eq!(engine(&mut act, 1).queue_len(), 1);
         assert!(
-            fabric.queue.peek_time().is_none(),
+            wire.queue.peek_time().is_none(),
             "no second batch was started"
         );
 
-        done(&mut act, 1, 0.5, &mut fabric);
+        done(&mut act, 1, 0.5, &mut wire);
         assert_eq!(engine(&mut act, 1).totals().batches, 1);
-        let (arrives, token) = fabric.take_in_flight().pop().unwrap();
-        assert!(matches!(token, Event::TokenAtCoordinator { slot: 1, .. }));
+        let (arrives, token) = take_in_flight(&mut wire).pop().unwrap();
+        assert!(matches!(
+            token,
+            WireEvent::TokenAtCoordinator { slot: 1, .. }
+        ));
         // It left at 0.5 on the row's so far unused link to the coordinator.
-        let mut fresh = Fabric::new(ClusterSpec::solver_quality_10());
+        let mut fresh: LinkWire<WireEvent> = LinkWire::new(ClusterSpec::solver_quality_10(), true);
         let sent = fresh.transfer(0.5, (Some(NodeId(1)), None), TOKEN_WIRE_BYTES);
         assert_eq!(arrives, sent, "stamped when the completion was applied");
         // The loop starts the next batch after the passes that completed
         // one; it is the same shape, so it takes as long.
-        start(&mut act, 1, 0.5, &mut fabric);
-        assert_eq!(fabric.queue.peek_time(), Some(0.5 + at));
+        start(&mut act, 1, 0.5, &mut wire);
+        assert_eq!(wire.queue.peek_time(), Some(0.5 + at));
     }
 
     /// Ordering change of the one-loop plane: the task-per-worker plane
@@ -579,9 +586,9 @@ mod tests {
     /// a message — frees the pool under the running batch.
     #[test]
     fn a_message_landing_mid_batch_is_applied_on_delivery() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
+        let (mut act, mut wire) = test_rows(100_000.0);
         engine(&mut act, 1).update_plan(analytic(), 4, 100_000.0);
-        pass(&mut act, 1, &mut fabric, [work(1, Phase::Prompt, 64, 1)]);
+        pass(&mut act, 1, &mut wire, [work(1, Phase::Prompt, 64, 1)]);
         let row = engine(&mut act, 1);
         assert!(row.is_busy());
         assert_eq!(row.kv.used_tokens(), 64.0);
@@ -599,13 +606,13 @@ mod tests {
     /// failure stranded, whose work is stale.
     #[test]
     fn a_failed_row_drops_its_running_batch_and_keeps_its_counters() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
-        pass(&mut act, 1, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
-        fabric.take_in_flight();
+        let (mut act, mut wire) = test_rows(100_000.0);
+        pass(&mut act, 1, &mut wire, [work(1, Phase::Decode, 1, 1)]);
+        take_in_flight(&mut wire);
         engine(&mut act, 1).update_plan(analytic(), 4, 100_000.0);
-        pass(&mut act, 1, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
+        pass(&mut act, 1, &mut wire, [work(2, Phase::Decode, 1, 1)]);
         engine(&mut act, 1).enqueue(work(3, Phase::Decode, 1, 1));
-        let (at, _) = fabric.queue.pop().unwrap();
+        let (at, _) = wire.queue.pop().unwrap();
 
         let row = engine(&mut act, 1);
         row.fail();
@@ -613,11 +620,11 @@ mod tests {
         assert_eq!(row.kv.used_tokens(), 2.0, "so does residency");
         // The completion of the running batch drops it, and what reaches
         // the row queues behind no batch.
-        done(&mut act, 1, at, &mut fabric);
+        done(&mut act, 1, at, &mut wire);
         assert!(!engine(&mut act, 1).is_busy());
-        pass(&mut act, 1, &mut fabric, [work(4, Phase::Decode, 1, 1)]);
-        assert!(fabric.take_in_flight().is_empty(), "nothing is forwarded");
-        assert_eq!(fabric.queue.peek_time(), None, "no batch started");
+        pass(&mut act, 1, &mut wire, [work(4, Phase::Decode, 1, 1)]);
+        assert!(take_in_flight(&mut wire).is_empty(), "nothing is forwarded");
+        assert_eq!(wire.queue.peek_time(), None, "no batch started");
         let row = engine(&mut act, 1);
         assert_eq!(row.queue_len(), 2);
         let totals = row.totals();
@@ -629,33 +636,33 @@ mod tests {
 
     #[test]
     fn frozen_layers_hold_their_work_while_other_layers_keep_executing() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
+        let (mut act, mut wire) = test_rows(100_000.0);
         // Freeze [0, 4) until t = 1: stage-1 work on layers [4, 8) must keep
         // executing.
         engine(&mut act, 1).freeze(LayerRange::new(0, 4), 1.0);
-        pass(&mut act, 1, &mut fabric, [work(1, Phase::Decode, 1, 1)]);
+        pass(&mut act, 1, &mut wire, [work(1, Phase::Decode, 1, 1)]);
         assert!(
             matches!(
-                fabric.take_in_flight().pop().unwrap().1,
-                Event::TokenAtCoordinator { slot: 1, .. }
+                take_in_flight(&mut wire).pop().unwrap().1,
+                WireEvent::TokenAtCoordinator { slot: 1, .. }
             ),
             "disjoint layers execute through a freeze"
         );
 
         // Freeze [4, 8) too: now stage-1 work queues.
         engine(&mut act, 1).freeze(LayerRange::new(4, 8), 1.0);
-        pass(&mut act, 1, &mut fabric, [work(2, Phase::Decode, 1, 1)]);
+        pass(&mut act, 1, &mut wire, [work(2, Phase::Decode, 1, 1)]);
         assert!(
-            fabric.take_in_flight().is_empty(),
+            take_in_flight(&mut wire).is_empty(),
             "intersecting layers are held"
         );
         assert_eq!(engine(&mut act, 1).queue_len(), 1);
 
         // At the deadline the held range's work runs.
-        start(&mut act, 1, 1.0, &mut fabric);
+        start(&mut act, 1, 1.0, &mut wire);
         assert!(matches!(
-            fabric.take_in_flight().pop().unwrap().1,
-            Event::TokenAtCoordinator { slot: 2, .. }
+            take_in_flight(&mut wire).pop().unwrap().1,
+            WireEvent::TokenAtCoordinator { slot: 2, .. }
         ));
     }
 
@@ -671,16 +678,16 @@ mod tests {
             }),
             ..work(request, Phase::Prompt, tokens, 1)
         };
-        let (mut act, mut fabric) = test_rows(64.0);
+        let (mut act, mut wire) = test_rows(64.0);
         // 3 of 4 pages taken; request 2's 2-page prefix does not fit.
-        pass(&mut act, 1, &mut fabric, [work(1, Phase::Prompt, 48, 1)]);
-        pass(&mut act, 1, &mut fabric, [prefix_work(2, 40, false)]);
+        pass(&mut act, 1, &mut wire, [work(1, Phase::Prompt, 48, 1)]);
+        pass(&mut act, 1, &mut wire, [prefix_work(2, 40, false)]);
         assert!(
             engine(&mut act, 1).kv.rejections() > 0,
             "the prefix overflowed"
         );
         engine(&mut act, 1).release_request(1);
-        pass(&mut act, 1, &mut fabric, [prefix_work(3, 8, true)]);
+        pass(&mut act, 1, &mut wire, [prefix_work(3, 8, true)]);
         let row = engine(&mut act, 1);
         assert_eq!(row.kv.shared_pages(), 2);
         row.release_request(2);
@@ -692,7 +699,7 @@ mod tests {
 
     #[test]
     fn update_plan_swaps_the_execution_model_and_resizes_the_pool_in_place() {
-        let (mut act, mut fabric) = test_rows(64.0);
+        let (mut act, mut wire) = test_rows(64.0);
         // Queued work and residency survive the update.
         let row = engine(&mut act, 1);
         row.enqueue(work(1, Phase::Decode, 1, 1));
@@ -701,14 +708,14 @@ mod tests {
         assert_eq!(row.kv.capacity_tokens(), 4096.0, "pool resized in place");
         assert_eq!(row.kv.used_tokens(), 16.0);
         assert_eq!(row.layers_held(), 8);
-        start(&mut act, 1, 0.0, &mut fabric);
+        start(&mut act, 1, 0.0, &mut wire);
         assert!(
             engine(&mut act, 1).counters().nominal_busy_secs > 0.0,
             "new execution model prices the batch"
         );
-        let (at, _) = fabric.queue.pop().unwrap();
-        done(&mut act, 1, at, &mut fabric);
-        assert_eq!(fabric.take_in_flight().len(), 1);
+        let (at, _) = wire.queue.pop().unwrap();
+        done(&mut act, 1, at, &mut wire);
+        assert_eq!(take_in_flight(&mut wire).len(), 1);
     }
 
     /// A stage of an aborted incarnation — its lane closed when the
@@ -716,10 +723,10 @@ mod tests {
     /// but is forwarded nowhere, as the simulator drops it.
     #[test]
     fn finished_work_of_a_closed_lane_goes_nowhere() {
-        let (mut act, mut fabric) = test_rows(100_000.0);
+        let (mut act, mut wire) = test_rows(100_000.0);
         act.requests.close(3);
-        pass(&mut act, 0, &mut fabric, [work(3, Phase::Decode, 1, 0)]);
+        pass(&mut act, 0, &mut wire, [work(3, Phase::Decode, 1, 0)]);
         assert_eq!(engine(&mut act, 0).totals().batches, 1);
-        assert!(fabric.take_in_flight().is_empty());
+        assert!(take_in_flight(&mut wire).is_empty());
     }
 }

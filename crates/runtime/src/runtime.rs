@@ -10,6 +10,7 @@
 use crate::clock::VirtualClock;
 use crate::coordinator::{Coordinator, SessionControl};
 use crate::error::RuntimeError;
+use crate::fabric;
 use crate::metrics::{NodeReport, RequestOutcome, RuntimeReport};
 use helix_core::{FleetTopology, HelixError, ReplanPolicy, Scheduler};
 use std::sync::mpsc::{Receiver, Sender};
@@ -81,7 +82,13 @@ pub(crate) struct PlaneSpec {
 pub(crate) fn validate(
     fleet: &FleetTopology,
     schedulers: &[Box<dyn Scheduler>],
+    config: &RuntimeConfig,
 ) -> Result<(), RuntimeError> {
+    let scale = config.wall_per_virtual;
+    if !(scale.is_finite() && scale > 0.0) {
+        let what = "RuntimeConfig::wall_per_virtual must be positive and finite";
+        return Err(RuntimeError::InvalidBuild(what));
+    }
     if fleet.num_models() != schedulers.len() {
         return Err(RuntimeError::Scheduling(
             HelixError::SchedulerCountMismatch {
@@ -109,7 +116,6 @@ pub(crate) fn validate(
 /// so building a session includes it.
 pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, RuntimeError> {
     let clock = spec.clock;
-    let cluster = spec.fleet.topologies()[0].profile().cluster().clone();
     let mut coordinator = Coordinator::new(spec);
     let _ = wired.send(());
     let outcome = coordinator.run_live();
@@ -138,7 +144,7 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
         .map(|((node, model), row)| NodeReport {
             node,
             model,
-            name: cluster.node(node).name.clone(),
+            name: coordinator.wire.cluster().node(node).name.clone(),
             layers_held: row.layers_held(),
             busy_secs: row.counters().busy_secs,
             batches: row.totals().batches,
@@ -154,7 +160,7 @@ pub(crate) fn run(spec: PlaneSpec, wired: Sender<()>) -> Result<RuntimeReport, R
         makespan,
         wall_seconds: clock.wall_elapsed().as_secs_f64(),
         nodes,
-        links: coordinator.fabric.link_reports(),
+        links: fabric::link_reports(&coordinator.wire),
         replans: control.replans,
         kv_transfers,
         prefix: control.prefix,

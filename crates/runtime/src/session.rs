@@ -82,7 +82,7 @@ impl ServingSession {
         config: RuntimeConfig,
         policy: Option<ReplanPolicy>,
     ) -> Result<Self, RuntimeError> {
-        runtime::validate(&fleet, &schedulers)?;
+        runtime::validate(&fleet, &schedulers, &config)?;
         let clock = VirtualClock::new(config.wall_per_virtual);
         let max_wall = config.max_wall;
         let (control, inbound) = channel();

@@ -422,6 +422,28 @@ fn builder_validates_instead_of_panicking() {
     assert!(matches!(err, RuntimeError::InvalidBuild(_)), "got {err}");
 }
 
+/// A clock scale that maps no virtual time to wall time is a build error,
+/// not a panic on the data plane's thread.
+#[test]
+fn a_bad_wall_per_virtual_is_an_invalid_build() {
+    let topology = swarm_topology(&profile());
+    for wall_per_virtual in [0.0, -0.002, f64::NAN, f64::INFINITY] {
+        let config = RuntimeConfig {
+            wall_per_virtual,
+            ..RuntimeConfig::fast_test()
+        };
+        let built = ServingBuilder::new()
+            .topology(&topology)
+            .config(config)
+            .build();
+        let err = built.expect_err("a bad scale must not build");
+        assert!(
+            matches!(err, RuntimeError::InvalidBuild(_)),
+            "{wall_per_virtual}: got {err}"
+        );
+    }
+}
+
 #[test]
 fn scheduler_count_mismatch_is_a_typed_error_not_a_panic() {
     // A two-model fleet wired with a single scheduler used to hit the

@@ -1,7 +1,7 @@
 //! The simulator's events and their queue.
 
 use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{Hop, LayerRange, Timeline};
+use helix_core::{Hop, LayerRange, Timeline, WireEvent};
 use helix_workload::RequestId;
 
 /// Simulation time in seconds since the simulator's clock started.
@@ -151,6 +151,20 @@ pub enum Event {
         /// The model whose engine thaws.
         model: ModelId,
     },
+}
+
+/// The four events the shared wire queues, as the simulator's own.
+impl From<WireEvent> for Event {
+    fn from(event: WireEvent) -> Self {
+        match event {
+            WireEvent::NodeArrival(hop) => Event::NodeArrival(hop),
+            WireEvent::TokenAtCoordinator { slot, epoch } => {
+                Event::TokenAtCoordinator { slot, epoch }
+            }
+            WireEvent::BatchComplete((node, model)) => Event::BatchComplete { node, model },
+            WireEvent::EngineThaw((node, model)) => Event::EngineThaw { node, model },
+        }
+    }
 }
 
 /// The simulator's time-ordered event queue: time order, then push order.

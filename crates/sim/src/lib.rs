@@ -59,12 +59,15 @@
 //!   head — the order one queue would give with the arrivals pushed first.
 //!   Deferred and re-submitted arrivals do go through the queue.  The queue
 //!   orders by `f64::total_cmp` on `time + 0.0`, then push order.
-//! * **One queue for both surfaces.**  [`EventQueue`] is the shared
-//!   [`helix_core::Timeline`] over this crate's [`Event`], entries stored
-//!   inline (40 bytes each).  The runtime's fabric queues the same four
-//!   wire events — `NodeArrival`, `TokenAtCoordinator`, `BatchComplete` and
-//!   `EngineThaw` — in a `Timeline` of its own, and times a token, as here,
-//!   when it reaches the coordinator.
+//! * **One wire for both surfaces.**  The simulator's links and
+//!   [`EventQueue`] are the shared [`helix_core::LinkWire`] — the one the
+//!   runtime's data plane uses — built with coordinator → engine calls
+//!   free.  [`EventQueue`] is the shared [`helix_core::Timeline`] over this
+//!   crate's [`Event`], entries stored inline (40 bytes each); the wire
+//!   queues its four events — `NodeArrival`, `TokenAtCoordinator`,
+//!   `BatchComplete` and `EngineThaw` — as this crate's through `From`, and
+//!   the runtime queues them as [`helix_core::WireEvent`]s.  Both time a
+//!   token when it reaches the coordinator.
 //! * **Who invalidates a lane.**  A lane is written at dispatch and cleared
 //!   exactly where the control plane drops the flight: at the request's last
 //!   token and for every pipeline a fail-over strands.  A slot is never

@@ -3,18 +3,17 @@
 //! `ClusterState` view of its engines, the admission cap, metrics and the
 //! scripted perturbation events are its own; every action on the control
 //! plane's decisions — dispatches, the token and batch steps, releases,
-//! fail-overs, re-plans with their KV hand-overs — is the shared
-//! [`Actuator`]'s, over the simulator's [`Wire`]: its link queues and its
-//! event queue.
+//! fail-overs, observations and re-plans with their KV hand-overs — is the
+//! shared [`Actuator`]'s, over the shared [`LinkWire`]: its link queues and
+//! the simulator's event queue, with coordinator → engine calls free.
 
 use crate::event::{Event, EventQueue, PerturbationEvent, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use helix_cluster::{ClusterSpec, ModelId, NodeId, Region};
+use helix_cluster::{ModelId, NodeId, Region};
 use helix_core::{
     Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
-    Hop, KvTransferRecord, LinkKey, LinkTable, NodeEngine, PlacementDelta, PrefixStats,
-    ReplanPolicy, ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler,
-    Token, Topology, Wire,
+    KvTransferRecord, LinkWire, NodeEngine, PlacementDelta, PrefixStats, ReplanPolicy,
+    ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler, Token, Topology,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -119,70 +118,6 @@ fn arrival_stream(mut arrivals: Vec<(SimTime, RequestId)>) -> Arrivals {
     arrivals.into_iter().peekable()
 }
 
-/// The simulator's [`Wire`]: a transfer is priced on its link's queue, a
-/// hop, a hand-over's arrival or a batch's completion is an event, and a
-/// coordinator → engine call is free.
-struct SimWire {
-    /// Supplies every link's bandwidth and latency (links are shared by the
-    /// fleet's models).
-    cluster: ClusterSpec,
-    links: LinkTable,
-    /// The clock's timeline.
-    queue: EventQueue,
-}
-
-impl SimWire {
-    /// The next event, or `None` once no arrival is pending and nothing but
-    /// the pending observation tick (if `tick_pending`) is queued: a tick
-    /// alone does not run the clock.  An arrival due no later than the
-    /// queue's head goes first: were the arrivals queued, they would hold
-    /// the lowest sequence numbers and win every tie.
-    fn pop(&mut self, arrivals: &mut Arrivals, tick_pending: bool) -> Option<(SimTime, Event)> {
-        if arrivals.peek().is_none() && self.queue.len() == usize::from(tick_pending) {
-            return None;
-        }
-        let head = self.queue.peek_time();
-        match arrivals.next_if(|&(at, _)| head.is_none_or(|t| at <= t)) {
-            Some((at, request)) => Some((at, Event::RequestArrival { request })),
-            None => self.queue.pop(),
-        }
-    }
-}
-
-impl Wire for SimWire {
-    #[inline]
-    fn transfer(&mut self, now: f64, link: LinkKey, bytes: f64) -> f64 {
-        self.links.queue(&self.cluster, link).transfer(now, bytes)
-    }
-
-    #[inline]
-    fn send_hop(&mut self, now: f64, link: LinkKey, bytes: f64, hop: Hop) {
-        let at = self.transfer(now, link, bytes);
-        let event = match link.1 {
-            Some(_) => Event::NodeArrival(hop),
-            None => Event::TokenAtCoordinator {
-                slot: hop.slot,
-                epoch: hop.epoch,
-            },
-        };
-        self.queue.push(at, event);
-    }
-
-    fn landed(&mut self, at: f64, rows: [(NodeId, ModelId); 2]) {
-        for (node, model) in rows {
-            self.queue.push(at, Event::EngineThaw { node, model });
-        }
-    }
-
-    #[inline]
-    fn call(&mut self, _now: f64, _node: NodeId) {}
-
-    #[inline]
-    fn completes(&mut self, at: f64, (node, model): (NodeId, ModelId)) {
-        self.queue.push(at, Event::BatchComplete { node, model });
-    }
-}
-
 /// Per-model metrics of a fleet simulation, alongside the combined view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
@@ -273,7 +208,9 @@ pub struct ClusterSimulator {
     control: ControlPlane,
     /// The engines, the request table, slowdowns and KV hand-overs.
     act: Actuator,
-    wire: SimWire,
+    /// The links and the clock's timeline; a coordinator → engine call is
+    /// free.
+    wire: LinkWire<Event>,
     clock: Clock,
 }
 
@@ -346,6 +283,22 @@ impl Clock {
             });
         }
     }
+
+    /// The next event, or `None` once no arrival is pending and nothing but
+    /// the pending observation tick (if one is pending) is queued: a tick
+    /// alone does not run the clock.  An arrival due no later than the
+    /// queue's head goes first: were the arrivals queued, they would hold
+    /// the lowest sequence numbers and win every tie.
+    fn pop(&self, queue: &mut EventQueue, arrivals: &mut Arrivals) -> Option<(SimTime, Event)> {
+        if arrivals.peek().is_none() && queue.len() == usize::from(self.tick_pending) {
+            return None;
+        }
+        let head = queue.peek_time();
+        match arrivals.next_if(|&(at, _)| head.is_none_or(|t| at <= t)) {
+            Some((at, request)) => Some((at, Event::RequestArrival { request })),
+            None => queue.pop(),
+        }
+    }
 }
 
 impl ClusterSimulator {
@@ -368,19 +321,13 @@ impl ClusterSimulator {
     }
 
     fn from_parts(fleet: FleetTopology, schedulers: Vec<Box<dyn Scheduler>>) -> Self {
-        // Link hardware is shared by every model; the first profile's
-        // cluster supplies the (model-independent) numbers.
-        let cluster = fleet.profiles()[0].cluster().clone();
-        let wire = SimWire {
-            links: LinkTable::new(cluster.num_nodes()),
-            cluster,
-            queue: EventQueue::new(),
-        };
         ClusterSimulator {
             clock: Clock::new(fleet.num_models()),
             act: Actuator::new(&fleet, SIM_TOKENS_PER_PAGE, true),
+            // Link hardware is shared by every model; the first profile's
+            // cluster supplies the (model-independent) numbers.
+            wire: LinkWire::new(fleet.profiles()[0].cluster().clone(), false),
             control: ControlPlane::new(fleet, schedulers),
-            wire,
         }
     }
 
@@ -508,7 +455,7 @@ impl ClusterSimulator {
             self.clock.tick_pending = true;
         }
 
-        while let Some((time, event)) = self.wire.pop(&mut arrivals, self.clock.tick_pending) {
+        while let Some((time, event)) = self.clock.pop(&mut self.wire.queue, &mut arrivals) {
             if time > end_time {
                 break;
             }
@@ -588,13 +535,7 @@ impl ClusterSimulator {
                             .collect(),
                     });
                     clock.interval_base.clone_from(&clock.total_decode_tokens);
-                    let engines = self.act.rows.iter();
-                    let counters: Vec<_> = engines
-                        .map(|(node, model, engine)| (node, model, engine.counters()))
-                        .collect();
-                    let outcome = self.control.observe(time, &counters);
-                    self.act
-                        .hand_over(&self.control, &mut self.wire, outcome, time);
+                    self.act.observe(&mut self.control, &mut self.wire, time);
                     let next = time + tick_interval;
                     if next <= end_time {
                         self.wire.queue.push(next, Event::ObservationTick);
@@ -621,11 +562,8 @@ impl ClusterSimulator {
             .into_iter()
             .map(|(node, busy)| (node, (busy / now.max(1e-9)).min(1.0)))
             .collect();
-        let mut link_stats: Vec<LinkStats> = self
-            .wire
-            .links
-            .used()
-            .iter()
+        let links = self.wire.links().iter();
+        let mut link_stats: Vec<LinkStats> = links
             .map(|&((from, to), ref link)| LinkStats {
                 from,
                 to,
@@ -635,11 +573,7 @@ impl ClusterSimulator {
                 max_queue_delay: link.max_queue_delay,
             })
             .collect();
-        link_stats.sort_by(|a, b| {
-            b.mean_queue_delay
-                .partial_cmp(&a.mean_queue_delay)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        link_stats.sort_by(|a, b| b.mean_queue_delay.total_cmp(&a.mean_queue_delay));
 
         let per_model: Vec<Metrics> = (0..num_models)
             .map(|m| {
@@ -698,7 +632,7 @@ impl ClusterSimulator {
     /// The nodes the fleet's cluster spec (all profiles share one) places
     /// in `region`.
     fn region_nodes(&self, region: Region) -> Vec<NodeId> {
-        let in_region = self.wire.cluster.nodes().iter();
+        let in_region = self.wire.cluster().nodes().iter();
         let in_region = in_region.filter(|n| n.region == region);
         in_region.map(|n| n.id).collect()
     }
@@ -740,11 +674,8 @@ impl ClusterSimulator {
                 ..
             } => {
                 let delta = PlacementDelta::new().migrate(model, from, to, layers);
-                let outcome = self
-                    .control
-                    .replan(&delta, None, ReplanReason::Manual, time);
                 self.act
-                    .hand_over(&self.control, &mut self.wire, outcome, time);
+                    .replan(&mut self.control, &mut self.wire, &delta, time);
             }
         }
     }
@@ -758,10 +689,9 @@ impl ClusterSimulator {
     /// [`NodeFailure`]: PerturbationEvent::NodeFailure
     /// [`RegionOutage`]: PerturbationEvent::RegionOutage
     fn fail(&mut self, nodes: &[NodeId], reason: ReplanReason, time: SimTime) {
-        let wire = &mut self.wire;
         let stranded = self
             .act
-            .fail_over(&mut self.control, wire, nodes, reason, time);
+            .fail_over(&mut self.control, &mut self.wire, nodes, reason, time);
         for flight in stranded {
             let request = flight.request.id;
             self.wire
@@ -778,9 +708,9 @@ impl ClusterSimulator {
 
     /// Asks the control plane to admit `request` against its model's
     /// engines and puts the dispatch on the wire: shared-prefix residency is
-    /// attached (refcounted) on every pipeline node, a promoted request's
-    /// replicated tokens are seeded as KV residency there, and the prefill
-    /// travels to the first stage.  A deferred request retries shortly.
+    /// attached (refcounted) on every pipeline node, and the actuator seeds
+    /// a promoted request's replicated tokens there and sends the prefill to
+    /// the first stage.  A deferred request retries shortly.
     fn admit_request(&mut self, request: RequestId, now: SimTime) {
         let requests = &self.act.requests;
         let Some((slot, spec)) = requests
@@ -797,13 +727,9 @@ impl ClusterSimulator {
             return;
         };
         for stage in &dispatch.pipeline.stages {
-            if let Some(engine) = self.act.rows.get_mut(stage.node, model) {
-                if let Some(tokens) = dispatch.resume_tokens {
-                    engine.kv.seed(request, tokens);
-                }
-                if let Some(p) = dispatch.prefix {
-                    engine.kv.hold_prefix(request, p.id, p.tokens);
-                }
+            let engine = self.act.rows.get_mut(stage.node, model);
+            if let (Some(engine), Some(p)) = (engine, dispatch.prefix) {
+                engine.kv.hold_prefix(request, p.id, p.tokens);
             }
         }
         self.act.dispatch(&mut self.wire, slot, &dispatch, now);
@@ -1177,22 +1103,17 @@ mod tests {
             for &(at, request) in &arrivals {
                 oracle.push(at, Event::RequestArrival { request });
             }
-            let mut wire = SimWire {
-                cluster: ClusterSpec::solver_quality_10(),
-                links: LinkTable::new(10),
-                queue: EventQueue::new(),
-            };
+            let (clock, mut queue) = (Clock::new(1), EventQueue::new());
             let mut arrivals = arrival_stream(arrivals);
             for k in 0..30 {
                 let at = TIMES[pick(5) as usize] * (1 + pick(3)) as f64;
                 oracle.push(at, other(k));
-                wire.queue.push(at, other(k));
+                queue.push(at, other(k));
             }
             let mut k = 30;
             while let Some((time, event)) = oracle.pop() {
-                let (at, merged) = wire
-                    .pop(&mut arrivals, false)
-                    .expect("as many events as the oracle");
+                let merged = clock.pop(&mut queue, &mut arrivals);
+                let (at, merged) = merged.expect("as many events as the oracle");
                 assert_eq!((time, &event), (at, &merged), "seed {seed}");
                 // Handling an event schedules more: hops and deferred
                 // (`now + 0.2`) or re-submitted (`now`) arrivals.
@@ -1204,10 +1125,10 @@ mod tests {
                         _ => other(k),
                     };
                     oracle.push(later, next.clone());
-                    wire.queue.push(later, next);
+                    queue.push(later, next);
                 }
             }
-            assert!(wire.pop(&mut arrivals, false).is_none());
+            assert!(clock.pop(&mut queue, &mut arrivals).is_none());
         }
     }
 }

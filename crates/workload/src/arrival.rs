@@ -21,11 +21,14 @@ pub enum ArrivalPattern {
     /// day/night curve, mimicking the Azure Conversation arrival-rate plot
     /// (Fig. 5b).
     Diurnal {
-        /// Mean arrival rate in requests per second.
+        /// Mean arrival rate in requests per second; read as the Poisson
+        /// arm reads its rate (below `1e-9`, or NaN, is `1e-9`).
         mean_rate_per_sec: f64,
-        /// Relative amplitude of the rate oscillation in `[0, 1)`.
+        /// Relative amplitude of the rate oscillation, clamped to
+        /// `[0, 0.95]`; NaN is no oscillation.
         amplitude: f64,
-        /// Period of the oscillation in seconds.
+        /// Period of the oscillation in seconds; a non-finite or
+        /// non-positive period is no oscillation.
         period_secs: f64,
     },
 }
@@ -83,10 +86,21 @@ impl ArrivalPattern {
                 // rate.
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut t = 0.0f64;
-                let amplitude = amplitude.clamp(0.0, 0.95);
+                let mean_rate_per_sec = mean_rate_per_sec.max(1e-9);
+                let oscillates = period_secs.is_finite() && period_secs > 0.0;
+                let amplitude = if oscillates && !amplitude.is_nan() {
+                    amplitude.clamp(0.0, 0.95)
+                } else {
+                    0.0
+                };
                 for r in requests.iter_mut() {
-                    let local_rate = mean_rate_per_sec
-                        * (1.0 + amplitude * (2.0 * std::f64::consts::PI * t / period_secs).sin());
+                    let phase = 2.0 * std::f64::consts::PI * t / period_secs;
+                    let wave = if amplitude > 0.0 {
+                        amplitude * phase.sin()
+                    } else {
+                        0.0
+                    };
+                    let local_rate = mean_rate_per_sec * (1.0 + wave);
                     let local_rate = local_rate.max(mean_rate_per_sec * 0.05);
                     let gap: f64 = Exp1.sample(&mut rng);
                     t += gap / local_rate;
@@ -119,6 +133,39 @@ mod tests {
             (empirical_rate - rate).abs() < rate * 0.1,
             "empirical {empirical_rate}"
         );
+    }
+
+    /// A degenerate diurnal pattern still gives finite, ordered arrivals: a
+    /// zero, negative or NaN mean rate reads as the Poisson arm's floor, and
+    /// a NaN amplitude or a non-finite or non-positive period is no
+    /// oscillation.
+    #[test]
+    fn degenerate_diurnal_inputs_give_finite_ordered_arrivals() {
+        let diurnal = |mean_rate_per_sec, amplitude, period_secs| ArrivalPattern::Diurnal {
+            mean_rate_per_sec,
+            amplitude,
+            period_secs,
+        };
+        let arrivals = |pattern| -> Vec<f64> {
+            let w = Workload::azure_like(50, 1).with_arrivals(pattern, 7);
+            w.iter().map(|r| r.arrival_time).collect()
+        };
+        for mean in [0.0, -3.0, f64::NAN] {
+            let times = arrivals(diurnal(mean, 0.3, 600.0));
+            let valid = times.iter().all(|t| t.is_finite() && *t >= 0.0);
+            assert!(valid && times.is_sorted(), "mean {mean}: {times:?}");
+        }
+        let flat = arrivals(diurnal(4.0, 0.0, 600.0));
+        for (amplitude, period) in [
+            (f64::NAN, 600.0),
+            (0.3, 0.0),
+            (0.3, -600.0),
+            (0.3, f64::NAN),
+            (0.3, f64::INFINITY),
+        ] {
+            let times = arrivals(diurnal(4.0, amplitude, period));
+            assert_eq!(times, flat, "amplitude {amplitude}, period {period}");
+        }
     }
 
     #[test]

@@ -47,6 +47,12 @@ guard "one engine row" \
 # fail-over, token or forward step, or its own map of node slowdowns.
 guard "one actuator for both surfaces" \
     "grep -rnE 'fn (hand_over|release_kv|fail_nodes|route_onward|on_iteration)\b|slowdowns: HashMap|self\.slowdowns' crates/sim/src crates/runtime/src"
+# Both surfaces act through the one `helix_core::LinkWire` — links, link
+# table and event queue — which differs per surface only in whether a
+# coordinator → row call is priced: no surface implements `Wire` itself,
+# and neither a simulator wire nor a runtime fabric type comes back.
+guard "one wire for both surfaces" \
+    "grep -rnE 'impl Wire for|SimWire|struct Fabric' crates/sim/src crates/runtime/src"
 # Both surfaces queue their events in the one `helix_core::Timeline`, and the
 # runtime queues the simulator's wire events: no second heap, no envelope or
 # message type, and a token is timed by its arrival, not its send.

@@ -10,13 +10,16 @@
 # is code in another file: `crates/*/src`, `crates/*/benches`, `src`,
 # `perf/src` or `examples`, above that file's first `#[cfg(test)]` and
 # outside a `use` item — a test, a doc example or a re-export is not a
-# caller.  A function that stays public without
-# such a caller is listed in tools/pub-fn-allowlist.txt as
-# `path name  # the file that reads it` (a line covers every uncalled
-# `pub fn` of that name in the file); an allowlist line naming no uncalled
-# `pub fn` of its file is printed too.  Both builds run cold (about a minute on two
+# caller.  A function is named `Type::name` when it is a method (the type
+# of the `impl` block it sits in, generics and path dropped) and `name`
+# when it is free.  A function that stays public without such a caller is
+# listed in tools/pub-fn-allowlist.txt as `path Type::name  # the file that
+# reads it` (or `path name` for a free function), so a line covers one
+# function; an allowlist line naming no uncalled `pub fn` of its file is
+# printed too.  Both builds run cold (about a minute on two
 # cores) and write nothing in the repository; either failing exits 2.
-# Run from the repository root; prints `path name` per uncalled function.
+# Run from the repository root; prints `path Type::name` (or `path name`)
+# per uncalled function.
 # Usage: tools/pub-fn-callers.sh
 allowlist=$(pwd)/tools/pub-fn-allowlist.txt
 tmp=$(mktemp -d) || exit 2
@@ -31,16 +34,38 @@ cd "$tmp/tree" || exit 2
 # Tag in place (same line, so every line number stays the original's) and
 # note each definition, each file's first `#[cfg(test)]` line and the lines
 # of its `use` items (a re-export names a function; it does not call it).
+# A method's type is that of the `impl` line last seen one indentation
+# level (four spaces) out: every other code line at that level, its closing
+# brace included, ends the block.
 find crates/*/src crates/*/benches src perf/src examples -type f -name '*.rs' 2>/dev/null |
     LC_ALL=C sort > "$tmp/files"
 while IFS= read -r f; do
     awk -v path="$f" -v defs="$tmp/defs" -v tests="$tmp/tests" -v uses="$tmp/uses" '
+        function impl_type(s,    depth, i, c) {
+            sub(/^[[:space:]]*(unsafe[[:space:]]+)?impl/, "", s)
+            if (substr(s, 1, 1) == "<") {
+                for (i = 1; i <= length(s); i++) {
+                    c = substr(s, i, 1)
+                    if (c == "<") depth++
+                    if (c == ">" && --depth == 0) break
+                }
+                s = substr(s, i + 1)
+            }
+            if (match(s, / for /)) s = substr(s, RSTART + 5)
+            sub(/^[[:space:]]+/, "", s); sub(/[<[:space:]{].*/, "", s); sub(/.*::/, "", s)
+            return s
+        }
         !intest && /^[[:space:]]*#\[cfg\(test\)\]/ { intest = 1; print path, FNR >> tests }
         /^[[:space:]]*(pub(\([[:alnum:]_:]+\))? )?use / { inuse = 1 }
         inuse { print path ":" FNR >> uses; if (/;/) inuse = 0 }
+        /^[[:space:]]*[^[:space:]\/#]/ {
+            indent = match($0, /[^ ]/) - 1
+            impl[indent] = /^[[:space:]]*(unsafe[[:space:]]+)?impl[[:space:]<]/ ? impl_type($0) : ""
+        }
         !intest && path ~ /^(crates\/[^\/]+\/src|src)\// && /^[[:space:]]*pub fn [[:alnum:]_]+/ {
             name = $0; sub(/^[[:space:]]*pub fn /, "", name); sub(/[^[:alnum:]_].*/, "", name)
-            print path ":" FNR, name >> defs
+            owner = indent >= 4 ? impl[indent - 4] : ""
+            print path ":" FNR, (owner == "" ? "" : owner "::") name >> defs
             sub(/pub fn /, "#[deprecated(note = \"@" path ":" FNR "@\")] pub fn ")
         }
         { print }' "$f" > "$tmp/tagged" && cat "$tmp/tagged" > "$f"
