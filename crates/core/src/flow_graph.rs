@@ -7,6 +7,12 @@
 //! transfer size (4-byte token ids to/from the coordinator, activation-sized
 //! tensors between compute nodes).  The max flow from source to sink equals
 //! the cluster's maximum serving throughput under the placement.
+//!
+//! The graph keeps its bookkeeping dense, so a build costs time linear in
+//! its links: each node's vertices and capacity edge sit in tables indexed
+//! by `NodeId`, and the link edges in one list sorted once by `(from, to)`.
+//! A lookup is an index or a binary search, never a hash, and
+//! [`PlacementFlowGraph::connections`] lists the links in that order.
 
 use crate::error::HelixError;
 use crate::placement::ModelPlacement;
@@ -153,9 +159,13 @@ impl<'a> FlowGraphBuilder<'a> {
         let mut network = FlowNetwork::new();
         let source = network.add_node("source");
         let sink = network.add_node("sink");
-        let mut node_vertices: HashMap<NodeId, (FlowNodeId, FlowNodeId)> = HashMap::new();
-        let mut node_edges: HashMap<NodeId, EdgeId> = HashMap::new();
-        let mut link_edges: HashMap<(Endpoint, Endpoint), EdgeId> = HashMap::new();
+        // Dense by node index.  An unplaced node keeps `(source, sink)`,
+        // which nothing reads: only placed nodes get coordinator edges, and a
+        // valid connection joins two placed nodes.
+        let num_nodes = profile.cluster().num_nodes();
+        let mut node_vertices = vec![(source, sink); num_nodes];
+        let mut node_edges = vec![None; num_nodes];
+        let mut link_edges: Vec<((Endpoint, Endpoint), EdgeId)> = Vec::new();
 
         // Compute-node vertices and their internal capacity edges.
         for (node, range) in placement.iter() {
@@ -164,8 +174,8 @@ impl<'a> FlowGraphBuilder<'a> {
             let cout = network.add_node(format!("{name}.out"));
             let capacity = profile.node_profile(node).throughput(range.len());
             let edge = network.add_edge(cin, cout, capacity)?;
-            node_vertices.insert(node, (cin, cout));
-            node_edges.insert(node, edge);
+            node_vertices[node.index()] = (cin, cout);
+            node_edges[node.index()] = Some(edge);
         }
 
         // Every unit of flow passes through at least one `c_in → c_out` edge
@@ -185,24 +195,24 @@ impl<'a> FlowGraphBuilder<'a> {
         // Coordinator edges: source → nodes holding layer 0; nodes holding the
         // last layer → sink.
         for (node, range) in placement.iter() {
-            let (cin, cout) = node_vertices[&node];
+            let (cin, cout) = node_vertices[node.index()];
             if range.start == 0 {
                 let cap = clamp(profile.link_profile(None, Some(node)).tokens_per_sec);
                 let e = network.add_edge(source, cin, cap)?;
-                link_edges.insert((Endpoint::Coordinator, Endpoint::Node(node)), e);
+                link_edges.push(((Endpoint::Coordinator, Endpoint::Node(node)), e));
             }
             if range.end == num_layers {
                 let cap = clamp(profile.link_profile(Some(node), None).tokens_per_sec);
                 let e = network.add_edge(cout, sink, cap)?;
-                link_edges.insert((Endpoint::Node(node), Endpoint::Coordinator), e);
+                link_edges.push(((Endpoint::Node(node), Endpoint::Coordinator), e));
             }
         }
 
         // Node→node edges for valid connections among the candidate set.
         for (a, b) in pairs {
             if placement.connection_valid(a, b, self.partial_inference) {
-                let (_, a_out) = node_vertices[&a];
-                let (b_in, _) = node_vertices[&b];
+                let (_, a_out) = node_vertices[a.index()];
+                let (b_in, _) = node_vertices[b.index()];
                 let raw = profile.link_profile(Some(a), Some(b)).tokens_per_sec;
                 // A fleet-shared link contributes only this model's share of
                 // its bandwidth; sole-tenant links take the unscaled path so
@@ -212,9 +222,11 @@ impl<'a> FlowGraphBuilder<'a> {
                     None => clamp(raw),
                 };
                 let e = network.add_edge(a_out, b_in, cap)?;
-                link_edges.insert((Endpoint::Node(a), Endpoint::Node(b)), e);
+                link_edges.push(((Endpoint::Node(a), Endpoint::Node(b)), e));
             }
         }
+        // Each pair is added once, so the sort leaves no tie to break.
+        link_edges.sort_unstable_by_key(|&(link, _)| link);
 
         Ok(PlacementFlowGraph {
             network,
@@ -234,8 +246,10 @@ pub struct PlacementFlowGraph {
     network: FlowNetwork,
     source: FlowNodeId,
     sink: FlowNodeId,
-    node_edges: HashMap<NodeId, EdgeId>,
-    link_edges: HashMap<(Endpoint, Endpoint), EdgeId>,
+    /// Each node's `c_in → c_out` edge, by node index (`None`: no layers).
+    node_edges: Vec<Option<EdgeId>>,
+    /// Every link edge, sorted by `(from, to)`.
+    link_edges: Vec<((Endpoint, Endpoint), EdgeId)>,
     placement: ModelPlacement,
     partial_inference: bool,
 }
@@ -281,32 +295,45 @@ impl PlacementFlowGraph {
     /// The flow (tokens/s) assigned to the directed connection between two
     /// endpoints, or `None` if that connection is not part of the graph.
     pub fn link_flow(&self, flow: &FlowResult, from: Endpoint, to: Endpoint) -> Option<f64> {
-        self.link_edges.get(&(from, to)).map(|&e| flow.flow(e))
+        let links = &self.link_edges;
+        let i = links.binary_search_by_key(&(from, to), |&(link, _)| link);
+        Some(flow.flow(links[i.ok()?].1))
     }
 
     /// The flow (tokens/s) processed by a compute node, or `None` if the node
     /// holds no layers.
     pub fn node_flow(&self, flow: &FlowResult, node: NodeId) -> Option<f64> {
-        self.node_edges.get(&node).map(|&e| flow.flow(e))
+        self.node_edge(node).map(|e| flow.flow(e))
     }
 
     /// The token-throughput capacity of a compute node in this graph.
     pub fn node_capacity(&self, node: NodeId) -> Option<f64> {
-        self.edge_capacity(*self.node_edges.get(&node)?)
+        self.edge_capacity(self.node_edge(node)?)
+    }
+
+    /// The `c_in → c_out` edge of a compute node, if it holds layers.
+    fn node_edge(&self, node: NodeId) -> Option<EdgeId> {
+        self.node_edges.get(node.index()).copied().flatten()
+    }
+
+    /// Every link edge with its endpoints, sorted by `(from, to)`.
+    pub(crate) fn link_edges(&self) -> &[((Endpoint, Endpoint), EdgeId)] {
+        &self.link_edges
     }
 
     /// The capacity of one of this graph's edges (all of them are valid, so
     /// this is `None` only for an id from another graph).
-    fn edge_capacity(&self, edge: EdgeId) -> Option<f64> {
+    pub(crate) fn edge_capacity(&self, edge: EdgeId) -> Option<f64> {
         self.network.edge(edge).ok().map(|e| e.capacity)
     }
 
     /// Per-node utilisation (flow / capacity) under a max-flow solution; used
     /// by the Fig. 9 case study.
     pub fn node_utilization(&self, flow: &FlowResult) -> HashMap<NodeId, f64> {
-        self.node_edges
+        self.placement
             .iter()
-            .filter_map(|(&node, &e)| {
+            .filter_map(|(node, _)| {
+                let e = self.node_edge(node)?;
                 let cap = self.edge_capacity(e)?;
                 let f = flow.flow(e);
                 Some((node, if cap > 0.0 { f / cap } else { 0.0 }))
@@ -315,11 +342,11 @@ impl PlacementFlowGraph {
     }
 
     /// All directed connections present in the graph (excluding the internal
-    /// `c_in → c_out` edges), with their capacities.
+    /// `c_in → c_out` edges), with their capacities, in `(from, to)` order.
     pub fn connections(&self) -> Vec<(Endpoint, Endpoint, f64)> {
         self.link_edges
             .iter()
-            .filter_map(|(&(from, to), &e)| Some((from, to, self.edge_capacity(e)?)))
+            .filter_map(|&((from, to), e)| Some((from, to, self.edge_capacity(e)?)))
             .collect()
     }
 }
@@ -493,6 +520,25 @@ mod tests {
         }
     }
 
+    /// The connections come in `(from, to)` order, so two builds of one
+    /// placement list them identically, whatever a process's hash seeds.
+    #[test]
+    fn two_builds_list_the_same_connections_in_from_to_order() {
+        let profile =
+            ClusterProfile::analytic(ClusterSpec::single_cluster_24(), ModelConfig::llama2_70b());
+        let placement = crate::placement::heuristics::petals_placement(&profile).unwrap();
+        let build = || FlowGraphBuilder::new(&profile).build(&placement).unwrap();
+        let (first, second) = (build().connections(), build().connections());
+        assert!(first.len() > 24);
+        let bits = |c: &[(Endpoint, Endpoint, f64)]| -> Vec<(Endpoint, Endpoint, u64)> {
+            c.iter().map(|&(f, t, cap)| (f, t, cap.to_bits())).collect()
+        };
+        assert_eq!(bits(&first), bits(&second));
+        assert!(first
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+    }
+
     #[test]
     fn utilization_and_outgoing_flows() {
         let (profile, placement) = fig2_graph();
@@ -507,7 +553,7 @@ mod tests {
             .link_edges
             .iter()
             .filter(|((from, _), _)| *from == Endpoint::Coordinator)
-            .map(|(_, &e)| flow.flow(e))
+            .map(|&(_, e)| flow.flow(e))
             .collect();
         assert!(!out.is_empty());
         let total: f64 = out.iter().sum();

@@ -132,15 +132,12 @@ impl IwrrScheduler {
         }
         let num_nodes = topology.profile().cluster().num_nodes();
         let mut choosers = vec![IwrrChooser::new([]); num_nodes + 1];
-        let node_weights = |from: Endpoint| -> Vec<(NodeId, f64)> {
-            topology
-                .outgoing_flows(from)
-                .into_iter()
-                .filter_map(|(to, w)| match to {
-                    Endpoint::Node(n) => Some((n, w)),
-                    Endpoint::Coordinator => None,
-                })
-                .collect()
+        let node_weights = |from: Endpoint| {
+            let links = topology.outgoing_flows(from).iter();
+            links.filter_map(|l| match l.to {
+                Endpoint::Node(n) => Some((n, l.flow)),
+                Endpoint::Coordinator => None,
+            })
         };
         choosers[0] = IwrrChooser::new(node_weights(Endpoint::Coordinator));
         for n in topology.nodes() {
@@ -171,7 +168,11 @@ impl Scheduler for IwrrScheduler {
         let choosers = &mut self.choosers;
         self.walker.walk(|from, candidates| {
             let chooser = choosers.get_mut(chooser_slot(from))?;
-            let hop = |node| candidates.iter().copied().find(|&(n, _)| n == node);
+            // The walker lists a hop's candidates in ascending node order.
+            let hop = |node| {
+                let i = candidates.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+                candidates.get(i).copied()
+            };
             let node = chooser.pick_unmasked(|node| {
                 // Only nodes that are valid *for this request's position* may
                 // be chosen, and nodes above the KV high-water mark are
@@ -241,6 +242,28 @@ mod tests {
         assert!(empty.candidates.is_empty());
     }
 
+    /// A cluster whose listed nodes have a full KV cache.
+    struct Full(Vec<NodeId>);
+
+    impl ClusterState for Full {
+        fn queue_len(&self, _: NodeId) -> usize {
+            0
+        }
+        fn recent_throughput(&self, _: NodeId) -> f64 {
+            0.0
+        }
+        fn kv_used_tokens(&self, node: NodeId) -> f64 {
+            if self.0.contains(&node) {
+                1000.0
+            } else {
+                0.0
+            }
+        }
+        fn kv_capacity_tokens(&self, _: NodeId) -> f64 {
+            1000.0
+        }
+    }
+
     fn setup() -> (ClusterProfile, ModelPlacement) {
         let profile =
             ClusterProfile::analytic(ClusterSpec::solver_quality_10(), ModelConfig::llama_30b());
@@ -293,28 +316,7 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         let saturated = entries[0];
-        struct SaturatedState {
-            node: helix_cluster::NodeId,
-        }
-        impl ClusterState for SaturatedState {
-            fn queue_len(&self, _: helix_cluster::NodeId) -> usize {
-                0
-            }
-            fn recent_throughput(&self, _: helix_cluster::NodeId) -> f64 {
-                0.0
-            }
-            fn kv_used_tokens(&self, node: helix_cluster::NodeId) -> f64 {
-                if node == self.node {
-                    1000.0
-                } else {
-                    0.0
-                }
-            }
-            fn kv_capacity_tokens(&self, _: helix_cluster::NodeId) -> f64 {
-                1000.0
-            }
-        }
-        let state = SaturatedState { node: saturated };
+        let state = Full(vec![saturated]);
         if entries.len() > 1 {
             for _ in 0..50 {
                 let pipeline = scheduler.schedule(&state).unwrap();
@@ -324,6 +326,45 @@ mod tests {
             // Single entry node saturated: scheduling must fail rather than
             // oversubscribe the KV cache.
             assert!(scheduler.schedule(&state).is_err());
+        }
+    }
+
+    /// Binary-searched hop membership picks exactly as a linear find
+    /// over the hop's candidates does, idle and with every other entry node
+    /// above the high-water mark.
+    #[test]
+    fn searched_membership_picks_as_a_linear_find_does() {
+        let clusters = [
+            ClusterSpec::single_cluster_24(),
+            ClusterSpec::high_heterogeneity_42(),
+        ];
+        for cluster in clusters {
+            let profile = ClusterProfile::analytic(cluster, ModelConfig::llama_30b());
+            let placement = heuristics::swarm_placement(&profile).unwrap();
+            let topology = Topology::plan(&profile, &placement, true).unwrap();
+            let mut scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+            let mut reference = scheduler.clone();
+            let entries = placement.iter().filter(|(_, r)| r.start == 0);
+            let full = Full(entries.step_by(2).map(|(n, _)| n).collect());
+            let states: [&dyn ClusterState; 2] = [&IdleClusterState, &full];
+            for state in states {
+                for _ in 0..200 {
+                    let choosers = &mut reference.choosers;
+                    let expected = reference.walker.walk(|from, candidates| {
+                        let chooser = choosers.get_mut(chooser_slot(from))?;
+                        let hop = |node| candidates.iter().copied().find(|&(n, _)| n == node);
+                        let node = chooser.pick_unmasked(|node| {
+                            hop(node).is_none()
+                                || above_high_water(
+                                    state.kv_used_tokens(node),
+                                    state.kv_capacity_tokens(node),
+                                )
+                        })?;
+                        hop(node)
+                    });
+                    assert_eq!(scheduler.schedule(state).unwrap(), expected.unwrap());
+                }
+            }
         }
     }
 

@@ -152,17 +152,20 @@ impl Topology {
                 (node, entry)
             })
             .collect();
-        let mut links: Vec<TopologyLink> = graph
-            .connections()
-            .into_iter()
-            .map(|(from, to, capacity)| TopologyLink {
-                from,
-                to,
-                capacity,
-                flow: graph.link_flow(flow, from, to).unwrap_or(0.0),
+        // The graph keeps its links sorted by `(from, to)`, and so do these.
+        let links = graph
+            .link_edges()
+            .iter()
+            .filter_map(|&((from, to), e)| {
+                let capacity = graph.edge_capacity(e)?;
+                Some(TopologyLink {
+                    from,
+                    to,
+                    capacity,
+                    flow: flow.flow(e),
+                })
             })
             .collect();
-        links.sort_by_key(|a| (a.from, a.to));
         let num_pipelines = graph.decompose(flow).map(|p| p.len()).unwrap_or(0);
         Topology {
             profile: profile.clone(),
@@ -210,19 +213,21 @@ impl Topology {
         self.nodes.get(&node)
     }
 
-    /// Every surviving directed connection with its capacity and flow.
+    /// Every surviving directed connection with its capacity and flow,
+    /// sorted by `(from, to)`.
     pub fn links(&self) -> &[TopologyLink] {
         &self.links
     }
 
-    /// Outgoing connections of an endpoint with their max-flow weights,
-    /// sorted by destination (the IWRR weights of §5.1).
-    pub fn outgoing_flows(&self, from: Endpoint) -> Vec<(Endpoint, f64)> {
-        self.links
-            .iter()
-            .filter(|l| l.from == from)
-            .map(|l| (l.to, l.flow))
-            .collect()
+    /// Outgoing connections of an endpoint with their max-flow weights (the
+    /// IWRR weights of §5.1), sorted by destination.  The links are sorted
+    /// by `(from, to)`, so these are one contiguous range of
+    /// [`links`](Self::links), found by two binary searches: building a
+    /// chooser for every vertex reads each link once.
+    pub fn outgoing_flows(&self, from: Endpoint) -> &[TopologyLink] {
+        let start = self.links.partition_point(|l| l.from < from);
+        let end = self.links.partition_point(|l| l.from <= from);
+        self.links.get(start..end).unwrap_or_default()
     }
 
     /// Number of model layers.
@@ -266,7 +271,7 @@ mod tests {
         let out: f64 = topo
             .outgoing_flows(Endpoint::Coordinator)
             .iter()
-            .map(|(_, f)| f)
+            .map(|l| l.flow)
             .sum();
         assert!((out - topo.flow_value()).abs() < 1e-6);
         let back: f64 = topo
@@ -276,6 +281,53 @@ mod tests {
             .map(|l| l.flow)
             .sum();
         assert!((back - topo.flow_value()).abs() < 1e-6);
+    }
+
+    /// An oracle for the one-pass build on four clusters: the links are
+    /// strictly sorted, every endpoint's outgoing flows equal the links
+    /// filtered on `from`, and every chooser weight is its link's flow.
+    #[test]
+    fn outgoing_flows_and_iwrr_weights_match_a_filter_over_the_links() {
+        use crate::IwrrScheduler;
+        use helix_cluster::{ClusterBuilder, GpuType, Region};
+        let swarm_200 = ClusterBuilder::new("swarm-200")
+            .intra_region(10_000.0, 1.0)
+            .add_nodes(GpuType::A100_40, 40, 1, Region(0))
+            .add_nodes(GpuType::L4, 60, 1, Region(0))
+            .add_nodes(GpuType::T4, 100, 1, Region(0))
+            .build();
+        let clusters = [
+            ClusterSpec::single_cluster_24(),
+            ClusterSpec::geo_distributed_24(),
+            ClusterSpec::high_heterogeneity_42(),
+            swarm_200,
+        ];
+        for cluster in clusters {
+            let profile = ClusterProfile::analytic(cluster, ModelConfig::llama_30b());
+            let placement = heuristics::swarm_placement(&profile).unwrap();
+            let topo = Topology::plan(&profile, &placement, true).unwrap();
+            let links = topo.links();
+            assert!(links
+                .windows(2)
+                .all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to)));
+            let oracle = |e: Endpoint| -> Vec<TopologyLink> {
+                links.iter().filter(|l| l.from == e).copied().collect()
+            };
+            let endpoints = topo.nodes().map(|n| Endpoint::Node(n.node));
+            for e in endpoints.chain([Endpoint::Coordinator]) {
+                assert_eq!(topo.outgoing_flows(e), oracle(e).as_slice(), "{e:?}");
+            }
+            let scheduler = IwrrScheduler::from_topology(&topo).unwrap();
+            for l in links {
+                let Endpoint::Node(to) = l.to else { continue };
+                let from = match l.from {
+                    Endpoint::Coordinator => None,
+                    Endpoint::Node(n) => Some(n),
+                };
+                let expected = (l.flow > 0.0).then_some(l.flow);
+                assert_eq!(scheduler.weight(from, to), expected, "{l:?}");
+            }
+        }
     }
 
     #[test]

@@ -103,8 +103,9 @@ proptest! {
         let mut single_scheduler = IwrrScheduler::from_topology(&single).unwrap();
         let mut fleet_scheduler = FleetScheduler::iwrr(&fleet).unwrap().into_parts().remove(0);
         for n in single.nodes() {
-            for (to, w) in single.outgoing_flows(helix_core::Endpoint::Node(n.node)) {
-                if let helix_core::Endpoint::Node(to) = to {
+            for link in single.outgoing_flows(helix_core::Endpoint::Node(n.node)) {
+                let w = link.flow;
+                if let helix_core::Endpoint::Node(to) = link.to {
                     prop_assert_eq!(
                         IwrrScheduler::from_topology(fleet_topo).unwrap().weight(Some(n.node), to),
                         if w > 0.0 { Some(w) } else { None }

@@ -83,6 +83,14 @@ guard "one way in" \
 # and a serving builder takes its schedulers one per model: no setter twin.
 guard "one way to configure a planner, a solver and a serving builder" \
     "grep -nE 'fn (partial_inference|prune_to_degree|time_limit|warm_start|warm_start_from_heuristics|early_stop_objective|record_events|options|schedulers)\\(' crates/milp/src/branch_bound.rs crates/core/src/placement/milp.rs crates/runtime/src/builder.rs"
+# The planning artifact is built in time linear in its links: the flow graph
+# keeps its link edges in one list sorted by `(from, to)`, not in a map keyed
+# by endpoint pairs, and a vertex's outgoing flows are a range of the sorted
+# links, not a filter on `from` over all of them.  Test modules may filter.
+guard "plans linear in the links" \
+    "awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\\[cfg\\(test\\)\\]/ { t = 1 }
+         !t && /HashMap<\\(Endpoint, Endpoint\\)|\\.from == |== *[a-z_]+\\.from/ { print FILENAME \":\" FNR \": \" \$0 }' \
+         crates/core/src/flow_graph.rs crates/core/src/topology.rs"
 # Every public function of the libraries has a caller in another file's
 # code, as the type checker resolves it, or a line in
 # tools/pub-fn-allowlist.txt naming the file that reads it.  A failed build
