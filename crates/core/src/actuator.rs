@@ -12,19 +12,19 @@
 //!   the plan's facts in place, or is built — slowed if its node is slowed,
 //!   failed if its node failed.  A row is never taken out: one the plan
 //!   drops keeps executing what it holds and gets no new pipeline.
-//! * **KV hand-over** ([`Actuator::hand_over`]): each migration's
-//!   [`NodeEngine::hand_over`] between its two rows, priced on the
-//!   `from → to` link.
+//! * **KV hand-over** (behind every re-plan, observed or perturbed): each
+//!   migration's [`NodeEngine::hand_over`] between its two rows, priced on
+//!   the `from → to` link.
 //! * **Release and purge** ([`Actuator::release`]): a request is freed on
 //!   every row of its model, not only its pipeline's — migrations seed
 //!   destinations and replication seeds standbys, all keyed by request id.
-//! * **Fail-over** ([`Actuator::fail_over`]): the rows fail, the stranded
-//!   requests are purged and their lanes closed, and the removal re-plan is
-//!   handed over.
-//! * **Observation and manual re-plans** ([`Actuator::observe`],
-//!   [`Actuator::replan`]): the rows' counters go to
-//!   [`ControlPlane::observe`], or a placement delta to
-//!   [`ControlPlane::replan`], and what either applies is handed over.
+//! * **Perturbations** ([`Actuator::perturb`]): the one interpreter of
+//!   [`PerturbationEvent`] — a slowdown re-prices a node's rows; a failure or
+//!   an outage fails its rows, purges the stranded requests, closes their
+//!   lanes and hands the removal re-plan over; a rejoin or a scripted
+//!   placement delta hands its re-plan over.
+//! * **Observation** ([`Actuator::observe`]): the rows' counters go to
+//!   [`ControlPlane::observe`], and what it applies is handed over.
 //! * **Dispatch** ([`Actuator::dispatch`]): an admitted request's lane opens,
 //!   a promoted request's replicated tokens are seeded on every stage, and
 //!   its prefill leaves for the first stage.
@@ -59,7 +59,9 @@ use crate::fleet::FleetTopology;
 use crate::lane::{Hop, RequestTable};
 use crate::link::{LinkKey, RowKey};
 use crate::pair_table::PairTable;
-use crate::replan::{KvMigration, KvTransferRecord, PlacementDelta, ReplanOutcome, ReplanReason};
+use crate::replan::{
+    KvMigration, KvTransferRecord, PerturbationEvent, ReplanOutcome, ReplanReason,
+};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_workload::RequestId;
 use std::collections::{HashMap, HashSet};
@@ -185,7 +187,7 @@ impl Actuator {
 
     /// Slows every row of `node`, present and future, to `factor`× its cost
     /// model (`1.0` lifts it).
-    pub fn set_slowdown(&mut self, node: NodeId, factor: f64) {
+    fn set_slowdown(&mut self, node: NodeId, factor: f64) {
         self.slowdowns.insert(node, factor);
         for row in self.rows.of_node_mut(node) {
             row.set_slowdown(factor);
@@ -209,7 +211,7 @@ impl Actuator {
     /// `now` as one transfer on the `from → to` link.  Both rows freeze the
     /// migrated range — work on other layers keeps executing — until the
     /// wire signals the arrival.
-    pub fn hand_over(
+    fn hand_over(
         &mut self,
         control: &ControlPlane,
         wire: &mut impl Wire,
@@ -257,17 +259,57 @@ impl Actuator {
         self.hand_over(control, wire, outcome, now);
     }
 
-    /// Re-plans the standing placement with `delta` at `now` — a manual
-    /// migration — and hands the outcome over.
-    pub fn replan(
+    /// Applies one scripted perturbation at `now` — the only code that
+    /// reads the variants of [`PerturbationEvent`], for both surfaces:
+    ///
+    /// * a slowdown or recovery re-prices every row of its node, present
+    ///   and future;
+    /// * a failure, or a region's outage, fails its nodes together in one
+    ///   fail-over with one removal re-plan;
+    /// * a rejoin recovers the node's rows if it had failed and hands the
+    ///   control plane's rejoin re-plan over;
+    /// * a re-plan applies its delta to the standing placement and hands the
+    ///   outcome over.
+    ///
+    /// Returns the incarnations a failure stranded, in request-id order, for
+    /// the surface to re-submit (admission resumes the promoted ones on their
+    /// replicas and re-admits the rest); every other kind strands nothing.
+    pub fn perturb(
         &mut self,
         control: &mut ControlPlane,
         wire: &mut impl Wire,
-        delta: &PlacementDelta,
+        event: &PerturbationEvent,
         now: f64,
-    ) {
-        let outcome = control.replan(delta, None, ReplanReason::Manual, now);
-        self.hand_over(control, wire, outcome, now);
+    ) -> Vec<InFlight> {
+        match *event {
+            PerturbationEvent::NodeSlowdown { node, factor, .. } => self.set_slowdown(node, factor),
+            PerturbationEvent::NodeRecovery { node, .. } => self.set_slowdown(node, 1.0),
+            PerturbationEvent::NodeFailure { node, .. } => {
+                let reason = ReplanReason::NodeFailure { node };
+                return self.fail_over(control, wire, &[node], reason, now);
+            }
+            PerturbationEvent::RegionOutage { region, .. } => {
+                // The fleet's profiles share one cluster spec.
+                let cluster = control.fleet().profiles().first();
+                let all = cluster.map(|p| p.cluster().nodes()).unwrap_or_default();
+                let in_region = all.iter().filter(|n| n.region == region);
+                let nodes: Vec<NodeId> = in_region.map(|n| n.id).collect();
+                let reason = ReplanReason::RegionOutage { region };
+                return self.fail_over(control, wire, &nodes, reason, now);
+            }
+            PerturbationEvent::NodeRejoin { node, .. } => {
+                if control.failed().contains(&node) {
+                    self.rows.of_node_mut(node).for_each(NodeEngine::recover);
+                }
+                let outcome = control.rejoin(node, now);
+                self.hand_over(control, wire, outcome, now);
+            }
+            PerturbationEvent::Replan { ref delta, .. } => {
+                let outcome = control.replan(delta, None, ReplanReason::Manual, now);
+                self.hand_over(control, wire, outcome, now);
+            }
+        }
+        Vec::new()
     }
 
     /// Frees what one finished — or, with `purge`, aborted — incarnation
@@ -296,7 +338,7 @@ impl Actuator {
     /// Returns the stranded incarnations, in request-id order, for the
     /// surface to re-submit: admission resumes the promoted ones on their
     /// replicas and re-admits the rest.
-    pub fn fail_over(
+    fn fail_over(
         &mut self,
         control: &mut ControlPlane,
         wire: &mut impl Wire,

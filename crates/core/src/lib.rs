@@ -148,8 +148,8 @@ pub use placement::{LayerRange, ModelPlacement};
 pub use region::{RegionRing, RingOptions};
 pub use replan::{
     EngineCounters, KvMigration, KvTransferModel, KvTransferRecord, NodeObservation,
-    NodeObservations, ObservationWindows, PlacementDelta, ReplanOutcome, ReplanPolicy,
-    ReplanReason, ReplanRecord,
+    NodeObservations, ObservationWindows, PerturbationEvent, PlacementDelta, ReplanOutcome,
+    ReplanPolicy, ReplanReason, ReplanRecord,
 };
 pub use scheduling::iwrr::IwrrScheduler;
 pub use scheduling::kv_estimate::KvCacheEstimator;

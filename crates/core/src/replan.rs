@@ -25,11 +25,14 @@
 //!   both surfaces fire the loop under identical conditions.
 //! * [`ReplanRecord`] / [`ReplanOutcome`] — what happened and why, for run
 //!   reports and tests.
+//! * [`PerturbationEvent`] — what can happen to a cluster mid-run (a slowdown,
+//!   a failure, an outage, a rejoin, a manual re-plan), the one input both
+//!   surfaces' sessions schedule.
 
 use crate::error::HelixError;
 use crate::fleet::FleetPlacement;
 use crate::placement::LayerRange;
-use helix_cluster::{ModelId, NodeId};
+use helix_cluster::{ModelId, NodeId, Region};
 use std::collections::BTreeMap;
 
 /// Lower clamp on observed speed factors: even a node measured as stalled
@@ -519,7 +522,7 @@ pub enum ReplanReason {
     /// failure); the re-plan removed the whole region from the placement.
     RegionOutage {
         /// The failed region.
-        region: helix_cluster::Region,
+        region: Region,
     },
     /// A previously failed node came back (flap rejoin / partition heal);
     /// the re-plan handed its pre-failure layer ranges back to it.
@@ -542,6 +545,97 @@ pub struct ReplanRecord {
     pub affected: Vec<ModelId>,
     /// Fleet-total planned throughput (tokens/s) after the re-plan.
     pub planned_flow: f64,
+}
+
+/// A scripted mid-run change to the cluster — the scenarios the online
+/// re-planning loop exists to absorb — in the one vocabulary both serving
+/// surfaces take through their session's `schedule`, and
+/// [`Actuator::perturb`](crate::Actuator::perturb) applies.
+///
+/// Each is one primitive step at one instant, `at`, a reading of the
+/// surface's clock (virtual seconds): one timed at or before the clock's
+/// reading happens at that reading.  A disturbance with a duration is two
+/// steps, such as [`PerturbationEvent::NodeSlowdown`] and a later
+/// [`PerturbationEvent::NodeRecovery`]; a flapping node is a
+/// [`PerturbationEvent::NodeFailure`] and a later
+/// [`PerturbationEvent::NodeRejoin`]; a healed partition is a
+/// [`PerturbationEvent::RegionOutage`] and one rejoin per node of the region.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PerturbationEvent {
+    /// The node's batches start taking `factor`× the cost model's prediction
+    /// (thermal throttling, a noisy co-tenant, a failing NIC…), on its rows
+    /// present and future.  The surfaces *measure* the gap; a policy reacts
+    /// to the measurement, never to the injected value.
+    NodeSlowdown {
+        /// When the slowdown begins.
+        at: f64,
+        /// The affected node.
+        node: NodeId,
+        /// Duration multiplier (`2.0` = half speed).
+        factor: f64,
+    },
+    /// The node returns to nominal speed.
+    NodeRecovery {
+        /// When the recovery happens.
+        at: f64,
+        /// The recovered node.
+        node: NodeId,
+    },
+    /// The node drops out: its rows stop, in-flight pipelines through it
+    /// are promoted onto their replicas or aborted and re-admitted, and an
+    /// immediate re-plan removes it from every model's placement.
+    NodeFailure {
+        /// When the node fails.
+        at: f64,
+        /// The failed node.
+        node: NodeId,
+    },
+    /// Every node of `region` drops out at once — a power or backbone
+    /// failure taking a whole regional cluster down — with **one** re-plan
+    /// removing the whole region (per-node re-plans would thrash, and an
+    /// intermediate single-node removal may be infeasible even when the
+    /// full-region removal is not).
+    RegionOutage {
+        /// When the region fails.
+        at: f64,
+        /// The failed region (nodes resolved against the fleet's cluster
+        /// spec when it happens).
+        region: Region,
+    },
+    /// A failed node comes back: its rows recover, and the planner hands it
+    /// back the layer ranges it held when it failed (a no-op for a node that
+    /// never left the plan).
+    NodeRejoin {
+        /// When the node rejoins.
+        at: f64,
+        /// The rejoining node.
+        node: NodeId,
+    },
+    /// The standing placement re-plans with `delta` ([`ReplanReason::Manual`]):
+    /// each migration's KV pages travel its `from → to` link as modelled
+    /// traffic while both rows freeze the moved range (in-flight pipelines
+    /// keep their routes), and a tenancy the delta adds gets a row in
+    /// service.  An infeasible delta leaves the standing plan serving.
+    Replan {
+        /// When the re-plan is applied.
+        at: f64,
+        /// The placement change.
+        delta: PlacementDelta,
+    },
+}
+
+impl PerturbationEvent {
+    /// When the perturbation takes effect.
+    pub fn at(&self) -> f64 {
+        match *self {
+            PerturbationEvent::NodeSlowdown { at, .. }
+            | PerturbationEvent::NodeRecovery { at, .. }
+            | PerturbationEvent::NodeFailure { at, .. }
+            | PerturbationEvent::RegionOutage { at, .. }
+            | PerturbationEvent::NodeRejoin { at, .. }
+            | PerturbationEvent::Replan { at, .. } => at,
+        }
+    }
 }
 
 /// The analytic cost model of one KV-state transfer, shared by the simulator

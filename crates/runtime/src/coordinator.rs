@@ -34,18 +34,19 @@
 //! plain function on the data plane's thread.  One turn waits
 //! ([`Coordinator::wait`], on the session's `std::sync::mpsc` channel) for a
 //! session call or for the earliest thing due (the fabric's queue, an
-//! arrival, an injected failure, a policy tick, the drain budget), and then
-//! ([`Coordinator::turn`]) handles the session calls; applies every
+//! arrival, a scheduled perturbation, a policy tick, the drain budget), and
+//! then ([`Coordinator::turn`]) handles the session calls; applies every
 //! delivery, batch completion and hand-over arrival that is due, pass after
 //! pass until a fresh clock reading finds nothing more, and only then
 //! starts the batches of the rows those passes touched — until nothing is
 //! due and no row waits; and then — once per quiescence, not once per
-//! delivery — handles what reached the coordinator, observes, fails nodes
-//! (one fail-over per injected failure, in virtual-time order), admits,
-//! retries what was deferred and acknowledges drains.  Requests
-//! arrive as control messages on the inbound channel, completions stream
-//! back as they happen, and mid-run placement deltas can add rows for
-//! (node, model) pairs the original build never had.
+//! delivery — handles what reached the coordinator, observes, applies the
+//! scheduled perturbations that are due (one [`Actuator::perturb`] each, in
+//! virtual-time order), admits, retries what was deferred and acknowledges
+//! drains.  Requests and perturbations arrive as control messages on the
+//! inbound channel, completions stream back as they happen, and mid-run
+//! placement deltas can add rows for (node, model) pairs the original build
+//! never had.
 //!
 //! The clock is read once per pass and not in between: the fabric has none,
 //! so every send and priced transfer carries the reading its caller acts on
@@ -60,9 +61,9 @@
 //! re-planning feedback: every policy interval the rows' counters are
 //! handed to [`ControlPlane::observe`], and an applied
 //! re-plan is handed over **drain-then-switch** — the affected models'
-//! schedulers and KV estimators are swapped for *new* requests while every
-//! in-flight pipeline keeps the route it was assigned, so nothing is dropped
-//! mid-generation.
+//! schedulers are swapped, and their rows take the new KV budgets, for *new*
+//! requests while every in-flight pipeline keeps the route it was assigned,
+//! so nothing is dropped mid-generation.
 
 use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
@@ -72,11 +73,11 @@ use helix_cluster::{ModelId, NodeId};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
     Actuator, Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
-    KvTransferRecord, NodeEngine, PairTable, PlacementDelta, ReplanReason, ReplicationPolicy,
-    Topology,
+    KvTransferRecord, NodeEngine, PairTable, PerturbationEvent, ReplicationPolicy, Topology,
 };
 use helix_core::{LinkWire, RowKey, WireEvent};
 use helix_workload::Request;
+use std::cmp::Ordering::Greater;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -99,16 +100,9 @@ pub(crate) enum SessionControl {
     /// Admit a whole workload: one message, so requests due at the same time
     /// are seen — and admitted — together.
     SubmitAll(Vec<Request>),
-    /// Slow every row of a node, present and future, to the given factor.
-    InjectSpeed(NodeId, f64),
-    /// Apply a placement delta to the standing fleet plan: re-plan, swap the
-    /// affected models' schedulers and add rows for newly added
-    /// (node, model) tenancies; ones the plan dropped get no new pipeline.
-    ApplyDelta(PlacementDelta),
-    /// Fail a node at the given virtual time: fail its rows, promote
-    /// replicated in-flight pipelines onto their standbys (or abort and
-    /// re-admit), and re-plan around the hole.
-    FailNode(NodeId, f64),
+    /// Apply a scripted perturbation once its virtual time has passed
+    /// (see [`Actuator::perturb`]).
+    Perturb(PerturbationEvent),
     /// Install the replication policy governing subsequently admitted
     /// requests (already-running requests keep their admission-time
     /// decision).
@@ -126,10 +120,10 @@ const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
 /// The coordinator's runtime view of the cluster for one model, used by that
 /// model's scheduler.
 ///
-/// Queue lengths, recent throughput and KV capacities are read off the
-/// model's rows (the runtime equivalent of the paper's
-/// runtime monitoring); KV usage comes from the model's coordinator-side
-/// estimator, exactly as in §5.2.
+/// Queue lengths (a running batch counts as one, as the simulator counts
+/// it), recent throughput and KV capacities are read off the model's rows
+/// (the runtime equivalent of the paper's runtime monitoring); KV usage
+/// comes from the model's coordinator-side estimator, exactly as in §5.2.
 struct CoordinatorView<'a> {
     model: ModelId,
     estimators: &'a [KvCacheEstimator],
@@ -139,7 +133,7 @@ struct CoordinatorView<'a> {
 impl ClusterState for CoordinatorView<'_> {
     fn queue_len(&self, node: NodeId) -> usize {
         let row = self.rows.get(node, self.model);
-        row.map_or(0, NodeEngine::queue_len)
+        row.map_or(0, |row| row.queue_len() + usize::from(row.is_busy()))
     }
 
     fn recent_throughput(&self, node: NodeId) -> f64 {
@@ -160,7 +154,7 @@ impl ClusterState for CoordinatorView<'_> {
 pub(crate) struct Coordinator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy, in-flight table).
-    control: ControlPlane,
+    pub control: ControlPlane,
     estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<SessionControl>,
@@ -174,8 +168,8 @@ pub(crate) struct Coordinator {
     max_wall: Duration,
     outcomes: Vec<RequestOutcome>,
     completions: Sender<RequestOutcome>,
-    /// Injected failures not yet due: `(virtual time, node)`.
-    pending_failures: Vec<(f64, NodeId)>,
+    /// Scheduled perturbations not yet due, in call order.
+    perturbations: Vec<PerturbationEvent>,
     /// Submitted requests whose arrival time has not passed, in submission
     /// order.
     pending: VecDeque<Request>,
@@ -223,7 +217,7 @@ impl Coordinator {
             max_wall: config.max_wall,
             outcomes: Vec::new(),
             completions: spec.completions,
-            pending_failures: Vec::new(),
+            perturbations: Vec::new(),
             pending: VecDeque::new(),
             deferred: VecDeque::new(),
             drain_acks: Vec::new(),
@@ -249,8 +243,8 @@ impl Coordinator {
     /// process.  The wall-clock budget is enforced only while a drain or
     /// finish is pending — an idle session may live indefinitely, blocked
     /// on its inbound channel at zero cost.  The loop returns once no
-    /// request or injected failure is pending; a hand-over's arrival may
-    /// still sit in the fabric's queue and is dropped with it — the report
+    /// request or scheduled perturbation is pending; a hand-over's arrival
+    /// may still sit in the fabric's queue and is dropped with it — the report
     /// reads only counters taken at the send and cumulative ones, so
     /// teardown is that return.
     pub(crate) fn run_live(&mut self) -> Result<Vec<RequestOutcome>, RuntimeError> {
@@ -300,13 +294,13 @@ impl Coordinator {
     }
 
     /// When the loop has something to do without being called: the earliest
-    /// of the fabric's queue, the next arrival or injected failure, the next
-    /// policy tick and the drain budget.
+    /// of the fabric's queue, the next arrival or scheduled perturbation, the
+    /// next policy tick and the drain budget.
     fn next_wake(&self) -> Option<Instant> {
         let arrivals = self.pending.iter().map(|r| r.arrival_time);
-        let failures = self.pending_failures.iter().map(|&(at, _)| at);
+        let perturbations = self.perturbations.iter().map(PerturbationEvent::at);
         let paced = arrivals
-            .chain(failures)
+            .chain(perturbations)
             .chain(self.next_policy_check())
             .fold(f64::INFINITY, f64::min);
         let paced = paced.is_finite().then(|| self.clock.instant_at(paced));
@@ -337,14 +331,7 @@ impl Coordinator {
                     self.submitted += requests.len();
                     self.pending.extend(requests);
                 }
-                SessionControl::InjectSpeed(node, factor) => {
-                    self.act.set_slowdown(node, factor);
-                }
-                SessionControl::ApplyDelta(delta) => {
-                    self.act
-                        .replan(&mut self.control, &mut self.wire, &delta, self.clock.now());
-                }
-                SessionControl::FailNode(node, at) => self.pending_failures.push((at, node)),
+                SessionControl::Perturb(event) => self.perturbations.push(event),
                 SessionControl::SetReplication(policy) => self.control.set_replication(policy),
                 SessionControl::Drain(ack) => self.drain_acks.push(ack),
                 SessionControl::Finish => self.finishing = true,
@@ -382,21 +369,21 @@ impl Coordinator {
             }
         }
 
-        // 5. Fire injected node failures whose virtual time has passed, one
-        // fail-over each in virtual-time order (call order among equal
-        // times), as the simulator handles one failure event at a time:
-        // promote replicated in-flight pipelines, abort the rest and queue
-        // them for re-admission through the normal path, after the purge.
+        // 5. Apply every scheduled perturbation whose virtual time is not
+        // after this reading (a NaN time included: the simulator clamps it
+        // to its clock), in (time, call order), as the simulator handles one
+        // perturbation event at a time.  What a failure strands — the
+        // promoted pipelines and the aborted rest — releases its estimate
+        // and queues for re-admission through the normal path, after the
+        // purge.
         let due = self
-            .pending_failures
-            .extract_if(.., |&mut (at, _)| at <= now);
-        let mut due: Vec<(f64, NodeId)> = due.collect();
-        due.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (_, node) in due {
-            let reason = ReplanReason::NodeFailure { node };
+            .perturbations
+            .extract_if(.., |event| event.at().partial_cmp(&now) != Some(Greater));
+        let mut due: Vec<PerturbationEvent> = due.collect();
+        due.sort_by(|a, b| a.at().total_cmp(&b.at()));
+        for event in &due {
             let (control, wire) = (&mut self.control, &mut self.wire);
-            let stranded = self.act.fail_over(control, wire, &[node], reason, now);
-            for flight in stranded {
+            for flight in self.act.perturb(control, wire, event, now) {
                 self.release_estimate(&flight, true);
                 self.pending.push_back(flight.request);
             }
@@ -425,9 +412,10 @@ impl Coordinator {
         }
         // Deferred work is only genuinely stuck when nothing can still
         // unmask a candidate: an in-flight completion frees KV and a due
-        // failure re-plans — so a pending failure postpones the stall
-        // verdict.  The requests a hand-over holds are in flight.
-        let settled = self.control.in_flight_len() == 0 && self.pending_failures.is_empty();
+        // perturbation re-plans or re-prices — so a pending perturbation
+        // postpones the stall verdict.  The requests a hand-over holds are
+        // in flight.
+        let settled = self.control.in_flight_len() == 0 && self.perturbations.is_empty();
         if draining && settled && !self.deferred.is_empty() {
             return Err(RuntimeError::Stalled {
                 pending: self.deferred.len() + self.pending.len(),
@@ -582,9 +570,10 @@ mod tests {
     use helix_cluster::{
         ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
     };
+    use helix_core::PlacementDelta;
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
     use helix_core::{FleetTopology, Scheduler};
-    use helix_core::{Hop, KvMigration, ReplanOutcome, Wire};
+    use helix_core::{Hop, Wire};
     use helix_core::{LayerRange, ModelPlacement, PipelineStage, SchedulerKind, Topology};
     use helix_workload::PrefixId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -851,27 +840,17 @@ mod tests {
     /// deadline the loop has.
     #[test]
     fn work_held_by_a_hand_over_starts_when_its_arrival_comes_due() {
-        let (mut coordinator, _control, _completed) = plane(iwrr, 1e-9);
-        let rows = coordinator.rows();
-        let (from, to) = (rows[0].0, rows[1].0);
-        let migration = KvMigration {
-            model: from.1,
-            from: from.0,
-            to: to.0,
-            layers: LayerRange::new(0, 4),
-        };
-        let outcome = ReplanOutcome {
-            affected: Vec::new(),
-            warm_flow_values: Vec::new(),
-            migrations: vec![migration],
-        };
-        let act = &mut coordinator.act;
-        act.hand_over(
-            &coordinator.control,
-            &mut coordinator.wire,
-            Some(outcome),
-            0.0,
-        );
+        use crate::registry::{fleet, plane_of};
+        // Every stage doubled; node 0 hands its first quarter to node 2.
+        let doubled: &[(usize, usize, usize)] = &[(0, 0, 2), (2, 0, 2), (1, 2, 4), (3, 2, 4)];
+        let mut coordinator = plane_of(fleet(&[doubled]), ExecutionKind::Instant);
+        let (from, to) = ((NodeId(0), ModelId(0)), (NodeId(2), ModelId(0)));
+        let quarter = coordinator.control.fleet().topologies()[0].num_layers() / 4;
+        let moved = LayerRange::new(0, quarter);
+        let delta = PlacementDelta::new().migrate(from.1, from.0, to.0, moved);
+        let migrate = PerturbationEvent::Replan { at: 0.0, delta };
+        let (act, control) = (&mut coordinator.act, &mut coordinator.control);
+        act.perturb(control, &mut coordinator.wire, &migrate, 0.0);
         let [record] = act.kv_transfers() else {
             panic!("one hand-over, recorded when it starts");
         };
@@ -978,8 +957,12 @@ mod tests {
         coordinator.deliver(hop);
         assert_eq!(row(&coordinator, key).queue_len(), 1);
 
+        let fail = PerturbationEvent::NodeFailure {
+            at: 0.0,
+            node: failed,
+        };
         assert!(!coordinator
-            .turn(Some(SessionControl::FailNode(failed, 0.0)))
+            .turn(Some(SessionControl::Perturb(fail)))
             .unwrap());
         let readmitted = coordinator.control.flight(0).map(|f| f.epoch);
         assert_eq!(readmitted, Some(1), "re-admitted under a new epoch");
@@ -1027,8 +1010,11 @@ mod tests {
         coordinator.wire.send_hop(0.0, link, 0.0, stale);
 
         let (act, control) = (&mut coordinator.act, &mut coordinator.control);
-        let reason = ReplanReason::NodeFailure { node: failed };
-        let stranded = act.fail_over(control, &mut coordinator.wire, &[failed], reason, 0.0);
+        let fail = PerturbationEvent::NodeFailure {
+            at: 0.0,
+            node: failed,
+        };
+        let stranded = act.perturb(control, &mut coordinator.wire, &fail, 0.0);
         assert_eq!(
             stranded.iter().map(|f| f.request.id).collect::<Vec<_>>(),
             [0]
@@ -1099,11 +1085,14 @@ mod tests {
         // Mid-run: node 0 hands layers [quarter, half) to node 1, and node 3
         // fails later.
         let moved = LayerRange::new(quarter, half);
-        let migrate = PlacementDelta::new().migrate(ModelId(0), NodeId(0), NodeId(1), moved);
-        control.send(SessionControl::ApplyDelta(migrate)).unwrap();
-        control
-            .send(SessionControl::FailNode(NodeId(3), 0.5))
-            .unwrap();
+        let delta = PlacementDelta::new().migrate(ModelId(0), NodeId(0), NodeId(1), moved);
+        let fail = PerturbationEvent::NodeFailure {
+            at: 0.5,
+            node: NodeId(3),
+        };
+        for event in [PerturbationEvent::Replan { at: 0.0, delta }, fail] {
+            control.send(SessionControl::Perturb(event)).unwrap();
+        }
         control.send(SessionControl::Finish).unwrap();
         assert_eq!(coordinator.run_live().unwrap().len(), 40);
 
@@ -1139,11 +1128,17 @@ mod tests {
         let (mut coordinator, _control, _completed) = plane_on(topology, iwrr, 1.0);
         let failed = (NodeId(0), ModelId(0));
 
-        let fail = SessionControl::FailNode(failed.0, 0.0);
-        assert!(!coordinator.turn(Some(fail)).unwrap());
-        let migrate = PlacementDelta::new().migrate(ModelId(0), NodeId(1), NodeId(3), top);
+        let fail = PerturbationEvent::NodeFailure {
+            at: 0.0,
+            node: failed.0,
+        };
         assert!(!coordinator
-            .turn(Some(SessionControl::ApplyDelta(migrate)))
+            .turn(Some(SessionControl::Perturb(fail)))
+            .unwrap());
+        let delta = PlacementDelta::new().migrate(ModelId(0), NodeId(1), NodeId(3), top);
+        let migrate = PerturbationEvent::Replan { at: 0.0, delta };
+        assert!(!coordinator
+            .turn(Some(SessionControl::Perturb(migrate)))
             .unwrap());
         let plan = &coordinator.control.fleet().topologies()[0];
         assert!(plan.node(failed.0).is_some(), "the removal was infeasible");
@@ -1155,6 +1150,56 @@ mod tests {
         let row = row(&coordinator, failed);
         assert_eq!((row.totals().batches, row.queue_len()), (0, 1));
         assert!(!row.is_busy());
+    }
+
+    /// The scheduler's view counts a running batch, as the simulator's
+    /// does: a row mid-batch with nothing queued reads one, so a busy row
+    /// never ties an idle one under the shortest-queue baseline.
+    #[test]
+    fn a_row_mid_batch_with_nothing_queued_has_queue_length_one() {
+        use crate::registry::{fleet, plane_of};
+        let halves: &[(usize, usize, usize)] = &[(0, 0, 2), (3, 2, 4)];
+        let mut plane = plane_of(fleet(&[halves]), ExecutionKind::Analytic);
+        let key = first_row(&plane);
+        deliver(&mut plane, key, 1);
+        assert!(plane.start_touched(0.0), "the row starts its batch");
+        let row = row(&plane, key);
+        assert_eq!((row.is_busy(), row.queue_len()), (true, 0));
+        let view = CoordinatorView {
+            model: key.1,
+            estimators: &plane.estimators,
+            rows: &plane.act.rows,
+        };
+        assert_eq!(view.queue_len(key.0), 1);
+        assert_eq!(view.queue_len(NodeId(3)), 0, "an idle row reads zero");
+    }
+
+    /// A perturbation timed NaN is due in the turn that receives it, as the
+    /// simulator clamps its time to the clock's reading; one timed later
+    /// waits.
+    #[test]
+    fn a_perturbation_timed_nan_applies_in_the_turn_that_receives_it() {
+        let (mut coordinator, _control, _completed) = plane(iwrr, 1.0);
+        for at in [f64::NAN, 1e6] {
+            let event = PerturbationEvent::NodeRecovery {
+                at,
+                node: NodeId(0),
+            };
+            assert!(!coordinator
+                .turn(Some(SessionControl::Perturb(event)))
+                .unwrap());
+        }
+        let waiting: Vec<f64> = coordinator.perturbations.iter().map(|e| e.at()).collect();
+        assert_eq!(waiting, [1e6]);
+    }
+
+    /// Node 0 at half speed, now.
+    fn slowdown() -> PerturbationEvent {
+        PerturbationEvent::NodeSlowdown {
+            at: 0.0,
+            node: NodeId(0),
+            factor: 0.5,
+        }
     }
 
     /// A call already queued is returned without waiting for the deadline,
@@ -1169,15 +1214,10 @@ mod tests {
         assert!(!coordinator.turn(Some(SessionControl::Submit(far))).unwrap());
         let deadline = coordinator.next_wake().unwrap();
         assert!(deadline > Instant::now() + Duration::from_secs(3_600));
-        control
-            .send(SessionControl::InjectSpeed(NodeId(0), 0.5))
-            .unwrap();
+        control.send(SessionControl::Perturb(slowdown())).unwrap();
         let started = Instant::now();
         let call = coordinator.wait();
-        assert!(matches!(
-            call,
-            Some(SessionControl::InjectSpeed(NodeId(0), _))
-        ));
+        assert!(matches!(call, Some(SessionControl::Perturb(e)) if e == slowdown()));
         assert!(started.elapsed() < Duration::from_secs(60));
     }
 
@@ -1187,17 +1227,19 @@ mod tests {
     #[test]
     fn a_deadline_in_the_past_returns_at_once() {
         let (mut coordinator, control, _completed) = plane(iwrr, 1.0);
-        coordinator.pending_failures.push((0.0, NodeId(0)));
+        let fail = PerturbationEvent::NodeFailure {
+            at: 0.0,
+            node: NodeId(0),
+        };
+        coordinator.perturbations.push(fail);
         while coordinator
             .next_wake()
             .is_some_and(|at| at > Instant::now())
         {}
         assert!(coordinator.wait().is_none());
-        control
-            .send(SessionControl::InjectSpeed(NodeId(0), 0.5))
-            .unwrap();
+        control.send(SessionControl::Perturb(slowdown())).unwrap();
         let call = coordinator.wait();
-        assert!(matches!(call, Some(SessionControl::InjectSpeed(..))));
+        assert!(matches!(call, Some(SessionControl::Perturb(e)) if e == slowdown()));
         assert!(coordinator.wait().is_none());
     }
 

@@ -56,9 +56,12 @@
 //! The front door is session-oriented: a [`ServingBuilder`] unifies
 //! single-model, multi-model and adaptive construction, and the
 //! [`ServingSession`] it returns is a *live* handle — non-blocking
-//! [`submit`](ServingSession::submit), streaming completions, mid-run speed
-//! injection and placement deltas that can add workers for brand-new
-//! (node, model) tenancies.  The batch call survives as
+//! [`submit`](ServingSession::submit), streaming completions, and one
+//! [`schedule`](ServingSession::schedule) for every mid-run
+//! [`PerturbationEvent`](helix_core::PerturbationEvent) the simulator takes
+//! too: slowdowns and recoveries, node failures and rejoins, region outages,
+//! and placement deltas that can add workers for brand-new (node, model)
+//! tenancies.  The batch call survives as
 //! [`ServingSession::serve`]: submit everything, drain, finish — over the
 //! one coordinator loop, which is itself only the runtime *actuator* of the
 //! shared [`helix_core::control::ControlPlane`] (every admission, fail-over

@@ -176,7 +176,7 @@ mod tests {
     use helix_core::Actuator;
     use helix_core::{BatchTotals, Dispatch, ExecModel, LayerRange, PipelineStage};
     use helix_core::{LinkWire, WireEvent};
-    use helix_core::{RequestPipeline, RequestTable, Wire, WorkItem};
+    use helix_core::{PerturbationEvent, RequestPipeline, RequestTable, Wire, WorkItem};
     use helix_workload::Request;
     use std::collections::HashSet;
     use std::sync::Arc;
@@ -338,7 +338,13 @@ mod tests {
         let second = |node| [(node, 0, 4)];
         let mut plane = plane_of(fleet(&[HALVES, &second(1)]), ExecutionKind::Analytic);
         let (early, late) = ((NodeId(3), ModelId(0)), (NodeId(3), ModelId(1)));
-        plane.act.set_slowdown(NodeId(3), 4.0);
+        let slowdown = PerturbationEvent::NodeSlowdown {
+            at: 0.0,
+            node: NodeId(3),
+            factor: 4.0,
+        };
+        let (control, wire) = (&mut plane.control, &mut plane.wire);
+        plane.act.perturb(control, wire, &slowdown, 0.0);
         // Model 1 moves onto node 3: its row there is new.
         let moved = fleet(&[HALVES, &second(3)]);
         plane.act.plan(&moved, &HashSet::new(), [ModelId(1)]);

@@ -109,7 +109,7 @@ pub(crate) fn validate(
 /// The whole life of a data plane, on the thread that owns it: builds it,
 /// runs its loop until the session says `Finish` (or is gone), and assembles
 /// the final report from the tables as they stand.  The loop returns once no
-/// request or injected failure is pending; a hand-over's arrival still
+/// request or scheduled perturbation is pending; a hand-over's arrival still
 /// queued in the fabric is dropped with it, and the report reads only what
 /// was counted at the send (links) or is cumulative (rows) — so there is
 /// nothing to shut down or drain.  `wired` is told once the plane is built,

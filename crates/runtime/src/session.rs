@@ -2,13 +2,13 @@
 //!
 //! A [`ServingSession`] is a long-lived handle over a running data plane
 //! (coordinator, workers, fabric): requests are submitted without blocking,
-//! completions stream back as they happen, and a small control plane accepts
-//! mid-run perturbations ([`inject_speed`](ServingSession::inject_speed)),
-//! placement deltas that can *add new workers*
-//! ([`apply_placement_delta`](ServingSession::apply_placement_delta)) and
-//! node failures ([`fail_node`](ServingSession::fail_node)).  The batch call is a thin convenience
-//! wrapper: [`ServingSession::serve`] is submit-everything → finish over the
-//! same loop every other call drives.
+//! completions stream back as they happen, and one call,
+//! [`schedule`](ServingSession::schedule), takes every mid-run
+//! [`PerturbationEvent`](helix_core::PerturbationEvent) the simulator's
+//! session takes: slowdowns and recoveries, node failures and rejoins, region
+//! outages, and placement deltas that can *add new workers*.  The batch call
+//! is a thin convenience wrapper: [`ServingSession::serve`] is
+//! submit-everything → finish over the same loop every other call drives.
 //!
 //! The whole data plane — coordinator, row table, fabric — is one loop
 //! over plain data, built and run by a single dedicated `helix-dataplane`
@@ -23,8 +23,7 @@ use crate::coordinator::SessionControl;
 use crate::error::RuntimeError;
 use crate::metrics::{RequestOutcome, RuntimeReport};
 use crate::runtime::{self, PlaneSpec, RuntimeConfig};
-use helix_cluster::NodeId;
-use helix_core::{FleetTopology, PlacementDelta, ReplanPolicy, ReplicationPolicy, Scheduler};
+use helix_core::{FleetTopology, PerturbationEvent, ReplanPolicy, ReplicationPolicy, Scheduler};
 use helix_workload::{Request, TicketId, Workload};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -188,41 +187,36 @@ impl ServingSession {
         }
     }
 
-    /// Injects a hardware slowdown on every worker of `node`, including ones
-    /// a later re-plan adds: their batches take `factor`× the cost model's
-    /// prediction from now on (1.0 restores nominal speed).  The workers
-    /// *measure* the resulting gap; an adaptive session reacts to the
-    /// measurement, never to the injected value.
-    pub fn inject_speed(&self, node: NodeId, factor: f64) {
-        self.send_control(SessionControl::InjectSpeed(node, factor));
-    }
-
-    /// Applies a placement delta to the standing fleet plan, asynchronously:
-    /// the coordinator re-plans with the observations already priced in,
-    /// swaps the affected models' schedulers and KV budgets for new requests,
-    /// **puts a worker in service** for every (node, model) tenancy the delta
-    /// added — closing the mid-run scale-out loop.  A worker the plan dropped
-    /// keeps executing what it holds and gets no new pipeline, as the
-    /// simulator's engine does.
+    /// Schedules a mid-run [`PerturbationEvent`] — the vocabulary the
+    /// simulator's session takes too — without blocking.  The coordinator
+    /// applies it once its virtual time `at` has passed (one already past
+    /// applies at once), in (`at`, call order), through the same
+    /// [`Actuator::perturb`](helix_core::Actuator::perturb) the simulator
+    /// calls:
     ///
-    /// An infeasible delta (e.g. one that breaks a model's pipeline) leaves
-    /// the current plan serving; applied deltas show up in the final
-    /// report's `replans` log with [`ReplanReason::Manual`].
+    /// * a slowdown re-prices every worker of its node, including ones a
+    ///   later re-plan adds; the workers *measure* the gap, and an adaptive
+    ///   session reacts to the measurement, never to the injected value;
+    /// * a failure or a region's outage fails its workers — they drop the
+    ///   batch they were executing and start no other, stay in the report,
+    ///   and keep what they hold until a release frees it — promotes every
+    ///   in-flight pipeline crossing them onto its replica standbys (when
+    ///   the replication policy trickled its KV there) or aborts and
+    ///   re-admits it, and re-plans around the hole; the fail-over shows up
+    ///   in the final report's `failovers` log;
+    /// * a rejoin recovers a failed node's workers and hands its
+    ///   pre-failure layer ranges back;
+    /// * a re-plan applies its placement delta, swaps the affected models'
+    ///   schedulers and KV budgets for new requests, hands migrated KV over
+    ///   and **puts a worker in service** for every (node, model) tenancy
+    ///   the delta added; a worker the plan dropped keeps executing what it
+    ///   holds and gets no new pipeline.  An infeasible delta leaves the
+    ///   current plan serving.
     ///
-    /// [`ReplanReason::Manual`]: helix_core::ReplanReason::Manual
-    pub fn apply_placement_delta(&mut self, delta: PlacementDelta) {
-        self.send_control(SessionControl::ApplyDelta(delta));
-    }
-
-    /// Fails `node` at virtual time `at`: its workers drop the batch they
-    /// were executing and start no other (they stay in the report, and what
-    /// they hold stays until a release frees it), every
-    /// in-flight pipeline crossing it is promoted onto its replica standbys
-    /// (when the replication policy trickled its KV there) or aborted and
-    /// re-admitted from scratch, and the fleet re-plans around the hole.
-    /// The fail-over shows up in the final report's `failovers` log.
-    pub fn fail_node(&mut self, node: NodeId, at: f64) {
-        self.send_control(SessionControl::FailNode(node, at));
+    /// A pending perturbation postpones a drain's stall verdict: it may
+    /// still unmask a deferred request.
+    pub fn schedule(&mut self, event: PerturbationEvent) {
+        self.send_control(SessionControl::Perturb(event));
     }
 
     /// Installs the replication policy governing subsequently admitted

@@ -9,8 +9,8 @@ use helix_cluster::{
 };
 use helix_core::fleet::{fleet_profiles, FleetPlacement};
 use helix_core::{
-    FleetScheduler, FleetTopology, IwrrScheduler, LayerRange, ModelPlacement, ReplicationPolicy,
-    Topology,
+    FleetScheduler, FleetTopology, IwrrScheduler, LayerRange, ModelPlacement, PerturbationEvent,
+    ReplicationPolicy, Topology,
 };
 use helix_runtime::{RuntimeConfig, RuntimeReport, ServingBuilder, ServingSession};
 use helix_workload::{PrefixId, Request};
@@ -79,7 +79,10 @@ fn run_failover(policy: ReplicationPolicy) -> RuntimeReport {
     for request in steady_requests(48, 64, 24, 0.05) {
         session.submit(request);
     }
-    session.fail_node(NodeId(0), 3.0);
+    session.schedule(PerturbationEvent::NodeFailure {
+        at: 3.0,
+        node: NodeId(0),
+    });
     session.drain().unwrap();
     session.finish().unwrap()
 }
@@ -215,7 +218,10 @@ fn infeasible_replan_still_evicts_failed_node_from_prefix_routers() {
 
     // Kill node 0; the model-1 tenancy has nowhere to go, so the re-plan is
     // infeasible and the old (holed) plan keeps serving.
-    session.fail_node(NodeId(0), 1.5);
+    session.schedule(PerturbationEvent::NodeFailure {
+        at: 1.5,
+        node: NodeId(0),
+    });
 
     // Wave 2 (after the kill): sharers of both prefixes.  The sharer whose
     // prefix homed on node 0 must *miss* (home evicted) and re-adopt on the

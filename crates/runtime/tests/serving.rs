@@ -4,8 +4,8 @@
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId};
 use helix_core::{
-    heuristics, HelixError, IwrrScheduler, LayerRange, PlacementDelta, RandomScheduler,
-    ReplanReason, Scheduler, ShortestQueueScheduler, Topology,
+    heuristics, HelixError, IwrrScheduler, LayerRange, PerturbationEvent, PlacementDelta,
+    RandomScheduler, ReplanReason, Scheduler, ShortestQueueScheduler, Topology,
 };
 use helix_runtime::{
     ExecutionKind, PagedKvPool, RuntimeConfig, RuntimeError, RuntimeReport, ServingBuilder,
@@ -248,7 +248,7 @@ fn adaptive_runtime_observes_a_degraded_node_and_replans() {
         cooldown_secs: 4.0,
         min_occupancy: 0.01,
     };
-    let session = ServingBuilder::new()
+    let mut session = ServingBuilder::new()
         .fleet(&fleet)
         .replan_policy(policy)
         .config(RuntimeConfig {
@@ -270,7 +270,11 @@ fn adaptive_runtime_observes_a_degraded_node_and_replans() {
         })
         .unwrap()
         .node;
-    session.inject_speed(slow, 2.0);
+    session.schedule(PerturbationEvent::NodeSlowdown {
+        at: 0.0,
+        node: slow,
+        factor: 2.0,
+    });
     let workload = small_workload(48, 64, 12);
     let report = session.serve(&workload).unwrap();
 
@@ -641,7 +645,10 @@ fn placement_delta_spawns_a_worker_mid_run() {
         .unwrap();
 
     // Scale out: put the model on the spare node mid-run.
-    session.apply_placement_delta(PlacementDelta::new().assign(ModelId(0), spare, spare_range));
+    session.schedule(PerturbationEvent::Replan {
+        at: 0.0,
+        delta: PlacementDelta::new().assign(ModelId(0), spare, spare_range),
+    });
     let tickets: Vec<_> = small_workload(40, 24, 3)
         .requests()
         .iter()
@@ -690,9 +697,16 @@ fn a_worker_spawned_after_inject_speed_runs_slowed() {
             .build()
             .unwrap();
         if let Some(factor) = factor {
-            session.inject_speed(spare, factor);
+            session.schedule(PerturbationEvent::NodeSlowdown {
+                at: 0.0,
+                node: spare,
+                factor,
+            });
         }
-        session.apply_placement_delta(PlacementDelta::new().assign(ModelId(0), spare, spare_range));
+        session.schedule(PerturbationEvent::Replan {
+            at: 0.0,
+            delta: PlacementDelta::new().assign(ModelId(0), spare, spare_range),
+        });
         for request in small_workload(16, 24, 3).requests() {
             let ticket = session.submit(*request);
             session.wait_completion(ticket).unwrap();
@@ -858,7 +872,10 @@ fn partial_layer_migration_hands_kv_over_without_dropping_pipelines() {
         .map(|r| session.submit(*r))
         .collect();
     // Mid-run: move the layers (and their KV pages) while pipelines fly.
-    session.apply_placement_delta(PlacementDelta::new().migrate(ModelId(0), from, to, moved));
+    session.schedule(PerturbationEvent::Replan {
+        at: 0.0,
+        delta: PlacementDelta::new().migrate(ModelId(0), from, to, moved),
+    });
     for ticket in tickets {
         session.wait_completion(ticket).unwrap();
     }
@@ -927,7 +944,10 @@ fn a_hand_over_landing_on_a_plane_at_rest_resumes_the_held_work() {
         })
         .collect();
     session.wait_completion(tickets[0]).unwrap();
-    session.apply_placement_delta(PlacementDelta::new().migrate(ModelId(0), from, to, moved));
+    session.schedule(PerturbationEvent::Replan {
+        at: 0.0,
+        delta: PlacementDelta::new().migrate(ModelId(0), from, to, moved),
+    });
     for &ticket in &tickets[1..] {
         session.wait_completion(ticket).unwrap();
     }

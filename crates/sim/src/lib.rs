@@ -115,7 +115,7 @@ mod metrics;
 mod session;
 mod simulator;
 
-pub use event::{Event, EventQueue, PerturbationEvent, SimTime};
+pub use event::{Event, EventQueue, SimTime};
 // The engine, the hop and the link model are the runtime's too.
 pub use helix_core::{Hop, LinkQueue, NodeEngine};
 pub use metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};

@@ -4,18 +4,18 @@
 //! (`submit` → `drain` → `finish`, or `serve` for a whole workload) so
 //! examples, tests and benches drive the simulator and the prototype runtime
 //! through one API (the facade crate's `ServingFrontEnd` trait is
-//! implemented by both).  Because the
-//! simulator is pull-based, submissions and scripted perturbations are
-//! buffered and the event loop runs when the session drains.  Each drain
+//! implemented by both).  Because the simulator is pull-based, submissions
+//! and scripted perturbations — the shared [`PerturbationEvent`] vocabulary
+//! the runtime's session schedules too — are buffered and the event loop
+//! runs when the session drains.  Each drain
 //! continues the simulator's one clock, as a runtime drain continues the
 //! runtime's: the fleet plan, re-plans, engines, links and measurements
 //! persist, a request or perturbation timed before the clock's reading
 //! happens at that reading, and a drain with only perturbations runs them.
 
-use crate::event::PerturbationEvent;
 use crate::simulator::{ClusterSimulator, FleetRunReport, SimulationConfig};
-use helix_cluster::{ModelId, NodeId};
-use helix_core::{LayerRange, ReplanPolicy, ReplicationPolicy};
+use helix_cluster::NodeId;
+use helix_core::{PerturbationEvent, ReplanPolicy, ReplicationPolicy};
 use helix_workload::{Request, TicketId, Workload};
 
 /// A live handle over a [`ClusterSimulator`], shaped like the runtime's
@@ -24,11 +24,9 @@ use helix_workload::{Request, TicketId, Workload};
 /// and runs on across drains.
 ///
 /// * [`submit`](Self::submit) buffers a request and returns its ticket.
-/// * [`inject_speed`](Self::inject_speed) schedules a slowdown (or recovery)
-///   at the start of the next drain — the simulated counterpart of
-///   flipping a live worker's speed mid-session.
-/// * [`schedule`](Self::schedule) scripts an arbitrary mid-run
-///   [`PerturbationEvent`] at a simulated time.
+/// * [`schedule`](Self::schedule) scripts a mid-run [`PerturbationEvent`]
+///   at a simulated time — a slowdown, a failure, an outage, a rejoin or a
+///   placement delta — as the runtime's session does.
 /// * [`drain`](Self::drain) simulates everything buffered so far (with the
 ///   configured [`ReplanPolicy`], if any, closing the feedback loop);
 ///   [`finish`](Self::finish) drains and returns the final
@@ -67,19 +65,8 @@ impl SimSession {
         TicketId(request.id)
     }
 
-    /// Injects a node slowdown at the start of the next drain (`factor`
-    /// multiplies batch durations; 1.0 restores nominal speed).  The
-    /// simulator *measures* the resulting gap; a policy-driven session
-    /// reacts to the measurement, never to the injected value.
-    pub fn inject_speed(&mut self, node: NodeId, factor: f64) {
-        self.events.push(PerturbationEvent::NodeSlowdown {
-            at: 0.0,
-            node,
-            factor,
-        });
-    }
-
-    /// Scripts a perturbation for the next drain, at its session time.
+    /// Scripts a perturbation for the next drain, at its session time (one
+    /// timed before the clock's reading happens at that reading).
     pub fn schedule(&mut self, event: PerturbationEvent) {
         self.events.push(event);
     }
@@ -89,43 +76,13 @@ impl SimSession {
     /// in-flight replicated pipelines promote their standbys and resume with
     /// bounded token loss; everything else aborts and re-admits.
     pub fn fail_node(&mut self, node: NodeId, at: f64) {
-        self.events
-            .push(PerturbationEvent::NodeFailure { at, node });
+        self.schedule(PerturbationEvent::NodeFailure { at, node });
     }
 
     /// Sets the fleet-wide KV replication policy on the underlying
     /// simulator (applies to requests admitted in later drains).
     pub fn set_replication(&mut self, policy: ReplicationPolicy) {
         self.sim.set_replication(policy);
-    }
-
-    /// Takes a whole region down at the start of the next drain: every node
-    /// the fleet's cluster spec places in `region` fails at once (see
-    /// [`PerturbationEvent::RegionOutage`]).  In-flight requests through the
-    /// region are re-admitted on surviving pipelines; its prefix homes are
-    /// evicted.
-    pub fn fail_region(&mut self, region: helix_cluster::Region) {
-        self.events
-            .push(PerturbationEvent::RegionOutage { at: 0.0, region });
-    }
-
-    /// Queues a partial-layer migration at the start of the next drain:
-    /// `layers` of `model` move from `from` to `to`, their KV pages travel
-    /// the `from → to` link as modelled traffic, and both engines freeze
-    /// until the transfer lands — the simulated counterpart of
-    /// [`ServingSession::apply_placement_delta`] with a
-    /// [`PlacementDelta::migrate`] delta.
-    ///
-    /// [`ServingSession::apply_placement_delta`]: https://docs.rs/helix-runtime
-    /// [`PlacementDelta::migrate`]: helix_core::PlacementDelta::migrate
-    pub fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange) {
-        self.events.push(PerturbationEvent::Migrate {
-            at: 0.0,
-            model,
-            from,
-            to,
-            layers,
-        });
     }
 
     /// Runs the clock on over everything submitted and scheduled since the
@@ -146,7 +103,7 @@ impl SimSession {
         let workload = Workload::new(std::mem::take(&mut self.pending));
         let events = std::mem::take(&mut self.events);
         self.sim
-            .advance(&workload, self.config, &events, self.policy);
+            .advance(&workload, self.config, events, self.policy);
     }
 
     /// Drains and returns the session's report.
@@ -287,7 +244,11 @@ mod tests {
             let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
             let mut session = SimSession::new(sim, config);
             if inject {
-                session.inject_speed(slow, 4.0);
+                session.schedule(PerturbationEvent::NodeSlowdown {
+                    at: 0.0,
+                    node: slow,
+                    factor: 4.0,
+                });
             }
             for request in workload(40, 5).requests() {
                 session.submit(*request);

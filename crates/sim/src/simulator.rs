@@ -1,19 +1,20 @@
 //! The cluster simulator: the discrete-event surface of the shared
 //! [`ControlPlane`].  Its loop and virtual clock, the scheduler's
-//! `ClusterState` view of its engines, the admission cap, metrics and the
-//! scripted perturbation events are its own; every action on the control
-//! plane's decisions — dispatches, the token and batch steps, releases,
-//! fail-overs, observations and re-plans with their KV hand-overs — is the
-//! shared [`Actuator`]'s, over the shared [`LinkWire`]: its link queues and
-//! the simulator's event queue, with coordinator → engine calls free.
+//! `ClusterState` view of its engines, the admission cap and metrics are its
+//! own; every action on the control plane's decisions — dispatches, the
+//! token and batch steps, releases, observations, scripted
+//! [`PerturbationEvent`]s (fail-overs, rejoins, re-plans) and their KV
+//! hand-overs — is the shared [`Actuator`]'s, over the shared [`LinkWire`]:
+//! its link queues and the simulator's event queue, with coordinator →
+//! engine calls free.
 
-use crate::event::{Event, EventQueue, PerturbationEvent, SimTime};
+use crate::event::{Event, EventQueue, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
-use helix_cluster::{ModelId, NodeId, Region};
+use helix_cluster::{ModelId, NodeId};
 use helix_core::{
     Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
-    KvTransferRecord, LinkWire, NodeEngine, PlacementDelta, PrefixStats, ReplanPolicy,
-    ReplanReason, ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler, Token, Topology,
+    KvTransferRecord, LinkWire, NodeEngine, PerturbationEvent, PrefixStats, ReplanPolicy,
+    ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler, Token, Topology,
 };
 use helix_workload::{RequestId, Workload};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -376,7 +377,7 @@ impl ClusterSimulator {
         &mut self,
         workload: &Workload,
         config: SimulationConfig,
-        events: &[PerturbationEvent],
+        events: Vec<PerturbationEvent>,
         policy: Option<ReplanPolicy>,
     ) {
         let num_models = self.num_models();
@@ -389,17 +390,6 @@ impl ClusterSimulator {
             "{requests} requests do not fit a 32-bit slot",
         );
         self.clock.requests = requests;
-        // Arrival-rate shifts re-time the arrival process: gaps after the
-        // shift point shrink by the rate factor.  Shifts are applied in
-        // effect-time order, each in the already-shifted timeline.
-        let mut shifts: Vec<(SimTime, f64)> = events
-            .iter()
-            .filter_map(|e| match *e {
-                PerturbationEvent::ArrivalRateShift { at, factor } => Some((at.max(clock), factor)),
-                _ => None,
-            })
-            .collect();
-        shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         // The request table: a slot per distinct id (its first position); a
         // repeated id overwrites its spec and still arrives once per
         // occurrence.
@@ -417,13 +407,7 @@ impl ClusterSimulator {
                 r.id,
                 r.total_tokens(),
             );
-            let mut spec = *r;
-            for &(at, factor) in &shifts {
-                if spec.arrival_time > at && factor > 0.0 {
-                    spec.arrival_time = at + (spec.arrival_time - at) / factor;
-                }
-            }
-            self.act.requests.insert(spec);
+            self.act.requests.insert(*r);
         }
 
         let requests = &self.act.requests;
@@ -433,14 +417,12 @@ impl ClusterSimulator {
         });
         let mut arrivals = arrival_stream(arrivals.collect());
         let end_time = config.warmup_secs + config.duration_secs;
-        for e in events {
-            match e {
-                PerturbationEvent::ArrivalRateShift { .. } => {} // applied above
-                other => self
-                    .wire
-                    .queue
-                    .push(other.at().max(clock), Event::Perturbation(Box::new(*other))),
-            }
+        let ticks_enabled = policy.is_some() || !events.is_empty();
+        for event in events {
+            let at = event.at().max(clock);
+            self.wire
+                .queue
+                .push(at, Event::Perturbation(Box::new(event)));
         }
         // Observation ticks exist only for perturbed / policy-driven runs, so
         // the static serve path schedules exactly the events it always did.
@@ -449,7 +431,6 @@ impl ClusterSimulator {
             .unwrap_or(10.0)
             .max(1e-3);
         let tick = self.control.last_check().max(clock) + tick_interval;
-        let ticks_enabled = policy.is_some() || !events.is_empty();
         if ticks_enabled && !self.clock.tick_pending && tick <= end_time {
             self.wire.queue.push(tick, Event::ObservationTick);
             self.clock.tick_pending = true;
@@ -512,7 +493,16 @@ impl ClusterSimulator {
                     }
                 }
                 Event::Perturbation(perturbation) => {
-                    self.apply_perturbation(*perturbation, time);
+                    // A failure's stranded requests re-submit at `time`:
+                    // promoted ones resume on their replicas, the rest
+                    // re-admit under a new epoch.
+                    let (control, wire) = (&mut self.control, &mut self.wire);
+                    for flight in self.act.perturb(control, wire, &perturbation, time) {
+                        let request = flight.request.id;
+                        self.wire
+                            .queue
+                            .push(time, Event::RequestArrival { request });
+                    }
                 }
                 Event::EngineThaw { node, model } => {
                     // The KV hand-over finished; work that queued up during
@@ -629,77 +619,6 @@ impl ClusterSimulator {
         }
     }
 
-    /// The nodes the fleet's cluster spec (all profiles share one) places
-    /// in `region`.
-    fn region_nodes(&self, region: Region) -> Vec<NodeId> {
-        let in_region = self.wire.cluster().nodes().iter();
-        let in_region = in_region.filter(|n| n.region == region);
-        in_region.map(|n| n.id).collect()
-    }
-
-    fn apply_perturbation(&mut self, perturbation: PerturbationEvent, time: SimTime) {
-        match perturbation {
-            PerturbationEvent::NodeSlowdown { node, factor, .. } => {
-                self.act.set_slowdown(node, factor);
-            }
-            PerturbationEvent::NodeRecovery { node, .. } => self.act.set_slowdown(node, 1.0),
-            PerturbationEvent::NodeRejoin { node, .. } => {
-                // A failed node comes back: its engines recover, and the
-                // control plane hands it its pre-failure layer ranges (a
-                // no-op when the node never left the plan).
-                if self.control.failed().contains(&node) {
-                    self.act.rows.of_node_mut(node).for_each(|e| e.recover());
-                }
-                let outcome = self.control.rejoin(node, time);
-                self.act
-                    .hand_over(&self.control, &mut self.wire, outcome, time);
-            }
-            PerturbationEvent::NodeFailure { node, .. } => {
-                self.fail(&[node], ReplanReason::NodeFailure { node }, time);
-            }
-            PerturbationEvent::RegionOutage { region, .. } => {
-                // Fail the region's nodes together: one abort/re-admit
-                // sweep, one re-plan removing the whole region.
-                let nodes = self.region_nodes(region);
-                self.fail(&nodes, ReplanReason::RegionOutage { region }, time);
-            }
-            PerturbationEvent::ArrivalRateShift { .. } => {
-                // Applied to the arrival process before the run started.
-            }
-            PerturbationEvent::Migrate {
-                model,
-                from,
-                to,
-                layers,
-                ..
-            } => {
-                let delta = PlacementDelta::new().migrate(model, from, to, layers);
-                self.act
-                    .replan(&mut self.control, &mut self.wire, &delta, time);
-            }
-        }
-    }
-
-    /// Fails a set of nodes at once (one node for [`NodeFailure`], a whole
-    /// region for [`RegionOutage`]) and re-submits every request the
-    /// fail-over stranded at `time` (promoted requests resume on their
-    /// replicas, the rest re-admit under a new epoch).  Completed requests
-    /// are untouched.
-    ///
-    /// [`NodeFailure`]: PerturbationEvent::NodeFailure
-    /// [`RegionOutage`]: PerturbationEvent::RegionOutage
-    fn fail(&mut self, nodes: &[NodeId], reason: ReplanReason, time: SimTime) {
-        let stranded = self
-            .act
-            .fail_over(&mut self.control, &mut self.wire, nodes, reason, time);
-        for flight in stranded {
-            let request = flight.request.id;
-            self.wire
-                .queue
-                .push(time, Event::RequestArrival { request });
-        }
-    }
-
     /// The standing engine of one (node, model) pair, if any — exposed so
     /// tests can compare surviving engines against freshly created ones.
     pub fn engine(&self, node: NodeId, model: ModelId) -> Option<&NodeEngine> {
@@ -741,7 +660,7 @@ mod tests {
     use super::*;
     use crate::SimSession;
     use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig};
-    use helix_core::{heuristics, IwrrScheduler, RandomScheduler, SwarmScheduler};
+    use helix_core::{heuristics, IwrrScheduler, RandomScheduler, ReplanReason, SwarmScheduler};
     use helix_workload::ArrivalPattern;
 
     fn small_profile() -> ClusterProfile {
@@ -1008,7 +927,7 @@ mod tests {
             let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
             let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
             let mut session = SimSession::new(sim, config);
-            events.iter().for_each(|&e| session.schedule(e));
+            events.iter().cloned().for_each(|e| session.schedule(e));
             session.serve(&workload)
         };
         let healthy = run(&[]);

@@ -9,11 +9,10 @@ use helix_cluster::{
     ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, ModelId, NodeId, Region,
 };
 use helix_core::{
-    IwrrScheduler, LayerRange, ModelPlacement, ReplanReason, ReplicationPolicy, Topology,
+    IwrrScheduler, LayerRange, ModelPlacement, PerturbationEvent, PlacementDelta, ReplanReason,
+    ReplicationPolicy, Topology,
 };
-use helix_sim::{
-    ClusterSimulator, FleetRunReport, PerturbationEvent, SimSession, SimulationConfig,
-};
+use helix_sim::{ClusterSimulator, FleetRunReport, SimSession, SimulationConfig};
 use helix_workload::{Request, Workload};
 
 /// Two-stage pipeline with every stage doubled: nodes 0 and 2 hold the
@@ -124,7 +123,10 @@ fn drain(
     workload: &Workload,
     events: &[PerturbationEvent],
 ) -> FleetRunReport {
-    events.iter().for_each(|&event| session.schedule(event));
+    events
+        .iter()
+        .cloned()
+        .for_each(|event| session.schedule(event));
     for request in workload.requests() {
         session.submit(*request);
     }
@@ -217,12 +219,9 @@ fn migrated_prefix_residency_releases_cleanly_at_completion() {
     let (from, to, moved) = migratable_pair(&profile, &placement);
     let mut session = session(&profile, &placement);
     let workload = steady_requests(40, 96, 8, 0.2).with_shared_prefixes(4, 64, 1.0);
-    let migrate = PerturbationEvent::Migrate {
+    let migrate = PerturbationEvent::Replan {
         at: 2.0,
-        model: ModelId(0),
-        from,
-        to,
-        layers: moved,
+        delta: PlacementDelta::new().migrate(ModelId(0), from, to, moved),
     };
     let report = drain(&mut session, &workload, &[migrate]);
     let sim = session.simulator();

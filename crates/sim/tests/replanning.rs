@@ -4,8 +4,11 @@
 //! recovery the ROADMAP's online re-planning item asked for.
 
 use helix_cluster::{ClusterProfile, ClusterSpec, ModelConfig, ModelId, NodeId};
-use helix_core::{heuristics, IwrrScheduler, ReplanPolicy, ReplanReason, Topology};
-use helix_sim::{ClusterSimulator, PerturbationEvent, SimSession, SimulationConfig};
+use helix_core::{
+    heuristics, IwrrScheduler, PerturbationEvent, PlacementDelta, ReplanPolicy, ReplanReason,
+    Topology,
+};
+use helix_sim::{ClusterSimulator, SimSession, SimulationConfig};
 use helix_workload::{ArrivalPattern, Workload};
 
 fn profile() -> ClusterProfile {
@@ -45,7 +48,10 @@ fn session(
     if let Some(policy) = policy {
         session = session.with_policy(policy);
     }
-    events.iter().for_each(|&event| session.schedule(event));
+    events
+        .iter()
+        .cloned()
+        .for_each(|event| session.schedule(event));
     session
 }
 
@@ -214,15 +220,11 @@ fn arrival_rate_shift_compresses_late_arrivals() {
     let topology = topology(&profile);
     let workload = saturating_workload(120).with_arrivals(ArrivalPattern::constant_rate(1.0), 5);
     let config = SimulationConfig::online(400.0).with_warmup(0.0);
-    let run =
-        |events: &[PerturbationEvent]| session(&topology, config, events, None).serve(&workload);
-    let steady = run(&[]);
+    let run = |workload: &Workload| session(&topology, config, &[], None).serve(workload);
+    let steady = run(&workload);
     // Doubling the arrival rate from t=30 squeezes the same requests into a
     // shorter horizon: every request still completes, sooner.
-    let burst = run(&[PerturbationEvent::ArrivalRateShift {
-        at: 30.0,
-        factor: 2.0,
-    }]);
+    let burst = run(&workload.clone().with_rate_shift(30.0, 2.0));
     assert_eq!(
         steady.metrics.overall.completed_requests,
         burst.metrics.overall.completed_requests
@@ -301,12 +303,9 @@ fn partial_layer_migration_moves_kv_and_matches_a_fresh_plan() {
 
     // Batch 1 carries the migration mid-run: requests are in flight (KV
     // resident on `from`) when the hand-over fires at t=5.
-    session.schedule(PerturbationEvent::Migrate {
+    session.schedule(PerturbationEvent::Replan {
         at: 5.0,
-        model: ModelId(0),
-        from,
-        to,
-        layers: moved,
+        delta: PlacementDelta::new().migrate(ModelId(0), from, to, moved),
     });
     let batch1 = saturating_workload(60);
     for request in batch1.requests() {
@@ -412,12 +411,9 @@ fn tenancy_change_resplits_surviving_engine_speed_profiles() {
         saturating_workload(25).with_model(ModelId(1)),
     ])
     .with_arrivals(ArrivalPattern::Offline, 4);
-    session.schedule(PerturbationEvent::Migrate {
+    session.schedule(PerturbationEvent::Replan {
         at: 10.0,
-        model: ModelId(1),
-        from: source,
-        to: free,
-        layers: range,
+        delta: PlacementDelta::new().migrate(ModelId(1), source, free, range),
     });
     for request in workload.requests() {
         session.submit(*request);
@@ -485,12 +481,9 @@ fn migration_transfers_a_shared_prefix_once_not_per_sharer() {
         let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
         let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
         let mut session = SimSession::new(sim, config);
-        session.schedule(PerturbationEvent::Migrate {
+        session.schedule(PerturbationEvent::Replan {
             at: 5.0,
-            model: ModelId(0),
-            from,
-            to,
-            layers: moved,
+            delta: PlacementDelta::new().migrate(ModelId(0), from, to, moved),
         });
         for request in workload.requests() {
             session.submit(*request);
@@ -585,7 +578,10 @@ fn region_outage_mid_session_loses_no_requests_and_rehomes_prefixes() {
     // Region 1 dies; batch 2 shares the same prefixes.  Sharers whose home
     // died must re-route as misses (a dangling home would strand them on a
     // stopped pipeline and the completion count would come up short).
-    session.fail_region(Region(1));
+    session.schedule(PerturbationEvent::RegionOutage {
+        at: 0.0,
+        region: Region(1),
+    });
     for request in tagged(100) {
         session.submit(request);
     }

@@ -105,6 +105,21 @@ impl Workload {
         self
     }
 
+    /// Speeds the arrival process up (`factor > 1`) or slows it down
+    /// (`factor < 1`) for every request arriving after `at`: each such
+    /// arrival moves to `at + (arrival - at) / factor`.  A `factor` that is
+    /// not positive changes nothing.  Shifts compose in call order, each in
+    /// the already-shifted timeline.  The map is monotone, so the arrival
+    /// order holds.
+    pub fn with_rate_shift(mut self, at: f64, factor: f64) -> Self {
+        if factor > 0.0 {
+            for r in self.requests.iter_mut().filter(|r| r.arrival_time > at) {
+                r.arrival_time = at + (r.arrival_time - at) / factor;
+            }
+        }
+        self
+    }
+
     /// Number of requests.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -276,6 +291,51 @@ mod tests {
         let w = Workload::azure_like(2, 1)
             .with_arrivals(ArrivalPattern::constant_rate(f64::INFINITY), 2);
         assert!(w.iter().all(|r| r.arrival_time == 0.0));
+    }
+
+    /// Rate shifts called in effect-time order re-time a Poisson workload
+    /// exactly as the simulator's arrival pre-pass did, kept here as the
+    /// oracle: shifts sorted by time, each applied in the already-shifted
+    /// timeline, a non-positive factor skipped.
+    #[test]
+    fn rate_shifts_in_time_order_match_the_simulators_pre_pass() {
+        let workload =
+            Workload::azure_like(300, 3).with_arrivals(ArrivalPattern::constant_rate(2.0), 4);
+        let given = [(90.0, 0.5), (30.0, 3.0), (60.0, 0.0)];
+        let oracle: Vec<(RequestId, f64)> = {
+            let mut shifts = given.to_vec();
+            shifts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let shift = |mut t: f64| {
+                for &(at, factor) in &shifts {
+                    if t > at && factor > 0.0 {
+                        t = at + (t - at) / factor;
+                    }
+                }
+                t
+            };
+            workload
+                .iter()
+                .map(|r| (r.id, shift(r.arrival_time)))
+                .collect()
+        };
+        let mut in_time_order = given;
+        in_time_order.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let shifted = in_time_order
+            .iter()
+            .fold(workload.clone(), |w, &(at, factor)| {
+                w.with_rate_shift(at, factor)
+            });
+        let arrivals: Vec<(RequestId, f64)> =
+            shifted.iter().map(|r| (r.id, r.arrival_time)).collect();
+        assert_eq!(arrivals, oracle);
+        let moved = workload.iter().zip(shifted.iter());
+        assert!(
+            moved
+                .filter(|(a, b)| a.arrival_time != b.arrival_time)
+                .count()
+                > 100
+        );
+        assert_eq!(workload.clone().with_rate_shift(60.0, 0.0), workload);
     }
 
     #[test]

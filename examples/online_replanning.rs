@@ -18,7 +18,7 @@
 
 use helix::prelude::*;
 use helix_core::{ReplanPolicy, ReplanReason};
-use helix_sim::{ClusterSimulator, PerturbationEvent, SimSession, SimulationConfig};
+use helix_sim::{ClusterSimulator, SimSession, SimulationConfig};
 use helix_workload::AzureTraceConfig;
 
 fn main() {

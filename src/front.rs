@@ -6,7 +6,9 @@
 //! through one session — [`helix_runtime::ServingSession`] and
 //! [`helix_sim::SimSession`] — and this module ties them together with the
 //! [`ServingFrontEnd`] trait, so examples, tests and benches can drive either
-//! surface through one generic `submit → drain → finish` flow:
+//! surface through one generic `submit → drain → finish` flow, and script
+//! the same mid-run [`PerturbationEvent`]s on either through one
+//! [`schedule`](ServingFrontEnd::schedule):
 //!
 //! ```rust,no_run
 //! use helix::front::ServingFrontEnd;
@@ -17,15 +19,15 @@
 //! }
 //! ```
 
-use helix_cluster::{ModelId, NodeId};
-use helix_core::{LayerRange, PlacementDelta, ReplicationPolicy};
+use helix_cluster::NodeId;
+use helix_core::{PerturbationEvent, ReplicationPolicy};
 use helix_runtime::{RuntimeError, RuntimeReport, ServingSession};
 use helix_sim::{FleetRunReport, SimSession};
 use helix_workload::{Request, TicketId, Workload};
 use std::convert::Infallible;
 
-/// A session-shaped serving surface: non-blocking submission, mid-run speed
-/// perturbation, drain and a final report.
+/// A session-shaped serving surface: non-blocking submission, scripted
+/// mid-run perturbations, drain and a final report.
 ///
 /// Implemented by [`ServingSession`] (wall-clock-paced prototype runtime) and
 /// [`SimSession`] (discrete-event simulator).  The two return different
@@ -42,19 +44,16 @@ pub trait ServingFrontEnd {
     /// Submits one request and returns its ticket without blocking.
     fn submit(&mut self, request: Request) -> TicketId;
 
-    /// Makes `node`'s batches take `factor`× the cost model's prediction
-    /// from now on (1.0 restores nominal speed).  Both surfaces *measure*
-    /// the resulting gap; adaptive configurations react to the measurement.
-    fn inject_speed(&mut self, node: NodeId, factor: f64);
-
-    /// Migrates `layers` of `model` from `from` to `to` mid-run, KV state
-    /// included: the fleet re-plans with the equivalent placement delta, the
-    /// KV pages travel the `from → to` link as modelled traffic, and the
-    /// hand-over sequences freeze → transfer → re-route → resume so no
-    /// in-flight pipeline drops.  On the prototype runtime the migration
-    /// applies immediately; on the simulator it applies at the start of the
-    /// next drain.
-    fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange);
+    /// Scripts a mid-run [`PerturbationEvent`] at its virtual time `at`
+    /// (seconds since the session started; a time already past means the
+    /// clock's reading): a slowdown or recovery, a node failure or rejoin,
+    /// a region outage, or a placement delta — a migration's KV pages
+    /// travel its `from → to` link while both ends freeze the moved range,
+    /// so no in-flight pipeline drops.  Both surfaces apply it through the
+    /// one [`Actuator::perturb`](helix_core::Actuator::perturb), and *measure*
+    /// what a slowdown does; adaptive configurations react to the
+    /// measurement.
+    fn schedule(&mut self, event: PerturbationEvent);
 
     /// Installs the fleet-wide KV replication policy governing subsequently
     /// admitted requests: hot sequences trickle their KV to standby
@@ -62,13 +61,15 @@ pub trait ServingFrontEnd {
     /// primary fails.
     fn set_replication(&mut self, policy: ReplicationPolicy);
 
-    /// Kills `node` at virtual time `at` (seconds since the session
-    /// started; a time already past means now): its workers stop, in-flight
+    /// Kills `node` at virtual time `at` — a [`schedule`](Self::schedule)d
+    /// [`PerturbationEvent::NodeFailure`]: its workers stop, in-flight
     /// pipelines crossing it promote their replicas — when the replication
     /// policy trickled their KV to standbys — or abort and re-admit, and the
     /// fleet re-plans around the hole.  The fail-over shows up in the final
     /// report's `failovers` log on both surfaces.
-    fn fail_node(&mut self, node: NodeId, at: f64);
+    fn fail_node(&mut self, node: NodeId, at: f64) {
+        self.schedule(PerturbationEvent::NodeFailure { at, node });
+    }
 
     /// Completes everything submitted so far.
     fn drain(&mut self) -> Result<(), Self::Error>;
@@ -99,20 +100,12 @@ impl ServingFrontEnd for ServingSession {
         ServingSession::submit(self, request)
     }
 
-    fn inject_speed(&mut self, node: NodeId, factor: f64) {
-        ServingSession::inject_speed(self, node, factor)
-    }
-
-    fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange) {
-        self.apply_placement_delta(PlacementDelta::new().migrate(model, from, to, layers));
+    fn schedule(&mut self, event: PerturbationEvent) {
+        ServingSession::schedule(self, event)
     }
 
     fn set_replication(&mut self, policy: ReplicationPolicy) {
         ServingSession::set_replication(self, policy)
-    }
-
-    fn fail_node(&mut self, node: NodeId, at: f64) {
-        ServingSession::fail_node(self, node, at)
     }
 
     fn drain(&mut self) -> Result<(), RuntimeError> {
@@ -139,20 +132,12 @@ impl ServingFrontEnd for SimSession {
         SimSession::submit(self, request)
     }
 
-    fn inject_speed(&mut self, node: NodeId, factor: f64) {
-        SimSession::inject_speed(self, node, factor)
-    }
-
-    fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange) {
-        SimSession::migrate(self, model, from, to, layers)
+    fn schedule(&mut self, event: PerturbationEvent) {
+        SimSession::schedule(self, event)
     }
 
     fn set_replication(&mut self, policy: ReplicationPolicy) {
         SimSession::set_replication(self, policy)
-    }
-
-    fn fail_node(&mut self, node: NodeId, at: f64) {
-        SimSession::fail_node(self, node, at)
     }
 
     fn drain(&mut self) -> Result<(), Infallible> {

@@ -84,9 +84,10 @@ pub mod prelude {
         FleetAnnealingOptions, FleetAnnealingPlanner, FleetPlacement, FleetScheduler,
         FleetTopology, FlowAnnealingPlanner, FlowGraphBuilder, HelixError, IwrrScheduler,
         KvCacheEstimator, LayerRange, MilpPlacementPlanner, MilpPlannerReport, ModelPlacement,
-        PipelineStage, PlacementFlowGraph, PlannerOptions, PrefixStats, RandomScheduler,
-        RegionRing, ReplicationPolicy, ReplicationStats, RequestPipeline, RingOptions, Scheduler,
-        SchedulerKind, ShortestQueueScheduler, SwarmScheduler, Topology,
+        PerturbationEvent, PipelineStage, PlacementDelta, PlacementFlowGraph, PlannerOptions,
+        PrefixStats, RandomScheduler, RegionRing, ReplicationPolicy, ReplicationStats,
+        RequestPipeline, RingOptions, Scheduler, SchedulerKind, ShortestQueueScheduler,
+        SwarmScheduler, Topology,
     };
     pub use helix_maxflow::{FlowNetwork, MaxFlowAlgorithm};
     pub use helix_milp::{MilpSolver, Model, ObjectiveSense, Sense, VarType};

@@ -31,14 +31,19 @@
 //! lost); [`mark_healthy`](MultiRegionSession::mark_healthy) puts it back,
 //! and the ring routes exactly as before the outage.
 //!
+//! A scripted [`PerturbationEvent`] goes through the tier's one
+//! [`schedule`](ServingFrontEnd::schedule): a
+//! [`Replan`](PerturbationEvent::Replan) to the first region on the ring,
+//! every other event to every region (node ids are per-region namespaces).
+//!
 //! [`Topology`]: helix_core::Topology
 //! [`FleetTopology`]: helix_core::FleetTopology
 //! [`SimSession`]: helix_sim::SimSession
 //! [`ServingSession`]: helix_runtime::ServingSession
 
 use crate::front::ServingFrontEnd;
-use helix_cluster::{ModelId, NodeId, Region};
-use helix_core::{LayerRange, RegionRing, ReplicationPolicy, RingOptions};
+use helix_cluster::Region;
+use helix_core::{PerturbationEvent, RegionRing, ReplicationPolicy, RingOptions};
 use helix_runtime::RuntimeReport;
 use helix_sim::FleetRunReport;
 use helix_workload::{Request, TicketId};
@@ -300,19 +305,20 @@ impl<F: ServingFrontEnd> ServingFrontEnd for MultiRegionSession<F> {
         MultiRegionSession::submit(self, request)
     }
 
-    /// Broadcasts to every region: node ids are per-region namespaces, so a
-    /// fleet-wide slowdown of "node 3" means node 3 *everywhere*.
-    fn inject_speed(&mut self, node: NodeId, factor: f64) {
-        for slot in &mut self.slots {
-            slot.front.inject_speed(node, factor);
+    /// A [`PerturbationEvent::Replan`] goes to the first region on the ring
+    /// (registration order).  Every other event is broadcast to every
+    /// region: node and region ids are per-region namespaces, so slowing or
+    /// failing "node 3" means node 3 *everywhere* (a correlated failure).
+    fn schedule(&mut self, event: PerturbationEvent) {
+        if let PerturbationEvent::Replan { .. } = event {
+            let ring = &self.ring;
+            if let Some(slot) = self.slots.iter_mut().find(|s| ring.contains(s.region)) {
+                slot.front.schedule(event);
+            }
+            return;
         }
-    }
-
-    /// Applies to the first region on the ring (registration order).
-    fn migrate(&mut self, model: ModelId, from: NodeId, to: NodeId, layers: LayerRange) {
-        let ring = &self.ring;
-        if let Some(slot) = self.slots.iter_mut().find(|s| ring.contains(s.region)) {
-            slot.front.migrate(model, from, to, layers);
+        for slot in &mut self.slots {
+            slot.front.schedule(event.clone());
         }
     }
 
@@ -320,15 +326,6 @@ impl<F: ServingFrontEnd> ServingFrontEnd for MultiRegionSession<F> {
     fn set_replication(&mut self, policy: ReplicationPolicy) {
         for slot in &mut self.slots {
             slot.front.set_replication(policy);
-        }
-    }
-
-    /// Broadcasts to every region: node ids are per-region namespaces, so
-    /// failing "node 3" kills node 3 *everywhere* (a correlated failure).
-    /// Region-scoped failures go through the region backend directly.
-    fn fail_node(&mut self, node: NodeId, at: f64) {
-        for slot in &mut self.slots {
-            slot.front.fail_node(node, at);
         }
     }
 
@@ -352,6 +349,7 @@ mod tests {
     #[derive(Default)]
     struct NullFront {
         submitted: Vec<Request>,
+        scheduled: Vec<PerturbationEvent>,
         drained: bool,
     }
 
@@ -364,13 +362,11 @@ mod tests {
             TicketId(request.id)
         }
 
-        fn inject_speed(&mut self, _node: NodeId, _factor: f64) {}
-
-        fn migrate(&mut self, _m: ModelId, _f: NodeId, _t: NodeId, _l: LayerRange) {}
+        fn schedule(&mut self, event: PerturbationEvent) {
+            self.scheduled.push(event);
+        }
 
         fn set_replication(&mut self, _policy: ReplicationPolicy) {}
-
-        fn fail_node(&mut self, _node: NodeId, _at: f64) {}
 
         fn drain(&mut self) -> Result<(), Infallible> {
             self.drained = true;
@@ -517,6 +513,33 @@ mod tests {
             36
         );
         assert!(report.regions[0].report.iter().any(|r| r.id == 0));
+    }
+
+    /// A re-plan goes to the first region on the ring; every other event
+    /// to every region, in call order.
+    #[test]
+    fn a_replan_goes_to_the_first_region_up_and_the_rest_everywhere() {
+        use helix_cluster::NodeId;
+        use helix_core::PlacementDelta;
+        let mut tier = tier(&[0, 1, 2]);
+        tier.mark_down(Region(0));
+        let fail = PerturbationEvent::NodeFailure {
+            at: 1.0,
+            node: NodeId(3),
+        };
+        let replan = PerturbationEvent::Replan {
+            at: 2.0,
+            delta: PlacementDelta::new(),
+        };
+        ServingFrontEnd::fail_node(&mut tier, NodeId(3), 1.0);
+        tier.schedule(replan.clone());
+        let scheduled: Vec<&[PerturbationEvent]> = tier
+            .slots
+            .iter()
+            .map(|s| s.front.scheduled.as_slice())
+            .collect();
+        let (both, only_fail) = ([fail.clone(), replan], [fail]);
+        assert_eq!(scheduled, [&only_fail[..], &both[..], &only_fail[..]]);
     }
 
     #[test]

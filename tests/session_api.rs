@@ -66,6 +66,15 @@ fn one_driver_serves_runtime_and_simulator() {
     );
 }
 
+/// `node` at `factor`× its cost model from the clock's reading on.
+fn slowdown(node: NodeId, factor: f64) -> PerturbationEvent {
+    PerturbationEvent::NodeSlowdown {
+        at: 0.0,
+        node,
+        factor,
+    }
+}
+
 #[test]
 fn injected_slowdown_works_through_the_trait_on_both_surfaces() {
     let topology = topology();
@@ -82,7 +91,7 @@ fn injected_slowdown_works_through_the_trait_on_both_surfaces() {
         .config(RuntimeConfig::fast_test())
         .build()
         .unwrap();
-    ServingFrontEnd::inject_speed(&mut session, slow, 3.0);
+    ServingFrontEnd::schedule(&mut session, slowdown(slow, 3.0));
     let report = serve_through(session, &workload);
     assert_eq!(report.completed(), 16);
 
@@ -92,7 +101,7 @@ fn injected_slowdown_works_through_the_trait_on_both_surfaces() {
         let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
         let mut front = SimSession::new(sim, SimulationConfig::offline(200.0).with_warmup(0.0));
         if let Some(factor) = factor {
-            ServingFrontEnd::inject_speed(&mut front, slow, factor);
+            ServingFrontEnd::schedule(&mut front, slowdown(slow, factor));
         }
         serve_through(front, &workload)
     };

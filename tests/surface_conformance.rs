@@ -2,9 +2,12 @@
 //! (`ServingSession`) and the discrete-event simulator (`SimSession`) are
 //! driven through the one generic `ServingFrontEnd` over a matrix of
 //! scenarios — single-model and fleet serving, a mid-run migration delta (one
-//! of which drops a tenancy), speed injection, and drain-then-submit —
-//! asserting that both surfaces complete the same request sets and that
-//! their reports stay monotonic.
+//! of which drops a tenancy), speed injection, node failures, one scenario
+//! with every kind of `PerturbationEvent` (failure, rejoin, slowdown,
+//! recovery, region outage, scale-out re-plan), and drain-then-submit — each
+//! perturbation scheduled through the one `ServingFrontEnd::schedule`,
+//! asserting that both surfaces complete the same request sets, log the same
+//! re-plans and keep their reports monotonic.
 //!
 //! The two surfaces model the same cluster with different mechanics (worker
 //! threads and a fabric vs one event loop), so the suite compares
@@ -105,6 +108,38 @@ fn serve_generic<F: ServingFrontEnd>(front: F, batch: &[Request]) -> F::Report {
         .expect("the front end serves the batch")
 }
 
+/// A re-plan moving `layers` of `model` from `from` to `to`, KV included,
+/// at the clock's reading.
+fn migration(model: ModelId, from: NodeId, to: NodeId, layers: LayerRange) -> PerturbationEvent {
+    let delta = PlacementDelta::new().migrate(model, from, to, layers);
+    PerturbationEvent::Replan { at: 0.0, delta }
+}
+
+/// `node` at `factor`× its cost model from the clock's reading on.
+fn slowdown(node: NodeId, factor: f64) -> PerturbationEvent {
+    PerturbationEvent::NodeSlowdown {
+        at: 0.0,
+        node,
+        factor,
+    }
+}
+
+/// Generic scenario step: submits `batch`, schedules `events` in order and
+/// drains through them — the same calls on either surface.
+fn drain_through<F: ServingFrontEnd>(
+    front: &mut F,
+    batch: &[Request],
+    events: &[PerturbationEvent],
+) {
+    for request in batch {
+        front.submit(*request);
+    }
+    for event in events {
+        front.schedule(event.clone());
+    }
+    front.drain().expect("the perturbed batch drains");
+}
+
 /// Generic matrix step: first batch in flight, migrate mid-run, second batch
 /// on the migrated plan, then finish.
 fn serve_with_migration<F: ServingFrontEnd>(
@@ -116,11 +151,7 @@ fn serve_with_migration<F: ServingFrontEnd>(
     to: NodeId,
     layers: LayerRange,
 ) -> F::Report {
-    for request in batch1 {
-        front.submit(*request);
-    }
-    front.migrate(model, from, to, layers);
-    front.drain().expect("the migrated batch drains");
+    drain_through(&mut front, batch1, &[migration(model, from, to, layers)]);
     for request in batch2 {
         front.submit(*request);
     }
@@ -429,10 +460,15 @@ fn a_tenancy_the_plan_drops_finishes_what_it_held_and_gets_no_new_pipeline() {
         transfers[0].tokens
     };
 
-    // Runtime: migrate once a batch-1 request has completed.  The delta
-    // races the data plane in wall time (ROADMAP item 2), so a coarse clock
-    // keeps the pipelines through node 2 in flight for tens of wall
-    // milliseconds after that completion, even on a busy host.
+    // The same migration on both surfaces, at one fixed mid-run instant.
+    let migrate = [PerturbationEvent::Replan {
+        at: 0.5,
+        delta: PlacementDelta::new().migrate(model, dropped, to, bottom),
+    }];
+
+    // Runtime: the re-plan fires once the virtual clock passes 0.5, however
+    // the call races the data plane in wall time; a coarse clock keeps that
+    // instant tens of wall milliseconds after the call, even on a busy host.
     let mut session = ServingBuilder::new()
         .topology(&topology)
         .config(RuntimeConfig {
@@ -441,11 +477,7 @@ fn a_tenancy_the_plan_drops_finishes_what_it_held_and_gets_no_new_pipeline() {
         })
         .build()
         .unwrap();
-    let tickets: Vec<TicketId> = batch1.iter().map(|r| session.submit(*r)).collect();
-    session.wait_completion(tickets[1]).unwrap();
-    let migrate = helix::core::PlacementDelta::new().migrate(model, dropped, to, bottom);
-    session.apply_placement_delta(migrate);
-    session.drain().unwrap();
+    drain_through(&mut session, &batch1, &migrate);
     for request in &batch2 {
         session.submit(*request);
     }
@@ -468,20 +500,10 @@ fn a_tenancy_the_plan_drops_finishes_what_it_held_and_gets_no_new_pipeline() {
         "runtime: no batch-2 admission ran through node 2 ({prompts} prompt tokens)"
     );
 
-    // Simulator: the same migration at a fixed mid-run instant; the dropped
-    // engine's token count does not move while batch 2 is served.
+    // Simulator: the dropped engine's token count does not move while batch
+    // 2 is served.
     let mut sim = sim_session(&topology);
-    for request in &batch1 {
-        sim.submit(*request);
-    }
-    sim.schedule(helix::sim::PerturbationEvent::Migrate {
-        at: 0.5,
-        model,
-        from: dropped,
-        to,
-        layers: bottom,
-    });
-    sim.drain();
+    drain_through(&mut sim, &batch1, &migrate);
     let engine_tokens = |sim: &SimSession| {
         let engine = sim.simulator().engine(dropped, model);
         engine.expect("the dropped engine stays").counters().tokens
@@ -605,7 +627,7 @@ fn speed_injection_is_honoured_on_both_surfaces() {
 
     // Runtime: the run completes under the injected slowdown.
     let mut session = runtime_session(&topology);
-    ServingFrontEnd::inject_speed(&mut session, slow, 3.0);
+    ServingFrontEnd::schedule(&mut session, slowdown(slow, 3.0));
     let report = serve_generic(session, &batch);
     assert_eq!(report.completed(), batch.len());
 
@@ -613,7 +635,7 @@ fn speed_injection_is_honoured_on_both_surfaces() {
     let run = |factor: Option<f64>| {
         let mut front = sim_session(&topology);
         if let Some(factor) = factor {
-            ServingFrontEnd::inject_speed(&mut front, slow, factor);
+            ServingFrontEnd::schedule(&mut front, slowdown(slow, factor));
         }
         serve_generic(front, &batch)
     };
@@ -982,7 +1004,8 @@ fn node_failure_during_migration_transfer_window_loses_zero_completions() {
             for request in &batch1 {
                 front.submit(*request);
             }
-            ServingFrontEnd::migrate(&mut front, ModelId(0), NodeId(0), NodeId(1), moved);
+            let migrate = migration(ModelId(0), NodeId(0), NodeId(1), moved);
+            ServingFrontEnd::schedule(&mut front, migrate);
             ServingFrontEnd::fail_node(&mut front, NodeId(2), 1.5);
             ServingFrontEnd::drain(&mut front).unwrap();
             for request in &batch2 {
@@ -1010,7 +1033,8 @@ fn node_failure_during_migration_transfer_window_loses_zero_completions() {
             for request in &batch1 {
                 front.submit(*request);
             }
-            ServingFrontEnd::migrate(&mut front, ModelId(0), NodeId(0), NodeId(1), moved);
+            let migrate = migration(ModelId(0), NodeId(0), NodeId(1), moved);
+            ServingFrontEnd::schedule(&mut front, migrate);
             ServingFrontEnd::fail_node(&mut front, NodeId(2), 1.5);
             ServingFrontEnd::drain(&mut front).unwrap();
             for request in &batch2 {
@@ -1118,6 +1142,118 @@ fn two_failures_at_one_instant_are_two_failovers_in_call_order_on_both_surfaces(
     let removals = [NodeId(3), NodeId(2)].map(|node| ReplanReason::NodeFailure { node });
     assert_eq!(reasons(&runtime_report.replans), removals);
     assert_eq!(reasons(&sim_report.replans), removals);
+}
+
+/// One scenario, scheduled through the one `ServingFrontEnd::schedule` on
+/// both surfaces, with every kind of perturbation: node 1 fails and rejoins,
+/// node 0 slows down and recovers, region 1 (nodes 2 and 3) goes out and
+/// its nodes rejoin, and a re-plan scales out onto the spare node 4.  The
+/// events are scheduled out of time order — node 1's rejoin before the
+/// slowdown — and fire in time order: region 1's outage is feasible only
+/// because node 1 is back by then.  Both surfaces complete every request and
+/// log the same re-plans in the same order.
+#[test]
+fn every_kind_of_perturbation_replans_the_same_on_both_surfaces() {
+    let cluster = ClusterBuilder::new("every-kind-5")
+        .intra_region(10_000.0, 1.0)
+        .inter_region(2_000.0, 20.0)
+        .add_nodes(GpuType::A100_80, 2, 1, Region(0))
+        .add_nodes(GpuType::A100_80, 2, 1, Region(1))
+        .add_nodes(GpuType::A100_80, 1, 1, Region(0))
+        .build();
+    let profile = ClusterProfile::analytic(cluster, ModelConfig::llama_13b());
+    let layers = profile.model().num_layers;
+    let (bottom, top) = (
+        LayerRange::new(0, layers / 2),
+        LayerRange::new(layers / 2, layers),
+    );
+    let mut placement = ModelPlacement::empty(5);
+    for (node, range) in [(0, bottom), (1, top), (2, bottom), (3, top)] {
+        placement.assign(NodeId(node), range);
+    }
+    placement.validate(&profile).unwrap();
+    let topology = Topology::plan(&profile, &placement, true).unwrap();
+    let (model, spare) = (ModelId(0), NodeId(4));
+    let events = [
+        PerturbationEvent::NodeFailure {
+            at: 1.0,
+            node: NodeId(1),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 3.0,
+            node: NodeId(1),
+        },
+        PerturbationEvent::NodeSlowdown {
+            at: 2.0,
+            node: NodeId(0),
+            factor: 3.0,
+        },
+        PerturbationEvent::NodeRecovery {
+            at: 4.0,
+            node: NodeId(0),
+        },
+        PerturbationEvent::RegionOutage {
+            at: 5.0,
+            region: Region(1),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 7.0,
+            node: NodeId(2),
+        },
+        PerturbationEvent::NodeRejoin {
+            at: 7.0,
+            node: NodeId(3),
+        },
+        PerturbationEvent::Replan {
+            at: 8.0,
+            delta: PlacementDelta::new().assign(model, spare, bottom),
+        },
+    ];
+    let batch: Vec<Request> = (0..40u64)
+        .map(|i| Request {
+            id: i,
+            prompt_tokens: 32,
+            output_tokens: 24,
+            arrival_time: 0.25 * i as f64,
+            model,
+            ..Request::default()
+        })
+        .collect();
+
+    let mut runtime = ha_runtime_session(&topology);
+    drain_through(&mut runtime, &batch, &events);
+    let runtime = runtime.finish().expect("the runtime finishes");
+    let mut sim = sim_session(&topology);
+    drain_through(&mut sim, &batch, &events);
+    let sim = sim.finish();
+
+    let runtime_ids: BTreeSet<u64> = runtime.outcomes.iter().map(|o| o.id).collect();
+    let sim_ids: BTreeSet<u64> = sim.completions.iter().map(|c| c.id).collect();
+    assert_eq!(runtime_ids, id_set(&batch), "runtime loses nothing");
+    assert_eq!(sim_ids, id_set(&batch), "simulator loses nothing");
+    let reasons = |replans: &[ReplanRecord]| -> Vec<ReplanReason> {
+        replans.iter().map(|r| r.reason).collect()
+    };
+    let expected = [
+        ReplanReason::NodeFailure { node: NodeId(1) },
+        ReplanReason::NodeRejoin { node: NodeId(1) },
+        ReplanReason::RegionOutage { region: Region(1) },
+        ReplanReason::NodeRejoin { node: NodeId(2) },
+        ReplanReason::NodeRejoin { node: NodeId(3) },
+        ReplanReason::Manual,
+    ];
+    assert_eq!(reasons(&runtime.replans), expected, "runtime re-plans");
+    assert_eq!(reasons(&sim.replans), expected, "simulator re-plans");
+    let failed =
+        |records: &[FailoverRecord]| -> Vec<NodeId> { records.iter().map(|r| r.node).collect() };
+    assert_eq!(failed(&runtime.failovers), [NodeId(1), NodeId(2)]);
+    assert_eq!(failed(&sim.failovers), [NodeId(1), NodeId(2)]);
+    let row = runtime
+        .nodes
+        .iter()
+        .find(|n| (n.node, n.model) == (spare, model));
+    let row = row.expect("the scale-out put a worker in service");
+    assert_eq!(row.layers_held, bottom.len());
 }
 
 #[test]

@@ -91,6 +91,16 @@ guard "plans linear in the links" \
     "awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\\[cfg\\(test\\)\\]/ { t = 1 }
          !t && /HashMap<\\(Endpoint, Endpoint\\)|\\.from == |== *[a-z_]+\\.from/ { print FILENAME \":\" FNR \": \" \$0 }' \
          crates/core/src/flow_graph.rs crates/core/src/topology.rs"
+# What can happen to a cluster mid-run is one vocabulary,
+# `helix_core::PerturbationEvent`, applied by `Actuator::perturb` alone: no
+# surface interprets it itself, the runtime's session has one perturbation
+# message and one list of pending events, and an arrival-rate shift is a
+# workload's (`Workload::with_rate_shift`), not an event.  Test modules may
+# name the old calls.
+guard "one perturbation vocabulary" \
+    "awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\\[cfg\\(test\\)\\]/ { t = 1 }
+         !t && /fn apply_perturbation|SessionControl::(FailNode|InjectSpeed|ApplyDelta)|(FailNode|InjectSpeed|ApplyDelta)\\(|pending_failures|ArrivalRateShift/ { print FILENAME \":\" FNR \": \" \$0 }' \
+         \$(find crates/sim/src crates/runtime/src -name '*.rs' | LC_ALL=C sort)"
 # Every public function of the libraries has a caller in another file's
 # code, as the type checker resolves it, or a line in
 # tools/pub-fn-allowlist.txt naming the file that reads it.  A failed build
