@@ -18,7 +18,7 @@ use helix_cluster::{ClusterProfile, ClusterSpec, GpuType, ModelConfig, NodeId};
 use helix_core::SchedulerKind::{self, HelixIwrr};
 use helix_core::{
     heuristics, AnnealingOptions, Endpoint, FlowAnnealingPlanner, FlowGraphBuilder, LayerRange,
-    MilpPlacementPlanner, ModelPlacement, PlannerOptions,
+    MilpPlacementPlanner, ModelPlacement, PlannerOptions, Topology,
 };
 use helix_workload::{ArrivalPattern, AzureTraceConfig, TraceStatistics};
 use serde_json::{json, Value};
@@ -536,9 +536,13 @@ fn fig11_ablation(run: Run) -> Result<ExperimentReport, BenchError> {
 /// Figure 9: model-placement deep dive — offline serving of LLaMA 70B with
 /// the *same* (Helix IWRR) scheduler but different placements (Helix,
 /// Swarm, Petals), on the single and geo-distributed clusters, plus the
-/// Fig. 9b case study (per-node layer counts and utilisation).
+/// Fig. 9b case study (per-node layer counts, utilisation and KV tokens).
+/// Each row also reports the plan's thinnest-layer KV tokens and how many
+/// requests of the scale's mean length they hold at once.
 fn fig9_placement_deepdive(run: Run) -> Result<ExperimentReport, BenchError> {
     let scale = run.scale;
+    let trace = scale.trace_config();
+    let request_tokens = trace.mean_input_tokens + trace.mean_output_tokens;
     let mut data = Vec::new();
     for (cluster_name, cluster) in [
         ("single cluster", ClusterSpec::single_cluster_24()),
@@ -556,8 +560,13 @@ fn fig9_placement_deepdive(run: Run) -> Result<ExperimentReport, BenchError> {
         ];
         println!("\n=== Figure 9a: placement deep dive, LLaMA 70B, {cluster_name} ===");
         println!(
-            "{:<8} {:>14} {:>14} {:>8}",
-            "method", "max-flow t/s", "sim tokens/s", "depth"
+            "{:<8} {:>14} {:>14} {:>8} {:>16} {:>10}",
+            "method",
+            "max-flow t/s",
+            "sim tokens/s",
+            "depth",
+            "thinnest KV tok",
+            format!("≈ {request_tokens:.0}-tok requests")
         );
         for (name, placement) in placements {
             let Some(placement) = placement else { continue };
@@ -566,12 +575,16 @@ fn fig9_placement_deepdive(run: Run) -> Result<ExperimentReport, BenchError> {
             let Ok((metrics, flow)) = served else {
                 continue;
             };
+            let topology = Topology::plan(&profile, &placement, true)?;
+            let thinnest = thinnest_layer_kv(&topology);
             println!(
-                "{:<8} {:>14.0} {:>14.1} {:>8}",
+                "{:<8} {:>14.0} {:>14.1} {:>8} {:>16.0} {:>10.0}",
                 name,
                 flow,
                 metrics.decode_throughput(),
-                placement.pipeline_depth(profile.model().num_layers)
+                placement.pipeline_depth(profile.model().num_layers),
+                thinnest,
+                thinnest / request_tokens
             );
             data.push(json!({
                 "cluster": cluster_name,
@@ -579,37 +592,51 @@ fn fig9_placement_deepdive(run: Run) -> Result<ExperimentReport, BenchError> {
                 "max_flow": flow,
                 "decode_throughput": metrics.decode_throughput(),
                 "pipeline_depth": placement.pipeline_depth(profile.model().num_layers),
+                "thinnest_layer_kv_tokens": thinnest,
             }));
             if run.case_study && cluster_name == "single cluster" {
-                print_case_study(&profile, name, &placement)?;
+                print_case_study(&topology, name)?;
             }
         }
     }
     Ok(run.report("Figure 9", json!({ "rows": data })))
 }
 
-/// Fig. 9b: per-node layer counts and flow utilisation for one placement.
-fn print_case_study(
-    profile: &ClusterProfile,
-    name: &str,
-    placement: &ModelPlacement,
-) -> Result<(), BenchError> {
+/// The KV tokens of a plan's thinnest layer: over the nodes that carry
+/// flow, each layer's KV tokens summed, and the smallest sum — what the
+/// plan keeps resident for all its requests at once.
+fn thinnest_layer_kv(topology: &Topology) -> f64 {
+    let mut per_layer = vec![0.0; topology.num_layers()];
+    for node in topology.nodes().filter(|n| n.flow > 0.0) {
+        let layers = per_layer.get_mut(node.layers.start..node.layers.end);
+        for layer in layers.unwrap_or_default() {
+            *layer += node.kv_capacity_tokens;
+        }
+    }
+    per_layer.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Fig. 9b: per-node layer counts, flow utilisation and KV tokens for one
+/// planned placement.
+fn print_case_study(topology: &Topology, name: &str) -> Result<(), BenchError> {
+    let (profile, placement) = (topology.profile(), topology.placement());
     let graph = FlowGraphBuilder::new(profile).build(placement)?;
     let flow = graph.max_flow();
     let util = graph.node_utilization(&flow);
-    println!("  case study ({name}): layers held per node (utilisation)");
+    println!("  case study ({name}): layers held per node (utilisation, KV tokens)");
     for gpu in [GpuType::A100_40, GpuType::L4, GpuType::T4] {
         let cells: Vec<String> = profile
             .cluster()
             .node_ids()
             .filter(|&id| profile.cluster().node(id).gpu == gpu)
-            .map(|id| match placement.range(id) {
-                Some(r) => format!(
-                    "{}({:.0}%)",
+            .map(|id| match (placement.range(id), topology.node(id)) {
+                (Some(r), Some(node)) => format!(
+                    "{}({:.0}%, {:.0})",
                     r.len(),
-                    util.get(&id).copied().unwrap_or(0.0) * 100.0
+                    util.get(&id).copied().unwrap_or(0.0) * 100.0,
+                    node.kv_capacity_tokens
                 ),
-                None => "-".to_string(),
+                _ => "-".to_string(),
             })
             .collect();
         println!("    {:<5}: {}", gpu.short_name(), cells.join(" "));

@@ -17,7 +17,8 @@
 //!   the `from → to` link.
 //! * **Release and purge** ([`Actuator::release`]): a request is freed on
 //!   every row of its model, not only its pipeline's — migrations seed
-//!   destinations and replication seeds standbys, all keyed by request id.
+//!   destinations and replication seeds standbys, all keyed by request id —
+//!   and its §5.2 KV estimate on every stage of its pipeline.
 //! * **Perturbations** ([`Actuator::perturb`]): the one interpreter of
 //!   [`PerturbationEvent`] — a slowdown re-prices a node's rows; a failure or
 //!   an outage fails its rows, purges the stranded requests, closes their
@@ -26,8 +27,15 @@
 //! * **Observation** ([`Actuator::observe`]): the rows' counters go to
 //!   [`ControlPlane::observe`], and what it applies is handed over.
 //! * **Dispatch** ([`Actuator::dispatch`]): an admitted request's lane opens,
-//!   a promoted request's replicated tokens are seeded on every stage, and
-//!   its prefill leaves for the first stage.
+//!   its §5.2 KV estimate is charged on every stage, a promoted request's
+//!   replicated tokens are seeded there, and its prefill leaves for the first
+//!   stage.
+//! * **Admission view** ([`RowView`]): one model's rows as its scheduler
+//!   sees them — queue length (a running batch counts as one), recent
+//!   throughput and KV capacity read off the rows, and KV usage either the
+//!   rows' residency ([`Actuator::resident_view`]) or the §5.2 estimate
+//!   ([`Actuator::estimated_view`]): nodes whose usage passes the high-water
+//!   mark are masked out of IWRR.
 //! * **Token step** ([`Actuator::token`]): an iteration's token reaches the
 //!   coordinator; the request finishes, or its replica chunks ship, its
 //!   standbys seed the durable tokens and its next decode hop leaves.
@@ -47,8 +55,9 @@
 //! breaks ties by push order, so that order is part of the modelled results.
 //! Each surface keeps its loop and clock, its rule for *when* a row starts a
 //! batch (the simulator's on every arrival, the runtime's once nothing more
-//! is due), its `ClusterState` view, its admission cap or KV estimators, the
-//! simulator its shared-prefix hold at admission, and its metrics.
+//! is due), which KV number its admission view reads (the runtime's the
+//! estimate, the simulator's the residency), the simulator its admission cap
+//! and its shared-prefix hold at admission, and its metrics.
 //!
 //! [`LinkWire`]: crate::link::LinkWire
 
@@ -62,6 +71,7 @@ use crate::pair_table::PairTable;
 use crate::replan::{
     KvMigration, KvTransferRecord, PerturbationEvent, ReplanOutcome, ReplanReason,
 };
+use crate::{ClusterState, KvCacheEstimator};
 use helix_cluster::{ModelId, NodeId, TOKEN_WIRE_BYTES};
 use helix_workload::RequestId;
 use std::collections::{HashMap, HashSet};
@@ -89,6 +99,44 @@ pub trait Wire {
     fn completes(&mut self, at: f64, row: RowKey);
 }
 
+/// The output length the §5.2 estimate assumes before a request finishes;
+/// the Azure Conversation trace averages 232 output tokens.
+const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
+
+/// One model's rows as its scheduler sees them: the one [`ClusterState`]
+/// both surfaces admit through (see the [module documentation](self)).
+pub struct RowView<'a> {
+    rows: &'a PairTable<NodeEngine>,
+    model: ModelId,
+    /// The estimate KV usage reads; `None`: the rows' residency.
+    estimate: Option<&'a KvCacheEstimator>,
+}
+
+impl ClusterState for RowView<'_> {
+    fn queue_len(&self, node: NodeId) -> usize {
+        let row = self.rows.get(node, self.model);
+        row.map_or(0, |row| row.queue_len() + usize::from(row.is_busy()))
+    }
+
+    fn recent_throughput(&self, node: NodeId) -> f64 {
+        let row = self.rows.get(node, self.model);
+        row.map_or(0.0, NodeEngine::recent_throughput)
+    }
+
+    fn kv_used_tokens(&self, node: NodeId) -> f64 {
+        let Some(estimate) = self.estimate else {
+            let row = self.rows.get(node, self.model);
+            return row.map_or(0.0, |row| row.kv.used_tokens());
+        };
+        estimate.estimated_tokens(node)
+    }
+
+    fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
+        let row = self.rows.get(node, self.model);
+        row.map_or(f64::INFINITY, |row| row.kv.capacity_tokens())
+    }
+}
+
 /// What one token reaching the coordinator did, for the surface's metrics.
 #[derive(Debug, Clone)]
 pub struct Token {
@@ -113,6 +161,8 @@ pub struct Actuator {
     pub rows: PairTable<NodeEngine>,
     /// The requests by slot and the lane of each live incarnation.
     pub requests: RequestTable,
+    /// The §5.2 KV estimate of each model's nodes.
+    estimates: Vec<KvCacheEstimator>,
     /// The slowdown of every node that has one, for rows built later.
     slowdowns: HashMap<NodeId, f64>,
     /// KV hand-overs performed, drained into the surface's report.
@@ -134,9 +184,11 @@ impl Actuator {
         let profiles = fleet.profiles();
         let num_nodes = profiles.first().map_or(0, |p| p.cluster().num_nodes());
         let activation = profiles.iter().map(|p| p.model().activation_bytes());
+        let estimate = |p| KvCacheEstimator::new(p, INITIAL_AVG_OUTPUT_TOKENS);
         let mut actuator = Actuator {
             rows: PairTable::new(num_nodes, fleet.num_models()),
             requests: RequestTable::default(),
+            estimates: profiles.iter().map(estimate).collect(),
             slowdowns: HashMap::new(),
             kv_transfers: Vec::new(),
             activation: activation.collect(),
@@ -198,6 +250,26 @@ impl Actuator {
     #[inline]
     fn activation_bytes(&self, model: ModelId) -> f64 {
         self.activation.get(model.index()).copied().unwrap_or(0.0)
+    }
+
+    /// `model`'s rows as its scheduler sees them, KV usage read off their
+    /// residency.
+    pub fn resident_view(&self, model: ModelId) -> RowView<'_> {
+        RowView {
+            estimate: None,
+            ..self.estimated_view(model)
+        }
+    }
+
+    /// `model`'s rows as its scheduler sees them, KV usage the §5.2
+    /// estimate: prompt suffix plus running-average output per request, a
+    /// shared prefix once per node.
+    pub fn estimated_view(&self, model: ModelId) -> RowView<'_> {
+        RowView {
+            rows: &self.rows,
+            model,
+            estimate: self.estimates.get(model.index()),
+        }
     }
 
     /// The KV hand-overs performed so far, in the order they started.
@@ -314,10 +386,24 @@ impl Actuator {
 
     /// Frees what one finished — or, with `purge`, aborted — incarnation
     /// holds on every row of its model, in node order, each a priced call at
-    /// `now`.  A purge also drops its queued work.
+    /// `now`, and its estimate on every stage (an aborted one's leaves the
+    /// running output-length average alone).  A purge also drops its queued
+    /// work.
     pub fn release(&mut self, wire: &mut impl Wire, flight: &InFlight, purge: bool, now: f64) {
-        let request = flight.request.id;
-        let rows = self.rows.of_model(flight.pipeline.model).iter_mut();
+        let (request, model) = (flight.request.id, flight.pipeline.model);
+        if let Some(estimate) = self.estimates.get_mut(model.index()) {
+            for stage in &flight.pipeline.stages {
+                if purge {
+                    estimate.on_aborted(stage.node, request);
+                } else {
+                    estimate.on_finished(stage.node, request, flight.generated);
+                }
+                if let Some(p) = flight.prefix {
+                    estimate.release_shared(stage.node, p.id);
+                }
+            }
+        }
+        let rows = self.rows.of_model(model).iter_mut();
         for (node, row) in rows.enumerate() {
             let Some(row) = row else {
                 continue;
@@ -365,17 +451,29 @@ impl Actuator {
 
     /// Opens the lane of the request in `slot` for the incarnation
     /// `dispatch` admitted and sends its prefill to the first stage at
-    /// `now`.  A promoted request first re-seeds its replicated tokens on
-    /// every stage, one call each (the fail-over purge released them); a
-    /// promotion whose replicas received nothing seeds nothing.
+    /// `now`.  Every stage is first charged its estimate: the unshared
+    /// prompt suffix (plus what a promoted incarnation had decoded) and the
+    /// running-average output, a shared prefix attached once per node.  A
+    /// promoted request also re-seeds its replicated tokens on every stage,
+    /// one call each (the fail-over purge released them); a promotion whose
+    /// replicas received nothing seeds nothing.
     pub fn dispatch(&mut self, wire: &mut impl Wire, slot: u32, dispatch: &Dispatch, now: f64) {
-        let Some(first) = dispatch.pipeline.stages.first() else {
+        let stages = &dispatch.pipeline.stages;
+        let (Some(first), Some(spec)) = (stages.first(), self.requests.spec(slot)) else {
             return;
         };
+        let (request, model) = (spec.id, dispatch.pipeline.model);
+        let shared = dispatch.prefix.map_or(0, |p| p.tokens);
+        let cached = spec.prompt_tokens - shared.min(spec.prompt_tokens) + dispatch.generated;
         let resume = dispatch.resume_tokens.filter(|&tokens| tokens > 0);
-        if let (Some(tokens), Some(spec)) = (resume, self.requests.spec(slot)) {
-            let (request, model) = (spec.id, dispatch.pipeline.model);
-            for stage in &dispatch.pipeline.stages {
+        for stage in stages {
+            if let Some(estimate) = self.estimates.get_mut(model.index()) {
+                estimate.on_scheduled(stage.node, request, cached);
+                if let Some(p) = dispatch.prefix {
+                    estimate.attach_shared(stage.node, p.id, p.tokens);
+                }
+            }
+            if let Some(tokens) = resume {
                 wire.call(now, stage.node);
                 if let Some(row) = self.rows.get_mut(stage.node, model) {
                     row.kv.seed(request, tokens);
@@ -499,9 +597,9 @@ mod tests {
     use crate::fleet::{fleet_profiles, FleetPlacement, FleetScheduler};
     use crate::{
         Admission, IdleClusterState, LayerRange, ModelPlacement, PipelineStage, PlacementDelta,
-        RequestPipeline, WorkItem,
+        ReplicationPolicy, RequestPipeline, WorkItem,
     };
-    use helix_cluster::{ClusterBuilder, GpuType, ModelConfig, Region};
+    use helix_cluster::{ClusterBuilder, GpuType, ModelConfig, PrefixId, Region};
     use helix_workload::Request;
     use std::sync::Arc;
 
@@ -588,6 +686,160 @@ mod tests {
         let slot = actuator.requests.insert(request);
         actuator.dispatch(&mut Recorder::default(), slot, &dispatch, 0.0);
         control.flight(id).unwrap().clone()
+    }
+
+    /// Request `id` of 32 prompt tokens, the first 16 of them shared prefix
+    /// 7, decoding `output_tokens`.
+    fn prefixed(id: u64, output_tokens: usize) -> Request {
+        Request {
+            id,
+            prompt_tokens: 32,
+            output_tokens,
+            prefix: Some(PrefixId(7)),
+            prefix_tokens: 16,
+            ..Request::default()
+        }
+    }
+
+    /// Admits `request` against the estimated view and dispatches it at 0
+    /// over `wire`.
+    fn dispatch(
+        control: &mut ControlPlane,
+        actuator: &mut Actuator,
+        wire: &mut Recorder,
+        request: Request,
+    ) -> Dispatch {
+        let admitted = control.admit(&request, &actuator.estimated_view(MODEL));
+        let Ok(Admission::Dispatch(dispatch)) = admitted else {
+            panic!("request {} is admitted", request.id);
+        };
+        let slot = actuator.requests.insert(request);
+        actuator.dispatch(wire, slot, &dispatch, 0.0);
+        dispatch
+    }
+
+    /// Feeds `request`'s incarnation `epoch` tokens until it finishes.
+    fn finish(control: &mut ControlPlane, actuator: &mut Actuator, request: u64, epoch: u64) {
+        let slot = actuator.requests.slot(request).unwrap();
+        for step in 1.. {
+            let at = f64::from(step);
+            let token = actuator.token(control, &mut Recorder::default(), slot, epoch, at, at);
+            if token.unwrap().progress.finished {
+                return;
+            }
+        }
+    }
+
+    /// The estimate of `node` under the estimated view.
+    fn estimate(actuator: &Actuator, node: usize) -> f64 {
+        actuator.estimated_view(MODEL).kv_used_tokens(NodeId(node))
+    }
+
+    /// Aim 3's estimate invariant on the actuator alone: dispatch charges
+    /// every stage its suffix plus the running-average output and a shared
+    /// prefix once per node; a token finish and a fail-over purge free
+    /// them — a promoted and an aborted sharer of one prefix included — so
+    /// every node reads zero once everything finished.
+    #[test]
+    fn the_estimate_balances_through_dispatch_finish_and_purge() {
+        let (mut control, mut actuator) = plane();
+        // Requests of 8 output tokens replicate, shorter ones do not.
+        control.set_replication(ReplicationPolicy::rf2(8, 1));
+        let mut wire = Recorder::default();
+        let first = dispatch(&mut control, &mut actuator, &mut wire, prefixed(1, 8));
+        for (id, output) in [(2, 4), (3, 2)] {
+            let hit = dispatch(&mut control, &mut actuator, &mut wire, prefixed(id, output));
+            assert_eq!(hit.pipeline, first.pipeline, "a prefix hit");
+        }
+        let nodes: Vec<usize> = first
+            .pipeline
+            .stages
+            .iter()
+            .map(|s| s.node.index())
+            .collect();
+        for n in 0..4 {
+            let charged = if nodes.contains(&n) {
+                3.0 * (16.0 + 232.0) + 16.0
+            } else {
+                0.0
+            };
+            assert_eq!(estimate(&actuator, n), charged, "node {n}");
+        }
+
+        finish(&mut control, &mut actuator, 3, 0);
+        let failed = PerturbationEvent::NodeFailure {
+            at: 9.0,
+            node: NodeId(nodes[0]),
+        };
+        let stranded = actuator.perturb(&mut control, &mut wire, &failed, 9.0);
+        let record = &control.logs().failovers[0];
+        assert_eq!(
+            (&record.promoted[..], &record.aborted[..]),
+            (&[1][..], &[2][..])
+        );
+        for flight in stranded {
+            let again = dispatch(&mut control, &mut actuator, &mut wire, flight.request);
+            finish(&mut control, &mut actuator, flight.request.id, again.epoch);
+        }
+        assert_eq!(control.in_flight_len(), 0);
+        for n in 0..4 {
+            assert_eq!(estimate(&actuator, n), 0.0, "node {n}");
+        }
+    }
+
+    /// The one documented difference between the two reads of the one row
+    /// view: after two dispatches sharing a prefix, and before the first
+    /// batch, both agree on queue length, recent throughput and KV capacity;
+    /// the resident read is the rows' residency — the prefix a simulator's
+    /// admission holds, once — and the estimated read is each request's
+    /// suffix and running-average output plus the prefix once.
+    #[test]
+    fn the_resident_and_estimated_reads_differ_only_in_kv_usage() {
+        let (mut control, mut actuator) = plane();
+        let mut wire = Recorder::default();
+        for id in [1, 2] {
+            let dispatch = dispatch(&mut control, &mut actuator, &mut wire, prefixed(id, 8));
+            for stage in &dispatch.pipeline.stages {
+                let row = engine(&mut actuator, stage.node.index());
+                row.kv.hold_prefix(id, PrefixId(7), 16);
+            }
+        }
+        let pipeline = Arc::clone(&control.flight(1).unwrap().pipeline);
+        assert_eq!(
+            pipeline,
+            control.flight(2).unwrap().pipeline,
+            "a prefix hit"
+        );
+        let Sent::Hop(_, _, prefill) = wire.0[0] else {
+            panic!("the first prefill, got {:?}", wire.0);
+        };
+        let (node, model, item) = actuator.requests.land(prefill).unwrap();
+        actuator.rows.get_mut(node, model).unwrap().enqueue(item);
+
+        let (resident, estimated) = (
+            actuator.resident_view(MODEL),
+            actuator.estimated_view(MODEL),
+        );
+        for node in (0..4).map(NodeId) {
+            let on_pipeline = pipeline.stages.iter().any(|s| s.node == node);
+            let queued = usize::from(node == pipeline.stages[0].node);
+            assert_eq!(resident.queue_len(node), queued);
+            assert_eq!(estimated.queue_len(node), queued);
+            let throughput = resident.recent_throughput(node);
+            assert_eq!(estimated.recent_throughput(node), throughput);
+            let capacity = resident.kv_capacity_tokens(node);
+            assert!(capacity.is_finite() && capacity > 0.0);
+            assert_eq!(estimated.kv_capacity_tokens(node), capacity);
+            let (held, charged) = match on_pipeline {
+                true => (16.0, 2.0 * (16.0 + 232.0) + 16.0),
+                false => (0.0, 0.0),
+            };
+            let used = (
+                resident.kv_used_tokens(node),
+                estimated.kv_used_tokens(node),
+            );
+            assert_eq!(used, (held, charged), "{node:?}");
+        }
     }
 
     /// A release frees the request on every row of its model — its

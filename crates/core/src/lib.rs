@@ -112,7 +112,7 @@ pub mod replan;
 pub mod scheduling;
 pub mod topology;
 
-pub use actuator::{Actuator, Token, Wire};
+pub use actuator::{Actuator, RowView, Token, Wire};
 pub use control::{
     Admission, ControlLogs, ControlPlane, Dispatch, Failover, InFlight, ReplicaChunk, TokenProgress,
 };

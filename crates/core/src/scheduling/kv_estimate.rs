@@ -1,9 +1,12 @@
 //! KV-cache usage estimation (paper §5.2).
 //!
-//! Output lengths are unknown when a request is scheduled, so the coordinator
-//! keeps an *estimate* of each node's KV-cache usage: every in-flight request
-//! is assumed to grow to the running average output length, and nodes whose
-//! estimated usage exceeds the high-water mark are masked out of IWRR
+//! Output lengths are unknown when a request is scheduled, so the shared
+//! [`Actuator`](crate::Actuator) keeps an *estimate* of each node's KV-cache
+//! usage, one estimator per model, charged at dispatch and freed at release
+//! on both surfaces: every in-flight request is assumed to grow to the
+//! running average output length, and — where admission reads the estimate
+//! ([`Actuator::estimated_view`](crate::Actuator::estimated_view)) — nodes
+//! whose estimated usage exceeds the high-water mark are masked out of IWRR
 //! scheduling until requests finish.  The estimator holds usage only: the
 //! capacity it is compared with is the node's row
 //! ([`ClusterState::kv_capacity_tokens`](crate::ClusterState::kv_capacity_tokens)),

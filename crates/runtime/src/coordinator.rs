@@ -23,8 +23,10 @@
 //! distinct request id, as the report's outcomes do.  What is genuinely the
 //! runtime's stays here: the loop and its wall-paced clock, the session's
 //! calls, the list of rows to start once nothing more is due (see
-//! [`registry`](crate::registry)), the §5.2 [`KvCacheEstimator`]s admission
-//! reads, and the outcome records.  KV bookkeeping — releasing a finished or aborted request,
+//! [`registry`](crate::registry)), and the outcome records.  Admission reads
+//! the actuator's [`Actuator::estimated_view`]: the §5.2 KV estimate, which
+//! the actuator charges at dispatch and frees at release, is the runtime's
+//! KV number.  KV bookkeeping — releasing a finished or aborted request,
 //! seeding a replica or a promoted request, handing a layer range over — is
 //! a call on every row of the model at the moment the simulator makes it,
 //! priced on the link it crosses.
@@ -69,13 +71,11 @@ use crate::clock::VirtualClock;
 use crate::error::RuntimeError;
 use crate::metrics::RequestOutcome;
 use crate::runtime::{ExecutionKind, PlaneSpec};
-use helix_cluster::{ModelId, NodeId};
 use helix_core::exec_model::DEFAULT_TOKENS_PER_PAGE;
 use helix_core::{
-    Actuator, Admission, ClusterState, ControlLogs, ControlPlane, InFlight, KvCacheEstimator,
-    KvTransferRecord, NodeEngine, PairTable, PerturbationEvent, ReplicationPolicy, Topology,
+    Actuator, Admission, ControlLogs, ControlPlane, InFlight, KvTransferRecord, LinkWire,
+    PairTable, PerturbationEvent, ReplicationPolicy, RowKey, WireEvent,
 };
-use helix_core::{LinkWire, RowKey, WireEvent};
 use helix_workload::Request;
 use std::cmp::Ordering::Greater;
 use std::collections::VecDeque;
@@ -113,49 +113,10 @@ pub(crate) enum SessionControl {
     Finish,
 }
 
-/// Initial average output length used by the KV estimator (§5.2); the Azure
-/// Conversation trace averages 232 output tokens.
-const INITIAL_AVG_OUTPUT_TOKENS: f64 = 232.0;
-
-/// The coordinator's runtime view of the cluster for one model, used by that
-/// model's scheduler.
-///
-/// Queue lengths (a running batch counts as one, as the simulator counts
-/// it), recent throughput and KV capacities are read off the model's rows
-/// (the runtime equivalent of the paper's runtime monitoring); KV usage
-/// comes from the model's coordinator-side estimator, exactly as in §5.2.
-struct CoordinatorView<'a> {
-    model: ModelId,
-    estimators: &'a [KvCacheEstimator],
-    rows: &'a PairTable<NodeEngine>,
-}
-
-impl ClusterState for CoordinatorView<'_> {
-    fn queue_len(&self, node: NodeId) -> usize {
-        let row = self.rows.get(node, self.model);
-        row.map_or(0, |row| row.queue_len() + usize::from(row.is_busy()))
-    }
-
-    fn recent_throughput(&self, node: NodeId) -> f64 {
-        let row = self.rows.get(node, self.model);
-        row.map_or(0.0, NodeEngine::recent_throughput)
-    }
-
-    fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.estimators[self.model.index()].estimated_tokens(node)
-    }
-
-    fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        let row = self.rows.get(node, self.model);
-        row.map_or(f64::INFINITY, |row| row.kv.capacity_tokens())
-    }
-}
-
 pub(crate) struct Coordinator {
     /// The shared coordinator state machine (fleet plan, schedulers, prefix
     /// routers, replication, fail-over, re-plan policy, in-flight table).
     pub control: ControlPlane,
-    estimators: Vec<KvCacheEstimator>,
     clock: VirtualClock,
     inbound: Receiver<SessionControl>,
     /// The rows, the request table and the KV-transfer log.
@@ -189,9 +150,9 @@ pub(crate) struct Coordinator {
 impl Coordinator {
     /// Builds the plane as plain data: one row per (assigned node, model)
     /// pair — each with its own partition of the node's KV pool, over the
-    /// runtime's 16-token pages —
-    /// one KV estimator per model, the network fabric, and the control plane
-    /// that routes every request to its model's scheduler.
+    /// runtime's 16-token pages — with the actuator's estimates, the network
+    /// fabric, and the control plane that routes every request to its
+    /// model's scheduler.
     pub(crate) fn new(spec: PlaneSpec) -> Self {
         let (fleet, config) = (spec.fleet, spec.config);
         // Link bandwidth/latency are model-independent; the fabric uses the
@@ -200,13 +161,10 @@ impl Coordinator {
         let queued = PairTable::new(cluster.num_nodes(), fleet.num_models());
         let priced = config.execution == ExecutionKind::Analytic;
         let act = Actuator::new(&fleet, DEFAULT_TOKENS_PER_PAGE, priced);
-        let initial = |t: &Topology| KvCacheEstimator::new(t.profile(), INITIAL_AVG_OUTPUT_TOKENS);
-        let estimators = fleet.topologies().iter().map(initial).collect();
         let mut control = ControlPlane::new(fleet, spec.schedulers);
         control.set_policy(spec.policy);
         Coordinator {
             control,
-            estimators,
             clock: spec.clock,
             inbound: spec.inbound,
             act,
@@ -373,9 +331,8 @@ impl Coordinator {
         // after this reading (a NaN time included: the simulator clamps it
         // to its clock), in (time, call order), as the simulator handles one
         // perturbation event at a time.  What a failure strands — the
-        // promoted pipelines and the aborted rest — releases its estimate
-        // and queues for re-admission through the normal path, after the
-        // purge.
+        // promoted pipelines and the aborted rest, their KV and estimate
+        // purged — queues for re-admission through the normal path.
         let due = self
             .perturbations
             .extract_if(.., |event| event.at().partial_cmp(&now) != Some(Greater));
@@ -384,7 +341,6 @@ impl Coordinator {
         for event in &due {
             let (control, wire) = (&mut self.control, &mut self.wire);
             for flight in self.act.perturb(control, wire, event, now) {
-                self.release_estimate(&flight, true);
                 self.pending.push_back(flight.request);
             }
         }
@@ -490,60 +446,24 @@ impl Coordinator {
         Some(self.control.last_check() + policy.check_interval_secs)
     }
 
-    /// Asks the control plane to admit one request and puts the dispatch on
-    /// the wire at `now`.  Returns `Ok(false)` if the admission was deferred
-    /// (every candidate masked, or only dead pipelines on offer) and the
-    /// request should be retried later.
+    /// Asks the control plane to admit one request against the §5.2
+    /// estimate and puts the dispatch on the wire at `now`.  Returns
+    /// `Ok(false)` if the admission was deferred (every candidate masked, or
+    /// only dead pipelines on offer) and the request should be retried
+    /// later.
     fn try_dispatch(&mut self, request: Request, now: f64) -> Result<bool, RuntimeError> {
-        let model = request.model;
-        let view = CoordinatorView {
-            model,
-            estimators: &self.estimators,
-            rows: &self.act.rows,
-        };
+        let view = self.act.estimated_view(request.model);
         let Admission::Dispatch(dispatch) = self.control.admit(&request, &view)? else {
             return Ok(false);
         };
-        // The per-request estimate covers only the unshared suffix (plus, for
-        // a promoted incarnation, what it had already decoded); the shared
-        // range is attached (refcounted, counted once per node) so the
-        // estimator mirrors the rows' refcounted pool entries.
-        let shared = dispatch.prefix.map_or(0, |p| p.tokens);
-        let cached = request.prompt_tokens - shared.min(request.prompt_tokens) + dispatch.generated;
-        for stage in &dispatch.pipeline.stages {
-            let estimator = &mut self.estimators[model.index()];
-            estimator.on_scheduled(stage.node, request.id, cached);
-            if let Some(p) = dispatch.prefix {
-                estimator.attach_shared(stage.node, p.id, p.tokens);
-            }
-        }
         let slot = self.act.requests.insert(request);
         self.act.dispatch(&mut self.wire, slot, &dispatch, now);
         Ok(true)
     }
 
-    /// Drops what one finished (or, with `purge`, aborted) incarnation
-    /// holds from its model's estimator; an aborted one's estimate leaves
-    /// the running output-length average alone.
-    fn release_estimate(&mut self, flight: &InFlight, purge: bool) {
-        let (model, request) = (flight.pipeline.model, flight.request.id);
-        let estimator = &mut self.estimators[model.index()];
-        for stage in &flight.pipeline.stages {
-            if purge {
-                estimator.on_aborted(stage.node, request);
-            } else {
-                estimator.on_finished(stage.node, request, flight.generated);
-            }
-            if let Some(p) = flight.prefix {
-                estimator.release_shared(stage.node, p.id);
-            }
-        }
-    }
-
-    /// Records a request the token step finished — its KV already freed on
-    /// every row — and frees its estimate.
+    /// Records a request the token step finished — its KV and estimate
+    /// already freed.
     fn complete(&mut self, flight: InFlight, completed_at: f64) {
-        self.release_estimate(&flight, false);
         let outcome = RequestOutcome {
             id: flight.request.id,
             model: flight.pipeline.model,
@@ -566,12 +486,12 @@ mod tests {
     use crate::registry::one_stage_hop;
     use crate::runtime::RuntimeConfig;
     use crate::Phase;
-    use helix_cluster::TOKEN_WIRE_BYTES;
     use helix_cluster::{
-        ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, Region,
+        ClusterBuilder, ClusterProfile, ClusterSpec, GpuType, ModelConfig, ModelId, NodeId, Region,
+        TOKEN_WIRE_BYTES,
     };
-    use helix_core::PlacementDelta;
     use helix_core::{heuristics, HelixError, IwrrScheduler, NoCandidateReason, RequestPipeline};
+    use helix_core::{ClusterState, NodeEngine, PlacementDelta};
     use helix_core::{FleetTopology, Scheduler};
     use helix_core::{Hop, Wire};
     use helix_core::{LayerRange, ModelPlacement, PipelineStage, SchedulerKind, Topology};
@@ -1038,8 +958,9 @@ mod tests {
 
     /// Aim 3's invariant on the runtime: with RF=2 replication, shared
     /// prefixes, a mid-run migration and a node failure, every row's
-    /// pool is empty once the plane has finished — every release, purge,
-    /// seed and hand-over balanced.
+    /// pool is empty and every node's §5.2 estimate reads zero once the
+    /// plane has finished — every release, purge, seed and hand-over
+    /// balanced, and every dispatch's estimate freed by a finish or a purge.
     #[test]
     fn kv_is_balanced_at_quiescence_after_replication_a_migration_and_a_failure() {
         // Every stage doubled: nodes 0 and 2 hold the bottom half, 1 and 3
@@ -1105,6 +1026,13 @@ mod tests {
             let held = (kv.used_tokens(), kv.shared_pages());
             assert_eq!(held, (0.0, 0), "{key:?} still holds KV");
         }
+        // Footprints carry the running average, a fraction: what they leave
+        // behind is rounding, far below one token.
+        let estimate = coordinator.act.estimated_view(ModelId(0));
+        for node in (0..4).map(NodeId) {
+            let left = estimate.kv_used_tokens(node);
+            assert!(left < 1e-6, "{node:?}'s estimate reads {left}");
+        }
     }
 
     /// A re-plan does not put a failed node's row back in service.  Node 0
@@ -1152,9 +1080,10 @@ mod tests {
         assert!(!row.is_busy());
     }
 
-    /// The scheduler's view counts a running batch, as the simulator's
-    /// does: a row mid-batch with nothing queued reads one, so a busy row
-    /// never ties an idle one under the shortest-queue baseline.
+    /// The runtime's admission view counts a running batch, as the
+    /// simulator's does (it is the one row view): a row mid-batch with
+    /// nothing queued reads one, so a busy row never ties an idle one under
+    /// the shortest-queue baseline.
     #[test]
     fn a_row_mid_batch_with_nothing_queued_has_queue_length_one() {
         use crate::registry::{fleet, plane_of};
@@ -1165,11 +1094,7 @@ mod tests {
         assert!(plane.start_touched(0.0), "the row starts its batch");
         let row = row(&plane, key);
         assert_eq!((row.is_busy(), row.queue_len()), (true, 0));
-        let view = CoordinatorView {
-            model: key.1,
-            estimators: &plane.estimators,
-            rows: &plane.act.rows,
-        };
+        let view = plane.act.estimated_view(key.1);
         assert_eq!(view.queue_len(key.0), 1);
         assert_eq!(view.queue_len(NodeId(3)), 0, "an idle row reads zero");
     }

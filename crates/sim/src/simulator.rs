@@ -1,18 +1,19 @@
 //! The cluster simulator: the discrete-event surface of the shared
-//! [`ControlPlane`].  Its loop and virtual clock, the scheduler's
-//! `ClusterState` view of its engines, the admission cap and metrics are its
-//! own; every action on the control plane's decisions — dispatches, the
-//! token and batch steps, releases, observations, scripted
+//! [`ControlPlane`].  Its loop and virtual clock, the admission cap and
+//! metrics are its own; every action on the control plane's decisions —
+//! dispatches, the token and batch steps, releases, observations, scripted
 //! [`PerturbationEvent`]s (fail-overs, rejoins, re-plans) and their KV
 //! hand-overs — is the shared [`Actuator`]'s, over the shared [`LinkWire`]:
 //! its link queues and the simulator's event queue, with coordinator →
-//! engine calls free.
+//! engine calls free.  Admission reads the actuator's one row view with the
+//! engines' KV residency ([`Actuator::resident_view`]); the actuator keeps
+//! the §5.2 estimate the runtime admits against here too, unread.
 
 use crate::event::{Event, EventQueue, SimTime};
 use crate::metrics::{IntervalMetrics, LatencyStats, LinkStats, Metrics};
 use helix_cluster::{ModelId, NodeId};
 use helix_core::{
-    Actuator, Admission, ClusterState, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
+    Actuator, Admission, ControlPlane, FailoverRecord, FleetScheduler, FleetTopology,
     KvTransferRecord, LinkWire, NodeEngine, PerturbationEvent, PrefixStats, ReplanPolicy,
     ReplanRecord, ReplicationPolicy, ReplicationStats, Scheduler, Token, Topology,
 };
@@ -74,34 +75,6 @@ impl SimulationConfig {
     pub fn with_admission_limit(mut self, limit: usize) -> Self {
         self.admission_limit = limit;
         self
-    }
-}
-
-/// One model's engines as the scheduler sees them: queue/throughput/KV
-/// state of that model's engines only, so per-model KV masking sees its own
-/// partition.
-struct EngineView<'a>(&'a [Option<NodeEngine>]);
-
-impl EngineView<'_> {
-    fn engine(&self, node: NodeId) -> Option<&NodeEngine> {
-        self.0.get(node.index())?.as_ref()
-    }
-}
-
-impl ClusterState for EngineView<'_> {
-    fn queue_len(&self, node: NodeId) -> usize {
-        self.engine(node)
-            .map_or(0, |e| e.queue_len() + usize::from(e.is_busy()))
-    }
-    fn recent_throughput(&self, node: NodeId) -> f64 {
-        self.engine(node).map_or(0.0, |e| e.recent_throughput())
-    }
-    fn kv_used_tokens(&self, node: NodeId) -> f64 {
-        self.engine(node).map_or(0.0, |e| e.kv.used_tokens())
-    }
-    fn kv_capacity_tokens(&self, node: NodeId) -> f64 {
-        self.engine(node)
-            .map_or(f64::INFINITY, |e| e.kv.capacity_tokens())
     }
 }
 
@@ -626,10 +599,12 @@ impl ClusterSimulator {
     }
 
     /// Asks the control plane to admit `request` against its model's
-    /// engines and puts the dispatch on the wire: shared-prefix residency is
-    /// attached (refcounted) on every pipeline node, and the actuator seeds
-    /// a promoted request's replicated tokens there and sends the prefill to
-    /// the first stage.  A deferred request retries shortly.
+    /// engines — their KV residency, not the §5.2 estimate — and puts the
+    /// dispatch on the wire: shared-prefix residency is attached
+    /// (refcounted) on every pipeline node, and the actuator charges the
+    /// estimate, seeds a promoted request's replicated tokens there and
+    /// sends the prefill to the first stage.  A deferred request retries
+    /// shortly.
     fn admit_request(&mut self, request: RequestId, now: SimTime) {
         let requests = &self.act.requests;
         let Some((slot, spec)) = requests
@@ -639,7 +614,9 @@ impl ClusterSimulator {
             return;
         };
         let model = spec.model;
-        let view = EngineView(self.act.rows.of_model(model));
+        // The engines' residency, not the estimate: reading the estimate here
+        // moves modelled results (ROADMAP item 1(b)).
+        let view = self.act.resident_view(model);
         let Ok(Admission::Dispatch(dispatch)) = self.control.admit(spec, &view) else {
             let retry = Event::RequestArrival { request };
             self.wire.queue.push(now + 0.2, retry);
@@ -991,6 +968,50 @@ mod tests {
         // Requests that finished before the failure keep exactly one counted
         // completion, and aborted incarnations are never double-counted.
         assert!(report.metrics.overall.completed_requests <= 40);
+    }
+
+    /// Aim 3's estimate invariant on the simulator: with shared prefixes,
+    /// RF=2 replication and a node failure that strands requests, every
+    /// node's §5.2 estimate — kept by the actuator, unread here — reads zero
+    /// once every request completed, as every engine's KV does.
+    #[test]
+    fn the_estimate_and_the_kv_drain_to_zero_after_prefixes_replication_and_a_failure() {
+        use helix_core::ClusterState;
+        let profile = small_profile();
+        let topology = petals_topology(&profile);
+        let failed = topology.nodes().map(|n| n.node).find(|&node| {
+            let mut without = topology.placement().clone();
+            without.clear(node);
+            without.has_complete_pipeline(topology.num_layers())
+        });
+        let workload = small_workload(40).with_shared_prefixes(4, 64, 1.0);
+        let scheduler = IwrrScheduler::from_topology(&topology).unwrap();
+        let sim = ClusterSimulator::new(&topology, Box::new(scheduler));
+        let config = SimulationConfig::offline(600.0).with_warmup(0.0);
+        let mut session = SimSession::new(sim, config);
+        session.set_replication(ReplicationPolicy::rf2(0, 1));
+        session.fail_node(failed.expect("some node is redundant"), 5.0);
+        for request in workload.iter() {
+            session.submit(*request);
+        }
+        session.drain();
+        let report = session.report();
+        assert_eq!(report.metrics.overall.completed_requests, 40);
+        assert!(report.prefix.prefix_hits > 0);
+        let stranded = &report.failovers[0];
+        assert!(stranded.promoted.len() + stranded.aborted.len() > 0);
+        let sim = session.simulator();
+        let estimate = sim.act.estimated_view(ModelId(0));
+        for node in profile.cluster().node_ids() {
+            let kv = sim
+                .engine(node, ModelId(0))
+                .map_or(0.0, |e| e.kv.used_tokens());
+            assert_eq!(kv, 0.0, "{node:?} holds KV");
+            // Footprints carry the running average, a fraction: what they
+            // leave behind is rounding, far below one token.
+            let left = estimate.kv_used_tokens(node);
+            assert!(left < 1e-6, "{node:?}'s estimate reads {left}");
+        }
     }
 
     /// The parent's behaviour, kept as the oracle: every arrival pushed into

@@ -101,6 +101,14 @@ guard "one perturbation vocabulary" \
     "awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\\[cfg\\(test\\)\\]/ { t = 1 }
          !t && /fn apply_perturbation|SessionControl::(FailNode|InjectSpeed|ApplyDelta)|(FailNode|InjectSpeed|ApplyDelta)\\(|pending_failures|ArrivalRateShift/ { print FILENAME \":\" FNR \": \" \$0 }' \
          \$(find crates/sim/src crates/runtime/src -name '*.rs' | LC_ALL=C sort)"
+# Both surfaces admit through one row view, `helix_core::RowView`, and the
+# §5.2 KV estimate is the shared actuator's, charged at dispatch and freed
+# at release: no surface implements `ClusterState` itself or keeps its own
+# `KvCacheEstimator`s.  Test modules may.
+guard "one scheduler view, one §5.2 estimate" \
+    "awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\\[cfg\\(test\\)\\]/ { t = 1 }
+         !t && /impl ClusterState for|KvCacheEstimator|estimators/ { print FILENAME \":\" FNR \": \" \$0 }' \
+         \$(find crates/sim/src crates/runtime/src -name '*.rs' | LC_ALL=C sort)"
 # Every public function of the libraries has a caller in another file's
 # code, as the type checker resolves it, or a line in
 # tools/pub-fn-allowlist.txt naming the file that reads it.  A failed build
